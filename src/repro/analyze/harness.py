@@ -61,7 +61,7 @@ class ImageHarness:
 
         self.chip = IXP2400(n_programmable_mes=1)
         load_system(result, self.chip, n_mes=1, dispatch="fast")
-        # Boot inits already ran inside load_system; from here on the
+        # The globals hold their post-boot image; from here on the
         # control processor stays silent so only the image under test
         # touches packets (the reference capture mirrors this).
         self.chip.xscale.service = lambda now: 0.0

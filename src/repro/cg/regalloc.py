@@ -143,10 +143,12 @@ def home_call_live(fn: LIRFunction) -> None:
         fresh: Dict[VReg, VReg] = {}  # currently valid in-register copies
         out: List[Insn] = []
         for insn in bb.insns:
-            # Reload stale uses into short-lived copies.
+            # Reload stale uses into short-lived copies, in vreg-id order:
+            # set order follows object addresses, so it would make the
+            # copies' ids (hence their colors) differ from compile to compile.
             reads = {u for u in insn.reads() if isinstance(u, VReg) and u in call_live}
             mapping: Dict[VReg, VReg] = {}
-            for u in reads:
+            for u in sorted(reads, key=lambda r: r.id):
                 if u in fresh:
                     mapping[u] = fresh[u]
                 else:

@@ -58,6 +58,9 @@ class CompileResult:
     # Decision-ledger slice for this compilation (empty unless the
     # ledger is enabled; see repro.obs.ledger).
     decisions: List[object] = field(default_factory=list)
+    # Global contents after the init blocks ran, filled by the first
+    # rts.loader.load_system of this result (see loader.boot_image).
+    boot_image: Optional[Dict[str, bytes]] = field(default=None, repr=False)
 
 
 def compile_ir(

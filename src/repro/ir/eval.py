@@ -1,10 +1,16 @@
 """Shared evaluation semantics for IR arithmetic.
 
-Both the functional interpreter and the constant folder call these, so
-compile-time folding can never disagree with runtime evaluation.
+Both the functional interpreter and the constant folder evaluate through
+:func:`binop_fn` / :func:`cmp_fn`, so compile-time folding can never
+disagree with runtime evaluation. The interpreter binds the returned
+function into its decoded instruction once; the folder goes through the
+:func:`eval_binop` / :func:`eval_cmp` conveniences.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import Callable
 
 
 class EvalError(ArithmeticError):
@@ -17,69 +23,91 @@ def to_signed(value: int, bits: int) -> int:
     return value - (1 << bits) if value & sign else value
 
 
-def eval_binop(op: str, a: int, b: int, bits: int) -> int:
-    """Evaluate a BinOp; result is masked to ``bits``."""
+@lru_cache(maxsize=None)
+def binop_fn(op: str, bits: int) -> Callable[[int, int], int]:
+    """``f(a, b)`` evaluating BinOp ``op``; the result is masked to
+    ``bits``. Signed division truncates toward zero and wraps
+    (INT_MIN / -1 == INT_MIN, the C-on-IXP behaviour)."""
     mask = (1 << bits) - 1
-    if op == "add":
-        return (a + b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "and":
-        return a & b & mask
-    if op == "or":
-        return (a | b) & mask
-    if op == "xor":
-        return (a ^ b) & mask
-    if op == "shl":
-        return (a << (b & (bits - 1))) & mask
-    if op == "lshr":
-        return (a & mask) >> (b & (bits - 1))
-    if op == "ashr":
-        return (to_signed(a, bits) >> (b & (bits - 1))) & mask
-    if op == "div_u":
+    shift = bits - 1
+
+    def div_u(a: int, b: int) -> int:
         if b == 0:
             raise EvalError("division by zero")
         return ((a & mask) // (b & mask)) & mask
-    if op == "rem_u":
+
+    def rem_u(a: int, b: int) -> int:
         if b == 0:
             raise EvalError("division by zero")
         return ((a & mask) % (b & mask)) & mask
-    if op == "div_s":
+
+    def div_s(a: int, b: int) -> int:
         sa, sb = to_signed(a, bits), to_signed(b, bits)
         if sb == 0:
             raise EvalError("division by zero")
         q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return q & mask
-    if op == "rem_s":
+        return (-q if (sa < 0) != (sb < 0) else q) & mask
+
+    def rem_s(a: int, b: int) -> int:
         sa, sb = to_signed(a, bits), to_signed(b, bits)
         if sb == 0:
             raise EvalError("division by zero")
         r = abs(sa) % abs(sb)
-        if sa < 0:
-            r = -r
-        return r & mask
-    raise EvalError("unknown binop %r" % op)
+        return (-r if sa < 0 else r) & mask
+
+    table = {
+        "add": lambda a, b: (a + b) & mask,
+        "sub": lambda a, b: (a - b) & mask,
+        "mul": lambda a, b: (a * b) & mask,
+        "and": lambda a, b: a & b & mask,
+        "or": lambda a, b: (a | b) & mask,
+        "xor": lambda a, b: (a ^ b) & mask,
+        "shl": lambda a, b: (a << (b & shift)) & mask,
+        "lshr": lambda a, b: (a & mask) >> (b & shift),
+        "ashr": lambda a, b: (to_signed(a, bits) >> (b & shift)) & mask,
+        "div_u": div_u, "rem_u": rem_u, "div_s": div_s, "rem_s": rem_s,
+    }
+    if op not in table:
+        raise EvalError("unknown binop %r" % op)
+    return table[op]
+
+
+@lru_cache(maxsize=None)
+def cmp_fn(op: str, bits: int) -> Callable[[int, int], int]:
+    """``f(a, b)`` evaluating Cmp ``op`` to 0/1; ``bits`` is the width
+    used for signed reinterpretation."""
+    if op == "eq":
+        return lambda a, b: int(a == b)
+    if op == "ne":
+        return lambda a, b: int(a != b)
+    base = op[:2]
+    if op.endswith("_s"):
+        # Flipping the sign bit maps two's-complement order onto
+        # unsigned order, which saves two to_signed calls per compare.
+        mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+        table = {
+            "lt": lambda a, b: int(((a & mask) ^ sign) < ((b & mask) ^ sign)),
+            "le": lambda a, b: int(((a & mask) ^ sign) <= ((b & mask) ^ sign)),
+            "gt": lambda a, b: int(((a & mask) ^ sign) > ((b & mask) ^ sign)),
+            "ge": lambda a, b: int(((a & mask) ^ sign) >= ((b & mask) ^ sign)),
+        }
+    else:
+        table = {
+            "lt": lambda a, b: int(a < b),
+            "le": lambda a, b: int(a <= b),
+            "gt": lambda a, b: int(a > b),
+            "ge": lambda a, b: int(a >= b),
+        }
+    if base not in table:
+        raise EvalError("unknown cmp %r" % op)
+    return table[base]
+
+
+def eval_binop(op: str, a: int, b: int, bits: int) -> int:
+    """Evaluate a BinOp; result is masked to ``bits``."""
+    return binop_fn(op, bits)(a, b)
 
 
 def eval_cmp(op: str, a: int, b: int, bits: int) -> int:
     """Evaluate a Cmp; ``bits`` is the width used for signed reinterpretation."""
-    if op == "eq":
-        return int(a == b)
-    if op == "ne":
-        return int(a != b)
-    if op.endswith("_s"):
-        a, b = to_signed(a, bits), to_signed(b, bits)
-    base = op[:2]
-    if base == "lt":
-        return int(a < b)
-    if base == "le":
-        return int(a <= b)
-    if base == "gt":
-        return int(a > b)
-    if base == "ge":
-        return int(a >= b)
-    raise EvalError("unknown cmp %r" % op)
+    return cmp_fn(op, bits)(a, b)

@@ -197,6 +197,15 @@ class IXP2400:
         self.run(self.now + cycles, stop=stop,
                  stop_check_interval=stop_check_interval)
 
+    def close(self) -> None:
+        """Give the simulated memories back now. A finished chip sits in
+        reference cycles (event closures, ME back-pointers) until the next
+        full collection, and the touched pages of its 20 MiB of stores are
+        most of what a sweep keeps resident; how many dead chips pile up
+        otherwise depends on when the collector happens to run."""
+        for store in self.memory.stores.values():
+            store.clear()
+
     @property
     def seconds(self) -> float:
         return self.now / ME_HZ

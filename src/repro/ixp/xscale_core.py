@@ -230,7 +230,3 @@ class XScaleCore(Interpreter):
                 self.serviced += 1
                 busy += XSCALE_CYCLES_PER_PACKET
         return busy
-
-    def run_boot_inits(self) -> None:
-        """Execute module init blocks against simulated memory."""
-        self.run_inits()

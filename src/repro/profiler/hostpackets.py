@@ -18,25 +18,30 @@ from repro.baker.packetmodel import (
 )
 
 
+def _byte_window(buf: bytearray, bit_off: int, width: int):
+    """(first byte, end byte, bits below the field) of the bytes a field
+    spans. Slices truncate silently, so the range is checked here."""
+    end = bit_off + width
+    last = (end + 7) >> 3
+    if bit_off < 0 or last > len(buf):
+        raise IndexError("bit field %d+%d outside a %d-byte buffer"
+                         % (bit_off, width, len(buf)))
+    return bit_off >> 3, last, last * 8 - end
+
+
 def get_bits(buf: bytearray, bit_off: int, width: int) -> int:
     """Read ``width`` bits big-endian starting at absolute ``bit_off``."""
-    out = 0
-    for i in range(width):
-        bit = bit_off + i
-        byte = buf[bit >> 3]
-        out = (out << 1) | ((byte >> (7 - (bit & 7))) & 1)
-    return out
+    first, last, shift = _byte_window(buf, bit_off, width)
+    return (int.from_bytes(buf[first:last], "big") >> shift) & ((1 << width) - 1)
 
 
 def set_bits(buf: bytearray, bit_off: int, width: int, value: int) -> None:
-    """Write ``width`` bits big-endian starting at absolute ``bit_off``."""
-    for i in range(width):
-        bit = bit_off + i
-        mask = 1 << (7 - (bit & 7))
-        if (value >> (width - 1 - i)) & 1:
-            buf[bit >> 3] |= mask
-        else:
-            buf[bit >> 3] &= ~mask & 0xFF
+    """Write the low ``width`` bits of ``value`` big-endian starting at
+    absolute ``bit_off``."""
+    first, last, shift = _byte_window(buf, bit_off, width)
+    mask = ((1 << width) - 1) << shift
+    merged = (int.from_bytes(buf[first:last], "big") & ~mask) | ((value << shift) & mask)
+    buf[first:last] = merged.to_bytes(last - first, "big")
 
 
 class HostPacket:

@@ -11,26 +11,32 @@ packets are the reference output that optimized code (and the ME
 simulator) must reproduce, and it can execute post-optimization IR
 (including PAC/SOAR/SWC forms) so every pass can be differentially
 tested.
+
+Execution is threaded code (DESIGN.md section 5): the first time a basic
+block runs it is decoded into closures ``op(interp, env)`` with everything
+static settled once, and fuel and profile counters are charged per block.
+Decoded blocks belong to the ``Interpreter`` instance, never to the IR,
+which passes mutate between runs; the closures take the interpreter as an
+argument instead of capturing it, so decoded code forms no reference cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from operator import setitem
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.baker import ast
 from repro.baker import types as T
 from repro.baker.semantic import eval_const_expr
 from repro.ir import instructions as I
-from repro.ir.eval import EvalError, eval_binop, eval_cmp
-from repro.ir.module import IRFunction, IRModule
+from repro.ir.eval import EvalError, binop_fn, cmp_fn
+from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Operand, Temp
 from repro.profiler.hostpackets import HostPacket
 from repro.profiler.stats import ProfileData
 from repro.profiler.trace import Trace
 
 _U32 = 0xFFFFFFFF
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class InterpError(RuntimeError):
@@ -43,13 +49,6 @@ def _bits_of(type_: T.Type) -> int:
     if type_.is_bool:
         return 1
     return 32
-
-
-def _to_signed(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & ((1 << bits) - 1)) ^ sign if False else (
-        value - (1 << bits) if value & sign else value
-    )
 
 
 class GlobalMemory:
@@ -98,8 +97,268 @@ class SystemResult:
         return sorted(self.tx_payloads())
 
 
+# -- decode: one closure per instruction -----------------------------------------
+#
+# A decoder takes (instr, fn) and returns ``op(it, env)``: ``it`` is the
+# running Interpreter (reached late, so subclasses can swap ``globals`` and
+# the packet/channel hooks), ``env`` maps Temps to values and local-array
+# names to their bytearrays. The classes that dominate execution (BinOp,
+# Cmp, Assign, LoadG, PktLoadField: over 90 % of interpreted instructions)
+# have their own closures; every other class states its meaning as a
+# function of operand *values* and ``_generic`` does the plumbing.
+
+Env = Dict[object, object]
+Op = Callable[["Interpreter", Env], None]
+
+
+def _mask(dst: Temp) -> int:
+    return (1 << _bits_of(dst.type)) - 1
+
+
+def _getter(x) -> Callable[[Env], object]:
+    """``env -> value`` of an operand (or list of operands)."""
+    if isinstance(x, list):
+        gets = [_getter(e) for e in x]
+        return lambda env: [get(env) for get in gets]
+    if isinstance(x, Const):
+        k = x.value
+        return lambda env: k
+    return lambda env: env[x]
+
+
+def _apply(f: Callable[[object, object], object], dst: Temp,
+           a: Operand, b: Operand) -> Op:
+    """``env[dst] = f(a, b)``, specialised for the two common operand
+    shapes: temp-temp and temp-constant."""
+    if isinstance(a, Const):
+        get_a, get_b = _getter(a), _getter(b)
+
+        def op(it, env):
+            env[dst] = f(get_a(env), get_b(env))
+    elif isinstance(b, Const):
+        kb = b.value
+
+        def op(it, env):
+            env[dst] = f(env[a], kb)
+    else:
+        def op(it, env):
+            env[dst] = f(env[a], env[b])
+    return op
+
+
+def _binop(i: I.BinOp, fn) -> Op:
+    return _apply(binop_fn(i.op, _bits_of(i.dst.type)), i.dst, i.a, i.b)
+
+
+def _cmp(i: I.Cmp, fn) -> Op:
+    if i.op not in ("eq", "ne") and (i.a.type.is_packet or i.b.type.is_packet):
+        def op(it, env):
+            raise InterpError("ordered comparison of packet handles")
+        return op
+    # eq/ne need no packet case: handles compare by identity (same
+    # metadata address), which is what == on them does.
+    bits = max(_bits_of(i.a.type), _bits_of(i.b.type))
+    return _apply(cmp_fn(i.op, bits), i.dst, i.a, i.b)
+
+
+def _assign(i: I.Assign, fn) -> Op:
+    dst, src, mask = i.dst, i.src, _mask(i.dst)
+    if isinstance(src, Const):
+        k = src.value & mask
+
+        def op(it, env):
+            env[dst] = k
+    else:
+        def op(it, env):
+            v = env[src]  # a packet handle passes through unmasked
+            env[dst] = v & mask if isinstance(v, int) else v
+    return op
+
+
+def _load_g(i: I.LoadG, fn) -> Op:
+    dst, g, width, mask, offset = i.dst, i.g, i.width, _mask(i.dst), _getter(i.offset)
+
+    def op(it, env):
+        off = offset(env)
+        env[dst] = it.globals.load(g, off, width) & mask
+        stat = it.profile.gstat(g)
+        stat.loads += 1
+        stat.load_offsets[off] += 1
+    return op
+
+
+def _pkt_load_field(i: I.PktLoadField, fn) -> Op:
+    dst, ph, bit_off, bit_width, mask = i.dst, i.ph, i.bit_off, i.bit_width, _mask(i.dst)
+
+    def op(it, env):
+        env[dst] = env[ph].load_bits(bit_off, bit_width) & mask
+    return op
+
+
+def _local(i, fn) -> Op:
+    """LoadL / StoreL: the activation's arrays live in ``env`` under
+    their names."""
+    array, width, offset = i.array, i.width, _getter(i.offset)
+
+    def locate(env):
+        buf, off = env[array], offset(env)
+        if off < 0 or off + width > len(buf):
+            raise InterpError("%s: out-of-bounds local access" % fn.name)
+        return buf, off
+
+    if isinstance(i, I.LoadL):
+        dst, mask = i.dst, _mask(i.dst)
+
+        def op(it, env):
+            buf, off = locate(env)
+            env[dst] = int.from_bytes(buf[off : off + width], "big") & mask
+    else:
+        value, vmask = _getter(i.value), (1 << (width * 8)) - 1
+
+        def op(it, env):
+            buf, off = locate(env)
+            buf[off : off + width] = (value(env) & vmask).to_bytes(width, "big")
+    return op
+
+
+def _generic(meaning: Callable[..., object]) -> Callable[[I.Instr, IRFunction], Op]:
+    """Decoder for a class whose semantics is ``meaning(it, instr,
+    *operand values)``, operands in the class's ``_uses`` order. What it
+    returns goes to the instruction's ``dst`` (an int wrapped to the
+    temp's width, a packet handle as is) or word by word to its ``dsts``."""
+    def decode(i: I.Instr, fn) -> Op:
+        gets = [_getter(getattr(i, attr)) for attr in i._uses]
+        dsts = [(dst, _mask(dst)) for dst in i.defs()]
+        if not dsts:
+            def op(it, env):
+                meaning(it, i, *[get(env) for get in gets])
+        elif "dsts" in i._defs:
+            def op(it, env):
+                words = meaning(it, i, *[get(env) for get in gets])
+                for (dst, mask), word in zip(dsts, words):
+                    env[dst] = word & mask
+        else:
+            (dst, mask), = dsts
+
+            def op(it, env):
+                v = meaning(it, i, *[get(env) for get in gets])
+                env[dst] = v & mask if isinstance(v, int) else v
+        return op
+    return decode
+
+
+def _call(it, i: I.Call, args):
+    result = it._exec_function(it.mod.functions[i.func], args)
+    return 0 if result is None else result
+
+
+def _load_g_words(it, i: I.LoadGWords, off):
+    stat = it.profile.gstat(i.g)
+    stat.loads += 1
+    stat.load_offsets[off] += 1
+    return [it.globals.load(i.g, off + n * 4, 4) for n in range(i.nwords)]
+
+
+def _store_g(it, i: I.StoreG, off, value):
+    it.globals.store(i.g, off, value, i.width)
+    it.profile.gstat(i.g).stores += 1
+
+
+def _pkt_load_words(it, i: I.PktLoadWords, pkt):
+    raw = pkt.load_bytes(i.byte_off, i.nwords * 4)
+    return [int.from_bytes(raw[n * 4 : n * 4 + 4], "big") for n in range(i.nwords)]
+
+
+def _pkt_store_words(it, i: I.PktStoreWords, pkt, values):
+    for n, word in enumerate(values):
+        data = (word & _U32).to_bytes(4, "big")
+        for b in range(4):
+            if i.byte_masks[n] & (1 << (3 - b)):  # bit 3 = most-significant byte
+                pkt.store_bytes(i.byte_off + n * 4 + b, data[b : b + 1])
+
+
+def _pkt_encap(it, i: I.PktEncap, pkt):
+    pkt.encap(i.header_bytes)
+    return pkt
+
+
+def _pkt_decap(it, i: I.PktDecap, pkt):
+    hdr = i.header_bytes
+    pkt.decap(it._demux_bytes(i.src_proto, pkt) if hdr is None else hdr)
+    return pkt
+
+
+def _pkt_sync_head(it, i: I.PktSyncHead, pkt):
+    if i.delta_bytes >= 0:
+        pkt.decap(i.delta_bytes)
+    else:
+        pkt.encap(-i.delta_bytes)
+
+
+def _chan_put(it, i: I.ChanPut, pkt):
+    it.profile.channel_puts[i.channel] += 1
+    it._emit_channel(i.channel, pkt)
+
+
+def _cam_write(it, i: I.CamWrite, entry, key):
+    entry &= 0xF
+    it.cam_tags[entry] = key & _U32
+    it._cam_touch(entry)
+
+
+def _cam_clear(it, i: I.CamClear):
+    it.cam_tags = [None] * 16
+    it.cam_lru = list(range(16))
+
+
+_DECODERS: Dict[type, Callable[[I.Instr, IRFunction], Op]] = {
+    I.Assign: _assign, I.BinOp: _binop, I.Cmp: _cmp, I.LoadG: _load_g,
+    I.PktLoadField: _pkt_load_field, I.LoadL: _local, I.StoreL: _local,
+}
+_MEANINGS: Dict[type, Callable[..., object]] = {
+    I.Call: _call, I.LoadGWords: _load_g_words, I.StoreG: _store_g,
+    I.PktStoreField: lambda it, i, pkt, value: pkt.store_bits(i.bit_off, i.bit_width, value),
+    I.PktLoadWords: _pkt_load_words, I.PktStoreWords: _pkt_store_words,
+    I.MetaLoad: lambda it, i, pkt: pkt.meta.get(i.word, 0),
+    I.MetaStore: lambda it, i, pkt, value: setitem(pkt.meta, i.word, value & _U32),
+    I.PktEncap: _pkt_encap, I.PktDecap: _pkt_decap,
+    I.PktCopy: lambda it, i, pkt: pkt.copy(),
+    I.PktDrop: lambda it, i, pkt: it._drop_packet(pkt),
+    I.PktCreate: lambda it, i, length: it._new_packet(i.header_bytes + length),
+    I.PktLength: lambda it, i, pkt: pkt.length,
+    I.PktAdjust: lambda it, i, pkt, amount: getattr(pkt, i.op)(amount),
+    I.PktSyncHead: _pkt_sync_head, I.ChanPut: _chan_put,
+    # Locks: the functional model is single-threaded.
+    I.LockAcquire: lambda it, i: None, I.LockRelease: lambda it, i: None,
+    I.CamLookup: lambda it, i, key: it._cam_lookup(key),
+    I.CamWrite: _cam_write, I.CamClear: _cam_clear,
+    I.LmLoad: lambda it, i, index: it.local_mem.get(index, 0),
+    I.LmStore: lambda it, i, index, value: setitem(it.local_mem, index, value & _U32),
+}
+_DECODERS.update((cls, _generic(meaning)) for cls, meaning in _MEANINGS.items())
+
+# Decoded terminators: (kind, x, y, z).
+_JUMP, _BRANCH, _RET = range(3)
+
+
+def _decode_terminator(term: I.Instr) -> Tuple[int, object, object, object]:
+    kind = type(term)
+    if kind is I.Jump:
+        return _JUMP, term.target, None, None
+    if kind is I.Branch:
+        if isinstance(term.cond, Const):
+            taken = term.then_bb if term.cond.value != 0 else term.else_bb
+            return _JUMP, taken, None, None
+        return _BRANCH, term.cond, term.then_bb, term.else_bb
+    if kind is I.Ret:
+        value = (lambda env: None) if term.value is None else _getter(term.value)
+        return _RET, value, None, None
+    raise InterpError("bad terminator %r" % term)
+
+
 class Interpreter:
-    """Interprets an IRModule; reusable across traces."""
+    """Interprets an IRModule; reusable across traces (but not across
+    edits of the module: decoded blocks are kept for the instance's life)."""
 
     def __init__(self, mod: IRModule, fuel: int = 50_000_000,
                  attribute_lines: bool = False):
@@ -124,7 +383,7 @@ class Interpreter:
         self.cam_tags: List[Optional[int]] = [None] * 16
         self.cam_lru: List[int] = list(range(16))
         self.local_mem: Dict[int, int] = {}
-        self._demux_cache: Dict[str, Callable[[HostPacket], int]] = {}
+        self._code: Dict[BasicBlock, tuple] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -172,186 +431,59 @@ class Interpreter:
 
     # -- execution ---------------------------------------------------------------------
 
+    def _decode_block(self, fn: IRFunction, bb: BasicBlock) -> tuple:
+        ops = []
+        for instr in bb.instrs:
+            decoder = _DECODERS.get(type(instr))
+            if decoder is None:
+                raise InterpError("cannot interpret %r" % instr)
+            ops.append(decoder(instr, fn))
+        lines = Counter((i.loc.filename, i.loc.line)
+                        for i in bb.instrs if i.loc is not None)
+        block = self._code[bb] = (tuple(ops), len(ops) + 1, tuple(lines.items())
+                                  ) + _decode_terminator(bb.terminator)
+        return block
+
     def _exec_function(self, fn: IRFunction, args: List[object]) -> object:
         if len(args) != len(fn.params):
             raise InterpError("%s: expected %d args" % (fn.name, len(fn.params)))
         self.profile.func_invocations[fn.name] += 1
-        env: Dict[Temp, object] = dict(zip(fn.params, args))
-        arrays: Dict[str, bytearray] = {
-            name: bytearray(arr.size_bytes) for name, arr in fn.local_arrays.items()
-        }
+        env: Env = dict(zip(fn.params, args))
+        for name, arr in fn.local_arrays.items():
+            env[name] = bytearray(arr.size_bytes)
+        code = self._code
+        attr_lines = self._attr_lines
+        executed = 0
         bb = fn.entry
-        while True:
-            for instr in bb.instrs:
-                self._step(fn, instr, env, arrays)
-            term = bb.terminator
-            self._count_instr()
-            if isinstance(term, I.Jump):
-                bb = term.target
-            elif isinstance(term, I.Branch):
-                cond = self._value(term.cond, env)
-                bb = term.then_bb if cond != 0 else term.else_bb
-            elif isinstance(term, I.Ret):
-                if term.value is None:
-                    return None
-                return self._value(term.value, env)
-            else:  # pragma: no cover
-                raise InterpError("bad terminator %r" % term)
-
-    def _count_instr(self) -> None:
-        self.fuel -= 1
-        if self.fuel <= 0:
-            raise InterpError("interpreter fuel exhausted (infinite loop?)")
-        if self._current_ppf is not None:
-            self.profile.ppf_instrs[self._current_ppf] += 1
-
-    def _value(self, op: Operand, env: Dict[Temp, object]) -> object:
-        if isinstance(op, Const):
-            return op.value
         try:
-            return env[op]
-        except KeyError:
-            raise InterpError("use of undefined temp %r" % op)
-
-    def _set(self, dst: Temp, value: object, env: Dict[Temp, object]) -> None:
-        if isinstance(value, int):
-            value &= (1 << _bits_of(dst.type)) - 1
-        env[dst] = value
-
-    # -- instruction semantics ------------------------------------------------------
-
-    def _step(self, fn: IRFunction, instr: I.Instr, env: Dict[Temp, object],
-              arrays: Dict[str, bytearray]) -> None:
-        self._count_instr()
-        if self._attr_lines:
-            loc = instr.loc
-            if loc is not None:
-                self.profile.line_instrs[(loc.filename, loc.line)] += 1
-        v = self._value
-
-        if isinstance(instr, I.Assign):
-            self._set(instr.dst, v(instr.src, env), env)
-        elif isinstance(instr, I.BinOp):
-            self._set(instr.dst, self._binop(instr, env), env)
-        elif isinstance(instr, I.Cmp):
-            self._set(instr.dst, self._cmp(instr, env), env)
-        elif isinstance(instr, I.Call):
-            result = self._exec_function(self.mod.functions[instr.func],
-                                         [v(a, env) for a in instr.args])
-            if instr.dst is not None:
-                self._set(instr.dst, result if result is not None else 0, env)
-        elif isinstance(instr, I.LoadG):
-            offset = v(instr.offset, env)
-            value = self.globals.load(instr.g, offset, instr.width)
-            stat = self.profile.gstat(instr.g)
-            stat.loads += 1
-            stat.load_offsets[offset] += 1
-            self._set(instr.dst, value, env)
-        elif isinstance(instr, I.LoadGWords):
-            offset = v(instr.offset, env)
-            stat = self.profile.gstat(instr.g)
-            stat.loads += 1
-            stat.load_offsets[offset] += 1
-            for i, dst in enumerate(instr.dsts):
-                self._set(dst, self.globals.load(instr.g, offset + i * 4, 4), env)
-        elif isinstance(instr, I.StoreG):
-            offset = v(instr.offset, env)
-            self.globals.store(instr.g, offset, v(instr.value, env), instr.width)
-            self.profile.gstat(instr.g).stores += 1
-        elif isinstance(instr, I.LoadL):
-            buf = arrays[instr.array]
-            off = v(instr.offset, env)
-            if off < 0 or off + instr.width > len(buf):
-                raise InterpError("%s: out-of-bounds local access" % fn.name)
-            self._set(instr.dst, int.from_bytes(buf[off : off + instr.width], "big"), env)
-        elif isinstance(instr, I.StoreL):
-            buf = arrays[instr.array]
-            off = v(instr.offset, env)
-            if off < 0 or off + instr.width > len(buf):
-                raise InterpError("%s: out-of-bounds local access" % fn.name)
-            value = v(instr.value, env) & ((1 << (instr.width * 8)) - 1)
-            buf[off : off + instr.width] = value.to_bytes(instr.width, "big")
-        elif isinstance(instr, I.PktLoadField):
-            pkt: HostPacket = v(instr.ph, env)
-            self._set(instr.dst, pkt.load_bits(instr.bit_off, instr.bit_width), env)
-        elif isinstance(instr, I.PktStoreField):
-            pkt = v(instr.ph, env)
-            pkt.store_bits(instr.bit_off, instr.bit_width, v(instr.value, env))
-        elif isinstance(instr, I.PktLoadWords):
-            pkt = v(instr.ph, env)
-            raw = pkt.load_bytes(instr.byte_off, instr.nwords * 4)
-            for i, dst in enumerate(instr.dsts):
-                self._set(dst, int.from_bytes(raw[i * 4 : i * 4 + 4], "big"), env)
-        elif isinstance(instr, I.PktStoreWords):
-            pkt = v(instr.ph, env)
-            for i in range(instr.nwords):
-                word = v(instr.values[i], env) & _U32
-                mask = instr.byte_masks[i]
-                data = word.to_bytes(4, "big")
-                for b in range(4):
-                    if mask & (1 << (3 - b)):  # bit 3 = most-significant byte
-                        pkt.store_bytes(instr.byte_off + i * 4 + b, data[b : b + 1])
-        elif isinstance(instr, I.MetaLoad):
-            pkt = v(instr.ph, env)
-            self._set(instr.dst, pkt.meta.get(instr.word, 0), env)
-        elif isinstance(instr, I.MetaStore):
-            pkt = v(instr.ph, env)
-            pkt.meta[instr.word] = v(instr.value, env) & _U32
-        elif isinstance(instr, I.PktEncap):
-            pkt = v(instr.ph if hasattr(instr, "ph") else instr.src, env)
-            pkt.encap(instr.header_bytes)
-            self._set(instr.dst, pkt, env)
-        elif isinstance(instr, I.PktDecap):
-            pkt = v(instr.src, env)
-            hdr = instr.header_bytes
-            if hdr is None:
-                hdr = self._demux_bytes(instr.src_proto, pkt)
-            pkt.decap(hdr)
-            self._set(instr.dst, pkt, env)
-        elif isinstance(instr, I.PktCopy):
-            pkt = v(instr.src, env)
-            self._set(instr.dst, pkt.copy(), env)
-        elif isinstance(instr, I.PktDrop):
-            pkt = v(instr.ph, env)
-            self._drop_packet(pkt)
-        elif isinstance(instr, I.PktCreate):
-            length = v(instr.length, env)
-            pkt = self._new_packet(instr.header_bytes + length)
-            self._set(instr.dst, pkt, env)
-        elif isinstance(instr, I.PktLength):
-            pkt = v(instr.ph, env)
-            self._set(instr.dst, pkt.length, env)
-        elif isinstance(instr, I.PktAdjust):
-            pkt = v(instr.ph, env)
-            amount = v(instr.amount, env)
-            getattr(pkt, instr.op)(amount)
-        elif isinstance(instr, I.PktSyncHead):
-            pkt = v(instr.ph, env)
-            if instr.delta_bytes >= 0:
-                pkt.decap(instr.delta_bytes)
-            else:
-                pkt.encap(-instr.delta_bytes)
-        elif isinstance(instr, I.CamClear):
-            self.cam_tags = [None] * 16
-            self.cam_lru = list(range(16))
-        elif isinstance(instr, I.ChanPut):
-            pkt = v(instr.ph, env)
-            self.profile.channel_puts[instr.channel] += 1
-            self._emit_channel(instr.channel, pkt)
-        elif isinstance(instr, (I.LockAcquire, I.LockRelease)):
-            pass  # single-threaded functional model
-        elif isinstance(instr, I.CamLookup):
-            self._set(instr.dst, self._cam_lookup(v(instr.key, env)), env)
-        elif isinstance(instr, I.CamWrite):
-            entry = v(instr.entry, env) & 0xF
-            self.cam_tags[entry] = v(instr.key, env) & _U32
-            self._cam_touch(entry)
-        elif isinstance(instr, I.LmLoad):
-            self._set(instr.dst, self.local_mem.get(v(instr.index, env), 0), env)
-        elif isinstance(instr, I.LmStore):
-            self.local_mem[v(instr.index, env)] = v(instr.value, env) & _U32
-        else:  # pragma: no cover
-            raise InterpError("cannot interpret %r" % instr)
+            while True:
+                ops, count, lines, kind, x, y, z = code.get(bb) or self._decode_block(fn, bb)
+                # The whole block (terminator included) is charged up front.
+                executed += count
+                self.fuel = fuel = self.fuel - count
+                if fuel <= 0:
+                    raise InterpError("interpreter fuel exhausted (infinite loop?)")
+                if attr_lines:
+                    line_instrs = self.profile.line_instrs
+                    for where, n in lines:
+                        line_instrs[where] += n
+                for op in ops:
+                    op(self, env)
+                if kind == _BRANCH:
+                    bb = y if env[x] != 0 else z
+                elif kind == _JUMP:
+                    bb = x
+                else:
+                    return x(env)
+        except KeyError as exc:
+            if exc.args and isinstance(exc.args[0], Temp):
+                raise InterpError("use of undefined temp %r" % exc.args[0]) from None
+            raise
+        except EvalError as exc:
+            raise InterpError(str(exc)) from None
+        finally:
+            if self._current_ppf is not None:
+                self.profile.ppf_instrs[self._current_ppf] += executed
 
     # -- integration hooks (overridden by the simulated-XScale executor) -----------
 
@@ -371,49 +503,12 @@ class Interpreter:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _binop(self, instr: I.BinOp, env) -> int:
-        a = self._value(instr.a, env)
-        b = self._value(instr.b, env)
-        bits = _bits_of(instr.dst.type)
-        try:
-            return eval_binop(instr.op, a, b, bits)
-        except EvalError as exc:
-            raise InterpError(str(exc))
-
-    def _cmp(self, instr: I.Cmp, env) -> int:
-        a = self._value(instr.a, env)
-        b = self._value(instr.b, env)
-        op = instr.op
-        if op in ("eq", "ne"):
-            # Packet handles compare by identity (same metadata address).
-            if isinstance(a, HostPacket) or isinstance(b, HostPacket):
-                same = a is b
-                return int(same) if op == "eq" else int(not same)
-        elif isinstance(a, HostPacket) or isinstance(b, HostPacket):
-            raise InterpError("ordered comparison of packet handles")
-        bits = max(_bits_of(getattr(instr.a, "type", T.U32)),
-                   _bits_of(getattr(instr.b, "type", T.U32)))
-        try:
-            return eval_cmp(op, a, b, bits)
-        except EvalError as exc:
-            raise InterpError(str(exc))
-
     def _demux_bytes(self, proto_name: str, pkt: HostPacket) -> int:
         """Evaluate a protocol's demux expression against a live packet."""
-        fn = self._demux_cache.get(proto_name)
-        if fn is None:
-            proto = self.mod.protocols[proto_name]
-
-            def evaluator(packet: HostPacket, proto=proto) -> int:
-                env = {
-                    f.name: packet.load_bits(f.offset_bits, f.width_bits)
-                    for f in proto.fields
-                }
-                return eval_const_expr(proto.demux_expr, env)
-
-            fn = evaluator
-            self._demux_cache[proto_name] = fn
-        return fn(pkt)
+        proto = self.mod.protocols[proto_name]
+        fields = {f.name: pkt.load_bits(f.offset_bits, f.width_bits)
+                  for f in proto.fields}
+        return eval_const_expr(proto.demux_expr, fields)
 
     def _cam_lookup(self, key: int) -> int:
         key &= _U32

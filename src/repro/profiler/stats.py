@@ -111,6 +111,9 @@ class ProfileData:
 
     def hot_lines(self, n: int = 10) -> "list[Tuple[str, int]]":
         """Top-``n`` Baker source lines by interpreted IR instruction
-        count, as ("file:line", count) pairs (hottest first)."""
-        return [("%s:%d" % key, count)
-                for key, count in self.line_instrs.most_common(n)]
+        count, as ("file:line", count) pairs (hottest first; equal counts
+        in source order, so the ranking does not depend on the order in
+        which the interpreter happened to charge the lines)."""
+        ranked = sorted(self.line_instrs.items(),
+                        key=lambda item: (-item[1], item[0]))
+        return [("%s:%d" % key, count) for key, count in ranked[:n]]

@@ -1,5 +1,5 @@
 """Loader: place globals/locks/rings/pools into simulated chip memory,
-install ME images, and boot the XScale (init blocks).
+install ME images, and attach the XScale.
 
 Address-space conventions (all addresses are byte addresses within their
 space; nothing is ever placed at address 0 so ring ``get`` can use 0 as
@@ -25,7 +25,7 @@ from repro.ixp.chip import IXP2400
 from repro.ixp.microengine import Microengine
 from repro.ixp.xscale_core import XScaleCore
 from repro.obs import metrics as obs_metrics
-from repro.profiler.interpreter import GlobalMemory
+from repro.profiler.interpreter import Interpreter
 
 RING_CAPACITY = 128  # channel rings (Rx drops when the rx ring is full)
 POOL_PACKETS = 1024  # buffer/metadata pool (larger than any ring backlog)
@@ -40,6 +40,20 @@ class LoadLayout:
 
 class LoaderError(Exception):
     pass
+
+
+def boot_image(result) -> Dict[str, bytes]:
+    """Contents of every global once the XScale has run the module init
+    blocks at boot. Init code can only touch globals (no packet exists yet,
+    and Baker allows ``channel_put`` only inside a PPF), so these bytes are
+    its whole effect: they are interpreted host-side on the first load of a
+    ``CompileResult``, kept on it, and written by every load."""
+    if result.boot_image is None:
+        interp = Interpreter(result.mod)
+        interp.run_inits()
+        result.boot_image = {name: bytes(buf)
+                             for name, buf in interp.globals.data.items()}
+    return result.boot_image
 
 
 def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
@@ -64,22 +78,23 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         chip.symbols["lock.%s" % lock] = scratch_ptr
         scratch_ptr += 4
 
-    # Globals (initial values via the same byte layout the profiler uses).
-    init_mem = GlobalMemory(mod)
+    # Globals, holding their post-boot contents.
+    image = boot_image(result)
     for name, sym in sorted(mod.globals.items()):
         size = sym.type.size_bytes()
         if sym.memory == "scratch":
             addr = scratch_ptr
-            scratch_ptr += (size + 3) & ~3
+            end = scratch_ptr = addr + ((size + 3) & ~3)
         else:
             addr = sram_ptr
-            sram_ptr += (size + 7) & ~7
+            end = sram_ptr = addr + ((size + 7) & ~7)
+        if end > len(chip.memory.stores[sym.memory]):
+            raise LoaderError("%s memory exhausted by global %s (%d bytes)"
+                              % (sym.memory, name, size))
         chip.symbols[name] = addr
         layout.global_addr[name] = addr
         layout.global_space[name] = sym.memory
-        chip.memory.write_bytes(sym.memory, addr, bytes(init_mem.data[name]))
-    if scratch_ptr > chip.memory.stores["scratch"].__len__():
-        raise LoaderError("scratch memory exhausted")
+        chip.memory.write_bytes(sym.memory, addr, image[name])
 
     # Rings: builtin, one per non-internal channel, plus the free lists.
     ring_names = ["rx", "tx", "__buf_free", "__meta_free"]
@@ -128,7 +143,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
             chip.add_me(Microengine(me_index, image, chip, dispatch=dispatch))
             me_index += 1
 
-    # XScale: control aggregates + boot-time init blocks.
+    # XScale: control aggregates (boot already happened: see boot_image).
     xscale_inputs: List[str] = []
     for agg in plan.xscale_aggregates:
         for ppf in agg.ppfs:
@@ -136,11 +151,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
             xscale_inputs.extend(
                 c for c in fn.input_channels if c not in plan.internal_channels
             )
-    xscale = XScaleCore(mod, chip, layout, xscale_inputs)
-    # Boot: init blocks execute against *simulated* memory through the
-    # XScale's global adapter (so they see/extend the loader's image).
-    xscale.run_boot_inits()
-    chip.attach_xscale(xscale)
+    chip.attach_xscale(XScaleCore(mod, chip, layout, xscale_inputs))
 
     reg = obs_metrics.get_registry()
     if reg.enabled:

@@ -256,6 +256,7 @@ def run_on_simulator(
                                compile_spans=obs_trace.drain_compile_spans(),
                                profile=(profiler.samples
                                         if profiler is not None else None))
+    chip.close()  # nothing reads the chip past this point
     return run
 
 
@@ -284,5 +285,5 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
     chip.run_for(100e6, stop=lambda: tx.packets_out() >= expected)
     chip.run_for(300_000)
     got = sorted(r.payload for r in tx.records)
-    want = ref.tx_signature()
-    return got == want
+    chip.close()
+    return got == ref.tx_signature()

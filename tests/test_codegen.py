@@ -280,3 +280,25 @@ def test_code_size_decreases_with_soar():
     pac_size = sum(i.code_size for i in pac.images.values())
     soar_size = sum(i.code_size for i in soar.images.values())
     assert soar_size < pac_size
+
+
+# -- determinism -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app_name", ["l3switch", "firewall", "mpls"])
+@pytest.mark.parametrize("level", ["BASE", "O1"])
+def test_two_compiles_in_one_process_emit_identical_listings(app_name, level):
+    """Registers and stack slots included: call-live reloads used to be
+    minted in set (object address) order, which let two l3switch compiles
+    swap a0/a1 and two Local Memory slots."""
+    from repro.apps import get_app
+
+    app = get_app(app_name)
+    trace = app.make_trace(120, seed=5)
+
+    def listing():
+        result = compile_baker(app.source, options_for(level), trace)
+        return [(name, [repr(insn) for insn in image.insns])
+                for name, image in sorted(result.images.items())]
+
+    assert listing() == listing()

@@ -140,6 +140,44 @@ def test_fast_dispatch_rejects_virtual_register():
         me.run_slice(100)
 
 
+# The ME has no divide instruction: a division reaches an ME only as the
+# constant ir.eval folded it to, so that is the word both cores must agree on.
+_INT_MIN_OVER_MINUS_ONE = """
+module m { ppf go(ether_pkt *ph) from rx {
+  int a = 0 - 2147483647 - 1; int b = 0 - 1; int q = a / b;
+  u32 w = (u32) q; ph->type = w >> 16; ph->src = w & 0xffff;
+  channel_put(tx, ph); } }"""
+
+
+def test_signed_divide_int_min_by_minus_one_same_word_on_both_cores():
+    from repro.cg.lower import CodegenError
+    from repro.ir.eval import eval_binop
+    from repro.ixp.rxtx import RxEngine, TxEngine
+    from repro.profiler.trace import ipv4_trace
+    from repro.rts.loader import load_system
+    from tests.samples import ETHER_IPV4_PROTOCOLS
+
+    src = ETHER_IPV4_PROTOCOLS + _INT_MIN_OVER_MINUS_ONE
+    trace = ipv4_trace(4, [0xC0A80101], [0x0A0000000001 + n for n in range(3)], seed=2)
+    with pytest.raises(CodegenError, match="no divide instruction"):
+        compile_baker(src, options_for("BASE"), trace)  # nothing folds at BASE
+    result = compile_baker(src, options_for("O1"), trace)
+    word = eval_binop("div_s", 0x80000000, 0xFFFFFFFF, 32)
+    assert word == 0x80000000  # wraps, does not trap
+    for mode in MODES:
+        chip = IXP2400(n_programmable_mes=1)
+        load_system(result, chip, n_mes=1, dispatch=mode)
+        tx = TxEngine(chip)
+        chip.attach_traffic(RxEngine(chip, trace, offered_gbps=1.0,
+                                     max_packets=4, repeat=False), tx)
+        chip.run_for(5e6, stop=lambda: tx.packets_out() >= 4)
+        assert len(tx.records) == 4, mode
+        for record in tx.records:
+            src_mac, eth_type = record.payload[6:12], record.payload[12:14]
+            got = int.from_bytes(eth_type, "big") << 16 | int.from_bytes(src_mac, "big")
+            assert got == word, mode
+
+
 # -- IXP2400.run deadline accounting -------------------------------------------------
 
 

@@ -47,6 +47,49 @@ def test_get_set_bits_roundtrip_property(off, width, data):
     assert get_bits(buf, off, width) == value
 
 
+def _get_bits_bitwise(buf, bit_off, width):
+    """The bit-at-a-time definition the byte-window form must match."""
+    out = 0
+    for i in range(width):
+        bit = bit_off + i
+        out = (out << 1) | ((buf[bit >> 3] >> (7 - (bit & 7))) & 1)
+    return out
+
+
+def _set_bits_bitwise(buf, bit_off, width, value):
+    for i in range(width):
+        bit = bit_off + i
+        mask = 1 << (7 - (bit & 7))
+        if (value >> (width - 1 - i)) & 1:
+            buf[bit >> 3] |= mask
+        else:
+            buf[bit >> 3] &= ~mask & 0xFF
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.binary(min_size=16, max_size=16),
+    off=st.integers(min_value=0, max_value=63),
+    width=st.integers(min_value=0, max_value=64),
+    value=st.integers(min_value=-(1 << 70), max_value=1 << 70),
+)
+def test_get_set_bits_match_bitwise_reference(seed, off, width, value):
+    buf, ref = bytearray(seed), bytearray(seed)
+    assert get_bits(buf, off, width) == _get_bits_bitwise(ref, off, width)
+    set_bits(buf, off, width, value)
+    _set_bits_bitwise(ref, off, width, value)
+    assert buf == ref
+
+
+def test_bit_access_outside_the_buffer_raises():
+    buf = bytearray(4)
+    with pytest.raises(IndexError):
+        get_bits(buf, 24, 9)
+    with pytest.raises(IndexError):
+        set_bits(buf, 30, 3, 1)
+    assert buf == bytearray(4)
+
+
 def test_set_bits_leaves_neighbors():
     buf = bytearray(b"\xff" * 4)
     set_bits(buf, 8, 8, 0)

@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.throughput import assign_mes, stage_throughput
@@ -58,8 +58,10 @@ def test_eval_binop_reference(op, a, b, bits):
     a=st.integers(min_value=0, max_value=(1 << 32) - 1),
     b=st.integers(min_value=1, max_value=(1 << 32) - 1),
 )
+@example(a=0x80000000, b=0xFFFFFFFF)  # INT_MIN / -1: the one quotient that wraps
 def test_eval_div_matches_c_semantics(a, b):
-    # Unsigned: floor division. Signed: truncation toward zero.
+    # Unsigned: floor division. Signed: truncation toward zero, wrapped
+    # to 32 bits (INT_MIN / -1 == INT_MIN, as C on the IXP computes it).
     assert eval_binop("div_u", a, b, 32) == a // b
     assert eval_binop("rem_u", a, b, 32) == a % b
     sa, sb = to_signed(a, 32), to_signed(b, 32)
@@ -67,7 +69,7 @@ def test_eval_div_matches_c_semantics(a, b):
     r = eval_binop("rem_s", a, b, 32)
     expect_q = abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)
     expect_r = abs(sa) % abs(sb) * (1 if sa >= 0 else -1)
-    assert to_signed(q, 32) == expect_q
+    assert to_signed(q, 32) == to_signed(expect_q, 32)
     assert to_signed(r, 32) == expect_r
     # C identity: a == q*b + r (mod 2^32).
     assert (eval_binop("mul", q, b, 32) + r) & 0xFFFFFFFF == a
