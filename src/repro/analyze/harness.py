@@ -60,7 +60,7 @@ class ImageHarness:
         self.timeouts = 0
 
         self.chip = IXP2400(n_programmable_mes=1)
-        load_system(result, self.chip, n_mes=1, dispatch="fast")
+        load_system(result, self.chip, n_mes=1)
         # The globals hold their post-boot image; from here on the
         # control processor stays silent so only the image under test
         # touches packets (the reference capture mirrors this).

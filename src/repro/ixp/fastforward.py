@@ -6,10 +6,11 @@ what the Tier-1 figures need, and it is also why a full apps x levels x
 ME-counts sweep costs what it costs. Fast-forward trades the
 interleaving for a calibrated cost model:
 
-1. **Branch evidence.** A short warm-up batch runs under the legacy
-   handler table, counting taken/not-taken per conditional branch.
-   Branches taken on at least :data:`BIAS_THRESHOLD` of executions are
-   recorded as biased.
+1. **Branch evidence.** A short warm-up batch runs the image predecoded
+   one instruction per step (``fuse=False``), counting taken/not-taken
+   per conditional branch: a branch step that charged the abort cycle
+   was taken. Branches taken on at least :data:`BIAS_THRESHOLD` of
+   executions are recorded as biased.
 2. **Superblock fusion.** The image is re-predecoded with
    ``branch_bias`` (:func:`repro.ixp.predecode.predecode_image`):
    biased branches compile *inverted*, so the hot path runs as one
@@ -59,7 +60,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile
 from repro.ixp.memory import ME_HZ
-from repro.ixp.microengine import _HANDLERS, _cond_true
 from repro.ixp.predecode import plan_matches, predecode_image
 from repro.ixp.rxtx import RxEngine, TxEngine
 from repro.obs import ledger as obs_ledger
@@ -67,7 +67,7 @@ from repro.obs import metrics as obs_metrics
 from repro.profiler.trace import Trace
 from repro.rts.loader import load_system
 
-#: Packets run under the legacy core to record branch evidence (hot
+#: Packets run unfused to record branch evidence (hot
 #: per-packet branches execute once per packet, so 48 packets give
 #: every biasable site at least BIAS_MIN_COUNT observations).
 EVIDENCE_PACKETS = 48
@@ -130,31 +130,52 @@ class FastForwardError(ValueError):
 # -- functional batched executor -------------------------------------------------------
 
 
-def _count_burst(me, t, counts: Dict[int, List[int]]) -> None:
-    """Legacy-core burst (run ``t`` until it blocks/yields/halts) that
-    records taken/total per conditional branch pc. The loop body is the
-    legacy ``_run_thread`` dispatch without slice deadlines."""
-    insns = me.insns
+def _count_burst(me, t, prog, branch_cycles: Dict[int, int],
+                 counts: Dict[int, List[int]]) -> None:
+    """:func:`_fast_burst` over an unfused program that records
+    ``[taken, total]`` per conditional branch pc. ``branch_cycles`` maps
+    those pcs to the branch's own cycles: every step is one instruction,
+    so a branch step that charged more than that paid the taken-branch
+    abort cycle."""
     steps = 0
     while True:
-        insn = insns[t.pc]
-        if getattr(insn, "kind", None) == "br" and insn.cond != "always":
-            rec = counts.get(t.pc)
+        pc = t.pc
+        before = me.time
+        tm = prog[pc](me, t, _INF)
+        me.executed_instrs += 1
+        if tm is None:
+            return
+        cycles = branch_cycles.get(pc)
+        if cycles is not None:
+            rec = counts.get(pc)
             if rec is None:
-                rec = counts[t.pc] = [0, 0]
-            if _cond_true(t, insn.cond):
+                rec = counts[pc] = [0, 0]
+            if tm - before > cycles:
                 rec[0] += 1
             rec[1] += 1
-        handler = _HANDLERS.get(insn.__class__)
-        me.time += insn.cycles
-        me.executed_instrs += 1
-        if handler(me, t, insn):
-            return
         steps += 1
         if steps > _BURST_CAP:
             raise FastForwardError(
                 "ME%d thread %d ran %d instructions without blocking"
                 % (me.index, t.index, steps))
+
+
+def _branch_evidence(chip, trace: Trace) -> Dict[int, List[int]]:
+    """Stage 1 on a freshly loaded one-ME chip: push EVIDENCE_PACKETS
+    through the unfused program and return ``{pc: [taken, total]}`` for
+    every conditional branch that executed."""
+    image = chip.mes[0].image
+    unfused, _ = predecode_image(image, chip, fuse=False)
+    branch_cycles = {pc: insn.cycles
+                     for pc, insn in enumerate(image.insns)
+                     if getattr(insn, "kind", None) == "br"
+                     and insn.cond != "always"}
+    counts: Dict[int, List[int]] = {}
+    _run_functional(
+        chip, RxEngine(chip, trace, max_packets=EVIDENCE_PACKETS),
+        TxEngine(chip),
+        lambda m, t: _count_burst(m, t, unfused, branch_cycles, counts))
+    return counts
 
 
 def _fast_burst(me, t, prog) -> None:
@@ -300,7 +321,7 @@ def _anchor_rate(result, trace: Trace, n_mes: int,
     :data:`ANCHOR_MAX_DEPTH`) until the swing flattens out.
     """
     chip = IXP2400(n_programmable_mes=n_mes)
-    load_system(result, chip, n_mes=n_mes, dispatch="fast")
+    load_system(result, chip, n_mes=n_mes)
     _install_fused(chip, fused)
     rx = RxEngine(chip, trace, offered_gbps=3.0)
     tx = TxEngine(chip, line_gbps=3.0)
@@ -381,7 +402,7 @@ def _resync_windows(result, trace: Trace,
     directly comparable while the fixed chip-construction cost is paid
     once instead of per window."""
     fchip = IXP2400(n_programmable_mes=1)
-    load_system(result, fchip, n_mes=1, dispatch="fast")
+    load_system(result, fchip, n_mes=1)
     _install_fused(fchip, fused)
     prog = fchip.mes[0]._prog
     if prog is None:
@@ -390,7 +411,7 @@ def _resync_windows(result, trace: Trace,
             "(symbol layout changed between calibration and resync?)")
 
     cchip = IXP2400(n_programmable_mes=1)
-    load_system(result, cchip, n_mes=1, dispatch="fast")
+    load_system(result, cchip, n_mes=1)
     ctx = TxEngine(cchip)
     meta_free = cchip.rings["ring.__meta_free"]
     buf_free = cchip.rings["ring.__buf_free"]
@@ -575,14 +596,10 @@ def build_plan(result, trace: Trace) -> FastForwardPlan:
     # Stage 1+2+3 share one chip: the evidence batch doubles as cache/
     # table warm-up, so the functional batch measures steady state.
     chip = IXP2400(n_programmable_mes=1)
-    load_system(result, chip, n_mes=1, dispatch="fast")
+    load_system(result, chip, n_mes=1)
     me = chip.mes[0]
 
-    counts: Dict[int, List[int]] = {}
-    erx = RxEngine(chip, trace, max_packets=EVIDENCE_PACKETS)
-    etx = TxEngine(chip)
-    _run_functional(chip, erx, etx,
-                    lambda m, t: _count_burst(m, t, counts))
+    counts = _branch_evidence(chip, trace)
 
     bias = {pc: True for pc, (taken, total) in counts.items()
             if total >= BIAS_MIN_COUNT

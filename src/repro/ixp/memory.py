@@ -19,7 +19,7 @@ DESIGN.md): the paper's per-packet budgets are for ME-issued accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.ixp.counters import Counters
 
@@ -181,80 +181,4 @@ class MemorySystem:
         prof = self.profiler
         if prof is not None:
             prof.note_mem(ch.name, start - now)
-        return start + occupancy + p.latency
-
-    def timed_read(self, now: float, space: str, nwords: int,
-                   category: str, addr: int) -> Tuple[float, list]:
-        """Fused :meth:`timed_access` + :meth:`read_words` for the
-        predecoded fast path: one call per blocking read, both bodies
-        inlined. Accounting, arithmetic and the charge-before-bounds-
-        check order are identical to the two separate calls."""
-        counters = self.counters
-        key = (space, category)
-        counters.accesses[key] += 1
-        counters.words[key] += nwords
-        if space == "sram" and (addr >> self.SRAM_INTERLEAVE_SHIFT) & 1:
-            ch = self.channels["sram1"]
-        else:
-            ch = self.channels[space]
-        p = ch.params
-        occupancy = p.occupancy_base + p.occupancy_per_word * nwords
-        start = ch.next_free
-        if now > start:
-            start = now
-        ch.next_free = start + occupancy
-        ch.busy_time += occupancy
-        prof = self.profiler
-        if prof is not None:
-            prof.note_mem(ch.name, start - now)
-        store = self.stores[space]
-        end = addr + nwords * 4
-        if addr < 0 or end > len(store):
-            raise IndexError("%s read out of range at %#x" % (space, addr))
-        if nwords == 1:
-            values = [int.from_bytes(store[addr:end], "big")]
-        elif nwords == 2:
-            values = [int.from_bytes(store[addr : addr + 4], "big"),
-                      int.from_bytes(store[addr + 4 : end], "big")]
-        else:
-            values = [int.from_bytes(store[i : i + 4], "big")
-                      for i in range(addr, end, 4)]
-        return start + occupancy + p.latency, values
-
-    def timed_write(self, now: float, space: str, words: int,
-                    category: str, addr: int, values: list,
-                    byte_mask: int = None) -> float:
-        """Fused :meth:`timed_access` + :meth:`write_words`, both bodies
-        inlined; see :meth:`timed_read`."""
-        counters = self.counters
-        key = (space, category)
-        counters.accesses[key] += 1
-        counters.words[key] += words
-        if space == "sram" and (addr >> self.SRAM_INTERLEAVE_SHIFT) & 1:
-            ch = self.channels["sram1"]
-        else:
-            ch = self.channels[space]
-        p = ch.params
-        occupancy = p.occupancy_base + p.occupancy_per_word * words
-        start = ch.next_free
-        if now > start:
-            start = now
-        ch.next_free = start + occupancy
-        ch.busy_time += occupancy
-        prof = self.profiler
-        if prof is not None:
-            prof.note_mem(ch.name, start - now)
-        store = self.stores[space]
-        if addr < 0 or addr + len(values) * 4 > len(store):
-            raise IndexError("%s write out of range at %#x" % (space, addr))
-        if byte_mask is None:
-            for i, value in enumerate(values):
-                off = addr + i * 4
-                store[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
-        else:
-            for i, value in enumerate(values):
-                data = (value & 0xFFFFFFFF).to_bytes(4, "big")
-                for b in range(4):
-                    if (byte_mask >> (i * 4 + b)) & 1:
-                        store[addr + i * 4 + b] = data[b]
         return start + occupancy + p.latency

@@ -24,11 +24,13 @@ fired either (each would compare a partial charge, and every partial
 charge is <= CMAX), so the body runs **unchecked**: cycle charges fold
 into compile-time constants applied at the exits, and the slice pacing
 near a deadline is handled by the guard's solo path plus the ordinary
-single-instruction steps that follow it -- exactly the legacy cadence.
+single-instruction steps that follow it -- exactly the cadence of
+checking the deadline after every instruction.
 Conditional branches bail to the target on the taken path (charging the
 abort cycle) and continue inline on fallthrough; a failing
 sub-instruction (Local Memory bounds) raises with ``time``, ``pc`` and
-``executed_instrs`` restored to the legacy path's net effect. Runs end
+``executed_instrs`` as they were before it: every earlier
+sub-instruction charged and counted, the failing one not. Runs end
 inclusively at control transfers and blocking instructions (memory,
 rings, ``ctx_arb``, ``halt``) and exclusively before unfusable
 instructions or the length cap -- where they bail to the next
@@ -37,21 +39,22 @@ entry.
 
 Step protocol: a step returns the new ``me.time`` while the thread keeps
 running, or ``None`` when the thread stopped (blocked, yielded, or
-halted). The dispatch loop in :meth:`Microengine._run_thread_fast` adds
-one to ``executed_instrs`` per call; multi-instruction runs account for
-the remainder themselves.
+halted). The dispatch loop in :meth:`Microengine.run_slice` adds one to
+``executed_instrs`` per call; multi-instruction runs account for the
+remainder themselves.
 
 Programs are chip-specific (symbol addresses and ring objects live on
 the chip) and cached per ``(image, chip)`` by
 :meth:`MEImage.predecoded`. Any instruction the predecoder cannot bind
 (virtual registers that escaped regalloc, unresolved branches, symbols
-missing from a hand-built chip) *punts*: it gets a step that defers to
-the legacy handler table at execution time, preserving the legacy
-path's lazy error behavior instruction for instruction.
+missing from a hand-built chip, classes with no emitter) *punts*: it
+gets a step that raises :class:`SimError` naming the instruction and
+the reason -- lazily, only if a thread actually reaches it, and before
+anything is charged.
 
-Equivalence with the legacy dict-dispatch interpreter is asserted
-bit-for-bit (Tx signatures, cycle counts, executed_instrs, metrics) by
-``tests/test_fastpath.py``.
+Equivalence with the test-side handler-table interpreter
+(``tests/reference_me.py``) is asserted bit-for-bit (Tx signatures,
+cycle counts, executed_instrs, metrics) by ``tests/test_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.cg.isa import CAT_APP, Imm, PReg, SymRef
 from repro.cg.melayout import LM_WORDS, SRAM_STACK_BYTES_PER_THREAD
 from repro.ixp.memory import MemorySystem
-from repro.ixp.microengine import _HANDLERS, SimError, _signed
+from repro.ixp.microengine import SimError, _signed
 
 _U32 = 0xFFFFFFFF
 #: Spelled into generated source so stores mask exactly like Thread.set.
@@ -79,7 +82,7 @@ Prog = List[Step]
 
 class DecodePunt(Exception):
     """Raised inside an emitter when an operand cannot be pre-bound; the
-    run ends and the instruction falls back to legacy dispatch."""
+    run ends before the instruction, which gets a punt step."""
 
 
 #: Recorded for a symbol the decode looked up but the chip did not have
@@ -188,14 +191,15 @@ class _RunBuilder:
         self.closed = False
         # Closed by an unconditional raise (static Local Memory bounds
         # violation): prior sub-instructions still need the guard so the
-        # error surfaces in the same slice as on the legacy path.
+        # error surfaces in the same slice as under per-instruction
+        # deadline checks.
         self.early_raise = False
         # Fuse-through support: an emitter for an unconditional control
         # transfer with a statically known, not-yet-visited target may
         # defer its charge (cont) and set ``goto`` instead of closing;
         # _emit_run then continues emitting at the target.
         self.goto: Optional[int] = None
-        self._puntable = puntable if puntable is not None else set()
+        self._puntable = puntable if puntable is not None else {}
         self._visited = visited if visited is not None else set()
 
     def can_goto(self, target) -> bool:
@@ -218,7 +222,8 @@ class _RunBuilder:
             return self.p(name, self.chip.symbol(op.name) + op.addend), True
         if type(op) is PReg:
             return "t.%s[%s]" % (op.bank, self.p(name, op.index)), False
-        raise DecodePunt("operand %r" % (op,))
+        raise DecodePunt("operand %r is not a physical register, "
+                         "immediate or symbol" % (op,))
 
     def csrc(self, op, name: str) -> str:
         """Source operand whose constant form must be pre-masked (Cmp,
@@ -231,7 +236,8 @@ class _RunBuilder:
 
     def dst(self, reg, name: str) -> str:
         if type(reg) is not PReg:
-            raise DecodePunt("destination %r" % (reg,))
+            raise DecodePunt("destination %r is not a physical register"
+                             % (reg,))
         return "t.%s[%s]" % (reg.bank, self.p(name, reg.index))
 
     # structure helpers ------------------------------------------------------
@@ -241,8 +247,8 @@ class _RunBuilder:
 
     def restore_time(self) -> str:
         """The assignment restoring ``me.time`` to "all *previous*
-        sub-instructions charged, the current one not" -- the legacy
-        net effect at a failing instruction."""
+        sub-instructions charged, the current one not" -- the clock as
+        it stood before the failing instruction."""
         if self.cyc:
             return "me.time = tm + %d" % self.cyc
         return "me.time = tm"
@@ -362,7 +368,8 @@ _BR_CMP = {"eq": "==", "ne": "!=", "lt_u": "<", "le_u": "<=",
 
 def _e_br(b: _RunBuilder, insn, idx):
     if insn.resolved is None:
-        raise DecodePunt("unresolved branch %r" % (insn,))
+        raise DecodePunt("branch target %r was never resolved"
+                         % (insn.target,))
     if insn.cond == "always":
         if b.can_goto(insn.resolved):
             # Fuse straight through the jump: charge (incl. the abort
@@ -385,7 +392,7 @@ def _e_br(b: _RunBuilder, insn, idx):
         # Superblock fusion: recorded branch evidence says this branch
         # is strongly taken-biased, so invert it -- the guard bails to
         # the fallthrough (charging everything accumulated plus this
-        # branch, *no* abort cycle: legacy's not-taken cost), and
+        # branch, *no* abort cycle: the not-taken cost), and
         # emission continues inline at the taken target with the abort
         # cycle deferred. Observable behavior on both paths is
         # bit-identical to the uninverted emission.
@@ -423,7 +430,8 @@ def _exec_add(k: int) -> List[str]:
 
 def _e_bal(b, insn, idx):
     if insn.resolved is None:
-        raise DecodePunt("unresolved call %r" % (insn,))
+        raise DecodePunt("call target %r was never resolved"
+                         % (insn.target,))
     lex = b.dst(insn.link, "L")
     if b.can_goto(insn.resolved):
         # Fuse into the callee: write the link register, defer the
@@ -491,8 +499,7 @@ def _charge_lines(b, space: str, words: int, category: str) -> List[str]:
 
 def _e_mem(b: _RunBuilder, insn, idx):
     # Blocking ops charge the clock before issuing: completion times
-    # include the issue cycles (exactly like the legacy loop, which
-    # charges before the handler runs). The memory system is reached
+    # include the issue cycles. The memory system is reached
     # through ``me.chip`` at run time -- blocking ops can afford the two
     # attribute loads, and it keeps the closures chip-independent.
     aex, ac = b.src(insn.addr_a, "A")
@@ -521,15 +528,16 @@ def _e_mem(b: _RunBuilder, insn, idx):
         exprs = [b.src(reg, "R%d" % i)[0]
                  for i, reg in enumerate(insn.regs_in)]
         if insn.mask_reg is not None or insn.byte_mask is not None:
-            # Masked stores are rare: keep the out-of-line fused call.
+            # Masked stores are rare: keep the out-of-line calls (charge
+            # first, then the bounds-checked byte-lane write).
             if insn.mask_reg is not None:
                 mex, _ = b.src(insn.mask_reg, "M")
             else:
                 mex = b.p("M", insn.byte_mask)
-            tail.append("done = mem.timed_write(tm, '%s', %d, '%s', "
-                        "addr, [%s], %s)"
-                        % (space, words, insn.category,
-                           ", ".join(exprs), mex))
+            tail += ["done = mem.timed_access(tm, '%s', %d, '%s', addr)"
+                     % (space, words, insn.category),
+                     "mem.write_words('%s', addr, [%s], %s)"
+                     % (space, ", ".join(exprs), mex)]
         else:
             tail += _charge_lines(b, space, words, insn.category)
             tail += ["store = mem.stores['%s']" % space,
@@ -630,8 +638,8 @@ def _e_release(b, insn, idx):
 def _lm_index(b: _RunBuilder, insn, idx) -> Tuple[str, List[str]]:
     """The Local Memory index expression plus its bounds-check lines.
     The check runs *before* the clock is charged and restores pc and the
-    executed count, matching the legacy path's net effect on a failed
-    access (the legacy loop rolls time and the count back)."""
+    executed count, so a failed access leaves the counters as they were
+    before it."""
     off = insn.offset
     terms = []
     if insn.base is not None:
@@ -759,26 +767,14 @@ _EMITTERS = {
 }
 
 
-def _legacy_step(insn) -> Step:
-    """Fallback for instructions the predecoder punts on: defer to the
-    legacy handler table at execution time, so errors (unknown class,
-    virtual registers, unresolved symbols) surface exactly as they would
-    on the legacy path -- and only if the instruction actually runs."""
-    handler = _HANDLERS.get(type(insn))
-    if handler is None:
-        def step(me, t, deadline):
-            raise SimError("cannot execute %r" % insn)
-        return step
-
+def _punt_step(idx: int, insn, reason: str) -> Step:
+    """The step for an instruction the predecoder could not bind. An
+    image may carry such instructions on paths no thread takes, so the
+    error is raised at execution time -- before anything is charged:
+    ``time``, ``pc`` and ``executed_instrs`` stay as they were."""
     def step(me, t, deadline):
-        cycles = insn.cycles
-        me.time += cycles
-        try:
-            stop = handler(me, t, insn)
-        except SimError:
-            me.time -= cycles
-            raise
-        return None if stop else me.time
+        raise SimError("ME%d pc=%d: cannot execute %r: %s"
+                       % (me.index, idx, insn, reason))
     return step
 
 
@@ -789,11 +785,13 @@ _RESUME_AFTER = frozenset((
     "mem", "ring_get", "ring_put", "tas", "release", "ctx_arb", "bal"))
 
 
-def _emit_run(image, chip, start: int, puntable: set, cap: int,
+def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
               prefix: str = "", bias=None) -> Optional[_RunBuilder]:
     """Emit the body of the run starting at ``start`` (at most ``cap``
     instructions) into a fresh builder; None when the first instruction
-    itself is unfusable (caller punts it)."""
+    itself cannot be bound. ``puntable`` maps every instruction found
+    unbindable so far to the reason (it becomes the punt step's
+    diagnostic)."""
     insns = image.insns
     visited = {start}
     b = _RunBuilder(chip, prefix, puntable=puntable, visited=visited,
@@ -808,6 +806,8 @@ def _emit_run(image, chip, start: int, puntable: set, cap: int,
         insn = insns[idx]
         emitter = _EMITTERS.get(getattr(insn, "kind", None))
         if emitter is None:
+            puntable[idx] = ("no ME semantics for %s"
+                             % type(insn).__name__)
             if b.k == 0:
                 return None
             b.close_fall(idx)
@@ -815,14 +815,14 @@ def _emit_run(image, chip, start: int, puntable: set, cap: int,
         saved = (len(b.lines), len(b.params), b.k, b.cyc, b.cmax)
         try:
             emitter(b, insn, idx)
-        except (DecodePunt, KeyError):
+        except (DecodePunt, KeyError) as exc:
             # KeyError: a SymRef naming a symbol the loader has not
-            # placed (hand-built chips); resolve lazily like legacy.
+            # placed (hand-built chips).
             del b.lines[saved[0]:]
             for key in list(b.params)[saved[1]:]:
                 del b.params[key]
             b.k, b.cyc, b.cmax = saved[2], saved[3], saved[4]
-            puntable.add(idx)
+            puntable[idx] = str(exc.args[0])
             if b.k == 0:
                 return None
             b.close_fall(idx)
@@ -839,7 +839,7 @@ def _emit_run(image, chip, start: int, puntable: set, cap: int,
     return b
 
 
-def _compile_run(image, chip, start: int, puntable: set,
+def _compile_run(image, chip, start: int, puntable: Dict[int, str],
                  cap: int, bias=None) -> Optional[Step]:
     """Build the fused step for the run starting at ``start``. Single
     instruction runs compile as-is (their only charge happens under the
@@ -883,7 +883,7 @@ def _run_leaders(image) -> set:
     return leaders
 
 
-def predecode_image(image, chip, branch_bias=None
+def predecode_image(image, chip, branch_bias=None, fuse: bool = True
                     ) -> Tuple[Prog, Dict[str, object]]:
     """Compile an MEImage into a step program, one closure per
     instruction index (so a thread can resume at any pc): fused
@@ -903,10 +903,14 @@ def predecode_image(image, chip, branch_bias=None
     through them (superblock fusion). Biased programs are built on
     demand by the fast-forward engine and are *not* cached in
     ``MEImage._decode_plans`` -- the cache only ever holds the unbiased
-    program."""
+    program.
+
+    ``fuse=False`` (internal: the fast-forward engine's branch-evidence
+    burst) gives every index a single-instruction step, so each step's
+    charge is one instruction's -- same semantics, no runs."""
     view = _ChipView(chip)
-    leaders = _run_leaders(image)
-    puntable: set = set()
+    leaders = _run_leaders(image) if fuse else ()
+    puntable: Dict[int, str] = {}
     prog: Prog = []
     for idx, insn in enumerate(image.insns):
         step = None
@@ -915,7 +919,6 @@ def predecode_image(image, chip, branch_bias=None
             step = _compile_run(image, view, idx, puntable, cap,
                                 bias=branch_bias)
         if step is None:
-            puntable.add(idx)
-            step = _legacy_step(insn)
+            step = _punt_step(idx, insn, puntable[idx])
         prog.append(step)
     return prog, view.used

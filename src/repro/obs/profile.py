@@ -16,8 +16,8 @@ Classifies every simulated cycle of every ME thread into one of
   neither ran nor waited on anything it issued (no work available, or
   other threads held the engine).
 
-Attribution is recorded at *event* time by hooks in both dispatch cores
-(legacy handler table and predecoded fast path): a thread burst adds
+Attribution is recorded at *event* time by hooks in the ME core (the
+slice loop and the predecoded blocking steps): a thread burst adds
 ``me.time`` deltas to ``exec``; a blocking instruction adds
 ``wake - issue_time`` to its category.  ``idle`` is computed as an exact
 residual against the ME clock at snapshot time -- so per-thread
@@ -27,7 +27,7 @@ wait extends past the end of the run has the overshoot clamped off its
 last category.
 
 The profiler also samples the memory channels (per-request queueing
-delay in :meth:`MemorySystem.timed_*`) and the scratch rings (occupancy
+delay in :meth:`MemorySystem.timed_access`) and the scratch rings (occupancy
 after every put/get), and -- when built with ``sample_cycles`` -- records
 a time series of per-ME busy cycles and per-channel queue backlog,
 pulled by :meth:`IXP2400.run` through the same ``next_t`` catch-up

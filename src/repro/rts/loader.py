@@ -42,6 +42,12 @@ class LoaderError(Exception):
     pass
 
 
+#: Legal ``dispatch=`` / ``--engine`` values: the cycle-accurate core, or
+#: the run-level batched functional mode (repro.ixp.fastforward), which
+#: run_on_simulator routes before any chip is loaded.
+ENGINES = ("fast", "fastforward")
+
+
 def boot_image(result) -> Dict[str, bytes]:
     """Contents of every global once the XScale has run the module init
     blocks at boot. Init code can only touch globals (no packet exists yet,
@@ -60,10 +66,15 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
                 dispatch: Optional[str] = None) -> LoadLayout:
     """Install a CompileResult onto a chip; returns the layout.
 
-    ``dispatch`` selects the ME dispatch core (``"fast"`` predecoded /
-    ``"legacy"``; None = process default). Symbols, rings and memory are
-    all placed before any ME is created, so the predecode stage -- which
+    ``dispatch`` is validated (None or one of :data:`ENGINES`; this is
+    where ``run_on_simulator`` gets a bad name refused too) and otherwise
+    unused: there is one ME core, and the fast-forward engine loads its
+    chips through here as well. Symbols, rings and memory are all
+    placed before any ME is created, so the predecode stage -- which
     runs lazily on first execution -- sees a fully resolved chip."""
+    if dispatch is not None and dispatch not in ENGINES:
+        raise ValueError("unknown dispatch mode %r (expected one of %s)"
+                         % (dispatch, ", ".join(ENGINES)))
     mod = result.mod
     plan = result.plan
     layout = LoadLayout()
@@ -140,7 +151,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         layout.me_assignment[agg.name] = count
         image = result.images[agg.name]
         for _ in range(count):
-            chip.add_me(Microengine(me_index, image, chip, dispatch=dispatch))
+            chip.add_me(Microengine(me_index, image, chip))
             me_index += 1
 
     # XScale: control aggregates (boot already happened: see boot_image).

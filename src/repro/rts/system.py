@@ -17,7 +17,6 @@ from typing import List, Optional
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
 from repro.ixp.memory import ME_HZ
-from repro.ixp.microengine import default_dispatch
 from repro.ixp.rxtx import RxEngine, TxEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -42,7 +41,7 @@ class RunResult:
     rx_dropped_freelist: int = 0
     rx_dropped_ring_full: int = 0
     # Per-ME accounting, in ME index order (the fast-path equivalence
-    # suite asserts these match between dispatch cores bit for bit).
+    # suite asserts these match the reference interpreter bit for bit).
     me_executed_instrs: List[int] = field(default_factory=list)
     me_times: List[float] = field(default_factory=list)
     me_idle_times: List[float] = field(default_factory=list)
@@ -95,11 +94,9 @@ def run_on_simulator(
     ``python -m repro.obs.trace export``). Tracing is pure observation:
     traced and untraced runs are bit-identical (tests/test_trace.py).
 
-    ``dispatch`` selects the ME dispatch core: ``"fast"`` (predecoded,
-    the default) or ``"legacy"`` (the reference interpreter). The two
-    produce bit-identical results (tests/test_fastpath.py); legacy is
-    kept for equivalence testing and the sim-speed benchmark's speedup
-    column. ``"fastforward"`` instead routes the whole run to the
+    ``dispatch`` selects the engine: None or ``"fast"`` is the
+    cycle-accurate run on the one ME core (predecoded dispatch);
+    ``"fastforward"`` instead routes the whole run to the
     batched functional engine (:mod:`repro.ixp.fastforward`): the
     forwarding rate comes from a calibrated cost model with documented
     error bounds, not a cycle-accurate measurement, and time-attributing
@@ -127,8 +124,7 @@ def run_on_simulator(
     observation -- profiled runs are bit-identical to unprofiled ones
     (tests/test_profile.py).
     """
-    engine = dispatch if dispatch is not None else default_dispatch()
-    if engine == "fastforward":
+    if dispatch == "fastforward":
         # Whole-run reroute to the batched functional engine. Refusals
         # (profiler & co.) happen inside run_fastforward so direct
         # callers get the same contract.

@@ -22,6 +22,7 @@ import time
 from repro import obs
 from repro.obs import ledger as obs_ledger
 from repro.options import LEVEL_ORDER
+from repro.rts.loader import ENGINES
 from repro.sweep.cache import CompileCache, repo_root
 from repro.sweep.orchestrator import (
     ME_COUNTS,
@@ -101,10 +102,9 @@ def main(argv=None) -> int:
                          "write BENCH_occupancy.json; measured rates "
                          "are bit-identical either way")
     ap.add_argument("--engine", default=None,
-                    choices=["fast", "legacy", "fastforward"],
+                    choices=list(ENGINES),
                     help="simulation engine for rate cells: fast "
-                         "(predecoded cycle-accurate, the default), "
-                         "legacy (reference interpreter), or "
+                         "(cycle-accurate, the default) or "
                          "fastforward (batched functional execution "
                          "with a calibrated cost model; writes "
                          "BENCH_ffspeed.json instead of the Tier-1 "

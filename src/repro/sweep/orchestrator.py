@@ -152,8 +152,8 @@ class WorkerConfig:
     #: emit BENCH_occupancy.json (pure observation; measured rates are
     #: bit-identical either way).
     profile: bool = False
-    #: Simulation engine for rate jobs: None/"fast"/"legacy" run the
-    #: cycle-accurate simulator with that dispatch core; "fastforward"
+    #: Simulation engine for rate jobs: None/"fast" run the
+    #: cycle-accurate simulator; "fastforward"
     #: routes rate jobs through the calibrated functional engine
     #: (:mod:`repro.ixp.fastforward`) and the sweep emits
     #: BENCH_ffspeed.json instead of the Tier-1 figure files.

@@ -3,9 +3,12 @@ along with it.
 
 Covers:
 
-* legacy-vs-predecoded bit-identical equivalence on all three example
+* reference-vs-predecoded bit-identical equivalence on all three example
   apps (Tx signatures, cycle counts, per-ME executed_instrs/times,
-  forwarding rate, access profile);
+  forwarding rate, access profile), on masked stores, and on the
+  fast-forward engine's branch evidence;
+* the removed ``legacy`` engine value being refused by name everywhere
+  an engine can be named;
 * ``IXP2400.run`` advancing ``now`` to the granted deadline when it
   exits early (repeated ``run_for`` drain loops must not re-grant the
   same window);
@@ -15,7 +18,10 @@ Covers:
   busy-spinning when no thread is ready and the next wake is not in the
   future;
 * the error path leaving ``time``/``executed_instrs``/``pc`` exactly as
-  they were before the failing instruction, in both dispatch cores.
+  they were before the failing instruction, in both cores.
+
+"reference" is the handler-table interpreter in tests/reference_me.py;
+"fast" is the product's one core.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from repro.ixp.chip import IXP2400
 from repro.ixp.microengine import Microengine, SimError
 from repro.options import options_for
 from repro.rts.system import run_on_simulator
+from tests import reference_me
 
 APPS = ("l3switch", "firewall", "mpls")
-MODES = ("legacy", "fast")
+MODES = ("reference", "fast")
 
 
 def _mini_image(insns):
@@ -72,16 +79,17 @@ def _signature(run):
 @pytest.mark.parametrize("app_name", APPS)
 def test_fast_dispatch_bit_identical(app_name):
     result, trace = _compile(app_name)
-    runs = {
-        mode: run_on_simulator(result, trace, n_mes=4, warmup_packets=50,
-                               measure_packets=200, dispatch=mode)
-        for mode in MODES
-    }
+    runs = {}
+    for mode in MODES:
+        with reference_me.core(mode):
+            runs[mode] = run_on_simulator(result, trace, n_mes=4,
+                                          warmup_packets=50,
+                                          measure_packets=200)
     assert runs["fast"].tx_signature(), "run forwarded no packets"
     # idle_time feeds the stall profiler's exact idle residual, so the
     # two cores must agree on it to the bit, not just on busy time.
-    assert runs["legacy"].me_idle_times == runs["fast"].me_idle_times
-    assert _signature(runs["legacy"]) == _signature(runs["fast"])
+    assert runs["reference"].me_idle_times == runs["fast"].me_idle_times
+    assert _signature(runs["reference"]) == _signature(runs["fast"])
 
 
 def test_predecode_plan_reused_across_chips():
@@ -91,7 +99,7 @@ def test_predecode_plan_reused_across_chips():
     result, trace = _compile("l3switch")
     for _ in range(2):
         run_on_simulator(result, trace, n_mes=2, warmup_packets=10,
-                         measure_packets=30, dispatch="fast")
+                         measure_packets=30)
     for image in result.images.values():
         assert len(image._decode_plans) == 1
 
@@ -104,12 +112,12 @@ def test_predecode_revalidates_rebound_symbol_same_chip():
     image = _mini_image([isa.LoadSym(reg, isa.SymRef("g")), isa.Halt()])
     chip = IXP2400()
     chip.symbols["g"] = 100
-    me1 = Microengine(0, image, chip, n_threads=1, dispatch="fast")
+    me1 = Microengine(0, image, chip, n_threads=1)
     me1.run_slice(100)
     assert me1.threads[0].get(reg) == 100
 
     chip.symbols["g"] = 2000
-    me2 = Microengine(0, image, chip, n_threads=1, dispatch="fast")
+    me2 = Microengine(0, image, chip, n_threads=1)
     me2.run_slice(100)
     assert me2.threads[0].get(reg) == 2000
 
@@ -125,18 +133,17 @@ def test_predecode_revalidates_late_bound_symbol():
     chip.symbols["g"] = 4242
     prog2 = image.predecoded(chip)
     assert prog2 is not prog1
-    me = Microengine(0, image, chip, n_threads=1, dispatch="fast")
+    me = Microengine(0, image, chip, n_threads=1)
     me.run_slice(100)
     assert me.threads[0].get(reg) == 4242
 
 
 def test_fast_dispatch_rejects_virtual_register():
-    # Punted instructions defer to the legacy handlers lazily: the error
-    # surfaces at execution, exactly like the legacy path.
+    # Punted instructions fail lazily: decoding the image succeeds, the
+    # diagnostic surfaces when a thread reaches the instruction.
     insns = [isa.Immed(isa.VReg(), 1), isa.Halt()]
-    me = Microengine(0, _mini_image(insns), IXP2400(), n_threads=1,
-                     dispatch="fast")
-    with pytest.raises((SimError, AttributeError)):
+    me = Microengine(0, _mini_image(insns), IXP2400(), n_threads=1)
+    with pytest.raises(SimError, match="not a physical register"):
         me.run_slice(100)
 
 
@@ -166,7 +173,9 @@ def test_signed_divide_int_min_by_minus_one_same_word_on_both_cores():
     assert word == 0x80000000  # wraps, does not trap
     for mode in MODES:
         chip = IXP2400(n_programmable_mes=1)
-        load_system(result, chip, n_mes=1, dispatch=mode)
+        with reference_me.core(mode):
+            load_system(result, chip, n_mes=1)
+        assert type(chip.mes[0]) is reference_me.CORES[mode]
         tx = TxEngine(chip)
         chip.attach_traffic(RxEngine(chip, trace, offered_gbps=1.0,
                                      max_packets=4, repeat=False), tx)
@@ -176,6 +185,103 @@ def test_signed_divide_int_min_by_minus_one_same_word_on_both_cores():
             src_mac, eth_type = record.payload[6:12], record.payload[12:14]
             got = int.from_bytes(eth_type, "big") << 16 | int.from_bytes(src_mac, "big")
             assert got == word, mode
+
+
+@pytest.mark.parametrize("app_name", APPS)
+def test_branch_evidence_matches_reference(app_name):
+    # The fast-forward engine reads taken/total off the fast core's
+    # abort-cycle charge; the reference evaluates the condition itself.
+    from repro.ixp import fastforward as ff
+    from repro.ixp.rxtx import RxEngine, TxEngine
+    from repro.rts.loader import load_system
+
+    result, trace = _compile(app_name)
+    chips = {}
+    for mode in MODES:
+        chips[mode] = IXP2400(n_programmable_mes=1)
+        with reference_me.core(mode):
+            load_system(result, chips[mode], n_mes=1)
+    fast = ff._branch_evidence(chips["fast"], trace)
+    ref = {}
+    chip = chips["reference"]
+    ff._run_functional(
+        chip, RxEngine(chip, trace, max_packets=ff.EVIDENCE_PACKETS),
+        TxEngine(chip), lambda m, t: reference_me.count_burst(m, t, ref))
+    assert any(taken for taken, _ in fast.values())
+    assert any(taken < total for taken, total in fast.values())
+    assert fast == ref
+    # ... and the evidence batch left both chips in the same state.
+    for attr in ("time", "executed_instrs"):
+        assert (getattr(chips["fast"].mes[0], attr)
+                == getattr(chips["reference"].mes[0], attr))
+    assert (chips["fast"].memory.counters.snapshot()
+            == chips["reference"].memory.counters.snapshot())
+    assert chips["fast"].memory.stores == chips["reference"].memory.stores
+
+
+def _masked_store_run(mode):
+    a0, a1, a2, a3 = (isa.PReg("a", i) for i in range(4))
+    insns = [
+        isa.Immed(a0, 0x11223344),
+        isa.Immed(a1, 0xAABBCCDD),
+        isa.Immed(a2, 0b01101001),
+        isa.Immed(a3, 4096),
+        # Static mask: lanes 1, 2 of word 0 and lanes 0, 3 of word 1.
+        isa.Mem("sram", "write", [a0, a1], isa.Imm(256), isa.Imm(8), 2,
+                byte_mask=0b10010110),
+        # Dynamic mask in a register; one DRAM quadword is two words.
+        isa.Mem("dram", "write", [a1, a0], a3, isa.Imm(16), 1, byte_mask=a2),
+        isa.Halt(),
+    ]
+    chip = IXP2400()
+    for space in ("sram", "dram"):
+        store = chip.memory.stores[space]
+        store[:] = b"\xee" * len(store)
+    me = reference_me.CORES[mode](0, _mini_image(insns), chip, n_threads=1)
+    chip.add_me(me)
+    chip.run(10_000.0)
+    assert me.threads[0].halted
+    return chip, me
+
+
+def test_masked_stores_match_reference():
+    (ref_chip, ref), (chip, me) = (_masked_store_run(mode) for mode in MODES)
+    sram, dram = chip.memory.stores["sram"], chip.memory.stores["dram"]
+    assert bytes(sram[264:272]) == bytes.fromhex("ee2233ee aaeeeedd")
+    assert bytes(dram[4112:4120]) == bytes.fromhex("aaeeeedd ee2233ee")
+    assert sram.count(0xEE) == len(sram) - 4
+    assert dram.count(0xEE) == len(dram) - 4
+    assert chip.memory.stores == ref_chip.memory.stores
+    assert (me.time, me.executed_instrs, me.idle_time,
+            me.threads[0].wake) == (ref.time, ref.executed_instrs,
+                                    ref.idle_time, ref.threads[0].wake)
+    assert (chip.memory.counters.snapshot()
+            == ref_chip.memory.counters.snapshot())
+    for name, ch in chip.memory.channels.items():
+        other = ref_chip.memory.channels[name]
+        assert (ch.next_free, ch.busy_time) == (other.next_free,
+                                                other.busy_time)
+
+
+# -- the removed engine value ---------------------------------------------------------
+
+
+def test_legacy_engine_value_is_refused_by_name(capsys):
+    from repro.rts.loader import load_system
+    from repro.sweep.__main__ import main as sweep_main
+
+    result, trace = _compile("l3switch")
+    expected = "unknown dispatch mode 'legacy'.*fast, fastforward"
+    with pytest.raises(ValueError, match=expected):
+        run_on_simulator(result, trace, dispatch="legacy")
+    with pytest.raises(ValueError, match=expected):
+        load_system(result, IXP2400(n_programmable_mes=1),
+                    dispatch="legacy")
+    with pytest.raises(SystemExit) as exit_info:
+        sweep_main(["--engine", "legacy"])
+    assert exit_info.value.code == 2
+    assert ("invalid choice: 'legacy' (choose from"
+            in capsys.readouterr().err)
 
 
 # -- IXP2400.run deadline accounting -------------------------------------------------
@@ -231,8 +337,8 @@ def test_sampler_catches_up_past_all_elapsed_marks():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_run_slice_raises_instead_of_spinning(mode):
-    me = Microengine(0, _mini_image([isa.Halt()]), IXP2400(), n_threads=2,
-                     dispatch=mode)
+    me = reference_me.CORES[mode](0, _mini_image([isa.Halt()]), IXP2400(),
+                                  n_threads=2)
     for t in me.threads:
         t.wake = math.nan  # never ready, never "in the future"
     with pytest.raises(SimError, match="scheduler stuck") as err:
@@ -243,24 +349,24 @@ def test_run_slice_raises_instead_of_spinning(mode):
 
 # -- error-path counter integrity ----------------------------------------------------
 
+_A0, _A1 = isa.PReg("a", 0), isa.PReg("a", 1)
 
-def _run_until_error(mode):
-    a0, a1 = isa.PReg("a", 0), isa.PReg("a", 1)
-    insns = [
-        isa.Immed(a0, 0xFFFF),         # 1-word immed, way past LM_WORDS
-        isa.LmRead(a1, a0, 0),         # dynamic out-of-range index
-        isa.Halt(),
-    ]
-    me = Microengine(0, _mini_image(insns), IXP2400(), n_threads=1,
-                     dispatch=mode)
-    with pytest.raises(SimError, match="Local Memory index"):
+#: 1-word immed way past LM_WORDS, then a dynamic out-of-range index.
+_LM_FAULT = ([isa.Immed(_A0, 0xFFFF), isa.LmRead(_A1, _A0, 0), isa.Halt()],
+             "Local Memory index")
+
+
+def _run_until_error(mode, insns, match):
+    me = reference_me.CORES[mode](0, _mini_image(insns), IXP2400(),
+                                  n_threads=1)
+    with pytest.raises(SimError, match=match):
         me.run_slice(10_000.0)
     return me
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_error_path_preserves_counters(mode):
-    me = _run_until_error(mode)
+    me = _run_until_error(mode, *_LM_FAULT)
     t = me.threads[0]
     # Only the Immed was dispatched: its cycle is charged, the failing
     # LmRead's is not, and pc still points at the failing instruction.
@@ -268,9 +374,24 @@ def test_error_path_preserves_counters(mode):
     assert me.executed_instrs == 1
     assert t.pc == 1
     assert not t.halted
+    if mode != "fast":
+        return
+    # Instructions the predecoder cannot bind fail the same clean way,
+    # with a diagnostic naming ME, pc, instruction and reason. (The
+    # reference keeps its historical AttributeError / KeyError here: it
+    # is the oracle for semantics, not for diagnostics.)
+    for punted, reason in (
+            (isa.Immed(isa.VReg(), 1), "not a physical register"),
+            (isa.LoadSym(_A1, isa.SymRef("nowhere")),
+             "unresolved symbol 'nowhere'")):
+        me = _run_until_error(mode, [isa.Immed(_A0, 7), punted, isa.Halt()],
+                              r"ME0 pc=1: cannot execute .*: .*" + reason)
+        t = me.threads[0]
+        assert (me.time, me.executed_instrs, t.pc) == (1.0, 1, 1)
+        assert t.get(_A0) == 7 and not t.halted
 
 
 def test_error_path_identical_across_modes():
-    legacy, fast = _run_until_error("legacy"), _run_until_error("fast")
-    assert (legacy.time, legacy.executed_instrs, legacy.threads[0].pc) == \
+    ref, fast = (_run_until_error(mode, *_LM_FAULT) for mode in MODES)
+    assert (ref.time, ref.executed_instrs, ref.threads[0].pc) == \
            (fast.time, fast.executed_instrs, fast.threads[0].pc)

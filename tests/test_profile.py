@@ -3,13 +3,13 @@
 The two load-bearing guarantees:
 
 * **zero impact** -- a profiled run is bit-identical to an unprofiled
-  one (Tx bytes, rates, cycle counts, per-ME accounting), in both
-  dispatch cores;
+  one (Tx bytes, rates, cycle counts, per-ME accounting), on the
+  product core and on the test-side reference interpreter;
 * **sums to total** -- every thread's attribution (exec + waits + idle)
   recovers that ME's total simulated cycles exactly under the payload's
   3-decimal rounding.
 
-Plus: legacy and fast dispatch produce *identical* profiler snapshots,
+Plus: reference and fast dispatch produce *identical* profiler snapshots,
 the sweep's BENCH_occupancy.json is byte-reproducible and diffable, the
 obs.diff unknown-kind / occupancy gates fire, the bottleneck report
 renders, timeline windows carry occ.* deltas, and the Perfetto export
@@ -37,9 +37,10 @@ from repro.obs.profile import (
 from repro.options import options_for
 from repro.profiler.trace import ipv4_trace
 from repro.rts.system import run_on_simulator
+from tests import reference_me
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
-MODES = ("legacy", "fast")
+MODES = ("reference", "fast")
 
 
 def _mini_result():
@@ -67,24 +68,27 @@ def _run_signature(run):
 @pytest.mark.parametrize("mode", MODES)
 def test_profiled_run_is_bit_identical(mode):
     result, trace = _mini_result()
-    off = run_on_simulator(result, trace, dispatch=mode, **_RUN)
-    on = run_on_simulator(result, trace, dispatch=mode,
-                          profiler=StallProfiler(), **_RUN)
+    with reference_me.core(mode):
+        off = run_on_simulator(result, trace, **_RUN)
+        on = run_on_simulator(result, trace, profiler=StallProfiler(),
+                              **_RUN)
     assert on.occupancy is not None and off.occupancy is None
     assert _run_signature(on) == _run_signature(off)
 
 
 def test_profiler_snapshot_identical_across_dispatch_modes():
-    """Both dispatch cores drive the same hooks at the same simulated
-    times: the whole snapshot (attribution, channel queueing, ring
-    stats) must match to the bit, not just the measured run."""
+    """The core and the reference interpreter drive the same hooks at
+    the same simulated times: the whole snapshot (attribution, channel
+    queueing, ring stats) must match to the bit, not just the measured
+    run."""
     result, trace = _mini_result()
     snaps = {}
     for mode in MODES:
-        run = run_on_simulator(result, trace, dispatch=mode,
-                               profiler=StallProfiler(), **_RUN)
+        with reference_me.core(mode):
+            run = run_on_simulator(result, trace,
+                                   profiler=StallProfiler(), **_RUN)
         snaps[mode] = run.occupancy
-    assert snaps["legacy"] == snaps["fast"]
+    assert snaps["reference"] == snaps["fast"]
 
 
 # -- the sums-to-total invariant ------------------------------------------------
