@@ -175,14 +175,9 @@ class _RunBuilder:
     """
 
     def __init__(self, chip, prefix: str = "", puntable=None,
-                 visited=None, bias=None):
+                 visited=None):
         self.chip = chip
         self.prefix = prefix
-        # Branch evidence for superblock fusion: indices of conditional
-        # branches observed to be strongly taken-biased. _e_br inverts
-        # those (guard bails to the fallthrough, emission continues at
-        # the taken target) so the hot path stays in one fused run.
-        self.bias = bias if bias is not None else {}
         self.lines: List[str] = ["        tm = me.time\n"]
         self.params: Dict[str, object] = {}
         self.k = 0  # sub-instructions emitted so far
@@ -388,26 +383,6 @@ def _e_br(b: _RunBuilder, insn, idx):
         test = "_signed(t.cmp_a) %s _signed(t.cmp_b)" % _BR_CMP[insn.cond]
     else:
         test = "t.cmp_a %s t.cmp_b" % _BR_CMP[insn.cond]
-    if b.bias.get(idx) and b.can_goto(insn.resolved):
-        # Superblock fusion: recorded branch evidence says this branch
-        # is strongly taken-biased, so invert it -- the guard bails to
-        # the fallthrough (charging everything accumulated plus this
-        # branch, *no* abort cycle: the not-taken cost), and
-        # emission continues inline at the taken target with the abort
-        # cycle deferred. Observable behavior on both paths is
-        # bit-identical to the uninverted emission.
-        b.add("if not (%s):" % test)
-        b.add("    tm += %d" % (b.cyc + insn.cycles))
-        b.add("    t.pc = %s" % b.p("F", idx + 1))
-        b.add("    me.time = tm")
-        if b.k:
-            b.add("    me.executed_instrs += %d" % b.k)
-        b.add("    return tm")
-        b.cyc += insn.cycles + 1
-        b.cmax += insn.cycles + 1
-        b.k += 1
-        b.goto = insn.resolved
-        return
     tgt = b.p("T", insn.resolved)
     # Taken: bail to the target, charging everything accumulated plus
     # this branch and its abort cycle. Fallthrough: continue the run
@@ -786,7 +761,7 @@ _RESUME_AFTER = frozenset((
 
 
 def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
-              prefix: str = "", bias=None) -> Optional[_RunBuilder]:
+              prefix: str = "") -> Optional[_RunBuilder]:
     """Emit the body of the run starting at ``start`` (at most ``cap``
     instructions) into a fresh builder; None when the first instruction
     itself cannot be bound. ``puntable`` maps every instruction found
@@ -794,8 +769,7 @@ def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
     diagnostic)."""
     insns = image.insns
     visited = {start}
-    b = _RunBuilder(chip, prefix, puntable=puntable, visited=visited,
-                    bias=bias)
+    b = _RunBuilder(chip, prefix, puntable=puntable, visited=visited)
     idx = start
     while not b.closed:
         if idx >= len(insns) or idx in puntable or b.k >= cap:
@@ -840,7 +814,7 @@ def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
 
 
 def _compile_run(image, chip, start: int, puntable: Dict[int, str],
-                 cap: int, bias=None) -> Optional[Step]:
+                 cap: int) -> Optional[Step]:
     """Build the fused step for the run starting at ``start``. Single
     instruction runs compile as-is (their only charge happens under the
     dispatch loop's own deadline compare). Longer runs get the
@@ -848,13 +822,12 @@ def _compile_run(image, chip, start: int, puntable: Dict[int, str],
     guarded branch executes just the first instruction -- emitted by a
     second, solo builder whose parameters are namespaced with an ``s``
     prefix so they cannot collide with the main body's."""
-    b = _emit_run(image, chip, start, puntable, cap, bias=bias)
+    b = _emit_run(image, chip, start, puntable, cap)
     if b is None:
         return None
     if b.k <= 1 and not (b.early_raise and b.k >= 1):
         return b.build()
-    solo = _emit_run(image, chip, start, puntable, 1, prefix="s",
-                     bias=bias)
+    solo = _emit_run(image, chip, start, puntable, 1, prefix="s")
     assert solo is not None and solo.closed  # first insn emitted fine above
     params = dict(solo.params)
     params.update(b.params)
@@ -883,8 +856,7 @@ def _run_leaders(image) -> set:
     return leaders
 
 
-def predecode_image(image, chip, branch_bias=None, fuse: bool = True
-                    ) -> Tuple[Prog, Dict[str, object]]:
+def predecode_image(image, chip) -> Tuple[Prog, Dict[str, object]]:
     """Compile an MEImage into a step program, one closure per
     instruction index (so a thread can resume at any pc): fused
     straight-line runs at run leaders, single-instruction steps
@@ -895,29 +867,16 @@ def predecode_image(image, chip, branch_bias=None, fuse: bool = True
     bake in is resolved symbol values -- ``used_symbols`` records
     exactly those (name -> value, or a recorded miss), and
     :meth:`repro.cg.assemble.MEImage.predecoded` reuses the program on
-    any chip for which :func:`plan_matches` accepts it.
-
-    ``branch_bias`` maps instruction indices of conditional branches to
-    True when recorded branch evidence says the branch is strongly
-    taken-biased; those branches compile inverted so fused runs extend
-    through them (superblock fusion). Biased programs are built on
-    demand by the fast-forward engine and are *not* cached in
-    ``MEImage._decode_plans`` -- the cache only ever holds the unbiased
-    program.
-
-    ``fuse=False`` (internal: the fast-forward engine's branch-evidence
-    burst) gives every index a single-instruction step, so each step's
-    charge is one instruction's -- same semantics, no runs."""
+    any chip for which :func:`plan_matches` accepts it."""
     view = _ChipView(chip)
-    leaders = _run_leaders(image) if fuse else ()
+    leaders = _run_leaders(image)
     puntable: Dict[int, str] = {}
     prog: Prog = []
     for idx, insn in enumerate(image.insns):
         step = None
         if idx not in puntable:
             cap = RUN_CAP if idx in leaders else 1
-            step = _compile_run(image, view, idx, puntable, cap,
-                                bias=branch_bias)
+            step = _compile_run(image, view, idx, puntable, cap)
         if step is None:
             step = _punt_step(idx, insn, puntable[idx])
         prog.append(step)

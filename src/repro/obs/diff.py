@@ -9,10 +9,11 @@ Usage::
 The file kind is auto-detected from the ``kind`` field written by
 :mod:`repro.obs.ledger` (``compile_report``),
 ``benchmarks/figures_common.py`` (``bench``), the serve harness
-(``bench_churn``), and the sweep's stall-attribution profiler
-(``bench_occupancy``). A file whose ``kind`` is none of those is an
-error (exit :data:`EXIT_REGRESSION`), never silently treated as an
-empty diff -- a typo'd or future-format file must fail CI loudly.
+(``bench_churn``), the sweep's stall-attribution profiler
+(``bench_occupancy``), and the autotuner (``bench_tune``). A file whose
+``kind`` is none of those is an error (exit :data:`EXIT_REGRESSION`),
+never silently treated as an empty diff -- a typo'd or future-format
+file must fail CI loudly.
 
 * **compile report vs compile report** -- prints decision-count deltas
   per pass/verdict plus summary deltas (IR size, image code size,
@@ -35,14 +36,8 @@ empty diff -- a typo'd or future-format file must fail CI loudly.
   cell may vanish, rates must not drop beyond ``--tolerance``
   (fractional), and no attribution share may shift beyond
   ``--tolerance`` (absolute).
-* **ffspeed bench vs ffspeed bench** (``python -m repro.sweep
-  --engine fastforward`` output) -- gates the two-speed engine's
-  calibration: no app/level/cell may vanish, no cell's modelled rate
-  may drop beyond ``--tolerance`` (fractional), and any recorded
-  accuracy figure (``err_pct`` vs the converged cycle-accurate
-  reference) must stay within the file's own ``error_bound_pct``.
 * **tune bench vs tune bench** (``python -m repro.tune`` output) --
-  gates the autotuner: no app may vanish, the best confirmed rate must
+  gates the autotuner: no app may vanish, the best measured rate must
   not drop beyond ``--tolerance`` (fractional), and the evidence
   pruning must not disappear entirely (regions pruned before, none
   now).
@@ -60,10 +55,6 @@ from typing import Dict, List, Optional, Tuple
 
 #: Exit code for a gated regression (1 is reserved for usage/IO errors).
 EXIT_REGRESSION = 2
-
-#: Every file format this tool knows how to diff.
-KNOWN_KINDS = ("compile_report", "bench", "bench_churn", "bench_occupancy",
-               "bench_ffspeed", "bench_tune")
 
 
 class SystemExit2(Exception):
@@ -377,97 +368,13 @@ def diff_occupancy(old: dict, new: dict,
     return lines, regressions
 
 
-# -- ffspeed bench vs ffspeed bench ---------------------------------------------------
-
-
-def diff_ffspeed(old: dict, new: dict,
-                 tolerance: float) -> Tuple[List[str], List[str]]:
-    """Gate the fast-forward engine's BENCH_ffspeed.json: the modelled
-    rate grid is the benchmark, so a vanished app/level/cell or a rate
-    drop beyond ``tolerance`` (fractional) is a regression. Cells that
-    carry an ``err_pct`` accuracy figure (written by the ffspeed
-    benchmark, which also runs the converged cycle-accurate reference)
-    must additionally stay within the file's own ``error_bound_pct`` --
-    a fast model that drifted outside its documented bound is broken
-    even if it got *faster*."""
-    lines: List[str] = []
-    regressions: List[str] = []
-    bound = float(new.get("error_bound_pct") or
-                  old.get("error_bound_pct") or 0.0)
-    o_apps = old.get("apps") or {}
-    n_apps = new.get("apps") or {}
-    lines.append("ffspeed bench diff: %d -> %d apps, error bound %.1f%%"
-                 % (len(o_apps), len(n_apps), bound))
-
-    changed = False
-    for app in sorted(set(o_apps) | set(n_apps)):
-        if app not in n_apps:
-            lines.append("  %s: vanished" % app)
-            regressions.append("app %s vanished from the new file" % app)
-            changed = True
-            continue
-        if app not in o_apps:
-            lines.append("  %s: only in new file" % app)
-            changed = True
-        o_levels = (o_apps.get(app) or {}).get("levels") or {}
-        n_levels = (n_apps.get(app) or {}).get("levels") or {}
-        for level in sorted(set(o_levels) | set(n_levels)):
-            key = "%s/%s" % (app, level)
-            if level not in n_levels:
-                lines.append("  %s: vanished" % key)
-                regressions.append("level %s vanished from the new file"
-                                   % key)
-                changed = True
-                continue
-            o_cells = (o_levels.get(level) or {}).get("cells") or {}
-            n_cells = (n_levels.get(level) or {}).get("cells") or {}
-            for n_mes in sorted(set(o_cells) | set(n_cells),
-                                key=lambda s: (len(s), s)):
-                cell = "%s@%sME" % (key, n_mes)
-                a, b = o_cells.get(n_mes), n_cells.get(n_mes)
-                if b is None:
-                    lines.append("  %s: vanished" % cell)
-                    regressions.append("cell %s vanished from the new file"
-                                       % cell)
-                    changed = True
-                    continue
-                if a is not None and a == b:
-                    continue
-                changed = True
-                ra = (a or {}).get("gbps", 0.0)
-                rb = b.get("gbps", 0.0)
-                if a is None:
-                    lines.append("  %s: only in new file (%.4f Gbps, %s)"
-                                 % (cell, rb, b.get("mode")))
-                elif ra != rb:
-                    lines.append("  %s: rate %.4f -> %.4f Gbps"
-                                 % (cell, ra, rb))
-                if a is not None and ra > 0 and rb < ra * (1 - tolerance):
-                    regressions.append(
-                        "%s: rate dropped %.4f -> %.4f Gbps (-%.1f%%, "
-                        "tolerance %.0f%%)" % (cell, ra, rb,
-                                               100 * (ra - rb) / ra,
-                                               100 * tolerance))
-                if a is not None and a.get("mode") != b.get("mode"):
-                    lines.append("  %s: pricing mode %s -> %s"
-                                 % (cell, a.get("mode"), b.get("mode")))
-                err = b.get("err_pct")
-                if err is not None and bound > 0 and abs(err) > bound:
-                    regressions.append(
-                        "%s: model error %.2f%% exceeds the documented "
-                        "bound of %.1f%%" % (cell, err, bound))
-    if not changed:
-        lines.append("  grids identical")
-    return lines, regressions
-
-
 # -- tune bench vs tune bench ---------------------------------------------------------
 
 
 def diff_tune(old: dict, new: dict,
               tolerance: float) -> Tuple[List[str], List[str]]:
     """Gate the autotuner's BENCH_tune.json: the tuned result *is* the
-    benchmark, so a vanished app, a best confirmed rate dropping beyond
+    benchmark, so a vanished app, a best measured rate dropping beyond
     ``tolerance`` (fractional), or the evidence pruning disappearing
     entirely (old run pruned regions, new run pruned none -- the
     pruner stopped consuming evidence) is a regression."""
@@ -494,8 +401,8 @@ def diff_tune(old: dict, new: dict,
         changed = True
 
         o_best, n_best = a.get("best") or {}, b.get("best") or {}
-        ra = float(o_best.get("confirmed_gbps") or 0.0)
-        rb = float(n_best.get("confirmed_gbps") or 0.0)
+        ra = float(o_best.get("gbps") or 0.0)
+        rb = float(n_best.get("gbps") or 0.0)
         if (o_best.get("config"), o_best.get("n_mes")) != \
                 (n_best.get("config"), n_best.get("n_mes")):
             lines.append("  %s: best %s@%s -> %s@%s"
@@ -505,10 +412,10 @@ def diff_tune(old: dict, new: dict,
             lines.append("  %s: best rate %.3f -> %.3f Gbps" % (app, ra, rb))
         if o_best and not n_best:
             regressions.append("%s: best configuration vanished "
-                               "(nothing confirmed)" % app)
+                               "(nothing measured)" % app)
         elif ra > 0 and rb < ra * (1 - tolerance):
             regressions.append(
-                "%s: best confirmed rate dropped %.3f -> %.3f Gbps "
+                "%s: best rate dropped %.3f -> %.3f Gbps "
                 "(-%.1f%%, tolerance %.0f%%)"
                 % (app, ra, rb, 100 * (ra - rb) / ra, 100 * tolerance))
 
@@ -535,6 +442,13 @@ def diff_tune(old: dict, new: dict,
 
 # -- CLI ------------------------------------------------------------------------------
 
+#: Bench kind -> ``differ(old, new, tolerance) -> (lines, regressions)``.
+BENCH_DIFFERS = {"bench": diff_bench, "bench_churn": diff_churn,
+                 "bench_occupancy": diff_occupancy, "bench_tune": diff_tune}
+
+#: Every file format this tool knows how to diff.
+KNOWN_KINDS = ("compile_report",) + tuple(BENCH_DIFFERS)
+
 
 def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
              gate: Optional[bool] = None) -> Tuple[str, int]:
@@ -544,35 +458,17 @@ def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
     if old["kind"] != new["kind"]:
         raise SystemExit2("cannot diff %s against %s" % (old["kind"],
                                                          new["kind"]))
-    if old["kind"] == "compile_report":
+    kind = old["kind"]
+    if kind == "compile_report":
         lines, regressions = diff_compile(old, new, tolerance,
                                           gate=bool(gate))
         fatal = bool(gate) and bool(regressions)
-    elif old["kind"] == "bench":
-        lines, regressions = diff_bench(old, new, tolerance)
-        fatal = bool(regressions) if gate is None else bool(gate and
-                                                            regressions)
-    elif old["kind"] == "bench_churn":
-        lines, regressions = diff_churn(old, new, tolerance)
-        fatal = bool(regressions) if gate is None else bool(gate and
-                                                            regressions)
-    elif old["kind"] == "bench_occupancy":
-        lines, regressions = diff_occupancy(old, new, tolerance)
-        fatal = bool(regressions) if gate is None else bool(gate and
-                                                            regressions)
-    elif old["kind"] == "bench_ffspeed":
-        lines, regressions = diff_ffspeed(old, new, tolerance)
-        fatal = bool(regressions) if gate is None else bool(gate and
-                                                            regressions)
-    elif old["kind"] == "bench_tune":
-        lines, regressions = diff_tune(old, new, tolerance)
-        fatal = bool(regressions) if gate is None else bool(gate and
-                                                            regressions)
+    elif kind in BENCH_DIFFERS:
+        lines, regressions = BENCH_DIFFERS[kind](old, new, tolerance)
+        fatal = bool(regressions) and gate is not False
     else:
-        # _load() already validated against KNOWN_KINDS; keep the
-        # dispatch total anyway so a kind added there without a branch
-        # here fails loudly instead of falling through.
-        raise UnknownKindError("unsupported kind %r" % old["kind"])
+        # A kind _load() lets through without a differ here fails loudly.
+        raise UnknownKindError("unsupported kind %r" % kind)
     if regressions:
         lines.append("REGRESSIONS:")
         lines.extend("  " + r for r in regressions)

@@ -42,12 +42,6 @@ class LoaderError(Exception):
     pass
 
 
-#: Legal ``dispatch=`` / ``--engine`` values: the cycle-accurate core, or
-#: the run-level batched functional mode (repro.ixp.fastforward), which
-#: run_on_simulator routes before any chip is loaded.
-ENGINES = ("fast", "fastforward")
-
-
 def boot_image(result) -> Dict[str, bytes]:
     """Contents of every global once the XScale has run the module init
     blocks at boot. Init code can only touch globals (no packet exists yet,
@@ -66,15 +60,15 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
                 dispatch: Optional[str] = None) -> LoadLayout:
     """Install a CompileResult onto a chip; returns the layout.
 
-    ``dispatch`` is validated (None or one of :data:`ENGINES`; this is
-    where ``run_on_simulator`` gets a bad name refused too) and otherwise
-    unused: there is one ME core, and the fast-forward engine loads its
-    chips through here as well. Symbols, rings and memory are all
-    placed before any ME is created, so the predecode stage -- which
-    runs lazily on first execution -- sees a fully resolved chip."""
-    if dispatch is not None and dispatch not in ENGINES:
-        raise ValueError("unknown dispatch mode %r (expected one of %s)"
-                         % (dispatch, ", ".join(ENGINES)))
+    ``dispatch`` selects nothing: there is one ME core. It accepts None
+    or ``"fast"`` for callers written when there was a choice and refuses
+    anything else (``run_on_simulator`` passes its own through here).
+    Symbols, rings and memory are all placed before any ME is created,
+    so the predecode stage -- which runs lazily on first execution --
+    sees a fully resolved chip."""
+    if dispatch not in (None, "fast"):
+        raise ValueError("unknown dispatch mode %r (the only legal value "
+                         "is 'fast')" % (dispatch,))
     mod = result.mod
     plan = result.plan
     layout = LoadLayout()

@@ -48,10 +48,6 @@ class RunResult:
     # Stall-attribution snapshot (repro.obs.profile), present only when
     # a profiler was passed to run_on_simulator.
     occupancy: Optional[dict] = None
-    # Fast-forward plan summary + pricing mode (repro.ixp.fastforward),
-    # present only for dispatch="fastforward" runs -- those results are
-    # model-priced, not measured, and this records how.
-    fastforward: Optional[dict] = None
 
     def tx_signature(self) -> List[bytes]:
         return sorted(self.tx_payloads)
@@ -73,7 +69,6 @@ def run_on_simulator(
     registry: Optional[obs_metrics.MetricsRegistry] = None,
     timeseries=None,
     profiler=None,
-    plan_key=None,
 ) -> RunResult:
     """Load and run a compiled program; measure steady-state behavior.
 
@@ -94,16 +89,9 @@ def run_on_simulator(
     ``python -m repro.obs.trace export``). Tracing is pure observation:
     traced and untraced runs are bit-identical (tests/test_trace.py).
 
-    ``dispatch`` selects the engine: None or ``"fast"`` is the
-    cycle-accurate run on the one ME core (predecoded dispatch);
-    ``"fastforward"`` instead routes the whole run to the
-    batched functional engine (:mod:`repro.ixp.fastforward`): the
-    forwarding rate comes from a calibrated cost model with documented
-    error bounds, not a cycle-accurate measurement, and time-attributing
-    observers (tracer / timeseries / profiler) are refused. ``plan_key``
-    (fast-forward only) is a stable identity for (program, trace) under
-    which the calibration plan is memoized per process; the sweep
-    passes (app, level, trace packets, trace seed).
+    ``dispatch`` selects nothing: every run is cycle-accurate on the one
+    ME core. None and ``"fast"`` are accepted, anything else is a
+    ``ValueError`` from :func:`repro.rts.loader.load_system`.
 
     ``registry`` runs the whole load+simulate under a private metrics
     registry (installed process-globally for the duration, so loader
@@ -124,18 +112,6 @@ def run_on_simulator(
     observation -- profiled runs are bit-identical to unprofiled ones
     (tests/test_profile.py).
     """
-    if dispatch == "fastforward":
-        # Whole-run reroute to the batched functional engine. Refusals
-        # (profiler & co.) happen inside run_fastforward so direct
-        # callers get the same contract.
-        from repro.ixp.fastforward import run_fastforward
-
-        return run_fastforward(
-            result, trace, n_mes=n_mes, registry=registry,
-            plan_key=plan_key, tracer=tracer,
-            timeseries=timeseries, profiler=profiler,
-            trace_json=trace_json or os.environ.get("REPRO_TRACE_JSON"),
-            trace_events_jsonl=trace_events_jsonl)
     if registry is not None:
         with obs_metrics.scoped_registry(registry):
             return run_on_simulator(

@@ -22,7 +22,6 @@ import time
 from repro import obs
 from repro.obs import ledger as obs_ledger
 from repro.options import LEVEL_ORDER
-from repro.rts.loader import ENGINES
 from repro.sweep.cache import CompileCache, repo_root
 from repro.sweep.orchestrator import (
     ME_COUNTS,
@@ -101,21 +100,7 @@ def main(argv=None) -> int:
                          "(repro.obs.profile) to every rate run and "
                          "write BENCH_occupancy.json; measured rates "
                          "are bit-identical either way")
-    ap.add_argument("--engine", default=None,
-                    choices=list(ENGINES),
-                    help="simulation engine for rate cells: fast "
-                         "(cycle-accurate, the default) or "
-                         "fastforward (batched functional execution "
-                         "with a calibrated cost model; writes "
-                         "BENCH_ffspeed.json instead of the Tier-1 "
-                         "figure files)")
     args = ap.parse_args(argv)
-
-    if args.engine == "fastforward" and args.profile:
-        ap.error("--engine fastforward cannot honor --profile: the "
-                 "stall profiler attributes simulated time, which the "
-                 "functional engine does not model; drop one of the "
-                 "two flags (Tier-1 figures always run cycle-accurate)")
 
     # Fail fast on a bad grid, naming the offending token -- not a
     # KeyError (or a hang) deep inside a spawned worker.
@@ -142,25 +127,26 @@ def main(argv=None) -> int:
                  % ",".join(map(str, bad)))
     if args.jobs < 1:
         ap.error("--jobs must be >= 1, got %d" % args.jobs)
+    for flag, floor in (("warmup", 0), ("measure", 1),
+                        ("table1_measure", 1), ("trace_packets", 1)):
+        if getattr(args, flag) < floor:
+            ap.error("--%s must be >= %d, got %d"
+                     % (flag.replace("_", "-"), floor, getattr(args, flag)))
 
     reg = obs.enable()
     if args.ledger:
         obs_ledger.enable()
     cache = CompileCache(args.cache_dir, enabled=not args.no_cache)
-    # A fast-forward sweep is a rate-model exploration: Table 1 rows
-    # (access counts) have no fast-forward pricing, so they are dropped
-    # rather than silently run cycle-accurate at shallow windows.
-    table1 = not args.no_table1 and args.engine != "fastforward"
+    table1 = not args.no_table1
     jobs = build_jobs(apps, levels=levels, me_counts=me_counts,
                       table1=table1,
                       rate_warmup=args.warmup, rate_measure=args.measure,
                       table1_measure=args.table1_measure)
-    print("sweep: %d jobs (%s x %s x MEs %s%s), engine %s, "
+    print("sweep: %d jobs (%s x %s x MEs %s%s), "
           "%d process%s, cache %s"
           % (len(jobs), ",".join(apps), ",".join(levels),
              ",".join(map(str, me_counts)),
              " + table1" if table1 else "",
-             args.engine or "fast",
              args.jobs, "" if args.jobs == 1 else "es",
              cache.cache_dir if cache.enabled else "OFF"))
 
@@ -171,7 +157,7 @@ def main(argv=None) -> int:
                        trace_seed=args.trace_seed, obs=True,
                        ledger=args.ledger, analyze=args.analyze,
                        analyze_packets=args.analyze_packets,
-                       profile=args.profile, engine=args.engine)
+                       profile=args.profile)
     sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg,
                       merge_into=reg)
 

@@ -121,9 +121,6 @@ class JobResult:
     #: Stall-cycle attribution cell (repro.obs.profile) for rate jobs
     #: run with ``profile=True`` (None otherwise).
     occupancy: Optional[dict] = None
-    #: Fast-forward pricing evidence (plan summary + this cell's mode)
-    #: for rate jobs run with ``engine="fastforward"`` (None otherwise).
-    fastforward: Optional[dict] = None
     #: SWC selection evidence from the job's compile (None when the
     #: level has SWC off). Unlike ledger decisions, this is extracted
     #: from the cached CompileResult itself, so it is present on cache
@@ -152,19 +149,6 @@ class WorkerConfig:
     #: emit BENCH_occupancy.json (pure observation; measured rates are
     #: bit-identical either way).
     profile: bool = False
-    #: Simulation engine for rate jobs: None/"fast" run the
-    #: cycle-accurate simulator; "fastforward"
-    #: routes rate jobs through the calibrated functional engine
-    #: (:mod:`repro.ixp.fastforward`) and the sweep emits
-    #: BENCH_ffspeed.json instead of the Tier-1 figure files.
-    engine: Optional[str] = None
-
-    def __post_init__(self):
-        if self.engine == "fastforward" and self.profile:
-            raise ValueError(
-                "--profile attributes stall cycles over simulated time, "
-                "which the fast-forward engine does not model; run "
-                "--profile with the cycle-accurate engine")
 
 
 def build_jobs(apps: Sequence[str],
@@ -255,21 +239,11 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                 from repro.obs.profile import StallProfiler
 
                 profiler = StallProfiler()
-            # Engine choice applies to rate cells only: table1 rows
-            # measure access counts, which the functional engine's cost
-            # model does not replace, so they stay cycle-accurate.
-            dispatch = cfg.engine if job.kind == "rate" else None
             run = run_on_simulator(result, trace, n_mes=job.n_mes,
                                    warmup_packets=job.warmup_packets,
                                    measure_packets=job.measure_packets,
                                    trace_json=job.trace_json,
-                                   profiler=profiler,
-                                   dispatch=dispatch,
-                                   plan_key=(job.app, job.level,
-                                             cfg.trace_packets,
-                                             cfg.trace_seed,
-                                             job.overrides,
-                                             job.target_gbps))
+                                   profiler=profiler)
     analysis = (_analyze_compile(job, cfg, result, trace)
                 if cfg.analyze else None)
     occupancy = None
@@ -292,7 +266,6 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                      decisions=decisions,
                      analysis=analysis,
                      occupancy=occupancy,
-                     fastforward=run.fastforward,
                      swc=swc_summary(result))
 
 
@@ -437,37 +410,6 @@ class SweepResult:
             payloads[figure] = payload
         return payloads
 
-    def ffspeed_payload(self) -> Optional[Dict]:
-        """BENCH_ffspeed.json payload for a fast-forward sweep: per
-        (app, level), the calibration plan evidence plus every rate
-        cell's modeled rate and pricing mode. Strictly deterministic --
-        rates, anchors and resync evidence are simulation outputs, and
-        no wall-clock field is ever included -- so repeated sweeps are
-        byte-identical. None when no job ran fast-forward."""
-        apps: Dict[str, Dict] = {}
-        for jr in self.jobs:
-            if jr.fastforward is None:
-                continue
-            info = dict(jr.fastforward)
-            n = info.pop("n_mes", jr.job.n_mes)
-            mode = info.pop("mode", "anchored")
-            gbps = info.pop("gbps", jr.rate_gbps)
-            level = apps.setdefault(jr.job.app, {"levels": {}})
-            entry = level["levels"].setdefault(jr.job.level,
-                                               {"plan": {}, "cells": {}})
-            # Later cells carry the most complete plan (on-demand
-            # anchors accumulate), and jobs are in sort-key order.
-            entry["plan"] = info
-            entry["cells"][str(n)] = {"gbps": round(gbps, 4),
-                                      "mode": mode}
-        if not apps:
-            return None
-        from repro.ixp.fastforward import RATE_ERROR_BOUND_PCT
-
-        return {"engine": "fastforward",
-                "error_bound_pct": RATE_ERROR_BOUND_PCT,
-                "apps": apps}
-
     def occupancy_payload(self) -> Optional[Dict]:
         """BENCH_occupancy.json payload: one stall-attribution cell per
         profiled rate job, keyed ``app/LEVEL@n_mes`` so repeated sweeps
@@ -483,13 +425,6 @@ class SweepResult:
         """Single-writer merge of every payload into
         ``<out_dir>/BENCH_<figure>.json`` (default: the repo root)."""
         out_dir = out_dir or repo_root()
-        ffspeed = self.ffspeed_payload()
-        if ffspeed is not None:
-            # A fast-forward sweep writes only its own bench file: the
-            # Tier-1 figure files stay cycle-accurate by construction.
-            path = os.path.join(out_dir, "BENCH_ffspeed.json")
-            return [merge_bench_json(path, "ffspeed", ffspeed,
-                                     kind="bench_ffspeed")]
         paths = []
         for figure, payload in sorted(self.bench_payloads().items()):
             path = os.path.join(out_dir, "BENCH_%s.json" % figure)

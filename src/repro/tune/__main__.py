@@ -4,13 +4,12 @@ Usage::
 
     python -m repro.tune --app mpls
 
-explores CompilerOptions x SWC candidate sets/check periods x
-``target_gbps`` x ME counts with the fast-forward engine, confirms the
-frontier cycle-accurately, and writes a byte-reproducible
-``BENCH_tune.json`` (plus a per-app summary naming every pruned search
-region and its evidence). Compare runs with
-``python -m repro.obs.diff`` (kind ``bench_tune``, exit 2 on
-regression).
+measures CompilerOptions x SWC candidate sets/check periods x
+``target_gbps`` x ME counts on the simulator, one run per surviving
+cell, and writes a byte-reproducible ``BENCH_tune.json`` (plus a
+per-app summary naming every pruned search region and its evidence).
+Compare runs with ``python -m repro.obs.diff`` (kind ``bench_tune``,
+exit 2 on regression).
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ def main(argv=None) -> int:
         prog="python -m repro.tune",
         description="Evidence-pruned autotuner: search compiler "
                     "configurations for the best forwarding rate, "
-                    "fast-forward to explore, cycle-accurate to "
-                    "confirm.")
+                    "one simulator measurement per surviving cell.")
     ap.add_argument("--app", action="append", dest="app_list",
                     metavar="APP",
                     help="app to tune (repeatable; default: mpls)")
@@ -71,17 +69,14 @@ def main(argv=None) -> int:
     ap.add_argument("--me-counts",
                     default=",".join(map(str, DEFAULT_ME_COUNTS)),
                     help="ME counts to search (default: %(default)s)")
-    ap.add_argument("--confirm-top", type=int, default=4, metavar="K",
-                    help="configurations confirmed cycle-accurately "
-                         "(default: %(default)s)")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="worker processes; 1 runs inline and is "
                          "byte-identical to N>1 (default: %(default)s)")
     ap.add_argument("--warmup", type=int, default=RATE_WARMUP,
-                    help="warm-up packets per confirm run (default: "
+                    help="warm-up packets per run (default: "
                          "%(default)s)")
     ap.add_argument("--measure", type=int, default=RATE_MEASURE,
-                    help="measured packets per confirm run (default: "
+                    help="measured packets per run (default: "
                          "%(default)s)")
     ap.add_argument("--trace-packets", type=int, default=TRACE_PACKETS,
                     help="profiling-trace packets per compile (default: "
@@ -135,8 +130,11 @@ def main(argv=None) -> int:
         ap.error("--me-counts must name at least one ME count")
     if args.jobs < 1:
         ap.error("--jobs must be >= 1, got %d" % args.jobs)
-    if args.confirm_top < 1:
-        ap.error("--confirm-top must be >= 1, got %d" % args.confirm_top)
+    for flag, floor in (("warmup", 0), ("measure", 1),
+                        ("trace_packets", 1)):
+        if getattr(args, flag) < floor:
+            ap.error("--%s must be >= %d, got %d"
+                     % (flag.replace("_", "-"), floor, getattr(args, flag)))
 
     reg = obs.enable()
     obs_ledger.enable()  # pruning provenance rides on compile decisions
@@ -147,16 +145,14 @@ def main(argv=None) -> int:
         space = SearchSpace(app=app, levels=tuple(levels),
                             check_periods=tuple(sorted(set(periods))),
                             target_gbps=tuple(sorted(set(targets))),
-                            me_counts=tuple(sorted(set(me_counts))),
-                            confirm_top=args.confirm_top)
+                            me_counts=tuple(sorted(set(me_counts))))
         print("tune %s: levels %s, periods %s, targets %s, MEs %s, "
-              "confirm top %d, %d process%s"
+              "%d process%s"
               % (app, ",".join(levels),
                  ",".join(map(str, space.check_periods)),
                  ",".join(map(str, space.target_gbps)),
                  ",".join(map(str, space.me_counts)),
-                 space.confirm_top, args.jobs,
-                 "" if args.jobs == 1 else "es"))
+                 args.jobs, "" if args.jobs == 1 else "es"))
         outcome = run_tune(space, n_jobs=args.jobs, cache=cache,
                            trace_packets=args.trace_packets,
                            trace_seed=args.trace_seed,

@@ -1,28 +1,25 @@
 """Deterministic search driver for ``repro.tune``.
 
-The trial protocol is two-engine (fast-forward to explore, cycle-
-accurate to confirm) and four-phase, with evidence pruning between
-phases:
+Every rate the tuner sees is one cycle-accurate measurement at the
+figures' windows (``run_sweep(..., profile=True)``); the protocol is
+three steps with evidence pruning between them:
 
 1. **seed** -- compile one representative SWC configuration per
    ``target_gbps`` (lowest check period; the compile cache makes this
    free when the grid reuses it). Its selection evidence drives the
-   *period-beyond-clamp* rule before any exploration.
-2. **explore** -- every surviving generation-0 configuration at every
-   ME count through ``run_sweep(engine="fastforward")``.
-3. **refine** -- exclude variants of the best-exploring SWC
-   configuration, *noop-exclude*-pruned against its own selection
-   evidence, then explored the same way.
-4. **confirm** -- the ``confirm_top`` best configurations by explored
-   rate re-run cycle-accurately (the figures' engine and windows) in
+   *period-beyond-clamp* rule before anything is simulated.
+2. **measure generation 0** -- every surviving configuration, in
    ascending-ME waves with the stall profiler attached; the
-   *memory-bound-mes* rule prunes the remaining waves of a family as
-   verdicts arrive.
+   *memory-bound-mes* rule prunes the remaining waves of a
+   configuration as verdicts arrive.
+3. **refine** -- exclude variants of the best-measured SWC
+   configuration, *noop-exclude*-pruned against its own selection
+   evidence, then measured the same way (generation 1).
 
-Everything the driver emits is deterministic: rates are simulation
-outputs, trial order is sort-key order, pruning depends only on
-recorded evidence -- so ``--jobs 1`` and ``--jobs N`` produce
-byte-identical ``BENCH_tune.json``.
+The winner is the best measured cell. Everything the driver emits is
+deterministic: rates are simulation outputs, trial order is sort-key
+order, pruning depends only on recorded evidence -- so ``--jobs 1`` and
+``--jobs N`` produce byte-identical ``BENCH_tune.json``.
 """
 
 from __future__ import annotations
@@ -59,13 +56,11 @@ from repro.tune.space import (
 
 @dataclass
 class Cell:
-    """One evaluated (configuration, ME count) grid cell."""
+    """One measured (configuration, ME count) grid cell."""
 
     config: TrialConfig
     n_mes: int
-    explore_gbps: Optional[float] = None
-    explore_mode: Optional[str] = None  # fast-forward pricing mode
-    confirmed_gbps: Optional[float] = None
+    gbps: float
 
     def key(self) -> Tuple:
         return self.config.sort_key() + (self.n_mes,)
@@ -79,53 +74,15 @@ class TuneOutcome:
     space: SearchSpace
     cells: List[Cell] = field(default_factory=list)
     pruned: List[pruner.PrunedRegion] = field(default_factory=list)
-    frontier: List[TrialConfig] = field(default_factory=list)
-    swc_evidence: Optional[Dict] = None  # best SWC config's selection facts
     best: Optional[Cell] = None
     baseline: Optional[Dict] = None  # committed figure rate it must beat
 
     def improvement_pct(self) -> Optional[float]:
-        if (self.best is None or self.best.confirmed_gbps is None
-                or not self.baseline or not self.baseline.get("gbps")):
+        if (self.best is None or not self.baseline
+                or not self.baseline.get("gbps")):
             return None
         base = float(self.baseline["gbps"])
-        return round(100.0 * (self.best.confirmed_gbps - base) / base, 2)
-
-
-def _worker_config(cache: CompileCache, trace_packets: int, trace_seed: int,
-                   **kw) -> WorkerConfig:
-    return WorkerConfig(
-        cache_dir=cache.cache_dir, use_cache=cache.enabled,
-        trace_packets=trace_packets, trace_seed=trace_seed,
-        obs=obs_metrics.get_registry().enabled,
-        capture_spans=obs_trace.spans_armed(),
-        ledger=obs_ledger.is_enabled(), **kw)
-
-
-def _jobs_for(app: str, configs: List[TrialConfig], me_counts: List[int],
-              warmup: int, measure: int) -> List[SweepJob]:
-    return [SweepJob(app, c.level, "rate", n, warmup, measure,
-                     overrides=c.overrides_or_none(),
-                     target_gbps=c.target_gbps)
-            for c in configs for n in me_counts]
-
-
-def _cells_from(results, configs: List[TrialConfig]) -> Dict[Tuple, Dict]:
-    """(config sort_key, n_mes) -> {gbps, mode, swc} from a SweepResult."""
-    by_identity = {(c.level, c.overrides_or_none(), c.target_gbps): c
-                   for c in configs}
-    out: Dict[Tuple, Dict] = {}
-    for jr in results.jobs:
-        cfg = by_identity.get((jr.job.level, jr.job.overrides,
-                               jr.job.target_gbps))
-        if cfg is None:
-            continue
-        mode = (jr.fastforward or {}).get("mode")
-        out[cfg.sort_key() + (jr.job.n_mes,)] = {
-            "config": cfg, "n_mes": jr.job.n_mes, "gbps": jr.rate_gbps,
-            "mode": mode, "swc": jr.swc, "occupancy": jr.occupancy,
-        }
-    return out
+        return round(100.0 * (self.best.gbps - base) / base, 2)
 
 
 def committed_baseline(app: str, n_mes: int,
@@ -164,23 +121,17 @@ def run_tune(space: SearchSpace, n_jobs: int = 1,
     me_counts = sorted(set(space.me_counts))
     n_cells = len(me_counts)
 
-    # -- phase 1: seed compiles + period pruning ---------------------------------
+    # -- step 1: seed compiles + period pruning ----------------------------------
     gen0 = base_trials(space)
     swc_level = next((lv for lv in space.levels if options_for(lv).swc), None)
-    seed_summaries: Dict[float, Dict] = {}
     if swc_level is not None and space.check_periods:
         for target in sorted(set(space.target_gbps)):
-            seed_cfg = TrialConfig(
-                swc_level,
-                (("swc_check_period", min(space.check_periods)),),
-                target)
             result, _trace, _hit = cache.get_or_compile(
-                space.app, seed_cfg.level, trace_packets, trace_seed,
-                overrides=seed_cfg.overrides_or_none(),
-                target_gbps=seed_cfg.target_gbps)
+                space.app, swc_level, trace_packets, trace_seed,
+                overrides=(("swc_check_period", min(space.check_periods)),),
+                target_gbps=target)
             summary = swc_summary(result)
             if summary is not None:
-                seed_summaries[target] = summary
                 family = [t for t in gen0
                           if t.level == swc_level and t.target_gbps == target]
                 others = [t for t in gen0 if t not in family]
@@ -191,104 +142,67 @@ def run_tune(space: SearchSpace, n_jobs: int = 1,
     say("seed: %d generation-0 configurations (%d pruned)"
         % (len(gen0), len(outcome.pruned)))
 
-    # -- phase 2: explore generation 0 (fast-forward) ----------------------------
-    explore_cfg = _worker_config(cache, trace_packets, trace_seed,
-                                 engine="fastforward")
-    results0 = run_sweep(_jobs_for(space.app, gen0, me_counts,
-                                   warmup, measure),
-                         n_procs=n_jobs, cache=cache, cfg=explore_cfg)
-    explored = _cells_from(results0, gen0)
+    cfg = WorkerConfig(
+        cache_dir=cache.cache_dir, use_cache=cache.enabled,
+        trace_packets=trace_packets, trace_seed=trace_seed,
+        obs=obs_metrics.get_registry().enabled,
+        capture_spans=obs_trace.spans_armed(),
+        ledger=obs_ledger.is_enabled(), profile=True)
+    rates: Dict[Tuple, Dict[int, float]] = {}
+    swc_of: Dict[Tuple, Optional[Dict]] = {}
 
-    # -- phase 3: refine the best SWC configuration with exclude variants --------
-    gen1: List[TrialConfig] = []
+    def measure_generation(configs: List[TrialConfig]) -> None:
+        """Ascending-ME waves; each wave's occupancy verdicts prune the
+        later waves of its configuration."""
+        by_identity = {(c.level, c.overrides_or_none(), c.target_gbps): c
+                       for c in configs}
+        alive = {c.sort_key(): list(me_counts) for c in configs}
+        occup: Dict[Tuple, Dict[int, Optional[Dict]]] = {}
+        for n in me_counts:
+            wave = [c for c in configs if n in alive[c.sort_key()]]
+            if not wave:
+                continue
+            jobs = [SweepJob(space.app, c.level, "rate", n, warmup, measure,
+                             overrides=c.overrides_or_none(),
+                             target_gbps=c.target_gbps) for c in wave]
+            for jr in run_sweep(jobs, n_procs=n_jobs, cache=cache,
+                                cfg=cfg).jobs:
+                c = by_identity[(jr.job.level, jr.job.overrides,
+                                 jr.job.target_gbps)]
+                rates.setdefault(c.sort_key(), {})[n] = jr.rate_gbps
+                occup.setdefault(c.sort_key(), {})[n] = jr.occupancy
+                swc_of[c.sort_key()] = jr.swc
+                outcome.cells.append(Cell(c, n, jr.rate_gbps))
+            for c in wave:
+                alive[c.sort_key()], pruned = pruner.prune_memory_bound_mes(
+                    c, alive[c.sort_key()], rates[c.sort_key()],
+                    occup[c.sort_key()])
+                outcome.pruned.extend(pruned)
+
+    # -- step 2: measure generation 0 --------------------------------------------
+    say("measure: %d configurations x MEs %s"
+        % (len(gen0), ",".join(map(str, me_counts))))
+    measure_generation(gen0)
+
+    # -- step 3: refine the best SWC configuration with exclude variants ---------
     swc_gen0 = [c for c in gen0 if options_for(c.level).swc]
     if swc_gen0:
-        def _gen0_rate(c: TrialConfig) -> float:
-            rates = [explored[c.sort_key() + (n,)]["gbps"]
-                     for n in me_counts if c.sort_key() + (n,) in explored]
-            return max(rates) if rates else float("-inf")
-
-        best_swc = min(swc_gen0,
-                       key=lambda c: (-_gen0_rate(c), c.sort_key()))
-        summary = next(
-            (explored[best_swc.sort_key() + (n,)]["swc"]
-             for n in me_counts
-             if explored.get(best_swc.sort_key() + (n,), {}).get("swc")),
-            None) or seed_summaries.get(best_swc.target_gbps)
+        best_swc = min(swc_gen0, key=lambda c: (
+            -max(rates[c.sort_key()].values()), c.sort_key()))
+        summary = swc_of[best_swc.sort_key()]
         if summary:
-            outcome.swc_evidence = summary
-            variants = exclude_trials(best_swc, summary)
             gen1, pruned = pruner.prune_noop_excludes(
-                variants, summary, n_cells)
+                exclude_trials(best_swc, summary), summary, n_cells)
             outcome.pruned.extend(pruned)
             say("refine: %s -> %d exclude variants (%d pruned as no-ops)"
                 % (best_swc.label(), len(gen1), len(pruned)))
-    if gen1:
-        results1 = run_sweep(_jobs_for(space.app, gen1, me_counts,
-                                       warmup, measure),
-                             n_procs=n_jobs, cache=cache, cfg=explore_cfg)
-        explored.update(_cells_from(results1, gen1))
-
-    all_configs = sorted(gen0 + gen1, key=TrialConfig.sort_key)
-    for key in sorted(explored, key=repr):
-        info = explored[key]
-        outcome.cells.append(Cell(config=info["config"], n_mes=info["n_mes"],
-                                  explore_gbps=info["gbps"],
-                                  explore_mode=info["mode"]))
-
-    # -- phase 4: confirm the frontier cycle-accurately --------------------------
-    def best_rate(c: TrialConfig) -> float:
-        rates = [explored[c.sort_key() + (n,)]["gbps"] for n in me_counts
-                 if c.sort_key() + (n,) in explored]
-        return max(rates) if rates else float("-inf")
-
-    frontier = sorted(all_configs,
-                      key=lambda c: (-best_rate(c), c.sort_key()))
-    frontier = frontier[:max(1, space.confirm_top)]
-    outcome.frontier = frontier
-    say("confirm: %d configurations x MEs %s, cycle-accurate"
-        % (len(frontier), ",".join(map(str, me_counts))))
-
-    confirm_cfg = _worker_config(cache, trace_packets, trace_seed,
-                                 engine=None, profile=True)
-    alive: Dict[Tuple, List[int]] = {c.sort_key(): list(me_counts)
-                                     for c in frontier}
-    rates: Dict[Tuple, Dict[int, float]] = {c.sort_key(): {}
-                                            for c in frontier}
-    occup: Dict[Tuple, Dict[int, Optional[Dict]]] = {c.sort_key(): {}
-                                                     for c in frontier}
-    cell_index = {c.key(): c for c in outcome.cells}
-    for n in me_counts:
-        wave = [c for c in frontier if n in alive[c.sort_key()]]
-        if not wave:
-            continue
-        results = run_sweep(_jobs_for(space.app, wave, [n],
-                                      warmup, measure),
-                            n_procs=n_jobs, cache=cache, cfg=confirm_cfg)
-        for key, info in _cells_from(results, wave).items():
-            cfg = info["config"]
-            rates[cfg.sort_key()][n] = info["gbps"]
-            occup[cfg.sort_key()][n] = info["occupancy"]
-            cell = cell_index.get(key)
-            if cell is None:
-                cell = Cell(config=cfg, n_mes=n)
-                cell_index[key] = cell
-                outcome.cells.append(cell)
-            cell.confirmed_gbps = info["gbps"]
-        # Occupancy verdicts from this wave prune later waves.
-        for c in wave:
-            kept, pruned = pruner.prune_memory_bound_mes(
-                c, alive[c.sort_key()], rates[c.sort_key()],
-                occup[c.sort_key()])
-            alive[c.sort_key()] = kept
-            outcome.pruned.extend(pruned)
+            measure_generation(gen1)
 
     # -- select the winner -------------------------------------------------------
-    confirmed = [c for c in outcome.cells if c.confirmed_gbps is not None]
-    if confirmed:
+    if outcome.cells:
         outcome.best = min(
-            confirmed,
-            key=lambda c: (-c.confirmed_gbps, c.n_mes, c.config.sort_key()))
+            outcome.cells,
+            key=lambda c: (-c.gbps, c.n_mes, c.config.sort_key()))
         outcome.baseline = committed_baseline(space.app, outcome.best.n_mes,
                                               baseline_dir)
     outcome.cells.sort(key=Cell.key)

@@ -58,7 +58,7 @@ def prune_noop_excludes(
 
     ``swc_summary`` is the parent configuration's selection evidence;
     ``n_cells`` is how many grid cells each configuration owns (the ME
-    counts a kept trial would be explored at).
+    counts a kept trial would be measured at).
     """
     rejected: Dict[str, str] = dict(swc_summary.get("rejected", {}))
     kept: List[TrialConfig] = []
@@ -147,7 +147,7 @@ def prune_memory_bound_mes(
         rates_by_me: Dict[int, float],
         occupancy_by_me: Dict[int, Optional[Dict]],
 ) -> Tuple[List[int], List[PrunedRegion]]:
-    """ME counts still worth confirming for ``config``, given the
+    """ME counts still worth measuring for ``config``, given the
     cycle-accurate cells measured so far (ascending waves).
 
     A count is pruned when some lower count is memory-bound on a

@@ -19,7 +19,7 @@ from repro.sweep.cache import repo_root
 from repro.tune.driver import Cell, TuneOutcome
 
 
-def _config_record(cell: Cell) -> Dict[str, object]:
+def _cell_record(cell: Cell) -> Dict[str, object]:
     overrides = {}
     for name, value in cell.config.overrides:
         overrides[name] = list(value) if isinstance(value, tuple) else value
@@ -29,17 +29,8 @@ def _config_record(cell: Cell) -> Dict[str, object]:
         "overrides": overrides,
         "target_gbps": cell.config.target_gbps,
         "n_mes": cell.n_mes,
+        "gbps": round(cell.gbps, 3),
     }
-
-
-def _cell_record(cell: Cell) -> Dict[str, object]:
-    rec = _config_record(cell)
-    if cell.explore_gbps is not None:
-        rec["explore_gbps"] = round(cell.explore_gbps, 4)
-        rec["explore_mode"] = cell.explore_mode
-    if cell.confirmed_gbps is not None:
-        rec["confirmed_gbps"] = round(cell.confirmed_gbps, 3)
-    return rec
 
 
 def app_payload(outcome: TuneOutcome) -> Dict[str, object]:
@@ -53,7 +44,6 @@ def app_payload(outcome: TuneOutcome) -> Dict[str, object]:
         "space": outcome.space.describe(),
         "trials": [_cell_record(c) for c in outcome.cells],
         "pruned_regions": [p.to_record() for p in outcome.pruned],
-        "frontier": [c.label() for c in outcome.frontier],
         "best": best,
     }
 
@@ -71,24 +61,18 @@ def write_bench(outcomes: List[TuneOutcome],
 
 def render_text(outcome: TuneOutcome) -> str:
     """The CLI's per-app summary block."""
-    lines = ["%s: %d cells explored, %d confirmed, %d regions pruned"
-             % (outcome.app,
-                sum(1 for c in outcome.cells if c.explore_gbps is not None),
-                sum(1 for c in outcome.cells
-                    if c.confirmed_gbps is not None),
-                len(outcome.pruned))]
+    lines = ["%s: %d cells measured, %d regions pruned"
+             % (outcome.app, len(outcome.cells), len(outcome.pruned))]
     for p in outcome.pruned:
         lines.append("  pruned [%s] %s (%d cells): %s"
                      % (p.rule, p.region, p.trials_skipped,
                         p.provenance.get("why", "")))
     best = outcome.best
     if best is None:
-        lines.append("  no configuration confirmed")
+        lines.append("  no configuration measured")
         return "\n".join(lines)
-    lines.append("  best: %s @%d MEs = %.3f Gbps (cycle-accurate; "
-                 "explored %.4f)"
-                 % (best.config.label(), best.n_mes,
-                    best.confirmed_gbps, best.explore_gbps or 0.0))
+    lines.append("  best: %s @%d MEs = %.3f Gbps"
+                 % (best.config.label(), best.n_mes, best.gbps))
     if outcome.baseline:
         delta = outcome.improvement_pct()
         lines.append("  default %s @%d MEs = %.3f Gbps (%s) -> %+0.2f%%"

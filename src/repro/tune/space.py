@@ -78,8 +78,6 @@ class SearchSpace:
     check_periods: Tuple[int, ...] = DEFAULT_CHECK_PERIODS
     target_gbps: Tuple[float, ...] = DEFAULT_TARGETS
     me_counts: Tuple[int, ...] = DEFAULT_ME_COUNTS
-    #: Configurations confirmed cycle-accurately (the frontier size).
-    confirm_top: int = 4
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -87,7 +85,6 @@ class SearchSpace:
             "check_periods": list(self.check_periods),
             "target_gbps": list(self.target_gbps),
             "me_counts": list(self.me_counts),
-            "confirm_top": self.confirm_top,
         }
 
 

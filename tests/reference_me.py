@@ -416,32 +416,6 @@ _HANDLERS: Dict[type, object] = {
     isa.ThreadStackAddr: _h_thread_stack_addr,
 }
 
-# -- branch evidence, the way the fast-forward engine used to take it --------------------
-
-
-def count_burst(me, t, counts: Dict[int, list]) -> None:
-    """Handler-table burst (run ``t`` until it blocks/yields/halts, no
-    slice deadlines) recording ``[taken, total]`` per conditional branch
-    pc from the condition itself -- the oracle for
-    ``repro.ixp.fastforward._count_burst``, which infers taken from the
-    abort cycle."""
-    insns = me.image.insns
-    while True:
-        insn = insns[t.pc]
-        if getattr(insn, "kind", None) == "br" and insn.cond != "always":
-            rec = counts.get(t.pc)
-            if rec is None:
-                rec = counts[t.pc] = [0, 0]
-            if _cond_true(t, insn.cond):
-                rec[0] += 1
-            rec[1] += 1
-        handler = _HANDLERS.get(insn.__class__)
-        me.time += insn.cycles
-        me.executed_instrs += 1
-        if handler(me, t, insn):
-            return
-
-
 # -- selecting a core from a test -------------------------------------------------------
 
 #: Core name (test parametrization id) -> Microengine class.

@@ -5,10 +5,9 @@ Covers:
 
 * reference-vs-predecoded bit-identical equivalence on all three example
   apps (Tx signatures, cycle counts, per-ME executed_instrs/times,
-  forwarding rate, access profile), on masked stores, and on the
-  fast-forward engine's branch evidence;
-* the removed ``legacy`` engine value being refused by name everywhere
-  an engine can be named;
+  forwarding rate, access profile) and on masked stores;
+* the removed engine values being refused by name, and ``--engine``
+  being an unknown argument;
 * ``IXP2400.run`` advancing ``now`` to the granted deadline when it
   exits early (repeated ``run_for`` drain loops must not re-grant the
   same window);
@@ -187,38 +186,6 @@ def test_signed_divide_int_min_by_minus_one_same_word_on_both_cores():
             assert got == word, mode
 
 
-@pytest.mark.parametrize("app_name", APPS)
-def test_branch_evidence_matches_reference(app_name):
-    # The fast-forward engine reads taken/total off the fast core's
-    # abort-cycle charge; the reference evaluates the condition itself.
-    from repro.ixp import fastforward as ff
-    from repro.ixp.rxtx import RxEngine, TxEngine
-    from repro.rts.loader import load_system
-
-    result, trace = _compile(app_name)
-    chips = {}
-    for mode in MODES:
-        chips[mode] = IXP2400(n_programmable_mes=1)
-        with reference_me.core(mode):
-            load_system(result, chips[mode], n_mes=1)
-    fast = ff._branch_evidence(chips["fast"], trace)
-    ref = {}
-    chip = chips["reference"]
-    ff._run_functional(
-        chip, RxEngine(chip, trace, max_packets=ff.EVIDENCE_PACKETS),
-        TxEngine(chip), lambda m, t: reference_me.count_burst(m, t, ref))
-    assert any(taken for taken, _ in fast.values())
-    assert any(taken < total for taken, total in fast.values())
-    assert fast == ref
-    # ... and the evidence batch left both chips in the same state.
-    for attr in ("time", "executed_instrs"):
-        assert (getattr(chips["fast"].mes[0], attr)
-                == getattr(chips["reference"].mes[0], attr))
-    assert (chips["fast"].memory.counters.snapshot()
-            == chips["reference"].memory.counters.snapshot())
-    assert chips["fast"].memory.stores == chips["reference"].memory.stores
-
-
 def _masked_store_run(mode):
     a0, a1, a2, a3 = (isa.PReg("a", i) for i in range(4))
     insns = [
@@ -263,7 +230,7 @@ def test_masked_stores_match_reference():
                                                 other.busy_time)
 
 
-# -- the removed engine value ---------------------------------------------------------
+# -- the removed engine values --------------------------------------------------------
 
 
 def test_legacy_engine_value_is_refused_by_name(capsys):
@@ -271,17 +238,18 @@ def test_legacy_engine_value_is_refused_by_name(capsys):
     from repro.sweep.__main__ import main as sweep_main
 
     result, trace = _compile("l3switch")
-    expected = "unknown dispatch mode 'legacy'.*fast, fastforward"
-    with pytest.raises(ValueError, match=expected):
-        run_on_simulator(result, trace, dispatch="legacy")
-    with pytest.raises(ValueError, match=expected):
-        load_system(result, IXP2400(n_programmable_mes=1),
-                    dispatch="legacy")
+    for gone in ("legacy", "fastforward"):
+        expected = ("unknown dispatch mode '%s'.*only legal value is 'fast'"
+                    % gone)
+        with pytest.raises(ValueError, match=expected):
+            run_on_simulator(result, trace, dispatch=gone)
+        with pytest.raises(ValueError, match=expected):
+            load_system(result, IXP2400(n_programmable_mes=1),
+                        dispatch=gone)
     with pytest.raises(SystemExit) as exit_info:
-        sweep_main(["--engine", "legacy"])
+        sweep_main(["--engine", "fast"])
     assert exit_info.value.code == 2
-    assert ("invalid choice: 'legacy' (choose from"
-            in capsys.readouterr().err)
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 # -- IXP2400.run deadline accounting -------------------------------------------------

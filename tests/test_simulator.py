@@ -112,6 +112,33 @@ def test_access_profile_rows():
     assert profile.total == 2.0
 
 
+def test_read_bytes_out_of_range():
+    """Out-of-range byte reads raise instead of silently truncating
+    the returned slice (a short Tx payload is data corruption, not an
+    error the caller can see)."""
+    mem = MemorySystem()
+    size = len(mem.stores["scratch"])
+    assert mem.read_bytes("scratch", size - 4, 4) == b"\x00" * 4
+    with pytest.raises(IndexError):
+        mem.read_bytes("scratch", size - 3, 4)
+    with pytest.raises(IndexError):
+        mem.read_bytes("scratch", -1, 4)
+
+
+def test_write_bytes_out_of_range():
+    """Out-of-range byte writes raise instead of silently *growing*
+    the bytearray backing store past the configured channel size."""
+    mem = MemorySystem()
+    size = len(mem.stores["sram"])
+    mem.write_bytes("sram", size - 2, b"\xAA\xBB")
+    assert len(mem.stores["sram"]) == size
+    with pytest.raises(IndexError):
+        mem.write_bytes("sram", size - 1, b"\xAA\xBB")
+    with pytest.raises(IndexError):
+        mem.write_bytes("sram", -1, b"\xAA")
+    assert len(mem.stores["sram"]) == size, "store must not have grown"
+
+
 # -- rings / CAM --------------------------------------------------------------------
 
 

@@ -247,6 +247,30 @@ def test_merge_bench_json_rewrites_corrupt_file(tmp_path):
                     "rates": {"SWC": [1.0]}}
 
 
+def test_bench_merge_corrupt_sidecar(tmp_path, capsys):
+    """An unparsable BENCH file is moved to a ``.corrupt`` sidecar
+    (bytes preserved for forensics), a warning names it on stderr, and
+    the merge counts the event -- the fresh payload then starts a clean
+    file rather than crashing or silently discarding the old bytes."""
+    path = str(tmp_path / "BENCH_fig13.json")
+    with open(path, "w") as fh:
+        fh.write("{half a json docum")
+
+    reg = obs_metrics.MetricsRegistry()
+    with obs_metrics.scoped_registry(reg):
+        merge_bench_json(path, "fig13", {"rates": {"SWC": [1.0]}})
+
+    with open(path + ".corrupt") as fh:
+        assert fh.read() == "{half a json docum"
+    err = capsys.readouterr().err
+    assert "unreadable" in err and path in err
+    assert reg.counter("sweep.bench_merge", result="corrupt").value == 1
+    with open(path) as fh:
+        data = json.load(fh)
+    assert data["kind"] == "bench"
+    assert data["rates"] == {"SWC": [1.0]}
+
+
 def test_merge_bench_json_concurrent_writers(tmp_path):
     """Concurrent merges must not lose keys (the old read-merge-write
     raced: both read, both write, one side's keys vanish)."""
