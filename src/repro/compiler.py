@@ -140,8 +140,7 @@ def compile_ir(
     if opts.swc:
         with compile_stage(reg, "swc"):
             swc_result = swc.select_candidates(mod, profile,
-                                               result.fast_functions,
-                                               exclude=opts.swc_exclude)
+                                               result.fast_functions)
             period = swc.enforce_check_period(swc_result,
                                               opts.swc_check_period)
             swc.apply(mod, swc_result, result.fast_functions,

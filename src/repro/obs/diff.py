@@ -9,11 +9,10 @@ Usage::
 The file kind is auto-detected from the ``kind`` field written by
 :mod:`repro.obs.ledger` (``compile_report``),
 ``benchmarks/figures_common.py`` (``bench``), the serve harness
-(``bench_churn``), the sweep's stall-attribution profiler
-(``bench_occupancy``), and the autotuner (``bench_tune``). A file whose
-``kind`` is none of those is an error (exit :data:`EXIT_REGRESSION`),
-never silently treated as an empty diff -- a typo'd or future-format
-file must fail CI loudly.
+(``bench_churn``), and the sweep's stall-attribution profiler
+(``bench_occupancy``). A file whose ``kind`` is none of those is an
+error (exit :data:`EXIT_REGRESSION`), never silently treated as an
+empty diff -- a typo'd or future-format file must fail CI loudly.
 
 * **compile report vs compile report** -- prints decision-count deltas
   per pass/verdict plus summary deltas (IR size, image code size,
@@ -36,11 +35,6 @@ file must fail CI loudly.
   cell may vanish, rates must not drop beyond ``--tolerance``
   (fractional), and no attribution share may shift beyond
   ``--tolerance`` (absolute).
-* **tune bench vs tune bench** (``python -m repro.tune`` output) --
-  gates the autotuner: no app may vanish, the best measured rate must
-  not drop beyond ``--tolerance`` (fractional), and the evidence
-  pruning must not disappear entirely (regions pruned before, none
-  now).
 
 Two identical files always diff clean and exit 0.
 """
@@ -209,6 +203,18 @@ def diff_compile(old: dict, new: dict, tolerance: float,
 # -- bench vs bench -------------------------------------------------------------------
 
 
+def _gate_rate_drop(regressions: List[str], what: str, a: float, b: float,
+                    tolerance: float, digits: int = 3,
+                    unit: str = "") -> None:
+    """Record "<what> dropped a -> b" when ``b`` fell more than
+    ``tolerance`` (fractional) below a positive ``a``."""
+    if a > 0 and b < a * (1 - tolerance):
+        regressions.append(
+            "%s dropped %.*f -> %.*f%s (-%.1f%%, tolerance %.0f%%)"
+            % (what, digits, a, digits, b, unit, 100 * (a - b) / a,
+               100 * tolerance))
+
+
 def diff_bench(old: dict, new: dict,
                tolerance: float) -> Tuple[List[str], List[str]]:
     lines: List[str] = []
@@ -229,13 +235,10 @@ def diff_bench(old: dict, new: dict,
             continue
         lines.append("  %s: %s -> %s" % (level, a_row, b_row))
         for i, (a, b) in enumerate(zip(a_row, b_row)):
-            if a > 0 and b < a * (1 - tolerance):
-                mes = me_counts[i] if i < len(me_counts) else i + 1
-                regressions.append(
-                    "%s at %s MEs: rate dropped %.3f -> %.3f "
-                    "(-%.1f%%, tolerance %.0f%%)"
-                    % (level, mes, a, b, 100 * (a - b) / a,
-                       100 * tolerance))
+            mes = me_counts[i] if i < len(me_counts) else i + 1
+            _gate_rate_drop(regressions,
+                            "%s at %s MEs: rate" % (level, mes), a, b,
+                            tolerance)
     if len(lines) == 1:
         lines.append("  rates identical")
 
@@ -266,10 +269,8 @@ def diff_churn(old: dict, new: dict,
     b = n_sum.get("mean_rate_gbps", 0.0)
     if a != b:
         lines.append("  mean rate: %.4f -> %.4f Gbps" % (a, b))
-    if a > 0 and b < a * (1 - tolerance):
-        regressions.append(
-            "mean rate dropped %.4f -> %.4f Gbps (-%.1f%%, tolerance %.0f%%)"
-            % (a, b, 100 * (a - b) / a, 100 * tolerance))
+    _gate_rate_drop(regressions, "mean rate", a, b, tolerance,
+                    digits=4, unit=" Gbps")
 
     o_lat = o_sum.get("latency") or {}
     n_lat = n_sum.get("latency") or {}
@@ -345,11 +346,8 @@ def diff_occupancy(old: dict, new: dict,
         ra, rb = a.get("rate_gbps", 0.0), b.get("rate_gbps", 0.0)
         if ra != rb:
             lines.append("  %s: rate %.3f -> %.3f Gbps" % (key, ra, rb))
-        if ra > 0 and rb < ra * (1 - tolerance):
-            regressions.append(
-                "%s: rate dropped %.3f -> %.3f Gbps (-%.1f%%, tolerance "
-                "%.0f%%)" % (key, ra, rb, 100 * (ra - rb) / ra,
-                             100 * tolerance))
+        _gate_rate_drop(regressions, "%s: rate" % key, ra, rb, tolerance,
+                        unit=" Gbps")
 
         o_sh, n_sh = a.get("shares") or {}, b.get("shares") or {}
         for cat in sorted(set(o_sh) | set(n_sh)):
@@ -368,83 +366,11 @@ def diff_occupancy(old: dict, new: dict,
     return lines, regressions
 
 
-# -- tune bench vs tune bench ---------------------------------------------------------
-
-
-def diff_tune(old: dict, new: dict,
-              tolerance: float) -> Tuple[List[str], List[str]]:
-    """Gate the autotuner's BENCH_tune.json: the tuned result *is* the
-    benchmark, so a vanished app, a best measured rate dropping beyond
-    ``tolerance`` (fractional), or the evidence pruning disappearing
-    entirely (old run pruned regions, new run pruned none -- the
-    pruner stopped consuming evidence) is a regression."""
-    lines: List[str] = []
-    regressions: List[str] = []
-    o_apps = old.get("apps") or {}
-    n_apps = new.get("apps") or {}
-    lines.append("tune bench diff: %d -> %d apps"
-                 % (len(o_apps), len(n_apps)))
-
-    changed = False
-    for app in sorted(set(o_apps) | set(n_apps)):
-        if app not in n_apps:
-            lines.append("  %s: vanished" % app)
-            regressions.append("app %s vanished from the new file" % app)
-            changed = True
-            continue
-        a, b = o_apps.get(app) or {}, n_apps[app] or {}
-        if app not in o_apps:
-            lines.append("  %s: only in new file" % app)
-            changed = True
-        if a == b:
-            continue
-        changed = True
-
-        o_best, n_best = a.get("best") or {}, b.get("best") or {}
-        ra = float(o_best.get("gbps") or 0.0)
-        rb = float(n_best.get("gbps") or 0.0)
-        if (o_best.get("config"), o_best.get("n_mes")) != \
-                (n_best.get("config"), n_best.get("n_mes")):
-            lines.append("  %s: best %s@%s -> %s@%s"
-                         % (app, o_best.get("config"), o_best.get("n_mes"),
-                            n_best.get("config"), n_best.get("n_mes")))
-        if ra != rb:
-            lines.append("  %s: best rate %.3f -> %.3f Gbps" % (app, ra, rb))
-        if o_best and not n_best:
-            regressions.append("%s: best configuration vanished "
-                               "(nothing measured)" % app)
-        elif ra > 0 and rb < ra * (1 - tolerance):
-            regressions.append(
-                "%s: best rate dropped %.3f -> %.3f Gbps "
-                "(-%.1f%%, tolerance %.0f%%)"
-                % (app, ra, rb, 100 * (ra - rb) / ra, 100 * tolerance))
-
-        o_pruned = a.get("pruned_regions") or []
-        n_pruned = b.get("pruned_regions") or []
-        if len(o_pruned) != len(n_pruned):
-            lines.append("  %s: pruned regions %d -> %d"
-                         % (app, len(o_pruned), len(n_pruned)))
-        if o_pruned and not n_pruned:
-            regressions.append(
-                "%s: evidence pruning vanished (%d regions -> 0); the "
-                "pruner stopped consuming ledger evidence"
-                % (app, len(o_pruned)))
-
-        o_trials = a.get("trials") or []
-        n_trials = b.get("trials") or []
-        if len(o_trials) != len(n_trials):
-            lines.append("  %s: trials %d -> %d"
-                         % (app, len(o_trials), len(n_trials)))
-    if not changed:
-        lines.append("  tuning results identical")
-    return lines, regressions
-
-
 # -- CLI ------------------------------------------------------------------------------
 
 #: Bench kind -> ``differ(old, new, tolerance) -> (lines, regressions)``.
 BENCH_DIFFERS = {"bench": diff_bench, "bench_churn": diff_churn,
-                 "bench_occupancy": diff_occupancy, "bench_tune": diff_tune}
+                 "bench_occupancy": diff_occupancy}
 
 #: Every file format this tool knows how to diff.
 KNOWN_KINDS = ("compile_report",) + tuple(BENCH_DIFFERS)

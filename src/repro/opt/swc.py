@@ -32,7 +32,7 @@ The load-path rewrite (paper Figure 8)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baker import types as T
 from repro.baker.symbols import GlobalSymbol, SymbolKind
@@ -93,17 +93,11 @@ class SwcResult:
     #: candidates (0.0 when none store during the profile). The
     #: configured check period must keep 1/period >= this.
     eq2_min_check_rate: float = 0.0
-    #: Check period the user/tuner configured, and the period actually
+    #: Check period the options requested, and the period actually
     #: compiled in after Equation-2 enforcement (None until
     #: enforce_check_period runs or when nothing is cached).
     requested_check_period: Optional[int] = None
     check_period: Optional[int] = None
-    #: Per-candidate numeric evidence (accepted candidates only):
-    #: name -> {loads_per_packet, stores_per_packet, hit_rate at the
-    #: CAM capacity the structure actually competed for,
-    #: working_set_lines, eq2_min_check_rate}. The autotuner's pruner
-    #: reads this instead of trusting stale full-CAM estimates.
-    evidence: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def cached_names(self) -> List[str]:
         return [c.name for c in self.cached]
@@ -132,16 +126,12 @@ def _line_geometry(sym: GlobalSymbol) -> Optional[Tuple[int, int]]:
 
 
 def select_candidates(mod: IRModule, profile: ProfileData,
-                      fast_functions: Set[str],
-                      exclude: Sequence[str] = ()) -> SwcResult:
+                      fast_functions: Set[str]) -> SwcResult:
     """Choose globals to cache. ``fast_functions`` are the ME-mapped
-    aggregate functions (loads elsewhere are control path). ``exclude``
-    names globals never considered (the ``swc_exclude`` option: the
-    autotuner searches over candidate sets with it)."""
+    aggregate functions (loads elsewhere are control path)."""
     result = SwcResult()
     packets = max(profile.packets_in, 1)
     led = obs_ledger.get_ledger()
-    excluded = set(exclude)
 
     def _reject(name, reason, **evidence):
         result.rejected[name] = reason
@@ -154,9 +144,6 @@ def select_candidates(mod: IRModule, profile: ProfileData,
     screened = []  # (loads_per_packet, name, sym, line_bytes, line_words, stats)
     for name, sym in sorted(mod.globals.items()):
         if name.endswith(".__swc_flag"):
-            continue
-        if name in excluded:
-            _reject(name, "excluded by options (swc_exclude)")
             continue
         stats = profile.global_stats.get(name)
         if stats is None or name not in fast_loaded:
@@ -240,14 +227,6 @@ def select_candidates(mod: IRModule, profile: ProfileData,
             CacheSpec(name, gid, line_bytes, line_words, name + ".__swc_flag")
         )
         result.eq2_min_check_rate = max(result.eq2_min_check_rate, eq2)
-        result.evidence[name] = {
-            "loads_per_packet": loads_per_packet,
-            "stores_per_packet": stores_per_packet,
-            "hit_rate": hit_rate,
-            "cam_capacity": float(capacity + ws),
-            "working_set_lines": float(ws),
-            "eq2_min_check_rate": eq2,
-        }
         if led.enabled:
             # Equation 2 evidence at the paper's 1% tolerable error rate.
             led.record(
@@ -268,8 +247,8 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
     """Clamp the configured check period so the implied check rate
     (1/period) never falls below the Equation-2 minimum of any accepted
     candidate. Returns the effective period and records a ledger
-    decision when the clamp fires. Before this existed, a tuned (or
-    hand-set) period silently violated the paper's 1% bound."""
+    decision when the clamp fires. Before this existed, a hand-set
+    period silently violated the paper's 1% bound."""
     result.requested_check_period = requested
     effective = max(1, int(requested))
     if result.cached and result.eq2_min_check_rate > 0.0:

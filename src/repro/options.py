@@ -20,7 +20,7 @@ ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class CompilerOptions:
     # enforce_check_period) -- the paper's 1% tolerable-error bound is
     # a compiler invariant, not a user promise.
     swc_check_period: int = 16
-    # SWC candidate-set tuning: globals never considered for caching
-    # (sorted tuple of qualified names). The autotuner searches over
-    # candidate sets with this knob.
-    swc_exclude: Tuple[str, ...] = ()
     # Aggregation inputs:
     num_mes: int = 6  # programmable MEs (2 of 8 reserved for Rx/Tx)
     me_code_store: int = 4096  # instructions per ME
@@ -74,11 +70,5 @@ def options_for(level: str, **overrides) -> CompilerOptions:
     """Options for a named cumulative level, with keyword overrides."""
     opts = OPT_LEVELS[level.upper().lstrip("+-")]
     if overrides:
-        if "swc_exclude" in overrides:
-            # Normalize to a sorted tuple: the option participates in
-            # cache keys and job sort keys, so two spellings of the
-            # same set must compare (and hash) equal.
-            overrides["swc_exclude"] = tuple(
-                sorted(overrides["swc_exclude"]))
         opts = replace(opts, **overrides)
     return opts

@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from repro.apps import APP_CLASSES
+from repro.options import LEVEL_ORDER, options_for
 from repro.serve.churn import CHURN_KINDS, parse_churn_spec
 from repro.serve.harness import ServeConfig, run_service
 
@@ -66,6 +67,20 @@ def main(argv=None) -> int:
                          "bench JSON is byte-identical either way")
     args = ap.parse_args(argv)
 
+    # Fail fast, naming flag and value, before anything is compiled --
+    # not a KeyError/ZeroDivisionError traceback (or a run that never
+    # ends) from inside the harness.
+    try:
+        options_for(args.level)
+    except KeyError:
+        ap.error("--level: unknown level %r (choose from %s)"
+                 % (args.level, ",".join(LEVEL_ORDER)))
+    for flag, floor in (("mes", 1), ("windows", 1), ("impact_k", 0)):
+        if getattr(args, flag) < floor:
+            ap.error("--%s must be >= %d, got %d"
+                     % (flag.replace("_", "-"), floor, getattr(args, flag)))
+    if not args.gbps > 0:
+        ap.error("--gbps must be > 0, got %g" % args.gbps)
     try:
         churn = [parse_churn_spec(text) for text in args.churn]
     except ValueError as exc:

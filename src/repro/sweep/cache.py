@@ -181,25 +181,19 @@ class CompileCache:
 
     def get_or_compile(self, app_name: str, level: str,
                        trace_packets: int = 200, trace_seed: int = 5,
-                       overrides=None, target_gbps: float = 2.5):
+                       target_gbps: float = 2.5):
         """``(CompileResult, Trace, hit)`` for one app at one level.
 
         On a miss the app is compiled through the full pipeline and the
         artifact stored; on a hit compilation is skipped entirely (the
         ``sweep.compile_cache`` metric and the ledger record which).
-
-        ``overrides`` (a mapping or tuple of (field, value) pairs) is
-        applied to the level's :class:`CompilerOptions` -- the tuner's
-        parameterized trials ride through here. Both it and
-        ``target_gbps`` participate in the cache fingerprint via the
-        options asdict / the explicit key field.
         """
         from repro.apps import get_app
         from repro.compiler import compile_baker
         from repro.options import options_for
 
         app = get_app(app_name)
-        opts = options_for(level, **dict(overrides or ()))
+        opts = options_for(level)
         key = cache_key(app.source, opts, trace_packets, trace_seed,
                         target_gbps=target_gbps)
         reg = obs_metrics.get_registry()

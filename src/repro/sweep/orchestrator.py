@@ -71,34 +71,20 @@ class SweepJob:
     #: Optional packet-trace output path (not part of the job identity;
     #: tracing is pure observation).
     trace_json: Optional[str] = None
-    #: CompilerOptions overrides applied on top of the level, as a
-    #: sorted tuple of (field, value) pairs (hashable: jobs are frozen
-    #: and the compile identity must cover the overrides). None means
-    #: the level's stock options -- the paper's figures.
-    overrides: Optional[Tuple[Tuple[str, object], ...]] = None
     #: Compile-time aggregation input (paper section 5.1); part of the
-    #: compile identity, searched over by the tuner.
+    #: compile identity.
     target_gbps: float = 2.5
 
     def sort_key(self) -> Tuple:
         level_rank = (LEVEL_ORDER.index(self.level)
                       if self.level in LEVEL_ORDER else len(LEVEL_ORDER))
-        # repr() gives overrides (a heterogeneous optional tuple) a
-        # total order without TypeError between None and tuples.
         return (self.app, self.kind, level_rank, self.level,
-                repr(self.overrides), self.target_gbps, self.n_mes)
-
-    def compile_identity(self) -> Tuple:
-        """What distinguishes this job's compiled artifact: jobs that
-        share it share one compile-cache entry."""
-        return (self.app, self.level, self.overrides, self.target_gbps)
+                self.target_gbps, self.n_mes)
 
     def describe(self) -> str:
         extra = ""
-        if self.overrides:
-            extra = " %s" % dict(self.overrides)
         if self.target_gbps != 2.5:
-            extra += " @%.2gGbps" % self.target_gbps
+            extra = " @%.2gGbps" % self.target_gbps
         return "%s/%s %s @%d MEs%s" % (self.app, self.level, self.kind,
                                        self.n_mes, extra)
 
@@ -121,11 +107,6 @@ class JobResult:
     #: Stall-cycle attribution cell (repro.obs.profile) for rate jobs
     #: run with ``profile=True`` (None otherwise).
     occupancy: Optional[dict] = None
-    #: SWC selection evidence from the job's compile (None when the
-    #: level has SWC off). Unlike ledger decisions, this is extracted
-    #: from the cached CompileResult itself, so it is present on cache
-    #: hits too -- the tuner's pruner depends on that.
-    swc: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -192,23 +173,6 @@ def build_jobs(apps: Sequence[str],
 # -- job execution (shared by the inline path and pool workers) ------------------
 
 
-def swc_summary(result) -> Optional[dict]:
-    """Plain-data view of a compile's SWC selection evidence, or None
-    when the level has SWC off. Extracted from the CompileResult (not
-    the ledger stream), so it is available on cache hits too."""
-    sr = getattr(result, "swc_result", None)
-    if sr is None:
-        return None
-    return {
-        "cached": sr.cached_names(),
-        "rejected": dict(sorted(sr.rejected.items())),
-        "evidence": {k: dict(v) for k, v in sorted(sr.evidence.items())},
-        "requested_check_period": sr.requested_check_period,
-        "check_period": sr.check_period,
-        "eq2_min_check_rate": sr.eq2_min_check_rate,
-    }
-
-
 def execute_job(job: SweepJob, cfg: WorkerConfig,
                 cache: Optional[CompileCache] = None,
                 detached: bool = False) -> JobResult:
@@ -233,7 +197,7 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                         n_mes=job.n_mes):
             result, trace, hit = cache.get_or_compile(
                 job.app, job.level, cfg.trace_packets, cfg.trace_seed,
-                overrides=job.overrides, target_gbps=job.target_gbps)
+                target_gbps=job.target_gbps)
             profiler = None
             if cfg.profile and job.kind == "rate":
                 from repro.obs.profile import StallProfiler
@@ -265,8 +229,7 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                      compile_spans=spans,
                      decisions=decisions,
                      analysis=analysis,
-                     occupancy=occupancy,
-                     swc=swc_summary(result))
+                     occupancy=occupancy)
 
 
 #: Per-process memo: the analysis of one (app, level) compile does not
@@ -319,12 +282,12 @@ def _worker_run(job: SweepJob) -> JobResult:
     return execute_job(job, _WORKER_CFG, _WORKER_CACHE, detached=True)
 
 
-def _worker_precompile(pair: Tuple):
+def _worker_precompile(pair: Tuple[str, str, float]):
     """Warm the disk cache for one compile identity
-    (app, level, overrides, target_gbps); returns the compile's
+    (app, level, target_gbps); returns the compile's
     metric/ledger records so the parent's merged output still carries
     compile timings and decisions on a cold cache."""
-    app, level, overrides, target_gbps = pair
+    app, level, target_gbps = pair
     cfg = _WORKER_CFG
     reg = obs_metrics.MetricsRegistry(enabled=cfg.obs)
     led = obs_ledger.get_ledger()
@@ -333,7 +296,7 @@ def _worker_precompile(pair: Tuple):
         with reg.labels(app=app, level=level, job="compile"):
             _res, _trace, hit = _WORKER_CACHE.get_or_compile(
                 app, level, cfg.trace_packets, cfg.trace_seed,
-                overrides=overrides, target_gbps=target_gbps)
+                target_gbps=target_gbps)
     spans = obs_trace.drain_compile_spans() if cfg.capture_spans else []
     decisions = ([d.to_record() for d in led.since(led_mark)]
                  if led.enabled else [])
@@ -470,9 +433,7 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
         results = [execute_job(job, cfg, cache) for job in ordered]
         n_procs = 1
     else:
-        # repr() keys the sort: overrides mixes None with tuples.
-        pairs = sorted({j.compile_identity() for j in ordered},
-                       key=lambda p: (p[0], p[1], repr(p[2]), p[3]))
+        pairs = sorted({(j.app, j.level, j.target_gbps) for j in ordered})
         ctx = multiprocessing.get_context("spawn")
         procs = min(n_procs, len(ordered))
         with ctx.Pool(procs, initializer=_worker_init,

@@ -5,11 +5,20 @@ differentially checks semantics against the unoptimized reference
 interpretation.
 """
 
+import contextlib
+from collections import Counter
+
 import pytest
 
+from repro.baker import types as T
+from repro.baker.symbols import GlobalSymbol, SymbolKind
 from repro.ir import instructions as I
+from repro.ir.module import IRFunction
+from repro.ir.values import Const
 from repro.ir.verifier import verify_module
+from repro.obs import ledger as obs_ledger
 from repro.opt import pac, phr, soar, swc
+from repro.profiler.stats import ProfileData
 from repro.opt.pipeline import scalar_optimize_function
 from repro.profiler.interpreter import Interpreter, run_reference
 from repro.profiler.trace import Trace, TracePacket, ipv4_trace, mpls_trace
@@ -523,3 +532,170 @@ module m {
     assert 7 in outs  # stale reads happened after the store
     assert outs[-1] == 99  # but the check eventually flushed the cache
     assert outs == sorted(outs, key=lambda v: v == 99)  # 7s then 99s
+
+
+# -- SWC selection evidence + Equation-2 enforcement (synthetic profiles) -----------
+#
+# A configured ``swc_check_period`` whose implied check rate (1/period)
+# falls below a cached global's ``min_check_rate(0.01, stores/pkt,
+# loads/pkt)`` must be clamped, never compiled in verbatim: the paper's
+# 1% tolerable-error bound is a compiler invariant.
+
+PACKETS = 1000
+
+
+class FakeModule:
+    """Just enough module surface for ``select_candidates``."""
+
+    def __init__(self, globals_, functions):
+        self.globals = globals_
+        self.functions = functions
+
+
+def _fast_fn(loaded_names):
+    fn = IRFunction("fast", "func", T.U32)
+    entry = fn.new_block("entry")
+    tmp = None
+    for name in loaded_names:
+        tmp = fn.new_temp(T.U32)
+        entry.append(I.LoadG(tmp, name, Const(0), 4))
+    entry.terminate(I.Ret(tmp))
+    return fn
+
+
+def _global(name, n_elems=64):
+    return GlobalSymbol(SymbolKind.GLOBAL, name,
+                        type=T.ArrayType(T.U32, n_elems), qualified=name)
+
+
+def _profile(**per_global):
+    """ProfileData from {name: (loads_by_offset, stores)}."""
+    profile = ProfileData(packets_in=PACKETS)
+    for name, (offsets, stores) in per_global.items():
+        gs = profile.gstat(name)
+        gs.load_offsets = Counter(offsets)
+        gs.loads = sum(offsets.values())
+        gs.stores = stores
+    return profile
+
+
+def _select(profile, names):
+    mod = FakeModule({n: _global(n) for n in names},
+                     {"fast": _fast_fn(names)})
+    return swc.select_candidates(mod, profile, {"fast"})
+
+
+@contextlib.contextmanager
+def _recording_ledger():
+    """A fresh enabled ledger installed as the process-global one."""
+    led = obs_ledger.DecisionLedger(enabled=True)
+    old = obs_ledger._GLOBAL
+    obs_ledger._GLOBAL = led
+    try:
+        yield led
+    finally:
+        obs_ledger._GLOBAL = old
+
+
+def _accepted_evidence(led):
+    return {d.subject: d.evidence for d in led.decisions
+            if d.pass_name == "swc" and d.verdict == "accepted"}
+
+
+def _storing_profile():
+    """One hot candidate that *is* written: loads 5/pkt over one line,
+    stores 1 per 1000 packets -> Equation 2 minimum check rate
+    0.001 * 5 / 0.01 = 0.5, so no period above 2 satisfies the bound."""
+    return _profile(hot=({0: 5 * PACKETS}, 1))
+
+
+def test_eq2_violating_period_is_clamped_with_ledger_decision():
+    result = _select(_storing_profile(), ["hot"])
+    assert result.cached_names() == ["hot"]
+    assert result.eq2_min_check_rate == pytest.approx(0.5)
+
+    with _recording_ledger() as led:
+        effective = swc.enforce_check_period(result, 16)
+
+    # The old behavior -- compile the requested 16 straight in -- is
+    # gone: the period is clamped to floor(1/0.5) = 2.
+    assert effective == 2
+    assert result.requested_check_period == 16
+    assert result.check_period == 2
+    clamps = [d for d in led.decisions if d.subject == "check_period"]
+    assert len(clamps) == 1 and clamps[0].verdict == "clamped"
+    assert clamps[0].evidence["requested_period"] == 16
+    assert clamps[0].evidence["effective_period"] == 2
+    assert clamps[0].evidence["eq2_min_check_rate"] == pytest.approx(0.5)
+
+
+def test_satisfiable_period_passes_through_unclamped():
+    result = _select(_storing_profile(), ["hot"])
+    assert swc.enforce_check_period(result, 2) == 2
+    assert result.check_period == 2
+    # Never-written candidates (eq2 == 0) never clamp any period.
+    result2 = _select(_profile(hot=({0: 5 * PACKETS}, 0)), ["hot"])
+    assert result2.eq2_min_check_rate == 0.0
+    assert swc.enforce_check_period(result2, 10 ** 9) == 10 ** 9
+
+
+def test_eq2_unsatisfiable_candidate_rejected_outright():
+    """A candidate whose Equation-2 minimum exceeds one check per
+    packet cannot be cached at any integer period."""
+    # loads 20/pkt, stores 1/pkt-ish: rate = 0.02 * 20 / 0.01 = 40 > 1.
+    # Keep the store/load ratio under the screening threshold (0.01).
+    profile = _profile(hot=({0: 20 * PACKETS}, 20))
+    result = _select(profile, ["hot"])
+    assert result.cached == []
+    assert "Equation 2 unsatisfiable" in result.rejected["hot"]
+
+
+def test_compiled_app_records_enforced_period():
+    """Through the full compiler, the enforced period lands on the
+    SwcResult (mpls's accepted candidates are never stored during the
+    profile, so the stock period is admissible unchanged -- the point
+    is that it now flows through enforce_check_period, not around it)."""
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    app = get_app("mpls")
+    with _recording_ledger() as led:
+        result = compile_baker(app.source, options_for("SWC"),
+                               app.make_trace(200, seed=5))
+    sr = result.swc_result
+    assert sr is not None and sr.cached
+    assert sr.requested_check_period == 16
+    assert sr.check_period == 16
+    assert sr.eq2_min_check_rate == 0.0
+    # ... and the capacity-aware acceptance evidence is recorded.
+    accepted = _accepted_evidence(led)
+    for name in sr.cached_names():
+        assert set(accepted[name]) >= {"loads_per_packet", "hit_rate",
+                                       "cam_capacity",
+                                       "eq2_min_check_rate"}
+
+
+def test_hit_rate_recorded_at_remaining_capacity():
+    """The second admitted structure competes for what the first left
+    (16 - 4 = 12 lines), so its recorded hit rate must be the 12-line
+    estimate, not the stale full-CAM one."""
+    hot = {off * 4: 1250 for off in range(4)}  # 4 equal lines, ws=4
+    # 1 dominant line + 13 cold ones: 14 distinct lines > 12 remaining.
+    warm = {0: 860}
+    warm.update({(1 + i) * 4: 10 for i in range(13)})
+    profile = _profile(hot=(hot, 0), warm=(warm, 0))
+    with _recording_ledger() as led:
+        result = _select(profile, ["hot", "warm"])
+    assert result.cached_names() == ["hot", "warm"]
+
+    accepted = _accepted_evidence(led)
+    ev = accepted["warm"]
+    assert ev["cam_capacity"] == 12
+    stats = profile.global_stats["warm"]
+    # Ledger evidence is rounded to 6 decimals.
+    assert ev["hit_rate"] == pytest.approx(
+        stats.estimated_hit_rate(12, 1), abs=1e-6)
+    # The stale full-CAM estimate is strictly higher -- the old bug.
+    assert stats.estimated_hit_rate(16, 1) > ev["hit_rate"]
+    assert accepted["hot"]["cam_capacity"] == 16

@@ -311,9 +311,11 @@ def test_diff_rejects_unknown_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown kind" in err and "bench_v2_totally_real" in err
     # So is a retired kind: a stale file must not diff clean.
-    bad.write_text(json.dumps({"kind": "bench_ffspeed", "apps": {}}))
-    assert obs_diff.main([str(bad), str(bad)]) == obs_diff.EXIT_REGRESSION
-    assert "unknown kind 'bench_ffspeed'" in capsys.readouterr().err
+    for retired in ("bench_ffspeed", "bench_tune"):
+        bad.write_text(json.dumps({"kind": retired, "apps": {}}))
+        assert obs_diff.main([str(bad), str(bad)]) == \
+            obs_diff.EXIT_REGRESSION
+        assert "unknown kind '%s'" % retired in capsys.readouterr().err
     # Missing kind stays a plain usage error (exit 1).
     nokind = tmp_path / "nokind.json"
     nokind.write_text(json.dumps({"cells": {}}))

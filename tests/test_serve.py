@@ -244,3 +244,23 @@ def test_serve_cli_rejects_bad_spec(capsys):
 
     with pytest.raises(SystemExit):
         main(["--app", "l3switch", "--churn", "nope:n=1"])
+
+
+def test_serve_cli_fails_fast(tmp_path, capsys):
+    """Bad tokens are rejected before anything is compiled: exit 2, a
+    diagnostic naming flag and value, nothing written."""
+    from repro.serve.__main__ import main
+
+    out = tmp_path / "b.json"
+    for argv, token in (
+            (["--level", "NOPE"], "--level: unknown level 'NOPE'"),
+            (["--mes", "0"], "--mes must be >= 1, got 0"),
+            (["--gbps", "0"], "--gbps must be > 0, got 0"),
+            (["--gbps", "-1"], "--gbps must be > 0, got -1"),
+            (["--windows", "0"], "--windows must be >= 1, got 0"),
+            (["--impact-k", "-1"], "--impact-k must be >= 0, got -1")):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--out", str(out)])
+        assert exc_info.value.code == 2
+        assert token in capsys.readouterr().err
+        assert not out.exists()

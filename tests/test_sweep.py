@@ -5,8 +5,8 @@ The headline property is determinism across process counts: a sweep at
 Table 1 access counts) to the same sweep at ``--jobs N``. The rest pins
 down the on-disk compile cache (miss-then-hit, corruption tolerance),
 the bench-file merge fixes (stale ``kind``/``figure`` shadowing,
-concurrent writers), metric-record merging, and multi-run metrics
-files.
+concurrent writers), metric-record merging, multi-run metrics
+files, and the CLI's fail-fast validation.
 """
 
 from __future__ import annotations
@@ -388,3 +388,33 @@ def test_build_jobs_shape():
     assert len(table1) == len(LEVELS)  # BASE and SWC are Table 1 rows
     assert all(j.n_mes == 2 for j in table1)
     assert isinstance(jobs[0], SweepJob)
+
+
+# -- CLI fail-fast validation ----------------------------------------------------
+
+
+def _expect_cli_error(main, argv, token, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert token in err, err
+
+
+def test_sweep_cli_fails_fast(capsys):
+    from repro.sweep.__main__ import main
+
+    _expect_cli_error(main, ["--apps", "mpls,nosuchapp"], "nosuchapp",
+                      capsys)
+    _expect_cli_error(main, ["--levels", "SWC,TURBO"], "TURBO", capsys)
+    _expect_cli_error(main, ["--me-counts", "1,0"], "0", capsys)
+    _expect_cli_error(main, ["--me-counts", "1,two"], "two", capsys)
+    _expect_cli_error(main, ["--jobs", "0"], "--jobs", capsys)
+    _expect_cli_error(main, ["--warmup", "-5"], "--warmup must be >= 0, "
+                      "got -5", capsys)
+    _expect_cli_error(main, ["--measure", "0"], "--measure must be >= 1, "
+                      "got 0", capsys)
+    _expect_cli_error(main, ["--table1-measure", "0"],
+                      "--table1-measure must be >= 1, got 0", capsys)
+    _expect_cli_error(main, ["--trace-packets", "0"],
+                      "--trace-packets must be >= 1, got 0", capsys)
