@@ -38,12 +38,6 @@ class AggregationPlan:
     internal_channels: Set[str] = field(default_factory=set)
     throughput_pps: float = 0.0
 
-    def aggregate_of(self, ppf: str):
-        for agg in self.me_aggregates + self.xscale_aggregates:
-            if ppf in agg.ppfs:
-                return agg
-        return None
-
     def fast_functions(self, mod: IRModule) -> Set[str]:
         """Every function executed on the MEs: the ME aggregates' PPFs
         plus their transitive callees."""

@@ -354,6 +354,3 @@ class L3SwitchApp:
 
     def expected_nexthop(self, dst_addr: int) -> int:
         return self.routes.lookup(dst_addr)
-
-    def expected_bridge_port(self, mac: int):
-        return self.bridge.entries.get(mac)

@@ -87,7 +87,3 @@ BUILTINS: Dict[str, Builtin] = {
         ),
     ]
 }
-
-
-def is_builtin(name: str) -> bool:
-    return name in BUILTINS

@@ -125,13 +125,6 @@ class _FunctionLowerer:
     def new_temp(self, type_: T.Type, hint: str = "") -> Temp:
         return self.fn.new_temp(type_, hint)
 
-    def _materialize(self, op: Operand, type_: T.Type, hint: str = "") -> Temp:
-        if isinstance(op, Temp):
-            return op
-        t = self.new_temp(type_, hint)
-        self.emit(I.Assign(t, op))
-        return t
-
     def _convert(self, op: Operand, src: T.Type, dst: T.Type) -> Operand:
         """Insert masking for narrowing integer conversions."""
         if not (isinstance(dst, T.IntType) and src.is_scalar):

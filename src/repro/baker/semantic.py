@@ -79,12 +79,6 @@ class CheckedProgram:
     inits: List[ast.InitDecl] = dc_field(default_factory=list)
     locks: List[str] = dc_field(default_factory=list)
 
-    def protocol_header_bytes(self, name: str) -> Optional[int]:
-        """Constant header size of a protocol in bytes, or None if its demux
-        expression is packet-dependent."""
-        proto = self.protocols[name]
-        return proto.demux_const_bytes
-
 
 class SemanticAnalyzer:
     def __init__(self, program: ast.Program):

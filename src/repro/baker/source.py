@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,3 @@ class SourceFile:
             else:
                 hi = mid - 1
         return SourceLocation(self.filename, lo + 1, offset - self._line_starts[lo] + 1)
-
-    def line_text(self, line: int) -> Optional[str]:
-        """Return the text of a 1-based line number, without its newline."""
-        if line < 1 or line > len(self._line_starts):
-            return None
-        start = self._line_starts[line - 1]
-        end = self.text.find("\n", start)
-        if end < 0:
-            end = len(self.text)
-        return self.text[start:end]

@@ -34,10 +34,6 @@ class Type:
         raise NotImplementedError
 
     @property
-    def is_integer(self) -> bool:
-        return isinstance(self, IntType)
-
-    @property
     def is_bool(self) -> bool:
         return isinstance(self, BoolType)
 

@@ -471,9 +471,6 @@ class LIRFunction:
         for bb in self.blocks:
             yield from bb.insns
 
-    def insn_size(self) -> int:
-        return sum(i.size for i in self.all_insns())
-
 
 def _mangle(name: str) -> str:
     return name.replace(".", "_").replace("<", "_").replace(">", "_")

@@ -26,10 +26,6 @@ SRAM_STACK_BYTES_PER_THREAD = 1024
 CODE_STORE_WORDS = 4096
 
 
-def thread_lm_base(thread: int) -> int:
-    return thread * STACK_WORDS_PER_THREAD
-
-
 def record_stack_fit(subject: str, layout) -> None:
     """Ledger hook: did the aggregate's stack frames fit Local Memory, or
     did some overflow to (slow) SRAM?"""

@@ -35,26 +35,18 @@ class IXP2400:
         self.now = 0.0
         self._events: List[Tuple[float, int, object]] = []
         self._seq = 0
-        # Optional repro.obs.SimSampler, polled by run() between event
-        # dispatches (never scheduled on the heap, so attaching one does
-        # not perturb event order or stop-condition cadence).
+        # Observers (DESIGN.md 7.3): optional, attached by assignment.
+        # run() pulls ``sampler`` (repro.obs.SimSampler) and ``window``
+        # (repro.obs.timeseries.TimeseriesCollector) through their
+        # ``next_t`` / ``tick(mark)`` between event dispatches, never
+        # from the heap, so neither perturbs event order or the
+        # stop-check cadence.
         self.sampler = None
-        # Optional repro.obs.trace.PacketTracer. Pure observation: every
-        # instrumentation site guards with ``tracer is not None`` and
-        # only appends to tracer-side lists, so attaching one cannot
-        # perturb simulated state or event order.
-        self.tracer = None
-        # Optional repro.obs.timeseries.TimeseriesCollector, pulled by
-        # run() through the same next_t/catch-up contract as the
-        # sampler: window boundaries close before any event action at
-        # the same timestamp runs, so a control-plane action at exactly
-        # boundary k*W annotates window k.
         self.window = None
-        # Optional repro.obs.profile.StallProfiler (attach via its
-        # attach()): MEs classify thread bursts and blocking waits
-        # through this reference, and run() pulls its optional
-        # occupancy samples via the same next_t contract (next_t stays
-        # +inf when time sampling is off). Pure observation.
+        # repro.obs.trace.PacketTracer, called at the packet-lifecycle
+        # sites; repro.obs.profile.StallProfiler (set by its attach()),
+        # called where a thread stops (Microengine.run_slice).
+        self.tracer = None
         self.profiler = None
 
     # -- symbols / rings ---------------------------------------------------------
@@ -138,9 +130,8 @@ class IXP2400:
         budget.
         """
         countdown = stop_check_interval
-        sampler = self.sampler
-        window = self.window
-        profiler = self.profiler
+        pulled = [obs for obs in (self.sampler, self.window)
+                  if obs is not None]
         events = self._events
         pop = heapq.heappop
         push = heapq.heappush
@@ -157,22 +148,13 @@ class IXP2400:
                 return
             if time > now:
                 self.now = now = time
-            if sampler is not None:
-                # Catch up past *every* elapsed sample mark, not just one:
-                # sparse event periods must not silently skip grid points.
-                while now >= sampler.next_t:
-                    sampler.sample(sampler.next_t)
-            if window is not None:
-                # Same catch-up rule: every elapsed boundary closes its
-                # window, and all of them close before this action runs.
-                while now >= window.next_t:
-                    window.tick(window.next_t)
-            if profiler is not None:
-                # Occupancy/queue-depth samples on the same grid
-                # contract (a single always-false compare when the
-                # profiler's time sampling is disabled).
-                while now >= profiler.next_t:
-                    profiler.tick(profiler.next_t)
+            for obs in pulled:
+                # Catch up past *every* elapsed mark (sparse event
+                # periods must not skip grid points); all of them close
+                # before this action runs, so one at exactly k*W is in
+                # window k.
+                while now >= obs.next_t:
+                    obs.tick(obs.next_t)
             nxt = action()
             if nxt is not None:
                 # Re-arm at the requested time; past-due times collapse to

@@ -35,7 +35,7 @@ class SimError(RuntimeError):
 
 
 class Thread:
-    __slots__ = ("index", "pc", "a", "b", "wake", "blocked", "halted",
+    __slots__ = ("index", "pc", "a", "b", "wake", "cause", "halted",
                  "cmp_a", "cmp_b", "lm_base")
 
     def __init__(self, index: int, entry: int):
@@ -44,7 +44,7 @@ class Thread:
         self.a = [0] * 16
         self.b = [0] * 16
         self.wake = 0.0
-        self.blocked = False
+        self.cause = None  # wait category of the last block, set with wake
         self.halted = False
         self.cmp_a = 0
         self.cmp_b = 0
@@ -162,7 +162,12 @@ class Microengine:
                         time = tm
                         break
                 if prof is not None:
+                    # The one place a thread stops: report the burst
+                    # and, if it blocked, what for.
                     prof.note_burst(self.index, t.index, t0, time)
+                    if tm is None and not t.halted:
+                        prof.note_block(self.index, t.index, t.cause,
+                                        time, t.wake)
             return time
         finally:
             self.executed_instrs += executed

@@ -433,9 +433,13 @@ def _e_rtn(b, insn, idx):
                      + ["return tm"])
 
 
-def _block_tail(b, next_idx: int) -> List[str]:
+def _block_tail(b, next_idx: int, cause: str) -> List[str]:
+    """Exit lines of a blocking sub-instruction. ``cause`` is a source
+    expression for its wait category (repro.obs.profile), stamped beside
+    the wake time; :meth:`Microengine.run_slice` reports both."""
     return (["t.pc = %s" % b.p("P", next_idx),
-             "t.wake = done"]
+             "t.wake = done",
+             "t.cause = %s" % cause]
             + _exec_add(b.k)
             + ["return None"])
 
@@ -525,11 +529,7 @@ def _e_mem(b: _RunBuilder, insn, idx):
                 tail.append("store[%s : addr + %d] = ((%s) & %s)"
                             ".to_bytes(4, 'big')"
                             % (lo, 4 * i + 4, expr, _MASK))
-    tail += ["prof = me.chip.profiler",
-             "if prof is not None:",
-             "    prof.note_block(me.index, t.index, 'mem_%s', tm, done)"
-             % space]
-    b.close_terminal(tail + _block_tail(b, idx + 1))
+    b.close_terminal(tail + _block_tail(b, idx + 1, "'mem_%s'" % space))
 
 
 def _e_ring_get(b, insn, idx):
@@ -546,12 +546,9 @@ def _e_ring_get(b, insn, idx):
          "%s = value" % dex,
          "tracer = chip.tracer",
          "if tracer is not None:",
-         "    tracer.me_ring_get(me.index, t.index, %s, value, tm)" % name,
-         "prof = chip.profiler",
-         "if prof is not None:",
-         "    prof.note_block(me.index, t.index,"
-         " 'ring_empty' if value == 0 else 'mem_scratch', tm, done)"]
-        + _block_tail(b, idx + 1))
+         "    tracer.me_ring_get(me.index, t.index, %s, value, tm)" % name]
+        + _block_tail(b, idx + 1,
+                      "'ring_empty' if value == 0 else 'mem_scratch'"))
 
 
 def _e_ring_put(b, insn, idx):
@@ -569,12 +566,8 @@ def _e_ring_put(b, insn, idx):
          "tracer = chip.tracer",
          "if tracer is not None:",
          "    tracer.me_ring_put(me.index, t.index, %s, value, tm, ok)"
-         % name,
-         "prof = chip.profiler",
-         "if prof is not None:",
-         "    prof.note_block(me.index, t.index,"
-         " 'mem_scratch' if ok else 'ring_full', tm, done)"]
-        + _block_tail(b, idx + 1))
+         % name]
+        + _block_tail(b, idx + 1, "'mem_scratch' if ok else 'ring_full'"))
 
 
 def _e_tas(b, insn, idx):
@@ -588,11 +581,8 @@ def _e_tas(b, insn, idx):
          "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP,
          "old = mem.read_words('scratch', addr, 1)[0]",
          "mem.write_words('scratch', addr, [1])",
-         "%s = old" % dex,
-         "prof = me.chip.profiler",
-         "if prof is not None:",
-         "    prof.note_block(me.index, t.index, 'mem_scratch', tm, done)"]
-        + _block_tail(b, idx + 1))
+         "%s = old" % dex]
+        + _block_tail(b, idx + 1, "'mem_scratch'"))
 
 
 def _e_release(b, insn, idx):
@@ -603,11 +593,8 @@ def _e_release(b, insn, idx):
          "mem = me.chip.memory",
          "addr = %s" % aex,
          "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP,
-         "mem.write_words('scratch', addr, [0])",
-         "prof = me.chip.profiler",
-         "if prof is not None:",
-         "    prof.note_block(me.index, t.index, 'mem_scratch', tm, done)"]
-        + _block_tail(b, idx + 1))
+         "mem.write_words('scratch', addr, [0])"]
+        + _block_tail(b, idx + 1, "'mem_scratch'"))
 
 
 def _lm_index(b: _RunBuilder, insn, idx) -> Tuple[str, List[str]]:
@@ -690,12 +677,9 @@ def _e_cam_clear(b, insn, idx):
 def _e_ctx_arb(b, insn, idx):
     b.close_terminal([b.total(insn.cycles),
                       "me.time = tm",
-                      "prof = me.chip.profiler",
-                      "if prof is not None:",
-                      "    prof.note_block(me.index, t.index, 'ctx_arb',"
-                      " tm, tm + 1)",
                       "t.pc = %s" % b.p("P", idx + 1),
-                      "t.wake = tm + 1"]
+                      "t.wake = tm + 1",
+                      "t.cause = 'ctx_arb'"]
                      + _exec_add(b.k)
                      + ["return None"])
 

@@ -20,35 +20,30 @@ class Ring:
         self.drops = 0  # rejected puts (ring full)
         self.empty_gets = 0  # gets that returned 0 (ring empty)
         self.max_depth = 0  # occupancy high watermark
-        # Optional repro.obs.profile.StallProfiler: samples occupancy
-        # after every operation. Pure observation, guarded, no effect on
-        # ring contents or counters.
-        self.profiler = None
+        # Occupancy summed after every operation (rejected puts and empty
+        # gets included): mean depth is depth_sum over the operation count.
+        self.depth_sum = 0
 
     def put(self, value: int) -> bool:
         if len(self.items) >= self.capacity:
             self.drops += 1
-            if self.profiler is not None:
-                self.profiler.note_ring(self.name, len(self.items))
+            self.depth_sum += len(self.items)
             return False
         self.items.append(value & 0xFFFFFFFF)
         self.puts += 1
-        if len(self.items) > self.max_depth:
-            self.max_depth = len(self.items)
-        if self.profiler is not None:
-            self.profiler.note_ring(self.name, len(self.items))
+        depth = len(self.items)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        self.depth_sum += depth
         return True
 
     def get(self) -> int:
         if not self.items:
             self.empty_gets += 1
-            if self.profiler is not None:
-                self.profiler.note_ring(self.name, 0)
             return 0
         self.gets += 1
         value = self.items.popleft()
-        if self.profiler is not None:
-            self.profiler.note_ring(self.name, len(self.items))
+        self.depth_sum += len(self.items)
         return value
 
     def __len__(self) -> int:

@@ -56,13 +56,18 @@ class SystemExit2(Exception):
 
 
 class UnknownKindError(SystemExit2):
-    """A file whose ``kind`` this tool does not understand. Fatal at
-    :data:`EXIT_REGRESSION` (not 1): CI pipelines feed this tool files
-    they *believe* are gateable, so a format mismatch must read as a
-    failed gate, never as a clean empty diff."""
+    """A file this tool cannot gate: its ``kind`` is not one it
+    understands, or its body does not have the shape that kind declares.
+    Fatal at :data:`EXIT_REGRESSION` (not 1): CI pipelines feed this tool
+    files they *believe* are gateable, so a format mismatch must read as
+    a failed gate, never as a clean empty diff (or a traceback)."""
 
 
-def _load(path: str) -> dict:
+def load_file(path: str, kind: Optional[str] = None) -> dict:
+    """Read a compile report or bench file of a known kind (``kind``,
+    when the caller renders only one) whose body has the shape that kind
+    declares (:data:`_SHAPES`) -- the one place these files are
+    validated, shared with ``python -m repro.obs.report``."""
     if not os.path.exists(path):
         raise SystemExit2("no such file: %s" % path)
     try:
@@ -78,7 +83,60 @@ def _load(path: str) -> dict:
         raise UnknownKindError(
             "%s has unknown kind %r (known: %s)"
             % (path, data["kind"], ", ".join(KNOWN_KINDS)))
+    if kind is not None and data["kind"] != kind:
+        raise SystemExit2("%s is not a %s file (kind=%r)"
+                          % (path, kind, data["kind"]))
+    problem = _mismatch(data, _SHAPES.get(data["kind"], {}), "")
+    if problem:
+        raise UnknownKindError("%s is a malformed %s file: %s"
+                               % (path, data["kind"], problem))
     return data
+
+
+# -- body shape, checked by load_file ---------------------------------------------------
+
+_NUM = (int, float)
+_TYPE_NAMES = {_NUM: "number", str: "string", object: "value"}
+
+#: Per bench kind, the fields the differs and renderers dereference and
+#: the type each must have: a dict is an object (the key ``str`` stands
+#: for every key not named), ``[T]`` a list of T. Fields are read through
+#: ``.get``, so an absent one is fine, as is a null where an object or
+#: list is expected; a wrong *type* is not.
+_SHAPES = {
+    "bench": {"rates": {str: [_NUM]}, "mem_accesses": {str: object},
+              "me_counts": [object]},
+    "bench_churn": {"summary": {
+        "mean_rate_gbps": _NUM, "updates_applied": _NUM,
+        "latency": {"p99": _NUM}}},
+    "bench_occupancy": {"cells": {str: {
+        "app": str, "level": str, "n_mes": _NUM, "rate_gbps": _NUM,
+        "shares": {str: _NUM}, "verdict": {"text": str}}}},
+}
+
+
+def _mismatch(value, shape, path: str) -> Optional[str]:
+    """Names the first field at or under ``value`` that does not match
+    ``shape``; None when all do."""
+    if isinstance(shape, dict):
+        if value is None:
+            return None
+        if not isinstance(value, dict):
+            return "'%s' is not an object" % path
+        for key, v in value.items():
+            sub = shape.get(key, shape.get(str))
+            problem = sub and _mismatch(
+                v, sub, "%s[%s]" % (path, key) if path else key)
+            if problem:
+                return problem
+        return None
+    if isinstance(shape, list):
+        ok = value is None or (isinstance(value, list) and all(
+            isinstance(v, shape[0]) for v in value))
+        what = "list of %ss" % _TYPE_NAMES[shape[0]]
+    else:
+        ok, what = isinstance(value, shape), _TYPE_NAMES[shape]
+    return None if ok else "'%s' is not a %s" % (path, what)
 
 
 # -- compile report vs compile report -------------------------------------------------
@@ -380,7 +438,7 @@ def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
              gate: Optional[bool] = None) -> Tuple[str, int]:
     """(rendered_text, exit_code). ``gate=None`` means auto: bench diffs
     always gate; compile diffs gate only when asked."""
-    old, new = _load(old_path), _load(new_path)
+    old, new = load_file(old_path), load_file(new_path)
     if old["kind"] != new["kind"]:
         raise SystemExit2("cannot diff %s against %s" % (old["kind"],
                                                          new["kind"]))
@@ -389,12 +447,9 @@ def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
         lines, regressions = diff_compile(old, new, tolerance,
                                           gate=bool(gate))
         fatal = bool(gate) and bool(regressions)
-    elif kind in BENCH_DIFFERS:
+    else:  # load_file admits only compile reports and BENCH_DIFFERS kinds
         lines, regressions = BENCH_DIFFERS[kind](old, new, tolerance)
         fatal = bool(regressions) and gate is not False
-    else:
-        # A kind _load() lets through without a differ here fails loudly.
-        raise UnknownKindError("unsupported kind %r" % kind)
     if regressions:
         lines.append("REGRESSIONS:")
         lines.extend("  " + r for r in regressions)

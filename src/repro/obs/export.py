@@ -15,9 +15,6 @@ chrome://tracing load directly). Track layout:
   counter tracks (rate/p99/drops) from a
   :class:`repro.obs.timeseries.TimeseriesCollector`, plus instant
   events marking control-plane updates
-* pid 5 ``profile``   -- optional (pass ``profile=``): per-ME occupancy
-  fraction and per-channel queue-backlog counter tracks from a
-  :class:`repro.obs.profile.StallProfiler`'s time samples
 * pid 10+i ``ME<i>``  -- one thread row per hardware thread; PPF
   execution spans as synchronous B/E pairs (threads are non-preemptive,
   so per-thread spans never overlap)
@@ -44,7 +41,6 @@ RINGS_PID = 1
 PACKETS_PID = 2
 XSCALE_PID = 3
 WINDOWS_PID = 4
-PROFILE_PID = 5
 ME_PID_BASE = 10
 
 #: Simulated-cycles -> trace microseconds.
@@ -60,7 +56,6 @@ def chrome_trace_from_events(
     compile_spans: Optional[List[Tuple[str, Dict[str, object],
                                        float, float]]] = None,
     windows: Optional[List[Dict[str, object]]] = None,
-    profile: Optional[List[Dict[str, object]]] = None,
 ) -> Dict[str, object]:
     """Build a Chrome trace-event document from raw event dicts.
 
@@ -68,12 +63,6 @@ def chrome_trace_from_events(
     and adds a counter track (forwarding rate, p99 latency, drops, one
     sample per window at its start) plus instant markers for every
     annotated control-plane event.
-
-    ``profile`` takes a :class:`StallProfiler`'s time samples
-    (``profiler.samples``, recorded when the profiler was built with
-    ``sample_cycles=``) and adds counter tracks: per-ME busy fraction
-    over each sample interval, and each memory channel's queued-ahead
-    backlog (cycles of work already committed beyond the sample time).
     """
     out: List[dict] = []
     seq = [0]
@@ -246,35 +235,6 @@ def chrome_trace_from_events(
                       "name": str(ev.get("kind", "event")),
                       "args": args}, ev_ts)
 
-    # -- stall-profiler occupancy samples (repro.obs.profile) ---------------------
-    if profile:
-        name_track(PROFILE_PID, "profile", 0, "ME occupancy")
-        name_track(PROFILE_PID, "profile", 1, "memory queues")
-        prev_t = 0.0
-        prev_busy: List[float] = []
-        for s in profile:
-            t = float(s.get("t", 0.0))
-            ts = _cycles_us(t)
-            max_ts[0] = max(max_ts[0], ts)
-            busy = [float(b) for b in s.get("me_busy") or []]
-            dt = t - prev_t
-            if dt > 0 and busy:
-                if len(prev_busy) < len(busy):
-                    prev_busy = prev_busy + [0.0] * (len(busy)
-                                                     - len(prev_busy))
-                emit({"ph": "C", "pid": PROFILE_PID, "tid": 0,
-                      "name": "me_occupancy",
-                      "args": {"me%d" % i:
-                               round((b - prev_busy[i]) / dt, 4)
-                               for i, b in enumerate(busy)}}, ts)
-            prev_t, prev_busy = t, busy
-            queue = s.get("queue") or {}
-            if queue:
-                emit({"ph": "C", "pid": PROFILE_PID, "tid": 1,
-                      "name": "mem_queue_backlog",
-                      "args": {str(ch): queue[ch]
-                               for ch in sorted(queue)}}, ts)
-
     # -- balance pass: close anything still open at the last timestamp ------------
     end_ts = max_ts[0]
     for (pid, tid), stack in sorted(open_sync.items()):
@@ -304,11 +264,9 @@ def write_chrome_trace(
     compile_spans: Optional[List[Tuple[str, Dict[str, object],
                                        float, float]]] = None,
     windows: Optional[List[Dict[str, object]]] = None,
-    profile: Optional[List[Dict[str, object]]] = None,
 ) -> str:
     """Write a Chrome trace-event JSON file; returns the path."""
-    doc = chrome_trace_from_events(events, compile_spans, windows=windows,
-                                   profile=profile)
+    doc = chrome_trace_from_events(events, compile_spans, windows=windows)
     d = os.path.dirname(os.path.abspath(path))
     if d:
         os.makedirs(d, exist_ok=True)

@@ -16,32 +16,27 @@ Classifies every simulated cycle of every ME thread into one of
   neither ran nor waited on anything it issued (no work available, or
   other threads held the engine).
 
-Attribution is recorded at *event* time by hooks in the ME core (the
-slice loop and the predecoded blocking steps): a thread burst adds
-``me.time`` deltas to ``exec``; a blocking instruction adds
-``wake - issue_time`` to its category.  ``idle`` is computed as an exact
-residual against the ME clock at snapshot time -- so per-thread
+Attribution is recorded where a thread stops running
+(:meth:`Microengine.run_slice`): the burst adds its ``me.time`` delta to
+``exec``; if the thread blocked, ``wake - stop_time`` goes to the
+category the blocking step stamped on it.  ``idle`` is computed as an
+exact residual against the ME clock at snapshot time -- so per-thread
 attribution sums to the ME's total simulated cycles by construction
 (the invariant tests/test_profile.py asserts).  A thread whose final
 wait extends past the end of the run has the overshoot clamped off its
 last category.
 
-The profiler also samples the memory channels (per-request queueing
-delay in :meth:`MemorySystem.timed_access`) and the scratch rings (occupancy
-after every put/get), and -- when built with ``sample_cycles`` -- records
-a time series of per-ME busy cycles and per-channel queue backlog,
-pulled by :meth:`IXP2400.run` through the same ``next_t`` catch-up
-contract as the sampler and window hooks.
-
-Like every obs layer before it the profiler is *pure observation*: off
-by default, attached via :meth:`attach`, every hook guards with
-``is not None``, and profiled runs are bit-identical to unprofiled ones
+The only other callback is the per-request queueing delay of the memory
+channels (:meth:`MemorySystem.timed_access`); ring occupancy, channel
+busy time and the ME clocks are counters the simulator keeps for itself,
+read at snapshot time.  Off by default, attached via :meth:`attach`;
+profiled runs are bit-identical to unprofiled ones
 (tests/test_profile.py).
 """
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 #: Wait categories, in the fixed order used for residual computation,
@@ -59,13 +54,16 @@ SATURATION_UTILIZATION = 0.75
 #: ring_empty share above which a cell is called input-starved.
 STARVED_SHARE = 0.30
 
-#: Default profile-sample spacing when time sampling is requested.
-SAMPLE_INTERVAL_CYCLES = 20_000.0
-
 #: Logical channel -> wait category / display name.
 _CHANNEL_WAIT = {"scratch": "mem_scratch", "sram": "mem_sram",
                  "dram": "mem_dram"}
 _CHANNEL_LABEL = {"scratch": "Scratch", "sram": "SRAM", "dram": "DRAM"}
+
+
+def _ring_ops(ring) -> Tuple[int, int]:
+    """(operations so far, occupancy summed after each) of a ring."""
+    return (ring.puts + ring.gets + ring.drops + ring.empty_gets,
+            ring.depth_sum)
 
 
 class _ThreadAttribution:
@@ -85,33 +83,33 @@ class StallProfiler:
     """Per-thread stall attribution + channel/ring queue statistics.
 
     Attach with :meth:`attach`; read back with :meth:`snapshot` (a
-    deterministic plain dict) after the run.  ``sample_cycles`` enables
-    the optional time series (``samples``) for Perfetto counter tracks;
-    without it the run-loop poll is a single comparison against +inf.
+    deterministic plain dict) after the run.
     """
 
-    def __init__(self, sample_cycles: Optional[float] = None):
+    def __init__(self):
         self.chip = None
-        self.threads: Dict[Tuple[int, int], _ThreadAttribution] = {}
+        # Readers use .get(): only the note_* callbacks create entries.
+        self.threads: Dict[Tuple[int, int], _ThreadAttribution] = (
+            defaultdict(_ThreadAttribution))
         # channel name -> [requests, queue_wait_total, queue_wait_max]
-        self.channel_stats: Dict[str, List[float]] = {}
-        # ring name -> [ops, depth_total, depth_max]
-        self.ring_stats: Dict[str, List[float]] = {}
-        self.sample_cycles = sample_cycles
-        self.samples: List[dict] = []
-        self.next_t = float(sample_cycles) if sample_cycles else math.inf
+        self.channel_stats: Dict[str, List[float]] = defaultdict(
+            lambda: [0, 0.0, 0.0])
+        # ring name -> (operations, depth_sum) when attach() ran
+        self.ring_base: Dict[str, Tuple[int, int]] = {}
 
     # -- attachment --------------------------------------------------------------
 
     def attach(self, chip) -> "StallProfiler":
-        """Install the profiler on ``chip``: the MEs reach it through
-        ``chip.profiler``, the memory system and every existing ring get
-        a direct reference (rings created later simply go unsampled)."""
+        """Install the profiler on ``chip`` and its memory system, and
+        record every ring's operation count and depth sum so
+        :meth:`snapshot` reports ``mean_depth`` over post-attach
+        operations only (the loader's free-list fill stays out; a ring
+        created later counts from zero)."""
         self.chip = chip
         chip.profiler = self
         chip.memory.profiler = self
-        for ring in chip.rings.rings.values():
-            ring.profiler = self
+        self.ring_base = {name: _ring_ops(ring)
+                          for name, ring in chip.rings.rings.items()}
         return self
 
     # -- hot-path hooks (called only when attached) -------------------------------
@@ -119,21 +117,13 @@ class StallProfiler:
     def note_burst(self, me_index: int, t_index: int,
                    t0: float, t1: float) -> None:
         """A thread ran from ``t0`` to ``t1`` on the ME clock."""
-        if t1 <= t0:
-            return
-        key = (me_index, t_index)
-        ta = self.threads.get(key)
-        if ta is None:
-            ta = self.threads[key] = _ThreadAttribution()
-        ta.exec_cycles += t1 - t0
+        if t1 > t0:
+            self.threads[me_index, t_index].exec_cycles += t1 - t0
 
     def note_block(self, me_index: int, t_index: int, cat: str,
                    t0: float, wake: float) -> None:
         """A thread blocked at ``t0`` until ``wake`` under ``cat``."""
-        key = (me_index, t_index)
-        ta = self.threads.get(key)
-        if ta is None:
-            ta = self.threads[key] = _ThreadAttribution()
+        ta = self.threads[me_index, t_index]
         wait = ta.wait
         wait[cat] = wait.get(cat, 0.0) + (wake - t0)
         blocks = ta.blocks
@@ -144,42 +134,11 @@ class StallProfiler:
     def note_mem(self, channel: str, queued: float) -> None:
         """A memory request on physical ``channel`` waited ``queued``
         cycles behind earlier requests before the channel took it."""
-        st = self.channel_stats.get(channel)
-        if st is None:
-            st = self.channel_stats[channel] = [0, 0.0, 0.0]
+        st = self.channel_stats[channel]
         st[0] += 1
         st[1] += queued
         if queued > st[2]:
             st[2] = queued
-
-    def note_ring(self, name: str, depth: int) -> None:
-        """Ring occupancy observed right after a put/get."""
-        st = self.ring_stats.get(name)
-        if st is None:
-            st = self.ring_stats[name] = [0, 0.0, 0.0]
-        st[0] += 1
-        st[1] += depth
-        if depth > st[2]:
-            st[2] = depth
-
-    # -- optional time sampling (pulled by chip.run) ------------------------------
-
-    def tick(self, mark: float) -> None:
-        """Record one occupancy/queue sample at ``mark`` and re-arm."""
-        self.next_t = mark + float(self.sample_cycles)
-        chip = self.chip
-        if chip is None:
-            return
-        queue = {}
-        for ch in chip.memory.channels.values():
-            backlog = ch.next_free - mark
-            queue[ch.name] = round(backlog, 3) if backlog > 0.0 else 0.0
-        self.samples.append({
-            "t": mark,
-            "me_busy": [round(me.time - me.idle_time, 3)
-                        for me in chip.mes],
-            "queue": queue,
-        })
 
     # -- timeseries integration ---------------------------------------------------
 
@@ -261,7 +220,7 @@ class StallProfiler:
     def snapshot(self, chip=None) -> dict:
         """Deterministic plain-dict summary of the whole run: per-ME /
         per-thread attribution, per-channel queueing + utilization,
-        per-ring occupancy, plus any time samples."""
+        per-ring occupancy."""
         chip = chip if chip is not None else self.chip
         total_cycles = chip.now
         mes = []
@@ -290,25 +249,24 @@ class StallProfiler:
         rings = {}
         for name in sorted(chip.rings.rings):
             ring = chip.rings.rings[name]
-            st = self.ring_stats.get(name) or [0, 0.0, 0.0]
-            ops = int(st[0])
+            ops, depth_sum = _ring_ops(ring)
+            base_ops, base_sum = self.ring_base.get(name, (0, 0))
+            ops -= base_ops
             rings[name] = {
                 "puts": ring.puts,
                 "gets": ring.gets,
                 "drops": ring.drops,
                 "empty_gets": ring.empty_gets,
                 "max_depth": ring.max_depth,
-                "mean_depth": round(st[1] / ops, 3) if ops else 0.0,
+                "mean_depth": round((depth_sum - base_sum) / ops, 3)
+                if ops else 0.0,
             }
-        snap = {
+        return {
             "total_cycles": round(total_cycles, 3),
             "mes": mes,
             "channels": channels,
             "rings": rings,
         }
-        if self.samples:
-            snap["samples"] = list(self.samples)
-        return snap
 
 
 # -- aggregation & verdicts ----------------------------------------------------

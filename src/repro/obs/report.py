@@ -575,23 +575,12 @@ def explain_main(argv) -> int:
                     metavar="PASS",
                     help="show only decisions of one pass (e.g. swc)")
     args = ap.parse_args(argv)
-    if not os.path.exists(args.path):
-        print("error: no compile report at %s (write one with "
-              "python -m repro.obs.ledger -o %s)" % (args.path, args.path),
-              file=sys.stderr)
-        return 1
+    from repro.obs.diff import SystemExit2, load_file
+
     try:
-        with open(args.path) as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: cannot read compile report from %s: %s"
-              % (args.path, exc), file=sys.stderr)
-        return 1
-    if not isinstance(report, dict) or report.get("kind") != "compile_report":
-        print("error: %s is not a compile report (kind=%r)"
-              % (args.path, report.get("kind")
-                 if isinstance(report, dict) else type(report).__name__),
-              file=sys.stderr)
+        report = load_file(args.path, kind="compile_report")
+    except SystemExit2 as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     print(render_explain(report, args.pass_filter))
     return 0
@@ -766,24 +755,12 @@ def bottleneck_main(argv) -> int:
     ap.add_argument("--mes", type=int, default=None,
                     help="restrict to one ME count")
     args = ap.parse_args(argv)
-    if not os.path.exists(args.path):
-        print("error: no occupancy file at %s (write one with "
-              "python -m repro.sweep --profile)" % args.path,
-              file=sys.stderr)
-        return 1
+    from repro.obs.diff import SystemExit2, load_file
+
     try:
-        with open(args.path) as fh:
-            bench = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: cannot read occupancy bench from %s: %s"
-              % (args.path, exc), file=sys.stderr)
-        return 1
-    if not isinstance(bench, dict) or bench.get("kind") != "bench_occupancy":
-        print("error: %s is not an occupancy bench (kind=%r, expected "
-              "bench_occupancy)"
-              % (args.path, bench.get("kind")
-                 if isinstance(bench, dict) else type(bench).__name__),
-              file=sys.stderr)
+        bench = load_file(args.path, kind="bench_occupancy")
+    except SystemExit2 as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     print(render_bottleneck(bench, app=args.app, level=args.level,
                             mes=args.mes))

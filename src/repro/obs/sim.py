@@ -2,10 +2,8 @@
 end-of-run summary recording.
 
 The sampler is *pulled* by :meth:`repro.ixp.chip.IXP2400.run` between
-event dispatches instead of scheduling its own events, so attaching it
-changes neither the event order nor the ``stop`` polling cadence --
-enabled and disabled runs stay bit-identical (tested by
-``tests/test_obs.py``).
+event dispatches (DESIGN.md 7.3), so enabled and disabled runs stay
+bit-identical (tested by ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ class SimSampler:
     """Samples ring occupancy and per-ME utilization over simulated time.
 
     Attach with ``chip.sampler = SimSampler(chip, registry)``; the chip
-    calls :meth:`sample` once per elapsed ``next_t`` mark (looping to
+    calls :meth:`tick` once per elapsed ``next_t`` mark (looping to
     catch up after sparse event periods), passing the mark time itself
     so the series stays on a regular grid. Catch-up samples timestamp
     the *current* chip state at the missed mark -- an explicit
@@ -34,7 +32,7 @@ class SimSampler:
         self.interval = interval_cycles
         self.next_t = 0.0
 
-    def sample(self, now: float) -> None:
+    def tick(self, now: float) -> None:
         self.next_t = now + self.interval
         reg = self.registry
         chip = self.chip

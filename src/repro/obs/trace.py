@@ -440,16 +440,26 @@ def main(argv=None) -> int:
     from repro.obs.export import write_chrome_trace
 
     if not os.path.exists(args.events):
-        print("no events file at %s" % args.events, file=sys.stderr)
+        print("error: no events file at %s" % args.events, file=sys.stderr)
         return 1
     events = []
     with open(args.events) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                events.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                event = str(exc)
+            if not isinstance(event, dict):
+                print("error: %s line %d is not a JSON event object: %s"
+                      % (args.events, lineno, event), file=sys.stderr)
+                return 1
+            events.append(event)
     if not events:
-        print("events file %s is empty" % args.events, file=sys.stderr)
+        print("error: events file %s is empty" % args.events,
+              file=sys.stderr)
         return 1
     out = args.out
     if out is None:

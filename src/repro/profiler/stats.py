@@ -20,10 +20,6 @@ class GlobalStats:
     stores: int = 0
     load_offsets: Counter = field(default_factory=Counter)  # byte offset -> count
 
-    @property
-    def distinct_load_offsets(self) -> int:
-        return len(self.load_offsets)
-
     def estimated_hit_rate(self, cache_lines: int, line_words: int = 1) -> float:
         """Hit rate a ``cache_lines``-entry cache would achieve on the
         observed load stream, assuming an ideal (Belady-ish) mapping:

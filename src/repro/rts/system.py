@@ -66,7 +66,6 @@ def run_on_simulator(
     trace_json: Optional[str] = None,
     trace_events_jsonl: Optional[str] = None,
     dispatch: Optional[str] = None,
-    registry: Optional[obs_metrics.MetricsRegistry] = None,
     timeseries=None,
     profiler=None,
 ) -> RunResult:
@@ -86,41 +85,25 @@ def run_on_simulator(
     to record every packet's Rx->Tx journey in simulated cycles.
     ``trace_json`` writes Chrome trace-event JSON (open in Perfetto);
     ``trace_events_jsonl`` writes the raw events (convert later with
-    ``python -m repro.obs.trace export``). Tracing is pure observation:
-    traced and untraced runs are bit-identical (tests/test_trace.py).
+    ``python -m repro.obs.trace export``).
 
     ``dispatch`` selects nothing: every run is cycle-accurate on the one
     ME core. None and ``"fast"`` are accepted, anything else is a
     ``ValueError`` from :func:`repro.rts.loader.load_system`.
 
-    ``registry`` runs the whole load+simulate under a private metrics
-    registry (installed process-globally for the duration, so loader
-    and chip instrumentation see it too). The sweep orchestrator uses
-    this to give every job its own mergeable metric set; measured
-    numbers are unaffected.
-
     ``timeseries`` attaches a
     :class:`repro.obs.timeseries.TimeseriesCollector` as the chip's
     window hook: per-window rate/latency/drop records over simulated
     time, closed by the run loop's boundary pull and finalized at the
-    end of the run. Pure observation -- runs with and without a
-    collector are bit-identical (tests/test_obs.py).
+    end of the run.
 
     ``profiler`` attaches a :class:`repro.obs.profile.StallProfiler`
     to the chip: per-thread stall-cycle attribution and channel/ring
-    queue statistics, snapshotted into ``RunResult.occupancy``. Pure
-    observation -- profiled runs are bit-identical to unprofiled ones
-    (tests/test_profile.py).
+    queue statistics, snapshotted into ``RunResult.occupancy``.
+
+    Every observer is pure observation (DESIGN.md 7.3): measured numbers
+    are bit-identical with or without it.
     """
-    if registry is not None:
-        with obs_metrics.scoped_registry(registry):
-            return run_on_simulator(
-                result, trace, n_mes=n_mes, warmup_packets=warmup_packets,
-                measure_packets=measure_packets, offered_gbps=offered_gbps,
-                max_cycles=max_cycles, metrics_jsonl=metrics_jsonl,
-                tracer=tracer, trace_json=trace_json,
-                trace_events_jsonl=trace_events_jsonl, dispatch=dispatch,
-                timeseries=timeseries, profiler=profiler)
     reg = obs_metrics.get_registry()
     trace_json = trace_json or os.environ.get("REPRO_TRACE_JSON")
     if tracer is None and (trace_json or trace_events_jsonl):
@@ -134,11 +117,8 @@ def run_on_simulator(
     chip.attach_traffic(rx, tx)
     if reg.enabled:
         chip.sampler = SimSampler(chip, reg)
-    if tracer is not None:
-        chip.tracer = tracer
+    chip.tracer = tracer
     if timeseries is not None:
-        # Windowed streaming observability (repro.obs.timeseries):
-        # pulled by the run loop like the sampler, pure observation.
         timeseries.attach(rx=rx, tx=tx, tracer=tracer)
         chip.window = timeseries
     if profiler is not None:
@@ -225,9 +205,7 @@ def run_on_simulator(
             from repro.obs.export import write_chrome_trace
 
             write_chrome_trace(trace_json, tracer.event_dicts(),
-                               compile_spans=obs_trace.drain_compile_spans(),
-                               profile=(profiler.samples
-                                        if profiler is not None else None))
+                               compile_spans=obs_trace.drain_compile_spans())
     chip.close()  # nothing reads the chip past this point
     return run
 

@@ -16,7 +16,7 @@ window is what the serve harness measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.apps.tables import (
     TableMutation,
@@ -178,7 +178,3 @@ def stale_tx_counts(tx_records,
                     stale += 1
         out.append(stale)
     return out
-
-
-def drop_cause_totals(tracer) -> Dict[str, int]:
-    return {cause: int(n) for cause, n in sorted(tracer.drops.items())}

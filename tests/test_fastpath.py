@@ -285,7 +285,7 @@ class _GridSampler:
         self.next_t = interval
         self.samples = []
 
-    def sample(self, t):
+    def tick(self, t):
         self.samples.append(t)
         self.next_t += self.interval
 
@@ -298,6 +298,58 @@ def test_sampler_catches_up_past_all_elapsed_marks():
     chip.schedule(1000.0, lambda: None)
     chip.run(2000.0)
     assert chip.sampler.samples == [100.0 * i for i in range(1, 11)]
+
+
+# -- the one stall-attribution site --------------------------------------------------
+
+
+def _profiled_thread(mode, insns):
+    from repro.obs.profile import StallProfiler
+
+    chip = IXP2400()
+    prof = StallProfiler().attach(chip)
+    me = reference_me.CORES[mode](0, _mini_image(insns), chip, n_threads=1)
+    return me, prof.threads
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_halt_reports_a_burst_and_no_block(mode):
+    me, threads = _profiled_thread(
+        mode, [isa.Immed(isa.PReg("a", 0), 7), isa.Halt()])
+    assert me.run_slice(100.0) is None
+    ta = threads[(0, 0)]
+    assert ta.exec_cycles == me.time > 0
+    assert (ta.blocks, ta.wait, ta.last_cat) == ({}, {}, None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_slice_deadline_reports_no_block_and_keeps_the_next_cause(mode):
+    """ctx_arb, a long straight-line stretch cut by the slice deadline,
+    then an SRAM read: the deadline stop reports a burst only (the
+    thread's cause is still the stale ``ctx_arb``), and the read that
+    follows the resume is attributed to ``mem_sram``."""
+    a0 = isa.PReg("a", 0)
+    insns = ([isa.CtxArb()] + [isa.Immed(a0, i) for i in range(30)]
+             + [isa.Mem("sram", "read", [a0], isa.Imm(256), isa.Imm(0), 1),
+                isa.Halt()])
+    me, threads = _profiled_thread(mode, insns)
+    seen = []
+    for _ in range(20):
+        nxt = me.run_slice(12.0)
+        seen.append((dict(threads[(0, 0)].blocks),
+                     me.resume_thread is not None))
+        if nxt is None:
+            break
+        me.time = max(me.time, nxt)
+    t, ta = me.threads[0], threads[(0, 0)]
+    assert t.halted
+    # Some slice ended on the deadline with only the yield on record...
+    assert ({"ctx_arb": 1}, True) in seen
+    # ...and the run ends with exactly one block per blocking instruction.
+    assert ta.blocks == {"ctx_arb": 1, "mem_sram": 1}
+    assert ta.wait["ctx_arb"] == 1.0
+    assert ta.last_cat == "mem_sram" and ta.last_wake == t.wake
+    assert ta.exec_cycles + me.idle_time == me.time
 
 
 # -- stuck-scheduler detection -------------------------------------------------------

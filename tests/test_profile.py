@@ -12,13 +12,13 @@ The two load-bearing guarantees:
 Plus: reference and fast dispatch produce *identical* profiler snapshots,
 the sweep's BENCH_occupancy.json is byte-reproducible and diffable, the
 obs.diff unknown-kind / occupancy gates fire, the bottleneck report
-renders, timeline windows carry occ.* deltas, and the Perfetto export
-grows profile counter tracks.
+renders, and timeline windows carry occ.* deltas.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -150,41 +150,42 @@ def test_verdict_and_cell_shape():
     assert json.loads(json.dumps(cell)) == cell
 
 
-# -- optional time sampling -----------------------------------------------------
+# -- ring depth is read from the ring --------------------------------------------
 
 
-def test_time_samples_on_grid_and_zero_impact():
-    result, trace = _mini_result()
-    off = run_on_simulator(result, trace, **_RUN)
-    prof = StallProfiler(sample_cycles=5_000.0)
-    on = run_on_simulator(result, trace, profiler=prof, **_RUN)
-    assert _run_signature(on) == _run_signature(off)
-    assert prof.samples, "no time samples recorded"
-    marks = [s["t"] for s in prof.samples]
-    assert marks == [5_000.0 * (i + 1) for i in range(len(marks))]
-    assert on.occupancy["samples"] == prof.samples
-    for s in prof.samples:
-        assert len(s["me_busy"]) == _RUN["n_mes"]
-        assert set(s["queue"]) == {"scratch", "sram0", "sram1", "dram"}
+def test_mean_depth_counts_post_attach_ring_operations_only():
+    from repro.ixp.chip import IXP2400
+    from repro.rts.loader import load_system
 
+    result, _ = _mini_result()
+    chip = IXP2400(n_programmable_mes=2)
+    load_system(result, chip, n_mes=2)
+    filled = {name: ring.puts for name, ring in chip.rings.rings.items()
+              if ring.puts}
+    assert filled, "the loader fills the free lists before any attach"
+    prof = StallProfiler().attach(chip)
+    rings = prof.snapshot(chip)["rings"]
+    # The loader's puts are reported as the ring's own counters but stay
+    # out of the profiled mean.
+    for name, puts in filled.items():
+        assert rings[name]["puts"] == puts
+        assert rings[name]["mean_depth"] == 0.0
 
-def test_export_profile_counter_tracks():
-    from repro.obs.export import PROFILE_PID, chrome_trace_from_events
-
-    result, trace = _mini_result()
-    prof = StallProfiler(sample_cycles=5_000.0)
-    run_on_simulator(result, trace, profiler=prof, **_RUN)
-    doc = chrome_trace_from_events([], profile=prof.samples)
-    counters = [e for e in doc["traceEvents"]
-                if e.get("ph") == "C" and e["pid"] == PROFILE_PID]
-    names = {e["name"] for e in counters}
-    assert names == {"me_occupancy", "mem_queue_backlog"}
-    occ = [e for e in counters if e["name"] == "me_occupancy"]
-    assert occ and all(set(e["args"]) == {"me0", "me1"} for e in occ)
-    # Busy fractions over an interval are physical: within [0, 1].
-    for e in occ:
-        for v in e["args"].values():
-            assert -1e-9 <= v <= 1.0 + 1e-9
+    name = next(iter(filled))
+    ring = chip.rings[name]
+    depth = len(ring)
+    ring.get()
+    ring.get()
+    ring.put(64)
+    late = chip.rings.create("late", capacity=2)  # after attach
+    assert late.get() == 0                        # empty get: depth 0
+    for v in (1, 2, 3):                           # third put is rejected
+        late.put(v)
+    rings = prof.snapshot(chip)["rings"]
+    assert rings[name]["mean_depth"] == round(
+        ((depth - 1) + (depth - 2) + (depth - 1)) / 3, 3)
+    assert rings["late"]["mean_depth"] == round((0 + 1 + 2 + 2) / 4, 3)
+    assert rings["late"]["drops"] == 1
 
 
 # -- timeseries integration -----------------------------------------------------
@@ -217,14 +218,16 @@ def test_timeline_windows_carry_occupancy_deltas():
 # -- sweep + diff + report surfacing --------------------------------------------
 
 
-def _occupancy_sweep(tmp_path, tag):
+def _occupancy_sweep(tmp_path, tag, app="l3switch", me_counts=(2,),
+                     **windows):
     from repro.sweep import CompileCache, build_jobs, run_sweep
     from repro.sweep.orchestrator import WorkerConfig
 
     out = tmp_path / tag
     out.mkdir()
-    jobs = build_jobs(["l3switch"], levels=["SWC"], me_counts=[2],
-                      table1=False, rate_warmup=30, rate_measure=60)
+    jobs = build_jobs([app], levels=["SWC"], me_counts=list(me_counts),
+                      table1=False,
+                      **(windows or dict(rate_warmup=30, rate_measure=60)))
     cache = CompileCache(str(tmp_path / ("cache_" + tag)))
     cfg = WorkerConfig(cache_dir=cache.cache_dir, use_cache=True,
                        profile=True)
@@ -277,6 +280,24 @@ def test_sweep_profile_emits_reproducible_occupancy_bench(tmp_path):
     assert "verdict changed" in text
 
 
+def test_committed_occupancy_bench_is_what_the_code_produces(tmp_path):
+    """``python -m repro.sweep --apps mpls --levels SWC --no-table1
+    --profile`` through the library: the committed file equals a fresh
+    run byte for byte, so any change to what the simulator counts or the
+    profiler attributes shows up here, not only in CI."""
+    from repro.sweep.orchestrator import RATE_MEASURE, RATE_WARMUP
+
+    _, paths = _occupancy_sweep(tmp_path, "mpls", app="mpls",
+                                me_counts=range(1, 7),
+                                rate_warmup=RATE_WARMUP,
+                                rate_measure=RATE_MEASURE)
+    fresh = [p for p in paths if p.endswith("BENCH_occupancy.json")]
+    committed = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                             "BENCH_occupancy.json")
+    with open(fresh[0], "rb") as fh, open(committed, "rb") as ref:
+        assert fh.read() == ref.read()
+
+
 def test_diff_occupancy_gates_vanished_cell_and_share_shift(tmp_path):
     base = {"kind": "bench_occupancy", "figure": "occupancy", "cells": {
         "app/SWC@2": {"rate_gbps": 1.0, "shares": {"exec": 0.5},
@@ -320,6 +341,23 @@ def test_diff_rejects_unknown_kind(tmp_path, capsys):
     nokind = tmp_path / "nokind.json"
     nokind.write_text(json.dumps({"cells": {}}))
     assert obs_diff.main([str(nokind), str(good)]) == 1
+    capsys.readouterr()
+    # A known kind with a body of the wrong shape is as ungateable as an
+    # unknown kind: one diagnostic naming file and field, exit 2.
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"kind": "bench", "rates": {"SWC": [1, 2]}}))
+    for body, field in (
+            ({"kind": "bench", "rates": {"SWC": ["a", 1]}}, "rates[SWC]"),
+            ({"kind": "bench", "rates": "oops"}, "'rates'"),
+            ({"kind": "bench_occupancy",
+              "cells": {"a/SWC@1": {"verdict": "x"}}},
+             "cells[a/SWC@1][verdict]")):
+        bad.write_text(json.dumps(body))
+        ok = rates if body["kind"] == "bench" else good
+        assert obs_diff.main([str(ok), str(bad)]) == obs_diff.EXIT_REGRESSION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(bad) in err and field in err, err
 
 
 def test_bottleneck_report_rejects_wrong_kind(tmp_path, capsys):
@@ -330,6 +368,13 @@ def test_bottleneck_report_rejects_wrong_kind(tmp_path, capsys):
     assert bottleneck_main([str(wrong)]) == 1
     assert "bench_occupancy" in capsys.readouterr().err
     assert bottleneck_main([str(tmp_path / "absent.json")]) == 1
+    capsys.readouterr()
+    # Right kind, body of the wrong shape: a diagnostic, not a traceback.
+    wrong.write_text(json.dumps({"kind": "bench_occupancy", "cells": [1, 2]}))
+    assert bottleneck_main([str(wrong)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(wrong) in err, err
+    assert "'cells'" in err
 
 
 # -- serve integration ----------------------------------------------------------

@@ -24,6 +24,8 @@ def test_put_at_capacity_counts_drop_without_mutating_ring():
     assert len(ring) == 2
     assert ring.puts == 2
     assert ring.max_depth == 2
+    # Occupancy after each operation, the rejected put included: 1+2+2.
+    assert ring.depth_sum == 5
 
     # Repeated rejections keep counting but still leave the ring alone.
     assert ring.put(4) is False
@@ -43,6 +45,8 @@ def test_get_on_empty_returns_zero_and_counts():
     assert ring.get() == 0
     assert ring.empty_gets == 2
     assert ring.gets == 1
+    # Empty gets see depth 0: only the put (1) and its get (0) count.
+    assert ring.depth_sum == 1
 
 
 def test_empty_get_is_indistinguishable_from_a_stored_zero():
@@ -82,6 +86,9 @@ def test_values_masked_to_32_bits():
     ring.put(0x2_DEAD_BEEF)
     assert ring.get() == 0xDEADBEEF
     assert ring.get() == 0xDEADBEEF
+    # Depth is the number of words held, whatever their value:
+    # puts 1, 2; gets 1, 0; puts 1, 2; gets 1, 0.
+    assert ring.depth_sum == 8
 
 
 def test_ringset_lookup():

@@ -274,6 +274,14 @@ def test_exporter_cli_missing_and_empty_input(tmp_path, capsys):
     empty.write_text("")
     assert trace_main(["export", str(empty)]) == 1
     assert "empty" in capsys.readouterr().err
+    # A corrupt events file is a diagnostic naming file and line.
+    for text, where in (("not json\n", "line 1"),
+                        ('{"kind": "pkt_begin", "t": 0}\n[1]\n', "line 2")):
+        empty.write_text(text)
+        assert trace_main(["export", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(empty) in err, err
+        assert where in err
 
 
 def test_exporter_closes_unbalanced_input():
