@@ -606,9 +606,12 @@ class _FunctionLowerer:
             if decl_type is not None and decl_type.is_packet:
                 result_proto = decl_type.protocol  # type: ignore[union-attr]
             ph = self._lower_expr(expr.args[0])
+            delta = None
+            if proto.demux_const_bytes is None:
+                delta = self._lower_demux(proto.demux_expr, proto, ph, expr)
             dst = self.new_temp(T.PacketType(result_proto))
             self.emit(I.PktDecap(dst, ph, src_proto, result_proto,
-                                 proto.demux_const_bytes), expr)
+                                 proto.demux_const_bytes, delta), expr)
             return dst
         if name == "packet_encap":
             new_proto = expr.new_protocol  # type: ignore[attr-defined]
@@ -659,6 +662,31 @@ class _FunctionLowerer:
             self.emit(I.PktAdjust(op, ph, amount), expr)
             return None
         raise self._error("unknown builtin %r" % name, expr)
+
+    def _lower_demux(self, expr: ast.Expr, proto: T.Protocol, ph: Operand,
+                     node: ast.Call) -> Operand:
+        """A packet-dependent demux (the header's size in bytes) as
+        ordinary 32-bit loads and arithmetic over the header's own fields,
+        so PAC and CSE treat them like the program's own accesses."""
+        if isinstance(expr, ast.IntLit):
+            return Const(expr.value)
+        if isinstance(expr, ast.Name):
+            pfield = proto.field_by_name(expr.ident)
+            dst = self.new_temp(pfield.value_type, pfield.name)
+            self.emit(I.PktLoadField(dst, ph, proto.name, pfield.name,
+                                     pfield.offset_bits, pfield.width_bits), node)
+            return self._convert(dst, pfield.value_type, T.U32)
+        if isinstance(expr, ast.Unary):
+            operand = self._lower_demux(expr.operand, proto, ph, node)
+            dst = self.new_temp(T.U32)
+            if expr.op == "-":
+                self.emit(I.BinOp("sub", dst, Const(0), operand), node)
+            else:
+                self.emit(I.BinOp("xor", dst, operand, Const(0xFFFFFFFF)), node)
+            return dst
+        lhs = self._lower_demux(expr.left, proto, ph, node)
+        rhs = self._lower_demux(expr.right, proto, ph, node)
+        return self._lower_binop_values(expr.op, lhs, rhs, T.U32, T.U32, node)
 
 
 def _is_u64(type_: T.Type) -> bool:

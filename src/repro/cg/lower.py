@@ -83,6 +83,9 @@ class FunctionLowerer:
         # `buf` never changes for a given packet and the entry block
         # dominates everything, so one read serves the whole function.
         self.persistent_buf: Dict[Temp, VReg] = {}
+        # Under PHR the parameter's head/len (and rx_port) live in
+        # registers too (pktlower.PacketRegs).
+        self.pkt_regs = None
         self._use_counts: Counter = Counter()
         self._single_defs: Dict[Temp, I.Instr] = {}
         # Leafness must anticipate the out-of-line packet helpers that
@@ -249,13 +252,24 @@ class FunctionLowerer:
                 raise CodegenError("%s: too many parameters" % self.ir_fn.name)
 
     def _hoist_param_buf(self) -> None:
-        """For a PPF whose body contains statically-resolved packet
-        accesses (which need only ``buf``, not ``head``), read the packet
-        parameter's buffer address once at entry."""
+        """Read at a PPF's entry what the whole function shares of its
+        packet parameter's metadata. With a PHR plan that is everything:
+        ``[buf, head, len]`` (and ``rx_port``) in one access, held in
+        registers from here on. Otherwise, for a body with
+        statically-resolved packet accesses (which need only ``buf``,
+        not ``head``), the buffer address."""
         if self.ir_fn.kind != "ppf" or not self.ctx.opts.inline:
             return
         params = [p for p in self.ir_fn.params if p.type.is_packet]
         if not params:
+            return
+        cls = self.aliases.class_of(params[0])
+        if not self.aliases.one_packet(cls):
+            return  # no one buf/head is true of every handle in the class
+        if self.ctx.opts.phr and self.ir_fn.packet_state is not None:
+            from repro.cg import pktlower
+
+            self.pkt_regs = pktlower.load_packet_state(self, cls)
             return
         has_static = any(
             isinstance(i, (I.PktLoadField, I.PktStoreField,
@@ -268,7 +282,6 @@ class FunctionLowerer:
         from repro.baker.packetmodel import META_BUF_ADDR
         from repro.cg.isa import Mem
 
-        cls = self.aliases.class_of(params[0])
         buf = self.vreg("buf")
         self.emit(Mem("sram", "read", [buf], self.reg32(params[0]),
                       Imm(META_BUF_ADDR * 4), 1, category=isa.CAT_PACKET))
@@ -388,6 +401,7 @@ class FunctionLowerer:
             self._lower_storel(instr)
         elif isinstance(instr, I.ChanPut):
             self.meta_memo.clear()
+            pktlower.writeback_state(self, instr)
             self.emit(RingPut(self.ctx.ring_sym(instr.channel), self.reg32(instr.ph)))
         elif isinstance(instr, I.LockAcquire):
             self._lower_lock_acquire(instr)
@@ -570,7 +584,10 @@ class FunctionLowerer:
         self.new_block(done_l)
 
     def _lower_call(self, instr: I.Call) -> None:
+        from repro.cg import pktlower
+
         self.meta_memo.clear()
+        shared_ph = pktlower.writeback_state(self, instr)
         slot = 0
         moves: List[Tuple[Reg, Operand]] = []
         for arg in instr.args:
@@ -597,6 +614,8 @@ class FunctionLowerer:
                 self.emit(Mov(lo, abi.RET_LO))
             else:
                 self.emit(Mov(self.dst32(instr.dst), abi.RET_LO))
+        if shared_ph is not None:
+            pktlower.reload_state(self, shared_ph)
 
     # -- memory ------------------------------------------------------------------------
 

@@ -16,17 +16,26 @@ At BASE/-O1 (``opts.inline`` false) the generic field access and
 head-movement sequences are emitted once as shared out-of-line helper
 routines and called via ``bal`` -- these are the "base packet handling
 routines" that -O2 inlines.
+
+Where ``buf``/``head``/``len`` come from is a second axis. Under PHR the
+PPF parameter's packet keeps them in registers for the whole function
+(:class:`PacketRegs`, planned by :func:`repro.opt.phr.plan_packet_state`):
+one metadata read at entry, head movement is ALU work, and SRAM sees
+head/len again only at the escape sites the plan marks. Every other
+packet (created, copied, a support function's parameter) and every other
+level reads them from SRAM, memoized per basic block (``meta_memo``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.baker.packetmodel import (
     HEADROOM_BYTES,
     META_BUF_ADDR,
     META_HEAD_OFF,
     META_PKT_LEN,
+    META_RX_PORT,
 )
 from repro.cg import abi
 from repro.cg import isa
@@ -38,6 +47,12 @@ from repro.ir import instructions as I
 from repro.ir.values import Const, Operand, Temp
 
 PKT = isa.CAT_PACKET
+
+# Test-only fault injection (tests/test_analyze_mutations.py): when set
+# to "skip_writeback", a moved head/len stays in registers at escape
+# sites -- whoever reads the packet's metadata next sees the stale words.
+# Never set outside tests.
+_TEST_MUTATION = None
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +103,20 @@ class HelperBuilder:
 def lower_packet_instr(fl, instr: I.PktInstr) -> None:
     """Entry point called by the function lowerer."""
     if isinstance(instr, I.MetaLoad):
-        _meta_word_read(fl, fl.reg32(instr.ph), instr.word, fl.dst32(instr.dst))
+        regs = _regs(fl, instr.ph)
+        if regs is not None and regs.rx_port is not None \
+                and instr.word == META_RX_PORT:
+            fl.emit(Mov(fl.dst32(instr.dst), regs.rx_port))
+        else:
+            _meta_word_read(fl, fl.reg32(instr.ph), instr.word, fl.dst32(instr.dst))
     elif isinstance(instr, I.MetaStore):
         _meta_word_write(fl, fl.reg32(instr.ph), instr.word, fl.reg32(instr.value))
     elif isinstance(instr, I.PktLength):
-        _meta_word_read(fl, fl.reg32(instr.ph), META_PKT_LEN, fl.dst32(instr.dst))
+        regs = _regs(fl, instr.ph)
+        if regs is not None:
+            fl.emit(Mov(fl.dst32(instr.dst), regs.length))
+        else:
+            _meta_word_read(fl, fl.reg32(instr.ph), META_PKT_LEN, fl.dst32(instr.dst))
     elif isinstance(instr, I.PktLoadField):
         _lower_field_load(fl, instr)
     elif isinstance(instr, I.PktStoreField):
@@ -104,13 +128,11 @@ def lower_packet_instr(fl, instr: I.PktInstr) -> None:
     elif isinstance(instr, (I.PktEncap, I.PktDecap)):
         _lower_headmove(fl, instr)
     elif isinstance(instr, I.PktSyncHead):
-        new_head = _emit_headmove(
-            fl, fl.reg32(instr.ph),
+        _emit_headmove(
+            fl, instr.ph,
             Imm(instr.delta_bytes & 0xFFFFFFFF)
             if 0 <= instr.delta_bytes <= 0xFF
             else fl.materialize(instr.delta_bytes & 0xFFFFFFFF))
-        if isinstance(instr.ph, Temp):
-            fl.meta_memo[_memo_key(fl, instr.ph, "head")] = new_head
     elif isinstance(instr, I.PktAdjust):
         _lower_adjust(fl, instr)
     elif isinstance(instr, I.PktDrop):
@@ -121,6 +143,78 @@ def lower_packet_instr(fl, instr: I.PktInstr) -> None:
         _lower_copy(fl, instr)
     else:  # pragma: no cover
         raise NotImplementedError(type(instr).__name__)
+
+
+# -- register-resident packet state (PHR) -----------------------------------------
+
+
+class PacketRegs(NamedTuple):
+    """The PPF parameter's metadata words, in registers that hold the
+    packet's state for the whole function."""
+
+    cls: Temp  # the parameter's alias class
+    buf: VReg
+    head: VReg
+    length: VReg
+    rx_port: Optional[VReg]
+    # escape instruction -> (handle it passes on, head/len may be newer
+    # than SRAM there); see repro.opt.phr.PacketStatePlan.
+    escapes: Dict[I.Instr, Tuple[Temp, bool]]
+
+    def mutable_words(self) -> List[VReg]:
+        """Metadata words 1.. in order: what a callee may change."""
+        tail = [] if self.rx_port is None else [self.rx_port]
+        return [self.head, self.length] + tail
+
+
+def load_packet_state(fl, cls: Temp) -> PacketRegs:
+    """Function entry, after the prologue: the one metadata read of the
+    function's plan, for the parameter's alias class ``cls``. It is
+    addressed through the argument register, which still holds the
+    handle: the parameter's own register may already be spilled under
+    pressure (l3switch), and the read would wait for its reload."""
+    plan = fl.ir_fn.packet_state
+    regs = PacketRegs(cls, fl.vreg("buf"), fl.vreg("head"), fl.vreg("len"),
+                      fl.vreg("rxport") if plan.hoist_rx_port else None,
+                      plan.escapes)
+    words = [regs.buf] + regs.mutable_words()
+    assert len(fl.ir_fn.params) == 1  # a PPF's signature: the packet
+    fl.emit(Mem("sram", "read", words, abi.ARG_REGS[0], Imm(META_BUF_ADDR * 4),
+                len(words), category=PKT))
+    fl.persistent_buf[cls] = regs.buf
+    return regs
+
+
+def _regs(fl, ph: Operand) -> Optional[PacketRegs]:
+    """The register-resident state ``ph`` refers to, if it does."""
+    regs = fl.pkt_regs
+    if regs is not None and isinstance(ph, Temp) \
+            and fl.aliases.class_of(ph) is regs.cls:
+        return regs
+    return None
+
+
+def writeback_state(fl, instr: I.Instr) -> Optional[Temp]:
+    """``instr`` lets someone else read the packet's metadata (a
+    channel's consumer, ``packet_copy``, a callee): store head/len first
+    if a head movement can reach here unstored. Returns the handle when
+    the packet is the register-resident one."""
+    regs = fl.pkt_regs
+    if regs is None or instr not in regs.escapes:
+        return None
+    ph, dirty = regs.escapes[instr]
+    if dirty and _TEST_MUTATION != "skip_writeback":
+        fl.emit(Mem("sram", "write", [regs.head, regs.length], fl.reg32(ph),
+                    Imm(META_HEAD_OFF * 4), 2, category=PKT))
+    return ph
+
+
+def reload_state(fl, ph: Temp) -> None:
+    """A callee that was handed the packet has returned: it worked on
+    SRAM and may have moved the head."""
+    words = fl.pkt_regs.mutable_words()
+    fl.emit(Mem("sram", "read", words, fl.reg32(ph), Imm(META_HEAD_OFF * 4),
+                len(words), category=PKT))
 
 
 # -- metadata access with per-block memoization ----------------------------------
@@ -158,6 +252,9 @@ def _get_buf(fl, instr) -> VReg:
 
 def _get_buf_head(fl, instr) -> Tuple[VReg, VReg]:
     ph = instr.ph if hasattr(instr, "ph") else instr.src
+    regs = _regs(fl, ph)
+    if regs is not None:
+        return regs.buf, regs.head
     bkey = _memo_key(fl, ph, "buf")
     hkey = _memo_key(fl, ph, "head")
     buf = fl.meta_memo.get(bkey)
@@ -176,16 +273,26 @@ def _get_buf_head(fl, instr) -> Tuple[VReg, VReg]:
         _meta_word_read(fl, fl.reg32(ph), META_BUF_ADDR, buf)
         fl.meta_memo[bkey] = buf
         return buf, head
-    buf = fl.vreg("buf")
-    head = fl.vreg("head")
-    fl.emit(Mem("sram", "read", [buf, head], fl.reg32(ph), Imm(0), 2, category=PKT))
+    buf, head = _read_buf_head(fl, fl.reg32(ph))
     fl.meta_memo[bkey] = buf
     fl.meta_memo[hkey] = head
     return buf, head
 
 
-def _invalidate_head(fl, ph: Operand) -> None:
-    fl.meta_memo.pop(_memo_key(fl, ph, "head"), None)
+def _read_buf_head(E, ph_reg) -> Tuple[VReg, VReg]:
+    buf = E.vreg("buf")
+    head = E.vreg("head")
+    E.emit(Mem("sram", "read", [buf, head], ph_reg, Imm(0), 2, category=PKT))
+    return buf, head
+
+
+def _private_buf_head(fl, ph: Operand) -> Tuple[VReg, VReg]:
+    """buf/head for an inlined generic field access: the register-resident
+    state, else a read of its own (these bodies never shared the memo)."""
+    regs = _regs(fl, ph)
+    if regs is not None:
+        return regs.buf, regs.head
+    return _read_buf_head(fl, fl.reg32(ph))
 
 
 def _is_static(fl, instr) -> bool:
@@ -341,14 +448,12 @@ def _dyn_funnel(E, w0: VReg, w1: VReg, shift: VReg) -> VReg:
     return out
 
 
-def _generic_load_body(E, ph, byte_off: Union[VReg, Imm], f_bit: int, width: int,
+def _generic_load_body(E, buf: VReg, head: VReg, byte_off: Union[VReg, Imm],
+                       f_bit: int, width: int,
                        out_lo: VReg, out_hi: Optional[VReg]) -> None:
     """The generic field-load sequence (used inline at -O2+, or as a
     helper body at BASE/-O1). ``byte_off`` is the field's byte offset
     relative to the (dynamic) head."""
-    buf = E.vreg("buf")
-    head = E.vreg("head")
-    E.emit(Mem("sram", "read", [buf, head], ph, Imm(0), 2, category=PKT))
     addr = E.vreg("A")
     E.emit(Alu("add", addr, buf, head))
     if not (isinstance(byte_off, Imm) and byte_off.value == 0):
@@ -401,8 +506,8 @@ def _lower_field_load(fl, instr: I.PktLoadField) -> None:
         out_hi, out_lo = None, fl.dst32(instr.dst)
     if fl.ctx.opts.inline:
         byte_op = Imm(f_byte) if f_byte <= 0xFF else fl.materialize(f_byte)
-        _generic_load_body(fl, fl.reg32(instr.ph), byte_op, f_bit, width,
-                           out_lo, out_hi)
+        buf, head = _private_buf_head(fl, instr.ph)
+        _generic_load_body(fl, buf, head, byte_op, f_bit, width, out_lo, out_hi)
         fl.meta_memo.clear()  # the body used private regs; keep it simple
         return
     # BASE/-O1: call the shared out-of-line helper.
@@ -433,7 +538,8 @@ def _field_load_helper(ctx, f_bit: int, width: int) -> LIRFunction:
     hb.emit(Mov(off, abi.ARG_REGS[1]))
     out_lo = hb.vreg("lo")
     out_hi = hb.vreg("hi") if width > 32 else None
-    _generic_load_body(hb, ph, off, f_bit, width, out_lo, out_hi)
+    buf, head = _read_buf_head(hb, ph)
+    _generic_load_body(hb, buf, head, off, f_bit, width, out_lo, out_hi)
     results = [abi.RET_LO]
     if out_hi is not None:
         hb.emit(Mov(abi.RET_HI, out_hi))
@@ -567,13 +673,10 @@ def _static_field_store(fl, instr: I.PktStoreField) -> None:
     fl.emit(Mem("dram", "write", window, buf, Imm(first_byte), units, category=PKT))
 
 
-def _generic_store_body(E, ph, byte_off, f_bit: int, width: int,
-                        value_lo, value_hi) -> None:
+def _generic_store_body(E, buf: VReg, head: VReg, byte_off, f_bit: int,
+                        width: int, value_lo, value_hi) -> None:
     """Generic store: byte-aligned byte-multiple fields use a dynamically
     masked write; sub-byte fields do a read-modify-write window."""
-    buf = E.vreg("buf")
-    head = E.vreg("head")
-    E.emit(Mem("sram", "read", [buf, head], ph, Imm(0), 2, category=PKT))
     addr = E.vreg("A")
     E.emit(Alu("add", addr, buf, head))
     if not (isinstance(byte_off, Imm) and byte_off.value == 0):
@@ -755,7 +858,8 @@ def _lower_field_store(fl, instr: I.PktStoreField) -> None:
         vhi, vlo = None, fl.reg32(instr.value)
     if fl.ctx.opts.inline:
         byte_op = Imm(f_byte) if f_byte <= 0xFF else fl.materialize(f_byte)
-        _generic_store_body(fl, fl.reg32(instr.ph), byte_op, f_bit, width, vlo, vhi)
+        buf, head = _private_buf_head(fl, instr.ph)
+        _generic_store_body(fl, buf, head, byte_op, f_bit, width, vlo, vhi)
         fl.meta_memo.clear()
         return
     helper = _field_store_helper(fl.ctx, f_bit, width)
@@ -790,7 +894,8 @@ def _field_store_helper(ctx, f_bit: int, width: int) -> LIRFunction:
     if width > 32:
         vhi = hb.vreg("vhi")
         hb.emit(Mov(vhi, abi.ARG_REGS[3]))
-    _generic_store_body(hb, ph, off, f_bit, width, vlo, vhi)
+    buf, head = _read_buf_head(hb, ph)
+    _generic_store_body(hb, buf, head, off, f_bit, width, vlo, vhi)
     hb.emit(Rtn(abi.LINK))
     ctx.helpers[name] = hb.fn
     return hb.fn
@@ -922,9 +1027,16 @@ def _gather_run_words(fl, instr: I.PktStoreWords, start: int,
 # -- head movement -------------------------------------------------------------------
 
 
-def _emit_headmove(fl, ph_reg, delta_op) -> VReg:
-    """head += delta; len -= delta (one metadata RMW). Returns the new
-    head register so callers can re-memoize it."""
+def _emit_headmove(fl, ph: Operand, delta_op) -> None:
+    """head += delta; len -= delta: two ALU operations on register-resident
+    state, else one metadata read-modify-write whose new head stays
+    memoized for the accesses that follow."""
+    regs = _regs(fl, ph)
+    if regs is not None:
+        fl.emit(Alu("add", regs.head, regs.head, delta_op))
+        fl.emit(Alu("sub", regs.length, regs.length, delta_op))
+        return
+    ph_reg = fl.reg32(ph)
     head = fl.vreg("head")
     length = fl.vreg("len")
     fl.emit(Mem("sram", "read", [head, length], ph_reg, Imm(4), 2, category=PKT))
@@ -933,93 +1045,36 @@ def _emit_headmove(fl, ph_reg, delta_op) -> VReg:
     nl = fl.vreg("len")
     fl.emit(Alu("sub", nl, length, delta_op))
     fl.emit(Mem("sram", "write", [nh, nl], ph_reg, Imm(4), 2, category=PKT))
-    return nh
+    fl.meta_memo[_memo_key(fl, ph, "head")] = nh
 
 
 def _lower_headmove(fl, instr) -> None:
-    ph = fl.reg32(instr.src)
-    fl.emit(Mov(fl.dst32(instr.dst), ph))
+    fl.emit(Mov(fl.dst32(instr.dst), fl.reg32(instr.src)))
     if isinstance(instr, I.PktEncap):
-        delta = -instr.header_bytes & 0xFFFFFFFF
-        new_head = _emit_headmove(fl, ph, fl.materialize(delta, "enc"))
+        delta = fl.materialize(-instr.header_bytes & 0xFFFFFFFF, "enc")
+    elif instr.header_bytes is not None:
+        delta = fl.val32(Const(instr.header_bytes))
     else:
-        if instr.header_bytes is not None:
-            d = instr.header_bytes
-            new_head = _emit_headmove(fl, ph, Imm(d) if d <= 0xFF
-                                      else fl.materialize(d))
-        else:
-            delta = _emit_demux_eval(fl, instr)
-            new_head = _emit_headmove(fl, ph, delta)
-    _invalidate_head(fl, instr.src)
-    _invalidate_head(fl, instr.dst)
-    # The new head is in a register: cache it for subsequent accesses.
-    if isinstance(instr.src, Temp):
-        fl.meta_memo[_memo_key(fl, instr.src, "head")] = new_head
-
-
-def _emit_demux_eval(fl, instr: I.PktDecap) -> VReg:
-    """Evaluate the source protocol's demux expression against live packet
-    fields (a dynamic header size, e.g. ipv4's ``ihl << 2``)."""
-    from repro.baker import ast as bast
-    from repro.baker.semantic import eval_const_expr
-
-    proto = fl.ctx.mod.protocols[instr.src_proto]
-
-    def lower_expr(expr) -> Union[VReg, Imm]:
-        if isinstance(expr, bast.IntLit):
-            return Imm(expr.value) if expr.value <= 0xFF else fl.materialize(expr.value)
-        if isinstance(expr, bast.Name):
-            pf = proto.field_by_name(expr.ident)
-            load = I.PktLoadField(
-                Temp(-1, pf.value_type), instr.src, proto.name, pf.name,
-                pf.offset_bits, pf.width_bits,
-            )
-            load.c_offset_bits = instr.c_offset_bits
-            load.c_alignment = instr.c_alignment
-            out = fl.vreg("dmx_%s" % pf.name)
-            _lower_field_load_into(fl, load, out)
-            return out
-        if isinstance(expr, bast.Binary):
-            a = lower_expr(expr.left)
-            b = lower_expr(expr.right)
-            opmap = {"+": "add", "-": "sub", "*": "mul", "&": "and", "|": "or",
-                     "^": "xor", "<<": "shl", ">>": "lshr"}
-            out = fl.vreg("dmx")
-            fl.emit(Alu(opmap[expr.op], out,
-                        a if isinstance(a, VReg) else fl.materialize(a.value),
-                        b))
-            return out
-        raise NotImplementedError("demux construct %r" % type(expr).__name__)
-
-    result = lower_expr(proto.demux_expr)
-    if isinstance(result, Imm):
-        return fl.materialize(result.value)
-    return result
-
-
-def _lower_field_load_into(fl, load: I.PktLoadField, out: VReg) -> None:
-    if _is_static(fl, load):
-        abs_bit = load.c_offset_bits + load.bit_off
-        window, rel = _static_window_read(fl, load, abs_bit, load.bit_width)
-        _extract_const32(fl, window, rel, load.bit_width, out)
-    else:
-        f_byte = load.bit_off // 8
-        byte_op = Imm(f_byte) if f_byte <= 0xFF else fl.materialize(f_byte)
-        _generic_load_body(fl, fl.reg32(load.ph), byte_op, load.bit_off % 8,
-                           load.bit_width, out, None)
+        delta = fl.val32(instr.delta)
+    _emit_headmove(fl, instr.src, delta)
 
 
 # -- adjust / drop / create / copy -----------------------------------------------------
 
 
 def _lower_adjust(fl, instr: I.PktAdjust) -> None:
-    ph = fl.reg32(instr.ph)
     amt = fl.val32(instr.amount)
     if instr.op in ("add_tail", "remove_tail"):
+        op = "add" if instr.op == "add_tail" else "sub"
+        regs = _regs(fl, instr.ph)
+        if regs is not None:
+            fl.emit(Alu(op, regs.length, regs.length, amt))
+            return
+        ph = fl.reg32(instr.ph)
         length = fl.vreg("len")
         _meta_word_read(fl, ph, META_PKT_LEN, length)
         nl = fl.vreg("len")
-        fl.emit(Alu("add" if instr.op == "add_tail" else "sub", nl, length, amt))
+        fl.emit(Alu(op, nl, length, amt))
         _meta_word_write(fl, ph, META_PKT_LEN, nl)
         return
     # extend = move head back; shorten = move head forward.
@@ -1035,8 +1090,7 @@ def _lower_adjust(fl, instr: I.PktAdjust) -> None:
             delta_op = neg
         else:
             delta_op = amt
-    _emit_headmove(fl, ph, delta_op)
-    _invalidate_head(fl, instr.ph)
+    _emit_headmove(fl, instr.ph, delta_op)
 
 
 def _lower_drop(fl, instr: I.PktDrop) -> None:
@@ -1084,6 +1138,7 @@ def _emit_dram_fill_zero(fl, buf: VReg, length: VReg) -> None:
 
 
 def _lower_copy(fl, instr: I.PktCopy) -> None:
+    writeback_state(fl, instr)  # the copy reads the source's metadata block
     src = fl.reg32(instr.src)
     dst_meta = fl.dst32(instr.dst)
     fl.emit(RingGet(dst_meta, SymRef("ring.__meta_free")))

@@ -127,6 +127,7 @@ def compile_ir(
                 # re-annotates the new wide accesses.
                 second = pac.run(mod)
                 result.pac_result.combined_loads += second.combined_loads
+                result.pac_result.anchored_loads += second.anchored_loads
                 result.pac_result.combined_stores += second.combined_stores
                 result.pac_result.wide_loads += second.wide_loads
                 result.pac_result.wide_stores += second.wide_stores
@@ -147,6 +148,9 @@ def compile_ir(
                       check_period=period)
             result.swc_result = swc_result
         record_ir_stage(reg, "swc", mod)
+    if opts.phr and opts.inline:
+        # The out-of-line access helpers of BASE/-O1 read head from SRAM.
+        phr.plan_packet_state(mod, result.fast_functions, result.phr_result)
 
     with compile_stage(reg, "verify"):
         verify_module(mod)

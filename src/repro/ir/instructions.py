@@ -377,19 +377,24 @@ class PktEncap(PktInstr):
 
 class PktDecap(PktInstr):
     """dst_ph = strip the current header of src_ph. ``src_proto`` is the
-    protocol being stripped; its demux gives the (possibly dynamic)
-    header size. ``header_bytes`` is set when the demux is constant."""
+    protocol being stripped; its demux gives the header size:
+    ``header_bytes`` when it is a constant, otherwise the ``delta``
+    operand, which the front end computes from the header's own fields
+    with ordinary loads and arithmetic in front of this instruction."""
 
-    _uses = ("src",)
+    _uses = ("src", "delta")
     _defs = ("dst",)
 
     def __init__(self, dst: Temp, src: Operand, src_proto: str,
-                 result_proto: Optional[str], header_bytes: Optional[int]):
+                 result_proto: Optional[str], header_bytes: Optional[int],
+                 delta: Optional[Operand] = None):
+        assert (header_bytes is None) != (delta is None)
         self.dst = dst
         self.src = src
         self.src_proto = src_proto
         self.result_proto = result_proto
         self.header_bytes = header_bytes
+        self.delta = delta
 
 
 class PktCopy(PktInstr):

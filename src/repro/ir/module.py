@@ -88,6 +88,9 @@ class IRFunction:
         self.blocks: List[BasicBlock] = []
         self.local_arrays: Dict[str, LocalArray] = {}
         self.input_channels: List[str] = []  # PPFs only
+        # PPFs only: opt.phr.PacketStatePlan when the code generator is to
+        # keep the packet parameter's metadata in registers.
+        self.packet_state = None
         self._next_temp = 0
         self._next_label = 0
 

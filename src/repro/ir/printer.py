@@ -69,7 +69,8 @@ def format_instr(instr: I.Instr) -> str:
         return "%s = pkt_encap %s %s (+%dB)%s" % (
             _fmt(instr.dst), _fmt(instr.src), instr.proto, instr.header_bytes, _soar(instr))
     if isinstance(instr, I.PktDecap):
-        size = "%dB" % instr.header_bytes if instr.header_bytes is not None else "dyn"
+        size = ("%dB" % instr.header_bytes if instr.header_bytes is not None
+                else _fmt(instr.delta))
         return "%s = pkt_decap %s %s->%s (-%s)%s" % (
             _fmt(instr.dst), _fmt(instr.src), instr.src_proto,
             instr.result_proto or "raw", size, _soar(instr))

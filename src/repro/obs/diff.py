@@ -104,8 +104,8 @@ _TYPE_NAMES = {_NUM: "number", str: "string", object: "value"}
 #: ``.get``, so an absent one is fine, as is a null where an object or
 #: list is expected; a wrong *type* is not.
 _SHAPES = {
-    "bench": {"rates": {str: [_NUM]}, "mem_accesses": {str: object},
-              "me_counts": [object]},
+    "bench": {"app": str, "rates": {str: [_NUM]},
+              "mem_accesses": {str: {str: _NUM}}, "me_counts": [_NUM]},
     "bench_churn": {"summary": {
         "mean_rate_gbps": _NUM, "updates_applied": _NUM,
         "latency": {"p99": _NUM}}},
@@ -158,6 +158,7 @@ def _opt_wins(report: dict) -> Dict[str, float]:
     if pac:
         wins["pac.combined_loads"] = pac.get("combined_loads", 0)
         wins["pac.combined_stores"] = pac.get("combined_stores", 0)
+        wins["pac.anchored_loads"] = pac.get("anchored_loads", 0)
     soar = opt.get("soar")
     if soar:
         wins["soar.resolution_rate"] = soar.get("resolution_rate", 0.0)
@@ -166,6 +167,7 @@ def _opt_wins(report: dict) -> Dict[str, float]:
         wins["phr.elided_encaps"] = phr.get("elided_encaps", 0)
         wins["phr.localized_meta_fields"] = len(
             phr.get("localized_meta_fields", []))
+        wins["phr.state_functions"] = phr.get("state_functions", 0)
     swc = opt.get("swc")
     if swc:
         wins["swc.cached"] = len(swc.get("cached", []))

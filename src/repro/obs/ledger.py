@@ -183,6 +183,7 @@ def _opt_section(result) -> Dict[str, object]:
     pac = result.pac_result
     out["pac"] = None if pac is None else {
         "combined_loads": pac.combined_loads,
+        "anchored_loads": pac.anchored_loads,
         "combined_stores": pac.combined_stores,
         "wide_loads": pac.wide_loads,
         "wide_stores": pac.wide_stores,
@@ -204,6 +205,9 @@ def _opt_section(result) -> Dict[str, object]:
         "localized_meta_fields": sorted(phr.localized_meta_fields),
         "elided_encaps": phr.elided_encaps,
         "syncs_inserted": phr.syncs_inserted,
+        "state_functions": phr.state_functions,
+        "state_writebacks": phr.state_writebacks,
+        "state_clean_sites": phr.state_clean_sites,
     }
     swc = result.swc_result
     out["swc"] = None if swc is None else {

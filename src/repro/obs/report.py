@@ -6,6 +6,8 @@ Usage::
     python -m repro.obs.report [metrics.jsonl] --json
     python -m repro.obs.report explain compile_report.json
     python -m repro.obs.report timeline timeline.jsonl
+    python -m repro.obs.report bottleneck BENCH_occupancy.json
+    python -m repro.obs.report waterfall BENCH_fig13.json ... [--paper P]
 
 The input is whatever :meth:`repro.obs.MetricsRegistry.dump_jsonl`
 wrote (benchmarks write ``benchmarks/results/metrics.jsonl``). Records
@@ -31,6 +33,12 @@ written by ``python -m repro.sweep --profile`` (see
 tables, one row per ME count, with each run's one-line bottleneck
 verdict underneath -- the "why did the curve plateau?" view of the
 Figure 13-15 rate data.
+
+The ``waterfall`` subcommand renders ``BENCH_fig13/14/15.json`` level by
+level: per app, Table 1's access columns with the change each cumulative
+level brought, the rate at the largest ME count and, with ``--paper``,
+the paper's totals and peak beside ours -- the "which pass owes the gap?"
+view.
 """
 
 from __future__ import annotations
@@ -523,9 +531,13 @@ def render_explain(report: dict, pass_filter: Optional[str] = None) -> str:
     if opt.get("phr"):
         ph = opt["phr"]
         summary_bits.append("phr: %d encaps elided, %d meta localized, "
-                            "%d syncs" % (ph["elided_encaps"],
-                                          len(ph["localized_meta_fields"]),
-                                          ph["syncs_inserted"]))
+                            "%d syncs, packet state in registers in %d "
+                            "functions (%d write-back sites)"
+                            % (ph["elided_encaps"],
+                               len(ph["localized_meta_fields"]),
+                               ph["syncs_inserted"],
+                               ph.get("state_functions", 0),
+                               ph.get("state_writebacks", 0)))
     if opt.get("swc"):
         sw = opt["swc"]
         summary_bits.append("swc: %d cached, %d rejected, %d loads "
@@ -767,9 +779,98 @@ def bottleneck_main(argv) -> int:
     return 0
 
 
+# -- waterfall: BENCH_fig13/14/15.json along the level axis ---------------------------
+
+_ACCESS_COLUMNS = OrderedDict([
+    ("pkt_scratch", "pktScr"), ("pkt_sram", "pktSRAM"), ("pkt_dram", "pktDRAM"),
+    ("app_scratch", "appScr"), ("app_sram", "appSRAM"), ("total", "total")])
+
+
+def _signed(x: float, digits: int = 1) -> str:
+    return "%+.*f" % (digits, round(x, digits) + 0.0)  # no "-0.0"
+
+
+def render_waterfall(benches: List[dict], paper: Optional[dict] = None) -> str:
+    """Per app, one row per Table-1 level: each access column with its
+    change against the level above in parentheses, and the rate at the
+    largest ME count. With ``paper`` (``table1_total`` / ``peak_gbps``)
+    also the paper's total, ours minus it, and the peak rates."""
+    from repro.options import LEVEL_ORDER
+
+    paper = paper or {}
+    lines: List[str] = []
+    for bench in benches:
+        app = bench.get("app", "?")
+        mem = bench.get("mem_accesses") or {}
+        rates = bench.get("rates") or {}
+        totals = (paper.get("table1_total") or {}).get(app)
+        header = ["level"] + list(_ACCESS_COLUMNS.values()) + ["Gbps"]
+        if totals is not None:
+            header += ["paper", "resid"]
+        rows, prev, level = [], None, None
+        for level in [lv for lv in LEVEL_ORDER if lv in mem]:
+            row = [level]
+            for col in _ACCESS_COLUMNS:
+                value = mem[level].get(col, 0.0)
+                row.append("%.1f" % value if prev is None else "%.1f (%s)" % (
+                    value, _signed(value - prev.get(col, 0.0))))
+            row.append("%.2f" % rates[level][-1] if rates.get(level) else "-")
+            if totals is not None:
+                ref = totals.get(level)
+                row += ["-", "-"] if ref is None else [
+                    "%.1f" % ref, _signed(mem[level].get("total", 0.0) - ref)]
+            rows.append(row)
+            prev = mem[level]
+        lines.append("%s -- memory accesses per packet, level by level (change "
+                     "from the row above); Gbps @%d MEs:"
+                     % (app, max(bench.get("me_counts") or [0])))
+        _table(lines, header, rows)
+        peak = (paper.get("peak_gbps") or {}).get(app)
+        if peak is not None and rates.get(level):
+            ours = rates[level][-1]
+            lines.append("  %s %.2f Gbps, paper peak ~%.1f (residual %s)"
+                         % (level, ours, peak, _signed(ours - peak, 2)))
+        lines.append("")
+    return "\n".join(line.rstrip() for line in lines).rstrip("\n")
+
+
+def waterfall_main(argv) -> int:
+    ap = argparse.ArgumentParser(
+        prog="python -m repro.obs.report waterfall",
+        description="Render BENCH_fig13/14/15.json level by level: what each "
+                    "cumulative level did to Table 1's accesses and the rate.")
+    ap.add_argument("paths", nargs="+", help="bench files (kind=bench)")
+    ap.add_argument("--paper", default=None, metavar="JSON",
+                    help="paper values to show beside ours (the shape of "
+                         "benchmarks/pipeline/paper_reference.json)")
+    args = ap.parse_args(argv)
+    from repro.obs.diff import _NUM, SystemExit2, _mismatch, load_file
+
+    shape = {"table1_total": {str: {str: _NUM}}, "peak_gbps": {str: _NUM}}
+    try:
+        benches = [load_file(path, kind="bench") for path in args.paths]
+        paper = None
+        if args.paper is not None:
+            try:
+                with open(args.paper) as fh:
+                    paper = json.load(fh)
+                problem = _mismatch(paper, shape, "")
+            except (OSError, json.JSONDecodeError) as exc:
+                problem = str(exc)
+            if problem:
+                raise SystemExit2("cannot use %s: %s" % (args.paper, problem))
+    except SystemExit2 as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
+    print(render_waterfall(benches, paper))
+    return 0
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if argv and argv[0] == "waterfall":
+        return waterfall_main(argv[1:])
     if argv and argv[0] == "explain":
         return explain_main(argv[1:])
     if argv and argv[0] == "timeline":

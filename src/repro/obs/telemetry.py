@@ -45,6 +45,7 @@ def record_opt_results(reg: MetricsRegistry, result) -> None:
     pac = result.pac_result
     if pac is not None:
         reg.counter("opt.pac.combined_loads").inc(pac.combined_loads)
+        reg.counter("opt.pac.anchored_loads").inc(pac.anchored_loads)
         reg.counter("opt.pac.combined_stores").inc(pac.combined_stores)
         reg.counter("opt.pac.wide_loads").inc(pac.wide_loads)
         reg.counter("opt.pac.wide_stores").inc(pac.wide_stores)
@@ -61,6 +62,9 @@ def record_opt_results(reg: MetricsRegistry, result) -> None:
             len(phr.localized_meta_fields))
         reg.counter("opt.phr.elided_encaps").inc(phr.elided_encaps)
         reg.counter("opt.phr.syncs_inserted").inc(phr.syncs_inserted)
+        reg.counter("opt.phr.state_functions").inc(phr.state_functions)
+        reg.counter("opt.phr.state_writebacks").inc(phr.state_writebacks)
+        reg.counter("opt.phr.state_clean_sites").inc(phr.state_clean_sites)
     swc = result.swc_result
     if swc is not None:
         reg.counter("opt.swc.cached_globals").inc(len(swc.cached))

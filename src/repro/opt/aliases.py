@@ -27,6 +27,9 @@ class AliasClasses:
         for t in fn.params:
             if t.type.is_packet:
                 self.parent[t] = t
+        # Where packets come from: parameters, and below the results of
+        # packet_copy / packet_create / calls (see one_packet).
+        self._origins: List[Temp] = list(self.parent)
         for instr in fn.all_instrs():
             for d in instr.defs():
                 if d.type.is_packet:
@@ -41,7 +44,9 @@ class AliasClasses:
             elif isinstance(instr, (I.PktEncap, I.PktDecap)):
                 if isinstance(instr.src, Temp):
                     self._union(instr.dst, instr.src)
-            # PktCopy / PktCreate results intentionally stay in their own class.
+            elif isinstance(instr, (I.PktCopy, I.PktCreate, I.Call)):
+                # Their results intentionally stay in their own class.
+                self._origins.extend(d for d in instr.defs() if d.type.is_packet)
 
     def _find(self, t: Temp) -> Temp:
         root = t
@@ -65,6 +70,14 @@ class AliasClasses:
 
     def same(self, a: Temp, b: Temp) -> bool:
         return self._find(a) is self._find(b)
+
+    def one_packet(self, cls: Temp) -> bool:
+        """False when a handle variable joined packets of different
+        origin (say the parameter on one path, its ``packet_copy`` on
+        another): the class then stands for either, and a fact about one
+        packet -- its buffer address, its head -- is not a fact about the
+        class."""
+        return sum(1 for t in self._origins if self._find(t) is cls) <= 1
 
 
 def mutates_class(instr: I.Instr, aliases: AliasClasses, cls: Temp) -> bool:

@@ -15,15 +15,18 @@ per memory instruction). Combining criteria, following the paper:
 
 Loads are combinable across basic blocks (the wide load is a safe
 speculative widening when the leader dominates the absorbed access and
-the head-position epoch provably matches). Stores are combined within a
-basic block, which is where back-to-back header rewrites occur in
-practice.
+the head-position epoch provably matches). Epochs are counted from
+*anchor* blocks -- the function entry and every join whose predecessors
+disagree, loop headers of head-moving loops in particular -- so the loads
+of one loop iteration combine like straight-line code. Stores are
+combined within a basic block, which is where back-to-back header
+rewrites occur in practice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
@@ -39,16 +42,19 @@ from repro.opt.aliases import AliasClasses, mutates_class
 # aligned) still fits one instruction in the common case.
 MAX_COMBINE_BYTES = 56
 
-# Test-only fault injection (tests/test_analyze_mutations.py): when set
-# to "extract_skew", absorbed field extractions read 8 bits past their
-# true offset -- a deliberately broken combine the translation validator
-# must catch. Never set outside tests.
+# Test-only fault injection (tests/test_analyze_mutations.py), each a
+# deliberately broken combine the translation validator must catch:
+# "extract_skew" -- absorbed field extractions read 8 bits past their
+# true offset; "anchor_ignores_bump" -- epochs stop counting head
+# movements and stores, so loads combine across them. Never set outside
+# tests.
 _TEST_MUTATION = None
 
 
 @dataclass
 class PacResult:
     combined_loads: int = 0  # original field loads folded into wide loads
+    anchored_loads: int = 0  # ... of them, in groups anchored past the entry
     combined_stores: int = 0
     wide_loads: int = 0
     wide_stores: int = 0
@@ -79,7 +85,7 @@ class _Access:
     cls: Temp
     bit_off: int
     bit_width: int
-    epoch: Optional[int]
+    epoch: Tuple[BasicBlock, int]  # (anchor block, bumps since)
     wide: bool = False  # PktLoadWords/PktStoreWords from an earlier pass
 
     @property
@@ -156,12 +162,24 @@ def _combine_function(fn: IRFunction, result: PacResult) -> None:
 # -- epochs: how many head-moving/packet-mutating events precede a point -----------
 
 
-def _class_epochs(fn: IRFunction, aliases: AliasClasses, cls: Temp):
-    """Block-entry epoch values for one alias class: an integer if every
-    path agrees, else None (bottom). The epoch counts head movements,
-    releases AND field stores, so equal epochs imply no interference."""
+class _Epochs(NamedTuple):
+    entry: Dict[BasicBlock, Tuple[BasicBlock, int]]  # reachable blocks only
+    bumps: Callable[[I.Instr], bool]
+
+
+def _class_epochs(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> _Epochs:
+    """Block-entry epochs for one alias class, as ``(anchor block, bumps
+    since)``: on every path to the block, exactly that many bumps follow
+    the last visit of the anchor, which therefore dominates the block. A
+    bump is a head movement, a release or a field store, so equal epochs
+    imply no interference. The function entry is an anchor; a join whose
+    predecessors disagree becomes one (it restarts the count) instead of
+    losing its epoch, which is what gives the body of a head-moving loop
+    epochs at all."""
 
     def bumps(instr: I.Instr) -> bool:
+        if _TEST_MUTATION == "anchor_ignores_bump":
+            return False
         if mutates_class(instr, aliases, cls):
             return True
         if isinstance(instr, (I.PktStoreField, I.PktStoreWords)) and isinstance(
@@ -170,41 +188,33 @@ def _class_epochs(fn: IRFunction, aliases: AliasClasses, cls: Temp):
             return aliases.same(instr.ph, cls)
         return False
 
-    block_bumps = {bb: sum(1 for i in bb.all_instrs() if bumps(i)) for bb in fn.blocks}
+    order = reverse_postorder(fn)
+    block_bumps = {bb: sum(1 for i in bb.all_instrs() if bumps(i)) for bb in order}
 
-    TOP = object()
-    BOT = object()
-    entry: Dict[BasicBlock, object] = {bb: TOP for bb in fn.blocks}
-    entry[fn.entry] = 0
-    changed = True
-    guard = 0
-    while changed and guard < 4 * len(fn.blocks) + 16:
-        guard += 1
-        changed = False
-        for bb in fn.blocks:
-            value = entry[bb]
-            if value is TOP:
-                continue
-            out = BOT if value is BOT else value + block_bumps[bb]
+    def out(bb: BasicBlock) -> Tuple[BasicBlock, int]:
+        anchor, n = entry[bb]
+        return anchor, n + block_bumps[bb]
+
+    # One anchor at a time, each time propagating afresh: joining in place
+    # would hand the blocks below a new anchor the stale epoch they saw
+    # first and make every one of them disagree (and an anchor) as well.
+    anchors = {fn.entry}
+    while True:
+        entry = {bb: (bb, 0) for bb in anchors}
+        for bb in order:  # a block's DFS parent comes first in RPO
             for succ in bb.succs:
-                cur = entry[succ]
-                new = out if cur is TOP else (cur if cur == out else BOT)
-                if new is not cur and new != cur:
-                    entry[succ] = new
-                    changed = True
-    return {
-        "entry": {bb: (v if isinstance(v, int) else None) for bb, v in entry.items()},
-        "bumps": block_bumps,
-        "bump_fn": bumps,
-    }
+                entry.setdefault(succ, out(bb))
+        disagreeing = next(
+            (bb for bb in order if bb not in anchors
+             and any(out(p) != entry[bb] for p in bb.preds if p in entry)), None)
+        if disagreeing is None:
+            return _Epochs(entry, bumps)
+        anchors.add(disagreeing)
 
 
-def _epoch_at(bb: BasicBlock, index: int, epochs) -> Optional[int]:
-    base = epochs["entry"].get(bb)
-    if base is None:
-        return None
-    bump = epochs["bump_fn"]
-    return base + sum(1 for i in bb.instrs[:index] if bump(i))
+def _epoch_at(bb: BasicBlock, index: int, epochs: _Epochs) -> Tuple[BasicBlock, int]:
+    anchor, n = epochs.entry[bb]
+    return anchor, n + sum(1 for i in bb.instrs[:index] if epochs.bumps(i))
 
 
 # -- load combining ----------------------------------------------------------------
@@ -215,7 +225,7 @@ def _combine_loads(fn, loads: List[_Access], dom: DomTree, order, aliases,
     loads = sorted(loads, key=lambda a: (order.get(a.bb, 1 << 30), a.index))
     used = set()
     for i, leader in enumerate(loads):
-        if id(leader.instr) in used or leader.epoch is None:
+        if id(leader.instr) in used:
             continue
         group = [leader]
         span = [leader.bit_off, leader.bit_end]
@@ -227,7 +237,7 @@ def _combine_loads(fn, loads: List[_Access], dom: DomTree, order, aliases,
                 if not _block_path_clear(leader, follower, aliases):
                     continue
             else:
-                if follower.epoch is None or follower.epoch != leader.epoch:
+                if follower.epoch != leader.epoch:
                     continue
                 if not dom.strictly_dominates(leader.bb, follower.bb):
                     continue
@@ -301,12 +311,16 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
         replacements.setdefault(acc.bb, {})[acc.index] = seq
     result.wide_loads += 1
     result.combined_loads += len(group)
+    evidence = dict(members=len(group), nwords=nwords, start_byte=start_byte)
+    anchor = leader.epoch[0]
+    if anchor is not fn.entry:
+        result.anchored_loads += len(group)
+        evidence["anchor"] = anchor.label
     obs_ledger.get_ledger().record(
         "pac", fn.name, "combined_loads",
         reason="%d packet loads folded into one %d-word access"
                % (len(group), nwords),
-        loc=obs_ledger.loc_str(leader.instr.loc),
-        members=len(group), nwords=nwords, start_byte=start_byte)
+        loc=obs_ledger.loc_str(leader.instr.loc), **evidence)
 
 
 def extract_into(fn: IRFunction, out: List[I.Instr], words: List[Temp],

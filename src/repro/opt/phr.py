@@ -1,6 +1,6 @@
 """PHR: packet handling removal (paper section 5.3.3).
 
-Two transformations:
+Three transformations:
 
 1. **Metadata localization** -- a user metadata field whose every access
    occurs in one aggregate function (through one alias class) never needs
@@ -16,6 +16,15 @@ Two transformations:
    Paired encap/decap with net delta zero vanish entirely -- the paper's
    paired-elimination special case falls out for free.
 
+3. **Register-resident packet state** -- the packet a PPF receives keeps
+   its ``buf``/``head``/``len`` (and ``rx_port``) in registers for the
+   whole merged aggregate: one metadata read at entry, head movements
+   that survive transformation 2 become ALU operations, and head/len go
+   back to SRAM only where someone else reads them (a channel's
+   consumer, ``packet_copy``, a callee) on a path that moved them.
+   :func:`plan_packet_state` decides per function, on the final IR; the
+   code generator (:mod:`repro.cg.pktlower`) realizes the plan.
+
 Run after SOAR (consumes its annotations), before packet lowering.
 """
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.baker import types as T
-from repro.baker.packetmodel import META_USER_BASE
+from repro.baker.packetmodel import META_RX_PORT, META_USER_BASE
 from repro.ir import instructions as I
 from repro.ir.cfg import compute_cfg, reverse_postorder
 from repro.ir.module import BasicBlock, IRFunction, IRModule
@@ -45,6 +54,10 @@ class PhrResult:
     localized_meta_fields: List[str] = field(default_factory=list)
     elided_encaps: int = 0
     syncs_inserted: int = 0
+    # Register-resident packet state (plan_packet_state):
+    state_functions: int = 0
+    state_writebacks: int = 0  # escape sites that store head/len first
+    state_clean_sites: int = 0  # escape sites no head movement reaches
 
 
 def run(mod: IRModule) -> PhrResult:
@@ -315,3 +328,100 @@ def _handle_for_class(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> Optio
         if aliases.class_of(t) is cls:
             return t
     return None
+
+
+# -- register-resident packet state ----------------------------------------------------
+
+_HEAD_MOVES = (I.PktEncap, I.PktDecap, I.PktSyncHead, I.PktAdjust)
+_ESCAPES = (I.ChanPut, I.PktCopy, I.Call)
+
+
+@dataclass
+class PacketStatePlan:
+    """How one PPF keeps its packet parameter's metadata in registers."""
+
+    hoist_rx_port: bool  # loaded here and never stored: read it at entry too
+    # Instructions after which someone else reads the packet's metadata
+    # -> (the handle they get, may head/len in registers differ from SRAM).
+    escapes: Dict[I.Instr, Tuple[Temp, bool]]
+
+
+def plan_packet_state(mod: IRModule, fast_functions, result: PhrResult) -> None:
+    """Set ``fn.packet_state`` on every PPF that runs on the MEs (named
+    in ``fast_functions``; the XScale interprets its PPFs against SRAM).
+    Must run last: the plan names instructions of the IR the code
+    generator will see."""
+    led = obs_ledger.get_ledger()
+    for fn in mod.ppfs():
+        if fn.name not in fast_functions:
+            continue
+        fn.packet_state = plan = _plan_function(fn)
+        if plan is None:
+            continue
+        dirty = sum(1 for _, d in plan.escapes.values() if d)
+        clean = len(plan.escapes) - dirty
+        result.state_functions += 1
+        result.state_writebacks += dirty
+        result.state_clean_sites += clean
+        led.record("phr", fn.name, "state_in_registers",
+                   reason="buf/head/len of the packet parameter read once "
+                          "at entry; head/len stored only where a moved "
+                          "head escapes",
+                   entry_words=4 if plan.hoist_rx_port else 3,
+                   writeback_sites=dirty, clean_sites=clean)
+
+
+def _plan_function(fn: IRFunction) -> Optional[PacketStatePlan]:
+    params = [p for p in fn.params if p.type.is_packet]
+    if not params:
+        return None
+    aliases = AliasClasses(fn)
+    cls = aliases.class_of(params[0])
+    if not aliases.one_packet(cls):
+        return None  # registers can hold one packet's state
+
+    def handle(instr: I.Instr) -> Optional[Temp]:
+        """The handle of the parameter's packet ``instr`` acts through."""
+        if isinstance(instr, I.Call):
+            ops = instr.args
+        elif isinstance(instr, (I.PktEncap, I.PktDecap, I.PktCopy)):
+            ops = [instr.src]
+        else:
+            ops = [getattr(instr, "ph", None)]
+        for op in ops:
+            if isinstance(op, Temp) and op.type.is_packet and aliases.same(op, cls):
+                return op
+        return None
+
+    through = {i: ph for i in fn.all_instrs() if (ph := handle(i)) is not None}
+    if not any(isinstance(i, I.PktInstr)
+               and not isinstance(i, (I.MetaLoad, I.MetaStore)) for i in through):
+        return None  # nothing here needs buf, head or len
+    rx_port = [i for i in fn.all_instrs()
+               if isinstance(i, (I.MetaLoad, I.MetaStore)) and i.word == META_RX_PORT]
+    hoist_rx_port = bool(rx_port) and all(
+        isinstance(i, I.MetaLoad) and i in through for i in rx_port)
+
+    # Forward may-dirty: True where some path has moved the head (or the
+    # tail) since head/len last agreed with SRAM.
+    compute_cfg(fn)
+    escapes: Dict[I.Instr, Tuple[Temp, bool]] = {}
+    dirty_out = {bb: False for bb in fn.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for bb in fn.blocks:
+            dirty = any(dirty_out[p] for p in bb.preds)
+            for instr in bb.instrs:
+                ph = through.get(instr)
+                if ph is None:
+                    continue
+                if isinstance(instr, _ESCAPES):
+                    escapes[instr] = (ph, dirty)
+                    dirty = False  # stored before, re-read after
+                elif isinstance(instr, _HEAD_MOVES):
+                    dirty = True
+            if dirty != dirty_out[bb]:
+                dirty_out[bb] = dirty
+                changed = True
+    return PacketStatePlan(hoist_rx_port, escapes)

@@ -27,7 +27,6 @@ from operator import setitem
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baker import types as T
-from repro.baker.semantic import eval_const_expr
 from repro.ir import instructions as I
 from repro.ir.eval import EvalError, binop_fn, cmp_fn
 from repro.ir.module import BasicBlock, IRFunction, IRModule
@@ -227,7 +226,8 @@ def _generic(meaning: Callable[..., object]) -> Callable[[I.Instr, IRFunction], 
     returns goes to the instruction's ``dst`` (an int wrapped to the
     temp's width, a packet handle as is) or word by word to its ``dsts``."""
     def decode(i: I.Instr, fn) -> Op:
-        gets = [_getter(getattr(i, attr)) for attr in i._uses]
+        operands = [getattr(i, attr) for attr in i._uses]
+        gets = [_getter(x) for x in operands if x is not None]  # None: optional, absent
         dsts = [(dst, _mask(dst)) for dst in i.defs()]
         if not dsts:
             def op(it, env):
@@ -282,9 +282,8 @@ def _pkt_encap(it, i: I.PktEncap, pkt):
     return pkt
 
 
-def _pkt_decap(it, i: I.PktDecap, pkt):
-    hdr = i.header_bytes
-    pkt.decap(it._demux_bytes(i.src_proto, pkt) if hdr is None else hdr)
+def _pkt_decap(it, i: I.PktDecap, pkt, delta=None):
+    pkt.decap(i.header_bytes if delta is None else delta)
     return pkt
 
 
@@ -502,13 +501,6 @@ class Interpreter:
         return HostPacket(bytes(size))
 
     # -- helpers ---------------------------------------------------------------------
-
-    def _demux_bytes(self, proto_name: str, pkt: HostPacket) -> int:
-        """Evaluate a protocol's demux expression against a live packet."""
-        proto = self.mod.protocols[proto_name]
-        fields = {f.name: pkt.load_bits(f.offset_bits, f.width_bits)
-                  for f in proto.fields}
-        return eval_const_expr(proto.demux_expr, fields)
 
     def _cam_lookup(self, key: int) -> int:
         key &= _U32

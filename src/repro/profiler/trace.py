@@ -67,11 +67,17 @@ def build_ipv4(
     tos: int = 0,
     ident: int = 0,
     total_length: Optional[int] = None,
+    options: bytes = b"",
 ) -> bytes:
-    """A 20-byte IPv4 header (no options) plus payload, checksum filled."""
-    length = total_length if total_length is not None else 20 + len(payload)
-    hdr = bytearray(20)
-    hdr[0] = (4 << 4) | 5
+    """An IPv4 header plus payload, checksum filled. ``options`` (a
+    multiple of 4 bytes, at most 40) follow the 20 fixed bytes; ``ihl``
+    and the checksum cover them."""
+    if len(options) % 4 or len(options) > 40:
+        raise ValueError("IPv4 options must be 0..40 bytes in whole words")
+    hdr_len = 20 + len(options)
+    length = total_length if total_length is not None else hdr_len + len(payload)
+    hdr = bytearray(20) + options
+    hdr[0] = (4 << 4) | (hdr_len // 4)
     hdr[1] = tos
     hdr[2:4] = length.to_bytes(2, "big")
     hdr[4:6] = ident.to_bytes(2, "big")

@@ -12,8 +12,9 @@ deterministically:
   any captured compile-stage spans) back as plain dicts.
 * Results are ordered by the **job key**, never by completion order,
   so ``--jobs 1`` and ``--jobs N`` produce bit-identical
-  ``BENCH_*.json`` output (asserted in ``tests/test_sweep.py`` and
-  CI's ``sweep-smoke`` diff gate). The simulator itself is
+  ``BENCH_*.json`` output (asserted in ``tests/test_sweep.py``; CI's
+  ``figures`` job ``cmp``s a fresh ``--jobs 2`` sweep against the
+  committed files). The simulator itself is
   deterministic across processes and hash seeds, which the same test
   proves end to end.
 * Compiles go through the on-disk artifact cache

@@ -9,7 +9,13 @@ exactly one rewrite site:
 * PHR ``rebase_skew`` -- deferred-head re-basing shifts word accesses
   one word past the true pending delta;
 * SWC ``wrong_slot`` -- the cache hit path reads one LM word past the
-  slot the miss path filled.
+  slot the miss path filled;
+* codegen ``skip_writeback`` -- head/len moved in registers (PHR's
+  register-resident packet state) never go back to SRAM, so Tx and the
+  XScale see the head Rx wrote (on mpls, whose net head movement is not
+  zero; firewall's is, and hides it);
+* PAC ``anchor_ignores_bump`` -- epochs stop counting head movements and
+  stores, so loads combine across the pops of the MPLS label loop.
 
 For every mutant, ``repro.analyze``'s validate pass (reference
 interpretation of the unoptimized IR vs. replay of the compiled image
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cg.pktlower as pktlower
 import repro.opt.pac as pac
 import repro.opt.phr as phr
 import repro.opt.swc as swc
@@ -41,9 +48,14 @@ MUTANTS = [
      lambda r: r.phr_result.elided_encaps > 0),
     (swc, "wrong_slot", "l3switch", "SWC",
      lambda r: r.swc_result.rewritten_loads > 0),
+    (pktlower, "skip_writeback", "mpls", "PHR",
+     lambda r: r.phr_result.state_writebacks > 0),
+    (pac, "anchor_ignores_bump", "mpls", "PAC",
+     lambda r: r.pac_result.combined_loads > 0),
 ]
 
-IDS = ["pac-extract_skew", "phr-rebase_skew", "swc-wrong_slot"]
+IDS = ["pac-extract_skew", "phr-rebase_skew", "swc-wrong_slot",
+       "cg-skip_writeback", "pac-anchor_ignores_bump"]
 
 
 def _analyze(app_name, level):

@@ -6,6 +6,10 @@ checksums on emitted packets, TTL decrement, label rewriting), and
 differentially simulator-vs-interpreter at key optimization levels.
 """
 
+import json
+import os
+import random
+
 import pytest
 
 from repro.apps import all_apps, get_app
@@ -14,16 +18,20 @@ from repro.apps.firewall import FirewallApp
 from repro.apps.mpls import MplsApp
 from repro.apps.tables import (
     MPLS_OP_POP,
+    ROUTER_MACS,
     make_firewall_rules,
     make_mpls_config,
     make_route_table,
 )
 from repro.baker import parse_and_check
 from repro.baker.lowering import lower_program
+from repro.cg import isa
 from repro.compiler import compile_baker
-from repro.options import options_for
+from repro.options import LEVEL_ORDER, options_for
 from repro.profiler.interpreter import run_reference
-from repro.profiler.trace import Trace, ipv4_checksum
+from repro.profiler.trace import (
+    Trace, TracePacket, build_ethernet, build_ipv4, build_udp, ipv4_checksum,
+)
 from repro.rts.system import verify_against_reference
 
 
@@ -273,6 +281,74 @@ def test_apps_simulator_matches_reference(app_name, level):
     trace = app.make_trace(120, seed=35)
     result = compile_baker(app.source, options_for(level), trace)
     assert verify_against_reference(result, trace, packets=50), (app_name, level)
+
+
+@pytest.mark.parametrize("level", LEVEL_ORDER)
+def test_firewall_with_ipv4_options_matches_reference(fw, level):
+    """Every other trace in the repo has ihl == 5, so rule_match's
+    packet-dependent decap has only ever moved the head 20 bytes; here
+    it moves 20, 24, 32 and 60."""
+    rng = random.Random(9)
+    flows = fw._flows(48, seed=14)
+    trace = Trace()
+    for i in range(60):
+        src, dst, sport, dport, proto = flows[rng.randrange(len(flows))]
+        options = bytes(rng.getrandbits(8) for _ in range(((5, 6, 8, 15)[i % 4] - 5) * 4))
+        ip = build_ipv4(src, dst, payload=build_udp(sport, dport), proto=proto,
+                        options=options)
+        frame = build_ethernet(ROUTER_MACS[i % 3], 0x020000000000 | i, 0x0800, ip)
+        trace.packets.append(TracePacket(frame, i % 3))
+    reference = run_reference(lower_program(parse_and_check(fw.source, fw.name)), trace)
+    assert 0 < reference.profile.packets_dropped < 60  # both verdicts occur
+    result = compile_baker(fw.source, options_for(level), trace)
+    assert verify_against_reference(result, trace, packets=60)
+
+
+def _packet_sram_reads_before_first_dram(image):
+    """pcs of packet-category SRAM reads on any path from the image's
+    packet entry that has not yet touched DRAM."""
+    reads, seen = set(), set()
+    work = [image.label_index[image.inputs[0][1]]]
+    while work:
+        pc = work.pop()
+        while pc not in seen:
+            seen.add(pc)
+            insn = image.insns[pc]
+            if isinstance(insn, isa.Mem) and insn.category == isa.CAT_PACKET:
+                if insn.space == "dram":
+                    break
+                if (insn.space, insn.rw) == ("sram", "read"):
+                    reads.add(pc)
+            if isinstance(insn, isa.Rtn):
+                break
+            if isinstance(insn, isa.Br):
+                work.append(insn.resolved)
+                if insn.cond == "always":
+                    break
+            pc += 1
+    return reads
+
+
+@pytest.mark.parametrize("app_name,figure", [
+    ("l3switch", "fig13"), ("firewall", "fig14"), ("mpls", "fig15")])
+def test_packet_metadata_is_read_once(app_name, figure):
+    """PHR's register-resident packet state, pinned at both ends: in the
+    listing, one metadata read (the entry's) comes before any packet data
+    is touched -- no per-block re-read of buf/head; in the committed
+    Table 1, at most three packet-SRAM accesses per packet remain."""
+    app = get_app(app_name)
+    trace = app.make_trace(200, seed=5)
+    for level in ("PHR", "SWC"):
+        result = compile_baker(app.source, options_for(level), trace)
+        (image,) = result.images.values()
+        reads = _packet_sram_reads_before_first_dram(image)
+        assert len(reads) == 1, (level, sorted(reads))
+        (entry_read,) = (image.insns[pc] for pc in reads)
+        assert entry_read.words >= 3  # buf, head, len (and rx_port)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCH_%s.json" % figure)) as fh:
+        table1 = json.load(fh)["mem_accesses"]
+    assert table1["PHR"]["pkt_sram"] <= 3.0 and table1["SWC"]["pkt_sram"] <= 3.0
 
 
 def test_swc_candidates_match_paper():

@@ -5,9 +5,14 @@ BASE and the full optimization level."""
 
 import pytest
 
+from repro.cg import pktlower
+from repro.cg.isa import Mem
 from repro.compiler import compile_baker
+from repro.ir import instructions as I
 from repro.options import options_for
-from repro.profiler.trace import Trace, TracePacket, build_ethernet, ipv4_trace
+from repro.profiler.trace import (
+    Trace, TracePacket, build_ethernet, build_ipv4, build_udp, ipv4_trace,
+)
 from repro.rts.system import verify_against_reference
 from tests.samples import ETHER_IPV4_PROTOCOLS
 
@@ -142,15 +147,6 @@ def test_signed_arithmetic_end_to_end():
 # -- packet primitives -----------------------------------------------------------------
 
 
-def test_add_and_remove_tail():
-    check(ppf(
-        "packet_add_tail(ph, 8);"
-        "packet_remove_tail(ph, 4);"
-        "ph->type = packet_length(ph);"
-        "channel_put(tx, ph);"
-    ))
-
-
 def test_extend_shorten_roundtrip():
     check(ppf(
         "packet_shorten(ph, 6);"
@@ -264,3 +260,156 @@ module m {
 }
 """
     )
+
+
+# -- register-resident packet state (PHR and up) -----------------------------------------
+#
+# Under PHR the PPF parameter's head/len live in registers and reach SRAM
+# only where someone else reads them. Each program below makes a different
+# reader depend on that store (or on its absence), on packets whose IPv4
+# header length varies so the dynamic decap moves 20..60 bytes. Where the
+# store is what is tested, the same compile with it suppressed must FAIL,
+# or the test would pass on a compiler that never wrote anything back.
+
+STATE_LEVELS = ("BASE", "PHR", "SWC")
+
+L4 = "protocol l4 { sport : 16; dport : 16; demux { 4 }; }\n"
+
+
+def options_trace(count=48, rare_every=0):
+    """UDP-over-IPv4 frames with ihl cycling over 5, 6, 8, 15; every
+    ``rare_every``-th packet carries IP protocol 99."""
+    trace = Trace()
+    for i in range(count):
+        ihl = (5, 6, 8, 15)[i % 4]
+        options = bytes((i * 7 + k) & 0xFF for k in range((ihl - 5) * 4))
+        proto = 99 if rare_every and i % rare_every == rare_every - 1 else 17
+        ip = build_ipv4(0x0A000001 + i, 0xC0A80101, proto=proto, options=options,
+                        payload=build_udp(1000 + i, 2000 + 3 * i, bytes(6)))
+        trace.packets.append(
+            TracePacket(build_ethernet(MACS[i % 3], 0x020000000000 + i, 0x0800, ip),
+                        i % 3))
+    return trace
+
+
+def check_state(src, trace, packets=32, store_matters=True):
+    result = check(src, trace=trace, levels=STATE_LEVELS, packets=packets)
+    if store_matters:
+        assert pktlower._TEST_MUTATION is None
+        pktlower._TEST_MUTATION = "skip_writeback"
+        try:
+            broken = compile_baker(src, options_for("PHR"), trace)
+        finally:
+            pktlower._TEST_MUTATION = None
+        assert not verify_against_reference(broken, trace, packets=packets)
+    return result
+
+
+def test_moved_head_reaches_xscale_consumer():
+    src = ETHER_IPV4_PROTOCOLS + L4 + """
+module m {
+  channel cold;
+  ppf go(ether_pkt *ph) from rx {
+    ipv4_pkt *iph = packet_decap(ph);
+    if (iph->proto == 99) {
+      l4_pkt *l4h = packet_decap(iph);
+      channel_put(cold, l4h);
+    } else {
+      channel_put(tx, ph);
+    }
+  }
+  ppf slow(l4_pkt *l4h) from cold {
+    l4h->sport = (packet_length(l4h) + l4h->dport) & 0xffff;
+    channel_put(tx, l4h);
+  }
+}
+"""
+    result = check_state(src, options_trace(rare_every=24), packets=48)
+    assert [a.ppfs for a in result.plan.xscale_aggregates] == [["m.slow"]]
+
+
+def test_packet_copy_sees_moved_head():
+    check_state(ETHER_IPV4_PROTOCOLS + L4 + """
+module m {
+  ppf go(ether_pkt *ph) from rx {
+    ipv4_pkt *iph = packet_decap(ph);
+    l4_pkt *l4h = packet_decap(iph);
+    l4_pkt *dup = packet_copy(l4h);
+    dup->sport = 0xbeef;
+    channel_put(tx, dup);
+    channel_put(tx, l4h);
+  }
+}
+""", options_trace())
+
+
+def test_callee_sees_and_moves_the_head():
+    # `probe` is too large to inline with two callers: it gets the handle
+    # after a head move, reads relative to the head and moves it again.
+    churn = "x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24
+    src = ETHER_IPV4_PROTOCOLS + """
+u32 probe(ipv4_pkt *p, u32 x) {
+  x = x + p->ident;
+  %s
+  packet_shorten(p, 2);
+  return x;
+}
+u32 again(ipv4_pkt *p, u32 x) { return probe(p, x) + 1; }
+module m {
+  ppf go(ether_pkt *ph) from rx {
+    ipv4_pkt *iph = packet_decap(ph);
+    packet_extend(iph, 6);
+    u32 a = probe(iph, 1);
+    u32 b = again(iph, a);
+    iph->ident = (a + b) & 0xffff;
+    channel_put(tx, iph);
+  }
+}
+""" % churn
+    result = check_state(src, options_trace())
+    calls = [i for i in result.mod.functions["m.go"].all_instrs()
+             if isinstance(i, I.Call)]
+    assert [c.func for c in calls] == ["probe", "probe"]
+
+
+def test_add_and_remove_tail():
+    check_state(ppf(
+        "packet_add_tail(ph, 8);"
+        "packet_remove_tail(ph, 4);"
+        "ph->type = packet_length(ph);"
+        "channel_put(tx, ph);"
+    ), options_trace())
+
+
+def test_drop_after_head_move_stores_nothing():
+    src = ETHER_IPV4_PROTOCOLS + L4 + """
+module m {
+  ppf go(ether_pkt *ph) from rx {
+    ipv4_pkt *iph = packet_decap(ph);
+    l4_pkt *l4h = packet_decap(iph);
+    if ((l4h->dport & 1) == 1) {
+      packet_drop(l4h);
+    } else {
+      packet_extend(l4h, 2);
+      channel_put(tx, l4h);
+    }
+  }
+}
+"""
+    result = check_state(src, options_trace())
+    (image,) = result.images.values()
+    stores = [i for i in image.insns if isinstance(i, Mem)
+              and (i.space, i.rw, i.category) == ("sram", "write", "pkt")]
+    assert len(stores) == 1  # the Tx path's; the drop path has none
+
+
+def test_handle_joining_packet_and_its_copy_gets_no_shared_state():
+    # `x` is the parameter on one path and its copy on the other: buf and
+    # head of "the class" would be right for only one of them.
+    check(ppf(
+        "ether_pkt *x = ph;"
+        "if ((ph->dst & 1) == 1) { x = packet_copy(ph); packet_drop(ph); }"
+        "packet_shorten(x, 2);"
+        "x->type = 0x1234;"
+        "channel_put(tx, x);"
+    ), levels=("BASE", "SOAR", "SWC"))

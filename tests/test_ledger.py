@@ -160,6 +160,55 @@ def test_l3switch_swc_report_contents(clean_ledger):
     assert rejected == set(report["opt"]["swc"]["rejected"])
 
 
+def test_mpls_reports_explain_register_state_and_anchored_combining(
+        clean_ledger, tmp_path, capsys):
+    from repro.obs import metrics as obs_metrics
+
+    led = clean_ledger
+    led.enabled = True
+    app = get_app("mpls")
+    trace = app.make_trace(150, seed=5)
+    soar = compile_baker(app.source, options_for("SOAR"), trace)
+    p_soar = write_compile_report(soar, str(tmp_path / "soar.json"))
+    led.decisions = []
+    reg = obs_metrics.MetricsRegistry(enabled=True)
+    with obs_metrics.scoped_registry(reg):
+        phr = compile_baker(app.source, options_for("PHR"), trace)
+    report = compile_report(phr, app="mpls")
+
+    # PHR: one record per function whose packet state lives in registers.
+    (state,) = [d for d in report["decisions"]
+                if (d["pass"], d["verdict"]) == ("phr", "state_in_registers")]
+    assert state["subject"] == "mpls_fwd.clsfr"
+    ev = state["evidence"]
+    assert ev["entry_words"] == 3  # buf, head, len; mpls never reads rx_port
+    # Tx after a pop or a push stores head/len; the error put of a frame
+    # that is neither MPLS nor IP moved nothing and stores nothing.
+    assert ev["writeback_sites"] >= 2 and ev["clean_sites"] >= 1
+    opt = report["opt"]["phr"]
+    assert (opt["state_functions"], opt["state_writebacks"], opt["state_clean_sites"]) \
+        == (1, ev["writeback_sites"], ev["clean_sites"])
+    counters = {r["name"]: r["value"] for r in reg.records() if r["type"] == "counter"}
+    assert counters["opt.phr.state_writebacks"] == ev["writeback_sites"]
+    assert counters["opt.phr.state_clean_sites"] == ev["clean_sites"]
+
+    # PAC: a group combined under a loop-header anchor names it; the
+    # entry-anchored groups (the Ethernet/IP header loads) do not.
+    combined = [d["evidence"] for d in report["decisions"]
+                if (d["pass"], d["verdict"]) == ("pac", "combined_loads")]
+    anchored = [e for e in combined if "anchor" in e]
+    assert anchored and len(anchored) < len(combined)
+    assert all("while_head" in e["anchor"] for e in anchored)
+    assert sum(e["members"] for e in anchored) == report["opt"]["pac"]["anchored_loads"]
+    assert counters["opt.pac.anchored_loads"] == report["opt"]["pac"]["anchored_loads"]
+
+    # The level-to-level diff names the new decision without a re-run.
+    p_phr = write_compile_report(phr, str(tmp_path / "phr.json"))
+    assert diff_main([p_soar, p_phr]) == 0
+    out = capsys.readouterr().out
+    assert "state_in_registers" in out and "phr.state_functions: None -> 1" in out
+
+
 def test_report_is_deterministic(clean_ledger, tmp_path):
     led = clean_ledger
     led.enabled = True

@@ -14,14 +14,16 @@ from repro.baker import types as T
 from repro.baker.symbols import GlobalSymbol, SymbolKind
 from repro.ir import instructions as I
 from repro.ir.module import IRFunction
-from repro.ir.values import Const
+from repro.ir.values import Const, Temp
 from repro.ir.verifier import verify_module
 from repro.obs import ledger as obs_ledger
 from repro.opt import pac, phr, soar, swc
 from repro.profiler.stats import ProfileData
 from repro.opt.pipeline import scalar_optimize_function
 from repro.profiler.interpreter import Interpreter, run_reference
-from repro.profiler.trace import Trace, TracePacket, ipv4_trace, mpls_trace
+from repro.profiler.trace import (
+    Trace, TracePacket, build_ethernet, build_mpls_label, ipv4_trace, mpls_trace,
+)
 from tests.ir_helpers import lower
 from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
@@ -128,6 +130,17 @@ module m {
     dport_load = next(i for i in fn.all_instrs()
                       if isinstance(i, I.PktLoadField) and i.field == "dport")
     assert dport_load.c_offset_bits is None
+    # The header size is an operand computed by ordinary IR in front of the
+    # decap, and the load feeding it sits at a resolved offset.
+    instrs = list(fn.all_instrs())
+    decap = next(i for i in instrs
+                 if isinstance(i, I.PktDecap) and i.src_proto == "ipv4")
+    assert decap.header_bytes is None
+    shift = next(i for i in instrs if decap.delta in i.defs())
+    assert isinstance(shift, I.BinOp) and shift.op == "shl" and shift.b.value == 2
+    ihl_load = next(i for i in instrs if shift.a in i.defs())
+    assert (ihl_load.field, ihl_load.c_offset_bits) == ("ihl", 14 * 8)
+    assert instrs.index(ihl_load) < instrs.index(shift) < instrs.index(decap)
 
 
 def test_soar_packet_create_seeded():
@@ -254,6 +267,97 @@ def test_pac_cross_block_load_combining():
         assert result.wide_loads == 1  # type load absorbed into dst load
 
     reference_and_optimized(src, trace, optimize)
+
+
+# Anchored epochs: a loop that moves the head gives its header an epoch of
+# its own, so one iteration's loads combine -- and nothing else does.
+
+_WALK = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+protocol mpls { label : 20; tc : 3; bos : 1; ttl : 8; demux { 4 }; }
+module m {
+  ppf p(ether_pkt *ph) from rx {
+    mpls_pkt *mph = packet_decap(ph);
+    u32 acc = 0;
+    u32 guard = 4;
+    bool more = true;
+    while (more && guard > 0) {
+      guard -= 1;
+      %s
+    }
+    mph->label = acc & 0xfffff;
+    channel_put(tx, mph);
+  }
+}
+"""
+
+
+def _walk_trace():
+    """Label stacks 1, 2 and 3 deep, labels and TTLs all different."""
+    trace = Trace()
+    for depth in (1, 2, 3):
+        for i in range(4):
+            stack = b"".join(
+                build_mpls_label(0x111 * (k + 1) + i, tc=(k + i) & 7,
+                                 bottom=k == depth - 1, ttl=9 + 16 * k + i)
+                for k in range(depth))
+            trace.packets.append(TracePacket(
+                build_ethernet(MACS[0], i, 0x8847, stack + bytes(20)), 0))
+    return trace
+
+
+def _walk_pac(body, mutation=None):
+    """PAC over the stack walk with ``body`` as the loop body: (PacResult,
+    function, does the module still behave like the reference)."""
+    src = _WALK % body
+    mod = lower(src)
+    assert pac._TEST_MUTATION is None
+    pac._TEST_MUTATION = mutation
+    try:
+        result = pac.run(mod)
+    finally:
+        pac._TEST_MUTATION = None
+    verify_module(mod)
+    same = (run_reference(mod, _walk_trace()).tx_signature()
+            == run_reference(lower(src), _walk_trace()).tx_signature())
+    return result, mod.functions["m.p"], same
+
+
+def test_pac_combines_the_loads_of_one_loop_iteration():
+    result, fn, same = _walk_pac(
+        "u32 label = mph->label; u32 ttl = mph->ttl;"
+        "if (ttl > 1) { acc = acc + mph->tc + label; }"
+        "if (mph->bos == 1) { more = false; } else { mph = packet_decap(mph); }")
+    assert same
+    # label and ttl share a block; tc and bos sit in blocks it dominates.
+    assert (result.wide_loads, result.combined_loads) == (1, 4)
+    assert result.anchored_loads == 4
+    assert count_ops(fn, I.PktLoadField) == 0
+
+
+@pytest.mark.parametrize("body", [
+    # a store to the word, then a load of it in a dominated block
+    "u32 ttl = mph->ttl; acc = acc + mph->label; mph->ttl = ttl - 1;"
+    "if (guard > 1) { acc = acc + mph->ttl; }"
+    "if (mph->bos == 1) { more = false; } else { mph = packet_decap(mph); }",
+    # the decap on one path into a join, then a load at the join
+    "acc = acc + mph->label;"
+    "if (mph->bos == 1) { more = false; } else { mph = packet_decap(mph); }"
+    "acc = acc + mph->ttl;",
+    # a nested loop that moves the head, loads in its header
+    "acc = acc + mph->label; u32 k = 2;"
+    "while (k > 0 && mph->bos == 0) { mph = packet_decap(mph); k -= 1; }"
+    "acc = acc + mph->ttl; if (mph->bos == 1) { more = false; }",
+], ids=["store", "decap", "nested-loop"])
+def test_pac_anchors_do_not_combine_across(body):
+    result, fn, same = _walk_pac(body)
+    assert same
+    # The same walk with epochs that stop counting head moves and stores
+    # combines across them and computes something else: the differential
+    # above is what tells the two apart.
+    broken, _, broken_same = _walk_pac(body, mutation="anchor_ignores_bump")
+    assert broken.combined_loads > result.combined_loads
+    assert not broken_same
 
 
 def test_pac_sub_byte_store_not_combined():
@@ -399,6 +503,15 @@ module m {
     assert count_ops(fn, I.PktDecap) == 1
     assert result.elided_encaps == 1
     assert result.syncs_inserted == 1
+    # Its size operand comes from an ihl load re-based onto the unmoved head
+    # (14 bytes further in), issued before the sync.
+    instrs = list(fn.all_instrs())
+    decap = next(i for i in instrs if isinstance(i, I.PktDecap))
+    ihl_load = next(i for i in instrs
+                    if isinstance(i, I.PktLoadField) and i.field == "ihl")
+    sync = next(i for i in instrs if isinstance(i, I.PktSyncHead))
+    assert isinstance(decap.delta, Temp) and ihl_load.bit_off == 14 * 8 + 4
+    assert instrs.index(ihl_load) < instrs.index(sync) < instrs.index(decap)
     from repro.profiler.trace import build_ethernet, build_ipv4, build_udp
 
     frame = build_ethernet(MACS[0], 5, 0x0800, build_ipv4(1, 2, payload=build_udp(7, 9)))

@@ -158,3 +158,78 @@ def test_levels_are_cumulative_flags():
 def test_unknown_level_raises():
     with pytest.raises(KeyError):
         options_for("TURBO")
+
+
+# -- report waterfall ----------------------------------------------------------------
+
+
+def _bench(app, rows, rates):
+    cols = ("pkt_scratch", "pkt_sram", "pkt_dram", "app_scratch", "app_sram")
+    mem = {lv: dict(zip(cols, vals), total=sum(vals)) for lv, vals in rows.items()}
+    return {"kind": "bench", "figure": "figX", "app": app, "me_counts": [1, 6],
+            "rates": rates, "mem_accesses": mem}
+
+
+def test_report_waterfall_renders_levels_deltas_and_paper(tmp_path, capsys):
+    import json
+
+    from repro.obs.report import main as report_main
+
+    bench = tmp_path / "BENCH_figX.json"
+    bench.write_text(json.dumps(_bench(
+        "toy", {"SWC": (2, 1, 2, 0, 3), "BASE": (2, 20, 10, 0, 5), "PAC": (2, 9, 4.04, 0, 5)},
+        {"BASE": [0.2, 0.3], "PAC": [0.5, 1.25], "SWC": [0.7, 2.5], "O2": [0.2, 0.3]})))
+    paper = tmp_path / "paper.json"
+    paper.write_text(json.dumps({"table1_total": {"toy": {"BASE": 40, "SWC": 6.5}},
+                                 "peak_gbps": {"toy": 2.7}}))
+    assert report_main(["waterfall", str(bench), "--paper", str(paper)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "toy" in out[0] and "@6 MEs" in out[0]
+    assert out[1].split() == ["level", "pktScr", "pktSRAM", "pktDRAM", "appScr",
+                              "appSRAM", "total", "Gbps", "paper", "resid"]
+    # Pipeline order whatever the file's; deltas against the row above
+    # (never "-0.0"); the rate at the largest ME count; paper and residual.
+    assert out[2].split() == ["BASE", "2.0", "20.0", "10.0", "0.0", "5.0", "37.0",
+                              "0.30", "40.0", "-3.0"]
+    assert out[3].split() == ["PAC", "2.0", "(+0.0)", "9.0", "(-11.0)", "4.0", "(-6.0)",
+                              "0.0", "(+0.0)", "5.0", "(+0.0)", "20.0", "(-17.0)",
+                              "1.25", "-", "-"]
+    assert out[4].split()[-3:] == ["2.50", "6.5", "+1.5"]
+    assert out[5].split() == "SWC 2.50 Gbps, paper peak ~2.7 (residual -0.20)".split()
+    # Without --paper: no paper columns, no peak line.
+    assert report_main(["waterfall", str(bench)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-1] == "Gbps" and len(out) == 5
+
+
+def test_report_waterfall_rejects_bad_input(tmp_path, capsys):
+    import json
+
+    from repro.obs.report import waterfall_main
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_bench("toy", {"BASE": (1, 2, 3, 4, 5)}, {"BASE": [1.0]})))
+    bad = tmp_path / "bad.json"
+    cases = [
+        ({"kind": "bench_occupancy", "cells": {}}, "not a bench file"),
+        ({"kind": "bench", "app": "toy", "mem_accesses": {"BASE": {"total": "many"}}},
+         "'mem_accesses[BASE][total]'"),
+        ({"kind": "bench", "app": "toy", "rates": {"BASE": 3}}, "'rates[BASE]'"),
+    ]
+    for body, needle in cases:
+        bad.write_text(json.dumps(body))
+        assert waterfall_main([str(good), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(bad) in err and needle in err, err
+    assert waterfall_main([str(tmp_path / "absent.json")]) == 1
+    capsys.readouterr()
+    # The paper file gets the same treatment: unreadable, not JSON, wrong shape.
+    for text, needle in [(None, "No such file"), ("{", "Expecting"),
+                         ('{"peak_gbps": {"toy": "fast"}}', "'peak_gbps[toy]'")]:
+        if text is not None:
+            bad.write_text(text)
+        path = bad if text is not None else tmp_path / "absent.json"
+        assert waterfall_main([str(good), "--paper", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and needle in err, err

@@ -153,6 +153,18 @@ def test_ipv4_checksum_verifies():
     assert ipv4_checksum(hdr) == 0
 
 
+def test_ipv4_options_set_ihl_length_and_checksum():
+    options = bytes(range(1, 13))
+    pkt = build_ipv4(0x0A000001, 0xC0A80101, payload=b"\xaa" * 8, options=options)
+    assert pkt[0] == 0x48  # version 4, ihl 5 + 3 option words
+    assert pkt[20:32] == options and pkt[32:] == b"\xaa" * 8
+    assert int.from_bytes(pkt[2:4], "big") == 40
+    assert ipv4_checksum(pkt[:32]) == 0  # over the whole 32-byte header
+    assert ipv4_checksum(pkt[:20]) != 0
+    with pytest.raises(ValueError):
+        build_ipv4(1, 2, options=b"\x01\x02")
+
+
 def test_build_ethernet_pads_to_64():
     frame = build_ethernet(1, 2, 0x0800, b"")
     assert len(frame) == 64
@@ -345,12 +357,13 @@ module m {
     )
     mod = lower(src)
     udp = build_udp(1111, 2222)
-    ip = build_ipv4(1, 2, payload=udp)
-    frame = build_ethernet(MACS[0], 5, 0x0800, ip)
-    res = run_reference(mod, Trace([TracePacket(frame, 0)]))
-    out = res.tx[0]
-    assert out.meta[4] == 2222  # first user metadata word
-    assert out.payload()[:2] == (1111).to_bytes(2, "big")
+    for options in (b"", bytes(range(8))):  # ihl 5 and 7
+        ip = build_ipv4(1, 2, payload=udp, options=options)
+        frame = build_ethernet(MACS[0], 5, 0x0800, ip)
+        res = run_reference(mod, Trace([TracePacket(frame, 0)]))
+        out = res.tx[0]
+        assert out.meta[4] == 2222  # first user metadata word
+        assert out.payload()[:2] == (1111).to_bytes(2, "big")
 
 
 def test_mpls_loop_decap():
