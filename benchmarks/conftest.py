@@ -1,14 +1,11 @@
-"""Shared infrastructure for the reproduction benchmarks.
+"""Shared infrastructure for the microbenchmark and ablation benchmarks.
 
-Each benchmark regenerates one table or figure from the paper's
-evaluation (section 6) on the simulated IXP2400 and writes its rows to
-``benchmarks/results/<name>.txt`` (also echoed to stdout) so the numbers
-survive pytest's output capture.
-
-Imports resolve through package configuration only (``pythonpath =
-["src"]`` in pyproject.toml, or an explicit ``PYTHONPATH=src``): the
-old ``sys.path.insert`` hack lived only in the parent process, so
-spawn-based sweep worker processes could not import ``repro`` at all.
+Figure 6 and the two ablations (stack layout, SWC check period) each
+write their rows to ``benchmarks/results/<name>.txt`` (also echoed to
+stdout) so the numbers survive pytest's output capture. Table 1 and
+Figures 13-15 are not here: ``python -m repro.sweep`` is their one
+producer, and ``tests/test_paper_shape.py`` asserts their shape on the
+committed ``BENCH_fig13/14/15.json``.
 """
 
 import os
@@ -17,39 +14,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.sweep import CompileCache
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 METRICS_JSONL = os.path.join(RESULTS_DIR, "metrics.jsonl")
-
-TRACE_PACKETS = 200
-TRACE_SEED = 5
-
-
-def pytest_addoption(parser):
-    # Not "--trace": pytest owns that (its pdb-on-test-start hook).
-    parser.addoption(
-        "--packet-trace", action="store_true", default=False,
-        help="record a per-packet lifecycle trace for each benchmark's "
-             "fully-optimized 6-ME run and export it as Chrome "
-             "trace-event JSON (benchmarks/results/<name>.trace.json; "
-             "open in https://ui.perfetto.dev)")
-
-
-@pytest.fixture(scope="session")
-def trace_sink(request):
-    """name -> output path for a Perfetto trace, or None when
-    --packet-trace is off. Arms compile-stage span capture so
-    compilation shows up on the same timeline as the simulated run."""
-    if not request.config.getoption("--packet-trace"):
-        return lambda name: None
-    obs.capture_compile_spans()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-
-    def sink(name: str):
-        return os.path.join(RESULTS_DIR, name + ".trace.json")
-
-    return sink
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -67,37 +34,6 @@ def obs_registry():
                    header={"run": run_id, "source": "benchmarks"})
     print("\nmetrics: %s (run %s; render: python -m repro.obs.report %s)"
           % (METRICS_JSONL, run_id, METRICS_JSONL))
-
-
-@pytest.fixture(scope="session")
-def sweep_cache():
-    """The session's disk-backed compile-artifact cache
-    (:class:`repro.sweep.CompileCache`): each (app, level) compiles
-    once *ever* -- a warm cache makes benchmark sessions compile-free.
-    ``REPRO_COMPILE_CACHE=0`` disables the disk layer (in-process memo
-    still applies); ``REPRO_CACHE_DIR`` moves it."""
-    return CompileCache()
-
-
-@pytest.fixture(scope="session")
-def compile_cache(sweep_cache):
-    """(app, level) -> (CompileResult, trace); disk-cached.
-    Compile-time metrics are scoped under {app=..., level=...} when a
-    registry is enabled (sweep worker processes may run with it off,
-    so the label scope is guarded rather than assumed)."""
-
-    def get(app_name: str, level: str):
-        reg = obs.get_registry()
-        if reg.enabled:
-            with reg.labels(app=app_name, level=level):
-                result, trace, _hit = sweep_cache.get_or_compile(
-                    app_name, level, TRACE_PACKETS, TRACE_SEED)
-        else:
-            result, trace, _hit = sweep_cache.get_or_compile(
-                app_name, level, TRACE_PACKETS, TRACE_SEED)
-        return result, trace
-
-    return get
 
 
 @pytest.fixture(scope="session")

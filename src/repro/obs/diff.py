@@ -7,12 +7,12 @@ Usage::
         [--tolerance 0.05]
 
 The file kind is auto-detected from the ``kind`` field written by
-:mod:`repro.obs.ledger` (``compile_report``),
-``benchmarks/figures_common.py`` (``bench``), the serve harness
-(``bench_churn``), and the sweep's stall-attribution profiler
-(``bench_occupancy``). A file whose ``kind`` is none of those is an
-error (exit :data:`EXIT_REGRESSION`), never silently treated as an
-empty diff -- a typo'd or future-format file must fail CI loudly.
+:mod:`repro.obs.ledger` (``compile_report``), ``python -m repro.sweep``
+(``bench``), the serve harness (``bench_churn``), and the sweep's
+stall-attribution profiler (``bench_occupancy``). A file whose ``kind``
+is none of those is an error (exit :data:`EXIT_REGRESSION`), never
+silently treated as an empty diff -- a typo'd or future-format file
+must fail CI loudly.
 
 * **compile report vs compile report** -- prints decision-count deltas
   per pass/verdict plus summary deltas (IR size, image code size,
@@ -22,9 +22,11 @@ empty diff -- a typo'd or future-format file must fail CI loudly.
   resolution rate drops, or a previously nonzero optimization win
   (PAC combines, SWC acceptances, PHR elisions) falls to zero.
 * **bench vs bench** -- compares forwarding rates level by level and ME
-  count by ME count; exits 2 when any new rate drops more than
-  ``--tolerance`` (fractional) below the old rate. This is the CI
-  perf-regression gate.
+  count by ME count (cells keyed by each file's own ``me_counts``);
+  exits 2 when any new rate drops more than ``--tolerance``
+  (fractional) below the old rate, or when a level, a cell or a
+  Table-1 row of the old file is absent from the new one. This is the
+  CI perf-regression gate.
 * **churn bench vs churn bench** (``python -m repro.serve`` output) --
   gates the serve harness: mean forwarding rate must not drop and
   overall p99 latency must not grow beyond ``--tolerance``, and the
@@ -87,6 +89,15 @@ def load_file(path: str, kind: Optional[str] = None) -> dict:
         raise SystemExit2("%s is not a %s file (kind=%r)"
                           % (path, kind, data["kind"]))
     problem = _mismatch(data, _SHAPES.get(data["kind"], {}), "")
+    if not problem and data["kind"] == "bench":
+        # A rate row is one cell per ME count: a row of any other length
+        # cannot be keyed, whichever of the two the writer got wrong.
+        n = len(data.get("me_counts") or [])
+        problem = next(
+            ("'rates[%s]' has %d entries for %d me_counts"
+             % (level, len(row or []), n)
+             for level, row in (data.get("rates") or {}).items()
+             if len(row or []) != n), None)
     if problem:
         raise UnknownKindError("%s is a malformed %s file: %s"
                                % (path, data["kind"], problem))
@@ -275,30 +286,46 @@ def _gate_rate_drop(regressions: List[str], what: str, a: float, b: float,
                100 * tolerance))
 
 
+def _rate_cells(bench: dict) -> Dict[str, Dict[int, float]]:
+    """level -> {n_mes: rate}; ``load_file`` has checked that every row
+    has one entry per ME count."""
+    me_counts = bench.get("me_counts") or []
+    return {level: dict(zip(me_counts, row or []))
+            for level, row in (bench.get("rates") or {}).items()}
+
+
 def diff_bench(old: dict, new: dict,
                tolerance: float) -> Tuple[List[str], List[str]]:
+    """Gate BENCH_fig13/14/15.json: no rate may drop beyond
+    ``tolerance``, and nothing the old file measured -- a level, one
+    (level, ME count) cell, a Table-1 row -- may be missing from the new
+    one (a gate that cannot see a cell must not pass it)."""
     lines: List[str] = []
     regressions: List[str] = []
     lines.append("bench diff: %s (%s)" % (new.get("figure", "?"),
                                           new.get("app", "?")))
-    me_counts = new.get("me_counts") or old.get("me_counts") or []
-    o_rates = old.get("rates") or {}
-    n_rates = new.get("rates") or {}
+    o_rates, n_rates = _rate_cells(old), _rate_cells(new)
     for level in sorted(set(o_rates) | set(n_rates)):
-        a_row = o_rates.get(level)
-        b_row = n_rates.get(level)
-        if a_row is None or b_row is None:
-            lines.append("  %s: only in %s file" % (
-                level, "new" if a_row is None else "old"))
+        a_row, b_row = o_rates.get(level), n_rates.get(level)
+        if a_row is None:
+            lines.append("  %s: only in new file" % level)
+            continue
+        if b_row is None:
+            lines.append("  %s: vanished" % level)
+            regressions.append("level %s vanished from the new file" % level)
             continue
         if a_row == b_row:
             continue
-        lines.append("  %s: %s -> %s" % (level, a_row, b_row))
-        for i, (a, b) in enumerate(zip(a_row, b_row)):
-            mes = me_counts[i] if i < len(me_counts) else i + 1
+        lines.append("  %s: %s -> %s" % (level, old["rates"][level],
+                                         new["rates"][level]))
+        for mes, a in sorted(a_row.items()):
+            if mes not in b_row:
+                regressions.append("%s at %s MEs vanished from the new file"
+                                   % (level, mes))
+                continue
             _gate_rate_drop(regressions,
-                            "%s at %s MEs: rate" % (level, mes), a, b,
-                            tolerance)
+                            "%s at %s MEs: rate" % (level, mes), a,
+                            b_row[mes], tolerance)
     if len(lines) == 1:
         lines.append("  rates identical")
 
@@ -308,6 +335,9 @@ def diff_bench(old: dict, new: dict,
         if o_mem.get(level) != n_mem.get(level):
             lines.append("  mem_accesses[%s]: %s -> %s" % (
                 level, o_mem.get(level), n_mem.get(level)))
+        if level not in n_mem:
+            regressions.append("mem_accesses[%s] vanished from the new file"
+                               % level)
     return lines, regressions
 
 

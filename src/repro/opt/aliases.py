@@ -80,23 +80,20 @@ class AliasClasses:
         return sum(1 for t in self._origins if self._find(t) is cls) <= 1
 
 
+def packet_handles(instr: I.Instr) -> List[Temp]:
+    """The packet handles ``instr`` acts through, in operand order --
+    for a call, every packet argument, not only the first."""
+    return [u for u in instr.uses() if isinstance(u, Temp) and u.type.is_packet]
+
+
+#: Instructions that move a packet's head/extent or give the packet away
+#: (a call may do either to any packet it is handed).
+_MUTATORS = (I.PktEncap, I.PktDecap, I.PktAdjust, I.PktSyncHead, I.ChanPut,
+             I.PktDrop, I.Call)
+
+
 def mutates_class(instr: I.Instr, aliases: AliasClasses, cls: Temp) -> bool:
     """True if ``instr`` changes the head/extent of packets in class
     ``cls`` or releases them (making later combined access unsound)."""
-    if isinstance(instr, (I.PktEncap, I.PktDecap)):
-        target = instr.src
-    elif isinstance(instr, (I.PktAdjust, I.PktSyncHead)):
-        target = instr.ph
-    elif isinstance(instr, I.ChanPut):
-        target = instr.ph
-    elif isinstance(instr, I.PktDrop):
-        target = instr.ph
-    elif isinstance(instr, I.Call):
-        # A call may mutate any packet reachable through its arguments.
-        return any(
-            isinstance(a, Temp) and a.type.is_packet and aliases.same(a, cls)
-            for a in instr.args
-        )
-    else:
-        return False
-    return isinstance(target, Temp) and aliases.same(target, cls)
+    return isinstance(instr, _MUTATORS) and any(
+        aliases.same(ph, cls) for ph in packet_handles(instr))

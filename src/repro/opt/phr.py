@@ -40,7 +40,7 @@ from repro.ir.cfg import compute_cfg, reverse_postorder
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Temp
 from repro.obs import ledger as obs_ledger
-from repro.opt.aliases import AliasClasses
+from repro.opt.aliases import AliasClasses, packet_handles
 
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
 # to "rebase_skew", deferred-head re-basing shifts field accesses one
@@ -194,40 +194,33 @@ def _elide_encaps(fn: IRFunction, result: PhrResult) -> None:
 def _simulate_block(bb: BasicBlock, entry_state, aliases, classes, forced_syncs):
     out = {c: entry_state[c] for c in classes}
     for instr in bb.instrs:
-        cls = _class_target(instr, aliases)
-        if cls is None:
+        delta = _elided_delta(instr)
+        if delta is None and not _is_escape(instr):
             continue
-        if isinstance(instr, (I.PktEncap, I.PktDecap)) and _elidable(instr):
-            delta = instr.header_bytes if isinstance(instr, I.PktDecap) else -instr.header_bytes
+        for cls in _touched(instr, aliases):
             if isinstance(out.get(cls), int):
-                out[cls] = out[cls] + delta
-        elif _is_escape(instr):
-            if isinstance(out.get(cls), int):
-                out[cls] = 0
+                out[cls] = 0 if delta is None else out[cls] + delta
     for c in classes:
         if (bb, c) in forced_syncs and isinstance(out.get(c), int):
             out[c] = 0
     return out
 
 
-def _class_target(instr: I.Instr, aliases: AliasClasses) -> Optional[Temp]:
-    ph = None
-    if isinstance(instr, (I.PktEncap, I.PktDecap, I.PktCopy)):
-        ph = instr.src
-    elif isinstance(instr, (I.PktLoadField, I.PktStoreField, I.PktLoadWords,
-                            I.PktStoreWords, I.MetaLoad, I.MetaStore,
-                            I.PktLength, I.PktAdjust, I.PktDrop, I.PktSyncHead)):
-        ph = instr.ph
-    elif isinstance(instr, I.ChanPut):
-        ph = instr.ph
-    elif isinstance(instr, I.Call):
-        for a in instr.args:
-            if isinstance(a, Temp) and a.type.is_packet:
-                ph = a
-                break
-    if isinstance(ph, Temp) and ph.type.is_packet:
-        return aliases.class_of(ph)
-    return None
+def _touched(instr: I.Instr, aliases: AliasClasses) -> Dict[Temp, Temp]:
+    """alias class -> the first handle of it ``instr`` acts through. Only
+    a call can name more than one class."""
+    touched: Dict[Temp, Temp] = {}
+    for ph in packet_handles(instr):
+        touched.setdefault(aliases.class_of(ph), ph)
+    return touched
+
+
+def _elided_delta(instr: I.Instr) -> Optional[int]:
+    """Bytes an elidable encap/decap moves the head by; None for any
+    other instruction."""
+    if not (isinstance(instr, (I.PktEncap, I.PktDecap)) and _elidable(instr)):
+        return None
+    return instr.header_bytes if isinstance(instr, I.PktDecap) else -instr.header_bytes
 
 
 def _elidable(instr) -> bool:
@@ -252,23 +245,39 @@ def _is_escape(instr: I.Instr) -> bool:
 def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
                    aliases: AliasClasses, out: List[I.Instr],
                    result: PhrResult) -> None:
-    cls = _class_target(instr, aliases)
-    d = pending.get(cls, 0) if cls is not None else 0
-
-    if isinstance(instr, (I.PktEncap, I.PktDecap)) and _elidable(instr):
-        delta = instr.header_bytes if isinstance(instr, I.PktDecap) else -instr.header_bytes
-        pending[cls] = d + delta
+    led = obs_ledger.get_ledger()
+    delta = _elided_delta(instr)
+    if delta is not None:
+        cls = aliases.class_of(instr.src)
+        pending[cls] = pending.get(cls, 0) + delta
         out.append(I.Assign(instr.dst, instr.src))
         result.elided_encaps += 1
-        obs_ledger.get_ledger().record(
-            "phr", fn.name, "elided",
-            reason="%s with statically known head offset"
-                   % type(instr).__name__,
-            loc=obs_ledger.loc_str(instr.loc),
-            delta_bytes=delta, pending_bytes=pending[cls])
+        led.record("phr", fn.name, "elided",
+                   reason="%s with statically known head offset"
+                          % type(instr).__name__,
+                   loc=obs_ledger.loc_str(instr.loc),
+                   delta_bytes=delta, pending_bytes=pending[cls])
         return
 
-    if cls is not None and d != 0:
+    touched = _touched(instr, aliases)
+    if _is_escape(instr):
+        # Every packet the instruction is handed must have its real head
+        # in metadata first (a dropped packet's no longer matters).
+        for cls, handle in touched.items():
+            d = pending.get(cls, 0)
+            if d != 0 and not isinstance(instr, I.PktDrop):
+                out.append(I.PktSyncHead(handle, d))
+                result.syncs_inserted += 1
+                led.record("phr", fn.name, "sync_inserted",
+                           reason="pending head delta materialized before %s"
+                                  % type(instr).__name__,
+                           loc=obs_ledger.loc_str(instr.loc), delta_bytes=d)
+            pending[cls] = 0
+        out.append(instr)
+        return
+
+    d = next((pending.get(cls, 0) for cls in touched), 0)
+    if d != 0:
         if isinstance(instr, (I.PktLoadField, I.PktStoreField)):
             # Re-base onto the stale (synced) head: the access offset
             # absorbs the pending delta and the static head annotation
@@ -276,51 +285,20 @@ def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
             instr.bit_off += d * 8
             if instr.c_offset_bits is not None:
                 instr.c_offset_bits -= d * 8
-            out.append(instr)
-            return
-        if isinstance(instr, (I.PktLoadWords, I.PktStoreWords)):
+        elif isinstance(instr, (I.PktLoadWords, I.PktStoreWords)):
             instr.byte_off += d
             if _TEST_MUTATION == "rebase_skew":
                 instr.byte_off += 4
             if instr.c_offset_bits is not None:
                 instr.c_offset_bits -= d * 8
-            out.append(instr)
-            return
-        if isinstance(instr, I.PktLength):
+        elif isinstance(instr, I.PktLength):
             raw = fn.new_temp(T.U32)
             length_instr = I.PktLength(raw, instr.ph)
             length_instr.copy_annotations_from(instr)
             out.append(length_instr)
             out.append(I.BinOp("sub", instr.dst, raw, Const(d)))
             return
-        if _is_escape(instr):
-            if not isinstance(instr, I.PktDrop):
-                handle = _escape_handle(instr)
-                out.append(I.PktSyncHead(handle, d))
-                result.syncs_inserted += 1
-                obs_ledger.get_ledger().record(
-                    "phr", fn.name, "sync_inserted",
-                    reason="pending head delta materialized before %s"
-                           % type(instr).__name__,
-                    loc=obs_ledger.loc_str(instr.loc), delta_bytes=d)
-            pending[cls] = 0
-            out.append(instr)
-            return
-    elif cls is not None and _is_escape(instr):
-        pending[cls] = 0
-
     out.append(instr)
-
-
-def _escape_handle(instr: I.Instr) -> Temp:
-    if isinstance(instr, I.Call):
-        for a in instr.args:
-            if isinstance(a, Temp) and a.type.is_packet:
-                return a
-        raise AssertionError("escape call without packet argument")
-    if isinstance(instr, (I.PktCopy, I.PktEncap, I.PktDecap)):
-        return instr.src
-    return instr.ph
 
 
 def _handle_for_class(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> Optional[Temp]:
@@ -382,16 +360,8 @@ def _plan_function(fn: IRFunction) -> Optional[PacketStatePlan]:
 
     def handle(instr: I.Instr) -> Optional[Temp]:
         """The handle of the parameter's packet ``instr`` acts through."""
-        if isinstance(instr, I.Call):
-            ops = instr.args
-        elif isinstance(instr, (I.PktEncap, I.PktDecap, I.PktCopy)):
-            ops = [instr.src]
-        else:
-            ops = [getattr(instr, "ph", None)]
-        for op in ops:
-            if isinstance(op, Temp) and op.type.is_packet and aliases.same(op, cls):
-                return op
-        return None
+        return next((ph for ph in packet_handles(instr)
+                     if aliases.same(ph, cls)), None)
 
     through = {i: ph for i in fn.all_instrs() if (ph := handle(i)) is not None}
     if not any(isinstance(i, I.PktInstr)

@@ -55,7 +55,7 @@ def main(argv=None) -> int:
                     help="impact windows before/after each update "
                          "(default: %(default)s)")
     ap.add_argument("--out", default=None, metavar="BENCH.json",
-                    help="merge the churn bench JSON into this file")
+                    help="write the churn bench JSON to this file")
     ap.add_argument("--timeline", default=None, metavar="FILE.jsonl",
                     help="dump the per-window timeline JSONL here")
     ap.add_argument("--report", action="store_true",

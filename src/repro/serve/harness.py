@@ -40,7 +40,7 @@ from repro.serve.churn import (
     stale_tx_counts,
 )
 from repro.serve.traffic import StreamingRxEngine, TrafficModel, TrafficSpec
-from repro.sweep.benchio import merge_bench_json
+from repro.sweep.benchio import write_bench_json
 
 
 @dataclass
@@ -100,7 +100,7 @@ def run_service(cfg: ServeConfig,
                 bench_path: Optional[str] = None) -> ServeResult:
     """Compile, load, and serve ``cfg.windows`` windows of traffic while
     the scheduled churn plays out; optionally export the timeline JSONL
-    and merge the churn bench JSON."""
+    and write the churn bench JSON."""
     if cfg.app not in APP_CLASSES:
         raise ValueError("unknown app %r" % cfg.app)
     app = build_app(cfg.app, cfg.table_seed)
@@ -158,7 +158,7 @@ def run_service(cfg: ServeConfig,
             "seeds": _seeds(cfg),
         })
     if bench_path:
-        merge_bench_json(bench_path, "churn", bench, kind="bench_churn")
+        write_bench_json(bench_path, "churn", bench, kind="bench_churn")
 
     occupancy = None
     if profiler is not None:

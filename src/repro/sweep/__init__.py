@@ -11,13 +11,15 @@ Guarantees (see DESIGN.md section 9):
   ``BENCH_*.json`` files -- results merge in job-key order, never
   completion order, and every job runs under a private metrics
   registry whether inline or in a worker process.
+* A BENCH file is the output of **one run**: this command is the only
+  producer of the figure files, and it replaces each file whole.
 * Each (app, level) compiles **once ever**: artifacts persist in an
   on-disk cache keyed by a content fingerprint (Baker source, options,
-  trace parameters, compiler version), shared by CLI runs, pytest
-  benchmark sessions, and pool workers alike.
+  trace parameters, compiler version), shared by CLI runs and pool
+  workers alike.
 """
 
-from repro.sweep.benchio import merge_bench_json
+from repro.sweep.benchio import write_bench_json
 from repro.sweep.cache import (
     CompileCache,
     cache_key,
@@ -66,7 +68,7 @@ __all__ = [
     "compiler_fingerprint",
     "default_cache_dir",
     "execute_job",
-    "merge_bench_json",
     "repo_root",
     "run_sweep",
+    "write_bench_json",
 ]

@@ -7,9 +7,12 @@ Usage::
 writes ``BENCH_fig13.json`` / ``BENCH_fig14.json`` / ``BENCH_fig15.json``
 (rate curves + Table 1 access counts) at the repo root, appends the
 sweep's metrics to ``benchmarks/results/metrics.jsonl`` under a run
-header, and prints a per-figure summary. ``--jobs 1`` and ``--jobs N``
-output is bit-identical; compare two runs with
-``python -m repro.obs.diff`` (exit 2 on regression).
+header, and prints a per-figure summary. Each file is replaced whole
+and holds exactly the cells this run measured, so a partial grid
+(``--levels``, ``--me-counts``, ``--no-table1``) belongs in its own
+``--out-dir``. ``--jobs 1`` and ``--jobs N`` output is bit-identical;
+compare two runs with ``python -m repro.obs.diff`` (exit 2 on
+regression).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def main(argv=None) -> int:
                     help="directory for BENCH_*.json (default: repo root)")
     ap.add_argument("--cache-dir", default=None, metavar="DIR",
                     help="compile-artifact cache directory (default: "
-                         "$REPRO_CACHE_DIR or <repo>/.repro_cache/compile)")
+                         "<repo>/.repro_cache/compile)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the on-disk compile cache")
     ap.add_argument("--metrics-jsonl", default=None, metavar="PATH",
@@ -100,6 +103,14 @@ def main(argv=None) -> int:
                          "(repro.obs.profile) to every rate run and "
                          "write BENCH_occupancy.json; measured rates "
                          "are bit-identical either way")
+    ap.add_argument("--packet-trace", action="store_true",
+                    help="record a per-packet lifecycle trace of each "
+                         "app's fully-optimized run at the highest ME "
+                         "count and export it as Chrome trace-event JSON "
+                         "(<out-dir>/<app>.trace.json; open in "
+                         "https://ui.perfetto.dev); compile stages this "
+                         "process runs itself (--jobs 1, cache miss) "
+                         "share the timeline")
     args = ap.parse_args(argv)
 
     # Fail fast on a bad grid, naming the offending token -- not a
@@ -137,11 +148,18 @@ def main(argv=None) -> int:
     if args.ledger:
         obs_ledger.enable()
     cache = CompileCache(args.cache_dir, enabled=not args.no_cache)
+    out_dir = args.out_dir or repo_root()
+    os.makedirs(out_dir, exist_ok=True)
+    trace_sink = None
+    if args.packet_trace:
+        obs.capture_compile_spans()
+        trace_sink = lambda app: os.path.join(out_dir, app + ".trace.json")
     table1 = not args.no_table1
     jobs = build_jobs(apps, levels=levels, me_counts=me_counts,
                       table1=table1,
                       rate_warmup=args.warmup, rate_measure=args.measure,
-                      table1_measure=args.table1_measure)
+                      table1_measure=args.table1_measure,
+                      trace_sink=trace_sink)
     print("sweep: %d jobs (%s x %s x MEs %s%s), "
           "%d process%s, cache %s"
           % (len(jobs), ",".join(apps), ",".join(levels),
@@ -161,9 +179,8 @@ def main(argv=None) -> int:
     sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg,
                       merge_into=reg)
 
-    out_dir = args.out_dir or repo_root()
-    os.makedirs(out_dir, exist_ok=True)
     paths = sweep.write_bench_files(out_dir)
+    paths += [job.trace_json for job in jobs if job.trace_json]
 
     for app in apps:
         series = sweep.series(app)

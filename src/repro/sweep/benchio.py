@@ -1,55 +1,29 @@
-"""Safe merge-writes for the repo-root ``BENCH_*.json`` files.
+"""Whole-file writes of the ``BENCH_*.json`` files.
 
-Multiple producers contribute to one bench file (the per-figure rate
-benchmarks add ``rates``, the Table 1 benchmark adds ``mem_accesses``,
-the sweep orchestrator writes both), in any order, possibly from
-concurrent processes. Two historical bugs lived here:
-
-* ``data.update(existing)`` let stale top-level keys from an existing
-  file shadow the fresh ``kind``/``figure`` fields -- a file touched by
-  an older schema could permanently mislabel itself. The merge now
-  *forces* ``kind``/``figure`` after folding in existing content.
-* The read-merge-write cycle was non-atomic: two concurrent writers
-  could interleave (both read, both write) and silently lose one
-  side's keys, and a reader could observe a half-written file. Writes
-  now go through a tempfile + :func:`os.replace` under an advisory
-  file lock, so concurrent merges serialize and readers only ever see
-  complete documents.
+A BENCH file is the output of one run (DESIGN.md section 9): the sweep
+or the serve harness builds the complete document and replaces whatever
+was at the path. Nothing already there is read, so the file can only
+describe the run that wrote it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
-from contextlib import contextmanager
 from typing import Dict
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
+def write_bench_json(path: str, figure: str, payload: Dict,
+                     kind: str = "bench") -> str:
+    """Replace ``path`` with ``payload`` plus ``kind`` and ``figure``.
 
-@contextmanager
-def locked(path: str):
-    """Exclusive advisory lock scoped to ``path`` (via a ``.lock``
-    sibling, so the data file itself can be atomically replaced while
-    locked). Degrades to a no-op where ``fcntl`` is unavailable."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
-
-
-def _atomic_write_json(path: str, data: Dict) -> None:
+    Written to a temporary sibling and moved into place with
+    :func:`os.replace`, so a reader -- or a second writer -- sees the old
+    document or the new one, never a torn file. Output is deterministic:
+    stable key order, no timestamps.
+    """
+    data = dict(payload, kind=kind, figure=figure)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".",
@@ -65,59 +39,4 @@ def _atomic_write_json(path: str, data: Dict) -> None:
         except OSError:
             pass
         raise
-
-
-def merge_bench_json(path: str, figure: str, payload: Dict,
-                     kind: str = "bench") -> str:
-    """Merge ``payload`` into the bench file at ``path``.
-
-    Top-level keys merge key-wise when both sides are dicts, otherwise
-    the new value wins; ``kind``/``figure`` are stamped *after* the
-    merge so nothing in an existing file can shadow them (``kind``
-    defaults to ``"bench"``; the serve harness writes
-    ``"bench_churn"``). The whole read-merge-write runs atomically
-    under :func:`locked`. Output is deterministic: stable key order, no
-    timestamps.
-
-    An existing file that cannot be parsed is **not** silently
-    rewritten (that used to discard every other producer's merged keys
-    -- e.g. Table 1 counts vanished with no signal): the unreadable
-    content is preserved as a ``<path>.corrupt`` sidecar, a warning
-    goes to stderr, and the ``sweep.bench_merge{result="corrupt"}``
-    counter is bumped before the fresh payload is written.
-    """
-    from repro.obs import metrics as obs_metrics
-
-    with locked(path):
-        data: Dict = {}
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    existing = json.load(fh)
-                if isinstance(existing, dict):
-                    data.update(existing)
-            except (OSError, json.JSONDecodeError) as exc:
-                sidecar = path + ".corrupt"
-                try:
-                    os.replace(path, sidecar)
-                except OSError:
-                    sidecar = None
-                print("warning: bench file %s is unreadable (%s); "
-                      "previously merged keys are lost%s"
-                      % (path, exc,
-                         ", original preserved as %s" % sidecar
-                         if sidecar else ""),
-                      file=sys.stderr)
-                reg = obs_metrics.get_registry()
-                if reg.enabled:
-                    reg.counter("sweep.bench_merge",
-                                result="corrupt").inc()
-        for key, value in payload.items():
-            if isinstance(value, dict) and isinstance(data.get(key), dict):
-                data[key].update(value)
-            else:
-                data[key] = value
-        data["kind"] = kind
-        data["figure"] = figure
-        _atomic_write_json(path, data)
     return path

@@ -50,9 +50,6 @@ from repro.obs import metrics as obs_metrics
 #: Bump to invalidate every existing cache entry on format changes.
 CACHE_FORMAT = 1
 
-_ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_COMPILE_CACHE"
-
 _PKG_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 _compiler_fp: Optional[str] = None
@@ -64,8 +61,7 @@ def repo_root() -> str:
 
 
 def default_cache_dir() -> str:
-    return os.environ.get(_ENV_DIR) or os.path.join(
-        repo_root(), ".repro_cache", "compile")
+    return os.path.join(repo_root(), ".repro_cache", "compile")
 
 
 def compiler_fingerprint() -> str:
@@ -109,15 +105,12 @@ def cache_key(source: str, opts, trace_packets: int, trace_seed: int,
 class CompileCache:
     """Disk-backed (plus in-process memo) store of compiled artifacts.
 
-    ``enabled=False`` (or ``REPRO_COMPILE_CACHE=0`` in the
-    environment) keeps the in-process memo but never touches disk.
+    ``enabled=False`` keeps the in-process memo but never touches disk.
     """
 
     def __init__(self, cache_dir: Optional[str] = None,
-                 enabled: Optional[bool] = None):
+                 enabled: bool = True):
         self.cache_dir = cache_dir or default_cache_dir()
-        if enabled is None:
-            enabled = os.environ.get(_ENV_DISABLE, "1") not in ("0", "")
         self.enabled = enabled
         self.hits = 0
         self.misses = 0

@@ -35,7 +35,7 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.options import LEVEL_ORDER
-from repro.sweep.benchio import merge_bench_json
+from repro.sweep.benchio import write_bench_json
 from repro.sweep.cache import CompileCache, repo_root
 
 #: ME counts of the Figure 13-15 rate curves.
@@ -149,7 +149,7 @@ def build_jobs(apps: Sequence[str],
 
     ``trace_sink(app)`` names a packet-trace output file; the
     fully-optimized run at the highest ME count is the one traced
-    (matching the benchmarks' ``--packet-trace`` behavior).
+    (the CLI's ``--packet-trace``).
     """
     levels = list(levels) if levels is not None else list(LEVEL_ORDER)
     me_counts = list(me_counts) if me_counts is not None else list(ME_COUNTS)
@@ -352,9 +352,8 @@ class SweepResult:
         return failures
 
     def bench_payloads(self) -> Dict[str, Dict]:
-        """figure -> BENCH_*.json payload, matching the benchmarks'
-        layout (rates rounded to 3 during measurement, access counts
-        rounded to 3 here)."""
+        """figure -> BENCH_*.json payload (rates rounded to 3 during
+        measurement, access counts rounded to 3 here)."""
         payloads: Dict[str, Dict] = {}
         apps = sorted({jr.job.app for jr in self.jobs})
         for app in apps:
@@ -376,8 +375,8 @@ class SweepResult:
 
     def occupancy_payload(self) -> Optional[Dict]:
         """BENCH_occupancy.json payload: one stall-attribution cell per
-        profiled rate job, keyed ``app/LEVEL@n_mes`` so repeated sweeps
-        merge instead of clobbering. None when no job was profiled."""
+        profiled rate job, keyed ``app/LEVEL@n_mes``. None when no job
+        was profiled."""
         cells = {"%s/%s@%d" % (jr.job.app, jr.job.level, jr.job.n_mes):
                  jr.occupancy
                  for jr in self.jobs if jr.occupancy is not None}
@@ -386,17 +385,18 @@ class SweepResult:
         return {"cells": cells}
 
     def write_bench_files(self, out_dir: Optional[str] = None) -> List[str]:
-        """Single-writer merge of every payload into
-        ``<out_dir>/BENCH_<figure>.json`` (default: the repo root)."""
+        """Write every payload to ``<out_dir>/BENCH_<figure>.json``
+        (default: the repo root), replacing what is there: each file
+        holds this sweep's cells and nothing else."""
         out_dir = out_dir or repo_root()
         paths = []
         for figure, payload in sorted(self.bench_payloads().items()):
             path = os.path.join(out_dir, "BENCH_%s.json" % figure)
-            paths.append(merge_bench_json(path, figure, payload))
+            paths.append(write_bench_json(path, figure, payload))
         occupancy = self.occupancy_payload()
         if occupancy is not None:
             path = os.path.join(out_dir, "BENCH_occupancy.json")
-            paths.append(merge_bench_json(path, "occupancy", occupancy,
+            paths.append(write_bench_json(path, "occupancy", occupancy,
                                           kind="bench_occupancy"))
         return paths
 

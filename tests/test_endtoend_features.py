@@ -372,6 +372,40 @@ module m {
     assert [c.func for c in calls] == ["probe", "probe"]
 
 
+@pytest.mark.parametrize("params,args", [
+    ("ether_pkt *a, ipv4_pkt *b", "a, b"),
+    ("ipv4_pkt *b, ether_pkt *a", "b, a"),
+])
+def test_call_sees_the_head_of_every_packet_argument(params, args):
+    # `b` is a copy whose decap PHR elides; `a` is untouched. Whichever
+    # position `b` is passed in, its head must be in SRAM before the call.
+    src = ETHER_IPV4_PROTOCOLS + """
+u32 big(%(params)s, u32 x) {
+  x = x + b->ttl + a->type;
+  %(churn)s
+  return x;
+}
+u32 mid(%(params)s) { return big(%(args)s, 3); }
+module m {
+  ppf go(ether_pkt *a) from rx {
+    ether_pkt *cp = packet_copy(a);
+    ipv4_pkt *b = packet_decap(cp);
+    u32 r = 0;
+    if ((a->src & 1) == 0) { r = big(%(args)s, 1); } else { r = mid(%(args)s); }
+    b->ident = r & 0xffff;
+    channel_put(tx, packet_encap(b, ether));
+    packet_drop(a);
+  }
+}
+""" % dict(params=params, args=args,
+           churn="x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24)
+    result = check(src, levels=STATE_LEVELS)
+    calls = [i for i in result.mod.functions["m.go"].all_instrs()
+             if isinstance(i, I.Call)]
+    assert [c.func for c in calls] == ["big", "big"]
+    assert result.phr_result.syncs_inserted == 2  # one in front of each call
+
+
 def test_add_and_remove_tail():
     check_state(ppf(
         "packet_add_tail(ph, 8);"

@@ -325,6 +325,47 @@ def test_diff_bench_gates_rate_regressions(tmp_path, capsys):
     capsys.readouterr()
 
 
+_MPLS_ROW = [0.614, 1.15, 1.189, 1.197, 1.234, 1.227]
+_MPLS_BENCH = {"kind": "bench", "figure": "fig15", "app": "mpls",
+               "me_counts": [1, 2, 3, 4, 5, 6],
+               "rates": {"PHR": _MPLS_ROW, "SWC": _MPLS_ROW},
+               "mem_accesses": {"SWC": {"total": 9.0}}}
+
+
+def test_diff_bench_gates_vanished_cells(tmp_path, capsys):
+    """Cells are keyed by ME count, not by position in the row, and what
+    the old file measured and the new one lacks is a regression."""
+    one_cell = dict(_MPLS_BENCH, me_counts=[6], rates={"SWC": [1.227]},
+                    mem_accesses={})
+    po, pc = tmp_path / "o.json", tmp_path / "c.json"
+    po.write_text(json.dumps(_MPLS_BENCH))
+    pc.write_text(json.dumps(one_cell))
+
+    assert diff_main([str(po), str(pc)]) == EXIT_REGRESSION
+    out = capsys.readouterr().out
+    assert "level PHR vanished" in out
+    assert "SWC at 1 MEs vanished" in out and "SWC at 5 MEs vanished" in out
+    assert "mem_accesses[SWC] vanished" in out
+    # 1.227 @6 met 1.227 @6, not 0.614 @1: that cell neither dropped
+    # nor vanished.
+    assert "SWC at 6 MEs" not in out
+    # The other way round the new file only gained cells.
+    assert diff_main([str(pc), str(po)]) == 0
+    capsys.readouterr()
+
+
+def test_diff_rejects_row_length_disagreeing_with_me_counts(tmp_path, capsys):
+    truncated = dict(_MPLS_BENCH, rates={"PHR": _MPLS_ROW, "SWC": [1.227]})
+    po, pt = tmp_path / "o.json", tmp_path / "t.json"
+    po.write_text(json.dumps(_MPLS_BENCH))
+    pt.write_text(json.dumps(truncated))
+    assert diff_main([str(po), str(pt)]) == EXIT_REGRESSION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(pt) in captured.err and "malformed bench file" in captured.err
+    assert "'rates[SWC]' has 1 entries for 6 me_counts" in captured.err
+
+
 def test_diff_errors_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert diff_main([missing, missing]) == 1

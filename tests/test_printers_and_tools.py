@@ -208,7 +208,7 @@ def test_report_waterfall_rejects_bad_input(tmp_path, capsys):
     from repro.obs.report import waterfall_main
 
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(_bench("toy", {"BASE": (1, 2, 3, 4, 5)}, {"BASE": [1.0]})))
+    good.write_text(json.dumps(_bench("toy", {"BASE": (1, 2, 3, 4, 5)}, {"BASE": [1.0, 1.0]})))
     bad = tmp_path / "bad.json"
     cases = [
         ({"kind": "bench_occupancy", "cells": {}}, "not a bench file"),

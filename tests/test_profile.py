@@ -345,7 +345,8 @@ def test_diff_rejects_unknown_kind(tmp_path, capsys):
     # A known kind with a body of the wrong shape is as ungateable as an
     # unknown kind: one diagnostic naming file and field, exit 2.
     rates = tmp_path / "rates.json"
-    rates.write_text(json.dumps({"kind": "bench", "rates": {"SWC": [1, 2]}}))
+    rates.write_text(json.dumps({"kind": "bench", "me_counts": [1, 2],
+                                 "rates": {"SWC": [1, 2]}}))
     for body, field in (
             ({"kind": "bench", "rates": {"SWC": ["a", 1]}}, "rates[SWC]"),
             ({"kind": "bench", "rates": "oops"}, "'rates'"),

@@ -4,9 +4,9 @@ The headline property is determinism across process counts: a sweep at
 ``--jobs 1`` must produce bit-identical BENCH_*.json files (rates *and*
 Table 1 access counts) to the same sweep at ``--jobs N``. The rest pins
 down the on-disk compile cache (miss-then-hit, corruption tolerance),
-the bench-file merge fixes (stale ``kind``/``figure`` shadowing,
-concurrent writers), metric-record merging, multi-run metrics
-files, and the CLI's fail-fast validation.
+the bench-file write contract (one run, one whole file; concurrent
+writers), metric-record merging, multi-run metrics files, and the
+CLI's ``--packet-trace`` and fail-fast validation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.obs import ledger as obs_ledger
 from repro.obs import metrics as obs_metrics
 from repro.obs import report as obs_report
 from repro.sweep import (CompileCache, SweepJob, build_jobs, cache_key,
-                         merge_bench_json, run_sweep)
+                         run_sweep, write_bench_json)
 
 APP = "l3switch"
 LEVELS = ["BASE", "SWC"]
@@ -213,88 +213,124 @@ def test_cache_disabled_never_touches_disk(tmp_path):
     assert hit2 is True
 
 
-# -- bench-file merge fixes ------------------------------------------------------
+# -- one run, one whole file -----------------------------------------------------
 
 
-def test_merge_bench_json_forces_kind_and_figure(tmp_path):
-    path = str(tmp_path / "BENCH_fig13.json")
-    # An existing file with stale kind/figure (the historical bug let
-    # these shadow the fresh values) plus a key the new payload extends.
-    with open(path, "w") as fh:
-        json.dump({"kind": "stale", "figure": "wrong",
-                   "rates": {"BASE": [0.1]}, "note": "old"}, fh)
-
-    merge_bench_json(path, "fig13", {"app": APP,
-                                     "rates": {"SWC": [1.0]}})
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["kind"] == "bench"
-    assert data["figure"] == "fig13"
-    # Dict values merge key-wise; untouched keys survive.
-    assert data["rates"] == {"BASE": [0.1], "SWC": [1.0]}
-    assert data["note"] == "old"
-    assert data["app"] == APP
+@pytest.mark.parametrize("existing", [
+    json.dumps({"kind": "stale", "figure": "wrong", "note": "old",
+                "me_counts": [1, 2], "rates": {"BASE": [0.1, 0.2]}}),
+    "{half a json docum",
+    "\x00\xff not text at all",
+], ids=["stale", "partial", "unparsable"])
+def test_write_bench_json_replaces_whatever_was_there(tmp_path, existing):
+    """Nothing of the file being replaced survives -- not its keys, not
+    its ``kind`` -- and nothing is left beside it."""
+    path = tmp_path / "BENCH_fig13.json"
+    path.write_text(existing, encoding="latin-1")
+    payload = {"app": APP, "me_counts": [6], "rates": {"SWC": [1.0]}}
+    assert write_bench_json(str(path), "fig13", payload) == str(path)
+    assert json.loads(path.read_text()) == dict(payload, kind="bench",
+                                                figure="fig13")
+    assert os.listdir(str(tmp_path)) == ["BENCH_fig13.json"]
 
 
-def test_merge_bench_json_rewrites_corrupt_file(tmp_path):
-    path = str(tmp_path / "BENCH_fig13.json")
-    with open(path, "w") as fh:
-        fh.write("{half a json docum")
-    merge_bench_json(path, "fig13", {"rates": {"SWC": [1.0]}})
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data == {"kind": "bench", "figure": "fig13",
-                    "rates": {"SWC": [1.0]}}
-
-
-def test_bench_merge_corrupt_sidecar(tmp_path, capsys):
-    """An unparsable BENCH file is moved to a ``.corrupt`` sidecar
-    (bytes preserved for forensics), a warning names it on stderr, and
-    the merge counts the event -- the fresh payload then starts a clean
-    file rather than crashing or silently discarding the old bytes."""
-    path = str(tmp_path / "BENCH_fig13.json")
-    with open(path, "w") as fh:
-        fh.write("{half a json docum")
-
-    reg = obs_metrics.MetricsRegistry()
-    with obs_metrics.scoped_registry(reg):
-        merge_bench_json(path, "fig13", {"rates": {"SWC": [1.0]}})
-
-    with open(path + ".corrupt") as fh:
-        assert fh.read() == "{half a json docum"
-    err = capsys.readouterr().err
-    assert "unreadable" in err and path in err
-    assert reg.counter("sweep.bench_merge", result="corrupt").value == 1
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["kind"] == "bench"
-    assert data["rates"] == {"SWC": [1.0]}
-
-
-def test_merge_bench_json_concurrent_writers(tmp_path):
-    """Concurrent merges must not lose keys (the old read-merge-write
-    raced: both read, both write, one side's keys vanish)."""
+def test_write_bench_json_concurrent_writers(tmp_path):
+    """Sixteen writers racing on one path leave one writer's complete
+    document: never a torn file, a mixture, or a stray temporary."""
     path = str(tmp_path / "BENCH_fig13.json")
     n = 16
+    payloads = [{"app": "w%02d" % i, "me_counts": list(range(1, i + 2)),
+                 "rates": {"SWC": [float(i)] * (i + 1)}} for i in range(n)]
     errors = []
 
-    def writer(i):
+    def writer(payload):
         try:
-            merge_bench_json(path, "fig13",
-                             {"rates": {"L%02d" % i: [float(i)]}})
+            write_bench_json(path, "fig13", payload)
         except Exception as exc:  # pragma: no cover - failure detail
             errors.append(exc)
 
-    threads = [threading.Thread(target=writer, args=(i,)) for i in range(n)]
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert not errors
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads) and not errors
     with open(path) as fh:
         data = json.load(fh)
-    assert sorted(data["rates"]) == ["L%02d" % i for i in range(n)]
-    assert data["kind"] == "bench" and data["figure"] == "fig13"
+    assert data in [dict(p, kind="bench", figure="fig13") for p in payloads]
+    assert os.listdir(str(tmp_path)) == ["BENCH_fig13.json"]
+
+
+@pytest.fixture
+def sweep_cli(tmp_path):
+    """Run ``python -m repro.sweep`` in-process with every output under
+    ``tmp_path``; the CLI switches on process-global observability, so
+    leave the registry and span capture as they were found."""
+    from repro.obs import trace as obs_trace
+    from repro.sweep.__main__ import main
+
+    reg = obs_metrics.get_registry()
+    was_enabled = reg.enabled
+
+    def run(*argv):
+        return main(list(argv) + [
+            "--warmup", "30", "--measure", "60",
+            "--out-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--metrics-jsonl", str(tmp_path / "metrics.jsonl")])
+
+    yield run
+    reg.enabled = was_enabled
+    reg.clear()
+    obs_trace.capture_compile_spans(False)
+
+
+def test_partial_sweep_over_full_file_is_self_consistent(tmp_path, sweep_cli,
+                                                         capsys):
+    """One cell swept into a directory holding the full figure file
+    leaves a file describing that one cell (merging used to leave
+    ``me_counts: [6]`` beside six-entry rows) -- and the diff gate sees
+    every other cell of the committed file vanish."""
+    import shutil
+
+    from repro.sweep import repo_root
+
+    committed = os.path.join(repo_root(), "BENCH_fig15.json")
+    target = tmp_path / "BENCH_fig15.json"
+    shutil.copy(committed, str(target))
+    assert sweep_cli("--apps", "mpls", "--levels", "SWC",
+                     "--me-counts", "6", "--no-table1") == 0
+    capsys.readouterr()
+
+    data = obs_diff.load_file(str(target))  # well-formed, or it raises
+    assert data["me_counts"] == [6]
+    assert list(data["rates"]) == ["SWC"] and len(data["rates"]["SWC"]) == 1
+    assert sorted(data) == ["app", "figure", "kind", "me_counts", "rates"]
+    text, code = obs_diff.run_diff(committed, str(target), tolerance=1.0)
+    assert code == obs_diff.EXIT_REGRESSION and "vanished" in text, text
+
+
+def test_packet_trace_flag_writes_loadable_trace(tmp_path, sweep_cli, capsys):
+    """``--packet-trace`` traces the fully-optimized run at the highest
+    ME count into ``<out-dir>/<app>.trace.json``, compile stages on the
+    same timeline."""
+    assert sweep_cli("--apps", APP, "--levels", "BASE,SWC",
+                     "--me-counts", "1,2", "--no-table1",
+                     "--packet-trace") == 0
+    out = capsys.readouterr().out
+    trace_path = tmp_path / (APP + ".trace.json")
+    assert "wrote %s" % trace_path in out
+    assert sorted(p.name for p in tmp_path.glob("*.trace.json")) == [
+        APP + ".trace.json"]
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    pids = {e["args"]["name"]: e["pid"] for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"}
+    assert {"compiler", "packets", "ME0", "ME1"} <= set(pids)
+    assert "ME2" not in pids  # the 2-ME run, not the 1-ME one
+    stages = {e["name"] for e in events
+              if e["ph"] == "B" and e["pid"] == pids["compiler"]}
+    assert {"frontend", "codegen"} <= stages, stages
+    assert any(e["ph"] == "b" and e["cat"] == "pkt" for e in events)
 
 
 # -- metric/ledger record merging ------------------------------------------------
