@@ -125,12 +125,7 @@ def compile_ir(
                 # across former protocol boundaries (the paper's dependence
                 # analysis reaches the same result in one pass); SOAR then
                 # re-annotates the new wide accesses.
-                second = pac.run(mod)
-                result.pac_result.combined_loads += second.combined_loads
-                result.pac_result.anchored_loads += second.anchored_loads
-                result.pac_result.combined_stores += second.combined_stores
-                result.pac_result.wide_loads += second.wide_loads
-                result.pac_result.wide_stores += second.wide_stores
+                result.pac_result += pac.run(mod)
                 result.soar_result = soar.run(mod)
                 if opts.scalar:
                     for fn in mod.functions.values():

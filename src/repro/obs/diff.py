@@ -167,9 +167,9 @@ def _opt_wins(report: dict) -> Dict[str, float]:
     wins: Dict[str, float] = {}
     pac = opt.get("pac")
     if pac:
-        wins["pac.combined_loads"] = pac.get("combined_loads", 0)
-        wins["pac.combined_stores"] = pac.get("combined_stores", 0)
-        wins["pac.anchored_loads"] = pac.get("anchored_loads", 0)
+        for key in ("combined_loads", "combined_stores", "anchored_loads",
+                    "combined_global_loads", "wide_global_loads"):
+            wins["pac." + key] = pac.get(key, 0)
     soar = opt.get("soar")
     if soar:
         wins["soar.resolution_rate"] = soar.get("resolution_rate", 0.0)

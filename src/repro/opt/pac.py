@@ -21,11 +21,15 @@ disagree, loop headers of head-moving loops in particular -- so the loads
 of one loop iteration combine like straight-line code. Stores are
 combined within a basic block, which is where back-to-back header
 rewrites occur in practice.
+
+The same epoch engine, under a second bump predicate, combines 32-bit
+loads of one record of an application table (``fw_rules[row + k]``) into
+one wide SRAM access: see the last section of this file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.baker import types as T
@@ -45,9 +49,9 @@ MAX_COMBINE_BYTES = 56
 # Test-only fault injection (tests/test_analyze_mutations.py), each a
 # deliberately broken combine the translation validator must catch:
 # "extract_skew" -- absorbed field extractions read 8 bits past their
-# true offset; "anchor_ignores_bump" -- epochs stop counting head
-# movements and stores, so loads combine across them. Never set outside
-# tests.
+# true offset; "anchor_ignores_bump" -- epochs stop counting bumps (head
+# movements and stores; for application loads, stores and redefinitions
+# of the index), so loads combine across them. Never set outside tests.
 _TEST_MUTATION = None
 
 
@@ -61,6 +65,11 @@ class PacResult:
     combined_global_loads: int = 0  # application loads coalesced
     wide_global_loads: int = 0
 
+    def __iadd__(self, other: "PacResult") -> "PacResult":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
 
 # Widest single SRAM instruction: 8 words.
 MAX_GLOBAL_COMBINE_BYTES = 32
@@ -69,8 +78,9 @@ MAX_GLOBAL_COMBINE_BYTES = 32
 def run(mod: IRModule) -> PacResult:
     result = PacResult()
     for fn in mod.functions.values():
+        compute_cfg(fn)
         _combine_function(fn, result)
-        _combine_global_loads(fn, result)
+        _combine_global_loads(fn, mod, result)
     return result
 
 
@@ -106,7 +116,6 @@ class _Access:
 
 
 def _combine_function(fn: IRFunction, result: PacResult) -> None:
-    compute_cfg(fn)
     aliases = AliasClasses(fn)
     if not aliases.classes():
         return
@@ -120,7 +129,8 @@ def _combine_function(fn: IRFunction, result: PacResult) -> None:
     dom = dominator_tree(fn)
     order = {bb: i for i, bb in enumerate(reverse_postorder(fn))}
 
-    epochs = {cls: _class_epochs(fn, aliases, cls) for cls in aliases.classes()}
+    epochs = {cls: _class_epochs(fn, _packet_bumps(aliases, cls))
+              for cls in aliases.classes()}
 
     loads: List[_Access] = []
     stores: List[_Access] = []
@@ -149,6 +159,10 @@ def _combine_function(fn: IRFunction, result: PacResult) -> None:
     _combine_loads(fn, loads, dom, order, aliases, replacements, result)
     _combine_stores(fn, stores, aliases, replacements, result)
 
+    _apply(replacements)
+
+
+def _apply(replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]]) -> None:
     for bb, repl in replacements.items():
         new_instrs: List[I.Instr] = []
         for idx, instr in enumerate(bb.instrs):
@@ -167,19 +181,11 @@ class _Epochs(NamedTuple):
     bumps: Callable[[I.Instr], bool]
 
 
-def _class_epochs(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> _Epochs:
-    """Block-entry epochs for one alias class, as ``(anchor block, bumps
-    since)``: on every path to the block, exactly that many bumps follow
-    the last visit of the anchor, which therefore dominates the block. A
-    bump is a head movement, a release or a field store, so equal epochs
-    imply no interference. The function entry is an anchor; a join whose
-    predecessors disagree becomes one (it restarts the count) instead of
-    losing its epoch, which is what gives the body of a head-moving loop
-    epochs at all."""
+def _packet_bumps(aliases: AliasClasses, cls: Temp) -> Callable[[I.Instr], bool]:
+    """What ends an epoch of one alias class: a head movement, a release
+    or a field store."""
 
     def bumps(instr: I.Instr) -> bool:
-        if _TEST_MUTATION == "anchor_ignores_bump":
-            return False
         if mutates_class(instr, aliases, cls):
             return True
         if isinstance(instr, (I.PktStoreField, I.PktStoreWords)) and isinstance(
@@ -187,6 +193,23 @@ def _class_epochs(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> _Epochs:
         ):
             return aliases.same(instr.ph, cls)
         return False
+
+    return bumps
+
+
+def _class_epochs(fn: IRFunction, bumps: Callable[[I.Instr], bool]) -> _Epochs:
+    """Block-entry epochs under one bump predicate, as ``(anchor block,
+    bumps since)``: on every path to the block, exactly that many bumps
+    follow the last visit of the anchor, which therefore dominates the
+    block. A bump is whatever may change what a load of the class reads
+    (``_packet_bumps`` for a packet, ``_global_bumps`` for an indexed
+    global), so equal epochs imply no interference. The function entry is
+    an anchor; a join whose predecessors disagree becomes one (it restarts
+    the count) instead of losing its epoch, which is what gives the body of
+    a head-moving or index-stepping loop epochs at all."""
+    if _TEST_MUTATION == "anchor_ignores_bump":
+        def bumps(instr: I.Instr) -> bool:
+            return False
 
     order = reverse_postorder(fn)
     block_bumps = {bb: sum(1 for i in bb.all_instrs() if bumps(i)) for bb in order}
@@ -591,119 +614,183 @@ def _segment_part(fn: IRFunction, seq: List[I.Instr], seg_off: int,
 
 
 # -- global (application-data) load combining -----------------------------------------
+#
+# The second client of the epoch engine. A 32-bit load of a global at
+# ``(leaf << shift) + delta`` absorbs later loads of the same global with
+# the same leaf and shift -- one record of a table, read once -- under the
+# rule of the packet side: it precedes them in its block, or its block
+# strictly dominates theirs, and their epochs are equal.
 
 
 def _single_defs_of(fn: IRFunction):
-    from collections import Counter
-
-    counts = Counter()
+    """temp -> (block, index, instruction) for temps defined exactly once
+    (a parameter assigned in the body has two definitions)."""
     defs = {}
-    for instr in fn.all_instrs():
-        for d in instr.defs():
-            counts[d] += 1
-            defs[d] = instr
-    return {t: i for t, i in defs.items() if counts[t] == 1}
-
-
-def _normalize_offset(op, single_defs, depth: int = 0):
-    """Decompose an offset operand into (base_key, constant byte delta):
-    walks single-definition chains through `+ const` and `<< const`, so
-    ``(row + 3) << 2`` and ``(row + 7) << 2`` share a base and differ by
-    a known 16 bytes."""
-    if isinstance(op, Const):
-        return ("c",), op.value
-    if depth > 6 or not isinstance(op, Temp):
-        return ("t", id(op)), 0
-    d = single_defs.get(op)
-    if isinstance(d, I.BinOp) and d.op == "add":
-        if isinstance(d.b, Const):
-            key, delta = _normalize_offset(d.a, single_defs, depth + 1)
-            return key, delta + d.b.value
-        if isinstance(d.a, Const):
-            key, delta = _normalize_offset(d.b, single_defs, depth + 1)
-            return key, delta + d.a.value
-    if isinstance(d, I.BinOp) and d.op == "shl" and isinstance(d.b, Const):
-        key, delta = _normalize_offset(d.a, single_defs, depth + 1)
-        return ("shl", key, d.b.value), delta << d.b.value
-    return ("t", id(op)), 0
-
-
-def _combine_global_loads(fn: IRFunction, result: PacResult) -> None:
-    """Coalesce same-block 32-bit loads of one global whose offsets share
-    a dynamic base and differ by known constants into one wide access."""
-    single_defs = _single_defs_of(fn)
+    multiple = set(fn.params)
     for bb in fn.blocks:
-        groups = {}  # (g, base_key) -> list of (index, instr, delta)
-        rewrites = []  # finished groups
+        for idx, instr in enumerate(bb.instrs):
+            for d in instr.defs():
+                if d in defs:
+                    multiple.add(d)
+                defs[d] = (bb, idx, instr)
+    return {t: site for t, site in defs.items() if t not in multiple}
 
-        def flush(key=None):
-            keys = [key] if key is not None else list(groups)
-            for k in keys:
-                group = groups.pop(k, None)
-                if group and len(group) >= 2:
-                    rewrites.append(group)
 
+def _normalize_offset(op, single_defs):
+    """Decompose an offset operand into ``(leaf, shift), delta, chain`` with
+    offset = (leaf << shift) + delta mod 2**32: walks single-definition
+    temps through `+ const` and `<< const`, so ``(row + 3) << 2`` and
+    ``(row + 7) << 2`` share a key and differ by a known 16 bytes. The leaf
+    is None for a constant offset; ``chain`` lists the definition sites
+    walked."""
+    shift, delta, chain = 0, 0, []
+    while isinstance(op, Temp) and len(chain) <= 6:
+        site = single_defs.get(op)
+        d = site[2] if site else None
+        if not isinstance(d, I.BinOp) or d.op not in ("add", "shl"):
+            break
+        if isinstance(d.b, Const):
+            const, inner = d.b.value, d.a
+        elif d.op == "add" and isinstance(d.a, Const):
+            const, inner = d.a.value, d.b
+        else:
+            break
+        if d.op == "add":
+            delta += const << shift
+        elif 0 <= const < 32 - shift:
+            shift += const
+        else:
+            break  # shifted out of the word: not an index any more
+        op = inner
+        chain.append(site)
+    if isinstance(op, Const):
+        return (None, 0), delta + (op.value << shift), chain
+    return (op, shift), delta, chain
+
+
+def _global_bumps(leaf: Optional[Temp]) -> Callable[[I.Instr], bool]:
+    """What ends an epoch of the loads indexed by ``leaf``: a store, call
+    or lock operation, or a new value of the index."""
+    return lambda instr: (
+        isinstance(instr, (I.StoreG, I.Call, I.LockAcquire, I.LockRelease))
+        or leaf in instr.defs())
+
+
+class _GlobalLoad(NamedTuple):
+    bb: BasicBlock
+    index: int
+    instr: I.LoadG
+    delta: int
+    epoch: Tuple[BasicBlock, int]
+    # Every temp of the offset chain was computed in the load's own epoch,
+    # i.e. from the value the leaf has at the load. ``j = i + 1; i = i + 8;
+    # tbl[j]`` is stale: its key says "i", its address is the old i's.
+    fresh: bool
+
+
+def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult) -> None:
+    single_defs = _single_defs_of(fn)
+    order = reverse_postorder(fn)  # leaders first: a dominator precedes in RPO
+    by_key: Dict[tuple, list] = {}
+    for bb in order:
         for idx, instr in enumerate(bb.instrs):
             if isinstance(instr, I.LoadG) and instr.width == 4:
-                base_key, delta = _normalize_offset(instr.offset, single_defs)
+                key, delta, chain = _normalize_offset(instr.offset, single_defs)
                 if delta % 4 == 0:
-                    gkey = (instr.g, base_key)
-                    group = groups.setdefault(gkey, [])
-                    deltas = [d for _, _, d in group] + [delta]
-                    if max(deltas) - min(deltas) + 4 <= MAX_GLOBAL_COMBINE_BYTES:
-                        group.append((idx, instr, delta))
-                    else:
-                        flush(gkey)
-                        groups[gkey] = [(idx, instr, delta)]
-                    continue
-            if isinstance(instr, I.StoreG):
-                flush()  # conservative: any store may alias a pending group
-            elif isinstance(instr, (I.Call, I.LockAcquire, I.LockRelease)):
-                flush()
-        flush()
+                    by_key.setdefault((instr.g,) + key, []).append(
+                        (bb, idx, instr, delta, chain))
 
-        if not rewrites:
+    dom: Optional[DomTree] = None
+    epochs_of: Dict[Optional[Temp], _Epochs] = {}
+    replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]] = {}
+    for (g, leaf, shift), members in by_key.items():
+        if len(members) < 2:
+            continue  # nothing to combine with: no epochs computed
+        if dom is None:
+            dom = dominator_tree(fn)
+        if leaf not in epochs_of:
+            epochs_of[leaf] = _class_epochs(fn, _global_bumps(leaf))
+        epochs = epochs_of[leaf]
+        loads = []
+        for bb, idx, instr, delta, chain in members:
+            epoch = _epoch_at(bb, idx, epochs)
+            fresh = all(dbb in epochs.entry and _epoch_at(dbb, didx, epochs) == epoch
+                        for dbb, didx, _ in chain)
+            loads.append(_GlobalLoad(bb, idx, instr, delta, epoch, fresh))
+        # A follower in another block may not execute, so its words must
+        # provably lie in the global: the base is a multiple of the record
+        # (the whole global for a constant offset), the record divides the
+        # global, and the window stays inside one record.
+        size = mod.globals[g].type.size_bytes()
+        record = size if leaf is None else 1 << shift
+        if size % record:
+            record = 0  # no whole number of records: nothing is provable
+        _form_global_groups(fn, g, loads, dom, record, replacements, result)
+    _apply(replacements)
+
+
+def _form_global_groups(fn: IRFunction, g: str, loads: List[_GlobalLoad],
+                        dom: DomTree, record: int, replacements,
+                        result: PacResult) -> None:
+    used = set()
+    for i, leader in enumerate(loads):
+        if i in used:
             continue
-        replacements = {}
-        for group in rewrites:
-            group.sort(key=lambda row: row[2])
-            first_idx = min(idx for idx, _, _ in group)
-            min_delta = group[0][2]
-            max_delta = group[-1][2]
-            nwords = (max_delta - min_delta) // 4 + 1
-            g = group[0][1].g
-            words = [fn.new_temp(T.U32, "gac_w%d" % i) for i in range(nwords)]
-            seq = []
-            # Base operand: the lowest-delta member's own offset value.
-            anchor = group[0][1].offset
-            anchor_owner_idx = group[0][0]
-            if anchor_owner_idx != first_idx and isinstance(anchor, Temp):
-                # The anchor temp is defined before its load, which may be
-                # after first_idx; recompute from the first member instead.
-                lead = next(row for row in group if row[0] == first_idx)
-                base = fn.new_temp(T.U32, "gac_off")
-                shift = lead[2] - min_delta
-                seq.append(I.BinOp("sub", base, lead[1].offset, Const(shift)))
-                anchor = base
-            seq.append(I.LoadGWords(words, g, anchor, nwords))
-            for idx, load, delta in group:
-                word = words[(delta - min_delta) // 4]
-                if idx == first_idx:
-                    replacements[idx] = seq + [I.Assign(load.dst, word)]
-                else:
-                    replacements[idx] = [I.Assign(load.dst, word)]
-            result.wide_global_loads += 1
-            result.combined_global_loads += len(group)
-            obs_ledger.get_ledger().record(
-                "pac", "%s/%s" % (fn.name, g), "combined_global_loads",
-                reason="%d loads of %s coalesced into one %d-word access"
-                       % (len(group), g, nwords),
-                loc=obs_ledger.loc_str(group[0][1].loc),
-                members=len(group), nwords=nwords)
-        new_instrs = []
-        for idx, instr in enumerate(bb.instrs):
-            if idx in replacements:
-                new_instrs.extend(replacements[idx])
+        group, lo, hi = [leader], leader.delta, leader.delta
+        for j in range(i + 1, len(loads)):
+            follower = loads[j]
+            local = follower.bb is leader.bb
+            if j in used or not (
+                    local or dom.strictly_dominates(leader.bb, follower.bb)):
+                continue
+            new_lo, new_hi = min(lo, follower.delta), max(hi, follower.delta)
+            if follower.epoch != leader.epoch:
+                refused = "epoch"
+            elif not (leader.fresh and follower.fresh):
+                refused = "stale chain"
+            elif new_hi + 4 - new_lo > MAX_GLOBAL_COMBINE_BYTES:
+                continue  # the next leader's window may hold it
+            elif not local and not 0 <= new_lo <= new_hi + 4 <= record:
+                refused = "window not provably in bounds"
             else:
-                new_instrs.append(instr)
-        bb.instrs = new_instrs
+                group.append(follower)
+                used.add(j)
+                lo, hi = new_lo, new_hi
+                continue
+            if not local:
+                obs_ledger.get_ledger().record(
+                    "pac", "%s/%s" % (fn.name, g), "not_combined", reason=refused,
+                    loc=obs_ledger.loc_str(follower.instr.loc),
+                    leader=obs_ledger.loc_str(leader.instr.loc))
+        if len(group) >= 2:
+            _rewrite_global_group(fn, g, group, lo, hi, replacements, result)
+
+
+def _rewrite_global_group(fn: IRFunction, g: str, group: List[_GlobalLoad],
+                          lo: int, hi: int, replacements, result: PacResult) -> None:
+    leader = group[0]
+    nwords = (hi - lo) // 4 + 1
+    words = [fn.new_temp(T.U32, "gac_w%d" % i) for i in range(nwords)]
+    seq: List[I.Instr] = []
+    base = leader.instr.offset
+    if leader.delta != lo:
+        # The wide load sits at the leader, where only the leader's own
+        # offset is known to be computed.
+        base = fn.new_temp(T.U32, "gac_off")
+        seq.append(I.BinOp("sub", base, leader.instr.offset,
+                           Const(leader.delta - lo)))
+    seq.append(I.LoadGWords(words, g, base, nwords))
+    for load in group:
+        replacements.setdefault(load.bb, {})[load.index] = (
+            seq if load is leader else []) + [
+            I.Assign(load.instr.dst, words[(load.delta - lo) // 4])]
+    result.wide_global_loads += 1
+    result.combined_global_loads += len(group)
+    obs_ledger.get_ledger().record(
+        "pac", "%s/%s" % (fn.name, g), "combined_global_loads",
+        reason="%d loads of %s coalesced into one %d-word access"
+               % (len(group), g, nwords),
+        loc=obs_ledger.loc_str(leader.instr.loc),
+        members=len(group), nwords=nwords, anchor=leader.epoch[0].label,
+        blocks=len({load.bb for load in group}),
+        speculative=sum(load.bb is not leader.bb for load in group))

@@ -271,6 +271,12 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
     return effective
 
 
+def _global_read_by(instr: I.Instr) -> Optional[str]:
+    """The global an instruction reads: a plain load, or the wide load PAC
+    made of several."""
+    return instr.g if isinstance(instr, (I.LoadG, I.LoadGWords)) else None
+
+
 def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
     names: Set[str] = set()
     for fn in mod.functions.values():
@@ -281,7 +287,8 @@ def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
                     depth += 1
                 elif isinstance(instr, I.LockRelease):
                     depth = max(0, depth - 1)
-                elif depth > 0 and isinstance(instr, (I.LoadG, I.StoreG)):
+                elif depth > 0 and (isinstance(instr, I.StoreG)
+                                    or _global_read_by(instr)):
                     names.add(instr.g)
     return names
 
@@ -293,8 +300,9 @@ def _globals_loaded_in(mod: IRModule, functions: Set[str]) -> Set[str]:
         if fn is None:
             continue
         for instr in fn.all_instrs():
-            if isinstance(instr, I.LoadG):
-                names.add(instr.g)
+            g = _global_read_by(instr)
+            if g is not None:
+                names.add(g)
     return names
 
 

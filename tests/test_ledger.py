@@ -209,6 +209,42 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     assert "state_in_registers" in out and "phr.state_functions: None -> 1" in out
 
 
+def test_firewall_report_explains_the_rule_record_reads(clean_ledger, tmp_path,
+                                                        capsys):
+    led = clean_ledger
+    led.enabled = True
+    app = get_app("firewall")
+    trace = app.make_trace(150, seed=5)
+    o2 = compile_baker(app.source, options_for("O2"), trace)
+    p_o2 = write_compile_report(o2, str(tmp_path / "o2.json"))
+    led.decisions = []
+    pac = compile_baker(app.source, options_for("PAC"), trace)
+    report = compile_report(pac, app="firewall")
+
+    # One record per wide read of a rule: what it replaced, under which
+    # anchor, over how many blocks, and how many members are speculative
+    # (outside the block of the read itself).
+    groups = [d for d in report["decisions"]
+              if (d["pass"], d["verdict"]) == ("pac", "combined_global_loads")]
+    assert {d["subject"].split("/")[1] for d in groups} == {"fw_rules"}
+    evidence = [d["evidence"] for d in groups]
+    assert [(e["members"], e["nwords"], e["blocks"], e["speculative"])
+            for e in evidence] == [(8, 8, 6, 6), (3, 3, 2, 2)]
+    assert all("for_head" in e["anchor"] for e in evidence)
+    opt = report["opt"]["pac"]
+    assert (opt["wide_global_loads"], opt["combined_global_loads"]) == (2, 11)
+    # Nothing was refused: every read of a rule sits in one of the two.
+    assert not [d for d in report["decisions"] if d["verdict"] == "not_combined"]
+
+    # The diff names both numbers without anyone reading IR.
+    p_pac = write_compile_report(pac, str(tmp_path / "pac.json"))
+    assert diff_main([p_o2, p_pac]) == 0
+    out = capsys.readouterr().out
+    assert "combined_global_loads" in out
+    assert "pac.combined_global_loads: None -> 11" in out
+    assert "pac.wide_global_loads: None -> 2" in out
+
+
 def test_report_is_deterministic(clean_ledger, tmp_path):
     led = clean_ledger
     led.enabled = True

@@ -306,17 +306,21 @@ def _walk_trace():
     return trace
 
 
+def _run_pac(mod, mutation=None):
+    assert pac._TEST_MUTATION is None
+    pac._TEST_MUTATION = mutation
+    try:
+        return pac.run(mod)
+    finally:
+        pac._TEST_MUTATION = None
+
+
 def _walk_pac(body, mutation=None):
     """PAC over the stack walk with ``body`` as the loop body: (PacResult,
     function, does the module still behave like the reference)."""
     src = _WALK % body
     mod = lower(src)
-    assert pac._TEST_MUTATION is None
-    pac._TEST_MUTATION = mutation
-    try:
-        result = pac.run(mod)
-    finally:
-        pac._TEST_MUTATION = None
+    result = _run_pac(mod, mutation)
     verify_module(mod)
     same = (run_reference(mod, _walk_trace()).tx_signature()
             == run_reference(lower(src), _walk_trace()).tx_signature())
@@ -397,6 +401,184 @@ def test_pac_64bit_field_extraction_correct():
     ref_meta = sorted(p.meta.get(4, 0) for p in ref.tx)
     got_meta = sorted(p.meta.get(4, 0) for p in got.tx)
     assert ref_meta == got_meta
+
+
+# Application-table loads: the epoch engine's second client. A load of
+# ``tbl[(leaf << s) + k]`` absorbs later loads of the same record in its own
+# block and in blocks it dominates, while no store, call, lock operation or
+# redefinition of the leaf lies between -- and, across blocks, only when the
+# record provably lies inside the table.
+
+_TBL = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+u32 tbl[64] = { %s };
+u32 odd[60] = { %s };
+u32 poke(u32 k) { tbl[k] = tbl[k] + 5; return k; }
+module m {
+  ppf p(ether_pkt *ph) from rx {
+    u32 i = ph->type & 15;
+    if (i > 7) { i = i - 8; }
+    u32 out = 0;
+    %%s
+    ph->type = out & 0xffff;
+    channel_put(tx, ph);
+  }
+}
+""" % (", ".join(str(3 * k + 2) for k in range(64)),
+       ", ".join(str(5 * k + 1) for k in range(60)))
+
+
+def _tbl_pac(body, mutation=None):
+    """Scalar opts (they fold the copies between an index expression and
+    its use), then PAC, over a PPF whose body is ``body``: (PacResult,
+    function, ledger decisions, does it still behave like the reference).
+    ``i`` has two definitions, so copy propagation leaves it the leaf of
+    every index; ether types 0..15 give each of its values 0..7 twice, so
+    stores to ``tbl`` show."""
+    src = _TBL % body
+    trace = Trace([TracePacket(build_ethernet(MACS[0], t, t, bytes(46)), 0)
+                   for t in range(16)])
+    mod = lower(src)
+    for fn in mod.functions.values():
+        scalar_optimize_function(fn)
+    with _recording_ledger() as led:
+        result = _run_pac(mod, mutation)
+    verify_module(mod)
+    same = (run_reference(mod, trace).tx_signature()
+            == run_reference(lower(src), trace).tx_signature())
+    return result, mod.functions["m.p"], led.decisions, same
+
+
+def _global_groups(decisions):
+    return [d.evidence for d in decisions if d.verdict == "combined_global_loads"]
+
+
+def test_pac_combines_table_loads_of_one_block():
+    result, fn, decisions, same = _tbl_pac(
+        "out = tbl[i + 1] + tbl[i + 3] + odd[i + 2] + odd[i];")
+    assert same
+    assert (result.wide_global_loads, result.combined_global_loads) == (2, 4)
+    assert count_ops(fn, I.LoadG) == 0
+    assert sorted(w.nwords for w in fn.all_instrs()
+                  if isinstance(w, I.LoadGWords)) == [3, 3]
+    # Same-block members execute whenever the leader does: no record
+    # structure, no bounds proof, nothing speculative.
+    assert [(e["blocks"], e["speculative"]) for e in _global_groups(decisions)] \
+        == [(1, 0), (1, 0)]
+
+
+def test_pac_table_load_absorbs_a_dominated_follower():
+    result, fn, decisions, same = _tbl_pac(
+        "u32 a = tbl[(i << 3) + 1]; out = a;"
+        "if (a > 20) { out = out + tbl[(i << 3) + 6] + tbl[i << 3]; }")
+    assert same
+    assert (result.wide_global_loads, result.combined_global_loads) == (1, 3)
+    assert count_ops(fn, I.LoadG) == 0
+    (wide,) = [w for w in fn.all_instrs() if isinstance(w, I.LoadGWords)]
+    assert wide.nwords == 7  # words 0..6 of the 8-word record
+    (evidence,) = _global_groups(decisions)
+    assert (evidence["blocks"], evidence["speculative"]) == (2, 2)
+    # The join below the harness's redefinition of ``i`` restarts the count.
+    assert evidence["anchor"].startswith("join")
+
+
+def test_pac_combines_the_loads_of_one_record_per_scan_iteration():
+    result, fn, decisions, same = _tbl_pac(
+        "for (u32 r = 0; r < 6; r++) { u32 row = r << 3;"
+        "  if (tbl[row + 2] > i * 40) {"
+        "    if (tbl[row + 5] != i) { out = out + tbl[row] + r; } } }")
+    assert same
+    # The step ``r = r + 1`` on the back edge makes the loop header the
+    # anchor: one iteration's loads share an epoch, two iterations' do not.
+    assert (result.wide_global_loads, result.combined_global_loads) == (1, 3)
+    assert count_ops(fn, I.LoadG) == 0
+    (evidence,) = _global_groups(decisions)
+    assert "for_head" in evidence["anchor"]
+    assert (evidence["nwords"], evidence["blocks"]) == (6, 3)
+
+
+@pytest.mark.parametrize("body,reason", [
+    # the index temp was computed before the leaf was redefined
+    ("u32 j = (i << 3) + 1; i = i ^ 1; u32 a = tbl[j];"
+     "out = a; if (a != 0) { out = out + tbl[(i << 3) + 2]; }", "stale chain"),
+    # the leaf redefined on one arm into the join that holds the follower
+    ("u32 a = tbl[(i << 3) + 1]; if (a > 40) { i = i ^ 1; }"
+     "out = a + tbl[(i << 3) + 2];", "epoch"),
+    # a store between the leader and a follower in a dominated block
+    ("u32 a = tbl[(i << 3) + 1]; out = a; tbl[(i << 3) + 2] = a + 7;"
+     "if (a != 0) { out = out + tbl[(i << 3) + 2]; }", "epoch"),
+    # the follower inside a critical section that updates the record
+    ("u32 a = tbl[(i << 3) + 1]; out = a;"
+     "if (a != 0) { critical (tbl_lock) { tbl[(i << 3) + 3] = out + 9;"
+     "  out = out + tbl[(i << 3) + 3]; } }", "epoch"),
+    # a call that writes the table between the two
+    ("u32 a = tbl[(i << 3) + 1]; out = a; u32 k = poke((i << 3) + 2);"
+     "if (a != 0) { out = out + tbl[(i << 3) + 2] + k; }", "epoch"),
+], ids=["stale-chain", "leaf-on-one-arm", "store", "critical", "call"])
+def test_pac_table_loads_do_not_combine_across(body, reason):
+    result, fn, decisions, same = _tbl_pac(body)
+    assert same
+    assert result.combined_global_loads == 0
+    assert [d.reason for d in decisions if d.verdict == "not_combined"] == [reason]
+    # Epochs that count nothing combine each pair and read the wrong word
+    # or the old value: the differential is what tells the two apart.
+    broken, _, _, broken_same = _tbl_pac(body, mutation="anchor_ignores_bump")
+    assert broken.combined_global_loads > result.combined_global_loads
+    assert not broken_same
+
+
+def test_pac_lock_alone_separates_table_loads():
+    # No sequential oracle can see a load hoisted out of a critical
+    # section, so this one is pinned by shape (and by SWC's rejection,
+    # test_swc_rejects_critical_section_reads_with_and_without_pac).
+    body = ("u32 a = tbl[(i << 3) + 1];"
+            "critical (tbl_lock) { out = a + tbl[(i << 3) + 2]; }")
+    result, _, _, same = _tbl_pac(body)
+    assert same and result.combined_global_loads == 0
+    broken, _, _, _ = _tbl_pac(body, mutation="anchor_ignores_bump")
+    assert broken.combined_global_loads == 2
+
+
+def test_pac_speculative_table_window_must_stay_in_bounds():
+    # 60 words are not a whole number of 8-word records: for i = 7 the
+    # leader reads word 57, the guard keeps the program off word 62, and a
+    # widened read of words 57..62 would run off the table all the same.
+    guarded = ("u32 a = odd[(i << 3) + 1]; out = a;"
+               "if ((i << 3) + 6 < 60) { out = out + odd[(i << 3) + 6]; }")
+    result, fn, decisions, same = _tbl_pac(guarded)
+    assert same
+    assert result.combined_global_loads == 0
+    assert [d.reason for d in decisions if d.verdict == "not_combined"] \
+        == ["window not provably in bounds"]
+    # The same two loads of a table the record divides do combine.
+    result, _, _, same = _tbl_pac(guarded.replace("odd", "tbl").replace("60", "64"))
+    assert same and result.combined_global_loads == 2
+
+
+def test_pac_result_adds_every_field():
+    import dataclasses
+
+    names = [f.name for f in dataclasses.fields(pac.PacResult)]
+    a = pac.PacResult(**{n: k + 1 for k, n in enumerate(names)})
+    b = pac.PacResult(**{n: 10 * (k + 1) for k, n in enumerate(names)})
+    a += b
+    assert dataclasses.asdict(a) == {n: 11 * (k + 1) for k, n in enumerate(names)}
+
+
+def test_firewall_rule_costs_two_reads_at_pac():
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    app = get_app("firewall")
+    result = compile_baker(app.source, options_for("PAC"),
+                           app.make_trace(200, seed=5), codegen=False)
+    reads = [i for fn in result.mod.functions.values() for i in fn.all_instrs()
+             if getattr(i, "g", None) == "fw_rules"]
+    assert all(isinstance(i, I.LoadGWords) for i in reads)
+    assert sorted(i.nwords for i in reads) == [3, 8]
+    assert (result.pac_result.wide_global_loads,
+            result.pac_result.combined_global_loads) == (2, 11)
 
 
 # -- PHR -----------------------------------------------------------------------------
@@ -573,6 +755,38 @@ def test_swc_rejects_critical_section_global():
     result = swc.select_candidates(mod, profile, {"m.p"})
     assert "counter" not in result.cached_names()
     assert "critical" in result.rejected["counter"]
+
+
+def test_swc_rejects_critical_section_reads_with_and_without_pac():
+    """PAC turns the two reads inside the critical section into one
+    ``loadg_words``; SWC must still see ``tbl`` read under the lock."""
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    src = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+u32 tbl[64] = { %s };
+module m {
+  ppf f(ether_pkt *ph) from rx {
+    u32 i = ph->type & 1;
+    u32 hot = tbl[i + 8];
+    u32 a = 0;
+    u32 b = 0;
+    critical (tbl_lock) { u32 row = i << 1; a = tbl[row]; b = tbl[row + 1]; }
+    ph->type = (a + b + hot) & 0xffff;
+    channel_put(tx, ph);
+  }
+}
+""" % ", ".join(str(k + 1) for k in range(64))
+    trace = Trace([TracePacket(build_ethernet(MACS[0], t, t, bytes(46)), 0)
+                   for t in range(64)])
+    with_pac = compile_baker(src, options_for("SWC"), trace, codegen=False)
+    assert with_pac.pac_result.combined_global_loads == 2
+    without = compile_baker(src, options_for("SWC", pac=False), trace,
+                            codegen=False)
+    for result in (with_pac, without):
+        assert result.swc_result.cached_names() == []
+        assert "critical" in result.swc_result.rejected["tbl"]
 
 
 def test_swc_rejects_fast_path_writes():

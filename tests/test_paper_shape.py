@@ -21,10 +21,11 @@ from repro.sweep import FIG_BY_APP, ME_COUNTS, TABLE1_LEVELS, repo_root
 
 #: app -> (rate the fully optimized code must reach at 6 MEs, factor by
 #: which it must still grow from 2 to 4 MEs). Firewall's and MPLS's
-#: ceilings are below the paper's, and MPLS saturates its dynamic-offset
-#: accesses early; EXPERIMENTS.md quantifies both gaps.
-EXPECTED = {"l3switch": (2.3, 1.15), "firewall": (0.8, 1.15),
-            "mpls": (0.6, 1.0)}
+#: ceilings are below the paper's (the committed files hold 1.94 and
+#: 1.23), and MPLS saturates its dynamic-offset accesses early;
+#: EXPERIMENTS.md quantifies both gaps.
+EXPECTED = {"l3switch": (2.3, 1.15), "firewall": (1.7, 1.15),
+            "mpls": (1.1, 1.0)}
 
 
 def committed(app):
@@ -93,6 +94,27 @@ def test_swc_relieves_l3switch_and_mpls_but_not_firewall():
     rows, rates = firewall["mem_accesses"], firewall["rates"]
     assert abs(rows["SWC"]["app_sram"] - rows["PHR"]["app_sram"]) < 0.5
     assert abs(rates["SWC"][-1] - rates["PHR"][-1]) < 0.15
+
+
+def check_pac_reads_a_firewall_rule_once(bench):
+    """Paper section 6.2: PAC 'even aids the scalar optimizer' on the
+    rule table -- the narrow reads of one rule record become wide ones."""
+    rows = bench["mem_accesses"]
+    assert rows["PAC"]["app_sram"] <= 0.5 * rows["O1"]["app_sram"], \
+        "PAC should halve the rule-table reads"
+
+
+def test_pac_halves_firewall_application_sram():
+    check_pac_reads_a_firewall_rule_once(committed("firewall"))
+
+
+def test_shape_check_notices_block_local_rule_combining():
+    """22.7 is what PAC left when it combined rule reads within one basic
+    block only (the commit before this check): not the paper's step."""
+    bench = copy.deepcopy(committed("firewall"))
+    bench["mem_accesses"]["PAC"]["app_sram"] = 22.664
+    with pytest.raises(AssertionError, match="halve the rule-table reads"):
+        check_pac_reads_a_firewall_rule_once(bench)
 
 
 def test_soar_adds_little_for_mpls():
