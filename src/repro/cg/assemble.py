@@ -157,13 +157,16 @@ def build_image(result, agg) -> MEImage:
     resolve_stack_accesses(all_fns, layout)
 
     image = MEImage(name=agg.name, inputs=inputs, stack_layout=layout)
-    order = [DISPATCH_NAME] + [n for n in reachable] + sorted(ctx.helpers)
-    for name in order:
-        fn = all_fns[name]
-        image.functions.append(name)
-        for bb in fn.blocks:
-            image.label_index[bb.label] = len(image.insns)
-            image.insns.extend(bb.insns)
+    image.functions = [DISPATCH_NAME] + reachable + sorted(ctx.helpers)
+    blocks = [bb for name in image.functions for bb in all_fns[name].blocks]
+    for bb, following in zip(blocks, blocks[1:] + [None]):
+        image.label_index[bb.label] = len(image.insns)
+        insns = bb.insns
+        last = insns[-1] if insns else None
+        if (following is not None and isinstance(last, Br)
+                and last.cond == "always" and last.target == following.label):
+            insns = insns[:-1]  # a jump to the next instruction falls through
+        image.insns.extend(insns)
     # Resolve branch targets.
     for idx, insn in enumerate(image.insns):
         if isinstance(insn, (Br, Bal)):

@@ -208,11 +208,26 @@ class FunctionLowerer:
                 self.meta_memo = dict(end_memos[bb.preds[0]])
             else:
                 self.meta_memo = {}
+            fused = self._fused_cmp(bb)
             for instr in bb.instrs:
-                self.lower_instr(instr)
+                if instr is not fused:
+                    self.lower_instr(instr)
             end_memos[bb] = dict(self.meta_memo)
-            self._lower_terminator(bb)
+            self._lower_terminator(bb, fused)
         return self.fn
+
+    def _fused_cmp(self, bb) -> Optional[I.Cmp]:
+        """The ``Cmp`` of this block that only its ``Branch`` reads: the
+        terminator evaluates it as compare-and-branch, so it is never
+        materialised as a 0/1 value."""
+        term = bb.terminator
+        if isinstance(term, I.Branch) and isinstance(term.cond, Temp):
+            def_instr = self._single_defs.get(term.cond)
+            if (isinstance(def_instr, I.Cmp)
+                    and self._use_counts[term.cond] == 1
+                    and def_instr in bb.instrs):
+                return def_instr
+        return None
 
     def _count_uses(self) -> None:
         defs: Counter = Counter()
@@ -307,20 +322,13 @@ class FunctionLowerer:
 
     # -- terminators -------------------------------------------------------------
 
-    def _lower_terminator(self, bb) -> None:
+    def _lower_terminator(self, bb, fused: Optional[I.Cmp]) -> None:
         term = bb.terminator
         if isinstance(term, I.Jump):
             self.emit(Br("always", self.ir_block_label(term.target)))
         elif isinstance(term, I.Branch):
             then_l = self.ir_block_label(term.then_bb)
             else_l = self.ir_block_label(term.else_bb)
-            fused = None
-            if isinstance(term.cond, Temp):
-                def_instr = self._single_defs.get(term.cond)
-                if (isinstance(def_instr, I.Cmp)
-                        and self._use_counts[term.cond] == 1
-                        and def_instr in bb.instrs):
-                    fused = def_instr
             if fused is not None:
                 self.emit_cmp_branch(fused.op, fused.a, fused.b, then_l, else_l)
             else:

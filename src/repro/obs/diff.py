@@ -347,8 +347,9 @@ def diff_bench(old: dict, new: dict,
 def diff_churn(old: dict, new: dict,
                tolerance: float) -> Tuple[List[str], List[str]]:
     """Gate the serve harness's BENCH_churn.json: mean forwarding rate
-    must not drop, overall p99 must not grow, and the run must keep
-    applying (and observing the effect of) the same number of updates."""
+    must not drop, overall p99 and the longest staleness after an update
+    must not grow, and the run must keep applying (and observing the
+    effect of) the same number of updates."""
     lines: List[str] = []
     regressions: List[str] = []
     lines.append("churn bench diff: %s/%s (%s windows)" % (
@@ -364,14 +365,16 @@ def diff_churn(old: dict, new: dict,
 
     o_lat = o_sum.get("latency") or {}
     n_lat = n_sum.get("latency") or {}
-    a = o_lat.get("p99", 0.0)
-    b = n_lat.get("p99", 0.0)
-    if a != b:
-        lines.append("  p99 latency: %g -> %g cycles" % (a, b))
-    if a > 0 and b > a * (1 + tolerance):
-        regressions.append(
-            "p99 latency grew %g -> %g cycles (+%.1f%%, tolerance %.0f%%)"
-            % (a, b, 100 * (b - a) / a, 100 * tolerance))
+    for what, a, b in (
+            ("p99 latency", o_lat.get("p99", 0.0), n_lat.get("p99", 0.0)),
+            ("longest staleness", o_sum.get("stale_cycles_max", 0.0),
+             n_sum.get("stale_cycles_max", 0.0))):
+        if a != b:
+            lines.append("  %s: %g -> %g cycles" % (what, a, b))
+        if a > 0 and b > a * (1 + tolerance):
+            regressions.append(
+                "%s grew %g -> %g cycles (+%.1f%%, tolerance %.0f%%)"
+                % (what, a, b, 100 * (b - a) / a, 100 * tolerance))
 
     a = o_sum.get("updates_applied", 0)
     b = n_sum.get("updates_applied", 0)

@@ -660,9 +660,12 @@ def render_timeline(header: dict, windows: List[dict], k: int = 2) -> str:
                 "%+g" % r["delta_p99"],
                 "%+.4f" % r["delta_rate_gbps"],
                 "%+g" % r["delta_drops"],
+                "%g" % r.get("stale_tx", 0),
+                "%g" % r.get("stale_cycles", 0),
             ])
         _table(lines, ["win", "update", "target", "p99.before", "p99.during",
-                       "p99.after", "d(p99)", "d(gbps)", "d(drops)"], rows)
+                       "p99.after", "d(p99)", "d(gbps)", "d(drops)",
+                       "stale.tx", "stale.cycles"], rows)
     return "\n".join(lines)
 
 

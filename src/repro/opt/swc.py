@@ -10,20 +10,25 @@ into CAM-tagged Local Memory hits:
   (power-of-two line size <= the line budget), never accessed inside a
   critical section, and its observed load stream would hit well in 16
   lines.
-* **Delayed-update coherency**: writers set a per-global ``updated``
-  flag; the packet path checks the flag only every *i*-th packet
-  (Equation 2 gives the minimum check rate from the tolerable packet
-  error rate) and clears the whole CAM when it fires. Between checks,
-  cached entries may be stale -- acceptable in error-tolerant packet
-  applications, the paper's central observation.
+* **Delayed-update coherency**: a writer bumps a per-global
+  *generation word* in Scratch after its data store; the packet path
+  compares the generations against the value it last saw (``SEEN``, in
+  its own Local Memory) only every *i*-th packet (Equation 2 gives the
+  minimum check rate from the tolerable packet error rate) and clears
+  the whole CAM when they differ. MEs never write the generation words,
+  so every ME sees every update -- the paper's test-and-clear flag is
+  consumed by the first ME that checks. Between checks, cached entries
+  may be stale -- acceptable in error-tolerant packet applications, the
+  paper's central observation.
 
 The load-path rewrite (paper Figure 8)::
 
     count++                       (Local Memory)
     if count > check_limit:
         count = 0
-        if updated_flag:          (one Scratch read per period)
-            cam_clear; updated_flag = 0
+        gen = sum of generations  (one Scratch read each per period)
+        if gen != seen:           (Local Memory)
+            seen = gen; cam_clear
     r = cam_lookup(key)
     if hit:  value = LM[line(r) + word]
     else:    value = SRAM load; cam_write; LM fill
@@ -51,6 +56,11 @@ MAX_LINE_WORDS = 8  # 16 lines x 8 words = 128 words + counter
 # The CAM is shared by every cached global, so line slots use a uniform
 # stride: entry E always owns LM words [CACHE_BASE + 8E, CACHE_BASE + 8E+8).
 LINE_STRIDE_WORDS = MAX_LINE_WORDS
+# The generation sum this ME last flushed for, behind the sixteen lines.
+SEEN_INDEX = CACHE_BASE + CAM_ENTRIES * LINE_STRIDE_WORDS
+
+# ``<global>.__swc_flag``: the Scratch generation word of a cached global.
+FLAG_SUFFIX = ".__swc_flag"
 
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
 # to "wrong_slot", the hit path reads one LM word past the true cache
@@ -80,7 +90,7 @@ class CacheSpec:
     gid: int  # key tag
     line_bytes: int  # power of two
     line_words: int
-    flag_global: str  # name of the updated-flag global
+    flag_global: str  # name of the generation-word global
 
 
 @dataclass
@@ -143,7 +153,7 @@ def select_candidates(mod: IRModule, profile: ProfileData,
 
     screened = []  # (loads_per_packet, name, sym, line_bytes, line_words, stats)
     for name, sym in sorted(mod.globals.items()):
-        if name.endswith(".__swc_flag"):
+        if name.endswith(FLAG_SUFFIX):
             continue
         stats = profile.global_stats.get(name)
         if stats is None or name not in fast_loaded:
@@ -224,7 +234,7 @@ def select_candidates(mod: IRModule, profile: ProfileData,
                                             line_words)
         capacity -= ws
         result.cached.append(
-            CacheSpec(name, gid, line_bytes, line_words, name + ".__swc_flag")
+            CacheSpec(name, gid, line_bytes, line_words, name + FLAG_SUFFIX)
         )
         result.eq2_min_check_rate = max(result.eq2_min_check_rate, eq2)
         if led.enabled:
@@ -324,12 +334,21 @@ def _globals_stored_in(mod: IRModule, functions: Set[str]) -> Set[str]:
 def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
           check_period: int = 16) -> None:
     """Rewrite fast-path loads of every selected global and instrument
-    all stores with the updated-flag write."""
+    all stores with the generation bump."""
     if not result.cached:
         return
     specs = {c.name: c for c in result.cached}
+    # The generation bump is a read-modify-write, atomic only because the
+    # XScale runs a function to completion. Selection rejects a global
+    # stored on the packet path; never instrument one that slipped by.
+    me_stored = sorted(_globals_stored_in(mod, fast_functions) & set(specs))
+    if me_stored:
+        raise ValueError(
+            "SWC: cached global(s) %s stored from an ME function; a "
+            "generation word has one writer, the XScale"
+            % ", ".join(me_stored))
 
-    # Materialize the flag globals (Scratch: cheap periodic check).
+    # Materialize the generation words (Scratch: cheap periodic check).
     for spec in result.cached:
         if spec.flag_global not in mod.globals:
             mod.globals[spec.flag_global] = GlobalSymbol(
@@ -351,20 +370,40 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
             _insert_periodic_check(fn, result.cached, check_period)
             _rewrite_loads(fn, specs, result)
 
-    # Every store anywhere (control plane, init, other aggregates) must
-    # raise the flag.
+    # Every store anywhere (control plane, init) bumps the generation
+    # *after* the data is in memory, so a flush it triggers refills with
+    # the new value.
     for fn in mod.functions.values():
         for bb in fn.blocks:
             new_instrs: List[I.Instr] = []
             for instr in bb.instrs:
                 new_instrs.append(instr)
                 if isinstance(instr, I.StoreG) and instr.g in specs:
-                    spec = specs[instr.g]
-                    new_instrs.append(
-                        I.StoreG(spec.flag_global, Const(0), Const(1), 4)
-                    )
+                    flag = specs[instr.g].flag_global
+                    gen = fn.new_temp(T.U32, "swc_gen")
+                    bumped = fn.new_temp(T.U32)
+                    new_instrs += [
+                        I.LoadG(gen, flag, Const(0), 4),
+                        I.BinOp("add", bumped, gen, Const(1)),
+                        I.StoreG(flag, Const(0), bumped, 4),
+                    ]
                     result.instrumented_stores += 1
             bb.instrs = new_instrs
+
+
+def publish_store(globals_, name: str) -> bool:
+    """What a writer outside compiled code (a control-plane model, a
+    test) owes the data plane after storing to global ``name`` through
+    ``globals_`` (anything with the interpreter's ``load``/``store``):
+    the same generation bump :func:`apply` appends to a compiled store.
+    Returns whether ``name`` is SWC-cached in that program."""
+    flag = name + FLAG_SUFFIX
+    try:
+        gen = globals_.load(flag, 0, 4)
+    except KeyError:
+        return False
+    globals_.store(flag, 0, (gen + 1) & 0xFFFFFFFF, 4)
+    return True
 
 
 def _insert_periodic_check(fn: IRFunction, cached: List[CacheSpec],
@@ -391,24 +430,27 @@ def _insert_periodic_check(fn: IRFunction, cached: List[CacheSpec],
     entry.append(I.Cmp("gt_u", over, bumped, Const(check_period)))
     entry.terminate(I.Branch(over, check, body))
 
+    # Read-only on Scratch: an ME that cleared a shared word would hide
+    # the update from every ME that has not checked yet.
     check.append(I.LmStore(Const(COUNTER_INDEX), Const(0)))
     acc: Optional[Temp] = None
     for spec in cached:
-        flag = fn.new_temp(T.U32, "swc_flag")
-        check.append(I.LoadG(flag, spec.flag_global, Const(0), 4))
+        gen = fn.new_temp(T.U32, "swc_gen")
+        check.append(I.LoadG(gen, spec.flag_global, Const(0), 4))
         if acc is None:
-            acc = flag
+            acc = gen
         else:
             merged = fn.new_temp(T.U32)
-            check.append(I.BinOp("or", merged, acc, flag))
+            check.append(I.BinOp("add", merged, acc, gen))
             acc = merged
-    any_set = fn.new_temp(T.BOOL)
-    check.append(I.Cmp("ne", any_set, acc, Const(0)))
+    seen = fn.new_temp(T.U32, "swc_seen")
+    check.append(I.LmLoad(seen, Const(SEEN_INDEX)))
+    moved = fn.new_temp(T.BOOL)
+    check.append(I.Cmp("ne", moved, acc, seen))
     flush = fn.new_block("swc_flush")
-    check.terminate(I.Branch(any_set, flush, body))
+    check.terminate(I.Branch(moved, flush, body))
+    flush.append(I.LmStore(Const(SEEN_INDEX), acc))
     flush.append(I.CamClear())
-    for spec in cached:
-        flush.append(I.StoreG(spec.flag_global, Const(0), Const(0), 4))
     flush.terminate(I.Jump(body))
 
 

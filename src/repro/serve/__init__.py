@@ -13,6 +13,7 @@ from repro.serve.churn import (
     ControlPlane,
     build_mutations,
     parse_churn_spec,
+    stale_cycles,
     stale_tx_counts,
 )
 from repro.serve.harness import (
@@ -44,5 +45,6 @@ __all__ = [
     "build_mutations",
     "parse_churn_spec",
     "run_service",
+    "stale_cycles",
     "stale_tx_counts",
 ]

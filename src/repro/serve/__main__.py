@@ -106,8 +106,10 @@ def main(argv=None) -> int:
     print("  rate=%.4f Gbps  tx=%d  drops=%g  p50=%g  p99=%g"
           % (s["mean_rate_gbps"], s["tx_packets"], s["drops"],
              s["latency"]["p50"], s["latency"]["p99"]))
-    print("  updates applied=%d  stale tx after update=%d"
-          % (s["updates_applied"], s["stale_tx_total"]))
+    print("  updates applied=%d  stale tx after update=%d  "
+          "(last one %g cycles after its store)"
+          % (s["updates_applied"], s["stale_tx_total"],
+             s["stale_cycles_max"]))
     if res.occupancy is not None:
         print("  bottleneck: %s" % res.occupancy["verdict"]["text"])
     if args.out:

@@ -6,11 +6,10 @@ deterministic mutation helpers in :mod:`repro.apps.tables` describe
 *what* each update writes. :class:`ControlPlane` applies them on the
 simulated XScale path: the store goes through the same
 :class:`~repro.ixp.xscale_core.SimGlobals` adapter compiled control
-code uses, and when the target global is SWC-cached (§5.2) the
-``<name>.__swc_flag`` scratch word is raised exactly as the compiler's
-instrumented stores do -- so the MEs keep serving cached values until
-their periodic flag check flushes the CAM. That delayed-coherency
-window is what the serve harness measures.
+code uses, followed by what every writer owes an SWC-cached global
+(§5.2, :func:`repro.opt.swc.publish_store`) -- so each ME keeps serving
+cached values until its own periodic check flushes its CAM. That
+delayed-coherency window is what the serve harness measures.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro.apps.tables import (
     route_flap_mutations,
 )
 from repro.ixp.xscale_core import SimGlobals
+from repro.opt.swc import publish_store
 
 #: churn kind -> the app whose tables it mutates.
 CHURN_KINDS = {
@@ -125,13 +125,7 @@ class ControlPlane:
                 "(table layout drift?)" % (mut.describe(), mut.old_value,
                                            current))
         self.globals.store(mut.target, mut.offset, mut.new_value, mut.width)
-        flag = mut.target + ".__swc_flag"
-        swc_flagged = flag in self.layout.global_addr
-        if swc_flagged:
-            # Exactly what an SWC-instrumented StoreG does: raise the
-            # update flag; MEs flush their CAM at the next periodic
-            # check, serving stale values until then.
-            self.globals.store(flag, 0, 1, 4)
+        swc_flagged = publish_store(self.globals, mut.target)
         self.applied.append((chip.now, mut))
         if self.collector is not None:
             self.collector.registry.counter(
@@ -147,6 +141,32 @@ class ControlPlane:
 ETH_TYPE_MPLS = 0x8847
 
 
+def _stale_tx_times(tx_records,
+                    applied: List[Tuple[float, TableMutation]]
+                    ) -> List[List[float]]:
+    """Per update, the Tx times of the frames after it that still carry
+    the value it retired."""
+    out: List[List[float]] = []
+    for t_apply, mut in applied:
+        times: List[float] = []
+        mac = mut.probe.get("stale_dst_mac")
+        label = mut.probe.get("stale_mpls_label")
+        if mac is not None:
+            needle = mac.to_bytes(6, "big")
+            times = [r.time for r in tx_records
+                     if r.time > t_apply and r.payload[:6] == needle]
+        elif label is not None:
+            for r in tx_records:
+                if r.time <= t_apply or len(r.payload) < 18:
+                    continue
+                if r.payload[12:14] != ETH_TYPE_MPLS.to_bytes(2, "big"):
+                    continue
+                if int.from_bytes(r.payload[14:18], "big") >> 12 == label:
+                    times.append(r.time)
+        out.append(times)
+    return out
+
+
 def stale_tx_counts(tx_records,
                     applied: List[Tuple[float, TableMutation]]
                     ) -> List[int]:
@@ -158,23 +178,17 @@ def stale_tx_counts(tx_records,
     match is provably stale data-plane state (the SWC coherency
     window). Updates without a stale probe (``fw-toggle``) count 0.
     """
-    out: List[int] = []
-    for t_apply, mut in applied:
-        stale = 0
-        mac = mut.probe.get("stale_dst_mac")
-        label = mut.probe.get("stale_mpls_label")
-        if mac is not None:
-            needle = mac.to_bytes(6, "big")
-            stale = sum(1 for r in tx_records
-                        if r.time > t_apply and r.payload[:6] == needle)
-        elif label is not None:
-            for r in tx_records:
-                if r.time <= t_apply or len(r.payload) < 18:
-                    continue
-                if r.payload[12:14] != ETH_TYPE_MPLS.to_bytes(2, "big"):
-                    continue
-                top = int.from_bytes(r.payload[14:18], "big") >> 12
-                if top == label:
-                    stale += 1
-        out.append(stale)
-    return out
+    return [len(times) for times in _stale_tx_times(tx_records, applied)]
+
+
+def stale_cycles(tx_records,
+                 applied: List[Tuple[float, TableMutation]]) -> List[float]:
+    """Per update, the cycles from the store to the last frame carrying
+    the retired value (0 when none did). This is what §5.2 bounds --
+    check period x packet time per ME, plus the latency of frames
+    already in flight -- where the frame count of
+    :func:`stale_tx_counts` also depends on how much traffic rides the
+    updated entry."""
+    return [round(max(times) - t_apply, 3) if times else 0.0
+            for (t_apply, _), times in zip(
+                applied, _stale_tx_times(tx_records, applied))]

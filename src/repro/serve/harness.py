@@ -37,6 +37,7 @@ from repro.serve.churn import (
     ControlPlane,
     build_mutations,
     schedule_times,
+    stale_cycles,
     stale_tx_counts,
 )
 from repro.serve.traffic import StreamingRxEngine, TrafficModel, TrafficSpec
@@ -76,6 +77,7 @@ class ServeResult:
     bench: Dict[str, object]
     applied: List[object]       # (time, TableMutation) pairs, time order
     stale_tx: List[int]         # per applied update
+    stale_cycles: List[float]   # per applied update: store -> last stale frame
     tracer: PacketTracer
     # occupancy_cell dict when cfg.profile was set, else None.
     occupancy: Optional[Dict[str, object]] = None
@@ -149,7 +151,15 @@ def run_service(cfg: ServeConfig,
     collector.finish(chip.now)
 
     stale = stale_tx_counts(tx.records, control.applied)
-    bench = _bench_payload(cfg, collector, control, stale, rx, tx, tracer)
+    cycles = stale_cycles(tx.records, control.applied)
+    # An update is annotated when it is applied; what it left behind is
+    # known only now. Windows hold events in apply order, as `applied`.
+    events = [ev for w in collector.windows for ev in w["events"]
+              if ev["kind"] == "update"]
+    for ev, n, c in zip(events, stale, cycles):
+        ev.update(stale_tx=n, stale_cycles=c)
+    bench = _bench_payload(cfg, collector, control, stale, cycles, rx, tx,
+                           tracer)
 
     if timeline_path:
         collector.dump_jsonl(timeline_path, header={
@@ -170,7 +180,8 @@ def run_service(cfg: ServeConfig,
 
     return ServeResult(config=cfg, collector=collector, bench=bench,
                        applied=list(control.applied), stale_tx=stale,
-                       tracer=tracer, occupancy=occupancy)
+                       stale_cycles=cycles, tracer=tracer,
+                       occupancy=occupancy)
 
 
 def _seeds(cfg: ServeConfig) -> Dict[str, object]:
@@ -180,21 +191,13 @@ def _seeds(cfg: ServeConfig) -> Dict[str, object]:
 
 def _bench_payload(cfg: ServeConfig, collector: TimeseriesCollector,
                    control: ControlPlane, stale: List[int],
+                   cycles: List[float],
                    rx, tx, tracer: PacketTracer) -> Dict[str, object]:
     windows = collector.windows
     rates = [w["rate_gbps"] for w in windows]
     mean_rate = round(sum(rates) / len(rates), 6) if rates else 0.0
-    impact = update_impact(windows, k=cfg.impact_k)
-    # Impact rows and applied updates are both in apply-time order;
-    # attach the per-update stale-frame counts by matching timestamps.
-    stale_by_t = {round(t, 3): s for (t, _), s in zip(control.applied, stale)}
-    updates = []
-    for row in impact:
-        if row.get("kind") != "update":
-            continue
-        row = dict(row)
-        row["stale_tx"] = stale_by_t.get(row.get("t"), 0)
-        updates.append(row)
+    updates = [row for row in update_impact(windows, k=cfg.impact_k)
+               if row.get("kind") == "update"]
     return {
         "app": cfg.app,
         "level": cfg.level,
@@ -212,6 +215,7 @@ def _bench_payload(cfg: ServeConfig, collector: TimeseriesCollector,
             "tx_packets": tx.packets_out(),
             "updates_applied": len(control.applied),
             "stale_tx_total": sum(stale),
+            "stale_cycles_max": max(cycles, default=0.0),
             "latencies_truncated": tracer.latencies_truncated,
         },
         "timeline": {

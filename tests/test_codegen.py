@@ -5,12 +5,14 @@ import pytest
 
 from repro.cg import abi, isa
 from repro.cg.assemble import build_image
-from repro.cg.lower import CodegenError, LowerContext, lower_function
+from repro.cg.lower import (
+    CodegenError, FunctionLowerer, LowerContext, lower_function,
+)
 from repro.cg.melayout import CODE_STORE_WORDS, STACK_WORDS_PER_THREAD
 from repro.cg.regalloc import allocate_function, normalize
 from repro.cg.stack import layout_frames, resolve_stack_accesses
 from repro.compiler import compile_baker
-from repro.options import options_for
+from repro.options import LEVEL_ORDER, options_for
 from repro.profiler.trace import ipv4_trace
 from tests.ir_helpers import lower
 from tests.samples import MINI_FORWARDER, PASSTHROUGH
@@ -71,6 +73,52 @@ def test_cmp_branch_fusion():
     assert cmps
     assert isinstance(insns[cmps[0] + 1], isa.Br)
     assert insns[cmps[0] + 1].cond == "lt_u"
+
+
+def _fused_and_kept_cmp_function():
+    """``f(a, b)``: one Cmp read only by its block's Branch, one whose
+    0/1 value is also returned."""
+    from repro.baker import types as T
+    from repro.ir import instructions as I
+    from repro.ir.module import IRFunction
+    from repro.ir.values import Const
+
+    fn = IRFunction("f", "func", T.U32)
+    a, b = fn.new_temp(T.U32, "a"), fn.new_temp(T.U32, "b")
+    fn.params = [a, b]
+    entry, second, yes, no = (fn.new_block(n) for n in
+                              ("entry", "second", "yes", "no"))
+    fused = fn.new_temp(T.BOOL, "fused")
+    entry.append(I.Cmp("lt_u", fused, a, Const(10)))
+    entry.terminate(I.Branch(fused, second, no))
+    kept = fn.new_temp(T.BOOL, "kept")
+    second.append(I.Cmp("eq", kept, b, Const(3)))
+    second.terminate(I.Branch(kept, yes, no))
+    yes.terminate(I.Ret(kept))
+    no.terminate(I.Ret(Const(2)))
+    return fn
+
+
+def test_branch_condition_is_evaluated_once():
+    """A Cmp only its Branch reads is compare-and-branch and nothing
+    else; it used to be lowered as a 0/1 value first (immed 1; cmp; br;
+    br; immed 0) and then compared again by the terminator."""
+    ir_fn = _fused_and_kept_cmp_function()
+    lowerer = FunctionLowerer(LowerContext(lower(PASSTHROUGH),
+                                           options_for("O2")), ir_fn)
+    fn = lowerer.lower()
+    insns = list(fn.all_insns())
+    first = {bb.label: insns.index(bb.insns[0]) for bb in fn.blocks if bb.insns}
+    starts = [first[lowerer.ir_block_label(bb)] for bb in ir_fn.blocks]
+    entry, second = insns[starts[0]:starts[1]], insns[starts[1]:starts[2]]
+
+    assert [type(i) for i in entry] == [isa.Cmp, isa.Br, isa.Br]
+    assert (entry[1].cond, entry[2].cond) == ("lt_u", "always")
+    # The second Cmp's value has another use: it still materialises
+    # (immed 1; cmp; br; br; immed 0), then the branch tests it.
+    assert [i.value for i in second if isinstance(i, isa.Immed)] == [1, 0]
+    assert sum(isinstance(i, isa.Cmp) for i in second) == 2
+    assert sum(isinstance(i, isa.Cmp) for i in insns) == 3
 
 
 def test_immed_sizes():
@@ -302,3 +350,33 @@ def test_two_compiles_in_one_process_emit_identical_listings(app_name, level):
                 for name, image in sorted(result.images.items())]
 
     assert listing() == listing()
+
+
+# -- the sweep's 21 images ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("app_name", ["l3switch", "firewall", "mpls"])
+@pytest.mark.parametrize("level", LEVEL_ORDER)
+def test_no_jump_to_the_next_instruction_and_still_the_reference(app_name,
+                                                               level):
+    """Block layout: a block ending in ``br.always L`` right in front of
+    ``L`` falls through. Both cores must execute such images alike
+    (test_fastpath compares them at SWC), and every level must still
+    forward what the IR interpreter forwards."""
+    from repro.apps import get_app
+    from repro.rts.system import verify_against_reference
+
+    app = get_app(app_name)
+    trace = app.make_trace(120, seed=5)
+    result = compile_baker(app.source, options_for(level), trace)
+    for image in result.images.values():
+        jumps = [pc for pc, insn in enumerate(image.insns)
+                 if isinstance(insn, isa.Br) and insn.cond == "always"]
+        assert jumps
+        assert not [pc for pc in jumps if image.insns[pc].resolved == pc + 1]
+        # Some branch target is now also reached by falling into it.
+        targets = {insn.resolved for insn in image.insns
+                   if isinstance(insn, (isa.Br, isa.Bal))}
+        assert any(not isinstance(image.insns[pc - 1], (isa.Br, isa.Rtn))
+                   for pc in targets if pc > 0)
+    assert verify_against_reference(result, trace, packets=40)

@@ -850,15 +850,70 @@ module m {
     interp.run_inits()
     # Warm the cache with a few packets.
     interp.run_trace(ipv4_trace(4, [1], MACS))
-    # Control plane updates the table (flag raised by instrumentation).
-    store_fn = [f for f in mod.functions.values()]  # direct memory poke + flag
+    # Control plane updates the table: the data store, then what every
+    # writer owes a cached global.
     interp.globals.store("tbl", 0, 99, 4)
-    interp.globals.store("tbl.__swc_flag", 0, 1, 4)
+    assert swc.publish_store(interp.globals, "tbl")
+    assert not swc.publish_store(interp.globals, "no_such_global")
     res = interp.run_trace(ipv4_trace(20, [1], MACS))
     outs = [p.meta.get(4) for p in interp.tx]
     assert 7 in outs  # stale reads happened after the store
     assert outs[-1] == 99  # but the check eventually flushed the cache
     assert outs == sorted(outs, key=lambda v: v == 99)  # 7s then 99s
+
+
+def test_swc_generation_words_have_one_writer():
+    """MEs only read the generation words (an ME that cleared one would
+    hide the update from the others); writers bump them after the data
+    store; SEEN sits behind the sixteen lines."""
+    from repro.cg.melayout import SWC_REGION_WORDS
+
+    trace = ipv4_trace(80, list(range(8)), MACS, seed=8)
+    mod, profile = _profiled(HOT_TABLE_SRC, trace)
+    result = swc.select_candidates(mod, profile, {"m.p"})
+    swc.apply(mod, result, {"m.p"}, check_period=16)
+
+    p = mod.functions["m.p"]
+    check = [bb for bb in p.blocks
+             if bb.label.startswith(("swc_check", "swc_flush"))]
+    assert len(check) == 2
+    assert not any(isinstance(i, I.StoreG) for bb in check for i in bb.instrs)
+    assert not any(isinstance(i, I.StoreG) and i.g.endswith(swc.FLAG_SUFFIX)
+                   for i in p.all_instrs())
+    assert any(isinstance(i, I.CamClear) for bb in check for i in bb.instrs)
+
+    lines_end = swc.CACHE_BASE + swc.CAM_ENTRIES * swc.LINE_STRIDE_WORDS
+    assert lines_end <= swc.SEEN_INDEX < SWC_REGION_WORDS
+    assert swc.SEEN_INDEX != swc.COUNTER_INDEX
+
+    # The init block's store is the one instrumented writer: data, then bump.
+    assert result.instrumented_stores == 1
+    init = [i for fn in mod.functions.values() if fn.kind == "init"
+            for i in fn.all_instrs() if isinstance(i, I.StoreG)]
+    assert [i.g for i in init] == ["macs", "macs" + swc.FLAG_SUFFIX]
+    interp = Interpreter(mod)
+    interp.run_inits()
+    assert interp.globals.load("macs" + swc.FLAG_SUFFIX, 0, 4) == 1
+
+
+def test_swc_rejects_a_cached_global_stored_from_an_me_function():
+    """The generation bump is a read-modify-write, safe only with one
+    writer (the XScale). Selection rejects such a global; a store that
+    gets past selection must not be instrumented silently."""
+    src = HOT_TABLE_SRC.replace(
+        "iph->meta.out = (u32) mac + noise;",
+        "iph->meta.out = (u32) mac + noise; macs[1] = 0x0a0000000002;",
+    )
+    trace = ipv4_trace(80, list(range(8)), MACS, seed=8)
+    mod, profile = _profiled(src, trace)
+    result = swc.select_candidates(mod, profile, {"m.p"})
+    assert result.rejected["macs"] == "written on the packet path"
+
+    clean, clean_profile = _profiled(HOT_TABLE_SRC, trace)
+    forced = swc.select_candidates(clean, clean_profile, {"m.p"})
+    assert "macs" in forced.cached_names()
+    with pytest.raises(ValueError, match="macs stored from an ME function"):
+        swc.apply(mod, forced, {"m.p"}, check_period=16)
 
 
 # -- SWC selection evidence + Equation-2 enforcement (synthetic profiles) -----------

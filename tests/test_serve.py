@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs.diff import EXIT_REGRESSION, run_diff
 from repro.obs.timeseries import load_timeseries
+from repro.options import options_for
 from repro.serve import (
     ChurnSpec,
     ServeConfig,
@@ -142,17 +143,35 @@ def test_serve_applies_churn_and_annotates_windows(flap_run):
 
 
 def test_serve_swc_delayed_coherency_is_visible(flap_run):
-    """The SWC §5.2 effect: nh_mac is ME-cached under delayed-update
-    coherency, so frames carrying the *retired* next-hop MAC keep
-    transmitting after the control-plane store until the MEs' periodic
-    flag check flushes their CAM."""
-    _, res, _, _ = flap_run
+    """The SWC §5.2 effect, both sides of it: nh_mac is ME-cached under
+    delayed-update coherency, so frames carrying the *retired* next-hop
+    MAC keep transmitting after the control-plane store -- but only
+    until each ME's periodic check has come due, not until the line
+    happens to be evicted."""
+    cfg, res, _, _ = flap_run
     assert all(mut.target == "nh_mac" for _, mut in res.applied)
     assert sum(res.stale_tx) > 0
     assert res.bench["summary"]["stale_tx_total"] == sum(res.stale_tx)
     per_update = {u["t"]: u["stale_tx"] for u in res.bench["updates"]}
     assert len(per_update) == 2
     assert sum(per_update.values()) == sum(res.stale_tx)
+
+    # An ME checks on every (period + 1)-th packet *it* processes; MEs
+    # share the Rx ring unevenly under bursts (allow one of them half
+    # the mean share), and a frame stamped just before the flush still
+    # has to reach Tx.
+    summary = res.bench["summary"]
+    period = options_for(cfg.level).swc_check_period
+    cycles_per_packet_per_me = (cfg.n_mes * cfg.windows * cfg.window_cycles
+                                / summary["tx_packets"])
+    bound = (2 * (period + 1) * cycles_per_packet_per_me
+             + summary["latency"]["max"])
+    assert bound < 80_000  # what CI's serve-smoke job gates on this run
+    assert [u["stale_cycles"] for u in res.bench["updates"]] \
+        == res.stale_cycles
+    assert all(0 < c <= bound for c in res.stale_cycles), (res.stale_cycles,
+                                                           bound)
+    assert summary["stale_cycles_max"] == max(res.stale_cycles)
 
 
 def test_serve_bench_schema_and_timeline(flap_run):
@@ -204,6 +223,7 @@ def test_churn_diff_self_gates_clean_and_catches_regressions(flap_run,
     worse["summary"]["latency"] = dict(worse["summary"]["latency"])
     worse["summary"]["latency"]["p99"] *= 2
     worse["summary"]["updates_applied"] += 1
+    worse["summary"]["stale_cycles_max"] *= 2
     bad = str(tmp_path / "worse.json")
     with open(bad, "w") as fh:
         json.dump(worse, fh)
@@ -211,6 +231,7 @@ def test_churn_diff_self_gates_clean_and_catches_regressions(flap_run,
     assert code == EXIT_REGRESSION
     assert "mean rate dropped" in text
     assert "p99 latency grew" in text
+    assert "longest staleness grew" in text
     assert "updates applied changed" in text
 
 
@@ -236,6 +257,7 @@ def test_serve_cli_smoke(tmp_path, capsys):
     assert "served l3switch/SWC" in out
     assert "updates applied=1" in out
     assert "Update impact" in out
+    assert "stale.cycles" in out
     assert json.load(open(bench))["kind"] == "bench_churn"
 
 

@@ -5,9 +5,12 @@ failure injection."""
 import pytest
 
 from repro.apps import get_app
+from repro.cg.melayout import SWC_REGION_BASE
 from repro.compiler import compile_baker
 from repro.ixp.chip import IXP2400
 from repro.ixp.rxtx import RxEngine, TxEngine
+from repro.ixp.xscale_core import SimGlobals
+from repro.opt import swc
 from repro.options import options_for
 from repro.profiler.trace import Trace, TracePacket, build_ethernet, ipv4_trace
 from repro.rts.loader import load_system
@@ -38,10 +41,9 @@ def test_underload_forwards_everything():
     assert run.forwarding_gbps == pytest.approx(0.5, rel=0.1)
 
 
-def test_swc_staleness_on_simulator():
-    """Control-plane table update becomes visible on the data path only
-    after the periodic coherency check -- on the simulated chip, with
-    real CAM/Local Memory and multiple threads."""
+def _stamping_service(n_mes):
+    """A one-line PPF stamping the SWC-cached ``tbl[0]`` into each frame,
+    running at 1 Gbps with the cache warm. Returns ``(chip, layout, tx)``."""
     src = (
         ETHER_IPV4_PROTOCOLS
         + """
@@ -59,22 +61,58 @@ module m {
     result = compile_baker(src, options_for("SWC", swc_check_period=8), trace)
     assert "tbl" in result.swc_result.cached_names()
 
-    chip = IXP2400(n_programmable_mes=1)
-    load_system(result, chip, n_mes=1)
+    chip = IXP2400(n_programmable_mes=n_mes)
+    layout = load_system(result, chip, n_mes=n_mes)
     rx = RxEngine(chip, trace, offered_gbps=1.0)
     tx = TxEngine(chip)
-    outs = tx.records  # ethertype field of each transmitted frame
     chip.attach_traffic(rx, tx)
-    # Warm the cache, then update the table + raise the flag "from the
-    # control plane".
     chip.run(60_000, stop=lambda: tx.packets_out() >= 6)
-    chip.memory.write_words("sram", chip.symbols["tbl"], [99])
-    chip.memory.write_words("scratch", chip.symbols["tbl.__swc_flag"], [1])
+    return chip, layout, tx
+
+
+def _control_plane_write(chip, layout, value):
+    """Store ``tbl[0] = value`` the way every writer must (swc.publish_store)."""
+    xscale = SimGlobals(chip, layout)
+    xscale.store("tbl", 0, value, 4)
+    assert swc.publish_store(xscale, "tbl")
+
+
+def _stamped(tx):
+    return [int.from_bytes(r.payload[12:14], "big") for r in tx.records]
+
+
+def test_swc_staleness_on_simulator():
+    """Control-plane table update becomes visible on the data path only
+    after the periodic coherency check -- on the simulated chip, with
+    real CAM/Local Memory and multiple threads."""
+    chip, layout, tx = _stamping_service(n_mes=1)
+    _control_plane_write(chip, layout, 99)
     chip.run(2_000_000, stop=lambda: tx.packets_out() >= 40)
-    values = [int.from_bytes(r.payload[12:14], "big") for r in outs]
+    values = _stamped(tx)
     assert 7 in values, "expected some pre-update values"
     assert values[-1] == 99, "cache must eventually pick up the update"
     assert values == sorted(values, key=lambda v: v == 99), "7s then 99s"
+
+
+@pytest.mark.parametrize("n_mes", [1, 2, 3, 6])
+def test_swc_update_reaches_every_me(n_mes):
+    """Section 5.2 on N engines: every ME flushes for every update. With
+    a shared flag the first ME to check cleared it, and the others
+    served the old line for as long as it stayed hot. (Several MEs
+    interleave old and new while their checks come due; only the tail
+    must be clean.)"""
+    chip, layout, tx = _stamping_service(n_mes)
+    before = tx.packets_out()
+    _control_plane_write(chip, layout, 99)
+    chip.run(50_000_000, stop=lambda: tx.packets_out() >= before + 400)
+    values = _stamped(tx)[before:before + 400]
+    assert len(values) == 400
+    assert 7 not in values[-100:], "%d stale frames among the last 100" % (
+        values[-100:].count(7))
+    generation = SimGlobals(chip, layout).load("tbl" + swc.FLAG_SUFFIX, 0, 4)
+    assert generation == 1
+    assert [me.lm[SWC_REGION_BASE + swc.SEEN_INDEX] for me in chip.mes] \
+        == [generation] * n_mes
 
 
 def test_compile_with_empty_trace_degrades_gracefully():
