@@ -3,13 +3,15 @@
 Compiles the app with the decision ledger enabled, runs the requested
 analysis passes (default: all), prints the deterministic JSON report
 (or writes it with ``-o``), and exits 2 when any pass reported an
-error-severity finding.
+error-severity finding. A bad argument is also exit 2, through
+``parser.error`` before anything is compiled or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 from repro.analyze.core import (
     EXIT_FINDINGS,
@@ -18,6 +20,7 @@ from repro.analyze.core import (
     run_analysis,
     write_report,
 )
+from repro.apps import APP_CLASSES
 from repro.options import LEVEL_ORDER
 
 #: accept the conventional -O spellings alongside the paper's names.
@@ -28,15 +31,12 @@ _LEVEL_ALIASES = {
 }
 
 
-def resolve_level(text: str) -> str:
+def resolve_level(text: str) -> Optional[str]:
+    """The paper's name for ``text``, or None when it names no level."""
     raw = text.upper().lstrip("+-")
     if raw in LEVEL_ORDER:
         return raw
-    if raw in _LEVEL_ALIASES:
-        return _LEVEL_ALIASES[raw]
-    raise SystemExit(
-        "unknown optimization level %r (have: %s, plus -O0/-O3 aliases)"
-        % (text, ", ".join(LEVEL_ORDER)))
+    return _LEVEL_ALIASES.get(raw)
 
 
 def main(argv=None) -> int:
@@ -72,12 +72,28 @@ def main(argv=None) -> int:
 
     if not args.app:
         parser.error("an application name is required (or use --list)")
-    validate_packets = args.validate_packets if args.validate_packets > 0 \
-        else None
+    if args.app not in APP_CLASSES:
+        parser.error("unknown app %r (choose from %s)"
+                     % (args.app, ", ".join(sorted(APP_CLASSES))))
+    level = resolve_level(args.level)
+    if level is None:
+        parser.error("unknown optimization level -O %r (have: %s, plus "
+                     "-O0/-O3 aliases)" % (args.level, ", ".join(LEVEL_ORDER)))
+    known = [p.name for p in registered_passes()]
+    for name in args.passes or ():
+        if name not in known:
+            parser.error("unknown pass --pass %r (have: %s)"
+                         % (name, ", ".join(known)))
+    if args.packets < 1:
+        # An empty trace validates nothing and still reports "ok".
+        parser.error("--packets must be >= 1, got %d" % args.packets)
+    if args.validate_packets < 0:
+        parser.error("--validate-packets must be >= 0 (0 = the whole "
+                     "trace), got %d" % args.validate_packets)
     report = run_analysis(
-        args.app, resolve_level(args.level), passes=args.passes,
+        args.app, level, passes=args.passes,
         packets=args.packets, seed=args.seed,
-        validate_packets=validate_packets)
+        validate_packets=args.validate_packets or None)
     if args.output:
         write_report(report, args.output)
         print("wrote %s (%s, %d error findings)" % (

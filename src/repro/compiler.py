@@ -28,8 +28,6 @@ from repro.baker.semantic import CheckedProgram
 from repro.ir.module import IRModule
 from repro.ir.verifier import verify_module
 from repro.obs import ledger as obs_ledger
-from repro.obs import metrics as obs_metrics
-from repro.obs.telemetry import record_ir_stage, record_opt_results
 from repro.obs.trace import compile_stage
 from repro.opt import inline, pac, phr, soar, swc
 from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_function
@@ -58,6 +56,9 @@ class CompileResult:
     # Decision-ledger slice for this compilation (empty unless the
     # ledger is enabled; see repro.obs.ledger).
     decisions: List[object] = field(default_factory=list)
+    # IR size after each mid-end stage, in pipeline order (collected
+    # under the same switch; see repro.obs.ledger.compile_report).
+    ir_stages: List[Dict[str, object]] = field(default_factory=list)
     # Global contents after the init blocks ran, filled by the first
     # rts.loader.load_system of this result (see loader.boot_image).
     boot_image: Optional[Dict[str, bytes]] = field(default=None, repr=False)
@@ -72,25 +73,29 @@ def compile_ir(
 ) -> CompileResult:
     """Run the mid-end (profile, optimize, aggregate, packet opts) over an
     already-lowered module."""
-    reg = obs_metrics.get_registry()
     led = obs_ledger.get_ledger()
     led_mark = led.mark()
-    record_ir_stage(reg, "initial", mod)
+    ir_stages: List[Dict[str, object]] = []
 
-    with compile_stage(reg, "profile"):
-        # Line attribution only when someone will read it (the obs
-        # report's hot-path table); it never alters other profile data.
+    def record_ir_stage(stage: str) -> None:
+        if led.enabled:
+            n_fns, n_blocks, n_instrs = obs_ledger.ir_counts(mod)
+            ir_stages.append({"stage": stage, "functions": n_fns,
+                              "blocks": n_blocks, "instrs": n_instrs})
+
+    record_ir_stage("initial")
+
+    with compile_stage("profile"):
+        # Line attribution only when someone will read it (the compile
+        # report's hot-line table); it never alters other profile data.
         profile = run_reference(mod, trace,
-                                attribute_lines=reg.enabled).profile
-    if reg.enabled:
-        for src, count in profile.hot_lines(32):
-            reg.counter("profile.line_instrs", src=src).inc(count)
+                                attribute_lines=led.enabled).profile
 
-    with compile_stage(reg, "scalar"):
+    with compile_stage("scalar"):
         run_scalar_pipeline(mod, opts)
-    record_ir_stage(reg, "scalar", mod)
+    record_ir_stage("scalar")
 
-    with compile_stage(reg, "aggregate"):
+    with compile_stage("aggregate"):
         plan = form_aggregates(mod, profile, opts, target_gbps=target_gbps)
         apply_plan(mod, plan)
         if opts.inline:
@@ -100,21 +105,21 @@ def compile_ir(
         if opts.scalar:
             for fn in mod.functions.values():
                 scalar_optimize_function(fn)
-    record_ir_stage(reg, "aggregate", mod)
+    record_ir_stage("aggregate")
 
     result = CompileResult(checked=checked, mod=mod, profile=profile,
-                           plan=plan, opts=opts)
+                           plan=plan, opts=opts, ir_stages=ir_stages)
 
     if opts.pac:
-        with compile_stage(reg, "pac"):
+        with compile_stage("pac"):
             result.pac_result = pac.run(mod)
-        record_ir_stage(reg, "pac", mod)
+        record_ir_stage("pac")
     if opts.soar or opts.phr:
-        with compile_stage(reg, "soar"):
+        with compile_stage("soar"):
             result.soar_result = soar.run(mod)
-        record_ir_stage(reg, "soar", mod)
+        record_ir_stage("soar")
     if opts.phr:
-        with compile_stage(reg, "phr"):
+        with compile_stage("phr"):
             result.phr_result = phr.run(mod)
             if opts.scalar:
                 for fn in mod.functions.values():
@@ -130,11 +135,11 @@ def compile_ir(
                 if opts.scalar:
                     for fn in mod.functions.values():
                         scalar_optimize_function(fn)
-        record_ir_stage(reg, "phr", mod)
+        record_ir_stage("phr")
 
     result.fast_functions = plan.fast_functions(mod)
     if opts.swc:
-        with compile_stage(reg, "swc"):
+        with compile_stage("swc"):
             swc_result = swc.select_candidates(mod, profile,
                                                result.fast_functions)
             period = swc.enforce_check_period(swc_result,
@@ -142,14 +147,13 @@ def compile_ir(
             swc.apply(mod, swc_result, result.fast_functions,
                       check_period=period)
             result.swc_result = swc_result
-        record_ir_stage(reg, "swc", mod)
+        record_ir_stage("swc")
     if opts.phr and opts.inline:
         # The out-of-line access helpers of BASE/-O1 read head from SRAM.
         phr.plan_packet_state(mod, result.fast_functions, result.phr_result)
 
-    with compile_stage(reg, "verify"):
+    with compile_stage("verify"):
         verify_module(mod)
-    record_opt_results(reg, result)
     result.decisions = led.since(led_mark)
     return result
 
@@ -201,18 +205,17 @@ def compile_baker(
         opts = options_for("SWC")
     if trace is None:
         trace = Trace([])
-    reg = obs_metrics.get_registry()
     led = obs_ledger.get_ledger()
     led_mark = led.mark()
-    with compile_stage(reg, "frontend"):
+    with compile_stage("frontend"):
         checked = parse_and_check(source, filename)
-    with compile_stage(reg, "lower"):
+    with compile_stage("lower"):
         mod = lower_program(checked)
     result = compile_ir(mod, checked, opts, trace, target_gbps)
     if codegen:
         from repro.cg.assemble import generate_images
 
-        with compile_stage(reg, "codegen"):
+        with compile_stage("codegen"):
             generate_images(result)
     # Re-slice from the outer mark: codegen decisions (spills, budget
     # fits) land after compile_ir captured its slice.

@@ -51,16 +51,3 @@ class CallGraph:
             out.add(n)
             stack.extend(self.callees.get(n, ()))
         return out
-
-    def max_call_depth(self, name: str) -> int:
-        """Longest call chain rooted at ``name`` (1 = leaf)."""
-        memo: Dict[str, int] = {}
-
-        def depth(n: str) -> int:
-            if n in memo:
-                return memo[n]
-            kids = self.callees.get(n, ())
-            memo[n] = 1 + (max((depth(k) for k in kids), default=0))
-            return memo[n]
-
-        return depth(name)

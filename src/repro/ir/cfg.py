@@ -135,20 +135,3 @@ def simplify_cfg(fn: IRFunction) -> bool:
             break
     compute_cfg(fn)
     return changed_any
-
-
-def split_critical_edges(fn: IRFunction) -> None:
-    """Insert empty blocks on edges from multi-successor blocks to
-    multi-predecessor blocks."""
-    compute_cfg(fn)
-    for bb in list(fn.blocks):
-        term = bb.terminator
-        if not isinstance(term, Branch):
-            continue
-        for attr in ("then_bb", "else_bb"):
-            succ = getattr(term, attr)
-            if len(succ.preds) > 1:
-                mid = fn.new_block("crit")
-                mid.terminate(Jump(succ))
-                setattr(term, attr, mid)
-    compute_cfg(fn)

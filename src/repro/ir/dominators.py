@@ -74,52 +74,3 @@ def dominator_tree(fn: IRFunction) -> DomTree:
     compute_cfg(fn)
     order = reverse_postorder(fn)
     return DomTree(_build(order, lambda bb: bb.preds), order)
-
-
-def postdominator_tree(fn: IRFunction) -> DomTree:
-    """Post-dominators computed on the reversed CFG. Multiple exits are
-    handled with a virtual exit block whose preds are all Ret blocks; the
-    virtual block is stripped from the result."""
-    compute_cfg(fn)
-    exits = [bb for bb in fn.blocks if not bb.succs]
-    virtual = BasicBlock("<exit>")
-    virtual.preds = exits
-
-    # Reverse-graph reverse postorder starting from the virtual exit.
-    visited = {virtual}
-    post: List[BasicBlock] = []
-
-    def visit(bb: BasicBlock) -> None:
-        stack = [(bb, iter(bb.preds))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for pred in it:
-                if pred not in visited:
-                    visited.add(pred)
-                    stack.append((pred, iter(pred.preds)))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(node)
-                stack.pop()
-
-    visit(virtual)
-    order = list(reversed(post))
-
-    def rev_preds(bb: BasicBlock) -> List[BasicBlock]:
-        if bb is virtual:
-            return []
-        succs = list(bb.succs)
-        if not succs:
-            return [virtual]
-        return succs
-
-    idom = _build(order, rev_preds)
-    # Remap virtual-exit parents to self-loops on real exits.
-    cleaned: Dict[BasicBlock, BasicBlock] = {}
-    for bb, d in idom.items():
-        if bb is virtual:
-            continue
-        cleaned[bb] = bb if d is virtual else d
-    return DomTree(cleaned, [bb for bb in order if bb is not virtual])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 from repro.ir.cfg import compute_cfg
 from repro.ir.dataflow import DataflowProblem, solve
@@ -34,8 +34,7 @@ class _Liveness(DataflowProblem[FrozenSet[Temp]]):
 
 
 class LivenessInfo:
-    """Block-level live-in/live-out sets plus an iterator producing
-    per-instruction live-out sets (for register allocation)."""
+    """Block-level live-in/live-out sets."""
 
     def __init__(self, fn: IRFunction):
         compute_cfg(fn)
@@ -43,20 +42,6 @@ class LivenessInfo:
         self.fn = fn
         self.live_in: Dict[BasicBlock, FrozenSet[Temp]] = result.inp
         self.live_out: Dict[BasicBlock, FrozenSet[Temp]] = result.out
-
-    def instr_live_out(self, bb: BasicBlock) -> List[Tuple[object, Set[Temp]]]:
-        """Returns [(instr, live_out_after_instr)] in block order."""
-        live: Set[Temp] = set(self.live_out.get(bb, frozenset()))
-        rows: List[Tuple[object, Set[Temp]]] = []
-        for instr in reversed(list(bb.all_instrs())):
-            rows.append((instr, set(live)))
-            for d in instr.defs():
-                live.discard(d)
-            for u in instr.uses():
-                if isinstance(u, Temp):
-                    live.add(u)
-        rows.reverse()
-        return rows
 
 
 def liveness(fn: IRFunction) -> LivenessInfo:

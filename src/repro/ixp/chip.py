@@ -36,12 +36,10 @@ class IXP2400:
         self._events: List[Tuple[float, int, object]] = []
         self._seq = 0
         # Observers (DESIGN.md 7.3): optional, attached by assignment.
-        # run() pulls ``sampler`` (repro.obs.SimSampler) and ``window``
-        # (repro.obs.timeseries.TimeseriesCollector) through their
-        # ``next_t`` / ``tick(mark)`` between event dispatches, never
-        # from the heap, so neither perturbs event order or the
-        # stop-check cadence.
-        self.sampler = None
+        # run() pulls ``window`` (repro.obs.timeseries
+        # .TimeseriesCollector) through its ``next_t`` / ``tick(mark)``
+        # between event dispatches, never from the heap, so it perturbs
+        # neither event order nor the stop-check cadence.
         self.window = None
         # repro.obs.trace.PacketTracer, called at the packet-lifecycle
         # sites; repro.obs.profile.StallProfiler (set by its attach()),
@@ -130,8 +128,7 @@ class IXP2400:
         budget.
         """
         countdown = stop_check_interval
-        pulled = [obs for obs in (self.sampler, self.window)
-                  if obs is not None]
+        window = self.window
         events = self._events
         pop = heapq.heappop
         push = heapq.heappush
@@ -148,13 +145,13 @@ class IXP2400:
                 return
             if time > now:
                 self.now = now = time
-            for obs in pulled:
+            if window is not None:
                 # Catch up past *every* elapsed mark (sparse event
                 # periods must not skip grid points); all of them close
                 # before this action runs, so one at exactly k*W is in
                 # window k.
-                while now >= obs.next_t:
-                    obs.tick(obs.next_t)
+                while now >= window.next_t:
+                    window.tick(window.next_t)
             nxt = action()
             if nxt is not None:
                 # Re-arm at the requested time; past-due times collapse to

@@ -1,150 +1,14 @@
 """Structured observability for the compiler and the simulated chip.
 
-Usage::
+Four records, one per question (DESIGN.md section 7): the compile
+report (:mod:`repro.obs.ledger`: what each pass decided, and why), the
+packet trace (:mod:`repro.obs.trace` / :mod:`repro.obs.export`), the
+windowed timeline (:mod:`repro.obs.timeseries`) and the stall-cycle
+occupancy cell (:mod:`repro.obs.profile`); :mod:`repro.obs.report`
+renders them and :mod:`repro.obs.diff` gates them. Every observer is
+off unless attached and perturbs nothing when on.
 
-    from repro import obs
-
-    reg = obs.enable()                      # or REPRO_OBS=1 in the env
-    result = compile_baker(src, opts, trace)
-    run = run_on_simulator(result, trace,
-                           metrics_jsonl="metrics.jsonl")
-    # then: python -m repro.obs.report metrics.jsonl
-
-The registry is process-global and *disabled* by default; every
-instrumentation site degrades to a no-op (shared :data:`NULL` metric)
-when it is off. See DESIGN.md section 7.
+Import the submodule you need; nothing is re-exported here (an eager
+import would leave ``repro.obs.trace`` / ``repro.obs.ledger`` in
+``sys.modules`` before ``python -m`` executes them).
 """
-
-from repro.obs.metrics import (
-    NULL,
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricsRegistry,
-    Series,
-    Timer,
-    disable,
-    enable,
-    get_registry,
-    is_enabled,
-    scoped_registry,
-)
-from repro.obs.sim import SimSampler, record_run_summary
-from repro.obs.telemetry import ir_counts, record_ir_stage, record_opt_results
-
-# repro.obs.trace / repro.obs.ledger re-exports are lazy (PEP 562): an
-# eager import here would leave the submodule in sys.modules before
-# runpy executes it, making ``python -m repro.obs.trace export`` (or
-# ``python -m repro.obs.ledger``) warn at startup.
-_TRACE_EXPORTS = frozenset([
-    "PacketTracer",
-    "capture_compile_spans",
-    "compile_stage",
-    "drain_compile_spans",
-    "inject_compile_spans",
-    "record_trace_summary",
-])
-
-# Same PEP 562 treatment for the stall-cycle attribution profiler.
-_PROFILE_EXPORTS = frozenset([
-    "StallProfiler",
-    "aggregate_attribution",
-    "attribution_shares",
-    "bottleneck_verdict",
-    "channel_utilization",
-    "occupancy_cell",
-])
-
-# Same PEP 562 treatment for repro.obs.timeseries (keeps the windowed
-# observability machinery out of processes that never use it).
-_TIMESERIES_EXPORTS = frozenset([
-    "QuantileSketch",
-    "StreamingQuantile",
-    "TimeseriesCollector",
-    "load_timeseries",
-    "update_impact",
-    "window_drops",
-])
-
-# The ledger has its own enable/disable pair, so those are re-exported
-# under qualified names (enable_ledger / disable_ledger / ledger_enabled).
-_LEDGER_EXPORTS = {
-    "Decision": "Decision",
-    "DecisionLedger": "DecisionLedger",
-    "compile_report": "compile_report",
-    "decision_counts": "decision_counts",
-    "disable_ledger": "disable",
-    "enable_ledger": "enable",
-    "get_ledger": "get_ledger",
-    "ledger_enabled": "is_enabled",
-    "write_compile_report": "write_compile_report",
-}
-
-
-def __getattr__(name):
-    if name in _TRACE_EXPORTS:
-        from repro.obs import trace
-
-        return getattr(trace, name)
-    if name in _PROFILE_EXPORTS:
-        from repro.obs import profile
-
-        return getattr(profile, name)
-    if name in _TIMESERIES_EXPORTS:
-        from repro.obs import timeseries
-
-        return getattr(timeseries, name)
-    if name in _LEDGER_EXPORTS:
-        from repro.obs import ledger
-
-        return getattr(ledger, _LEDGER_EXPORTS[name])
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-__all__ = [
-    "PacketTracer",
-    "capture_compile_spans",
-    "compile_stage",
-    "drain_compile_spans",
-    "inject_compile_spans",
-    "record_trace_summary",
-    "NULL",
-    "Counter",
-    "Decision",
-    "DecisionLedger",
-    "compile_report",
-    "decision_counts",
-    "disable_ledger",
-    "enable_ledger",
-    "get_ledger",
-    "ledger_enabled",
-    "write_compile_report",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricsRegistry",
-    "QuantileSketch",
-    "Series",
-    "SimSampler",
-    "StallProfiler",
-    "StreamingQuantile",
-    "Timer",
-    "TimeseriesCollector",
-    "aggregate_attribution",
-    "attribution_shares",
-    "bottleneck_verdict",
-    "channel_utilization",
-    "occupancy_cell",
-    "load_timeseries",
-    "update_impact",
-    "window_drops",
-    "disable",
-    "enable",
-    "get_registry",
-    "ir_counts",
-    "is_enabled",
-    "record_ir_stage",
-    "record_opt_results",
-    "record_run_summary",
-    "scoped_registry",
-]

@@ -5,11 +5,11 @@ Every optimization site in the compiler emits a structured
 why, and the numeric evidence behind the choice (PAC group sizes, SWC
 Equation-2 inputs, aggregation merge costs, register-allocator spills,
 control-store budget fits...). The ledger answers "*why* did the
-Figure 13 curve move" where the metrics registry only answers "*that*
-it moved".
+Figure 13 curve move" where the BENCH files only answer "*that* it
+moved".
 
-Like the metrics registry and the packet tracer, the ledger is **pure
-observation**: it is disabled by default, every hook is guarded on
+Like the packet tracer, the ledger is **pure observation**: it is
+disabled by default, every hook is guarded on
 :attr:`DecisionLedger.enabled`, and recording never feeds back into
 compilation (ledger-on and ledger-off compiles are bit-identical --
 proven in ``tests/test_ledger.py``).
@@ -33,10 +33,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-#: Environment switch mirroring ``REPRO_OBS`` for the metrics registry.
-_ENV_FLAG = "REPRO_OBS_LEDGER"
+from typing import Dict, List, Optional, Tuple
 
 #: Report schema version (bump when the JSON layout changes shape).
 REPORT_VERSION = 1
@@ -154,7 +151,7 @@ def decision_counts(decisions: List[Decision]) -> Dict[str, Dict[str, int]]:
 # -- process-global ledger -------------------------------------------------------
 
 
-_GLOBAL = DecisionLedger(enabled=bool(os.environ.get(_ENV_FLAG)))
+_GLOBAL = DecisionLedger()
 
 
 def get_ledger() -> DecisionLedger:
@@ -176,6 +173,17 @@ def is_enabled() -> bool:
 
 
 # -- compile report --------------------------------------------------------------
+
+
+def ir_counts(mod) -> Tuple[int, int, int]:
+    """(functions, blocks, instructions) for an IR module."""
+    n_blocks = 0
+    n_instrs = 0
+    for fn in mod.functions.values():
+        n_blocks += len(fn.blocks)
+        for bb in fn.blocks:
+            n_instrs += len(bb.instrs)
+    return len(mod.functions), n_blocks, n_instrs
 
 
 def _opt_section(result) -> Dict[str, object]:
@@ -229,13 +237,13 @@ def _opt_section(result) -> Dict[str, object]:
 def compile_report(result, app: Optional[str] = None) -> Dict[str, object]:
     """Deterministic, diffable JSON-ready view of one compilation.
 
-    Works with the ledger disabled too (the ``decisions`` list is then
-    simply empty); nothing in here depends on wall-clock time, object
-    identity, or iteration order of unordered containers.
+    Works with the ledger disabled too (``decisions``, ``ir_stages``
+    and ``hot_lines`` -- what the compiler collects only under the
+    ledger's switch -- are then simply empty); nothing in here depends
+    on wall-clock time, object identity, or iteration order of
+    unordered containers.
     """
     from dataclasses import asdict
-
-    from repro.obs.telemetry import ir_counts
 
     n_fns, n_blocks, n_instrs = ir_counts(result.mod)
     plan = result.plan
@@ -267,6 +275,11 @@ def compile_report(result, app: Optional[str] = None) -> Dict[str, object]:
         "level": result.opts.name,
         "options": asdict(result.opts),
         "ir": {"functions": n_fns, "blocks": n_blocks, "instrs": n_instrs},
+        # IR size after each mid-end stage, and the Baker source lines
+        # the functional profiler spent its instructions on.
+        "ir_stages": [dict(rec) for rec in result.ir_stages],
+        "hot_lines": [{"src": src, "instrs": count}
+                      for src, count in result.profile.hot_lines(32)],
         "plan": {
             "throughput_pps": round(plan.throughput_pps, 3),
             "aggregates": aggregates,
@@ -304,7 +317,6 @@ def write_compile_report(result, path: str,
 
 def main(argv=None) -> int:
     import argparse
-    import sys
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.obs.ledger",
@@ -323,20 +335,23 @@ def main(argv=None) -> int:
                     help="profiling trace seed (default: %(default)s)")
     args = ap.parse_args(argv)
 
-    from repro.apps import get_app
+    from repro.apps import APP_CLASSES, get_app
     from repro.compiler import compile_baker
     from repro.options import OPT_LEVELS, options_for
 
+    # Fail fast, naming flag and value, before anything is compiled or
+    # written (exit 2, like the sweep and serve CLIs).
     level = args.level.upper().lstrip("+-")
     if level not in OPT_LEVELS:
-        print("error: unknown level %r (choose from %s)"
-              % (args.level, "/".join(OPT_LEVELS)), file=sys.stderr)
-        return 1
-    try:
-        app = get_app(args.app)
-    except KeyError:
-        print("error: unknown app %r" % args.app, file=sys.stderr)
-        return 1
+        ap.error("unknown --level %r (choose from %s)"
+                 % (args.level, "/".join(OPT_LEVELS)))
+    if args.app not in APP_CLASSES:
+        ap.error("unknown --app %r (choose from %s)"
+                 % (args.app, ", ".join(sorted(APP_CLASSES))))
+    if args.packets < 1:
+        # A report compiled from an empty profile explains nothing.
+        ap.error("--packets must be >= 1, got %d" % args.packets)
+    app = get_app(args.app)
 
     # Under ``python -m`` this file runs as ``__main__``; go through the
     # canonical module instance so the compiler's hooks see the same

@@ -1,25 +1,16 @@
-"""Render a metrics JSONL dump as a human-readable text report.
+"""Render the repo's committed records as human-readable text.
 
 Usage::
 
-    python -m repro.obs.report [metrics.jsonl] [--only key=value ...]
-    python -m repro.obs.report [metrics.jsonl] --json
     python -m repro.obs.report explain compile_report.json
     python -m repro.obs.report timeline timeline.jsonl
     python -m repro.obs.report bottleneck BENCH_occupancy.json
     python -m repro.obs.report waterfall BENCH_fig13.json ... [--paper P]
 
-The input is whatever :meth:`repro.obs.MetricsRegistry.dump_jsonl`
-wrote (benchmarks write ``benchmarks/results/metrics.jsonl``). Records
-are grouped into *scopes* by their non-structural labels (e.g. the
-``app``/``level`` a benchmark tagged), then rendered section by
-section: compile stage timings, IR size per stage, opt-pass counters,
-ring statistics, per-ME utilization, memory-channel load, Rx/Tx
-accounting. ``--json`` emits the same per-scope data machine-readably.
-
 The ``explain`` subcommand renders a ``compile_report.json`` written by
-:mod:`repro.obs.ledger`: the plan, per-pass optimization results, and
-every recorded optimization decision with its reason and evidence.
+:mod:`repro.obs.ledger`: the plan, per-pass optimization results, IR
+size after each stage, the hot Baker source lines, and every recorded
+optimization decision with its reason and evidence.
 
 The ``timeline`` subcommand renders a timeseries JSONL dump written by
 :class:`repro.obs.timeseries.TimeseriesCollector` (e.g. by
@@ -48,87 +39,7 @@ import json
 import os
 import sys
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
-
-#: Labels that select a row *within* a section rather than a scope.
-STRUCTURAL_LABELS = {"stage", "ring", "me", "channel", "cause", "kind",
-                     "engine", "passname", "aggregate", "stat", "src"}
-
-#: Render compiler stages in pipeline order, not alphabetically.
-STAGE_ORDER = ["frontend", "lower", "initial", "profile", "scalar",
-               "aggregate", "pac", "soar", "phr", "swc", "verify",
-               "codegen"]
-
-
-def load_records(path: str) -> List[dict]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def split_runs(records: List[dict]) -> List[dict]:
-    """Resolve a (possibly) multi-run JSONL stream into plain metric
-    records.
-
-    Registry dumps appended to one file (``dump_jsonl(append=True,
-    header=...)``) are delimited by ``run_header`` records. When a file
-    holds more than one run, each metric record gains a ``run`` label
-    (the header's ``run`` id, or a 1-based ordinal) so the scope
-    grouping keeps runs apart instead of silently interleaving them;
-    single-run files render exactly as before. Header records are
-    consumed either way.
-    """
-    headers = [r for r in records if r.get("type") == "run_header"]
-    multi = len(headers) > 1 or (headers and
-                                 records[0].get("type") != "run_header")
-    out: List[dict] = []
-    run_id: Optional[str] = None
-    ordinal = 0
-    for rec in records:
-        if rec.get("type") == "run_header":
-            ordinal += 1
-            run_id = str(rec.get("run") or "run%d" % ordinal)
-            continue
-        if multi:
-            rec = dict(rec)
-            labels = dict(rec.get("labels") or {})
-            labels["run"] = run_id if run_id is not None else "run0"
-            rec["labels"] = labels
-        out.append(rec)
-    return out
-
-
-def _scope_key(rec: dict) -> Tuple:
-    labels = rec.get("labels") or {}
-    return tuple(sorted((k, v) for k, v in labels.items()
-                        if k not in STRUCTURAL_LABELS))
-
-
-def _slabel(rec: dict, key: str, default="") -> str:
-    return str((rec.get("labels") or {}).get(key, default))
-
-
-def _stage_order(recs: List[dict]):
-    """Sort key for stage names: pipeline order for known stages, then
-    unknown stages in the order they first appear in the records (never
-    silently alphabetized into the middle of the pipeline)."""
-    first_seen: Dict[str, int] = {}
-    for r in recs:
-        stage = (r.get("labels") or {}).get("stage")
-        if stage is not None and stage not in STAGE_ORDER:
-            first_seen.setdefault(str(stage), len(first_seen))
-
-    def key(stage: str) -> Tuple[int, int, str]:
-        try:
-            return (0, STAGE_ORDER.index(stage), stage)
-        except ValueError:
-            return (1, first_seen.get(stage, len(first_seen)), stage)
-
-    return key
+from typing import List, Optional, Tuple
 
 
 def _table(lines: List[str], header: List[str], rows: List[List[str]],
@@ -141,335 +52,6 @@ def _table(lines: List[str], header: List[str], rows: List[List[str]],
     lines.append(indent + fmt % tuple(header))
     for row in rows:
         lines.append(indent + fmt % tuple(row))
-
-
-def _pick(recs: List[dict], rtype: str, name: str) -> List[dict]:
-    return [r for r in recs if r["type"] == rtype and r["name"] == name]
-
-
-def _gauge_by(recs: List[dict], name: str, label: str) -> Dict[str, float]:
-    return {_slabel(r, label): r["value"] for r in _pick(recs, "gauge", name)}
-
-
-def _render_scope(recs: List[dict], lines: List[str]) -> None:
-    stage_key = _stage_order(recs)
-
-    # -- compile stage timings ---------------------------------------------------
-    timers = _pick(recs, "timer", "compile.stage")
-    if timers:
-        lines.append("Compile stages (wall time):")
-        rows = []
-        total = 0.0
-        for r in sorted(timers, key=lambda r: stage_key(_slabel(r, "stage"))):
-            total += r["total_s"]
-            rows.append([_slabel(r, "stage"), str(r["count"]),
-                         "%.1f" % (r["total_s"] * 1e3)])
-        rows.append(["TOTAL", "", "%.1f" % (total * 1e3)])
-        _table(lines, ["stage", "calls", "ms"], rows)
-        lines.append("")
-
-    # -- IR size per stage -------------------------------------------------------
-    fns = _gauge_by(recs, "compile.ir.functions", "stage")
-    blocks = _gauge_by(recs, "compile.ir.blocks", "stage")
-    instrs = _gauge_by(recs, "compile.ir.instrs", "stage")
-    if instrs:
-        lines.append("IR size after each stage:")
-        rows = []
-        prev = None
-        for stage in sorted(instrs, key=stage_key):
-            n = instrs[stage]
-            delta = "" if prev is None else "%+d" % (n - prev)
-            prev = n
-            rows.append([stage, "%d" % fns.get(stage, 0),
-                         "%d" % blocks.get(stage, 0), "%d" % n, delta])
-        _table(lines, ["stage", "functions", "blocks", "instrs", "delta"], rows)
-        lines.append("")
-
-    # -- opt-pass counters -------------------------------------------------------
-    opt = [r for r in recs if r["name"].startswith("opt.")
-           and r["type"] in ("counter", "gauge")]
-    if opt:
-        lines.append("Optimization passes:")
-        rows = []
-        for r in sorted(opt, key=lambda r: (r["name"], _slabel(r, "passname"))):
-            name = r["name"]
-            extra = _slabel(r, "passname")
-            if extra:
-                name += "{%s}" % extra
-            rows.append([name, "%g" % r["value"]])
-        _table(lines, ["counter", "value"], rows)
-        hist = _pick(recs, "histogram", "opt.scalar.iterations")
-        for h in hist:
-            lines.append("  scalar fixpoint: %d function runs, "
-                         "%.1f iterations avg (max %g)"
-                         % (h["count"], h["mean"], h["max"] or 0))
-        lines.append("")
-
-    # -- hot Baker source lines (functional-profiler attribution) ----------------
-    hot = _pick(recs, "counter", "profile.line_instrs")
-    if hot:
-        hot.sort(key=lambda r: (-r["value"], _slabel(r, "src")))
-        total_attr = sum(r["value"] for r in hot)
-        lines.append("Hot Baker source lines (interpreted IR instrs, top %d):"
-                     % min(10, len(hot)))
-        rows = []
-        for rank, r in enumerate(hot[:10], 1):
-            share = r["value"] / total_attr if total_attr else 0.0
-            rows.append(["%d" % rank, _slabel(r, "src"),
-                         "%d" % r["value"], "%.1f%%" % (share * 100)])
-        _table(lines, ["#", "source line", "instrs", "share"], rows)
-        lines.append("")
-
-    # -- ring statistics ---------------------------------------------------------
-    caps = _gauge_by(recs, "sim.ring.capacity", "ring")
-    if caps:
-        depth = _gauge_by(recs, "sim.ring.depth", "ring")
-        maxd = _gauge_by(recs, "sim.ring.max_depth", "ring")
-        puts = _gauge_by(recs, "sim.ring.puts", "ring")
-        gets = _gauge_by(recs, "sim.ring.gets", "ring")
-        drops = _gauge_by(recs, "sim.ring.drops", "ring")
-        empty = _gauge_by(recs, "sim.ring.empty_gets", "ring")
-        occ = {_slabel(r, "ring"): r["summary"]
-               for r in _pick(recs, "series", "sim.ring_depth")}
-        lines.append("Rings (occupancy / drops):")
-        rows = []
-        for ring in sorted(caps):
-            s = occ.get(ring)
-            rows.append([
-                ring, "%d" % caps[ring], "%d" % depth.get(ring, 0),
-                "%d" % maxd.get(ring, 0), "%d" % puts.get(ring, 0),
-                "%d" % gets.get(ring, 0), "%d" % drops.get(ring, 0),
-                "%d" % empty.get(ring, 0),
-                "%.1f" % s["mean"] if s else "-",
-            ])
-        _table(lines, ["ring", "cap", "depth", "max", "puts", "gets",
-                       "drops", "empty_gets", "occ.mean"], rows)
-        lines.append("")
-
-    # -- per-ME utilization ------------------------------------------------------
-    util = _gauge_by(recs, "sim.me.utilization", "me")
-    if util:
-        instrs_g = _gauge_by(recs, "sim.me.executed_instrs", "me")
-        lines.append("Microengines:")
-        rows = []
-        for me in sorted(util, key=lambda m: int(m)):
-            rows.append([me, "%.1f%%" % (util[me] * 100),
-                         "%d" % instrs_g.get(me, 0)])
-        _table(lines, ["me", "busy", "instrs"], rows)
-        lines.append("")
-
-    # -- memory channels ---------------------------------------------------------
-    busy = _gauge_by(recs, "sim.mem.busy_cycles", "channel")
-    if busy:
-        mutil = _gauge_by(recs, "sim.mem.utilization", "channel")
-        lines.append("Memory channels:")
-        rows = []
-        for ch in sorted(busy):
-            u = mutil.get(ch)
-            rows.append([ch, "%.0f" % busy[ch],
-                         "%.1f%%" % (u * 100) if u is not None else "-"])
-        _table(lines, ["channel", "busy_cycles", "util"], rows)
-        lines.append("")
-
-    # -- Rx/Tx accounting --------------------------------------------------------
-    rx_offered = _pick(recs, "gauge", "sim.rx.offered")
-    if rx_offered:
-        drops = {(_slabel(r, "cause")): r["value"]
-                 for r in _pick(recs, "gauge", "sim.rx.dropped")}
-        tx_pkts = _pick(recs, "gauge", "sim.tx.packets")
-        tx_bytes = _pick(recs, "gauge", "sim.tx.bytes")
-        leaks = {(_slabel(r, "engine"), _slabel(r, "kind")): r["value"]
-                 for r in _pick(recs, "gauge", "sim.leaks")}
-        lines.append("Rx/Tx:")
-        lines.append("  rx offered=%d  dropped[freelist_empty]=%d  "
-                     "dropped[ring_full]=%d"
-                     % (rx_offered[0]["value"],
-                        drops.get("freelist_empty", 0),
-                        drops.get("ring_full", 0)))
-        if tx_pkts:
-            lines.append("  tx packets=%d  bytes=%d"
-                         % (tx_pkts[0]["value"],
-                            tx_bytes[0]["value"] if tx_bytes else 0))
-        if leaks:
-            lines.append("  recycle leaks: "
-                         + "  ".join("%s.%s=%d" % (e, k, v)
-                                     for (e, k), v in sorted(leaks.items())))
-        lines.append("")
-
-    # -- per-packet latency (PacketTracer summary) -------------------------------
-    lat = {_slabel(r, "stat"): r["value"]
-           for r in _pick(recs, "gauge", "sim.pkt.latency_cycles")}
-    if lat:
-        lines.append("Packet latency (Rx arrival -> Tx, ME cycles):")
-        lines.append("  n=%d  p50=%g  p95=%g  p99=%g  mean=%g  "
-                     "min=%g  max=%g"
-                     % (lat.get("count", 0), lat.get("p50", 0),
-                        lat.get("p95", 0), lat.get("p99", 0),
-                        lat.get("mean", 0), lat.get("min", 0),
-                        lat.get("max", 0)))
-        traced = _pick(recs, "gauge", "sim.pkt.traced")
-        untraced = _pick(recs, "gauge", "sim.pkt.untraced")
-        if traced:
-            lines.append("  traced packets=%d  untraced=%d"
-                         % (traced[0]["value"],
-                            untraced[0]["value"] if untraced else 0))
-        pkt_drops = {_slabel(r, "cause"): r["value"]
-                     for r in _pick(recs, "gauge", "sim.pkt.drops")}
-        if pkt_drops:
-            lines.append("  drops: " + "  ".join(
-                "%s=%d" % kv for kv in sorted(pkt_drops.items())))
-        lines.append("")
-
-    # -- anything else (loader layout, run summary gauges, ...) ------------------
-    known_prefixes = ("compile.", "opt.", "sim.ring", "sim.me",
-                      "sim.mem.", "sim.rx.", "sim.tx.", "sim.leaks",
-                      "sim.pkt.", "profile.line_instrs")
-    other = [r for r in recs
-             if not r["name"].startswith(known_prefixes)
-             and r["type"] in ("counter", "gauge", "timer")]
-    if other:
-        lines.append("Other:")
-        rows = []
-        for r in sorted(other, key=lambda r: r["name"]):
-            labels = {k: v for k, v in (r.get("labels") or {}).items()
-                      if k in STRUCTURAL_LABELS}
-            name = r["name"]
-            if labels:
-                name += "{%s}" % ",".join(
-                    "%s=%s" % kv for kv in sorted(labels.items()))
-            if r["type"] == "timer":
-                val = "%.1f ms / %d calls" % (r["total_s"] * 1e3, r["count"])
-            else:
-                val = "%g" % r["value"]
-            rows.append([name, val])
-        _table(lines, ["metric", "value"], rows)
-        lines.append("")
-
-
-def _scope_json(recs: List[dict]) -> dict:
-    """The same data the rendered tables show, as one JSON-ready dict."""
-    stage_key = _stage_order(recs)
-    out: dict = {}
-
-    timers = _pick(recs, "timer", "compile.stage")
-    if timers:
-        out["compile_stages"] = {
-            _slabel(r, "stage"): {"calls": r["count"],
-                                  "ms": round(r["total_s"] * 1e3, 3)}
-            for r in timers
-        }
-    instrs = _gauge_by(recs, "compile.ir.instrs", "stage")
-    if instrs:
-        fns = _gauge_by(recs, "compile.ir.functions", "stage")
-        blocks = _gauge_by(recs, "compile.ir.blocks", "stage")
-        out["ir"] = {
-            stage: {"functions": fns.get(stage, 0),
-                    "blocks": blocks.get(stage, 0),
-                    "instrs": instrs[stage]}
-            for stage in sorted(instrs, key=stage_key)
-        }
-    opt = [r for r in recs if r["name"].startswith("opt.")
-           and r["type"] in ("counter", "gauge")]
-    if opt:
-        counters = {}
-        for r in opt:
-            name = r["name"]
-            extra = _slabel(r, "passname")
-            if extra:
-                name += "{%s}" % extra
-            counters[name] = r["value"]
-        out["opt"] = counters
-    hot = _pick(recs, "counter", "profile.line_instrs")
-    if hot:
-        hot = sorted(hot, key=lambda r: (-r["value"], _slabel(r, "src")))
-        out["hot_lines"] = [
-            {"src": _slabel(r, "src"), "instrs": r["value"]} for r in hot
-        ]
-    caps = _gauge_by(recs, "sim.ring.capacity", "ring")
-    if caps:
-        fields = ["depth", "max_depth", "puts", "gets", "drops",
-                  "empty_gets"]
-        per = {f: _gauge_by(recs, "sim.ring.%s" % f, "ring") for f in fields}
-        out["rings"] = {
-            ring: dict({"capacity": caps[ring]},
-                       **{f: per[f].get(ring, 0) for f in fields})
-            for ring in sorted(caps)
-        }
-    util = _gauge_by(recs, "sim.me.utilization", "me")
-    if util:
-        instrs_g = _gauge_by(recs, "sim.me.executed_instrs", "me")
-        out["mes"] = {
-            me: {"utilization": util[me],
-                 "executed_instrs": instrs_g.get(me, 0)}
-            for me in sorted(util, key=lambda m: int(m))
-        }
-    busy = _gauge_by(recs, "sim.mem.busy_cycles", "channel")
-    if busy:
-        mutil = _gauge_by(recs, "sim.mem.utilization", "channel")
-        out["mem_channels"] = {
-            ch: {"busy_cycles": busy[ch], "utilization": mutil.get(ch)}
-            for ch in sorted(busy)
-        }
-    rx_offered = _pick(recs, "gauge", "sim.rx.offered")
-    if rx_offered:
-        drops = {_slabel(r, "cause"): r["value"]
-                 for r in _pick(recs, "gauge", "sim.rx.dropped")}
-        tx_pkts = _pick(recs, "gauge", "sim.tx.packets")
-        tx_bytes = _pick(recs, "gauge", "sim.tx.bytes")
-        out["rx_tx"] = {
-            "rx_offered": rx_offered[0]["value"],
-            "rx_dropped": drops,
-            "tx_packets": tx_pkts[0]["value"] if tx_pkts else 0,
-            "tx_bytes": tx_bytes[0]["value"] if tx_bytes else 0,
-        }
-    lat = {_slabel(r, "stat"): r["value"]
-           for r in _pick(recs, "gauge", "sim.pkt.latency_cycles")}
-    if lat:
-        out["latency_cycles"] = lat
-    return out
-
-
-def render_json(records: List[dict],
-                only: Optional[Dict[str, str]] = None) -> dict:
-    """Machine-readable counterpart of :func:`render`."""
-    records = split_runs(records)
-    scopes: "OrderedDict[Tuple, List[dict]]" = OrderedDict()
-    for rec in records:
-        if only:
-            labels = rec.get("labels") or {}
-            if any(str(labels.get(k)) != v for k, v in only.items()):
-                continue
-        scopes.setdefault(_scope_key(rec), []).append(rec)
-    return {
-        "kind": "metrics_report",
-        "scopes": [
-            {"labels": dict(key), "sections": _scope_json(scopes[key])}
-            for key in sorted(scopes)
-        ],
-    }
-
-
-def render(records: List[dict],
-           only: Optional[Dict[str, str]] = None) -> str:
-    records = split_runs(records)
-    scopes: "OrderedDict[Tuple, List[dict]]" = OrderedDict()
-    for rec in records:
-        if only:
-            labels = rec.get("labels") or {}
-            if any(str(labels.get(k)) != v for k, v in only.items()):
-                continue
-        scopes.setdefault(_scope_key(rec), []).append(rec)
-
-    lines: List[str] = []
-    for key in sorted(scopes):
-        header = " ".join("%s=%s" % kv for kv in key) or "(unlabelled)"
-        lines.append("=" * 72)
-        lines.append(header)
-        lines.append("=" * 72)
-        _render_scope(scopes[key], lines)
-    if not lines:
-        lines.append("(no matching records)")
-    return "\n".join(lines)
 
 
 # -- explain: render a compile_report.json -------------------------------------------
@@ -548,6 +130,34 @@ def render_explain(report: dict, pass_filter: Optional[str] = None) -> str:
         lines.append("  " + bit)
     lines.append("")
 
+    stages = report.get("ir_stages") or []
+    if stages:
+        lines.append("IR size after each stage:")
+        rows = []
+        prev = None
+        for st in stages:
+            n = st.get("instrs", 0)
+            rows.append([str(st.get("stage", "?")),
+                         "%d" % st.get("functions", 0),
+                         "%d" % st.get("blocks", 0), "%d" % n,
+                         "" if prev is None else "%+d" % (n - prev)])
+            prev = n
+        _table(lines, ["stage", "functions", "blocks", "instrs", "delta"],
+               rows)
+        lines.append("")
+    hot = report.get("hot_lines") or []
+    if hot:
+        total = sum(h.get("instrs", 0) for h in hot)
+        lines.append("Hot Baker source lines (interpreted IR instrs, top %d):"
+                     % min(10, len(hot)))
+        rows = [["%d" % rank, str(h.get("src", "?")),
+                 "%d" % h.get("instrs", 0),
+                 "%.1f%%" % (100.0 * h.get("instrs", 0) / total
+                             if total else 0.0)]
+                for rank, h in enumerate(hot[:10], 1)]
+        _table(lines, ["#", "source line", "instrs", "share"], rows)
+        lines.append("")
+
     decisions = report.get("decisions") or []
     if pass_filter:
         decisions = [d for d in decisions if d.get("pass") == pass_filter]
@@ -572,8 +182,9 @@ def render_explain(report: dict, pass_filter: Optional[str] = None) -> str:
             if d.get("evidence"):
                 lines.append("      %s" % _fmt_evidence(d["evidence"]))
     if not decisions:
-        lines.append("  (none -- was the report written with "
-                     "REPRO_OBS_LEDGER=1 or python -m repro.obs.ledger?)")
+        lines.append("  (none -- was the ledger on? write the report with "
+                     "python -m repro.obs.ledger, or call "
+                     "repro.obs.ledger.enable() before compiling)")
     return "\n".join(lines)
 
 
@@ -869,59 +480,18 @@ def waterfall_main(argv) -> int:
     return 0
 
 
+_SUBCOMMANDS = {"explain": explain_main, "timeline": timeline_main,
+                "bottleneck": bottleneck_main, "waterfall": waterfall_main}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "waterfall":
-        return waterfall_main(argv[1:])
-    if argv and argv[0] == "explain":
-        return explain_main(argv[1:])
-    if argv and argv[0] == "timeline":
-        return timeline_main(argv[1:])
-    if argv and argv[0] == "bottleneck":
-        return bottleneck_main(argv[1:])
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Render a metrics JSONL dump as text.")
-    ap.add_argument("path", nargs="?",
-                    default=os.environ.get("REPRO_OBS_JSONL",
-                                           "benchmarks/results/metrics.jsonl"),
-                    help="metrics JSONL file (default: %(default)s)")
-    ap.add_argument("--only", action="append", default=[],
-                    metavar="KEY=VALUE",
-                    help="restrict to records whose label KEY equals VALUE "
-                         "(repeatable), e.g. --only app=l3switch")
-    ap.add_argument("--json", action="store_true",
-                    help="emit the report as machine-readable JSON instead "
-                         "of rendered tables")
-    args = ap.parse_args(argv)
-    only = {}
-    for item in args.only:
-        if "=" not in item:
-            ap.error("--only expects KEY=VALUE, got %r" % item)
-        k, _, v = item.partition("=")
-        only[k] = v
-    if not os.path.exists(args.path):
-        print("error: no metrics file at %s (run a benchmark with "
-              "REPRO_OBS=1, or pass metrics_jsonl= to run_on_simulator)"
-              % args.path, file=sys.stderr)
-        return 1
-    try:
-        records = load_records(args.path)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("error: cannot read metrics from %s: %s" % (args.path, exc),
-              file=sys.stderr)
-        return 1
-    if not records:
-        print("error: metrics file %s is empty (nothing was recorded -- "
-              "was the registry enabled?)" % args.path, file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(render_json(records, only or None),
-                         indent=2, sort_keys=True))
-    else:
-        print(render(records, only or None))
-    return 0
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
+    print("usage: python -m repro.obs.report {%s} ...\n(each takes --help)"
+          % ",".join(_SUBCOMMANDS), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Windowed, streaming observability over simulated time.
 
-Everything else in ``repro.obs`` is run-to-completion: metrics are
-dumped after the run, and :class:`~repro.obs.trace.PacketTracer`
-accumulates every latency before computing percentiles once at the end.
+Everything else in ``repro.obs`` is run-to-completion: a profiler
+snapshot is taken after the run, and
+:class:`~repro.obs.trace.PacketTracer` accumulates every latency before
+computing percentiles once at the end.
 A long-running service (``python -m repro.serve``) needs the opposite
 shape -- forwarding rate, latency percentiles and drop causes *as
 functions of sim time, across control-plane updates* -- in bounded
@@ -15,12 +16,11 @@ memory. This module provides it:
   DESIGN.md section 11 and enforced by ``tests/test_timeseries.py``.
 * :class:`TimeseriesCollector` -- closes a window record every
   ``window_cycles`` of simulated time. It is *pulled* by
-  :meth:`repro.ixp.chip.IXP2400.run` through the same ``next_t`` /
-  catch-up contract as :class:`~repro.obs.sim.SimSampler`, so attaching
-  one never perturbs event order (tests/test_obs.py proves enabled and
-  disabled runs stay bit-identical). Per-window counters are drained
-  from a private :class:`~repro.obs.metrics.MetricsRegistry` via
-  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot_and_reset` at each
+  :meth:`repro.ixp.chip.IXP2400.run` between event dispatches
+  (``next_t`` / ``tick(mark)``, catching up past every elapsed mark), so
+  attaching one never perturbs event order (tests/test_obs.py proves
+  enabled and disabled runs stay bit-identical). Per-window counters are
+  drained from the collector's :class:`_WindowCounters` at each
   boundary; control-plane events stamp the window containing their
   timestamp (an event exactly *on* a boundary ``kW`` belongs to window
   ``k``: the chip ticks elapsed boundaries before running the event's
@@ -38,8 +38,6 @@ import bisect
 import json
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-from repro.obs.metrics import MetricsRegistry
 
 #: Quantiles every sketch tracks (the report's standard columns).
 SKETCH_QUANTILES = (0.5, 0.95, 0.99)
@@ -195,23 +193,58 @@ class QuantileSketch:
         return out
 
 
+class _Counter:
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def inc(self, n=1) -> None:
+        self.value += n
+
+
+class _WindowCounters:
+    """The labelled counters of the window being collected:
+    ``counter(name, **labels).inc(n)`` from the sources and the control
+    plane, :meth:`drain` at each boundary."""
+
+    def __init__(self) -> None:
+        self._counters: Dict[Tuple[str, Tuple], _Counter] = {}
+
+    def counter(self, name: str, **labels) -> _Counter:
+        key = (name, tuple(sorted(labels.items())))
+        c = self._counters.get(key)
+        if c is None:
+            c = self._counters[key] = _Counter()
+        return c
+
+    def drain(self) -> Dict[str, float]:
+        """``name{k=v,...}`` -> count of every counter that moved this
+        window, in sorted key order; all restart from zero."""
+        out: Dict[str, float] = {}
+        for (name, labels), c in sorted(self._counters.items()):
+            if c.value:
+                if labels:
+                    name += "{%s}" % ",".join("%s=%s" % kv for kv in labels)
+                out[name] = c.value
+                c.value = 0
+        return out
+
+
 class TimeseriesCollector:
     """Closes one window record per ``window_cycles`` of simulated time.
 
     Attach with ``chip.window = collector`` (or pass ``timeseries=`` to
     :func:`repro.rts.system.run_on_simulator`); the chip calls
-    :meth:`tick` once per elapsed ``next_t`` boundary, exactly like the
-    :class:`~repro.obs.sim.SimSampler` pull. Window ``k`` covers
-    ``[k*W, (k+1)*W)``; :meth:`annotate` stamps the window whose
+    :meth:`tick` once per elapsed ``next_t`` boundary. Window ``k``
+    covers ``[k*W, (k+1)*W)``; :meth:`annotate` stamps the window whose
     interval contains ``t``.
 
     Counter *sources* are callables invoked at each boundary to bump
-    counters in the collector's private registry by the delta since the
-    previous boundary; the registry is then drained with
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot_and_reset` into
-    the window record, so anything recorded through the registry during
-    the window (e.g. control-plane bookkeeping) lands in the same
-    record.
+    counters in :attr:`registry` by the delta since the previous
+    boundary; it is then drained into the window record, so anything
+    counted there during the window (e.g. control-plane bookkeeping)
+    lands in the same record.
     """
 
     def __init__(self, window_cycles: float, cycles_hz: float = 600e6,
@@ -222,21 +255,21 @@ class TimeseriesCollector:
         self.cycles_hz = cycles_hz
         self.exact_limit = exact_limit
         self.next_t = self.window_cycles
-        self.registry = MetricsRegistry(enabled=True)
+        self.registry = _WindowCounters()
         self.windows: List[Dict[str, object]] = []
         self.cumulative = QuantileSketch(exact_limit)
         self.finished_at: Optional[float] = None
         self._index = 0
         self._t_start = 0.0
         self._sketch = QuantileSketch(exact_limit)
-        self._sources: List[Callable[[MetricsRegistry], None]] = []
+        self._sources: List[Callable[[_WindowCounters], None]] = []
         self._pending: Dict[int, List[Dict[str, object]]] = {}
 
     # -- wiring ------------------------------------------------------------------
 
-    def add_source(self, fn: Callable[[MetricsRegistry], None]) -> None:
-        """Register a boundary callback that increments counters in the
-        collector's registry by the delta accrued this window."""
+    def add_source(self, fn: Callable[[_WindowCounters], None]) -> None:
+        """Register a boundary callback that increments counters in
+        :attr:`registry` by the delta accrued this window."""
         self._sources.append(fn)
 
     def attach(self, rx=None, tx=None, tracer=None) -> None:
@@ -246,7 +279,7 @@ class TimeseriesCollector:
         if rx is not None:
             prev = {"sent": 0, "freelist": 0, "ring_full": 0}
 
-            def rx_source(reg: MetricsRegistry, rx=rx, prev=prev) -> None:
+            def rx_source(reg: _WindowCounters, rx=rx, prev=prev) -> None:
                 reg.counter("rx.offered").inc(rx.sent - prev["sent"])
                 reg.counter("rx.dropped", cause="freelist_empty").inc(
                     rx.dropped_freelist - prev["freelist"])
@@ -260,7 +293,7 @@ class TimeseriesCollector:
         if tx is not None:
             prev_tx = {"packets": 0, "bytes": 0}
 
-            def tx_source(reg: MetricsRegistry, tx=tx,
+            def tx_source(reg: _WindowCounters, tx=tx,
                           prev=prev_tx) -> None:
                 reg.counter("tx.packets").inc(tx.packets_out() - prev["packets"])
                 reg.counter("tx.bytes").inc(tx.bytes_out - prev["bytes"])
@@ -271,7 +304,7 @@ class TimeseriesCollector:
         if tracer is not None:
             prev_drops: Dict[str, int] = {}
 
-            def drop_source(reg: MetricsRegistry, tracer=tracer,
+            def drop_source(reg: _WindowCounters, tracer=tracer,
                             prev=prev_drops) -> None:
                 for cause in sorted(tracer.drops):
                     n = tracer.drops[cause]
@@ -326,16 +359,9 @@ class TimeseriesCollector:
         self.finished_at = t
 
     def _close(self, t_end: float, partial: bool) -> None:
-        counters: Dict[str, float] = {}
         for src in self._sources:
             src(self.registry)
-        for rec in self.registry.snapshot_and_reset():
-            key = rec["name"]
-            labels = rec.get("labels")
-            if labels:
-                key += "{%s}" % ",".join(
-                    "%s=%s" % kv for kv in sorted(labels.items()))
-            counters[key] = rec["value"]
+        counters = self.registry.drain()
         span_s = max((t_end - self._t_start) / self.cycles_hz, 1e-12)
         rate = counters.get("tx.bytes", 0) * 8 / span_s / 1e9
         rec: Dict[str, object] = {

@@ -350,22 +350,6 @@ def _percentile(sorted_vals: List[float], q: float) -> float:
     return sorted_vals[rank - 1]
 
 
-def record_trace_summary(reg, tracer: PacketTracer) -> None:
-    """Record per-packet latency percentiles + drop causes into a
-    metrics registry (rendered by ``repro.obs.report``)."""
-    summ = tracer.latency_summary()
-    for stat in ("count", "min", "p50", "p95", "p99", "mean", "max"):
-        reg.gauge("sim.pkt.latency_cycles", stat=stat).set(
-            round(summ[stat], 3))
-    if summ.get("truncated"):
-        reg.gauge("sim.pkt.latency_cycles", stat="truncated").set(
-            summ["truncated"])
-    reg.gauge("sim.pkt.traced").set(tracer.born_total)
-    reg.gauge("sim.pkt.untraced").set(tracer.truncated)
-    for cause, n in sorted(tracer.drops.items()):
-        reg.gauge("sim.pkt.drops", cause=cause).set(n)
-
-
 # -- compile-stage spans ---------------------------------------------------------
 
 #: When armed (a list), ``compile_stage`` appends (stage, labels, t0_s,
@@ -408,17 +392,29 @@ def inject_compile_spans(
 
 
 @contextmanager
-def compile_stage(reg, stage: str):
-    """Time one compiler pipeline stage: always feeds the
-    ``compile.stage`` timer; additionally records a wall-clock span for
-    the trace exporter when :func:`capture_compile_spans` is armed."""
-    spans = _COMPILE_SPANS
-    t0 = time.perf_counter() if spans is not None else 0.0
-    with reg.timer("compile.stage", stage=stage).time():
+def label_compile_spans(**labels):
+    """Stamp ``labels`` on the spans captured inside the block. The
+    compiler does not know whose source it compiles; the sweep does, and
+    wraps each compile so the exporter's compiler track says which
+    ``app``/``level`` a stage belongs to."""
+    start = len(_COMPILE_SPANS or ())
+    try:
         yield
+    finally:
+        for span in (_COMPILE_SPANS or ())[start:]:
+            span[1].update(labels)
+
+
+@contextmanager
+def compile_stage(stage: str):
+    """One compiler pipeline stage: a wall-clock span for the trace
+    exporter when :func:`capture_compile_spans` is armed, nothing when
+    it is not."""
+    spans = _COMPILE_SPANS
+    t0 = time.perf_counter()
+    yield
     if spans is not None:
-        labels = dict(getattr(reg, "_label_stack", [{}])[-1])
-        spans.append((stage, labels, t0, time.perf_counter()))
+        spans.append((stage, {}, t0, time.perf_counter()))
 
 
 # -- CLI -------------------------------------------------------------------------

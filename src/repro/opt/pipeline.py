@@ -6,49 +6,32 @@ from __future__ import annotations
 from repro.ir.cfg import simplify_cfg
 from repro.ir.module import IRFunction, IRModule
 from repro.obs import ledger as obs_ledger
-from repro.obs import metrics as obs_metrics
 from repro.opt import constprop, copyprop, cse, dce, inline
 from repro.options import CompilerOptions
 
 _MAX_ITER = 12
 
-# The -O1 pass set, in the order it has always run. Named so the
-# observability layer can attribute "changed something" counts per pass.
-_SCALAR_PASSES = (
-    ("simplify_cfg", simplify_cfg),
-    ("constprop", constprop.run),
-    ("copyprop", copyprop.run),
-    ("cse", cse.run),
-    ("dce", dce.run),
-)
+# The -O1 pass set, in the order it has always run.
+_SCALAR_PASSES = (simplify_cfg, constprop.run, copyprop.run, cse.run,
+                  dce.run)
 
 
 def scalar_optimize_function(fn: IRFunction) -> None:
     """Run the -O1 scalar pass set on one function to fixpoint."""
-    reg = obs_metrics.get_registry()
-    iterations = 0
-    converged = False
     for _ in range(_MAX_ITER):
-        iterations += 1
         changed = False
-        for pass_name, pass_run in _SCALAR_PASSES:
+        for pass_run in _SCALAR_PASSES:
             if pass_run(fn):
                 changed = True
-                reg.counter("opt.scalar.changed", passname=pass_name).inc()
         if not changed:
-            converged = True
-            break
-    reg.counter("opt.scalar.fn_runs").inc()
-    reg.histogram("opt.scalar.iterations").observe(iterations)
-    if not converged:
-        # The fixpoint loop ran out of budget while passes were still
-        # reporting changes: the result is still correct (each pass is
-        # sound in isolation) but possibly under-optimized.
-        reg.counter("opt.scalar.fixpoint_exhausted").inc()
-        obs_ledger.get_ledger().record(
-            "scalar", fn.name, "fixpoint_exhausted",
-            reason="still changing after _MAX_ITER iterations",
-            iterations=iterations, max_iter=_MAX_ITER)
+            return
+    # The fixpoint loop ran out of budget while passes were still
+    # reporting changes: the result is still correct (each pass is
+    # sound in isolation) but possibly under-optimized.
+    obs_ledger.get_ledger().record(
+        "scalar", fn.name, "fixpoint_exhausted",
+        reason="still changing after _MAX_ITER iterations",
+        iterations=_MAX_ITER, max_iter=_MAX_ITER)
 
 
 def run_scalar_pipeline(mod: IRModule, opts: CompilerOptions) -> None:

@@ -24,7 +24,6 @@ from repro.baker.packetmodel import BUFFER_BYTES
 from repro.ixp.chip import IXP2400
 from repro.ixp.microengine import Microengine
 from repro.ixp.xscale_core import XScaleCore
-from repro.obs import metrics as obs_metrics
 from repro.profiler.interpreter import Interpreter
 
 RING_CAPACITY = 128  # channel rings (Rx drops when the rx ring is full)
@@ -158,17 +157,4 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
             )
     chip.attach_xscale(XScaleCore(mod, chip, layout, xscale_inputs))
 
-    reg = obs_metrics.get_registry()
-    if reg.enabled:
-        reg.gauge("loader.scratch_bytes").set(scratch_ptr)
-        reg.gauge("loader.sram_bytes").set(sram_ptr)
-        reg.gauge("loader.dram_bytes").set(dram_ptr)
-        reg.gauge("loader.pool_packets").set(POOL_PACKETS)
-        reg.gauge("loader.mes_loaded").set(me_index)
-        for agg_name, count in layout.me_assignment.items():
-            reg.gauge("loader.me_count", aggregate=agg_name).set(count)
-            image = result.images[agg_name]
-            insns = getattr(image, "insns", None)
-            if insns is not None:
-                reg.gauge("loader.code_size", aggregate=agg_name).set(len(insns))
     return layout

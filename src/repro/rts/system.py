@@ -10,7 +10,6 @@ packet (Table 1's metric).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -18,9 +17,7 @@ from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
 from repro.ixp.memory import ME_HZ
 from repro.ixp.rxtx import RxEngine, TxEngine
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.sim import SimSampler, record_run_summary
 from repro.profiler.trace import Trace
 from repro.rts.loader import LoadLayout, load_system
 
@@ -61,7 +58,6 @@ def run_on_simulator(
     measure_packets: int = 300,
     offered_gbps: float = 3.0,
     max_cycles: float = 40e6,
-    metrics_jsonl: Optional[str] = None,
     tracer: Optional[obs_trace.PacketTracer] = None,
     trace_json: Optional[str] = None,
     trace_events_jsonl: Optional[str] = None,
@@ -73,16 +69,12 @@ def run_on_simulator(
 
     ``max_cycles`` is an absolute cap on the simulation clock shared by
     the warm-up and measurement phases (the run never simulates past
-    it). When the global observability registry is enabled
-    (``repro.obs.enable()`` or ``REPRO_OBS=1``), ring/ME time series and
-    an end-of-run summary are recorded, and the registry is dumped to
-    ``metrics_jsonl`` (or ``$REPRO_OBS_JSONL``) if set; measured numbers
-    are identical either way.
+    it).
 
     Per-packet lifecycle tracing: pass a
     :class:`repro.obs.trace.PacketTracer` (or just set ``trace_json`` /
-    ``trace_events_jsonl`` / ``$REPRO_TRACE_JSON`` and one is created)
-    to record every packet's Rx->Tx journey in simulated cycles.
+    ``trace_events_jsonl`` and one is created) to record every packet's
+    Rx->Tx journey in simulated cycles.
     ``trace_json`` writes Chrome trace-event JSON (open in Perfetto);
     ``trace_events_jsonl`` writes the raw events (convert later with
     ``python -m repro.obs.trace export``).
@@ -104,8 +96,6 @@ def run_on_simulator(
     Every observer is pure observation (DESIGN.md 7.3): measured numbers
     are bit-identical with or without it.
     """
-    reg = obs_metrics.get_registry()
-    trace_json = trace_json or os.environ.get("REPRO_TRACE_JSON")
     if tracer is None and (trace_json or trace_events_jsonl):
         tracer = obs_trace.PacketTracer()
     total_mes = n_mes if n_mes is not None else result.opts.num_mes
@@ -115,8 +105,6 @@ def run_on_simulator(
     rx = RxEngine(chip, trace, offered_gbps=offered_gbps)
     tx = TxEngine(chip, line_gbps=offered_gbps)
     chip.attach_traffic(rx, tx)
-    if reg.enabled:
-        chip.sampler = SimSampler(chip, reg)
     chip.tracer = tracer
     if timeseries is not None:
         timeseries.attach(rx=rx, tx=tx, tracer=tracer)
@@ -127,18 +115,17 @@ def run_on_simulator(
             timeseries.add_source(profiler.window_source())
 
     target = warmup_packets + measure_packets
-    with reg.timer("sim.wall").time():
-        # Phase 1: warm-up.
-        chip.run(max_cycles, stop=lambda: tx.packets_out() >= warmup_packets,
-                 stop_check_interval=16)
-        t0 = chip.now
-        base_counts = chip.memory.counters.snapshot()
-        packets0 = tx.packets_out()
-        bytes0 = tx.bytes_out
+    # Phase 1: warm-up.
+    chip.run(max_cycles, stop=lambda: tx.packets_out() >= warmup_packets,
+             stop_check_interval=16)
+    t0 = chip.now
+    base_counts = chip.memory.counters.snapshot()
+    packets0 = tx.packets_out()
+    bytes0 = tx.bytes_out
 
-        # Phase 2: measurement window.
-        chip.run(max_cycles, stop=lambda: tx.packets_out() >= target,
-                 stop_check_interval=16)
+    # Phase 2: measurement window.
+    chip.run(max_cycles, stop=lambda: tx.packets_out() >= target,
+             stop_check_interval=16)
     t1 = chip.now
     end_counts = chip.memory.counters.snapshot()
     packets1 = tx.packets_out()
@@ -184,19 +171,8 @@ def run_on_simulator(
 
     if tracer is not None:
         tracer.finish(chip.now)
-        if reg.enabled:
-            obs_trace.record_trace_summary(reg, tracer)
     if timeseries is not None:
         timeseries.finish(chip.now)
-
-    if reg.enabled:
-        record_run_summary(reg, chip, rx, tx)
-        reg.gauge("run.forwarding_gbps").set(round(gbps, 6))
-        reg.gauge("run.packets_measured").set(measured)
-        reg.gauge("run.me_utilization").set(round(run.me_utilization, 6))
-        path = metrics_jsonl or os.environ.get("REPRO_OBS_JSONL")
-        if path:
-            reg.dump_jsonl(path)
 
     if tracer is not None:
         if trace_events_jsonl:

@@ -9,8 +9,8 @@ Guarantees (see DESIGN.md section 9):
 
 * ``--jobs 1`` and ``--jobs N`` produce **bit-identical**
   ``BENCH_*.json`` files -- results merge in job-key order, never
-  completion order, and every job runs under a private metrics
-  registry whether inline or in a worker process.
+  completion order, and a job is the same call whether it runs inline
+  or in a worker process.
 * A BENCH file is the output of **one run**: this command is the only
   producer of the figure files, and it replaces each file whole.
 * Each (app, level) compiles **once ever**: artifacts persist in an

@@ -5,9 +5,8 @@ Usage::
     python -m repro.sweep --apps l3switch,firewall,mpls --jobs 4
 
 writes ``BENCH_fig13.json`` / ``BENCH_fig14.json`` / ``BENCH_fig15.json``
-(rate curves + Table 1 access counts) at the repo root, appends the
-sweep's metrics to ``benchmarks/results/metrics.jsonl`` under a run
-header, and prints a per-figure summary. Each file is replaced whole
+(rate curves + Table 1 access counts) at the repo root and prints a
+per-figure summary. Each file is replaced whole
 and holds exactly the cells this run measured, so a partial grid
 (``--levels``, ``--me-counts``, ``--no-table1``) belongs in its own
 ``--out-dir``. ``--jobs 1`` and ``--jobs N`` output is bit-identical;
@@ -20,10 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
-from repro import obs
 from repro.obs import ledger as obs_ledger
+from repro.obs import trace as obs_trace
 from repro.options import LEVEL_ORDER
 from repro.sweep.cache import CompileCache, repo_root
 from repro.sweep.orchestrator import (
@@ -33,6 +31,7 @@ from repro.sweep.orchestrator import (
     TABLE1_MEASURE,
     TRACE_PACKETS,
     TRACE_SEED,
+    WorkerConfig,
     build_jobs,
     run_sweep,
 )
@@ -83,9 +82,6 @@ def main(argv=None) -> int:
                          "<repo>/.repro_cache/compile)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the on-disk compile cache")
-    ap.add_argument("--metrics-jsonl", default=None, metavar="PATH",
-                    help="metrics output (appended under a run header; "
-                         "default: benchmarks/results/metrics.jsonl)")
     ap.add_argument("--ledger", action="store_true",
                     help="record compile decisions (repro.obs.ledger) "
                          "during any cache-miss compiles")
@@ -144,7 +140,6 @@ def main(argv=None) -> int:
             ap.error("--%s must be >= %d, got %d"
                      % (flag.replace("_", "-"), floor, getattr(args, flag)))
 
-    reg = obs.enable()
     if args.ledger:
         obs_ledger.enable()
     cache = CompileCache(args.cache_dir, enabled=not args.no_cache)
@@ -152,7 +147,7 @@ def main(argv=None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trace_sink = None
     if args.packet_trace:
-        obs.capture_compile_spans()
+        obs_trace.capture_compile_spans()
         trace_sink = lambda app: os.path.join(out_dir, app + ".trace.json")
     table1 = not args.no_table1
     jobs = build_jobs(apps, levels=levels, me_counts=me_counts,
@@ -168,16 +163,13 @@ def main(argv=None) -> int:
              args.jobs, "" if args.jobs == 1 else "es",
              cache.cache_dir if cache.enabled else "OFF"))
 
-    from repro.sweep.orchestrator import WorkerConfig
-
     cfg = WorkerConfig(cache_dir=cache.cache_dir, use_cache=cache.enabled,
                        trace_packets=args.trace_packets,
-                       trace_seed=args.trace_seed, obs=True,
+                       trace_seed=args.trace_seed,
                        ledger=args.ledger, analyze=args.analyze,
                        analyze_packets=args.analyze_packets,
                        profile=args.profile)
-    sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg,
-                      merge_into=reg)
+    sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg)
 
     paths = sweep.write_bench_files(out_dir)
     paths += [job.trace_json for job in jobs if job.trace_json]
@@ -202,16 +194,6 @@ def main(argv=None) -> int:
             for text in verdicts:
                 print("  %s" % text)
 
-    metrics_path = args.metrics_jsonl or os.path.join(
-        repo_root(), "benchmarks", "results", "metrics.jsonl")
-    run_id = "sweep-%s-p%d" % (
-        time.strftime("%Y%m%dT%H%M%S", time.gmtime()), os.getpid())
-    reg.dump_jsonl(metrics_path, append=True,
-                   header={"run": run_id,
-                           "source": "repro.sweep",
-                           "jobs": args.jobs,
-                           "apps": apps, "levels": levels})
-
     print("\n%d jobs in %.1fs wall (%d process%s); compile cache: "
           "%d hit%s, %d compile%s"
           % (len(sweep.jobs), sweep.wall_s, sweep.n_procs,
@@ -220,8 +202,6 @@ def main(argv=None) -> int:
              cache.misses, "" if cache.misses == 1 else "s"))
     for path in paths:
         print("wrote %s" % path)
-    print("metrics: %s (run %s; render: python -m repro.obs.report %s)"
-          % (metrics_path, run_id, metrics_path))
     if args.analyze:
         failures = sweep.analysis_failures()
         analyzed = {(jr.job.app, jr.job.level) for jr in sweep.jobs

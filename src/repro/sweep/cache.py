@@ -19,16 +19,17 @@ The fingerprint covers everything that can change compiler output:
 * the Python major.minor version (pickles are not guaranteed portable
   across interpreter versions).
 
-Hits and misses are observable: the ``sweep.compile_cache`` counter
-(labels ``app``/``level``/``result``) and, when the decision ledger is
-enabled, one ``sweep.cache`` decision per lookup.
+Hits and misses are observable: :attr:`CompileCache.hits` /
+:attr:`~CompileCache.misses` and, when the decision ledger is enabled,
+one ``sweep.cache`` decision per lookup (verdict ``hit``, ``miss`` or
+``corrupt``).
 
 Cache files are written atomically (tempfile + ``os.replace``), so
 concurrent workers racing on a cold key at worst compile twice and
 both write identical-content artifacts. An unreadable file is a plain
 miss; a file that *reads* but does not *decode* (truncated pickle,
-stale class layout) is deleted on first detection -- and counted under
-the distinct ``result="corrupt"`` label -- so later runs do not keep
+stale class layout) is deleted on first detection -- and recorded under
+the distinct ``corrupt`` verdict -- so later runs do not keep
 re-reading and re-discarding the same dead bytes.
 """
 
@@ -45,7 +46,6 @@ from typing import Dict, Optional, Tuple
 
 import repro
 from repro.obs import ledger as obs_ledger
-from repro.obs import metrics as obs_metrics
 
 #: Bump to invalidate every existing cache entry on format changes.
 CACHE_FORMAT = 1
@@ -179,7 +179,7 @@ class CompileCache:
 
         On a miss the app is compiled through the full pipeline and the
         artifact stored; on a hit compilation is skipped entirely (the
-        ``sweep.compile_cache`` metric and the ledger record which).
+        ledger records which).
         """
         from repro.apps import get_app
         from repro.compiler import compile_baker
@@ -189,13 +189,10 @@ class CompileCache:
         opts = options_for(level)
         key = cache_key(app.source, opts, trace_packets, trace_seed,
                         target_gbps=target_gbps)
-        reg = obs_metrics.get_registry()
         led = obs_ledger.get_ledger()
         cached = self.load(key)
         if cached is not None:
             self.hits += 1
-            reg.counter("sweep.compile_cache", app=app_name, level=level,
-                        result="hit").inc()
             led.record("sweep.cache", "%s/%s" % (app_name, level), "hit",
                        reason="artifact served from disk cache",
                        key=key[:16])
@@ -203,14 +200,10 @@ class CompileCache:
             return result, trace, True
         self.misses += 1
         if self.last_load_corrupt:
-            reg.counter("sweep.compile_cache", app=app_name, level=level,
-                        result="corrupt").inc()
             led.record("sweep.cache", "%s/%s" % (app_name, level), "corrupt",
                        reason="undecodable artifact deleted; recompiling",
                        key=key[:16])
         else:
-            reg.counter("sweep.compile_cache", app=app_name, level=level,
-                        result="miss").inc()
             led.record("sweep.cache", "%s/%s" % (app_name, level), "miss",
                        reason="no artifact for fingerprint; compiling",
                        key=key[:16])

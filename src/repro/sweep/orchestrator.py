@@ -6,10 +6,10 @@ compile is cached. This module fans the grid's compile+simulate jobs
 across a ``multiprocessing`` spawn pool and merges the results
 deterministically:
 
-* Every job runs under its **own metrics registry**
-  (:func:`repro.obs.metrics.scoped_registry`), whether it runs inline
-  (``--jobs 1``) or in a worker process, and ships its records (plus
-  any captured compile-stage spans) back as plain dicts.
+* A job returns **plain picklable data** whether it runs inline
+  (``--jobs 1``) or in a worker process; a worker also ships back the
+  compile-stage spans and ledger decisions it captured, which an inline
+  job leaves in this process's globals where they already are.
 * Results are ordered by the **job key**, never by completion order,
   so ``--jobs 1`` and ``--jobs N`` produce bit-identical
   ``BENCH_*.json`` output (asserted in ``tests/test_sweep.py``; CI's
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import ledger as obs_ledger
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.options import LEVEL_ORDER
 from repro.sweep.benchio import write_bench_json
@@ -99,7 +98,6 @@ class JobResult:
     profile: Dict[str, float]
     cache_hit: bool
     wall_s: float
-    metrics: List[dict] = field(default_factory=list)
     compile_spans: List[tuple] = field(default_factory=list)
     decisions: List[dict] = field(default_factory=list)
     #: ``repro.analyze`` report for this job's (app, level) compile, when
@@ -118,6 +116,8 @@ class WorkerConfig:
     use_cache: bool = True
     trace_packets: int = TRACE_PACKETS
     trace_seed: int = TRACE_SEED
+    #: Accepted and selects nothing: ``benchmarks/pipeline/sweep_grid.py``
+    #: passes ``obs=False``, and that directory is frozen (ROADMAP item 3).
     obs: bool = True
     capture_spans: bool = False
     ledger: bool = False
@@ -177,8 +177,7 @@ def build_jobs(apps: Sequence[str],
 def execute_job(job: SweepJob, cfg: WorkerConfig,
                 cache: Optional[CompileCache] = None,
                 detached: bool = False) -> JobResult:
-    """Run one job under a private metrics registry and return its
-    outputs as picklable plain data.
+    """Run one job and return its outputs as picklable plain data.
 
     ``detached`` marks execution in a worker process: compile-stage
     spans and ledger decisions are drained/sliced and shipped back in
@@ -189,26 +188,21 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
 
     if cache is None:
         cache = _process_cache(cfg)
-    reg = obs_metrics.MetricsRegistry(enabled=cfg.obs)
     led = obs_ledger.get_ledger()
     led_mark = led.mark()
     t0 = time.perf_counter()
-    with obs_metrics.scoped_registry(reg):
-        with reg.labels(app=job.app, level=job.level, job=job.kind,
-                        n_mes=job.n_mes):
-            result, trace, hit = cache.get_or_compile(
-                job.app, job.level, cfg.trace_packets, cfg.trace_seed,
-                target_gbps=job.target_gbps)
-            profiler = None
-            if cfg.profile and job.kind == "rate":
-                from repro.obs.profile import StallProfiler
+    result, trace, hit = _compile(cache, cfg, job.app, job.level,
+                                  job.target_gbps)
+    profiler = None
+    if cfg.profile and job.kind == "rate":
+        from repro.obs.profile import StallProfiler
 
-                profiler = StallProfiler()
-            run = run_on_simulator(result, trace, n_mes=job.n_mes,
-                                   warmup_packets=job.warmup_packets,
-                                   measure_packets=job.measure_packets,
-                                   trace_json=job.trace_json,
-                                   profiler=profiler)
+        profiler = StallProfiler()
+    run = run_on_simulator(result, trace, n_mes=job.n_mes,
+                           warmup_packets=job.warmup_packets,
+                           measure_packets=job.measure_packets,
+                           trace_json=job.trace_json,
+                           profiler=profiler)
     analysis = (_analyze_compile(job, cfg, result, trace)
                 if cfg.analyze else None)
     occupancy = None
@@ -226,11 +220,20 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                      profile=profile,
                      cache_hit=hit,
                      wall_s=time.perf_counter() - t0,
-                     metrics=reg.records() if cfg.obs else [],
                      compile_spans=spans,
                      decisions=decisions,
                      analysis=analysis,
                      occupancy=occupancy)
+
+
+def _compile(cache: CompileCache, cfg: WorkerConfig, app: str, level: str,
+             target_gbps: float):
+    """``cache.get_or_compile`` for one compile identity. The job is
+    what knows which app and level a compile belongs to, so the stage
+    spans a cache miss captures are stamped here."""
+    with obs_trace.label_compile_spans(app=app, level=level):
+        return cache.get_or_compile(app, level, cfg.trace_packets,
+                                    cfg.trace_seed, target_gbps=target_gbps)
 
 
 #: Per-process memo: the analysis of one (app, level) compile does not
@@ -285,23 +288,18 @@ def _worker_run(job: SweepJob) -> JobResult:
 
 def _worker_precompile(pair: Tuple[str, str, float]):
     """Warm the disk cache for one compile identity
-    (app, level, target_gbps); returns the compile's
-    metric/ledger records so the parent's merged output still carries
-    compile timings and decisions on a cold cache."""
+    (app, level, target_gbps); returns the compile's stage spans and
+    ledger records so the parent still carries compile timings and
+    decisions on a cold cache."""
     app, level, target_gbps = pair
     cfg = _WORKER_CFG
-    reg = obs_metrics.MetricsRegistry(enabled=cfg.obs)
     led = obs_ledger.get_ledger()
     led_mark = led.mark()
-    with obs_metrics.scoped_registry(reg):
-        with reg.labels(app=app, level=level, job="compile"):
-            _res, _trace, hit = _WORKER_CACHE.get_or_compile(
-                app, level, cfg.trace_packets, cfg.trace_seed,
-                target_gbps=target_gbps)
+    _res, _trace, hit = _compile(_WORKER_CACHE, cfg, app, level, target_gbps)
     spans = obs_trace.drain_compile_spans() if cfg.capture_spans else []
     decisions = ([d.to_record() for d in led.since(led_mark)]
                  if led.enabled else [])
-    return (pair, hit, reg.records() if cfg.obs else [], spans, decisions)
+    return (pair, hit, spans, decisions)
 
 
 # -- the sweep -------------------------------------------------------------------
@@ -403,24 +401,20 @@ class SweepResult:
 
 def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
               cache: Optional[CompileCache] = None,
-              cfg: Optional[WorkerConfig] = None,
-              merge_into: Optional[obs_metrics.MetricsRegistry] = None,
-              ) -> SweepResult:
+              cfg: Optional[WorkerConfig] = None) -> SweepResult:
     """Execute ``jobs`` with ``n_procs`` processes and merge results.
 
-    ``n_procs <= 1`` runs every job inline (still one private registry
-    per job); larger values fan jobs across a spawn pool after warming
-    the compile cache for the distinct (app, level) pairs. Either way
-    the returned :class:`SweepResult` lists jobs in sort-key order and
-    each job's metric records are folded into ``merge_into`` (default:
-    the process-global registry), so the two modes are
-    indistinguishable to consumers.
+    ``n_procs <= 1`` runs every job inline; larger values fan jobs
+    across a spawn pool after warming the compile cache for the distinct
+    (app, level) pairs. Either way the returned :class:`SweepResult`
+    lists jobs in sort-key order, and the workers' compile-stage spans
+    and ledger decisions are folded into this process's, so the two
+    modes are indistinguishable to consumers.
     """
     if cfg is None:
         cfg = WorkerConfig(
             cache_dir=cache.cache_dir if cache is not None else None,
             use_cache=cache.enabled if cache is not None else True,
-            obs=obs_metrics.get_registry().enabled,
             capture_spans=obs_trace.spans_armed(),
             ledger=obs_ledger.is_enabled(),
         )
@@ -442,22 +436,19 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
             warm_records = pool.map(_worker_precompile, pairs)
             results = pool.map(_worker_run, ordered)
         # Local bookkeeping: pool workers hit their own cache objects.
-        for _pair, hit, _recs, _spans, _dec in warm_records:
+        for _pair, hit, _spans, _dec in warm_records:
             if hit:
                 cache.hits += 1
             else:
                 cache.misses += 1
 
-    reg = merge_into if merge_into is not None else obs_metrics.get_registry()
     led = obs_ledger.get_ledger()
     # warm_records is already in sorted-pair order (pool.map preserves
     # input order), so the merge is deterministic.
-    for _pair, _hit, recs, spans, decisions in warm_records:
-        reg.merge_records(recs)
+    for _pair, _hit, spans, decisions in warm_records:
         obs_trace.inject_compile_spans(spans)
         led.merge_records(decisions)
     for jr in results:
-        reg.merge_records(jr.metrics)
         obs_trace.inject_compile_spans(jr.compile_spans)
         led.merge_records(jr.decisions)
         jr.compile_spans = []

@@ -198,3 +198,43 @@ def test_cli_level_aliases(capsys):
     with pytest.raises(SystemExit):
         main(["firewall", "-O", "nonsense"])
     capsys.readouterr()
+
+
+def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
+    """A bad argument is ``parser.error`` naming flag and value (exit 2)
+    before anything is compiled or written: no ``KeyError`` /
+    ``AnalysisError`` traceback, and no vacuous pass -- ``--packets 0``
+    used to validate zero roots per image and print "ok", and
+    ``--validate-packets -3`` silently meant "the whole trace"."""
+    from repro.analyze import __main__ as cli
+
+    def no_analysis(*_args, **_kw):
+        raise AssertionError("run_analysis reached with a bad argument")
+
+    monkeypatch.setattr(cli, "run_analysis", no_analysis)
+    out = tmp_path / "report.json"
+    for argv, needle in (
+            (["nosuchapp"], "unknown app 'nosuchapp'"),
+            (["mpls", "--pass", "nosuch"], "unknown pass --pass 'nosuch'"),
+            (["mpls", "--packets", "0"], "--packets must be >= 1, got 0"),
+            (["mpls", "--validate-packets", "-3"],
+             "--validate-packets must be >= 0 (0 = the whole trace), got -3"),
+            (["mpls", "-O", "nonsense"],
+             "unknown optimization level -O 'nonsense'")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["-o", str(out)])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err, err
+        assert "Traceback" not in err
+        assert not out.exists(), argv
+
+    # 0 still means the whole trace, and reaches the analysis as None.
+    seen = {}
+    monkeypatch.setattr(
+        cli, "run_analysis",
+        lambda *a, **kw: seen.update(kw) or {"ok": True, "errors_total": 0})
+    monkeypatch.setattr(cli, "write_report", lambda report, path: None)
+    assert cli.main(["mpls", "--validate-packets", "0", "-o", str(out)]) == 0
+    assert seen["validate_packets"] is None and seen["packets"] == 200
+    capsys.readouterr()

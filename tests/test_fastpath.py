@@ -292,12 +292,12 @@ class _GridSampler:
 
 def test_sampler_catches_up_past_all_elapsed_marks():
     chip = IXP2400()
-    chip.sampler = _GridSampler(100.0)
+    chip.window = _GridSampler(100.0)  # the one observer run() pulls
     # One lonely event far in the future: every grid mark in between
     # must still be sampled when it finally dispatches.
     chip.schedule(1000.0, lambda: None)
     chip.run(2000.0)
-    assert chip.sampler.samples == [100.0 * i for i in range(1, 11)]
+    assert chip.window.samples == [100.0 * i for i in range(1, 11)]
 
 
 # -- the one stall-attribution site --------------------------------------------------

@@ -9,10 +9,9 @@ from repro.ir.cfg import (
     remove_unreachable,
     reverse_postorder,
     simplify_cfg,
-    split_critical_edges,
 )
 from repro.ir.callgraph import CallGraph
-from repro.ir.dominators import dominator_tree, postdominator_tree
+from repro.ir.dominators import dominator_tree
 from repro.ir.liveness import liveness
 from repro.ir.module import IRFunction
 from repro.ir.values import Const, Temp
@@ -108,20 +107,6 @@ def test_simplify_merges_straightline():
     assert len(fn.entry.instrs) == 1
 
 
-def test_split_critical_edges():
-    fn, bbs = build_diamond()
-    # Make the edge entry->join critical by branching directly to join.
-    bbs["entry"].terminator = I.Branch(fn.params[0], bbs["left"], bbs["join"])
-    remove_unreachable(fn)
-    split_critical_edges(fn)
-    compute_cfg(fn)
-    # No edge from a multi-succ block to a multi-pred block remains.
-    for bb in fn.blocks:
-        if len(bb.succs) > 1:
-            for succ in bb.succs:
-                assert len(succ.preds) == 1
-
-
 # -- dominators ----------------------------------------------------------------------
 
 
@@ -151,30 +136,6 @@ def test_dominates_is_reflexive():
         assert not dom.strictly_dominates(bb, bb)
 
 
-def test_postdominators_diamond():
-    fn, bbs = build_diamond()
-    pdom = postdominator_tree(fn)
-    assert pdom.dominates(bbs["join"], bbs["entry"])
-    assert pdom.dominates(bbs["join"], bbs["left"])
-    assert not pdom.dominates(bbs["left"], bbs["entry"])
-
-
-def test_postdominators_multiple_exits():
-    fn = IRFunction("f", "func", T.U32)
-    c = fn.new_temp(T.BOOL)
-    fn.params.append(c)
-    entry = fn.new_block("entry")
-    a = fn.new_block("a")
-    b = fn.new_block("b")
-    entry.terminate(I.Branch(c, a, b))
-    a.terminate(I.Ret(Const(1)))
-    b.terminate(I.Ret(Const(2)))
-    pdom = postdominator_tree(fn)
-    # Neither exit postdominates the entry.
-    assert not pdom.dominates(a, entry)
-    assert not pdom.dominates(b, entry)
-
-
 # -- liveness ----------------------------------------------------------------------
 
 
@@ -184,15 +145,6 @@ def test_liveness_param_live_into_loop():
     n = fn.params[0]
     assert n in info.live_in[bbs["head"]]
     assert n not in info.live_out[bbs["exit"]]
-
-
-def test_liveness_per_instr():
-    fn, bbs = build_diamond()
-    info = liveness(fn)
-    rows = info.instr_live_out(bbs["left"])
-    (instr, live_after) = rows[0]
-    assert isinstance(instr, I.Assign)
-    assert instr.dst in live_after
 
 
 def test_dead_def_not_live():
@@ -250,5 +202,3 @@ def test_callgraph_callers():
     mod = lower(MINI_FORWARDER)
     cg = CallGraph(mod)
     assert "l3_switch.l3_fwdr" in cg.callers["mix"]
-    assert cg.max_call_depth("l3_switch.l3_fwdr") == 2
-    assert cg.max_call_depth("mix") == 1

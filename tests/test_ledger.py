@@ -89,10 +89,11 @@ def test_mark_since_and_counts():
 
 
 def _signature(result):
-    """Everything compilation produced, minus the decisions themselves."""
+    """Everything compilation produced, minus what is collected only
+    under the ledger's switch."""
     report = compile_report(result)
-    del report["decisions"]
-    del report["decision_counts"]
+    for observed in ("decisions", "decision_counts", "ir_stages", "hot_lines"):
+        del report[observed]
     return json.dumps(report, sort_keys=True)
 
 
@@ -162,8 +163,6 @@ def test_l3switch_swc_report_contents(clean_ledger):
 
 def test_mpls_reports_explain_register_state_and_anchored_combining(
         clean_ledger, tmp_path, capsys):
-    from repro.obs import metrics as obs_metrics
-
     led = clean_ledger
     led.enabled = True
     app = get_app("mpls")
@@ -171,9 +170,7 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     soar = compile_baker(app.source, options_for("SOAR"), trace)
     p_soar = write_compile_report(soar, str(tmp_path / "soar.json"))
     led.decisions = []
-    reg = obs_metrics.MetricsRegistry(enabled=True)
-    with obs_metrics.scoped_registry(reg):
-        phr = compile_baker(app.source, options_for("PHR"), trace)
+    phr = compile_baker(app.source, options_for("PHR"), trace)
     report = compile_report(phr, app="mpls")
 
     # PHR: one record per function whose packet state lives in registers.
@@ -188,9 +185,6 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     opt = report["opt"]["phr"]
     assert (opt["state_functions"], opt["state_writebacks"], opt["state_clean_sites"]) \
         == (1, ev["writeback_sites"], ev["clean_sites"])
-    counters = {r["name"]: r["value"] for r in reg.records() if r["type"] == "counter"}
-    assert counters["opt.phr.state_writebacks"] == ev["writeback_sites"]
-    assert counters["opt.phr.state_clean_sites"] == ev["clean_sites"]
 
     # PAC: a group combined under a loop-header anchor names it; the
     # entry-anchored groups (the Ethernet/IP header loads) do not.
@@ -200,7 +194,6 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     assert anchored and len(anchored) < len(combined)
     assert all("while_head" in e["anchor"] for e in anchored)
     assert sum(e["members"] for e in anchored) == report["opt"]["pac"]["anchored_loads"]
-    assert counters["opt.pac.anchored_loads"] == report["opt"]["pac"]["anchored_loads"]
 
     # The level-to-level diff names the new decision without a re-run.
     p_phr = write_compile_report(phr, str(tmp_path / "phr.json"))
@@ -270,6 +263,16 @@ def test_explain_renders_decisions(clean_ledger, tmp_path, capsys):
     assert "[aggregation]" in out
     assert "decisions:" in out
 
+    # A report written with the ledger off says how to get one with
+    # decisions -- by the ways that exist (no environment switch does).
+    led.enabled = False
+    result, _ = _mini_result()
+    path = write_compile_report(result, str(tmp_path / "off.json"))
+    assert report_main(["explain", path]) == 0
+    out = capsys.readouterr().out
+    assert "decisions: 0 recorded" in out
+    assert "python -m repro.obs.ledger" in out and "REPRO_" not in out
+
 
 def test_explain_errors_exit_nonzero(tmp_path, capsys):
     assert report_main(["explain", str(tmp_path / "missing.json")]) == 1
@@ -282,32 +285,25 @@ def test_explain_errors_exit_nonzero(tmp_path, capsys):
     capsys.readouterr()
 
 
-# -- report --json ---------------------------------------------------------------------
+# -- the ledger CLI ---------------------------------------------------------------------
 
 
-def test_report_json_flag(tmp_path, capsys):
-    jsonl = tmp_path / "m.jsonl"
-    jsonl.write_text(
-        json.dumps({"type": "counter", "name": "opt.scalar.fn_runs",
-                    "value": 3, "labels": {"app": "x"}}) + "\n"
-        + json.dumps({"type": "gauge", "name": "compile.ir.instrs",
-                      "value": 100, "labels": {"app": "x",
-                                               "stage": "initial"}}) + "\n")
-    assert report_main([str(jsonl), "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["kind"] == "metrics_report"
-    (scope,) = data["scopes"]
-    assert scope["labels"] == {"app": "x"}
-    assert scope["sections"]["opt"] == {"opt.scalar.fn_runs": 3}
-    assert scope["sections"]["ir"]["initial"]["instrs"] == 100
-
-
-def test_report_json_flag_keeps_error_exits(tmp_path, capsys):
-    assert report_main([str(tmp_path / "missing.jsonl"), "--json"]) == 1
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert report_main([str(empty), "--json"]) == 1
-    capsys.readouterr()
+def test_ledger_cli_fails_fast(tmp_path, capsys):
+    """A bad token is ``parser.error`` naming flag and value (exit 2)
+    before anything is compiled or written -- ``--packets 0`` used to
+    write a report compiled from an empty profile."""
+    out = tmp_path / "report.json"
+    for argv, needle in (
+            (["--packets", "0"], "--packets must be >= 1, got 0"),
+            (["--packets", "-5"], "--packets must be >= 1, got -5"),
+            (["--app", "nosuchapp"], "unknown --app 'nosuchapp'"),
+            (["--level", "NOPE"], "unknown --level 'NOPE'")):
+        with pytest.raises(SystemExit) as exc:
+            obs_ledger.main(argv + ["-o", str(out)])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err, err
+        assert not out.exists(), argv
 
 
 # -- diff ------------------------------------------------------------------------------

@@ -1,124 +1,21 @@
 """Observability layer (repro.obs) and the Rx/ring accounting fixes:
-registry semantics, JSONL + report rendering, ring overflow/leak
-accounting, Rx trace exhaustion, run/run_for semantics, and the
-obs-on == obs-off bit-identical guarantee."""
+what a compile records under the ledger's switch (IR size per stage,
+hot Baker lines), ring overflow/leak accounting, Rx trace exhaustion,
+run/run_for semantics, and the observer-on == observer-off
+bit-identical guarantee."""
 
 import json
 
-import pytest
-
-from repro import obs
 from repro.compiler import compile_baker
 from repro.ixp.chip import IXP2400
 from repro.ixp.rings import Ring
 from repro.ixp.rxtx import RxEngine, TxEngine
-from repro.obs.metrics import NULL, MetricsRegistry, Series
-from repro.obs.report import load_records, render
+from repro.obs import ledger as obs_ledger
 from repro.options import options_for
 from repro.profiler.trace import Trace, TracePacket, ipv4_trace
 from repro.rts.system import run_on_simulator
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
-
-
-@pytest.fixture
-def clean_obs():
-    """Leave the process-global registry exactly as we found it."""
-    reg = obs.get_registry()
-    was_enabled = reg.enabled
-    yield reg
-    reg.enabled = was_enabled
-    reg.clear()
-
-
-# -- registry -------------------------------------------------------------------
-
-
-def test_registry_metric_kinds():
-    reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.counter("c").inc(4)
-    assert reg.counter("c").value == 5
-    reg.gauge("g").set(2.5)
-    assert reg.gauge("g").value == 2.5
-    with reg.timer("t").time():
-        pass
-    t = reg.timer("t")
-    assert t.count == 1 and t.total_s >= 0.0
-    h = reg.histogram("h")
-    for v in (1, 5, 3):
-        h.observe(v)
-    assert (h.count, h.min, h.max) == (3, 1, 5)
-    assert h.mean == pytest.approx(3.0)
-    s = reg.series("s")
-    s.sample(0.0, 1)
-    s.sample(10.0, 2)
-    assert s.summary()["n"] == 2 and s.summary()["last"] == 2
-
-
-def test_registry_labels_distinguish_and_scope():
-    reg = MetricsRegistry()
-    reg.counter("x", cause="a").inc()
-    reg.counter("x", cause="b").inc(2)
-    assert reg.counter("x", cause="a").value == 1
-    assert reg.counter("x", cause="b").value == 2
-    with reg.labels(app="l3switch"):
-        reg.counter("y").inc()
-        with reg.labels(level="SWC"):
-            reg.counter("y").inc()
-    names = {(m.name, tuple(sorted(m.labels.items()))) for m in reg.metrics()}
-    assert ("y", (("app", "l3switch"),)) in names
-    assert ("y", (("app", "l3switch"), ("level", "SWC"))) in names
-
-
-def test_disabled_registry_hands_out_null():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("c")
-    assert c is NULL
-    c.inc()
-    reg.gauge("g").set(1)
-    with reg.timer("t").time():
-        pass
-    reg.histogram("h").observe(1)
-    reg.series("s").sample(0, 1)
-    assert list(reg.metrics()) == []
-
-
-def test_series_memory_is_bounded():
-    s = Series("s", {}, max_samples=64)
-    for i in range(100_000):
-        s.sample(float(i), i)
-    assert len(s.samples) < 64
-    # Thinned but still spanning the whole run.
-    assert s.samples[-1][0] > 90_000
-
-
-def test_jsonl_dump_and_report_render(tmp_path):
-    reg = MetricsRegistry()
-    with reg.labels(app="l3switch", level="SWC"):
-        with reg.timer("compile.stage", stage="frontend").time():
-            pass
-        reg.gauge("compile.ir.instrs", stage="initial").set(120)
-        reg.gauge("compile.ir.instrs", stage="scalar").set(90)
-        reg.counter("opt.pac.wide_loads").inc(7)
-        reg.gauge("sim.ring.capacity", ring="ring.rx").set(128)
-        reg.gauge("sim.ring.drops", ring="ring.rx").set(3)
-        reg.gauge("sim.me.utilization", me=0).set(0.5)
-    path = reg.dump_jsonl(str(tmp_path / "m.jsonl"))
-    recs = load_records(path)
-    assert all(json.dumps(r) for r in recs)
-
-    text = render(recs)
-    assert "app=l3switch level=SWC" in text
-    assert "frontend" in text  # stage timings
-    assert "opt.pac.wide_loads" in text  # opt counters
-    assert "ring.rx" in text  # ring stats
-    assert "Microengines" in text  # per-ME utilization
-    # IR delta column.
-    assert "-30" in text
-    # Label filter selects / rejects.
-    assert "frontend" in render(recs, only={"app": "l3switch"})
-    assert render(recs, only={"app": "nope"}) == "(no matching records)"
 
 
 # -- ring accounting ------------------------------------------------------------
@@ -276,37 +173,6 @@ def _mini_result():
     return result, trace
 
 
-def test_obs_enabled_run_is_bit_identical(clean_obs, tmp_path):
-    """Attaching the sampler + recording metrics must not perturb the
-    simulation: every measured number matches the obs-off run exactly."""
-    reg = clean_obs
-    reg.enabled = False
-    result, trace = _mini_result()
-    kwargs = dict(n_mes=2, warmup_packets=30, measure_packets=90)
-
-    off = run_on_simulator(result, trace, **kwargs)
-
-    obs.enable()
-    path = str(tmp_path / "metrics.jsonl")
-    on = run_on_simulator(result, trace, metrics_jsonl=path, **kwargs)
-
-    assert on.forwarding_gbps == off.forwarding_gbps
-    assert on.packets_measured == off.packets_measured
-    assert on.packets_out == off.packets_out
-    assert on.rx_offered == off.rx_offered
-    assert on.rx_dropped == off.rx_dropped
-    assert on.sim_cycles == off.sim_cycles
-    assert on.me_utilization == off.me_utilization
-    assert on.access_profile.row() == off.access_profile.row()
-    assert on.rx_dropped_freelist + on.rx_dropped_ring_full == on.rx_dropped
-
-    # The JSONL landed and the report renders the headline sections.
-    text = render(load_records(path))
-    assert "ring.rx" in text
-    assert "Microengines" in text
-    assert "Rx/Tx:" in text
-
-
 def test_timeseries_attached_run_is_bit_identical():
     """Attaching a TimeseriesCollector (the streaming window hook) must
     not perturb the simulation in any observable way: the zero-impact
@@ -341,50 +207,75 @@ def test_timeseries_attached_run_is_bit_identical():
 
 
 def test_report_main_exits_nonzero_on_bad_input(tmp_path, capsys):
+    """There is no default view: a bare invocation -- or a path where a
+    subcommand belongs, the old ``report metrics.jsonl`` spelling --
+    prints the subcommands and exits 2 without reading anything."""
     from repro.obs.report import main as report_main
 
-    assert report_main([str(tmp_path / "missing.jsonl")]) == 1
-    assert "error:" in capsys.readouterr().err
-
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert report_main([str(empty)]) == 1
-    assert "error:" in capsys.readouterr().err
-
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("{not json\n")
-    assert report_main([str(bad)]) == 1
-    assert "error:" in capsys.readouterr().err
+    stray = tmp_path / "metrics.jsonl"
+    stray.write_text("{not json\n")
+    for argv in ([], [str(stray)], ["--json"]):
+        assert report_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for sub in ("explain", "timeline", "bottleneck", "waterfall"):
+            assert sub in captured.err
 
 
-def test_report_unknown_stages_keep_first_seen_order():
-    """Stages outside the known pipeline order render after it, in the
-    order they first appear in the records -- never alphabetized into
-    the middle of the pipeline."""
-    recs = [{"type": "timer", "name": "compile.stage",
-             "labels": {"stage": stage}, "count": 1, "total_s": 0.001}
-            for stage in ("zeta_pass", "alpha_pass", "frontend", "codegen")]
-    text = render(recs)
-    order = [text.index(s) for s in
-             ("frontend", "codegen", "zeta_pass", "alpha_pass")]
-    assert order == sorted(order)
+def test_compile_telemetry_recorded(tmp_path, capsys):
+    """The compile report carries, under the ledger's switch, IR size
+    after each stage and the hot Baker lines. Two compiles in one process give byte-equal
+    reports; with the ledger off both sections are empty and line
+    attribution was never requested."""
+    from repro.apps import APP_CLASSES, get_app
+    from repro.obs.report import main as report_main
 
+    led = obs_ledger.get_ledger()
+    was_enabled, saved = led.enabled, led.decisions
+    try:
+        for name in sorted(APP_CLASSES):
+            app = get_app(name)
+            trace = app.make_trace(120, seed=5)
+            led.enabled, led.decisions = True, []
+            results = [compile_baker(app.source, options_for("SWC"), trace)
+                       for _ in range(2)]
+            reports = [obs_ledger.compile_report(r, app=name)
+                       for r in results]
+            dumps = [json.dumps(r, sort_keys=True) for r in reports]
+            assert dumps[0] == dumps[1], name
+            report = reports[0]
+            assert [st["stage"] for st in report["ir_stages"]] == [
+                "initial", "scalar", "aggregate", "pac", "soar", "phr", "swc"]
+            for st in report["ir_stages"]:
+                assert st["functions"] > 0 and st["blocks"] > 0
+            # Nothing after SWC adds or removes IR: the last row is the
+            # module the code generator saw.
+            assert report["ir_stages"][-1]["instrs"] == report["ir"]["instrs"]
+            hot = results[0].profile.hot_lines(32)
+            assert hot and report["hot_lines"] == [
+                {"src": src, "instrs": n} for src, n in hot]
 
-def test_compile_telemetry_recorded(clean_obs):
-    reg = clean_obs
-    obs.enable()
-    reg.clear()
-    result, _ = _mini_result()
-    assert result.images  # compiled fine with obs on
-    recs = reg.records()
-    stages = {(r.get("labels") or {}).get("stage")
-              for r in recs if r["name"] == "compile.stage"}
-    assert {"frontend", "lower", "profile", "scalar", "aggregate",
-            "verify", "codegen"} <= stages
-    ir_instrs = [r for r in recs if r["name"] == "compile.ir.instrs"]
-    assert ir_instrs, "IR size gauges missing"
-    assert any(r["name"] == "opt.scalar.fn_runs" and r["value"] > 0
-               for r in recs)
+            path = obs_ledger.write_compile_report(
+                results[0], str(tmp_path / (name + ".json")), app=name)
+            assert report_main(["explain", path]) == 0
+            out = capsys.readouterr().out
+            assert "IR size after each stage:" in out
+            assert "Hot Baker source lines" in out
+            assert hot[0][0] in out
+            swc_row = [ln for ln in out.splitlines()
+                       if ln.split()[:1] == ["swc"]]
+            assert swc_row and swc_row[0].split()[-1].startswith(("+", "-"))
+
+            led.enabled, led.decisions = False, []
+            off = compile_baker(app.source, options_for("SWC"), trace)
+            assert off.ir_stages == [] and off.decisions == []
+            assert off.profile.line_instrs == {}  # attribute_lines was off
+            report = obs_ledger.compile_report(off, app=name)
+            assert report["ir_stages"] == [] and report["hot_lines"] == []
+            assert report["ir"] == reports[0]["ir"]
+            assert report["images"] == reports[0]["images"]
+    finally:
+        led.enabled, led.decisions = was_enabled, saved
 
 
 # -- hot-path attribution and per-pass counters -----------------------------------
@@ -418,35 +309,14 @@ def test_profile_hot_lines_attribution():
     assert on.profile.ppf_instrs == off.profile.ppf_instrs
 
 
-def test_opt_scalar_changed_counters(clean_obs):
-    """Each -O1 scalar pass that changes a function bumps its own
-    opt.scalar.changed{passname=...} counter."""
-    reg = clean_obs
-    obs.enable()
-    reg.clear()
-    _mini_result()
-    changed = {(r["labels"] or {}).get("passname"): r["value"]
-               for r in reg.records() if r["name"] == "opt.scalar.changed"}
-    assert changed, "no scalar pass reported a change"
-    known = {"simplify_cfg", "constprop", "copyprop", "cse", "dce"}
-    assert set(changed) <= known
-    assert all(v > 0 for v in changed.values())
-    # Fresh lowered IR always leaves dead-code/copy cleanup to do.
-    assert "dce" in changed or "copyprop" in changed
-
-
-def test_scalar_fixpoint_exhaustion_is_reported(clean_obs, monkeypatch):
-    """A starved fixpoint budget is surfaced via counter + ledger
-    warning instead of failing silently."""
+def test_scalar_fixpoint_exhaustion_is_reported(monkeypatch):
+    """A starved fixpoint budget is surfaced as a ledger warning instead
+    of failing silently."""
     from repro.baker import parse_and_check
     from repro.baker.lowering import lower_program
-    from repro.obs import ledger as obs_ledger
     from repro.opt import pipeline
     from tests.samples import MINI_FORWARDER
 
-    reg = clean_obs
-    obs.enable()
-    reg.clear()
     led = obs_ledger.get_ledger()
     was_enabled, saved = led.enabled, led.decisions
     led.enabled, led.decisions = True, []
@@ -455,15 +325,20 @@ def test_scalar_fixpoint_exhaustion_is_reported(clean_obs, monkeypatch):
         mod = lower_program(parse_and_check(MINI_FORWARDER, "mini.bk"))
         for fn in mod.functions.values():
             pipeline.scalar_optimize_function(fn)
-        exhausted = [r for r in reg.records()
-                     if r["name"] == "opt.scalar.fixpoint_exhausted"]
-        assert exhausted and exhausted[0]["value"] > 0
         warnings = [d for d in led.decisions
                     if d.pass_name == "scalar"
                     and d.verdict == "fixpoint_exhausted"]
         assert warnings
-        assert warnings[0].evidence["max_iter"] == 1
+        assert warnings[0].evidence == {"iterations": 1, "max_iter": 1}
         assert "still changing" in warnings[0].reason
+
+        # With the default budget the same functions converge: no record.
+        monkeypatch.undo()
+        led.decisions = []
+        mod = lower_program(parse_and_check(MINI_FORWARDER, "mini.bk"))
+        for fn in mod.functions.values():
+            pipeline.scalar_optimize_function(fn)
+        assert not led.decisions
     finally:
         led.enabled, led.decisions = was_enabled, saved
 

@@ -5,8 +5,9 @@ The headline property is determinism across process counts: a sweep at
 Table 1 access counts) to the same sweep at ``--jobs N``. The rest pins
 down the on-disk compile cache (miss-then-hit, corruption tolerance),
 the bench-file write contract (one run, one whole file; concurrent
-writers), metric-record merging, multi-run metrics files, and the
-CLI's ``--packet-trace`` and fail-fast validation.
+writers), the merge of what workers recorded (ledger decisions,
+labelled compile-stage spans), the surface ``benchmarks/pipeline``
+freezes, and the CLI's ``--packet-trace`` and fail-fast validation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import pytest
 
 from repro.obs import diff as obs_diff
 from repro.obs import ledger as obs_ledger
-from repro.obs import metrics as obs_metrics
-from repro.obs import report as obs_report
+from repro.obs import trace as obs_trace
 from repro.sweep import (CompileCache, SweepJob, build_jobs, cache_key,
                          run_sweep, write_bench_json)
 
@@ -84,24 +84,55 @@ def test_sweep_results_ordered_by_job_key(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_sweep_merges_worker_metrics(tmp_path):
-    """A parallel sweep folds worker metric records into the parent
-    registry: compile-cache counters recorded in worker processes must
-    be visible here after the sweep."""
-    reg = obs_metrics.MetricsRegistry(enabled=True)
-    with obs_metrics.scoped_registry(reg):
-        run_sweep(_small_jobs(), n_procs=2,
-                  cache=CompileCache(str(tmp_path / "cache")))
-    recs = [r for r in reg.records() if r["name"] == "sweep.compile_cache"]
-    assert recs, "worker cache counters were not merged back"
-    by_result = {}
-    for r in recs:
-        by_result.setdefault(r["labels"]["result"], 0)
-        by_result[r["labels"]["result"]] += r["value"]
+@pytest.fixture
+def global_ledger():
+    """The process-global ledger, enabled and empty; restored after."""
+    led = obs_ledger.get_ledger()
+    was_enabled, saved = led.enabled, led.decisions
+    led.enabled, led.decisions = True, []
+    yield led
+    led.enabled, led.decisions = was_enabled, saved
+
+
+def _cache_verdicts(led):
+    by_verdict = {}
+    for d in led.decisions:
+        if d.pass_name == "sweep.cache":
+            by_verdict[d.verdict] = by_verdict.get(d.verdict, 0) + 1
+    return by_verdict
+
+
+def test_sweep_merges_worker_metrics(tmp_path, global_ledger):
+    """A parallel sweep folds what its workers recorded into the
+    parent: the ``sweep.cache`` decisions made in worker processes (the
+    record of cache hits and misses) must be visible here after the
+    sweep, and agree with the cache's own bookkeeping."""
+    cache = CompileCache(str(tmp_path / "cache"))
+    sweep = run_sweep(_small_jobs(), n_procs=2, cache=cache)
     # Cold cache: one miss per (app, level) from the warm phase, then
     # every job hits.
-    assert by_result.get("miss", 0) == len(LEVELS)
-    assert by_result.get("hit", 0) == len(_small_jobs())
+    assert _cache_verdicts(global_ledger) == {
+        "miss": len(LEVELS), "hit": len(_small_jobs())}
+    assert (cache.misses, sweep.cache_hits) == (len(LEVELS),
+                                                len(_small_jobs()))
+    # The compiles' own decisions came back with them.
+    assert any(d.pass_name == "aggregation" for d in global_ledger.decisions)
+
+
+def test_worker_compile_spans_come_back_labelled(tmp_path):
+    """Compile-stage spans captured in pool workers are stamped with the
+    app and level of the compile that produced them (the worker knows
+    the job; the compiler does not) and merged into the parent."""
+    obs_trace.capture_compile_spans()
+    try:
+        run_sweep(_small_jobs(), n_procs=2,
+                  cache=CompileCache(str(tmp_path / "cache")))
+        spans = obs_trace.drain_compile_spans()
+    finally:
+        obs_trace.capture_compile_spans(False)
+    assert {s[0] for s in spans} >= {"frontend", "profile", "codegen"}
+    assert all(s[1]["app"] == APP for s in spans)
+    assert {s[1]["level"] for s in spans} == set(LEVELS)
 
 
 # -- the on-disk compile cache ---------------------------------------------------
@@ -160,10 +191,10 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     assert hit3 is True
 
 
-def test_cache_corrupt_entry_deleted_and_counted(tmp_path):
+def test_cache_corrupt_entry_deleted_and_counted(tmp_path, global_ledger):
     """An undecodable artifact is unlinked on first detection and
-    counted under the distinct ``result="corrupt"`` label -- not left
-    on disk to be re-read and re-discarded by every later run."""
+    recorded under the distinct ``corrupt`` verdict -- not left on disk
+    to be re-read and re-discarded by every later run."""
     from repro.apps import get_app
     from repro.options import options_for
 
@@ -183,24 +214,26 @@ def test_cache_corrupt_entry_deleted_and_counted(tmp_path):
     assert cache2.corrupt_entries == 1
     assert not os.path.exists(path)
 
-    # Through get_or_compile the lookup is counted as "corrupt", not
+    # Through get_or_compile the lookup is recorded as "corrupt", not
     # "miss", and the recompile stores a good artifact again.
     with open(path, "wb") as fh:
         fh.write(b"also not a pickle")
+    assert _cache_verdicts(global_ledger) == {"miss": 1}
     cache3 = CompileCache(str(tmp_path / "cache"))
-    reg = obs_metrics.MetricsRegistry(enabled=True)
-    with obs_metrics.scoped_registry(reg):
-        _res, _trace, hit = cache3.get_or_compile(APP, "BASE", 50, 5)
+    _res, _trace, hit = cache3.get_or_compile(APP, "BASE", 50, 5)
     assert hit is False
-    assert cache3.corrupt_entries == 1
-    assert reg.counter("sweep.compile_cache", app=APP, level="BASE",
-                       result="corrupt").value == 1
-    assert reg.counter("sweep.compile_cache", app=APP, level="BASE",
-                       result="miss").value == 0
+    assert (cache3.corrupt_entries, cache3.misses) == (1, 1)
+    assert _cache_verdicts(global_ledger) == {"miss": 1, "corrupt": 1}
+    (corrupt,) = [d for d in global_ledger.decisions
+                  if d.verdict == "corrupt"]
+    assert corrupt.subject == APP + "/BASE"
+    assert corrupt.evidence == {"key": key[:16]}
 
     cache4 = CompileCache(str(tmp_path / "cache"))
     _res, _trace, hit4 = cache4.get_or_compile(APP, "BASE", 50, 5)
     assert hit4 is True
+    assert _cache_verdicts(global_ledger) == {"miss": 1, "corrupt": 1,
+                                              "hit": 1}
 
 
 def test_cache_disabled_never_touches_disk(tmp_path):
@@ -264,24 +297,17 @@ def test_write_bench_json_concurrent_writers(tmp_path):
 @pytest.fixture
 def sweep_cli(tmp_path):
     """Run ``python -m repro.sweep`` in-process with every output under
-    ``tmp_path``; the CLI switches on process-global observability, so
-    leave the registry and span capture as they were found."""
-    from repro.obs import trace as obs_trace
+    ``tmp_path`` (or ``tmp_path/<into>``, cache included); ``--packet-trace``
+    arms process-global span capture, so leave it as it was found."""
     from repro.sweep.__main__ import main
 
-    reg = obs_metrics.get_registry()
-    was_enabled = reg.enabled
-
-    def run(*argv):
+    def run(*argv, into=""):
+        out_dir = os.path.join(str(tmp_path), into)
         return main(list(argv) + [
-            "--warmup", "30", "--measure", "60",
-            "--out-dir", str(tmp_path),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--metrics-jsonl", str(tmp_path / "metrics.jsonl")])
+            "--warmup", "30", "--measure", "60", "--out-dir", out_dir,
+            "--cache-dir", os.path.join(out_dir, "cache")])
 
     yield run
-    reg.enabled = was_enabled
-    reg.clear()
     obs_trace.capture_compile_spans(False)
 
 
@@ -313,60 +339,38 @@ def test_partial_sweep_over_full_file_is_self_consistent(tmp_path, sweep_cli,
 def test_packet_trace_flag_writes_loadable_trace(tmp_path, sweep_cli, capsys):
     """``--packet-trace`` traces the fully-optimized run at the highest
     ME count into ``<out-dir>/<app>.trace.json``, compile stages on the
-    same timeline."""
-    assert sweep_cli("--apps", APP, "--levels", "BASE,SWC",
-                     "--me-counts", "1,2", "--no-table1",
-                     "--packet-trace") == 0
-    out = capsys.readouterr().out
-    trace_path = tmp_path / (APP + ".trace.json")
-    assert "wrote %s" % trace_path in out
-    assert sorted(p.name for p in tmp_path.glob("*.trace.json")) == [
-        APP + ".trace.json"]
-    events = json.loads(trace_path.read_text())["traceEvents"]
-    pids = {e["args"]["name"]: e["pid"] for e in events
-            if e["ph"] == "M" and e["name"] == "process_name"}
-    assert {"compiler", "packets", "ME0", "ME1"} <= set(pids)
-    assert "ME2" not in pids  # the 2-ME run, not the 1-ME one
-    stages = {e["name"] for e in events
-              if e["ph"] == "B" and e["pid"] == pids["compiler"]}
-    assert {"frontend", "codegen"} <= stages, stages
-    assert any(e["ph"] == "b" and e["cat"] == "pkt" for e in events)
+    same timeline, each saying which app and level it compiled."""
+    for n_jobs in (1, 2):
+        into = "j%d" % n_jobs
+        assert sweep_cli("--apps", APP, "--levels", "BASE,SWC",
+                         "--me-counts", "1,2", "--no-table1",
+                         "--packet-trace", "--jobs", str(n_jobs),
+                         into=into) == 0
+        out = capsys.readouterr().out
+        trace_path = tmp_path / into / (APP + ".trace.json")
+        assert "wrote %s" % trace_path in out
+        assert sorted(p.name for p in (tmp_path / into).glob("*.trace.json")) \
+            == [APP + ".trace.json"]
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        pids = {e["args"]["name"]: e["pid"] for e in events
+                if e["ph"] == "M" and e["name"] == "process_name"}
+        assert {"packets", "ME0", "ME1"} <= set(pids)
+        assert "ME2" not in pids  # the 2-ME run, not the 1-ME one
+        assert any(e["ph"] == "b" and e["cat"] == "pkt" for e in events)
+        compiled = [e for e in events
+                    if e["ph"] == "B" and e["pid"] == pids.get("compiler")]
+        # The sweep stamps each compile's spans with its app and level.
+        assert all(e["args"]["app"] == APP
+                   and e["args"]["level"] in ("BASE", "SWC")
+                   and e["args"]["stage"] == e["name"] for e in compiled)
+        if n_jobs == 1:
+            # Compiles this process ran itself share the timeline (pool
+            # workers are not armed, as --help says).
+            assert {"frontend", "codegen"} <= {e["name"] for e in compiled}
+            assert {e["args"]["level"] for e in compiled} == {"BASE", "SWC"}
 
 
-# -- metric/ledger record merging ------------------------------------------------
-
-
-def test_metrics_merge_records_accumulates():
-    src = obs_metrics.MetricsRegistry(enabled=True)
-    src.counter("c", app=APP).inc(3)
-    src.gauge("g").set(7.5)
-    t = src.timer("t")
-    t.count, t.total_s = 2, 0.5
-    src.histogram("h").observe(1.0)
-    src.histogram("h").observe(3.0)
-
-    dst = obs_metrics.MetricsRegistry(enabled=True)
-    dst.counter("c", app=APP).inc(1)
-    dst.merge_records(src.records())
-    dst.merge_records(src.records())  # merging twice accumulates
-
-    assert dst.counter("c", app=APP).value == 1 + 3 + 3
-    assert dst.gauge("g").value == 7.5
-    assert dst.timer("t").count == 4
-    assert dst.timer("t").total_s == pytest.approx(1.0)
-    assert dst.histogram("h").count == 4
-
-    # extra_labels keep merged scopes disjoint from local ones.
-    dst.merge_records(src.records(), run="w1")
-    assert dst.counter("c", app=APP, run="w1").value == 3
-
-
-def test_metrics_merge_records_disabled_is_noop():
-    src = obs_metrics.MetricsRegistry(enabled=True)
-    src.counter("c").inc()
-    dst = obs_metrics.MetricsRegistry(enabled=False)
-    dst.merge_records(src.records())
-    assert list(dst.metrics()) == []
+# -- ledger record merging -------------------------------------------------------
 
 
 def test_ledger_merge_records_rebases_seq():
@@ -383,39 +387,6 @@ def test_ledger_merge_records_rebases_seq():
     assert led.decisions[2].verdict == "hit"
 
 
-# -- multi-run metrics files -----------------------------------------------------
-
-
-def test_dump_jsonl_append_and_split_runs(tmp_path):
-    path = str(tmp_path / "metrics.jsonl")
-    reg1 = obs_metrics.MetricsRegistry(enabled=True)
-    reg1.counter("c").inc()
-    reg1.dump_jsonl(path, append=True, header={"run": "first"})
-    reg2 = obs_metrics.MetricsRegistry(enabled=True)
-    reg2.counter("c").inc(2)
-    reg2.dump_jsonl(path, append=True, header={"run": "second"})
-
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh]
-    assert [r["type"] for r in records] == [
-        "run_header", "counter", "run_header", "counter"]
-
-    resolved = obs_report.split_runs(records)
-    assert len(resolved) == 2
-    assert resolved[0]["labels"]["run"] == "first"
-    assert resolved[1]["labels"]["run"] == "second"
-
-    # A single-run file renders exactly as before: no run label.
-    single = obs_report.split_runs(records[:2])
-    assert single[0].get("labels", {}).get("run") is None
-
-    # Legacy headerless files: records before the first header belong
-    # to an implicit "run0".
-    legacy = obs_report.split_runs([records[1], records[2], records[3]])
-    assert legacy[0]["labels"]["run"] == "run0"
-    assert legacy[1]["labels"]["run"] == "second"
-
-
 def test_build_jobs_shape():
     jobs = _small_jobs()
     rate = [j for j in jobs if j.kind == "rate"]
@@ -424,6 +395,59 @@ def test_build_jobs_shape():
     assert len(table1) == len(LEVELS)  # BASE and SWC are Table 1 rows
     assert all(j.n_mes == 2 for j in table1)
     assert isinstance(jobs[0], SweepJob)
+
+
+# -- the surface benchmarks/pipeline freezes ---------------------------------------
+
+
+def test_benchmark_pipeline_frozen_surface(tmp_path):
+    """``benchmarks/pipeline`` may not be edited by an ordinary PR, so
+    the keywords it passes are an API: pin them here rather than let the
+    benchmark discover a break. ``WorkerConfig(obs=)`` and ``dispatch=``
+    are accepted and select nothing."""
+    from repro.ixp.chip import IXP2400
+    from repro.obs.profile import StallProfiler
+    from repro.rts.loader import load_system
+    from repro.rts.system import run_on_simulator
+    from repro.sweep.orchestrator import (JobResult, SweepResult,
+                                          WorkerConfig, execute_job)
+
+    cache = CompileCache(str(tmp_path / "cache"), enabled=True)
+    job = SweepJob(APP, "SWC", "rate", 2, 30, 60)
+    results = []
+    for obs in (False, True):  # sweep_grid.py passes obs=False
+        cfg = WorkerConfig(cache_dir=cache.cache_dir, use_cache=True,
+                           trace_packets=50, trace_seed=5, obs=obs)
+        results.append(execute_job(job, cfg, cache))
+    off, on = results
+    assert (off.rate_gbps, off.profile) == (on.rate_gbps, on.profile)
+    assert (off.cache_hit, on.cache_hit) == (False, True)
+    assert not hasattr(off, "metrics")
+
+    # sweep_grid.py's traced round builds JobResults itself and times
+    # cache.load / cache.store around its own compile.
+    from repro.apps import get_app
+    from repro.options import options_for
+
+    key = cache_key(get_app(APP).source, options_for("SWC"), 50, 5,
+                    target_gbps=job.target_gbps)
+    result, trace = cache.load(key)
+    cache.store(key, (result, trace))
+    jr = JobResult(job=job, rate_gbps=off.rate_gbps, profile=off.profile,
+                   cache_hit=True, wall_s=0.0)
+    (path,) = SweepResult(jobs=[jr]).write_bench_files(str(tmp_path))
+    assert os.path.basename(path) == "BENCH_fig13.json"
+
+    # pieces.py: the untraced cell, and the loader call of the traced one.
+    run = run_on_simulator(result, trace, n_mes=2, warmup_packets=30,
+                           measure_packets=60, dispatch="fast",
+                           profiler=StallProfiler())
+    assert round(run.forwarding_gbps, 3) == off.rate_gbps
+    assert run.occupancy is not None
+    chip = IXP2400(n_programmable_mes=2)
+    layout = load_system(result, chip, n_mes=2, dispatch="fast")
+    assert sum(layout.me_assignment.values()) == 2
+    chip.close()
 
 
 # -- CLI fail-fast validation ----------------------------------------------------

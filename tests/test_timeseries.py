@@ -9,11 +9,11 @@ import random
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     QuantileSketch,
     StreamingQuantile,
     TimeseriesCollector,
+    _WindowCounters,
     _nearest_rank,
     load_timeseries,
     update_impact,
@@ -126,26 +126,44 @@ def test_streaming_quantile_rejects_bad_q():
         StreamingQuantile(1.0)
 
 
-# -- registry snapshot_and_reset ------------------------------------------------
+# -- the window counters: snapshot and reset at each boundary --------------------
 
 
 def test_snapshot_and_reset_drains_counters_only():
-    reg = MetricsRegistry(enabled=True)
-    reg.counter("a").inc(3)
+    """``_WindowCounters.drain``: ``name{k=v,...}`` keys with sorted
+    labels, in sorted order whatever the order of first use; a counter
+    that did not move is skipped; every counter restarts from zero and
+    the same object keeps accumulating."""
+    reg = _WindowCounters()
+    reg.counter("occ.wait", me=1, cat="mem_dram").inc(2.5)
     reg.counter("b", cause="x").inc()
-    reg.counter("zero")  # never incremented -> not snapshotted
-    reg.gauge("g").set(7)
+    reg.counter("a").inc(3)
+    reg.counter("occ.wait", cat="mem_dram", me=0).inc(1.5)
+    reg.counter("zero")  # never incremented -> not drained
+    reg.counter("net", k=1).inc(4)
+    reg.counter("net", k=1).inc(-4)  # zero delta -> skipped
 
-    recs = reg.snapshot_and_reset()
-    assert [(r["name"], r["value"]) for r in recs] == [("a", 3), ("b", 1)]
-    # Counters were zeroed, the gauge untouched.
+    drained = reg.drain()
+    assert list(drained.items()) == [
+        ("a", 3), ("b{cause=x}", 1),
+        ("occ.wait{cat=mem_dram,me=0}", 1.5),
+        ("occ.wait{cat=mem_dram,me=1}", 2.5)]
     assert reg.counter("a").value == 0
-    assert reg.gauge("g").value == 7
-    assert reg.snapshot_and_reset() == []
-    # The same counter object keeps accumulating after a reset.
-    reg.counter("a").inc(2)
-    assert [(r["name"], r["value"])
-            for r in reg.snapshot_and_reset()] == [("a", 2)]
+    assert reg.drain() == {}
+    a = reg.counter("a")
+    a.inc(2)
+    assert reg.counter("a") is a and reg.drain() == {"a": 2}
+
+
+def test_collector_window_records_hold_only_that_windows_counts():
+    c = TimeseriesCollector(window_cycles=100.0)
+    c.add_source(lambda reg: reg.counter("src", kind="x").inc(5))
+    c.registry.counter("updates", kind="route-flap").inc()
+    c.tick(100.0)
+    c.tick(200.0)
+    assert c.windows[0]["counters"] == {"src{kind=x}": 5,
+                                        "updates{kind=route-flap}": 1}
+    assert c.windows[1]["counters"] == {"src{kind=x}": 5}
 
 
 # -- window semantics -----------------------------------------------------------

@@ -2,42 +2,30 @@
 trace-event exporter (repro.obs.export): tracer semantics, the
 tracing-off == tracing-on bit-identical guarantee, exporter output
 validity (JSON, monotonic timestamps, balanced begin/end), the CLI
-round-trip, compile-stage span capture, and the report's latency /
-hot-line sections."""
+round-trip, compile-stage span capture, and where the latency summary
+and the hot lines are rendered."""
 
 import json
 from collections import Counter
 
 import pytest
 
-from repro import obs
 from repro.compiler import compile_baker
 from repro.obs.export import chrome_trace_from_events, write_chrome_trace
-from repro.obs.report import load_records, render
 from repro.obs.trace import (
     PacketTracer,
     _percentile,
     capture_compile_spans,
     compile_stage,
     drain_compile_spans,
+    label_compile_spans,
     main as trace_main,
-    record_trace_summary,
 )
 from repro.options import options_for
 from repro.profiler.trace import ipv4_trace
 from repro.rts.system import run_on_simulator
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
-
-
-@pytest.fixture
-def clean_obs():
-    """Leave the process-global registry exactly as we found it."""
-    reg = obs.get_registry()
-    was_enabled = reg.enabled
-    yield reg
-    reg.enabled = was_enabled
-    reg.clear()
 
 
 @pytest.fixture
@@ -149,55 +137,37 @@ def test_percentiles_nearest_rank():
 # -- zero-impact invariance -----------------------------------------------------
 
 
-def test_tracing_on_run_is_bit_identical(clean_obs, tmp_path):
+def test_tracing_on_run_is_bit_identical(tmp_path):
     """A traced run must match the untraced run exactly: same Tx
-    signature, cycle counts, rates, and (tracing-independent) metrics."""
-    reg = clean_obs
-    reg.enabled = False
+    signature, cycle counts, rates and per-ME accounting."""
     result, trace = _mini_result()
 
     off = run_on_simulator(result, trace, **RUN_KW)
-
-    obs.enable()
-    off_metrics = str(tmp_path / "off.jsonl")
-    off2 = run_on_simulator(result, trace, metrics_jsonl=off_metrics,
-                            **RUN_KW)
-    reg.clear()
-    on_metrics = str(tmp_path / "on.jsonl")
-    on = run_on_simulator(result, trace,
+    tr = PacketTracer()
+    on = run_on_simulator(result, trace, tracer=tr,
                           trace_json=str(tmp_path / "run.trace.json"),
                           trace_events_jsonl=str(tmp_path / "run.events.jsonl"),
-                          metrics_jsonl=on_metrics, **RUN_KW)
+                          **RUN_KW)
 
-    for res in (off2, on):
-        assert res.forwarding_gbps == off.forwarding_gbps
-        assert res.packets_measured == off.packets_measured
-        assert res.packets_out == off.packets_out
-        assert res.rx_offered == off.rx_offered
-        assert res.rx_dropped == off.rx_dropped
-        assert res.sim_cycles == off.sim_cycles
-        assert res.me_utilization == off.me_utilization
-        assert res.access_profile.row() == off.access_profile.row()
-        assert res.tx_signature() == off.tx_signature()
-
-    # Metrics: identical except the tracer's own sim.pkt.* summary and
-    # the wall-clock timer.
-    def stable(path):
-        return [r for r in load_records(path)
-                if not r["name"].startswith("sim.pkt.")
-                and r["name"] != "sim.wall"]
-
-    assert stable(on_metrics) == stable(off_metrics)
-    # ...and the traced run did record the latency summary.
-    assert any(r["name"] == "sim.pkt.latency_cycles"
-               for r in load_records(on_metrics))
+    assert on.forwarding_gbps == off.forwarding_gbps
+    assert on.packets_measured == off.packets_measured
+    assert on.packets_out == off.packets_out
+    assert on.rx_offered == off.rx_offered
+    assert on.rx_dropped == off.rx_dropped
+    assert on.sim_cycles == off.sim_cycles
+    assert on.me_utilization == off.me_utilization
+    assert on.access_profile.row() == off.access_profile.row()
+    assert on.me_executed_instrs == off.me_executed_instrs
+    assert on.me_times == off.me_times
+    assert on.tx_signature() == off.tx_signature()
+    # ...and the traced run did see the packets.
+    assert tr.latency_summary()["count"] == on.packets_out
 
 
 # -- exporter -------------------------------------------------------------------
 
 
-def _traced_run(tmp_path, clean_obs):
-    clean_obs.enabled = False
+def _traced_run(tmp_path):
     result, trace = _mini_result()
     tr = PacketTracer()
     json_path = str(tmp_path / "run.trace.json")
@@ -236,8 +206,8 @@ def _track_names(evs):
             if e["ph"] == "M" and e["name"] == "process_name"}
 
 
-def test_exporter_valid_monotonic_balanced(clean_obs, tmp_path):
-    tr, json_path, events_path = _traced_run(tmp_path, clean_obs)
+def test_exporter_valid_monotonic_balanced(tmp_path):
+    tr, json_path, events_path = _traced_run(tmp_path)
     assert tr.latencies, "no packets forwarded?"
     with open(json_path) as fh:
         doc = json.load(fh)  # json.tool-level validity
@@ -258,8 +228,8 @@ def test_exporter_valid_monotonic_balanced(clean_obs, tmp_path):
     assert len(lines) == 1 + len(tr.events)
 
 
-def test_exporter_cli_round_trip(clean_obs, tmp_path, capsys):
-    _, _, events_path = _traced_run(tmp_path, clean_obs)
+def test_exporter_cli_round_trip(tmp_path, capsys):
+    _, _, events_path = _traced_run(tmp_path)
     assert trace_main(["export", events_path]) == 0
     out_path = events_path[: -len(".events.jsonl")] + ".trace.json"
     assert capsys.readouterr().out.strip() == out_path
@@ -314,49 +284,59 @@ def test_exporter_writes_compile_spans(tmp_path):
 # -- compile-stage span capture -------------------------------------------------
 
 
-def test_compile_span_capture(clean_obs, no_compile_spans):
-    reg = clean_obs
-    obs.enable()
+def test_compile_span_capture(no_compile_spans):
     drain_compile_spans()
     capture_compile_spans()
-    with compile_stage(reg, "frontend"):
+    with compile_stage("frontend"):
         pass
-    with reg.labels(app="l3switch"):
-        with compile_stage(reg, "lower"):
+    # Whoever knows the job stamps the spans its compile captured.
+    with label_compile_spans(app="l3switch", level="SWC"):
+        with compile_stage("lower"):
+            pass
+        with compile_stage("pac"):
             pass
     spans = drain_compile_spans()
+    stamp = {"app": "l3switch", "level": "SWC"}
     assert [(s[0], s[1]) for s in spans] == [
-        ("frontend", {}), ("lower", {"app": "l3switch"})]
+        ("frontend", {}), ("lower", stamp), ("pac", stamp)]
     assert all(t1 >= t0 for _, _, t0, t1 in spans)
     assert drain_compile_spans() == []  # drained
-    # Disarmed: compile_stage still times, but records no spans.
+    # Disarmed: a stage records nothing, labelled or not.
     capture_compile_spans(False)
-    with compile_stage(reg, "pac"):
-        pass
+    with label_compile_spans(app="l3switch"):
+        with compile_stage("pac"):
+            pass
     assert drain_compile_spans() == []
-    timers = {(r.get("labels") or {}).get("stage")
-              for r in reg.records() if r["name"] == "compile.stage"}
-    assert {"frontend", "lower", "pac"} <= timers
 
 
-# -- report sections ------------------------------------------------------------
+# -- where the latency summary and the hot lines are rendered --------------------
 
 
-def test_report_renders_latency_and_hot_lines(clean_obs):
-    reg = clean_obs
-    obs.enable()
-    reg.clear()
-    tr = PacketTracer()
-    tr.latencies = [100.0, 200.0, 300.0, 400.0]
-    tr.born = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-    tr.drops["app_drop"] = 2
-    record_trace_summary(reg, tr)
-    reg.counter("profile.line_instrs", src="<baker>:45").inc(300)
-    reg.counter("profile.line_instrs", src="<baker>:35").inc(180)
-    text = render(reg.records())
-    assert "Packet latency" in text
-    assert "p50" in text and "p95" in text and "p99" in text
-    assert "app_drop" in text
-    assert "Hot Baker source lines" in text
-    # Hottest line first.
+def test_report_renders_latency_and_hot_lines():
+    """One home each: the timeline header carries the streaming
+    tracer's latency summary, the compile report the hot Baker lines
+    (hottest first, with shares)."""
+    from repro.obs.report import render_explain, render_timeline
+    from repro.obs.timeseries import TimeseriesCollector
+
+    tr = PacketTracer(streaming=True)
+    c = TimeseriesCollector(window_cycles=1000.0)
+    c.attach(tracer=tr)
+    for i, lat in enumerate((100.0, 200.0, 300.0, 400.0)):
+        tr.rx_packet(64 + 32 * i, 0.0, port=0, length=64)
+        tr.tx_packet(64 + 32 * i, lat, port=0, length=64)
+    tr.finish(500.0)
+    c.finish(500.0)
+    header = c.to_records()[0]
+    text = render_timeline(header, c.windows)
+    assert "latency overall (cycles): n=4" in text
+    assert "p50=200" in text and "p95=400" in text and "p99=400" in text
+
+    text = render_explain({
+        "kind": "compile_report", "level": "SWC", "version": 1,
+        "hot_lines": [{"src": "<baker>:45", "instrs": 300},
+                      {"src": "<baker>:35", "instrs": 100}]})
+    assert "Hot Baker source lines (interpreted IR instrs, top 2):" in text
     assert text.index("<baker>:45") < text.index("<baker>:35")
+    assert "75.0%" in text and "25.0%" in text
+    assert "IR size after each stage" not in text  # absent section: no header
