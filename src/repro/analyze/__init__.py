@@ -1,45 +1,32 @@
-"""Translation-validating analysis passes over compiled ME images.
+"""Three independent checks over the ME images of one compile.
 
-``repro.analyze`` is the compiler's independent checker: a small
-framework of composable, dependency-resolved analysis passes that run
-over the :class:`~repro.cg.assemble.MEImage` artifacts of one compile
-and emit a deterministic, diffable JSON report (the same conventions as
-:mod:`repro.obs.ledger`).
+``repro.analyze`` is the compiler's per-image checker: three plain
+functions run in a fixed order over the
+:class:`~repro.cg.assemble.MEImage` artifacts of one compile, and one
+deterministic, diffable JSON report (the same conventions as
+:mod:`repro.obs.ledger`):
 
-The stock passes:
-
-* ``images``   -- per-image inventory (the substrate every other pass
-  declares a dependency on);
 * ``layout``   -- packet-field offsets/widths actually used by each
   image, cross-checked against SOAR's resolved offsets in the decision
   ledger;
-* ``bounds``   -- per-dispatch-path worst-case cycle bounds over the
-  predecoded run graph;
 * ``budget``   -- control-store words and stack depth re-derived from
   the final instruction list and compared against the
   ``record_budget_fit`` / ``record_stack_fit`` ledger claims;
 * ``validate`` -- translation validation: the image's packet effects
-  (header writes, drops, ring puts) along each dispatch path are
-  replayed on an isolated single-image harness and compared against an
-  abstract interpretation of the Baker source's IR.
+  (header writes, metadata, drops, ring puts) along each dispatch path
+  are replayed on an isolated single-image harness and compared against
+  an interpretation of the Baker source's unoptimized IR.
 
 Usage::
 
-    python -m repro.analyze mpls -O3            # all passes, one report
-    python -m repro.analyze l3switch --pass validate --pass budget
+    python -m repro.analyze mpls -O3            # one report
 
-Exit code 2 means at least one pass reported an error-severity finding
+Exit code 2 means at least one check reported an error-severity finding
 (a divergence, a budget lie, a layout mismatch); 0 means clean.
 """
 
 from repro.analyze.core import (  # noqa: F401
-    AnalysisContext,
-    AnalysisError,
-    AnalysisPass,
     EXIT_FINDINGS,
-    PASSES,
-    registered_passes,
-    resolve_passes,
     run_analysis,
     write_report,
 )

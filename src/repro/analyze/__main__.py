@@ -1,8 +1,8 @@
-"""CLI: ``python -m repro.analyze <app> [-O LEVEL] [--pass NAME ...]``.
+"""CLI: ``python -m repro.analyze <app> [-O LEVEL]``.
 
-Compiles the app with the decision ledger enabled, runs the requested
-analysis passes (default: all), prints the deterministic JSON report
-(or writes it with ``-o``), and exits 2 when any pass reported an
+Compiles the app with the decision ledger enabled, runs the three
+checks (layout, budget, validate), prints the deterministic JSON report
+(or writes it with ``-o``), and exits 2 when any check reported an
 error-severity finding. A bad argument is also exit 2, through
 ``parser.error`` before anything is compiled or written.
 """
@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.analyze.core import (
     EXIT_FINDINGS,
-    registered_passes,
     report_text,
     run_analysis,
     write_report,
@@ -43,15 +42,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description="Analysis / translation validation of compiled ME images")
-    parser.add_argument("app", nargs="?",
+    parser.add_argument("app",
                         help="application name (l3switch/firewall/mpls)")
     parser.add_argument("-O", "--level", default="SWC",
                         help="optimization level (BASE..SWC; -O3 = SWC)")
-    parser.add_argument("--pass", dest="passes", action="append",
-                        metavar="NAME",
-                        help="run only this pass (+ dependencies); repeatable")
-    parser.add_argument("--list", action="store_true",
-                        help="list registered passes and exit")
     parser.add_argument("-o", "--output", metavar="PATH",
                         help="write the JSON report here instead of stdout")
     parser.add_argument("--packets", type=int, default=200,
@@ -60,18 +54,9 @@ def main(argv=None) -> int:
                         help="profiling-trace seed (default 5)")
     parser.add_argument("--validate-packets", type=int, default=64,
                         help="roots replayed per image by the validate "
-                             "pass; 0 = the whole trace (default 64)")
+                             "check; 0 = the whole trace (default 64)")
     args = parser.parse_args(argv)
 
-    if args.list:
-        for p in registered_passes():
-            deps = " (requires %s)" % ", ".join(p.requires) if p.requires \
-                else ""
-            print("%-10s %s%s" % (p.name, p.doc, deps))
-        return 0
-
-    if not args.app:
-        parser.error("an application name is required (or use --list)")
     if args.app not in APP_CLASSES:
         parser.error("unknown app %r (choose from %s)"
                      % (args.app, ", ".join(sorted(APP_CLASSES))))
@@ -79,11 +64,6 @@ def main(argv=None) -> int:
     if level is None:
         parser.error("unknown optimization level -O %r (have: %s, plus "
                      "-O0/-O3 aliases)" % (args.level, ", ".join(LEVEL_ORDER)))
-    known = [p.name for p in registered_passes()]
-    for name in args.passes or ():
-        if name not in known:
-            parser.error("unknown pass --pass %r (have: %s)"
-                         % (name, ", ".join(known)))
     if args.packets < 1:
         # An empty trace validates nothing and still reports "ok".
         parser.error("--packets must be >= 1, got %d" % args.packets)
@@ -91,7 +71,7 @@ def main(argv=None) -> int:
         parser.error("--validate-packets must be >= 0 (0 = the whole "
                      "trace), got %d" % args.validate_packets)
     report = run_analysis(
-        args.app, level, passes=args.passes,
+        args.app, level,
         packets=args.packets, seed=args.seed,
         validate_packets=args.validate_packets or None)
     if args.output:

@@ -1,15 +1,9 @@
-"""Pass framework for :mod:`repro.analyze`.
+"""Findings, the fixed check sequence, and the report of
+:mod:`repro.analyze`.
 
-An analysis pass is a named object with a ``requires`` tuple and a
-``run(ctx)`` method returning a JSON-serializable payload.  Passes are
-registered in :data:`PASSES`; :func:`resolve_passes` expands a requested
-subset to its dependency closure in a deterministic topological order
-(dependencies first, registration order as the tie-breaker), so a report
-that ran ``--pass validate`` is byte-comparable with the ``validate``
-section of a full report.
-
-Findings are the analyzer's currency: every pass returns a ``findings``
-list of ``{severity, pass, subject, detail}`` dicts.  ``error``-severity
+Findings are the analyzer's currency: each of the three checks returns
+a section dict holding a ``findings`` list of ``{severity, pass,
+subject, detail}`` records beside its evidence.  ``error``-severity
 findings (a divergence, a budget lie, a layout mismatch) make the run
 "not ok" and turn into exit code :data:`EXIT_FINDINGS` at the CLI.
 
@@ -23,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from repro.obs import ledger as obs_ledger
 
@@ -31,11 +25,8 @@ from repro.obs import ledger as obs_ledger
 EXIT_FINDINGS = 2
 
 REPORT_KIND = "analyze_report"
-REPORT_VERSION = 1
-
-
-class AnalysisError(Exception):
-    """Misuse of the framework (unknown pass, dependency cycle)."""
+#: 2: the ``passes`` sections are exactly layout / budget / validate.
+REPORT_VERSION = 2
 
 
 def finding(severity: str, pass_name: str, subject: str, detail: str,
@@ -54,144 +45,24 @@ def finding(severity: str, pass_name: str, subject: str, detail: str,
     return rec
 
 
-class AnalysisContext:
-    """Everything a pass may look at for one compiled app.
-
-    ``payloads`` holds the output of already-executed passes, keyed by
-    pass name -- a pass may read (but must not mutate) the payload of
-    any pass named in its ``requires``.
-    """
-
-    def __init__(self, app_name: str, level: str, result, trace,
-                 packets: int, seed: int,
-                 validate_packets: Optional[int] = 64):
-        self.app_name = app_name
-        self.level = level
-        self.result = result          # CompileResult
-        self.trace = trace            # profiling Trace used to compile
-        self.packets = packets
-        self.seed = seed
-        #: cap on replayed roots in the validate pass (None = whole trace)
-        self.validate_packets = validate_packets
-        self.payloads: Dict[str, Dict[str, object]] = {}
-        #: scratch space for expensive shared artifacts (e.g. the
-        #: reference capture), keyed by producer; never serialized.
-        self.artifacts: Dict[str, object] = {}
-
-    def payload(self, pass_name: str) -> Dict[str, object]:
-        try:
-            return self.payloads[pass_name]
-        except KeyError:
-            raise AnalysisError(
-                "pass payload %r not available; declare it in requires"
-                % pass_name)
-
-
-class AnalysisPass:
-    """Base class: subclass, set ``name``/``requires``, implement run().
-
-    ``run`` returns the pass payload -- a dict that must contain a
-    ``findings`` list (possibly empty) and may carry any amount of
-    JSON-serializable evidence alongside it.
-    """
-
-    name: str = ""
-    requires: Tuple[str, ...] = ()
-    #: one-line description shown by ``--list``
-    doc: str = ""
-
-    def run(self, ctx: AnalysisContext) -> Dict[str, object]:
-        raise NotImplementedError
-
-
-#: Registration order is the topological tie-breaker, so it is part of
-#: the report contract: append only.
-PASSES: "Dict[str, AnalysisPass]" = {}
-
-
-def register(pass_obj: AnalysisPass) -> AnalysisPass:
-    if not pass_obj.name:
-        raise AnalysisError("pass has no name: %r" % (pass_obj,))
-    if pass_obj.name in PASSES:
-        raise AnalysisError("duplicate pass name: %s" % pass_obj.name)
-    PASSES[pass_obj.name] = pass_obj
-    return pass_obj
-
-
-def registered_passes() -> List[AnalysisPass]:
-    """All stock passes, importing the modules that register them."""
-    _load_stock_passes()
-    return list(PASSES.values())
-
-
-_stock_loaded = False
-
-
-def _load_stock_passes() -> None:
-    global _stock_loaded
-    if _stock_loaded:
-        return
-    # Import for the registration side effect; order defines the
-    # topological tie-break.
-    from repro.analyze import images as _images    # noqa: F401
-    from repro.analyze import layout as _layout    # noqa: F401
-    from repro.analyze import bounds as _bounds    # noqa: F401
-    from repro.analyze import budget as _budget    # noqa: F401
-    from repro.analyze import validate as _validate  # noqa: F401
-    _stock_loaded = True
-
-
-def resolve_passes(names: Optional[Sequence[str]] = None) -> List[AnalysisPass]:
-    """The dependency closure of ``names`` in execution order.
-
-    ``None`` selects every registered pass.  Order is deterministic:
-    a pass runs after everything it requires, ties broken by
-    registration order.
-    """
-    _load_stock_passes()
-    if names is None:
-        names = list(PASSES)
-    order: List[str] = []
-    state: Dict[str, int] = {}      # 1 = visiting, 2 = done
-
-    def visit(name: str, chain: Tuple[str, ...]) -> None:
-        if name not in PASSES:
-            raise AnalysisError(
-                "unknown pass %r (have: %s)" % (name, ", ".join(PASSES)))
-        if state.get(name) == 2:
-            return
-        if state.get(name) == 1:
-            raise AnalysisError(
-                "pass dependency cycle: %s" % " -> ".join(chain + (name,)))
-        state[name] = 1
-        for dep in PASSES[name].requires:
-            visit(dep, chain + (name,))
-        state[name] = 2
-        order.append(name)
-
-    for name in names:
-        visit(name, ())
-    return [PASSES[n] for n in order]
-
-
 def run_analysis(app_name: str, level: str,
-                 passes: Optional[Sequence[str]] = None,
                  packets: int = 200, seed: int = 5,
                  validate_packets: Optional[int] = 64,
                  result=None, trace=None) -> Dict[str, object]:
-    """Compile ``app_name`` at ``level`` and run the requested passes.
+    """Compile ``app_name`` at ``level`` and run the three checks.
 
     Returns the full report dict.  A pre-existing compile may be passed
     via ``result``/``trace`` (the sweep orchestrator does this to avoid
     a second compile); it must have been compiled with the decision
     ledger enabled for the ledger cross-checks to have anything to
-    check against.
+    check against.  ``validate_packets`` caps the roots replayed per
+    image (None = the whole trace).
     """
+    from repro.analyze import budget, layout, validate
     from repro.apps import get_app
     from repro.compiler import compile_baker
     from repro.options import options_for
 
-    selected = resolve_passes(passes)
     if result is None:
         # Enable the *canonical* ledger module so compiler-side hooks
         # (which import repro.obs.ledger directly) see the same global.
@@ -200,23 +71,16 @@ def run_analysis(app_name: str, level: str,
         trace = app.make_trace(packets, seed=seed)
         result = compile_baker(app.source, options_for(level), trace)
 
-    ctx = AnalysisContext(app_name, level, result, trace, packets, seed,
-                          validate_packets=validate_packets)
-    pass_sections: Dict[str, Dict[str, object]] = {}
-    n_findings = 0
-    n_errors = 0
-    for p in selected:
-        payload = p.run(ctx)
-        if "findings" not in payload:
-            raise AnalysisError("pass %s returned no findings list" % p.name)
-        ctx.payloads[p.name] = payload
-        pass_sections[p.name] = payload
-        for f in payload["findings"]:
-            n_findings += 1
-            if f.get("severity") == "error":
-                n_errors += 1
-
-    report: Dict[str, object] = {
+    sections = {
+        "layout": layout.check(app_name, result),
+        "budget": budget.check(result),
+        "validate": validate.check(app_name, result, trace,
+                                   validate_packets),
+    }
+    findings = [f for section in sections.values()
+                for f in section["findings"]]
+    n_errors = sum(1 for f in findings if f["severity"] == "error")
+    return {
         "kind": REPORT_KIND,
         "version": REPORT_VERSION,
         "app": app_name,
@@ -224,12 +88,11 @@ def run_analysis(app_name: str, level: str,
         "options": {k: obs_ledger._norm(v)
                     for k, v in sorted(asdict(result.opts).items())},
         "trace": {"packets": packets, "seed": seed},
-        "passes": pass_sections,
-        "findings_total": n_findings,
+        "passes": sections,
+        "findings_total": len(findings),
         "errors_total": n_errors,
         "ok": n_errors == 0,
     }
-    return report
 
 
 def report_text(report: Dict[str, object]) -> str:

@@ -1,15 +1,14 @@
-"""``layout`` pass: packet-field offsets actually used by each image.
+"""``layout`` check: packet-field offsets actually used by each image.
 
 Walks the optimized IR of every function assigned to an ME image and
-collects each packet header access (``PktLoadField`` / ``PktStoreField``
-/ ``PktLoadWords`` / ``PktStoreWords``) with its handle-relative offset,
-width, and SOAR's statically resolved head position.  Each resolved
-access is then cross-checked against the ``soar`` records in the
-compile's decision ledger: the ledger must contain a record for the same
-site with the same ``offset_bits`` (set membership, because PHR re-runs
-SOAR and the first run's records carry pre-rebase offsets).
+cross-checks each packet header access (``PktLoadField`` /
+``PktStoreField`` / ``PktLoadWords`` / ``PktStoreWords``) against the
+``soar`` records in the compile's decision ledger: the ledger must
+contain a record for the same site with the same verdict and
+``offset_bits`` (set membership, because PHR re-runs SOAR and the first
+run's records carry pre-rebase offsets).
 
-A resolved access with no matching ledger record means SOAR's announced
+An access with no matching ledger record means SOAR's announced
 decisions and the annotations codegen consumed have drifted apart --
 exactly the class of silent divergence this analyzer exists to catch.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.analyze.core import AnalysisContext, AnalysisPass, finding, register
+from repro.analyze.core import finding
 from repro.ir import instructions as I
 from repro.obs import ledger as obs_ledger
 
@@ -26,89 +25,53 @@ from repro.obs import ledger as obs_ledger
 _CHECKED = (I.PktLoadField, I.PktStoreField, I.PktLoadWords, I.PktStoreWords)
 
 
-def _access_row(instr) -> Dict[str, object]:
-    row: Dict[str, object] = {
-        "op": type(instr).__name__,
-        "loc": obs_ledger.loc_str(instr.loc),
-        "head_offset_bits": instr.c_offset_bits,
-        "alignment": instr.c_alignment,
-    }
-    if isinstance(instr, (I.PktLoadField, I.PktStoreField)):
-        row["proto"] = instr.proto
-        row["field"] = instr.field
-        row["bit_off"] = instr.bit_off
-        row["bit_width"] = instr.bit_width
-        if instr.c_offset_bits is not None:
-            row["abs_bit_off"] = instr.c_offset_bits + instr.bit_off
-    else:
-        row["byte_off"] = instr.byte_off
-        row["nwords"] = instr.nwords
-        if instr.c_offset_bits is not None:
-            row["abs_bit_off"] = instr.c_offset_bits + instr.byte_off * 8
-    return row
+def check(app_name: str, result) -> Dict[str, object]:
+    """The annotations codegen consumed, cross-checked against SOAR."""
+    findings: List[Dict[str, object]] = []
+    # The ledger's view of SOAR's resolutions, as a membership set.
+    ledger_sites: Set[Tuple[str, str, object]] = set()
+    for d in result.decisions:
+        if d.pass_name == "soar" and not d.subject.startswith("channel:"):
+            ledger_sites.add((d.subject, d.verdict,
+                              d.evidence.get("offset_bits")))
+    have_ledger = bool(ledger_sites)
 
-
-class LayoutPass(AnalysisPass):
-    name = "layout"
-    requires = ("images",)
-    doc = "field offsets/widths per image, cross-checked against SOAR"
-
-    def run(self, ctx: AnalysisContext):
-        findings: List[Dict[str, object]] = []
-        # The ledger's view of SOAR's resolutions, as a membership set.
-        ledger_sites: Set[Tuple[str, str, object]] = set()
-        for d in ctx.result.decisions:
-            if d.pass_name == "soar" and not d.subject.startswith("channel:"):
-                ledger_sites.add((d.subject, d.verdict,
-                                  d.evidence.get("offset_bits")))
-        have_ledger = bool(ledger_sites)
-
-        mod = ctx.result.mod
-        images_out: Dict[str, object] = {}
-        for agg in sorted(ctx.result.images):
-            image = ctx.result.images[agg]
-            accesses: List[Dict[str, object]] = []
-            for fn_name in sorted(image.functions):
-                fn = mod.functions.get(fn_name)
-                if fn is None:
+    mod = result.mod
+    images_out: Dict[str, object] = {}
+    for agg in sorted(result.images):
+        image = result.images[agg]
+        n_accesses = n_resolved = 0
+        for fn_name in sorted(image.functions):
+            fn = mod.functions.get(fn_name)
+            if fn is None:
+                continue
+            for instr in fn.all_instrs():
+                if not isinstance(instr, _CHECKED):
                     continue
-                for instr in fn.all_instrs():
-                    if not isinstance(instr, _CHECKED):
-                        continue
-                    row = _access_row(instr)
-                    row["function"] = fn_name
-                    accesses.append(row)
-                    if not have_ledger:
-                        continue
-                    subject = (obs_ledger.loc_str(instr.loc)
-                               or type(instr).__name__)
-                    verdict = ("resolved" if instr.c_offset_bits is not None
-                               else "unresolved")
-                    key = (subject, verdict, instr.c_offset_bits)
-                    if key not in ledger_sites:
-                        findings.append(finding(
-                            "error", self.name,
-                            "%s/%s" % (image.name, subject),
-                            "access annotation (%s, offset_bits=%s) has no "
-                            "matching soar ledger record" %
-                            (verdict, instr.c_offset_bits),
-                            op=type(instr).__name__, function=fn_name))
-            accesses.sort(key=lambda r: (r["function"], str(r["loc"]),
-                                         r["op"], str(r.get("abs_bit_off"))))
-            resolved = sum(1 for r in accesses
-                           if r["head_offset_bits"] is not None)
-            images_out[agg] = {
-                "accesses": accesses,
-                "n_accesses": len(accesses),
-                "n_resolved": resolved,
-            }
-        if not have_ledger and ctx.result.opts.soar:
-            findings.append(finding(
-                "warning", self.name, ctx.app_name,
-                "no soar decisions in ledger; cross-check skipped "
-                "(compile ran without the ledger enabled?)"))
-        return {"findings": findings, "images": images_out,
-                "ledger_sites": len(ledger_sites)}
+                resolved = instr.c_offset_bits is not None
+                n_accesses += 1
+                n_resolved += resolved
+                if not have_ledger:
+                    continue
+                subject = (obs_ledger.loc_str(instr.loc)
+                           or type(instr).__name__)
+                verdict = "resolved" if resolved else "unresolved"
+                key = (subject, verdict, instr.c_offset_bits)
+                if key not in ledger_sites:
+                    findings.append(finding(
+                        "error", "layout",
+                        "%s/%s" % (image.name, subject),
+                        "access annotation (%s, offset_bits=%s) has no "
+                        "matching soar ledger record" %
+                        (verdict, instr.c_offset_bits),
+                        op=type(instr).__name__, function=fn_name))
+        images_out[agg] = {"n_accesses": n_accesses,
+                           "n_resolved": n_resolved}
+    if not have_ledger and result.opts.soar:
+        findings.append(finding(
+            "warning", "layout", app_name,
+            "no soar decisions in ledger; cross-check skipped "
+            "(compile ran without the ledger enabled?)"))
+    return {"findings": findings, "images": images_out,
+            "ledger_sites": len(ledger_sites)}
 
-
-register(LayoutPass())

@@ -1,4 +1,4 @@
-"""``validate`` pass: translation validation of compiled images.
+"""``validate`` check: translation validation of compiled images.
 
 For every ME image: capture the reference effect multiset per trace
 packet (:mod:`repro.analyze.capture`, running the *unoptimized* IR) and
@@ -13,21 +13,26 @@ injected packet, and the symmetric difference of the effect multisets
 (payloads rendered as length + sha256 prefix to keep reports diffable).
 The report also carries per-image totals so a clean run still documents
 how much behavior was checked.
+
+Two structural errors are reported ahead of any replay: a compile with
+no ME images at all, and a dispatch input whose entry label the image
+does not define.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.analyze.capture import (
     capture_reference,
     comparison_meta_words,
     localized_meta_word_indices,
 )
-from repro.analyze.core import AnalysisContext, AnalysisPass, finding, register
+from repro.analyze.core import finding
 from repro.analyze.harness import ImageHarness
+
 
 def _render_effect(effect: tuple) -> str:
     if effect[0] == "drop":
@@ -46,58 +51,63 @@ def _diff_multisets(ref: List[tuple], got: List[tuple]):
     return missing, extra
 
 
-class ValidatePass(AnalysisPass):
-    name = "validate"
-    requires = ("images",)
-    doc = "translation validation: image effects vs. reference IR"
-
-    def run(self, ctx: AnalysisContext):
-        findings: List[Dict[str, object]] = []
-        images_out: Dict[str, object] = {}
-        max_roots = ctx.validate_packets
-        cmp_words = comparison_meta_words(
-            ctx.result.mod.meta_words, localized_meta_word_indices(ctx.result))
-        for agg in sorted(ctx.result.images):
-            image = ctx.result.images[agg]
-            roots = capture_reference(ctx.result, ctx.trace, agg,
-                                      max_roots=max_roots)
-            harness = ImageHarness(ctx.result, agg, cmp_words)
-            n_events = 0
-            n_divergent = 0
-            by_kind: Dict[str, int] = {}
-            for root in roots:
-                got = harness.replay_root(root)
-                n_events += len(root.effects)
-                for e in root.effects:
-                    key = e[0] if e[0] == "drop" else "put:%s" % e[1]
-                    by_kind[key] = by_kind.get(key, 0) + 1
-                if Counter(got) == Counter(root.effects):
-                    continue
-                n_divergent += 1
-                missing, extra = _diff_multisets(root.effects, got)
+def check(app_name: str, result, trace,
+          max_roots: Optional[int] = None) -> Dict[str, object]:
+    """Translation validation: image effects vs. reference IR, at most
+    ``max_roots`` trace roots per image (None = the whole trace)."""
+    findings: List[Dict[str, object]] = []
+    images_out: Dict[str, object] = {}
+    cmp_words = comparison_meta_words(
+        result.mod.meta_words, localized_meta_word_indices(result))
+    if not result.images:
+        findings.append(finding(
+            "error", "validate", app_name,
+            "compile produced no ME images (codegen disabled?)"))
+    for agg in sorted(result.images):
+        image = result.images[agg]
+        for ring_sym, entry_label in image.inputs:
+            if entry_label not in image.label_index:
                 findings.append(finding(
-                    "error", self.name,
-                    "%s/root%d" % (image.name, root.index),
-                    "compiled image effects diverge from reference IR",
-                    channel=root.channel,
-                    payload_len=len(root.payload),
-                    payload_sha=hashlib.sha256(root.payload).hexdigest()[:12],
-                    rx_port=root.rx_port,
-                    missing=missing, extra=extra))
-            images_out[agg] = {
-                "roots_checked": len(roots),
-                "effects_checked": n_events,
-                "effects_by_kind": dict(sorted(by_kind.items())),
-                "divergent_roots": n_divergent,
-                "replay_timeouts": harness.timeouts,
-                "meta_words_compared": list(cmp_words),
-            }
-            if not roots:
-                findings.append(finding(
-                    "warning", self.name, image.name,
-                    "no reference roots reach this image (rx not consumed "
-                    "by its aggregate); nothing validated"))
-        return {"findings": findings, "images": images_out}
+                    "error", "validate", image.name,
+                    "dispatch input %s targets unknown label %s"
+                    % (ring_sym, entry_label)))
+        roots = capture_reference(result, trace, agg,
+                                  max_roots=max_roots)
+        harness = ImageHarness(result, agg, cmp_words)
+        n_events = 0
+        n_divergent = 0
+        by_kind: Dict[str, int] = {}
+        for root in roots:
+            got = harness.replay_root(root)
+            n_events += len(root.effects)
+            for e in root.effects:
+                key = e[0] if e[0] == "drop" else "put:%s" % e[1]
+                by_kind[key] = by_kind.get(key, 0) + 1
+            if Counter(got) == Counter(root.effects):
+                continue
+            n_divergent += 1
+            missing, extra = _diff_multisets(root.effects, got)
+            findings.append(finding(
+                "error", "validate",
+                "%s/root%d" % (image.name, root.index),
+                "compiled image effects diverge from reference IR",
+                channel=root.channel,
+                payload_len=len(root.payload),
+                payload_sha=hashlib.sha256(root.payload).hexdigest()[:12],
+                rx_port=root.rx_port,
+                missing=missing, extra=extra))
+        images_out[agg] = {
+            "roots_checked": len(roots),
+            "effects_checked": n_events,
+            "effects_by_kind": dict(sorted(by_kind.items())),
+            "divergent_roots": n_divergent,
+            "replay_timeouts": harness.timeouts,
+            "meta_words_compared": list(cmp_words),
+        }
+        if not roots:
+            findings.append(finding(
+                "warning", "validate", image.name,
+                "no reference roots reach this image (rx not consumed "
+                "by its aggregate); nothing validated"))
+    return {"findings": findings, "images": images_out}
 
-
-register(ValidatePass())

@@ -36,6 +36,7 @@ from repro.baker.packetmodel import (
     META_HEAD_OFF,
     META_PKT_LEN,
     META_RX_PORT,
+    META_USER_BASE,
 )
 from repro.cg import abi
 from repro.cg import isa
@@ -50,8 +51,9 @@ PKT = isa.CAT_PACKET
 
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
 # to "skip_writeback", a moved head/len stays in registers at escape
-# sites -- whoever reads the packet's metadata next sees the stale words.
-# Never set outside tests.
+# sites -- whoever reads the packet's metadata next sees the stale words;
+# when set to "meta_store_dropped", stores to user metadata words emit
+# nothing. Never set outside tests.
 _TEST_MUTATION = None
 
 
@@ -231,6 +233,8 @@ def _meta_word_read(fl, ph_reg, word: int, dst) -> None:
 
 
 def _meta_word_write(fl, ph_reg, word: int, src) -> None:
+    if _TEST_MUTATION == "meta_store_dropped" and word >= META_USER_BASE:
+        return
     fl.emit(Mem("sram", "write", [src], ph_reg, Imm(word * 4), 1, category=PKT))
 
 

@@ -1,8 +1,9 @@
 """A small generic dataflow framework.
 
 Problems supply per-block transfer functions and a meet over lattice
-values; the solver runs a worklist to fixpoint. Used by liveness, SOAR
-(static offset / alignment determination) and the scalar optimizations.
+values; the solver runs a worklist to fixpoint. :mod:`repro.ir.liveness`
+is the only client: SOAR runs its own worklist and nothing under
+``repro.opt`` imports this module.
 """
 
 from __future__ import annotations

@@ -9,6 +9,6 @@ renders them and :mod:`repro.obs.diff` gates them. Every observer is
 off unless attached and perturbs nothing when on.
 
 Import the submodule you need; nothing is re-exported here (an eager
-import would leave ``repro.obs.trace`` / ``repro.obs.ledger`` in
+import would leave ``repro.obs.ledger`` / ``repro.obs.diff`` in
 ``sys.modules`` before ``python -m`` executes them).
 """

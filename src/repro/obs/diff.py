@@ -286,6 +286,21 @@ def _gate_rate_drop(regressions: List[str], what: str, a: float, b: float,
                100 * tolerance))
 
 
+def _gate_cycles_growth(regressions: List[str], what: str, a: float,
+                        b: float, tolerance: float) -> None:
+    """Record "<what> grew a -> b" when ``b`` rose more than
+    ``tolerance`` (fractional) above ``a`` -- or appeared at all from a
+    zero baseline, where no fraction applies (a service that served no
+    stale frame must not start to, ungated)."""
+    if a > 0 and b > a * (1 + tolerance):
+        regressions.append(
+            "%s grew %g -> %g cycles (+%.1f%%, tolerance %.0f%%)"
+            % (what, a, b, 100 * (b - a) / a, 100 * tolerance))
+    elif a <= 0 < b:
+        regressions.append(
+            "%s grew from a zero baseline to %g cycles" % (what, b))
+
+
 def _rate_cells(bench: dict) -> Dict[str, Dict[int, float]]:
     """level -> {n_mes: rate}; ``load_file`` has checked that every row
     has one entry per ME count."""
@@ -371,10 +386,7 @@ def diff_churn(old: dict, new: dict,
              n_sum.get("stale_cycles_max", 0.0))):
         if a != b:
             lines.append("  %s: %g -> %g cycles" % (what, a, b))
-        if a > 0 and b > a * (1 + tolerance):
-            regressions.append(
-                "%s grew %g -> %g cycles (+%.1f%%, tolerance %.0f%%)"
-                % (what, a, b, 100 * (b - a) / a, 100 * tolerance))
+        _gate_cycles_growth(regressions, what, a, b, tolerance)
 
     a = o_sum.get("updates_applied", 0)
     b = n_sum.get("updates_applied", 0)

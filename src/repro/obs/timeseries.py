@@ -46,9 +46,9 @@ SKETCH_QUANTILES = (0.5, 0.95, 0.99)
 DEFAULT_EXACT_LIMIT = 256
 
 
-def _nearest_rank(sorted_vals: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (same convention as
-    :func:`repro.obs.trace._percentile`)."""
+def nearest_rank(sorted_vals: List[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending list (the exact-prefix
+    answer here and :meth:`repro.obs.trace.PacketTracer.latency_summary`'s)."""
     n = len(sorted_vals)
     rank = max(1, min(n, int(-(-q * n // 1))))  # ceil(q*n), clamped
     return sorted_vals[rank - 1]
@@ -154,7 +154,7 @@ class StreamingQuantile:
         if self._exact is not None:
             if not self._exact:
                 return 0.0
-            return _nearest_rank(self._exact, self.q)
+            return nearest_rank(self._exact, self.q)
         return self._hts[2]
 
 

@@ -15,11 +15,10 @@ before the tracer existed, and a run with tracing *on* only appends to
 Python-side lists -- simulated state, event order and every measured
 number stay bit-identical (tested in ``tests/test_trace.py``).
 
-Raw events can be dumped as JSONL (:meth:`PacketTracer.dump_events_jsonl`)
-and converted to Chrome trace-event JSON for Perfetto / chrome://tracing
-by :mod:`repro.obs.export`, either programmatically or via::
-
-    python -m repro.obs.trace export <events.jsonl> [-o out.trace.json]
+:mod:`repro.obs.export` turns the raw events
+(:meth:`PacketTracer.event_dicts`) into Chrome trace-event JSON for
+Perfetto / chrome://tracing; ``run_on_simulator(trace_json=)`` is the
+one producer of such a file.
 
 Compile-pipeline stages can be recorded onto the same trace file:
 :func:`capture_compile_spans` arms a process-global span list that
@@ -29,14 +28,12 @@ Compile-pipeline stages can be recorded onto the same trace file:
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
 import time
 from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.timeseries import QuantileSketch, nearest_rank
 
 #: Ring-name prefix of the buffer/metadata free lists.
 FREE_PREFIX = "ring.__"
@@ -101,8 +98,6 @@ class PacketTracer:
         self.latency_sink: Optional[Callable[[float], None]] = None
         self.lat_sketch = None
         if streaming:
-            from repro.obs.timeseries import QuantileSketch
-
             self.events = deque(maxlen=max_events)
             self.latencies = deque(maxlen=max_latencies)
             self.lat_sketch = QuantileSketch()
@@ -309,9 +304,9 @@ class PacketTracer:
         return {
             "count": n,
             "min": lats[0],
-            "p50": _percentile(lats, 0.50),
-            "p95": _percentile(lats, 0.95),
-            "p99": _percentile(lats, 0.99),
+            "p50": nearest_rank(lats, 0.50),
+            "p95": nearest_rank(lats, 0.95),
+            "p99": nearest_rank(lats, 0.99),
             "mean": sum(lats) / n,
             "max": lats[-1],
             "truncated": 0,
@@ -322,32 +317,6 @@ class PacketTracer:
     def event_dicts(self) -> Iterator[Dict[str, object]]:
         for ev in self.events:
             yield ev.to_dict()
-
-    def dump_events_jsonl(self, path: str) -> str:
-        """Write raw events, one JSON object per line (convert with
-        ``python -m repro.obs.trace export <path>``)."""
-        d = os.path.dirname(os.path.abspath(path))
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as fh:
-            meta = {"kind": "trace_meta", "t": 0.0,
-                    "packets": self.born_total,
-                    "truncated": self.truncated,
-                    "finished_at": self.finished_at}
-            if self.streaming:
-                meta["streaming"] = True
-                meta["events_truncated"] = self.events_truncated
-            fh.write(json.dumps(meta) + "\n")
-            for rec in self.event_dicts():
-                fh.write(json.dumps(rec) + "\n")
-        return path
-
-
-def _percentile(sorted_vals: List[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list."""
-    n = len(sorted_vals)
-    rank = max(1, min(n, int(-(-q * n // 1))))  # ceil(q*n), clamped
-    return sorted_vals[rank - 1]
 
 
 # -- compile-stage spans ---------------------------------------------------------
@@ -415,60 +384,3 @@ def compile_stage(stage: str):
     yield
     if spans is not None:
         spans.append((stage, {}, t0, time.perf_counter()))
-
-
-# -- CLI -------------------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.obs.trace",
-        description="Convert raw packet-trace events to Chrome "
-                    "trace-event JSON (Perfetto / chrome://tracing).")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-    exp = sub.add_parser("export", help="convert an events JSONL dump")
-    exp.add_argument("events", help="raw events JSONL written by "
-                                    "PacketTracer.dump_events_jsonl")
-    exp.add_argument("-o", "--out", default=None,
-                     help="output path (default: <events>.trace.json)")
-    args = ap.parse_args(argv)
-
-    from repro.obs.export import write_chrome_trace
-
-    if not os.path.exists(args.events):
-        print("error: no events file at %s" % args.events, file=sys.stderr)
-        return 1
-    events = []
-    with open(args.events) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                event = str(exc)
-            if not isinstance(event, dict):
-                print("error: %s line %d is not a JSON event object: %s"
-                      % (args.events, lineno, event), file=sys.stderr)
-                return 1
-            events.append(event)
-    if not events:
-        print("error: events file %s is empty" % args.events,
-              file=sys.stderr)
-        return 1
-    out = args.out
-    if out is None:
-        base = args.events
-        for suffix in (".events.jsonl", ".jsonl"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
-                break
-        out = base + ".trace.json"
-    write_chrome_trace(out, events)
-    print(out)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -221,8 +221,7 @@ def _analyze_function(
         state = block_in[bb]
         if state is None:
             continue
-        _transfer_block(bb, state, aliases,
-                        puts if True else None,
+        _transfer_block(bb, state, aliases, puts,
                         result if annotate else None)
     return puts
 

@@ -60,7 +60,6 @@ def run_on_simulator(
     max_cycles: float = 40e6,
     tracer: Optional[obs_trace.PacketTracer] = None,
     trace_json: Optional[str] = None,
-    trace_events_jsonl: Optional[str] = None,
     dispatch: Optional[str] = None,
     timeseries=None,
     profiler=None,
@@ -72,12 +71,10 @@ def run_on_simulator(
     it).
 
     Per-packet lifecycle tracing: pass a
-    :class:`repro.obs.trace.PacketTracer` (or just set ``trace_json`` /
-    ``trace_events_jsonl`` and one is created) to record every packet's
-    Rx->Tx journey in simulated cycles.
-    ``trace_json`` writes Chrome trace-event JSON (open in Perfetto);
-    ``trace_events_jsonl`` writes the raw events (convert later with
-    ``python -m repro.obs.trace export``).
+    :class:`repro.obs.trace.PacketTracer` (or just set ``trace_json``
+    and one is created) to record every packet's Rx->Tx journey in
+    simulated cycles. ``trace_json`` writes Chrome trace-event JSON
+    (open in Perfetto).
 
     ``dispatch`` selects nothing: every run is cycle-accurate on the one
     ME core. None and ``"fast"`` are accepted, anything else is a
@@ -96,7 +93,7 @@ def run_on_simulator(
     Every observer is pure observation (DESIGN.md 7.3): measured numbers
     are bit-identical with or without it.
     """
-    if tracer is None and (trace_json or trace_events_jsonl):
+    if tracer is None and trace_json:
         tracer = obs_trace.PacketTracer()
     total_mes = n_mes if n_mes is not None else result.opts.num_mes
     chip = IXP2400(n_programmable_mes=total_mes)
@@ -174,14 +171,11 @@ def run_on_simulator(
     if timeseries is not None:
         timeseries.finish(chip.now)
 
-    if tracer is not None:
-        if trace_events_jsonl:
-            tracer.dump_events_jsonl(trace_events_jsonl)
-        if trace_json:
-            from repro.obs.export import write_chrome_trace
+    if trace_json:
+        from repro.obs.export import write_chrome_trace
 
-            write_chrome_trace(trace_json, tracer.event_dicts(),
-                               compile_spans=obs_trace.drain_compile_spans())
+        write_chrome_trace(trace_json, tracer.event_dicts(),
+                           compile_spans=obs_trace.drain_compile_spans())
     chip.close()  # nothing reads the chip past this point
     return run
 
@@ -189,7 +183,13 @@ def run_on_simulator(
 def verify_against_reference(result, trace: Trace, packets: int = 60,
                              n_mes: int = 2) -> bool:
     """Differential oracle: the simulator's transmitted payload multiset
-    must match the functional interpreter's on the same finite trace."""
+    must match the functional interpreter's on the same finite trace.
+
+    Blind to what is not payload: packet metadata at put time and the
+    final state of application tables -- a dropped ``flow_id`` store on
+    firewall passes here and fails ``repro.analyze``'s validator
+    (``tests/test_analyze_mutations.py``, the ``meta_store_dropped`` row).
+    """
     from repro.baker.lowering import lower_program
     from repro.profiler.interpreter import run_reference
 
@@ -204,11 +204,22 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
     tx = TxEngine(chip)
     chip.attach_traffic(rx, tx)
     expected = ref.profile.packets_out
+    buf_free = chip.rings["ring.__buf_free"]
+    pool = len(buf_free.items)
+
+    def settled() -> bool:
+        # Everything expected is out -- or every packet went in and every
+        # buffer is back on the free ring, so nothing more can come out
+        # (a miscompile that loses frames is a verdict, not a 100e6-cycle
+        # wait).
+        return tx.packets_out() >= expected or (
+            rx.sent >= packets and len(buf_free.items) == pool)
+
     # Both limits are relative budgets from a fresh chip: a generous cap
     # for the run itself, then a short fixed drain window for stragglers
     # (XScale round trips). run_for makes the relative/absolute
     # distinction explicit -- chip.run() takes an absolute deadline.
-    chip.run_for(100e6, stop=lambda: tx.packets_out() >= expected)
+    chip.run_for(100e6, stop=settled)
     chip.run_for(300_000)
     got = sorted(r.payload for r in tx.records)
     chip.close()

@@ -86,10 +86,10 @@ def main(argv=None) -> int:
                     help="record compile decisions (repro.obs.ledger) "
                          "during any cache-miss compiles")
     ap.add_argument("--analyze", action="store_true",
-                    help="run the repro.analyze budget + translation-"
-                         "validation passes on every distinct (app, "
-                         "level) compile; exit 2 if any report has "
-                         "error findings")
+                    help="run the repro.analyze checks (layout, budget, "
+                         "translation validation) on every distinct "
+                         "(app, level) compile; exit 2 if any report "
+                         "has error findings")
     ap.add_argument("--analyze-packets", type=int, default=24,
                     metavar="N",
                     help="trace roots replayed per image during "
@@ -204,8 +204,12 @@ def main(argv=None) -> int:
         print("wrote %s" % path)
     if args.analyze:
         failures = sweep.analysis_failures()
-        analyzed = {(jr.job.app, jr.job.level) for jr in sweep.jobs
-                    if jr.analysis is not None}
+        analyzed = {(jr.job.app, jr.job.level): jr.analysis
+                    for jr in sweep.jobs if jr.analysis is not None}
+        if analyzed:
+            checks = next(iter(analyzed.values()))["passes"]
+            print("analyze: checks run on each compile: %s"
+                  % ", ".join(checks))
         if failures:
             print("analyze: %d of %d compiles FAILED validation:"
                   % (len(failures), len(analyzed)))

@@ -121,11 +121,11 @@ class WorkerConfig:
     obs: bool = True
     capture_spans: bool = False
     ledger: bool = False
-    #: Opt-in per-job correctness check: run the ``repro.analyze``
-    #: budget + translation-validation passes over each distinct
+    #: Opt-in per-job correctness check: run the three ``repro.analyze``
+    #: checks (layout, budget, translation validation) over each distinct
     #: (app, level) compile and attach the report to the job results.
     analyze: bool = False
-    #: Trace roots replayed per image by the validation pass.
+    #: Trace roots replayed per image by the validation check.
     analyze_packets: int = 24
     #: Attach a stall-cycle attribution profiler to every rate job and
     #: emit BENCH_occupancy.json (pure observation; measured rates are
@@ -244,15 +244,15 @@ _ANALYSIS_MEMO: Dict[Tuple, dict] = {}
 
 def _analyze_compile(job: SweepJob, cfg: WorkerConfig,
                      result, trace) -> dict:
-    """The ``repro.analyze`` budget + validation report for this job's
-    compiled artifact (memoized per process per (app, level))."""
+    """The ``repro.analyze`` report for this job's compiled artifact
+    (memoized per process per (app, level))."""
     from repro.analyze import run_analysis
 
     key = (job.app, job.level, cfg.trace_packets, cfg.trace_seed,
            cfg.analyze_packets)
     if key not in _ANALYSIS_MEMO:
         _ANALYSIS_MEMO[key] = run_analysis(
-            job.app, job.level, passes=("budget", "validate"),
+            job.app, job.level,
             packets=cfg.trace_packets, seed=cfg.trace_seed,
             validate_packets=cfg.analyze_packets,
             result=result, trace=trace)

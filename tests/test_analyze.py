@@ -1,11 +1,13 @@
-"""The ME-image analyzer (repro.analyze): pass framework semantics,
-report byte-determinism, and clean translation validation of every
-app at every optimization level.
+"""The ME-image analyzer (repro.analyze): report byte-determinism,
+clean layout / budget / validate checks of every app at every
+optimization level, and one planted fault per check that is not the
+validator.
 
 The validator's sensitivity (it must *fail* on miscompiles) is proven
 separately by tests/test_analyze_mutations.py; this file proves the
-other direction -- no false positives on correct compiles -- plus the
-framework plumbing the passes hang off.
+other direction -- no false positives on correct compiles -- and that
+``layout``, ``budget`` and the two structural findings in front of
+``validate`` each fire exactly once on the fault they exist for.
 """
 
 from __future__ import annotations
@@ -14,15 +16,12 @@ import json
 
 import pytest
 
-from repro.analyze import (
-    AnalysisError,
-    registered_passes,
-    resolve_passes,
-    run_analysis,
-)
+from repro.analyze import budget, layout, run_analysis, validate
 from repro.analyze.core import report_text
 from repro.apps import get_app
 from repro.compiler import compile_baker
+from repro.ir import instructions as I
+from repro.obs import ledger as obs_ledger
 from repro.options import LEVEL_ORDER, options_for
 
 APPS = ("l3switch", "firewall", "mpls")
@@ -35,49 +34,38 @@ PACKETS, SEED, ROOTS = (120, 5, 12)
 _compiled = {}
 
 
+def _fresh_compile(app_name, level, ledger=True, **kw):
+    """One compile with the decision ledger on, so ``layout`` and
+    ``budget`` have claims to check (restored afterwards: the ledger is
+    process-global)."""
+    app = get_app(app_name)
+    trace = app.make_trace(PACKETS, seed=SEED)
+    led = obs_ledger.get_ledger()
+    saved = (led.enabled, led.decisions)
+    led.enabled, led.decisions = ledger, []
+    try:
+        return compile_baker(app.source, options_for(level), trace,
+                             **kw), trace
+    finally:
+        led.enabled, led.decisions = saved
+
+
 def _compile(app_name, level):
     key = (app_name, level)
     if key not in _compiled:
-        app = get_app(app_name)
-        trace = app.make_trace(PACKETS, seed=SEED)
-        _compiled[key] = (
-            compile_baker(app.source, options_for(level), trace), trace)
+        _compiled[key] = _fresh_compile(app_name, level)
     return _compiled[key]
 
 
-def _analyze(app_name, level, passes=None):
+def _analyze(app_name, level):
     result, trace = _compile(app_name, level)
-    return run_analysis(app_name, level, passes=passes, packets=PACKETS,
+    return run_analysis(app_name, level, packets=PACKETS,
                         seed=SEED, validate_packets=ROOTS,
                         result=result, trace=trace)
 
 
-# -- pass framework -------------------------------------------------------------
-
-
-def test_stock_passes_registered():
-    names = [p.name for p in registered_passes()]
-    assert names == ["images", "layout", "bounds", "budget", "validate"]
-
-
-def test_resolve_passes_pulls_dependencies():
-    # Asking only for a downstream pass schedules its requirements
-    # first, in registration order.
-    names = [p.name for p in resolve_passes(["validate"])]
-    assert names == ["images", "validate"]
-    names = [p.name for p in resolve_passes(["budget", "layout"])]
-    assert names.index("images") < names.index("budget")
-    assert names.index("images") < names.index("layout")
-
-
-def test_resolve_passes_rejects_unknown():
-    with pytest.raises(AnalysisError):
-        resolve_passes(["no_such_pass"])
-
-
-def test_resolve_defaults_to_all_passes():
-    assert [p.name for p in resolve_passes()] == \
-        [p.name for p in registered_passes()]
+def _errors(section):
+    return [f for f in section["findings"] if f["severity"] == "error"]
 
 
 # -- report determinism ---------------------------------------------------------
@@ -94,9 +82,7 @@ def test_report_byte_deterministic_fresh_compile():
     # must analyze to the same bytes (the compiler itself is
     # deterministic, and the analyzer adds no timestamps or ids).
     baseline = report_text(_analyze("firewall", "SWC"))
-    app = get_app("firewall")
-    trace = app.make_trace(PACKETS, seed=SEED)
-    result = compile_baker(app.source, options_for("SWC"), trace)
+    result, trace = _fresh_compile("firewall", "SWC")
     again = run_analysis("firewall", "SWC", packets=PACKETS, seed=SEED,
                          validate_packets=ROOTS, result=result, trace=trace)
     assert report_text(again) == baseline
@@ -107,6 +93,8 @@ def test_report_is_valid_sorted_json():
     assert text.endswith("\n")
     report = json.loads(text)
     assert report["kind"] == "analyze_report"
+    assert report["version"] == 2
+    assert list(report["passes"]) == ["budget", "layout", "validate"]
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -116,67 +104,113 @@ def test_report_is_valid_sorted_json():
 @pytest.mark.parametrize("app_name", APPS)
 @pytest.mark.parametrize("level", LEVEL_ORDER)
 def test_matrix_validates_clean(app_name, level):
-    """Every app at every O-level: all five passes, zero error
-    findings. This is the no-false-positives half of the translation
-    validator's contract."""
+    """Every app at every O-level: all three checks, ledger on, zero
+    findings of any severity. This is the no-false-positives half of the
+    translation validator's contract (and of the two ledger
+    cross-checks: with the ledger on nothing is skipped with a
+    warning)."""
     report = _analyze(app_name, level)
-    errors = [f for payload in report["passes"].values()
-              for f in payload["findings"] if f["severity"] == "error"]
-    assert errors == [], "unexpected error findings: %r" % errors[:3]
+    findings = [f for section in report["passes"].values()
+                for f in section["findings"]]
+    assert findings == [], "unexpected findings: %r" % findings[:3]
     assert report["ok"] is True
     assert report["errors_total"] == 0
+    if options_for(level).soar:
+        assert report["passes"]["layout"]["ledger_sites"] > 0
 
 
-# -- individual pass structure --------------------------------------------------
-
-
-def test_images_pass_inventories_every_aggregate():
-    report = _analyze("l3switch", "SWC", passes=["images"])
-    payload = report["passes"]["images"]
-    result, _trace = _compile("l3switch", "SWC")
-    assert sorted(result.images) == sorted(payload["images"])
-    for row in payload["images"].values():
-        assert row["n_insns"] > 0
-        assert row["code_size"] > 0
-        assert row["inputs"], "an ME image with no input rings is dead"
-
-
-def test_bounds_pass_reports_paths():
-    report = _analyze("mpls", "SWC", passes=["bounds"])
-    payload = report["passes"]["bounds"]
-    for name, row in payload["images"].items():
-        assert row["paths"], "no entry paths bounded for %s" % name
-        for path in row["paths"]:
-            assert path["cycles_bound"] > 0
+# -- each check fires on the fault it exists for ---------------------------------
 
 
 def test_budget_pass_rederives_code_size():
-    report = _analyze("firewall", "SWC", passes=["budget"])
-    payload = report["passes"]["budget"]
+    report = _analyze("firewall", "SWC")
+    section = report["passes"]["budget"]
     result, _trace = _compile("firewall", "SWC")
-    for name, row in payload["images"].items():
+    for name, row in section["images"].items():
         assert row["derived_code_size"] == result.images[name].code_size
 
 
+def test_budget_catches_code_size_off_by_one():
+    """An image whose ``code_size`` field is one word off its
+    instruction list: exactly one error, naming the image."""
+    result, _trace = _fresh_compile("firewall", "SWC")
+    assert _errors(budget.check(result)) == []
+    image = result.images[sorted(result.images)[0]]
+    image.code_size += 1
+    errors = _errors(budget.check(result))
+    assert len(errors) == 1, errors
+    assert errors[0]["subject"] == image.name
+    assert "code_size claims" in errors[0]["detail"]
+
+
+def test_layout_catches_rewritten_offset():
+    """One resolved access whose ``c_offset_bits`` changed after SOAR
+    announced it: exactly one error, naming the site."""
+    result, _trace = _fresh_compile("mpls", "SWC")
+    assert layout.check("mpls", result)["findings"] == []
+    (image,) = result.images.values()
+    victim = next(
+        i for name in image.functions if name in result.mod.functions
+        for i in result.mod.functions[name].all_instrs()
+        if isinstance(i, (I.PktLoadWords, I.PktLoadField))
+        and i.c_offset_bits is not None)
+    victim.c_offset_bits += 32
+    errors = _errors(layout.check("mpls", result))
+    assert len(errors) == 1, errors
+    assert "no matching soar ledger record" in errors[0]["detail"]
+    assert "offset_bits=%d" % victim.c_offset_bits in errors[0]["detail"]
+
+
+def test_layout_without_ledger_warns_and_skips():
+    result, _trace = _fresh_compile("mpls", "SWC", ledger=False)
+    section = layout.check("mpls", result)
+    assert [f["severity"] for f in section["findings"]] == ["warning"]
+    assert section["ledger_sites"] == 0
+
+
 def test_validate_pass_replays_roots():
-    report = _analyze("mpls", "SWC", passes=["validate"])
-    payload = report["passes"]["validate"]
-    for row in payload["images"].values():
+    report = _analyze("mpls", "SWC")
+    section = report["passes"]["validate"]
+    for row in section["images"].values():
         assert row["roots_checked"] > 0
         assert row["effects_checked"] > 0
         assert row["divergent_roots"] == 0
         assert row["replay_timeouts"] == 0
 
 
+def test_validate_flags_input_with_unknown_label():
+    """A dispatch input whose entry label the image does not define is
+    one error, ahead of the replay -- which still runs, on code that was
+    assembled before the label was lost."""
+    result, trace = _fresh_compile("mpls", "BASE")
+    (image,) = result.images.values()
+    ring_sym, _label = image.inputs[0]
+    image.inputs[0] = (ring_sym, "no_such_label")
+    section = validate.check("mpls", result, trace, 4)
+    errors = _errors(section)
+    assert len(errors) == 1, errors
+    assert errors[0]["subject"] == image.name
+    assert "targets unknown label no_such_label" in errors[0]["detail"]
+    assert section["images"][image.name]["roots_checked"] == 4
+
+
+def test_validate_flags_compile_without_images():
+    """``codegen=False`` leaves nothing to
+    replay; that is an error, not a vacuous "ok"."""
+    result, trace = _fresh_compile("mpls", "BASE", codegen=False)
+    report = run_analysis("mpls", "BASE", packets=PACKETS, seed=SEED,
+                          validate_packets=ROOTS, result=result, trace=trace)
+    errors = _errors(report["passes"]["validate"])
+    assert len(errors) == 1, errors
+    assert "no ME images" in errors[0]["detail"]
+    assert report["ok"] is False and report["errors_total"] == 1
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
-def test_cli_list_and_report(tmp_path, capsys):
+def test_cli_writes_report(tmp_path, capsys):
     from repro.analyze.__main__ import main
-
-    assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "validate" in out and "bounds" in out
 
     out_path = tmp_path / "report.json"
     code = main(["mpls", "-O", "BASE", "--packets", "60",
@@ -184,14 +218,21 @@ def test_cli_list_and_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["ok"] is True
+    assert sorted(report["passes"]) == ["budget", "layout", "validate"]
     capsys.readouterr()
+    # The framework's selectors are gone, not hidden.
+    for gone in (["--list"], ["mpls", "--pass", "validate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(gone)
+        assert exc.value.code == 2
+    assert "unrecognized arguments: --pass" in capsys.readouterr().err
 
 
 def test_cli_level_aliases(capsys):
     from repro.analyze.__main__ import main
 
-    code = main(["firewall", "-O3", "--pass", "images",
-                 "--packets", "40"])
+    code = main(["firewall", "-O3", "--packets", "40",
+                 "--validate-packets", "4"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["level"] == "SWC"
@@ -203,7 +244,7 @@ def test_cli_level_aliases(capsys):
 def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
     """A bad argument is ``parser.error`` naming flag and value (exit 2)
     before anything is compiled or written: no ``KeyError`` /
-    ``AnalysisError`` traceback, and no vacuous pass -- ``--packets 0``
+    traceback, and no vacuous pass -- ``--packets 0``
     used to validate zero roots per image and print "ok", and
     ``--validate-packets -3`` silently meant "the whole trace"."""
     from repro.analyze import __main__ as cli
@@ -215,7 +256,6 @@ def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
     for argv, needle in (
             (["nosuchapp"], "unknown app 'nosuchapp'"),
-            (["mpls", "--pass", "nosuch"], "unknown pass --pass 'nosuch'"),
             (["mpls", "--packets", "0"], "--packets must be >= 1, got 0"),
             (["mpls", "--validate-packets", "-3"],
              "--validate-packets must be >= 0 (0 = the whole trace), got -3"),

@@ -235,6 +235,28 @@ def test_churn_diff_self_gates_clean_and_catches_regressions(flap_run,
     assert "updates applied changed" in text
 
 
+def test_churn_diff_gates_staleness_from_a_zero_baseline(flap_run, tmp_path):
+    """A service that served no stale frame (firewall's churn run) and
+    starts to must not pass: "grew by more than x %" cannot be said of
+    zero, so appearing at all is the regression. The other direction
+    (staleness gone) stays clean."""
+    _, _, bench_path, _ = flap_run
+    with open(bench_path) as fh:
+        never_stale = json.load(fh)
+    assert never_stale["summary"]["stale_cycles_max"] > 0
+    never_stale["summary"]["stale_cycles_max"] = 0.0
+    never_stale["summary"]["stale_tx_total"] = 0
+    clean = str(tmp_path / "never_stale.json")
+    with open(clean, "w") as fh:
+        json.dump(never_stale, fh)
+
+    text, code = run_diff(clean, bench_path)
+    assert code == EXIT_REGRESSION, text
+    assert "longest staleness grew from a zero baseline" in text
+    text, code = run_diff(bench_path, clean)
+    assert code == 0, text
+
+
 def test_serve_rejects_churn_past_horizon():
     cfg = ServeConfig(app="l3switch",
                       churn=[parse_churn_spec("route-flap:n=9,start=3,every=3")],

@@ -449,6 +449,27 @@ def test_benchmark_pipeline_frozen_surface(tmp_path):
     assert sum(layout.me_assignment.values()) == 2
     chip.close()
 
+    # sweep_grid.py::_mismatch dereferences the committed figure files by
+    # this shape, so the ``bench`` kind cannot be regenerated under
+    # another schema without a benchmark PR (ROADMAP item 4).
+    from repro.sweep import repo_root
+    from repro.sweep.orchestrator import _PROFILE_FIELDS
+
+    for fig, app in (("fig13", "l3switch"), ("fig14", "firewall"),
+                     ("fig15", "mpls")):
+        with open(os.path.join(repo_root(), "BENCH_%s.json" % fig)) as fh:
+            committed = json.load(fh)
+        assert committed["app"] == app
+        for grid_job in build_jobs([app]):  # every cell the benchmark checks
+            if grid_job.kind == "rate":
+                column = committed["me_counts"].index(grid_job.n_mes)
+                assert isinstance(
+                    committed["rates"][grid_job.level][column], float)
+            else:
+                row = committed["mem_accesses"][grid_job.level]
+                assert sorted(row) == sorted(_PROFILE_FIELDS), (fig, row)
+                assert row == {f: round(v, 3) for f, v in row.items()}
+
 
 # -- CLI fail-fast validation ----------------------------------------------------
 

@@ -14,7 +14,7 @@ from repro.obs.timeseries import (
     StreamingQuantile,
     TimeseriesCollector,
     _WindowCounters,
-    _nearest_rank,
+    nearest_rank,
     load_timeseries,
     update_impact,
     window_drops,
@@ -35,8 +35,8 @@ QUANTILES = (0.5, 0.95, 0.99)
 
 def _assert_rank_bound(vals, q, est, delta):
     srt = sorted(vals)
-    lo = _nearest_rank(srt, max(0.001, q - delta))
-    hi = _nearest_rank(srt, min(0.999, q + delta))
+    lo = nearest_rank(srt, max(0.001, q - delta))
+    hi = nearest_rank(srt, min(0.999, q + delta))
     assert lo <= est <= hi, (
         "q=%g estimate %g outside rank bound [%g, %g] (delta=%g)"
         % (q, est, lo, hi, delta))
@@ -59,7 +59,7 @@ def test_sketch_exact_below_limit():
         sq = StreamingQuantile(q)
         for v in vals:
             sq.add(v)
-        assert sq.value() == _nearest_rank(sorted(vals), q)
+        assert sq.value() == nearest_rank(sorted(vals), q)
 
 
 def test_sketch_uniform_within_rank_bound():
@@ -68,7 +68,7 @@ def test_sketch_uniform_within_rank_bound():
     for q, est in _sketch_all(vals).items():
         _assert_rank_bound(vals, q, est, RANK_DELTA)
         # Uniform is also tight in value terms.
-        exact = _nearest_rank(sorted(vals), q)
+        exact = nearest_rank(sorted(vals), q)
         assert est == pytest.approx(exact, rel=0.02)
 
 

@@ -1,9 +1,9 @@
 """Per-packet lifecycle tracing (repro.obs.trace) and the Chrome
 trace-event exporter (repro.obs.export): tracer semantics, the
 tracing-off == tracing-on bit-identical guarantee, exporter output
-validity (JSON, monotonic timestamps, balanced begin/end), the CLI
-round-trip, compile-stage span capture, and where the latency summary
-and the hot lines are rendered."""
+validity (JSON, monotonic timestamps, balanced begin/end), compile-stage
+span capture, and where the latency summary and the hot lines are
+rendered."""
 
 import json
 from collections import Counter
@@ -12,14 +12,13 @@ import pytest
 
 from repro.compiler import compile_baker
 from repro.obs.export import chrome_trace_from_events, write_chrome_trace
+from repro.obs.timeseries import nearest_rank
 from repro.obs.trace import (
     PacketTracer,
-    _percentile,
     capture_compile_spans,
     compile_stage,
     drain_compile_spans,
     label_compile_spans,
-    main as trace_main,
 )
 from repro.options import options_for
 from repro.profiler.trace import ipv4_trace
@@ -122,10 +121,10 @@ def test_tracer_finish_closes_open_lifecycles():
 
 def test_percentiles_nearest_rank():
     vals = [float(v) for v in range(1, 101)]
-    assert _percentile(vals, 0.50) == 50.0
-    assert _percentile(vals, 0.95) == 95.0
-    assert _percentile(vals, 0.99) == 99.0
-    assert _percentile([7.0], 0.99) == 7.0
+    assert nearest_rank(vals, 0.50) == 50.0
+    assert nearest_rank(vals, 0.95) == 95.0
+    assert nearest_rank(vals, 0.99) == 99.0
+    assert nearest_rank([7.0], 0.99) == 7.0
     tr = PacketTracer()
     assert tr.latency_summary()["count"] == 0
     tr.latencies = [10.0, 20.0, 30.0, 40.0]
@@ -146,7 +145,6 @@ def test_tracing_on_run_is_bit_identical(tmp_path):
     tr = PacketTracer()
     on = run_on_simulator(result, trace, tracer=tr,
                           trace_json=str(tmp_path / "run.trace.json"),
-                          trace_events_jsonl=str(tmp_path / "run.events.jsonl"),
                           **RUN_KW)
 
     assert on.forwarding_gbps == off.forwarding_gbps
@@ -171,10 +169,9 @@ def _traced_run(tmp_path):
     result, trace = _mini_result()
     tr = PacketTracer()
     json_path = str(tmp_path / "run.trace.json")
-    events_path = str(tmp_path / "run.events.jsonl")
     run_on_simulator(result, trace, tracer=tr, trace_json=json_path,
-                     trace_events_jsonl=events_path, **RUN_KW)
-    return tr, json_path, events_path
+                     **RUN_KW)
+    return tr, json_path
 
 
 def _check_chrome_trace(doc):
@@ -207,7 +204,7 @@ def _track_names(evs):
 
 
 def test_exporter_valid_monotonic_balanced(tmp_path):
-    tr, json_path, events_path = _traced_run(tmp_path)
+    tr, json_path = _traced_run(tmp_path)
     assert tr.latencies, "no packets forwarded?"
     with open(json_path) as fh:
         doc = json.load(fh)  # json.tool-level validity
@@ -220,38 +217,12 @@ def test_exporter_valid_monotonic_balanced(tmp_path):
     assert "packets" in names and "rings" in names
     assert any(n.startswith("ME") for n in names)
 
-    # The raw events JSONL leads with a meta line and parses line-wise.
-    with open(events_path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    assert lines[0]["kind"] == "trace_meta"
-    assert lines[0]["packets"] == len(tr.born)
-    assert len(lines) == 1 + len(tr.events)
-
-
-def test_exporter_cli_round_trip(tmp_path, capsys):
-    _, _, events_path = _traced_run(tmp_path)
-    assert trace_main(["export", events_path]) == 0
-    out_path = events_path[: -len(".events.jsonl")] + ".trace.json"
-    assert capsys.readouterr().out.strip() == out_path
-    with open(out_path) as fh:
-        _check_chrome_trace(json.load(fh))
-
-
-def test_exporter_cli_missing_and_empty_input(tmp_path, capsys):
-    assert trace_main(["export", str(tmp_path / "nope.jsonl")]) == 1
-    assert "no events file" in capsys.readouterr().err
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert trace_main(["export", str(empty)]) == 1
-    assert "empty" in capsys.readouterr().err
-    # A corrupt events file is a diagnostic naming file and line.
-    for text, where in (("not json\n", "line 1"),
-                        ('{"kind": "pkt_begin", "t": 0}\n[1]\n', "line 2")):
-        empty.write_text(text)
-        assert trace_main(["export", str(empty)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(empty) in err, err
-        assert where in err
+    # The file on disk is the exporter applied to the tracer's raw
+    # events: one producer, no second format in between.
+    again = str(tmp_path / "again.trace.json")
+    write_chrome_trace(again, tr.event_dicts())
+    with open(again) as fh:
+        assert json.load(fh) == doc
 
 
 def test_exporter_closes_unbalanced_input():
