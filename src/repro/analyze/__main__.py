@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from repro.analyze.core import (
     EXIT_FINDINGS,
@@ -20,22 +19,7 @@ from repro.analyze.core import (
     write_report,
 )
 from repro.apps import APP_CLASSES
-from repro.options import LEVEL_ORDER
-
-#: accept the conventional -O spellings alongside the paper's names.
-_LEVEL_ALIASES = {
-    "O0": "BASE", "0": "BASE",
-    "1": "O1", "2": "O2",
-    "3": "SWC", "O3": "SWC", "MAX": "SWC",
-}
-
-
-def resolve_level(text: str) -> Optional[str]:
-    """The paper's name for ``text``, or None when it names no level."""
-    raw = text.upper().lstrip("+-")
-    if raw in LEVEL_ORDER:
-        return raw
-    return _LEVEL_ALIASES.get(raw)
+from repro.options import LEVEL_ORDER, parse_level
 
 
 def main(argv=None) -> int:
@@ -60,7 +44,7 @@ def main(argv=None) -> int:
     if args.app not in APP_CLASSES:
         parser.error("unknown app %r (choose from %s)"
                      % (args.app, ", ".join(sorted(APP_CLASSES))))
-    level = resolve_level(args.level)
+    level = parse_level(args.level)
     if level is None:
         parser.error("unknown optimization level -O %r (have: %s, plus "
                      "-O0/-O3 aliases)" % (args.level, ", ".join(LEVEL_ORDER)))

@@ -11,8 +11,8 @@ Pipeline::
       -> PAC -> SOAR -> PHR -> SWC              (packet optimizations)
       -> code generation per aggregate          (CGIR, regalloc, stack)
 
-Each stage is skippable via :class:`~repro.options.CompilerOptions`,
-reproducing the paper's cumulative BASE..+SWC levels.
+Which stages run is a function of the cumulative level
+(:class:`~repro.options.CompilerOptions`), BASE..+SWC as in the paper.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.ir.verifier import verify_module
 from repro.obs import ledger as obs_ledger
 from repro.obs.trace import compile_stage
 from repro.opt import inline, pac, phr, soar, swc
-from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_function
+from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_module
 from repro.options import CompilerOptions, options_for
 from repro.profiler.interpreter import run_reference
 from repro.profiler.stats import ProfileData
@@ -103,8 +103,7 @@ def compile_ir(
             inline.run(mod)
         _prune_dead_functions(mod, plan)
         if opts.scalar:
-            for fn in mod.functions.values():
-                scalar_optimize_function(fn)
+            scalar_optimize_module(mod)
     record_ir_stage("aggregate")
 
     result = CompileResult(checked=checked, mod=mod, profile=profile,
@@ -114,27 +113,22 @@ def compile_ir(
         with compile_stage("pac"):
             result.pac_result = pac.run(mod)
         record_ir_stage("pac")
-    if opts.soar or opts.phr:
+    if opts.soar:
         with compile_stage("soar"):
             result.soar_result = soar.run(mod)
         record_ir_stage("soar")
     if opts.phr:
         with compile_stage("phr"):
             result.phr_result = phr.run(mod)
-            if opts.scalar:
-                for fn in mod.functions.values():
-                    scalar_optimize_function(fn)
-            if opts.pac:
-                # PHR re-bases accesses of elided encap/decap pairs onto one
-                # common head, so a second combining pass can merge accesses
-                # across former protocol boundaries (the paper's dependence
-                # analysis reaches the same result in one pass); SOAR then
-                # re-annotates the new wide accesses.
-                result.pac_result += pac.run(mod)
-                result.soar_result = soar.run(mod)
-                if opts.scalar:
-                    for fn in mod.functions.values():
-                        scalar_optimize_function(fn)
+            scalar_optimize_module(mod)
+            # PHR re-bases accesses of elided encap/decap pairs onto one
+            # common head, so a second combining pass can merge accesses
+            # across former protocol boundaries (the paper's dependence
+            # analysis reaches the same result in one pass); SOAR then
+            # re-annotates the new wide accesses.
+            result.pac_result += pac.run(mod)
+            result.soar_result = soar.run(mod)
+            scalar_optimize_module(mod)
         record_ir_stage("phr")
 
     result.fast_functions = plan.fast_functions(mod)
@@ -148,8 +142,7 @@ def compile_ir(
                       check_period=period)
             result.swc_result = swc_result
         record_ir_stage("swc")
-    if opts.phr and opts.inline:
-        # The out-of-line access helpers of BASE/-O1 read head from SRAM.
+    if opts.phr:
         phr.plan_packet_state(mod, result.fast_functions, result.phr_result)
 
     with compile_stage("verify"):

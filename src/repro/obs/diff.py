@@ -6,39 +6,24 @@ Usage::
     python -m repro.obs.diff old_BENCH_fig13.json new_BENCH_fig13.json \
         [--tolerance 0.05]
 
-The file kind is auto-detected from the ``kind`` field written by
-:mod:`repro.obs.ledger` (``compile_report``), ``python -m repro.sweep``
-(``bench``), the serve harness (``bench_churn``), and the sweep's
-stall-attribution profiler (``bench_occupancy``). A file whose ``kind``
-is none of those is an error (exit :data:`EXIT_REGRESSION`), never
-silently treated as an empty diff -- a typo'd or future-format file
-must fail CI loudly.
+The file kind is read from the ``kind`` field its writer put there
+(:data:`KNOWN_KINDS`). Each kind is flattened to cells, ``{cell:
+{metric: value}}`` (:data:`FLATTENERS`), and one walker
+(:func:`diff_cells`) compares the old cells with the new ones: it prints
+every metric that moved and applies the rule :data:`GATES` declares for
+it. The policy, whole:
 
-* **compile report vs compile report** -- prints decision-count deltas
-  per pass/verdict plus summary deltas (IR size, image code size,
-  estimated throughput, per-pass optimization wins). Exits 0 unless
-  ``--gate`` is given, in which case it exits 2 when the new report
-  *regresses*: an image's code size grows beyond ``--tolerance``, SOAR's
-  resolution rate drops, or a previously nonzero optimization win
-  (PAC combines, SWC acceptances, PHR elisions) falls to zero.
-* **bench vs bench** -- compares forwarding rates level by level and ME
-  count by ME count (cells keyed by each file's own ``me_counts``);
-  exits 2 when any new rate drops more than ``--tolerance``
-  (fractional) below the old rate, or when a level, a cell or a
-  Table-1 row of the old file is absent from the new one. This is the
-  CI perf-regression gate.
-* **churn bench vs churn bench** (``python -m repro.serve`` output) --
-  gates the serve harness: mean forwarding rate must not drop and
-  overall p99 latency must not grow beyond ``--tolerance``, and the
-  number of applied control-plane updates must not change.
-* **occupancy bench vs occupancy bench** (``python -m repro.sweep
-  --profile`` output) -- gates the stall-cycle attribution: a cell's
-  bottleneck verdict (kind or saturated channel) must not change, no
-  cell may vanish, rates must not drop beyond ``--tolerance``
-  (fractional), and no attribution share may shift beyond
-  ``--tolerance`` (absolute).
+* A metric without a row in :data:`GATES` is printed and never gates.
+* A cell, or a gated metric, that the old file had and the new one
+  lacks is always a regression -- a gate that cannot see a cell must not
+  pass it. Only ``opt.<pass>`` cells come and go freely: two levels run
+  different passes.
+* Bench kinds always gate (exit :data:`EXIT_REGRESSION`); compile
+  reports list their regressions but exit 2 only under ``--gate``.
 
-Two identical files always diff clean and exit 0.
+A file whose ``kind`` is unknown, or whose body does not have the shape
+its kind declares, is an error at the same exit code, never a clean
+empty diff or a traceback. Two identical files always diff clean.
 """
 
 from __future__ import annotations
@@ -47,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Tuple
 
 #: Exit code for a gated regression (1 is reserved for usage/IO errors).
@@ -88,7 +74,7 @@ def load_file(path: str, kind: Optional[str] = None) -> dict:
     if kind is not None and data["kind"] != kind:
         raise SystemExit2("%s is not a %s file (kind=%r)"
                           % (path, kind, data["kind"]))
-    problem = _mismatch(data, _SHAPES.get(data["kind"], {}), "")
+    problem = _mismatch(data, _SHAPES[data["kind"]], "")
     if not problem and data["kind"] == "bench":
         # A rate row is one cell per ME count: a row of any other length
         # cannot be keyed, whichever of the two the writer got wrong.
@@ -107,23 +93,41 @@ def load_file(path: str, kind: Optional[str] = None) -> dict:
 # -- body shape, checked by load_file ---------------------------------------------------
 
 _NUM = (int, float)
-_TYPE_NAMES = {_NUM: "number", str: "string", object: "value"}
+_TYPE_NAMES = {_NUM: "number", str: "string", dict: "object", object: "value"}
 
-#: Per bench kind, the fields the differs and renderers dereference and
-#: the type each must have: a dict is an object (the key ``str`` stands
-#: for every key not named), ``[T]`` a list of T. Fields are read through
+#: Per kind, the fields the flatteners and renderers dereference and the
+#: type each must have: a dict is an object (the key ``str`` stands for
+#: every key not named), ``[T]`` a list of T. Fields are read through
 #: ``.get``, so an absent one is fine, as is a null where an object or
 #: list is expected; a wrong *type* is not.
 _SHAPES = {
+    "compile_report": {
+        "ir": {str: _NUM}, "plan": {"throughput_pps": _NUM,
+                                    "aggregates": [dict]},
+        "images": {str: dict.fromkeys(
+            ("code_size", "n_insns", "lm_stack_words", "sram_stack_words"),
+            _NUM)},
+        "opt": {str: {str: object}, "pac": {str: _NUM},
+                "soar": {"resolution_rate": _NUM, "resolved_accesses": _NUM,
+                         "total_accesses": _NUM},
+                "phr": {"localized_meta_fields": [str], "elided_encaps": _NUM,
+                        "syncs_inserted": _NUM, "state_functions": _NUM,
+                        "state_writebacks": _NUM},
+                "swc": {"cached": [dict], "rejected": {str: object},
+                        "rewritten_loads": _NUM}},
+        "decisions": [dict], "decision_counts": {str: {str: _NUM}}},
     "bench": {"app": str, "rates": {str: [_NUM]},
               "mem_accesses": {str: {str: _NUM}}, "me_counts": [_NUM]},
     "bench_churn": {"summary": {
         "mean_rate_gbps": _NUM, "updates_applied": _NUM,
-        "latency": {"p99": _NUM}}},
+        "stale_cycles_max": _NUM, "latency": {"p99": _NUM}}},
     "bench_occupancy": {"cells": {str: {
         "app": str, "level": str, "n_mes": _NUM, "rate_gbps": _NUM,
         "shares": {str: _NUM}, "verdict": {"text": str}}}},
 }
+
+#: Every file format this tool knows how to diff.
+KNOWN_KINDS = tuple(_SHAPES)
 
 
 def _mismatch(value, shape, path: str) -> Optional[str]:
@@ -150,335 +154,191 @@ def _mismatch(value, shape, path: str) -> Optional[str]:
     return None if ok else "'%s' is not a %s" % (path, what)
 
 
-# -- compile report vs compile report -------------------------------------------------
+# -- file -> cells ----------------------------------------------------------------------
+
+Cells = Dict[str, Dict[str, object]]
 
 
-def _count_table(report: dict) -> Dict[Tuple[str, str], int]:
-    out: Dict[Tuple[str, str], int] = {}
-    for pass_name, verdicts in (report.get("decision_counts") or {}).items():
-        for verdict, n in verdicts.items():
-            out[(pass_name, verdict)] = n
+def _flat(obj: Optional[dict], prefix: str = "") -> Dict[str, object]:
+    """A JSON object as ``{dotted.path: scalar}``; a list counts as its
+    length (``swc.cached``), a null is absent."""
+    out: Dict[str, object] = {}
+    for key, v in (obj or {}).items():
+        if isinstance(v, dict):
+            out.update(_flat(v, prefix + key + "."))
+        elif v is not None:
+            out[prefix + key] = len(v) if isinstance(v, list) else v
     return out
 
 
-def _opt_wins(report: dict) -> Dict[str, float]:
-    """The per-pass 'how much did it optimize' scalars used for gating."""
-    opt = report.get("opt") or {}
-    wins: Dict[str, float] = {}
-    pac = opt.get("pac")
-    if pac:
-        for key in ("combined_loads", "combined_stores", "anchored_loads",
-                    "combined_global_loads", "wide_global_loads"):
-            wins["pac." + key] = pac.get(key, 0)
-    soar = opt.get("soar")
-    if soar:
-        wins["soar.resolution_rate"] = soar.get("resolution_rate", 0.0)
-    phr = opt.get("phr")
-    if phr:
-        wins["phr.elided_encaps"] = phr.get("elided_encaps", 0)
-        wins["phr.localized_meta_fields"] = len(
-            phr.get("localized_meta_fields", []))
-        wins["phr.state_functions"] = phr.get("state_functions", 0)
-    swc = opt.get("swc")
-    if swc:
-        wins["swc.cached"] = len(swc.get("cached", []))
-        wins["swc.rewritten_loads"] = swc.get("rewritten_loads", 0)
-    return wins
-
-
-def diff_compile(old: dict, new: dict, tolerance: float,
-                 gate: bool) -> Tuple[List[str], List[str]]:
-    """(report_lines, regression_lines). Regressions are only *fatal*
-    when gating, but they are always listed."""
-    lines: List[str] = []
-    regressions: List[str] = []
-
-    lines.append("compile report diff: %s -> %s" % (
-        old.get("level"), new.get("level")))
-
-    # Decision-count deltas.
-    oc, nc = _count_table(old), _count_table(new)
-    keys = sorted(set(oc) | set(nc))
-    changed = [(k, oc.get(k, 0), nc.get(k, 0)) for k in keys
-               if oc.get(k, 0) != nc.get(k, 0)]
-    if changed:
-        lines.append("decision deltas:")
-        for (pass_name, verdict), a, b in changed:
-            lines.append("  %-14s %-18s %4d -> %-4d (%+d)" % (
-                pass_name, verdict, a, b, b - a))
-    else:
-        lines.append("decision counts: identical "
-                     "(%d decisions)" % len(new.get("decisions") or []))
-
-    # Summary deltas.
-    o_ir, n_ir = old.get("ir") or {}, new.get("ir") or {}
-    if o_ir.get("instrs") != n_ir.get("instrs"):
-        lines.append("ir instrs: %s -> %s" % (o_ir.get("instrs"),
-                                              n_ir.get("instrs")))
-    o_plan, n_plan = old.get("plan") or {}, new.get("plan") or {}
-    o_tp = o_plan.get("throughput_pps", 0.0)
-    n_tp = n_plan.get("throughput_pps", 0.0)
-    if o_tp != n_tp:
-        lines.append("estimated throughput: %.0f -> %.0f pps (%+.1f%%)" % (
-            o_tp, n_tp, 100 * (n_tp - o_tp) / o_tp if o_tp else 0.0))
-
-    o_imgs, n_imgs = old.get("images") or {}, new.get("images") or {}
-    for name in sorted(set(o_imgs) | set(n_imgs)):
-        a = (o_imgs.get(name) or {}).get("code_size")
-        b = (n_imgs.get(name) or {}).get("code_size")
-        if a is None and b is None:
-            continue
-        if a != b:
-            lines.append("image %s code size: %s -> %s words" % (name, a, b))
-        # Every edge of the lattice is gated: an image that appears,
-        # vanishes, or grows from a zero/absent baseline is a layout
-        # change CI must see, not a hole in the tolerance check.
-        if a is None:
-            regressions.append(
-                "image %s newly appears (%s words)" % (name, b))
-        elif b is None:
-            regressions.append(
-                "image %s vanished (was %s words)" % (name, a))
-        elif not a and b:
-            regressions.append(
-                "image %s code size grew from zero baseline "
-                "(0 -> %d words)" % (name, b))
-        elif a and not b:
-            regressions.append(
-                "image %s code size fell to zero (was %d words)" % (name, a))
-        elif b > a * (1 + tolerance):
-            regressions.append(
-                "image %s code size grew %.1f%% (%d -> %d words, "
-                "tolerance %.0f%%)" % (name, 100 * (b - a) / a, a, b,
-                                       100 * tolerance))
-
-    ow, nw = _opt_wins(old), _opt_wins(new)
-    for key in sorted(set(ow) | set(nw)):
-        a, b = ow.get(key), nw.get(key)
-        if a != b:
-            lines.append("%s: %s -> %s" % (key, a, b))
-        if a is None or b is None:
-            # A pass ran in only one of the two compiles (different
-            # levels): a delta, not a regression.
-            continue
-        if key == "soar.resolution_rate":
-            if b < a - 1e-9:
-                regressions.append(
-                    "SOAR resolution rate dropped %.3f -> %.3f" % (a, b))
-        elif a > 0 and b == 0:
-            regressions.append("%s fell to zero (was %g)" % (key, a))
-
-    return lines, regressions
-
-
-# -- bench vs bench -------------------------------------------------------------------
-
-
-def _gate_rate_drop(regressions: List[str], what: str, a: float, b: float,
-                    tolerance: float, digits: int = 3,
-                    unit: str = "") -> None:
-    """Record "<what> dropped a -> b" when ``b`` fell more than
-    ``tolerance`` (fractional) below a positive ``a``."""
-    if a > 0 and b < a * (1 - tolerance):
-        regressions.append(
-            "%s dropped %.*f -> %.*f%s (-%.1f%%, tolerance %.0f%%)"
-            % (what, digits, a, digits, b, unit, 100 * (a - b) / a,
-               100 * tolerance))
-
-
-def _gate_cycles_growth(regressions: List[str], what: str, a: float,
-                        b: float, tolerance: float) -> None:
-    """Record "<what> grew a -> b" when ``b`` rose more than
-    ``tolerance`` (fractional) above ``a`` -- or appeared at all from a
-    zero baseline, where no fraction applies (a service that served no
-    stale frame must not start to, ungated)."""
-    if a > 0 and b > a * (1 + tolerance):
-        regressions.append(
-            "%s grew %g -> %g cycles (+%.1f%%, tolerance %.0f%%)"
-            % (what, a, b, 100 * (b - a) / a, 100 * tolerance))
-    elif a <= 0 < b:
-        regressions.append(
-            "%s grew from a zero baseline to %g cycles" % (what, b))
-
-
-def _rate_cells(bench: dict) -> Dict[str, Dict[int, float]]:
-    """level -> {n_mes: rate}; ``load_file`` has checked that every row
-    has one entry per ME count."""
+def _bench_cells(bench: dict) -> Cells:
+    """``LEVEL@n`` per rate point (``load_file`` has checked that every
+    row has one entry per ME count), ``LEVEL table1`` per Table-1 row."""
+    cells: Cells = {}
     me_counts = bench.get("me_counts") or []
-    return {level: dict(zip(me_counts, row or []))
-            for level, row in (bench.get("rates") or {}).items()}
+    for level, row in (bench.get("rates") or {}).items():
+        for n, rate in zip(me_counts, row or []):
+            cells["%s@%s" % (level, n)] = {"rate_gbps": rate}
+    for level, row in (bench.get("mem_accesses") or {}).items():
+        cells["%s table1" % level] = _flat(row)
+    return cells
 
 
-def diff_bench(old: dict, new: dict,
-               tolerance: float) -> Tuple[List[str], List[str]]:
-    """Gate BENCH_fig13/14/15.json: no rate may drop beyond
-    ``tolerance``, and nothing the old file measured -- a level, one
-    (level, ME count) cell, a Table-1 row -- may be missing from the new
-    one (a gate that cannot see a cell must not pass it)."""
-    lines: List[str] = []
-    regressions: List[str] = []
-    lines.append("bench diff: %s (%s)" % (new.get("figure", "?"),
-                                          new.get("app", "?")))
-    o_rates, n_rates = _rate_cells(old), _rate_cells(new)
-    for level in sorted(set(o_rates) | set(n_rates)):
-        a_row, b_row = o_rates.get(level), n_rates.get(level)
-        if a_row is None:
-            lines.append("  %s: only in new file" % level)
-            continue
-        if b_row is None:
-            lines.append("  %s: vanished" % level)
-            regressions.append("level %s vanished from the new file" % level)
-            continue
-        if a_row == b_row:
-            continue
-        lines.append("  %s: %s -> %s" % (level, old["rates"][level],
-                                         new["rates"][level]))
-        for mes, a in sorted(a_row.items()):
-            if mes not in b_row:
-                regressions.append("%s at %s MEs vanished from the new file"
-                                   % (level, mes))
-                continue
-            _gate_rate_drop(regressions,
-                            "%s at %s MEs: rate" % (level, mes), a,
-                            b_row[mes], tolerance)
-    if len(lines) == 1:
-        lines.append("  rates identical")
-
-    o_mem = old.get("mem_accesses") or {}
-    n_mem = new.get("mem_accesses") or {}
-    for level in sorted(set(o_mem) | set(n_mem)):
-        if o_mem.get(level) != n_mem.get(level):
-            lines.append("  mem_accesses[%s]: %s -> %s" % (
-                level, o_mem.get(level), n_mem.get(level)))
-        if level not in n_mem:
-            regressions.append("mem_accesses[%s] vanished from the new file"
-                               % level)
-    return lines, regressions
+def _churn_cells(bench: dict) -> Cells:
+    return {"summary": _flat(bench.get("summary"))}
 
 
-# -- churn bench vs churn bench -------------------------------------------------------
+def _occupancy_cells(bench: dict) -> Cells:
+    """One cell per rate point: the *explanation* of a rate is part of
+    the benchmark, so the bottleneck verdict (kind and saturated
+    channel) sits beside the rate and the attribution shares."""
+    cells: Cells = {}
+    for key, cell in (bench.get("cells") or {}).items():
+        verdict = cell.get("verdict") or {}
+        cells[key] = dict(
+            _flat(cell.get("shares"), "share."),
+            rate_gbps=cell.get("rate_gbps"),
+            verdict="%s(%s)" % (verdict.get("kind"), verdict.get("channel")))
+    return cells
 
 
-def diff_churn(old: dict, new: dict,
-               tolerance: float) -> Tuple[List[str], List[str]]:
-    """Gate the serve harness's BENCH_churn.json: mean forwarding rate
-    must not drop, overall p99 and the longest staleness after an update
-    must not grow, and the run must keep applying (and observing the
-    effect of) the same number of updates."""
-    lines: List[str] = []
-    regressions: List[str] = []
-    lines.append("churn bench diff: %s/%s (%s windows)" % (
-        new.get("app", "?"), new.get("level", "?"), new.get("windows", "?")))
+def _compile_cells(report: dict) -> Cells:
+    cells: Cells = {
+        "decisions": _flat(report.get("decision_counts")),
+        "summary": _flat({"ir": report.get("ir"), "throughput_pps": (
+            report.get("plan") or {}).get("throughput_pps")})}
+    for name, image in (report.get("images") or {}).items():
+        cells["image %s" % name] = _flat(image)
+    for name, section in (report.get("opt") or {}).items():
+        if section:  # null: the pass did not run at this level
+            cells["opt.%s" % name] = _flat(section)
+    return cells
 
-    o_sum, n_sum = old.get("summary") or {}, new.get("summary") or {}
-    a = o_sum.get("mean_rate_gbps", 0.0)
-    b = n_sum.get("mean_rate_gbps", 0.0)
+
+FLATTENERS = {"compile_report": _compile_cells, "bench": _bench_cells,
+              "bench_churn": _churn_cells, "bench_occupancy": _occupancy_cells}
+
+
+# -- the gate table ---------------------------------------------------------------------
+
+
+def _drop(a, b, tol):
+    if a > 0 and b < a * (1 - tol):
+        return "dropped %s -> %s (-%.1f%%, tolerance %.0f%%)" % (
+            a, b, 100 * (a - b) / a, 100 * tol)
+
+
+def _grow(a, b, tol):
+    if a > 0 and b > a * (1 + tol):
+        return "grew %s -> %s (+%.1f%%, tolerance %.0f%%)" % (
+            a, b, 100 * (b - a) / a, 100 * tol)
+    if a <= 0 < b:  # no fraction applies: appearing at all is the change
+        return "grew from a zero baseline to %s" % b
+
+
+def _shift(a, b, tol):
+    if abs(b - a) > tol:
+        return "shifted %s -> %s (|delta| %.4f > tolerance %.4f)" % (
+            a, b, abs(b - a), tol)
+
+
+def _same(a, b, tol):
     if a != b:
-        lines.append("  mean rate: %.4f -> %.4f Gbps" % (a, b))
-    _gate_rate_drop(regressions, "mean rate", a, b, tolerance,
-                    digits=4, unit=" Gbps")
-
-    o_lat = o_sum.get("latency") or {}
-    n_lat = n_sum.get("latency") or {}
-    for what, a, b in (
-            ("p99 latency", o_lat.get("p99", 0.0), n_lat.get("p99", 0.0)),
-            ("longest staleness", o_sum.get("stale_cycles_max", 0.0),
-             n_sum.get("stale_cycles_max", 0.0))):
-        if a != b:
-            lines.append("  %s: %g -> %g cycles" % (what, a, b))
-        _gate_cycles_growth(regressions, what, a, b, tolerance)
-
-    a = o_sum.get("updates_applied", 0)
-    b = n_sum.get("updates_applied", 0)
-    if a != b:
-        lines.append("  updates applied: %d -> %d" % (a, b))
-        regressions.append("updates applied changed %d -> %d (the churn "
-                           "schedule is part of the benchmark)" % (a, b))
-    for key in ("drops", "stale_tx_total"):
-        if o_sum.get(key) != n_sum.get(key):
-            lines.append("  %s: %s -> %s" % (key, o_sum.get(key),
-                                             n_sum.get(key)))
-    if len(lines) == 1:
-        lines.append("  summaries identical")
-    return lines, regressions
+        return "changed %s -> %s" % (a, b)
 
 
-# -- occupancy bench vs occupancy bench -----------------------------------------------
+def _not_lower(a, b, tol):
+    if b < a - 1e-9:
+        return "dropped %s -> %s" % (a, b)
 
 
-def diff_occupancy(old: dict, new: dict,
-                   tolerance: float) -> Tuple[List[str], List[str]]:
-    """Gate the sweep's BENCH_occupancy.json (stall-cycle attribution):
-    the *explanation* of each rate point is part of the benchmark, so a
-    changed bottleneck verdict is a regression just like a dropped
-    rate. ``tolerance`` is fractional for rates and absolute for
-    attribution shares (a share is already a fraction of total
-    cycles)."""
+def _not_to_zero(a, b, tol):
+    if a > 0 and b == 0:
+        return "fell to zero (was %s)" % a
+
+
+#: Rule name -> ``rule(old, new, tolerance)``: the regression text, or
+#: None. ``tolerance`` is fractional for ``drop``/``grow`` and absolute
+#: for ``shift`` (a share is already a fraction of total cycles).
+RULES = {"drop": _drop, "grow": _grow, "shift": _shift, "same": _same,
+         "not_lower": _not_lower, "not_to_zero": _not_to_zero}
+
+#: What CI gates: ``(kind, cell, metric, rule)``, cell and metric as
+#: ``fnmatch`` patterns. Everything else a flattener emits is printed
+#: when it moves and never gates.
+GATES = (
+    ("bench", "*@*", "rate_gbps", "drop"),
+    ("bench_churn", "summary", "mean_rate_gbps", "drop"),
+    ("bench_churn", "summary", "latency.p99", "grow"),
+    ("bench_churn", "summary", "stale_cycles_max", "grow"),
+    # The churn schedule is part of the benchmark.
+    ("bench_churn", "summary", "updates_applied", "same"),
+    ("bench_occupancy", "*", "verdict", "same"),
+    ("bench_occupancy", "*", "rate_gbps", "drop"),
+    ("bench_occupancy", "*", "share.*", "shift"),
+    # Every edge of an image's size is a layout change CI must see: it
+    # appears (an absent baseline is a zero baseline under ``grow``),
+    # vanishes, grows, or collapses to nothing.
+    ("compile_report", "image *", "code_size", "grow"),
+    ("compile_report", "image *", "code_size", "not_to_zero"),
+    ("compile_report", "opt.soar", "resolution_rate", "not_lower"),
+) + tuple(
+    ("compile_report", "opt." + name, metric, "not_to_zero")
+    for name, metrics in (
+        ("pac", ("combined_loads", "combined_stores", "anchored_loads",
+                 "combined_global_loads", "wide_global_loads")),
+        ("phr", ("elided_encaps", "localized_meta_fields",
+                 "state_functions")),
+        ("swc", ("cached", "rewritten_loads")))
+    for metric in metrics)
+
+
+def diff_cells(kind: str, old: Cells, new: Cells,
+               tolerance: float) -> Tuple[List[str], List[str]]:
+    """(report_lines, regression_lines) for two flattened files of one
+    kind. Regressions are always listed; whether they are fatal is
+    :func:`run_diff`'s call."""
     lines: List[str] = []
     regressions: List[str] = []
-    o_cells = old.get("cells") or {}
-    n_cells = new.get("cells") or {}
-    lines.append("occupancy bench diff: %d -> %d cells"
-                 % (len(o_cells), len(n_cells)))
-
-    changed = False
-    for key in sorted(set(o_cells) | set(n_cells)):
-        a, b = o_cells.get(key), n_cells.get(key)
-        if a is None:
-            lines.append("  %s: only in new file" % key)
-            changed = True
+    for cell in sorted(set(old) | set(new)):
+        a_cell, b_cell = old.get(cell), new.get(cell)
+        if b_cell is None:
+            lines.append("  %s: vanished" % cell)
+            if not cell.startswith("opt."):
+                regressions.append("%s: vanished from the new file" % cell)
             continue
-        if b is None:
-            lines.append("  %s: vanished" % key)
-            regressions.append("cell %s vanished from the new file" % key)
-            changed = True
-            continue
-        if a == b:
-            continue
-        changed = True
-
-        ov, nv = a.get("verdict") or {}, b.get("verdict") or {}
-        if (ov.get("kind"), ov.get("channel")) != (nv.get("kind"),
-                                                   nv.get("channel")):
-            lines.append("  %s: verdict %s/%s -> %s/%s" % (
-                key, ov.get("kind"), ov.get("channel"),
-                nv.get("kind"), nv.get("channel")))
-            regressions.append(
-                "%s: bottleneck verdict changed %s(%s) -> %s(%s)"
-                % (key, ov.get("kind"), ov.get("channel"),
-                   nv.get("kind"), nv.get("channel")))
-
-        ra, rb = a.get("rate_gbps", 0.0), b.get("rate_gbps", 0.0)
-        if ra != rb:
-            lines.append("  %s: rate %.3f -> %.3f Gbps" % (key, ra, rb))
-        _gate_rate_drop(regressions, "%s: rate" % key, ra, rb, tolerance,
-                        unit=" Gbps")
-
-        o_sh, n_sh = a.get("shares") or {}, b.get("shares") or {}
-        for cat in sorted(set(o_sh) | set(n_sh)):
-            sa, sb = o_sh.get(cat, 0.0), n_sh.get(cat, 0.0)
-            if sa == sb:
-                continue
-            lines.append("  %s: share[%s] %.4f -> %.4f" % (key, cat,
-                                                           sa, sb))
-            if abs(sb - sa) > tolerance:
-                regressions.append(
-                    "%s: %s share shifted %.4f -> %.4f (|delta| %.4f > "
-                    "tolerance %.4f)" % (key, cat, sa, sb,
-                                         abs(sb - sa), tolerance))
-    if not changed:
+        if a_cell is None:
+            lines.append("  %s: only in new file" % cell)
+            a_cell = {}
+        for metric in sorted(set(a_cell) | set(b_cell)):
+            a, b = a_cell.get(metric), b_cell.get(metric)
+            if a != b:
+                lines.append("  %s: %s %s -> %s" % (
+                    cell, metric, "-" if a is None else a,
+                    "-" if b is None else b))
+            for rule in (r for k, c, m, r in GATES if k == kind
+                         and fnmatchcase(cell, c) and fnmatchcase(metric, m)):
+                if b is None:
+                    why = "vanished from the new file"
+                elif a is None:
+                    # New to the file: nothing to compare against, except
+                    # that nothing may *appear* past a growth gate.
+                    why = _grow(0, b, tolerance) if rule == "grow" else None
+                else:
+                    why = RULES[rule](a, b, tolerance)
+                if why:
+                    regressions.append("%s: %s %s" % (cell, metric, why))
+    if not lines:
         lines.append("  cells identical")
     return lines, regressions
 
 
 # -- CLI ------------------------------------------------------------------------------
 
-#: Bench kind -> ``differ(old, new, tolerance) -> (lines, regressions)``.
-BENCH_DIFFERS = {"bench": diff_bench, "bench_churn": diff_churn,
-                 "bench_occupancy": diff_occupancy}
 
-#: Every file format this tool knows how to diff.
-KNOWN_KINDS = ("compile_report",) + tuple(BENCH_DIFFERS)
+def _label(data: dict) -> str:
+    return " ".join(str(data[k]) for k in ("figure", "app", "level")
+                    if data.get(k) is not None) or "?"
 
 
 def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
@@ -490,18 +350,17 @@ def run_diff(old_path: str, new_path: str, tolerance: float = 0.05,
         raise SystemExit2("cannot diff %s against %s" % (old["kind"],
                                                          new["kind"]))
     kind = old["kind"]
-    if kind == "compile_report":
-        lines, regressions = diff_compile(old, new, tolerance,
-                                          gate=bool(gate))
-        fatal = bool(gate) and bool(regressions)
-    else:  # load_file admits only compile reports and BENCH_DIFFERS kinds
-        lines, regressions = BENCH_DIFFERS[kind](old, new, tolerance)
-        fatal = bool(regressions) and gate is not False
+    flatten = FLATTENERS[kind]
+    lines, regressions = diff_cells(kind, flatten(old), flatten(new),
+                                    tolerance)
+    lines.insert(0, "%s diff: %s -> %s" % (kind, _label(old), _label(new)))
     if regressions:
         lines.append("REGRESSIONS:")
         lines.extend("  " + r for r in regressions)
     else:
         lines.append("no regressions beyond tolerance")
+    fatal = bool(regressions) and (
+        bool(gate) if kind == "compile_report" else gate is not False)
     return "\n".join(lines), (EXIT_REGRESSION if fatal else 0)
 
 

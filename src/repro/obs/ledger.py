@@ -117,24 +117,6 @@ class DecisionLedger:
     def since(self, mark: int) -> List[Decision]:
         return self.decisions[mark:]
 
-    # -- export ------------------------------------------------------------------
-
-    def records(self) -> List[Dict[str, object]]:
-        return [d.to_record() for d in self.decisions]
-
-    def merge_records(self, records: List[Dict[str, object]]) -> None:
-        """Append JSON-ready decision records (a worker process's
-        :meth:`records` slice shipped across a pickle boundary) with
-        sequence numbers re-based onto this ledger."""
-        if not self.enabled:
-            return
-        for rec in records:
-            self.decisions.append(Decision(
-                len(self.decisions), rec.get("pass", "?"),
-                rec.get("subject", "?"), rec.get("verdict", "?"),
-                rec.get("reason", ""), dict(rec.get("evidence") or {}),
-                rec.get("loc")))
-
     def clear(self) -> None:
         self.decisions = []
 
@@ -337,14 +319,14 @@ def main(argv=None) -> int:
 
     from repro.apps import APP_CLASSES, get_app
     from repro.compiler import compile_baker
-    from repro.options import OPT_LEVELS, options_for
+    from repro.options import LEVEL_ORDER, options_for, parse_level
 
     # Fail fast, naming flag and value, before anything is compiled or
     # written (exit 2, like the sweep and serve CLIs).
-    level = args.level.upper().lstrip("+-")
-    if level not in OPT_LEVELS:
+    level = parse_level(args.level)
+    if level is None:
         ap.error("unknown --level %r (choose from %s)"
-                 % (args.level, "/".join(OPT_LEVELS)))
+                 % (args.level, "/".join(LEVEL_ORDER)))
     if args.app not in APP_CLASSES:
         ap.error("unknown --app %r (choose from %s)"
                  % (args.app, ", ".join(sorted(APP_CLASSES))))

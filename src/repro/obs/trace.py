@@ -332,11 +332,6 @@ def capture_compile_spans(on: bool = True) -> None:
     _COMPILE_SPANS = [] if on else None
 
 
-def spans_armed() -> bool:
-    """Whether compile-stage span capture is currently armed."""
-    return _COMPILE_SPANS is not None
-
-
 def drain_compile_spans() -> List[Tuple[str, Dict[str, object], float, float]]:
     """Return and clear the captured spans ([] when capture is off)."""
     global _COMPILE_SPANS
@@ -344,20 +339,6 @@ def drain_compile_spans() -> List[Tuple[str, Dict[str, object], float, float]]:
         return []
     spans, _COMPILE_SPANS = _COMPILE_SPANS, []
     return spans
-
-
-def inject_compile_spans(
-        spans: List[Tuple[str, Dict[str, object], float, float]]) -> None:
-    """Append spans captured elsewhere (typically drained in a sweep
-    worker process and shipped back) into this process's armed span
-    list, arming it if needed, so one exported timeline can carry every
-    worker's compile stages."""
-    global _COMPILE_SPANS
-    if not spans:
-        return
-    if _COMPILE_SPANS is None:
-        _COMPILE_SPANS = []
-    _COMPILE_SPANS.extend((s[0], dict(s[1]), s[2], s[3]) for s in spans)
 
 
 @contextmanager

@@ -34,14 +34,14 @@ def scalar_optimize_function(fn: IRFunction) -> None:
         iterations=_MAX_ITER, max_iter=_MAX_ITER)
 
 
+def scalar_optimize_module(mod: IRModule) -> None:
+    for fn in mod.functions.values():
+        scalar_optimize_function(fn)
+
+
 def run_scalar_pipeline(mod: IRModule, opts: CompilerOptions) -> None:
     """Apply -O1/-O2 (scalar + inlining) according to ``opts``."""
     if opts.inline:
         inline.run(mod)
     if opts.scalar:
-        for fn in mod.functions.values():
-            scalar_optimize_function(fn)
-    elif opts.inline:
-        # Inlining without scalar cleanup still needs CFG normalization.
-        for fn in mod.functions.values():
-            simplify_cfg(fn)
+        scalar_optimize_module(mod)

@@ -19,19 +19,39 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
+
+#: The cumulative levels, in the order Table 1 / Figures 13-15 add them.
+LEVEL_ORDER: List[str] = ["BASE", "O1", "O2", "PAC", "SOAR", "PHR", "SWC"]
+
+#: The conventional -O spellings, accepted by every CLI beside the
+#: paper's names.
+_LEVEL_ALIASES = {
+    "O0": "BASE", "0": "BASE",
+    "1": "O1", "2": "O2",
+    "3": "SWC", "O3": "SWC", "MAX": "SWC",
+}
+
+
+def parse_level(text: str) -> Optional[str]:
+    """The paper's name for ``text`` (any case, an optional leading
+    ``+``/``-``, or an -O alias); None when it names no level."""
+    raw = text.upper().lstrip("+-")
+    return raw if raw in LEVEL_ORDER else _LEVEL_ALIASES.get(raw)
+
+
+def _from_level(level: str, doc: str) -> property:
+    """Read-only flag: on at ``level`` and every level above it."""
+    rank = LEVEL_ORDER.index(level)
+    return property(lambda self: LEVEL_ORDER.index(self.name) >= rank,
+                    doc=doc)
 
 
 @dataclass(frozen=True)
 class CompilerOptions:
+    #: The cumulative level: what runs is a function of it alone.
     name: str = "SWC"
-    scalar: bool = True  # -O1: constprop/copyprop/CSE/DCE/CFG simplify
-    inline: bool = True  # -O2: inlining (user helpers + packet routines)
-    pac: bool = True  # packet access combining
-    soar: bool = True  # static offset and alignment resolution
-    phr: bool = True  # packet handling removal
-    swc: bool = True  # delayed-update software-controlled caching
     stack_opt: bool = True  # compact pSP/vSP stack layout
     # SWC tuning: delayed-update coherency check period (packets). A
     # configured period is *requested*, not final: the compiler clamps
@@ -44,26 +64,21 @@ class CompilerOptions:
     num_mes: int = 6  # programmable MEs (2 of 8 reserved for Rx/Tx)
     me_code_store: int = 4096  # instructions per ME
 
+    def __post_init__(self) -> None:
+        if self.name not in LEVEL_ORDER:
+            raise ValueError("unknown optimization level %r (choose from %s)"
+                             % (self.name, ", ".join(LEVEL_ORDER)))
 
-def _lvl(name: str, **flags) -> CompilerOptions:
-    base = dict(scalar=False, inline=False, pac=False, soar=False,
-                phr=False, swc=False)
-    base.update(flags)
-    return CompilerOptions(name=name, **base)
+    scalar = _from_level("O1", "constprop/copyprop/CSE/DCE/CFG simplify")
+    inline = _from_level("O2", "inlining (user helpers + packet routines)")
+    pac = _from_level("PAC", "packet access combining")
+    soar = _from_level("SOAR", "static offset and alignment resolution")
+    phr = _from_level("PHR", "packet handling removal")
+    swc = _from_level("SWC", "delayed-update software-controlled caching")
 
 
-#: Cumulative levels exactly as Table 1 / Figures 13-15 enable them.
 OPT_LEVELS: Dict[str, CompilerOptions] = {
-    "BASE": _lvl("BASE"),
-    "O1": _lvl("O1", scalar=True),
-    "O2": _lvl("O2", scalar=True, inline=True),
-    "PAC": _lvl("PAC", scalar=True, inline=True, pac=True),
-    "SOAR": _lvl("SOAR", scalar=True, inline=True, pac=True, soar=True),
-    "PHR": _lvl("PHR", scalar=True, inline=True, pac=True, soar=True, phr=True),
-    "SWC": _lvl("SWC", scalar=True, inline=True, pac=True, soar=True, phr=True, swc=True),
-}
-
-LEVEL_ORDER: List[str] = list(OPT_LEVELS)
+    name: CompilerOptions(name=name) for name in LEVEL_ORDER}
 
 
 def options_for(level: str, **overrides) -> CompilerOptions:

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from repro.apps import APP_CLASSES
-from repro.options import LEVEL_ORDER, options_for
+from repro.options import LEVEL_ORDER, parse_level
 from repro.serve.churn import CHURN_KINDS, parse_churn_spec
 from repro.serve.harness import ServeConfig, run_service
 
@@ -70,9 +70,8 @@ def main(argv=None) -> int:
     # Fail fast, naming flag and value, before anything is compiled --
     # not a KeyError/ZeroDivisionError traceback (or a run that never
     # ends) from inside the harness.
-    try:
-        options_for(args.level)
-    except KeyError:
+    level = parse_level(args.level)
+    if level is None:
         ap.error("--level: unknown level %r (choose from %s)"
                  % (args.level, ",".join(LEVEL_ORDER)))
     for flag, floor in (("mes", 1), ("windows", 1), ("impact_k", 0)):
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
         ap.error(str(exc))
 
     cfg = ServeConfig(
-        app=args.app, level=args.level, n_mes=args.mes,
+        app=args.app, level=level, n_mes=args.mes,
         windows=args.windows, window_cycles=args.window_cycles,
         offered_gbps=args.gbps, churn=churn, traffic_seed=args.seed,
         table_seed=args.table_seed, churn_seed=args.churn_seed,

@@ -22,7 +22,7 @@ import sys
 
 from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs_trace
-from repro.options import LEVEL_ORDER
+from repro.options import LEVEL_ORDER, parse_level
 from repro.sweep.cache import CompileCache, repo_root
 from repro.sweep.orchestrator import (
     ME_COUNTS,
@@ -84,7 +84,9 @@ def main(argv=None) -> int:
                     help="bypass the on-disk compile cache")
     ap.add_argument("--ledger", action="store_true",
                     help="record compile decisions (repro.obs.ledger) "
-                         "during any cache-miss compiles")
+                         "beside every compile, giving --analyze's layout "
+                         "and budget checks the compiler's claims to check "
+                         "(without it they warn and skip)")
     ap.add_argument("--analyze", action="store_true",
                     help="run the repro.analyze checks (layout, budget, "
                          "translation validation) on every distinct "
@@ -114,12 +116,13 @@ def main(argv=None) -> int:
     from repro.apps import APP_CLASSES
 
     apps = _csv(args.apps)
-    levels = _csv(args.levels)
+    named = _csv(args.levels)
+    levels = [parse_level(lv) for lv in named]
     bad = [a for a in apps if a not in APP_CLASSES]
     if bad:
         ap.error("unknown apps: %s (choose from %s)"
                  % (",".join(bad), ",".join(sorted(APP_CLASSES))))
-    bad = [lv for lv in levels if lv not in LEVEL_ORDER]
+    bad = [lv for lv, level in zip(named, levels) if level is None]
     if bad:
         ap.error("unknown levels: %s (choose from %s)"
                  % (",".join(bad), ",".join(LEVEL_ORDER)))

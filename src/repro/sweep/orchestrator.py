@@ -6,10 +6,9 @@ compile is cached. This module fans the grid's compile+simulate jobs
 across a ``multiprocessing`` spawn pool and merges the results
 deterministically:
 
-* A job returns **plain picklable data** whether it runs inline
-  (``--jobs 1``) or in a worker process; a worker also ships back the
-  compile-stage spans and ledger decisions it captured, which an inline
-  job leaves in this process's globals where they already are.
+* A job returns **plain picklable data** -- its measurements and, when
+  asked for, its analysis report and occupancy cell -- and is the same
+  call whether it runs inline (``--jobs 1``) or in a worker process.
 * Results are ordered by the **job key**, never by completion order,
   so ``--jobs 1`` and ``--jobs N`` produce bit-identical
   ``BENCH_*.json`` output (asserted in ``tests/test_sweep.py``; CI's
@@ -28,7 +27,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import ledger as obs_ledger
@@ -91,15 +90,13 @@ class SweepJob:
 
 @dataclass
 class JobResult:
-    """One job's measured outputs plus its observability payload."""
+    """One job's measured outputs."""
 
     job: SweepJob
     rate_gbps: float
     profile: Dict[str, float]
     cache_hit: bool
     wall_s: float
-    compile_spans: List[tuple] = field(default_factory=list)
-    decisions: List[dict] = field(default_factory=list)
     #: ``repro.analyze`` report for this job's (app, level) compile, when
     #: the sweep runs with ``analyze=True`` (None otherwise).
     analysis: Optional[dict] = None
@@ -119,7 +116,8 @@ class WorkerConfig:
     #: Accepted and selects nothing: ``benchmarks/pipeline/sweep_grid.py``
     #: passes ``obs=False``, and that directory is frozen (ROADMAP item 3).
     obs: bool = True
-    capture_spans: bool = False
+    #: Record compile decisions in the worker: ``analyze``'s layout and
+    #: budget checks read them from the compile they ran beside.
     ledger: bool = False
     #: Opt-in per-job correctness check: run the three ``repro.analyze``
     #: checks (layout, budget, translation validation) over each distinct
@@ -175,21 +173,12 @@ def build_jobs(apps: Sequence[str],
 
 
 def execute_job(job: SweepJob, cfg: WorkerConfig,
-                cache: Optional[CompileCache] = None,
-                detached: bool = False) -> JobResult:
-    """Run one job and return its outputs as picklable plain data.
-
-    ``detached`` marks execution in a worker process: compile-stage
-    spans and ledger decisions are drained/sliced and shipped back in
-    the result (inline execution leaves them in this process's globals,
-    where they already are visible).
-    """
+                cache: Optional[CompileCache] = None) -> JobResult:
+    """Run one job and return its outputs as picklable plain data."""
     from repro.rts.system import run_on_simulator
 
     if cache is None:
         cache = _process_cache(cfg)
-    led = obs_ledger.get_ledger()
-    led_mark = led.mark()
     t0 = time.perf_counter()
     result, trace, hit = _compile(cache, cfg, job.app, job.level,
                                   job.target_gbps)
@@ -212,16 +201,11 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
         occupancy = occupancy_cell(job.app, job.level, job.n_mes,
                                    run.forwarding_gbps, run.occupancy)
     profile = {f: getattr(run.access_profile, f) for f in _PROFILE_FIELDS}
-    spans = obs_trace.drain_compile_spans() if detached else []
-    decisions = ([d.to_record() for d in led.since(led_mark)]
-                 if detached and led.enabled else [])
     return JobResult(job=job,
                      rate_gbps=round(run.forwarding_gbps, 3),
                      profile=profile,
                      cache_hit=hit,
                      wall_s=time.perf_counter() - t0,
-                     compile_spans=spans,
-                     decisions=decisions,
                      analysis=analysis,
                      occupancy=occupancy)
 
@@ -276,30 +260,21 @@ def _worker_init(cfg: WorkerConfig) -> None:
     global _WORKER_CFG, _WORKER_CACHE
     _WORKER_CFG = cfg
     _WORKER_CACHE = CompileCache(cfg.cache_dir, enabled=cfg.use_cache)
-    if cfg.capture_spans:
-        obs_trace.capture_compile_spans()
     if cfg.ledger:
         obs_ledger.enable()
 
 
 def _worker_run(job: SweepJob) -> JobResult:
-    return execute_job(job, _WORKER_CFG, _WORKER_CACHE, detached=True)
+    return execute_job(job, _WORKER_CFG, _WORKER_CACHE)
 
 
-def _worker_precompile(pair: Tuple[str, str, float]):
+def _worker_precompile(pair: Tuple[str, str, float]) -> bool:
     """Warm the disk cache for one compile identity
-    (app, level, target_gbps); returns the compile's stage spans and
-    ledger records so the parent still carries compile timings and
-    decisions on a cold cache."""
+    (app, level, target_gbps); True on a cache hit."""
     app, level, target_gbps = pair
-    cfg = _WORKER_CFG
-    led = obs_ledger.get_ledger()
-    led_mark = led.mark()
-    _res, _trace, hit = _compile(_WORKER_CACHE, cfg, app, level, target_gbps)
-    spans = obs_trace.drain_compile_spans() if cfg.capture_spans else []
-    decisions = ([d.to_record() for d in led.since(led_mark)]
-                 if led.enabled else [])
-    return (pair, hit, spans, decisions)
+    _res, _trace, hit = _compile(_WORKER_CACHE, _WORKER_CFG, app, level,
+                                 target_gbps)
+    return hit
 
 
 # -- the sweep -------------------------------------------------------------------
@@ -407,15 +382,13 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
     ``n_procs <= 1`` runs every job inline; larger values fan jobs
     across a spawn pool after warming the compile cache for the distinct
     (app, level) pairs. Either way the returned :class:`SweepResult`
-    lists jobs in sort-key order, and the workers' compile-stage spans
-    and ledger decisions are folded into this process's, so the two
+    lists jobs in sort-key order -- the one thing merged -- so the two
     modes are indistinguishable to consumers.
     """
     if cfg is None:
         cfg = WorkerConfig(
             cache_dir=cache.cache_dir if cache is not None else None,
             use_cache=cache.enabled if cache is not None else True,
-            capture_spans=obs_trace.spans_armed(),
             ledger=obs_ledger.is_enabled(),
         )
     if cache is None:
@@ -423,7 +396,6 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
 
     ordered = sorted(jobs, key=SweepJob.sort_key)
     t0 = time.perf_counter()
-    warm_records: List[Tuple] = []
     if n_procs <= 1 or len(ordered) <= 1:
         results = [execute_job(job, cfg, cache) for job in ordered]
         n_procs = 1
@@ -433,25 +405,11 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
         procs = min(n_procs, len(ordered))
         with ctx.Pool(procs, initializer=_worker_init,
                       initargs=(cfg,)) as pool:
-            warm_records = pool.map(_worker_precompile, pairs)
+            warm_hits = pool.map(_worker_precompile, pairs)
             results = pool.map(_worker_run, ordered)
         # Local bookkeeping: pool workers hit their own cache objects.
-        for _pair, hit, _spans, _dec in warm_records:
-            if hit:
-                cache.hits += 1
-            else:
-                cache.misses += 1
-
-    led = obs_ledger.get_ledger()
-    # warm_records is already in sorted-pair order (pool.map preserves
-    # input order), so the merge is deterministic.
-    for _pair, _hit, spans, decisions in warm_records:
-        obs_trace.inject_compile_spans(spans)
-        led.merge_records(decisions)
-    for jr in results:
-        obs_trace.inject_compile_spans(jr.compile_spans)
-        led.merge_records(jr.decisions)
-        jr.compile_spans = []
+        cache.hits += sum(warm_hits)
+        cache.misses += len(warm_hits) - sum(warm_hits)
 
     hits = sum(1 for jr in results if jr.cache_hit)
     misses = len(results) - hits

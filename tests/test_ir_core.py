@@ -1,4 +1,4 @@
-"""Unit tests for IR containers, CFG utilities, dominators, liveness."""
+"""Unit tests for IR containers, CFG utilities, dominators."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.ir.cfg import (
 )
 from repro.ir.callgraph import CallGraph
 from repro.ir.dominators import dominator_tree
-from repro.ir.liveness import liveness
 from repro.ir.module import IRFunction
 from repro.ir.values import Const, Temp
 from repro.ir.verifier import IRVerifyError, verify_function, verify_module
@@ -134,27 +133,6 @@ def test_dominates_is_reflexive():
     for bb in fn.blocks:
         assert dom.dominates(bb, bb)
         assert not dom.strictly_dominates(bb, bb)
-
-
-# -- liveness ----------------------------------------------------------------------
-
-
-def test_liveness_param_live_into_loop():
-    fn, bbs = build_loop()
-    info = liveness(fn)
-    n = fn.params[0]
-    assert n in info.live_in[bbs["head"]]
-    assert n not in info.live_out[bbs["exit"]]
-
-
-def test_dead_def_not_live():
-    fn = IRFunction("f", "func", T.U32)
-    entry = fn.new_block("entry")
-    t = fn.new_temp(T.U32)
-    entry.append(I.Assign(t, Const(1)))
-    entry.terminate(I.Ret(Const(0)))
-    info = liveness(fn)
-    assert t not in info.live_in[entry]
 
 
 # -- verifier / callgraph ------------------------------------------------------------

@@ -199,7 +199,8 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     p_phr = write_compile_report(phr, str(tmp_path / "phr.json"))
     assert diff_main([p_soar, p_phr]) == 0
     out = capsys.readouterr().out
-    assert "state_in_registers" in out and "phr.state_functions: None -> 1" in out
+    assert "state_in_registers" in out
+    assert "opt.phr: state_functions - -> 1" in out
 
 
 def test_firewall_report_explains_the_rule_record_reads(clean_ledger, tmp_path,
@@ -234,8 +235,8 @@ def test_firewall_report_explains_the_rule_record_reads(clean_ledger, tmp_path,
     assert diff_main([p_o2, p_pac]) == 0
     out = capsys.readouterr().out
     assert "combined_global_loads" in out
-    assert "pac.combined_global_loads: None -> 11" in out
-    assert "pac.wide_global_loads: None -> 2" in out
+    assert "opt.pac: combined_global_loads - -> 11" in out
+    assert "opt.pac: wide_global_loads - -> 2" in out
 
 
 def test_report_is_deterministic(clean_ledger, tmp_path):
@@ -283,6 +284,22 @@ def test_explain_errors_exit_nonzero(tmp_path, capsys):
     wrong.write_text(json.dumps({"kind": "bench"}))
     assert report_main(["explain", str(wrong)]) == 1
     capsys.readouterr()
+    # A compile report whose body is not what the renderer dereferences
+    # is one diagnostic naming file and field, not an AttributeError --
+    # here and through obs.diff (exit 2: a failed gate).
+    for body, field in (({"images": 5}, "'images' is not an object"),
+                        ({"decision_counts": [1, 2]},
+                         "'decision_counts' is not an object"),
+                        ({"opt": "x"}, "'opt' is not an object")):
+        wrong.write_text(json.dumps(dict(body, kind="compile_report")))
+        for run, code in ((lambda: report_main(["explain", str(wrong)]), 1),
+                          (lambda: diff_main([str(wrong), str(wrong)]),
+                           EXIT_REGRESSION)):
+            assert run() == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                "error: %s is a malformed compile_report file: %s\n"
+                % (wrong, field))
 
 
 # -- the ledger CLI ---------------------------------------------------------------------
@@ -332,29 +349,8 @@ def test_diff_base_vs_swc_shows_expected_deltas(clean_ledger, tmp_path,
     assert diff_main([p_base, p_swc]) == 0
     out = capsys.readouterr().out
     # The acceptance-criteria deltas: nonzero PAC combines + SWC accepts.
-    assert "pac" in out and "combined_loads" in out
-    assert "swc" in out and "accepted" in out
-    assert "decision deltas:" in out
-
-
-def test_diff_bench_gates_rate_regressions(tmp_path, capsys):
-    old = {"kind": "bench", "figure": "fig13", "app": "l3switch",
-           "me_counts": [1, 2], "rates": {"SWC": [1.0, 2.0]}}
-    good = dict(old, rates={"SWC": [1.0, 1.95]})   # -2.5%: within tolerance
-    bad = dict(old, rates={"SWC": [1.0, 1.5]})     # -25%: regression
-    po, pg, pb = (tmp_path / n for n in ("o.json", "g.json", "b.json"))
-    po.write_text(json.dumps(old))
-    pg.write_text(json.dumps(good))
-    pb.write_text(json.dumps(bad))
-
-    assert diff_main([str(po), str(po)]) == 0
-    assert diff_main([str(po), str(pg)]) == 0
-    assert diff_main([str(po), str(pb)]) == EXIT_REGRESSION
-    out = capsys.readouterr().out
-    assert "REGRESSIONS:" in out
-    # A looser tolerance lets the same pair pass.
-    assert diff_main([str(po), str(pb), "--tolerance", "0.5"]) == 0
-    capsys.readouterr()
+    assert "decisions: pac.combined_loads - -> " in out
+    assert "decisions: swc.accepted - -> " in out
 
 
 _MPLS_ROW = [0.614, 1.15, 1.189, 1.197, 1.234, 1.227]
@@ -362,28 +358,6 @@ _MPLS_BENCH = {"kind": "bench", "figure": "fig15", "app": "mpls",
                "me_counts": [1, 2, 3, 4, 5, 6],
                "rates": {"PHR": _MPLS_ROW, "SWC": _MPLS_ROW},
                "mem_accesses": {"SWC": {"total": 9.0}}}
-
-
-def test_diff_bench_gates_vanished_cells(tmp_path, capsys):
-    """Cells are keyed by ME count, not by position in the row, and what
-    the old file measured and the new one lacks is a regression."""
-    one_cell = dict(_MPLS_BENCH, me_counts=[6], rates={"SWC": [1.227]},
-                    mem_accesses={})
-    po, pc = tmp_path / "o.json", tmp_path / "c.json"
-    po.write_text(json.dumps(_MPLS_BENCH))
-    pc.write_text(json.dumps(one_cell))
-
-    assert diff_main([str(po), str(pc)]) == EXIT_REGRESSION
-    out = capsys.readouterr().out
-    assert "level PHR vanished" in out
-    assert "SWC at 1 MEs vanished" in out and "SWC at 5 MEs vanished" in out
-    assert "mem_accesses[SWC] vanished" in out
-    # 1.227 @6 met 1.227 @6, not 0.614 @1: that cell neither dropped
-    # nor vanished.
-    assert "SWC at 6 MEs" not in out
-    # The other way round the new file only gained cells.
-    assert diff_main([str(pc), str(po)]) == 0
-    capsys.readouterr()
 
 
 def test_diff_rejects_row_length_disagreeing_with_me_counts(tmp_path, capsys):
@@ -419,6 +393,8 @@ def test_diff_compile_gate_flags_code_size_growth(tmp_path, capsys):
     pn.write_text(json.dumps(new))
     # Without --gate: reported but exit 0.
     assert diff_main([str(po), str(pn)]) == 0
-    # With --gate: 20% growth beyond the 5% tolerance fails.
+    # With --gate: 20% growth beyond the 5% tolerance fails...
     assert diff_main([str(po), str(pn), "--gate"]) == EXIT_REGRESSION
+    # ...and a looser tolerance lets the same pair pass.
+    assert diff_main([str(po), str(pn), "--gate", "--tolerance", "0.5"]) == 0
     capsys.readouterr()

@@ -341,48 +341,3 @@ def test_scalar_fixpoint_exhaustion_is_reported(monkeypatch):
         assert not led.decisions
     finally:
         led.enabled, led.decisions = was_enabled, saved
-
-
-# -- compile-diff code-size gate lattice edges -----------------------------------
-
-
-def _size_diff(old_sizes, new_sizes):
-    from repro.obs.diff import diff_compile
-
-    def rep(sizes):
-        return {"kind": "compile_report", "level": "SWC",
-                "decision_counts": {},
-                "images": {name: {"code_size": s}
-                           for name, s in sizes.items()}}
-
-    return diff_compile(rep(old_sizes), rep(new_sizes), tolerance=0.05,
-                        gate=True)
-
-
-def test_diff_gates_image_appearing_and_vanishing():
-    # An image present on only one side is a layout change the gate
-    # must flag in *both* directions, not skip as "nothing to compare".
-    _lines, regressions = _size_diff({}, {"agg": 500})
-    assert any("newly appears" in r for r in regressions)
-
-    _lines, regressions = _size_diff({"agg": 500}, {})
-    assert any("vanished" in r for r in regressions)
-
-
-def test_diff_gates_zero_baseline_both_directions():
-    # Growth from a zero baseline has no meaningful ratio; it must be
-    # gated outright -- and so must an image collapsing to zero.
-    _lines, regressions = _size_diff({"agg": 0}, {"agg": 700})
-    assert any("zero baseline" in r for r in regressions)
-
-    _lines, regressions = _size_diff({"agg": 700}, {"agg": 0})
-    assert any("fell to zero" in r for r in regressions)
-
-
-def test_diff_code_size_tolerance_still_applies():
-    # The new lattice edges must not break the ordinary ratio gate.
-    _lines, regressions = _size_diff({"agg": 1000}, {"agg": 1040})
-    assert not regressions  # +4% is inside the 5% tolerance
-
-    _lines, regressions = _size_diff({"agg": 1000}, {"agg": 1100})
-    assert any("grew" in r for r in regressions)

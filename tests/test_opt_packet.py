@@ -782,11 +782,11 @@ module m {
                    for t in range(64)])
     with_pac = compile_baker(src, options_for("SWC"), trace, codegen=False)
     assert with_pac.pac_result.combined_global_loads == 2
-    without = compile_baker(src, options_for("SWC", pac=False), trace,
-                            codegen=False)
-    for result in (with_pac, without):
-        assert result.swc_result.cached_names() == []
-        assert "critical" in result.swc_result.rejected["tbl"]
+    mod, profile = _profiled(src, trace)  # PAC never ran on this one
+    without = swc.select_candidates(mod, profile, {"m.f"})
+    for result in (with_pac.swc_result, without):
+        assert result.cached_names() == []
+        assert "critical" in result.rejected["tbl"]
 
 
 def test_swc_rejects_fast_path_writes():

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.obs.diff import _rate_cells, load_file
+from repro.obs.diff import load_file
 from repro.options import LEVEL_ORDER
 from repro.sweep import FIG_BY_APP, ME_COUNTS, TABLE1_LEVELS, repo_root
 
@@ -42,7 +42,8 @@ def check_figure_shape(bench):
     best_at_6_min, scale_4_vs_2 = EXPECTED[bench["app"]]
     assert bench["me_counts"] == ME_COUNTS
     assert sorted(bench["rates"]) == sorted(LEVEL_ORDER)
-    at = _rate_cells(bench)  # level -> {n_mes: rate}
+    at = {level: dict(zip(bench["me_counts"], row))  # level -> {n_mes: rate}
+          for level, row in bench["rates"].items()}
 
     # BASE flattens almost immediately: little gain past two MEs.
     assert at["BASE"][6] <= at["BASE"][2] * 1.45, "BASE should be flat"

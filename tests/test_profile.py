@@ -298,29 +298,6 @@ def test_committed_occupancy_bench_is_what_the_code_produces(tmp_path):
         assert fh.read() == ref.read()
 
 
-def test_diff_occupancy_gates_vanished_cell_and_share_shift(tmp_path):
-    base = {"kind": "bench_occupancy", "figure": "occupancy", "cells": {
-        "app/SWC@2": {"rate_gbps": 1.0, "shares": {"exec": 0.5},
-                      "verdict": {"kind": "compute-bound",
-                                  "channel": None}},
-        "app/SWC@4": {"rate_gbps": 2.0, "shares": {"exec": 0.5},
-                      "verdict": {"kind": "compute-bound",
-                                  "channel": None}},
-    }}
-    shifted = {"kind": "bench_occupancy", "figure": "occupancy", "cells": {
-        "app/SWC@2": {"rate_gbps": 1.0, "shares": {"exec": 0.3},
-                      "verdict": {"kind": "compute-bound",
-                                  "channel": None}},
-    }}
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(base))
-    new.write_text(json.dumps(shifted))
-    text, code = obs_diff.run_diff(str(old), str(new), tolerance=0.05)
-    assert code == obs_diff.EXIT_REGRESSION
-    assert "vanished" in text and "share shifted" in text
-
-
 def test_diff_rejects_unknown_kind(tmp_path, capsys):
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"
@@ -352,9 +329,12 @@ def test_diff_rejects_unknown_kind(tmp_path, capsys):
             ({"kind": "bench", "rates": "oops"}, "'rates'"),
             ({"kind": "bench_occupancy",
               "cells": {"a/SWC@1": {"verdict": "x"}}},
-             "cells[a/SWC@1][verdict]")):
+             "cells[a/SWC@1][verdict]"),
+            ({"kind": "bench_churn",
+              "summary": {"stale_cycles_max": "soon"}},
+             "summary[stale_cycles_max]")):
         bad.write_text(json.dumps(body))
-        ok = rates if body["kind"] == "bench" else good
+        ok = {"bench": rates, "bench_churn": bad}.get(body["kind"], good)
         assert obs_diff.main([str(ok), str(bad)]) == obs_diff.EXIT_REGRESSION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.obs.diff import EXIT_REGRESSION, run_diff
 from repro.obs.timeseries import load_timeseries
 from repro.options import options_for
 from repro.serve import (
@@ -208,53 +207,6 @@ def test_serve_is_byte_reproducible(flap_run, tmp_path):
     assert open(timeline_path, "rb").read() == open(timeline2, "rb").read()
     assert render_timeline(*load_timeseries(timeline_path)) == \
         render_timeline(*load_timeseries(timeline2))
-
-
-def test_churn_diff_self_gates_clean_and_catches_regressions(flap_run,
-                                                             tmp_path):
-    _, _, bench_path, _ = flap_run
-    text, code = run_diff(bench_path, bench_path)
-    assert code == 0
-    assert "no regressions" in text
-
-    with open(bench_path) as fh:
-        worse = json.load(fh)
-    worse["summary"]["mean_rate_gbps"] *= 0.5
-    worse["summary"]["latency"] = dict(worse["summary"]["latency"])
-    worse["summary"]["latency"]["p99"] *= 2
-    worse["summary"]["updates_applied"] += 1
-    worse["summary"]["stale_cycles_max"] *= 2
-    bad = str(tmp_path / "worse.json")
-    with open(bad, "w") as fh:
-        json.dump(worse, fh)
-    text, code = run_diff(bench_path, bad)
-    assert code == EXIT_REGRESSION
-    assert "mean rate dropped" in text
-    assert "p99 latency grew" in text
-    assert "longest staleness grew" in text
-    assert "updates applied changed" in text
-
-
-def test_churn_diff_gates_staleness_from_a_zero_baseline(flap_run, tmp_path):
-    """A service that served no stale frame (firewall's churn run) and
-    starts to must not pass: "grew by more than x %" cannot be said of
-    zero, so appearing at all is the regression. The other direction
-    (staleness gone) stays clean."""
-    _, _, bench_path, _ = flap_run
-    with open(bench_path) as fh:
-        never_stale = json.load(fh)
-    assert never_stale["summary"]["stale_cycles_max"] > 0
-    never_stale["summary"]["stale_cycles_max"] = 0.0
-    never_stale["summary"]["stale_tx_total"] = 0
-    clean = str(tmp_path / "never_stale.json")
-    with open(clean, "w") as fh:
-        json.dump(never_stale, fh)
-
-    text, code = run_diff(clean, bench_path)
-    assert code == EXIT_REGRESSION, text
-    assert "longest staleness grew from a zero baseline" in text
-    text, code = run_diff(bench_path, clean)
-    assert code == 0, text
 
 
 def test_serve_rejects_churn_past_horizon():
