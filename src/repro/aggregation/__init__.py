@@ -6,6 +6,7 @@ from repro.aggregation.formation import apply_plan, form_aggregates
 from repro.aggregation.throughput import (
     CC_COST,
     ME_IPS,
+    TARGET_GBPS,
     assign_mes,
     packets_per_second_for_gbps,
     stage_throughput,
@@ -19,6 +20,7 @@ __all__ = [
     "form_aggregates",
     "CC_COST",
     "ME_IPS",
+    "TARGET_GBPS",
     "assign_mes",
     "packets_per_second_for_gbps",
     "stage_throughput",

@@ -26,7 +26,7 @@ from repro.aggregation.aggregate import (
 )
 from repro.aggregation.throughput import (
     CC_COST,
-    ME_IPS,
+    TARGET_GBPS,
     assign_mes,
     packets_per_second_for_gbps,
     system_throughput,
@@ -50,15 +50,13 @@ def form_aggregates(
     mod: IRModule,
     profile: ProfileData,
     opts: CompilerOptions,
-    target_gbps: float = 2.5,
-    me_ips: float = ME_IPS,
 ) -> AggregationPlan:
     """Run Figure 7 and return the mapping plan (IR is not yet rewritten;
     see :func:`apply_plan`)."""
     aggregates = [
         Aggregate(name=fn.name, ppfs=[fn.name]) for fn in mod.ppfs()
     ]
-    target = packets_per_second_for_gbps(target_gbps)
+    target = packets_per_second_for_gbps(TARGET_GBPS)
 
     def refresh(agg: Aggregate) -> None:
         agg.cost = aggregate_cost(mod, profile, agg.members(), CC_COST)
@@ -70,7 +68,6 @@ def form_aggregates(
     def hot(aggs: List[Aggregate]) -> List[Aggregate]:
         return [a for a in aggs if _rate(profile, a) >= INFREQUENT_RATE]
 
-    led = obs_ledger.get_ledger()
     overflow_seen = set()  # dedup: the same pair re-overflows every round
 
     done = False
@@ -86,41 +83,40 @@ def form_aggregates(
             dom, next_dom = ranked[0], ranked[1]
             if (
                 dom.cost >= DOMINANCE_FACTOR * max(next_dom.cost, 1e-9)
-                and _duplicate_improves(candidates, dom, opts, target, me_ips)
+                and _duplicate_improves(candidates, dom, opts, target)
             ):
                 dom.duplicate_hint += 1
-                led.record("aggregation", dom.name, "duplicated",
-                           reason="dominates execution time and another "
-                                  "copy raises throughput",
-                           cost=dom.cost, next_cost=next_dom.cost,
-                           duplicate_hint=dom.duplicate_hint)
+                obs_ledger.record("aggregation", dom.name, "duplicated",
+                                  reason="dominates execution time and another "
+                                         "copy raises throughput",
+                                  cost=dom.cost, next_cost=next_dom.cost,
+                                  duplicate_hint=dom.duplicate_hint)
                 done = False
                 continue
 
         # FORM_PAIRS / SORT_BY_HIGHEST_CHANNEL_COST.
         pairs = _connected_pairs(mod, profile, aggregates)
         for cc_weight, a, b in pairs:
-            if not _merge_improves(mod, profile, candidates, a, b, opts,
-                                   target, me_ips):
+            if not _merge_improves(mod, profile, candidates, a, b, opts, target):
                 continue
             merged_members = a.members() | b.members()
             size = estimate_closure(mod, sorted(merged_members), opts)
             if size > opts.me_code_store:
                 pair = (a.name, b.name)
-                if led.enabled and pair not in overflow_seen:
+                if pair not in overflow_seen:
                     overflow_seen.add(pair)
-                    led.record("aggregation", "%s+%s" % pair,
-                               "merge_rejected",
-                               reason="merged closure overflows the "
-                                      "ME code store",
-                               code_size=size,
-                               me_code_store=opts.me_code_store)
+                    obs_ledger.record("aggregation", "%s+%s" % pair,
+                                      "merge_rejected",
+                                      reason="merged closure overflows the "
+                                             "ME code store",
+                                      code_size=size,
+                                      me_code_store=opts.me_code_store)
                 continue
-            led.record("aggregation", "%s+%s" % (a.name, b.name), "merged",
-                       reason="highest-cost connecting channel, merge "
-                              "does not hurt throughput",
-                       cc_cost=cc_weight, code_size=size,
-                       members=len(merged_members))
+            obs_ledger.record("aggregation", "%s+%s" % (a.name, b.name), "merged",
+                              reason="highest-cost connecting channel, merge "
+                                     "does not hurt throughput",
+                              cc_cost=cc_weight, code_size=size,
+                              members=len(merged_members))
             a.ppfs = sorted(merged_members)
             a.duplicate_hint = max(a.duplicate_hint, b.duplicate_hint)
             aggregates.remove(b)
@@ -130,10 +126,10 @@ def form_aggregates(
 
         if done and len(hot(aggregates)) > opts.num_mes:
             target *= 0.9  # RELAX_CONSTRAINT
-            led.record("aggregation", "<plan>", "target_relaxed",
-                       reason="more hot aggregates than MEs",
-                       target_pps=target, hot_aggregates=len(hot(aggregates)),
-                       num_mes=opts.num_mes)
+            obs_ledger.record("aggregation", "<plan>", "target_relaxed",
+                              reason="more hot aggregates than MEs",
+                              target_pps=target, hot_aggregates=len(hot(aggregates)),
+                              num_mes=opts.num_mes)
             done = False
 
     # MAP_TO_XSCALE: oversized or infrequently executed aggregates.
@@ -143,28 +139,28 @@ def form_aggregates(
         if agg.code_size > opts.me_code_store or _rate(profile, agg) < INFREQUENT_RATE:
             agg.target = "xscale"
             xscale.append(agg)
-            led.record("aggregation", agg.name, "mapped_xscale",
-                       reason="oversized for the ME code store"
-                              if agg.code_size > opts.me_code_store
-                              else "infrequently executed (control plane)",
-                       code_size=agg.code_size,
-                       rate=_rate(profile, agg), ppfs=len(agg.ppfs))
+            obs_ledger.record("aggregation", agg.name, "mapped_xscale",
+                              reason="oversized for the ME code store"
+                                     if agg.code_size > opts.me_code_store
+                                     else "infrequently executed (control plane)",
+                              code_size=agg.code_size,
+                              rate=_rate(profile, agg), ppfs=len(agg.ppfs))
         else:
             agg.target = "me"
             me_aggs.append(agg)
 
     # MAP_TO_MES with duplication.
     costs = [a.cost for a in me_aggs]
-    assignment = assign_mes(costs, opts.num_mes, me_ips)
+    assignment = assign_mes(costs, opts.num_mes)
     for agg, count in zip(me_aggs, assignment):
         agg.me_count = count
-        led.record("aggregation", agg.name, "mapped_me",
-                   reason="hot aggregate, fits the code store",
-                   me_count=count, cost=agg.cost,
-                   code_size=agg.code_size, ppfs=len(agg.ppfs))
+        obs_ledger.record("aggregation", agg.name, "mapped_me",
+                          reason="hot aggregate, fits the code store",
+                          me_count=count, cost=agg.cost,
+                          code_size=agg.code_size, ppfs=len(agg.ppfs))
 
     plan = AggregationPlan(me_aggregates=me_aggs, xscale_aggregates=xscale)
-    plan.throughput_pps = system_throughput(costs, opts.num_mes, me_ips)
+    plan.throughput_pps = system_throughput(costs, opts.num_mes)
     plan.internal_channels = _internal_channels(mod, me_aggs + xscale)
     return plan
 
@@ -210,24 +206,23 @@ def _system_costs(candidates: List[Aggregate]) -> List[float]:
 
 
 def _duplicate_improves(candidates: List[Aggregate], dom: Aggregate,
-                        opts: CompilerOptions, target: float,
-                        me_ips: float) -> bool:
+                        opts: CompilerOptions, target: float) -> bool:
     """True if the optimal ME assignment is still short of the target and
     giving the dominating aggregate another copy would help. Because the
     final mapping already assigns MEs greedily, an explicit duplicate
     only helps while the hint lags the would-be assignment."""
     costs = _system_costs(candidates)
-    current = system_throughput(costs, opts.num_mes, me_ips)
+    current = system_throughput(costs, opts.num_mes)
     if current >= target:
         return False
-    assignment = assign_mes(costs, opts.num_mes, me_ips)
+    assignment = assign_mes(costs, opts.num_mes)
     idx = candidates.index(dom)
     return bool(assignment) and dom.duplicate_hint < assignment[idx]
 
 
 def _merge_improves(mod: IRModule, profile: ProfileData,
                     candidates: List[Aggregate], a: Aggregate, b: Aggregate,
-                    opts: CompilerOptions, target: float, me_ips: float) -> bool:
+                    opts: CompilerOptions, target: float) -> bool:
     """MERGE_IMPROVES_THROUGHPUT: system throughput with the pair merged
     (saving the connecting CC overhead) must not regress, or must reach
     the (possibly relaxed) target. A hot aggregate never absorbs an
@@ -240,10 +235,10 @@ def _merge_improves(mod: IRModule, profile: ProfileData,
     if a_hot != b_hot:
         return False
     merged_cost = aggregate_cost(mod, profile, a.members() | b.members(), CC_COST)
-    before = system_throughput(_system_costs(candidates), opts.num_mes, me_ips)
+    before = system_throughput(_system_costs(candidates), opts.num_mes)
     after_costs = [x.cost for x in candidates if x is not a and x is not b]
     after_costs.append(merged_cost)
-    after = system_throughput(after_costs, opts.num_mes, me_ips)
+    after = system_throughput(after_costs, opts.num_mes)
     return after >= min(before, target) or after >= before
 
 

@@ -1,10 +1,10 @@
 """CLI: ``python -m repro.analyze <app> [-O LEVEL]``.
 
-Compiles the app with the decision ledger enabled, runs the three
-checks (layout, budget, validate), prints the deterministic JSON report
-(or writes it with ``-o``), and exits 2 when any check reported an
-error-severity finding. A bad argument is also exit 2, through
-``parser.error`` before anything is compiled or written.
+Compiles the app, runs the three checks (layout, budget, validate),
+prints the deterministic JSON report (or writes it with ``-o``), and
+exits 2 when any check reported an error-severity finding. A bad
+argument is also exit 2, through ``parser.error`` before anything is
+compiled or written.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ compiler *recorded* about itself -- the ``codesize``
 (:func:`~repro.cg.melayout.record_stack_fit`) decisions in the ledger.
 A mismatch in either direction is an error: the image is a liar (its
 ``code_size`` field disagrees with its instructions) or the ledger is
-(its recorded evidence disagrees with the artifact it describes).
+(its recorded evidence disagrees with the artifact it describes, or an
+image has no ``codesize`` record at all).
 
 The stack check derives a *floor* on Local Memory frame usage from the
 static ``thread_rel`` LM accesses actually emitted (dynamic-indexed
@@ -80,7 +81,7 @@ def check(result) -> Dict[str, object]:
                     "with the artifact (%s, %d words)"
                     % (led.verdict, led.evidence.get("code_size"),
                        want, derived)))
-        elif ledger_code:
+        else:
             findings.append(finding(
                 "error", "budget", image.name,
                 "no codesize ledger record for this image"))

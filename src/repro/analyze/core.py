@@ -53,9 +53,8 @@ def run_analysis(app_name: str, level: str,
 
     Returns the full report dict.  A pre-existing compile may be passed
     via ``result``/``trace`` (the sweep orchestrator does this to avoid
-    a second compile); it must have been compiled with the decision
-    ledger enabled for the ledger cross-checks to have anything to
-    check against.  ``validate_packets`` caps the roots replayed per
+    a second compile); its ``decisions`` are the claims ``layout`` and
+    ``budget`` check.  ``validate_packets`` caps the roots replayed per
     image (None = the whole trace).
     """
     from repro.analyze import budget, layout, validate
@@ -64,15 +63,12 @@ def run_analysis(app_name: str, level: str,
     from repro.options import options_for
 
     if result is None:
-        # Enable the *canonical* ledger module so compiler-side hooks
-        # (which import repro.obs.ledger directly) see the same global.
-        obs_ledger.enable()
         app = get_app(app_name)
         trace = app.make_trace(packets, seed=seed)
         result = compile_baker(app.source, options_for(level), trace)
 
     sections = {
-        "layout": layout.check(app_name, result),
+        "layout": layout.check(result),
         "budget": budget.check(result),
         "validate": validate.check(app_name, result, trace,
                                    validate_packets),

@@ -8,9 +8,10 @@ contain a record for the same site with the same verdict and
 ``offset_bits`` (set membership, because PHR re-runs SOAR and the first
 run's records carry pre-rebase offsets).
 
-An access with no matching ledger record means SOAR's announced
-decisions and the annotations codegen consumed have drifted apart --
-exactly the class of silent divergence this analyzer exists to catch.
+At every level that runs SOAR, an access with no matching ledger record
+means SOAR's announced decisions and the annotations codegen consumed
+have drifted apart -- exactly the class of silent divergence this
+analyzer exists to catch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.obs import ledger as obs_ledger
 _CHECKED = (I.PktLoadField, I.PktStoreField, I.PktLoadWords, I.PktStoreWords)
 
 
-def check(app_name: str, result) -> Dict[str, object]:
+def check(result) -> Dict[str, object]:
     """The annotations codegen consumed, cross-checked against SOAR."""
     findings: List[Dict[str, object]] = []
     # The ledger's view of SOAR's resolutions, as a membership set.
@@ -34,7 +35,6 @@ def check(app_name: str, result) -> Dict[str, object]:
         if d.pass_name == "soar" and not d.subject.startswith("channel:"):
             ledger_sites.add((d.subject, d.verdict,
                               d.evidence.get("offset_bits")))
-    have_ledger = bool(ledger_sites)
 
     mod = result.mod
     images_out: Dict[str, object] = {}
@@ -51,7 +51,7 @@ def check(app_name: str, result) -> Dict[str, object]:
                 resolved = instr.c_offset_bits is not None
                 n_accesses += 1
                 n_resolved += resolved
-                if not have_ledger:
+                if not result.opts.soar:
                     continue
                 subject = (obs_ledger.loc_str(instr.loc)
                            or type(instr).__name__)
@@ -67,11 +67,6 @@ def check(app_name: str, result) -> Dict[str, object]:
                         op=type(instr).__name__, function=fn_name))
         images_out[agg] = {"n_accesses": n_accesses,
                            "n_resolved": n_resolved}
-    if not have_ledger and result.opts.soar:
-        findings.append(finding(
-            "warning", "layout", app_name,
-            "no soar decisions in ledger; cross-check skipped "
-            "(compile ran without the ledger enabled?)"))
     return {"findings": findings, "images": images_out,
             "ledger_sites": len(ledger_sites)}
 

@@ -14,7 +14,12 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.baker import ast
 from repro.baker import types as T
 from repro.baker.errors import LoweringError
-from repro.baker.semantic import CheckedProgram, MetadataMarkerType
+from repro.baker.semantic import (
+    COMPARISONS,
+    CheckedProgram,
+    MetadataMarkerType,
+    binary_op,
+)
 from repro.baker.symbols import (
     ConstSymbol,
     GlobalSymbol,
@@ -24,18 +29,6 @@ from repro.baker.symbols import (
 from repro.ir import instructions as I
 from repro.ir.module import IRFunction, IRModule, LocalArray
 from repro.ir.values import Const, Operand, Temp
-
-_CMP_BY_OP = {"==": "eq", "!=": "ne"}
-_ORDERED = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-_ARITH = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "&": "and",
-    "|": "or",
-    "^": "xor",
-    "<<": "shl",
-}
 
 
 def lower_program(checked: CheckedProgram) -> IRModule:
@@ -507,34 +500,17 @@ class _FunctionLowerer:
 
     def _lower_binop_values(self, op: str, lhs: Operand, rhs: Operand,
                             ltype: T.Type, rtype: T.Type, node) -> Operand:
-        if op in _CMP_BY_OP:
+        try:
+            opcode, common = binary_op(op, ltype, rtype)
+        except KeyError:
+            raise self._error("unknown binary operator %r" % op, node) from None
+        if op in COMPARISONS:
             dst = self.new_temp(T.BOOL)
-            self.emit(I.Cmp(_CMP_BY_OP[op], dst, lhs, rhs), node)
-            return dst
-        if op in _ORDERED:
-            common = T.common_arith_type(ltype if ltype.is_scalar else T.U32,
-                                         rtype if rtype.is_scalar else T.U32)
-            suffix = "_s" if common.signed else "_u"
-            dst = self.new_temp(T.BOOL)
-            self.emit(I.Cmp(_ORDERED[op] + suffix, dst, lhs, rhs), node)
-            return dst
-        common = T.common_arith_type(ltype, rtype)
-        if op in _ARITH:
-            dst = self.new_temp(common)
-            self.emit(I.BinOp(_ARITH[op], dst, lhs, rhs), node)
-            return dst
-        if op == ">>":
-            opcode = "ashr" if common.signed else "lshr"
+            self.emit(I.Cmp(opcode, dst, lhs, rhs), node)
+        else:
             dst = self.new_temp(common)
             self.emit(I.BinOp(opcode, dst, lhs, rhs), node)
-            return dst
-        if op in ("/", "%"):
-            base = "div" if op == "/" else "rem"
-            opcode = base + ("_s" if common.signed else "_u")
-            dst = self.new_temp(common)
-            self.emit(I.BinOp(opcode, dst, lhs, rhs), node)
-            return dst
-        raise self._error("unknown binary operator %r" % op, node)
+        return dst
 
     def _lower_short_circuit(self, expr: ast.Binary) -> Operand:
         result = self.new_temp(T.BOOL, "sc")

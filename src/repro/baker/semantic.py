@@ -38,6 +38,7 @@ from repro.baker.symbols import (
     Symbol,
     SymbolKind,
 )
+from repro.ir.eval import EvalError, binop_fn, cmp_fn
 
 # Sentinel type given to `ph->meta` so that `.field` can be checked.
 @dataclass(frozen=True)
@@ -269,13 +270,13 @@ class SemanticAnalyzer:
         ctype = self._resolve_type(decl.type_expr)
         if not ctype.is_scalar:
             raise self._error("const must have scalar type", decl)
-        env = {name: sym.value for name, sym in self.checked.consts.items()}
+        env = dict(self.checked.consts)
         # Also allow unqualified access to earlier consts of the same module.
         if module:
             prefix = module + "."
             for name, sym in self.checked.consts.items():
                 if name.startswith(prefix):
-                    env.setdefault(name[len(prefix) :], sym.value)
+                    env.setdefault(name[len(prefix) :], sym)
         value = eval_const_expr(decl.value, env)
         qualified = "%s.%s" % (module, decl.name) if module else decl.name
         sym = ConstSymbol(
@@ -298,8 +299,7 @@ class SemanticAnalyzer:
             gtype = T.ArrayType(base, decl.array_len)
         init_values = None
         if decl.init is not None:
-            env = {name: sym.value for name, sym in self.checked.consts.items()}
-            values = [eval_const_expr(e, env) for e in decl.init]
+            values = [eval_const_expr(e, self.checked.consts) for e in decl.init]
             if decl.array_len is None:
                 if len(values) != 1:
                     raise self._error("scalar global takes a single initializer", decl)
@@ -1005,77 +1005,86 @@ class BodyChecker:
         return builtin.ret_type
 
 
-def eval_const_expr(expr: ast.Expr, env: Dict[str, int]) -> int:
+#: Baker binary operator -> the IR operation lowering emits for it; a pair
+#: is (unsigned, signed), chosen by the operands' common type.
+BINARY_OPS = {
+    "+": "add", "-": "sub", "*": "mul", "&": "and", "|": "or", "^": "xor",
+    "<<": "shl", ">>": ("lshr", "ashr"), "/": ("div_u", "div_s"),
+    "%": ("rem_u", "rem_s"), "==": "eq", "!=": "ne", "<": ("lt_u", "lt_s"),
+    "<=": ("le_u", "le_s"), ">": ("gt_u", "gt_s"), ">=": ("ge_u", "ge_s"),
+}
+#: The operators lowered to a ``Cmp`` (bool result) rather than a ``BinOp``.
+COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+def binary_op(op: str, ltype: T.Type, rtype: T.Type) -> Tuple[str, T.IntType]:
+    """The IR opcode of Baker's binary ``op`` over operands of these types,
+    and the common type it computes in (a packet handle compared with
+    ``==``/``!=`` counts as u32)."""
+    common = T.common_arith_type(ltype if ltype.is_scalar else T.U32,
+                                 rtype if rtype.is_scalar else T.U32)
+    code = BINARY_OPS[op]
+    return (code[common.signed] if isinstance(code, tuple) else code), common
+
+
+def eval_const_expr(expr: ast.Expr, env: Dict[str, ConstSymbol]) -> int:
     """Evaluate a compile-time constant expression (integer arithmetic over
-    literals and already-known constants)."""
+    literals and already-known constants) the way its lowered code runs:
+    every operator through :mod:`repro.ir.eval`, at the width and
+    signedness lowering gives its operands."""
+    return _fold(expr, env)[0]
+
+
+def _bits(type_: T.Type) -> int:
+    return type_.bits if isinstance(type_, T.IntType) else 1
+
+
+def _fold(expr: ast.Expr, env: Dict[str, ConstSymbol]) -> Tuple[int, T.Type]:
+    """(value, Baker type) of a constant expression."""
     if isinstance(expr, ast.IntLit):
-        return expr.value
+        # _check_demux types a demux's literals u32, as they are lowered.
+        return expr.value, expr.type or (T.U64 if expr.value > 0xFFFFFFFF else T.U32)
     if isinstance(expr, ast.BoolLit):
-        return int(expr.value)
+        return int(expr.value), T.BOOL
     if isinstance(expr, ast.Name):
         key = "%s.%s" % (expr.qualifier, expr.ident) if expr.qualifier else expr.ident
         if key in env:
-            return env[key]
+            return env[key].value, env[key].type
         raise SemanticError("not a constant expression (unknown name %r)" % key, expr.loc)
     if isinstance(expr, ast.Unary):
-        v = eval_const_expr(expr.operand, env)
-        if expr.op == "-":
-            return -v
-        if expr.op == "~":
-            return ~v & 0xFFFFFFFFFFFFFFFF
+        v, vtype = _fold(expr.operand, env)
         if expr.op == "!":
-            return int(v == 0)
+            return int(v == 0), T.BOOL
+        rtype = T.common_arith_type(vtype, vtype)
+        if expr.op == "-":
+            return binop_fn("sub", rtype.bits)(0, v), rtype
+        if expr.op == "~":
+            return binop_fn("xor", rtype.bits)(v, rtype.mask), rtype
     if isinstance(expr, ast.Binary):
-        lhs = eval_const_expr(expr.left, env)
-        rhs = eval_const_expr(expr.right, env)
-        op = expr.op
-        try:
-            if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            if op == "/":
-                return lhs // rhs
-            if op == "%":
-                return lhs % rhs
-            if op == "&":
-                return lhs & rhs
-            if op == "|":
-                return lhs | rhs
-            if op == "^":
-                return lhs ^ rhs
-            if op == "<<":
-                return lhs << rhs
-            if op == ">>":
-                return lhs >> rhs
-            if op == "==":
-                return int(lhs == rhs)
-            if op == "!=":
-                return int(lhs != rhs)
-            if op == "<":
-                return int(lhs < rhs)
-            if op == "<=":
-                return int(lhs <= rhs)
-            if op == ">":
-                return int(lhs > rhs)
-            if op == ">=":
-                return int(lhs >= rhs)
-            if op == "&&":
-                return int(bool(lhs) and bool(rhs))
-            if op == "||":
-                return int(bool(lhs) or bool(rhs))
-        except ZeroDivisionError:
-            raise SemanticError("division by zero in constant expression", expr.loc)
+        lhs, ltype = _fold(expr.left, env)
+        if expr.op in ("&&", "||"):
+            if bool(lhs) == (expr.op == "||"):  # short-circuits, as lowered
+                return int(bool(lhs)), T.BOOL
+            return int(bool(_fold(expr.right, env)[0])), T.BOOL
+        rhs, rtype = _fold(expr.right, env)
+        if expr.op in BINARY_OPS:
+            opcode, common = binary_op(expr.op, ltype, rtype)
+            if expr.op in COMPARISONS:
+                bits = max(_bits(ltype), _bits(rtype))
+                return cmp_fn(opcode, bits)(lhs, rhs), T.BOOL
+            try:
+                return binop_fn(opcode, common.bits)(lhs, rhs), common
+            except EvalError:
+                raise SemanticError("division by zero in constant expression",
+                                    expr.loc) from None
     if isinstance(expr, ast.Ternary):
-        return (
-            eval_const_expr(expr.then, env)
-            if eval_const_expr(expr.cond, env)
-            else eval_const_expr(expr.otherwise, env)
-        )
+        # The result's type needs both arms, so both must fold.
+        then, ttype = _fold(expr.then, env)
+        otherwise, otype = _fold(expr.otherwise, env)
+        value = then if _fold(expr.cond, env)[0] else otherwise
+        return value, T.common_arith_type(ttype, otype)
     if isinstance(expr, ast.SizeofExpr) and hasattr(expr, "value"):
-        return expr.value  # type: ignore[attr-defined]
+        return expr.value, T.U32  # type: ignore[attr-defined]
     raise SemanticError("not a constant expression", getattr(expr, "loc", None))
 
 

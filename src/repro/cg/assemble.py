@@ -19,6 +19,7 @@ from repro.cg.melayout import CODE_STORE_WORDS, record_stack_fit
 from repro.cg.regalloc import allocate_function
 from repro.cg.stack import StackLayoutResult, layout_frames, resolve_stack_accesses
 from repro.ir.callgraph import CallGraph
+from repro.obs import ledger as obs_ledger
 from repro.rts.dispatch import DISPATCH_NAME, build_dispatch
 
 
@@ -189,6 +190,8 @@ def build_image(result, agg) -> MEImage:
 
 
 def generate_images(result) -> None:
-    """Populate ``result.images`` with one MEImage per ME aggregate."""
-    for agg in result.plan.me_aggregates:
-        result.images[agg.name] = build_image(result, agg)
+    """Populate ``result.images`` with one MEImage per ME aggregate; the
+    code generator's decisions join the compile's own."""
+    with obs_ledger.collecting(result.decisions):
+        for agg in result.plan.me_aggregates:
+            result.images[agg.name] = build_image(result, agg)

@@ -116,10 +116,7 @@ def record_budget_fit(subject: str, code_size: int, budget: int,
     store (and how good the pre-codegen estimate was)."""
     from repro.obs import ledger as obs_ledger
 
-    led = obs_ledger.get_ledger()
-    if not led.enabled:
-        return
-    led.record(
+    obs_ledger.record(
         "codesize", subject,
         "fits" if code_size <= budget else "overflows",
         reason="%d of %d control-store words used" % (code_size, budget),

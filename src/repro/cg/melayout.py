@@ -31,10 +31,9 @@ def record_stack_fit(subject: str, layout) -> None:
     did some overflow to (slow) SRAM?"""
     from repro.obs import ledger as obs_ledger
 
-    led = obs_ledger.get_ledger()
-    if not led.enabled or layout is None:
+    if layout is None:
         return
-    led.record(
+    obs_ledger.record(
         "melayout", subject,
         "sram_overflow" if layout.any_sram_frames else "lm_only",
         reason="stack frames overflow Local Memory into SRAM"

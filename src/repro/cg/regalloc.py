@@ -133,7 +133,7 @@ def home_call_live(fn: LIRFunction) -> None:
     for v in sorted(call_live, key=lambda r: r.id):
         slots[v] = fn.frame_slots
         fn.frame_slots += 1
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "regalloc", fn.name, "call_live_homed",
         reason="values live across a call get frame slots "
                "(calls clobber all GPRs)",
@@ -298,13 +298,12 @@ def allocate_function(fn: LIRFunction, max_rounds: int = 8) -> None:
         candidates = [v for v in to_spill if v not in unspillable]
         if not candidates:
             candidates = to_spill[:1]
-        led = obs_ledger.get_ledger()
         for victim in candidates:
-            led.record("regalloc", fn.name, "spilled",
-                       reason="no color available for %s" % victim.hint,
-                       round=round_no, uncolorable=len(to_spill))
+            obs_ledger.record("regalloc", fn.name, "spilled",
+                              reason="no color available for %s" % victim.hint,
+                              round=round_no, uncolorable=len(to_spill))
             unspillable.update(_spill(fn, victim))
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "regalloc", fn.name, "failed",
         reason="allocation did not converge", rounds=max_rounds)
     raise RegAllocError("register allocation did not converge for %s" % fn.name)

@@ -53,11 +53,11 @@ class CompileResult:
     # Filled by the code generator (repro.cg.assemble):
     images: Dict[str, object] = field(default_factory=dict)  # aggregate -> MEImage
     fast_functions: Set[str] = field(default_factory=set)
-    # Decision-ledger slice for this compilation (empty unless the
-    # ledger is enabled; see repro.obs.ledger).
+    # Every decision the passes recorded while compiling this result, in
+    # order (repro.obs.ledger.collecting; codegen appends its own).
     decisions: List[object] = field(default_factory=list)
-    # IR size after each mid-end stage, in pipeline order (collected
-    # under the same switch; see repro.obs.ledger.compile_report).
+    # IR size after each mid-end stage, in pipeline order (see
+    # repro.obs.ledger.compile_report).
     ir_stages: List[Dict[str, object]] = field(default_factory=list)
     # Global contents after the init blocks ran, filled by the first
     # rts.loader.load_system of this result (see loader.boot_image).
@@ -69,85 +69,82 @@ def compile_ir(
     checked: CheckedProgram,
     opts: CompilerOptions,
     trace: Trace,
-    target_gbps: float = 2.5,
 ) -> CompileResult:
     """Run the mid-end (profile, optimize, aggregate, packet opts) over an
-    already-lowered module."""
-    led = obs_ledger.get_ledger()
-    led_mark = led.mark()
+    already-lowered module; every decision the passes record lands in the
+    result's ``decisions``."""
+    decisions: List[object] = []
     ir_stages: List[Dict[str, object]] = []
 
     def record_ir_stage(stage: str) -> None:
-        if led.enabled:
-            n_fns, n_blocks, n_instrs = obs_ledger.ir_counts(mod)
-            ir_stages.append({"stage": stage, "functions": n_fns,
-                              "blocks": n_blocks, "instrs": n_instrs})
+        n_fns, n_blocks, n_instrs = obs_ledger.ir_counts(mod)
+        ir_stages.append({"stage": stage, "functions": n_fns,
+                          "blocks": n_blocks, "instrs": n_instrs})
 
     record_ir_stage("initial")
 
     with compile_stage("profile"):
-        # Line attribution only when someone will read it (the compile
-        # report's hot-line table); it never alters other profile data.
-        profile = run_reference(mod, trace,
-                                attribute_lines=led.enabled).profile
+        profile = run_reference(mod, trace).profile
 
-    with compile_stage("scalar"):
-        run_scalar_pipeline(mod, opts)
-    record_ir_stage("scalar")
+    with obs_ledger.collecting(decisions):
+        with compile_stage("scalar"):
+            run_scalar_pipeline(mod, opts)
+        record_ir_stage("scalar")
 
-    with compile_stage("aggregate"):
-        plan = form_aggregates(mod, profile, opts, target_gbps=target_gbps)
-        apply_plan(mod, plan)
-        if opts.inline:
-            # Complete the merges: internally-called PPFs inline away.
-            inline.run(mod)
-        _prune_dead_functions(mod, plan)
-        if opts.scalar:
-            scalar_optimize_module(mod)
-    record_ir_stage("aggregate")
+        with compile_stage("aggregate"):
+            plan = form_aggregates(mod, profile, opts)
+            apply_plan(mod, plan)
+            if opts.inline:
+                # Complete the merges: internally-called PPFs inline away.
+                inline.run(mod)
+            _prune_dead_functions(mod, plan)
+            if opts.scalar:
+                scalar_optimize_module(mod)
+        record_ir_stage("aggregate")
 
-    result = CompileResult(checked=checked, mod=mod, profile=profile,
-                           plan=plan, opts=opts, ir_stages=ir_stages)
+        result = CompileResult(checked=checked, mod=mod, profile=profile,
+                               plan=plan, opts=opts, decisions=decisions,
+                               ir_stages=ir_stages)
 
-    if opts.pac:
-        with compile_stage("pac"):
-            result.pac_result = pac.run(mod)
-        record_ir_stage("pac")
-    if opts.soar:
-        with compile_stage("soar"):
-            result.soar_result = soar.run(mod)
-        record_ir_stage("soar")
-    if opts.phr:
-        with compile_stage("phr"):
-            result.phr_result = phr.run(mod)
-            scalar_optimize_module(mod)
-            # PHR re-bases accesses of elided encap/decap pairs onto one
-            # common head, so a second combining pass can merge accesses
-            # across former protocol boundaries (the paper's dependence
-            # analysis reaches the same result in one pass); SOAR then
-            # re-annotates the new wide accesses.
-            result.pac_result += pac.run(mod)
-            result.soar_result = soar.run(mod)
-            scalar_optimize_module(mod)
-        record_ir_stage("phr")
+        if opts.pac:
+            with compile_stage("pac"):
+                result.pac_result = pac.run(mod)
+            record_ir_stage("pac")
+        if opts.soar:
+            with compile_stage("soar"):
+                result.soar_result = soar.run(mod)
+            record_ir_stage("soar")
+        if opts.phr:
+            with compile_stage("phr"):
+                result.phr_result = phr.run(mod)
+                scalar_optimize_module(mod)
+                # PHR re-bases accesses of elided encap/decap pairs onto
+                # one common head, so a second combining pass can merge
+                # accesses across former protocol boundaries (the paper's
+                # dependence analysis reaches the same result in one
+                # pass); SOAR then re-annotates the new wide accesses.
+                result.pac_result += pac.run(mod)
+                result.soar_result = soar.run(mod)
+                scalar_optimize_module(mod)
+            record_ir_stage("phr")
 
-    result.fast_functions = plan.fast_functions(mod)
-    if opts.swc:
-        with compile_stage("swc"):
-            swc_result = swc.select_candidates(mod, profile,
-                                               result.fast_functions)
-            period = swc.enforce_check_period(swc_result,
-                                              opts.swc_check_period)
-            swc.apply(mod, swc_result, result.fast_functions,
-                      check_period=period)
-            result.swc_result = swc_result
-        record_ir_stage("swc")
-    if opts.phr:
-        phr.plan_packet_state(mod, result.fast_functions, result.phr_result)
+        result.fast_functions = plan.fast_functions(mod)
+        if opts.swc:
+            with compile_stage("swc"):
+                swc_result = swc.select_candidates(mod, profile,
+                                                   result.fast_functions)
+                period = swc.enforce_check_period(swc_result,
+                                                  opts.swc_check_period)
+                swc.apply(mod, swc_result, result.fast_functions,
+                          check_period=period)
+                result.swc_result = swc_result
+            record_ir_stage("swc")
+        if opts.phr:
+            phr.plan_packet_state(mod, result.fast_functions,
+                                  result.phr_result)
 
     with compile_stage("verify"):
         verify_module(mod)
-    result.decisions = led.since(led_mark)
     return result
 
 
@@ -185,7 +182,6 @@ def compile_baker(
     opts: Optional[CompilerOptions] = None,
     trace: Optional[Trace] = None,
     filename: str = "<baker>",
-    target_gbps: float = 2.5,
     codegen: bool = True,
 ) -> CompileResult:
     """Compile Baker source through the full Shangri-La pipeline.
@@ -198,19 +194,14 @@ def compile_baker(
         opts = options_for("SWC")
     if trace is None:
         trace = Trace([])
-    led = obs_ledger.get_ledger()
-    led_mark = led.mark()
     with compile_stage("frontend"):
         checked = parse_and_check(source, filename)
     with compile_stage("lower"):
         mod = lower_program(checked)
-    result = compile_ir(mod, checked, opts, trace, target_gbps)
+    result = compile_ir(mod, checked, opts, trace)
     if codegen:
         from repro.cg.assemble import generate_images
 
         with compile_stage("codegen"):
             generate_images(result)
-    # Re-slice from the outer mark: codegen decisions (spills, budget
-    # fits) land after compile_ir captured its slice.
-    result.decisions = led.since(led_mark)
     return result

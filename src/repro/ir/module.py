@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.baker import types as T
-from repro.baker.semantic import CheckedProgram
 from repro.baker.symbols import GlobalSymbol
 from repro.ir.instructions import Instr, Jump, Ret
 from repro.ir.values import Temp
+
+if TYPE_CHECKING:  # semantic folds constants through repro.ir.eval
+    from repro.baker.semantic import CheckedProgram
 
 
 class BasicBlock:

@@ -28,12 +28,12 @@ ME_HZ = 600e6  # ME clock; all times below are in ME cycles
 
 @dataclass
 class ChannelParams:
+    """An access of ``w`` words holds the channel for ``occupancy_base +
+    occupancy_per_word * w`` cycles; its data arrives ``latency`` later."""
+
     latency: float
     occupancy_base: float
     occupancy_per_word: float
-
-    def occupancy(self, words: int) -> float:
-        return self.occupancy_base + self.occupancy_per_word * words
 
 
 # Calibrated parameters (see module docstring / DESIGN.md section 5).
@@ -56,22 +56,14 @@ SIZES = {
 
 
 class MemoryChannel:
-    """One command channel: FIFO server with occupancy + latency."""
+    """One command channel: a FIFO server with occupancy + latency,
+    charged by :meth:`MemorySystem.timed_access`."""
 
     def __init__(self, name: str, params: ChannelParams):
         self.name = name
         self.params = params
         self.next_free = 0.0
         self.busy_time = 0.0
-
-    def request(self, now: float, words: int) -> float:
-        """Issue an access at time ``now``; returns the completion time
-        (data available / write retired)."""
-        occupancy = self.params.occupancy(words)
-        start = max(now, self.next_free)
-        self.next_free = start + occupancy
-        self.busy_time += occupancy
-        return start + occupancy + self.params.latency
 
 
 class MemorySystem:
@@ -158,11 +150,9 @@ class MemorySystem:
 
     def timed_access(self, now: float, space: str, words: int,
                      category: str, addr: int = 0) -> float:
-        """Charge a channel and the counters; returns completion time.
-
-        The counter bump and the channel request are inlined (this is
-        the hottest memory-model entry point); the arithmetic matches
-        :meth:`MemoryChannel.request` exactly."""
+        """Charge a channel and the counters; returns the completion time
+        (data available / write retired). The ME core's
+        ``predecode._charge_lines`` inlines the same arithmetic."""
         counters = self.counters
         key = (space, category)
         counters.accesses[key] += 1

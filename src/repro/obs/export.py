@@ -11,10 +11,6 @@ chrome://tracing load directly). Track layout:
 * pid 2 ``packets``   -- one async span per packet lifecycle
   (Rx arrival -> Tx/drop), plus instant events for Rx drops
 * pid 3 ``xscale``    -- instant events for XScale dispatches
-* pid 4 ``windows``   -- optional (pass ``windows=``): per-window
-  counter tracks (rate/p99/drops) from a
-  :class:`repro.obs.timeseries.TimeseriesCollector`, plus instant
-  events marking control-plane updates
 * pid 10+i ``ME<i>``  -- one thread row per hardware thread; PPF
   execution spans as synchronous B/E pairs (threads are non-preemptive,
   so per-thread spans never overlap)
@@ -40,7 +36,6 @@ COMPILER_PID = 0
 RINGS_PID = 1
 PACKETS_PID = 2
 XSCALE_PID = 3
-WINDOWS_PID = 4
 ME_PID_BASE = 10
 
 #: Simulated-cycles -> trace microseconds.
@@ -55,15 +50,8 @@ def chrome_trace_from_events(
     events: Iterable[Dict[str, object]],
     compile_spans: Optional[List[Tuple[str, Dict[str, object],
                                        float, float]]] = None,
-    windows: Optional[List[Dict[str, object]]] = None,
 ) -> Dict[str, object]:
-    """Build a Chrome trace-event document from raw event dicts.
-
-    ``windows`` takes a :class:`TimeseriesCollector`'s window records
-    and adds a counter track (forwarding rate, p99 latency, drops, one
-    sample per window at its start) plus instant markers for every
-    annotated control-plane event.
-    """
+    """Build a Chrome trace-event document from raw event dicts."""
     out: List[dict] = []
     seq = [0]
 
@@ -213,28 +201,6 @@ def chrome_trace_from_events(
                  ts)
         # unknown kinds (e.g. trace_meta) are skipped
 
-    # -- windowed time series (repro.obs.timeseries) ------------------------------
-    if windows:
-        from repro.obs.timeseries import window_drops
-
-        name_track(WINDOWS_PID, "windows", 0, "timeseries")
-        for w in windows:
-            ts = _cycles_us(float(w.get("t_start", 0.0)))
-            max_ts[0] = max(max_ts[0], ts)
-            lat = w.get("latency") or {}
-            emit({"ph": "C", "pid": WINDOWS_PID, "tid": 0,
-                  "name": "window",
-                  "args": {"rate_gbps": w.get("rate_gbps", 0.0),
-                           "p99_cycles": lat.get("p99", 0.0),
-                           "drops": window_drops(w)}}, ts)
-            for ev in w.get("events") or []:
-                ev_ts = _cycles_us(float(ev.get("t", 0.0)))
-                max_ts[0] = max(max_ts[0], ev_ts)
-                args = {k: v for k, v in ev.items() if k != "t"}
-                emit({"ph": "i", "pid": WINDOWS_PID, "tid": 0, "s": "g",
-                      "name": str(ev.get("kind", "event")),
-                      "args": args}, ev_ts)
-
     # -- balance pass: close anything still open at the last timestamp ------------
     end_ts = max_ts[0]
     for (pid, tid), stack in sorted(open_sync.items()):
@@ -263,10 +229,9 @@ def write_chrome_trace(
     events: Iterable[Dict[str, object]],
     compile_spans: Optional[List[Tuple[str, Dict[str, object],
                                        float, float]]] = None,
-    windows: Optional[List[Dict[str, object]]] = None,
 ) -> str:
     """Write a Chrome trace-event JSON file; returns the path."""
-    doc = chrome_trace_from_events(events, compile_spans, windows=windows)
+    doc = chrome_trace_from_events(events, compile_spans)
     d = os.path.dirname(os.path.abspath(path))
     if d:
         os.makedirs(d, exist_ok=True)

@@ -8,11 +8,10 @@ control-store budget fits...). The ledger answers "*why* did the
 Figure 13 curve move" where the BENCH files only answer "*that* it
 moved".
 
-Like the packet tracer, the ledger is **pure observation**: it is
-disabled by default, every hook is guarded on
-:attr:`DecisionLedger.enabled`, and recording never feeds back into
-compilation (ledger-on and ledger-off compiles are bit-identical --
-proven in ``tests/test_ledger.py``).
+There is one compile mode: every compile collects its decisions
+(:func:`collecting`) into ``result.decisions``, and recording is **pure
+observation** -- it never feeds back into compilation (a compile whose
+records go nowhere is bit-identical, proven in ``tests/test_ledger.py``).
 
 Artifacts:
 
@@ -21,8 +20,7 @@ Artifacts:
   made while compiling it) into a deterministic, diffable
   ``compile_report.json``.
 * ``python -m repro.obs.ledger --app l3switch --level SWC -o
-  compile_report.json`` compiles an app with the ledger enabled and
-  writes the report (the CI ``obs-diff`` job uses this).
+  compile_report.json`` compiles an app and writes the report.
 * ``python -m repro.obs.report explain compile_report.json`` renders a
   human-readable view; ``python -m repro.obs.diff A B`` compares two
   reports (or two ``BENCH_*.json`` runs) and gates regressions.
@@ -32,8 +30,10 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Report schema version (bump when the JSON layout changes shape).
 REPORT_VERSION = 1
@@ -85,40 +85,33 @@ class Decision:
         return rec
 
 
-class DecisionLedger:
-    """Append-only store of :class:`Decision` records.
+#: Where :func:`record` appends: the list of the innermost
+#: :func:`collecting` block of this thread or task, or None.
+_sink: ContextVar[Optional[List[Decision]]] = ContextVar("_sink", default=None)
 
-    Disabled by default: :meth:`record` is a cheap early-return, and
-    instrumentation sites additionally guard any non-trivial evidence
-    computation on :attr:`enabled` so a disabled ledger costs nothing.
-    """
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self.decisions: List[Decision] = []
+@contextmanager
+def collecting(into: List[Decision]) -> Iterator[List[Decision]]:
+    """Append every :func:`record` made inside the block to ``into``
+    (the compiler collects each compile into its ``result.decisions``;
+    an inner block takes the records until it exits)."""
+    token = _sink.set(into)
+    try:
+        yield into
+    finally:
+        _sink.reset(token)
 
-    def record(self, pass_name: str, subject: str, verdict: str,
-               reason: str = "", loc: Optional[str] = None,
-               **evidence) -> None:
-        if not self.enabled:
-            return
-        ev = {k: _norm(v) for k, v in sorted(evidence.items())
-              if v is not None}
-        self.decisions.append(
-            Decision(len(self.decisions), pass_name, subject, verdict,
-                     reason, ev, loc)
-        )
 
-    # -- slicing (CompileResult captures "the decisions of this compile") --------
-
-    def mark(self) -> int:
-        return len(self.decisions)
-
-    def since(self, mark: int) -> List[Decision]:
-        return self.decisions[mark:]
-
-    def clear(self) -> None:
-        self.decisions = []
+def record(pass_name: str, subject: str, verdict: str, reason: str = "",
+           loc: Optional[str] = None, **evidence) -> None:
+    """One decision, numbered within its collection; made outside any
+    :func:`collecting` block (a pass run on its own) it goes nowhere."""
+    sink = _sink.get()
+    if sink is None:
+        return
+    ev = {k: _norm(v) for k, v in sorted(evidence.items()) if v is not None}
+    sink.append(Decision(len(sink), pass_name, subject, verdict, reason, ev,
+                         loc))
 
 
 def decision_counts(decisions: List[Decision]) -> Dict[str, Dict[str, int]]:
@@ -128,30 +121,6 @@ def decision_counts(decisions: List[Decision]) -> Dict[str, Dict[str, int]]:
         counts.setdefault(d.pass_name, {}).setdefault(d.verdict, 0)
         counts[d.pass_name][d.verdict] += 1
     return counts
-
-
-# -- process-global ledger -------------------------------------------------------
-
-
-_GLOBAL = DecisionLedger()
-
-
-def get_ledger() -> DecisionLedger:
-    return _GLOBAL
-
-
-def enable() -> DecisionLedger:
-    _GLOBAL.enabled = True
-    return _GLOBAL
-
-
-def disable() -> DecisionLedger:
-    _GLOBAL.enabled = False
-    return _GLOBAL
-
-
-def is_enabled() -> bool:
-    return _GLOBAL.enabled
 
 
 # -- compile report --------------------------------------------------------------
@@ -217,13 +186,9 @@ def _opt_section(result) -> Dict[str, object]:
 
 
 def compile_report(result, app: Optional[str] = None) -> Dict[str, object]:
-    """Deterministic, diffable JSON-ready view of one compilation.
-
-    Works with the ledger disabled too (``decisions``, ``ir_stages``
-    and ``hot_lines`` -- what the compiler collects only under the
-    ledger's switch -- are then simply empty); nothing in here depends
-    on wall-clock time, object identity, or iteration order of
-    unordered containers.
+    """Deterministic, diffable JSON-ready view of one compilation:
+    nothing in here depends on wall-clock time, object identity, or
+    iteration order of unordered containers.
     """
     from dataclasses import asdict
 
@@ -250,7 +215,6 @@ def compile_report(result, app: Optional[str] = None) -> Dict[str, object]:
             "lm_stack_words": layout.lm_words_used if layout else 0,
             "sram_stack_words": layout.sram_words_used if layout else 0,
         }
-    decisions = list(getattr(result, "decisions", []))
     report: Dict[str, object] = {
         "kind": "compile_report",
         "version": REPORT_VERSION,
@@ -270,11 +234,8 @@ def compile_report(result, app: Optional[str] = None) -> Dict[str, object]:
         "fast_functions": sorted(result.fast_functions),
         "opt": _opt_section(result),
         "images": images,
-        # seq is re-based to the slice so a report is independent of any
-        # compilations that happened earlier in the same process.
-        "decisions": [dict(d.to_record(), seq=i)
-                      for i, d in enumerate(decisions)],
-        "decision_counts": decision_counts(decisions),
+        "decisions": [d.to_record() for d in result.decisions],
+        "decision_counts": decision_counts(result.decisions),
     }
     if app is not None:
         report["app"] = app
@@ -294,7 +255,7 @@ def write_compile_report(result, path: str,
     return path
 
 
-# -- CLI: compile an app with the ledger on and write the report -----------------
+# -- CLI: compile an app and write its report ------------------------------------
 
 
 def main(argv=None) -> int:
@@ -302,8 +263,8 @@ def main(argv=None) -> int:
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.obs.ledger",
-        description="Compile a bundled app with the decision ledger "
-                    "enabled and write a diffable compile_report.json.")
+        description="Compile a bundled app and write a diffable "
+                    "compile_report.json of its decisions.")
     ap.add_argument("--app", default="l3switch",
                     help="bundled application (default: %(default)s)")
     ap.add_argument("--level", default="SWC",
@@ -334,20 +295,12 @@ def main(argv=None) -> int:
         # A report compiled from an empty profile explains nothing.
         ap.error("--packets must be >= 1, got %d" % args.packets)
     app = get_app(args.app)
-
-    # Under ``python -m`` this file runs as ``__main__``; go through the
-    # canonical module instance so the compiler's hooks see the same
-    # global ledger we enable here.
-    from repro.obs import ledger as canonical
-
-    led = canonical.enable()
-    mark = led.mark()
     trace = app.make_trace(args.packets, seed=args.seed)
     result = compile_baker(app.source, options_for(level), trace)
     path = write_compile_report(result, args.output, app=args.app)
-    n = len(led.since(mark))
     print("%s: %d decisions across %d passes -> %s"
-          % (args.app, n, len(decision_counts(result.decisions)), path))
+          % (args.app, len(result.decisions),
+             len(decision_counts(result.decisions)), path))
     print("explain: python -m repro.obs.report explain %s" % path)
     return 0
 

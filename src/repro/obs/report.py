@@ -181,10 +181,6 @@ def render_explain(report: dict, pass_filter: Optional[str] = None) -> str:
                 lines.append("      why: %s" % d["reason"])
             if d.get("evidence"):
                 lines.append("      %s" % _fmt_evidence(d["evidence"]))
-    if not decisions:
-        lines.append("  (none -- was the ledger on? write the report with "
-                     "python -m repro.obs.ledger, or call "
-                     "repro.obs.ledger.enable() before compiling)")
     return "\n".join(lines)
 
 

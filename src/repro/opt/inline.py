@@ -125,7 +125,6 @@ def run(mod: IRModule,
                 return True
             return len(cg.callers.get(callee.name, ())) == 1
 
-    led = obs_ledger.get_ledger()
     rejected_pairs = set()  # ledger noise control only; never affects inlining
 
     changed = False
@@ -146,29 +145,27 @@ def run(mod: IRModule,
                     if callee is None or callee is caller:
                         continue
                     if not should_inline(callee):
-                        if led.enabled:
-                            pair = (caller.name, callee.name)
-                            if pair not in rejected_pairs:
-                                rejected_pairs.add(pair)
-                                led.record(
-                                    "inline", "%s->%s" % pair, "rejected",
-                                    reason="init functions are never inlined"
-                                           if callee.kind == "init" else
-                                           "callee too large with multiple "
-                                           "call sites",
-                                    callee_size=callee.instr_count(),
-                                    size_limit=size_limit,
-                                    call_sites=len(cg.callers.get(
-                                        callee.name, ())))
+                        pair = (caller.name, callee.name)
+                        if pair not in rejected_pairs:
+                            rejected_pairs.add(pair)
+                            obs_ledger.record(
+                                "inline", "%s->%s" % pair, "rejected",
+                                reason="init functions are never inlined"
+                                       if callee.kind == "init" else
+                                       "callee too large with multiple "
+                                       "call sites",
+                                callee_size=callee.instr_count(),
+                                size_limit=size_limit,
+                                call_sites=len(cg.callers.get(
+                                    callee.name, ())))
                         continue
-                    if led.enabled:
-                        led.record(
-                            "inline", "%s->%s" % (caller.name, callee.name),
-                            "inlined",
-                            reason="ppf merge" if callee.kind == "ppf"
-                                   else "under size limit or single caller",
-                            callee_size=callee.instr_count(),
-                            callee_kind=callee.kind)
+                    obs_ledger.record(
+                        "inline", "%s->%s" % (caller.name, callee.name),
+                        "inlined",
+                        reason="ppf merge" if callee.kind == "ppf"
+                               else "under size limit or single caller",
+                        callee_size=callee.instr_count(),
+                        callee_kind=callee.kind)
                     _inline_one_call(caller, bb, idx, instr, callee)
                     changed = True
                     again = True

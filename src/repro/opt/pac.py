@@ -339,7 +339,7 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
     if anchor is not fn.entry:
         result.anchored_loads += len(group)
         evidence["anchor"] = anchor.label
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "pac", fn.name, "combined_loads",
         reason="%d packet loads folded into one %d-word access"
                % (len(group), nwords),
@@ -571,7 +571,7 @@ def _rewrite_store_group(fn: IRFunction, bb: BasicBlock, group: List[_Access],
         replacements.setdefault(bb, {})[acc.index] = [] if acc is not last else seq
     result.wide_stores += 1
     result.combined_stores += len(group)
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "pac", fn.name, "combined_stores",
         reason="%d packet stores merged into one %d-word masked store"
                % (len(group), nwords),
@@ -758,7 +758,7 @@ def _form_global_groups(fn: IRFunction, g: str, loads: List[_GlobalLoad],
                 lo, hi = new_lo, new_hi
                 continue
             if not local:
-                obs_ledger.get_ledger().record(
+                obs_ledger.record(
                     "pac", "%s/%s" % (fn.name, g), "not_combined", reason=refused,
                     loc=obs_ledger.loc_str(follower.instr.loc),
                     leader=obs_ledger.loc_str(leader.instr.loc))
@@ -786,7 +786,7 @@ def _rewrite_global_group(fn: IRFunction, g: str, group: List[_GlobalLoad],
             I.Assign(load.instr.dst, words[(load.delta - lo) // 4])]
     result.wide_global_loads += 1
     result.combined_global_loads += len(group)
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "pac", "%s/%s" % (fn.name, g), "combined_global_loads",
         reason="%d loads of %s coalesced into one %d-word access"
                % (len(group), g, nwords),

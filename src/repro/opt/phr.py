@@ -79,13 +79,12 @@ def _localize_metadata(mod: IRModule, result: PhrResult) -> None:
             if isinstance(instr, (I.MetaLoad, I.MetaStore)) and instr.word >= META_USER_BASE:
                 sites.setdefault(instr.field, []).append((fn, instr))
 
-    led = obs_ledger.get_ledger()
     for fname, accesses in sites.items():
         fns = {fn for fn, _ in accesses}
         if len(fns) != 1:
-            led.record("phr", "meta:%s" % fname, "kept_in_sram",
-                       reason="accessed from %d functions" % len(fns),
-                       functions=len(fns), sites=len(accesses))
+            obs_ledger.record("phr", "meta:%s" % fname, "kept_in_sram",
+                              reason="accessed from %d functions" % len(fns),
+                              functions=len(fns), sites=len(accesses))
             continue
         fn = next(iter(fns))
         aliases = AliasClasses(fn)
@@ -95,16 +94,16 @@ def _localize_metadata(mod: IRModule, result: PhrResult) -> None:
             if isinstance(instr.ph, Temp)
         }
         if len(classes) != 1:
-            led.record("phr", "meta:%s" % fname, "kept_in_sram",
-                       reason="accessed through %d alias classes" % len(classes),
-                       alias_classes=len(classes), sites=len(accesses))
+            obs_ledger.record("phr", "meta:%s" % fname, "kept_in_sram",
+                              reason="accessed through %d alias classes" % len(classes),
+                              alias_classes=len(classes), sites=len(accesses))
             continue
         # Copies inherit metadata; if the class's packets are ever copied,
         # the single temp would incorrectly couple the two packets.
         if any(isinstance(i, I.PktCopy) for i in fn.all_instrs()):
-            led.record("phr", "meta:%s" % fname, "kept_in_sram",
-                       reason="packets of this class are copied",
-                       sites=len(accesses))
+            obs_ledger.record("phr", "meta:%s" % fname, "kept_in_sram",
+                              reason="packets of this class are copied",
+                              sites=len(accesses))
             continue
         local = fn.new_temp(T.U32, "meta_%s" % fname)
         init = I.Assign(local, Const(0))
@@ -116,9 +115,9 @@ def _localize_metadata(mod: IRModule, result: PhrResult) -> None:
                 elif isinstance(instr, I.MetaStore) and instr.field == fname:
                     bb.instrs[idx] = I.Assign(local, instr.value)
         result.localized_meta_fields.append(fname)
-        led.record("phr", "meta:%s" % fname, "localized",
-                   reason="all accesses in %s through one alias class" % fn.name,
-                   sites=len(accesses))
+        obs_ledger.record("phr", "meta:%s" % fname, "localized",
+                          reason="all accesses in %s through one alias class" % fn.name,
+                          sites=len(accesses))
 
 
 # -- encap/decap elision ---------------------------------------------------------------
@@ -183,7 +182,7 @@ def _elide_encaps(fn: IRFunction, result: PhrResult) -> None:
                 if ph is not None:
                     new_instrs.append(I.PktSyncHead(ph, pending[c]))
                     result.syncs_inserted += 1
-                    obs_ledger.get_ledger().record(
+                    obs_ledger.record(
                         "phr", fn.name, "sync_inserted",
                         reason="join mismatch forces sync at block end",
                         delta_bytes=pending[c])
@@ -245,18 +244,17 @@ def _is_escape(instr: I.Instr) -> bool:
 def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
                    aliases: AliasClasses, out: List[I.Instr],
                    result: PhrResult) -> None:
-    led = obs_ledger.get_ledger()
     delta = _elided_delta(instr)
     if delta is not None:
         cls = aliases.class_of(instr.src)
         pending[cls] = pending.get(cls, 0) + delta
         out.append(I.Assign(instr.dst, instr.src))
         result.elided_encaps += 1
-        led.record("phr", fn.name, "elided",
-                   reason="%s with statically known head offset"
-                          % type(instr).__name__,
-                   loc=obs_ledger.loc_str(instr.loc),
-                   delta_bytes=delta, pending_bytes=pending[cls])
+        obs_ledger.record("phr", fn.name, "elided",
+                          reason="%s with statically known head offset"
+                                 % type(instr).__name__,
+                          loc=obs_ledger.loc_str(instr.loc),
+                          delta_bytes=delta, pending_bytes=pending[cls])
         return
 
     touched = _touched(instr, aliases)
@@ -268,10 +266,10 @@ def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
             if d != 0 and not isinstance(instr, I.PktDrop):
                 out.append(I.PktSyncHead(handle, d))
                 result.syncs_inserted += 1
-                led.record("phr", fn.name, "sync_inserted",
-                           reason="pending head delta materialized before %s"
-                                  % type(instr).__name__,
-                           loc=obs_ledger.loc_str(instr.loc), delta_bytes=d)
+                obs_ledger.record("phr", fn.name, "sync_inserted",
+                                  reason="pending head delta materialized before %s"
+                                         % type(instr).__name__,
+                                  loc=obs_ledger.loc_str(instr.loc), delta_bytes=d)
             pending[cls] = 0
         out.append(instr)
         return
@@ -329,7 +327,6 @@ def plan_packet_state(mod: IRModule, fast_functions, result: PhrResult) -> None:
     in ``fast_functions``; the XScale interprets its PPFs against SRAM).
     Must run last: the plan names instructions of the IR the code
     generator will see."""
-    led = obs_ledger.get_ledger()
     for fn in mod.ppfs():
         if fn.name not in fast_functions:
             continue
@@ -341,12 +338,12 @@ def plan_packet_state(mod: IRModule, fast_functions, result: PhrResult) -> None:
         result.state_functions += 1
         result.state_writebacks += dirty
         result.state_clean_sites += clean
-        led.record("phr", fn.name, "state_in_registers",
-                   reason="buf/head/len of the packet parameter read once "
-                          "at entry; head/len stored only where a moved "
-                          "head escapes",
-                   entry_words=4 if plan.hoist_rx_port else 3,
-                   writeback_sites=dirty, clean_sites=clean)
+        obs_ledger.record("phr", fn.name, "state_in_registers",
+                          reason="buf/head/len of the packet parameter read once "
+                                 "at entry; head/len stored only where a moved "
+                                 "head escapes",
+                          entry_words=4 if plan.hoist_rx_port else 3,
+                          writeback_sites=dirty, clean_sites=clean)
 
 
 def _plan_function(fn: IRFunction) -> Optional[PacketStatePlan]:

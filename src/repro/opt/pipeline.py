@@ -28,7 +28,7 @@ def scalar_optimize_function(fn: IRFunction) -> None:
     # The fixpoint loop ran out of budget while passes were still
     # reporting changes: the result is still correct (each pass is
     # sound in isolation) but possibly under-optimized.
-    obs_ledger.get_ledger().record(
+    obs_ledger.record(
         "scalar", fn.name, "fixpoint_exhausted",
         reason="still changing after _MAX_ITER iterations",
         iterations=_MAX_ITER, max_iter=_MAX_ITER)

@@ -147,17 +147,15 @@ def run(mod: IRModule) -> SoarResult:
     result.channel_values = {
         name: v for name, v in chan_values.items() if v is not None
     }
-    led = obs_ledger.get_ledger()
-    if led.enabled:
-        for name, (off, align) in sorted(result.channel_values.items()):
-            led.record("soar", "channel:%s" % name,
-                       "resolved" if off is not None else "unresolved",
-                       reason="head offset at channel entry",
-                       offset_bytes=off, alignment=align)
-        led.record("soar", "<module>", "summary",
-                   resolved=result.resolved_accesses,
-                   total=result.total_accesses,
-                   resolution_rate=result.resolution_rate)
+    for name, (off, align) in sorted(result.channel_values.items()):
+        obs_ledger.record("soar", "channel:%s" % name,
+                          "resolved" if off is not None else "unresolved",
+                          reason="head offset at channel entry",
+                          offset_bytes=off, alignment=align)
+    obs_ledger.record("soar", "<module>", "summary",
+                      resolved=result.resolved_accesses,
+                      total=result.total_accesses,
+                      resolution_rate=result.resolution_rate)
     return result
 
 
@@ -301,11 +299,8 @@ def _annotate(instr: I.PktInstr, value: ClassValue, result: SoarResult,
         result.total_accesses += 1
         if off is not None:
             result.resolved_accesses += 1
-        led = obs_ledger.get_ledger()
-        if led.enabled:
-            led.record(
-                "soar",
-                obs_ledger.loc_str(instr.loc) or type(instr).__name__,
-                "resolved" if off is not None else "unresolved",
-                loc=obs_ledger.loc_str(instr.loc),
-                offset_bits=instr.c_offset_bits, alignment=align)
+        loc = obs_ledger.loc_str(instr.loc)
+        obs_ledger.record(
+            "soar", loc or type(instr).__name__,
+            "resolved" if off is not None else "unresolved",
+            loc=loc, offset_bits=instr.c_offset_bits, alignment=align)

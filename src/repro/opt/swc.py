@@ -141,11 +141,10 @@ def select_candidates(mod: IRModule, profile: ProfileData,
     aggregate functions (loads elsewhere are control path)."""
     result = SwcResult()
     packets = max(profile.packets_in, 1)
-    led = obs_ledger.get_ledger()
 
     def _reject(name, reason, **evidence):
         result.rejected[name] = reason
-        led.record("swc", name, "rejected", reason=reason, **evidence)
+        obs_ledger.record("swc", name, "rejected", reason=reason, **evidence)
 
     in_critical = _globals_in_critical_sections(mod)
     fast_loaded = _globals_loaded_in(mod, fast_functions)
@@ -237,18 +236,17 @@ def select_candidates(mod: IRModule, profile: ProfileData,
             CacheSpec(name, gid, line_bytes, line_words, name + FLAG_SUFFIX)
         )
         result.eq2_min_check_rate = max(result.eq2_min_check_rate, eq2)
-        if led.enabled:
-            # Equation 2 evidence at the paper's 1% tolerable error rate.
-            led.record(
-                "swc", name, "accepted",
-                reason="hot, rarely written, working set fits the CAM",
-                gid=gid, line_bytes=line_bytes,
-                loads_per_packet=loads_per_packet,
-                stores_per_packet=stores_per_packet,
-                hit_rate=hit_rate,
-                cam_capacity=capacity + ws,
-                working_set_lines=ws,
-                eq2_min_check_rate=eq2)
+        # Equation 2 evidence at the paper's 1% tolerable error rate.
+        obs_ledger.record(
+            "swc", name, "accepted",
+            reason="hot, rarely written, working set fits the CAM",
+            gid=gid, line_bytes=line_bytes,
+            loads_per_packet=loads_per_packet,
+            stores_per_packet=stores_per_packet,
+            hit_rate=hit_rate,
+            cam_capacity=capacity + ws,
+            working_set_lines=ws,
+            eq2_min_check_rate=eq2)
         gid += 1
     return result
 
@@ -264,8 +262,7 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
     if result.cached and result.eq2_min_check_rate > 0.0:
         max_period = max(1, int(1.0 / result.eq2_min_check_rate))
         if effective > max_period:
-            led = obs_ledger.get_ledger()
-            led.record(
+            obs_ledger.record(
                 "swc", "check_period", "clamped",
                 reason="requested period %d implies check rate %.4g below "
                        "Equation-2 minimum %.4g" % (

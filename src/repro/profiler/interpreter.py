@@ -14,7 +14,9 @@ tested.
 
 Execution is threaded code (DESIGN.md section 5): the first time a basic
 block runs it is decoded into closures ``op(interp, env)`` with everything
-static settled once, and fuel and profile counters are charged per block.
+static settled once, and fuel and profile counters are charged per block;
+each block counts its executions, which :meth:`Interpreter.run_trace`
+charges to Baker source lines (``profile.line_instrs``) once, at the end.
 Decoded blocks belong to the ``Interpreter`` instance, never to the IR,
 which passes mutate between runs; the closures take the interpreter as an
 argument instead of capturing it, so decoded code forms no reference cycle.
@@ -359,18 +361,11 @@ class Interpreter:
     """Interprets an IRModule; reusable across traces (but not across
     edits of the module: decoded blocks are kept for the instance's life)."""
 
-    def __init__(self, mod: IRModule, fuel: int = 50_000_000,
-                 attribute_lines: bool = False):
+    def __init__(self, mod: IRModule, fuel: int = 50_000_000):
         self.mod = mod
         self.globals = GlobalMemory(mod)
         self.profile = ProfileData()
         self.fuel = fuel
-        # When set, every interpreted instruction with a source location
-        # is charged to its (filename, line) in profile.line_instrs --
-        # the hot-path attribution behind the obs report's top-N table.
-        # Off by default: the extra dict update is wasted work for plain
-        # differential-oracle runs.
-        self._attr_lines = attribute_lines
         self._ppf_by_channel: Dict[str, str] = {}
         for fn in mod.ppfs():
             for chan in fn.input_channels:
@@ -397,6 +392,7 @@ class Interpreter:
                 self._exec_function(fn, [])
         finally:
             self.profile = saved
+            self._charge_lines(None)
 
     def run_trace(self, trace: Trace) -> SystemResult:
         """Feed every trace packet through rx and drain all channels."""
@@ -410,6 +406,7 @@ class Interpreter:
             while self._queue:
                 chan, qpkt = self._queue.popleft()
                 self._deliver(self._ppf_by_channel[chan], qpkt)
+        self._charge_lines(self.profile.line_instrs)
         return SystemResult(self.tx, self.profile)
 
     def call(self, name: str, args: List[object]) -> object:
@@ -439,9 +436,21 @@ class Interpreter:
             ops.append(decoder(instr, fn))
         lines = Counter((i.loc.filename, i.loc.line)
                         for i in bb.instrs if i.loc is not None)
-        block = self._code[bb] = (tuple(ops), len(ops) + 1, tuple(lines.items())
+        # (ops, instructions per run, [runs since the last _charge_lines],
+        #  instructions per source line, decoded terminator...)
+        block = self._code[bb] = (tuple(ops), len(ops) + 1, [0],
+                                  tuple(lines.items())
                                   ) + _decode_terminator(bb.terminator)
         return block
+
+    def _charge_lines(self, line_instrs: Optional[Counter]) -> None:
+        """Charge every block's runs since the last call to its source
+        lines in ``line_instrs`` (None: discard them)."""
+        for _, _, hits, lines, *_ in self._code.values():
+            if hits[0] and line_instrs is not None:
+                for where, n in lines:
+                    line_instrs[where] += hits[0] * n
+            hits[0] = 0
 
     def _exec_function(self, fn: IRFunction, args: List[object]) -> object:
         if len(args) != len(fn.params):
@@ -451,21 +460,17 @@ class Interpreter:
         for name, arr in fn.local_arrays.items():
             env[name] = bytearray(arr.size_bytes)
         code = self._code
-        attr_lines = self._attr_lines
         executed = 0
         bb = fn.entry
         try:
             while True:
-                ops, count, lines, kind, x, y, z = code.get(bb) or self._decode_block(fn, bb)
+                ops, count, hits, _, kind, x, y, z = code.get(bb) or self._decode_block(fn, bb)
                 # The whole block (terminator included) is charged up front.
                 executed += count
+                hits[0] += 1
                 self.fuel = fuel = self.fuel - count
                 if fuel <= 0:
                     raise InterpError("interpreter fuel exhausted (infinite loop?)")
-                if attr_lines:
-                    line_instrs = self.profile.line_instrs
-                    for where, n in lines:
-                        line_instrs[where] += n
                 for op in ops:
                     op(self, env)
                 if kind == _BRANCH:
@@ -518,9 +523,8 @@ class Interpreter:
         self.cam_lru.append(entry)
 
 
-def run_reference(mod: IRModule, trace: Trace,
-                  attribute_lines: bool = False) -> SystemResult:
+def run_reference(mod: IRModule, trace: Trace) -> SystemResult:
     """Convenience: init globals, run init blocks, feed the trace."""
-    interp = Interpreter(mod, attribute_lines=attribute_lines)
+    interp = Interpreter(mod)
     interp.run_inits()
     return interp.run_trace(trace)

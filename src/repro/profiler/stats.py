@@ -66,9 +66,8 @@ class ProfileData:
     # Per-function total invocation counts (incl. support funcs).
     func_invocations: Counter = field(default_factory=Counter)
     # Per-source-line interpreted IR instruction counts, keyed by
-    # (filename, 1-based line). Only populated when the interpreter runs
-    # with ``attribute_lines=True`` (the hot-path attribution the
-    # observability report renders as a top-N table).
+    # (filename, 1-based line): the hot-path attribution the compile
+    # report renders as a top-N table.
     line_instrs: Counter = field(default_factory=Counter)
 
     def gstat(self, name: str) -> GlobalStats:

@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs_trace
 from repro.options import LEVEL_ORDER, parse_level
 from repro.sweep.cache import CompileCache, repo_root
@@ -82,11 +81,6 @@ def main(argv=None) -> int:
                          "<repo>/.repro_cache/compile)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the on-disk compile cache")
-    ap.add_argument("--ledger", action="store_true",
-                    help="record compile decisions (repro.obs.ledger) "
-                         "beside every compile, giving --analyze's layout "
-                         "and budget checks the compiler's claims to check "
-                         "(without it they warn and skip)")
     ap.add_argument("--analyze", action="store_true",
                     help="run the repro.analyze checks (layout, budget, "
                          "translation validation) on every distinct "
@@ -143,8 +137,6 @@ def main(argv=None) -> int:
             ap.error("--%s must be >= %d, got %d"
                      % (flag.replace("_", "-"), floor, getattr(args, flag)))
 
-    if args.ledger:
-        obs_ledger.enable()
     cache = CompileCache(args.cache_dir, enabled=not args.no_cache)
     out_dir = args.out_dir or repo_root()
     os.makedirs(out_dir, exist_ok=True)
@@ -169,7 +161,7 @@ def main(argv=None) -> int:
     cfg = WorkerConfig(cache_dir=cache.cache_dir, use_cache=cache.enabled,
                        trace_packets=args.trace_packets,
                        trace_seed=args.trace_seed,
-                       ledger=args.ledger, analyze=args.analyze,
+                       analyze=args.analyze,
                        analyze_packets=args.analyze_packets,
                        profile=args.profile)
     sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg)

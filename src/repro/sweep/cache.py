@@ -12,24 +12,22 @@ The fingerprint covers everything that can change compiler output:
 * the Baker source text of the application,
 * the full :class:`~repro.options.CompilerOptions` field set,
 * the profiling-trace parameters (packet count, seed),
-* the compile-time ``target_gbps`` aggregation input,
 * the compiler version -- a digest over every ``repro`` source file,
   so *any* change to the compiler (or simulator) invalidates the whole
   cache rather than serving artifacts from an older code base,
 * the Python major.minor version (pickles are not guaranteed portable
   across interpreter versions).
 
-Hits and misses are observable: :attr:`CompileCache.hits` /
-:attr:`~CompileCache.misses` and, when the decision ledger is enabled,
-one ``sweep.cache`` decision per lookup (verdict ``hit``, ``miss`` or
-``corrupt``).
+Hits, misses and corrupt entries are counted:
+:attr:`CompileCache.hits` / :attr:`~CompileCache.misses` /
+:attr:`~CompileCache.corrupt_entries`.
 
 Cache files are written atomically (tempfile + ``os.replace``), so
 concurrent workers racing on a cold key at worst compile twice and
 both write identical-content artifacts. An unreadable file is a plain
 miss; a file that *reads* but does not *decode* (truncated pickle,
-stale class layout) is deleted on first detection -- and recorded under
-the distinct ``corrupt`` verdict -- so later runs do not keep
+stale class layout) is deleted on first detection -- and counted in
+:attr:`~CompileCache.corrupt_entries` -- so later runs do not keep
 re-reading and re-discarding the same dead bytes.
 """
 
@@ -45,7 +43,6 @@ from dataclasses import asdict
 from typing import Dict, Optional, Tuple
 
 import repro
-from repro.obs import ledger as obs_ledger
 
 #: Bump to invalidate every existing cache entry on format changes.
 CACHE_FORMAT = 1
@@ -87,14 +84,15 @@ def compiler_fingerprint() -> str:
 
 
 def cache_key(source: str, opts, trace_packets: int, trace_seed: int,
-              target_gbps: float = 2.5) -> str:
-    """Content fingerprint for one (source, options, trace) compile."""
+              target_gbps: Optional[float] = None) -> str:
+    """Content fingerprint for one (source, options, trace) compile.
+    ``target_gbps`` is accepted and ignored: ``benchmarks/pipeline``
+    passes it, and that directory is frozen (ROADMAP item 3)."""
     ident = {
         "format": CACHE_FORMAT,
         "source": source,
         "options": asdict(opts),
         "trace": {"packets": trace_packets, "seed": trace_seed},
-        "target_gbps": target_gbps,
         "compiler": compiler_fingerprint(),
         "python": "%d.%d" % sys.version_info[:2],
     }
@@ -115,7 +113,6 @@ class CompileCache:
         self.hits = 0
         self.misses = 0
         self.corrupt_entries = 0
-        self.last_load_corrupt = False
         self._memo: Dict[str, Tuple[object, object]] = {}
 
     def _path(self, key: str) -> str:
@@ -125,9 +122,7 @@ class CompileCache:
         """The cached value, or None. A corrupt (undecodable) entry is
         deleted on first detection -- leaving it on disk would make
         every later run re-read and re-discard the same bytes -- and
-        counted in :attr:`corrupt_entries`; :attr:`last_load_corrupt`
-        lets the caller distinguish it from a plain miss."""
-        self.last_load_corrupt = False
+        counted in :attr:`corrupt_entries`."""
         if key in self._memo:
             return self._memo[key]
         if not self.enabled:
@@ -142,7 +137,6 @@ class CompileCache:
             # Truncated write, stale class layout, wrong protocol...
             # The bytes will never decode; stop serving them.
             self.corrupt_entries += 1
-            self.last_load_corrupt = True
             try:
                 os.unlink(self._path(key))
             except OSError:
@@ -173,13 +167,11 @@ class CompileCache:
     # -- the sweep's compile entry point -----------------------------------------
 
     def get_or_compile(self, app_name: str, level: str,
-                       trace_packets: int = 200, trace_seed: int = 5,
-                       target_gbps: float = 2.5):
+                       trace_packets: int = 200, trace_seed: int = 5):
         """``(CompileResult, Trace, hit)`` for one app at one level.
 
         On a miss the app is compiled through the full pipeline and the
-        artifact stored; on a hit compilation is skipped entirely (the
-        ledger records which).
+        artifact stored; on a hit compilation is skipped entirely.
         """
         from repro.apps import get_app
         from repro.compiler import compile_baker
@@ -187,28 +179,14 @@ class CompileCache:
 
         app = get_app(app_name)
         opts = options_for(level)
-        key = cache_key(app.source, opts, trace_packets, trace_seed,
-                        target_gbps=target_gbps)
-        led = obs_ledger.get_ledger()
+        key = cache_key(app.source, opts, trace_packets, trace_seed)
         cached = self.load(key)
         if cached is not None:
             self.hits += 1
-            led.record("sweep.cache", "%s/%s" % (app_name, level), "hit",
-                       reason="artifact served from disk cache",
-                       key=key[:16])
             result, trace = cached
             return result, trace, True
         self.misses += 1
-        if self.last_load_corrupt:
-            led.record("sweep.cache", "%s/%s" % (app_name, level), "corrupt",
-                       reason="undecodable artifact deleted; recompiling",
-                       key=key[:16])
-        else:
-            led.record("sweep.cache", "%s/%s" % (app_name, level), "miss",
-                       reason="no artifact for fingerprint; compiling",
-                       key=key[:16])
         trace = app.make_trace(trace_packets, seed=trace_seed)
-        result = compile_baker(app.source, opts, trace,
-                               target_gbps=target_gbps)
+        result = compile_baker(app.source, opts, trace)
         self.store(key, (result, trace))
         return result, trace, False

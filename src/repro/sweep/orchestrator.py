@@ -28,9 +28,9 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import ledger as obs_ledger
+from repro.aggregation import TARGET_GBPS
 from repro.obs import trace as obs_trace
 from repro.options import LEVEL_ORDER
 from repro.sweep.benchio import write_bench_json
@@ -70,22 +70,19 @@ class SweepJob:
     #: Optional packet-trace output path (not part of the job identity;
     #: tracing is pure observation).
     trace_json: Optional[str] = None
-    #: Compile-time aggregation input (paper section 5.1); part of the
-    #: compile identity.
-    target_gbps: float = 2.5
+    #: Not a field: every compile aims at the one aggregation target.
+    #: Readable because ``benchmarks/pipeline/sweep_grid.py`` passes it
+    #: to ``cache_key`` (that directory is frozen, ROADMAP item 3).
+    target_gbps: ClassVar[float] = TARGET_GBPS
 
     def sort_key(self) -> Tuple:
         level_rank = (LEVEL_ORDER.index(self.level)
                       if self.level in LEVEL_ORDER else len(LEVEL_ORDER))
-        return (self.app, self.kind, level_rank, self.level,
-                self.target_gbps, self.n_mes)
+        return (self.app, self.kind, level_rank, self.level, self.n_mes)
 
     def describe(self) -> str:
-        extra = ""
-        if self.target_gbps != 2.5:
-            extra = " @%.2gGbps" % self.target_gbps
-        return "%s/%s %s @%d MEs%s" % (self.app, self.level, self.kind,
-                                       self.n_mes, extra)
+        return "%s/%s %s @%d MEs" % (self.app, self.level, self.kind,
+                                     self.n_mes)
 
 
 @dataclass
@@ -116,9 +113,6 @@ class WorkerConfig:
     #: Accepted and selects nothing: ``benchmarks/pipeline/sweep_grid.py``
     #: passes ``obs=False``, and that directory is frozen (ROADMAP item 3).
     obs: bool = True
-    #: Record compile decisions in the worker: ``analyze``'s layout and
-    #: budget checks read them from the compile they ran beside.
-    ledger: bool = False
     #: Opt-in per-job correctness check: run the three ``repro.analyze``
     #: checks (layout, budget, translation validation) over each distinct
     #: (app, level) compile and attach the report to the job results.
@@ -180,8 +174,7 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
     if cache is None:
         cache = _process_cache(cfg)
     t0 = time.perf_counter()
-    result, trace, hit = _compile(cache, cfg, job.app, job.level,
-                                  job.target_gbps)
+    result, trace, hit = _compile(cache, cfg, job.app, job.level)
     profiler = None
     if cfg.profile and job.kind == "rate":
         from repro.obs.profile import StallProfiler
@@ -210,14 +203,13 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                      occupancy=occupancy)
 
 
-def _compile(cache: CompileCache, cfg: WorkerConfig, app: str, level: str,
-             target_gbps: float):
+def _compile(cache: CompileCache, cfg: WorkerConfig, app: str, level: str):
     """``cache.get_or_compile`` for one compile identity. The job is
     what knows which app and level a compile belongs to, so the stage
     spans a cache miss captures are stamped here."""
     with obs_trace.label_compile_spans(app=app, level=level):
         return cache.get_or_compile(app, level, cfg.trace_packets,
-                                    cfg.trace_seed, target_gbps=target_gbps)
+                                    cfg.trace_seed)
 
 
 #: Per-process memo: the analysis of one (app, level) compile does not
@@ -260,20 +252,16 @@ def _worker_init(cfg: WorkerConfig) -> None:
     global _WORKER_CFG, _WORKER_CACHE
     _WORKER_CFG = cfg
     _WORKER_CACHE = CompileCache(cfg.cache_dir, enabled=cfg.use_cache)
-    if cfg.ledger:
-        obs_ledger.enable()
 
 
 def _worker_run(job: SweepJob) -> JobResult:
     return execute_job(job, _WORKER_CFG, _WORKER_CACHE)
 
 
-def _worker_precompile(pair: Tuple[str, str, float]) -> bool:
-    """Warm the disk cache for one compile identity
-    (app, level, target_gbps); True on a cache hit."""
-    app, level, target_gbps = pair
-    _res, _trace, hit = _compile(_WORKER_CACHE, _WORKER_CFG, app, level,
-                                 target_gbps)
+def _worker_precompile(pair: Tuple[str, str]) -> bool:
+    """Warm the disk cache for one compile identity (app, level); True on
+    a cache hit."""
+    _res, _trace, hit = _compile(_WORKER_CACHE, _WORKER_CFG, *pair)
     return hit
 
 
@@ -389,7 +377,6 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
         cfg = WorkerConfig(
             cache_dir=cache.cache_dir if cache is not None else None,
             use_cache=cache.enabled if cache is not None else True,
-            ledger=obs_ledger.is_enabled(),
         )
     if cache is None:
         cache = CompileCache(cfg.cache_dir, enabled=cfg.use_cache)
@@ -400,7 +387,7 @@ def run_sweep(jobs: Sequence[SweepJob], n_procs: int = 1,
         results = [execute_job(job, cfg, cache) for job in ordered]
         n_procs = 1
     else:
-        pairs = sorted({(j.app, j.level, j.target_gbps) for j in ordered})
+        pairs = sorted({(j.app, j.level) for j in ordered})
         ctx = multiprocessing.get_context("spawn")
         procs = min(n_procs, len(ordered))
         with ctx.Pool(procs, initializer=_worker_init,

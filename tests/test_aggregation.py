@@ -29,7 +29,7 @@ MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
 
 def test_stage_throughput_scales_with_mes():
-    assert stage_throughput(600, 2, me_ips=600e6) == pytest.approx(2e6)
+    assert stage_throughput(600, 2) == pytest.approx(2e6)
 
 
 def test_assign_mes_gives_bottleneck_more():

@@ -21,7 +21,6 @@ from repro.analyze.core import report_text
 from repro.apps import get_app
 from repro.compiler import compile_baker
 from repro.ir import instructions as I
-from repro.obs import ledger as obs_ledger
 from repro.options import LEVEL_ORDER, options_for
 
 APPS = ("l3switch", "firewall", "mpls")
@@ -34,20 +33,12 @@ PACKETS, SEED, ROOTS = (120, 5, 12)
 _compiled = {}
 
 
-def _fresh_compile(app_name, level, ledger=True, **kw):
-    """One compile with the decision ledger on, so ``layout`` and
-    ``budget`` have claims to check (restored afterwards: the ledger is
-    process-global)."""
+def _fresh_compile(app_name, level, **kw):
+    """One compile; its ``decisions`` are the claims ``layout`` and
+    ``budget`` check."""
     app = get_app(app_name)
     trace = app.make_trace(PACKETS, seed=SEED)
-    led = obs_ledger.get_ledger()
-    saved = (led.enabled, led.decisions)
-    led.enabled, led.decisions = ledger, []
-    try:
-        return compile_baker(app.source, options_for(level), trace,
-                             **kw), trace
-    finally:
-        led.enabled, led.decisions = saved
+    return compile_baker(app.source, options_for(level), trace, **kw), trace
 
 
 def _compile(app_name, level):
@@ -104,11 +95,9 @@ def test_report_is_valid_sorted_json():
 @pytest.mark.parametrize("app_name", APPS)
 @pytest.mark.parametrize("level", LEVEL_ORDER)
 def test_matrix_validates_clean(app_name, level):
-    """Every app at every O-level: all three checks, ledger on, zero
-    findings of any severity. This is the no-false-positives half of the
-    translation validator's contract (and of the two ledger
-    cross-checks: with the ledger on nothing is skipped with a
-    warning)."""
+    """Every app at every O-level: all three checks, zero findings of any
+    severity. This is the no-false-positives half of the translation
+    validator's contract and of the two ledger cross-checks."""
     report = _analyze(app_name, level)
     findings = [f for section in report["passes"].values()
                 for f in section["findings"]]
@@ -147,7 +136,7 @@ def test_layout_catches_rewritten_offset():
     """One resolved access whose ``c_offset_bits`` changed after SOAR
     announced it: exactly one error, naming the site."""
     result, _trace = _fresh_compile("mpls", "SWC")
-    assert layout.check("mpls", result)["findings"] == []
+    assert layout.check(result)["findings"] == []
     (image,) = result.images.values()
     victim = next(
         i for name in image.functions if name in result.mod.functions
@@ -155,17 +144,40 @@ def test_layout_catches_rewritten_offset():
         if isinstance(i, (I.PktLoadWords, I.PktLoadField))
         and i.c_offset_bits is not None)
     victim.c_offset_bits += 32
-    errors = _errors(layout.check("mpls", result))
+    errors = _errors(layout.check(result))
     assert len(errors) == 1, errors
     assert "no matching soar ledger record" in errors[0]["detail"]
     assert "offset_bits=%d" % victim.c_offset_bits in errors[0]["detail"]
 
 
-def test_layout_without_ledger_warns_and_skips():
-    result, _trace = _fresh_compile("mpls", "SWC", ledger=False)
-    section = layout.check("mpls", result)
-    assert [f["severity"] for f in section["findings"]] == ["warning"]
+def test_compile_without_its_claims_is_an_error_per_access_and_image():
+    """With its decisions gone a compile's claims are missing, not
+    unchecked: one ``layout`` error per access SOAR annotated, one
+    ``budget`` error per image."""
+    result, _trace = _fresh_compile("mpls", "SWC")
+    section = layout.check(result)
+    n_accesses = sum(row["n_accesses"] for row in section["images"].values())
+    assert n_accesses > 0 and section["findings"] == []
+    result.decisions.clear()
+    section = layout.check(result)
     assert section["ledger_sites"] == 0
+    assert [f["severity"] for f in section["findings"]] == ["error"] * n_accesses
+    errors = budget.check(result)["findings"]
+    assert [(f["severity"], f["subject"]) for f in errors] == [
+        ("error", image.name) for _, image in sorted(result.images.items())]
+    assert all("no codesize ledger record" in f["detail"] for f in errors)
+
+
+def test_decisions_do_not_depend_on_an_earlier_analysis():
+    """``run_analysis`` switches nothing on: a compile after it records
+    the decisions a compile before it did."""
+    app = get_app("l3switch")
+    trace = app.make_trace(PACKETS, seed=SEED)
+    before = compile_baker(app.source, options_for("BASE"), trace)
+    run_analysis("l3switch", "BASE", packets=PACKETS, seed=SEED,
+                 validate_packets=2)
+    after = compile_baker(app.source, options_for("BASE"), trace)
+    assert before.decisions and before.decisions == after.decisions
 
 
 def test_validate_pass_replays_roots():

@@ -113,6 +113,43 @@ def test_global_initializers_folded():
     assert cp.globals["t"].init_values == [3, 4, 2, 255]
 
 
+@pytest.mark.parametrize("const_expr, runtime_expr, want", [
+    ("(0 - 7) / 2", "(z - 7) / 2", 0x7FFFFFFC),
+    ("1 << 33", "(z + 1) << 33", 2),
+    ("(0 - 1) > 0", "(z - 1) > z", 1),
+    ("(0 - 1) >> 28", "(z - 1) >> 28", 0xF),
+    ("(0 - 7) % 2", "(z - 7) % 2", 1),
+    ("~5", "~(z + 5)", 0xFFFFFFFA),
+    ("-7", "-(z + 7)", 0xFFFFFFF9),
+])
+@pytest.mark.parametrize("optimized", [False, True], ids=["interp", "scalar_opt"])
+def test_const_folds_like_the_code_it_stands_for(const_expr, runtime_expr, want,
+                                                 optimized):
+    """``const int K = E`` holds what E computes at run time (the zero
+    global ``z`` keeps the second expression out of the folder): every
+    operator at the width and signedness lowering gives it."""
+    from repro.opt.pipeline import scalar_optimize_module
+    from repro.profiler.interpreter import Interpreter
+    from tests.ir_helpers import lower
+
+    mod = lower(ETHER_IPV4_PROTOCOLS + (
+        "const int K = %s; u32 z; u32 g[2];"
+        "module fwd { ppf go(ether_pkt *ph) from rx { channel_put(tx, ph); }"
+        " init { g[0] = K; g[1] = %s; } }" % (const_expr, runtime_expr)))
+    if optimized:
+        scalar_optimize_module(mod)
+    interp = Interpreter(mod)
+    interp.run_inits()
+    assert [interp.globals.load("g", off, 4) for off in (0, 4)] == [want, want]
+
+
+def test_const_division_by_zero_is_located():
+    with pytest.raises(SemanticError, match="division by zero in constant "
+                                            "expression") as exc:
+        check("const u32 K = 1;\nconst u32 D = 4 / (K - 1);" + PASSTHROUGH)
+    assert exc.value.loc.line == 2
+
+
 def test_too_many_initializers():
     expect_error("u32 t[2] = { 1, 2, 3 };" + PASSTHROUGH, "too many")
 

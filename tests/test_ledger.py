@@ -1,7 +1,7 @@
 """Decision ledger (repro.obs.ledger), compile reports, the explain
 view, and repro.obs.diff: recording semantics, the pure-observation
-guarantee (ledger-on == ledger-off, bit for bit), report determinism,
-and diff/gate exit codes."""
+guarantee (a compile whose records go nowhere is the same compile, bit
+for bit), report determinism, and diff/gate exit codes."""
 
 import json
 
@@ -13,9 +13,10 @@ from repro.obs import ledger as obs_ledger
 from repro.obs.diff import EXIT_REGRESSION
 from repro.obs.diff import main as diff_main
 from repro.obs.ledger import (
-    DecisionLedger,
+    collecting,
     compile_report,
     decision_counts,
+    record,
     write_compile_report,
 )
 from repro.obs.report import main as report_main
@@ -24,18 +25,6 @@ from repro.profiler.trace import ipv4_trace
 from repro.rts.system import run_on_simulator
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
-
-
-@pytest.fixture
-def clean_ledger():
-    """Leave the process-global ledger exactly as we found it."""
-    led = obs_ledger.get_ledger()
-    was_enabled = led.enabled
-    saved = led.decisions
-    led.decisions = []
-    yield led
-    led.enabled = was_enabled
-    led.decisions = saved
 
 
 def _mini_result():
@@ -55,17 +44,11 @@ def _l3switch_result(level):
 # -- ledger semantics -----------------------------------------------------------------
 
 
-def test_disabled_ledger_records_nothing():
-    led = DecisionLedger(enabled=False)
-    led.record("pac", "f", "combined_loads", members=3)
-    assert led.decisions == []
-
-
 def test_record_normalizes_and_orders_evidence():
-    led = DecisionLedger(enabled=True)
-    led.record("swc", "tbl", "accepted", reason="hot",
+    with collecting([]) as decisions:
+        record("swc", "tbl", "accepted", reason="hot",
                z_rate=0.123456789, flag=True, skipped=None, n=4)
-    (d,) = led.decisions
+    (d,) = decisions
     assert d.seq == 0 and d.pass_name == "swc" and d.verdict == "accepted"
     # None dropped, bool -> int, float rounded, keys sorted.
     assert list(d.evidence) == ["flag", "n", "z_rate"]
@@ -74,45 +57,48 @@ def test_record_normalizes_and_orders_evidence():
     assert rec["pass"] == "swc" and rec["reason"] == "hot"
 
 
-def test_mark_since_and_counts():
-    led = DecisionLedger(enabled=True)
-    led.record("a", "x", "v1")
-    mark = led.mark()
-    led.record("b", "y", "v2")
-    led.record("b", "z", "v2")
-    sl = led.since(mark)
-    assert [d.pass_name for d in sl] == ["b", "b"]
-    assert decision_counts(sl) == {"b": {"v2": 2}}
+def test_collecting_nests_and_counts():
+    """A record lands in the innermost collection, numbered within it;
+    outside every collection it goes nowhere."""
+    record("a", "w", "v0")
+    with collecting([]) as outer:
+        record("a", "x", "v1")
+        with collecting([]) as inner:
+            record("b", "y", "v2")
+            record("b", "z", "v2")
+        record("a", "x2", "v1")
+    record("a", "w", "v0")
+    assert [(d.seq, d.subject) for d in outer] == [(0, "x"), (1, "x2")]
+    assert [(d.seq, d.subject) for d in inner] == [(0, "y"), (1, "z")]
+    assert decision_counts(inner) == {"b": {"v2": 2}}
 
 
-# -- pure observation: ledger on/off is bit-identical ---------------------------------
+# -- pure observation: recording never feeds back ----------------------------------
 
 
 def _signature(result):
-    """Everything compilation produced, minus what is collected only
-    under the ledger's switch."""
+    """Everything compilation produced, minus the decisions."""
     report = compile_report(result)
-    for observed in ("decisions", "decision_counts", "ir_stages", "hot_lines"):
+    for observed in ("decisions", "decision_counts"):
         del report[observed]
     return json.dumps(report, sort_keys=True)
 
 
-def test_ledger_on_off_compile_and_sim_bit_identical(clean_ledger):
-    led = clean_ledger
-    led.enabled = False
-    off_result, trace = _mini_result()
-    off_run = run_on_simulator(off_result, trace, n_mes=2,
-                               warmup_packets=30, measure_packets=90)
-
-    led.enabled = True
+def test_ledger_on_off_compile_and_sim_bit_identical(monkeypatch):
     on_result, trace_on = _mini_result()
     on_run = run_on_simulator(on_result, trace_on, n_mes=2,
                               warmup_packets=30, measure_packets=90)
 
-    assert led.decisions, "enabled ledger recorded nothing"
-    assert not off_result.decisions
-    assert on_result.decisions
-    # Compilation output identical: images, plan, opt results, IR size.
+    # Every record site discards its decision: the evidence is still
+    # computed, nothing is kept.
+    monkeypatch.setattr(obs_ledger, "record", lambda *a, **kw: None)
+    off_result, trace = _mini_result()
+    off_run = run_on_simulator(off_result, trace, n_mes=2,
+                               warmup_packets=30, measure_packets=90)
+
+    assert on_result.decisions and not off_result.decisions
+    # Compilation output identical: images, plan, opt results, IR size
+    # per stage, hot lines.
     assert _signature(on_result) == _signature(off_result)
     assert on_result.fast_functions == off_result.fast_functions
     # Simulation identical down to the bytes on the wire.
@@ -124,9 +110,7 @@ def test_ledger_on_off_compile_and_sim_bit_identical(clean_ledger):
 # -- decision content ------------------------------------------------------------------
 
 
-def test_l3switch_swc_report_contents(clean_ledger):
-    led = clean_ledger
-    led.enabled = True
+def test_l3switch_swc_report_contents():
     result, _ = _l3switch_result("SWC")
     report = compile_report(result, app="l3switch")
 
@@ -145,8 +129,9 @@ def test_l3switch_swc_report_contents(clean_ledger):
 
     for rec in report["decisions"]:
         assert set(rec) >= {"seq", "pass", "subject", "verdict"}
-    # seq is re-based to the compile's own slice.
-    assert report["decisions"][0]["seq"] == 0
+    # seq numbers the compile's own decisions.
+    assert [d["seq"] for d in report["decisions"]] == list(
+        range(len(report["decisions"])))
 
     # SWC records carry the Equation 2 evidence.
     accepted = [d for d in report["decisions"]
@@ -162,14 +147,11 @@ def test_l3switch_swc_report_contents(clean_ledger):
 
 
 def test_mpls_reports_explain_register_state_and_anchored_combining(
-        clean_ledger, tmp_path, capsys):
-    led = clean_ledger
-    led.enabled = True
+        tmp_path, capsys):
     app = get_app("mpls")
     trace = app.make_trace(150, seed=5)
     soar = compile_baker(app.source, options_for("SOAR"), trace)
     p_soar = write_compile_report(soar, str(tmp_path / "soar.json"))
-    led.decisions = []
     phr = compile_baker(app.source, options_for("PHR"), trace)
     report = compile_report(phr, app="mpls")
 
@@ -203,15 +185,11 @@ def test_mpls_reports_explain_register_state_and_anchored_combining(
     assert "opt.phr: state_functions - -> 1" in out
 
 
-def test_firewall_report_explains_the_rule_record_reads(clean_ledger, tmp_path,
-                                                        capsys):
-    led = clean_ledger
-    led.enabled = True
+def test_firewall_report_explains_the_rule_record_reads(tmp_path, capsys):
     app = get_app("firewall")
     trace = app.make_trace(150, seed=5)
     o2 = compile_baker(app.source, options_for("O2"), trace)
     p_o2 = write_compile_report(o2, str(tmp_path / "o2.json"))
-    led.decisions = []
     pac = compile_baker(app.source, options_for("PAC"), trace)
     report = compile_report(pac, app="firewall")
 
@@ -239,9 +217,7 @@ def test_firewall_report_explains_the_rule_record_reads(clean_ledger, tmp_path,
     assert "opt.pac: wide_global_loads - -> 2" in out
 
 
-def test_report_is_deterministic(clean_ledger, tmp_path):
-    led = clean_ledger
-    led.enabled = True
+def test_report_is_deterministic(tmp_path):
     r1, _ = _mini_result()
     p1 = write_compile_report(r1, str(tmp_path / "a.json"))
     r2, _ = _mini_result()
@@ -253,26 +229,14 @@ def test_report_is_deterministic(clean_ledger, tmp_path):
 # -- explain ---------------------------------------------------------------------------
 
 
-def test_explain_renders_decisions(clean_ledger, tmp_path, capsys):
-    led = clean_ledger
-    led.enabled = True
+def test_explain_renders_decisions(tmp_path, capsys):
     result, _ = _mini_result()
     path = write_compile_report(result, str(tmp_path / "r.json"), app="mini")
     assert report_main(["explain", path]) == 0
     out = capsys.readouterr().out
     assert "compile report" in out and "app=mini" in out
     assert "[aggregation]" in out
-    assert "decisions:" in out
-
-    # A report written with the ledger off says how to get one with
-    # decisions -- by the ways that exist (no environment switch does).
-    led.enabled = False
-    result, _ = _mini_result()
-    path = write_compile_report(result, str(tmp_path / "off.json"))
-    assert report_main(["explain", path]) == 0
-    out = capsys.readouterr().out
-    assert "decisions: 0 recorded" in out
-    assert "python -m repro.obs.ledger" in out and "REPRO_" not in out
+    assert "decisions: %d recorded" % len(result.decisions) in out
 
 
 def test_explain_errors_exit_nonzero(tmp_path, capsys):
@@ -326,9 +290,7 @@ def test_ledger_cli_fails_fast(tmp_path, capsys):
 # -- diff ------------------------------------------------------------------------------
 
 
-def test_diff_identical_reports_exit_zero(clean_ledger, tmp_path, capsys):
-    led = clean_ledger
-    led.enabled = True
+def test_diff_identical_reports_exit_zero(tmp_path, capsys):
     result, _ = _mini_result()
     path = write_compile_report(result, str(tmp_path / "r.json"))
     assert diff_main([path, path]) == 0
@@ -336,13 +298,9 @@ def test_diff_identical_reports_exit_zero(clean_ledger, tmp_path, capsys):
     assert "identical" in out and "no regressions" in out
 
 
-def test_diff_base_vs_swc_shows_expected_deltas(clean_ledger, tmp_path,
-                                                capsys):
-    led = clean_ledger
-    led.enabled = True
+def test_diff_base_vs_swc_shows_expected_deltas(tmp_path, capsys):
     base, _ = _l3switch_result("BASE")
     p_base = write_compile_report(base, str(tmp_path / "base.json"))
-    led.decisions = []
     swc, _ = _l3switch_result("SWC")
     p_swc = write_compile_report(swc, str(tmp_path / "swc.json"))
 

@@ -5,7 +5,6 @@ differentially checks semantics against the unoptimized reference
 interpretation.
 """
 
-import contextlib
 from collections import Counter
 
 import pytest
@@ -441,12 +440,12 @@ def _tbl_pac(body, mutation=None):
     mod = lower(src)
     for fn in mod.functions.values():
         scalar_optimize_function(fn)
-    with _recording_ledger() as led:
+    with obs_ledger.collecting([]) as decisions:
         result = _run_pac(mod, mutation)
     verify_module(mod)
     same = (run_reference(mod, trace).tx_signature()
             == run_reference(lower(src), trace).tx_signature())
-    return result, mod.functions["m.p"], led.decisions, same
+    return result, mod.functions["m.p"], decisions, same
 
 
 def _global_groups(decisions):
@@ -967,20 +966,8 @@ def _select(profile, names):
     return swc.select_candidates(mod, profile, {"fast"})
 
 
-@contextlib.contextmanager
-def _recording_ledger():
-    """A fresh enabled ledger installed as the process-global one."""
-    led = obs_ledger.DecisionLedger(enabled=True)
-    old = obs_ledger._GLOBAL
-    obs_ledger._GLOBAL = led
-    try:
-        yield led
-    finally:
-        obs_ledger._GLOBAL = old
-
-
-def _accepted_evidence(led):
-    return {d.subject: d.evidence for d in led.decisions
+def _accepted_evidence(decisions):
+    return {d.subject: d.evidence for d in decisions
             if d.pass_name == "swc" and d.verdict == "accepted"}
 
 
@@ -996,7 +983,7 @@ def test_eq2_violating_period_is_clamped_with_ledger_decision():
     assert result.cached_names() == ["hot"]
     assert result.eq2_min_check_rate == pytest.approx(0.5)
 
-    with _recording_ledger() as led:
+    with obs_ledger.collecting([]) as decisions:
         effective = swc.enforce_check_period(result, 16)
 
     # The old behavior -- compile the requested 16 straight in -- is
@@ -1004,7 +991,7 @@ def test_eq2_violating_period_is_clamped_with_ledger_decision():
     assert effective == 2
     assert result.requested_check_period == 16
     assert result.check_period == 2
-    clamps = [d for d in led.decisions if d.subject == "check_period"]
+    clamps = [d for d in decisions if d.subject == "check_period"]
     assert len(clamps) == 1 and clamps[0].verdict == "clamped"
     assert clamps[0].evidence["requested_period"] == 16
     assert clamps[0].evidence["effective_period"] == 2
@@ -1042,16 +1029,15 @@ def test_compiled_app_records_enforced_period():
     from repro.options import options_for
 
     app = get_app("mpls")
-    with _recording_ledger() as led:
-        result = compile_baker(app.source, options_for("SWC"),
-                               app.make_trace(200, seed=5))
+    result = compile_baker(app.source, options_for("SWC"),
+                           app.make_trace(200, seed=5))
     sr = result.swc_result
     assert sr is not None and sr.cached
     assert sr.requested_check_period == 16
     assert sr.check_period == 16
     assert sr.eq2_min_check_rate == 0.0
     # ... and the capacity-aware acceptance evidence is recorded.
-    accepted = _accepted_evidence(led)
+    accepted = _accepted_evidence(result.decisions)
     for name in sr.cached_names():
         assert set(accepted[name]) >= {"loads_per_packet", "hit_rate",
                                        "cam_capacity",
@@ -1067,11 +1053,11 @@ def test_hit_rate_recorded_at_remaining_capacity():
     warm = {0: 860}
     warm.update({(1 + i) * 4: 10 for i in range(13)})
     profile = _profile(hot=(hot, 0), warm=(warm, 0))
-    with _recording_ledger() as led:
+    with obs_ledger.collecting([]) as decisions:
         result = _select(profile, ["hot", "warm"])
     assert result.cached_names() == ["hot", "warm"]
 
-    accepted = _accepted_evidence(led)
+    accepted = _accepted_evidence(decisions)
     ev = accepted["warm"]
     assert ev["cam_capacity"] == 12
     stats = profile.global_stats["warm"]

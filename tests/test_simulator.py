@@ -13,7 +13,7 @@ from repro.compiler import compile_baker
 from repro.ixp.cam import CAM
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
-from repro.ixp.memory import DRAM, ME_HZ, MemoryChannel, MemorySystem
+from repro.ixp.memory import DRAM, ME_HZ, MemorySystem
 from repro.ixp.microengine import Microengine, SimError
 from repro.ixp.rings import Ring
 from repro.ixp.rxtx import RxEngine, TxEngine
@@ -35,33 +35,39 @@ def trace40(**kw):
 # -- memory model -----------------------------------------------------------------
 
 
+def _occupancy(space, words):
+    """Cycles one access holds its channel."""
+    mem = MemorySystem()
+    mem.timed_access(0.0, space, words, "pkt")
+    return mem.channels[space].busy_time
+
+
 def test_channel_occupancy_serializes():
-    ch = MemoryChannel("dram", DRAM)
-    t1 = ch.request(0.0, 2)
-    t2 = ch.request(0.0, 2)
-    occupancy = DRAM.occupancy(2)
+    mem = MemorySystem()
+    t1 = mem.timed_access(0.0, "dram", 2, "pkt")
+    t2 = mem.timed_access(0.0, "dram", 2, "pkt")
+    occupancy = DRAM.occupancy_base + 2 * DRAM.occupancy_per_word
     assert t1 == pytest.approx(occupancy + DRAM.latency)
     assert t2 == pytest.approx(2 * occupancy + DRAM.latency)
+    assert mem.counters.accesses[("dram", "pkt")] == 2
 
 
 def test_channel_idle_gap():
-    ch = MemoryChannel("dram", DRAM)
-    ch.request(0.0, 2)
-    later = ch.request(10_000.0, 2)
-    assert later == pytest.approx(10_000 + DRAM.occupancy(2) + DRAM.latency)
+    mem = MemorySystem()
+    mem.timed_access(0.0, "dram", 2, "pkt")
+    later = mem.timed_access(10_000.0, "dram", 2, "pkt")
+    assert later == pytest.approx(10_000 + _occupancy("dram", 2) + DRAM.latency)
 
 
 def test_figure6_budget_calibration():
     """The paper's stated budgets: 2 DRAM / 8 SRAM / 64 Scratch accesses
     per 64 B packet must sustain >= 2.5 Gbps (4.88 Mpps)."""
-    from repro.ixp.memory import SCRATCH, SRAM
-
     pps = 2.5e9 / (64 * 8)
-    assert 2 * DRAM.occupancy(2) * pps <= ME_HZ
-    assert 8 * SRAM.occupancy(1) * pps <= ME_HZ
-    assert 64 * SCRATCH.occupancy(1) * pps <= ME_HZ
+    assert 2 * _occupancy("dram", 2) * pps <= ME_HZ
+    assert 8 * _occupancy("sram", 1) * pps <= ME_HZ
+    assert 64 * _occupancy("scratch", 1) * pps <= ME_HZ
     # ...but one more DRAM access per packet breaks the budget.
-    assert 3 * DRAM.occupancy(2) * pps > ME_HZ
+    assert 3 * _occupancy("dram", 2) * pps > ME_HZ
 
 
 def test_memory_words_roundtrip():

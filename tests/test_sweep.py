@@ -18,7 +18,6 @@ import threading
 import pytest
 
 from repro.obs import diff as obs_diff
-from repro.obs import ledger as obs_ledger
 from repro.obs import trace as obs_trace
 from repro.sweep import (CompileCache, SweepJob, build_jobs, cache_key,
                          run_sweep, write_bench_json)
@@ -87,24 +86,6 @@ def test_sweep_results_ordered_by_job_key(tmp_path):
     assert keys == sorted(keys)
 
 
-@pytest.fixture
-def global_ledger():
-    """The process-global ledger, enabled and empty; restored after."""
-    led = obs_ledger.get_ledger()
-    was_enabled, saved = led.enabled, led.decisions
-    led.enabled, led.decisions = True, []
-    yield led
-    led.enabled, led.decisions = was_enabled, saved
-
-
-def _cache_verdicts(led):
-    by_verdict = {}
-    for d in led.decisions:
-        if d.pass_name == "sweep.cache":
-            by_verdict[d.verdict] = by_verdict.get(d.verdict, 0) + 1
-    return by_verdict
-
-
 # -- the on-disk compile cache ---------------------------------------------------
 
 
@@ -161,10 +142,10 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     assert hit3 is True
 
 
-def test_cache_corrupt_entry_deleted_and_counted(tmp_path, global_ledger):
+def test_cache_corrupt_entry_deleted_and_counted(tmp_path):
     """An undecodable artifact is unlinked on first detection and
-    recorded under the distinct ``corrupt`` verdict -- not left on disk
-    to be re-read and re-discarded by every later run."""
+    counted apart from plain misses -- not left on disk to be re-read
+    and re-discarded by every later run."""
     from repro.apps import get_app
     from repro.options import options_for
 
@@ -180,30 +161,24 @@ def test_cache_corrupt_entry_deleted_and_counted(tmp_path, global_ledger):
     # immediately overwrite them with a fresh artifact).
     cache2 = CompileCache(str(tmp_path / "cache"))
     assert cache2.load(key) is None
-    assert cache2.last_load_corrupt is True
-    assert cache2.corrupt_entries == 1
+    assert (cache2.corrupt_entries, cache2.hits, cache2.misses) == (1, 0, 0)
     assert not os.path.exists(path)
+    assert cache2.load(key) is None  # gone: now a plain miss
+    assert cache2.corrupt_entries == 1
 
-    # Through get_or_compile the lookup is recorded as "corrupt", not
-    # "miss", and the recompile stores a good artifact again.
+    # Through get_or_compile the lookup is a miss that also counts the
+    # corrupt entry, and the recompile stores a good artifact again.
     with open(path, "wb") as fh:
         fh.write(b"also not a pickle")
-    assert _cache_verdicts(global_ledger) == {"miss": 1}
     cache3 = CompileCache(str(tmp_path / "cache"))
     _res, _trace, hit = cache3.get_or_compile(APP, "BASE", 50, 5)
     assert hit is False
-    assert (cache3.corrupt_entries, cache3.misses) == (1, 1)
-    assert _cache_verdicts(global_ledger) == {"miss": 1, "corrupt": 1}
-    (corrupt,) = [d for d in global_ledger.decisions
-                  if d.verdict == "corrupt"]
-    assert corrupt.subject == APP + "/BASE"
-    assert corrupt.evidence == {"key": key[:16]}
+    assert (cache3.corrupt_entries, cache3.hits, cache3.misses) == (1, 0, 1)
 
     cache4 = CompileCache(str(tmp_path / "cache"))
     _res, _trace, hit4 = cache4.get_or_compile(APP, "BASE", 50, 5)
     assert hit4 is True
-    assert _cache_verdicts(global_ledger) == {"miss": 1, "corrupt": 1,
-                                              "hit": 1}
+    assert (cache4.corrupt_entries, cache4.hits, cache4.misses) == (0, 1, 0)
 
 
 def test_cache_disabled_never_touches_disk(tmp_path):
@@ -340,6 +315,21 @@ def test_packet_trace_flag_writes_loadable_trace(tmp_path, sweep_cli, capsys):
             assert {e["args"]["level"] for e in compiled} == {"BASE", "SWC"}
 
 
+def test_analyzed_job_has_the_compilers_claims(tmp_path):
+    """A sweep job's analysis checks the claims its compile recorded --
+    no switch asks for them -- so ``layout`` cross-checks real SOAR
+    sites and nothing is skipped with a warning."""
+    from repro.sweep.orchestrator import WorkerConfig, execute_job
+
+    cfg = WorkerConfig(cache_dir=str(tmp_path / "cache"), trace_packets=60,
+                       analyze=True, analyze_packets=4)
+    jr = execute_job(SweepJob("mpls", "SWC", "rate", 1, 10, 20), cfg,
+                     CompileCache(cfg.cache_dir))
+    sections = jr.analysis["passes"]
+    assert sections["layout"]["ledger_sites"] > 0
+    assert [f for s in sections.values() for f in s["findings"]] == []
+
+
 def test_build_jobs_shape():
     jobs = _small_jobs()
     rate = [j for j in jobs if j.kind == "rate"]
@@ -356,8 +346,9 @@ def test_build_jobs_shape():
 def test_benchmark_pipeline_frozen_surface(tmp_path):
     """``benchmarks/pipeline`` may not be edited by an ordinary PR, so
     the keywords it passes are an API: pin them here rather than let the
-    benchmark discover a break. ``WorkerConfig(obs=)`` and ``dispatch=``
-    are accepted and select nothing."""
+    benchmark discover a break. ``WorkerConfig(obs=)``, ``dispatch=`` and
+    ``cache_key(target_gbps=)`` are accepted and select nothing;
+    ``SweepJob.target_gbps`` is readable."""
     from repro.ixp.chip import IXP2400
     from repro.obs.profile import StallProfiler
     from repro.rts.loader import load_system
@@ -384,6 +375,7 @@ def test_benchmark_pipeline_frozen_surface(tmp_path):
 
     key = cache_key(get_app(APP).source, options_for("SWC"), 50, 5,
                     target_gbps=job.target_gbps)
+    assert key == cache_key(get_app(APP).source, options_for("SWC"), 50, 5)
     result, trace = cache.load(key)
     cache.store(key, (result, trace))
     jr = JobResult(job=job, rate_gbps=off.rate_gbps, profile=off.profile,

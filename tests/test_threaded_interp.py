@@ -163,8 +163,8 @@ def test_ordered_compare_of_packet_handles():
 # -- (c) profile counts and line attribution, pinned from the ladder interpreter ----
 
 
-def _mini_run(attribute_lines):
-    interp = Interpreter(lower(MINI_FORWARDER), attribute_lines=attribute_lines)
+def _mini_run():
+    interp = Interpreter(lower(MINI_FORWARDER))
     interp.run_inits()
     trace = ipv4_trace(40, [0xC0A80101, 0xC0A80202], MACS, seed=3)
     return interp, interp.run_trace(trace).profile
@@ -172,8 +172,10 @@ def _mini_run(attribute_lines):
 
 def test_profile_counts_match_the_per_instruction_interpreter():
     """Values recorded from the isinstance-ladder interpreter this one
-    replaced: charging per block must not move a single count."""
-    interp, profile = _mini_run(attribute_lines=True)
+    replaced, which charged every instruction to its line as it ran:
+    charging per block, and lines once per block run at the end of the
+    trace, must not move a single count."""
+    interp, profile = _mini_run()
     assert profile.hot_lines(6) == [
         ("<baker>:45", 200), ("<baker>:35", 120), ("<baker>:44", 120),
         ("<baker>:58", 120), ("<baker>:60", 120), ("<baker>:50", 80)]
@@ -184,20 +186,14 @@ def test_profile_counts_match_the_per_instruction_interpreter():
     assert (profile.packets_out, profile.packets_dropped) == (40, 0)
 
 
-def test_line_attribution_off_records_nothing_and_changes_nothing():
-    on_interp, on = _mini_run(attribute_lines=True)
-    off_interp, off = _mini_run(attribute_lines=False)
-    assert not off.line_instrs
-    assert off.ppf_instrs == on.ppf_instrs
-    assert off_interp.fuel == on_interp.fuel
-
-
 def test_init_blocks_stay_out_of_the_profile():
-    interp = Interpreter(lower(MINI_FORWARDER), attribute_lines=True)
+    interp = Interpreter(lower(MINI_FORWARDER))
     fuel = interp.fuel
     interp.run_inits()
     assert interp.fuel < fuel
     assert not interp.profile.line_instrs and not interp.profile.func_invocations
+    # An empty trace charges no line the init blocks ran.
+    assert not interp.run_trace(ipv4_trace(0, [0xC0A80101], MACS)).profile.line_instrs
 
 
 # -- decoded code is per instance and cycle-free ------------------------------------
