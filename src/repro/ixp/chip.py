@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ixp.memory import ME_HZ, MemorySystem
 from repro.ixp.microengine import Microengine
-from repro.ixp.rings import Ring, RingSet
+from repro.ixp.rings import RingSet
 from repro.ixp.rxtx import RxEngine, TxEngine
 
 
@@ -47,19 +47,13 @@ class IXP2400:
         self.tracer = None
         self.profiler = None
 
-    # -- symbols / rings ---------------------------------------------------------
+    # -- symbols ------------------------------------------------------------------
 
     def symbol(self, name: str) -> int:
         try:
             return self.symbols[name]
         except KeyError:
             raise KeyError("unresolved symbol %r (loader bug?)" % name)
-
-    def ring_by_symbol(self, name: str) -> Ring:
-        ring = self.rings.get(name)
-        if ring is None:
-            raise KeyError("no ring %r" % name)
-        return ring
 
     # -- event scheduling -----------------------------------------------------------
 

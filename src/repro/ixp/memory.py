@@ -18,10 +18,12 @@ DESIGN.md): the paper's per-packet budgets are for ME-issued accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict
 
-from repro.ixp.counters import Counters
+from repro.ixp.counters import SLOT, Counters
 
 ME_HZ = 600e6  # ME clock; all times below are in ME cycles
 
@@ -47,12 +49,23 @@ class ChannelParams:
 SCRATCH = ChannelParams(latency=60, occupancy_base=1.8, occupancy_per_word=0.12)
 SRAM = ChannelParams(latency=90, occupancy_base=14.8, occupancy_per_word=0.5)
 DRAM = ChannelParams(latency=120, occupancy_base=55.0, occupancy_per_word=0.35)
+#: Space -> its channel parameters (both SRAM channels share SRAM's), as
+#: :class:`MemorySystem` wires them; the ME core folds them at decode.
+PARAMS = {"scratch": SCRATCH, "sram": SRAM, "dram": DRAM}
 
 SIZES = {
     "scratch": 16 * 1024,
     "sram": 4 * 1024 * 1024,
     "dram": 16 * 1024 * 1024,
 }
+
+
+@lru_cache(maxsize=None)
+def word_struct(n: int) -> struct.Struct:
+    """``n`` big-endian 32-bit words: one ``unpack_from`` / ``pack_into``
+    call moves a whole wide access. Callers bounds-check first --
+    ``unpack_from`` wraps a negative offset instead of raising."""
+    return struct.Struct(">%dI" % n)
 
 
 class MemoryChannel:
@@ -102,15 +115,7 @@ class MemorySystem:
         end = addr + nwords * 4
         if addr < 0 or end > len(store):
             raise IndexError("%s read out of range at %#x" % (space, addr))
-        if nwords == 1:
-            return [int.from_bytes(store[addr:end], "big")]
-        if nwords == 2:
-            return [int.from_bytes(store[addr : addr + 4], "big"),
-                    int.from_bytes(store[addr + 4 : end], "big")]
-        return [
-            int.from_bytes(store[i : i + 4], "big")
-            for i in range(addr, end, 4)
-        ]
+        return list(word_struct(nwords).unpack_from(store, addr))
 
     def write_words(self, space: str, addr: int, values: list,
                     byte_mask: int = None) -> None:
@@ -118,9 +123,8 @@ class MemorySystem:
         if addr < 0 or addr + len(values) * 4 > len(store):
             raise IndexError("%s write out of range at %#x" % (space, addr))
         if byte_mask is None:
-            for i, value in enumerate(values):
-                off = addr + i * 4
-                store[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
+            word_struct(len(values)).pack_into(
+                store, addr, *[value & 0xFFFFFFFF for value in values])
             return
         for i, value in enumerate(values):
             data = (value & 0xFFFFFFFF).to_bytes(4, "big")
@@ -154,9 +158,9 @@ class MemorySystem:
         (data available / write retired). The ME core's
         ``predecode._charge_lines`` inlines the same arithmetic."""
         counters = self.counters
-        key = (space, category)
-        counters.accesses[key] += 1
-        counters.words[key] += words
+        slot = SLOT[(space, category)]
+        counters.n_accesses[slot] += 1
+        counters.n_words[slot] += words
         if space == "sram" and (addr >> self.SRAM_INTERLEAVE_SHIFT) & 1:
             ch = self.channels["sram1"]
         else:

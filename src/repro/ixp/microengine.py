@@ -10,7 +10,8 @@ branches add one abort cycle.
 There is one execution core. The image is predecoded once per chip into
 specialized step closures (:mod:`repro.ixp.predecode`), which own the
 instruction semantics; this module owns the thread state, the arbiter
-and the slice loop that drives the steps. An independent
+and the slice loop that drives the steps, and binds once the chip state
+the steps reach (memory counters, channels and stores, the ring table). An independent
 handler-per-instruction interpreter lives test-side
 (``tests/reference_me.py``) as the oracle the core is compared against
 bit for bit.
@@ -18,12 +19,13 @@ bit for bit.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.cg.melayout import LM_WORDS, N_THREADS, STACK_WORDS_PER_THREAD
 from repro.ixp.cam import CAM
 
 _U32 = 0xFFFFFFFF
+_INF = float("inf")
 
 
 def _signed(v: int) -> int:
@@ -82,15 +84,31 @@ class Microengine:
         # Predecoded step program; bound lazily on first run so the
         # loader has resolved symbols and created rings by then.
         self._prog = None
+        # The arbiter's view of the threads: wakes[i] is threads[i].wake,
+        # or inf once it halted. Rebuilt when the program binds, then
+        # updated where a thread stops.
+        self.wakes: List[float] = []
+        self._rebuild_wakes()
+        # The chip state the predecoded steps touch, bound once so a
+        # memory or ring op pays no attribute chain per access.
+        memory = chip.memory
+        self.memory = memory
+        self.n_accesses = memory.counters.n_accesses
+        self.n_words = memory.counters.n_words
+        self.channels = memory.channels
+        self.stores = memory.stores
+        self.rings = chip.rings.rings
 
     def run_slice(self, max_cycles: float = 400.0) -> Optional[float]:
         """Run ready threads until none is ready or the slice budget is
         spent. Returns the absolute time of the next event on this ME
         (None when all threads halted).
 
-        The round-robin scan and the dispatch loop over the predecoded
-        program are one body, so a thread burst (run until it blocks or
-        the slice ends) pays no intermediate method calls. Each step
+        The arbiter and the dispatch loop over the predecoded program
+        are one body, so a thread burst (run until it blocks or the
+        slice ends) pays no intermediate method calls. The arbiter reads
+        ``wakes``: its minimum is the ME's next wake, and when that is
+        due, a cyclic scan from ``rr_next`` finds the thread. Each step
         executes one or more instructions, charges its own cycles and
         returns the new ``time`` (``None`` when the thread blocked,
         yielded or halted); if the slice budget runs out first, the
@@ -100,11 +118,13 @@ class Microengine:
         ``time``, ``pc`` and the executed count to their values before
         the failing instruction."""
         prog = self._prog
+        threads = self.threads
+        wakes = self.wakes
         if prog is None:
             prog = self._prog = self.image.predecoded(self.chip)
+            self._rebuild_wakes()
         time = self.time
         deadline = time + max_cycles
-        threads = self.threads
         n = len(threads)
         executed = 0
         prof = self.chip.profiler
@@ -116,32 +136,13 @@ class Microengine:
                     if t.halted:
                         t = None
                 if t is None:
-                    # One fused pass: round-robin scan for a ready
-                    # thread, tracking the earliest wake of the
-                    # non-halted threads seen on the way. When no thread
-                    # is ready the scan covered all of them, so ``nxt``
-                    # is the ME's next wake.
-                    nxt = None
-                    k = self.rr_next
-                    for _ in range(n):
-                        th = threads[k]
-                        k += 1
-                        if k == n:
-                            k = 0
-                        if not th.halted:
-                            w = th.wake
-                            if w <= time:
-                                self.rr_next = k
-                                t = th
-                                break
-                            if nxt is None or w < nxt:
-                                nxt = w
-                    if t is None:
+                    nxt = min(wakes)
+                    if not nxt <= time:
                         # Nothing observes executed_instrs mid-slice, so
                         # the single flush in the finally covers every
                         # return.
-                        if nxt is None:
-                            return None
+                        if nxt == _INF:
+                            return None  # every thread halted
                         if nxt > time:
                             self.idle_time += nxt - time
                             return nxt
@@ -150,13 +151,23 @@ class Microengine:
                         # at a frozen clock. Surface the stuck state
                         # instead of hanging.
                         raise self._stuck_error(nxt)
+                    k = self.rr_next
+                    while not wakes[k] <= time:
+                        k += 1
+                        if k == n:
+                            k = 0
+                    t = threads[k]
+                    k += 1
+                    self.rr_next = k if k < n else 0
                 t0 = time
                 while True:
                     tm = prog[t.pc](self, t, deadline)
                     executed += 1
                     if tm is None:
                         time = self.time
-                        break  # thread blocked / yielded / halted
+                        # Thread blocked / yielded / halted.
+                        wakes[t.index] = _INF if t.halted else t.wake
+                        break
                     if tm >= deadline:
                         self.resume_thread = t
                         time = tm
@@ -171,6 +182,11 @@ class Microengine:
             return time
         finally:
             self.executed_instrs += executed
+
+    def _rebuild_wakes(self) -> None:
+        # (A thread-less ME reads as all-halted.)
+        self.wakes[:] = [_INF if th.halted else th.wake
+                         for th in self.threads] or [_INF]
 
     def _stuck_error(self, nxt) -> SimError:
         states = "; ".join(

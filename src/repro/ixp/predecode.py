@@ -10,8 +10,8 @@ generated per run *shape* (opcodes, operand kinds, register banks,
 positions) and ``exec``-compiled once per shape -- shape sources are
 cached globally, so re-decoding the same image for a new chip only
 re-instantiates closures. The varying parts (register indices, folded
-immediates, resolved symbol addresses, branch targets, bound ring and
-memory objects) enter as closure parameters.
+immediates, resolved symbol addresses, branch targets, ring names,
+counter slots, channel constants) enter as closure parameters.
 
 Fusion changes *nothing* observable. A multi-instruction run opens with
 one worst-case guard::
@@ -33,9 +33,13 @@ sub-instruction (Local Memory bounds) raises with ``time``, ``pc`` and
 sub-instruction charged and counted, the failing one not. Runs end
 inclusively at control transfers and blocking instructions (memory,
 rings, ``ctx_arb``, ``halt``) and exclusively before unfusable
-instructions or the length cap -- where they bail to the next
-instruction's own step, so a thread resuming at *any* pc finds a valid
-entry.
+instructions or the length cap ``RUN_CAP`` -- where they bail to the
+next instruction's own step, so a thread resuming at *any* pc finds a
+valid entry. Full-length runs start at *leaders* (the entry, branch and
+call targets, the instruction after anything that re-enters through the
+program table, and the instruction a capped run bails to); every other
+index gets a single-instruction step. A straight-line stretch therefore
+costs one extra dispatch per ``RUN_CAP`` instructions.
 
 Step protocol: a step returns the new ``me.time`` while the thread keeps
 running, or ``None`` when the thread stopped (blocked, yielded, or
@@ -43,14 +47,20 @@ halted). The dispatch loop in :meth:`Microengine.run_slice` adds one to
 ``executed_instrs`` per call; multi-instruction runs account for the
 remainder themselves.
 
-Programs are chip-specific (symbol addresses and ring objects live on
-the chip) and cached per ``(image, chip)`` by
-:meth:`MEImage.predecoded`. Any instruction the predecoder cannot bind
-(virtual registers that escaped regalloc, unresolved branches, symbols
-missing from a hand-built chip, classes with no emitter) *punts*: it
-gets a step that raises :class:`SimError` naming the instruction and
-the reason -- lazily, only if a thread actually reaches it, and before
-anything is charged.
+Memory and ring ops reach the chip through references each
+:class:`Microengine` binds once (``me.n_accesses``/``me.n_words`` counter
+slots, ``me.channels``, ``me.stores``, ``me.rings``); the counter slot,
+occupancy and latency of an access are decode-time constants, and a
+wide load or store is one ``struct`` call.
+
+Programs depend on the chip's symbol addresses and ring names and are
+cached per ``(image, chip)`` by :meth:`MEImage.predecoded`. Any
+instruction the predecoder cannot bind (virtual registers that escaped
+regalloc, unresolved branches, symbols or rings missing from a
+hand-built chip, an access with no counter slot, classes with no
+emitter) *punts*: it gets a step that raises :class:`SimError` naming
+the instruction and the reason -- lazily, only if a thread actually
+reaches it, and before anything is charged.
 
 Equivalence with the test-side handler-table interpreter
 (``tests/reference_me.py``) is asserted bit-for-bit (Tx signatures,
@@ -63,15 +73,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cg.isa import CAT_APP, Imm, PReg, SymRef
 from repro.cg.melayout import LM_WORDS, SRAM_STACK_BYTES_PER_THREAD
-from repro.ixp.memory import MemorySystem
+from repro.ixp.counters import SLOT
+from repro.ixp.memory import PARAMS, MemorySystem, word_struct
 from repro.ixp.microengine import SimError, _signed
 
 _U32 = 0xFFFFFFFF
 #: Spelled into generated source so stores mask exactly like Thread.set.
 _MASK = "4294967295"
 
-#: Longest fused run; longer straight-line stretches bail to the next
-#: instruction's own step (one extra dispatch per crossing).
+#: Longest fused run; a longer straight-line stretch bails to the next
+#: instruction, which is a leader: one extra dispatch per crossing.
 RUN_CAP = 24
 
 #: A predecoded step: returns the new me.time (thread continues) or None
@@ -90,33 +101,50 @@ class DecodePunt(Exception):
 #: the plan.
 _SYM_MISSING = object()
 
+#: A recorded binding: ("symbol", name) -> address or _SYM_MISSING;
+#: ("ring", name) -> whether the chip has that ring.
+Used = Dict[Tuple[str, str], object]
+
+
+def _binding(chip, table: str, name: str):
+    if table == "ring":
+        return name in chip.rings.rings
+    return chip.symbols.get(name, _SYM_MISSING)
+
 
 class _ChipView:
-    """Decode-time facade over a chip: forwards symbol resolution and
-    records every name it depended on (value, or a miss). Symbols are
-    the *only* chip state baked into generated closures -- memory and
-    ring objects are reached through ``me.chip`` at run time -- so a
-    program built against one chip is valid on any chip whose symbol
-    table agrees on exactly the recorded names (:func:`plan_matches`)."""
+    """Decode-time facade over a chip: resolves symbols and ring names
+    and records every binding it depended on (value, presence, or a
+    miss). Symbol values and ring names are the *only* chip state baked
+    into generated closures -- memory and ring objects are reached
+    through the ME's bound references at run time -- so a program built
+    against one chip is valid on any chip that agrees on exactly the
+    recorded bindings (:func:`plan_matches`)."""
 
     def __init__(self, chip):
-        self._symbols = chip.symbols
-        self.used: Dict[str, object] = {}
+        self._chip = chip
+        self.used: Used = {}
 
     def symbol(self, name: str) -> int:
-        value = self._symbols.get(name, _SYM_MISSING)
-        self.used[name] = value
+        value = self.used[("symbol", name)] = _binding(
+            self._chip, "symbol", name)
         if value is _SYM_MISSING:
             raise KeyError("unresolved symbol %r (loader bug?)" % name)
         return value
 
+    def ring(self, name: str) -> str:
+        present = self.used[("ring", name)] = _binding(
+            self._chip, "ring", name)
+        if not present:
+            raise KeyError("no ring %r" % name)
+        return name
 
-def plan_matches(used: Dict[str, object], chip) -> bool:
-    """True when ``chip`` resolves every recorded symbol to the recorded
-    value (including recorded misses staying missing)."""
-    symbols = chip.symbols
-    for name, value in used.items():
-        current = symbols.get(name, _SYM_MISSING)
+
+def plan_matches(used: Used, chip) -> bool:
+    """True when ``chip`` agrees with every recorded binding (including
+    recorded misses staying missing)."""
+    for (table, name), value in used.items():
+        current = _binding(chip, table, name)
         if current is not value and current != value:
             return False
     return True
@@ -194,6 +222,8 @@ class _RunBuilder:
         # defer its charge (cont) and set ``goto`` instead of closing;
         # _emit_run then continues emitting at the target.
         self.goto: Optional[int] = None
+        # Where a run cut by its length cap bails to (a leader).
+        self.cap_exit: Optional[int] = None
         self._puntable = puntable if puntable is not None else {}
         self._visited = visited if visited is not None else set()
 
@@ -444,43 +474,69 @@ def _block_tail(b, next_idx: int, cause: str) -> List[str]:
             + ["return None"])
 
 
+def _slot(space: str, category: str) -> int:
+    """The counter slot of an access (punts when there is none)."""
+    slot = SLOT.get((space, category))
+    if slot is None:
+        raise DecodePunt("no access counter for (%r, %r)"
+                         % (space, category))
+    return slot
+
+
 def _charge_lines(b, space: str, words: int, category: str) -> List[str]:
     """The inlined body of :meth:`MemorySystem.timed_access`: counter
     bump, channel selection (``addr`` must be in scope for sram) and
-    occupancy charge, leaving the completion time in ``done``. ``mem``
-    must already be bound; ``tm`` holds the issue clock. Space, width
-    and category are decode-time constants, so the per-access dispatch
-    on them disappears; arithmetic and side-effect order are identical
-    to the out-of-line call."""
-    ky = b.p("KY", (space, category))
-    lines = ["c = mem.counters",
-             "c.accesses[%s] += 1" % ky,
-             "c.words[%s] += %d" % (ky, words)]
+    occupancy charge, leaving the completion time in ``done``. ``tm``
+    holds the issue clock. Space, width and category are decode-time
+    constants, so the counter slot, occupancy and latency fold into
+    parameters; arithmetic and side-effect order are identical to the
+    out-of-line call."""
+    params = PARAMS[space]
+    slot = b.p("SL", _slot(space, category))
+    lines = ["me.n_accesses[%s] += 1" % slot,
+             "me.n_words[%s] += %d" % (slot, words)]
     if space == "sram":
         lines.append(
-            "ch = mem.channels['sram1' if (addr >> %d) & 1 else 'sram']"
+            "ch = me.channels['sram1' if (addr >> %d) & 1 else 'sram']"
             % MemorySystem.SRAM_INTERLEAVE_SHIFT)
     else:
-        lines.append("ch = mem.channels['%s']" % space)
-    lines += ["pp = ch.params",
-              "occ = pp.occupancy_base + pp.occupancy_per_word * %d" % words,
-              "start = ch.next_free",
+        lines.append("ch = me.channels['%s']" % space)
+    occ = b.p("OC", params.occupancy_base + params.occupancy_per_word * words)
+    lines += ["start = ch.next_free",
               "if tm > start:",
               "    start = tm",
-              "ch.next_free = start + occ",
-              "ch.busy_time += occ",
-              "mprof = mem.profiler",
+              "free = start + %s" % occ,
+              "ch.next_free = free",
+              "ch.busy_time += %s" % occ,
+              "mprof = me.memory.profiler",
               "if mprof is not None:",
               "    mprof.note_mem(ch.name, start - tm)",
-              "done = start + occ + pp.latency"]
+              "done = free + %s" % b.p("LT", params.latency)]
     return lines
+
+
+def _bounds_lines(b, idx: int, space: str, words: int,
+                  what: str) -> List[str]:
+    """Bind ``store`` and raise IndexError unless ``addr`` starts
+    ``words`` in-range words -- explicitly, because ``struct``'s
+    ``unpack_from`` would wrap a negative offset. As in the reference
+    core the failing access stays charged, while ``pc`` and the executed
+    count are those before it."""
+    return (["store = me.stores['%s']" % space,
+             "if addr < 0 or addr + %d > len(store):" % (4 * words),
+             "    t.pc = %s" % b.p("I", idx)]
+            + ["    " + ln for ln in _exec_add(b.k)]
+            + ["    raise IndexError('%s %s out of range at %%#x' %% addr)"
+               % (space, what)])
 
 
 def _e_mem(b: _RunBuilder, insn, idx):
     # Blocking ops charge the clock before issuing: completion times
-    # include the issue cycles. The memory system is reached
-    # through ``me.chip`` at run time -- blocking ops can afford the two
-    # attribute loads, and it keeps the closures chip-independent.
+    # include the issue cycles. Channels, stores and counters are
+    # reached through the ME's bound references, which keeps the
+    # closures chip-independent.
+    space, words = insn.space, insn.words
+    _slot(space, insn.category)  # masked stores too punt without a slot
     aex, ac = b.src(insn.addr_a, "A")
     bex, bc = b.src(insn.addr_b, "B")
     if ac and bc:
@@ -488,21 +544,13 @@ def _e_mem(b: _RunBuilder, insn, idx):
         addr_lines = ["addr = %s" % addr_expr]
     else:
         addr_lines = ["addr = (%s) + (%s)" % (aex, bex)]
-    space, words = insn.space, insn.words
-    tail = [b.total(insn.cycles), "me.time = tm",
-            "mem = me.chip.memory"] + addr_lines
+    tail = [b.total(insn.cycles), "me.time = tm"] + addr_lines
     if insn.rw == "read":
+        dsts = [b.dst(reg, "R%d" % i) for i, reg in enumerate(insn.regs_out)]
         tail += _charge_lines(b, space, words, insn.category)
-        tail += ["store = mem.stores['%s']" % space,
-                 "end = addr + %d" % (words * 4),
-                 "if addr < 0 or end > len(store):",
-                 "    raise IndexError('%s read out of range at %%#x'"
-                 " %% addr)" % space]
-        for i, reg in enumerate(insn.regs_out):
-            lo = "addr + %d" % (4 * i) if i else "addr"
-            hi = "end" if i == words - 1 else "addr + %d" % (4 * i + 4)
-            tail.append("%s = int.from_bytes(store[%s : %s], 'big')"
-                        % (b.dst(reg, "R%d" % i), lo, hi))
+        tail += _bounds_lines(b, idx, space, words, "read")
+        tail.append("%s, = %s(store, addr)" % (
+            ", ".join(dsts), b.p("UN", word_struct(words).unpack_from)))
     else:
         exprs = [b.src(reg, "R%d" % i)[0]
                  for i, reg in enumerate(insn.regs_in)]
@@ -513,38 +561,32 @@ def _e_mem(b: _RunBuilder, insn, idx):
                 mex, _ = b.src(insn.mask_reg, "M")
             else:
                 mex = b.p("M", insn.byte_mask)
-            tail += ["done = mem.timed_access(tm, '%s', %d, '%s', addr)"
-                     % (space, words, insn.category),
-                     "mem.write_words('%s', addr, [%s], %s)"
-                     % (space, ", ".join(exprs), mex)]
+            tail += ["mem = me.memory",
+                     "done = mem.timed_access(tm, '%s', %d, '%s', addr)"
+                     % (space, words, insn.category)]
+            tail += _bounds_lines(b, idx, space, words, "write")
+            tail.append("mem.write_words('%s', addr, [%s], %s)"
+                        % (space, ", ".join(exprs), mex))
         else:
             tail += _charge_lines(b, space, words, insn.category)
-            tail += ["store = mem.stores['%s']" % space,
-                     "if addr < 0 or addr + %d > len(store):" % (
-                         4 * len(exprs)),
-                     "    raise IndexError('%s write out of range at "
-                     "%%#x' %% addr)" % space]
-            for i, expr in enumerate(exprs):
-                lo = "addr + %d" % (4 * i) if i else "addr"
-                tail.append("store[%s : addr + %d] = ((%s) & %s)"
-                            ".to_bytes(4, 'big')"
-                            % (lo, 4 * i + 4, expr, _MASK))
+            tail += _bounds_lines(b, idx, space, len(exprs), "write")
+            tail.append("%s(store, addr, %s)" % (
+                b.p("PK", word_struct(len(exprs)).pack_into),
+                ", ".join("(%s) & %s" % (e, _MASK) for e in exprs)))
     b.close_terminal(tail + _block_tail(b, idx + 1, "'mem_%s'" % space))
 
 
 def _e_ring_get(b, insn, idx):
-    name = b.p("RN", insn.ring.name)
+    name = b.p("RN", b.chip.ring(insn.ring.name))
     dex = b.dst(insn.dst, "D")
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "chip = me.chip",
-         "ring = chip.ring_by_symbol(%s)" % name,
-         "mem = chip.memory"]
+         "ring = me.rings[%s]" % name]
         + _charge_lines(b, "scratch", 1, insn.category)
         + ["value = ring.get()",
          "%s = value" % dex,
-         "tracer = chip.tracer",
+         "tracer = me.chip.tracer",
          "if tracer is not None:",
          "    tracer.me_ring_get(me.index, t.index, %s, value, tm)" % name]
         + _block_tail(b, idx + 1,
@@ -552,18 +594,16 @@ def _e_ring_get(b, insn, idx):
 
 
 def _e_ring_put(b, insn, idx):
-    name = b.p("RN", insn.ring.name)
+    name = b.p("RN", b.chip.ring(insn.ring.name))
     sex, _ = b.src(insn.src, "S")
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "chip = me.chip",
-         "ring = chip.ring_by_symbol(%s)" % name,
-         "mem = chip.memory"]
+         "ring = me.rings[%s]" % name]
         + _charge_lines(b, "scratch", 1, insn.category)
         + ["value = %s" % sex,
          "ok = ring.put(value)",
-         "tracer = chip.tracer",
+         "tracer = me.chip.tracer",
          "if tracer is not None:",
          "    tracer.me_ring_put(me.index, t.index, %s, value, tm, ok)"
          % name]
@@ -576,10 +616,11 @@ def _e_tas(b, insn, idx):
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "mem = me.chip.memory",
+         "mem = me.memory",
          "addr = %s" % aex,
-         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP,
-         "old = mem.read_words('scratch', addr, 1)[0]",
+         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP]
+        + _bounds_lines(b, idx, "scratch", 1, "read")
+        + ["old = mem.read_words('scratch', addr, 1)[0]",
          "mem.write_words('scratch', addr, [1])",
          "%s = old" % dex]
         + _block_tail(b, idx + 1, "'mem_scratch'"))
@@ -590,10 +631,11 @@ def _e_release(b, insn, idx):
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "mem = me.chip.memory",
+         "mem = me.memory",
          "addr = %s" % aex,
-         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP,
-         "mem.write_words('scratch', addr, [0])"]
+         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP]
+        + _bounds_lines(b, idx, "scratch", 1, "write")
+        + ["mem.write_words('scratch', addr, [0])"]
         + _block_tail(b, idx + 1, "'mem_scratch'"))
 
 
@@ -685,8 +727,11 @@ def _e_ctx_arb(b, insn, idx):
 
 
 def _e_halt(b, insn, idx):
+    # A halted thread's pc stays on its halt, as it does when the halt
+    # runs as its own step.
     b.close_terminal([b.total(insn.cycles),
                       "me.time = tm",
+                      "t.pc = %s" % b.p("P", idx),
                       "t.halted = True"]
                      + _exec_add(b.k)
                      + ["return None"])
@@ -759,6 +804,8 @@ def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
         if idx >= len(insns) or idx in puntable or b.k >= cap:
             if b.k == 0:
                 return None
+            if b.k >= cap:
+                b.cap_exit = idx
             b.close_fall(idx)
             break
         insn = insns[idx]
@@ -774,8 +821,8 @@ def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
         try:
             emitter(b, insn, idx)
         except (DecodePunt, KeyError) as exc:
-            # KeyError: a SymRef naming a symbol the loader has not
-            # placed (hand-built chips).
+            # KeyError: a symbol or ring the loader has not placed
+            # (hand-built chips).
             del b.lines[saved[0]:]
             for key in list(b.params)[saved[1]:]:
                 del b.params[key]
@@ -798,8 +845,9 @@ def _emit_run(image, chip, start: int, puntable: Dict[int, str], cap: int,
 
 
 def _compile_run(image, chip, start: int, puntable: Dict[int, str],
-                 cap: int) -> Optional[Step]:
-    """Build the fused step for the run starting at ``start``. Single
+                 cap: int) -> Tuple[Optional[Step], Optional[int]]:
+    """Build the fused step for the run starting at ``start``, plus the
+    index it bails to when the length cap cut it (else None). Single
     instruction runs compile as-is (their only charge happens under the
     dispatch loop's own deadline compare). Longer runs get the
     worst-case guard: when the remaining slice cannot fit ``cmax``, the
@@ -808,9 +856,9 @@ def _compile_run(image, chip, start: int, puntable: Dict[int, str],
     prefix so they cannot collide with the main body's."""
     b = _emit_run(image, chip, start, puntable, cap)
     if b is None:
-        return None
+        return None, None
     if b.k <= 1 and not (b.early_raise and b.k >= 1):
-        return b.build()
+        return b.build(), b.cap_exit
     solo = _emit_run(image, chip, start, puntable, 1, prefix="s")
     assert solo is not None and solo.closed  # first insn emitted fine above
     params = dict(solo.params)
@@ -820,15 +868,16 @@ def _compile_run(image, chip, start: int, puntable: Dict[int, str],
             "        if tm + CM >= deadline:\n"]
     body += ["    " + ln for ln in solo.lines[1:]]
     body += b.lines[1:]
-    return _make_step("".join(body), params)
+    return _make_step("".join(body), params), b.cap_exit
 
 
 def _run_leaders(image) -> set:
-    """Instruction indices where fused execution (re-)starts: the image
-    entry, branch/call targets, and the continuation after anything
-    control re-enters through the program table. Other indices are
-    reached only by rare mid-run slice resumes and keep cheap
-    single-instruction steps."""
+    """Instruction indices where fused execution (re-)starts, as far as
+    the listing shows: the image entry, branch/call targets, and the
+    continuation after anything control re-enters through the program
+    table. :func:`predecode_image` adds where capped runs bail to. Other
+    indices are reached only by rare mid-run slice resumes and keep
+    cheap single-instruction steps."""
     leaders = {image.entry, 0}
     for idx, insn in enumerate(image.insns):
         kind = getattr(insn, "kind", None)
@@ -840,27 +889,39 @@ def _run_leaders(image) -> set:
     return leaders
 
 
-def predecode_image(image, chip) -> Tuple[Prog, Dict[str, object]]:
+def predecode_image(image, chip) -> Tuple[Prog, Used]:
     """Compile an MEImage into a step program, one closure per
     instruction index (so a thread can resume at any pc): fused
-    straight-line runs at run leaders, single-instruction steps
-    elsewhere.
+    straight-line runs at run leaders -- including every index a capped
+    run bails to, so a long stretch stays fused -- and
+    single-instruction steps elsewhere.
 
-    Returns ``(prog, used_symbols)``. The closures reach memory and
-    rings through ``me.chip`` at run time, so the only chip state they
-    bake in is resolved symbol values -- ``used_symbols`` records
-    exactly those (name -> value, or a recorded miss), and
+    Returns ``(prog, used)``. The closures reach memory and rings
+    through the ME's bound references at run time, so the only chip
+    state they bake in is resolved symbol values and ring names --
+    ``used`` records exactly those bindings, and
     :meth:`repro.cg.assemble.MEImage.predecoded` reuses the program on
     any chip for which :func:`plan_matches` accepts it."""
     view = _ChipView(chip)
-    leaders = _run_leaders(image)
+    n = len(image.insns)
     puntable: Dict[int, str] = {}
+    runs: Dict[int, Optional[Step]] = {}
+    todo = sorted(_run_leaders(image), reverse=True)
+    while todo:
+        idx = todo.pop()
+        if idx < n and idx not in runs:
+            runs[idx], cap_exit = _compile_run(image, view, idx, puntable,
+                                               RUN_CAP)
+            if cap_exit is not None:
+                todo.append(cap_exit)
     prog: Prog = []
     for idx, insn in enumerate(image.insns):
-        step = None
-        if idx not in puntable:
-            cap = RUN_CAP if idx in leaders else 1
-            step = _compile_run(image, view, idx, puntable, cap)
+        if idx in runs:
+            step = runs[idx]
+        elif idx in puntable:
+            step = None
+        else:
+            step, _ = _compile_run(image, view, idx, puntable, 1)
         if step is None:
             step = _punt_step(idx, insn, puntable[idx])
         prog.append(step)

@@ -267,7 +267,7 @@ def _h_mem(me, t, insn) -> bool:
 
 
 def _h_ring_get(me, t, insn) -> bool:
-    ring = me.chip.ring_by_symbol(insn.ring.name)
+    ring = me.chip.rings[insn.ring.name]
     done = me.chip.memory.timed_access(me.time, "scratch", 1, insn.category)
     value = ring.get()
     t.set(insn.dst, value)
@@ -285,7 +285,7 @@ def _h_ring_get(me, t, insn) -> bool:
 
 
 def _h_ring_put(me, t, insn) -> bool:
-    ring = me.chip.ring_by_symbol(insn.ring.name)
+    ring = me.chip.rings[insn.ring.name]
     done = me.chip.memory.timed_access(me.time, "scratch", 1, insn.category)
     value = me.value(t, insn.src)
     ok = ring.put(value)

@@ -17,7 +17,13 @@ Covers:
   busy-spinning when no thread is ready and the next wake is not in the
   future;
 * the error path leaving ``time``/``executed_instrs``/``pc`` exactly as
-  they were before the failing instruction, in both cores.
+  they were before the failing instruction, in both cores, and
+  unbindable instructions (missing symbol or ring, no counter slot)
+  punting with a diagnostic;
+* the fast paths of the core: a run cut by ``RUN_CAP`` continuing fused,
+  bounds-checked one-call wide loads and stores, the wake-list arbiter
+  slice by slice against the reference, and the slot counters behind
+  ``Counters``.
 
 "reference" is the handler-table interpreter in tests/reference_me.py;
 "fast" is the product's one core.
@@ -26,14 +32,19 @@ Covers:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import get_app
 from repro.cg import isa
 from repro.cg.assemble import MEImage
 from repro.compiler import compile_baker
 from repro.ixp.chip import IXP2400
+from repro.ixp.counters import SLOT, Counters
+from repro.ixp.memory import SIZES, MemorySystem
 from repro.ixp.microengine import Microengine, SimError
 from repro.options import options_for
 from repro.rts.system import run_on_simulator
@@ -400,10 +411,16 @@ def test_error_path_preserves_counters(mode):
     # with a diagnostic naming ME, pc, instruction and reason. (The
     # reference keeps its historical AttributeError / KeyError here: it
     # is the oracle for semantics, not for diagnostics.)
+    nowhere = isa.SymRef("ring.nowhere")
     for punted, reason in (
             (isa.Immed(isa.VReg(), 1), "not a physical register"),
             (isa.LoadSym(_A1, isa.SymRef("nowhere")),
-             "unresolved symbol 'nowhere'")):
+             "unresolved symbol 'nowhere'"),
+            (isa.RingGet(_A1, nowhere), "no ring 'ring.nowhere'"),
+            (isa.RingPut(nowhere, _A0), "no ring 'ring.nowhere'"),
+            (isa.Mem("sram", "read", [_A1], _A0, isa.Imm(0), 1,
+                     category="bogus"),
+             r"no access counter for \('sram', 'bogus'\)")):
         me = _run_until_error(mode, [isa.Immed(_A0, 7), punted, isa.Halt()],
                               r"ME0 pc=1: cannot execute .*: .*" + reason)
         t = me.threads[0]
@@ -415,3 +432,163 @@ def test_error_path_identical_across_modes():
     ref, fast = (_run_until_error(mode, *_LM_FAULT) for mode in MODES)
     assert (ref.time, ref.executed_instrs, ref.threads[0].pc) == \
            (fast.time, fast.executed_instrs, fast.threads[0].pc)
+
+
+def test_ring_named_in_plan_bindings():
+    # A ring the chip lacked at decode is a recorded miss: creating it
+    # later must re-decode instead of reusing the punted program.
+    image = _mini_image([isa.RingGet(_A1, isa.SymRef("ring.q")),
+                         isa.Halt()])
+    chip = IXP2400()
+    prog1 = image.predecoded(chip)
+    chip.rings.create("ring.q").put(44)
+    assert image.predecoded(chip) is not prog1
+    me = Microengine(0, image, chip, n_threads=1)
+    me.run_slice(100)
+    assert me.threads[0].get(_A1) == 44
+
+
+# -- the fast paths: full-length runs, wide accesses, the arbiter --------------------
+
+
+def test_capped_run_continues_at_a_leader():
+    # 80 Immeds and a Halt: each run stops at RUN_CAP (24) and the next
+    # one starts fused where it stopped, so four dispatches run it all.
+    insns = [isa.Immed(_A0, i) for i in range(80)] + [isa.Halt()]
+    me = Microengine(0, _mini_image(insns), IXP2400(), n_threads=1)
+    prog = me.image.predecoded(me.chip)
+    starts = []
+
+    def counted(step):
+        def wrapper(me, t, deadline):
+            starts.append(t.pc)
+            return step(me, t, deadline)
+        return wrapper
+
+    me._prog = [counted(step) for step in prog]
+    assert me.run_slice(10_000.0) is None
+    assert starts == [0, 24, 48, 72]
+    assert (me.executed_instrs, me.time) == (81, 81.0)
+    assert me.threads[0].get(_A0) == 79
+
+
+_OUT_OF_RANGE = dict(
+    [("%s%d@%s" % (rw, units, where),
+      isa.Mem("sram", rw, [isa.PReg("a", i) for i in range(units)],
+              isa.Imm(addr), isa.Imm(0), units))
+     for units in (2, 8) for rw in ("read", "write")
+     for where, addr in (("-4", -4), ("end-4", SIZES["sram"] - 4))]
+    + [("masked_write", isa.Mem("sram", "write", [_A0, _A1], isa.Imm(-4),
+                                isa.Imm(0), 2, byte_mask=0x0F)),
+       ("test_and_set", isa.TestAndSet(_A1, isa.Imm(-4))),
+       ("release", isa.AtomicRelease(isa.Imm(-4)))])
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
+def test_out_of_range_access_matches_reference(name):
+    """One ``struct`` call moves a wide access, and ``unpack_from`` would
+    wrap a negative offset: the explicit bounds check must stay. After
+    a fused Immed, both cores leave the failing access charged, and pc
+    and the executed count as they were before it."""
+    seen = []
+    for mode in MODES:
+        insns = [isa.Immed(isa.PReg("b", 0), 7), _OUT_OF_RANGE[name],
+                 isa.Halt()]
+        me = reference_me.CORES[mode](0, _mini_image(insns), IXP2400(),
+                                      n_threads=1)
+        with pytest.raises(IndexError, match="out of range"):
+            me.run_slice(10_000.0)
+        seen.append((me.time, me.executed_instrs, me.threads[0].pc))
+    assert seen[0] == seen[1]
+    assert seen[0][1:] == (1, 1)
+
+
+_TINY_OPS = st.one_of(st.sampled_from(("ctx_arb", "sram", "ring", "halt",
+                                       "loop")),
+                      st.integers(min_value=1, max_value=30))
+
+
+def _tiny_image(ops):
+    """Straight-line stretches of Immeds (the int ops), yields, SRAM
+    reads, ring gets, halts and a jump back to the entry."""
+    insns = []
+    for op in ops:
+        if op == "ctx_arb":
+            insns.append(isa.CtxArb())
+        elif op == "sram":
+            insns.append(isa.Mem("sram", "read", [_A1], _A0, isa.Imm(64), 1))
+        elif op == "ring":
+            insns.append(isa.RingGet(_A1, isa.SymRef("ring.q")))
+        elif op == "halt":
+            insns.append(isa.Halt())
+        elif op == "loop":
+            insns.append(isa.Br("always", "main"))
+            insns[-1].resolved = 0
+        else:
+            insns += [isa.Immed(_A0, 4 * i) for i in range(op)]
+    return _mini_image(insns + [isa.Halt()])
+
+
+def _slices(mode, ops, n_threads, budgets):
+    chip = IXP2400()
+    ring = chip.rings.create("ring.q", capacity=4)
+    for handle in (16, 32, 48):
+        ring.put(handle)
+    me = reference_me.CORES[mode](0, _tiny_image(ops), chip,
+                                  n_threads=n_threads)
+    seen = []
+    for budget in budgets:
+        nxt = me.run_slice(float(budget))
+        seen.append((nxt, me.time, me.idle_time, me.executed_instrs,
+                     me.rr_next,
+                     [(t.pc, t.wake, t.halted) for t in me.threads]))
+        if nxt is None:
+            break
+        me.time = max(me.time, nxt)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_TINY_OPS, min_size=1, max_size=8),
+       n_threads=st.integers(min_value=1, max_value=8),
+       budgets=st.lists(st.integers(min_value=1, max_value=400),
+                        min_size=1, max_size=25))
+def test_arbiter_and_runs_match_reference(ops, n_threads, budgets):
+    """The wake-list arbiter and the fused runs against the handler-table
+    core, slice by slice, over random tiny images and slice budgets."""
+    assert (_slices("fast", ops, n_threads, budgets)
+            == _slices("reference", ops, n_threads, budgets))
+
+
+# -- slot counters --------------------------------------------------------------------
+
+
+def test_counters_are_views_over_slots():
+    c = Counters()
+    assert c.snapshot() == {"accesses": Counter(), "words": Counter()}
+    assert not c.accesses and not c.words
+    slot = SLOT[("sram", "app")]
+    c.n_accesses[slot] += 1
+    c.n_words[slot] += 2
+    assert c.accesses == Counter({("sram", "app"): 1})
+    assert c.words == Counter({("sram", "app"): 2})
+
+
+def test_counters_delta_is_counter_arithmetic():
+    mem = MemorySystem()
+    accesses, words = Counter(), Counter()
+    before = old_before = None
+    for i, (space, cat, n) in enumerate(
+            [("dram", "pkt", 2), ("sram", "app", 1), ("scratch", "pkt", 1),
+             ("dram", "pkt", 16), ("sram", "pkt", 8), ("sram", "app", 1)]):
+        if i == 2:
+            before = mem.counters.snapshot()
+            old_before = {"accesses": Counter(accesses),
+                          "words": Counter(words)}
+        mem.timed_access(0.0, space, n, cat)
+        accesses[(space, cat)] += 1
+        words[(space, cat)] += n
+    after = mem.counters.snapshot()
+    assert after == {"accesses": accesses, "words": words}
+    assert Counters.delta(after, before) == Counters.delta(
+        {"accesses": accesses, "words": words}, old_before)

@@ -93,24 +93,23 @@ def test_memory_bounds_checked():
 
 
 def test_counters_delta():
-    c = Counters()
-    c.record("dram", "pkt", 2)
-    before = c.snapshot()
-    c.record("dram", "pkt", 2)
-    c.record("sram", "app", 1)
-    delta = Counters.delta(c.snapshot(), before)
+    mem = MemorySystem()
+    mem.timed_access(0.0, "dram", 2, "pkt")
+    before = mem.counters.snapshot()
+    mem.timed_access(0.0, "dram", 2, "pkt")
+    mem.timed_access(0.0, "sram", 1, "app")
+    delta = Counters.delta(mem.counters.snapshot(), before)
     assert delta["accesses"][("dram", "pkt")] == 1
     assert delta["accesses"][("sram", "app")] == 1
 
 
 def test_access_profile_rows():
-    c = Counters()
+    mem = MemorySystem()
     for _ in range(10):
-        c.record("dram", "pkt", 2)
-        c.record("sram", "app", 1)
+        mem.timed_access(0.0, "dram", 2, "pkt")
+        mem.timed_access(0.0, "sram", 1, "app")
     profile = AccessProfile.from_counters(
-        Counters.delta(c.snapshot(), {"accesses": Counters().accesses,
-                                      "words": Counters().words}),
+        Counters.delta(mem.counters.snapshot(), Counters().snapshot()),
         packets=10,
     )
     assert profile.pkt_dram == 1.0
