@@ -1,13 +1,13 @@
 """Windowed, streaming observability over simulated time.
 
 Everything else in ``repro.obs`` is run-to-completion: a profiler
-snapshot is taken after the run, and
-:class:`~repro.obs.trace.PacketTracer` accumulates every latency before
-computing percentiles once at the end.
-A long-running service (``python -m repro.serve``) needs the opposite
-shape -- forwarding rate, latency percentiles and drop causes *as
-functions of sim time, across control-plane updates* -- in bounded
-memory. This module provides it:
+snapshot is taken after the run, and a
+:class:`~repro.obs.trace.PacketTracer` records raw events for a
+Perfetto export. A long-running service (``python -m repro.serve``)
+needs the opposite shape -- forwarding rate, latency percentiles and
+drop causes *as functions of sim time, across control-plane updates*
+-- in bounded memory. This module provides it, and its sketches are
+the only latency percentiles in ``repro.obs``:
 
 * :class:`StreamingQuantile` / :class:`QuantileSketch` -- online
   quantile estimation in O(1) memory (exact up to ``exact_limit``
@@ -39,6 +39,8 @@ import json
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.ixp.memory import ME_HZ
+
 #: Quantiles every sketch tracks (the report's standard columns).
 SKETCH_QUANTILES = (0.5, 0.95, 0.99)
 
@@ -48,7 +50,7 @@ DEFAULT_EXACT_LIMIT = 256
 
 def nearest_rank(sorted_vals: List[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (the exact-prefix
-    answer here and :meth:`repro.obs.trace.PacketTracer.latency_summary`'s)."""
+    answer of :class:`StreamingQuantile`)."""
     n = len(sorted_vals)
     rank = max(1, min(n, int(-(-q * n // 1))))  # ceil(q*n), clamped
     return sorted_vals[rank - 1]
@@ -182,7 +184,7 @@ class QuantileSketch:
             est.add(x)
 
     def summary(self) -> Dict[str, float]:
-        """Same keys as :meth:`PacketTracer.latency_summary`."""
+        """count/min/mean/max and p50/p95/p99; all zero when empty."""
         if self.count == 0:
             return {"count": 0, "min": 0.0, "p50": 0.0, "p95": 0.0,
                     "p99": 0.0, "mean": 0.0, "max": 0.0}
@@ -247,12 +249,11 @@ class TimeseriesCollector:
     lands in the same record.
     """
 
-    def __init__(self, window_cycles: float, cycles_hz: float = 600e6,
+    def __init__(self, window_cycles: float,
                  exact_limit: int = DEFAULT_EXACT_LIMIT):
         if window_cycles <= 0:
             raise ValueError("window_cycles must be positive")
         self.window_cycles = float(window_cycles)
-        self.cycles_hz = cycles_hz
         self.exact_limit = exact_limit
         self.next_t = self.window_cycles
         self.registry = _WindowCounters()
@@ -274,8 +275,10 @@ class TimeseriesCollector:
 
     def attach(self, rx=None, tx=None, tracer=None) -> None:
         """Wire the standard engine counters (Rx offered/drops, Tx
-        packets/bytes, tracer drop causes) as delta sources, and make a
-        streaming tracer feed its latencies into the window sketches."""
+        packets/bytes, tracer drop causes) as delta sources, and make
+        the tracer feed its latencies into the window sketches. Each
+        drop has one owner: the Rx engine counts what it refused, the
+        tracer the lifetimes that ended in a drop."""
         if rx is not None:
             prev = {"sent": 0, "freelist": 0, "ring_full": 0}
 
@@ -312,8 +315,7 @@ class TimeseriesCollector:
                     prev[cause] = n
 
             self.add_source(drop_source)
-            if getattr(tracer, "streaming", False):
-                tracer.latency_sink = self.observe_latency
+            tracer.latency_sink = self.observe_latency
 
     # -- per-event feeds ---------------------------------------------------------
 
@@ -362,7 +364,7 @@ class TimeseriesCollector:
         for src in self._sources:
             src(self.registry)
         counters = self.registry.drain()
-        span_s = max((t_end - self._t_start) / self.cycles_hz, 1e-12)
+        span_s = max((t_end - self._t_start) / ME_HZ, 1e-12)
         rate = counters.get("tx.bytes", 0) * 8 / span_s / 1e9
         rec: Dict[str, object] = {
             "window": self._index,
@@ -434,14 +436,11 @@ def load_timeseries(path: str) -> Tuple[Dict[str, object],
 
 
 def window_drops(window: Dict[str, object]) -> float:
-    """Total dropped packets recorded in one window (tracer drop causes
-    plus Rx-engine drops)."""
+    """Total dropped packets recorded in one window: lifetimes the
+    tracer saw end in a drop plus packets the Rx engine refused."""
     counters = window.get("counters") or {}
     return sum(v for k, v in counters.items()
                if k == "drop" or k.startswith(("drop{", "rx.dropped")))
-
-
-_drops = window_drops
 
 
 def _phase_stats(windows: List[Dict[str, object]]) -> Dict[str, float]:
@@ -457,7 +456,7 @@ def _phase_stats(windows: List[Dict[str, object]]) -> Dict[str, float]:
                          for w in windows) / n, 3),
         "p99": round(sum((w.get("latency") or {}).get("p99", 0.0)
                          for w in windows) / n, 3),
-        "drops": sum(_drops(w) for w in windows),
+        "drops": sum(window_drops(w) for w in windows),
     }
 
 

@@ -31,9 +31,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.obs.timeseries import QuantileSketch, nearest_rank
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 #: Ring-name prefix of the buffer/metadata free lists.
 FREE_PREFIX = "ring.__"
@@ -67,43 +65,32 @@ class PacketTracer:
 
     Handles are recycled by the free lists, so each *allocation* of a
     handle gets a fresh monotonically increasing packet id; ``active``
-    maps the handle to the id of its current lifetime. ``max_packets``
-    bounds memory: once that many lifecycles have begun, new packets go
-    untraced (counted in ``truncated``) while already-traced packets
-    still complete, keeping every recorded begin/end pair balanced.
+    maps the handle to the id of its current lifetime and ``born`` maps
+    that id to its first-seen cycles until the lifetime ends, so both
+    are bounded by the packet pool. ``events`` keeps the newest
+    ``max_events`` (None keeps the whole run, for a Perfetto export).
 
-    ``streaming=True`` reshapes the tracer for unbounded runs
-    (``repro.serve``): ``events`` and ``latencies`` become bounded rings
-    (oldest entries evicted, counted in ``events_truncated`` /
-    ``latencies_truncated``), latency percentiles come from an O(1)
-    :class:`~repro.obs.timeseries.QuantileSketch` instead of the full
-    list, completed packets are pruned from ``born`` (so the
-    ``max_packets`` guard bounds packets *in flight*, not the whole
-    run), and each forwarded latency is also pushed to ``latency_sink``
-    (the timeseries collector's per-window feed) when one is set.
+    Each forwarded packet's Rx->Tx latency rides on its ``pkt_end``
+    event and goes to ``latency_sink`` when one is set (a
+    :class:`~repro.obs.timeseries.TimeseriesCollector` attached with
+    ``tracer=`` sets it). ``drops`` counts lifetimes that ended in a
+    drop, by cause; an Rx drop before allocation is an event only, its
+    count is the Rx engine's (``dropped_freelist`` /
+    ``dropped_ring_full``).
+
+    ``streaming`` is accepted and selects nothing:
+    ``benchmarks/pipeline`` passes it, and that directory is frozen
+    (ROADMAP item 3).
     """
 
-    def __init__(self, max_packets: int = 100_000, streaming: bool = False,
-                 max_latencies: int = 4096, max_events: int = 16_384):
-        self.max_packets = max_packets
-        self.streaming = streaming
+    def __init__(self, max_events: Optional[int] = 16_384,
+                 streaming: bool = False):
         self.active: Dict[int, int] = {}       # handle -> packet id
         self.born: Dict[int, float] = {}       # packet id -> first-seen cycles
-        self.born_total = 0                    # lifecycles begun, ever
         self.drops: Counter = Counter()        # cause -> count
         self.next_id = 1
-        self.truncated = 0
-        self.events_truncated = 0
-        self.latencies_truncated = 0
+        self.events: Deque[TraceEvent] = deque(maxlen=max_events)
         self.latency_sink: Optional[Callable[[float], None]] = None
-        self.lat_sketch = None
-        if streaming:
-            self.events = deque(maxlen=max_events)
-            self.latencies = deque(maxlen=max_latencies)
-            self.lat_sketch = QuantileSketch()
-        else:
-            self.events: List[TraceEvent] = []
-            self.latencies: List[float] = []   # Rx->Tx cycles, forwarded only
         self.finished_at: Optional[float] = None
         # (me, thread) -> (handle, pkt id, start cycles): the packet the
         # thread is currently processing (PPF execution span).
@@ -113,25 +100,17 @@ class PacketTracer:
 
     def _emit(self, kind: str, t: float, pkt: Optional[int],
               **data: object) -> None:
-        events = self.events
-        if self.streaming and len(events) == events.maxlen:
-            self.events_truncated += 1
-        events.append(TraceEvent(kind, t, pkt, data or None))
+        self.events.append(TraceEvent(kind, t, pkt, data or None))
 
-    def _begin(self, handle: int, t: float, origin: str) -> Optional[int]:
-        old = self.active.get(handle)
-        if old is not None:
+    def _begin(self, handle: int, t: float, origin: str) -> int:
+        if handle in self.active:
             # A handle re-allocated without a visible end: close the
             # stale lifetime so pairs stay balanced.
             self._end_handle(handle, t, "lost", None)
-        if len(self.born) >= self.max_packets:
-            self.truncated += 1
-            return None
         pkt = self.next_id
         self.next_id += 1
         self.active[handle] = pkt
         self.born[pkt] = t
-        self.born_total += 1
         self._emit("pkt_begin", t, pkt, origin=origin, handle=handle)
         return pkt
 
@@ -140,25 +119,17 @@ class PacketTracer:
         pkt = self.active.pop(handle, None)
         if pkt is None:
             return
+        born = self.born.pop(pkt)
         data: Dict[str, object] = {"outcome": outcome}
         if cause:
             data["cause"] = cause
         if outcome == "tx":
-            lat = t - self.born[pkt]
-            if self.streaming:
-                if len(self.latencies) == self.latencies.maxlen:
-                    self.latencies_truncated += 1
-                self.lat_sketch.add(lat)
-                if self.latency_sink is not None:
-                    self.latency_sink(lat)
-            self.latencies.append(lat)
+            lat = t - born
+            if self.latency_sink is not None:
+                self.latency_sink(lat)
             data["latency_cycles"] = lat
         elif outcome == "drop":
             self.drops[cause or "unknown"] += 1
-        if self.streaming:
-            # Completed lifecycle: prune so born tracks packets in
-            # flight and long runs stay bounded.
-            self.born.pop(pkt, None)
         self._emit("pkt_end", t, pkt, **data)
 
     def _close_span(self, me: int, thread: int, t: float,
@@ -177,13 +148,13 @@ class PacketTracer:
         """Rx allocated a buffer+metadata pair and enqueued the handle
         on the rx ring."""
         pkt = self._begin(handle, t, "rx")
-        if pkt is not None:
-            self._emit("ring_enq", t, pkt, ring="ring.rx", port=port,
-                       length=length)
+        self._emit("ring_enq", t, pkt, ring="ring.rx", port=port,
+                   length=length)
 
     def rx_drop(self, t: float, cause: str) -> None:
-        """Rx dropped an offered packet before allocation completed."""
-        self.drops[cause] += 1
+        """Rx dropped an offered packet before allocation completed: an
+        instant on the trace, not a ``drops`` count (no lifetime began,
+        and the Rx engine counts it)."""
         self._emit("rx_drop", t, None, cause=cause)
 
     # -- microengines ------------------------------------------------------------
@@ -204,7 +175,7 @@ class PacketTracer:
             # before the previous hand-off means we missed the close.
             self._close_span(me, thread, t, "preempted")
         if pkt is None:
-            return  # untraced (over max_packets) or pre-attach packet
+            return  # a packet allocated before the tracer was attached
         self._emit("ring_deq", t, pkt, ring=ring)
         self._emit("span_begin", t, pkt, me=me, thread=thread, ring=ring)
         self._me_cur[(me, thread)] = (handle, pkt, t)
@@ -280,37 +251,6 @@ class PacketTracer:
         for handle in sorted(self.active):
             self._end_handle(handle, t, "inflight", None)
         self.finished_at = t
-
-    # -- summaries ---------------------------------------------------------------
-
-    def latency_summary(self) -> Dict[str, float]:
-        """Rx->Tx latency percentiles over forwarded packets, cycles.
-
-        Exact (nearest-rank over the full list) in the default mode; in
-        streaming mode the percentiles come from the O(1) sketch over
-        *every* forwarded packet. ``truncated`` counts latency samples
-        evicted from the bounded ring (always 0 when not streaming), so
-        reports can show when the raw list is incomplete.
-        """
-        if self.streaming:
-            summ = self.lat_sketch.summary()
-            summ["truncated"] = self.latencies_truncated
-            return summ
-        lats = sorted(self.latencies)
-        n = len(lats)
-        if n == 0:
-            return {"count": 0, "min": 0.0, "p50": 0.0, "p95": 0.0,
-                    "p99": 0.0, "mean": 0.0, "max": 0.0, "truncated": 0}
-        return {
-            "count": n,
-            "min": lats[0],
-            "p50": nearest_rank(lats, 0.50),
-            "p95": nearest_rank(lats, 0.95),
-            "p99": nearest_rank(lats, 0.99),
-            "mean": sum(lats) / n,
-            "max": lats[-1],
-            "truncated": 0,
-        }
 
     # -- export ------------------------------------------------------------------
 

@@ -72,9 +72,9 @@ def run_on_simulator(
 
     Per-packet lifecycle tracing: pass a
     :class:`repro.obs.trace.PacketTracer` (or just set ``trace_json``
-    and one is created) to record every packet's Rx->Tx journey in
-    simulated cycles. ``trace_json`` writes Chrome trace-event JSON
-    (open in Perfetto).
+    and one that keeps every event is created) to record every packet's
+    Rx->Tx journey in simulated cycles. ``trace_json`` writes Chrome
+    trace-event JSON (open in Perfetto).
 
     ``dispatch`` selects nothing: every run is cycle-accurate on the one
     ME core. None and ``"fast"`` are accepted, anything else is a
@@ -84,7 +84,8 @@ def run_on_simulator(
     :class:`repro.obs.timeseries.TimeseriesCollector` as the chip's
     window hook: per-window rate/latency/drop records over simulated
     time, closed by the run loop's boundary pull and finalized at the
-    end of the run.
+    end of the run. Latencies and the tracer's drop causes come from
+    ``tracer``; without one the windows carry Rx/Tx counts only.
 
     ``profiler`` attaches a :class:`repro.obs.profile.StallProfiler`
     to the chip: per-thread stall-cycle attribution and channel/ring
@@ -94,7 +95,7 @@ def run_on_simulator(
     are bit-identical with or without it.
     """
     if tracer is None and trace_json:
-        tracer = obs_trace.PacketTracer()
+        tracer = obs_trace.PacketTracer(max_events=None)
     total_mes = n_mes if n_mes is not None else result.opts.num_mes
     chip = IXP2400(n_programmable_mes=total_mes)
     layout = load_system(result, chip, n_mes=total_mes, dispatch=dispatch)

@@ -117,7 +117,7 @@ def run_service(cfg: ServeConfig,
     tx = TxEngine(chip, line_gbps=cfg.line_gbps)
     chip.attach_traffic(rx, tx)
 
-    tracer = PacketTracer(streaming=True)
+    tracer = PacketTracer()
     chip.tracer = tracer
     collector = TimeseriesCollector(cfg.window_cycles,
                                     exact_limit=cfg.exact_limit)
@@ -158,8 +158,7 @@ def run_service(cfg: ServeConfig,
               if ev["kind"] == "update"]
     for ev, n, c in zip(events, stale, cycles):
         ev.update(stale_tx=n, stale_cycles=c)
-    bench = _bench_payload(cfg, collector, control, stale, cycles, rx, tx,
-                           tracer)
+    bench = _bench_payload(cfg, collector, control, stale, cycles, rx, tx)
 
     if timeline_path:
         collector.dump_jsonl(timeline_path, header={
@@ -191,8 +190,7 @@ def _seeds(cfg: ServeConfig) -> Dict[str, object]:
 
 def _bench_payload(cfg: ServeConfig, collector: TimeseriesCollector,
                    control: ControlPlane, stale: List[int],
-                   cycles: List[float],
-                   rx, tx, tracer: PacketTracer) -> Dict[str, object]:
+                   cycles: List[float], rx, tx) -> Dict[str, object]:
     windows = collector.windows
     rates = [w["rate_gbps"] for w in windows]
     mean_rate = round(sum(rates) / len(rates), 6) if rates else 0.0
@@ -216,7 +214,6 @@ def _bench_payload(cfg: ServeConfig, collector: TimeseriesCollector,
             "updates_applied": len(control.applied),
             "stale_tx_total": sum(stale),
             "stale_cycles_max": max(cycles, default=0.0),
-            "latencies_truncated": tracer.latencies_truncated,
         },
         "timeline": {
             "rate_gbps": rates,

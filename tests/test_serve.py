@@ -209,6 +209,27 @@ def test_serve_is_byte_reproducible(flap_run, tmp_path):
         render_timeline(*load_timeseries(timeline2))
 
 
+def test_serve_counts_each_drop_once():
+    """Firewall BASE on one ME at 3 Gbps overloads the Rx ring as well
+    as dropping in the app. Each drop has one owner -- the Rx engine for
+    what it refused, the tracer for lifetimes that ended in a drop -- so
+    the summary is their sum, and packets are conserved: offered =
+    transmitted + dropped + still in flight when the run stopped."""
+    res = run_service(ServeConfig(app="firewall", level="BASE", n_mes=1,
+                                  offered_gbps=3.0, windows=6))
+    summary = res.bench["summary"]
+    rx_drops = sum(v for w in res.collector.windows
+                   for k, v in w["counters"].items()
+                   if k.startswith("rx.dropped"))
+    assert rx_drops > 0 and "ring_full" not in res.tracer.drops
+    assert summary["drops"] == rx_drops + sum(res.tracer.drops.values())
+    assert summary["drops"] == 146
+    inflight = sum(e.kind == "pkt_end" and e.data["outcome"] == "inflight"
+                   for e in res.tracer.events)
+    assert summary["rx_offered"] == (summary["tx_packets"] + summary["drops"]
+                                     + inflight)
+
+
 def test_serve_rejects_churn_past_horizon():
     cfg = ServeConfig(app="l3switch",
                       churn=[parse_churn_spec("route-flap:n=9,start=3,every=3")],

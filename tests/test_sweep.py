@@ -346,11 +346,13 @@ def test_build_jobs_shape():
 def test_benchmark_pipeline_frozen_surface(tmp_path):
     """``benchmarks/pipeline`` may not be edited by an ordinary PR, so
     the keywords it passes are an API: pin them here rather than let the
-    benchmark discover a break. ``WorkerConfig(obs=)``, ``dispatch=`` and
-    ``cache_key(target_gbps=)`` are accepted and select nothing;
-    ``SweepJob.target_gbps`` is readable."""
+    benchmark discover a break. ``WorkerConfig(obs=)``, ``dispatch=``,
+    ``cache_key(target_gbps=)`` and ``PacketTracer(streaming=)`` are
+    accepted and select nothing; ``SweepJob.target_gbps`` is readable."""
     from repro.ixp.chip import IXP2400
     from repro.obs.profile import StallProfiler
+    from repro.obs.timeseries import TimeseriesCollector
+    from repro.obs.trace import PacketTracer
     from repro.rts.loader import load_system
     from repro.rts.system import run_on_simulator
     from repro.sweep.orchestrator import (JobResult, SweepResult,
@@ -393,6 +395,13 @@ def test_benchmark_pipeline_frozen_surface(tmp_path):
     layout = load_system(result, chip, n_mes=2, dispatch="fast")
     assert sum(layout.me_assignment.values()) == 2
     chip.close()
+
+    # pieces.py's traced serve cell builds its tracer and collector.
+    tracer = PacketTracer(streaming=True)
+    assert tracer.events.maxlen == PacketTracer().events.maxlen
+    collector = TimeseriesCollector(40_000.0, exact_limit=256)
+    collector.attach(tracer=tracer)
+    assert tracer.latency_sink == collector.observe_latency
 
     # sweep_grid.py::_mismatch dereferences the committed figure files by
     # this shape, so the ``bench`` kind cannot be regenerated under

@@ -1,7 +1,7 @@
 """Streaming time-series observability (repro.obs.timeseries): sketch
 accuracy against exact percentiles, window/boundary semantics, counter
-snapshot-and-reset, update-impact analysis, the timeline report, and
-the streaming PacketTracer's bounded-memory mode."""
+snapshot-and-reset, one owner per drop, update-impact analysis, and the
+timeline report."""
 
 import bisect
 import json
@@ -212,6 +212,29 @@ def test_counter_sources_deltas_land_per_window():
     assert window_drops(w1) == 2
 
 
+def test_rx_drop_lands_in_the_window_once():
+    """With both the Rx engine and a tracer attached, one Rx drop is
+    the engine's count; the tracer's ``rx_drop`` is a trace instant, not
+    a second ``drop{cause=ring_full}``."""
+    from repro.obs.trace import PacketTracer
+
+    class FakeRx:
+        sent = 1
+        dropped_freelist = 0
+        dropped_ring_full = 1
+
+    tracer = PacketTracer()
+    c = TimeseriesCollector(window_cycles=100.0)
+    c.attach(rx=FakeRx(), tracer=tracer)
+    tracer.rx_drop(50.0, "ring_full")
+    c.tick(100.0)
+    (w,) = c.windows
+    assert w["counters"] == {"rx.offered": 1,
+                             "rx.dropped{cause=ring_full}": 1}
+    assert window_drops(w) == 1
+    assert [e.kind for e in tracer.events] == ["rx_drop"]
+
+
 def test_registry_events_land_in_their_window():
     c = TimeseriesCollector(window_cycles=100.0)
     c.registry.counter("updates", kind="route-flap").inc()
@@ -346,62 +369,3 @@ def test_timeline_report_renders(tmp_path):
 
     assert report_main(["timeline", path]) == 0
     assert report_main(["timeline", str(tmp_path / "missing.jsonl")]) == 1
-
-
-# -- streaming PacketTracer ------------------------------------------------------
-
-
-def _run_traced(streaming, **kw):
-    from repro.compiler import compile_baker
-    from repro.obs.trace import PacketTracer
-    from repro.options import options_for
-    from repro.profiler.trace import ipv4_trace
-    from repro.rts.system import run_on_simulator
-    from tests.samples import MINI_FORWARDER
-
-    macs = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
-    trace = ipv4_trace(40, [0xC0A80101], macs, seed=3)
-    result = compile_baker(MINI_FORWARDER, options_for("O1"), trace)
-    tracer = PacketTracer(streaming=streaming, **kw)
-    run = run_on_simulator(result, trace, n_mes=2, warmup_packets=20,
-                           measure_packets=60, tracer=tracer)
-    return run, tracer
-
-
-def test_streaming_tracer_bounds_memory_and_counts_truncation():
-    run, tracer = _run_traced(True, max_latencies=8, max_events=16)
-    assert len(tracer.latencies) <= 8
-    assert len(tracer.events) <= 16
-    assert tracer.latencies_truncated > 0
-    assert tracer.events_truncated > 0
-    summary = tracer.latency_summary()
-    # The sketch saw every latency even though the ring kept only 8.
-    assert summary["count"] == tracer.latencies_truncated + len(
-        tracer.latencies)
-    assert summary["truncated"] == tracer.latencies_truncated
-    assert summary["p99"] >= summary["p50"] >= summary["min"] > 0
-    assert tracer.born_total > 0
-    assert run.packets_out > 0
-
-
-def test_streaming_tracer_matches_exact_run():
-    """Streaming and exact tracers observe the same simulation; the
-    streaming percentiles stay within the sketch's rank bound of the
-    exact ones (here both are exact: n < exact_limit)."""
-    run_a, exact = _run_traced(False)
-    run_b, stream = _run_traced(True)
-    assert run_a.tx_signature() == run_b.tx_signature()
-    a, b = exact.latency_summary(), stream.latency_summary()
-    assert a["count"] == b["count"]
-    for key in ("p50", "p95", "p99"):
-        assert a[key] == pytest.approx(b[key], rel=1e-9)
-    assert a["truncated"] == 0 and b["truncated"] == 0
-
-
-def test_nonstreaming_summary_unchanged_shape():
-    _, tracer = _run_traced(False)
-    s = tracer.latency_summary()
-    for key in ("count", "min", "p50", "p95", "p99", "mean", "max",
-                "truncated"):
-        assert key in s
-    assert s["truncated"] == 0

@@ -12,7 +12,7 @@ import pytest
 
 from repro.compiler import compile_baker
 from repro.obs.export import chrome_trace_from_events, write_chrome_trace
-from repro.obs.timeseries import nearest_rank
+from repro.obs.timeseries import TimeseriesCollector, nearest_rank
 from repro.obs.trace import (
     PacketTracer,
     capture_compile_spans,
@@ -45,6 +45,12 @@ def _mini_result():
 RUN_KW = dict(n_mes=2, warmup_packets=30, measure_packets=90)
 
 
+def _latencies(tr):
+    """Rx->Tx cycles of every forwarded packet, from its ``pkt_end``."""
+    return [e.data["latency_cycles"] for e in tr.events
+            if e.kind == "pkt_end" and e.data["outcome"] == "tx"]
+
+
 # -- tracer unit semantics ------------------------------------------------------
 
 
@@ -55,11 +61,11 @@ def test_tracer_forward_path_and_latency():
     tr.me_ring_put(0, 0, "ring.chan", 64, 180.0)
     tr.tx_packet(64, 400.0, port=1, length=64)
     tr.finish(500.0)
-    assert tr.latencies == [300.0]
+    assert _latencies(tr) == [300.0]
     kinds = [e.kind for e in tr.events]
     assert kinds == ["pkt_begin", "ring_enq", "ring_deq", "span_begin",
                      "span_end", "ring_enq", "ring_deq", "pkt_end"]
-    assert not tr.active and not tr._me_cur
+    assert not tr.active and not tr.born and not tr._me_cur
 
 
 def test_tracer_app_drop_and_recycled_handle():
@@ -74,7 +80,7 @@ def test_tracer_app_drop_and_recycled_handle():
     assert tr.active[64] == 2  # fresh per-lifetime id
     tr.tx_packet(64, 90.0, port=1, length=64)
     tr.finish(100.0)
-    assert tr.latencies == [60.0]
+    assert _latencies(tr) == [60.0]
     # Free-list traffic is never a packet event.
     assert all((e.data or {}).get("ring") != "ring.__meta_free"
                for e in tr.events)
@@ -85,7 +91,7 @@ def test_tracer_free_list_gets_and_failed_cc_put():
     # Buffer free-list activity is invisible.
     tr.me_ring_get(0, 0, "ring.__buf_free", 2048, 0.0)
     tr.me_ring_put(0, 0, "ring.__buf_free", 2048, 1.0)
-    assert tr.events == []
+    assert not tr.events
     # Allocation from the metadata free list starts a lifetime.
     tr.me_ring_get(0, 0, "ring.__meta_free", 96, 2.0)
     assert tr.active[96] == 1
@@ -95,17 +101,18 @@ def test_tracer_free_list_gets_and_failed_cc_put():
     assert not tr.active
 
 
-def test_tracer_max_packets_truncates_but_stays_balanced():
-    tr = PacketTracer(max_packets=2)
-    for i, h in enumerate((64, 96, 128)):
-        tr.rx_packet(h, float(i), port=0, length=64)
-    assert len(tr.born) == 2 and tr.truncated == 1
-    tr.tx_packet(64, 10.0, port=0, length=64)
-    tr.tx_packet(128, 11.0, port=0, length=64)  # untraced: ignored
-    tr.finish(20.0)
-    begins = sum(e.kind == "pkt_begin" for e in tr.events)
-    ends = sum(e.kind == "pkt_end" for e in tr.events)
-    assert begins == ends == 2
+def test_tracer_state_is_bounded_by_the_pool_and_max_events():
+    """A lifetime's ``born`` entry goes when it ends, so ``active`` and
+    ``born`` hold only packets in flight; ``events`` keeps the newest
+    ``max_events``, and None keeps them all."""
+    for max_events, kept in ((16, 16), (None, 4 * 200)):
+        tr = PacketTracer(max_events=max_events)
+        for i in range(200):
+            tr.rx_packet(64, float(i), port=0, length=64)
+            tr.tx_packet(64, i + 0.5, port=0, length=64)
+            assert not tr.active and not tr.born
+        assert len(tr.events) == kept
+        assert tr.events[-1].pkt == 200 and tr.next_id == 201
 
 
 def test_tracer_finish_closes_open_lifecycles():
@@ -125,10 +132,15 @@ def test_percentiles_nearest_rank():
     assert nearest_rank(vals, 0.95) == 95.0
     assert nearest_rank(vals, 0.99) == 99.0
     assert nearest_rank([7.0], 0.99) == 7.0
+    # A tracer's latencies are summarized by the collector it feeds.
     tr = PacketTracer()
-    assert tr.latency_summary()["count"] == 0
-    tr.latencies = [10.0, 20.0, 30.0, 40.0]
-    s = tr.latency_summary()
+    c = TimeseriesCollector(window_cycles=1000.0)
+    c.attach(tracer=tr)
+    assert c.cumulative.summary()["count"] == 0
+    for i, lat in enumerate((10.0, 20.0, 30.0, 40.0)):
+        tr.rx_packet(64 + 32 * i, 0.0, port=0, length=64)
+        tr.tx_packet(64 + 32 * i, lat, port=0, length=64)
+    s = c.cumulative.summary()
     assert (s["count"], s["min"], s["max"]) == (4, 10.0, 40.0)
     assert s["p50"] == 20.0 and s["mean"] == 25.0
 
@@ -159,7 +171,19 @@ def test_tracing_on_run_is_bit_identical(tmp_path):
     assert on.me_times == off.me_times
     assert on.tx_signature() == off.tx_signature()
     # ...and the traced run did see the packets.
-    assert tr.latency_summary()["count"] == on.packets_out
+    assert len(_latencies(tr)) == on.packets_out
+
+
+def test_collector_sees_every_forwarded_latency():
+    """Any tracer passed with ``timeseries=`` feeds the collector's
+    sketches: one latency per transmitted packet."""
+    result, trace = _mini_result()
+    c = TimeseriesCollector(window_cycles=20_000.0)
+    run = run_on_simulator(result, trace, tracer=PacketTracer(),
+                           timeseries=c, **RUN_KW)
+    assert run.packets_out > 0
+    assert c.cumulative.count == run.packets_out
+    assert sum(w["latency"]["count"] for w in c.windows) == run.packets_out
 
 
 # -- exporter -------------------------------------------------------------------
@@ -205,13 +229,13 @@ def _track_names(evs):
 
 def test_exporter_valid_monotonic_balanced(tmp_path):
     tr, json_path = _traced_run(tmp_path)
-    assert tr.latencies, "no packets forwarded?"
+    assert _latencies(tr), "no packets forwarded?"
     with open(json_path) as fh:
         doc = json.load(fh)  # json.tool-level validity
     evs = _check_chrome_trace(doc)
     # Every traced packet shows up as one async lifecycle pair.
     pkt_pairs = sum(e["ph"] == "b" and e["cat"] == "pkt" for e in evs)
-    assert pkt_pairs == len(tr.born)
+    assert pkt_pairs == tr.next_id - 1
     # One named track per ME plus the ring/packet processes.
     names = _track_names(evs)
     assert "packets" in names and "rings" in names
@@ -284,13 +308,12 @@ def test_compile_span_capture(no_compile_spans):
 
 
 def test_report_renders_latency_and_hot_lines():
-    """One home each: the timeline header carries the streaming
-    tracer's latency summary, the compile report the hot Baker lines
-    (hottest first, with shares)."""
+    """One home each: the timeline header carries the tracer's latency
+    summary, the compile report the hot Baker lines (hottest first, with
+    shares)."""
     from repro.obs.report import render_explain, render_timeline
-    from repro.obs.timeseries import TimeseriesCollector
 
-    tr = PacketTracer(streaming=True)
+    tr = PacketTracer()
     c = TimeseriesCollector(window_cycles=1000.0)
     c.attach(tracer=tr)
     for i, lat in enumerate((100.0, 200.0, 300.0, 400.0)):
