@@ -1,13 +1,17 @@
-"""Hand-written lexer for the Baker language.
+"""Lexer for the Baker language.
 
 Produces a list of :class:`~repro.baker.tokens.Token`, terminated by an
 ``EOF`` token. Supports ``//`` line comments, ``/* */`` block comments,
 decimal / hex / octal / binary integer literals, character literals and
 double-quoted strings (used only for diagnostics / table names).
+
+Trivia, identifiers, keywords and operators come from one compiled
+pattern, matched once per token; literals keep hand-written scanners.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.baker.errors import LexError
@@ -15,8 +19,27 @@ from repro.baker.source import SourceFile
 from repro.baker.tokens import KEYWORDS, OPERATORS, Token, TokenKind
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
+
+#: Tried in order at the current offset: a run of trivia (whitespace,
+#: line and block comments), a block comment that never closes (before
+#: the operators, which would take its ``/``), and a word -- an
+#: identifier or keyword, or an operator in ``OPERATORS`` order, longest
+#: first, so the first alternative that matches is the greedy one. Text
+#: no alternative matches starts a literal or is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
+    r"|(?P<unclosed>/\*)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*|%s)"
+    % "|".join(re.escape(text) for text, _ in OPERATORS),
+    re.DOTALL)
+#: A word's kind; any other word is an identifier.
+_WORD_KINDS = {**KEYWORDS, **dict(OPERATORS)}
+#: An integer literal from its first digit: the digits (and ``_``
+#: separators) of its base, named by base. A leading ``0`` followed by a
+#: digit is octal.
+_INT_RE = re.compile(r"0[xX](?P<hex>[0-9a-fA-F_]*)|0[bB](?P<bin>[01_]*)"
+                     r"|0(?=[0-9])(?P<oct>[0-7_]*)|(?P<dec>[0-9][0-9_]*)")
 
 _ESCAPES = {
     "n": "\n",
@@ -38,98 +61,61 @@ class Lexer:
         self.pos = 0
 
     def tokenize(self) -> List[Token]:
+        text, n = self.text, len(self.text)
+        match = _TOKEN_RE.match
+        loc = self.source.location
         tokens: List[Token] = []
-        while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
+        pos = self.pos
+        while pos < n:
+            m = match(text, pos)
+            if m is None:
+                ch = text[pos]
+                if ch in _DIGITS:
+                    tokens.append(self._lex_number(pos))
+                elif ch == '"':
+                    tokens.append(self._lex_string(pos))
+                elif ch == "'":
+                    tokens.append(self._lex_char(pos))
+                else:
+                    raise self._error("unexpected character %r" % ch, pos)
+                pos = self.pos
+                continue
+            group = m.lastgroup
+            if group == "word":
+                word = m.group()
+                tokens.append(Token(_WORD_KINDS.get(word, TokenKind.IDENT),
+                                    word, loc(pos)))
+            elif group == "unclosed":
+                raise self._error("unterminated block comment", pos)
+            pos = m.end()
+        self.pos = pos
+        tokens.append(Token(TokenKind.EOF, "", loc(pos)))
+        return tokens
 
     # -- internals ---------------------------------------------------------
 
-    def _loc(self, offset: int):
-        return self.source.location(offset)
-
     def _error(self, message: str, offset: int) -> LexError:
-        return LexError(message, self._loc(offset))
-
-    def _skip_trivia(self) -> None:
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif text.startswith("//", self.pos):
-                end = text.find("\n", self.pos)
-                self.pos = n if end < 0 else end + 1
-            elif text.startswith("/*", self.pos):
-                end = text.find("*/", self.pos + 2)
-                if end < 0:
-                    raise self._error("unterminated block comment", self.pos)
-                self.pos = end + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        start = self.pos
-        text, n = self.text, len(self.text)
-        if start >= n:
-            return Token(TokenKind.EOF, "", self._loc(start))
-        ch = text[start]
-
-        if ch in _IDENT_START:
-            return self._lex_ident(start)
-        if ch in _DIGITS:
-            return self._lex_number(start)
-        if ch == '"':
-            return self._lex_string(start)
-        if ch == "'":
-            return self._lex_char(start)
-
-        for op_text, kind in OPERATORS:
-            if text.startswith(op_text, start):
-                self.pos = start + len(op_text)
-                return Token(kind, op_text, self._loc(start))
-
-        raise self._error("unexpected character %r" % ch, start)
-
-    def _lex_ident(self, start: int) -> Token:
-        text, n = self.text, len(self.text)
-        pos = start + 1
-        while pos < n and text[pos] in _IDENT_CONT:
-            pos += 1
-        self.pos = pos
-        word = text[start:pos]
-        kind = KEYWORDS.get(word, TokenKind.IDENT)
-        return Token(kind, word, self._loc(start))
+        return LexError(message, self.source.location(offset))
 
     def _lex_number(self, start: int) -> Token:
-        text, n = self.text, len(self.text)
-        pos = start
-        base = 10
-        if text.startswith(("0x", "0X"), pos):
-            base, pos = 16, pos + 2
-            digits = "0123456789abcdefABCDEF"
-        elif text.startswith(("0b", "0B"), pos):
-            base, pos = 2, pos + 2
-            digits = "01"
-        elif text[pos] == "0" and pos + 1 < n and text[pos + 1] in _DIGITS:
-            base, pos = 8, pos + 1
-            digits = "01234567"
-        else:
-            digits = "0123456789"
-        digit_start = pos
-        while pos < n and (text[pos] in digits or text[pos] == "_"):
-            pos += 1
-        if pos == digit_start and base != 10:
+        text = self.text
+        m = _INT_RE.match(text, start)
+        pos = m.end()
+        if m.lastgroup != "dec" and not m.group(m.lastgroup):
             raise self._error("invalid integer literal", start)
-        if pos < n and text[pos] in _IDENT_START:
+        if pos < len(text) and text[pos] in _IDENT_START:
             raise self._error("invalid suffix on integer literal", pos)
         self.pos = pos
         literal = text[start:pos]
-        value = int(literal.replace("_", ""), 0 if base in (10, 16, 2) else 8)
-        return Token(TokenKind.INT, literal, self._loc(start), value=value)
+        try:
+            # Separators only: "0_7" (a leading zero) and "0x_" (no
+            # digit) are not literals Python's int() accepts either.
+            value = int(literal.replace("_", ""),
+                        8 if m.lastgroup == "oct" else 0)
+        except ValueError:
+            raise self._error("invalid integer literal", start) from None
+        return Token(TokenKind.INT, literal, self.source.location(start),
+                     value=value)
 
     def _lex_string(self, start: int) -> Token:
         chars: List[str] = []
@@ -151,7 +137,8 @@ class Lexer:
                 chars.append(ch)
                 pos += 1
         self.pos = pos
-        return Token(TokenKind.STRING, text[start:pos], self._loc(start), value="".join(chars))
+        return Token(TokenKind.STRING, text[start:pos],
+                     self.source.location(start), value="".join(chars))
 
     def _lex_char(self, start: int) -> Token:
         text, n = self.text, len(self.text)
@@ -169,7 +156,8 @@ class Lexer:
         if pos >= n or text[pos] != "'":
             raise self._error("unterminated character literal", start)
         self.pos = pos + 1
-        return Token(TokenKind.CHAR, text[start : pos + 1], self._loc(start), value=value)
+        return Token(TokenKind.CHAR, text[start : pos + 1],
+                     self.source.location(start), value=value)
 
 
 def tokenize(text: str, filename: str = "<baker>") -> List[Token]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from bisect import bisect_right
+from typing import List, NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position (1-based line and column) within a named source file."""
+class SourceLocation(NamedTuple):
+    """A position (1-based line and column) within a named source file.
+    Immutable and hashable; a tuple so that the lexer, which makes one
+    per token, pays no per-field ``__setattr__``."""
 
     filename: str
     line: int
@@ -24,24 +26,12 @@ class SourceFile:
     def __init__(self, text: str, filename: str = "<baker>"):
         self.text = text
         self.filename = filename
-        self._line_starts = self._compute_line_starts(text)
-
-    @staticmethod
-    def _compute_line_starts(text: str) -> List[int]:
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
-        return starts
+        self._line_starts: List[int] = [0] + [
+            m.end() for m in re.finditer("\n", text)]
 
     def location(self, offset: int) -> SourceLocation:
         """Map a character offset to a :class:`SourceLocation`."""
         offset = max(0, min(offset, len(self.text)))
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return SourceLocation(self.filename, lo + 1, offset - self._line_starts[lo] + 1)
+        line = bisect_right(self._line_starts, offset) - 1
+        return SourceLocation(self.filename, line + 1,
+                              offset - self._line_starts[line] + 1)

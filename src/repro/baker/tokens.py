@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.baker.source import SourceLocation
 
@@ -200,9 +199,9 @@ ASSIGN_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexed token."""
+class Token(NamedTuple):
+    """A single lexed token (immutable; a tuple for the same reason as
+    :class:`~repro.baker.source.SourceLocation`)."""
 
     kind: TokenKind
     text: str

@@ -47,7 +47,9 @@ class MEImage:
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
     _decode_plans: list = field(default_factory=list, repr=False,
                                 compare=False)
-    _decode_fp: Optional[int] = field(default=None, repr=False, compare=False)
+    #: What the cached programs were decoded from (:meth:`_content`).
+    _decoded_from: Optional[tuple] = field(default=None, repr=False,
+                                           compare=False)
 
     def describe(self) -> str:
         return "%s: %d instrs (%d control-store words), %d functions" % (
@@ -61,20 +63,25 @@ class MEImage:
         state = self.__dict__.copy()
         state["decode_cache"] = None
         state["_decode_plans"] = []
-        state["_decode_fp"] = None
+        state["_decoded_from"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.decode_cache = weakref.WeakKeyDictionary()
 
-    def _fingerprint(self) -> int:
-        # Content hash over the canonical formatting (plus resolved
-        # branch targets, which format_insn omits): in-place edits of
-        # the instruction list -- the oracle tests corrupt images this
-        # way -- must not be served a stale predecoded program.
-        return hash(tuple(
-            (repr(i), getattr(i, "resolved", None)) for i in self.insns))
+    def _content(self, copy: bool = False) -> tuple:
+        """Everything a decode reads of this image: the entry, the
+        instruction objects in order, and each one's fields. ``copy``
+        takes list fields (register lists) by value, for a snapshot;
+        comparing the live form against a snapshot is then C-level
+        equality that short-cuts on identity, so an unedited image
+        costs no formatting and no Python call per instruction."""
+        if not copy:
+            return self.entry, self.insns, list(map(vars, self.insns))
+        return self.entry, list(self.insns), [
+            {k: v[:] if type(v) is list else v for k, v in vars(i).items()}
+            for i in self.insns]
 
     def predecoded(self, chip):
         """The fast-dispatch program for this image on ``chip``: every
@@ -84,13 +91,14 @@ class MEImage:
         shared by every ME running this image on the same chip."""
         from repro.ixp.predecode import plan_matches, predecode_image
 
-        # Insn edits invalidate everything, including per-chip entries:
-        # the identity fast path must never outlive the content check.
-        fp = self._fingerprint()
-        if fp != self._decode_fp:
+        # An edit of the image after decode (the oracle tests corrupt
+        # images in place) invalidates everything, per-chip entries
+        # included: the identity fast path must never outlive the
+        # content check.
+        if self._content() != self._decoded_from:
             self._decode_plans.clear()
             self.decode_cache = weakref.WeakKeyDictionary()
-            self._decode_fp = fp
+            self._decoded_from = self._content(copy=True)
         cached = self.decode_cache.get(chip)
         if cached is not None:
             used, prog = cached

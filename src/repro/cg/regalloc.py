@@ -18,6 +18,7 @@ section 4.1, and Zhuang & Pande's PLDI'03 problem). The allocator:
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -77,10 +78,24 @@ def _build_cfg(fn: LIRFunction) -> Dict[str, List[str]]:
 
 
 def _liveness(fn: LIRFunction, succs: Dict[str, List[str]]):
-    """Backward liveness over VRegs and PRegs together."""
+    """Backward liveness over VRegs and PRegs together. Each block is
+    summarized once as live_in = used | (live_out - defined), ``used``
+    being its upward-exposed reads; the fixed point iterates on sets."""
     live_in: Dict[str, Set[Reg]] = {bb.label: set() for bb in fn.blocks}
     live_out: Dict[str, Set[Reg]] = {bb.label: set() for bb in fn.blocks}
-    blocks = {bb.label: bb for bb in fn.blocks}
+    used: Dict[str, Set[Reg]] = {}
+    defined: Dict[str, Set[Reg]] = {}
+    for bb in fn.blocks:
+        use: Set[Reg] = set()
+        kill: Set[Reg] = set()
+        for insn in reversed(bb.insns):
+            for d in insn.writes():
+                use.discard(d)
+                kill.add(d)
+            for u in insn.reads():
+                if isinstance(u, (VReg, PReg)):
+                    use.add(u)
+        used[bb.label], defined[bb.label] = use, kill
     changed = True
     while changed:
         changed = False
@@ -88,15 +103,8 @@ def _liveness(fn: LIRFunction, succs: Dict[str, List[str]]):
             out: Set[Reg] = set()
             for s in succs[bb.label]:
                 out |= live_in[s]
-            if out != live_out[bb.label]:
-                live_out[bb.label] = set(out)
-            live = set(out)
-            for insn in reversed(bb.insns):
-                for d in insn.writes():
-                    live.discard(d)
-                for u in insn.reads():
-                    if isinstance(u, (VReg, PReg)):
-                        live.add(u)
+            live_out[bb.label] = out
+            live = (out - defined[bb.label]) | used[bb.label]
             if live != live_in[bb.label]:
                 live_in[bb.label] = live
                 changed = True
@@ -190,6 +198,52 @@ def _conflict_partners(fn: LIRFunction) -> Dict[Reg, Set[Reg]]:
     return partners
 
 
+def simplify_order(vregs: Set[VReg], adj: Dict[Reg, Set[Reg]],
+                   unspillable: Set[VReg], k: int = len(USABLE)) -> List[VReg]:
+    """Chaitin-Briggs simplify: the order in which the virtual registers
+    leave the interference graph. Each step removes the node of least
+    (degree, id) among those with fewer than ``k`` remaining neighbours
+    (it is trivially colorable); when there is none, it optimistically
+    removes the node of greatest (degree, -id), spillable nodes first.
+
+    Degrees only fall, so each step's node comes off one of two heaps
+    whose entries are pushed at every degree change and are live while
+    their node remains at that degree: O((V + E) log V), where a scan of
+    the remaining nodes per step was O(V^2)."""
+    nbrs = {v: [n for n in adj[v] if isinstance(n, VReg)] for v in vregs}
+    degree = {v: len(ns) for v, ns in nbrs.items()}  # the remaining nodes
+    low: List[Tuple[int, int, VReg]] = []  # (degree, id, v), degree < k
+    high: List[Tuple[bool, int, int, VReg]] = []  # (unspillable, -degree, id, v)
+
+    def push(v: VReg, d: int) -> None:
+        if d < k:
+            heapq.heappush(low, (d, v.id, v))
+        else:
+            heapq.heappush(high, (v in unspillable, -d, v.id, v))
+
+    for v, d in degree.items():
+        push(v, d)
+    stack: List[VReg] = []
+    while degree:
+        while low and degree.get(low[0][2]) != low[0][0]:
+            heapq.heappop(low)
+        if low:
+            v = heapq.heappop(low)[2]
+        else:
+            while True:
+                _, neg, _, v = heapq.heappop(high)
+                if degree.get(v) == -neg:
+                    break
+        del degree[v]
+        stack.append(v)
+        for n in nbrs[v]:
+            d = degree.get(n)
+            if d is not None:
+                degree[n] = d - 1
+                push(n, d - 1)
+    return stack
+
+
 def allocate_function(fn: LIRFunction, max_rounds: int = 8) -> None:
     """Run register allocation in place (virtual -> physical registers)."""
     normalize(fn)
@@ -236,37 +290,9 @@ def allocate_function(fn: LIRFunction, max_rounds: int = 8) -> None:
                 return r
             return coloring.get(r)
 
-        # Chaitin-Briggs simplify/select: repeatedly remove a node with
-        # fewer than K uncolored-neighbor edges (it is trivially
-        # colorable); when none exists, optimistically remove the
-        # highest-degree spillable node. Color in reverse removal order.
-        K = len(USABLE)
-        degree = {v: sum(1 for n in adj[v] if isinstance(n, VReg)) for v in vregs}
-        remaining = set(vregs)
-        stack: List[VReg] = []
-
-        def remove(v: VReg) -> None:
-            remaining.discard(v)
-            stack.append(v)
-            for n in adj[v]:
-                if isinstance(n, VReg) and n in remaining:
-                    degree[n] -= 1
-
-        while remaining:
-            simplicial = min(
-                (v for v in remaining if degree[v] < K),
-                key=lambda v: (degree[v], v.id),
-                default=None,
-            )
-            if simplicial is not None:
-                remove(simplicial)
-                continue
-            spill_pref = [v for v in remaining if v not in unspillable]
-            victim_pool = spill_pref or list(remaining)
-            remove(max(victim_pool, key=lambda v: (degree[v], -v.id)))
-
+        # Select: color in reverse removal order.
         to_spill: List[VReg] = []
-        for v in reversed(stack):
+        for v in reversed(simplify_order(vregs, adj, unspillable)):
             taken = {color_of(n) for n in adj[v]}
             taken.discard(None)
             partner_banks = {

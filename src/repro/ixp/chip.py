@@ -171,13 +171,15 @@ class IXP2400:
                  stop_check_interval=stop_check_interval)
 
     def close(self) -> None:
-        """Give the simulated memories back now. A finished chip sits in
+        """Unmap the simulated memories now. A finished chip sits in
         reference cycles (event closures, ME back-pointers) until the next
-        full collection, and the touched pages of its 20 MiB of stores are
-        most of what a sweep keeps resident; how many dead chips pile up
-        otherwise depends on when the collector happens to run."""
+        full collection, and the touched pages of its stores are most of
+        what a sweep keeps resident; how many dead chips pile up otherwise
+        depends on when the collector happens to run. Any later access to
+        a store raises ``ValueError`` (the map is closed) instead of
+        reading as empty; closing twice is harmless."""
         for store in self.memory.stores.values():
-            store.clear()
+            store.close()
 
     @property
     def seconds(self) -> float:

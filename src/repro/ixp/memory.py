@@ -18,6 +18,7 @@ DESIGN.md): the paper's per-packet budgets are for ME-issued accesses.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -92,8 +93,16 @@ class MemorySystem:
     SRAM_INTERLEAVE_SHIFT = 6
 
     def __init__(self):
-        self.stores: Dict[str, bytearray] = {
-            name: bytearray(size) for name, size in SIZES.items()
+        # Anonymous maps are zero pages until first touched: a chip pays
+        # for the memory its run writes, not for all 20 MiB up front.
+        # They index, slice and take struct calls like a bytearray
+        # (compare ``bytes(store)``, not the maps), cannot grow, and
+        # raise once IXP2400.close() has released them. Private, like a
+        # bytearray's pages: a forked child copies on write, and a first
+        # touch costs less than on a shared map.
+        self.stores: Dict[str, mmap.mmap] = {
+            name: mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+            for name, size in SIZES.items()
         }
         self.channels: Dict[str, MemoryChannel] = {
             "scratch": MemoryChannel("scratch", SCRATCH),
@@ -136,17 +145,16 @@ class MemorySystem:
         store = self.stores[space]
         if addr < 0 or addr + n > len(store):
             # Unchecked, an out-of-range slice silently *truncates* (a
-            # short Tx payload instead of an error). Same contract as
-            # read_words.
+            # short Tx payload instead of an error) and a negative one
+            # wraps. Same contract as read_words.
             raise IndexError("%s read out of range at %#x" % (space, addr))
-        return bytes(store[addr : addr + n])
+        return store[addr : addr + n]  # a slice of an mmap is bytes
 
     def write_bytes(self, space: str, addr: int, data: bytes) -> None:
         store = self.stores[space]
         if addr < 0 or addr + len(data) > len(store):
-            # Unchecked, bytearray slice assignment past the end silently
-            # *grows* the backing store beyond SIZES. Same contract as
-            # write_words.
+            # Unchecked, a negative address wraps to the end of the
+            # store. Same contract as write_words.
             raise IndexError("%s write out of range at %#x" % (space, addr))
         store[addr : addr + len(data)] = data
 

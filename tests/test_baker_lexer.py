@@ -1,7 +1,11 @@
 """Unit tests for the Baker lexer."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.apps import get_app
 from repro.baker.errors import LexError
 from repro.baker.lexer import tokenize
 from repro.baker.tokens import TokenKind
@@ -157,3 +161,113 @@ def test_all_single_char_operators():
     toks = tokenize(text)
     assert toks[-1].kind is TokenKind.EOF
     assert len(toks) == len(text.split()) + 1
+
+
+# -- block comments, one edge per case ----------------------------------------------
+
+_BLOCK_COMMENTS = [
+    ("a/**/b", ["a", "b"]),
+    ("/***/z", ["z"]),
+    ("x/*/ still open */y", ["x", "y"]),
+    ("a /* x * y / z ** */ b", ["a", "b"]),
+    ("/* a */ /* b */c", ["c"]),
+    ("a /* // inside */ b // /* not a block\nc", ["a", "b", "c"]),
+    ("a/=b//c\n/*d*/e", ["a", "/=", "b", "e"]),
+    ("x /*\n\n*/ y", ["x", "y"]),
+    ("a/ *b* /c", ["a", "/", "*", "b", "*", "/", "c"]),
+    ("a //c", ["a"]),
+]
+
+
+@pytest.mark.parametrize("text,want", _BLOCK_COMMENTS)
+def test_block_comment_edges(text, want):
+    assert [t.text for t in tokenize(text)[:-1]] == want
+
+
+def test_block_comment_keeps_line_numbers():
+    toks = tokenize("a /* one\ntwo\n*/ b")
+    assert (toks[1].loc.line, toks[1].loc.column) == (3, 4)
+
+
+@pytest.mark.parametrize("text,column", [("a /* never", 3), ("/*/", 1),
+                                         ("x /* a */ /* b", 11)])
+def test_unterminated_block_comment_located(text, column):
+    with pytest.raises(LexError, match="unterminated block comment") as exc:
+        tokenize(text)
+    assert exc.value.loc.column == column
+
+
+# -- malformed literals are diagnostics, not tracebacks -----------------------------
+
+
+@pytest.mark.parametrize("text", ["0_7", "0b_", "0x_", "0B__", "0_8", "x = 0_1;"])
+def test_malformed_integer_literal_is_lex_error(text):
+    with pytest.raises(LexError, match="invalid integer literal") as exc:
+        tokenize(text)
+    assert exc.value.loc is not None
+
+
+#: Every character a Baker source is made of, and a few it never is.
+_BAKER_CHARS = ("abcxyzXZ_0123456789 \t\r\n" "()[]{};,:?.=+-*/%&|^~!<>"
+                "\"'\\" "$#@`")
+#: Fragments that reach the lexer's multi-character paths more often
+#: than single characters drawn at random do.
+_FRAGMENTS = ["0", "0x", "0X", "0b", "07", "_", "9", "f", "/*", "*/", "//",
+              "\n", " ", '"', "'", "\\", "\\n", "\\q", "a", "<<", ">>=", "->",
+              "=", "$"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(_BAKER_CHARS, max_size=24),
+                 st.lists(st.sampled_from(_FRAGMENTS), max_size=12)
+                 .map("".join),
+                 st.tuples(st.sampled_from(["0", "1", "0x", "0X", "0b", "0B"]),
+                           st.text("0179afAF_", max_size=3)).map("".join)))
+def test_any_text_tokenizes_or_raises_lex_error(text):
+    try:
+        toks = tokenize(text)
+    except LexError as exc:
+        assert exc.loc is not None
+        return
+    assert toks[-1].kind is TokenKind.EOF
+
+
+# -- the token stream is pinned ------------------------------------------------------
+
+#: Sources the stream digest covers besides the three apps: every text
+#: the tests above tokenize, the block-comment edges, and diagnostics.
+_CORPUS = [
+    "", "protocol foo ppf bar_baz _x", "12345", "0xDEADbeef", "0b1010",
+    "0777", "0", "1_000_000", "a // comment here\nb", "a /* multi\nline */ b",
+    "<<= >>= << >> <= >= == != && || ->", "a->b - c", "i++ x += 1",
+    '"hello\\nworld"', "'A'", "'\\n'", "a\n  b\n    c",
+    "( ) { } [ ] ; , : ? . = + - * / % & | ^ ~ ! < >",
+    "0X1f 0B11 00 0_0 1__0 9_ '\\\\' '\\'' \"\\\"\" \"\" '\\0'",
+] + [text for text, _ in _BLOCK_COMMENTS] + [
+    # Diagnostics: the digest takes the message and its location.
+    "123abc", "0x", "0b2", "08", "a /* never closed", '"oops', '"a\nb"',
+    "'", "'ab'", "'\\q'", '"\\q"', "a $ b", "\n\n  #", "0xg", "1.5",
+]
+
+#: sha256 of the token stream of the three apps plus ``_CORPUS``, as the
+#: character-at-a-time lexer produced it (kind, text, location, value).
+_STREAM_DIGEST = "de2d4a177be483a99d35259178c63c8dbe2b1f142094f80a4a973582364091f6"
+
+
+def _stream_digest() -> str:
+    h = hashlib.sha256()
+    sources = [(name, get_app(name).source)
+               for name in ("l3switch", "firewall", "mpls")]
+    sources += [("corpus%d" % i, text) for i, text in enumerate(_CORPUS)]
+    for name, text in sources:
+        try:
+            rows = [(t.kind.name, t.text, str(t.loc), t.value)
+                    for t in tokenize(text, name)]
+        except LexError as exc:
+            rows = [("error", exc.message, str(exc.loc))]
+        h.update(repr(rows).encode())
+    return h.hexdigest()
+
+
+def test_token_stream_matches_pinned_digest():
+    assert _stream_digest() == _STREAM_DIGEST

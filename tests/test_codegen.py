@@ -1,6 +1,8 @@
 """Tests for the code generator: lowering, register allocation, stack
 layout, assembly."""
 
+import random
+
 import pytest
 
 from repro.cg import abi, isa
@@ -9,7 +11,7 @@ from repro.cg.lower import (
     CodegenError, FunctionLowerer, LowerContext, lower_function,
 )
 from repro.cg.melayout import CODE_STORE_WORDS, STACK_WORDS_PER_THREAD
-from repro.cg.regalloc import allocate_function, normalize
+from repro.cg.regalloc import USABLE, allocate_function, normalize, simplify_order
 from repro.cg.stack import layout_frames, resolve_stack_accesses
 from repro.compiler import compile_baker
 from repro.options import LEVEL_ORDER, options_for
@@ -202,6 +204,57 @@ def test_call_live_values_homed():
     # 's' lives across the call: it must be written to and read from the frame.
     assert any(isinstance(i, isa.StackWrite) for i in fn.all_insns())
     assert any(isinstance(i, isa.StackRead) for i in fn.all_insns())
+
+
+def _reference_simplify(vregs, adj, unspillable, k):
+    """The O(V^2) rule ``simplify_order`` must reproduce, step for step."""
+    degree = {v: sum(isinstance(n, isa.VReg) for n in adj[v]) for v in vregs}
+    remaining, stack = set(vregs), []
+    while remaining:
+        low = [v for v in remaining if degree[v] < k]
+        pool = [v for v in remaining if v not in unspillable] or remaining
+        v = (min(low, key=lambda v: (degree[v], v.id)) if low
+             else max(pool, key=lambda v: (degree[v], -v.id)))
+        remaining.discard(v)
+        stack.append(v)
+        for n in adj[v]:
+            if isinstance(n, isa.VReg) and n in remaining:
+                degree[n] -= 1
+    return stack
+
+
+def _random_graph(rng, n, p):
+    vregs = [isa.VReg("n%d" % i) for i in range(n)]
+    rng.shuffle(vregs)  # ids out of insertion order
+    adj = {v: set() for v in vregs}
+    pregs = [isa.PReg("a", i) for i in range(3)]
+    for i, v in enumerate(vregs):
+        for w in vregs[i + 1:] + pregs:
+            if rng.random() < p:
+                adj[v].add(w)
+                adj.setdefault(w, set()).add(v)
+    return set(vregs), adj, {v for v in vregs if rng.random() < 0.3}
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, len(USABLE)])
+def test_simplify_order_matches_quadratic_rule(k):
+    rng = random.Random(k)
+    spill_branch = 0
+    for case in range(40):
+        n = rng.randrange(1, 70)
+        vregs, adj, unspillable = _random_graph(rng, n, rng.choice((0.1, 0.3, 0.7)))
+        want = _reference_simplify(vregs, adj, unspillable, k)
+        assert simplify_order(vregs, adj, unspillable, k) == want, (k, case)
+        # The spill branch ran iff some node left with degree >= k.
+        degree = {v: sum(isinstance(n, isa.VReg) for n in adj[v]) for v in vregs}
+        left = set(vregs)
+        for v in want:
+            left.discard(v)
+            spill_branch += degree[v] >= k
+            for n in adj[v]:
+                if n in left:
+                    degree[n] -= 1
+    assert spill_branch, "no graph forced the optimistic spill branch"
 
 
 # -- stack layout --------------------------------------------------------------------

@@ -224,12 +224,15 @@ def _masked_store_run(mode):
 
 def test_masked_stores_match_reference():
     (ref_chip, ref), (chip, me) = (_masked_store_run(mode) for mode in MODES)
-    sram, dram = chip.memory.stores["sram"], chip.memory.stores["dram"]
-    assert bytes(sram[264:272]) == bytes.fromhex("ee2233ee aaeeeedd")
-    assert bytes(dram[4112:4120]) == bytes.fromhex("aaeeeedd ee2233ee")
+    contents = {space: bytes(store)
+                for space, store in chip.memory.stores.items()}
+    sram, dram = contents["sram"], contents["dram"]
+    assert sram[264:272] == bytes.fromhex("ee2233ee aaeeeedd")
+    assert dram[4112:4120] == bytes.fromhex("aaeeeedd ee2233ee")
     assert sram.count(0xEE) == len(sram) - 4
     assert dram.count(0xEE) == len(dram) - 4
-    assert chip.memory.stores == ref_chip.memory.stores
+    assert contents == {space: bytes(store)
+                        for space, store in ref_chip.memory.stores.items()}
     assert (me.time, me.executed_instrs, me.idle_time,
             me.threads[0].wake) == (ref.time, ref.executed_instrs,
                                     ref.idle_time, ref.threads[0].wake)
@@ -446,6 +449,32 @@ def test_ring_named_in_plan_bindings():
     me = Microengine(0, image, chip, n_threads=1)
     me.run_slice(100)
     assert me.threads[0].get(_A1) == 44
+
+
+def _set_immed(insns):
+    insns[0].value = 5
+
+
+def _retarget_branch(insns):
+    insns[1].resolved = 4
+
+
+@pytest.mark.parametrize("edit,want", [(_set_immed, 5), (_retarget_branch, 3)])
+def test_edit_after_decode_is_never_served_stale(edit, want):
+    # a0 = 1, jump over "a0 = 2" to a halt; "a0 = 3" sits past it.
+    image = _mini_image([isa.Immed(_A0, 1), isa.Br("always", "main"),
+                         isa.Immed(_A0, 2), isa.Halt(),
+                         isa.Immed(_A0, 3), isa.Halt()])
+    image.insns[1].resolved = 3
+    chip = IXP2400()
+    first = Microengine(0, image, chip, n_threads=1)
+    first.run_slice(100)
+    assert first.threads[0].get(_A0) == 1
+    edit(image.insns)
+    for where in (chip, IXP2400()):  # a new ME on the same chip, a new chip
+        me = Microengine(0, image, where, n_threads=1)
+        me.run_slice(100)
+        assert me.threads[0].get(_A0) == want
 
 
 # -- the fast paths: full-length runs, wide accesses, the arbiter --------------------

@@ -13,7 +13,7 @@ from repro.compiler import compile_baker
 from repro.ixp.cam import CAM
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
-from repro.ixp.memory import DRAM, ME_HZ, MemorySystem
+from repro.ixp.memory import DRAM, ME_HZ, SIZES, MemorySystem
 from repro.ixp.microengine import Microengine, SimError
 from repro.ixp.rings import Ring
 from repro.ixp.rxtx import RxEngine, TxEngine
@@ -131,8 +131,8 @@ def test_read_bytes_out_of_range():
 
 
 def test_write_bytes_out_of_range():
-    """Out-of-range byte writes raise instead of silently *growing*
-    the bytearray backing store past the configured channel size."""
+    """Out-of-range byte writes raise IndexError, with the store still
+    at its configured channel size."""
     mem = MemorySystem()
     size = len(mem.stores["sram"])
     mem.write_bytes("sram", size - 2, b"\xAA\xBB")
@@ -142,6 +142,29 @@ def test_write_bytes_out_of_range():
     with pytest.raises(IndexError):
         mem.write_bytes("sram", -1, b"\xAA")
     assert len(mem.stores["sram"]) == size, "store must not have grown"
+
+
+def test_fresh_chip_reads_zero_at_both_ends():
+    """Stores are zero until written, first word to last, in every space."""
+    chip = IXP2400()
+    for space, size in SIZES.items():
+        assert len(chip.memory.stores[space]) == size
+        for addr in (0, size - 4):
+            assert chip.memory.read_words(space, addr, 1) == [0], (space, addr)
+
+
+def test_closed_chip_store_raises():
+    """close() releases the stores: touching one afterwards is an error,
+    never an empty read."""
+    chip = IXP2400()
+    chip.memory.write_words("sram", 0, [7])
+    chip.close()
+    chip.close()
+    for touch in (lambda: chip.memory.read_words("sram", 0, 1),
+                  lambda: chip.memory.read_bytes("dram", 0, 4),
+                  lambda: chip.memory.stores["scratch"][0:4]):
+        with pytest.raises(ValueError):
+            touch()
 
 
 # -- rings / CAM --------------------------------------------------------------------
