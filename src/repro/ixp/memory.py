@@ -78,6 +78,11 @@ class MemoryChannel:
         self.params = params
         self.next_free = 0.0
         self.busy_time = 0.0
+        # [requests, queue_wait_total, queue_wait_max] while a
+        # repro.obs.profile.StallProfiler is attached, else None. Pure
+        # observation: every charge site guards with ``is not None`` and
+        # only updates this list, so it cannot change completion times.
+        self.queue_stats = None
 
 
 class MemorySystem:
@@ -111,11 +116,6 @@ class MemorySystem:
             "dram": MemoryChannel("dram", DRAM),
         }
         self.counters = Counters()
-        # Optional repro.obs.profile.StallProfiler: records per-request
-        # channel queueing delay. Pure observation -- every timed entry
-        # point guards with ``is not None`` and only feeds profiler-side
-        # accumulators, so attaching one cannot change completion times.
-        self.profiler = None
 
     # -- data access (big-endian words) ------------------------------------------
 
@@ -180,7 +180,11 @@ class MemorySystem:
             start = now
         ch.next_free = start + occupancy
         ch.busy_time += occupancy
-        prof = self.profiler
-        if prof is not None:
-            prof.note_mem(ch.name, start - now)
+        qs = ch.queue_stats
+        if qs is not None:
+            queued = start - now
+            qs[0] += 1
+            qs[1] += queued
+            if queued > qs[2]:
+                qs[2] = queued
         return start + occupancy + p.latency

@@ -27,6 +27,22 @@ from repro.ixp.cam import CAM
 _U32 = 0xFFFFFFFF
 _INF = float("inf")
 
+#: Why a thread last blocked. A blocking step stamps ``Thread.cause``
+#: with an index into this tuple beside ``wake`` (repro.obs.profile
+#: names its wait categories with it; ``ixp`` does not import ``obs``).
+WAIT_CATEGORIES = ("mem_scratch", "mem_sram", "mem_dram",
+                   "ring_empty", "ring_full", "ctx_arb")
+CAUSE = {name: c for c, name in enumerate(WAIT_CATEGORIES)}
+
+#: A stall-profiler row, one per thread: exec cycles at 0, wait cycles
+#: by cause at ``1 + c``, block counts by cause at ``BLOCKS + c``.
+#: :meth:`Microengine.run_slice` writes it where the thread stops.
+BLOCKS = 1 + len(WAIT_CATEGORIES)
+
+
+def new_row() -> list:
+    return [0.0] * BLOCKS + [0] * len(WAIT_CATEGORIES)
+
 
 def _signed(v: int) -> int:
     return v - (1 << 32) if v & 0x80000000 else v
@@ -46,7 +62,7 @@ class Thread:
         self.a = [0] * 16
         self.b = [0] * 16
         self.wake = 0.0
-        self.cause = None  # wait category of the last block, set with wake
+        self.cause = None  # CAUSE slot of the last block, set with wake
         self.halted = False
         self.cmp_a = 0
         self.cmp_b = 0
@@ -128,6 +144,10 @@ class Microengine:
         n = len(threads)
         executed = 0
         prof = self.chip.profiler
+        if prof is not None:
+            # The stall profiler's per-thread rows for this ME.
+            rows = prof.rows_for(self)
+            blocks = BLOCKS
         try:
             while time < deadline:
                 t = self.resume_thread
@@ -173,12 +193,14 @@ class Microengine:
                         time = tm
                         break
                 if prof is not None:
-                    # The one place a thread stops: report the burst
-                    # and, if it blocked, what for.
-                    prof.note_burst(self.index, t.index, t0, time)
+                    # The one place a thread stops: charge the burst
+                    # and, if it blocked, the wait to its cause slot.
+                    acc = rows[t.index]
+                    acc[0] += time - t0
                     if tm is None and not t.halted:
-                        prof.note_block(self.index, t.index, t.cause,
-                                        time, t.wake)
+                        c = t.cause
+                        acc[1 + c] += t.wake - time
+                        acc[blocks + c] += 1
             return time
         finally:
             self.executed_instrs += executed

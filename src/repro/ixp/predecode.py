@@ -75,7 +75,7 @@ from repro.cg.isa import CAT_APP, Imm, PReg, SymRef
 from repro.cg.melayout import LM_WORDS, SRAM_STACK_BYTES_PER_THREAD
 from repro.ixp.counters import SLOT
 from repro.ixp.memory import PARAMS, MemorySystem, word_struct
-from repro.ixp.microengine import SimError, _signed
+from repro.ixp.microengine import CAUSE, SimError, _signed
 
 _U32 = 0xFFFFFFFF
 #: Spelled into generated source so stores mask exactly like Thread.set.
@@ -465,8 +465,9 @@ def _e_rtn(b, insn, idx):
 
 def _block_tail(b, next_idx: int, cause: str) -> List[str]:
     """Exit lines of a blocking sub-instruction. ``cause`` is a source
-    expression for its wait category (repro.obs.profile), stamped beside
-    the wake time; :meth:`Microengine.run_slice` reports both."""
+    expression for its ``CAUSE`` slot, stamped beside the wake time;
+    :meth:`Microengine.run_slice` charges the wait to that slot of the
+    stall profiler's row."""
     return (["t.pc = %s" % b.p("P", next_idx),
              "t.wake = done",
              "t.cause = %s" % cause]
@@ -485,8 +486,9 @@ def _slot(space: str, category: str) -> int:
 
 def _charge_lines(b, space: str, words: int, category: str) -> List[str]:
     """The inlined body of :meth:`MemorySystem.timed_access`: counter
-    bump, channel selection (``addr`` must be in scope for sram) and
-    occupancy charge, leaving the completion time in ``done``. ``tm``
+    bump, channel selection (``addr`` must be in scope for sram),
+    occupancy charge and the channel's queue statistics when a profiler
+    keeps them, leaving the completion time in ``done``. ``tm``
     holds the issue clock. Space, width and category are decode-time
     constants, so the counter slot, occupancy and latency fold into
     parameters; arithmetic and side-effect order are identical to the
@@ -508,9 +510,13 @@ def _charge_lines(b, space: str, words: int, category: str) -> List[str]:
               "free = start + %s" % occ,
               "ch.next_free = free",
               "ch.busy_time += %s" % occ,
-              "mprof = me.memory.profiler",
-              "if mprof is not None:",
-              "    mprof.note_mem(ch.name, start - tm)",
+              "qs = ch.queue_stats",
+              "if qs is not None:",
+              "    queued = start - tm",
+              "    qs[0] += 1",
+              "    qs[1] += queued",
+              "    if queued > qs[2]:",
+              "        qs[2] = queued",
               "done = free + %s" % b.p("LT", params.latency)]
     return lines
 
@@ -573,12 +579,15 @@ def _e_mem(b: _RunBuilder, insn, idx):
             tail.append("%s(store, addr, %s)" % (
                 b.p("PK", word_struct(len(exprs)).pack_into),
                 ", ".join("(%s) & %s" % (e, _MASK) for e in exprs)))
-    b.close_terminal(tail + _block_tail(b, idx + 1, "'mem_%s'" % space))
+    b.close_terminal(tail + _block_tail(b, idx + 1,
+                                        str(CAUSE["mem_" + space])))
 
 
 def _e_ring_get(b, insn, idx):
     name = b.p("RN", b.chip.ring(insn.ring.name))
     dex = b.dst(insn.dst, "D")
+    # An empty poll (value 0) is nothing the tracer records, so only a
+    # dequeued handle reaches it.
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
@@ -586,11 +595,13 @@ def _e_ring_get(b, insn, idx):
         + _charge_lines(b, "scratch", 1, insn.category)
         + ["value = ring.get()",
          "%s = value" % dex,
-         "tracer = me.chip.tracer",
-         "if tracer is not None:",
-         "    tracer.me_ring_get(me.index, t.index, %s, value, tm)" % name]
-        + _block_tail(b, idx + 1,
-                      "'ring_empty' if value == 0 else 'mem_scratch'"))
+         "if value:",
+         "    tracer = me.chip.tracer",
+         "    if tracer is not None:",
+         "        tracer.me_ring_get(me.index, t.index, %s, value, tm)"
+         % name]
+        + _block_tail(b, idx + 1, "%d if value else %d"
+                      % (CAUSE["mem_scratch"], CAUSE["ring_empty"])))
 
 
 def _e_ring_put(b, insn, idx):
@@ -607,7 +618,8 @@ def _e_ring_put(b, insn, idx):
          "if tracer is not None:",
          "    tracer.me_ring_put(me.index, t.index, %s, value, tm, ok)"
          % name]
-        + _block_tail(b, idx + 1, "'mem_scratch' if ok else 'ring_full'"))
+        + _block_tail(b, idx + 1, "%d if ok else %d"
+                      % (CAUSE["mem_scratch"], CAUSE["ring_full"])))
 
 
 def _e_tas(b, insn, idx):
@@ -623,7 +635,7 @@ def _e_tas(b, insn, idx):
         + ["old = mem.read_words('scratch', addr, 1)[0]",
          "mem.write_words('scratch', addr, [1])",
          "%s = old" % dex]
-        + _block_tail(b, idx + 1, "'mem_scratch'"))
+        + _block_tail(b, idx + 1, str(CAUSE["mem_scratch"])))
 
 
 def _e_release(b, insn, idx):
@@ -636,7 +648,7 @@ def _e_release(b, insn, idx):
          "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP]
         + _bounds_lines(b, idx, "scratch", 1, "write")
         + ["mem.write_words('scratch', addr, [0])"]
-        + _block_tail(b, idx + 1, "'mem_scratch'"))
+        + _block_tail(b, idx + 1, str(CAUSE["mem_scratch"])))
 
 
 def _lm_index(b: _RunBuilder, insn, idx) -> Tuple[str, List[str]]:
@@ -721,7 +733,7 @@ def _e_ctx_arb(b, insn, idx):
                       "me.time = tm",
                       "t.pc = %s" % b.p("P", idx + 1),
                       "t.wake = tm + 1",
-                      "t.cause = 'ctx_arb'"]
+                      "t.cause = %d" % CAUSE["ctx_arb"]]
                      + _exec_add(b.k)
                      + ["return None"])
 

@@ -17,34 +17,34 @@ Classifies every simulated cycle of every ME thread into one of
   other threads held the engine).
 
 Attribution is recorded where a thread stops running
-(:meth:`Microengine.run_slice`): the burst adds its ``me.time`` delta to
-``exec``; if the thread blocked, ``wake - stop_time`` goes to the
-category the blocking step stamped on it.  ``idle`` is computed as an
-exact residual against the ME clock at snapshot time -- so per-thread
-attribution sums to the ME's total simulated cycles by construction
-(the invariant tests/test_profile.py asserts).  A thread whose final
-wait extends past the end of the run has the overshoot clamped off its
-last category.
+(:meth:`Microengine.run_slice`), into one plain list per thread (a
+*row*, laid out by :data:`repro.ixp.microengine.BLOCKS`): the burst adds
+its ``me.time`` delta to the exec slot; if the thread blocked, ``wake -
+stop_time`` goes to the wait slot of the cause the blocking step stamped
+on it and that cause's block count goes up by one.  No method is called
+per stop.  ``idle`` is computed as an exact residual against the ME
+clock at snapshot time -- so per-thread attribution sums to the ME's
+total simulated cycles by construction (the invariant
+tests/test_profile.py asserts).  A thread whose final wait extends past
+the end of the run has the overshoot clamped off its last cause (still
+stamped on the thread).
 
-The only other callback is the per-request queueing delay of the memory
-channels (:meth:`MemorySystem.timed_access`); ring occupancy, channel
-busy time and the ME clocks are counters the simulator keeps for itself,
-read at snapshot time.  Off by default, attached via :meth:`attach`;
-profiled runs are bit-identical to unprofiled ones
-(tests/test_profile.py).
+Memory-channel queueing delay is kept on the channel itself
+(``MemoryChannel.queue_stats``, a list :meth:`attach` installs and the
+charge sites update inline); ring occupancy, channel busy time and the
+ME clocks are counters the simulator keeps for itself, read at snapshot
+time.  Off by default, attached via :meth:`attach`; profiled runs are
+bit-identical to unprofiled ones (tests/test_profile.py).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-#: Wait categories, in the fixed order used for residual computation,
-#: payloads and reports (exec and idle bracket them).
-WAIT_CATEGORIES = ("mem_scratch", "mem_sram", "mem_dram",
-                   "ring_empty", "ring_full", "ctx_arb")
+from repro.ixp.microengine import BLOCKS, WAIT_CATEGORIES, new_row
 
-#: All attribution categories in report order.
+#: All attribution categories in report order: ``WAIT_CATEGORIES`` (the
+#: order of a row's cause slots) bracketed by exec and idle.
 CATEGORIES = ("exec",) + WAIT_CATEGORIES + ("idle",)
 
 #: A physical channel is considered saturated (memory-bound) above this
@@ -66,19 +66,6 @@ def _ring_ops(ring) -> Tuple[int, int]:
             ring.depth_sum)
 
 
-class _ThreadAttribution:
-    """Raw per-(ME, thread) accumulators."""
-
-    __slots__ = ("exec_cycles", "wait", "blocks", "last_cat", "last_wake")
-
-    def __init__(self):
-        self.exec_cycles = 0.0
-        self.wait: Dict[str, float] = {}
-        self.blocks: Dict[str, int] = {}
-        self.last_cat: Optional[str] = None
-        self.last_wake = 0.0
-
-
 class StallProfiler:
     """Per-thread stall attribution + channel/ring queue statistics.
 
@@ -88,57 +75,39 @@ class StallProfiler:
 
     def __init__(self):
         self.chip = None
-        # Readers use .get(): only the note_* callbacks create entries.
-        self.threads: Dict[Tuple[int, int], _ThreadAttribution] = (
-            defaultdict(_ThreadAttribution))
-        # channel name -> [requests, queue_wait_total, queue_wait_max]
-        self.channel_stats: Dict[str, List[float]] = defaultdict(
-            lambda: [0, 0.0, 0.0])
+        # ME index -> one row per thread (repro.ixp.microengine.new_row),
+        # written by the ME where a thread stops.
+        self.rows: Dict[int, List[list]] = {}
         # ring name -> (operations, depth_sum) when attach() ran
         self.ring_base: Dict[str, Tuple[int, int]] = {}
 
     # -- attachment --------------------------------------------------------------
 
     def attach(self, chip) -> "StallProfiler":
-        """Install the profiler on ``chip`` and its memory system, and
-        record every ring's operation count and depth sum so
+        """Install the profiler on ``chip``, starting from zero: fresh
+        thread rows, fresh queue statistics on every memory channel, and
+        every ring's operation count and depth sum recorded so
         :meth:`snapshot` reports ``mean_depth`` over post-attach
         operations only (the loader's free-list fill stays out; a ring
-        created later counts from zero)."""
+        created later counts from zero). Attaching the same profiler to
+        another chip forgets the previous one's run."""
         self.chip = chip
         chip.profiler = self
-        chip.memory.profiler = self
+        self.rows = {me.index: [new_row() for _ in me.threads]
+                     for me in chip.mes}
+        for ch in chip.memory.channels.values():
+            ch.queue_stats = [0, 0.0, 0.0]
         self.ring_base = {name: _ring_ops(ring)
                           for name, ring in chip.rings.rings.items()}
         return self
 
-    # -- hot-path hooks (called only when attached) -------------------------------
-
-    def note_burst(self, me_index: int, t_index: int,
-                   t0: float, t1: float) -> None:
-        """A thread ran from ``t0`` to ``t1`` on the ME clock."""
-        if t1 > t0:
-            self.threads[me_index, t_index].exec_cycles += t1 - t0
-
-    def note_block(self, me_index: int, t_index: int, cat: str,
-                   t0: float, wake: float) -> None:
-        """A thread blocked at ``t0`` until ``wake`` under ``cat``."""
-        ta = self.threads[me_index, t_index]
-        wait = ta.wait
-        wait[cat] = wait.get(cat, 0.0) + (wake - t0)
-        blocks = ta.blocks
-        blocks[cat] = blocks.get(cat, 0) + 1
-        ta.last_cat = cat
-        ta.last_wake = wake
-
-    def note_mem(self, channel: str, queued: float) -> None:
-        """A memory request on physical ``channel`` waited ``queued``
-        cycles behind earlier requests before the channel took it."""
-        st = self.channel_stats[channel]
-        st[0] += 1
-        st[1] += queued
-        if queued > st[2]:
-            st[2] = queued
+    def rows_for(self, me) -> List[list]:
+        """``me``'s thread rows (made on first use for an ME the chip
+        gained after :meth:`attach`)."""
+        rows = self.rows.get(me.index)
+        if rows is None:
+            rows = self.rows[me.index] = [new_row() for _ in me.threads]
+        return rows
 
     # -- timeseries integration ---------------------------------------------------
 
@@ -158,13 +127,11 @@ class StallProfiler:
                 i = me.index
                 exec_c = 0.0
                 waits: Dict[str, float] = {}
-                for th in me.threads:
-                    ta = self.threads.get((i, th.index))
-                    if ta is None:
-                        continue
-                    exec_c += ta.exec_cycles
-                    for cat, v in ta.wait.items():
-                        waits[cat] = waits.get(cat, 0.0) + v
+                for acc in self.rows.get(i, ()):
+                    exec_c += acc[0]
+                    for c, cat in enumerate(WAIT_CATEGORIES):
+                        if acc[BLOCKS + c]:
+                            waits[cat] = waits.get(cat, 0.0) + acc[1 + c]
                 for name, cur in (("exec", exec_c), ("idle", me.idle_time)):
                     key = (name, i)
                     d = cur - prev.get(key, 0.0)
@@ -195,25 +162,28 @@ class StallProfiler:
         ``exec + waits + idle`` recovers ``total`` exactly after a
         3-decimal round (the sums-to-total invariant)."""
         horizon = me.time
+        rows = self.rows.get(me.index)
         out = []
         for th in me.threads:
-            ta = self.threads.get((me.index, th.index))
+            acc = rows[th.index] if rows is not None else new_row()
             rec = {"me": me.index, "thread": th.index,
                    "total": round(horizon, 3)}
-            waits = dict(ta.wait) if ta is not None else {}
-            if (ta is not None and ta.last_cat is not None
-                    and ta.last_wake > horizon):
+            waits = acc[1:BLOCKS]
+            blocks = acc[BLOCKS:]
+            if any(blocks) and th.wake > horizon:
                 # Only the final block can extend past the end of the
-                # run; clamp the overshoot off its category.
-                waits[ta.last_cat] -= ta.last_wake - horizon
-            rec["exec"] = round(ta.exec_cycles if ta is not None else 0.0, 3)
+                # run, and its cause is still stamped on the thread;
+                # clamp the overshoot off that category.
+                waits[th.cause] -= th.wake - horizon
+            rec["exec"] = round(acc[0], 3)
             spent = rec["exec"]
-            for cat in WAIT_CATEGORIES:
-                v = round(waits.get(cat, 0.0), 3)
+            for cat, v in zip(WAIT_CATEGORIES, waits):
+                v = round(v, 3)
                 rec[cat] = v
                 spent += v
             rec["idle"] = round(rec["total"] - spent, 3)
-            rec["blocks"] = dict(sorted(ta.blocks.items())) if ta else {}
+            rec["blocks"] = {cat: n for cat, n in
+                             sorted(zip(WAIT_CATEGORIES, blocks)) if n}
             out.append(rec)
         return out
 
@@ -234,7 +204,7 @@ class StallProfiler:
         channels = {}
         for key in sorted(chip.memory.channels):
             ch = chip.memory.channels[key]
-            st = self.channel_stats.get(ch.name) or [0, 0.0, 0.0]
+            st = ch.queue_stats or [0, 0.0, 0.0]
             requests = int(st[0])
             channels[ch.name] = {
                 "requests": requests,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -251,8 +252,9 @@ class TimeseriesCollector:
 
     def __init__(self, window_cycles: float,
                  exact_limit: int = DEFAULT_EXACT_LIMIT):
-        if window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
+        if not (window_cycles > 0 and math.isfinite(window_cycles)):
+            raise ValueError("window_cycles must be positive and finite, "
+                             "got %r" % (window_cycles,))
         self.window_cycles = float(window_cycles)
         self.exact_limit = exact_limit
         self.next_t = self.window_cycles

@@ -14,6 +14,7 @@ serve-smoke job runs one twice and ``cmp``s them).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.apps import APP_CLASSES
@@ -78,8 +79,15 @@ def main(argv=None) -> int:
         if getattr(args, flag) < floor:
             ap.error("--%s must be >= %d, got %d"
                      % (flag.replace("_", "-"), floor, getattr(args, flag)))
-    if not args.gbps > 0:
-        ap.error("--gbps must be > 0, got %g" % args.gbps)
+    for flag in ("window_cycles", "gbps"):
+        # NaN passes a plain ``<= 0`` check, and a NaN or infinite
+        # window or rate makes a run that never ends.
+        value = getattr(args, flag)
+        name = "--" + flag.replace("_", "-")
+        if not math.isfinite(value):
+            ap.error("%s must be a finite number, got %s" % (name, value))
+        if not value > 0:
+            ap.error("%s must be > 0, got %g" % (name, value))
     try:
         churn = [parse_churn_spec(text) for text in args.churn]
     except ValueError as exc:

@@ -7,8 +7,11 @@ tests/test_profile.py).
 It is deliberately naive -- one dict lookup, one handler call and one
 deadline compare per instruction, operands decoded on every execution --
 and shares nothing with the predecoder but :class:`Thread`, the memory
-system and the observer hooks, so an ISA bug has to be made twice to
-slip through. Tests select it with :func:`core`, which swaps the class
+system, the tracer calls and the stall profiler's row layout, so an ISA
+bug has to be made twice to slip through. Each handler names its own
+wait category (:func:`_block` turns the name into the row slot), so the
+profiler snapshots of the two cores are two independent attributions.
+Tests select it with :func:`core`, which swaps the class
 the loader instantiates; the product has no option that reaches it.
 """
 
@@ -20,7 +23,14 @@ from typing import Dict, Optional
 from repro.cg import isa
 from repro.cg.isa import Imm, PReg, SymRef
 from repro.cg.melayout import LM_WORDS, SRAM_STACK_BYTES_PER_THREAD
-from repro.ixp.microengine import Microengine, SimError, Thread, _signed
+from repro.ixp.microengine import (
+    BLOCKS,
+    WAIT_CATEGORIES,
+    Microengine,
+    SimError,
+    Thread,
+    _signed,
+)
 from repro.rts import loader
 
 _U32 = 0xFFFFFFFF
@@ -121,7 +131,7 @@ class ReferenceMicroengine(Microengine):
         finally:
             self.executed_instrs += executed
             if prof is not None:
-                prof.note_burst(self.index, t.index, t0, self.time)
+                prof.rows_for(self)[t.index][0] += self.time - t0
 
     # -- operand helpers ----------------------------------------------------------------
 
@@ -136,6 +146,21 @@ class ReferenceMicroengine(Microengine):
 
 
 # -- instruction handlers (return True if the thread stops running) ---------------------
+
+
+def _block(me, t: Thread, cat: str, wake: float) -> None:
+    """Swap ``t`` out until ``wake`` for the wait category ``cat``
+    (named here, per handler): stamp the wake and its cause, and charge
+    the wait to the stall profiler's row for the thread, if one is
+    attached."""
+    c = WAIT_CATEGORIES.index(cat)
+    t.wake = wake
+    t.cause = c
+    prof = me.chip.profiler
+    if prof is not None:
+        acc = prof.rows_for(me)[t.index]
+        acc[1 + c] += wake - me.time
+        acc[BLOCKS + c] += 1
 
 
 def _h_alu(me: Microengine, t: Thread, insn) -> bool:
@@ -257,12 +282,8 @@ def _h_mem(me, t, insn) -> bool:
         if insn.mask_reg is not None:
             mask = me.value(t, insn.mask_reg)
         mem.write_words(insn.space, addr, values, mask)
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index, "mem_" + insn.space,
-                        me.time, done)
+    _block(me, t, "mem_" + insn.space, done)
     t.pc += 1
-    t.wake = done
     return True  # swap out until the reference completes
 
 
@@ -274,13 +295,8 @@ def _h_ring_get(me, t, insn) -> bool:
     tracer = me.chip.tracer
     if tracer is not None:
         tracer.me_ring_get(me.index, t.index, insn.ring.name, value, me.time)
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index,
-                        "ring_empty" if value == 0 else "mem_scratch",
-                        me.time, done)
+    _block(me, t, "ring_empty" if value == 0 else "mem_scratch", done)
     t.pc += 1
-    t.wake = done
     return True
 
 
@@ -293,13 +309,8 @@ def _h_ring_put(me, t, insn) -> bool:
     if tracer is not None:
         tracer.me_ring_put(me.index, t.index, insn.ring.name, value,
                            me.time, ok)
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index,
-                        "mem_scratch" if ok else "ring_full",
-                        me.time, done)
+    _block(me, t, "mem_scratch" if ok else "ring_full", done)
     t.pc += 1
-    t.wake = done
     return True
 
 
@@ -309,11 +320,8 @@ def _h_tas(me, t, insn) -> bool:
     old = me.chip.memory.read_words("scratch", addr, 1)[0]
     me.chip.memory.write_words("scratch", addr, [1])
     t.set(insn.dst, old)
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index, "mem_scratch", me.time, done)
+    _block(me, t, "mem_scratch", done)
     t.pc += 1
-    t.wake = done
     return True
 
 
@@ -321,11 +329,8 @@ def _h_release(me, t, insn) -> bool:
     addr = me.value(t, insn.addr_a)
     done = me.chip.memory.timed_access(me.time, "scratch", 1, isa.CAT_APP)
     me.chip.memory.write_words("scratch", addr, [0])
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index, "mem_scratch", me.time, done)
+    _block(me, t, "mem_scratch", done)
     t.pc += 1
-    t.wake = done
     return True
 
 
@@ -371,11 +376,8 @@ def _h_cam_clear(me, t, insn) -> bool:
 
 
 def _h_ctx_arb(me, t, insn) -> bool:
-    prof = me.chip.profiler
-    if prof is not None:
-        prof.note_block(me.index, t.index, "ctx_arb", me.time, me.time + 1)
+    _block(me, t, "ctx_arb", me.time + 1)
     t.pc += 1
-    t.wake = me.time + 1
     return True  # voluntary yield
 
 

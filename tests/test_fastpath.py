@@ -321,19 +321,32 @@ def _profiled_thread(mode, insns):
     from repro.obs.profile import StallProfiler
 
     chip = IXP2400()
+    # Attached before the ME exists: its rows are made on first use.
     prof = StallProfiler().attach(chip)
     me = reference_me.CORES[mode](0, _mini_image(insns), chip, n_threads=1)
-    return me, prof.threads
+    return me, prof
+
+
+def _attribution(prof):
+    """Thread 0 of ME 0's row as (exec cycles, waits, blocks), the two
+    dicts keyed by category and holding only categories that blocked."""
+    from repro.ixp.microengine import BLOCKS, WAIT_CATEGORIES
+
+    acc = prof.rows[0][0]
+    slots = [(cat, c) for c, cat in enumerate(WAIT_CATEGORIES)
+             if acc[BLOCKS + c]]
+    return (acc[0], {cat: acc[1 + c] for cat, c in slots},
+            {cat: acc[BLOCKS + c] for cat, c in slots})
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_halt_reports_a_burst_and_no_block(mode):
-    me, threads = _profiled_thread(
+    me, prof = _profiled_thread(
         mode, [isa.Immed(isa.PReg("a", 0), 7), isa.Halt()])
     assert me.run_slice(100.0) is None
-    ta = threads[(0, 0)]
-    assert ta.exec_cycles == me.time > 0
-    assert (ta.blocks, ta.wait, ta.last_cat) == ({}, {}, None)
+    exec_cycles, waits, blocks = _attribution(prof)
+    assert exec_cycles == me.time > 0
+    assert (blocks, waits, me.threads[0].cause) == ({}, {}, None)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -342,28 +355,30 @@ def test_slice_deadline_reports_no_block_and_keeps_the_next_cause(mode):
     then an SRAM read: the deadline stop reports a burst only (the
     thread's cause is still the stale ``ctx_arb``), and the read that
     follows the resume is attributed to ``mem_sram``."""
+    from repro.ixp.microengine import CAUSE
+
     a0 = isa.PReg("a", 0)
     insns = ([isa.CtxArb()] + [isa.Immed(a0, i) for i in range(30)]
              + [isa.Mem("sram", "read", [a0], isa.Imm(256), isa.Imm(0), 1),
                 isa.Halt()])
-    me, threads = _profiled_thread(mode, insns)
+    me, prof = _profiled_thread(mode, insns)
     seen = []
     for _ in range(20):
         nxt = me.run_slice(12.0)
-        seen.append((dict(threads[(0, 0)].blocks),
-                     me.resume_thread is not None))
+        seen.append((_attribution(prof)[2], me.resume_thread is not None))
         if nxt is None:
             break
         me.time = max(me.time, nxt)
-    t, ta = me.threads[0], threads[(0, 0)]
+    t = me.threads[0]
+    exec_cycles, waits, blocks = _attribution(prof)
     assert t.halted
     # Some slice ended on the deadline with only the yield on record...
     assert ({"ctx_arb": 1}, True) in seen
     # ...and the run ends with exactly one block per blocking instruction.
-    assert ta.blocks == {"ctx_arb": 1, "mem_sram": 1}
-    assert ta.wait["ctx_arb"] == 1.0
-    assert ta.last_cat == "mem_sram" and ta.last_wake == t.wake
-    assert ta.exec_cycles + me.idle_time == me.time
+    assert blocks == {"ctx_arb": 1, "mem_sram": 1}
+    assert waits["ctx_arb"] == 1.0
+    assert t.cause == CAUSE["mem_sram"]
+    assert exec_cycles + me.idle_time == me.time
 
 
 # -- stuck-scheduler detection -------------------------------------------------------

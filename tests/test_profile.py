@@ -9,10 +9,13 @@ The two load-bearing guarantees:
   recovers that ME's total simulated cycles exactly under the payload's
   3-decimal rounding.
 
-Plus: reference and fast dispatch produce *identical* profiler snapshots,
-the sweep's BENCH_occupancy.json is byte-reproducible and diffable, the
-obs.diff unknown-kind / occupancy gates fire, the bottleneck report
-renders, and timeline windows carry occ.* deltas.
+Plus: reference and fast dispatch produce *identical* profiler snapshots
+(over the apps and over one image that blocks on every blocking
+instruction kind), a reused profiler starts from zero, the sweep's
+BENCH_occupancy.json is byte-reproducible and diffable, the obs.diff
+unknown-kind / occupancy gates fire, the bottleneck report renders,
+timeline windows carry occ.* deltas, and a profiled serve run's
+occupancy and occ.* counters hash to a pinned digest.
 """
 
 from __future__ import annotations
@@ -89,6 +92,73 @@ def test_profiler_snapshot_identical_across_dispatch_modes():
                                    profiler=StallProfiler(), **_RUN)
         snaps[mode] = run.occupancy
     assert snaps["reference"] == snaps["fast"]
+
+
+def _blocking_run(mode):
+    """One thread that blocks once on every blocking instruction kind:
+    a scratch, an SRAM and a DRAM read, a ring_get that finds a handle
+    and one that polls empty, a put a capacity-1 ring accepts and one it
+    rejects, test_and_set, atomic_release and ctx_arb."""
+    from repro.cg import isa
+    from repro.cg.assemble import MEImage
+    from repro.ixp.chip import IXP2400
+
+    a0, a1 = isa.PReg("a", 0), isa.PReg("a", 1)
+    image = MEImage(name="blocking")
+    image.insns = [
+        isa.Mem("scratch", "read", [a0], isa.Imm(64), isa.Imm(0), 1),
+        isa.Mem("sram", "read", [a0], isa.Imm(256), isa.Imm(0), 1),
+        isa.Mem("dram", "read", [a0, a1], isa.Imm(512), isa.Imm(0), 1),
+        isa.RingGet(a1, isa.SymRef("ring.in")),
+        isa.RingGet(a1, isa.SymRef("ring.in")),
+        isa.RingPut(isa.SymRef("ring.one"), isa.Imm(7)),
+        isa.RingPut(isa.SymRef("ring.one"), isa.Imm(8)),
+        isa.TestAndSet(a0, isa.Imm(128)),
+        isa.AtomicRelease(isa.Imm(128)),
+        isa.CtxArb(),
+        isa.Halt(),
+    ]
+    image.label_index = {"main": 0}
+    image.entry = 0
+    chip = IXP2400()
+    chip.rings.create("ring.in", capacity=4).put(16)
+    chip.rings.create("ring.one", capacity=1)
+    chip.add_me(reference_me.CORES[mode](0, image, chip, n_threads=1))
+    prof = StallProfiler().attach(chip)
+    chip.run(10_000.0)
+    assert chip.mes[0].threads[0].halted
+    return prof.snapshot(chip)
+
+
+def test_every_blocking_emitter_stamps_its_cause_slot():
+    """The fast core's generated steps stamp cause slots, the reference
+    core names its categories per handler: both attribute every blocking
+    instruction kind the same way, and all six wait categories occur."""
+    snaps = {mode: _blocking_run(mode) for mode in MODES}
+    assert snaps["reference"] == snaps["fast"]
+    (rec,) = snaps["fast"]["mes"][0]["threads"]
+    assert rec["blocks"] == {"ctx_arb": 1, "mem_dram": 1, "mem_scratch": 5,
+                             "mem_sram": 1, "ring_empty": 1, "ring_full": 1}
+    assert all(rec[cat] > 0 for cat in WAIT_CATEGORIES), rec
+    # Seven scratch references (read, two gets, two puts, tas, release);
+    # SRAM address 256 interleaves onto channel 0.
+    requests = {name: ch["requests"]
+                for name, ch in snaps["fast"]["channels"].items()}
+    assert requests == {"scratch": 7, "sram0": 1, "sram1": 0, "dram": 1}
+
+
+def test_reused_profiler_reports_what_a_fresh_one_does():
+    """attach() starts from zero: a profiler used for a second run
+    reports that run alone (it used to add both runs' thread rows and
+    channel queue statistics -- negative idle, doubled requests)."""
+    result, trace = _mini_result()
+    fresh = run_on_simulator(result, trace, profiler=StallProfiler(),
+                             **_RUN).occupancy
+    reused = StallProfiler()
+    run_on_simulator(result, trace, profiler=reused, **_RUN)
+    again = run_on_simulator(result, trace, profiler=reused, **_RUN)
+    assert again.occupancy == fresh
+    assert aggregate_attribution(fresh)["idle"] >= 0
 
 
 # -- the sums-to-total invariant ------------------------------------------------
@@ -376,3 +446,31 @@ def test_serve_profile_is_pure_observation():
     names = {name for w in on.collector.windows
              for name in (w.get("counters") or {})}
     assert any(n.startswith("occ.") for n in names), names
+
+
+#: sha256 prefix of the three services' occupancy cells and per-window
+#: occ.* counters under the short configuration below. Every number the
+#: profiler reports in a serve run goes into it, so a change to what the
+#: simulator counts or how a stop is attributed moves it.
+_SERVE_OCCUPANCY_DIGEST = "6705ca25b3b41ec1"
+
+
+def test_profiled_serve_output_is_pinned():
+    import hashlib
+
+    from repro.serve.churn import ChurnSpec
+    from repro.serve.harness import ServeConfig, run_service
+
+    kinds = {"l3switch": "route-flap", "firewall": "fw-toggle",
+             "mpls": "mpls-relabel"}
+    digest = hashlib.sha256()
+    for app, kind in kinds.items():
+        res = run_service(ServeConfig(app=app, level="SWC", n_mes=3,
+                                      windows=10, offered_gbps=2.5,
+                                      profile=True,
+                                      churn=[ChurnSpec(kind, 2, 3, 3)]))
+        occ = [{n: v for n, v in (w.get("counters") or {}).items()
+                if n.startswith("occ.")} for w in res.collector.windows]
+        digest.update(json.dumps({"occupancy": res.occupancy,
+                                  "windows": occ}, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == _SERVE_OCCUPANCY_DIGEST

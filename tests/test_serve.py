@@ -275,9 +275,26 @@ def test_serve_cli_fails_fast(tmp_path, capsys):
             (["--gbps", "0"], "--gbps must be > 0, got 0"),
             (["--gbps", "-1"], "--gbps must be > 0, got -1"),
             (["--windows", "0"], "--windows must be >= 1, got 0"),
-            (["--impact-k", "-1"], "--impact-k must be >= 0, got -1")):
+            (["--impact-k", "-1"], "--impact-k must be >= 0, got -1"),
+            (["--window-cycles", "0"], "--window-cycles must be > 0, got 0"),
+            # NaN passes a plain "<= 0" check; a non-finite window or
+            # rate used to run until killed.
+            (["--window-cycles", "nan"],
+             "--window-cycles must be a finite number, got nan"),
+            (["--window-cycles", "inf"],
+             "--window-cycles must be a finite number, got inf"),
+            (["--gbps", "inf"], "--gbps must be a finite number, got inf"),
+            (["--gbps", "nan"], "--gbps must be a finite number, got nan")):
         with pytest.raises(SystemExit) as exc_info:
             main(argv + ["--out", str(out)])
         assert exc_info.value.code == 2
         assert token in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+def test_timeseries_collector_rejects_unusable_window(width):
+    from repro.obs.timeseries import TimeseriesCollector
+
+    with pytest.raises(ValueError, match="positive and finite"):
+        TimeseriesCollector(width)
