@@ -28,11 +28,14 @@ and pool size never bound how many roots can be replayed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analyze.capture import CaptureRoot
-from repro.baker.packetmodel import BUFFER_BYTES, HEADROOM_BYTES
+from repro.baker.packetmodel import META_BUF_ADDR
 from repro.ixp.chip import IXP2400
+from repro.ixp.packets import (
+    SimMeta, alloc_packet, free_packet, is_buffer, read_packet, write_packet,
+)
 from repro.rts.loader import load_system
 
 #: per-root simulation budget (ME cycles); generous, only reached when
@@ -110,23 +113,13 @@ class ImageHarness:
         ring.put = put
 
     def _snapshot_put(self, ring_name: str, handle: int) -> tuple:
-        mem = self.chip.memory
-        words = mem.read_words("sram", handle, self.chip.meta_words)
-        buf, head, length = words[0], words[1], words[2]
-        if 0 <= head and 0 <= length and head + length <= BUFFER_BYTES \
-                and 0 < buf <= len(mem.stores["dram"]) - BUFFER_BYTES:
-            payload = bytes(mem.read_bytes("dram", buf + head, length))
-        else:
-            # Corrupt geometry is itself a divergence; make it explicit
-            # rather than comparing a bogus byte range.
-            payload = b"<invalid geometry head=%d len=%d>" % (head, length)
+        # Corrupt geometry reads as a marker payload: itself a divergence.
+        words, payload = read_packet(self.chip.memory, handle,
+                                     self.chip.meta_words)
         meta = tuple(words[w] for w in self.cmp_words)
         return ("put", ring_name[len("ring."):], payload, meta)
 
     # -- replay -------------------------------------------------------------------
-
-    def replay(self, roots: List[CaptureRoot]) -> List[List[tuple]]:
-        return [self.replay_root(root) for root in roots]
 
     def replay_root(self, root: CaptureRoot) -> List[tuple]:
         self._events = []
@@ -150,16 +143,11 @@ class ImageHarness:
         return self._events
 
     def _inject(self, root: CaptureRoot) -> None:
-        meta = self._meta_free.get()
-        buf = self._buf_free.get()
-        if meta == 0 or buf == 0:
+        got = alloc_packet(self._meta_free, self._buf_free)
+        if got is None:
             raise HarnessError("packet pool exhausted in harness")
-        mem = self.chip.memory
-        mem.write_bytes("dram", buf, b"\x00" * BUFFER_BYTES)
-        mem.write_bytes("dram", buf + HEADROOM_BYTES, root.payload)
-        words = [buf, HEADROOM_BYTES, len(root.payload), root.rx_port]
-        words += [0] * (self.chip.meta_words - len(words))
-        mem.write_words("sram", meta, words)
+        meta, buf = got
+        write_packet(self.chip, meta, buf, root.payload, root.rx_port)
         ring = self.chip.rings.get("ring." + root.channel)
         if ring is None:
             raise HarnessError("no input ring for channel %r" % root.channel)
@@ -169,13 +157,10 @@ class ImageHarness:
     def _recycle(self) -> None:
         """Return every packet parked on an output (or leftover input)
         ring to the free pools, monitors disarmed."""
-        dram_len = len(self.chip.memory.stores["dram"])
+        mem = self.chip.memory
         for ring in self._output_rings + self._input_rings:
             while ring.items:
                 handle = ring.get()
-                words = self.chip.memory.read_words("sram", handle, 1)
-                buf = words[0]
-                if buf % BUFFER_BYTES == 0 \
-                        and BUFFER_BYTES <= buf <= dram_len - BUFFER_BYTES:
-                    self._buf_free.put(buf)
-                self._meta_free.put(handle)
+                buf = SimMeta(mem, handle)[META_BUF_ADDR]
+                free_packet(self._meta_free, self._buf_free, handle,
+                            buf if is_buffer(mem, buf) else 0)

@@ -260,9 +260,10 @@ class ConstDecl(Node):
 
 @dataclass
 class GlobalDecl(Node):
-    """A module-level or program-level variable. Globals live in SRAM (or
-    Scratch when the global memory mapper promotes them); ``shared`` marks
-    data mutated from multiple aggregates (disables SWC caching)."""
+    """A module-level or program-level variable. Program globals live in
+    SRAM (only SWC's generation words are placed in Scratch; no pass
+    moves a table there); ``shared`` marks data mutated from multiple
+    aggregates (disables SWC caching)."""
 
     type_expr: TypeExpr = None  # type: ignore[assignment]
     name: str = ""

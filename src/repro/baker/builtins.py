@@ -66,7 +66,15 @@ BUILTINS: Dict[str, Builtin] = {
             doc="Allocate a fresh packet of the named protocol with a payload size.",
         ),
         Builtin("packet_length", 1, ret_type=T.U32, doc="Bytes from head to tail."),
-        Builtin("packet_add_tail", 2, doc="Append n zero bytes at the tail."),
+        Builtin(
+            "packet_add_tail",
+            2,
+            doc="Append n bytes at the tail. They are zero on a packet that "
+            "Rx, the XScale or the host model made (each clears the whole "
+            "buffer); an ME packet_create or packet_copy clears or copies "
+            "only the frame (in 8 B / 64 B units), and past that the tail "
+            "shows the buffer's previous bytes.",
+        ),
         Builtin("packet_remove_tail", 2, doc="Truncate n bytes from the tail."),
         Builtin("packet_extend", 2, doc="Grow headroom: move head back n bytes."),
         Builtin("packet_shorten", 2, doc="Drop n bytes from the head."),

@@ -44,8 +44,9 @@ class ConstSymbol(Symbol):
 
 @dataclass
 class GlobalSymbol(Symbol):
-    """A global variable. ``memory`` is assigned by the global memory
-    mapper ('sram' or 'scratch'); ``shared`` disables SWC caching."""
+    """A global variable. ``memory`` is 'sram' for every program global;
+    SWC creates its generation words with 'scratch'. ``shared`` disables
+    SWC caching."""
 
     shared: bool = False
     module: Optional[str] = None

@@ -67,16 +67,52 @@ class LowerContext:
         return self.mod.globals[name].memory
 
 
-class FunctionLowerer:
+class Emitter:
+    """Appends ME code to one function: fresh virtual registers, local
+    labels, fall-through blocks and immediates, starting in its entry
+    block. The out-of-line packet helpers (:mod:`repro.cg.pktlower`)
+    are built with an Emitter alone; a :class:`FunctionLowerer` is one
+    that lowers an IR function into it, so the same packet emission
+    code builds inline sequences and helper bodies."""
+
+    def __init__(self, name: str):
+        self.fn = LIRFunction(name)
+        self.cur: LIRBlock = self.fn.new_block(self.fn.entry_label)
+        self._label_n = 0
+
+    def vreg(self, hint: str = "") -> VReg:
+        return VReg(hint)
+
+    def emit(self, insn: Insn) -> Insn:
+        return self.cur.emit(insn)
+
+    def label(self, hint: str) -> str:
+        self._label_n += 1
+        return "%s__%s%d" % (self.fn.entry_label, hint, self._label_n)
+
+    def new_block(self, label: Optional[str] = None, hint: str = "l") -> LIRBlock:
+        """Create a block and fall through into it: inserted immediately
+        after the current block (LIR fallthrough is positional)."""
+        bb = LIRBlock(label or self.label(hint))
+        blocks = self.fn.blocks
+        blocks.insert(blocks.index(self.cur) + 1, bb)
+        self.cur = bb
+        return bb
+
+    def materialize(self, value: int, hint: str = "c") -> VReg:
+        r = self.vreg(hint)
+        self.emit(Immed(r, value & 0xFFFFFFFF))
+        return r
+
+
+class FunctionLowerer(Emitter):
     def __init__(self, ctx: LowerContext, ir_fn: IRFunction):
+        super().__init__(ir_fn.name)
         self.ctx = ctx
         self.ir_fn = ir_fn
-        self.fn = LIRFunction(ir_fn.name)
         self.aliases = AliasClasses(ir_fn)
         self.t32: Dict[Temp, VReg] = {}
         self.t64: Dict[Temp, Tuple[VReg, VReg]] = {}
-        self.cur: LIRBlock = None  # type: ignore[assignment]
-        self._label_n = 0
         self.array_base: Dict[str, int] = {}
         self.meta_memo: Dict[Tuple[Temp, str], VReg] = {}
         # Function-wide memo for the packet parameter's buffer address:
@@ -100,35 +136,8 @@ class FunctionLowerer:
 
     # -- small helpers ----------------------------------------------------------
 
-    def vreg(self, hint: str = "") -> VReg:
-        return VReg(hint)
-
-    def emit(self, insn: Insn) -> Insn:
-        return self.cur.emit(insn)
-
-    def label(self, hint: str) -> str:
-        self._label_n += 1
-        return "%s__%s%d" % (self.fn.entry_label, hint, self._label_n)
-
-    def new_block(self, label: Optional[str] = None, hint: str = "l") -> LIRBlock:
-        """Create a block and fall through into it: inserted immediately
-        after the current block (LIR fallthrough is positional)."""
-        bb = LIRBlock(label or self.label(hint))
-        blocks = self.fn.blocks
-        if self.cur is not None and self.cur in blocks:
-            blocks.insert(blocks.index(self.cur) + 1, bb)
-        else:
-            blocks.append(bb)
-        self.cur = bb
-        return bb
-
     def ir_block_label(self, bb) -> str:
         return "%s__%s" % (self.fn.entry_label, bb.label)
-
-    def materialize(self, value: int, hint: str = "c") -> VReg:
-        r = self.vreg(hint)
-        self.emit(Immed(r, value & 0xFFFFFFFF))
-        return r
 
     def reg32(self, op: Operand) -> VReg:
         """IR operand -> a 32-bit register (low half of 64-bit values)."""
@@ -185,8 +194,6 @@ class FunctionLowerer:
         self.fn.is_leaf = not self._has_calls
         self._count_uses()
         self._assign_arrays()
-        entry = self.fn.new_block(self.fn.entry_label)
-        self.cur = entry
         self._emit_prologue()
         self._hoist_param_buf()
         # Pre-create one LIR block per IR block for stable branch targets.

@@ -44,6 +44,7 @@ from repro.cg.isa import (
     Alu, Bal, Br, Cmp, Imm, Immed, LIRFunction, Mem, Mov, RingGet, RingPut,
     Rtn, SymRef, VReg,
 )
+from repro.cg.lower import Emitter
 from repro.ir import instructions as I
 from repro.ir.values import Const, Operand, Temp
 
@@ -55,48 +56,6 @@ PKT = isa.CAT_PACKET
 # when set to "meta_store_dropped", stores to user metadata words emit
 # nothing. Never set outside tests.
 _TEST_MUTATION = None
-
-
-# ---------------------------------------------------------------------------
-# Emitter interface: FunctionLowerer provides these; HelperBuilder mirrors it
-# so the same emission code builds both inline sequences and helper bodies.
-# ---------------------------------------------------------------------------
-
-
-class HelperBuilder:
-    """Builds an out-of-line helper routine (leaf, bal/rtn convention)."""
-
-    def __init__(self, name: str):
-        self.fn = LIRFunction(name)
-        self.cur = self.fn.new_block(self.fn.entry_label)
-        self._label_n = 0
-
-    def vreg(self, hint: str = "") -> VReg:
-        return VReg(hint)
-
-    def emit(self, insn):
-        return self.cur.emit(insn)
-
-    def label(self, hint: str) -> str:
-        self._label_n += 1
-        return "%s__%s%d" % (self.fn.entry_label, hint, self._label_n)
-
-    def new_block(self, label: Optional[str] = None, hint: str = "l"):
-        from repro.cg.isa import LIRBlock
-
-        bb = LIRBlock(label or self.label(hint))
-        blocks = self.fn.blocks
-        if self.cur is not None and self.cur in blocks:
-            blocks.insert(blocks.index(self.cur) + 1, bb)
-        else:
-            blocks.append(bb)
-        self.cur = bb
-        return bb
-
-    def materialize(self, value: int, hint: str = "c") -> VReg:
-        r = self.vreg(hint)
-        self.emit(Immed(r, value & 0xFFFFFFFF))
-        return r
 
 
 # -- dispatch --------------------------------------------------------------------
@@ -535,7 +494,7 @@ def _field_load_helper(ctx, f_bit: int, width: int) -> LIRFunction:
     fn = ctx.helpers.get(name)
     if fn is not None:
         return fn
-    hb = HelperBuilder(name)
+    hb = Emitter(name)
     ph = hb.vreg("ph")
     hb.emit(Mov(ph, abi.ARG_REGS[0]))
     off = hb.vreg("off")
@@ -887,7 +846,7 @@ def _field_store_helper(ctx, f_bit: int, width: int) -> LIRFunction:
     fn = ctx.helpers.get(name)
     if fn is not None:
         return fn
-    hb = HelperBuilder(name)
+    hb = Emitter(name)
     ph = hb.vreg("ph")
     hb.emit(Mov(ph, abi.ARG_REGS[0]))
     off = hb.vreg("off")

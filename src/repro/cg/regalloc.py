@@ -386,8 +386,3 @@ def _fix_bank_conflicts(fn: LIRFunction) -> None:
                     insn.b = fix
             out.append(insn)
         bb.insns = out
-
-
-def allocate(fns: List[LIRFunction]) -> None:
-    for fn in fns:
-        allocate_function(fn)

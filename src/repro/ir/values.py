@@ -64,10 +64,3 @@ class Const(Value):
 
 
 Operand = Union[Temp, Const]
-
-
-def is_const(v: object, value: int = None) -> bool:
-    """True if ``v`` is a Const (optionally equal to ``value``)."""
-    if not isinstance(v, Const):
-        return False
-    return value is None or v.value == value

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.ixp.memory import ME_HZ, MemorySystem
+from repro.ixp.memory import MemorySystem
 from repro.ixp.microengine import Microengine
 from repro.ixp.rings import RingSet
 from repro.ixp.rxtx import RxEngine, TxEngine
@@ -134,7 +134,7 @@ class IXP2400:
                 # The whole window up to the deadline was granted: advance
                 # the clock to it (the next event is beyond it) so repeated
                 # run_for drain loops do not re-grant the same window and
-                # ``seconds`` reports the simulated span honestly.
+                # ``now`` reports the simulated span honestly.
                 self.now = max(now, min(until_cycles, time))
                 return
             if time > now:
@@ -180,7 +180,3 @@ class IXP2400:
         reading as empty; closing twice is harmless."""
         for store in self.memory.stores.values():
             store.close()
-
-    @property
-    def seconds(self) -> float:
-        return self.now / ME_HZ

@@ -5,7 +5,8 @@ model them as dedicated engines: Rx paces packets in at the offered line
 rate (up to 3x1 Gbps), allocates a buffer + metadata from the free
 rings, deposits the frame in DRAM and the handle on the ``rx`` ring; Tx
 drains the ``tx`` ring at line rate, captures payloads for verification
-and recycles buffers. Their packet-data DMA does not contend on the
+and recycles buffers. Both read and write packets through
+:mod:`repro.ixp.packets`. Their packet-data DMA does not contend on the
 modeled ME memory channels (see DESIGN.md), and their accesses are not
 counted in the per-packet access profile -- matching how the paper's
 Table 1 counts application accesses.
@@ -13,11 +14,12 @@ Table 1 counts application accesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.baker.packetmodel import HEADROOM_BYTES, META_USER_BASE
+from repro.baker.packetmodel import META_BUF_ADDR, META_PKT_LEN, META_RX_PORT
 from repro.ixp.memory import ME_HZ
+from repro.ixp.packets import alloc_packet, free_packet, read_packet, write_packet
 from repro.profiler.trace import Trace
 
 GBPS = 1e9
@@ -92,29 +94,25 @@ class RxEngine:
             self._rx_ring = chip.rings["ring.rx"]
         buf_free = self._buf_free
         rx_ring = self._rx_ring
-        meta = meta_free.get()
-        buf = buf_free.get()
-        if meta == 0 or buf == 0 or len(rx_ring.items) >= rx_ring.capacity:
-            if meta == 0 or buf == 0:
-                self.dropped_freelist += 1
-                cause = "freelist_empty"
-            else:
-                self.dropped_ring_full += 1
-                cause = "ring_full"
-            if meta and not meta_free.put(meta):
-                self.leaked_meta += 1
-            if buf and not buf_free.put(buf):
-                self.leaked_buffers += 1
+        got = alloc_packet(meta_free, buf_free)
+        if got is not None and len(rx_ring.items) < rx_ring.capacity:
+            meta, buf = got
+            write_packet(chip, meta, buf, tp.data, tp.rx_port)
+            rx_ring.put(meta)
             if tracer is not None:
-                tracer.rx_drop(chip.now, cause)
+                tracer.rx_packet(meta, chip.now, tp.rx_port, len(tp.data))
             return
-        chip.memory.write_bytes("dram", buf + HEADROOM_BYTES, tp.data)
-        words = [buf, HEADROOM_BYTES, len(tp.data), tp.rx_port]
-        words += [0] * (chip.meta_words - len(words))
-        chip.memory.write_words("sram", meta, words)
-        rx_ring.put(meta)
+        if got is None:
+            self.dropped_freelist += 1
+            cause = "freelist_empty"
+        else:
+            self.dropped_ring_full += 1
+            cause = "ring_full"
+            buf_lost, meta_lost = free_packet(meta_free, buf_free, *got)
+            self.leaked_buffers += buf_lost
+            self.leaked_meta += meta_lost
         if tracer is not None:
-            tracer.rx_packet(meta, chip.now, tp.rx_port, len(tp.data))
+            tracer.rx_drop(chip.now, cause)
 
 
 class TxEngine:
@@ -147,18 +145,18 @@ class TxEngine:
         tracer = self.chip.tracer
         while ring.items and self.busy_until <= now:
             meta = ring.get()
-            buf, head, length, port = memory.read_words("sram", meta, 4)
-            payload = memory.read_bytes("dram", buf + head, length)
+            words, payload = read_packet(memory, meta)
+            length, port = words[META_PKT_LEN], words[META_RX_PORT]
             if tracer is not None:
                 tracer.tx_packet(meta, now, port, length)
             self.records.append(TxRecord(now, payload, port))
             self.bytes_out += length
             tx_cycles = length * 8 / (self.line_gbps * GBPS) * ME_HZ
             self.busy_until = max(self.busy_until, now) + tx_cycles
-            if not self._buf_free.put(buf):
-                self.leaked_buffers += 1
-            if not self._meta_free.put(meta):
-                self.leaked_meta += 1
+            buf_lost, meta_lost = free_packet(self._meta_free, self._buf_free,
+                                              meta, words[META_BUF_ADDR])
+            self.leaked_buffers += buf_lost
+            self.leaked_meta += meta_lost
 
     def packets_out(self) -> int:
         return len(self.records)

@@ -1,8 +1,8 @@
 """Functional profiler: IR interpretation over packet traces.
 
-Provides the profile statistics that drive aggregation, global memory
-mapping and SWC candidate selection, and serves as the semantic
-reference for differential testing of the optimizer and code generator.
+Provides the profile statistics that drive aggregation and SWC
+candidate selection, and serves as the semantic reference for
+differential testing of the optimizer and code generator.
 """
 
 from repro.profiler.hostpackets import HostPacket

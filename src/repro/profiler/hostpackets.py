@@ -9,7 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.baker.packetmodel import (
     BUFFER_BYTES,
@@ -47,20 +47,23 @@ def set_bits(buf: bytearray, bit_off: int, width: int, value: int) -> None:
 class HostPacket:
     """A packet as seen by the functional profiler.
 
-    ``head`` is the byte offset of the current protocol head within the
-    buffer; ``length`` counts bytes from head to tail. ``meta`` maps
-    metadata word indices to 32-bit values.
+    The packet's buffer is ``BUFFER_BYTES`` of ``data`` from ``base``
+    (here a buffer of its own, so ``base`` is 0); ``head`` is the byte
+    offset of the current protocol head within the buffer and ``length``
+    counts bytes from head to tail. ``meta`` maps metadata word indices
+    to 32-bit values. :class:`repro.ixp.packets.SimPacket` is the same
+    packet over the simulated chip's memory.
     """
 
     _next_uid = 0
+    base = 0
 
-    def __init__(self, data: bytes = b"", rx_port: int = 0,
-                 headroom: int = HEADROOM_BYTES, bufsize: int = BUFFER_BYTES):
-        if headroom + len(data) > bufsize:
+    def __init__(self, data: bytes = b"", rx_port: int = 0):
+        if HEADROOM_BYTES + len(data) > BUFFER_BYTES:
             raise ValueError("packet larger than buffer")
-        self.buf = bytearray(bufsize)
-        self.buf[headroom : headroom + len(data)] = data
-        self.head = headroom
+        self.data = bytearray(BUFFER_BYTES)
+        self.data[HEADROOM_BYTES : HEADROOM_BYTES + len(data)] = data
+        self.head = HEADROOM_BYTES
         self.length = len(data)
         self.meta: Dict[int, int] = {META_RX_PORT: rx_port}
         self.dropped = False
@@ -69,19 +72,28 @@ class HostPacket:
 
     # -- field access ------------------------------------------------------------
 
+    def _bit(self, bit_off: int, width: int) -> int:
+        """Where in ``data`` the ``width`` bits at ``bit_off`` from the
+        head start, checked against the buffer."""
+        bit = (self.head << 3) + bit_off
+        if bit < 0 or bit + width > BUFFER_BYTES * 8:
+            raise IndexError("%d bits at bit %d outside the %d-byte buffer"
+                             % (width, bit, BUFFER_BYTES))
+        return (self.base << 3) + bit
+
     def load_bits(self, bit_off: int, width: int) -> int:
-        return get_bits(self.buf, self.head * 8 + bit_off, width)
+        return get_bits(self.data, self._bit(bit_off, width), width)
 
     def store_bits(self, bit_off: int, width: int, value: int) -> None:
-        set_bits(self.buf, self.head * 8 + bit_off, width, value & ((1 << width) - 1))
+        set_bits(self.data, self._bit(bit_off, width), width, value)
 
     def load_bytes(self, byte_off: int, nbytes: int) -> bytes:
-        start = self.head + byte_off
-        return bytes(self.buf[start : start + nbytes])
+        start = self._bit(byte_off << 3, nbytes << 3) >> 3
+        return bytes(self.data[start : start + nbytes])
 
     def store_bytes(self, byte_off: int, data: bytes) -> None:
-        start = self.head + byte_off
-        self.buf[start : start + len(data)] = data
+        start = self._bit(byte_off << 3, len(data) << 3) >> 3
+        self.data[start : start + len(data)] = data
 
     # -- encapsulation -----------------------------------------------------------
 
@@ -98,7 +110,7 @@ class HostPacket:
         self.length -= header_bytes
 
     def add_tail(self, n: int) -> None:
-        if self.head + self.length + n > len(self.buf):
+        if self.head + self.length + n > BUFFER_BYTES:
             raise ValueError("no tailroom")
         self.length += n
 
@@ -117,7 +129,7 @@ class HostPacket:
 
     def copy(self) -> "HostPacket":
         dup = HostPacket.__new__(HostPacket)
-        dup.buf = bytearray(self.buf)
+        dup.data = bytearray(self.data)
         dup.head = self.head
         dup.length = self.length
         dup.meta = dict(self.meta)
@@ -128,7 +140,8 @@ class HostPacket:
 
     def payload(self) -> bytes:
         """Bytes from head to tail (what Tx would transmit)."""
-        return bytes(self.buf[self.head : self.head + self.length])
+        return self.load_bytes(0, self.length)
 
     def __repr__(self) -> str:
-        return "<HostPacket #%d head=%d len=%d>" % (self.uid, self.head, self.length)
+        return "<%s #%d head=%d len=%d>" % (type(self).__name__, self.uid,
+                                            self.head, self.length)

@@ -53,11 +53,18 @@ def _bits_of(type_: T.Type) -> int:
 
 
 class GlobalMemory:
-    """Byte-addressed big-endian storage for every global variable."""
+    """Byte-addressed big-endian storage for every global variable.
+
+    Each global is ``size`` bytes at ``base`` in a byte store
+    (``places[name] = (store, base, size)``), and every access is checked
+    against its own ``size``. The profiler gives each global a bytearray
+    holding its initializer; :meth:`on_chip` places them where the loader
+    put them in simulated SRAM/Scratch, for the XScale and the control
+    plane.
+    """
 
     def __init__(self, mod: IRModule):
-        self.mod = mod
-        self.data: Dict[str, bytearray] = {}
+        self.places: Dict[str, Tuple[bytearray, int, int]] = {}
         for name, sym in mod.globals.items():
             size = sym.type.size_bytes()
             buf = bytearray(size)
@@ -68,19 +75,37 @@ class GlobalMemory:
                     buf[i * esize : (i + 1) * esize] = (v & ((1 << (esize * 8)) - 1)).to_bytes(
                         esize, "big"
                     )
-            self.data[name] = buf
+            self.places[name] = (buf, 0, size)
+
+    @classmethod
+    def on_chip(cls, mod: IRModule, memory, layout) -> "GlobalMemory":
+        """The globals of ``mod`` in a chip's ``memory`` (a
+        :class:`repro.ixp.memory.MemorySystem`), at the addresses of the
+        loader's ``layout``."""
+        placed = cls.__new__(cls)
+        placed.places = {
+            name: (memory.stores[layout.global_space[name]],
+                   layout.global_addr[name], sym.type.size_bytes())
+            for name, sym in mod.globals.items()}
+        return placed
+
+    def image(self) -> Dict[str, bytes]:
+        """Every global's current bytes."""
+        return {name: bytes(store[base : base + size])
+                for name, (store, base, size) in self.places.items()}
 
     def load(self, g: str, offset: int, width: int) -> int:
-        buf = self.data[g]
-        if offset < 0 or offset + width > len(buf):
+        store, base, size = self.places[g]
+        if offset < 0 or offset + width > size:
             raise InterpError("out-of-bounds load of %s at %d" % (g, offset))
-        return int.from_bytes(buf[offset : offset + width], "big")
+        return int.from_bytes(store[base + offset : base + offset + width], "big")
 
     def store(self, g: str, offset: int, value: int, width: int) -> None:
-        buf = self.data[g]
-        if offset < 0 or offset + width > len(buf):
+        store, base, size = self.places[g]
+        if offset < 0 or offset + width > size:
             raise InterpError("out-of-bounds store of %s at %d" % (g, offset))
-        buf[offset : offset + width] = (value & ((1 << (width * 8)) - 1)).to_bytes(width, "big")
+        store[base + offset : base + offset + width] = \
+            (value & ((1 << (width * 8)) - 1)).to_bytes(width, "big")
 
 
 class SystemResult:

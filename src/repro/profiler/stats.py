@@ -1,8 +1,7 @@
 """Profile data collected by the functional profiler (paper section 4.1).
 
 The aggregation pass consumes PPF execution costs and CC utilizations;
-the global memory mapper and the SWC candidate selector consume
-global-data access statistics.
+the SWC candidate selector consumes global-data access statistics.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Address-space conventions (all addresses are byte addresses within their
 space; nothing is ever placed at address 0 so ring ``get`` can use 0 as
 "empty"):
 
-* **Scratch**: locks, then scratch-mapped globals (SWC update flags or
-  profiler-promoted small tables).
+* **Scratch**: locks, then scratch-mapped globals (SWC's generation
+  words; no program table is placed there).
 * **SRAM**: application globals, the packet metadata pool, the stack
   overflow area.
 * **DRAM**: the packet buffer pool (2 KiB buffers).
@@ -50,8 +50,7 @@ def boot_image(result) -> Dict[str, bytes]:
     if result.boot_image is None:
         interp = Interpreter(result.mod)
         interp.run_inits()
-        result.boot_image = {name: bytes(buf)
-                             for name, buf in interp.globals.data.items()}
+        result.boot_image = interp.globals.image()
     return result.boot_image
 
 

@@ -4,8 +4,8 @@ A :class:`ChurnSpec` (parsed from the CLI's ``--churn`` syntax)
 describes *when* updates happen, in window coordinates; the
 deterministic mutation helpers in :mod:`repro.apps.tables` describe
 *what* each update writes. :class:`ControlPlane` applies them on the
-simulated XScale path: the store goes through the same
-:class:`~repro.ixp.xscale_core.SimGlobals` adapter compiled control
+simulated XScale path: the store goes through ``chip.xscale.globals``,
+the :class:`~repro.profiler.interpreter.GlobalMemory` compiled control
 code uses, followed by what every writer owes an SWC-cached global
 (§5.2, :func:`repro.opt.swc.publish_store`) -- so each ME keeps serving
 cached values until its own periodic check flushes its CAM. That
@@ -23,7 +23,6 @@ from repro.apps.tables import (
     mpls_label_mutations,
     route_flap_mutations,
 )
-from repro.ixp.xscale_core import SimGlobals
 from repro.opt.swc import publish_store
 
 #: churn kind -> the app whose tables it mutates.
@@ -102,7 +101,7 @@ class ControlPlane:
         self.chip = chip
         self.layout = layout
         self.collector = collector
-        self.globals = SimGlobals(chip, layout)
+        self.globals = chip.xscale.globals
         self.applied: List[Tuple[float, TableMutation]] = []
 
     def schedule(self, timed: List[Tuple[float, TableMutation]]) -> None:

@@ -63,13 +63,13 @@ def test_image_equals_booting_the_inits_on_the_chip(l3switch):
     XScale against simulated memory holding the initializer values."""
     result, _ = l3switch
     image = boot_image(result)
-    pristine = GlobalMemory(result.mod)
-    assert any(image[g] != bytes(buf) for g, buf in pristine.data.items()), \
+    pristine = GlobalMemory(result.mod).image()
+    assert any(image[g] != buf for g, buf in pristine.items()), \
         "init block changed nothing: the comparison would be vacuous"
     chip, layout = _loaded(result)
-    for name, buf in pristine.data.items():
+    for name, buf in pristine.items():
         chip.memory.write_bytes(layout.global_space[name],
-                                layout.global_addr[name], bytes(buf))
+                                layout.global_addr[name], buf)
     chip.xscale.run_inits()
     booted, _ = _loaded(result)
     assert _memory(chip) == _memory(booted)

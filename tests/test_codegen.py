@@ -433,3 +433,36 @@ def test_no_jump_to_the_next_instruction_and_still_the_reference(app_name,
         assert any(not isinstance(image.insns[pc - 1], (isa.Br, isa.Rtn))
                    for pc in targets if pc > 0)
     assert verify_against_reference(result, trace, packets=40)
+
+
+@pytest.mark.parametrize("k", [8, 32, 40])
+def test_narrowing_shift_funnels_the_pair(k):
+    """A u64 ``>>`` by a constant into a u32 (no pass emits one today;
+    the test rewrites ``and(lshr(x, k), 0xffffffff)`` into it) takes bits
+    from both halves below 32, the high word at 32, and a shifted high
+    word above it."""
+    from repro.cg.assemble import generate_images
+    from repro.ir import instructions as I
+    from repro.rts.system import verify_against_reference
+    from tests.samples import ETHER_IPV4_PROTOCOLS
+
+    src = ETHER_IPV4_PROTOCOLS + """
+module m { ppf go(ether_pkt *ph) from rx {
+  ipv4_pkt *iph = packet_decap(ph);
+  iph->dst = ph->src >> %d;
+  channel_put(tx, packet_encap(iph, ether));
+} }""" % k
+    trace = ipv4_trace(30, [0xC0A80101, 0xC0A80202], MACS, seed=21)
+    result = compile_baker(src, options_for("SWC"), trace, codegen=False)
+    narrowed = 0
+    for bb in result.mod.functions["m.go"].blocks:
+        for n, instr in enumerate(bb.instrs[1:], 1):
+            shift = bb.instrs[n - 1]
+            if isinstance(instr, I.BinOp) and instr.op == "and" \
+                    and isinstance(shift, I.BinOp) and shift.op == "lshr" \
+                    and instr.a is shift.dst:
+                bb.instrs[n] = I.BinOp("lshr", instr.dst, shift.a, shift.b)
+                narrowed += 1
+    assert narrowed == 1
+    generate_images(result)
+    assert verify_against_reference(result, trace, packets=20, n_mes=1)

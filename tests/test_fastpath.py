@@ -636,3 +636,34 @@ def test_counters_delta_is_counter_arithmetic():
     assert after == {"accesses": accesses, "words": words}
     assert Counters.delta(after, before) == Counters.delta(
         {"accesses": accesses, "words": words}, old_before)
+
+
+def test_sram_stack_frame_matches_the_reference_core():
+    """A call chain deeper than a thread's Local Memory stack puts its
+    last frames on the SRAM stack, whose per-thread base the core
+    computes (``thread_stack_addr``); both cores must run it alike."""
+    from repro.profiler.trace import ipv4_trace
+    from tests.samples import ETHER_IPV4_PROTOCOLS
+
+    src = ETHER_IPV4_PROTOCOLS + """
+u32 f3(u32 x) { return x * 3 + 1; }
+u32 f2(u32 x) { return f3(x + 2) ^ x; }
+u32 f1(u32 x) { return f2(x + 1) + x; }
+u32 f0(u32 x) { return f1(x ^ 5) - x; }
+module m { ppf go(ether_pkt *ph) from rx {
+  ph->type = f0(ph->type) & 0xffff;
+  channel_put(tx, ph);
+} }"""
+    trace = ipv4_trace(30, [0xC0A80101], [0x0A0000000001, 0x0A0000000002,
+                                          0x0A0000000003], seed=21)
+    result = compile_baker(src, options_for("BASE", stack_opt=False), trace)
+    assert any(isinstance(insn, isa.ThreadStackAddr)
+               for image in result.images.values() for insn in image.insns)
+    runs = {}
+    for mode in MODES:
+        with reference_me.core(mode):
+            runs[mode] = run_on_simulator(result, trace, n_mes=2,
+                                          warmup_packets=5,
+                                          measure_packets=20)
+    assert runs["fast"].tx_signature(), "run forwarded no packets"
+    assert _signature(runs["reference"]) == _signature(runs["fast"])

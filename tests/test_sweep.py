@@ -453,3 +453,23 @@ def test_sweep_cli_fails_fast(capsys):
                       "--table1-measure must be >= 1, got 0", capsys)
     _expect_cli_error(main, ["--trace-packets", "0"],
                       "--trace-packets must be >= 1, got 0", capsys)
+
+
+def test_sweep_analyze_exits_nonzero_on_a_miscompile(sweep_cli, capsys):
+    """``--analyze`` on a compile that fails validation: exit 2, and the
+    failing (app, level) named with its error count. The miscompile is
+    one only the validator sees (tests/test_analyze_mutations.py)."""
+    from repro.cg import pktlower
+
+    assert pktlower._TEST_MUTATION is None, "hook leaked from another test"
+    pktlower._TEST_MUTATION = "meta_store_dropped"
+    try:
+        code = sweep_cli("--apps", "firewall", "--levels", "SOAR",
+                         "--me-counts", "1", "--no-table1", "--analyze",
+                         "--analyze-packets", "16")
+    finally:
+        pktlower._TEST_MUTATION = None
+    out = capsys.readouterr().out
+    assert code == 2, out
+    assert "analyze: 1 of 1 compiles FAILED validation" in out
+    assert "  firewall/SOAR: " in out

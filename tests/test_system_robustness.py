@@ -9,7 +9,6 @@ from repro.cg.melayout import SWC_REGION_BASE
 from repro.compiler import compile_baker
 from repro.ixp.chip import IXP2400
 from repro.ixp.rxtx import RxEngine, TxEngine
-from repro.ixp.xscale_core import SimGlobals
 from repro.opt import swc
 from repro.options import options_for
 from repro.profiler.trace import Trace, TracePacket, build_ethernet, ipv4_trace
@@ -72,7 +71,7 @@ module m {
 
 def _control_plane_write(chip, layout, value):
     """Store ``tbl[0] = value`` the way every writer must (swc.publish_store)."""
-    xscale = SimGlobals(chip, layout)
+    xscale = chip.xscale.globals
     xscale.store("tbl", 0, value, 4)
     assert swc.publish_store(xscale, "tbl")
 
@@ -109,7 +108,7 @@ def test_swc_update_reaches_every_me(n_mes):
     assert len(values) == 400
     assert 7 not in values[-100:], "%d stale frames among the last 100" % (
         values[-100:].count(7))
-    generation = SimGlobals(chip, layout).load("tbl" + swc.FLAG_SUFFIX, 0, 4)
+    generation = chip.xscale.globals.load("tbl" + swc.FLAG_SUFFIX, 0, 4)
     assert generation == 1
     assert [me.lm[SWC_REGION_BASE + swc.SEEN_INDEX] for me in chip.mes] \
         == [generation] * n_mes
