@@ -120,6 +120,3 @@ class Scope:
 
     def lookup_local(self, name: str) -> Optional[Symbol]:
         return self._symbols.get(name)
-
-    def symbols(self) -> List[Symbol]:
-        return list(self._symbols.values())

@@ -8,7 +8,6 @@ branch targets, and enforces the 4096-instruction control store limit.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -35,16 +34,11 @@ class MEImage:
     functions: List[str] = field(default_factory=list)
     stack_layout: Optional[StackLayoutResult] = None
     inputs: List[Tuple[str, str]] = field(default_factory=list)  # (ring, entry)
-    # Predecoded step programs. ``decode_cache`` is the per-chip
-    # identity fast path (weak keys: a cached CompileResult outlives
-    # many benchmark chips, and each chip owns multi-MiB memory arrays
-    # that must not be pinned here). ``_decode_plans`` holds
-    # (used_symbols, prog) pairs: programs capture no chip-owned
-    # objects, only resolved symbol values, so a program built for one
-    # chip is reused by any later chip whose symbol table matches --
-    # repeated simulator runs skip the decode entirely.
-    decode_cache: "weakref.WeakKeyDictionary" = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False)
+    # Predecoded step programs, as (used_symbols, prog) pairs: programs
+    # capture no chip-owned objects, only resolved symbol values, so a
+    # program built for one chip is reused by any later chip whose
+    # symbol table matches -- repeated simulator runs skip the decode
+    # entirely.
     _decode_plans: list = field(default_factory=list, repr=False,
                                 compare=False)
     #: What the cached programs were decoded from (:meth:`_content`).
@@ -55,20 +49,15 @@ class MEImage:
         return "%s: %d instrs (%d control-store words), %d functions" % (
             self.name, len(self.insns), self.code_size, len(self.functions))
 
-    # Predecode caches hold weak chip references and exec-generated
-    # closures -- both per-process artifacts that cannot (and must not)
-    # cross a pickle boundary. A cached image deserializes with empty
-    # caches and rebuilds them lazily on first dispatch.
+    # Predecoded programs are exec-generated closures -- per-process
+    # artifacts that cannot (and must not) cross a pickle boundary. A
+    # cached image deserializes with no programs and rebuilds them
+    # lazily on first dispatch.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["decode_cache"] = None
         state["_decode_plans"] = []
         state["_decoded_from"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.decode_cache = weakref.WeakKeyDictionary()
 
     def _content(self, copy: bool = False) -> tuple:
         """Everything a decode reads of this image: the entry, the
@@ -92,28 +81,18 @@ class MEImage:
         from repro.ixp.predecode import plan_matches, predecode_image
 
         # An edit of the image after decode (the oracle tests corrupt
-        # images in place) invalidates everything, per-chip entries
-        # included: the identity fast path must never outlive the
-        # content check.
+        # images in place) invalidates every program.
         if self._content() != self._decoded_from:
             self._decode_plans.clear()
-            self.decode_cache = weakref.WeakKeyDictionary()
             self._decoded_from = self._content(copy=True)
-        cached = self.decode_cache.get(chip)
-        if cached is not None:
-            used, prog = cached
-            # Same chip object, but a symbol the plan depends on may
-            # have been rebound (or bound late) since the first decode;
-            # revalidate the observed bindings before reusing.
-            if plan_matches(used, chip):
-                return prog
+        # A symbol a plan depends on may have been rebound (or bound
+        # late) since it was decoded, on this chip or another; reuse a
+        # program only when every binding it observed still holds.
         for used, prog in self._decode_plans:
             if plan_matches(used, chip):
-                break
-        else:
-            prog, used = predecode_image(self, chip)
-            self._decode_plans.append((used, prog))
-        self.decode_cache[chip] = (used, prog)
+                return prog
+        prog, used = predecode_image(self, chip)
+        self._decode_plans.append((used, prog))
         return prog
 
 

@@ -36,10 +36,6 @@ class Temp(Value):
             return "%%%d<%s>" % (self.id, self.hint)
         return "%%%d" % self.id
 
-    @property
-    def name(self) -> str:
-        return "%%%d" % self.id
-
 
 class Const(Value):
     """An integer constant (also used for bool). Values are stored as

@@ -112,17 +112,17 @@ class StallProfiler:
     # -- timeseries integration ---------------------------------------------------
 
     def window_source(self):
-        """A :meth:`TimeseriesCollector.add_source` callback emitting
-        per-window occupancy deltas: ``occ.exec{me=i}``,
-        ``occ.idle{me=i}``, ``occ.wait{cat=...,me=i}`` (cycles summed
-        over the ME's threads; waits attributed to the window the block
-        was *issued* in) and ``occ.mem_busy{channel=...}``."""
-        prev: Dict[tuple, float] = {}
+        """A :meth:`TimeseriesCollector.add_source` callable returning
+        the occupancy totals ``occ.exec{me=i}``, ``occ.idle{me=i}``,
+        ``occ.wait{cat=...,me=i}`` (cycles summed over the ME's threads;
+        waits attributed to the window the block was *issued* in) and
+        ``occ.mem_busy{channel=...}``."""
 
-        def source(reg) -> None:
+        def source() -> Dict[str, float]:
             chip = self.chip
             if chip is None:
-                return
+                return {}
+            out: Dict[str, float] = {}
             for me in chip.mes:
                 i = me.index
                 exec_c = 0.0
@@ -132,26 +132,13 @@ class StallProfiler:
                     for c, cat in enumerate(WAIT_CATEGORIES):
                         if acc[BLOCKS + c]:
                             waits[cat] = waits.get(cat, 0.0) + acc[1 + c]
-                for name, cur in (("exec", exec_c), ("idle", me.idle_time)):
-                    key = (name, i)
-                    d = cur - prev.get(key, 0.0)
-                    if d:
-                        reg.counter("occ." + name, me=i).inc(round(d, 3))
-                        prev[key] = cur
-                for cat in sorted(waits):
-                    key = (cat, i)
-                    d = waits[cat] - prev.get(key, 0.0)
-                    if d:
-                        reg.counter("occ.wait", cat=cat, me=i).inc(
-                            round(d, 3))
-                        prev[key] = waits[cat]
+                out["occ.exec{me=%d}" % i] = exec_c
+                out["occ.idle{me=%d}" % i] = me.idle_time
+                for cat, v in waits.items():
+                    out["occ.wait{cat=%s,me=%d}" % (cat, i)] = v
             for ch in chip.memory.channels.values():
-                key = ("busy", ch.name)
-                d = ch.busy_time - prev.get(key, 0.0)
-                if d:
-                    reg.counter("occ.mem_busy", channel=ch.name).inc(
-                        round(d, 3))
-                    prev[key] = ch.busy_time
+                out["occ.mem_busy{channel=%s}" % ch.name] = ch.busy_time
+            return out
         return source
 
     # -- snapshot ----------------------------------------------------------------

@@ -19,9 +19,10 @@ the only latency percentiles in ``repro.obs``:
   :meth:`repro.ixp.chip.IXP2400.run` between event dispatches
   (``next_t`` / ``tick(mark)``, catching up past every elapsed mark), so
   attaching one never perturbs event order (tests/test_obs.py proves
-  enabled and disabled runs stay bit-identical). Per-window counters are
-  drained from the collector's :class:`_WindowCounters` at each
-  boundary; control-plane events stamp the window containing their
+  enabled and disabled runs stay bit-identical). Every counter source
+  returns running totals, and a window's counters are what each total
+  moved since the previous boundary -- one subtraction, in the
+  collector; control-plane events stamp the window containing their
   timestamp (an event exactly *on* a boundary ``kW`` belongs to window
   ``k``: the chip ticks elapsed boundaries before running the event's
   action).
@@ -196,44 +197,6 @@ class QuantileSketch:
         return out
 
 
-class _Counter:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n=1) -> None:
-        self.value += n
-
-
-class _WindowCounters:
-    """The labelled counters of the window being collected:
-    ``counter(name, **labels).inc(n)`` from the sources and the control
-    plane, :meth:`drain` at each boundary."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, Tuple], _Counter] = {}
-
-    def counter(self, name: str, **labels) -> _Counter:
-        key = (name, tuple(sorted(labels.items())))
-        c = self._counters.get(key)
-        if c is None:
-            c = self._counters[key] = _Counter()
-        return c
-
-    def drain(self) -> Dict[str, float]:
-        """``name{k=v,...}`` -> count of every counter that moved this
-        window, in sorted key order; all restart from zero."""
-        out: Dict[str, float] = {}
-        for (name, labels), c in sorted(self._counters.items()):
-            if c.value:
-                if labels:
-                    name += "{%s}" % ",".join("%s=%s" % kv for kv in labels)
-                out[name] = c.value
-                c.value = 0
-        return out
-
-
 class TimeseriesCollector:
     """Closes one window record per ``window_cycles`` of simulated time.
 
@@ -243,11 +206,9 @@ class TimeseriesCollector:
     covers ``[k*W, (k+1)*W)``; :meth:`annotate` stamps the window whose
     interval contains ``t``.
 
-    Counter *sources* are callables invoked at each boundary to bump
-    counters in :attr:`registry` by the delta since the previous
-    boundary; it is then drained into the window record, so anything
-    counted there during the window (e.g. control-plane bookkeeping)
-    lands in the same record.
+    Counter *sources* are callables taking no argument that return
+    running totals keyed by ``name{k=v,...}``; at each boundary the
+    collector records what every total moved since the previous one.
     """
 
     def __init__(self, window_cycles: float,
@@ -258,65 +219,40 @@ class TimeseriesCollector:
         self.window_cycles = float(window_cycles)
         self.exact_limit = exact_limit
         self.next_t = self.window_cycles
-        self.registry = _WindowCounters()
         self.windows: List[Dict[str, object]] = []
         self.cumulative = QuantileSketch(exact_limit)
         self.finished_at: Optional[float] = None
         self._index = 0
         self._t_start = 0.0
         self._sketch = QuantileSketch(exact_limit)
-        self._sources: List[Callable[[_WindowCounters], None]] = []
+        self._sources: List[Callable[[], Dict[str, float]]] = []
+        self._totals: Dict[str, float] = {}
         self._pending: Dict[int, List[Dict[str, object]]] = {}
 
     # -- wiring ------------------------------------------------------------------
 
-    def add_source(self, fn: Callable[[_WindowCounters], None]) -> None:
-        """Register a boundary callback that increments counters in
-        :attr:`registry` by the delta accrued this window."""
+    def add_source(self, fn: Callable[[], Dict[str, float]]) -> None:
+        """Register a callable returning running totals keyed by
+        ``name{k=v,...}``; each window records what they moved."""
         self._sources.append(fn)
 
     def attach(self, rx=None, tx=None, tracer=None) -> None:
         """Wire the standard engine counters (Rx offered/drops, Tx
-        packets/bytes, tracer drop causes) as delta sources, and make
-        the tracer feed its latencies into the window sketches. Each
-        drop has one owner: the Rx engine counts what it refused, the
-        tracer the lifetimes that ended in a drop."""
+        packets/bytes, tracer drop causes) as sources, and make the
+        tracer feed its latencies into the window sketches. Each drop
+        has one owner: the Rx engine counts what it refused, the tracer
+        the lifetimes that ended in a drop."""
         if rx is not None:
-            prev = {"sent": 0, "freelist": 0, "ring_full": 0}
-
-            def rx_source(reg: _WindowCounters, rx=rx, prev=prev) -> None:
-                reg.counter("rx.offered").inc(rx.sent - prev["sent"])
-                reg.counter("rx.dropped", cause="freelist_empty").inc(
-                    rx.dropped_freelist - prev["freelist"])
-                reg.counter("rx.dropped", cause="ring_full").inc(
-                    rx.dropped_ring_full - prev["ring_full"])
-                prev["sent"] = rx.sent
-                prev["freelist"] = rx.dropped_freelist
-                prev["ring_full"] = rx.dropped_ring_full
-
-            self.add_source(rx_source)
+            self.add_source(lambda: {
+                "rx.offered": rx.sent,
+                "rx.dropped{cause=freelist_empty}": rx.dropped_freelist,
+                "rx.dropped{cause=ring_full}": rx.dropped_ring_full})
         if tx is not None:
-            prev_tx = {"packets": 0, "bytes": 0}
-
-            def tx_source(reg: _WindowCounters, tx=tx,
-                          prev=prev_tx) -> None:
-                reg.counter("tx.packets").inc(tx.packets_out() - prev["packets"])
-                reg.counter("tx.bytes").inc(tx.bytes_out - prev["bytes"])
-                prev["packets"] = tx.packets_out()
-                prev["bytes"] = tx.bytes_out
-
-            self.add_source(tx_source)
+            self.add_source(lambda: {"tx.packets": tx.packets_out(),
+                                     "tx.bytes": tx.bytes_out})
         if tracer is not None:
-            prev_drops: Dict[str, int] = {}
-
-            def drop_source(reg: _WindowCounters, tracer=tracer,
-                            prev=prev_drops) -> None:
-                for cause in sorted(tracer.drops):
-                    n = tracer.drops[cause]
-                    reg.counter("drop", cause=cause).inc(n - prev.get(cause, 0))
-                    prev[cause] = n
-
-            self.add_source(drop_source)
+            self.add_source(lambda: {"drop{cause=%s}" % cause: n
+                                     for cause, n in tracer.drops.items()})
             tracer.latency_sink = self.observe_latency
 
     # -- per-event feeds ---------------------------------------------------------
@@ -363,9 +299,16 @@ class TimeseriesCollector:
         self.finished_at = t
 
     def _close(self, t_end: float, partial: bool) -> None:
+        totals: Dict[str, float] = {}
         for src in self._sources:
-            src(self.registry)
-        counters = self.registry.drain()
+            totals.update(src())
+        prev = self._totals
+        counters: Dict[str, float] = {}
+        for key in sorted(totals):
+            moved = round(totals[key] - prev.get(key, 0), 3)
+            if moved:
+                counters[key] = moved
+        prev.update(totals)
         span_s = max((t_end - self._t_start) / ME_HZ, 1e-12)
         rate = counters.get("tx.bytes", 0) * 8 / span_s / 1e9
         rec: Dict[str, object] = {

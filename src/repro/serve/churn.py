@@ -14,8 +14,9 @@ delayed-coherency window is what the serve harness measures.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.apps.tables import (
     TableMutation,
@@ -103,6 +104,13 @@ class ControlPlane:
         self.collector = collector
         self.globals = chip.xscale.globals
         self.applied: List[Tuple[float, TableMutation]] = []
+        if collector is not None:
+            collector.add_source(self._update_totals)
+
+    def _update_totals(self) -> Dict[str, int]:
+        """Updates applied so far, per churn kind (a collector source)."""
+        return Counter("updates{kind=%s}" % mut.kind
+                       for _, mut in self.applied)
 
     def schedule(self, timed: List[Tuple[float, TableMutation]]) -> None:
         for t, mut in timed:
@@ -127,8 +135,6 @@ class ControlPlane:
         swc_flagged = publish_store(self.globals, mut.target)
         self.applied.append((chip.now, mut))
         if self.collector is not None:
-            self.collector.registry.counter(
-                "updates", kind=mut.kind).inc()
             self.collector.annotate(
                 chip.now, "update", churn=mut.kind,
                 target="%s[%d]" % (mut.target, mut.index),

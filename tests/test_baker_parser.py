@@ -220,6 +220,18 @@ def test_error_reports_location():
     assert exc.value.loc.line >= 2
 
 
+@pytest.mark.parametrize("src, line, message", [
+    ("u32 x;\n42;", 2, "expected a top-level declaration, found '42'"),
+    ("module m {\n  42\n}", 2, "expected a module item, found '42'"),
+    ("u32 f() {\n  return );\n}", 2, "expected an expression, found ')'"),
+], ids=["top_level", "module_item", "expression"])
+def test_unexpected_token_is_reported_where_it_stands(src, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert message in str(exc.value)
+    assert exc.value.loc.line == line
+
+
 def test_missing_semicolon():
     with pytest.raises(ParseError):
         parse("u32 f() { return 1 }")

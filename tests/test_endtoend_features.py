@@ -5,6 +5,7 @@ BASE and the full optimization level."""
 
 import pytest
 
+from repro.baker import types as T
 from repro.cg import pktlower
 from repro.cg.isa import Mem
 from repro.compiler import compile_baker
@@ -104,6 +105,19 @@ def test_struct_global_member_access():
         "ph->type = stats[0].tag & 0xffff;"
         "channel_put(tx, ph);",
         extra="struct stat { u32 seen; u32 tag; }\nstruct stat stats[4];",
+    ))
+
+
+def test_bool_global_loads_and_reads_back():
+    """A ``bool`` global is placed like any scalar (one word, as is a
+    packet handle) and its initial value reaches the ME: the reference
+    flips the type field only because ``on`` reads back true."""
+    assert T.BOOL.size_bytes() == 4
+    assert T.PacketType("ether").size_bytes() == 4
+    check(ppf(
+        "if (on) { ph->type = ph->type ^ 1; }"
+        "channel_put(tx, ph);",
+        extra="bool on = true;",
     ))
 
 

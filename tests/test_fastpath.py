@@ -115,8 +115,8 @@ def test_predecode_plan_reused_across_chips():
 
 
 def test_predecode_revalidates_rebound_symbol_same_chip():
-    # The per-chip identity fast path must revalidate symbol bindings:
-    # a symbol rebound on the *same* chip object between runs used to be
+    # Reusing a decoded program must revalidate symbol bindings: a
+    # symbol rebound on the *same* chip object between runs used to be
     # served the stale program decoded against the old value.
     reg = isa.PReg("a", 0)
     image = _mini_image([isa.LoadSym(reg, isa.SymRef("g")), isa.Halt()])

@@ -1,6 +1,6 @@
 """Streaming time-series observability (repro.obs.timeseries): sketch
-accuracy against exact percentiles, window/boundary semantics, counter
-snapshot-and-reset, one owner per drop, update-impact analysis, and the
+accuracy against exact percentiles, window/boundary semantics, window
+counters as what each running total moved, one owner per drop, update-impact analysis, and the
 timeline report."""
 
 import bisect
@@ -13,7 +13,6 @@ from repro.obs.timeseries import (
     QuantileSketch,
     StreamingQuantile,
     TimeseriesCollector,
-    _WindowCounters,
     nearest_rank,
     load_timeseries,
     update_impact,
@@ -126,39 +125,46 @@ def test_streaming_quantile_rejects_bad_q():
         StreamingQuantile(1.0)
 
 
-# -- the window counters: snapshot and reset at each boundary --------------------
+# -- the window counters: what each running total moved ------------------------
 
 
-def test_snapshot_and_reset_drains_counters_only():
-    """``_WindowCounters.drain``: ``name{k=v,...}`` keys with sorted
-    labels, in sorted order whatever the order of first use; a counter
-    that did not move is skipped; every counter restarts from zero and
-    the same object keeps accumulating."""
-    reg = _WindowCounters()
-    reg.counter("occ.wait", me=1, cat="mem_dram").inc(2.5)
-    reg.counter("b", cause="x").inc()
-    reg.counter("a").inc(3)
-    reg.counter("occ.wait", cat="mem_dram", me=0).inc(1.5)
-    reg.counter("zero")  # never incremented -> not drained
-    reg.counter("net", k=1).inc(4)
-    reg.counter("net", k=1).inc(-4)  # zero delta -> skipped
-
-    drained = reg.drain()
-    assert list(drained.items()) == [
+def test_window_counters_are_what_each_total_moved():
+    """Sources return running totals keyed ``name{k=v,...}``; a window
+    records each total's movement since the previous boundary, in
+    sorted key order whatever the order of the sources; a total that did
+    not move, or moved by less than the 3-decimal rounding, is left
+    out."""
+    totals = {"occ.wait{cat=mem_dram,me=1}": 2.5, "b{cause=x}": 1,
+              "a": 3, "zero": 0, "tiny": 1e-4}
+    c = TimeseriesCollector(window_cycles=100.0)
+    c.add_source(lambda: dict(totals))
+    c.add_source(lambda: {"occ.wait{cat=mem_dram,me=0}": 1.5})
+    c.tick(100.0)
+    assert list(c.windows[0]["counters"].items()) == [
         ("a", 3), ("b{cause=x}", 1),
         ("occ.wait{cat=mem_dram,me=0}", 1.5),
         ("occ.wait{cat=mem_dram,me=1}", 2.5)]
-    assert reg.counter("a").value == 0
-    assert reg.drain() == {}
-    a = reg.counter("a")
-    a.inc(2)
-    assert reg.counter("a") is a and reg.drain() == {"a": 2}
+    c.tick(200.0)
+    assert c.windows[1]["counters"] == {}
+    totals["a"] = 5
+    totals["tiny"] = 2e-4
+    c.tick(300.0)
+    assert c.windows[2]["counters"] == {"a": 2}
 
 
 def test_collector_window_records_hold_only_that_windows_counts():
+    sent = [0]
+
+    def src():
+        sent[0] += 5
+        return {"src{kind=x}": sent[0]}
+
+    applied = []
     c = TimeseriesCollector(window_cycles=100.0)
-    c.add_source(lambda reg: reg.counter("src", kind="x").inc(5))
-    c.registry.counter("updates", kind="route-flap").inc()
+    c.add_source(src)
+    c.add_source(lambda: {"updates{kind=%s}" % k: applied.count(k)
+                          for k in applied})
+    applied.append("route-flap")
     c.tick(100.0)
     c.tick(200.0)
     assert c.windows[0]["counters"] == {"src{kind=x}": 5,
@@ -235,9 +241,9 @@ def test_rx_drop_lands_in_the_window_once():
     assert [e.kind for e in tracer.events] == ["rx_drop"]
 
 
-def test_registry_events_land_in_their_window():
+def test_update_totals_land_in_their_window():
     c = TimeseriesCollector(window_cycles=100.0)
-    c.registry.counter("updates", kind="route-flap").inc()
+    c.add_source(lambda: {"updates{kind=route-flap}": 1})
     c.tick(100.0)
     c.tick(200.0)
     assert c.windows[0]["counters"]["updates{kind=route-flap}"] == 1
@@ -285,7 +291,7 @@ def test_jsonl_roundtrip_is_deterministic(tmp_path):
         c = TimeseriesCollector(window_cycles=100.0)
         c.observe_latency(12.5)
         c.annotate(40.0, "update", churn="route-flap")
-        c.registry.counter("updates", kind="route-flap").inc()
+        c.add_source(lambda: {"updates{kind=route-flap}": 1})
         c.tick(100.0)
         c.finish(150.0)
         return c
@@ -352,7 +358,7 @@ def test_timeline_report_renders(tmp_path):
     c = TimeseriesCollector(window_cycles=100.0)
     c.observe_latency(500.0)
     c.annotate(150.0, "update", churn="route-flap", target="nh_mac[3]")
-    c.registry.counter("updates", kind="route-flap").inc()
+    c.add_source(lambda: {"updates{kind=route-flap}": 1})
     c.tick(100.0)
     c.observe_latency(800.0)
     c.tick(200.0)
