@@ -96,6 +96,7 @@ def check(app_name: str, result, trace,
                 payload_sha=hashlib.sha256(root.payload).hexdigest()[:12],
                 rx_port=root.rx_port,
                 missing=missing, extra=extra))
+        harness.chip.close()  # the replay was the chip's last use
         images_out[agg] = {
             "roots_checked": len(roots),
             "effects_checked": n_events,

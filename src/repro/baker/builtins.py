@@ -1,13 +1,14 @@
 """Baker builtin (intrinsic) functions.
 
 Builtins are the packet primitives of section 2.2 of the paper plus the
-channel operation ``channel_put``. Their argument checking is partly
-custom (protocol-name arguments, channel arguments), handled in
-:mod:`repro.baker.semantic`.
+channel operation ``channel_put``.
 
-The table below records each builtin's shape; ``proto_arg`` /
+Each row is the one statement of its builtin's shape, and
+:mod:`repro.baker.semantic` checks a call by it: ``proto_arg`` /
 ``chan_arg`` give the index of an argument that must be a protocol name
-or channel reference rather than a value.
+or channel reference rather than a value; any other argument 0 is the
+packet handle and any other argument 1 a byte count. A builtin with a
+protocol argument returns a handle of that protocol.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.baker import types as T
 class Builtin:
     name: str
     arity: int
-    returns_packet: bool = False  # result is a packet handle
     proto_arg: Optional[int] = None  # argument that names a protocol
     chan_arg: Optional[int] = None  # argument that names a channel
     ret_type: T.Type = T.VOID
@@ -41,27 +41,24 @@ BUILTINS: Dict[str, Builtin] = {
         Builtin(
             "packet_decap",
             1,
-            returns_packet=True,
+            ret_type=T.RAW_PACKET,
             doc="Strip the current protocol header; returns a handle to the payload.",
         ),
         Builtin(
             "packet_encap",
             2,
-            returns_packet=True,
             proto_arg=1,
             doc="Prepend a header of the named protocol; returns the new outer handle.",
         ),
         Builtin(
             "packet_copy",
             1,
-            returns_packet=True,
             doc="Duplicate a packet (new DRAM buffer and metadata).",
         ),
         Builtin("packet_drop", 1, doc="Free a packet's buffer and metadata."),
         Builtin(
             "packet_create",
             2,
-            returns_packet=True,
             proto_arg=0,
             doc="Allocate a fresh packet of the named protocol with a payload size.",
         ),
@@ -87,7 +84,6 @@ BUILTINS: Dict[str, Builtin] = {
         Builtin(
             "packet_as",
             2,
-            returns_packet=True,
             proto_arg=1,
             doc="Reinterpret a handle as the named protocol (checked cast; "
                 "no runtime effect -- used after packet_extend/shorten "

@@ -31,10 +31,10 @@ _TOKEN_RE = re.compile(
     r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)"
     r"|(?P<unclosed>/\*)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*|%s)"
-    % "|".join(re.escape(text) for text, _ in OPERATORS),
+    % "|".join(re.escape(kind.value) for kind in OPERATORS),
     re.DOTALL)
 #: A word's kind; any other word is an identifier.
-_WORD_KINDS = {**KEYWORDS, **dict(OPERATORS)}
+_WORD_KINDS = {**KEYWORDS, **{kind.value: kind for kind in OPERATORS}}
 #: An integer literal from its first digit: the digits (and ``_``
 #: separators) of its base, named by base. A leading ``0`` followed by a
 #: digit is octal.

@@ -29,64 +29,29 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baker import ast
+from repro.baker import types as T
 from repro.baker.errors import ParseError
 from repro.baker.lexer import Lexer
 from repro.baker.source import SourceFile
-from repro.baker.tokens import ASSIGN_OPS, Token, TokenKind
+from repro.baker.tokens import ASSIGN_OPS, KEYWORDS, Token, TokenKind
 
-_TYPE_KEYWORDS = {
-    TokenKind.KW_VOID,
-    TokenKind.KW_INT,
-    TokenKind.KW_UINT,
-    TokenKind.KW_BOOL,
-    TokenKind.KW_U8,
-    TokenKind.KW_U16,
-    TokenKind.KW_U32,
-    TokenKind.KW_U64,
-}
+_TYPE_KEYWORDS = frozenset(KEYWORDS[name] for name in T.BASE_TYPES)
 
-# Binary operator precedence, higher binds tighter (C-like).
+#: Binary operator precedence, higher binds tighter (C-like). An
+#: operator's spelling in the AST is its kind's value.
 _BINOP_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6,
-    "!=": 6,
-    "<": 7,
-    "<=": 7,
-    ">": 7,
-    ">=": 7,
-    "<<": 8,
-    ">>": 8,
-    "+": 9,
-    "-": 9,
-    "*": 10,
-    "/": 10,
-    "%": 10,
+    TokenKind.OROR: 1,
+    TokenKind.ANDAND: 2,
+    TokenKind.PIPE: 3,
+    TokenKind.CARET: 4,
+    TokenKind.AMP: 5,
+    TokenKind.EQ: 6, TokenKind.NE: 6,
+    TokenKind.LT: 7, TokenKind.LE: 7, TokenKind.GT: 7, TokenKind.GE: 7,
+    TokenKind.SHL: 8, TokenKind.SHR: 8,
+    TokenKind.PLUS: 9, TokenKind.MINUS: 9,
+    TokenKind.STAR: 10, TokenKind.SLASH: 10, TokenKind.PERCENT: 10,
 }
-
-_BINOP_TOKENS = {
-    TokenKind.OROR: "||",
-    TokenKind.ANDAND: "&&",
-    TokenKind.PIPE: "|",
-    TokenKind.CARET: "^",
-    TokenKind.AMP: "&",
-    TokenKind.EQ: "==",
-    TokenKind.NE: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
-    TokenKind.SHL: "<<",
-    TokenKind.SHR: ">>",
-    TokenKind.PLUS: "+",
-    TokenKind.MINUS: "-",
-    TokenKind.STAR: "*",
-    TokenKind.SLASH: "/",
-    TokenKind.PERCENT: "%",
-}
+_PREFIX_OPS = (TokenKind.MINUS, TokenKind.TILDE, TokenKind.BANG)
 
 
 class Parser:
@@ -463,8 +428,8 @@ class Parser:
         if tok.kind in ASSIGN_OPS:
             self.advance()
             value = self.parse_expr()
-            op_token = ASSIGN_OPS[tok.kind]
-            op = _BINOP_TOKENS[op_token] if op_token is not None else None
+            op_kind = ASSIGN_OPS[tok.kind]
+            op = op_kind.value if op_kind is not None else None
             return ast.Assign(loc=loc, target=expr, op=op, value=value)
         if tok.kind is TokenKind.PLUSPLUS or tok.kind is TokenKind.MINUSMINUS:
             self.advance()
@@ -539,33 +504,20 @@ class Parser:
         left = self._parse_unary()
         while True:
             tok = self.peek()
-            op = _BINOP_TOKENS.get(tok.kind)
-            if op is None:
-                return left
-            prec = _BINOP_PRECEDENCE[op]
-            if prec < min_prec:
+            prec = _BINOP_PRECEDENCE.get(tok.kind)
+            if prec is None or prec < min_prec:
                 return left
             self.advance()
             right = self._parse_binary(prec + 1)
-            node = ast.Binary(loc=tok.loc, op=op)
+            node = ast.Binary(loc=tok.loc, op=tok.kind.value)
             node.left, node.right = left, right
             left = node
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.peek()
-        if tok.kind is TokenKind.MINUS:
+        if tok.kind in _PREFIX_OPS:
             self.advance()
-            node = ast.Unary(loc=tok.loc, op="-")
-            node.operand = self._parse_unary()
-            return node
-        if tok.kind is TokenKind.TILDE:
-            self.advance()
-            node = ast.Unary(loc=tok.loc, op="~")
-            node.operand = self._parse_unary()
-            return node
-        if tok.kind is TokenKind.BANG:
-            self.advance()
-            node = ast.Unary(loc=tok.loc, op="!")
+            node = ast.Unary(loc=tok.loc, op=tok.kind.value)
             node.operand = self._parse_unary()
             return node
         if tok.kind is TokenKind.LPAREN and self.peek(1).kind in _TYPE_KEYWORDS:
@@ -610,12 +562,9 @@ class Parser:
         if tok.kind is TokenKind.INT or tok.kind is TokenKind.CHAR:
             self.advance()
             return ast.IntLit(loc=tok.loc, value=int(tok.value))
-        if tok.kind is TokenKind.KW_TRUE:
+        if tok.kind is TokenKind.KW_TRUE or tok.kind is TokenKind.KW_FALSE:
             self.advance()
-            return ast.BoolLit(loc=tok.loc, value=True)
-        if tok.kind is TokenKind.KW_FALSE:
-            self.advance()
-            return ast.BoolLit(loc=tok.loc, value=False)
+            return ast.BoolLit(loc=tok.loc, value=tok.kind is TokenKind.KW_TRUE)
         if tok.kind is TokenKind.KW_SIZEOF:
             self.advance()
             self.expect(TokenKind.LPAREN)

@@ -34,7 +34,6 @@ from repro.baker.symbols import (
     PpfSymbol,
     ProtocolSymbol,
     Scope,
-    StructSymbol,
     Symbol,
     SymbolKind,
 )
@@ -149,7 +148,7 @@ class SemanticAnalyzer:
 
     def _check_demux(self, proto: T.Protocol, expr: ast.Expr) -> None:
         """Demux expressions may reference only the protocol's own fields and
-        integer arithmetic."""
+        integer arithmetic (not the short-circuit ``&&`` / ``||``)."""
         if isinstance(expr, ast.IntLit):
             expr.type = T.U32
             return
@@ -160,7 +159,7 @@ class SemanticAnalyzer:
                 )
             expr.type = proto.field_by_name(expr.ident).value_type
             return
-        if isinstance(expr, ast.Binary):
+        if isinstance(expr, ast.Binary) and expr.op not in ("&&", "||"):
             self._check_demux(proto, expr.left)
             self._check_demux(proto, expr.right)
             expr.type = T.U32
@@ -214,7 +213,7 @@ class SemanticAnalyzer:
             self.checked.structs[decl.name] = struct
             self._declare(
                 self.program_scope,
-                StructSymbol(SymbolKind.STRUCT, decl.name, loc=decl.loc, struct=struct),
+                Symbol(SymbolKind.STRUCT, decl.name, loc=decl.loc),
                 decl,
             )
         for decl in self.program.structs:
@@ -433,7 +432,7 @@ class SemanticAnalyzer:
                 continue
             consumer = self.checked.ppfs[chan.consumer]
             expected: T.PacketType = consumer.type  # type: ignore[assignment]
-            for put_type in getattr(chan, "_put_types", []):
+            for put_type in chan.put_types:
                 if not T.assignable(expected, put_type):
                     raise self._error(
                         "channel %r carries %s but consumer %r expects %s"
@@ -538,7 +537,6 @@ class BodyChecker:
             name,
             type=type_,
             loc=getattr(node, "loc", None),
-            is_param=is_param,
         )
         if self.scope.lookup_local(name) is not None:
             raise self._error("duplicate local %r" % name, node)
@@ -906,6 +904,10 @@ class BodyChecker:
         return fsym.ret_type
 
     def _check_builtin_call(self, expr: ast.Call, builtin: Builtin) -> T.Type:
+        """Check a builtin call by its row: the row's protocol or channel
+        argument names one; any other argument 0 is the packet handle and
+        any other argument 1 a byte count (``channel_put``'s packet is
+        checked with the put)."""
         if len(expr.args) != builtin.arity:
             raise self._error(
                 "%r expects %d arguments, got %d"
@@ -914,7 +916,7 @@ class BodyChecker:
             )
         proto: Optional[T.Protocol] = None
         for i, arg in enumerate(expr.args):
-            if builtin.proto_arg == i:
+            if i == builtin.proto_arg:
                 if not isinstance(arg, ast.Name) or arg.qualifier is not None:
                     raise self._error(
                         "argument %d of %r must be a protocol name" % (i + 1, builtin.name), arg
@@ -929,8 +931,7 @@ class BodyChecker:
                         arg,
                     )
                 arg.type = T.U32  # placeholder; lowering treats it as a name
-                continue
-            if builtin.chan_arg == i:
+            elif i == builtin.chan_arg:
                 if not isinstance(arg, ast.Name):
                     raise self._error(
                         "argument %d of %r must be a channel" % (i + 1, builtin.name), arg
@@ -942,66 +943,38 @@ class BodyChecker:
                         % (i + 1, builtin.name, ctype),
                         arg,
                     )
-                continue
-            atype = self.check_expr(arg)
-            if builtin.name in ("packet_length",) or i == 0:
-                # First value argument of packet primitives is the handle.
-                if builtin.name != "packet_create" and i == 0 and not atype.is_packet:
+            else:
+                atype = self.check_expr(arg)
+                if i == 0 and not atype.is_packet:
                     raise self._error(
                         "%r requires a packet handle as its first argument" % builtin.name, arg
                     )
-            if builtin.name in (
-                "packet_add_tail",
-                "packet_remove_tail",
-                "packet_extend",
-                "packet_shorten",
-                "packet_create",
-            ) and i == 1 and not atype.is_scalar:
-                raise self._error("size argument of %r must be an integer" % builtin.name, arg)
-        # Builtin-specific checks and result types.
-        name = builtin.name
-        if name == "channel_put":
+                if i == 1 and builtin.chan_arg is None and not atype.is_scalar:
+                    raise self._error(
+                        "size argument of %r must be an integer" % builtin.name, arg
+                    )
+        if builtin.chan_arg is not None:
             if not self.is_ppf:
                 raise self._error("channel_put may only appear inside a PPF body", expr)
-            chan_name: ast.Name = expr.args[0]  # type: ignore[assignment]
-            chan: ChannelSymbol = chan_name.symbol  # type: ignore[assignment]
+            chan: ChannelSymbol = expr.args[0].symbol  # type: ignore[attr-defined]
             if chan.name == "rx":
                 raise self._error("cannot put onto the builtin 'rx' channel", expr)
             pkt_type = expr.args[1].type
             if not (pkt_type and pkt_type.is_packet):
                 raise self._error("channel_put requires a packet handle", expr.args[1])
-            if chan.qualified not in (p for p in chan.producers):
-                pass
             chan.producers.append(self.owner)
-            put_types = getattr(chan, "_put_types", None)
-            if put_types is None:
-                put_types = []
-                setattr(chan, "_put_types", put_types)
-            put_types.append(pkt_type)
+            chan.put_types.append(pkt_type)
             return T.VOID
-        if name == "packet_decap":
+        if proto is not None:
+            expr.new_protocol = proto.name  # type: ignore[attr-defined]
+            return T.PacketType(proto.name)
+        if builtin.name == "packet_decap":
             src = expr.args[0].type
-            assert src is not None and src.is_packet
             if src.protocol is None:  # type: ignore[union-attr]
                 raise self._error("cannot decap a raw packet handle", expr)
             expr.src_protocol = src.protocol  # type: ignore[attr-defined]
-            return T.RAW_PACKET
-        if name == "packet_encap":
-            assert proto is not None
-            expr.new_protocol = proto.name  # type: ignore[attr-defined]
-            return T.PacketType(proto.name)
-        if name == "packet_copy":
+        if builtin.name == "packet_copy":
             return expr.args[0].type
-        if name == "packet_as":
-            assert proto is not None
-            expr.new_protocol = proto.name  # type: ignore[attr-defined]
-            return T.PacketType(proto.name)
-        if name == "packet_create":
-            assert proto is not None
-            expr.new_protocol = proto.name  # type: ignore[attr-defined]
-            return T.PacketType(proto.name)
-        if name == "packet_input_port":
-            return T.U32
         return builtin.ret_type
 
 

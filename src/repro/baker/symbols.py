@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.baker.source import SourceLocation
-from repro.baker.types import Protocol, StructType, Type
+from repro.baker.types import Protocol, Type
 
 
 class SymbolKind(enum.Enum):
@@ -52,12 +52,11 @@ class GlobalSymbol(Symbol):
     module: Optional[str] = None
     init_values: Optional[List[int]] = None
     memory: str = "sram"
-    address: Optional[int] = None  # assigned at link/load time
 
 
 @dataclass
 class LocalSymbol(Symbol):
-    is_param: bool = False
+    """A local variable, or a parameter (kind ``PARAM``)."""
 
 
 @dataclass
@@ -82,16 +81,12 @@ class ChannelSymbol(Symbol):
     # Filled during wiring analysis:
     producers: List[str] = field(default_factory=list)  # qualified PPF names
     consumer: Optional[str] = None  # qualified PPF name
+    put_types: List[Type] = field(default_factory=list)  # each channel_put's packet type
 
 
 @dataclass
 class ProtocolSymbol(Symbol):
     protocol: Optional[Protocol] = None
-
-
-@dataclass
-class StructSymbol(Symbol):
-    struct: Optional[StructType] = None
 
 
 class Scope:

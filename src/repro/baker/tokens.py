@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.baker.source import SourceLocation
 
@@ -49,7 +49,7 @@ class TokenKind(enum.Enum):
     KW_FALSE = "false"
     KW_SIZEOF = "sizeof"
 
-    # Punctuation / operators.
+    # Punctuation / operators: every kind whose value is not a word.
     LPAREN = "("
     RPAREN = ")"
     LBRACE = "{"
@@ -62,7 +62,6 @@ class TokenKind(enum.Enum):
     QUESTION = "?"
     DOT = "."
     ARROW = "->"
-    WIRE_ARROW = "=>"  # unused placeholder; wirings use ARROW
     ASSIGN = "="
     PLUS = "+"
     MINUS = "-"
@@ -100,103 +99,19 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-KEYWORDS = {
-    "protocol": TokenKind.KW_PROTOCOL,
-    "demux": TokenKind.KW_DEMUX,
-    "module": TokenKind.KW_MODULE,
-    "ppf": TokenKind.KW_PPF,
-    "channel": TokenKind.KW_CHANNEL,
-    "from": TokenKind.KW_FROM,
-    "wire": TokenKind.KW_WIRE,
-    "metadata": TokenKind.KW_METADATA,
-    "struct": TokenKind.KW_STRUCT,
-    "const": TokenKind.KW_CONST,
-    "shared": TokenKind.KW_SHARED,
-    "init": TokenKind.KW_INIT,
-    "critical": TokenKind.KW_CRITICAL,
-    "if": TokenKind.KW_IF,
-    "else": TokenKind.KW_ELSE,
-    "while": TokenKind.KW_WHILE,
-    "for": TokenKind.KW_FOR,
-    "do": TokenKind.KW_DO,
-    "return": TokenKind.KW_RETURN,
-    "break": TokenKind.KW_BREAK,
-    "continue": TokenKind.KW_CONTINUE,
-    "void": TokenKind.KW_VOID,
-    "int": TokenKind.KW_INT,
-    "uint": TokenKind.KW_UINT,
-    "bool": TokenKind.KW_BOOL,
-    "u8": TokenKind.KW_U8,
-    "u16": TokenKind.KW_U16,
-    "u32": TokenKind.KW_U32,
-    "u64": TokenKind.KW_U64,
-    "true": TokenKind.KW_TRUE,
-    "false": TokenKind.KW_FALSE,
-    "sizeof": TokenKind.KW_SIZEOF,
-}
+#: Each keyword's spelling is its ``KW_*`` member's value.
+KEYWORDS = {k.value: k for k in TokenKind if k.name.startswith("KW_")}
 
-# Multi-character operators, longest first so the lexer can do greedy match.
-OPERATORS = [
-    ("<<=", TokenKind.SHL_ASSIGN),
-    (">>=", TokenKind.SHR_ASSIGN),
-    ("->", TokenKind.ARROW),
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NE),
-    ("&&", TokenKind.ANDAND),
-    ("||", TokenKind.OROR),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("%=", TokenKind.PERCENT_ASSIGN),
-    ("&=", TokenKind.AMP_ASSIGN),
-    ("|=", TokenKind.PIPE_ASSIGN),
-    ("^=", TokenKind.CARET_ASSIGN),
-    ("++", TokenKind.PLUSPLUS),
-    ("--", TokenKind.MINUSMINUS),
-    ("(", TokenKind.LPAREN),
-    (")", TokenKind.RPAREN),
-    ("{", TokenKind.LBRACE),
-    ("}", TokenKind.RBRACE),
-    ("[", TokenKind.LBRACKET),
-    ("]", TokenKind.RBRACKET),
-    (";", TokenKind.SEMI),
-    (",", TokenKind.COMMA),
-    (":", TokenKind.COLON),
-    ("?", TokenKind.QUESTION),
-    (".", TokenKind.DOT),
-    ("=", TokenKind.ASSIGN),
-    ("+", TokenKind.PLUS),
-    ("-", TokenKind.MINUS),
-    ("*", TokenKind.STAR),
-    ("/", TokenKind.SLASH),
-    ("%", TokenKind.PERCENT),
-    ("&", TokenKind.AMP),
-    ("|", TokenKind.PIPE),
-    ("^", TokenKind.CARET),
-    ("~", TokenKind.TILDE),
-    ("!", TokenKind.BANG),
-    ("<", TokenKind.LT),
-    (">", TokenKind.GT),
-]
+#: The punctuation members (every value that is not a word), longest
+#: first so the lexer's first matching alternative is the greedy one.
+OPERATORS = sorted((k for k in TokenKind if not k.value[0].isalpha()),
+                   key=lambda k: -len(k.value))
 
-ASSIGN_OPS = {
-    TokenKind.ASSIGN: None,
-    TokenKind.PLUS_ASSIGN: TokenKind.PLUS,
-    TokenKind.MINUS_ASSIGN: TokenKind.MINUS,
-    TokenKind.STAR_ASSIGN: TokenKind.STAR,
-    TokenKind.SLASH_ASSIGN: TokenKind.SLASH,
-    TokenKind.PERCENT_ASSIGN: TokenKind.PERCENT,
-    TokenKind.AMP_ASSIGN: TokenKind.AMP,
-    TokenKind.PIPE_ASSIGN: TokenKind.PIPE,
-    TokenKind.CARET_ASSIGN: TokenKind.CARET,
-    TokenKind.SHL_ASSIGN: TokenKind.SHL,
-    TokenKind.SHR_ASSIGN: TokenKind.SHR,
-}
+#: Each assignment operator's arithmetic: ``X_ASSIGN`` applies ``X``,
+#: and plain ``=`` none.
+ASSIGN_OPS: Dict[TokenKind, Optional[TokenKind]] = {TokenKind.ASSIGN: None}
+ASSIGN_OPS.update((k, TokenKind[k.name[:-len("_ASSIGN")]])
+                  for k in TokenKind if k.name.endswith("_ASSIGN"))
 
 
 class Token(NamedTuple):

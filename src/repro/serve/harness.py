@@ -176,6 +176,7 @@ def run_service(cfg: ServeConfig,
         mean_rate = bench["summary"]["mean_rate_gbps"]
         occupancy = occupancy_cell(cfg.app, cfg.level, cfg.n_mes,
                                    mean_rate, profiler.snapshot(chip))
+    chip.close()  # nothing reads the chip past this point
 
     return ServeResult(config=cfg, collector=collector, bench=bench,
                        applied=list(control.applied), stale_tx=stale,

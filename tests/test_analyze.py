@@ -206,6 +206,19 @@ def test_validate_flags_input_with_unknown_label():
     assert section["images"][image.name]["roots_checked"] == 4
 
 
+def test_validate_closes_each_replay_chip(monkeypatch):
+    """Each image's replay chip is unmapped when its roots are done."""
+    from repro.ixp.chip import IXP2400
+
+    closed = []
+    real_close = IXP2400.close
+    monkeypatch.setattr(IXP2400, "close",
+                        lambda chip: closed.append(chip) or real_close(chip))
+    result, trace = _fresh_compile("mpls", "BASE")
+    section = validate.check("mpls", result, trace, 2)
+    assert len(closed) == len(result.images) == len(section["images"])
+
+
 def test_validate_flags_compile_without_images():
     """``codegen=False`` leaves nothing to
     replay; that is an error, not a vacuous "ok"."""

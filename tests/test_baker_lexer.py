@@ -271,3 +271,15 @@ def _stream_digest() -> str:
 
 def test_token_stream_matches_pinned_digest():
     assert _stream_digest() == _STREAM_DIGEST
+
+
+_LITERAL_KINDS = {TokenKind.IDENT, TokenKind.INT, TokenKind.STRING,
+                  TokenKind.CHAR, TokenKind.EOF}
+
+
+@pytest.mark.parametrize("kind", [k for k in TokenKind if k not in _LITERAL_KINDS],
+                         ids=lambda k: k.name)
+def test_every_spelling_lexes_to_its_kind(kind):
+    # A keyword's or operator's spelling is its kind's value, and nothing
+    # else: no member names a spelling the lexer splits differently.
+    assert kinds(kind.value) == [kind, TokenKind.EOF]

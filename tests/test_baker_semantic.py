@@ -422,3 +422,72 @@ def test_module_qualified_global():
     )
     cp = check(src)
     assert "a.counter" in cp.globals
+
+
+# -- every builtin-call diagnostic, with its location --------------------------------
+
+#: Two protocols on one line each, then a PPF whose first statement (line 5)
+#: is the call under test.
+_BUILTIN_PRELUDE = (
+    "protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }\n"
+    "protocol ipv4 { ver : 4; ihl : 4; demux { ihl << 2 }; }\n"
+)
+
+
+def _builtin_ppf(stmt):
+    return _BUILTIN_PRELUDE + (
+        "module m {\n"
+        "  ppf p(ether_pkt *ph) from rx {\n"
+        "    %s\n"
+        "    channel_put(tx, ph);\n"
+        "  }\n"
+        "}\n" % stmt)
+
+
+@pytest.mark.parametrize("src,message,where", [
+    (_builtin_ppf("packet_drop();"),
+     "'packet_drop' expects 1 arguments, got 0", "5:5"),
+    (_builtin_ppf("ether_pkt *q = packet_encap(ph, 3);"),
+     "argument 2 of 'packet_encap' must be a protocol name", "5:37"),
+    (_builtin_ppf("ether_pkt *q = packet_create(nosuch, 4);"),
+     "unknown protocol 'nosuch'", "5:34"),
+    (_builtin_ppf("ipv4_pkt *q = packet_encap(ph, ipv4);"),
+     "'packet_encap' requires a protocol with a constant header size; "
+     "'ipv4' has a packet-dependent demux", "5:36"),
+    (_builtin_ppf("channel_put(ph->type, ph);"),
+     "argument 1 of 'channel_put' must be a channel", "5:19"),
+    (_builtin_ppf("u32 c = 0; channel_put(c, ph);"),
+     "argument 1 of 'channel_put' must be a channel, got u32", "5:28"),
+    (_builtin_ppf("packet_drop(7);"),
+     "'packet_drop' requires a packet handle as its first argument", "5:17"),
+    (_builtin_ppf("packet_add_tail(ph, ph);"),
+     "size argument of 'packet_add_tail' must be an integer", "5:25"),
+    (_BUILTIN_PRELUDE
+     + "module m {\n"
+       "  void f(ether_pkt *ph) { channel_put(tx, ph); }\n"
+       "  ppf p(ether_pkt *ph) from rx { f(ph); }\n"
+       "}\n",
+     "channel_put may only appear inside a PPF body", "4:27"),
+    (_builtin_ppf("channel_put(rx, ph);"),
+     "cannot put onto the builtin 'rx' channel", "5:5"),
+    (_builtin_ppf("channel_put(tx, 1);"),
+     "channel_put requires a packet handle", "5:21"),
+    (_builtin_ppf("packet_drop(packet_decap(packet_decap(ph)));"),
+     "cannot decap a raw packet handle", "5:17"),
+])
+def test_builtin_call_diagnostics(src, message, where):
+    with pytest.raises(SemanticError) as exc:
+        check(src)
+    assert exc.value.message == message
+    assert "%d:%d" % (exc.value.loc.line, exc.value.loc.column) == where
+
+
+@pytest.mark.parametrize("op", ["&&", "||"])
+def test_short_circuit_demux_rejected_at_the_operator(op):
+    # Demux lowering has no short-circuit code; the checker must say so
+    # at the operator, not leave it to lowering at some packet_decap.
+    src = "protocol p {\n  type : 16;\n  demux { type %s 1 };\n}\n" % op
+    with pytest.raises(SemanticError) as exc:
+        check(src)
+    assert exc.value.message == "unsupported construct in demux expression"
+    assert (exc.value.loc.line, exc.value.loc.column) == (3, 16)

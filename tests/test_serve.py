@@ -230,6 +230,21 @@ def test_serve_counts_each_drop_once():
                                      + inflight)
 
 
+def test_serve_closes_its_chip(monkeypatch):
+    """A finished service unmaps its chip's memories itself, after the
+    occupancy snapshot, instead of leaving them to the garbage collector."""
+    from repro.ixp.chip import IXP2400
+
+    closed = []
+    real_close = IXP2400.close
+    monkeypatch.setattr(IXP2400, "close",
+                        lambda chip: closed.append(chip) or real_close(chip))
+    res = run_service(ServeConfig(app="l3switch", windows=2, profile=True,
+                                  window_cycles=20_000.0))
+    assert len(closed) == 1
+    assert res.occupancy is not None
+
+
 def test_serve_rejects_churn_past_horizon():
     cfg = ServeConfig(app="l3switch",
                       churn=[parse_churn_spec("route-flap:n=9,start=3,every=3")],

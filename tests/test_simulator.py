@@ -419,7 +419,12 @@ def test_xscale_services_control_packets():
     rx = RxEngine(chip, trace, offered_gbps=1.0, max_packets=60, repeat=False)
     tx = TxEngine(chip)
     chip.attach_traffic(rx, tx)
-    chip.run(4_000_000)
+    buf_free = chip.rings["ring.__buf_free"]
+    pool = len(buf_free.items)
+    # Stop once all 60 went in and every buffer is back on the free ring
+    # (nothing more can come out), then drain briefly for a straggler.
+    chip.run(4_000_000, stop=lambda: rx.sent >= 60 and len(buf_free.items) == pool)
+    chip.run_for(300_000)
     assert chip.xscale.serviced > 0
     arp_calls = chip.xscale.profile.ppf_invocations["l3_switch.arp_handler"]
     assert arp_calls > 0
