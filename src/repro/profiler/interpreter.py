@@ -12,27 +12,35 @@ simulator) must reproduce, and it can execute post-optimization IR
 (including PAC/SOAR/SWC forms) so every pass can be differentially
 tested.
 
-Execution is threaded code (DESIGN.md section 5): the first time a basic
-block runs it is decoded into closures ``op(interp, env)`` with everything
-static settled once, and fuel and profile counters are charged per block;
-each block counts its executions, which :meth:`Interpreter.run_trace`
-charges to Baker source lines (``profile.line_instrs``) once, at the end.
-Decoded blocks belong to the ``Interpreter`` instance, never to the IR,
-which passes mutate between runs; the closures take the interpreter as an
-argument instead of capturing it, so decoded code forms no reference cycle.
+Execution is generated code (DESIGN.md section 5): the first time an
+``Interpreter`` calls an IR function it writes the function out as one
+Python function -- temps are Python locals, blocks are arms of one
+dispatch -- and execs it; code objects are cached by their source text,
+because one process interprets the same lowered module again and again.
+Fuel and profile counters are charged per block; each block counts its
+executions, which :meth:`Interpreter.run_trace` charges to Baker source
+lines (``profile.line_instrs``) once, at the end. Generated functions
+belong to the ``Interpreter`` instance, never to the IR, which passes
+mutate between runs; they take the interpreter as an argument instead of
+capturing it, so generated code forms no reference cycle.
 """
 
 from __future__ import annotations
 
+import builtins
+import re
 from collections import Counter, deque
+from functools import lru_cache
 from operator import setitem
+from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
 from repro.ir.eval import EvalError, binop_fn, cmp_fn
 from repro.ir.module import BasicBlock, IRFunction, IRModule
-from repro.ir.values import Const, Operand, Temp
+from repro.ir.values import Const, Temp
+from repro.ixp.cam import CAM
 from repro.profiler.hostpackets import HostPacket
 from repro.profiler.stats import ProfileData
 from repro.profiler.trace import Trace
@@ -123,155 +131,23 @@ class SystemResult:
         return sorted(self.tx_payloads())
 
 
-# -- decode: one closure per instruction -----------------------------------------
+# -- generate: one Python function per IR function --------------------------------
 #
-# A decoder takes (instr, fn) and returns ``op(it, env)``: ``it`` is the
-# running Interpreter (reached late, so subclasses can swap ``globals`` and
-# the packet/channel hooks), ``env`` maps Temps to values and local-array
-# names to their bytearrays. The classes that dominate execution (BinOp,
-# Cmp, Assign, LoadG, PktLoadField: over 90 % of interpreted instructions)
-# have their own closures; every other class states its meaning as a
-# function of operand *values* and ``_generic`` does the plumbing.
-
-Env = Dict[object, object]
-Op = Callable[["Interpreter", Env], None]
-
+# The first time an Interpreter calls an IRFunction it writes the function
+# out as Python source, ``def f(it, args)``, and execs it. Temps are Python
+# locals, local arrays are bytearray locals, and the blocks are arms of a
+# binary dispatch tree on a block index ``b`` inside one ``while True``.
+# ``it`` is the running Interpreter, reached late so subclasses can swap
+# ``globals``, ``profile`` and the packet/channel hooks. The classes that
+# dominate execution (BinOp, Cmp, Assign, LoadG, PktLoadField, LoadL,
+# StoreL) are written inline by their ``_EMITTERS`` row; every other class
+# states its meaning as a function of operand *values* (``_MEANINGS``) and
+# the arm calls it. Everything the text does not spell as a literal -- an
+# instruction, a meaning, an arithmetic helper, the hit list -- is a
+# global of the generated function, so equal texts share one code object.
 
 def _mask(dst: Temp) -> int:
     return (1 << _bits_of(dst.type)) - 1
-
-
-def _getter(x) -> Callable[[Env], object]:
-    """``env -> value`` of an operand (or list of operands)."""
-    if isinstance(x, list):
-        gets = [_getter(e) for e in x]
-        return lambda env: [get(env) for get in gets]
-    if isinstance(x, Const):
-        k = x.value
-        return lambda env: k
-    return lambda env: env[x]
-
-
-def _apply(f: Callable[[object, object], object], dst: Temp,
-           a: Operand, b: Operand) -> Op:
-    """``env[dst] = f(a, b)``, specialised for the two common operand
-    shapes: temp-temp and temp-constant."""
-    if isinstance(a, Const):
-        get_a, get_b = _getter(a), _getter(b)
-
-        def op(it, env):
-            env[dst] = f(get_a(env), get_b(env))
-    elif isinstance(b, Const):
-        kb = b.value
-
-        def op(it, env):
-            env[dst] = f(env[a], kb)
-    else:
-        def op(it, env):
-            env[dst] = f(env[a], env[b])
-    return op
-
-
-def _binop(i: I.BinOp, fn) -> Op:
-    return _apply(binop_fn(i.op, _bits_of(i.dst.type)), i.dst, i.a, i.b)
-
-
-def _cmp(i: I.Cmp, fn) -> Op:
-    if i.op not in ("eq", "ne") and (i.a.type.is_packet or i.b.type.is_packet):
-        def op(it, env):
-            raise InterpError("ordered comparison of packet handles")
-        return op
-    # eq/ne need no packet case: handles compare by identity (same
-    # metadata address), which is what == on them does.
-    bits = max(_bits_of(i.a.type), _bits_of(i.b.type))
-    return _apply(cmp_fn(i.op, bits), i.dst, i.a, i.b)
-
-
-def _assign(i: I.Assign, fn) -> Op:
-    dst, src, mask = i.dst, i.src, _mask(i.dst)
-    if isinstance(src, Const):
-        k = src.value & mask
-
-        def op(it, env):
-            env[dst] = k
-    else:
-        def op(it, env):
-            v = env[src]  # a packet handle passes through unmasked
-            env[dst] = v & mask if isinstance(v, int) else v
-    return op
-
-
-def _load_g(i: I.LoadG, fn) -> Op:
-    dst, g, width, mask, offset = i.dst, i.g, i.width, _mask(i.dst), _getter(i.offset)
-
-    def op(it, env):
-        off = offset(env)
-        env[dst] = it.globals.load(g, off, width) & mask
-        stat = it.profile.gstat(g)
-        stat.loads += 1
-        stat.load_offsets[off] += 1
-    return op
-
-
-def _pkt_load_field(i: I.PktLoadField, fn) -> Op:
-    dst, ph, bit_off, bit_width, mask = i.dst, i.ph, i.bit_off, i.bit_width, _mask(i.dst)
-
-    def op(it, env):
-        env[dst] = env[ph].load_bits(bit_off, bit_width) & mask
-    return op
-
-
-def _local(i, fn) -> Op:
-    """LoadL / StoreL: the activation's arrays live in ``env`` under
-    their names."""
-    array, width, offset = i.array, i.width, _getter(i.offset)
-
-    def locate(env):
-        buf, off = env[array], offset(env)
-        if off < 0 or off + width > len(buf):
-            raise InterpError("%s: out-of-bounds local access" % fn.name)
-        return buf, off
-
-    if isinstance(i, I.LoadL):
-        dst, mask = i.dst, _mask(i.dst)
-
-        def op(it, env):
-            buf, off = locate(env)
-            env[dst] = int.from_bytes(buf[off : off + width], "big") & mask
-    else:
-        value, vmask = _getter(i.value), (1 << (width * 8)) - 1
-
-        def op(it, env):
-            buf, off = locate(env)
-            buf[off : off + width] = (value(env) & vmask).to_bytes(width, "big")
-    return op
-
-
-def _generic(meaning: Callable[..., object]) -> Callable[[I.Instr, IRFunction], Op]:
-    """Decoder for a class whose semantics is ``meaning(it, instr,
-    *operand values)``, operands in the class's ``_uses`` order. What it
-    returns goes to the instruction's ``dst`` (an int wrapped to the
-    temp's width, a packet handle as is) or word by word to its ``dsts``."""
-    def decode(i: I.Instr, fn) -> Op:
-        operands = [getattr(i, attr) for attr in i._uses]
-        gets = [_getter(x) for x in operands if x is not None]  # None: optional, absent
-        dsts = [(dst, _mask(dst)) for dst in i.defs()]
-        if not dsts:
-            def op(it, env):
-                meaning(it, i, *[get(env) for get in gets])
-        elif "dsts" in i._defs:
-            def op(it, env):
-                words = meaning(it, i, *[get(env) for get in gets])
-                for (dst, mask), word in zip(dsts, words):
-                    env[dst] = word & mask
-        else:
-            (dst, mask), = dsts
-
-            def op(it, env):
-                v = meaning(it, i, *[get(env) for get in gets])
-                env[dst] = v & mask if isinstance(v, int) else v
-        return op
-    return decode
 
 
 def _call(it, i: I.Call, args):
@@ -280,10 +156,11 @@ def _call(it, i: I.Call, args):
 
 
 def _load_g_words(it, i: I.LoadGWords, off):
+    words = [it.globals.load(i.g, off + n * 4, 4) for n in range(i.nwords)]
     stat = it.profile.gstat(i.g)
     stat.loads += 1
     stat.load_offsets[off] += 1
-    return [it.globals.load(i.g, off + n * 4, 4) for n in range(i.nwords)]
+    return words
 
 
 def _store_g(it, i: I.StoreG, off, value):
@@ -326,21 +203,6 @@ def _chan_put(it, i: I.ChanPut, pkt):
     it._emit_channel(i.channel, pkt)
 
 
-def _cam_write(it, i: I.CamWrite, entry, key):
-    entry &= 0xF
-    it.cam_tags[entry] = key & _U32
-    it._cam_touch(entry)
-
-
-def _cam_clear(it, i: I.CamClear):
-    it.cam_tags = [None] * 16
-    it.cam_lru = list(range(16))
-
-
-_DECODERS: Dict[type, Callable[[I.Instr, IRFunction], Op]] = {
-    I.Assign: _assign, I.BinOp: _binop, I.Cmp: _cmp, I.LoadG: _load_g,
-    I.PktLoadField: _pkt_load_field, I.LoadL: _local, I.StoreL: _local,
-}
 _MEANINGS: Dict[type, Callable[..., object]] = {
     I.Call: _call, I.LoadGWords: _load_g_words, I.StoreG: _store_g,
     I.PktStoreField: lambda it, i, pkt, value: pkt.store_bits(i.bit_off, i.bit_width, value),
@@ -356,35 +218,246 @@ _MEANINGS: Dict[type, Callable[..., object]] = {
     I.PktSyncHead: _pkt_sync_head, I.ChanPut: _chan_put,
     # Locks: the functional model is single-threaded.
     I.LockAcquire: lambda it, i: None, I.LockRelease: lambda it, i: None,
-    I.CamLookup: lambda it, i, key: it._cam_lookup(key),
-    I.CamWrite: _cam_write, I.CamClear: _cam_clear,
+    I.CamLookup: lambda it, i, key: it.cam.lookup(key),
+    I.CamWrite: lambda it, i, entry, key: it.cam.write(entry, key),
+    I.CamClear: lambda it, i: it.cam.clear(),
     I.LmLoad: lambda it, i, index: it.local_mem.get(index, 0),
     I.LmStore: lambda it, i, index, value: setitem(it.local_mem, index, value & _U32),
 }
-_DECODERS.update((cls, _generic(meaning)) for cls, meaning in _MEANINGS.items())
-
-# Decoded terminators: (kind, x, y, z).
-_JUMP, _BRANCH, _RET = range(3)
 
 
-def _decode_terminator(term: I.Instr) -> Tuple[int, object, object, object]:
-    kind = type(term)
-    if kind is I.Jump:
-        return _JUMP, term.target, None, None
-    if kind is I.Branch:
-        if isinstance(term.cond, Const):
-            taken = term.then_bb if term.cond.value != 0 else term.else_bb
-            return _JUMP, taken, None, None
-        return _BRANCH, term.cond, term.then_bb, term.else_bb
-    if kind is I.Ret:
-        value = (lambda env: None) if term.value is None else _getter(term.value)
-        return _RET, value, None, None
-    raise InterpError("bad terminator %r" % term)
+class _Source:
+    """The text of one IR function's generated Python function, and the
+    objects that text names: temps get ``t<n>``, local arrays ``a<n>``,
+    other objects ``K<n>``, each numbered in order of first mention, and
+    blocks their dispatch index in order of first reference from the
+    entry (so a block no terminator reaches is never written)."""
+
+    def __init__(self, fn: IRFunction):
+        self.fn = fn
+        self.temps: Dict[Temp, str] = {}
+        self.arrays = {name: ("a%d" % n, arr.size_bytes)
+                       for n, (name, arr) in enumerate(fn.local_arrays.items())}
+        self.objects: Dict[int, Tuple[str, object]] = {}
+        self.blocks: List[BasicBlock] = []
+        self.index: Dict[BasicBlock, int] = {}
+
+    def temp(self, t: Temp) -> str:
+        name = self.temps.get(t)
+        if name is None:
+            name = self.temps[t] = "t%d" % len(self.temps)
+        return name
+
+    def val(self, x) -> str:
+        """The expression of an operand (or list of operands)."""
+        if isinstance(x, list):
+            return "[%s]" % ", ".join(self.val(e) for e in x)
+        if isinstance(x, Const):
+            return "(%d)" % x.value if x.value < 0 else "%d" % x.value
+        return self.temp(x)
+
+    def obj(self, o: object) -> str:
+        got = self.objects.get(id(o))
+        if got is None:
+            got = self.objects[id(o)] = ("K%d" % len(self.objects), o)
+        return got[0]
+
+    def block(self, bb: BasicBlock) -> int:
+        k = self.index.get(bb)
+        if k is None:
+            k = self.index[bb] = len(self.blocks)
+            self.blocks.append(bb)
+        return k
+
+    def arm(self, bb: BasicBlock, k: int) -> List[str]:
+        """Block ``k``'s arm. An instruction or terminator with no meaning
+        makes the arm one ``raise``: a block that never runs never raises."""
+        body = []
+        for instr in bb.instrs:
+            emit = _EMITTERS.get(type(instr))
+            if emit is not None:
+                body += emit(self, instr)
+            elif type(instr) in _MEANINGS:
+                body += self.generic(instr, _MEANINGS[type(instr)])
+            else:
+                return ["raise IE(%r)" % ("cannot interpret %r" % instr)]
+        end = self.terminator(bb.terminator)
+        if end is None:
+            return ["raise IE(%r)" % ("bad terminator %r" % bb.terminator)]
+        # The whole block (terminator included) is charged up front.
+        return ["H[%d] += 1" % k, "fu -= %d" % (len(bb.instrs) + 1),
+                "if fu <= 0:",
+                "    raise IE('interpreter fuel exhausted (infinite loop?)')"] + body + end
+
+    def terminator(self, term) -> Optional[List[str]]:
+        kind = type(term)
+        if kind is I.Jump:
+            return ["b = %d" % self.block(term.target)]
+        if kind is I.Branch:
+            if isinstance(term.cond, Const):
+                taken = term.then_bb if term.cond.value != 0 else term.else_bb
+                return ["b = %d" % self.block(taken)]
+            return ["b = %d if %s != 0 else %d" % (
+                self.block(term.then_bb), self.val(term.cond), self.block(term.else_bb))]
+        if kind is I.Ret:
+            return ["return %s" % ("None" if term.value is None else self.val(term.value))]
+        return None
+
+    def generic(self, i: I.Instr, meaning: Callable[..., object]) -> List[str]:
+        """``meaning(it, i, *operand values)``, operands in the class's
+        ``_uses`` order (None: optional, absent). What it returns goes to
+        ``dst`` (an int wrapped to the temp's width, a packet handle as
+        is) or word by word to ``dsts``. A Call hands the fuel to its
+        callee and takes back what is left."""
+        operands = [getattr(i, attr) for attr in i._uses]
+        args = ["it", self.obj(i)] + [self.val(x) for x in operands if x is not None]
+        call = "%s(%s)" % (self.obj(meaning), ", ".join(args))
+        dsts = i.defs()
+        if not dsts:
+            lines = [call]
+        elif "dsts" in i._defs:
+            lines = ["_w = " + call] + ["%s = _w[%d] & %#x" % (self.temp(d), n, _mask(d))
+                                         for n, d in enumerate(dsts)]
+        else:
+            (dst,) = dsts
+            lines = ["_v = " + call, "%s = _v & %#x if isinstance(_v, int) else _v"
+                     % (self.temp(dst), _mask(dst))]
+        if type(i) is I.Call:
+            lines = ["it.fuel = fu", "try:", "    " + lines[0],
+                     "finally:", "    fu = it.fuel"] + lines[1:]
+        return lines
+
+    def text(self) -> str:
+        """Write every reachable block; return the function's source."""
+        self.block(self.fn.entry)
+        arms = []
+        while len(arms) < len(self.blocks):
+            arms.append(self.arm(self.blocks[len(arms)], len(arms)))
+        head = ["def f(it, args):"]
+        if self.fn.params:
+            head.append("    %s, = args" % ", ".join(self.temp(p) for p in self.fn.params))
+        head += ["    %s = bytearray(%d)" % place for place in self.arrays.values()]
+        head += ["    fu = it.fuel", "    b = 0", "    try:", "        while True:"]
+        return "\n".join(head + _dispatch(arms, 0, len(arms), " " * 12)
+                         + ["    finally:", "        it.fuel = fu", ""])
+
+
+def _dispatch(arms: List[List[str]], lo: int, hi: int, indent: str) -> List[str]:
+    """Arms ``lo``..``hi - 1`` as a binary tree of ``if b < mid``."""
+    if hi - lo == 1:
+        return [indent + line for line in arms[lo]]
+    mid = (lo + hi) // 2
+    inner = indent + "    "
+    return ([indent + "if b < %d:" % mid] + _dispatch(arms, lo, mid, inner)
+            + [indent + "else:"] + _dispatch(arms, mid, hi, inner))
+
+
+# -- inline emitters ------------------------------------------------------------------
+
+def _emit_binop(src: _Source, i: I.BinOp) -> List[str]:
+    bits = _bits_of(i.dst.type)
+    mask, shift = (1 << bits) - 1, bits - 1
+    a, b = src.val(i.a), src.val(i.b)
+    if isinstance(i.b, Const):
+        amount = "%d" % (i.b.value & shift)
+    else:
+        amount = "(%s & %d)" % (b, shift)
+    expr = {
+        "add": "(%s + %s) & %#x" % (a, b, mask),
+        "sub": "(%s - %s) & %#x" % (a, b, mask),
+        "mul": "(%s * %s) & %#x" % (a, b, mask),
+        "and": "%s & %s & %#x" % (a, b, mask),
+        "or": "(%s | %s) & %#x" % (a, b, mask),
+        "xor": "(%s ^ %s) & %#x" % (a, b, mask),
+        "shl": "(%s << %s) & %#x" % (a, amount, mask),
+        "lshr": "(%s & %#x) >> %s" % (a, mask, amount),
+    }.get(i.op)
+    if expr is None:  # ashr, div, rem
+        expr = "%s(%s, %s)" % (src.obj(binop_fn(i.op, bits)), a, b)
+    return ["%s = %s" % (src.temp(i.dst), expr)]
+
+
+_CMP_OPS = {"eq": "==", "ne": "!=", "lt_u": "<", "le_u": "<=", "gt_u": ">", "ge_u": ">="}
+
+
+def _emit_cmp(src: _Source, i: I.Cmp) -> List[str]:
+    if i.op not in ("eq", "ne") and (i.a.type.is_packet or i.b.type.is_packet):
+        return ["raise IE('ordered comparison of packet handles')"]
+    # eq/ne need no packet case: handles compare by identity (same
+    # metadata address), which is what == on them does.
+    a, b = src.val(i.a), src.val(i.b)
+    if i.op in _CMP_OPS:
+        expr = "1 if %s %s %s else 0" % (a, _CMP_OPS[i.op], b)
+    else:
+        bits = max(_bits_of(i.a.type), _bits_of(i.b.type))
+        expr = "%s(%s, %s)" % (src.obj(cmp_fn(i.op, bits)), a, b)
+    return ["%s = %s" % (src.temp(i.dst), expr)]
+
+
+def _emit_assign(src: _Source, i: I.Assign) -> List[str]:
+    dst, value, mask = src.temp(i.dst), src.val(i.src), _mask(i.dst)
+    if isinstance(i.src, Const):
+        return ["%s = %d" % (dst, i.src.value & mask)]
+    if i.src.type.is_packet or i.dst.type.is_packet:
+        return ["%s = %s" % (dst, value)]  # a packet handle passes through unmasked
+    return ["%s = %s & %#x" % (dst, value, mask)]
+
+
+def _emit_load_g(src: _Source, i: I.LoadG) -> List[str]:
+    off, lines = src.val(i.offset), []
+    if i.offset is i.dst:
+        lines, off = ["_o = " + off], "_o"
+    return lines + [
+        "%s = it.globals.load(%r, %s, %d) & %#x" % (src.temp(i.dst), i.g, off, i.width,
+                                                    _mask(i.dst)),
+        "_s = it.profile.gstat(%r)" % i.g, "_s.loads += 1", "_s.load_offsets[%s] += 1" % off]
+
+
+def _emit_pkt_load_field(src: _Source, i: I.PktLoadField) -> List[str]:
+    # The handle is parenthesized so that a constant one still parses.
+    return ["%s = (%s).load_bits(%d, %d) & %#x" % (src.temp(i.dst), src.val(i.ph), i.bit_off,
+                                                   i.bit_width, _mask(i.dst))]
+
+
+def _emit_local(src: _Source, i) -> List[str]:
+    """LoadL / StoreL, after the bounds check against the array's size."""
+    if i.array not in src.arrays:
+        return ["raise IE(%r)" % ("cannot interpret %r" % i)]
+    array, size = src.arrays[i.array]
+    off, width = src.val(i.offset), i.width
+    fault = "raise IE(%r)" % ("%s: out-of-bounds local access" % src.fn.name)
+    if isinstance(i.offset, Const):
+        lines = [] if 0 <= i.offset.value <= size - width else [fault]
+    else:
+        lines = ["if %s < 0 or %s > %d:" % (off, off, size - width), "    " + fault]
+    where = "%s[%s:%s + %d]" % (array, off, off, width)
+    if isinstance(i, I.LoadL):
+        return lines + ["%s = int.from_bytes(%s, 'big') & %#x"
+                        % (src.temp(i.dst), where, _mask(i.dst))]
+    return lines + ["%s = (%s & %#x).to_bytes(%d, 'big')"
+                    % (where, src.val(i.value), (1 << (width * 8)) - 1, width)]
+
+
+_EMITTERS: Dict[type, Callable[[_Source, I.Instr], List[str]]] = {
+    I.Assign: _emit_assign, I.BinOp: _emit_binop, I.Cmp: _emit_cmp, I.LoadG: _emit_load_g,
+    I.PktLoadField: _emit_pkt_load_field, I.LoadL: _emit_local, I.StoreL: _emit_local,
+}
+
+
+@lru_cache(maxsize=1024)
+def _code_of(text: str) -> CodeType:
+    """The code object of a generated function, cached by its text: every
+    level of one source lowers to the same module, and the oracle and
+    ``analyze`` lower it again, so one process interprets the same text
+    many times over."""
+    module = compile(text, "<interpreter>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
 class Interpreter:
     """Interprets an IRModule; reusable across traces (but not across
-    edits of the module: decoded blocks are kept for the instance's life)."""
+    edits of the module: generated functions are kept for the instance's
+    life)."""
 
     def __init__(self, mod: IRModule, fuel: int = 50_000_000):
         self.mod = mod
@@ -397,12 +470,12 @@ class Interpreter:
                 self._ppf_by_channel[chan] = fn.name
         self._queue: deque = deque()
         self.tx: List[HostPacket] = []
-        self._current_ppf: Optional[str] = None
         # ME-local structures (single logical ME for functional runs).
-        self.cam_tags: List[Optional[int]] = [None] * 16
-        self.cam_lru: List[int] = list(range(16))
+        self.cam = CAM()
         self.local_mem: Dict[int, int] = {}
-        self._code: Dict[BasicBlock, tuple] = {}
+        # fn -> (generated function, hits per block, instructions per
+        # source line per block, temp of each local name)
+        self._code: Dict[IRFunction, tuple] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -441,78 +514,58 @@ class Interpreter:
     # -- dispatch -----------------------------------------------------------------
 
     def _deliver(self, ppf_name: str, pkt: HostPacket) -> None:
+        """Run one PPF on one packet, charging it the instructions (the
+        fuel) the delivery consumed, callees included."""
         fn = self.mod.functions[ppf_name]
         self.profile.ppf_invocations[ppf_name] += 1
-        prev = self._current_ppf
-        self._current_ppf = ppf_name
+        fuel = self.fuel
         try:
             self._exec_function(fn, [pkt])
         finally:
-            self._current_ppf = prev
+            self.profile.ppf_instrs[ppf_name] += fuel - self.fuel
 
     # -- execution ---------------------------------------------------------------------
 
-    def _decode_block(self, fn: IRFunction, bb: BasicBlock) -> tuple:
-        ops = []
-        for instr in bb.instrs:
-            decoder = _DECODERS.get(type(instr))
-            if decoder is None:
-                raise InterpError("cannot interpret %r" % instr)
-            ops.append(decoder(instr, fn))
-        lines = Counter((i.loc.filename, i.loc.line)
-                        for i in bb.instrs if i.loc is not None)
-        # (ops, instructions per run, [runs since the last _charge_lines],
-        #  instructions per source line, decoded terminator...)
-        block = self._code[bb] = (tuple(ops), len(ops) + 1, [0],
-                                  tuple(lines.items())
-                                  ) + _decode_terminator(bb.terminator)
-        return block
+    def _generate(self, fn: IRFunction) -> tuple:
+        src = _Source(fn)
+        code = _code_of(src.text())
+        hits = [0] * len(src.blocks)
+        names = {"__builtins__": builtins, "IE": InterpError, "H": hits}
+        names.update(src.objects.values())
+        lines = [tuple(Counter((i.loc.filename, i.loc.line)
+                               for i in bb.instrs if i.loc is not None).items())
+                 for bb in src.blocks]
+        entry = self._code[fn] = (FunctionType(code, names), hits, lines,
+                                  {name: t for t, name in src.temps.items()})
+        return entry
 
     def _charge_lines(self, line_instrs: Optional[Counter]) -> None:
         """Charge every block's runs since the last call to its source
         lines in ``line_instrs`` (None: discard them)."""
-        for _, _, hits, lines, *_ in self._code.values():
-            if hits[0] and line_instrs is not None:
-                for where, n in lines:
-                    line_instrs[where] += hits[0] * n
-            hits[0] = 0
+        for _, hits, lines, _ in self._code.values():
+            for k, runs in enumerate(hits):
+                if runs:
+                    if line_instrs is not None:
+                        for where, n in lines[k]:
+                            line_instrs[where] += runs * n
+                    hits[k] = 0
 
     def _exec_function(self, fn: IRFunction, args: List[object]) -> object:
         if len(args) != len(fn.params):
             raise InterpError("%s: expected %d args" % (fn.name, len(fn.params)))
         self.profile.func_invocations[fn.name] += 1
-        env: Env = dict(zip(fn.params, args))
-        for name, arr in fn.local_arrays.items():
-            env[name] = bytearray(arr.size_bytes)
-        code = self._code
-        executed = 0
-        bb = fn.entry
+        run, _, _, temps = self._code.get(fn) or self._generate(fn)
         try:
-            while True:
-                ops, count, hits, _, kind, x, y, z = code.get(bb) or self._decode_block(fn, bb)
-                # The whole block (terminator included) is charged up front.
-                executed += count
-                hits[0] += 1
-                self.fuel = fuel = self.fuel - count
-                if fuel <= 0:
-                    raise InterpError("interpreter fuel exhausted (infinite loop?)")
-                for op in ops:
-                    op(self, env)
-                if kind == _BRANCH:
-                    bb = y if env[x] != 0 else z
-                elif kind == _JUMP:
-                    bb = x
-                else:
-                    return x(env)
-        except KeyError as exc:
-            if exc.args and isinstance(exc.args[0], Temp):
-                raise InterpError("use of undefined temp %r" % exc.args[0]) from None
-            raise
+            return run(self, args)
+        except NameError as exc:
+            # An unassigned temp: a local read before it is written, or a
+            # name no line of the function assigns (so Python reads a global).
+            name = re.search(r"'(\w+)'", str(exc))
+            if name is None or name.group(1) not in temps:
+                raise
+            raise InterpError("use of undefined temp %r" % temps[name.group(1)]) from None
         except EvalError as exc:
             raise InterpError(str(exc)) from None
-        finally:
-            if self._current_ppf is not None:
-                self.profile.ppf_instrs[self._current_ppf] += executed
 
     # -- integration hooks (overridden by the simulated-XScale executor) -----------
 
@@ -529,23 +582,6 @@ class Interpreter:
 
     def _new_packet(self, size: int):
         return HostPacket(bytes(size))
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _cam_lookup(self, key: int) -> int:
-        key &= _U32
-        for entry, tag in enumerate(self.cam_tags):
-            if tag == key:
-                self._cam_touch(entry)
-                return (entry << 1) | 1
-        # Miss: the reported LRU victim becomes MRU (MEv2 behavior).
-        lru = self.cam_lru[0]
-        self._cam_touch(lru)
-        return lru << 1
-
-    def _cam_touch(self, entry: int) -> None:
-        self.cam_lru.remove(entry)
-        self.cam_lru.append(entry)
 
 
 def run_reference(mod: IRModule, trace: Trace) -> SystemResult:
