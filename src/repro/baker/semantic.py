@@ -62,9 +62,13 @@ class MetaFieldInfo:
     builtin: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class CheckedProgram:
-    """The output of semantic analysis: the AST plus resolved tables."""
+    """The output of semantic analysis: the AST plus resolved tables.
+
+    Compared and hashed by identity: ``repro.baker.parse_and_check``
+    hands out one shared object per text and filename, and the profiler
+    keeps reference runs per object."""
 
     program: ast.Program
     protocols: Dict[str, T.Protocol] = dc_field(default_factory=dict)

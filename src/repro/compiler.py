@@ -13,10 +13,14 @@ Pipeline::
 
 Which stages run is a function of the cumulative level
 (:class:`~repro.options.CompilerOptions`), BASE..+SWC as in the paper.
+The first three do not depend on the level: a process parses, checks and
+profiles one (source, trace) once, and every level lowers its own module
+from the shared checked program.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -32,7 +36,7 @@ from repro.obs.trace import compile_stage
 from repro.opt import inline, pac, phr, soar, swc
 from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_module
 from repro.options import CompilerOptions, options_for
-from repro.profiler.interpreter import run_reference
+from repro.profiler.interpreter import reference_run
 from repro.profiler.stats import ProfileData
 from repro.profiler.trace import Trace
 
@@ -70,9 +74,12 @@ def compile_ir(
     opts: CompilerOptions,
     trace: Trace,
 ) -> CompileResult:
-    """Run the mid-end (profile, optimize, aggregate, packet opts) over an
-    already-lowered module; every decision the passes record lands in the
-    result's ``decisions``."""
+    """Run the mid-end (profile, optimize, aggregate, packet opts) over
+    ``mod``, a fresh ``lower_program(checked)``; every decision the passes
+    record lands in the result's ``decisions``. The profile comes from
+    ``checked``'s reference run over ``trace``, which every level shares
+    (:func:`~repro.profiler.interpreter.reference_run`; the first level
+    interprets ``mod`` before any pass runs); the result owns its copy."""
     decisions: List[object] = []
     ir_stages: List[Dict[str, object]] = []
 
@@ -84,7 +91,7 @@ def compile_ir(
     record_ir_stage("initial")
 
     with compile_stage("profile"):
-        profile = run_reference(mod, trace).profile
+        profile = copy.deepcopy(reference_run(checked, trace, mod).profile)
 
     with obs_ledger.collecting(decisions):
         with compile_stage("scalar"):

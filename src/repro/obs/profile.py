@@ -66,6 +66,14 @@ def _ring_ops(ring) -> Tuple[int, int]:
             ring.depth_sum)
 
 
+def served_busy(ch, now: float) -> float:
+    """Cycles a memory channel has spent serving requests by ``now``.
+    ``busy_time`` takes a request's whole occupancy when it is issued, so
+    the part still queued past ``now`` comes off: a saturated channel
+    reads at most 100 % busy."""
+    return ch.busy_time - max(0.0, ch.next_free - now)
+
+
 class StallProfiler:
     """Per-thread stall attribution + channel/ring queue statistics.
 
@@ -137,7 +145,8 @@ class StallProfiler:
                 for cat, v in waits.items():
                     out["occ.wait{cat=%s,me=%d}" % (cat, i)] = v
             for ch in chip.memory.channels.values():
-                out["occ.mem_busy{channel=%s}" % ch.name] = ch.busy_time
+                out["occ.mem_busy{channel=%s}" % ch.name] = served_busy(
+                    ch, chip.now)
             return out
         return source
 
@@ -193,10 +202,11 @@ class StallProfiler:
             ch = chip.memory.channels[key]
             st = ch.queue_stats or [0, 0.0, 0.0]
             requests = int(st[0])
+            busy = served_busy(ch, total_cycles)
             channels[ch.name] = {
                 "requests": requests,
-                "busy_cycles": round(ch.busy_time, 3),
-                "utilization": round(ch.busy_time / total_cycles, 6)
+                "busy_cycles": round(busy, 3),
+                "utilization": round(busy / total_cycles, 6)
                 if total_cycles else 0.0,
                 "queue_wait_cycles": round(st[1], 3),
                 "mean_queue_wait": round(st[1] / requests, 3)

@@ -6,7 +6,12 @@ differential testing of the optimizer and code generator.
 """
 
 from repro.profiler.hostpackets import HostPacket
-from repro.profiler.interpreter import Interpreter, SystemResult, run_reference
+from repro.profiler.interpreter import (
+    Interpreter,
+    SystemResult,
+    reference_run,
+    run_reference,
+)
 from repro.profiler.stats import GlobalStats, ProfileData
 from repro.profiler.trace import Trace, TracePacket
 
@@ -14,6 +19,7 @@ __all__ = [
     "HostPacket",
     "Interpreter",
     "SystemResult",
+    "reference_run",
     "run_reference",
     "GlobalStats",
     "ProfileData",

@@ -16,7 +16,9 @@ Execution is generated code (DESIGN.md section 5): the first time an
 ``Interpreter`` calls an IR function it writes the function out as one
 Python function -- temps are Python locals, blocks are arms of one
 dispatch -- and execs it; code objects are cached by their source text,
-because one process interprets the same lowered module again and again.
+because one process interprets the same lowered module again and again
+(under other traces and by other interpreters: the reference run of one
+program over one trace happens once, :func:`reference_run`).
 Fuel and profile counters are charged per block; each block counts its
 executions, which :meth:`Interpreter.run_trace` charges to Baker source
 lines (``profile.line_instrs``) once, at the end. Generated functions
@@ -36,6 +38,8 @@ from types import CodeType, FunctionType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baker import types as T
+from repro.baker.lowering import lower_program
+from repro.baker.semantic import CheckedProgram
 from repro.ir import instructions as I
 from repro.ir.eval import EvalError, binop_fn, cmp_fn
 from repro.ir.module import BasicBlock, IRFunction, IRModule
@@ -589,3 +593,34 @@ def run_reference(mod: IRModule, trace: Trace) -> SystemResult:
     interp = Interpreter(mod)
     interp.run_inits()
     return interp.run_trace(trace)
+
+
+def reference_run(checked: CheckedProgram, trace: Trace,
+                  lowered: Optional[IRModule] = None) -> SystemResult:
+    """``run_reference(lower_program(checked), trace)``, once per process.
+
+    The profile is taken from the unoptimized program (paper section
+    4.1), so every optimization level of one source over one trace has
+    the same reference run: the compiler's profile and the oracle's
+    expected Tx. The last few runs are kept, keyed by the checked program
+    (by identity: ``repro.baker.parse_and_check`` hands out one object
+    per text and filename) and by the trace's contents (every packet's
+    ``data`` and ``rx_port``), so a rebuilt trace with equal packets is a
+    hit and one changed byte is not. ``lowered``, if given, must be a
+    ``lower_program(checked)`` no pass has touched yet; a miss interprets
+    it instead of lowering again. The result is shared by every caller
+    with the same key: read it, never mutate it."""
+    key = (checked, tuple((bytes(p.data), p.rx_port) for p in trace.packets))
+    run = _reference_runs.pop(key, None)
+    if run is None:
+        run = run_reference(lowered if lowered is not None
+                            else lower_program(checked), trace)
+    _reference_runs[key] = run  # newest last
+    if len(_reference_runs) > _REFERENCE_RUNS_KEPT:
+        del _reference_runs[next(iter(_reference_runs))]
+    return run
+
+
+#: How many reference runs a process keeps (a constant, not a knob).
+_REFERENCE_RUNS_KEPT = 8
+_reference_runs: Dict[tuple, SystemResult] = {}

@@ -191,12 +191,10 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
     firewall passes here and fails ``repro.analyze``'s validator
     (``tests/test_analyze_mutations.py``, the ``meta_store_dropped`` row).
     """
-    from repro.baker.lowering import lower_program
-    from repro.profiler.interpreter import run_reference
+    from repro.profiler.interpreter import reference_run
 
-    ref_mod = lower_program(result.checked)
     finite = trace.repeated(packets)
-    ref = run_reference(ref_mod, finite)
+    ref = reference_run(result.checked, finite)
 
     chip = IXP2400(n_programmable_mes=n_mes)
     load_system(result, chip, n_mes=n_mes)

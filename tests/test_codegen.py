@@ -435,6 +435,37 @@ def test_no_jump_to_the_next_instruction_and_still_the_reference(app_name,
     assert verify_against_reference(result, trace, packets=40)
 
 
+#: sha256 (first 16 hex digits) over every image of the 21 (app, level)
+#: compiles the sweep makes, in ``LEVEL_ORDER``: entry, size and every
+#: instruction with its resolved target. A change to what the code
+#: generator emits restates it, and says so.
+_SWEEP_LISTING_DIGEST = "5ff3f175d2c89996"
+
+
+def test_sweep_listings_match_pinned_digest():
+    """All 21 compiles run in one process, so every level after an app's
+    first reuses that app's parsed program and reference run: the
+    listings must not notice."""
+    import hashlib
+
+    from repro.apps import get_app
+
+    h = hashlib.sha256()
+    for app_name in ("l3switch", "firewall", "mpls"):
+        app = get_app(app_name)
+        trace = app.make_trace(200, seed=5)
+        for level in LEVEL_ORDER:
+            images = compile_baker(app.source, options_for(level),
+                                   trace).images
+            for name, image in sorted(images.items()):
+                h.update(("%s %d %d\n" % (name, image.entry,
+                                          image.code_size)).encode())
+                for insn in image.insns:
+                    h.update(("%r|%r\n" % (
+                        insn, getattr(insn, "resolved", None))).encode())
+    assert h.hexdigest()[:16] == _SWEEP_LISTING_DIGEST
+
+
 @pytest.mark.parametrize("k", [8, 32, 40])
 def test_narrowing_shift_funnels_the_pair(k):
     """A u64 ``>>`` by a constant into a u32 (no pass emits one today;

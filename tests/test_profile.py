@@ -368,6 +368,19 @@ def test_committed_occupancy_bench_is_what_the_code_produces(tmp_path):
         assert fh.read() == ref.read()
 
 
+def test_saturated_channel_is_at_most_fully_busy(tmp_path):
+    """mpls SWC at 4 MEs saturates DRAM, whose queue still holds requests
+    past the run's last cycle. A channel's busy time is what it served by
+    that cycle, so no channel reads more than fully busy."""
+    _, paths = _occupancy_sweep(tmp_path, "sat", app="mpls", me_counts=(4,))
+    fresh = [p for p in paths if p.endswith("BENCH_occupancy.json")]
+    with open(fresh[0]) as fh:
+        cell = json.load(fh)["cells"]["mpls/SWC@4"]
+    util = {name: ch["utilization"] for name, ch in cell["channels"].items()}
+    assert all(u <= 1.0 for u in util.values()), util
+    assert util["dram"] > 0.9, util  # still the saturated channel
+
+
 def test_diff_rejects_unknown_kind(tmp_path, capsys):
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"
@@ -452,7 +465,7 @@ def test_serve_profile_is_pure_observation():
 #: occ.* counters under the short configuration below. Every number the
 #: profiler reports in a serve run goes into it, so a change to what the
 #: simulator counts or how a stop is attributed moves it.
-_SERVE_OCCUPANCY_DIGEST = "6705ca25b3b41ec1"
+_SERVE_OCCUPANCY_DIGEST = "241a30111dd05ddc"
 
 
 def test_profiled_serve_output_is_pinned():
