@@ -9,6 +9,8 @@ PAC combined and how many encapsulations PHR elided on the new protocol.
 Run:  python examples/custom_protocol.py
 """
 
+import sys
+
 from repro.compiler import compile_baker
 from repro.options import options_for
 from repro.profiler.trace import (
@@ -121,6 +123,8 @@ def main() -> None:
 
     ok = verify_against_reference(result, trace, packets=45)
     print("  differential check vs reference:", "OK" if ok else "MISMATCH")
+    if not ok:
+        sys.exit("custom_protocol: the simulated chip's output differs from the reference")
 
     run = run_on_simulator(result, trace, n_mes=4, warmup_packets=50,
                            measure_packets=180)

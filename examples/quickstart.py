@@ -12,6 +12,8 @@ forwarding rate under 3 Gbps of 64-byte packets.
 Run:  python examples/quickstart.py
 """
 
+import sys
+
 from repro.compiler import compile_baker
 from repro.options import options_for
 from repro.profiler.trace import ipv4_trace
@@ -76,7 +78,10 @@ def main() -> None:
           % (len(result.plan.me_aggregates), len(result.plan.xscale_aggregates)))
 
     print("verifying against the functional reference...", end=" ")
-    print("OK" if verify_against_reference(result, trace, packets=40) else "MISMATCH")
+    ok = verify_against_reference(result, trace, packets=40)
+    print("OK" if ok else "MISMATCH")
+    if not ok:
+        sys.exit("quickstart: the simulated chip's output differs from the reference")
 
     for n_mes in (1, 2, 4, 6):
         run = run_on_simulator(result, trace, n_mes=n_mes,

@@ -857,6 +857,12 @@ class BodyChecker:
                 raise self._error(
                     "protocol %r has no field %r" % (proto_name, expr.name), expr
                 )
+            if lvalue and pfield.width_bits > 32 \
+                    and (pfield.offset_bits | pfield.width_bits) % 8:
+                raise self._error(
+                    "fields wider than 32 bits must start and end on a byte "
+                    "boundary to be stored (%s.%s)" % (proto_name, expr.name),
+                    expr)
             expr.protocol = proto  # type: ignore[attr-defined]
             expr.field = pfield  # type: ignore[attr-defined]
             return pfield.value_type

@@ -5,7 +5,7 @@ and the convention can stay minimal:
 
 * up to six 32-bit arguments in ``a0,b0,a1,b1,a2,b2`` (64-bit values use
   two consecutive slots, high word first);
-* 32-bit results in ``a0``; 64-bit results in ``a0`` (high) / ``b0`` (low);
+* 32-bit results in ``a0``; 64-bit results in ``b0`` (high) / ``a0`` (low);
 * the return address is deposited in ``b15`` by ``bal``; non-leaf
   functions save it to frame slot 0;
 * calls clobber every GPR: values live across a call live in the frame

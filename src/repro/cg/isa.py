@@ -278,6 +278,7 @@ class Mem(Insn):
         words = units * 2 if space == "dram" else units
         assert 1 <= units <= 8
         assert len(regs) == words, (space, units, len(regs))
+        regs = list(regs)  # the caller may go on to rebind its list's slots
         self.space = space
         self.rw = rw
         self.addr_a = addr_a

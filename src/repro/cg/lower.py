@@ -114,25 +114,12 @@ class FunctionLowerer(Emitter):
         self.t32: Dict[Temp, VReg] = {}
         self.t64: Dict[Temp, Tuple[VReg, VReg]] = {}
         self.array_base: Dict[str, int] = {}
-        self.meta_memo: Dict[Tuple[Temp, str], VReg] = {}
-        # Function-wide memo for the packet parameter's buffer address:
-        # `buf` never changes for a given packet and the entry block
-        # dominates everything, so one read serves the whole function.
-        self.persistent_buf: Dict[Temp, VReg] = {}
-        # Under PHR the parameter's head/len (and rx_port) live in
-        # registers too (pktlower.PacketRegs).
-        self.pkt_regs = None
+        # Where the function's packets keep buf/head/len.
+        self.pkt = pktlower.PacketMeta(self)
         self._use_counts: Counter = Counter()
         self._single_defs: Dict[Temp, I.Instr] = {}
-        # Leafness must anticipate the out-of-line packet helpers that
-        # BASE/-O1 lowering introduces (they clobber the link register).
-        self._has_calls = any(isinstance(i, I.Call) for i in ir_fn.all_instrs())
-        if not ctx.opts.inline and not self._has_calls:
-            self._has_calls = any(
-                isinstance(i, (I.PktLoadField, I.PktStoreField,
-                               I.PktLoadWords, I.PktStoreWords))
-                for i in ir_fn.all_instrs()
-            )
+        self._has_calls = (any(isinstance(i, I.Call) for i in ir_fn.all_instrs())
+                           or pktlower.calls_helpers(ctx.opts, ir_fn))
 
     # -- small helpers ----------------------------------------------------------
 
@@ -195,7 +182,7 @@ class FunctionLowerer(Emitter):
         self._count_uses()
         self._assign_arrays()
         self._emit_prologue()
-        self._hoist_param_buf()
+        self.pkt.enter()
         # Pre-create one LIR block per IR block for stable branch targets.
         for bb in self.ir_fn.blocks:
             self.fn.new_block(self.ir_block_label(bb))
@@ -203,23 +190,15 @@ class FunctionLowerer(Emitter):
         from repro.ir.cfg import compute_cfg
 
         compute_cfg(self.ir_fn)
-        end_memos: Dict[object, Dict] = {}
         for bb in self.ir_fn.blocks:
             self.cur = next(
                 b for b in self.fn.blocks if b.label == self.ir_block_label(bb)
             )
-            # The metadata memo survives into a single-predecessor block:
-            # every path there runs through that predecessor, so values
-            # cached at its end are still valid.
-            if len(bb.preds) == 1 and bb.preds[0] in end_memos and bb.preds[0] is not bb:
-                self.meta_memo = dict(end_memos[bb.preds[0]])
-            else:
-                self.meta_memo = {}
+            self.pkt.begin_block(bb)
             fused = self._fused_cmp(bb)
             for instr in bb.instrs:
                 if instr is not fused:
                     self.lower_instr(instr)
-            end_memos[bb] = dict(self.meta_memo)
             self._lower_terminator(bb, fused)
         return self.fn
 
@@ -272,42 +251,6 @@ class FunctionLowerer(Emitter):
                 slot += 1
             if slot > len(abi.ARG_REGS):
                 raise CodegenError("%s: too many parameters" % self.ir_fn.name)
-
-    def _hoist_param_buf(self) -> None:
-        """Read at a PPF's entry what the whole function shares of its
-        packet parameter's metadata. With a PHR plan that is everything:
-        ``[buf, head, len]`` (and ``rx_port``) in one access, held in
-        registers from here on. Otherwise, for a body with
-        statically-resolved packet accesses (which need only ``buf``,
-        not ``head``), the buffer address."""
-        if self.ir_fn.kind != "ppf" or not self.ctx.opts.inline:
-            return
-        params = [p for p in self.ir_fn.params if p.type.is_packet]
-        if not params:
-            return
-        cls = self.aliases.class_of(params[0])
-        if not self.aliases.one_packet(cls):
-            return  # no one buf/head is true of every handle in the class
-        if self.ctx.opts.phr and self.ir_fn.packet_state is not None:
-            from repro.cg import pktlower
-
-            self.pkt_regs = pktlower.load_packet_state(self, cls)
-            return
-        has_static = any(
-            isinstance(i, (I.PktLoadField, I.PktStoreField,
-                           I.PktLoadWords, I.PktStoreWords))
-            and getattr(i, "c_offset_bits", None) is not None
-            for i in self.ir_fn.all_instrs()
-        )
-        if not (self.ctx.opts.soar and has_static):
-            return
-        from repro.baker.packetmodel import META_BUF_ADDR
-        from repro.cg.isa import Mem
-
-        buf = self.vreg("buf")
-        self.emit(Mem("sram", "read", [buf], self.reg32(params[0]),
-                      Imm(META_BUF_ADDR * 4), 1, category=isa.CAT_PACKET))
-        self.persistent_buf[cls] = buf
 
     def _emit_epilogue_and_return(self, value: Optional[Operand]) -> None:
         results = []
@@ -391,8 +334,6 @@ class FunctionLowerer(Emitter):
     # -- instructions ------------------------------------------------------------------
 
     def lower_instr(self, instr: I.Instr) -> None:
-        from repro.cg import pktlower
-
         if isinstance(instr, I.Assign):
             self._lower_assign(instr)
         elif isinstance(instr, I.BinOp):
@@ -415,8 +356,7 @@ class FunctionLowerer(Emitter):
         elif isinstance(instr, I.StoreL):
             self._lower_storel(instr)
         elif isinstance(instr, I.ChanPut):
-            self.meta_memo.clear()
-            pktlower.writeback_state(self, instr)
+            self.pkt.escape(instr)
             self.emit(RingPut(self.ctx.ring_sym(instr.channel), self.reg32(instr.ph)))
         elif isinstance(instr, I.LockAcquire):
             self._lower_lock_acquire(instr)
@@ -599,10 +539,7 @@ class FunctionLowerer(Emitter):
         self.new_block(done_l)
 
     def _lower_call(self, instr: I.Call) -> None:
-        from repro.cg import pktlower
-
-        self.meta_memo.clear()
-        shared_ph = pktlower.writeback_state(self, instr)
+        shared_ph = self.pkt.escape(instr)
         slot = 0
         moves: List[Tuple[Reg, Operand]] = []
         for arg in instr.args:
@@ -630,7 +567,7 @@ class FunctionLowerer(Emitter):
             else:
                 self.emit(Mov(self.dst32(instr.dst), abi.RET_LO))
         if shared_ph is not None:
-            pktlower.reload_state(self, shared_ph)
+            self.pkt.reload(shared_ph)
 
     # -- memory ------------------------------------------------------------------------
 
@@ -717,7 +654,7 @@ class FunctionLowerer(Emitter):
         return r
 
     def _lower_lock_acquire(self, instr: I.LockAcquire) -> None:
-        self.meta_memo.clear()
+        self.pkt.escape(instr)
         spin = self.label("lockspin")
         got = self.label("lockgot")
         addr = self._lock_addr(instr.lock)
@@ -729,6 +666,10 @@ class FunctionLowerer(Emitter):
         self.emit(CtxArb())
         self.emit(Br("always", spin))
         self.new_block(got)
+
+
+# pktlower builds its helpers with an Emitter, so it imports this module.
+from repro.cg import pktlower  # noqa: E402
 
 
 def lower_function(ctx: LowerContext, ir_fn: IRFunction) -> LIRFunction:

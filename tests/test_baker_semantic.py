@@ -175,6 +175,24 @@ def test_packet_field_value_types():
     assert cp is not None
 
 
+@pytest.mark.parametrize("fields", ["a : 4; b : 40; c : 4;",
+                                    "a : 8; b : 36; c : 4;"])
+@pytest.mark.parametrize("store", ["wp->b = wp->b + 1;", "wp->b += 1;"])
+def test_store_to_wide_field_off_byte_boundaries_is_located(fields, store):
+    # Code generation stores a field over 32 bits as whole bytes; loading
+    # one works wherever its bits lie (test_endtoend_features).
+    src = ("protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }\n"
+           "protocol w { %s demux { 6 }; }\n"
+           "module m { ppf go(ether_pkt *ph) from rx {\n"
+           "  w_pkt *wp = packet_decap(ph); u64 x = wp->b;\n"
+           "  %s\n"
+           "  channel_put(tx, wp); } }" % (fields, store))
+    with pytest.raises(SemanticError, match="fields wider than 32 bits must "
+                       "start and end on a byte boundary") as exc:
+        check(src)
+    assert exc.value.loc.line == 5
+
+
 def test_unknown_protocol_field():
     expect_error(ppf_body("u32 x = ph->nope;"), "no field")
 

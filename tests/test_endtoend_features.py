@@ -1,7 +1,14 @@
 """End-to-end coverage of individual Baker language features: each small
 program runs through the complete pipeline (profile, optimize, codegen)
 and must match the functional reference on the simulated chip at both
-BASE and the full optimization level."""
+BASE and the full optimization level (some at every level).
+
+Every program is also a member of ``CORPUS``, whose listings at all
+seven levels are pinned by one digest (``_SHAPE_LISTING_DIGEST``): the
+programs reach code shapes of the packet lowering that the three
+applications never do."""
+
+import hashlib
 
 import pytest
 
@@ -10,7 +17,7 @@ from repro.cg import pktlower
 from repro.cg.isa import Mem
 from repro.compiler import compile_baker
 from repro.ir import instructions as I
-from repro.options import options_for
+from repro.options import LEVEL_ORDER, options_for
 from repro.profiler.trace import (
     Trace, TracePacket, build_ethernet, build_ipv4, build_udp, ipv4_trace,
 )
@@ -19,9 +26,21 @@ from tests.samples import ETHER_IPV4_PROTOCOLS
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
+#: (source, trace or None for the default one) of every program below.
+CORPUS = []
+
+
+def program(src: str, trace=None) -> str:
+    CORPUS.append((src, trace))
+    return src
+
+
+def default_trace() -> Trace:
+    return ipv4_trace(60, [0xC0A80101, 0xC0A80202], MACS, seed=21)
+
 
 def check(src: str, trace=None, levels=("BASE", "SWC"), packets=30):
-    trace = trace or ipv4_trace(60, [0xC0A80101, 0xC0A80202], MACS, seed=21)
+    trace = trace or default_trace()
     for level in levels:
         result = compile_baker(src, options_for(level), trace)
         assert verify_against_reference(result, trace, packets=packets), level
@@ -38,74 +57,100 @@ def ppf(body: str, extra: str = "") -> str:
 
 # -- control flow -----------------------------------------------------------------
 
+FOR_LOOP = program(ppf(
+    "u32 acc = 0;"
+    "for (u32 i = 0; i < 7; i++) { acc = acc + (u32) (ph->dst >> (i * 4)); }"
+    "ph->type = acc & 0xffff; channel_put(tx, ph);"
+))
+
 
 def test_for_loop_checksum_over_header():
-    check(ppf(
-        "u32 acc = 0;"
-        "for (u32 i = 0; i < 7; i++) { acc = acc + (u32) (ph->dst >> (i * 4)); }"
-        "ph->type = acc & 0xffff; channel_put(tx, ph);"
-    ))
+    check(FOR_LOOP)
+
+
+DO_WHILE = program(ppf(
+    "u32 n = ph->type & 7; u32 acc = 1;"
+    "do { acc = acc * 3; n = n - 1; } while (n != 0 && n < 8);"
+    "ph->type = acc & 0xffff; channel_put(tx, ph);"
+))
 
 
 def test_do_while_loop():
-    check(ppf(
-        "u32 n = ph->type & 7; u32 acc = 1;"
-        "do { acc = acc * 3; n = n - 1; } while (n != 0 && n < 8);"
-        "ph->type = acc & 0xffff; channel_put(tx, ph);"
-    ))
+    check(DO_WHILE)
+
+
+IF_LADDER = program(ppf(
+    "u32 t = ph->type; u32 c = 0;"
+    "if (t == 0x800) { if ((ph->dst & 1) == 1) { c = 1; } else { c = 2; } }"
+    "else { if (t < 0x600) { c = 3; } else { c = 4; } }"
+    "ph->type = c; channel_put(tx, ph);"
+))
 
 
 def test_nested_if_ladder():
-    check(ppf(
-        "u32 t = ph->type; u32 c = 0;"
-        "if (t == 0x800) { if ((ph->dst & 1) == 1) { c = 1; } else { c = 2; } }"
-        "else { if (t < 0x600) { c = 3; } else { c = 4; } }"
-        "ph->type = c; channel_put(tx, ph);"
-    ))
+    check(IF_LADDER)
+
+
+BREAK_CONTINUE = program(ppf(
+    "u32 acc = 0;"
+    "for (u32 i = 0; i < 16; i++) {"
+    "  if ((i & 1) == 1) { continue; }"
+    "  if (i > 10) { break; }"
+    "  acc = acc + i;"
+    "}"
+    "ph->type = acc; channel_put(tx, ph);"
+))
 
 
 def test_break_continue_in_loop():
-    check(ppf(
-        "u32 acc = 0;"
-        "for (u32 i = 0; i < 16; i++) {"
-        "  if ((i & 1) == 1) { continue; }"
-        "  if (i > 10) { break; }"
-        "  acc = acc + i;"
-        "}"
-        "ph->type = acc; channel_put(tx, ph);"
-    ))
+    check(BREAK_CONTINUE)
+
+
+TERNARY = program(ppf(
+    "u32 t = ph->type;"
+    "u32 v = t == 0x800 ? (t >> 4) : (t << 2);"
+    "ph->type = v & 0xffff; channel_put(tx, ph);"
+))
 
 
 def test_ternary_expression():
-    check(ppf(
-        "u32 t = ph->type;"
-        "u32 v = t == 0x800 ? (t >> 4) : (t << 2);"
-        "ph->type = v & 0xffff; channel_put(tx, ph);"
-    ))
+    check(TERNARY)
 
 
 # -- data features ------------------------------------------------------------------
 
+LOCAL_ARRAY = program(ppf(
+    "u32 hist[8];"
+    "for (u32 i = 0; i < 8; i++) { hist[i] = 0; }"
+    "hist[ph->type & 7] = 42;"
+    "hist[(ph->type + 1) & 7] += 5;"
+    "u32 acc = 0;"
+    "for (u32 i = 0; i < 8; i++) { acc = acc + hist[i]; }"
+    "ph->type = acc; channel_put(tx, ph);"
+))
+
 
 def test_local_array_on_stack():
-    check(ppf(
-        "u32 hist[8];"
-        "for (u32 i = 0; i < 8; i++) { hist[i] = 0; }"
-        "hist[ph->type & 7] = 42;"
-        "hist[(ph->type + 1) & 7] += 5;"
-        "u32 acc = 0;"
-        "for (u32 i = 0; i < 8; i++) { acc = acc + hist[i]; }"
-        "ph->type = acc; channel_put(tx, ph);"
-    ))
+    check(LOCAL_ARRAY)
+
+
+STRUCT_GLOBAL = program(ppf(
+    "stats[ph->meta.rx_port].seen = stats[ph->meta.rx_port].seen + 1;"
+    "ph->type = stats[0].tag & 0xffff;"
+    "channel_put(tx, ph);",
+    extra="struct stat { u32 seen; u32 tag; }\nstruct stat stats[4];",
+))
 
 
 def test_struct_global_member_access():
-    check(ppf(
-        "stats[ph->meta.rx_port].seen = stats[ph->meta.rx_port].seen + 1;"
-        "ph->type = stats[0].tag & 0xffff;"
-        "channel_put(tx, ph);",
-        extra="struct stat { u32 seen; u32 tag; }\nstruct stat stats[4];",
-    ))
+    check(STRUCT_GLOBAL)
+
+
+BOOL_GLOBAL = program(ppf(
+    "if (on) { ph->type = ph->type ^ 1; }"
+    "channel_put(tx, ph);",
+    extra="bool on = true;",
+))
 
 
 def test_bool_global_loads_and_reads_back():
@@ -114,28 +159,25 @@ def test_bool_global_loads_and_reads_back():
     flips the type field only because ``on`` reads back true."""
     assert T.BOOL.size_bytes() == 4
     assert T.PacketType("ether").size_bytes() == 4
-    check(ppf(
-        "if (on) { ph->type = ph->type ^ 1; }"
-        "channel_put(tx, ph);",
-        extra="bool on = true;",
-    ))
+    check(BOOL_GLOBAL)
+
+
+U64_BRANCHES = program(ppf(
+    "u64 mac = ph->dst;"
+    "u64 other = ph->src;"
+    "if ((mac & 1) == 1) { mac = mac ^ other; }"
+    "ph->dst = mac;"
+    "channel_put(tx, ph);"
+))
 
 
 def test_u64_local_across_branches():
-    check(ppf(
-        "u64 mac = ph->dst;"
-        "u64 other = ph->src;"
-        "if ((mac & 1) == 1) { mac = mac ^ other; }"
-        "ph->dst = mac;"
-        "channel_put(tx, ph);"
-    ))
+    check(U64_BRANCHES)
 
 
-def test_u64_value_survives_call_frame():
-    # At BASE the helper calls clobber registers: the u64 must be homed.
-    check(
-        ETHER_IPV4_PROTOCOLS
-        + """
+U64_CALL_FRAME = program(
+    ETHER_IPV4_PROTOCOLS
+    + """
 u32 mixer(u32 x) { return (x * 2654435761) >> 16; }
 module m {
   ppf go(ether_pkt *ph) from rx {
@@ -146,55 +188,172 @@ module m {
   }
 }
 """
-    )
+)
+
+
+def test_u64_value_survives_call_frame():
+    # At BASE the helper calls clobber registers: the u64 must be homed.
+    check(U64_CALL_FRAME)
+
+
+SIGNED = program(ppf(
+    "int delta = (int) ph->type - 0x900;"
+    "if (delta < 0) { delta = -delta; }"
+    "ph->type = (u32) delta & 0xffff;"
+    "channel_put(tx, ph);"
+))
 
 
 def test_signed_arithmetic_end_to_end():
-    check(ppf(
-        "int delta = (int) ph->type - 0x900;"
-        "if (delta < 0) { delta = -delta; }"
-        "ph->type = (u32) delta & 0xffff;"
-        "channel_put(tx, ph);"
-    ))
+    check(SIGNED)
+
+
+# -- 64-bit values, at every level ---------------------------------------------------
+#
+# The applications compare, shift, pass, return and store u64 values only
+# in the few ways their sources spell; each program below reaches one more
+# arm of the pair lowering in cg/lower.py.
+
+U64_COMPARE = program(ppf(
+    "u64 a = ph->src; u64 b = ph->dst; u32 c = 0;"
+    "if (a != b) { c = c | 1; }"
+    "if (a != 0x020000000005) { c = c | 2; }"
+    "if (a < b) { c = c | 4; }"
+    "if (a > 0x020000000010) { c = c | 8; }"
+    "if (a <= 0x020000000020) { c = c | 16; }"
+    "if (b >= a) { c = c | 32; }"
+    "bool low = a < 0x020000000030;"
+    "if (low) { c = c | 64; }"
+    "ph->type = c; channel_put(tx, ph);"
+))
+
+
+def test_u64_ne_and_ordered_compares():
+    # The source MACs share their high word with the constants and differ
+    # in the low one, so every arm decides on the second compare too.
+    check(U64_COMPARE, levels=LEVEL_ORDER)
+
+
+U64_DYNAMIC_SHIFT = program(ppf(
+    "u64 m = ph->src; u64 acc = 0;"
+    "for (u32 i = 0; i < 64; i = i + 9) {"
+    "  acc = acc ^ (m << i) ^ (m >> (i + (ph->type & 1)));"
+    "}"
+    "ph->src = acc; ph->dst = acc >> 7; channel_put(tx, ph);"
+))
+
+
+def test_u64_shift_by_a_dynamic_amount():
+    # Amounts 0, below 32 and from 32 up: the three arms of the shift.
+    check(U64_DYNAMIC_SHIFT, levels=LEVEL_ORDER)
+
+
+U64_CALL = program(
+    ETHER_IPV4_PROTOCOLS
+    + """
+u64 mix64(u64 x, u32 k, u64 y) {
+  %s
+  return (x ^ y) + k;
+}
+u64 again(u64 x, u64 y) { return mix64(x, 7, y) + 1; }
+module m {
+  ppf go(ether_pkt *ph) from rx {
+    u64 a = mix64(ph->src, ph->type, ph->dst);
+    u64 b = again(a, ph->src);
+    ph->src = a;
+    ph->dst = b;
+    channel_put(tx, ph);
+  }
+}
+""" % ("k = (k * 31 + (k >> 3)) ^ 0x5a5a;" * 24)
+)
+
+
+def test_u64_call_arguments_and_result():
+    # Too large to inline with two callers: a call at every level, its
+    # u64 arguments and result in register pairs.
+    result = check(U64_CALL, levels=LEVEL_ORDER)
+    calls = [i for i in result.mod.functions["m.go"].all_instrs()
+             if isinstance(i, I.Call)]
+    assert [c.func for c in calls] == ["mix64", "mix64"]
+
+
+U64_GLOBALS = program(ppf(
+    "u32 port = ph->meta.rx_port;"
+    "macs[port] = ph->dst;"
+    "if (port == 0) { last = ph->dst; ph->type = (u32) (last >> 8) & 0xffff; }"
+    "ph->src = macs[port];"
+    "channel_put(tx, ph);",
+    extra="u64 macs[4];\nu64 last = 0;",
+))
+
+
+def test_u64_global_stores_read_back():
+    # Every packet of a port stores the same value (its router MAC), so
+    # what another thread stores in between reads back the same.
+    check(U64_GLOBALS, levels=LEVEL_ORDER)
+
+
+U64_LOCAL_ARRAY = program(ppf(
+    "u64 ring[4];"
+    "for (u32 i = 0; i < 4; i++) { ring[i] = ph->src + i; }"
+    "u32 j = (u32) ph->src & 3;"
+    "ring[j] = ring[(j + 1) & 3] ^ ph->dst;"
+    "ring[3] = ring[3] + 1;"
+    "ph->src = ring[j];"
+    "ph->dst = ring[(j + 2) & 3];"
+    "channel_put(tx, ph);"
+))
+
+
+def test_u64_local_array_with_dynamic_index():
+    check(U64_LOCAL_ARRAY, levels=LEVEL_ORDER)
 
 
 # -- packet primitives -----------------------------------------------------------------
 
+EXTEND_SHORTEN = program(ppf(
+    "packet_shorten(ph, 6);"
+    "packet_extend(ph, 6);"
+    "channel_put(tx, ph);"
+))
+
 
 def test_extend_shorten_roundtrip():
-    check(ppf(
-        "packet_shorten(ph, 6);"
-        "packet_extend(ph, 6);"
-        "channel_put(tx, ph);"
-    ))
+    check(EXTEND_SHORTEN)
+
+
+COPY = program(ppf(
+    "ether_pkt *dup = packet_copy(ph);"
+    "dup->type = 0xbeef;"
+    "channel_put(tx, dup);"
+    "channel_put(tx, ph);"
+))
 
 
 def test_packet_copy_on_fast_path():
     # Both the copy and the original leave the box: the copy gets a
     # marked ethertype so the outputs differ deterministically.
-    check(ppf(
-        "ether_pkt *dup = packet_copy(ph);"
-        "dup->type = 0xbeef;"
-        "channel_put(tx, dup);"
-        "channel_put(tx, ph);"
-    ))
+    check(COPY)
+
+
+CREATE = program(ppf(
+    "ether_pkt *fresh = packet_create(ether, 50);"
+    "fresh->dst = ph->src;"
+    "fresh->src = ph->dst;"
+    "fresh->type = 0x0801;"
+    "channel_put(tx, fresh);"
+    "packet_drop(ph);"
+))
 
 
 def test_packet_create_on_fast_path():
-    check(ppf(
-        "ether_pkt *fresh = packet_create(ether, 50);"
-        "fresh->dst = ph->src;"
-        "fresh->src = ph->dst;"
-        "fresh->type = 0x0801;"
-        "channel_put(tx, fresh);"
-        "packet_drop(ph);"
-    ))
+    check(CREATE)
 
 
-def test_cross_module_channels():
-    src = (
-        ETHER_IPV4_PROTOCOLS
-        + """
+CROSS_MODULE = program(
+    ETHER_IPV4_PROTOCOLS
+    + """
 module front {
   channel out;
   ppf rx_side(ether_pkt *ph) from rx {
@@ -209,14 +368,16 @@ module back {
   }
 }
 """
-    )
-    check(src)
+)
 
 
-def test_metadata_across_ppfs():
-    src = (
-        ETHER_IPV4_PROTOCOLS
-        + """
+def test_cross_module_channels():
+    check(CROSS_MODULE)
+
+
+METADATA = program(
+    ETHER_IPV4_PROTOCOLS
+    + """
 metadata { u32 mark; }
 module m {
   channel mid;
@@ -230,12 +391,19 @@ module m {
   }
 }
 """
-    )
-    check(src)
+)
 
 
-def test_demux_with_arithmetic_and_multiple_fields():
-    src = """
+def test_metadata_across_ppfs():
+    check(METADATA)
+
+
+DEMUX_TRACE = Trace([
+    TracePacket(build_ethernet(1, 2, 0x1234, bytes([a, b]) + bytes(40)), i % 3)
+    for i, (a, b) in enumerate([(9, 0x20), (15, 0x40), (3, 0x10)])
+] * 10)
+
+DEMUX = program("""
 protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
 protocol weird {
   a : 8;
@@ -247,33 +415,57 @@ module m {
   ppf go(ether_pkt *ph) from rx {
     weird_pkt *wp = packet_decap(ph);
     u32 x = wp->a;
-    inner_pkt_probe(wp, x);
+    wp->rest = (x * 3) & 0xffff;
     channel_put(tx, wp);
   }
 }
-""".replace("inner_pkt_probe(wp, x);", "wp->rest = (x * 3) & 0xffff;")
-    frames = [
-        TracePacket(build_ethernet(1, 2, 0x1234,
-                                   bytes([a, b]) + bytes(40)), i % 3)
-        for i, (a, b) in enumerate([(9, 0x20), (15, 0x40), (3, 0x10)])
-    ]
-    check(src, trace=Trace(frames * 10), packets=20)
+""", DEMUX_TRACE)
+
+
+def test_demux_with_arithmetic_and_multiple_fields():
+    check(DEMUX, trace=DEMUX_TRACE, packets=20)
+
+
+def decap_ipv4(body: str) -> str:
+    return ETHER_IPV4_PROTOCOLS + (
+        "module m { ppf go(ether_pkt *ph) from rx {"
+        " ipv4_pkt *iph = packet_decap(ph); %s channel_put(tx, iph); } }" % body)
+
+
+BYTE_FIELD_STORES = program(decap_ipv4(
+    "iph->tos = (iph->tos + 1) & 0xff;"
+    "iph->flags_frag = 0x4000;"
+))
 
 
 def test_sub_byte_field_stores():
-    check(
-        ETHER_IPV4_PROTOCOLS
-        + """
-module m {
-  ppf go(ether_pkt *ph) from rx {
-    ipv4_pkt *iph = packet_decap(ph);
-    iph->tos = (iph->tos + 1) & 0xff;
-    iph->flags_frag = 0x4000;
-    channel_put(tx, iph);
-  }
-}
-"""
-    )
+    check(BYTE_FIELD_STORES)
+
+
+VER_STORE = program(decap_ipv4("iph->ver = 6;"))
+IHL_STORE = program(decap_ipv4("iph->ihl = iph->ttl & 0x0f;"))
+
+
+@pytest.mark.parametrize("src", [VER_STORE, IHL_STORE], ids=["ver", "ihl"])
+def test_nibble_store_at_every_level(src):
+    # A field of four bits in the byte it shares with its neighbour: from
+    # SOAR on, a read-modify-write of the DRAM words at a constant offset.
+    check(src, levels=LEVEL_ORDER)
+
+
+WIDE_UNALIGNED_LOAD = program(
+    "protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }\n"
+    "protocol w { a : 4; b : 40; c : 4; rest : 16; demux { 8 }; }\n"
+    "module m { ppf go(ether_pkt *ph) from rx {"
+    " w_pkt *wp = packet_decap(ph); u64 x = wp->b;"
+    " wp->rest = (u32) (x ^ (x >> 24)) & 0xffff; channel_put(tx, wp); } }"
+)
+
+
+def test_wide_field_off_a_byte_boundary_loads_at_every_level():
+    # Storing such a field is a semantic error (test_baker_semantic);
+    # loading it works everywhere.
+    check(WIDE_UNALIGNED_LOAD, levels=LEVEL_ORDER)
 
 
 # -- register-resident packet state (PHR and up) -----------------------------------------
@@ -306,6 +498,10 @@ def options_trace(count=48, rare_every=0):
     return trace
 
 
+OPTIONS = options_trace()
+OPTIONS_RARE = options_trace(rare_every=24)
+
+
 def check_state(src, trace, packets=32, store_matters=True):
     result = check(src, trace=trace, levels=STATE_LEVELS, packets=packets)
     if store_matters:
@@ -319,8 +515,7 @@ def check_state(src, trace, packets=32, store_matters=True):
     return result
 
 
-def test_moved_head_reaches_xscale_consumer():
-    src = ETHER_IPV4_PROTOCOLS + L4 + """
+XSCALE_CONSUMER = program(ETHER_IPV4_PROTOCOLS + L4 + """
 module m {
   channel cold;
   ppf go(ether_pkt *ph) from rx {
@@ -337,13 +532,15 @@ module m {
     channel_put(tx, l4h);
   }
 }
-"""
-    result = check_state(src, options_trace(rare_every=24), packets=48)
+""", OPTIONS_RARE)
+
+
+def test_moved_head_reaches_xscale_consumer():
+    result = check_state(XSCALE_CONSUMER, OPTIONS_RARE, packets=48)
     assert [a.ppfs for a in result.plan.xscale_aggregates] == [["m.slow"]]
 
 
-def test_packet_copy_sees_moved_head():
-    check_state(ETHER_IPV4_PROTOCOLS + L4 + """
+COPY_AFTER_MOVE = program(ETHER_IPV4_PROTOCOLS + L4 + """
 module m {
   ppf go(ether_pkt *ph) from rx {
     ipv4_pkt *iph = packet_decap(ph);
@@ -354,14 +551,16 @@ module m {
     channel_put(tx, l4h);
   }
 }
-""", options_trace())
+""", OPTIONS)
 
 
-def test_callee_sees_and_moves_the_head():
-    # `probe` is too large to inline with two callers: it gets the handle
-    # after a head move, reads relative to the head and moves it again.
-    churn = "x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24
-    src = ETHER_IPV4_PROTOCOLS + """
+def test_packet_copy_sees_moved_head():
+    check_state(COPY_AFTER_MOVE, OPTIONS)
+
+
+# `probe` is too large to inline with two callers: it gets the handle
+# after a head move, reads relative to the head and moves it again.
+CALLEE_MOVES_HEAD = program(ETHER_IPV4_PROTOCOLS + """
 u32 probe(ipv4_pkt *p, u32 x) {
   x = x + p->ident;
   %s
@@ -379,21 +578,20 @@ module m {
     channel_put(tx, iph);
   }
 }
-""" % churn
-    result = check_state(src, options_trace())
+""" % ("x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24), OPTIONS)
+
+
+def test_callee_sees_and_moves_the_head():
+    result = check_state(CALLEE_MOVES_HEAD, OPTIONS)
     calls = [i for i in result.mod.functions["m.go"].all_instrs()
              if isinstance(i, I.Call)]
     assert [c.func for c in calls] == ["probe", "probe"]
 
 
-@pytest.mark.parametrize("params,args", [
-    ("ether_pkt *a, ipv4_pkt *b", "a, b"),
-    ("ipv4_pkt *b, ether_pkt *a", "b, a"),
-])
-def test_call_sees_the_head_of_every_packet_argument(params, args):
+def every_argument(params: str, args: str) -> str:
     # `b` is a copy whose decap PHR elides; `a` is untouched. Whichever
     # position `b` is passed in, its head must be in SRAM before the call.
-    src = ETHER_IPV4_PROTOCOLS + """
+    return program(ETHER_IPV4_PROTOCOLS + """
 u32 big(%(params)s, u32 x) {
   x = x + b->ttl + a->type;
   %(churn)s
@@ -412,25 +610,39 @@ module m {
   }
 }
 """ % dict(params=params, args=args,
-           churn="x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24)
-    result = check(src, levels=STATE_LEVELS)
+           churn="x = (x * 31 + (x >> 3)) ^ 0x5a5a;" * 24))
+
+
+EVERY_ARGUMENT = {
+    ("ether_pkt *a, ipv4_pkt *b", "a, b"):
+        every_argument("ether_pkt *a, ipv4_pkt *b", "a, b"),
+    ("ipv4_pkt *b, ether_pkt *a", "b, a"):
+        every_argument("ipv4_pkt *b, ether_pkt *a", "b, a"),
+}
+
+
+@pytest.mark.parametrize("params,args", list(EVERY_ARGUMENT))
+def test_call_sees_the_head_of_every_packet_argument(params, args):
+    result = check(EVERY_ARGUMENT[params, args], levels=STATE_LEVELS)
     calls = [i for i in result.mod.functions["m.go"].all_instrs()
              if isinstance(i, I.Call)]
     assert [c.func for c in calls] == ["big", "big"]
     assert result.phr_result.syncs_inserted == 2  # one in front of each call
 
 
+ADD_REMOVE_TAIL = program(ppf(
+    "packet_add_tail(ph, 8);"
+    "packet_remove_tail(ph, 4);"
+    "ph->type = packet_length(ph);"
+    "channel_put(tx, ph);"
+), OPTIONS)
+
+
 def test_add_and_remove_tail():
-    check_state(ppf(
-        "packet_add_tail(ph, 8);"
-        "packet_remove_tail(ph, 4);"
-        "ph->type = packet_length(ph);"
-        "channel_put(tx, ph);"
-    ), options_trace())
+    check_state(ADD_REMOVE_TAIL, OPTIONS)
 
 
-def test_drop_after_head_move_stores_nothing():
-    src = ETHER_IPV4_PROTOCOLS + L4 + """
+DROP_AFTER_MOVE = program(ETHER_IPV4_PROTOCOLS + L4 + """
 module m {
   ppf go(ether_pkt *ph) from rx {
     ipv4_pkt *iph = packet_decap(ph);
@@ -443,21 +655,51 @@ module m {
     }
   }
 }
-"""
-    result = check_state(src, options_trace())
+""", OPTIONS)
+
+
+def test_drop_after_head_move_stores_nothing():
+    result = check_state(DROP_AFTER_MOVE, OPTIONS)
     (image,) = result.images.values()
     stores = [i for i in image.insns if isinstance(i, Mem)
               and (i.space, i.rw, i.category) == ("sram", "write", "pkt")]
     assert len(stores) == 1  # the Tx path's; the drop path has none
 
 
+# `x` is the parameter on one path and its copy on the other: buf and
+# head of "the class" would be right for only one of them.
+JOINED_HANDLE = program(ppf(
+    "ether_pkt *x = ph;"
+    "if ((ph->dst & 1) == 1) { x = packet_copy(ph); packet_drop(ph); }"
+    "packet_shorten(x, 2);"
+    "x->type = 0x1234;"
+    "channel_put(tx, x);"
+))
+
+
 def test_handle_joining_packet_and_its_copy_gets_no_shared_state():
-    # `x` is the parameter on one path and its copy on the other: buf and
-    # head of "the class" would be right for only one of them.
-    check(ppf(
-        "ether_pkt *x = ph;"
-        "if ((ph->dst & 1) == 1) { x = packet_copy(ph); packet_drop(ph); }"
-        "packet_shorten(x, 2);"
-        "x->type = 0x1234;"
-        "channel_put(tx, x);"
-    ), levels=("BASE", "SOAR", "SWC"))
+    check(JOINED_HANDLE, levels=("BASE", "SOAR", "SWC"))
+
+
+# -- the corpus's listings ------------------------------------------------------------
+
+#: sha256 (first 16 hex digits) over every image of every ``CORPUS``
+#: program at every level, in ``LEVEL_ORDER``, in the format of
+#: ``tests/test_codegen.py``'s sweep digest. A change to what the code
+#: generator emits for any packet-access shape restates it, and says so.
+_SHAPE_LISTING_DIGEST = "55f4590f92563af9"
+
+
+def test_corpus_listings_match_pinned_digest():
+    h = hashlib.sha256()
+    for src, trace in CORPUS:
+        trace = trace or default_trace()
+        for level in LEVEL_ORDER:
+            images = compile_baker(src, options_for(level), trace).images
+            for name, image in sorted(images.items()):
+                h.update(("%s %d %d\n" % (name, image.entry,
+                                          image.code_size)).encode())
+                for insn in image.insns:
+                    h.update(("%r|%r\n" % (
+                        insn, getattr(insn, "resolved", None))).encode())
+    assert h.hexdigest()[:16] == _SHAPE_LISTING_DIGEST
