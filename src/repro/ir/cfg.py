@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Callable, Dict, List, Optional, Set, TypeVar
 
 from repro.ir.instructions import Branch, Jump
 from repro.ir.module import BasicBlock, IRFunction
@@ -44,6 +44,47 @@ def reverse_postorder(fn: IRFunction) -> List[BasicBlock]:
 
     visit(fn.entry)
     return list(reversed(post))
+
+
+S = TypeVar("S")
+
+
+def solve_forward(fn: IRFunction, boundary: S,
+                  transfer: Callable[[BasicBlock, S], S],
+                  join: Callable[[S, S], S],
+                  ins: Optional[Dict[BasicBlock, S]] = None) -> Dict[BasicBlock, S]:
+    """Block-entry states of a forward dataflow problem: ``boundary`` at
+    the entry, ``transfer(bb, state)`` the state at the block's end, and
+    ``join(a, b)`` where paths meet -- each block's state joins what it
+    held before with its predecessors' ends, so a value that changes at a
+    join is met, not replaced. Reverse postorder, to a fixpoint or
+    ``4*n+16`` rounds. The result lists the blocks in reverse postorder;
+    one no path reaches has no state. ``ins`` is filled as the solver
+    goes, for a transfer that reads its successors' states."""
+    compute_cfg(fn)
+    order = reverse_postorder(fn)
+    ins = {} if ins is None else ins
+    ins[fn.entry] = boundary
+    outs: Dict[BasicBlock, S] = {}
+    for _ in range(4 * len(order) + 16):
+        changed = False
+        for bb in order:
+            state = ins.get(bb)
+            for pred in bb.preds:
+                if pred in outs:
+                    state = outs[pred] if state is None else join(state, outs[pred])
+            if state is None:
+                continue
+            if ins.get(bb) != state:
+                ins[bb] = state
+                changed = True
+            out = transfer(bb, state)
+            if outs.get(bb) != out:
+                outs[bb] = out
+                changed = True
+        if not changed:
+            break
+    return ins
 
 
 def remove_unreachable(fn: IRFunction) -> int:

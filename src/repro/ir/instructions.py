@@ -7,7 +7,22 @@ attributes are operand uses (``_uses``) and which are definitions
 
 Packet primitives (``PktLoadField`` etc.) are first-class instructions --
 this is the property the paper's packet optimizations (PAC, SOAR, PHR)
-rely on. They carry optional SOAR annotations:
+rely on. Each instruction also states, once, what it does to the packets
+it acts through (its packet-typed operands) -- the optimizer's one
+packet-head model, which SOAR, PHR, PAC and CSE all read:
+
+* ``moves_head`` / :meth:`Instr.head_delta` -- whether the head moves,
+  and by how many bytes toward the payload (``None`` = not a constant);
+* ``moves_tail`` -- whether the tail moves (the extent changes even
+  where the head stays);
+* ``hands_on`` -- someone else reads the packet's metadata words next
+  (a channel's consumer, a copy, a callee);
+* ``releases`` -- the packet leaves this code's hands (put, dropped, or
+  maybe by a callee);
+* ``renames`` -- the result is the same packet with its head moved
+  (encap/decap), which PHR may leave in registers.
+
+Packet instructions carry optional SOAR annotations:
 
 * ``c_offset_bits`` -- statically resolved bit offset of the handle's head
   relative to the start of packet data (``None`` = unknown / ``-offset``);
@@ -47,8 +62,20 @@ class Instr:
     _defs: Sequence[str] = ()
     side_effects = True
     is_terminator = False
+    # The packet effects (module docstring); none by default.
+    moves_head = moves_tail = hands_on = releases = renames = False
 
     loc = None  # optional source location
+
+    def head_delta(self) -> Optional[int]:
+        """Bytes the head moves toward the payload (negative: toward the
+        front); None when that is not a compile-time constant."""
+        return 0
+
+    @property
+    def touches_packet(self) -> bool:
+        """Whether the instruction moves, hands on or releases a packet."""
+        return self.moves_head or self.moves_tail or self.hands_on or self.releases
 
     def uses(self) -> List[Operand]:
         out: List[Operand] = []
@@ -148,11 +175,16 @@ class Call(Instr):
 
     _uses = ("args",)
     _defs = ("dst",)
+    # The callee may do anything to any packet it is handed.
+    moves_head = moves_tail = hands_on = releases = True
 
     def __init__(self, dst: Optional[Temp], func: str, args: List[Operand]):
         self.dst = dst
         self.func = func
         self.args = args
+
+    def head_delta(self) -> Optional[int]:
+        return None
 
 
 # -- terminators -----------------------------------------------------------------
@@ -367,12 +399,16 @@ class PktEncap(PktInstr):
 
     _uses = ("src",)
     _defs = ("dst",)
+    moves_head = renames = True
 
     def __init__(self, dst: Temp, src: Operand, proto: str, header_bytes: int):
         self.dst = dst
         self.src = src
         self.proto = proto
         self.header_bytes = header_bytes
+
+    def head_delta(self) -> Optional[int]:
+        return -self.header_bytes
 
 
 class PktDecap(PktInstr):
@@ -384,6 +420,7 @@ class PktDecap(PktInstr):
 
     _uses = ("src", "delta")
     _defs = ("dst",)
+    moves_head = renames = True
 
     def __init__(self, dst: Temp, src: Operand, src_proto: str,
                  result_proto: Optional[str], header_bytes: Optional[int],
@@ -396,10 +433,14 @@ class PktDecap(PktInstr):
         self.header_bytes = header_bytes
         self.delta = delta
 
+    def head_delta(self) -> Optional[int]:
+        return self.header_bytes
+
 
 class PktCopy(PktInstr):
     _uses = ("src",)
     _defs = ("dst",)
+    hands_on = True  # the copy starts from the source's metadata
 
     def __init__(self, dst: Temp, src: Operand):
         self.dst = dst
@@ -408,6 +449,7 @@ class PktCopy(PktInstr):
 
 class PktDrop(PktInstr):
     _uses = ("ph",)
+    releases = True
 
     def __init__(self, ph: Operand):
         self.ph = ph
@@ -439,12 +481,24 @@ class PktAdjust(PktInstr):
     'extend', 'shorten'}."""
 
     _uses = ("ph", "amount")
+    moves_tail = True  # every op changes the extent
 
     def __init__(self, op: str, ph: Operand, amount: Operand):
         assert op in ("add_tail", "remove_tail", "extend", "shorten")
         self.op = op
         self.ph = ph
         self.amount = amount
+
+    @property
+    def moves_head(self) -> bool:
+        return self.op in ("extend", "shorten")
+
+    def head_delta(self) -> Optional[int]:
+        if not self.moves_head:
+            return 0
+        if not isinstance(self.amount, Const):
+            return None
+        return -self.amount.value if self.op == "extend" else self.amount.value
 
 
 class PktSyncHead(PktInstr):
@@ -454,16 +508,21 @@ class PktSyncHead(PktInstr):
     movement is zero -- the paper's paired encap/decap elimination)."""
 
     _uses = ("ph",)
+    moves_head = True
 
     def __init__(self, ph: Operand, delta_bytes: int):
         self.ph = ph
         self.delta_bytes = delta_bytes
+
+    def head_delta(self) -> Optional[int]:
+        return self.delta_bytes
 
 
 class ChanPut(Instr):
     """Release a packet onto a channel (immediate-release endpoint)."""
 
     _uses = ("ph",)
+    hands_on = releases = True
 
     def __init__(self, channel: str, ph: Operand):
         self.channel = channel

@@ -41,9 +41,8 @@ class AliasClasses:
             if isinstance(instr, I.Assign) and isinstance(instr.src, Temp) \
                     and instr.dst.type.is_packet:
                 self._union(instr.dst, instr.src)
-            elif isinstance(instr, (I.PktEncap, I.PktDecap)):
-                if isinstance(instr.src, Temp):
-                    self._union(instr.dst, instr.src)
+            elif instr.renames and isinstance(instr.src, Temp):
+                self._union(instr.dst, instr.src)
             elif isinstance(instr, (I.PktCopy, I.PktCreate, I.Call)):
                 # Their results intentionally stay in their own class.
                 self._origins.extend(d for d in instr.defs() if d.type.is_packet)
@@ -86,14 +85,8 @@ def packet_handles(instr: I.Instr) -> List[Temp]:
     return [u for u in instr.uses() if isinstance(u, Temp) and u.type.is_packet]
 
 
-#: Instructions that move a packet's head/extent or give the packet away
-#: (a call may do either to any packet it is handed).
-_MUTATORS = (I.PktEncap, I.PktDecap, I.PktAdjust, I.PktSyncHead, I.ChanPut,
-             I.PktDrop, I.Call)
-
-
 def mutates_class(instr: I.Instr, aliases: AliasClasses, cls: Temp) -> bool:
     """True if ``instr`` changes the head/extent of packets in class
     ``cls`` or releases them (making later combined access unsound)."""
-    return isinstance(instr, _MUTATORS) and any(
+    return (instr.moves_head or instr.moves_tail or instr.releases) and any(
         aliases.same(ph, cls) for ph in packet_handles(instr))

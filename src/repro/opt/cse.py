@@ -7,7 +7,8 @@ invalidate exactly what they may affect:
 
 * a ``StoreG`` bumps the version of that one global;
 * a call / lock op bumps every version (calls may store anywhere);
-* packet-mutating instructions bump the packet version (all packet
+* a packet store, and whatever moves, hands on or releases a packet
+  (the IR's packet effects), bumps the packet version (all packet
   loads are invalidated -- handle aliasing is possible after copies).
 
 This pass is the paper's "redundancy elimination" at -O1; it is what
@@ -103,9 +104,8 @@ def run(fn: IRFunction) -> bool:
                     table.pop(k)
             elif isinstance(instr, (I.Call, I.LockAcquire, I.LockRelease)):
                 bump_all()
-            elif isinstance(instr, (I.PktStoreField, I.PktStoreWords, I.MetaStore,
-                                    I.PktEncap, I.PktDecap, I.PktAdjust,
-                                    I.ChanPut, I.PktDrop, I.PktCreate, I.PktCopy)):
+            elif instr.touches_packet or isinstance(
+                    instr, (I.PktStoreField, I.PktStoreWords, I.MetaStore)):
                 pkt_version[0] += 1
                 for k in [k for k in table if k[0] in ("pf", "pw", "ml", "pl")]:
                     table.pop(k)

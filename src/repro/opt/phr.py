@@ -30,13 +30,14 @@ Run after SOAR (consumes its annotations), before packet lowering.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.baker import types as T
 from repro.baker.packetmodel import META_RX_PORT, META_USER_BASE
 from repro.ir import instructions as I
-from repro.ir.cfg import compute_cfg, reverse_postorder
+from repro.ir.cfg import solve_forward
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Temp
 from repro.obs import ledger as obs_ledger
@@ -123,61 +124,52 @@ def _localize_metadata(mod: IRModule, result: PhrResult) -> None:
 # -- encap/decap elision ---------------------------------------------------------------
 
 
+#: A class whose pending deltas disagree at a block's entry: the block
+#: starts synced, so every predecessor syncs the class at its end.
+_CONFLICT = object()
+
+
 def _elide_encaps(fn: IRFunction, result: PhrResult) -> None:
-    compute_cfg(fn)
     aliases = AliasClasses(fn)
     classes = aliases.classes()
     if not classes:
         return
-    order = reverse_postorder(fn)
 
-    # Phase 1: fixpoint on per-block-entry pending deltas (per class).
-    # pending: int = deferred head movement not yet in metadata.
-    # A mismatch at a join forces a sync at the end of each incoming pred.
-    TOP = object()
-    entry: Dict[BasicBlock, Dict[Temp, object]] = {
-        bb: {c: TOP for c in classes} for bb in order
-    }
-    for c in classes:
-        entry[fn.entry][c] = 0
-    forced_syncs: Dict[Tuple[BasicBlock, Temp], int] = {}
+    # Phase 1: per-block-entry pending deltas (per class): the deferred
+    # head movement not yet in metadata.
+    ins: Dict[BasicBlock, Dict[Temp, object]] = {}
 
-    for _ in range(4 * len(order) + 16):
-        changed = False
-        for bb in order:
-            out = _simulate_block(bb, entry[bb], aliases, classes, forced_syncs)
-            for succ in bb.succs:
-                if succ not in entry:
-                    continue
-                for c in classes:
-                    cur = entry[succ][c]
-                    new = out[c]
-                    if cur is TOP:
-                        if new is not TOP and cur != new:
-                            entry[succ][c] = new
-                            changed = True
-                    elif new is not TOP and cur != new:
-                        # Join mismatch: force syncs on every pred edge.
-                        for pred in succ.preds:
-                            pout = _simulate_block(pred, entry[pred], aliases,
-                                                   classes, forced_syncs)
-                            if isinstance(pout.get(c), int) and pout[c] != 0:
-                                forced_syncs[(pred, c)] = pout[c]
-                        entry[succ][c] = 0
-                        changed = True
-        if not changed:
-            break
+    def transfer(bb: BasicBlock, state: Dict[Temp, object]) -> Dict[Temp, int]:
+        out = _pending_at_entry(state)
+        for instr in bb.instrs:
+            delta = _deferred_delta(instr)
+            if delta is None and not instr.touches_packet:
+                continue
+            for cls in _touched(instr, aliases):
+                if cls in out:
+                    out[cls] = 0 if delta is None else out[cls] + delta
+        for cls in _forced_syncs(bb, ins):
+            if cls in out:
+                out[cls] = 0
+        return out
+
+    def join(a: Dict[Temp, object], b: Dict[Temp, object]) -> Dict[Temp, object]:
+        out = dict(a)
+        for cls, v in b.items():
+            out[cls] = v if out.get(cls, v) == v else _CONFLICT
+        return out
+
+    solve_forward(fn, {c: 0 for c in classes}, transfer, join, ins)
 
     # Phase 2: rewrite.
-    for bb in order:
-        pending: Dict[Temp, int] = {
-            c: (v if isinstance(v, int) else 0) for c, v in entry[bb].items()
-        }
+    for bb, state in ins.items():
+        pending = _pending_at_entry(state)
+        forced = _forced_syncs(bb, ins)
         new_instrs: List[I.Instr] = []
         for instr in bb.instrs:
             _rewrite_instr(fn, instr, pending, aliases, new_instrs, result)
         for c in classes:
-            if forced_syncs.get((bb, c)) and pending.get(c, 0):
+            if c in forced and pending.get(c, 0):
                 ph = _handle_for_class(fn, aliases, c)
                 if ph is not None:
                     new_instrs.append(I.PktSyncHead(ph, pending[c]))
@@ -190,19 +182,16 @@ def _elide_encaps(fn: IRFunction, result: PhrResult) -> None:
         bb.instrs = new_instrs
 
 
-def _simulate_block(bb: BasicBlock, entry_state, aliases, classes, forced_syncs):
-    out = {c: entry_state[c] for c in classes}
-    for instr in bb.instrs:
-        delta = _elided_delta(instr)
-        if delta is None and not _is_escape(instr):
-            continue
-        for cls in _touched(instr, aliases):
-            if isinstance(out.get(cls), int):
-                out[cls] = 0 if delta is None else out[cls] + delta
-    for c in classes:
-        if (bb, c) in forced_syncs and isinstance(out.get(c), int):
-            out[c] = 0
-    return out
+def _pending_at_entry(state: Dict[Temp, object]) -> Dict[Temp, int]:
+    """A class in conflict starts the block synced."""
+    return {c: 0 if v is _CONFLICT else v for c, v in state.items()}
+
+
+def _forced_syncs(bb: BasicBlock, ins) -> set:
+    """Classes ``bb`` syncs at its end: those some successor starts
+    synced because its predecessors disagree."""
+    return {c for succ in bb.succs
+            for c, v in ins.get(succ, {}).items() if v is _CONFLICT}
 
 
 def _touched(instr: I.Instr, aliases: AliasClasses) -> Dict[Temp, Temp]:
@@ -214,37 +203,19 @@ def _touched(instr: I.Instr, aliases: AliasClasses) -> Dict[Temp, Temp]:
     return touched
 
 
-def _elided_delta(instr: I.Instr) -> Optional[int]:
-    """Bytes an elidable encap/decap moves the head by; None for any
-    other instruction."""
-    if not (isinstance(instr, (I.PktEncap, I.PktDecap)) and _elidable(instr)):
-        return None
-    return instr.header_bytes if isinstance(instr, I.PktDecap) else -instr.header_bytes
-
-
-def _elidable(instr) -> bool:
-    """Encap/decap with a statically known incoming head offset and a
-    constant header size needs no runtime head_ptr update."""
-    return (
-        instr.header_bytes is not None
-        and getattr(instr, "c_offset_bits", None) is not None
-    )
-
-
-def _is_escape(instr: I.Instr) -> bool:
-    """Instructions whose lowering reads or writes the real head/len (or,
-    for drops, after which the pending delta no longer matters)."""
-    if isinstance(instr, (I.ChanPut, I.PktAdjust, I.PktCopy, I.Call, I.PktDrop)):
-        return True
-    if isinstance(instr, (I.PktEncap, I.PktDecap)) and not _elidable(instr):
-        return True
-    return False
+def _deferred_delta(instr: I.Instr) -> Optional[int]:
+    """Bytes an encap/decap moves the head by when its head movement can
+    stay out of metadata: the header size is a constant and SOAR knows
+    the incoming head offset. None for any other instruction."""
+    if instr.renames and instr.c_offset_bits is not None:
+        return instr.head_delta()
+    return None
 
 
 def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
                    aliases: AliasClasses, out: List[I.Instr],
                    result: PhrResult) -> None:
-    delta = _elided_delta(instr)
+    delta = _deferred_delta(instr)
     if delta is not None:
         cls = aliases.class_of(instr.src)
         pending[cls] = pending.get(cls, 0) + delta
@@ -258,12 +229,12 @@ def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
         return
 
     touched = _touched(instr, aliases)
-    if _is_escape(instr):
-        # Every packet the instruction is handed must have its real head
-        # in metadata first (a dropped packet's no longer matters).
+    if instr.touches_packet:
+        # Every packet the instruction acts on must have its real head in
+        # metadata first (a released packet no one reads no longer matters).
         for cls, handle in touched.items():
             d = pending.get(cls, 0)
-            if d != 0 and not isinstance(instr, I.PktDrop):
+            if d != 0 and (instr.hands_on or not instr.releases):
                 out.append(I.PktSyncHead(handle, d))
                 result.syncs_inserted += 1
                 obs_ledger.record("phr", fn.name, "sync_inserted",
@@ -307,10 +278,6 @@ def _handle_for_class(fn: IRFunction, aliases: AliasClasses, cls: Temp) -> Optio
 
 
 # -- register-resident packet state ----------------------------------------------------
-
-_HEAD_MOVES = (I.PktEncap, I.PktDecap, I.PktSyncHead, I.PktAdjust)
-_ESCAPES = (I.ChanPut, I.PktCopy, I.Call)
-
 
 @dataclass
 class PacketStatePlan:
@@ -371,24 +338,20 @@ def _plan_function(fn: IRFunction) -> Optional[PacketStatePlan]:
 
     # Forward may-dirty: True where some path has moved the head (or the
     # tail) since head/len last agreed with SRAM.
-    compute_cfg(fn)
-    escapes: Dict[I.Instr, Tuple[Temp, bool]] = {}
-    dirty_out = {bb: False for bb in fn.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for bb in fn.blocks:
-            dirty = any(dirty_out[p] for p in bb.preds)
-            for instr in bb.instrs:
-                ph = through.get(instr)
-                if ph is None:
-                    continue
-                if isinstance(instr, _ESCAPES):
+    def walk(bb: BasicBlock, dirty: bool, escapes=None) -> bool:
+        for instr in bb.instrs:
+            ph = through.get(instr)
+            if ph is None:
+                continue
+            if instr.hands_on:
+                if escapes is not None:
                     escapes[instr] = (ph, dirty)
-                    dirty = False  # stored before, re-read after
-                elif isinstance(instr, _HEAD_MOVES):
-                    dirty = True
-            if dirty != dirty_out[bb]:
-                dirty_out[bb] = dirty
-                changed = True
+                dirty = False  # stored before, re-read after
+            elif instr.moves_head or instr.moves_tail:
+                dirty = True
+        return dirty
+
+    escapes: Dict[I.Instr, Tuple[Temp, bool]] = {}
+    for bb, dirty in solve_forward(fn, False, walk, operator.or_).items():
+        walk(bb, dirty, escapes)
     return PacketStatePlan(hoist_rx_port, escapes)

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.ir import instructions as I
-from repro.ir.cfg import compute_cfg, reverse_postorder
+from repro.ir.cfg import solve_forward
 from repro.ir.module import IRFunction, IRModule
-from repro.ir.values import Const, Temp
+from repro.ir.values import Temp
 from repro.obs import ledger as obs_ledger
-from repro.opt.aliases import AliasClasses
+from repro.opt.aliases import AliasClasses, packet_handles
 
 QUADWORD = 8
 
@@ -45,6 +45,9 @@ ClassValue = Tuple[Optional[int], int]
 State = Dict[Temp, ClassValue]
 
 BOTTOM: ClassValue = (None, 1)
+
+# What the access counts (and the ledger's per-access records) cover.
+_DATA_ACCESSES = (I.PktLoadField, I.PktStoreField, I.PktLoadWords, I.PktStoreWords)
 
 
 def _align_of_offset(offset: Optional[int], base_align: int = QUADWORD) -> int:
@@ -109,14 +112,7 @@ def run(mod: IRModule) -> SoarResult:
     for _ in range(len(ppfs) * 4 + 8):
         changed = False
         for fn in ppfs:
-            entry = None
-            for chan in fn.input_channels:
-                v = chan_values.get(chan)
-                if v is None:
-                    continue
-                entry = v if entry is None else _meet_value(entry, v)
-            if entry is None:
-                entry = (0, QUADWORD) if "rx" in fn.input_channels else None
+            entry = _entry_value(fn, chan_values)
             if entry is None:
                 continue  # no producer observed yet
             puts = _analyze_function(fn, entry, annotate=False)
@@ -131,14 +127,8 @@ def run(mod: IRModule) -> SoarResult:
 
     # Final annotation passes.
     for fn in ppfs:
-        entry = None
-        for chan in fn.input_channels:
-            v = chan_values.get(chan)
-            if v is not None:
-                entry = v if entry is None else _meet_value(entry, v)
-        if entry is None:
-            entry = BOTTOM
-        _analyze_function(fn, entry, annotate=True, result=result)
+        _analyze_function(fn, _entry_value(fn, chan_values) or BOTTOM,
+                          annotate=True, result=result)
     for fn in mod.funcs():
         # Support functions may receive handles; without inlining their
         # entry offsets are unknown (conservative).
@@ -159,6 +149,17 @@ def run(mod: IRModule) -> SoarResult:
     return result
 
 
+def _entry_value(fn: IRFunction, chan_values) -> Optional[ClassValue]:
+    """The meet over the function's input channels; None while no
+    producer has been observed."""
+    entry = None
+    for chan in fn.input_channels:
+        v = chan_values.get(chan)
+        if v is not None:
+            entry = v if entry is None else _meet_value(entry, v)
+    return entry
+
+
 def _analyze_function(
     fn: IRFunction,
     param_value: ClassValue,
@@ -169,122 +170,54 @@ def _analyze_function(
     each channel_put. When ``annotate`` is set, packet instructions get
     their ``c_offset_bits`` / ``c_alignment`` annotations."""
     aliases = AliasClasses(fn)
-    compute_cfg(fn)
-    order = reverse_postorder(fn)
+    entry_state: State = {aliases.class_of(p): param_value
+                          for p in fn.params if p.type.is_packet}
 
-    entry_state: State = {}
-    for p in fn.params:
-        if p.type.is_packet:
-            entry_state[aliases.class_of(p)] = param_value
+    def transfer(bb, state: State) -> State:
+        return _transfer(bb, state, aliases, None, None)
 
-    block_in: Dict[object, Optional[State]] = {bb: None for bb in order}
-    block_in[fn.entry] = entry_state
     puts: Dict[str, ClassValue] = {}
-
-    def meet_states(a: Optional[State], b: Optional[State]) -> Optional[State]:
-        if a is None:
-            return dict(b) if b is not None else None
-        if b is None:
-            return dict(a)
-        out: State = {}
-        for k in set(a) | set(b):
-            if k in a and k in b:
-                out[k] = _meet_value(a[k], b[k])
-            else:
-                out[k] = a.get(k, b.get(k))
-        return out
-
-    # Worklist fixpoint over blocks.
-    changed = True
-    iterations = 0
-    while changed and iterations < 4 * len(order) + 16:
-        iterations += 1
-        changed = False
-        for bb in order:
-            if bb is fn.entry:
-                state = dict(entry_state)
-            else:
-                state = None
-                for pred in bb.preds:
-                    state = meet_states(state, _transfer_block(pred, block_in[pred],
-                                                              aliases, None, None))
-                if state is None:
-                    continue
-            if block_in[bb] != state:
-                block_in[bb] = state
-                changed = True
-
-    # Annotation + put collection on the stabilized solution.
-    for bb in order:
-        state = block_in[bb]
-        if state is None:
-            continue
-        _transfer_block(bb, state, aliases, puts,
-                        result if annotate else None)
+    for bb, state in solve_forward(fn, entry_state, transfer, _meet_states).items():
+        _transfer(bb, state, aliases, puts, result if annotate else None)
     return puts
 
 
-def _transfer_block(bb, in_state: Optional[State], aliases: AliasClasses,
-                    puts: Optional[Dict[str, ClassValue]],
-                    result: Optional[SoarResult]) -> Optional[State]:
-    if in_state is None:
-        return None
+def _meet_states(a: State, b: State) -> State:
+    """Pointwise meet; a class missing from one side is unreached there."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = _meet_value(out[k], v) if k in out else v
+    return out
+
+
+def _transfer(bb, in_state: State, aliases: AliasClasses,
+                     puts: Optional[Dict[str, ClassValue]],
+                     result: Optional[SoarResult]) -> State:
+    """The block's end state; with ``result``, annotate what reads the
+    head (accesses, and encap/decap before they move it)."""
     state: State = dict(in_state)
     for instr in bb.all_instrs():
-        if isinstance(instr, (I.PktLoadField, I.PktStoreField,
-                              I.PktLoadWords, I.PktStoreWords,
-                              I.MetaLoad, I.MetaStore, I.PktLength)):
-            ph = instr.ph
-            if isinstance(ph, Temp):
-                value = state.get(aliases.class_of(ph), BOTTOM)
-                if result is not None:
-                    _annotate(instr, value, result,
-                              counted=not isinstance(instr, (I.MetaLoad, I.MetaStore,
-                                                             I.PktLength)))
-        elif isinstance(instr, I.PktEncap):
-            cls = aliases.class_of(instr.src) if isinstance(instr.src, Temp) else None
-            if cls is not None:
-                value = state.get(cls, BOTTOM)
-                if result is not None:
-                    _annotate(instr, value, result, counted=False)
-                state[cls] = _shift_value(value, -instr.header_bytes)
-        elif isinstance(instr, I.PktDecap):
-            cls = aliases.class_of(instr.src) if isinstance(instr.src, Temp) else None
-            if cls is not None:
-                value = state.get(cls, BOTTOM)
-                if result is not None:
-                    _annotate(instr, value, result, counted=False)
-                state[cls] = _shift_value(value, instr.header_bytes)
-        elif isinstance(instr, I.PktSyncHead):
-            cls = aliases.class_of(instr.ph) if isinstance(instr.ph, Temp) else None
-            if cls is not None:
-                state[cls] = _shift_value(state.get(cls, BOTTOM), instr.delta_bytes)
-        elif isinstance(instr, I.PktAdjust):
-            cls = aliases.class_of(instr.ph) if isinstance(instr.ph, Temp) else None
-            if cls is not None:
-                if instr.op in ("extend", "shorten"):
-                    amount = instr.amount.value if isinstance(instr.amount, Const) else None
-                    delta = None if amount is None else (
-                        -amount if instr.op == "extend" else amount
-                    )
-                    state[cls] = _shift_value(state.get(cls, BOTTOM), delta)
-                # add_tail / remove_tail leave the head untouched.
-        elif isinstance(instr, I.PktCopy):
+        if isinstance(instr, I.PktCopy):
             # The copy inherits the source's head position.
             src_cls = aliases.class_of(instr.src) if isinstance(instr.src, Temp) else None
-            value = state.get(src_cls, BOTTOM) if src_cls is not None else BOTTOM
-            state[aliases.class_of(instr.dst)] = value
-        elif isinstance(instr, I.PktCreate):
+            state[aliases.class_of(instr.dst)] = state.get(src_cls, BOTTOM)
+            continue
+        if isinstance(instr, I.PktCreate):
             # Fresh buffer: head starts at the (quadword-aligned) headroom.
             state[aliases.class_of(instr.dst)] = (0, QUADWORD)
-        elif isinstance(instr, I.Call):
-            # The callee may encap/decap any packet argument.
-            for a in instr.args:
-                if isinstance(a, Temp) and a.type.is_packet:
-                    state[aliases.class_of(a)] = BOTTOM
-        elif isinstance(instr, I.ChanPut):
-            if puts is not None and isinstance(instr.ph, Temp):
-                value = state.get(aliases.class_of(instr.ph), BOTTOM)
+            continue
+        if not (isinstance(instr, I.PktInstr) or instr.touches_packet):
+            continue
+        for ph in packet_handles(instr):
+            cls = aliases.class_of(ph)
+            value = state.get(cls, BOTTOM)
+            if result is not None and isinstance(instr, I.PktInstr) \
+                    and (instr.renames or not instr.touches_packet):
+                _annotate(instr, value, result,
+                          counted=isinstance(instr, _DATA_ACCESSES))
+            if instr.moves_head:
+                state[cls] = _shift_value(value, instr.head_delta())
+            if puts is not None and isinstance(instr, I.ChanPut):
                 prev = puts.get(instr.channel)
                 puts[instr.channel] = value if prev is None else _meet_value(prev, value)
     return state

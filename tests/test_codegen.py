@@ -440,30 +440,39 @@ def test_no_jump_to_the_next_instruction_and_still_the_reference(app_name,
 #: instruction with its resolved target. A change to what the code
 #: generator emits restates it, and says so.
 _SWEEP_LISTING_DIGEST = "5ff3f175d2c89996"
+#: sha256 (first 16 hex digits) over the same 21 compiles' ledgers: every
+#: ``Decision.to_record()`` of each, in order. A change to what a pass
+#: decides (or how it says so) restates it, and says so.
+_SWEEP_LEDGER_DIGEST = "81b46b89eca6d2a5"
 
 
 def test_sweep_listings_match_pinned_digest():
     """All 21 compiles run in one process, so every level after an app's
-    first reuses that app's parsed program and reference run: the
-    listings must not notice."""
+    first reuses that app's parsed program and reference run: neither
+    the listings nor the ledgers may notice."""
     import hashlib
+    import json
 
     from repro.apps import get_app
 
     h = hashlib.sha256()
+    ledger = hashlib.sha256()
     for app_name in ("l3switch", "firewall", "mpls"):
         app = get_app(app_name)
         trace = app.make_trace(200, seed=5)
         for level in LEVEL_ORDER:
-            images = compile_baker(app.source, options_for(level),
-                                   trace).images
-            for name, image in sorted(images.items()):
+            result = compile_baker(app.source, options_for(level), trace)
+            for name, image in sorted(result.images.items()):
                 h.update(("%s %d %d\n" % (name, image.entry,
                                           image.code_size)).encode())
                 for insn in image.insns:
                     h.update(("%r|%r\n" % (
                         insn, getattr(insn, "resolved", None))).encode())
+            for decision in result.decisions:
+                ledger.update((json.dumps(decision.to_record(), sort_keys=True,
+                                          default=repr) + "\n").encode())
     assert h.hexdigest()[:16] == _SWEEP_LISTING_DIGEST
+    assert ledger.hexdigest()[:16] == _SWEEP_LEDGER_DIGEST
 
 
 @pytest.mark.parametrize("k", [8, 32, 40])

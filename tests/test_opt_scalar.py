@@ -160,6 +160,33 @@ def test_cse_packet_loads_blocked_by_store():
     assert count_ops(mod, "fwd.go", I.PktLoadField) == 2
 
 
+@pytest.mark.parametrize("read", ["ph->type", "packet_length(ph)"])
+def test_cse_does_not_forward_a_packet_read_across_a_head_sync(read):
+    """Hand-built IR no Baker program reaches (PHR places a sync only in
+    front of an escape or at a block end): ``a = read; sync_head +2;
+    b = read; sync_head -2``. The second read sees a moved head, so CSE
+    must not forward the first."""
+    src = PASSTHROUGH.replace(
+        "channel_put(tx, ph);",
+        "u32 a = %s; u32 b = %s; ph->type = a ^ b; channel_put(tx, ph);"
+        % (read, read),
+    )
+    mod = lower(src)
+    bb = mod.functions["fwd.go"].entry
+    reads = [k for k, i in enumerate(bb.instrs)
+             if isinstance(i, (I.PktLoadField, I.PktLength))]
+    assert len(reads) == 2
+    ph = bb.instrs[reads[0]].ph
+    bb.instrs.insert(reads[1] + 1, I.PktSyncHead(ph, -2))
+    bb.instrs.insert(reads[1], I.PktSyncHead(ph, 2))
+    trace = ipv4_trace(8, [0xC0A80101], MACS, seed=3)
+    ref = run_reference(mod, trace)
+
+    cse.run(mod.functions["fwd.go"])
+    verify_module(mod)
+    assert run_reference(mod, trace).tx_signature() == ref.tx_signature()
+
+
 # -- DCE ---------------------------------------------------------------------------
 
 
