@@ -1,8 +1,7 @@
-"""Three independent checks over the ME images of one compile.
+"""Three independent checks over one compile.
 
-``repro.analyze`` is the compiler's per-image checker: three plain
-functions run in a fixed order over the
-:class:`~repro.cg.assemble.MEImage` artifacts of one compile, and one
+``repro.analyze`` is the compiler's checker: three plain functions run
+in a fixed order over one compile and its profiling trace, and one
 deterministic, diffable JSON report (the same conventions as
 :mod:`repro.obs.ledger`):
 
@@ -12,10 +11,10 @@ deterministic, diffable JSON report (the same conventions as
 * ``budget``   -- control-store words and stack depth re-derived from
   the final instruction list and compared against the
   ``record_budget_fit`` / ``record_stack_fit`` ledger claims;
-* ``validate`` -- translation validation: the image's packet effects
-  (header writes, metadata, drops, ring puts) along each dispatch path
-  are replayed on an isolated single-image harness and compared against
-  an interpretation of the Baker source's unoptimized IR.
+* ``verify``   -- the differential oracle,
+  :func:`repro.rts.system.verify_against_reference`: the images run on
+  the simulated chip must transmit the packets, payload and metadata,
+  that the interpreter of the Baker source's unoptimized IR does.
 
 Usage::
 

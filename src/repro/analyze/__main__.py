@@ -1,6 +1,6 @@
 """CLI: ``python -m repro.analyze <app> [-O LEVEL]``.
 
-Compiles the app, runs the three checks (layout, budget, validate),
+Compiles the app, runs the three checks (layout, budget, verify),
 prints the deterministic JSON report (or writes it with ``-o``), and
 exits 2 when any check reported an error-severity finding. A bad
 argument is also exit 2, through ``parser.error`` before anything is
@@ -25,7 +25,7 @@ from repro.options import LEVEL_ORDER, parse_level
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
-        description="Analysis / translation validation of compiled ME images")
+        description="Layout, budget and differential checks of one compile")
     parser.add_argument("app",
                         help="application name (l3switch/firewall/mpls)")
     parser.add_argument("-O", "--level", default="SWC",
@@ -36,9 +36,6 @@ def main(argv=None) -> int:
                         help="profiling-trace packets (default 200)")
     parser.add_argument("--seed", type=int, default=5,
                         help="profiling-trace seed (default 5)")
-    parser.add_argument("--validate-packets", type=int, default=64,
-                        help="roots replayed per image by the validate "
-                             "check; 0 = the whole trace (default 64)")
     args = parser.parse_args(argv)
 
     if args.app not in APP_CLASSES:
@@ -51,13 +48,8 @@ def main(argv=None) -> int:
     if args.packets < 1:
         # An empty trace validates nothing and still reports "ok".
         parser.error("--packets must be >= 1, got %d" % args.packets)
-    if args.validate_packets < 0:
-        parser.error("--validate-packets must be >= 0 (0 = the whole "
-                     "trace), got %d" % args.validate_packets)
-    report = run_analysis(
-        args.app, level,
-        packets=args.packets, seed=args.seed,
-        validate_packets=args.validate_packets or None)
+    report = run_analysis(args.app, level, packets=args.packets,
+                          seed=args.seed)
     if args.output:
         write_report(report, args.output)
         print("wrote %s (%s, %d error findings)" % (

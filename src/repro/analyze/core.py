@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs import ledger as obs_ledger
 
@@ -25,8 +25,8 @@ from repro.obs import ledger as obs_ledger
 EXIT_FINDINGS = 2
 
 REPORT_KIND = "analyze_report"
-#: 2: the ``passes`` sections are exactly layout / budget / validate.
-REPORT_VERSION = 2
+#: 3: the ``passes`` sections are exactly layout / budget / verify.
+REPORT_VERSION = 3
 
 
 def finding(severity: str, pass_name: str, subject: str, detail: str,
@@ -45,19 +45,39 @@ def finding(severity: str, pass_name: str, subject: str, detail: str,
     return rec
 
 
+def verify(app_name: str, result, trace) -> Dict[str, object]:
+    """``verify`` check: :func:`repro.rts.system.verify_against_reference`
+    on this compile and trace. One error finding when the transmitted
+    packets differ from the reference interpreter's or the compile
+    cannot be loaded."""
+    from repro.rts.loader import LoaderError
+    from repro.rts.system import comparison_meta_words, \
+        verify_against_reference
+
+    try:
+        detail = (None if verify_against_reference(result, trace) else
+                  "transmitted packets differ from the reference "
+                  "interpreter's")
+    except LoaderError as exc:
+        detail = "compile cannot be loaded: %s" % exc
+    return {
+        "findings": [] if detail is None else
+        [finding("error", "verify", app_name, detail)],
+        "meta_words_compared": comparison_meta_words(result),
+    }
+
+
 def run_analysis(app_name: str, level: str,
                  packets: int = 200, seed: int = 5,
-                 validate_packets: Optional[int] = 64,
                  result=None, trace=None) -> Dict[str, object]:
     """Compile ``app_name`` at ``level`` and run the three checks.
 
     Returns the full report dict.  A pre-existing compile may be passed
     via ``result``/``trace`` (the sweep orchestrator does this to avoid
     a second compile); its ``decisions`` are the claims ``layout`` and
-    ``budget`` check.  ``validate_packets`` caps the roots replayed per
-    image (None = the whole trace).
+    ``budget`` check.
     """
-    from repro.analyze import budget, layout, validate
+    from repro.analyze import budget, layout
     from repro.apps import get_app
     from repro.compiler import compile_baker
     from repro.options import options_for
@@ -70,8 +90,7 @@ def run_analysis(app_name: str, level: str,
     sections = {
         "layout": layout.check(result),
         "budget": budget.check(result),
-        "validate": validate.check(app_name, result, trace,
-                                   validate_packets),
+        "verify": verify(app_name, result, trace),
     }
     findings = [f for section in sections.values()
                 for f in section["findings"]]

@@ -73,7 +73,7 @@ const u32 ETH_TYPE_IP = 0x0800;
 %(tables)s
 
 // Per-rule drop counters (control plane reads them; updated on the drop
-// path only, inside a critical section).
+// path only, without a lock: see dropper).
 u32 fw_drop_count[64];
 shared u32 fw_passed = 0;
 

@@ -4,8 +4,8 @@ On the real IXP2400 two of the eight MEs run Rx and Tx microblocks. We
 model them as dedicated engines: Rx paces packets in at the offered line
 rate (up to 3x1 Gbps), allocates a buffer + metadata from the free
 rings, deposits the frame in DRAM and the handle on the ``rx`` ring; Tx
-drains the ``tx`` ring at line rate, captures payloads for verification
-and recycles buffers. Both read and write packets through
+drains the ``tx`` ring at line rate, captures payloads and metadata for
+verification and recycles buffers. Both read and write packets through
 :mod:`repro.ixp.packets`. Their packet-data DMA does not contend on the
 modeled ME memory channels (see DESIGN.md), and their accesses are not
 counted in the per-packet access profile -- matching how the paper's
@@ -29,7 +29,7 @@ GBPS = 1e9
 class TxRecord:
     time: float  # ME cycles
     payload: bytes
-    rx_port: int
+    meta: List[int]  # metadata words from META_RX_PORT up, at transmit
 
 
 class RxEngine:
@@ -116,7 +116,7 @@ class RxEngine:
 
 
 class TxEngine:
-    """Drains the tx ring at line rate; records transmitted payloads."""
+    """Drains the tx ring at line rate; records transmitted packets."""
 
     def __init__(self, chip, line_gbps: float = 3.0):
         self.chip = chip
@@ -145,11 +145,11 @@ class TxEngine:
         tracer = self.chip.tracer
         while ring.items and self.busy_until <= now:
             meta = ring.get()
-            words, payload = read_packet(memory, meta)
-            length, port = words[META_PKT_LEN], words[META_RX_PORT]
+            words, payload = read_packet(memory, meta, self.chip.meta_words)
+            length = words[META_PKT_LEN]
             if tracer is not None:
-                tracer.tx_packet(meta, now, port, length)
-            self.records.append(TxRecord(now, payload, port))
+                tracer.tx_packet(meta, now, words[META_RX_PORT], length)
+            self.records.append(TxRecord(now, payload, words[META_RX_PORT:]))
             self.bytes_out += length
             tx_cycles = length * 8 / (self.line_gbps * GBPS) * ME_HZ
             self.busy_until = max(self.busy_until, now) + tx_cycles

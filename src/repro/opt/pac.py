@@ -47,7 +47,7 @@ from repro.opt.aliases import AliasClasses, mutates_class
 MAX_COMBINE_BYTES = 56
 
 # Test-only fault injection (tests/test_analyze_mutations.py), each a
-# deliberately broken combine the translation validator must catch:
+# deliberately broken combine the differential oracle must catch:
 # "extract_skew" -- absorbed field extractions read 8 bits past their
 # true offset; "anchor_ignores_bump" -- epochs stop counting bumps (head
 # movements and stores; for application loads, stores and redefinitions

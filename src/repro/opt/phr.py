@@ -46,7 +46,7 @@ from repro.opt.aliases import AliasClasses, packet_handles
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
 # to "rebase_skew", deferred-head re-basing shifts field accesses one
 # byte past the true pending delta -- a deliberately broken elision the
-# translation validator must catch. Never set outside tests.
+# differential oracle must catch. Never set outside tests.
 _TEST_MUTATION = None
 
 

@@ -64,7 +64,7 @@ FLAG_SUFFIX = ".__swc_flag"
 
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
 # to "wrong_slot", the hit path reads one LM word past the true cache
-# slot -- a deliberately broken rewrite the translation validator must
+# slot -- a deliberately broken rewrite the differential oracle must
 # catch. Never set outside tests.
 _TEST_MUTATION = None
 

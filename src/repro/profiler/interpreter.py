@@ -451,9 +451,9 @@ _EMITTERS: Dict[type, Callable[[_Source, I.Instr], List[str]]] = {
 @lru_cache(maxsize=1024)
 def _code_of(text: str) -> CodeType:
     """The code object of a generated function, cached by its text: every
-    level of one source lowers to the same module, and the oracle and
-    ``analyze`` lower it again, so one process interprets the same text
-    many times over."""
+    level of one source lowers to the same module, and every reference
+    run lowers it again, so one process interprets the same text many
+    times over."""
     module = compile(text, "<interpreter>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 

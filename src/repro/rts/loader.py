@@ -141,7 +141,10 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
     me_index = 0
     for agg, count in zip(aggs, counts):
         layout.me_assignment[agg.name] = count
-        image = result.images[agg.name]
+        image = result.images.get(agg.name)
+        if image is None:
+            raise LoaderError("no ME image for aggregate %s (compiled "
+                              "without codegen?)" % agg.name)
         for _ in range(count):
             chip.add_me(Microengine(me_index, image, chip))
             me_index += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.baker.packetmodel import META_RX_PORT
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
 from repro.ixp.memory import ME_HZ
@@ -181,20 +182,38 @@ def run_on_simulator(
     return run
 
 
+def comparison_meta_words(result) -> List[int]:
+    """Indices of the metadata words a transmitted packet must carry as
+    the reference's does: from ``META_RX_PORT`` up (words 0-2 are buffer
+    geometry, identity rather than semantics), minus the user words PHR
+    localized to temps (their slots are dead at an escape by
+    construction)."""
+    localized = set()
+    if result.phr_result is not None:
+        fields = result.checked.meta_fields
+        localized = {fields[name].word_offset
+                     for name in result.phr_result.localized_meta_fields}
+    return [w for w in range(META_RX_PORT, result.mod.meta_words)
+            if w not in localized]
+
+
 def verify_against_reference(result, trace: Trace, packets: int = 60,
                              n_mes: int = 2) -> bool:
-    """Differential oracle: the simulator's transmitted payload multiset
-    must match the functional interpreter's on the same finite trace.
+    """Differential oracle: the multiset of transmitted packets -- each
+    one's payload and its compared metadata words
+    (:func:`comparison_meta_words`) -- must match the functional
+    interpreter's on the same finite trace.
 
-    Blind to what is not payload: packet metadata at put time and the
-    final state of application tables -- a dropped ``flow_id`` store on
-    firewall passes here and fails ``repro.analyze``'s validator
-    (``tests/test_analyze_mutations.py``, the ``meta_store_dropped`` row).
+    Blind to the final state of application tables, and to metadata put
+    on a channel the XScale consumes except through what it then does
+    (DESIGN.md section 10). Raises :class:`~repro.rts.loader.LoaderError`
+    for a compile that cannot be loaded.
     """
     from repro.profiler.interpreter import reference_run
 
     finite = trace.repeated(packets)
     ref = reference_run(result.checked, finite)
+    words = comparison_meta_words(result)
 
     chip = IXP2400(n_programmable_mes=n_mes)
     load_system(result, chip, n_mes=n_mes)
@@ -220,6 +239,9 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
     # distinction explicit -- chip.run() takes an absolute deadline.
     chip.run_for(100e6, stop=settled)
     chip.run_for(300_000)
-    got = sorted(r.payload for r in tx.records)
+    got = sorted((r.payload, tuple(r.meta[w - META_RX_PORT] for w in words))
+                 for r in tx.records)
     chip.close()
-    return got == ref.tx_signature()
+    want = sorted((p.payload(), tuple(p.meta.get(w, 0) for w in words))
+                  for p in ref.tx)
+    return got == want

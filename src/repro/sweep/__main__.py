@@ -83,13 +83,9 @@ def main(argv=None) -> int:
                     help="bypass the on-disk compile cache")
     ap.add_argument("--analyze", action="store_true",
                     help="run the repro.analyze checks (layout, budget, "
-                         "translation validation) on every distinct "
-                         "(app, level) compile; exit 2 if any report "
-                         "has error findings")
-    ap.add_argument("--analyze-packets", type=int, default=24,
-                    metavar="N",
-                    help="trace roots replayed per image during "
-                         "--analyze validation (default: %(default)s)")
+                         "verify) on every distinct (app, level) "
+                         "compile; exit 2 if any report has error "
+                         "findings")
     ap.add_argument("--profile", action="store_true",
                     help="attach the stall-cycle attribution profiler "
                          "(repro.obs.profile) to every rate run and "
@@ -162,7 +158,6 @@ def main(argv=None) -> int:
                        trace_packets=args.trace_packets,
                        trace_seed=args.trace_seed,
                        analyze=args.analyze,
-                       analyze_packets=args.analyze_packets,
                        profile=args.profile)
     sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg)
 

@@ -114,11 +114,9 @@ class WorkerConfig:
     #: passes ``obs=False``, and that directory is frozen (ROADMAP item 3).
     obs: bool = True
     #: Opt-in per-job correctness check: run the three ``repro.analyze``
-    #: checks (layout, budget, translation validation) over each distinct
-    #: (app, level) compile and attach the report to the job results.
+    #: checks (layout, budget, verify) over each distinct (app, level)
+    #: compile and attach the report to the job results.
     analyze: bool = False
-    #: Trace roots replayed per image by the validation check.
-    analyze_packets: int = 24
     #: Attach a stall-cycle attribution profiler to every rate job and
     #: emit BENCH_occupancy.json (pure observation; measured rates are
     #: bit-identical either way).
@@ -224,13 +222,11 @@ def _analyze_compile(job: SweepJob, cfg: WorkerConfig,
     (memoized per process per (app, level))."""
     from repro.analyze import run_analysis
 
-    key = (job.app, job.level, cfg.trace_packets, cfg.trace_seed,
-           cfg.analyze_packets)
+    key = (job.app, job.level, cfg.trace_packets, cfg.trace_seed)
     if key not in _ANALYSIS_MEMO:
         _ANALYSIS_MEMO[key] = run_analysis(
             job.app, job.level,
             packets=cfg.trace_packets, seed=cfg.trace_seed,
-            validate_packets=cfg.analyze_packets,
             result=result, trace=trace)
     return _ANALYSIS_MEMO[key]
 

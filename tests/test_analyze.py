@@ -1,13 +1,12 @@
-"""The ME-image analyzer (repro.analyze): report byte-determinism,
-clean layout / budget / validate checks of every app at every
-optimization level, and one planted fault per check that is not the
-validator.
+"""The compile analyzer (repro.analyze): report byte-determinism,
+clean layout / budget / verify checks of every app at every
+optimization level, and one planted fault per check.
 
-The validator's sensitivity (it must *fail* on miscompiles) is proven
-separately by tests/test_analyze_mutations.py; this file proves the
-other direction -- no false positives on correct compiles -- and that
-``layout``, ``budget`` and the two structural findings in front of
-``validate`` each fire exactly once on the fault they exist for.
+The oracle's sensitivity (``verify`` must *fail* on miscompiles) is
+proven separately by tests/test_analyze_mutations.py; this file proves
+the other direction -- no false positives on correct compiles -- and
+that ``layout``, ``budget`` and ``verify``'s load error each fire
+exactly once on the fault they exist for.
 """
 
 from __future__ import annotations
@@ -16,19 +15,19 @@ import json
 
 import pytest
 
-from repro.analyze import budget, layout, run_analysis, validate
+from repro.analyze import budget, layout, run_analysis
 from repro.analyze.core import report_text
 from repro.apps import get_app
+from repro.baker.packetmodel import META_RX_PORT
 from repro.compiler import compile_baker
 from repro.ir import instructions as I
 from repro.options import LEVEL_ORDER, options_for
 
 APPS = ("l3switch", "firewall", "mpls")
 
-# Small but representative windows: the full app x level matrix runs in
-# seconds, and every divergence class the mutation suite plants is
-# already visible within the first handful of trace roots.
-PACKETS, SEED, ROOTS = (120, 5, 12)
+# A small but representative profiling trace: the full app x level
+# matrix runs in seconds.
+PACKETS, SEED = (120, 5)
 
 _compiled = {}
 
@@ -50,8 +49,7 @@ def _compile(app_name, level):
 
 def _analyze(app_name, level):
     result, trace = _compile(app_name, level)
-    return run_analysis(app_name, level, packets=PACKETS,
-                        seed=SEED, validate_packets=ROOTS,
+    return run_analysis(app_name, level, packets=PACKETS, seed=SEED,
                         result=result, trace=trace)
 
 
@@ -75,7 +73,7 @@ def test_report_byte_deterministic_fresh_compile():
     baseline = report_text(_analyze("firewall", "SWC"))
     result, trace = _fresh_compile("firewall", "SWC")
     again = run_analysis("firewall", "SWC", packets=PACKETS, seed=SEED,
-                         validate_packets=ROOTS, result=result, trace=trace)
+                         result=result, trace=trace)
     assert report_text(again) == baseline
 
 
@@ -84,8 +82,8 @@ def test_report_is_valid_sorted_json():
     assert text.endswith("\n")
     report = json.loads(text)
     assert report["kind"] == "analyze_report"
-    assert report["version"] == 2
-    assert list(report["passes"]) == ["budget", "layout", "validate"]
+    assert report["version"] == 3
+    assert list(report["passes"]) == ["budget", "layout", "verify"]
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -96,8 +94,8 @@ def test_report_is_valid_sorted_json():
 @pytest.mark.parametrize("level", LEVEL_ORDER)
 def test_matrix_validates_clean(app_name, level):
     """Every app at every O-level: all three checks, zero findings of any
-    severity. This is the no-false-positives half of the translation
-    validator's contract and of the two ledger cross-checks."""
+    severity. This is the no-false-positives half of the differential
+    oracle's contract and of the two ledger cross-checks."""
     report = _analyze(app_name, level)
     findings = [f for section in report["passes"].values()
                 for f in section["findings"]]
@@ -174,40 +172,24 @@ def test_decisions_do_not_depend_on_an_earlier_analysis():
     app = get_app("l3switch")
     trace = app.make_trace(PACKETS, seed=SEED)
     before = compile_baker(app.source, options_for("BASE"), trace)
-    run_analysis("l3switch", "BASE", packets=PACKETS, seed=SEED,
-                 validate_packets=2)
+    run_analysis("l3switch", "BASE", packets=PACKETS, seed=SEED)
     after = compile_baker(app.source, options_for("BASE"), trace)
     assert before.decisions and before.decisions == after.decisions
 
 
-def test_validate_pass_replays_roots():
-    report = _analyze("mpls", "SWC")
-    section = report["passes"]["validate"]
-    for row in section["images"].values():
-        assert row["roots_checked"] > 0
-        assert row["effects_checked"] > 0
-        assert row["divergent_roots"] == 0
-        assert row["replay_timeouts"] == 0
+def test_verify_compares_metadata_words():
+    """``verify`` compares every metadata word from ``rx_port`` up that
+    PHR did not localize: all of firewall's at SOAR, ``flow_id``'s word
+    no longer at PHR."""
+    soar = _analyze("firewall", "SOAR")["passes"]["verify"]
+    phr = _analyze("firewall", "PHR")["passes"]["verify"]
+    assert soar["findings"] == [] and phr["findings"] == []
+    assert soar["meta_words_compared"][0] == META_RX_PORT
+    assert set(phr["meta_words_compared"]) < set(soar["meta_words_compared"])
 
 
-def test_validate_flags_input_with_unknown_label():
-    """A dispatch input whose entry label the image does not define is
-    one error, ahead of the replay -- which still runs, on code that was
-    assembled before the label was lost."""
-    result, trace = _fresh_compile("mpls", "BASE")
-    (image,) = result.images.values()
-    ring_sym, _label = image.inputs[0]
-    image.inputs[0] = (ring_sym, "no_such_label")
-    section = validate.check("mpls", result, trace, 4)
-    errors = _errors(section)
-    assert len(errors) == 1, errors
-    assert errors[0]["subject"] == image.name
-    assert "targets unknown label no_such_label" in errors[0]["detail"]
-    assert section["images"][image.name]["roots_checked"] == 4
-
-
-def test_validate_closes_each_replay_chip(monkeypatch):
-    """Each image's replay chip is unmapped when its roots are done."""
+def test_verify_closes_its_chip(monkeypatch):
+    """The oracle's chip is unmapped when its run is done."""
     from repro.ixp.chip import IXP2400
 
     closed = []
@@ -215,19 +197,20 @@ def test_validate_closes_each_replay_chip(monkeypatch):
     monkeypatch.setattr(IXP2400, "close",
                         lambda chip: closed.append(chip) or real_close(chip))
     result, trace = _fresh_compile("mpls", "BASE")
-    section = validate.check("mpls", result, trace, 2)
-    assert len(closed) == len(result.images) == len(section["images"])
+    assert run_analysis("mpls", "BASE", packets=PACKETS, seed=SEED,
+                        result=result, trace=trace)["ok"] is True
+    assert len(closed) == 1
 
 
-def test_validate_flags_compile_without_images():
-    """``codegen=False`` leaves nothing to
-    replay; that is an error, not a vacuous "ok"."""
+def test_verify_flags_compile_without_images():
+    """``codegen=False`` leaves nothing to load; that is an error naming
+    the aggregate, not a vacuous "ok" or a traceback."""
     result, trace = _fresh_compile("mpls", "BASE", codegen=False)
     report = run_analysis("mpls", "BASE", packets=PACKETS, seed=SEED,
-                          validate_packets=ROOTS, result=result, trace=trace)
-    errors = _errors(report["passes"]["validate"])
+                          result=result, trace=trace)
+    errors = _errors(report["passes"]["verify"])
     assert len(errors) == 1, errors
-    assert "no ME images" in errors[0]["detail"]
+    assert "no ME image for aggregate mpls_fwd" in errors[0]["detail"]
     assert report["ok"] is False and report["errors_total"] == 1
 
 
@@ -239,25 +222,27 @@ def test_cli_writes_report(tmp_path, capsys):
 
     out_path = tmp_path / "report.json"
     code = main(["mpls", "-O", "BASE", "--packets", "60",
-                 "--validate-packets", "6", "-o", str(out_path)])
+                 "-o", str(out_path)])
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["ok"] is True
-    assert sorted(report["passes"]) == ["budget", "layout", "validate"]
+    assert sorted(report["passes"]) == ["budget", "layout", "verify"]
     capsys.readouterr()
     # The framework's selectors are gone, not hidden.
-    for gone in (["--list"], ["mpls", "--pass", "validate"]):
+    for gone in (["--list"], ["mpls", "--pass", "verify"],
+                 ["mpls", "--validate-packets", "6"]):
         with pytest.raises(SystemExit) as exc:
             main(gone)
         assert exc.value.code == 2
-    assert "unrecognized arguments: --pass" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --pass" in err
+    assert "unrecognized arguments: --validate-packets" in err
 
 
 def test_cli_level_aliases(capsys):
     from repro.analyze.__main__ import main
 
-    code = main(["firewall", "-O3", "--packets", "40",
-                 "--validate-packets", "4"])
+    code = main(["firewall", "-O3", "--packets", "40"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["level"] == "SWC"
@@ -269,9 +254,8 @@ def test_cli_level_aliases(capsys):
 def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
     """A bad argument is ``parser.error`` naming flag and value (exit 2)
     before anything is compiled or written: no ``KeyError`` /
-    traceback, and no vacuous pass -- ``--packets 0``
-    used to validate zero roots per image and print "ok", and
-    ``--validate-packets -3`` silently meant "the whole trace"."""
+    traceback, and no vacuous pass -- ``--packets 0`` used to validate
+    zero packets and print "ok"."""
     from repro.analyze import __main__ as cli
 
     def no_analysis(*_args, **_kw):
@@ -282,8 +266,6 @@ def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
     for argv, needle in (
             (["nosuchapp"], "unknown app 'nosuchapp'"),
             (["mpls", "--packets", "0"], "--packets must be >= 1, got 0"),
-            (["mpls", "--validate-packets", "-3"],
-             "--validate-packets must be >= 0 (0 = the whole trace), got -3"),
             (["mpls", "-O", "nonsense"],
              "unknown optimization level -O 'nonsense'")):
         with pytest.raises(SystemExit) as exc:
@@ -293,13 +275,3 @@ def test_analyze_cli_fails_fast(tmp_path, capsys, monkeypatch):
         assert "error:" in err and needle in err, err
         assert "Traceback" not in err
         assert not out.exists(), argv
-
-    # 0 still means the whole trace, and reaches the analysis as None.
-    seen = {}
-    monkeypatch.setattr(
-        cli, "run_analysis",
-        lambda *a, **kw: seen.update(kw) or {"ok": True, "errors_total": 0})
-    monkeypatch.setattr(cli, "write_report", lambda report, path: None)
-    assert cli.main(["mpls", "--validate-packets", "0", "-o", str(out)]) == 0
-    assert seen["validate_packets"] is None and seen["packets"] == 200
-    capsys.readouterr()

@@ -11,6 +11,7 @@ from repro.options import options_for
 from repro.profiler.interpreter import GlobalMemory, Interpreter
 from repro.profiler.trace import ipv4_trace
 from repro.rts.loader import LoaderError, boot_image, load_system
+from repro.rts.system import run_on_simulator, verify_against_reference
 from repro.serve import ChurnSpec, build_app, build_mutations
 from repro.serve.churn import ControlPlane
 from repro.sweep.cache import CompileCache
@@ -126,3 +127,19 @@ def test_oversize_scratch_global_is_a_loader_error():
     result.mod.globals["mid"].memory = "scratch"
     with pytest.raises(LoaderError, match="scratch memory exhausted by global mid"):
         _loaded(result)
+
+
+def test_compile_without_images_is_a_loader_error():
+    """A compile made with ``codegen=False`` has a plan but no ME images:
+    every way onto the chip says so, naming the aggregate."""
+    trace = ipv4_trace(8, [0xC0A80101], MACS, seed=1)
+    result = compile_baker(PASSTHROUGH, options_for("BASE"), trace,
+                           codegen=False)
+    (agg,) = result.plan.me_aggregates
+    match = "no ME image for aggregate %s" % agg.name
+    with pytest.raises(LoaderError, match=match):
+        _loaded(result)
+    with pytest.raises(LoaderError, match=match):
+        run_on_simulator(result, trace, n_mes=1)
+    with pytest.raises(LoaderError, match=match):
+        verify_against_reference(result, trace, packets=8)

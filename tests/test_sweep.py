@@ -322,7 +322,7 @@ def test_analyzed_job_has_the_compilers_claims(tmp_path):
     from repro.sweep.orchestrator import WorkerConfig, execute_job
 
     cfg = WorkerConfig(cache_dir=str(tmp_path / "cache"), trace_packets=60,
-                       analyze=True, analyze_packets=4)
+                       analyze=True)
     jr = execute_job(SweepJob("mpls", "SWC", "rate", 1, 10, 20), cfg,
                      CompileCache(cfg.cache_dir))
     sections = jr.analysis["passes"]
@@ -457,16 +457,16 @@ def test_sweep_cli_fails_fast(capsys):
 
 def test_sweep_analyze_exits_nonzero_on_a_miscompile(sweep_cli, capsys):
     """``--analyze`` on a compile that fails validation: exit 2, and the
-    failing (app, level) named with its error count. The miscompile is
-    one only the validator sees (tests/test_analyze_mutations.py)."""
+    failing (app, level) named with its error count. The miscompile
+    changes no payload, only a metadata word
+    (tests/test_analyze_mutations.py)."""
     from repro.cg import pktlower
 
     assert pktlower._TEST_MUTATION is None, "hook leaked from another test"
     pktlower._TEST_MUTATION = "meta_store_dropped"
     try:
         code = sweep_cli("--apps", "firewall", "--levels", "SOAR",
-                         "--me-counts", "1", "--no-table1", "--analyze",
-                         "--analyze-packets", "16")
+                         "--me-counts", "1", "--no-table1", "--analyze")
     finally:
         pktlower._TEST_MUTATION = None
     out = capsys.readouterr().out
