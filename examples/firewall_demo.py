@@ -52,13 +52,14 @@ def main() -> None:
     print("\n== compile + simulate (+SWC)")
     result = compile_baker(app.source, options_for("SWC"), trace)
     print("  SWC cached:", result.swc_result.cached_names() or "(nothing)")
-    reason = next((v for k, v in result.swc_result.rejected.items()
-                   if k == "fw_rules"), None)
-    print("  fw_rules rejected because:", reason)
+    print("  the CAM turned fw_rules down because:",
+          result.swc_result.rejected.get("fw_rules"))
+    print("  resident in Local Memory:",
+          [r.name for r in result.swc_result.resident] or "(nothing)")
     run = run_on_simulator(result, trace, n_mes=6, warmup_packets=60,
                            measure_packets=220)
     print("  forwarding rate at 6 MEs: %.2f Gbps "
-          "(app SRAM %.1f accesses/packet -- the rule scan dominates)"
+          "(app SRAM %.1f accesses/packet -- the rule scan reads Local Memory)"
           % (run.forwarding_gbps, run.access_profile.app_sram))
 
 

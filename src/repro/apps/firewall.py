@@ -8,8 +8,10 @@ flow id to the packet's metadata. Matching walks dynamic-offset headers
 (IPv4 options legal, L4 beyond), so this is the paper's workload where
 static offset resolution has the least to bite on, and the rule table's
 access pattern (every rule touched for late-matching packets) defeats
-the 16-entry software cache -- exactly why Table 1's Firewall rows show
-no SWC change.
+the 16-entry CAM of the software cache -- why the paper's Table 1 shows
+no SWC change. The whole table (192 words) fits the Local Memory the
+CAM leaves unused, so SWC keeps it resident there instead, and the rule
+scan reads no SRAM.
 """
 
 from __future__ import annotations

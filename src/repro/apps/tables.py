@@ -344,11 +344,11 @@ def firewall_rule_mutations(config: FirewallConfig, count: int,
                             seed: int = 0) -> List[TableMutation]:
     """Action toggles (pass<->drop) on non-catch-all rules.
 
-    The firewall caches nothing under SWC (the rule table is too large
-    for the CAM), so these updates take effect immediately -- the
-    control contrast to the route-flap case. The visible impact is a
-    step in the per-window drop/forward counts for flows the toggled
-    rule matches.
+    Under SWC the rule table is resident in every ME's Local Memory (it
+    defeats the CAM but fits whole), so like a route flap an update
+    takes effect on each ME when its periodic check refreshes the copy.
+    The visible impact is a step in the per-window drop/forward counts
+    for flows the toggled rule matches.
     """
     rng = random.Random(seed)
     muts: List[TableMutation] = []

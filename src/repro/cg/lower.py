@@ -28,6 +28,7 @@ from repro.opt.aliases import AliasClasses
 from repro.options import CompilerOptions
 
 MAX_ALU_IMM = 0xFF  # largest constant an ALU/cmp instruction embeds
+LM_FILL_WORDS = 8  # widest SRAM read
 
 
 class CodegenError(Exception):
@@ -372,6 +373,10 @@ class FunctionLowerer(Emitter):
             self._lower_lm(instr, read=True)
         elif isinstance(instr, I.LmStore):
             self._lower_lm(instr, read=False)
+        elif isinstance(instr, I.LoadResident):
+            self._lower_load_resident(instr)
+        elif isinstance(instr, I.LmFill):
+            self._lower_lm_fill(instr)
         elif isinstance(instr, I.PktInstr):
             pktlower.lower_packet_instr(self, instr)
         else:  # pragma: no cover
@@ -645,6 +650,57 @@ class FunctionLowerer(Emitter):
             self.emit(isa.LmRead(self.dst32(instr.dst), base, offset))
         else:
             self.emit(isa.LmWrite(base, offset, self.reg32(instr.value)))
+
+    def _lower_load_resident(self, instr: I.LoadResident) -> None:
+        """One indexed ``lm_read`` per word: the index in the base
+        register, the replica and the constant word in the offset."""
+        offset = SWC_REGION_BASE + instr.replica + instr.word
+        base = None
+        if isinstance(instr.index, Const):
+            offset += instr.index.value
+        else:
+            base = self.reg32(instr.index)
+        if instr.width == 8:
+            hi, lo = self.dst_pair(instr.dst)
+            self.emit(isa.LmRead(hi, base, offset))
+            self.emit(isa.LmRead(lo, base, offset + 1))
+        else:
+            self.emit(isa.LmRead(self.dst32(instr.dst), base, offset))
+
+    def _lower_lm_fill(self, instr: I.LmFill) -> None:
+        """A loop of widest (8-word) reads of the global, each word
+        written to the replica, then one read for the words left over."""
+        space = self.ctx.global_space(instr.g)
+        replica = SWC_REGION_BASE + instr.replica
+        chunks, rest = divmod(instr.words, LM_FILL_WORDS)
+        if chunks:
+            word = self.materialize(0, "fillw")
+            top = self.label("lmfill")
+            self.new_block(top)
+            off = self.vreg("filloff")
+            self.emit(Alu("shl", off, word, Imm(2)))
+            base = self.vreg("gaddr")
+            self.emit(LoadSym(base, self.ctx.global_sym(instr.g)))
+            vals = [self.vreg("fill") for _ in range(LM_FILL_WORDS)]
+            self.emit(Mem(space, "read", vals, base, off, LM_FILL_WORDS,
+                          category=isa.CAT_APP))
+            for k, val in enumerate(vals):
+                self.emit(isa.LmWrite(word, replica + k, val))
+            self.emit(Alu("add", word, word, Imm(LM_FILL_WORDS)))
+            end = chunks * LM_FILL_WORDS
+            self.emit(Cmp(word, Imm(end) if end <= MAX_ALU_IMM
+                          else self.materialize(end)))
+            self.emit(Br("lt_u", top))
+            self.new_block(hint="lmfilled")
+        if rest:
+            done = chunks * LM_FILL_WORDS
+            base = self.vreg("gaddr")
+            self.emit(LoadSym(base, self.ctx.global_sym(instr.g, done * 4)))
+            vals = [self.vreg("fill") for _ in range(rest)]
+            self.emit(Mem(space, "read", vals, base, Imm(0), rest,
+                          category=isa.CAT_APP))
+            for k, val in enumerate(vals):
+                self.emit(isa.LmWrite(None, replica + done + k, val))
 
     # -- locks ------------------------------------------------------------------------
 

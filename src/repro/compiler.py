@@ -8,7 +8,7 @@ Pipeline::
       -> functional profiler over a trace       (exec/access statistics)
       -> scalar opts + inlining                 (-O1 / -O2)
       -> aggregation (merge/duplicate, CC->call, map to MEs/XScale)
-      -> PAC -> SOAR -> PHR -> SWC              (packet optimizations)
+      -> SWC selection, PAC, SOAR, PHR, SWC     (packet optimizations)
       -> code generation per aggregate          (CGIR, regalloc, stack)
 
 Which stages run is a function of the cumulative level
@@ -113,9 +113,23 @@ def compile_ir(
                                plan=plan, opts=opts, decisions=decisions,
                                ir_stages=ir_stages)
 
+        # SWC selects from what PAC, SOAR and PHR leave alone (the
+        # profile, the ME functions, their global reads and writes, lock
+        # scopes), so it selects first and PAC keeps the loads of every
+        # selected global narrow for the rewrite to find.
+        result.fast_functions = plan.fast_functions(mod)
+        narrow: Set[str] = set()
+        if opts.swc:
+            with compile_stage("swc"):
+                result.swc_result = swc.select_candidates(
+                    mod, profile, result.fast_functions)
+                period = swc.enforce_check_period(result.swc_result,
+                                                  opts.swc_check_period)
+            narrow = {spec.name for spec in result.swc_result.selected()}
+
         if opts.pac:
             with compile_stage("pac"):
-                result.pac_result = pac.run(mod)
+                result.pac_result = pac.run(mod, narrow)
             record_ir_stage("pac")
         if opts.soar:
             with compile_stage("soar"):
@@ -130,21 +144,15 @@ def compile_ir(
                 # accesses across former protocol boundaries (the paper's
                 # dependence analysis reaches the same result in one
                 # pass); SOAR then re-annotates the new wide accesses.
-                result.pac_result += pac.run(mod)
+                result.pac_result += pac.run(mod, narrow)
                 result.soar_result = soar.run(mod)
                 scalar_optimize_module(mod)
             record_ir_stage("phr")
 
-        result.fast_functions = plan.fast_functions(mod)
         if opts.swc:
             with compile_stage("swc"):
-                swc_result = swc.select_candidates(mod, profile,
-                                                   result.fast_functions)
-                period = swc.enforce_check_period(swc_result,
-                                                  opts.swc_check_period)
-                swc.apply(mod, swc_result, result.fast_functions,
+                swc.apply(mod, result.swc_result, result.fast_functions,
                           check_period=period)
-                result.swc_result = swc_result
             record_ir_stage("swc")
         if opts.phr:
             phr.plan_packet_state(mod, result.fast_functions,

@@ -590,11 +590,44 @@ class LmStore(Instr):
         self.value = value
 
 
+class LoadResident(Instr):
+    """dst = the ``width`` bytes of global ``g`` at word ``index + word``,
+    read from the copy of the whole table SWC keeps in every ME's Local
+    Memory from SWC-region word ``replica`` on. It means exactly the
+    ``LoadG`` it replaced, at byte offset ``(index + word) * 4``; only
+    the code generator reads ``replica``."""
+
+    _uses = ("index",)
+    _defs = ("dst",)
+    side_effects = False
+
+    def __init__(self, dst: Temp, g: str, index: Operand, word: int,
+                 width: int, replica: int):
+        assert width in (4, 8)
+        self.dst = dst
+        self.g = g
+        self.index = index
+        self.word = word
+        self.width = width
+        self.replica = replica
+
+
+class LmFill(Instr):
+    """Copy all ``words`` words of global ``g`` from memory into Local
+    Memory from SWC-region word ``replica`` on: the refresh of a
+    resident table's replica."""
+
+    def __init__(self, g: str, replica: int, words: int):
+        self.g = g
+        self.replica = replica
+        self.words = words
+
+
 INSTR_CLASSES = [
     Assign, BinOp, Cmp, Call, Jump, Branch, Ret,
     LoadG, LoadGWords, StoreG, LoadL, StoreL,
     PktLoadField, PktStoreField, PktLoadWords, PktStoreWords,
     MetaLoad, MetaStore, PktEncap, PktDecap, PktCopy, PktDrop, PktCreate,
     PktLength, PktAdjust, PktSyncHead, ChanPut, LockAcquire, LockRelease,
-    CamLookup, CamWrite, CamClear, LmLoad, LmStore,
+    CamLookup, CamWrite, CamClear, LmLoad, LmStore, LoadResident, LmFill,
 ]

@@ -102,6 +102,13 @@ def format_instr(instr: I.Instr) -> str:
         return "%s = lm_load [%s]" % (_fmt(instr.dst), _fmt(instr.index))
     if isinstance(instr, I.LmStore):
         return "lm_store [%s] = %s" % (_fmt(instr.index), _fmt(instr.value))
+    if isinstance(instr, I.LoadResident):
+        return "%s = loadg_resident %s[%s + %d] w%d @lm%d" % (
+            _fmt(instr.dst), instr.g, _fmt(instr.index), instr.word,
+            instr.width, instr.replica)
+    if isinstance(instr, I.LmFill):
+        return "lm_fill [%d..%d] = %s" % (
+            instr.replica, instr.replica + instr.words - 1, instr.g)
     return "<%s>" % type(instr).__name__
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.ir.instructions import Branch, Call, ChanPut, Jump, LoadG, StoreG
+from repro.ir.instructions import (
+    Branch, Call, ChanPut, Jump, LmFill, LoadG, LoadResident, StoreG,
+)
 from repro.ir.module import IRFunction, IRModule
 from repro.ir.values import Temp
 
@@ -63,7 +65,8 @@ def verify_function(fn: IRFunction, mod: IRModule = None) -> None:
                     raise IRVerifyError(
                         "%s: call to unknown function %r" % (fn.name, instr.func)
                     )
-                if isinstance(instr, (LoadG, StoreG)) and instr.g not in mod.globals:
+                if (isinstance(instr, (LoadG, StoreG, LoadResident, LmFill))
+                        and instr.g not in mod.globals):
                     raise IRVerifyError(
                         "%s: access to unknown global %r" % (fn.name, instr.g)
                     )

@@ -175,6 +175,10 @@ def _opt_section(result) -> Dict[str, object]:
              "line_words": c.line_words}
             for c in swc.cached
         ],
+        "resident": [
+            {"name": r.name, "replica": r.replica, "words": r.words}
+            for r in swc.resident
+        ],
         "rejected": dict(sorted(swc.rejected.items())),
         "rewritten_loads": swc.rewritten_loads,
         "instrumented_stores": swc.instrumented_stores,

@@ -30,7 +30,7 @@ one wide SRAM access: see the last section of this file.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
@@ -75,12 +75,15 @@ class PacResult:
 MAX_GLOBAL_COMBINE_BYTES = 32
 
 
-def run(mod: IRModule) -> PacResult:
+def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
+    """Combine packet accesses and application-table loads in every
+    function; the loads of a global in ``narrow`` (the ones SWC selected,
+    whose every read it rewrites) are left as they are."""
     result = PacResult()
     for fn in mod.functions.values():
         compute_cfg(fn)
         _combine_function(fn, result)
-        _combine_global_loads(fn, mod, result)
+        _combine_global_loads(fn, mod, result, narrow)
     return result
 
 
@@ -622,7 +625,7 @@ def _segment_part(fn: IRFunction, seq: List[I.Instr], seg_off: int,
 # strictly dominates theirs, and their epochs are equal.
 
 
-def _single_defs_of(fn: IRFunction):
+def single_defs_of(fn: IRFunction):
     """temp -> (block, index, instruction) for temps defined exactly once
     (a parameter assigned in the body has two definitions)."""
     defs = {}
@@ -636,13 +639,13 @@ def _single_defs_of(fn: IRFunction):
     return {t: site for t, site in defs.items() if t not in multiple}
 
 
-def _normalize_offset(op, single_defs):
+def normalize_offset(op, single_defs, max_shift: int = 31):
     """Decompose an offset operand into ``(leaf, shift), delta, chain`` with
     offset = (leaf << shift) + delta mod 2**32: walks single-definition
-    temps through `+ const` and `<< const`, so ``(row + 3) << 2`` and
-    ``(row + 7) << 2`` share a key and differ by a known 16 bytes. The leaf
-    is None for a constant offset; ``chain`` lists the definition sites
-    walked."""
+    temps through `+ const` and `<< const` (while ``shift`` stays within
+    ``max_shift``), so ``(row + 3) << 2`` and ``(row + 7) << 2`` share a
+    key and differ by a known 16 bytes. The leaf is None for a constant
+    offset; ``chain`` lists the definition sites walked."""
     shift, delta, chain = 0, 0, []
     while isinstance(op, Temp) and len(chain) <= 6:
         site = single_defs.get(op)
@@ -657,7 +660,7 @@ def _normalize_offset(op, single_defs):
             break
         if d.op == "add":
             delta += const << shift
-        elif 0 <= const < 32 - shift:
+        elif 0 <= const <= max_shift - shift:
             shift += const
         else:
             break  # shifted out of the word: not an index any more
@@ -688,14 +691,16 @@ class _GlobalLoad(NamedTuple):
     fresh: bool
 
 
-def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult) -> None:
-    single_defs = _single_defs_of(fn)
+def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult,
+                          narrow: Set[str]) -> None:
+    single_defs = single_defs_of(fn)
     order = reverse_postorder(fn)  # leaders first: a dominator precedes in RPO
     by_key: Dict[tuple, list] = {}
     for bb in order:
         for idx, instr in enumerate(bb.instrs):
-            if isinstance(instr, I.LoadG) and instr.width == 4:
-                key, delta, chain = _normalize_offset(instr.offset, single_defs)
+            if (isinstance(instr, I.LoadG) and instr.width == 4
+                    and instr.g not in narrow):
+                key, delta, chain = normalize_offset(instr.offset, single_defs)
                 if delta % 4 == 0:
                     by_key.setdefault((instr.g,) + key, []).append(
                         (bb, idx, instr, delta, chain))

@@ -2,24 +2,34 @@
 
 The IXP MEs have no hardware caches, but each ME has a 16-entry CAM and
 640 words of Local Memory. SWC turns hot, rarely-written global loads
-into CAM-tagged Local Memory hits:
+into Local Memory reads, two ways:
 
 * **Candidate selection** uses functional-profiler statistics: a global
   qualifies when it is read frequently on the packet path, written
-  rarely (control/init path only), small-grained enough to cache
-  (power-of-two line size <= the line budget), never accessed inside a
-  critical section, and its observed load stream would hit well in 16
-  lines.
+  rarely (control/init path only) and never accessed inside a critical
+  section. Selection runs once, before PAC (which then leaves every
+  selected global's loads narrow, so each is rewritten here).
+* **CAM caching** (the paper's mechanism): a candidate small-grained
+  enough to cache (power-of-two line size <= the line budget) whose
+  observed load stream would hit well in 16 lines gets CAM-tagged
+  lines in Local Memory.
+* **Residency**: a candidate the CAM turns down (hit rate, working set,
+  CAM capacity or line geometry) whose *whole table* fits the words of
+  the SWC region the CAM left is copied into every ME's Local Memory,
+  hottest first. Each read becomes one indexed Local Memory read; the
+  loader fills the copies at boot. This is what keeps Firewall's rule
+  table, which defeats the CAM, out of SRAM.
 * **Delayed-update coherency**: a writer bumps a per-global
   *generation word* in Scratch after its data store; the packet path
   compares the generations against the value it last saw (``SEEN``, in
   its own Local Memory) only every *i*-th packet (Equation 2 gives the
-  minimum check rate from the tolerable packet error rate) and clears
-  the whole CAM when they differ. MEs never write the generation words,
-  so every ME sees every update -- the paper's test-and-clear flag is
-  consumed by the first ME that checks. Between checks, cached entries
-  may be stale -- acceptable in error-tolerant packet applications, the
-  paper's central observation.
+  minimum check rate from the tolerable packet error rate) and, when
+  they differ, clears the whole CAM and refreshes every resident copy
+  from SRAM. MEs never write the generation words, so every ME sees
+  every update -- the paper's test-and-clear flag is consumed by the
+  first ME that checks. Between checks, cached entries and resident
+  copies may be stale -- acceptable in error-tolerant packet
+  applications, the paper's central observation.
 
 The load-path rewrite (paper Figure 8)::
 
@@ -28,44 +38,54 @@ The load-path rewrite (paper Figure 8)::
         count = 0
         gen = sum of generations  (one Scratch read each per period)
         if gen != seen:           (Local Memory)
-            seen = gen; cam_clear
+            seen = gen; cam_clear; refresh resident copies
     r = cam_lookup(key)
     if hit:  value = LM[line(r) + word]
     else:    value = SRAM load; cam_write; LM fill
+
+and a resident read is ``value = LM[table base + index]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.baker import types as T
 from repro.baker.symbols import GlobalSymbol, SymbolKind
+from repro.cg.melayout import SWC_REGION_WORDS
 from repro.ir import instructions as I
+from repro.ir.cfg import solve_forward
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Operand, Temp
 from repro.obs import ledger as obs_ledger
+from repro.opt import dce
+from repro.opt.pac import normalize_offset, single_defs_of
 from repro.profiler.stats import ProfileData
 
 # Local Memory layout of the SWC region (word indices are relative to the
-# region; the code generator places the region after the stack area).
+# region; the code generator places the region after the stack area):
+# the packet counter, SEEN (the generation sum this ME last flushed for),
+# the sixteen CAM lines if the CAM caches anything, then the resident
+# tables.
 COUNTER_INDEX = 0
-CACHE_BASE = 1
+SEEN_INDEX = 1
+CACHE_BASE = 2
 CAM_ENTRIES = 16
-MAX_LINE_WORDS = 8  # 16 lines x 8 words = 128 words + counter
+MAX_LINE_WORDS = 8
 # The CAM is shared by every cached global, so line slots use a uniform
 # stride: entry E always owns LM words [CACHE_BASE + 8E, CACHE_BASE + 8E+8).
 LINE_STRIDE_WORDS = MAX_LINE_WORDS
-# The generation sum this ME last flushed for, behind the sixteen lines.
-SEEN_INDEX = CACHE_BASE + CAM_ENTRIES * LINE_STRIDE_WORDS
+CACHE_WORDS = CAM_ENTRIES * LINE_STRIDE_WORDS  # 128
 
-# ``<global>.__swc_flag``: the Scratch generation word of a cached global.
+# ``<global>.__swc_flag``: the Scratch generation word of a selected global.
 FLAG_SUFFIX = ".__swc_flag"
 
-# Test-only fault injection (tests/test_analyze_mutations.py): when set
-# to "wrong_slot", the hit path reads one LM word past the true cache
-# slot -- a deliberately broken rewrite the differential oracle must
-# catch. Never set outside tests.
+# Test-only fault injection (tests/test_analyze_mutations.py), each a
+# deliberately broken rewrite the differential oracle must catch:
+# "wrong_slot" -- the hit path reads one LM word past the true cache
+# slot; "resident_off_by_one" -- a resident read takes the word after
+# the one it replaced. Never set outside tests.
 _TEST_MUTATION = None
 
 # Selection thresholds.
@@ -94,9 +114,22 @@ class CacheSpec:
 
 
 @dataclass
+class ResidentSpec:
+    """One resident table: its whole copy in every ME's Local Memory."""
+
+    name: str
+    replica: int  # first SWC-region word of the copy
+    words: int
+    flag_global: str
+
+
+@dataclass
 class SwcResult:
     cached: List[CacheSpec] = field(default_factory=list)
-    rejected: Dict[str, str] = field(default_factory=dict)  # name -> reason
+    resident: List[ResidentSpec] = field(default_factory=list)
+    #: name -> why selection or the CAM turned it down (a resident
+    #: table keeps the CAM's reason).
+    rejected: Dict[str, str] = field(default_factory=dict)
     rewritten_loads: int = 0
     instrumented_stores: int = 0
     #: Largest Equation-2 minimum check rate over the accepted
@@ -111,6 +144,12 @@ class SwcResult:
 
     def cached_names(self) -> List[str]:
         return [c.name for c in self.cached]
+
+    def selected(self) -> List[Union[CacheSpec, ResidentSpec]]:
+        """Every global SWC serves from Local Memory: the CAM-cached
+        ones, then the resident ones (the generation words are summed
+        in this order)."""
+        return list(self.cached) + list(self.resident)
 
 
 def min_check_rate(r_error: float, r_store: float, r_load: float) -> float:
@@ -137,8 +176,9 @@ def _line_geometry(sym: GlobalSymbol) -> Optional[Tuple[int, int]]:
 
 def select_candidates(mod: IRModule, profile: ProfileData,
                       fast_functions: Set[str]) -> SwcResult:
-    """Choose globals to cache. ``fast_functions`` are the ME-mapped
-    aggregate functions (loads elsewhere are control path)."""
+    """Choose globals to cache and globals to keep resident.
+    ``fast_functions`` are the ME-mapped aggregate functions (loads
+    elsewhere are control path)."""
     result = SwcResult()
     packets = max(profile.packets_in, 1)
 
@@ -151,6 +191,7 @@ def select_candidates(mod: IRModule, profile: ProfileData,
     fast_stored = _globals_stored_in(mod, fast_functions)
 
     screened = []  # (loads_per_packet, name, sym, line_bytes, line_words, stats)
+    turned_down = []  # (loads_per_packet, name, sym, stats): residency's pool
     for name, sym in sorted(mod.globals.items()):
         if name.endswith(FLAG_SUFFIX):
             continue
@@ -180,6 +221,7 @@ def select_candidates(mod: IRModule, profile: ProfileData,
         geometry = _line_geometry(sym)
         if geometry is None:
             _reject(name, "element too large for a cache line")
+            turned_down.append((loads_per_packet, name, sym, stats))
             continue
         line_bytes, line_words = geometry
         hit = stats.estimated_hit_rate(CAM_ENTRIES, line_words)
@@ -187,6 +229,7 @@ def select_candidates(mod: IRModule, profile: ProfileData,
             _reject(name, "estimated hit rate too low (%.2f)" % hit,
                     hit_rate=hit, min_hit_rate=MIN_HIT_RATE,
                     loads_per_packet=loads_per_packet)
+            turned_down.append((loads_per_packet, name, sym, stats))
             continue
         screened.append((loads_per_packet, name, sym, line_bytes, line_words, stats))
 
@@ -204,27 +247,17 @@ def select_candidates(mod: IRModule, profile: ProfileData,
             # most of the CAM to itself would thrash everything else.
             _reject(name, "working set too large (%d lines)" % ws,
                     working_set_lines=ws, cam_entries=CAM_ENTRIES)
+            turned_down.append((loads_per_packet, name, sym, stats))
             continue
         if ws > capacity:
             _reject(name,
                     "working set (%d lines) exceeds remaining CAM capacity (%d)"
                     % (ws, capacity),
                     working_set_lines=ws, cam_capacity_left=capacity)
+            turned_down.append((loads_per_packet, name, sym, stats))
             continue
-        stores_per_packet = stats.stores / packets
-        eq2 = min_check_rate(TOLERABLE_ERROR_RATE, stores_per_packet,
-                             loads_per_packet)
-        if eq2 > 1.0:
-            # Equation 2 demands more than one check per packet: no
-            # integer period can satisfy the 1% error bound, so the
-            # candidate is uncacheable outright.
-            _reject(name,
-                    "Equation 2 unsatisfiable (min check rate %.3f > 1/pkt)"
-                    % eq2,
-                    eq2_min_check_rate=eq2,
-                    stores_per_packet=stores_per_packet,
-                    loads_per_packet=loads_per_packet,
-                    tolerable_error_rate=TOLERABLE_ERROR_RATE)
+        eq2 = _admissible_check_rate(name, stats, packets, _reject)
+        if eq2 is None:
             continue
         # Hit rate at the CAM capacity this structure actually competes
         # for -- earlier admissions shrank it, so the full-CAM estimate
@@ -242,13 +275,60 @@ def select_candidates(mod: IRModule, profile: ProfileData,
             reason="hot, rarely written, working set fits the CAM",
             gid=gid, line_bytes=line_bytes,
             loads_per_packet=loads_per_packet,
-            stores_per_packet=stores_per_packet,
+            stores_per_packet=stats.stores / packets,
             hit_rate=hit_rate,
             cam_capacity=capacity + ws,
             working_set_lines=ws,
             eq2_min_check_rate=eq2)
         gid += 1
+
+    # What the CAM turned down is kept whole in Local Memory if it fits
+    # the words the CAM left, hottest first.
+    replica = CACHE_BASE + (CACHE_WORDS if result.cached else 0)
+    turned_down.sort(key=lambda row: (-row[0], row[1]))
+    for loads_per_packet, name, sym, stats in turned_down:
+        words = sym.type.size_words()
+        words_left = SWC_REGION_WORDS - replica
+        if words > words_left:
+            _reject(name, "%s; table does not fit Local Memory (%d words, "
+                          "%d left)" % (result.rejected[name], words,
+                                        words_left),
+                    words=words, words_left=words_left)
+            continue
+        eq2 = _admissible_check_rate(name, stats, packets, _reject)
+        if eq2 is None:
+            continue
+        result.resident.append(
+            ResidentSpec(name, replica, words, name + FLAG_SUFFIX))
+        result.eq2_min_check_rate = max(result.eq2_min_check_rate, eq2)
+        obs_ledger.record(
+            "swc", name, "resident",
+            reason="turned down by the CAM, whole table fits Local Memory",
+            replica=replica, words=words, words_left=words_left,
+            loads_per_packet=loads_per_packet,
+            stores_per_packet=stats.stores / packets,
+            eq2_min_check_rate=eq2)
+        replica += words
     return result
+
+
+def _admissible_check_rate(name, stats, packets, reject) -> Optional[float]:
+    """A candidate's Equation-2 minimum check rate at the paper's 1%
+    tolerable error rate, or None (rejected) when it demands more than
+    one check per packet: no integer period can satisfy it."""
+    loads_per_packet = stats.loads / packets
+    stores_per_packet = stats.stores / packets
+    eq2 = min_check_rate(TOLERABLE_ERROR_RATE, stores_per_packet,
+                         loads_per_packet)
+    if eq2 > 1.0:
+        reject(name,
+               "Equation 2 unsatisfiable (min check rate %.3f > 1/pkt)" % eq2,
+               eq2_min_check_rate=eq2,
+               stores_per_packet=stores_per_packet,
+               loads_per_packet=loads_per_packet,
+               tolerable_error_rate=TOLERABLE_ERROR_RATE)
+        return None
+    return eq2
 
 
 def enforce_check_period(result: SwcResult, requested: int) -> int:
@@ -259,7 +339,7 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
     period silently violated the paper's 1% bound."""
     result.requested_check_period = requested
     effective = max(1, int(requested))
-    if result.cached and result.eq2_min_check_rate > 0.0:
+    if result.selected() and result.eq2_min_check_rate > 0.0:
         max_period = max(1, int(1.0 / result.eq2_min_check_rate))
         if effective > max_period:
             obs_ledger.record(
@@ -274,7 +354,7 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
                 implied_check_rate=1.0 / effective,
                 tolerable_error_rate=TOLERABLE_ERROR_RATE)
             effective = max_period
-    result.check_period = effective if result.cached else None
+    result.check_period = effective if result.selected() else None
     return effective
 
 
@@ -285,18 +365,26 @@ def _global_read_by(instr: I.Instr) -> Optional[str]:
 
 
 def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
+    """Globals read or written while a lock is held. The lock depth at
+    each block's entry comes from the paths into it, so an access in a
+    branch of a ``critical`` body is seen as one."""
     names: Set[str] = set()
+
+    def walk(bb: BasicBlock, depth: int, found: Optional[Set[str]] = None) -> int:
+        for instr in bb.all_instrs():
+            if isinstance(instr, I.LockAcquire):
+                depth += 1
+            elif isinstance(instr, I.LockRelease):
+                depth = max(0, depth - 1)
+            elif depth > 0 and found is not None and (
+                    isinstance(instr, I.StoreG) or _global_read_by(instr)):
+                found.add(instr.g)
+        return depth
+
     for fn in mod.functions.values():
+        entry_depth = solve_forward(fn, 0, walk, max)
         for bb in fn.blocks:
-            depth = 0
-            for instr in bb.all_instrs():
-                if isinstance(instr, I.LockAcquire):
-                    depth += 1
-                elif isinstance(instr, I.LockRelease):
-                    depth = max(0, depth - 1)
-                elif depth > 0 and (isinstance(instr, I.StoreG)
-                                    or _global_read_by(instr)):
-                    names.add(instr.g)
+            walk(bb, entry_depth.get(bb, 0), names)
     return names
 
 
@@ -330,15 +418,16 @@ def _globals_stored_in(mod: IRModule, functions: Set[str]) -> Set[str]:
 
 def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
           check_period: int = 16) -> None:
-    """Rewrite fast-path loads of every selected global and instrument
-    all stores with the generation bump."""
-    if not result.cached:
+    """Rewrite fast-path loads of every selected global -- CAM lookups
+    for the cached ones, Local Memory reads for the resident ones -- and
+    instrument all stores with the generation bump."""
+    selected = {spec.name: spec for spec in result.selected()}
+    if not selected:
         return
-    specs = {c.name: c for c in result.cached}
     # The generation bump is a read-modify-write, atomic only because the
     # XScale runs a function to completion. Selection rejects a global
     # stored on the packet path; never instrument one that slipped by.
-    me_stored = sorted(_globals_stored_in(mod, fast_functions) & set(specs))
+    me_stored = sorted(_globals_stored_in(mod, fast_functions) & set(selected))
     if me_stored:
         raise ValueError(
             "SWC: cached global(s) %s stored from an ME function; a "
@@ -346,7 +435,7 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
             % ", ".join(me_stored))
 
     # Materialize the generation words (Scratch: cheap periodic check).
-    for spec in result.cached:
+    for spec in result.selected():
         if spec.flag_global not in mod.globals:
             mod.globals[spec.flag_global] = GlobalSymbol(
                 SymbolKind.GLOBAL,
@@ -357,15 +446,19 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
                 memory="scratch",
             )
 
+    cached = {c.name: c for c in result.cached}
+    resident = {r.name: r for r in result.resident}
     for fname in sorted(fast_functions):
         fn = mod.functions.get(fname)
         if fn is None:
             continue
         if any(
-            isinstance(i, I.LoadG) and i.g in specs for i in fn.all_instrs()
+            isinstance(i, I.LoadG) and i.g in selected for i in fn.all_instrs()
         ):
-            _insert_periodic_check(fn, result.cached, check_period)
-            _rewrite_loads(fn, specs, result)
+            _insert_periodic_check(fn, result, check_period)
+            _rewrite_loads(fn, cached, result)
+            if _make_resident_reads(fn, resident, result):
+                dce.run(fn)  # the byte offsets no read needs any more
 
     # Every store anywhere (control plane, init) bumps the generation
     # *after* the data is in memory, so a flush it triggers refills with
@@ -375,8 +468,8 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
             new_instrs: List[I.Instr] = []
             for instr in bb.instrs:
                 new_instrs.append(instr)
-                if isinstance(instr, I.StoreG) and instr.g in specs:
-                    flag = specs[instr.g].flag_global
+                if isinstance(instr, I.StoreG) and instr.g in selected:
+                    flag = selected[instr.g].flag_global
                     gen = fn.new_temp(T.U32, "swc_gen")
                     bumped = fn.new_temp(T.U32)
                     new_instrs += [
@@ -386,6 +479,24 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
                     ]
                     result.instrumented_stores += 1
             bb.instrs = new_instrs
+
+
+def boot_lm_words(result: SwcResult, image: Dict[str, bytes]) -> Dict[int, int]:
+    """SWC-region word -> value of every ME's Local Memory at boot, from
+    the globals' post-boot bytes: each resident table's copy, and SEEN
+    at the generation sum those bytes hold (so no ME flushes for the
+    init blocks' stores)."""
+    selected = result.selected()
+    if not selected:
+        return {}
+    words: Dict[int, int] = {}
+    for spec in result.resident:
+        data = image[spec.name]
+        for k in range(spec.words):
+            words[spec.replica + k] = int.from_bytes(data[4 * k:4 * k + 4], "big")
+    words[SEEN_INDEX] = sum(int.from_bytes(image[spec.flag_global], "big")
+                            for spec in selected) & 0xFFFFFFFF
+    return words
 
 
 def publish_store(globals_, name: str) -> bool:
@@ -403,7 +514,7 @@ def publish_store(globals_, name: str) -> bool:
     return True
 
 
-def _insert_periodic_check(fn: IRFunction, cached: List[CacheSpec],
+def _insert_periodic_check(fn: IRFunction, result: SwcResult,
                            check_period: int) -> None:
     """Prepend the every-i-th-packet coherency check to the function."""
     old_entry_instrs = fn.entry.instrs
@@ -431,7 +542,7 @@ def _insert_periodic_check(fn: IRFunction, cached: List[CacheSpec],
     # the update from every ME that has not checked yet.
     check.append(I.LmStore(Const(COUNTER_INDEX), Const(0)))
     acc: Optional[Temp] = None
-    for spec in cached:
+    for spec in result.selected():
         gen = fn.new_temp(T.U32, "swc_gen")
         check.append(I.LoadG(gen, spec.flag_global, Const(0), 4))
         if acc is None:
@@ -447,7 +558,10 @@ def _insert_periodic_check(fn: IRFunction, cached: List[CacheSpec],
     flush = fn.new_block("swc_flush")
     check.terminate(I.Branch(moved, flush, body))
     flush.append(I.LmStore(Const(SEEN_INDEX), acc))
-    flush.append(I.CamClear())
+    if result.cached:
+        flush.append(I.CamClear())
+    for spec in result.resident:
+        flush.append(I.LmFill(spec.name, spec.replica, spec.words))
     flush.terminate(I.Jump(body))
 
 
@@ -571,3 +685,58 @@ def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int,
     hit_bb.terminate(I.Jump(tail))
 
     result.rewritten_loads += 1
+
+
+# -- resident reads -------------------------------------------------------------------
+
+
+def _make_resident_reads(fn: IRFunction, resident: Dict[str, ResidentSpec],
+                         result: SwcResult) -> bool:
+    """Replace every load of a resident table by the Local Memory read of
+    its copy. Returns whether any load was replaced."""
+    single_defs = single_defs_of(fn)
+    # Temps that hold, wherever they are read, the value an offset was
+    # computed from: one definition, or a parameter the body never assigns.
+    assigned = {d for instr in fn.all_instrs() for d in instr.defs()}
+    stable = set(single_defs) | (set(fn.params) - assigned)
+
+    rewrote = False
+    for bb in fn.blocks:
+        new_instrs: List[I.Instr] = []
+        for instr in bb.instrs:
+            spec = resident.get(instr.g) if isinstance(instr, I.LoadG) else None
+            if spec is None:
+                new_instrs.append(instr)
+                continue
+            index, word = _word_index(instr.offset, single_defs, stable,
+                                      spec.words)
+            if index is None:
+                index = fn.new_temp(T.U32, "swc_word")
+                new_instrs.append(I.BinOp("lshr", index, instr.offset, Const(2)))
+            if _TEST_MUTATION == "resident_off_by_one":
+                word += 1
+            read = I.LoadResident(instr.dst, instr.g, index, word, instr.width,
+                                  spec.replica)
+            read.loc = instr.loc
+            new_instrs.append(read)
+            result.rewritten_loads += 1
+            rewrote = True
+        bb.instrs = new_instrs
+    return rewrote
+
+
+def _word_index(offset: Operand, single_defs, stable: Set[Temp],
+                words: int) -> Tuple[Optional[Operand], int]:
+    """``(index, word)`` with ``offset == (index + word) * 4`` and ``word``
+    a word of the table, read off the ``+ const`` and ``<< const`` steps
+    that computed the byte offset down to a stable word index:
+    ``(row + 3) << 2`` is ``(row, 3)``, and the steps become dead.
+    ``(None, 0)`` when there is none (the caller shifts the offset)."""
+    (leaf, shift), delta, _ = normalize_offset(offset, single_defs,
+                                               max_shift=2)
+    word = (delta >> 2) & 0xFFFFFFFF  # storage is word-granular
+    if leaf is None:
+        return Const(0), word
+    if shift == 2 and delta % 4 == 0 and leaf in stable and word < words:
+        return leaf, word
+    return None, 0

@@ -227,6 +227,10 @@ _MEANINGS: Dict[type, Callable[..., object]] = {
     I.CamClear: lambda it, i: it.cam.clear(),
     I.LmLoad: lambda it, i, index: it.local_mem.get(index, 0),
     I.LmStore: lambda it, i, index, value: setitem(it.local_mem, index, value & _U32),
+    I.LoadResident: lambda it, i, index: it.globals.load(
+        i.g, ((index + i.word) * 4) & _U32, i.width),
+    I.LmFill: lambda it, i: it.local_mem.update(
+        (i.replica + k, it.globals.load(i.g, k * 4, 4)) for k in range(i.words)),
 }
 
 

@@ -19,11 +19,12 @@ from typing import Dict, List, Optional
 
 from repro.aggregation.throughput import assign_mes
 from repro.baker import types as T
-from repro.cg.melayout import SRAM_STACK_BYTES_PER_THREAD
+from repro.cg.melayout import SRAM_STACK_BYTES_PER_THREAD, SWC_REGION_BASE
 from repro.baker.packetmodel import BUFFER_BYTES
 from repro.ixp.chip import IXP2400
 from repro.ixp.microengine import Microengine
 from repro.ixp.xscale_core import XScaleCore
+from repro.opt import swc
 from repro.profiler.interpreter import Interpreter
 
 RING_CAPACITY = 128  # channel rings (Rx drops when the rx ring is full)
@@ -82,7 +83,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         scratch_ptr += 4
 
     # Globals, holding their post-boot contents.
-    image = boot_image(result)
+    boot = boot_image(result)
     for name, sym in sorted(mod.globals.items()):
         size = sym.type.size_bytes()
         if sym.memory == "scratch":
@@ -97,7 +98,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         chip.symbols[name] = addr
         layout.global_addr[name] = addr
         layout.global_space[name] = sym.memory
-        chip.memory.write_bytes(sym.memory, addr, image[name])
+        chip.memory.write_bytes(sym.memory, addr, boot[name])
 
     # Rings: builtin, one per non-internal channel, plus the free lists.
     ring_names = ["rx", "tx", "__buf_free", "__meta_free"]
@@ -138,6 +139,10 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         raise LoaderError(
             "cannot map %d pipeline stages onto %d MEs" % (len(aggs), total_mes)
         )
+    # Every ME's SWC region starts filled (its eight threads start at
+    # once, and none may read a resident table's copy before it is).
+    boot_lm = ({} if result.swc_result is None
+               else swc.boot_lm_words(result.swc_result, boot))
     me_index = 0
     for agg, count in zip(aggs, counts):
         layout.me_assignment[agg.name] = count
@@ -146,7 +151,10 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
             raise LoaderError("no ME image for aggregate %s (compiled "
                               "without codegen?)" % agg.name)
         for _ in range(count):
-            chip.add_me(Microengine(me_index, image, chip))
+            me = Microengine(me_index, image, chip)
+            for word, value in boot_lm.items():
+                me.lm[SWC_REGION_BASE + word] = value
+            chip.add_me(me)
             me_index += 1
 
     # XScale: control aggregates (boot already happened: see boot_image).

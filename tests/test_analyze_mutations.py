@@ -12,6 +12,9 @@ exactly one rewrite site:
   one word past the true pending delta;
 * SWC ``wrong_slot`` -- the cache hit path reads one LM word past the
   slot the miss path filled;
+* SWC ``resident_off_by_one`` -- a resident table read takes the word
+  after the one it replaced (firewall's rule list, held whole in Local
+  Memory);
 * codegen ``skip_writeback`` -- head/len moved in registers (PHR's
   register-resident packet state) never go back to SRAM, so Tx and the
   XScale see the head Rx wrote (on mpls, whose net head movement is not
@@ -65,6 +68,10 @@ MUTANTS = [
      lambda r: r.phr_result.elided_encaps > 0),
     (swc, "wrong_slot", "l3switch", "SWC",
      lambda r: r.swc_result.rewritten_loads > 0),
+    (swc, "resident_off_by_one", "firewall", "SWC",
+     lambda r: any(isinstance(i, I.LoadResident)
+                   for fn in r.mod.functions.values()
+                   for i in fn.all_instrs())),
     (pktlower, "skip_writeback", "mpls", "PHR",
      lambda r: r.phr_result.state_writebacks > 0),
     (pac, "anchor_ignores_bump", "mpls", "PAC",
@@ -82,6 +89,7 @@ MUTANTS = [
 ]
 
 IDS = ["pac-extract_skew", "phr-rebase_skew", "swc-wrong_slot",
+       "swc-resident_off_by_one",
        "cg-skip_writeback", "pac-anchor_ignores_bump",
        "cg-meta_store_dropped", "cg-meta_store_dropped-firewall-BASE",
        "cg-meta_store_dropped-firewall-O2",

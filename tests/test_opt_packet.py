@@ -24,6 +24,7 @@ from repro.profiler.trace import (
     Trace, TracePacket, build_ethernet, build_mpls_label, ipv4_trace, mpls_trace,
 )
 from tests.ir_helpers import lower
+from repro.cg.melayout import SWC_REGION_WORDS
 from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
@@ -864,7 +865,7 @@ module m {
 def test_swc_generation_words_have_one_writer():
     """MEs only read the generation words (an ME that cleared one would
     hide the update from the others); writers bump them after the data
-    store; SEEN sits behind the sixteen lines."""
+    store; SEEN sits between the counter and the sixteen lines."""
     from repro.cg.melayout import SWC_REGION_WORDS
 
     trace = ipv4_trace(80, list(range(8)), MACS, seed=8)
@@ -882,8 +883,8 @@ def test_swc_generation_words_have_one_writer():
     assert any(isinstance(i, I.CamClear) for bb in check for i in bb.instrs)
 
     lines_end = swc.CACHE_BASE + swc.CAM_ENTRIES * swc.LINE_STRIDE_WORDS
-    assert lines_end <= swc.SEEN_INDEX < SWC_REGION_WORDS
-    assert swc.SEEN_INDEX != swc.COUNTER_INDEX
+    assert swc.COUNTER_INDEX < swc.SEEN_INDEX < swc.CACHE_BASE
+    assert lines_end <= SWC_REGION_WORDS
 
     # The init block's store is the one instrumented writer: data, then bump.
     assert result.instrumented_stores == 1
@@ -913,6 +914,182 @@ def test_swc_rejects_a_cached_global_stored_from_an_me_function():
     assert "macs" in forced.cached_names()
     with pytest.raises(ValueError, match="macs stored from an ME function"):
         swc.apply(mod, forced, {"m.p"}, check_period=16)
+
+
+def test_swc_rejects_a_global_read_in_a_branch_of_a_critical_section():
+    """The lock depth reaches a block from the paths into it: a read in
+    an ``if`` inside ``critical`` is a read under the lock."""
+    src = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+u32 tbl[16] = { %s };
+module m {
+  ppf f(ether_pkt *ph) from rx {
+    u32 i = ph->type & 3;
+    u32 a = 0;
+    critical (l) { if (ph->type != 7) { a = tbl[i]; } }
+    ph->type = a & 0xffff;
+    channel_put(tx, ph);
+  }
+}
+""" % ", ".join(str(k + 1) for k in range(16))
+    trace = Trace([TracePacket(build_ethernet(MACS[0], t, t, bytes(46)), 0)
+                   for t in range(64)])
+    mod, profile = _profiled(src, trace)
+    result = swc.select_candidates(mod, profile, {"m.f"})
+    assert result.cached_names() == []
+    assert "critical" in result.rejected["tbl"]
+
+
+def test_swc_rewrites_the_reads_pac_would_have_widened():
+    """Selection runs before PAC, which keeps a selected global's loads
+    narrow: both reads of one record are rewritten, and no wide SRAM
+    read of the table is left for the packet path."""
+    from repro.cg.asmprint import format_insn
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    src = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+u32 tbl[16] = { %s };
+module m {
+  ppf f(ether_pkt *ph) from rx {
+    u32 i = (ph->type & 1) << 1;
+    ph->type = (tbl[i] + tbl[i + 1]) & 0xffff;
+    channel_put(tx, ph);
+  }
+}
+""" % ", ".join(str(k + 1) for k in range(16))
+    trace = Trace([TracePacket(build_ethernet(MACS[0], t, t, bytes(46)), 0)
+                   for t in range(64)])
+    result = compile_baker(src, options_for("SWC"), trace)
+    assert result.swc_result.cached_names() == ["tbl"]
+    assert result.swc_result.rewritten_loads == 2
+    assert result.pac_result.combined_global_loads == 0
+    assert not any(isinstance(i, I.LoadGWords) and i.g == "tbl"
+                   for i in result.mod.functions["m.f"].all_instrs())
+    (image,) = result.images.values()
+    assert not [format_insn(i) for i in image.insns
+                if i.kind == "mem" and i.units > 1 and i.category == "app"]
+
+
+def _scan_profile():
+    """A 64-word table every offset of which is read alike: the hit rate
+    of 16 one-word lines is 0.25."""
+    return {off * 4: 100 for off in range(64)}
+
+
+def test_swc_keeps_a_table_the_cam_turns_down_resident():
+    with obs_ledger.collecting([]) as decisions:
+        result = _select(_profile(scan=(_scan_profile(), 0)), ["scan"])
+    assert result.cached == []
+    (res,) = result.resident
+    assert (res.name, res.replica, res.words) == ("scan", swc.CACHE_BASE, 64)
+    assert res.flag_global == "scan" + swc.FLAG_SUFFIX
+    assert "hit rate" in result.rejected["scan"]  # the CAM's verdict stays
+    verdicts = [(d.verdict, d.evidence) for d in decisions
+                if d.subject == "scan"]
+    assert [v for v, _ in verdicts] == ["rejected", "resident"]
+    assert verdicts[1][1]["words"] == 64
+    assert verdicts[1][1]["words_left"] == SWC_REGION_WORDS - swc.CACHE_BASE
+    assert swc.enforce_check_period(result, 16) == 16
+
+
+def test_swc_resident_tables_sit_behind_the_cam_lines():
+    hot = {off * 4: 1250 for off in range(4)}
+    result = _select(_profile(hot=(hot, 0), scan=(_scan_profile(), 0)),
+                     ["hot", "scan"])
+    assert result.cached_names() == ["hot"]
+    (res,) = result.resident
+    assert res.replica == swc.CACHE_BASE + swc.CACHE_WORDS
+    assert [s.name for s in result.selected()] == ["hot", "scan"]
+
+
+def test_swc_rejects_a_table_that_does_not_fit_local_memory():
+    offsets = {off * 4: 10 for off in range(256)}
+    mod = FakeModule({"big": _global("big", 256)}, {"fast": _fast_fn(["big"])})
+    with obs_ledger.collecting([]) as decisions:
+        result = swc.select_candidates(mod, _profile(big=(offsets, 0)),
+                                       {"fast"})
+    assert result.selected() == []
+    left = SWC_REGION_WORDS - swc.CACHE_BASE
+    assert result.rejected["big"].endswith(
+        "table does not fit Local Memory (256 words, %d left)" % left)
+    last = [d for d in decisions if d.subject == "big"][-1]
+    assert (last.verdict, last.evidence["words"],
+            last.evidence["words_left"]) == ("rejected", 256, left)
+
+
+def test_swc_never_keeps_a_table_written_on_the_packet_path_resident():
+    fn = _fast_fn(["scan"])
+    fn.entry.instrs.append(I.StoreG("scan", Const(0), Const(1), 4))
+    mod = FakeModule({"scan": _global("scan")}, {"fast": fn})
+    result = swc.select_candidates(
+        mod, _profile(scan=(_scan_profile(), 0)), {"fast"})
+    assert result.selected() == []
+    assert result.rejected["scan"] == "written on the packet path"
+
+
+def test_swc_resident_read_indexed_by_a_loop_variable():
+    """A table summed in a loop is turned down by the CAM (every word is
+    hot) and kept resident. The loop variable is redefined on the back
+    edge, so its read keeps the byte offset and shifts it to a word
+    index; the image still forwards what the reference does."""
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+    from repro.rts.system import verify_against_reference
+
+    src = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+u32 tbl[16] = { %s };
+module m {
+  ppf f(ether_pkt *ph) from rx {
+    u32 s = 0;
+    for (u32 k = 0; k < 16; k++) { s = s + tbl[k]; }
+    ph->type = (s + tbl[ph->type & 15]) & 0xffff;
+    channel_put(tx, ph);
+  }
+}
+""" % ", ".join(str(k * 7 + 1) for k in range(16))
+    trace = Trace([TracePacket(build_ethernet(MACS[0], t, t, bytes(46)), 0)
+                   for t in range(64)])
+    result = compile_baker(src, options_for("SWC"), trace)
+    assert [r.name for r in result.swc_result.resident] == ["tbl"]
+    reads = [i for i in result.mod.functions["m.f"].all_instrs()
+             if isinstance(i, I.LoadResident)]
+    assert len(reads) == result.swc_result.rewritten_loads == 2
+    assert any(r.index.hint == "swc_word" for r in reads)
+    assert verify_against_reference(result, trace, packets=40, n_mes=1)
+
+
+def test_swc_resident_reads_are_one_local_memory_read_each():
+    """Firewall's rule table: every packet-path read is an indexed
+    ``lm_read`` of the copy, the rule row in the base register and the
+    word in the offset, with no ALU op of its own; SRAM is read only to
+    refresh the copy."""
+    from repro.apps import get_app
+    from repro.cg import isa
+    from repro.cg.melayout import SWC_REGION_BASE
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    app = get_app("firewall")
+    result = compile_baker(app.source, options_for("SWC"),
+                           app.make_trace(200, seed=5))
+    (res,) = result.swc_result.resident
+    assert (res.name, res.replica, res.words) == ("fw_rules", 2, 192)
+    reads = [i for fn in result.mod.functions.values()
+             for i in fn.all_instrs() if isinstance(i, I.LoadResident)]
+    assert len(reads) == result.swc_result.rewritten_loads == 10
+    assert all(isinstance(r.index, Temp) and 0 <= r.word < 16 for r in reads)
+    (image,) = result.images.values()
+    lm_reads = [i for i in image.insns if isinstance(i, isa.LmRead)
+                and i.base is not None and not i.thread_rel]
+    assert sorted(i.offset for i in lm_reads) == sorted(
+        SWC_REGION_BASE + res.replica + r.word for r in reads)
+    app_reads = [i for i in image.insns
+                 if isinstance(i, isa.Mem) and i.category == "app"
+                 and i.rw == "read" and i.space == "sram"]
+    assert [i.units for i in app_reads] == [1, 8]  # fw_drop_count, the refresh
 
 
 # -- SWC selection evidence + Equation-2 enforcement (synthetic profiles) -----------

@@ -5,9 +5,10 @@ Table 1 and Figures 13-15; ``python -m repro.sweep`` is their one
 producer and CI's ``figures`` job ``cmp``s them against the code. What
 is checked here is that they still have the paper's shape (section 6):
 BASE flat and memory-bound, PAC the largest single step, cumulative
-levels never regressing, the optimized code scaling with MEs, SWC
-giving Firewall nothing, SOAR giving MPLS little, and Table 1's access
-counts falling level by level.
+levels never regressing, the optimized code scaling with MEs, the SWC
+CAM giving Firewall nothing (its rule table is kept whole in Local
+Memory instead), SOAR giving MPLS little, and Table 1's access counts
+falling level by level.
 """
 
 import copy
@@ -21,7 +22,7 @@ from repro.sweep import FIG_BY_APP, ME_COUNTS, TABLE1_LEVELS, repo_root
 
 #: app -> (rate the fully optimized code must reach at 6 MEs, factor by
 #: which it must still grow from 2 to 4 MEs). Firewall's and MPLS's
-#: ceilings are below the paper's (the committed files hold 1.92 and
+#: ceilings are below the paper's (the committed files hold 1.89 and
 #: 1.22). MPLS is on its DRAM plateau at 2 MEs already (1.221, then
 #: 1.214 at 4), so "grows" there means "does not fall by more than the
 #: plateau's 3 % noise"; test_mpls_swc_is_flat_from_two_mes says what
@@ -88,15 +89,30 @@ def test_committed_figure_has_the_papers_shape(app):
     check_table1_shape(bench)
 
 
-def test_swc_relieves_l3switch_and_mpls_but_not_firewall():
-    """Paper section 6.2: the rule table defeats the software cache."""
+def test_swc_relieves_l3switch_and_mpls_and_keeps_firewall_rules_resident():
+    """Paper section 6.2: the rule table defeats the software cache's
+    CAM -- but the whole table fits the Local Memory the CAM leaves
+    unused, so SWC keeps it resident and the rule scan leaves SRAM (only
+    the drop counters stay there)."""
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
     for app in ("l3switch", "mpls"):
         rows = committed(app)["mem_accesses"]
         assert rows["SWC"]["app_sram"] < rows["PHR"]["app_sram"], app
-    firewall = committed("firewall")
-    rows, rates = firewall["mem_accesses"], firewall["rates"]
-    assert abs(rows["SWC"]["app_sram"] - rows["PHR"]["app_sram"]) < 0.5
-    assert abs(rates["SWC"][-1] - rates["PHR"][-1]) < 0.15
+    rows = committed("firewall")["mem_accesses"]
+    assert rows["SWC"]["app_sram"] <= 1.0 < rows["PHR"]["app_sram"]
+
+    app = get_app("firewall")
+    result = compile_baker(app.source, options_for("SWC"),
+                           app.make_trace(200, seed=5), codegen=False)
+    verdicts = {d.verdict: d for d in result.decisions
+                if d.pass_name == "swc" and d.subject == "fw_rules"}
+    assert verdicts["rejected"].evidence["hit_rate"] == pytest.approx(
+        0.56, abs=0.01)
+    assert verdicts["resident"].evidence["words"] == 192
+    assert result.swc_result.cached_names() == []
 
 
 def check_pac_reads_a_firewall_rule_once(bench):

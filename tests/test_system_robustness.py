@@ -2,18 +2,23 @@
 delayed-update staleness on the real simulator, degenerate inputs,
 failure injection."""
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import get_app
+from repro.apps.tables import R_ACTION, RULE_WORDS
 from repro.cg.melayout import SWC_REGION_BASE
 from repro.compiler import compile_baker
 from repro.ixp.chip import IXP2400
 from repro.ixp.rxtx import RxEngine, TxEngine
+from repro.obs.timeseries import TimeseriesCollector
+from repro.obs.trace import PacketTracer
 from repro.opt import swc
 from repro.options import options_for
 from repro.profiler.trace import Trace, TracePacket, build_ethernet, ipv4_trace
-from repro.rts.loader import load_system
-from repro.rts.system import run_on_simulator
+from repro.rts.loader import boot_image, load_system
+from repro.rts.system import run_on_simulator, verify_against_reference
 from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
@@ -112,6 +117,100 @@ def test_swc_update_reaches_every_me(n_mes):
     assert generation == 1
     assert [me.lm[SWC_REGION_BASE + swc.SEEN_INDEX] for me in chip.mes] \
         == [generation] * n_mes
+
+
+# -- a resident table: Firewall's rule list in every ME's Local Memory ------------
+
+
+def _firewall_swc():
+    app = get_app("firewall")
+    trace = app.make_trace(200, seed=5)
+    result = compile_baker(app.source, options_for("SWC"), trace)
+    assert [r.name for r in result.swc_result.resident] == ["fw_rules"]
+    return app, trace, result
+
+
+@pytest.mark.parametrize("n_mes", [1, 6])
+def test_resident_table_is_in_place_before_the_first_packet(n_mes):
+    """All eight threads of every ME start at once: the loader writes
+    each ME's copy of the rule table (and SEEN) at boot, so the run
+    forwards what the reference does from the first packet on."""
+    app, trace, result = _firewall_swc()
+    assert verify_against_reference(result, trace, packets=60, n_mes=n_mes)
+
+    (res,) = result.swc_result.resident
+    rules = boot_image(result)["fw_rules"]
+    words = [int.from_bytes(rules[k:k + 4], "big")
+             for k in range(0, len(rules), 4)]
+    chip = IXP2400(n_programmable_mes=n_mes)
+    load_system(result, chip, n_mes=n_mes)
+    base = SWC_REGION_BASE + res.replica
+    for me in chip.mes:
+        assert me.lm[base:base + res.words] == words
+        assert me.lm[SWC_REGION_BASE + swc.SEEN_INDEX] == 0
+    chip.close()
+
+
+def _frame_flow(app, frame):
+    """The flow id the rule list gives an IPv4/UDP frame (0: catch-all)."""
+    return app.config.classify(
+        int.from_bytes(frame[26:30], "big"), int.from_bytes(frame[30:34], "big"),
+        int.from_bytes(frame[34:36], "big"), int.from_bytes(frame[36:38], "big"),
+        frame[23])[1]
+
+
+@pytest.mark.parametrize("n_mes", [1, 3])
+def test_resident_rule_toggle_takes_effect_within_the_check_bound(n_mes):
+    """A control-plane store that turns the busiest pass rule into a
+    drop rule, then ``publish_store``: every ME refreshes its copy when
+    its periodic check comes due, so frames of that rule stop leaving
+    within the bound tests/test_serve.py derives for a route flap."""
+    app, trace, result = _firewall_swc()
+    flows = Counter(_frame_flow(app, p.data) for p in trace.packets)
+    passing = [i for i, rule in enumerate(app.config.rules[:-1])
+               if rule.action == 0]
+    rule = max(passing, key=lambda i: (flows[i + 1], -i))
+    flow = rule + 1
+    assert flows[flow] >= 10
+
+    chip = IXP2400(n_programmable_mes=n_mes)
+    load_system(result, chip, n_mes=n_mes)
+    rx = RxEngine(chip, trace, offered_gbps=0.4 * n_mes)
+    tx = TxEngine(chip)
+    chip.attach_traffic(rx, tx)
+    tracer = PacketTracer()
+    chip.tracer = tracer
+    collector = TimeseriesCollector(20_000.0)
+    collector.attach(rx=rx, tx=tx, tracer=tracer)
+    chip.window = collector
+    chip.run(50_000_000, stop=lambda: tx.packets_out() >= 100)
+
+    t_store = chip.now
+    xscale = chip.xscale.globals
+    xscale.store("fw_rules", (rule * RULE_WORDS + R_ACTION) * 4, 1, 4)
+    assert swc.publish_store(xscale, "fw_rules")
+    before = tx.packets_out()
+    chip.run(100_000_000, stop=lambda: tx.packets_out() >= before + 600)
+    tracer.finish(chip.now)
+    collector.finish(chip.now)
+    records = list(tx.records)
+    # Every ME refreshed its whole copy from SRAM.
+    (res,) = result.swc_result.resident
+    table = [xscale.load("fw_rules", 4 * k, 4) for k in range(res.words)]
+    base = SWC_REGION_BASE + res.replica
+    assert all(me.lm[base:base + res.words] == table for me in chip.mes)
+    chip.close()
+
+    assert any(_frame_flow(app, r.payload) == flow
+               for r in records if r.time <= t_store)
+    late = [r.time - t_store for r in records
+            if r.time > t_store and _frame_flow(app, r.payload) == flow]
+    period = options_for("SWC").swc_check_period
+    cycles_per_packet_per_me = n_mes * chip.now / len(records)
+    bound = (2 * (period + 1) * cycles_per_packet_per_me
+             + collector.cumulative.summary()["max"])
+    assert records[-1].time - t_store > 2 * bound  # long enough to tell
+    assert all(c <= bound for c in late), (late, bound)
 
 
 def test_compile_with_empty_trace_degrades_gracefully():
