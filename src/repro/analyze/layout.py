@@ -1,8 +1,7 @@
 """``layout`` check: packet-field offsets actually used by each image.
 
 Walks the optimized IR of every function assigned to an ME image and
-cross-checks each packet header access (``PktLoadField`` /
-``PktStoreField`` / ``PktLoadWords`` / ``PktStoreWords``) against the
+cross-checks each packet data access (``ir.PktAccess``) against the
 ``soar`` records in the compile's decision ledger: the ledger must
 contain a record for the same site with the same verdict and
 ``offset_bits`` (set membership, because PHR re-runs SOAR and the first
@@ -21,9 +20,6 @@ from typing import Dict, List, Set, Tuple
 from repro.analyze.core import finding
 from repro.ir import instructions as I
 from repro.obs import ledger as obs_ledger
-
-#: access classes SOAR records to the ledger (counted=True sites).
-_CHECKED = (I.PktLoadField, I.PktStoreField, I.PktLoadWords, I.PktStoreWords)
 
 
 def check(result) -> Dict[str, object]:
@@ -46,7 +42,7 @@ def check(result) -> Dict[str, object]:
             if fn is None:
                 continue
             for instr in fn.all_instrs():
-                if not isinstance(instr, _CHECKED):
+                if not isinstance(instr, I.PktAccess):
                     continue
                 resolved = instr.c_offset_bits is not None
                 n_accesses += 1

@@ -37,6 +37,7 @@ from repro.baker.symbols import (
     Symbol,
     SymbolKind,
 )
+from repro.cg.abi import ARG_REGS
 from repro.ir.eval import EvalError, binop_fn, cmp_fn
 
 # Sentinel type given to `ph->meta` so that `.field` can be checked.
@@ -331,6 +332,13 @@ class SemanticAnalyzer:
             if ptype.is_void:
                 raise self._error("parameter cannot be void", p)
             params.append(ptype)
+        words = sum(2 if isinstance(t, T.IntType) and t.bits > 32 else 1
+                    for t in params)
+        if words > len(ARG_REGS):
+            raise self._error(
+                "%s takes %d argument words; a call passes at most %d "
+                "(a 64-bit parameter takes two)" % (decl.name, words, len(ARG_REGS)),
+                decl)
         qualified = "%s.%s" % (module, decl.name) if module else decl.name
         sym = FuncSymbol(
             SymbolKind.FUNC,

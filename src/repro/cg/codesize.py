@@ -33,19 +33,11 @@ LOCK_COST = 10
 DISPATCH_LOOP_COST = 30
 
 
-def _access_words(instr: I.Instr) -> int:
-    if isinstance(instr, (I.PktLoadWords, I.PktStoreWords)):
-        return instr.nwords
-    width = getattr(instr, "bit_width", 32)
-    return max(1, (width + 31) // 32)
-
-
 def estimate_instr(instr: I.Instr, opts: CompilerOptions) -> float:
     """Estimated ME instructions for one IR instruction."""
-    if isinstance(instr, (I.PktLoadField, I.PktStoreField,
-                          I.PktLoadWords, I.PktStoreWords)):
-        words = _access_words(instr)
-        static = opts.soar and getattr(instr, "c_offset_bits", None) is not None
+    if isinstance(instr, I.PktAccess):
+        words = (instr.bit_width + 31) // 32
+        static = opts.soar and instr.c_offset_bits is not None
         base = STATIC_ACCESS_BASE if static else GENERIC_ACCESS_BASE
         cost = base + GENERIC_ACCESS_PER_WORD * words
         if not opts.inline:

@@ -17,7 +17,7 @@ from repro.cg import abi
 from repro.cg import isa
 from repro.cg.isa import (
     Alu, Bal, Br, Cmp, CtxArb, Imm, Immed, Insn, LIRBlock, LIRFunction,
-    LoadSym, Mem, Mov, Reg, RingPut, Rtn, StackRead, StackWrite, SymRef,
+    LoadSym, Mem, Mov, RingPut, Rtn, StackRead, StackWrite, SymRef,
     TestAndSet, AtomicRelease, VReg,
 )
 from repro.cg.melayout import SWC_REGION_BASE
@@ -29,6 +29,7 @@ from repro.options import CompilerOptions
 
 MAX_ALU_IMM = 0xFF  # largest constant an ALU/cmp instruction embeds
 LM_FILL_WORDS = 8  # widest SRAM read
+_RESULT_REGS = [abi.RET_HI, abi.RET_LO]  # a one-word result takes the last
 
 
 class CodegenError(Exception):
@@ -166,6 +167,15 @@ class FunctionLowerer(Emitter):
             self.t64[temp] = (self.vreg(temp.hint + ".hi"), self.vreg(temp.hint + ".lo"))
         return self.t64[temp]
 
+    def words(self, op: Operand, wide: bool) -> List[VReg]:
+        """The registers of a value read as one word or, ``wide``, two
+        (high word first)."""
+        return list(self.pair(op)) if wide else [self.reg32(op)]
+
+    def dst_words(self, temp: Temp, wide: bool) -> List[VReg]:
+        """The registers a one- or (``wide``) two-word result goes to."""
+        return list(self.dst_pair(temp)) if wide else [self.dst32(temp)]
+
     def global_addr(self, name: str, offset: Operand) -> Tuple[VReg, Union[Imm, VReg]]:
         """(addr_a, addr_b) operands for a global access."""
         if isinstance(offset, Const):
@@ -240,30 +250,18 @@ class FunctionLowerer(Emitter):
     def _emit_prologue(self) -> None:
         if self._has_calls:
             self.emit(StackWrite(abi.LINK_SLOT, abi.LINK))
-        slot = 0
-        for p in self.ir_fn.params:
-            if _is64(p):
-                hi, lo = self.dst_pair(p)
-                self.emit(Mov(hi, abi.ARG_REGS[slot]))
-                self.emit(Mov(lo, abi.ARG_REGS[slot + 1]))
-                slot += 2
-            else:
-                self.emit(Mov(self.dst32(p), abi.ARG_REGS[slot]))
-                slot += 1
-            if slot > len(abi.ARG_REGS):
-                raise CodegenError("%s: too many parameters" % self.ir_fn.name)
+        # Semantic analysis keeps the parameters within the argument words.
+        regs = [r for p in self.ir_fn.params for r in self.dst_words(p, _is64(p))]
+        for slot, reg in enumerate(regs):
+            self.emit(Mov(reg, abi.ARG_REGS[slot]))
 
     def _emit_epilogue_and_return(self, value: Optional[Operand]) -> None:
         results = []
         if value is not None:
-            if _is64_type(self.ir_fn.ret_type):
-                hi, lo = self.pair(value)
-                self.emit(Mov(abi.RET_HI, hi))
-                self.emit(Mov(abi.RET_LO, lo))
-                results = [abi.RET_HI, abi.RET_LO]
-            else:
-                self.emit(Mov(abi.RET_LO, self.reg32(value)))
-                results = [abi.RET_LO]
+            regs = self.words(value, _is64_type(self.ir_fn.ret_type))
+            results = _RESULT_REGS[-len(regs):]
+            for result, reg in zip(results, regs):
+                self.emit(Mov(result, reg))
         if self._has_calls:
             tmp = self.vreg("ra")
             self.emit(StackRead(tmp, abi.LINK_SLOT))
@@ -343,19 +341,10 @@ class FunctionLowerer(Emitter):
             self._lower_cmp_value(instr)
         elif isinstance(instr, I.Call):
             self._lower_call(instr)
-        elif isinstance(instr, I.LoadG):
-            self._lower_loadg(instr)
-        elif isinstance(instr, I.LoadGWords):
-            space = self.ctx.global_space(instr.g)
-            addr_a, addr_b = self.global_addr(instr.g, instr.offset)
-            self.emit(Mem(space, "read", [self.dst32(d) for d in instr.dsts],
-                          addr_a, addr_b, instr.nwords, category=isa.CAT_APP))
-        elif isinstance(instr, I.StoreG):
-            self._lower_storeg(instr)
-        elif isinstance(instr, I.LoadL):
-            self._lower_loadl(instr)
-        elif isinstance(instr, I.StoreL):
-            self._lower_storel(instr)
+        elif isinstance(instr, (I.LoadG, I.StoreG, I.LoadGWords)):
+            self._lower_global(instr)
+        elif isinstance(instr, (I.LoadL, I.StoreL)):
+            self._lower_local(instr)
         elif isinstance(instr, I.ChanPut):
             self.pkt.escape(instr)
             self.emit(RingPut(self.ctx.ring_sym(instr.channel), self.reg32(instr.ph)))
@@ -545,96 +534,53 @@ class FunctionLowerer(Emitter):
 
     def _lower_call(self, instr: I.Call) -> None:
         shared_ph = self.pkt.escape(instr)
-        slot = 0
-        moves: List[Tuple[Reg, Operand]] = []
-        for arg in instr.args:
-            if _is64(arg):
-                hi, lo = self.pair(arg)
-                moves.append((abi.ARG_REGS[slot], hi))
-                moves.append((abi.ARG_REGS[slot + 1], lo))
-                slot += 2
-            else:
-                moves.append((abi.ARG_REGS[slot], self.reg32(arg)))
-                slot += 1
-            if slot > len(abi.ARG_REGS):
-                raise CodegenError("too many call arguments for %s" % instr.func)
-        for dst, src in moves:
-            self.emit(Mov(dst, src))
+        values = [r for arg in instr.args for r in self.words(arg, _is64(arg))]
+        for slot, value in enumerate(values):
+            self.emit(Mov(abi.ARG_REGS[slot], value))
         target = LIRFunction(instr.func).entry_label
-        self.emit(Bal(target, abi.LINK,
-                      arg_regs=[dst for dst, _ in moves],
+        self.emit(Bal(target, abi.LINK, arg_regs=abi.ARG_REGS[:len(values)],
                       ret_regs=[abi.RET_LO, abi.RET_HI]))
         if instr.dst is not None:
-            if _is64(instr.dst):
-                hi, lo = self.dst_pair(instr.dst)
-                self.emit(Mov(hi, abi.RET_HI))
-                self.emit(Mov(lo, abi.RET_LO))
-            else:
-                self.emit(Mov(self.dst32(instr.dst), abi.RET_LO))
+            regs = self.dst_words(instr.dst, _is64(instr.dst))
+            for reg, result in zip(regs, _RESULT_REGS[-len(regs):]):
+                self.emit(Mov(reg, result))
         if shared_ph is not None:
             self.pkt.reload(shared_ph)
 
     # -- memory ------------------------------------------------------------------------
 
-    def _lower_loadg(self, instr: I.LoadG) -> None:
+    def _lower_global(self, instr: Union[I.LoadG, I.StoreG, I.LoadGWords]) -> None:
+        """One SRAM/Scratch access of a global: a 32- or 64-bit load or
+        store, or PAC's wide load."""
         space = self.ctx.global_space(instr.g)
         addr_a, addr_b = self.global_addr(instr.g, instr.offset)
-        if instr.width == 8:
-            hi, lo = self.dst_pair(instr.dst)
-            self.emit(Mem(space, "read", [hi, lo], addr_a, addr_b, 2,
-                          category=isa.CAT_APP))
+        if isinstance(instr, I.StoreG):
+            rw, regs = "write", self.words(instr.value, instr.width == 8)
+        elif isinstance(instr, I.LoadG):
+            rw, regs = "read", self.dst_words(instr.dst, instr.width == 8)
         else:
-            self.emit(Mem(space, "read", [self.dst32(instr.dst)], addr_a, addr_b,
-                          1, category=isa.CAT_APP))
+            rw, regs = "read", [self.dst32(d) for d in instr.dsts]
+        self.emit(Mem(space, rw, regs, addr_a, addr_b, len(regs),
+                      category=isa.CAT_APP))
 
-    def _lower_storeg(self, instr: I.StoreG) -> None:
-        space = self.ctx.global_space(instr.g)
-        addr_a, addr_b = self.global_addr(instr.g, instr.offset)
-        if instr.width == 8:
-            hi, lo = self.pair(instr.value)
-            self.emit(Mem(space, "write", [hi, lo], addr_a, addr_b, 2,
-                          category=isa.CAT_APP))
+    def _lower_local(self, instr: Union[I.LoadL, I.StoreL]) -> None:
+        """A 32- or 64-bit load or store of a stack-local array: one frame
+        slot per word, the second one slot further."""
+        base = self.array_base[instr.array]
+        if isinstance(instr.offset, Const):
+            slot, idx = base + instr.offset.value // 4, None
         else:
-            self.emit(Mem(space, "write", [self.reg32(instr.value)], addr_a,
-                          addr_b, 1, category=isa.CAT_APP))
-
-    def _stack_index(self, array: str, offset: Operand) -> Tuple[int, Optional[VReg]]:
-        base = self.array_base[array]
-        if isinstance(offset, Const):
-            return base + offset.value // 4, None
-        idx = self.vreg("aidx")
-        self.emit(Alu("lshr", idx, self.reg32(offset), Imm(2)))
-        return base, idx
-
-    def _lower_loadl(self, instr: I.LoadL) -> None:
-        slot, idx = self._stack_index(instr.array, instr.offset)
-        if instr.width == 8:
-            hi, lo = self.dst_pair(instr.dst)
-            if idx is None:
-                self.emit(StackRead(hi, slot))
-                self.emit(StackRead(lo, slot + 1))
-            else:
-                self.emit(StackRead(hi, slot, idx))
-                idx2 = self.vreg()
-                self.emit(Alu("add", idx2, idx, Imm(1)))
-                self.emit(StackRead(lo, slot, idx2))
-        else:
-            self.emit(StackRead(self.dst32(instr.dst), slot, idx))
-
-    def _lower_storel(self, instr: I.StoreL) -> None:
-        slot, idx = self._stack_index(instr.array, instr.offset)
-        if instr.width == 8:
-            hi, lo = self.pair(instr.value)
-            if idx is None:
-                self.emit(StackWrite(slot, hi))
-                self.emit(StackWrite(slot + 1, lo))
-            else:
-                self.emit(StackWrite(slot, hi, idx))
-                idx2 = self.vreg()
-                self.emit(Alu("add", idx2, idx, Imm(1)))
-                self.emit(StackWrite(slot, lo, idx2))
-        else:
-            self.emit(StackWrite(slot, self.reg32(instr.value), idx))
+            slot, idx = base, self.vreg("aidx")
+            self.emit(Alu("lshr", idx, self.reg32(instr.offset), Imm(2)))
+        store = isinstance(instr, I.StoreL)
+        regs = (self.words(instr.value, instr.width == 8) if store
+                else self.dst_words(instr.dst, instr.width == 8))
+        for k, reg in enumerate(regs):
+            at, index = slot + k, idx
+            if k and idx is not None:
+                at, index = slot, self.vreg()
+                self.emit(Alu("add", index, idx, Imm(1)))
+            self.emit(StackWrite(at, reg, index) if store else StackRead(reg, at, index))
 
     def _lower_lm(self, instr, read: bool) -> None:
         if isinstance(instr.index, Const):
@@ -660,12 +606,8 @@ class FunctionLowerer(Emitter):
             offset += instr.index.value
         else:
             base = self.reg32(instr.index)
-        if instr.width == 8:
-            hi, lo = self.dst_pair(instr.dst)
-            self.emit(isa.LmRead(hi, base, offset))
-            self.emit(isa.LmRead(lo, base, offset + 1))
-        else:
-            self.emit(isa.LmRead(self.dst32(instr.dst), base, offset))
+        for k, reg in enumerate(self.dst_words(instr.dst, instr.width == 8)):
+            self.emit(isa.LmRead(reg, base, offset + k))
 
     def _lower_lm_fill(self, instr: I.LmFill) -> None:
         """A loop of widest (8-word) reads of the global, each word

@@ -65,7 +65,6 @@ PKT = isa.CAT_PACKET
 _TEST_MUTATION = None
 
 _FIELDS = (I.PktLoadField, I.PktStoreField)
-_ACCESSES = _FIELDS + (I.PktLoadWords, I.PktStoreWords)
 
 
 # -- dispatch --------------------------------------------------------------------
@@ -90,10 +89,8 @@ def lower_packet_instr(fl, instr: I.PktInstr) -> None:
             _meta_word_read(fl, fl.reg32(instr.ph), META_PKT_LEN, fl.dst32(instr.dst))
     elif isinstance(instr, _FIELDS):
         _lower_field(fl, instr)
-    elif isinstance(instr, I.PktLoadWords):
-        _lower_wide_load(fl, instr)
-    elif isinstance(instr, I.PktStoreWords):
-        _lower_wide_store(fl, instr)
+    elif isinstance(instr, I.PktWords):
+        (_lower_wide_store if instr.stores else _lower_wide_load)(fl, instr)
     elif isinstance(instr, (I.PktEncap, I.PktDecap)):
         fl.emit(Mov(fl.dst32(instr.dst), fl.reg32(instr.src)))
         fl.pkt.move_head(instr.src, _head_delta(fl, instr))
@@ -190,7 +187,7 @@ class PacketMeta:
         if opts.phr and ir_fn.packet_state is not None:
             self._load_registers(cls)
             return
-        if not (opts.soar and any(isinstance(i, _ACCESSES)
+        if not (opts.soar and any(isinstance(i, I.PktAccess)
                                   and i.c_offset_bits is not None
                                   for i in ir_fn.all_instrs())):
             return
@@ -386,7 +383,7 @@ def _lower_field(fl, instr) -> None:
     """A field load or store: the static shape when SOAR resolved its
     offset, else the generic body inline (-O2 and up) or a ``bal`` to the
     out-of-line routine for its (direction, bit, width)."""
-    load = isinstance(instr, I.PktLoadField)
+    load = not instr.stores
     if _is_static(fl, instr):
         (_static_field_load if load else _static_field_store)(fl, instr)
         return
@@ -464,16 +461,16 @@ def _field_helper(ctx, load: bool, f_bit: int, width: int) -> LIRFunction:
 # -- static (SOAR-resolved) shape -----------------------------------------------------
 
 
-def _static_span(instr, rel_bits: int, width: int) -> Tuple[int, int, int]:
-    """The 8 B-aligned DRAM window covering ``width`` bits at ``rel_bits``
-    from the head: (first byte, quadwords, bit of the field within it).
+def _static_span(instr: I.PktAccess) -> Tuple[int, int, int]:
+    """The 8 B-aligned DRAM window covering the access's bits: (first
+    byte, quadwords, bit of the access within it).
     The absolute offset is relative to packet-data start; the buffer
     address is 2 KiB aligned so alignment folds into constants.
     Encapsulation can move the head *before* data start (into the
     headroom), so addresses are biased by HEADROOM_BYTES."""
-    abs_bit = instr.c_offset_bits + rel_bits + HEADROOM_BYTES * 8
+    abs_bit = instr.c_offset_bits + instr.bit_off + HEADROOM_BYTES * 8
     first_byte = (abs_bit // 8) & ~7
-    last_byte = (abs_bit + width - 1) // 8
+    last_byte = (abs_bit + instr.bit_width - 1) // 8
     return first_byte, (last_byte - first_byte) // 8 + 1, abs_bit - first_byte * 8
 
 
@@ -491,10 +488,10 @@ def _dram_chunks(E, rw: str, words: List[VReg], buf, first_byte: int,
         done += chunk
 
 
-def _static_window_read(fl, instr, rel_bits: int, width: int) -> Tuple[List[VReg], int]:
-    """Read the window covering [rel_bits, rel_bits+width) from the head.
-    Returns (window words, bit of rel_bits within the window)."""
-    first_byte, units, rel = _static_span(instr, rel_bits, width)
+def _static_window_read(fl, instr: I.PktAccess) -> Tuple[List[VReg], int]:
+    """Read the window covering the access's bits. Returns (window
+    words, bit of the access within the window)."""
+    first_byte, units, rel = _static_span(instr)
     buf = fl.pkt.words(instr.ph, 1)[0]
     window = [fl.vreg("w%d" % i) for i in range(units * 2)]
     _dram_chunks(fl, "read", window, buf, first_byte, units)
@@ -528,7 +525,7 @@ def _extract_const32(E, window: List[VReg], rel_bit: int, width: int, dst) -> No
 
 def _static_field_load(fl, instr: I.PktLoadField) -> None:
     width = instr.bit_width
-    window, rel = _static_window_read(fl, instr, instr.bit_off, width)
+    window, rel = _static_window_read(fl, instr)
     if width > 32:
         hi, lo = fl.dst_pair(instr.dst)
         _extract_const32(fl, window, rel + width - 32, 32, lo)
@@ -596,7 +593,7 @@ def _emit_masked_write(fl, buf, first_byte: int, units: int, parts,
 
 def _static_field_store(fl, instr: I.PktStoreField) -> None:
     width = instr.bit_width
-    first_byte, units, rel = _static_span(instr, instr.bit_off, width)
+    first_byte, units, rel = _static_span(instr)
     buf = fl.pkt.words(instr.ph, 1)[0]
     if instr.bit_off % 8 == 0 and width % 8 == 0:
         if width > 32:
@@ -900,8 +897,7 @@ def _generic_store_stream(E, base: VReg, inoff: VReg, stream: List[VReg],
 
 def _lower_wide_load(fl, instr: I.PktLoadWords) -> None:
     if _is_static(fl, instr):
-        window, rel = _static_window_read(fl, instr, instr.byte_off * 8,
-                                          instr.nwords * 32)
+        window, rel = _static_window_read(fl, instr)
         for i, dst in enumerate(instr.dsts):
             _extract_const32(fl, window, rel + 32 * i, 32, fl.dst32(dst))
         return
@@ -926,8 +922,7 @@ def _lower_wide_load(fl, instr: I.PktLoadWords) -> None:
 def _lower_wide_store(fl, instr: I.PktStoreWords) -> None:
     # Word values with per-word byte masks (bit 3 = MSB byte of the word).
     if _is_static(fl, instr):
-        first_byte, units, rel = _static_span(instr, instr.byte_off * 8,
-                                              instr.nwords * 32)
+        first_byte, units, rel = _static_span(instr)
         buf = fl.pkt.words(instr.ph, 1)[0]
         parts: List[Tuple[int, object]] = []
         mask = 0

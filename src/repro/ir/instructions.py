@@ -308,7 +308,28 @@ class PktInstr(Instr):
     c_alignment: Optional[int] = None
 
 
-class PktLoadField(PktInstr):
+class PktAccess(PktInstr):
+    """A packet data access: the ``bit_width`` bits at ``bit_off`` from
+    the handle's head, read into ``dst``/``dsts`` or, when ``stores``,
+    written. PAC, SOAR, PHR, the layout check, ``cg.codesize`` and
+    ``cg.pktlower`` read an access through this model alone."""
+
+    stores = False
+
+    @property
+    def bit_end(self) -> int:
+        return self.bit_off + self.bit_width
+
+    def rebase(self, delta_bytes: int) -> None:
+        """Address the same bits from a head ``delta_bytes`` nearer the
+        front (PHR's deferred head): the offset grows by that much and
+        SOAR's head annotation moves back by the same."""
+        self.bit_off += 8 * delta_bytes
+        if self.c_offset_bits is not None:
+            self.c_offset_bits -= 8 * delta_bytes
+
+
+class PktLoadField(PktAccess):
     """dst = packet field (protocol bit-field relative to the handle's
     head)."""
 
@@ -326,8 +347,9 @@ class PktLoadField(PktInstr):
         self.bit_width = bit_width
 
 
-class PktStoreField(PktInstr):
+class PktStoreField(PktAccess):
     _uses = ("ph", "value")
+    stores = True
 
     def __init__(self, ph: Operand, proto: str, field: str, bit_off: int,
                  bit_width: int, value: Operand):
@@ -339,9 +361,28 @@ class PktStoreField(PktInstr):
         self.value = value
 
 
-class PktLoadWords(PktInstr):
-    """PAC result: one wide DRAM access loading ``nwords`` 32-bit words
-    starting at ``byte_off`` relative to the handle's head into ``dsts``."""
+class PktWords(PktAccess):
+    """A PAC wide access: ``nwords`` 32-bit words from ``byte_off``
+    relative to the handle's head, in one DRAM instruction. Its bits
+    follow from those two, and it starts on a byte."""
+
+    @property
+    def bit_off(self) -> int:
+        return self.byte_off * 8
+
+    @bit_off.setter
+    def bit_off(self, value: int) -> None:
+        if value % 8:
+            raise ValueError("a word access starts on a byte, not at bit %d" % value)
+        self.byte_off = value // 8
+
+    @property
+    def bit_width(self) -> int:
+        return self.nwords * 32
+
+
+class PktLoadWords(PktWords):
+    """PAC result: loads the words into ``dsts``."""
 
     _uses = ("ph",)
     _defs = ("dsts",)
@@ -354,12 +395,13 @@ class PktLoadWords(PktInstr):
         self.nwords = nwords
 
 
-class PktStoreWords(PktInstr):
-    """PAC result: one wide DRAM access writing ``nwords`` words.
-    ``byte_masks[i]`` gives which bytes of word i are actually defined
-    (0b1111 = full word); partial words require merge-with-memory."""
+class PktStoreWords(PktWords):
+    """PAC result: writes ``values``. ``byte_masks[i]`` gives which bytes
+    of word i are actually defined (0b1111 = full word); partial words
+    require merge-with-memory."""
 
     _uses = ("ph", "values")
+    stores = True
 
     def __init__(self, ph: Operand, byte_off: int, nwords: int,
                  values: List[Operand], byte_masks: List[int]):

@@ -51,7 +51,7 @@ def run(fn: IRFunction) -> bool:
                 mem_version[g] += 1
             pkt_version[0] += 1
             # Any still-cached memory keys are stale now:
-            for key in [k for k in table if k[0] in ("lg", "ll", "pf", "pw", "ml", "pl")]:
+            for key in [k for k in table if k[0] in ("lg", "ll", "pf", "ml", "pl")]:
                 table.pop(key)
 
         new_instrs = []
@@ -104,10 +104,10 @@ def run(fn: IRFunction) -> bool:
                     table.pop(k)
             elif isinstance(instr, (I.Call, I.LockAcquire, I.LockRelease)):
                 bump_all()
-            elif instr.touches_packet or isinstance(
-                    instr, (I.PktStoreField, I.PktStoreWords, I.MetaStore)):
+            elif (instr.touches_packet or isinstance(instr, I.MetaStore)
+                  or isinstance(instr, I.PktAccess) and instr.stores):
                 pkt_version[0] += 1
-                for k in [k for k in table if k[0] in ("pf", "pw", "ml", "pl")]:
+                for k in [k for k in table if k[0] in ("pf", "ml", "pl")]:
                     table.pop(k)
 
             # New definitions: fresh value numbers; record computed keys.

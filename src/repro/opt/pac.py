@@ -94,20 +94,26 @@ def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
 class _Access:
     bb: BasicBlock
     index: int
-    instr: I.Instr
+    instr: I.PktAccess
     cls: Temp
-    bit_off: int
-    bit_width: int
     epoch: Tuple[BasicBlock, int]  # (anchor block, bumps since)
-    wide: bool = False  # PktLoadWords/PktStoreWords from an earlier pass
+
+    @property
+    def bit_off(self) -> int:
+        return self.instr.bit_off
 
     @property
     def bit_end(self) -> int:
-        return self.bit_off + self.bit_width
+        return self.instr.bit_end
+
+    @property
+    def wide(self) -> bool:
+        """A word access from an earlier pass."""
+        return isinstance(self.instr, I.PktWords)
 
     def covered_bits(self):
         """Bits actually accessed (wide stores may be byte-masked)."""
-        if self.wide and isinstance(self.instr, I.PktStoreWords):
+        if self.wide and self.instr.stores:
             bits = set()
             for i, mask in enumerate(self.instr.byte_masks):
                 for b in range(4):
@@ -141,21 +147,11 @@ def _combine_function(fn: IRFunction, result: PacResult) -> None:
         if bb not in order:
             continue
         for idx, instr in enumerate(bb.instrs):
-            if not isinstance(instr, (I.PktLoadField, I.PktStoreField,
-                                      I.PktLoadWords, I.PktStoreWords)):
-                continue
-            if not isinstance(instr.ph, Temp):
+            if not (isinstance(instr, I.PktAccess) and isinstance(instr.ph, Temp)):
                 continue
             cls = aliases.class_of(instr.ph)
-            epoch = _epoch_at(bb, idx, epochs[cls])
-            if isinstance(instr, (I.PktLoadWords, I.PktStoreWords)):
-                acc = _Access(bb, idx, instr, cls, instr.byte_off * 8,
-                              instr.nwords * 32, epoch, wide=True)
-            else:
-                acc = _Access(bb, idx, instr, cls, instr.bit_off,
-                              instr.bit_width, epoch)
-            is_load = isinstance(instr, (I.PktLoadField, I.PktLoadWords))
-            (loads if is_load else stores).append(acc)
+            acc = _Access(bb, idx, instr, cls, _epoch_at(bb, idx, epochs[cls]))
+            (stores if instr.stores else loads).append(acc)
 
     replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]] = {}
 
@@ -191,11 +187,8 @@ def _packet_bumps(aliases: AliasClasses, cls: Temp) -> Callable[[I.Instr], bool]
     def bumps(instr: I.Instr) -> bool:
         if mutates_class(instr, aliases, cls):
             return True
-        if isinstance(instr, (I.PktStoreField, I.PktStoreWords)) and isinstance(
-            instr.ph, Temp
-        ):
-            return aliases.same(instr.ph, cls)
-        return False
+        return (isinstance(instr, I.PktAccess) and instr.stores
+                and isinstance(instr.ph, Temp) and aliases.same(instr.ph, cls))
 
     return bumps
 
@@ -288,16 +281,10 @@ def _block_path_clear(leader: _Access, follower: _Access, aliases) -> bool:
     for instr in bb.instrs[leader.index + 1 : follower.index]:
         if mutates_class(instr, aliases, leader.cls):
             return False
-        if isinstance(instr, I.PktStoreField):
-            if instr.bit_off < follower.bit_end and follower.bit_off < (
-                instr.bit_off + instr.bit_width
-            ):
-                return False
-        elif isinstance(instr, I.PktStoreWords):
-            lo = instr.byte_off * 8
-            hi = lo + instr.nwords * 32
-            if lo < follower.bit_end and follower.bit_off < hi:
-                return False
+        if (isinstance(instr, I.PktAccess) and instr.stores
+                and instr.bit_off < follower.bit_end
+                and follower.bit_off < instr.bit_end):
+            return False
     return True
 
 
@@ -316,8 +303,8 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
     words = [fn.new_temp(T.U32, "pac_w%d" % k) for k in range(nwords)]
     wide = I.PktLoadWords(words, leader.instr.ph, start_byte, nwords)
     wide.copy_annotations_from(leader.instr)
-    wide.c_offset_bits = getattr(leader.instr, "c_offset_bits", None)
-    wide.c_alignment = getattr(leader.instr, "c_alignment", None)
+    wide.c_offset_bits = leader.instr.c_offset_bits
+    wide.c_alignment = leader.instr.c_alignment
 
     for acc in group:
         seq: List[I.Instr] = []
@@ -330,10 +317,10 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
         else:
             bit_off = acc.bit_off
             if (_TEST_MUTATION == "extract_skew"
-                    and bit_off + 8 + acc.bit_width <= end_byte * 8):
+                    and bit_off + 8 + acc.instr.bit_width <= end_byte * 8):
                 bit_off += 8
             extract_into(fn, seq, words, start_byte * 8,
-                         bit_off, acc.bit_width, acc.instr.dst)
+                         bit_off, acc.instr.bit_width, acc.instr.dst)
         replacements.setdefault(acc.bb, {})[acc.index] = seq
     result.wide_loads += 1
     result.combined_loads += len(group)
@@ -458,15 +445,10 @@ def _store_path_clear(bb: BasicBlock, group: List[_Access], cand: _Access,
     for instr in bb.instrs[first + 1 : cand.index]:
         if mutates_class(instr, aliases, cls):
             return False
-        if isinstance(instr, (I.PktLoadField, I.PktLoadWords)) and isinstance(
-            instr.ph, Temp
-        ) and aliases.same(instr.ph, cls):
-            if isinstance(instr, I.PktLoadWords):
-                lo, hi = instr.byte_off * 8, (instr.byte_off + instr.nwords * 4) * 8
-            else:
-                lo, hi = instr.bit_off, instr.bit_off + instr.bit_width
+        if (isinstance(instr, I.PktAccess) and not instr.stores
+                and isinstance(instr.ph, Temp) and aliases.same(instr.ph, cls)):
             for blo, bhi in buffered:
-                if lo < bhi and blo < hi:
+                if instr.bit_off < bhi and blo < instr.bit_end:
                     return False
     return True
 
@@ -489,7 +471,7 @@ def _store_segments(fn: IRFunction, seq: List[I.Instr], acc: _Access):
     segment per maximal run of masked bytes in each word (the run is
     pre-extracted into a temp)."""
     if not acc.wide:
-        width = acc.bit_width
+        width = acc.instr.bit_width
         return [(acc.bit_off, width, acc.instr.value, width)]
     segments = []
     instr: I.PktStoreWords = acc.instr  # type: ignore[assignment]
@@ -566,8 +548,8 @@ def _rewrite_store_group(fn: IRFunction, bb: BasicBlock, group: List[_Access],
 
     wide = I.PktStoreWords(last.instr.ph, start_byte, nwords, values, masks)
     wide.copy_annotations_from(last.instr)
-    wide.c_offset_bits = getattr(last.instr, "c_offset_bits", None)
-    wide.c_alignment = getattr(last.instr, "c_alignment", None)
+    wide.c_offset_bits = last.instr.c_offset_bits
+    wide.c_alignment = last.instr.c_alignment
     seq.append(wide)
 
     for acc in group:

@@ -44,9 +44,9 @@ from repro.obs import ledger as obs_ledger
 from repro.opt.aliases import AliasClasses, packet_handles
 
 # Test-only fault injection (tests/test_analyze_mutations.py): when set
-# to "rebase_skew", deferred-head re-basing shifts field accesses one
-# byte past the true pending delta -- a deliberately broken elision the
-# differential oracle must catch. Never set outside tests.
+# to "rebase_skew", deferred-head re-basing shifts PAC's word accesses
+# one word past the true pending delta -- a deliberately broken elision
+# the differential oracle must catch. Never set outside tests.
 _TEST_MUTATION = None
 
 
@@ -247,19 +247,11 @@ def _rewrite_instr(fn: IRFunction, instr: I.Instr, pending: Dict[Temp, int],
 
     d = next((pending.get(cls, 0) for cls in touched), 0)
     if d != 0:
-        if isinstance(instr, (I.PktLoadField, I.PktStoreField)):
-            # Re-base onto the stale (synced) head: the access offset
-            # absorbs the pending delta and the static head annotation
-            # moves back by the same amount.
-            instr.bit_off += d * 8
-            if instr.c_offset_bits is not None:
-                instr.c_offset_bits -= d * 8
-        elif isinstance(instr, (I.PktLoadWords, I.PktStoreWords)):
-            instr.byte_off += d
-            if _TEST_MUTATION == "rebase_skew":
+        if isinstance(instr, I.PktAccess):
+            # Re-base onto the stale (synced) head.
+            instr.rebase(d)
+            if _TEST_MUTATION == "rebase_skew" and isinstance(instr, I.PktWords):
                 instr.byte_off += 4
-            if instr.c_offset_bits is not None:
-                instr.c_offset_bits -= d * 8
         elif isinstance(instr, I.PktLength):
             raw = fn.new_temp(T.U32)
             length_instr = I.PktLength(raw, instr.ph)

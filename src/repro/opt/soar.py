@@ -46,9 +46,6 @@ State = Dict[Temp, ClassValue]
 
 BOTTOM: ClassValue = (None, 1)
 
-# What the access counts (and the ledger's per-access records) cover.
-_DATA_ACCESSES = (I.PktLoadField, I.PktStoreField, I.PktLoadWords, I.PktStoreWords)
-
 
 def _align_of_offset(offset: Optional[int], base_align: int = QUADWORD) -> int:
     if offset is None:
@@ -214,7 +211,7 @@ def _transfer(bb, in_state: State, aliases: AliasClasses,
             if result is not None and isinstance(instr, I.PktInstr) \
                     and (instr.renames or not instr.touches_packet):
                 _annotate(instr, value, result,
-                          counted=isinstance(instr, _DATA_ACCESSES))
+                          counted=isinstance(instr, I.PktAccess))
             if instr.moves_head:
                 state[cls] = _shift_value(value, instr.head_delta())
             if puts is not None and isinstance(instr, I.ChanPut):

@@ -187,8 +187,8 @@ def select_candidates(mod: IRModule, profile: ProfileData,
         obs_ledger.record("swc", name, "rejected", reason=reason, **evidence)
 
     in_critical = _globals_in_critical_sections(mod)
-    fast_loaded = _globals_loaded_in(mod, fast_functions)
-    fast_stored = _globals_stored_in(mod, fast_functions)
+    fast_loaded = _globals_accessed_in(mod, fast_functions, I.LoadG)
+    fast_stored = _globals_accessed_in(mod, fast_functions, I.StoreG)
 
     screened = []  # (loads_per_packet, name, sym, line_bytes, line_words, stats)
     turned_down = []  # (loads_per_packet, name, sym, stats): residency's pool
@@ -358,12 +358,6 @@ def enforce_check_period(result: SwcResult, requested: int) -> int:
     return effective
 
 
-def _global_read_by(instr: I.Instr) -> Optional[str]:
-    """The global an instruction reads: a plain load, or the wide load PAC
-    made of several."""
-    return instr.g if isinstance(instr, (I.LoadG, I.LoadGWords)) else None
-
-
 def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
     """Globals read or written while a lock is held. The lock depth at
     each block's entry comes from the paths into it, so an access in a
@@ -376,8 +370,8 @@ def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
                 depth += 1
             elif isinstance(instr, I.LockRelease):
                 depth = max(0, depth - 1)
-            elif depth > 0 and found is not None and (
-                    isinstance(instr, I.StoreG) or _global_read_by(instr)):
+            elif depth > 0 and found is not None and isinstance(
+                    instr, (I.LoadG, I.StoreG)):
                 found.add(instr.g)
         return depth
 
@@ -388,29 +382,13 @@ def _globals_in_critical_sections(mod: IRModule) -> Set[str]:
     return names
 
 
-def _globals_loaded_in(mod: IRModule, functions: Set[str]) -> Set[str]:
-    names: Set[str] = set()
-    for fname in functions:
-        fn = mod.functions.get(fname)
-        if fn is None:
-            continue
-        for instr in fn.all_instrs():
-            g = _global_read_by(instr)
-            if g is not None:
-                names.add(g)
-    return names
-
-
-def _globals_stored_in(mod: IRModule, functions: Set[str]) -> Set[str]:
-    names: Set[str] = set()
-    for fname in functions:
-        fn = mod.functions.get(fname)
-        if fn is None:
-            continue
-        for instr in fn.all_instrs():
-            if isinstance(instr, I.StoreG):
-                names.add(instr.g)
-    return names
+def _globals_accessed_in(mod: IRModule, functions: Set[str],
+                         kind: type) -> Set[str]:
+    """The globals that ``kind`` (``LoadG`` or ``StoreG``) accesses in
+    ``functions``. Selection runs before PAC, so a read is a ``LoadG``."""
+    return {instr.g for fname in functions if fname in mod.functions
+            for instr in mod.functions[fname].all_instrs()
+            if isinstance(instr, kind)}
 
 
 # -- transformation -------------------------------------------------------------------
@@ -427,7 +405,8 @@ def apply(mod: IRModule, result: SwcResult, fast_functions: Set[str],
     # The generation bump is a read-modify-write, atomic only because the
     # XScale runs a function to completion. Selection rejects a global
     # stored on the packet path; never instrument one that slipped by.
-    me_stored = sorted(_globals_stored_in(mod, fast_functions) & set(selected))
+    me_stored = sorted(_globals_accessed_in(mod, fast_functions, I.StoreG)
+                       & set(selected))
     if me_stored:
         raise ValueError(
             "SWC: cached global(s) %s stored from an ME function; a "
@@ -567,28 +546,26 @@ def _insert_periodic_check(fn: IRFunction, result: SwcResult,
 
 def _rewrite_loads(fn: IRFunction, specs: Dict[str, CacheSpec],
                    result: SwcResult) -> None:
-    while True:
-        target = None
-        for bb in fn.blocks:
-            for idx, instr in enumerate(bb.instrs):
-                if (isinstance(instr, I.LoadG) and instr.g in specs
-                        and not getattr(instr, "_swc_done", False)):
-                    target = (bb, idx, instr)
-                    break
-            if target:
+    """One forward pass over the blocks. A split appends its tail block,
+    which the pass reaches in turn; the miss block it returns holds the
+    line fills, which stay loads."""
+    fills: Set[BasicBlock] = set()
+    for bb in fn.blocks:  # grows while the pass runs
+        if bb in fills:
+            continue
+        for idx, instr in enumerate(bb.instrs):
+            if isinstance(instr, I.LoadG) and instr.g in specs:
+                fills.add(_rewrite_one_load(fn, bb, idx, instr,
+                                            specs[instr.g], result))
                 break
-        if target is None:
-            return
-        bb, idx, instr = target
-        _rewrite_one_load(fn, bb, idx, instr, specs[instr.g], result)
 
 
-def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int,
-                      load: I.LoadG, spec: CacheSpec, result: SwcResult) -> None:
+def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int, load: I.LoadG,
+                      spec: CacheSpec, result: SwcResult) -> BasicBlock:
     """Split the block around the load and emit hit/miss paths. The miss
     path fills the *entire* line, installs the CAM tag, then joins the
-    hit path, which reads the requested word(s) from Local Memory."""
-    load._swc_done = True  # type: ignore[attr-defined]
+    hit path, which reads the requested word(s) from Local Memory.
+    Returns the miss block."""
     tail = fn.new_block("swc_tail")
     tail.instrs = bb.instrs[idx + 1 :]
     tail.terminator = bb.terminator
@@ -635,9 +612,7 @@ def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int,
         miss_bb.append(I.BinOp("add", slot, line_base, Const(word)))
         if spec.line_words - word >= 2:
             v64 = fn.new_temp(T.U64)
-            fill = I.LoadG(v64, load.g, chunk_off, 8)
-            fill._swc_done = True  # type: ignore[attr-defined]
-            miss_bb.append(fill)
+            miss_bb.append(I.LoadG(v64, load.g, chunk_off, 8))
             hi64 = fn.new_temp(T.U64)
             miss_bb.append(I.BinOp("lshr", hi64, v64, Const(32)))
             hi = fn.new_temp(T.U32)
@@ -651,9 +626,7 @@ def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int,
             word += 2
         else:
             v32 = fn.new_temp(T.U32)
-            fill = I.LoadG(v32, load.g, chunk_off, 4)
-            fill._swc_done = True  # type: ignore[attr-defined]
-            miss_bb.append(fill)
+            miss_bb.append(I.LoadG(v32, load.g, chunk_off, 4))
             miss_bb.append(I.LmStore(slot, v32))
             word += 1
     miss_bb.append(I.CamWrite(entry, key))
@@ -685,6 +658,7 @@ def _rewrite_one_load(fn: IRFunction, bb: BasicBlock, idx: int,
     hit_bb.terminate(I.Jump(tail))
 
     result.rewritten_loads += 1
+    return miss_bb
 
 
 # -- resident reads -------------------------------------------------------------------

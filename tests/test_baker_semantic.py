@@ -6,6 +6,8 @@ from repro.baker import parse_and_check
 from repro.baker import types as T
 from repro.baker.errors import SemanticError
 from repro.baker.packetmodel import META_USER_BASE
+from repro.compiler import compile_baker
+from repro.options import options_for
 from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
 
@@ -285,6 +287,30 @@ def test_user_function_call_checked():
 
 def test_wrong_arity():
     expect_error("u32 f(u32 a) { return a; }" + ppf_body("u32 v = f(1, 2);"), "expects 1")
+
+
+def _called_with(params, args):
+    return ("\nu32 f(%s) { return a; }\n" % params
+            + ppf_body("ph->type = f(%s);" % args))
+
+
+@pytest.mark.parametrize("params, args", [
+    ("u32 a, u32 b, u32 c, u32 d, u32 e, u32 g, u32 h", "1, 2, 3, 4, 5, 6, 7"),
+    ("u32 a, u32 b, u32 c, u32 d, u32 e, u64 g", "1, 2, 3, 4, 5, 6"),
+], ids=["seven-u32", "five-u32-one-u64"])
+def test_more_argument_words_than_registers_is_located_at_every_level(params, args):
+    # The calling convention passes six words; a u64 takes two. Every
+    # level rejects the declaration, inlined calls (SWC) or not (BASE, O1).
+    for level in ("BASE", "O1", "SWC"):
+        with pytest.raises(SemanticError, match="f takes 7 argument words") as exc:
+            compile_baker(_called_with(params, args), options_for(level))
+        assert exc.value.loc.line == 2
+
+
+def test_six_argument_words_compile_without_inlining():
+    src = _called_with("u32 a, u32 b, u32 c, u32 d, u64 g", "1, 2, 3, 4, 5")
+    for level in ("BASE", "O1"):
+        assert compile_baker(src, options_for(level)).images
 
 
 def test_ppf_direct_call_rejected():

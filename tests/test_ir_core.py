@@ -53,6 +53,30 @@ def test_wide_load_defs_are_lists():
     assert wide.uses() == [ph]
 
 
+def test_packet_access_model_states_bits_and_direction_once():
+    ph, v = Temp(0, T.RAW_PACKET), Temp(1, T.U32)
+    accesses = [
+        (I.PktLoadField(v, ph, "ipv4", "ihl", 4, 4), False, 4, 4),
+        (I.PktStoreField(ph, "ipv4", "ttl", 64, 8, v), True, 64, 8),
+        (I.PktLoadWords([v, v], ph, 12, 2), False, 96, 64),
+        (I.PktStoreWords(ph, 2, 1, [v], [0b1111]), True, 16, 32),
+    ]
+    for access, stores, bit_off, bit_width in accesses:
+        assert isinstance(access, I.PktAccess)
+        assert (access.stores, access.bit_off, access.bit_width,
+                access.bit_end) == (stores, bit_off, bit_width, bit_off + bit_width)
+
+    wide = I.PktLoadWords([v], ph, 12, 1)
+    wide.c_offset_bits = 112
+    wide.rebase(6)
+    assert (wide.byte_off, wide.bit_off, wide.c_offset_bits) == (18, 144, 64)
+    wide.rebase(-4)
+    assert (wide.byte_off, wide.c_offset_bits) == (14, 96)
+    with pytest.raises(ValueError, match="starts on a byte"):
+        wide.bit_off = 115
+    assert wide.byte_off == 14
+
+
 # -- CFG --------------------------------------------------------------------------
 
 
