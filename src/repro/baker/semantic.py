@@ -331,6 +331,10 @@ class SemanticAnalyzer:
             ptype = self._resolve_type(p.type_expr)
             if ptype.is_void:
                 raise self._error("parameter cannot be void", p)
+            if isinstance(ptype, T.StructType):
+                raise self._error(
+                    "parameter %r has type %s: struct parameters are not "
+                    "supported" % (p.name, ptype), p)
             params.append(ptype)
         words = sum(2 if isinstance(t, T.IntType) and t.bits > 32 else 1
                     for t in params)

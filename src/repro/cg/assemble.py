@@ -3,7 +3,8 @@
 Lowers every function reachable from an aggregate's entry PPFs, runs
 register allocation, places stack frames, flattens everything (dispatch
 loop first, then functions, then the shared packet helpers), resolves
-branch targets, and enforces the 4096-instruction control store limit.
+branch targets, and enforces the two per-ME budgets: the 4096-instruction
+control store and each thread's SRAM stack-overflow area.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.cg.isa import Bal, Br, Insn, LIRFunction, Rtn
 from repro.cg.lower import CodegenError, LowerContext, lower_function
 from repro.cg.codesize import record_budget_fit
-from repro.cg.melayout import CODE_STORE_WORDS, record_stack_fit
+from repro.cg.melayout import (
+    CODE_STORE_WORDS, SRAM_STACK_BYTES_PER_THREAD, record_stack_fit,
+)
 from repro.cg.regalloc import allocate_function
 from repro.cg.stack import StackLayoutResult, layout_frames, resolve_stack_accesses
 from repro.ir.callgraph import CallGraph
@@ -173,6 +176,12 @@ def build_image(result, agg) -> MEImage:
             "aggregation should have split it"
             % (agg.name, image.code_size, CODE_STORE_WORDS)
         )
+    if layout.sram_words_used * 4 > SRAM_STACK_BYTES_PER_THREAD:
+        # Frames past the area would land in the next thread's.
+        raise CodegenError(
+            "aggregate %s needs %d bytes of SRAM stack frames per thread "
+            "(limit %d)" % (agg.name, layout.sram_words_used * 4,
+                            SRAM_STACK_BYTES_PER_THREAD))
     return image
 
 

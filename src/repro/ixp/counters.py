@@ -10,44 +10,35 @@ from repro.cg.isa import CAT_APP, CAT_PACKET, SPACES
 
 #: Every (space, category) an access is counted under, in slot order.
 KEYS = tuple((space, cat) for space in SPACES for cat in (CAT_PACKET, CAT_APP))
-#: (space, category) -> its slot in :attr:`Counters.n_accesses` / ``n_words``.
+#: (space, category) -> its slot in :attr:`Counters.n_accesses`.
 SLOT = {key: i for i, key in enumerate(KEYS)}
 
 
 class Counters:
-    """Counts memory accesses by (space, category) plus moved words.
+    """Counts memory accesses by (space, category).
 
-    The counts live in two slot lists indexed by :data:`SLOT`, so an
-    access resolved at decode time costs two list increments.
-    ``accesses`` and ``words`` are :class:`Counter` views holding the
-    keys bumped so far. ``snapshot()``/``delta()`` support measuring
-    only the steady-state window (after warm-up), which is how Table 1's
+    The counts live in one slot list indexed by :data:`SLOT`, so an
+    access resolved at decode time costs one list increment.
+    ``accesses`` is a :class:`Counter` view holding the keys bumped so
+    far. ``snapshot()``/``delta()`` support measuring only the
+    steady-state window (after warm-up), which is how Table 1's
     per-packet numbers and the figures' forwarding rates are produced.
     """
 
     def __init__(self):
         self.n_accesses = [0] * len(KEYS)
-        self.n_words = [0] * len(KEYS)
 
     @property
     def accesses(self) -> Counter:
         return Counter({key: n for key, n in zip(KEYS, self.n_accesses)
                         if n})
 
-    @property
-    def words(self) -> Counter:
-        return Counter({key: w for key, n, w
-                        in zip(KEYS, self.n_accesses, self.n_words) if n})
-
     def snapshot(self) -> Dict:
-        return {"accesses": self.accesses, "words": self.words}
+        return {"accesses": self.accesses}
 
     @staticmethod
     def delta(after: Dict, before: Dict) -> Dict:
-        return {
-            "accesses": after["accesses"] - before["accesses"],
-            "words": after["words"] - before["words"],
-        }
+        return {"accesses": after["accesses"] - before["accesses"]}
 
 
 @dataclass

@@ -165,10 +165,7 @@ class MemorySystem:
         """Charge a channel and the counters; returns the completion time
         (data available / write retired). The ME core's
         ``predecode._charge_lines`` inlines the same arithmetic."""
-        counters = self.counters
-        slot = SLOT[(space, category)]
-        counters.n_accesses[slot] += 1
-        counters.n_words[slot] += words
+        self.counters.n_accesses[SLOT[(space, category)]] += 1
         if space == "sram" and (addr >> self.SRAM_INTERLEAVE_SHIFT) & 1:
             ch = self.channels["sram1"]
         else:

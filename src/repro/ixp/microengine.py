@@ -110,7 +110,6 @@ class Microengine:
         memory = chip.memory
         self.memory = memory
         self.n_accesses = memory.counters.n_accesses
-        self.n_words = memory.counters.n_words
         self.channels = memory.channels
         self.stores = memory.stores
         self.rings = chip.rings.rings

@@ -7,8 +7,8 @@ starts ``HEADROOM_BYTES`` in. Handles and buffers come from the
 ``__meta_free`` / ``__buf_free`` rings the loader fills.
 
 Everything outside compiled code that makes, reads or recycles a
-packet goes through this module: the Rx and Tx engines, the XScale core
-and the analyzer's replay harness. (ME code does the same on the chip,
+packet goes through this module: the Rx and Tx engines and the XScale
+core. (ME code does the same on the chip,
 as :mod:`repro.cg.pktlower` emits it.) :class:`SimPacket` is the
 profiler's :class:`~repro.profiler.hostpackets.HostPacket` over this
 format, so the XScale runs the same packet semantics, checks included,

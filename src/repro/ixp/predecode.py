@@ -48,7 +48,7 @@ halted). The dispatch loop in :meth:`Microengine.run_slice` adds one to
 remainder themselves.
 
 Memory and ring ops reach the chip through references each
-:class:`Microengine` binds once (``me.n_accesses``/``me.n_words`` counter
+:class:`Microengine` binds once (``me.n_accesses`` counter
 slots, ``me.channels``, ``me.stores``, ``me.rings``); the counter slot,
 occupancy and latency of an access are decode-time constants, and a
 wide load or store is one ``struct`` call.
@@ -495,8 +495,7 @@ def _charge_lines(b, space: str, words: int, category: str) -> List[str]:
     out-of-line call."""
     params = PARAMS[space]
     slot = b.p("SL", _slot(space, category))
-    lines = ["me.n_accesses[%s] += 1" % slot,
-             "me.n_words[%s] += %d" % (slot, words)]
+    lines = ["me.n_accesses[%s] += 1" % slot]
     if space == "sram":
         lines.append(
             "ch = me.channels['sram1' if (addr >> %d) & 1 else 'sram']"

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
+from repro.cg.melayout import CODE_STORE_WORDS
+
 #: The cumulative levels, in the order Table 1 / Figures 13-15 add them.
 LEVEL_ORDER: List[str] = ["BASE", "O1", "O2", "PAC", "SOAR", "PHR", "SWC"]
 
@@ -62,7 +64,7 @@ class CompilerOptions:
     swc_check_period: int = 16
     # Aggregation inputs:
     num_mes: int = 6  # programmable MEs (2 of 8 reserved for Rx/Tx)
-    me_code_store: int = 4096  # instructions per ME
+    me_code_store: int = CODE_STORE_WORDS  # instructions per ME
 
     def __post_init__(self) -> None:
         if self.name not in LEVEL_ORDER:

@@ -81,11 +81,11 @@ def main(argv=None) -> int:
                          "<repo>/.repro_cache/compile)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the on-disk compile cache")
-    ap.add_argument("--analyze", action="store_true",
-                    help="run the repro.analyze checks (layout, budget, "
-                         "verify) on every distinct (app, level) "
-                         "compile; exit 2 if any report has error "
-                         "findings")
+    ap.add_argument("--verify", action="store_true",
+                    help="run verify_against_reference (Tx payloads and "
+                         "metadata against the reference interpreter's) "
+                         "on every distinct (app, level) compile; exit 2 "
+                         "if any compile fails it")
     ap.add_argument("--profile", action="store_true",
                     help="attach the stall-cycle attribution profiler "
                          "(repro.obs.profile) to every rate run and "
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     cfg = WorkerConfig(cache_dir=cache.cache_dir, use_cache=cache.enabled,
                        trace_packets=args.trace_packets,
                        trace_seed=args.trace_seed,
-                       analyze=args.analyze,
+                       verify=args.verify,
                        profile=args.profile)
     sweep = run_sweep(jobs, n_procs=args.jobs, cache=cache, cfg=cfg)
 
@@ -192,23 +192,17 @@ def main(argv=None) -> int:
              cache.misses, "" if cache.misses == 1 else "s"))
     for path in paths:
         print("wrote %s" % path)
-    if args.analyze:
-        failures = sweep.analysis_failures()
-        analyzed = {(jr.job.app, jr.job.level): jr.analysis
-                    for jr in sweep.jobs if jr.analysis is not None}
-        if analyzed:
-            checks = next(iter(analyzed.values()))["passes"]
-            print("analyze: checks run on each compile: %s"
-                  % ", ".join(checks))
+    if args.verify:
+        verdicts = sweep.verdicts()
+        failures = [key for key, ok in sorted(verdicts.items()) if not ok]
         if failures:
-            print("analyze: %d of %d compiles FAILED validation:"
-                  % (len(failures), len(analyzed)))
-            for app, level, n_errors in failures:
-                print("  %s/%s: %d error finding%s"
-                      % (app, level, n_errors,
-                         "" if n_errors == 1 else "s"))
+            print("verify: %d of %d compiles FAILED:"
+                  % (len(failures), len(verdicts)))
+            for app, level in failures:
+                print("  %s/%s: transmitted packets differ from the "
+                      "reference interpreter's" % (app, level))
             return 2
-        print("analyze: all %d compiles validated clean" % len(analyzed))
+        print("verify: all %d compiles verified" % len(verdicts))
     return 0
 
 

@@ -7,8 +7,9 @@ across a ``multiprocessing`` spawn pool and merges the results
 deterministically:
 
 * A job returns **plain picklable data** -- its measurements and, when
-  asked for, its analysis report and occupancy cell -- and is the same
-  call whether it runs inline (``--jobs 1``) or in a worker process.
+  asked for, its compile's verify verdict and occupancy cell -- and is
+  the same call whether it runs inline (``--jobs 1``) or in a worker
+  process.
 * Results are ordered by the **job key**, never by completion order,
   so ``--jobs 1`` and ``--jobs N`` produce bit-identical
   ``BENCH_*.json`` output (asserted in ``tests/test_sweep.py``; CI's
@@ -94,9 +95,9 @@ class JobResult:
     profile: Dict[str, float]
     cache_hit: bool
     wall_s: float
-    #: ``repro.analyze`` report for this job's (app, level) compile, when
-    #: the sweep runs with ``analyze=True`` (None otherwise).
-    analysis: Optional[dict] = None
+    #: ``verify_against_reference``'s verdict on this job's (app, level)
+    #: compile, when the sweep runs with ``verify=True`` (None otherwise).
+    verified: Optional[bool] = None
     #: Stall-cycle attribution cell (repro.obs.profile) for rate jobs
     #: run with ``profile=True`` (None otherwise).
     occupancy: Optional[dict] = None
@@ -113,10 +114,10 @@ class WorkerConfig:
     #: Accepted and selects nothing: ``benchmarks/pipeline/sweep_grid.py``
     #: passes ``obs=False``, and that directory is frozen (ROADMAP item 3).
     obs: bool = True
-    #: Opt-in per-job correctness check: run the three ``repro.analyze``
-    #: checks (layout, budget, verify) over each distinct (app, level)
-    #: compile and attach the report to the job results.
-    analyze: bool = False
+    #: Opt-in correctness check: run ``verify_against_reference`` once
+    #: per distinct (app, level) compile and attach its verdict to the
+    #: job results.
+    verify: bool = False
     #: Attach a stall-cycle attribution profiler to every rate job and
     #: emit BENCH_occupancy.json (pure observation; measured rates are
     #: bit-identical either way).
@@ -183,8 +184,7 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                            measure_packets=job.measure_packets,
                            trace_json=job.trace_json,
                            profiler=profiler)
-    analysis = (_analyze_compile(job, cfg, result, trace)
-                if cfg.analyze else None)
+    verified = _verify_compile(job, cfg, result, trace) if cfg.verify else None
     occupancy = None
     if profiler is not None:
         from repro.obs.profile import occupancy_cell
@@ -197,7 +197,7 @@ def execute_job(job: SweepJob, cfg: WorkerConfig,
                      profile=profile,
                      cache_hit=hit,
                      wall_s=time.perf_counter() - t0,
-                     analysis=analysis,
+                     verified=verified,
                      occupancy=occupancy)
 
 
@@ -210,25 +210,21 @@ def _compile(cache: CompileCache, cfg: WorkerConfig, app: str, level: str):
                                     cfg.trace_seed)
 
 
-#: Per-process memo: the analysis of one (app, level) compile does not
+#: Per-process memo: the verdict on one (app, level) compile does not
 #: depend on the ME count, so the many grid cells sharing a compile
-#: share one report.
-_ANALYSIS_MEMO: Dict[Tuple, dict] = {}
+#: share one oracle run.
+_VERIFIED: Dict[Tuple, bool] = {}
 
 
-def _analyze_compile(job: SweepJob, cfg: WorkerConfig,
-                     result, trace) -> dict:
-    """The ``repro.analyze`` report for this job's compiled artifact
+def _verify_compile(job: SweepJob, cfg: WorkerConfig, result, trace) -> bool:
+    """``verify_against_reference`` on this job's compiled artifact
     (memoized per process per (app, level))."""
-    from repro.analyze import run_analysis
+    from repro.rts.system import verify_against_reference
 
     key = (job.app, job.level, cfg.trace_packets, cfg.trace_seed)
-    if key not in _ANALYSIS_MEMO:
-        _ANALYSIS_MEMO[key] = run_analysis(
-            job.app, job.level,
-            packets=cfg.trace_packets, seed=cfg.trace_seed,
-            result=result, trace=trace)
-    return _ANALYSIS_MEMO[key]
+    if key not in _VERIFIED:
+        _VERIFIED[key] = verify_against_reference(result, trace)
+    return _VERIFIED[key]
 
 
 # -- pool worker plumbing --------------------------------------------------------
@@ -290,23 +286,11 @@ class SweepResult:
         return {jr.job.level: dict(jr.profile) for jr in self.jobs
                 if jr.job.kind == "table1" and jr.job.app == app}
 
-    def analysis_failures(self) -> List[Tuple[str, str, int]]:
-        """(app, level, error_findings) for every analyzed compile whose
-        ``repro.analyze`` report is not clean. Empty when analysis was
-        off or everything validated."""
-        seen = set()
-        failures: List[Tuple[str, str, int]] = []
-        for jr in self.jobs:
-            if jr.analysis is None:
-                continue
-            key = (jr.job.app, jr.job.level)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not jr.analysis.get("ok", True):
-                failures.append((jr.job.app, jr.job.level,
-                                 int(jr.analysis.get("errors_total", 0))))
-        return failures
+    def verdicts(self) -> Dict[Tuple[str, str], bool]:
+        """(app, level) -> ``verify_against_reference``'s verdict, for
+        every compile the sweep verified (empty when it verified none)."""
+        return {(jr.job.app, jr.job.level): jr.verified
+                for jr in self.jobs if jr.verified is not None}
 
     def bench_payloads(self) -> Dict[str, Dict]:
         """figure -> BENCH_*.json payload (rates rounded to 3 during

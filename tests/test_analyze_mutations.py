@@ -129,7 +129,7 @@ def test_mutant_is_caught(module, mutation, app_name, level, fired):
 def test_unmutated_compile_validates_clean(module, mutation, app_name,
                                            level, fired):
     # Same app, same level, hook cleared: the whole-system run passes.
-    # (The full app x level matrix is covered by tests/test_analyze.py;
+    # (The full app x level matrix is tests/test_apps.py's;
     # this pins the exact configurations the mutants run under.)
     assert module._TEST_MUTATION is None
     result, verified = _verified(app_name, level)

@@ -307,6 +307,20 @@ def test_more_argument_words_than_registers_is_located_at_every_level(params, ar
         assert exc.value.loc.line == 2
 
 
+def test_struct_parameter_is_rejected_at_its_declaration():
+    # Lowering cannot address a struct parameter; every level used to
+    # fail at its first use in the body instead.
+    src = ("struct pair { u32 a; u32 b; }\nstruct pair g;\n"
+           "u32 f(u32 x,\n      struct pair p) { return p.a + x; }\n"
+           + ppf_body("ph->type = f(1, g) & 0xffff;"))
+    for level in ("BASE", "SWC"):
+        with pytest.raises(SemanticError, match="parameter 'p' has type "
+                           "struct pair: struct parameters are not "
+                           "supported") as exc:
+            compile_baker(src, options_for(level))
+        assert (exc.value.loc.line, exc.value.loc.column) == (4, 19)
+
+
 def test_six_argument_words_compile_without_inlining():
     src = _called_with("u32 a, u32 b, u32 c, u32 d, u64 g", "1, 2, 3, 4, 5")
     for level in ("BASE", "O1"):

@@ -10,14 +10,16 @@ from repro.cg.assemble import build_image
 from repro.cg.lower import (
     CodegenError, FunctionLowerer, LowerContext, lower_function,
 )
-from repro.cg.melayout import CODE_STORE_WORDS, STACK_WORDS_PER_THREAD
+from repro.cg.melayout import (
+    CODE_STORE_WORDS, SRAM_STACK_BYTES_PER_THREAD, STACK_WORDS_PER_THREAD,
+)
 from repro.cg.regalloc import USABLE, allocate_function, normalize, simplify_order
 from repro.cg.stack import layout_frames, resolve_stack_accesses
 from repro.compiler import compile_baker
 from repro.options import LEVEL_ORDER, options_for
 from repro.profiler.trace import ipv4_trace
 from tests.ir_helpers import lower
-from tests.samples import MINI_FORWARDER, PASSTHROUGH
+from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
@@ -345,6 +347,33 @@ def test_image_within_code_store():
     for image in result.images.values():
         assert image.code_size <= CODE_STORE_WORDS
         assert image.insns
+
+
+def _array_frame(words):
+    return (ETHER_IPV4_PROTOCOLS + """
+u32 fill(u32 x) {
+  u32 a[%d]; u32 i = 0;
+  while (i < %d) { a[i] = x + i; i = i + 1; }
+  return a[x & 127];
+}
+module m { ppf go(ether_pkt *ph) from rx {
+  ph->type = fill(ph->type) & 0xffff; channel_put(tx, ph); } }
+""" % (words, words))
+
+
+@pytest.mark.parametrize("level", ["BASE", "SWC"])
+def test_sram_stack_frames_past_the_thread_area_are_a_codegen_error(level):
+    """A 400-word frame needs 1600 bytes of SRAM stack per thread; the
+    area is 1024, and frames past it would land in the next thread's."""
+    with pytest.raises(CodegenError, match=r"aggregate m\.go needs 1600 "
+                       r"bytes of SRAM stack frames per thread \(limit "
+                       r"%d\)" % SRAM_STACK_BYTES_PER_THREAD):
+        compile_full(level, src=_array_frame(400))
+    # 200 words overflow Local Memory but fit the SRAM area.
+    result = compile_full(level, src=_array_frame(200))
+    (image,) = result.images.values()
+    assert 0 < image.stack_layout.sram_words_used * 4 \
+        <= SRAM_STACK_BYTES_PER_THREAD
 
 
 def test_image_branches_resolved():

@@ -609,33 +609,29 @@ def test_arbiter_and_runs_match_reference(ops, n_threads, budgets):
 
 def test_counters_are_views_over_slots():
     c = Counters()
-    assert c.snapshot() == {"accesses": Counter(), "words": Counter()}
-    assert not c.accesses and not c.words
+    assert c.snapshot() == {"accesses": Counter()}
+    assert not c.accesses
     slot = SLOT[("sram", "app")]
     c.n_accesses[slot] += 1
-    c.n_words[slot] += 2
     assert c.accesses == Counter({("sram", "app"): 1})
-    assert c.words == Counter({("sram", "app"): 2})
 
 
 def test_counters_delta_is_counter_arithmetic():
     mem = MemorySystem()
-    accesses, words = Counter(), Counter()
+    accesses = Counter()
     before = old_before = None
     for i, (space, cat, n) in enumerate(
             [("dram", "pkt", 2), ("sram", "app", 1), ("scratch", "pkt", 1),
              ("dram", "pkt", 16), ("sram", "pkt", 8), ("sram", "app", 1)]):
         if i == 2:
             before = mem.counters.snapshot()
-            old_before = {"accesses": Counter(accesses),
-                          "words": Counter(words)}
+            old_before = {"accesses": Counter(accesses)}
         mem.timed_access(0.0, space, n, cat)
         accesses[(space, cat)] += 1
-        words[(space, cat)] += n
     after = mem.counters.snapshot()
-    assert after == {"accesses": accesses, "words": words}
+    assert after == {"accesses": accesses}
     assert Counters.delta(after, before) == Counters.delta(
-        {"accesses": accesses, "words": words}, old_before)
+        {"accesses": accesses}, old_before)
 
 
 def test_sram_stack_frame_matches_the_reference_core():

@@ -3,10 +3,10 @@
 The functional profiler's :class:`HostPacket` and :class:`GlobalMemory`
 are also what the XScale runs over simulated chip memory
 (:class:`repro.ixp.packets.SimPacket`, ``GlobalMemory.on_chip``), and
-every fresh packet on the chip -- Rx, XScale create, the analyzer's
-harness -- is written by one function that clears the whole buffer, as
-a new host packet's is. These tests hold the chip to the host's checks
-and to the host's buffer contents.
+every fresh packet on the chip -- Rx, XScale create -- is written by
+one function that clears the whole buffer, as a new host packet's is.
+These tests hold the chip to the host's checks and to the host's buffer
+contents.
 """
 
 from __future__ import annotations

@@ -315,19 +315,19 @@ def test_packet_trace_flag_writes_loadable_trace(tmp_path, sweep_cli, capsys):
             assert {e["args"]["level"] for e in compiled} == {"BASE", "SWC"}
 
 
-def test_analyzed_job_has_the_compilers_claims(tmp_path):
-    """A sweep job's analysis checks the claims its compile recorded --
-    no switch asks for them -- so ``layout`` cross-checks real SOAR
-    sites and nothing is skipped with a warning."""
+def test_verified_job_carries_the_oracles_verdict(tmp_path):
+    """A sweep job run with ``verify=True`` carries
+    ``verify_against_reference``'s verdict on its compile; without it,
+    none."""
     from repro.sweep.orchestrator import WorkerConfig, execute_job
 
-    cfg = WorkerConfig(cache_dir=str(tmp_path / "cache"), trace_packets=60,
-                       analyze=True)
-    jr = execute_job(SweepJob("mpls", "SWC", "rate", 1, 10, 20), cfg,
-                     CompileCache(cfg.cache_dir))
-    sections = jr.analysis["passes"]
-    assert sections["layout"]["ledger_sites"] > 0
-    assert [f for s in sections.values() for f in s["findings"]] == []
+    job = SweepJob("mpls", "SWC", "rate", 1, 10, 20)
+    cache = CompileCache(str(tmp_path / "cache"))
+    cfg = WorkerConfig(cache_dir=cache.cache_dir, trace_packets=60)
+    assert execute_job(job, cfg, cache).verified is None
+    cfg = WorkerConfig(cache_dir=cache.cache_dir, trace_packets=60,
+                       verify=True)
+    assert execute_job(job, cfg, cache).verified is True
 
 
 def test_build_jobs_shape():
@@ -455,21 +455,27 @@ def test_sweep_cli_fails_fast(capsys):
                       "--trace-packets must be >= 1, got 0", capsys)
 
 
-def test_sweep_analyze_exits_nonzero_on_a_miscompile(sweep_cli, capsys):
-    """``--analyze`` on a compile that fails validation: exit 2, and the
-    failing (app, level) named with its error count. The miscompile
-    changes no payload, only a metadata word
-    (tests/test_analyze_mutations.py)."""
+def test_sweep_verify_exits_nonzero_on_a_miscompile(sweep_cli, capsys):
+    """``--verify`` on a compile the oracle rejects: exit 2, and the
+    failing (app, level) named. The miscompile changes no payload, only
+    a metadata word (tests/test_analyze_mutations.py). ``--analyze`` is
+    gone, not an alias."""
     from repro.cg import pktlower
+    from repro.sweep import orchestrator
 
     assert pktlower._TEST_MUTATION is None, "hook leaked from another test"
     pktlower._TEST_MUTATION = "meta_store_dropped"
     try:
         code = sweep_cli("--apps", "firewall", "--levels", "SOAR",
-                         "--me-counts", "1", "--no-table1", "--analyze")
+                         "--me-counts", "1", "--no-table1", "--verify")
     finally:
         pktlower._TEST_MUTATION = None
+        orchestrator._VERIFIED.clear()  # the verdict was the mutant's
     out = capsys.readouterr().out
     assert code == 2, out
-    assert "analyze: 1 of 1 compiles FAILED validation" in out
+    assert "verify: 1 of 1 compiles FAILED" in out
     assert "  firewall/SOAR: " in out
+    with pytest.raises(SystemExit) as exc:
+        sweep_cli("--apps", "firewall", "--analyze")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --analyze" in capsys.readouterr().err
