@@ -7,9 +7,10 @@ down the label stack, the case that defeats static offset resolution --
 Figure 9's point) or a new label is pushed; ingress IPv4 packets are
 labeled via a FEC-to-label (FTN) table keyed by destination /16.
 
-The ILM and the next-hop table are the small, hot, rarely-written
-structures that the delayed-update software cache captures for MPLS in
-Table 1.
+The ILM and the next-hop table are the hot, rarely-written structures
+the paper's delayed-update software cache captures for MPLS in Table 1.
+Here the next-hop table is kept whole in Local Memory; the 1024-word ILM
+does not fit there and is read from SRAM.
 """
 
 from __future__ import annotations

@@ -94,7 +94,7 @@ def render_route_table(table: RouteTable) -> str:
     """Baker globals for the route list and next-hop table.
 
     The next-hop table uses a 16-byte stride (u64 mac implies two words,
-    one word port, one pad) so SWC can cache it without a divide."""
+    one word port, one pad) so a row is a shift of the next-hop index."""
     n = len(table.routes)
     lines = [
         "const u32 N_ROUTES = %d;" % n,
@@ -321,9 +321,9 @@ def route_flap_mutations(table: RouteTable, count: int,
     Flapped next hops get fresh MACs from a reserved 0x0D... range, so a
     retired MAC never becomes valid again -- any Tx frame carrying it
     after the update is provably stale (the SWC delayed-coherency
-    window made visible). ``nh_mac`` is SWC-cached at +SWC, so the
-    store also raises the cache-update flag when the serve control
-    plane applies it.
+    window made visible). ``nh_mac`` is resident in Local Memory at
+    +SWC, so the store also bumps its generation word when the serve
+    control plane applies it.
     """
     rng = random.Random(seed)
     muts: List[TableMutation] = []
@@ -344,9 +344,9 @@ def firewall_rule_mutations(config: FirewallConfig, count: int,
                             seed: int = 0) -> List[TableMutation]:
     """Action toggles (pass<->drop) on non-catch-all rules.
 
-    Under SWC the rule table is resident in every ME's Local Memory (it
-    defeats the CAM but fits whole), so like a route flap an update
-    takes effect on each ME when its periodic check refreshes the copy.
+    Under SWC the rule table is resident in every ME's Local Memory, so
+    like a route flap an update takes effect on each ME when its
+    periodic check refreshes the copy.
     The visible impact is a step in the per-window drop/forward counts
     for flows the toggled rule matches.
     """

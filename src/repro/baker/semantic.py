@@ -326,6 +326,10 @@ class SemanticAnalyzer:
 
     def _declare_func(self, decl: ast.FuncDecl, scope: Scope, module: Optional[str]) -> None:
         ret = self._resolve_type(decl.ret_type)
+        if isinstance(ret, T.StructType):
+            raise self._error(
+                "%s returns %s: struct return values are not supported"
+                % (decl.name, ret), decl)
         params = []
         for p in decl.params:
             ptype = self._resolve_type(p.type_expr)
@@ -627,6 +631,10 @@ class BodyChecker:
         base = self.analyzer._resolve_type(stmt.type_expr)
         if base.is_void or isinstance(base, T.ChannelType):
             raise self._error("invalid local type %s" % base, stmt)
+        if isinstance(base, T.StructType) and stmt.array_len is None:
+            raise self._error(
+                "local %r has type %s: struct locals are not supported "
+                "(struct arrays and globals are)" % (stmt.name, base), stmt)
         ltype: T.Type = base
         if stmt.array_len is not None:
             if base.is_packet:

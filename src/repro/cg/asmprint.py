@@ -41,12 +41,6 @@ def format_insn(insn: isa.Insn) -> str:
         return "lm_read %r = LM[%r + %d]" % (insn.dst, insn.base, insn.offset)
     if isinstance(insn, isa.LmWrite):
         return "lm_write LM[%r + %d] = %r" % (insn.base, insn.offset, insn.src)
-    if isinstance(insn, isa.CamLookup):
-        return "cam_lookup %r = %r" % (insn.dst, insn.key)
-    if isinstance(insn, isa.CamWrite):
-        return "cam_write [%r] = %r" % (insn.entry, insn.key)
-    if isinstance(insn, isa.CamClear):
-        return "cam_clear"
     if isinstance(insn, isa.CtxArb):
         return "ctx_arb"
     if isinstance(insn, isa.Halt):

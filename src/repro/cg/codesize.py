@@ -60,8 +60,6 @@ def estimate_instr(instr: I.Instr, opts: CompilerOptions) -> float:
         return LOCK_COST
     if isinstance(instr, (I.LoadG, I.LoadGWords, I.StoreG, I.LoadL, I.StoreL)):
         return 3
-    if isinstance(instr, I.CamClear):
-        return 1
     return _SIMPLE_FACTOR
 
 

@@ -405,30 +405,6 @@ class ThreadStackAddr(Insn):
         self.dst = dst
 
 
-class CamLookup(Insn):
-    kind = "cam_lookup"
-    _reads = ("key",)
-    _writes = ("dst",)
-
-    def __init__(self, dst: Reg, key: Operand):
-        self.dst = dst
-        self.key = key
-
-
-class CamWrite(Insn):
-    kind = "cam_write"
-    _reads = ("entry", "key")
-
-    def __init__(self, entry: Operand, key: Operand):
-        self.entry = entry
-        self.key = key
-
-
-class CamClear(Insn):
-    kind = "cam_clear"
-    pass
-
-
 class CtxArb(Insn):
     """Voluntarily yield to the next ready thread."""
     kind = "ctx_arb"

@@ -352,12 +352,6 @@ class FunctionLowerer(Emitter):
             self._lower_lock_acquire(instr)
         elif isinstance(instr, I.LockRelease):
             self.emit(AtomicRelease(self._lock_addr(instr.lock)))
-        elif isinstance(instr, I.CamLookup):
-            self.emit(isa.CamLookup(self.dst32(instr.dst), self.reg32(instr.key)))
-        elif isinstance(instr, I.CamWrite):
-            self.emit(isa.CamWrite(self.val32(instr.entry), self.reg32(instr.key)))
-        elif isinstance(instr, I.CamClear):
-            self.emit(isa.CamClear())
         elif isinstance(instr, I.LmLoad):
             self._lower_lm(instr, read=True)
         elif isinstance(instr, I.LmStore):

@@ -8,7 +8,8 @@ Pipeline::
       -> functional profiler over a trace       (exec/access statistics)
       -> scalar opts + inlining                 (-O1 / -O2)
       -> aggregation (merge/duplicate, CC->call, map to MEs/XScale)
-      -> SWC selection, PAC, SOAR, PHR, SWC     (packet optimizations)
+      -> loop peeling, SWC selection, PAC, SOAR, PHR, SWC
+                                                (packet optimizations)
       -> code generation per aggregate          (CGIR, regalloc, stack)
 
 Which stages run is a function of the cumulative level
@@ -33,7 +34,7 @@ from repro.ir.module import IRModule
 from repro.ir.verifier import verify_module
 from repro.obs import ledger as obs_ledger
 from repro.obs.trace import compile_stage
-from repro.opt import inline, pac, phr, soar, swc
+from repro.opt import inline, pac, peel, phr, soar, swc
 from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_module
 from repro.options import CompilerOptions, options_for
 from repro.profiler.interpreter import reference_run
@@ -105,6 +106,10 @@ def compile_ir(
                 # Complete the merges: internally-called PPFs inline away.
                 inline.run(mod)
             _prune_dead_functions(mod, plan)
+            if opts.pac:
+                # The head-moving loops, peeled where the ME runs them,
+                # for PAC, SOAR and PHR to see a known head.
+                peel.run(mod, profile, plan.fast_functions(mod))
             if opts.scalar:
                 scalar_optimize_module(mod)
         record_ir_stage("aggregate")
@@ -125,7 +130,7 @@ def compile_ir(
                     mod, profile, result.fast_functions)
                 period = swc.enforce_check_period(result.swc_result,
                                                   opts.swc_check_period)
-            narrow = {spec.name for spec in result.swc_result.selected()}
+            narrow = set(result.swc_result.cached_names())
 
         if opts.pac:
             with compile_stage("pac"):

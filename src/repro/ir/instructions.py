@@ -584,35 +584,6 @@ class LockRelease(Instr):
 # -- SWC / ME-specific (inserted by the SWC pass, post-aggregation) ----------------
 
 
-class CamLookup(Instr):
-    """dst = CAM lookup of key: returns (entry << 1) | hit. Models the
-    IXP cam_lookup instruction (16-entry, LRU replacement)."""
-
-    _uses = ("key",)
-    _defs = ("dst",)
-
-    def __init__(self, dst: Temp, key: Operand):
-        self.dst = dst
-        self.key = key
-
-
-class CamWrite(Instr):
-    """Install ``key`` into CAM entry ``entry`` (an operand)."""
-
-    _uses = ("entry", "key")
-
-    def __init__(self, entry: Operand, key: Operand):
-        self.entry = entry
-        self.key = key
-
-
-class CamClear(Instr):
-    """Invalidate all 16 CAM entries (the MEv2 cam_clear instruction)."""
-
-    def __init__(self):
-        pass
-
-
 class LmLoad(Instr):
     """dst = ME Local Memory word at index (ME-shared across threads)."""
 
@@ -671,5 +642,5 @@ INSTR_CLASSES = [
     PktLoadField, PktStoreField, PktLoadWords, PktStoreWords,
     MetaLoad, MetaStore, PktEncap, PktDecap, PktCopy, PktDrop, PktCreate,
     PktLength, PktAdjust, PktSyncHead, ChanPut, LockAcquire, LockRelease,
-    CamLookup, CamWrite, CamClear, LmLoad, LmStore, LoadResident, LmFill,
+    LmLoad, LmStore, LoadResident, LmFill,
 ]

@@ -86,18 +86,12 @@ def format_instr(instr: I.Instr) -> str:
         return "pkt_%s %s %s" % (instr.op, _fmt(instr.ph), _fmt(instr.amount))
     if isinstance(instr, I.PktSyncHead):
         return "pkt_sync_head %s delta=%+d" % (_fmt(instr.ph), instr.delta_bytes)
-    if isinstance(instr, I.CamClear):
-        return "cam_clear"
     if isinstance(instr, I.ChanPut):
         return "chan_put %s, %s" % (instr.channel, _fmt(instr.ph))
     if isinstance(instr, I.LockAcquire):
         return "lock_acquire %s" % instr.lock
     if isinstance(instr, I.LockRelease):
         return "lock_release %s" % instr.lock
-    if isinstance(instr, I.CamLookup):
-        return "%s = cam_lookup %s" % (_fmt(instr.dst), _fmt(instr.key))
-    if isinstance(instr, I.CamWrite):
-        return "cam_write [%s] = %s" % (_fmt(instr.entry), _fmt(instr.key))
     if isinstance(instr, I.LmLoad):
         return "%s = lm_load [%s]" % (_fmt(instr.dst), _fmt(instr.index))
     if isinstance(instr, I.LmStore):

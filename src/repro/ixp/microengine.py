@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cg.melayout import LM_WORDS, N_THREADS, STACK_WORDS_PER_THREAD
-from repro.ixp.cam import CAM
 
 _U32 = 0xFFFFFFFF
 _INF = float("inf")
@@ -81,7 +80,7 @@ class Thread:
 
 
 class Microengine:
-    """One ME: instruction store, 8 threads, Local Memory, CAM."""
+    """One ME: instruction store, 8 threads, Local Memory."""
 
     def __init__(self, index: int, image, chip, n_threads: int = N_THREADS):
         self.index = index
@@ -90,7 +89,6 @@ class Microengine:
         self.time = 0.0
         self.threads = [Thread(i, image.entry) for i in range(n_threads)]
         self.lm = [0] * LM_WORDS
-        self.cam = CAM()
         self.rr_next = 0
         self.executed_instrs = 0
         self.idle_time = 0.0

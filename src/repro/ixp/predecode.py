@@ -711,22 +711,6 @@ def _e_lm_write(b, insn, idx):
     b.cont(check + ["me.lm[%s] = %s" % (iex, vex)], insn.cycles)
 
 
-def _e_cam_lookup(b, insn, idx):
-    dex = b.dst(insn.dst, "D")
-    kex, _ = b.src(insn.key, "K")
-    b.cont(["%s = me.cam.lookup(%s)" % (dex, kex)], insn.cycles)
-
-
-def _e_cam_write(b, insn, idx):
-    eex, _ = b.src(insn.entry, "E")
-    kex, _ = b.src(insn.key, "K")
-    b.cont(["me.cam.write(%s, %s)" % (eex, kex)], insn.cycles)
-
-
-def _e_cam_clear(b, insn, idx):
-    b.cont(["me.cam.clear()"], insn.cycles)
-
-
 def _e_ctx_arb(b, insn, idx):
     b.close_terminal([b.total(insn.cycles),
                       "me.time = tm",
@@ -773,9 +757,6 @@ _EMITTERS = {
     "release": _e_release,
     "lm_read": _e_lm_read,
     "lm_write": _e_lm_write,
-    "cam_lookup": _e_cam_lookup,
-    "cam_write": _e_cam_write,
-    "cam_clear": _e_cam_clear,
     "ctx_arb": _e_ctx_arb,
     "halt": _e_halt,
     "thread_stack_addr": _e_thread_stack_addr,

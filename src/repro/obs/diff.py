@@ -113,7 +113,7 @@ _SHAPES = {
                 "phr": {"localized_meta_fields": [str], "elided_encaps": _NUM,
                         "syncs_inserted": _NUM, "state_functions": _NUM,
                         "state_writebacks": _NUM},
-                "swc": {"cached": [dict], "rejected": {str: object},
+                "swc": {"resident": [dict], "rejected": {str: object},
                         "rewritten_loads": _NUM}},
         "decisions": [dict], "decision_counts": {str: {str: _NUM}}},
     "bench": {"app": str, "rates": {str: [_NUM]},
@@ -161,7 +161,7 @@ Cells = Dict[str, Dict[str, object]]
 
 def _flat(obj: Optional[dict], prefix: str = "") -> Dict[str, object]:
     """A JSON object as ``{dotted.path: scalar}``; a list counts as its
-    length (``swc.cached``), a null is absent."""
+    length (``swc.resident``), a null is absent."""
     out: Dict[str, object] = {}
     for key, v in (obj or {}).items():
         if isinstance(v, dict):
@@ -289,7 +289,7 @@ GATES = (
                  "combined_global_loads", "wide_global_loads")),
         ("phr", ("elided_encaps", "localized_meta_fields",
                  "state_functions")),
-        ("swc", ("cached", "rewritten_loads")))
+        ("swc", ("resident", "rewritten_loads")))
     for metric in metrics)
 
 

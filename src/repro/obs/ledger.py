@@ -170,11 +170,6 @@ def _opt_section(result) -> Dict[str, object]:
     }
     swc = result.swc_result
     out["swc"] = None if swc is None else {
-        "cached": [
-            {"name": c.name, "gid": c.gid, "line_bytes": c.line_bytes,
-             "line_words": c.line_words}
-            for c in swc.cached
-        ],
         "resident": [
             {"name": r.name, "replica": r.replica, "words": r.words}
             for r in swc.resident

@@ -122,9 +122,9 @@ def render_explain(report: dict, pass_filter: Optional[str] = None) -> str:
                                ph.get("state_writebacks", 0)))
     if opt.get("swc"):
         sw = opt["swc"]
-        summary_bits.append("swc: %d cached, %d resident, %d rejected, "
+        summary_bits.append("swc: %d resident, %d rejected, "
                             "%d loads rewritten" % (
-                                len(sw["cached"]), len(sw.get("resident", [])),
+                                len(sw.get("resident", [])),
                                 len(sw["rejected"]), sw["rewritten_loads"]))
     for bit in summary_bits:
         lines.append("  " + bit)

@@ -95,13 +95,10 @@ def run(fn: IRFunction) -> bool:
         for p in fn.params:
             const_defs.pop(p, None)
         if const_defs:
-            replaced = False
             for instr in fn.all_instrs():
-                before = instr.uses()
-                instr.replace_uses(dict(const_defs))
-                if instr.uses() != before:
-                    replaced = True
-            changed = changed or replaced
+                if any(u in const_defs for u in instr.uses()):
+                    instr.replace_uses(const_defs)
+                    changed = True
 
         changed_any = changed_any or changed
         if not changed:

@@ -15,27 +15,27 @@ from repro.ir.values import Temp
 
 
 def run(fn: IRFunction) -> bool:
+    use_counts: Counter = Counter(
+        u for instr in fn.all_instrs() for u in instr.uses()
+        if isinstance(u, Temp))
     changed_any = False
     while True:
-        use_counts: Counter = Counter()
-        for instr in fn.all_instrs():
-            for u in instr.uses():
-                if isinstance(u, Temp):
-                    use_counts[u] += 1
+        # Backwards, so a chain of dead instructions goes in one sweep: a
+        # removal gives back its operands' uses before their definitions
+        # are seen.
         changed = False
-        for bb in fn.blocks:
+        for bb in reversed(fn.blocks):
             kept = []
-            for instr in bb.instrs:
+            for instr in reversed(bb.instrs):
                 defs = instr.defs()
-                removable = (
-                    not instr.side_effects
-                    and defs
-                    and all(use_counts[d] == 0 for d in defs)
-                )
-                if removable:
+                if (not instr.side_effects and defs
+                        and all(use_counts[d] == 0 for d in defs)):
+                    use_counts.subtract(u for u in instr.uses()
+                                        if isinstance(u, Temp))
                     changed = True
                 else:
                     kept.append(instr)
+            kept.reverse()
             bb.instrs = kept
         changed_any = changed_any or changed
         if not changed:

@@ -44,7 +44,6 @@ from repro.ir import instructions as I
 from repro.ir.eval import EvalError, binop_fn, cmp_fn
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Temp
-from repro.ixp.cam import CAM
 from repro.profiler.hostpackets import HostPacket
 from repro.profiler.stats import ProfileData
 from repro.profiler.trace import Trace
@@ -161,9 +160,7 @@ def _call(it, i: I.Call, args):
 
 def _load_g_words(it, i: I.LoadGWords, off):
     words = [it.globals.load(i.g, off + n * 4, 4) for n in range(i.nwords)]
-    stat = it.profile.gstat(i.g)
-    stat.loads += 1
-    stat.load_offsets[off] += 1
+    it.profile.gstat(i.g).loads += 1
     return words
 
 
@@ -222,9 +219,6 @@ _MEANINGS: Dict[type, Callable[..., object]] = {
     I.PktSyncHead: _pkt_sync_head, I.ChanPut: _chan_put,
     # Locks: the functional model is single-threaded.
     I.LockAcquire: lambda it, i: None, I.LockRelease: lambda it, i: None,
-    I.CamLookup: lambda it, i, key: it.cam.lookup(key),
-    I.CamWrite: lambda it, i, entry, key: it.cam.write(entry, key),
-    I.CamClear: lambda it, i: it.cam.clear(),
     I.LmLoad: lambda it, i, index: it.local_mem.get(index, 0),
     I.LmStore: lambda it, i, index, value: setitem(it.local_mem, index, value & _U32),
     I.LoadResident: lambda it, i, index: it.globals.load(
@@ -412,13 +406,9 @@ def _emit_assign(src: _Source, i: I.Assign) -> List[str]:
 
 
 def _emit_load_g(src: _Source, i: I.LoadG) -> List[str]:
-    off, lines = src.val(i.offset), []
-    if i.offset is i.dst:
-        lines, off = ["_o = " + off], "_o"
-    return lines + [
-        "%s = it.globals.load(%r, %s, %d) & %#x" % (src.temp(i.dst), i.g, off, i.width,
-                                                    _mask(i.dst)),
-        "_s = it.profile.gstat(%r)" % i.g, "_s.loads += 1", "_s.load_offsets[%s] += 1" % off]
+    return ["%s = it.globals.load(%r, %s, %d) & %#x" % (src.temp(i.dst), i.g, src.val(i.offset),
+                                                        i.width, _mask(i.dst)),
+            "it.profile.gstat(%r).loads += 1" % i.g]
 
 
 def _emit_pkt_load_field(src: _Source, i: I.PktLoadField) -> List[str]:
@@ -478,8 +468,7 @@ class Interpreter:
                 self._ppf_by_channel[chan] = fn.name
         self._queue: deque = deque()
         self.tx: List[HostPacket] = []
-        # ME-local structures (single logical ME for functional runs).
-        self.cam = CAM()
+        # Local Memory (one logical ME for functional runs).
         self.local_mem: Dict[int, int] = {}
         # fn -> (generated function, hits per block, instructions per
         # source line per block, temp of each local name)

@@ -17,35 +17,6 @@ class GlobalStats:
 
     loads: int = 0
     stores: int = 0
-    load_offsets: Counter = field(default_factory=Counter)  # byte offset -> count
-
-    def estimated_hit_rate(self, cache_lines: int, line_words: int = 1) -> float:
-        """Hit rate a ``cache_lines``-entry cache would achieve on the
-        observed load stream, assuming an ideal (Belady-ish) mapping:
-        the hottest ``cache_lines`` lines always hit."""
-        if self.loads == 0:
-            return 0.0
-        lines = Counter()
-        for off, count in self.load_offsets.items():
-            lines[off // (4 * line_words)] += count
-        hot = sum(count for _, count in lines.most_common(cache_lines))
-        return hot / self.loads
-
-    def working_set_lines(self, fraction: float = 0.8, line_words: int = 1) -> int:
-        """Smallest number of cache lines covering ``fraction`` of the
-        observed loads (the structure's hot working set)."""
-        if self.loads == 0:
-            return 0
-        lines = Counter()
-        for off, count in self.load_offsets.items():
-            lines[off // (4 * line_words)] += count
-        needed = fraction * self.loads
-        covered = 0
-        for i, (_, count) in enumerate(lines.most_common()):
-            covered += count
-            if covered >= needed:
-                return i + 1
-        return len(lines)
 
 
 @dataclass

@@ -6,10 +6,10 @@ deterministic mutation helpers in :mod:`repro.apps.tables` describe
 *what* each update writes. :class:`ControlPlane` applies them on the
 simulated XScale path: the store goes through ``chip.xscale.globals``,
 the :class:`~repro.profiler.interpreter.GlobalMemory` compiled control
-code uses, followed by what every writer owes an SWC-cached global
-(§5.2, :func:`repro.opt.swc.publish_store`) -- so each ME keeps serving
-cached values until its own periodic check flushes its CAM. That
-delayed-coherency window is what the serve harness measures.
+code uses, followed by what every writer owes a global SWC keeps
+resident (§5.2, :func:`repro.opt.swc.publish_store`) -- so each ME keeps
+serving its Local Memory copy until its own periodic check refreshes
+it. That delayed-coherency window is what the serve harness measures.
 """
 
 from __future__ import annotations

@@ -357,24 +357,6 @@ def _h_lm_write(me, t, insn) -> bool:
     return False
 
 
-def _h_cam_lookup(me, t, insn) -> bool:
-    t.set(insn.dst, me.cam.lookup(me.value(t, insn.key)))
-    t.pc += 1
-    return False
-
-
-def _h_cam_write(me, t, insn) -> bool:
-    me.cam.write(me.value(t, insn.entry), me.value(t, insn.key))
-    t.pc += 1
-    return False
-
-
-def _h_cam_clear(me, t, insn) -> bool:
-    me.cam.clear()
-    t.pc += 1
-    return False
-
-
 def _h_ctx_arb(me, t, insn) -> bool:
     _block(me, t, "ctx_arb", me.time + 1)
     t.pc += 1
@@ -410,9 +392,6 @@ _HANDLERS: Dict[type, object] = {
     isa.AtomicRelease: _h_release,
     isa.LmRead: _h_lm_read,
     isa.LmWrite: _h_lm_write,
-    isa.CamLookup: _h_cam_lookup,
-    isa.CamWrite: _h_cam_write,
-    isa.CamClear: _h_cam_clear,
     isa.CtxArb: _h_ctx_arb,
     isa.Halt: _h_halt,
     isa.ThreadStackAddr: _h_thread_stack_addr,

@@ -10,8 +10,9 @@ exactly one rewrite site:
   their true offset within the combined wide load;
 * PHR ``rebase_skew`` -- deferred-head re-basing shifts word accesses
   one word past the true pending delta;
-* SWC ``wrong_slot`` -- the cache hit path reads one LM word past the
-  slot the miss path filled;
+* peel ``unguarded`` -- the peeled first iteration of MPLS's label loop
+  continues into the remainder's body past its loop-condition guard, so
+  a packet the first trip finished takes a second trip;
 * SWC ``resident_off_by_one`` -- a resident table read takes the word
   after the one it replaced (firewall's rule list, held whole in Local
   Memory);
@@ -38,6 +39,7 @@ import pytest
 
 import repro.cg.pktlower as pktlower
 import repro.opt.pac as pac
+import repro.opt.peel as peel
 import repro.opt.phr as phr
 import repro.opt.swc as swc
 from repro.apps import get_app
@@ -66,8 +68,8 @@ MUTANTS = [
      lambda r: r.pac_result.combined_loads > 0),
     (phr, "rebase_skew", "mpls", "PHR",
      lambda r: r.phr_result.elided_encaps > 0),
-    (swc, "wrong_slot", "l3switch", "SWC",
-     lambda r: r.swc_result.rewritten_loads > 0),
+    (peel, "unguarded", "mpls", "SWC",
+     lambda r: any(d.pass_name == "peel" for d in r.decisions)),
     (swc, "resident_off_by_one", "firewall", "SWC",
      lambda r: any(isinstance(i, I.LoadResident)
                    for fn in r.mod.functions.values()
@@ -88,7 +90,7 @@ MUTANTS = [
      _user_meta_store_survives),
 ]
 
-IDS = ["pac-extract_skew", "phr-rebase_skew", "swc-wrong_slot",
+IDS = ["pac-extract_skew", "phr-rebase_skew", "peel-unguarded",
        "swc-resident_off_by_one",
        "cg-skip_writeback", "pac-anchor_ignores_bump",
        "cg-meta_store_dropped", "cg-meta_store_dropped-firewall-BASE",

@@ -321,6 +321,31 @@ def test_struct_parameter_is_rejected_at_its_declaration():
         assert (exc.value.loc.line, exc.value.loc.column) == (4, 19)
 
 
+def test_struct_local_is_rejected_at_its_declaration():
+    # Lowering cannot address a struct-typed local; every level used to
+    # fail at its first use instead.
+    src = ("struct pair { u32 a; u32 b; }\nstruct pair g;\n"
+           + ppf_body("\n  struct pair q;\n  q = g;\n  ph->type = q.a & 0xffff;"))
+    for level in ("BASE", "SWC"):
+        with pytest.raises(SemanticError, match="local 'q' has type struct "
+                           "pair: struct locals are not supported") as exc:
+            compile_baker(src, options_for(level))
+        assert (exc.value.loc.line, exc.value.loc.column) == (26, 15)
+
+
+def test_struct_return_value_is_rejected_at_its_declaration():
+    # Lowering has no access path for a returned struct; every level used
+    # to fail at the call's field access instead.
+    src = ("struct pair { u32 a; u32 b; }\nstruct pair g;\n"
+           "struct pair f(u32 x) { return g; }\n"
+           + ppf_body("ph->type = f(ph->type).a & 0xffff;"))
+    for level in ("BASE", "SWC"):
+        with pytest.raises(SemanticError, match="f returns struct pair: "
+                           "struct return values are not supported") as exc:
+            compile_baker(src, options_for(level))
+        assert (exc.value.loc.line, exc.value.loc.column) == (3, 13)
+
+
 def test_six_argument_words_compile_without_inlining():
     src = _called_with("u32 a, u32 b, u32 c, u32 d, u64 g", "1, 2, 3, 4, 5")
     for level in ("BASE", "O1"):

@@ -194,8 +194,8 @@ MATRIX = [
     row("compile_report", "pac-win-halved",
         put(3, "opt", "pac", "combined_loads"), 0, gate=True),
     row("compile_report", "swc-cached-to-none",
-        put([], "opt", "swc", "cached"), 2, ("opt.swc", "cached fell to zero"),
-        gate=True),
+        put([], "opt", "swc", "resident"), 2,
+        ("opt.swc", "resident fell to zero"), gate=True),
     # Two levels run different passes: a delta, not a regression.
     row("compile_report", "pass-only-in-old", put(None, "opt", "swc"), 0,
         ("opt.swc: vanished",), gate=True),

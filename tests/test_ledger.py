@@ -121,7 +121,7 @@ def test_l3switch_swc_report_contents():
     assert counts["inline"]["inlined"] >= 1
     assert counts["pac"]["combined_loads"] >= 1
     assert counts["soar"]["resolved"] >= 1
-    assert counts["swc"]["accepted"] >= 1
+    assert counts["swc"]["resident"] >= 1
     assert counts["swc"]["rejected"] >= 1
     assert counts["codesize"]["fits"] >= 1
     assert counts["melayout"]["lm_only"] + counts["melayout"].get(
@@ -133,13 +133,13 @@ def test_l3switch_swc_report_contents():
     assert [d["seq"] for d in report["decisions"]] == list(
         range(len(report["decisions"])))
 
-    # SWC records carry the Equation 2 evidence.
-    accepted = [d for d in report["decisions"]
-                if d["pass"] == "swc" and d["verdict"] == "accepted"]
-    assert accepted
-    ev = accepted[0]["evidence"]
-    assert {"loads_per_packet", "stores_per_packet", "hit_rate",
-            "eq2_min_check_rate", "working_set_lines"} <= set(ev)
+    # SWC records carry the Equation 2 and placement evidence.
+    resident = [d for d in report["decisions"]
+                if d["pass"] == "swc" and d["verdict"] == "resident"]
+    assert resident
+    ev = resident[0]["evidence"]
+    assert {"loads_per_packet", "stores_per_packet", "eq2_min_check_rate",
+            "replica", "words", "words_left"} <= set(ev)
     # The rejected dict in the opt section matches the rejected decisions.
     rejected = {d["subject"] for d in report["decisions"]
                 if d["pass"] == "swc" and d["verdict"] == "rejected"}
@@ -306,9 +306,9 @@ def test_diff_base_vs_swc_shows_expected_deltas(tmp_path, capsys):
 
     assert diff_main([p_base, p_swc]) == 0
     out = capsys.readouterr().out
-    # The acceptance-criteria deltas: nonzero PAC combines + SWC accepts.
+    # The acceptance-criteria deltas: nonzero PAC combines + SWC residents.
     assert "decisions: pac.combined_loads - -> " in out
-    assert "decisions: swc.accepted - -> " in out
+    assert "decisions: swc.resident - -> " in out
 
 
 _MPLS_ROW = [0.614, 1.15, 1.189, 1.197, 1.234, 1.227]

@@ -5,7 +5,6 @@ differentially checks semantics against the unoptimized reference
 interpretation.
 """
 
-from collections import Counter
 
 import pytest
 
@@ -702,6 +701,70 @@ module m {
     assert got.tx_payloads() == ref.tx_payloads()
 
 
+# -- loop peeling ----------------------------------------------------------------------
+
+
+def test_peel_takes_the_first_trip_of_profiled_head_moving_loops_only():
+    """MPLS's label loop decaps, so from PAC up its first trip is copied
+    in front of it (one ledger decision); below PAC, or when the profile
+    never ran it, it is not. Firewall's rule scan moves no head."""
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    def peels(name, level, trace=None):
+        app = get_app(name)
+        trace = app.make_trace(200, seed=5) if trace is None else trace
+        result = compile_baker(app.source, options_for(level), trace,
+                               codegen=False)
+        return [d for d in result.decisions if d.pass_name == "peel"]
+
+    (decision,) = peels("mpls", "PAC")
+    assert (decision.subject, decision.verdict) == ("mpls_fwd.clsfr", "peeled")
+    assert decision.evidence["instrs_added"] > 0
+    assert 0 < decision.evidence["profile_share"] < 1
+    assert len(peels("mpls", "SWC")) == 1
+    assert peels("mpls", "O2") == []
+    assert peels("mpls", "SWC", Trace([])) == []
+    assert peels("firewall", "SWC") == []
+
+
+def test_peel_leaves_a_loop_whose_only_head_move_is_a_kept_call():
+    """A call the inliner kept may move any packet, but it names no head
+    that a copied first trip would know, so its loop is not peeled."""
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    steps = "\n".join("  x = (x ^ (x >> %d)) * %d + %d;" % (k % 13 + 3, 2 * k + 3, k)
+                      for k in range(24))
+    src = ETHER_IPV4_PROTOCOLS + """
+metadata { u32 out; }
+u32 scramble(u32 x) {
+%s
+  return x;
+}
+u32 again(u32 x) { return scramble(x) + 1; }
+module m {
+  ppf p(ether_pkt *ph) from rx {
+    u32 h = ph->meta.rx_port;
+    u32 n = 3;
+    while (n > 0) {
+      n -= 1;
+      h = scramble(h);
+    }
+    ph->meta.out = again(h);
+    channel_put(tx, ph);
+  }
+}
+""" % steps
+    trace = ipv4_trace(32, list(range(10)), MACS, seed=6)
+    result = compile_baker(src, options_for("SWC"), trace, codegen=False)
+    kept = [d for d in result.decisions
+            if (d.pass_name, d.subject, d.verdict) == ("inline", "m.p->scramble", "rejected")]
+    assert kept  # the loop still holds the call when the peel runs
+    assert [d for d in result.decisions if d.pass_name == "peel"] == []
+
+
 # -- SWC -----------------------------------------------------------------------------
 
 HOT_TABLE_SRC = (
@@ -739,14 +802,6 @@ def test_swc_selects_hot_small_table():
     mod, profile = _profiled(HOT_TABLE_SRC, trace)
     result = swc.select_candidates(mod, profile, {"m.p"})
     assert "macs" in result.cached_names()
-
-
-def test_swc_rejects_low_hit_rate():
-    trace = ipv4_trace(64, list(range(4000)), MACS, seed=6)
-    mod, profile = _profiled(HOT_TABLE_SRC, trace)
-    result = swc.select_candidates(mod, profile, {"m.p"})
-    assert "big" not in result.cached_names()
-    assert "hit rate" in result.rejected["big"]
 
 
 def test_swc_rejects_critical_section_global():
@@ -819,8 +874,9 @@ def test_swc_transform_preserves_output_and_cuts_sram_loads():
 
     got = run_reference(mod, trace)
     assert got.tx_signature() == ref.tx_signature()
-    # SRAM loads of the cached table collapse to misses + periodic checks.
-    assert got.profile.global_stats["macs"].loads < ref.profile.global_stats["macs"].loads / 4
+    # The packet path reads the resident table from Local Memory only.
+    assert ref.profile.global_stats["macs"].loads == 80
+    assert "macs" not in got.profile.global_stats
 
 
 def test_swc_delayed_update_staleness_and_recovery():
@@ -865,9 +921,7 @@ module m {
 def test_swc_generation_words_have_one_writer():
     """MEs only read the generation words (an ME that cleared one would
     hide the update from the others); writers bump them after the data
-    store; SEEN sits between the counter and the sixteen lines."""
-    from repro.cg.melayout import SWC_REGION_WORDS
-
+    store; SEEN sits between the counter and the resident tables."""
     trace = ipv4_trace(80, list(range(8)), MACS, seed=8)
     mod, profile = _profiled(HOT_TABLE_SRC, trace)
     result = swc.select_candidates(mod, profile, {"m.p"})
@@ -880,11 +934,9 @@ def test_swc_generation_words_have_one_writer():
     assert not any(isinstance(i, I.StoreG) for bb in check for i in bb.instrs)
     assert not any(isinstance(i, I.StoreG) and i.g.endswith(swc.FLAG_SUFFIX)
                    for i in p.all_instrs())
-    assert any(isinstance(i, I.CamClear) for bb in check for i in bb.instrs)
-
-    lines_end = swc.CACHE_BASE + swc.CAM_ENTRIES * swc.LINE_STRIDE_WORDS
-    assert swc.COUNTER_INDEX < swc.SEEN_INDEX < swc.CACHE_BASE
-    assert lines_end <= SWC_REGION_WORDS
+    assert [(i.g, i.replica) for bb in check for i in bb.instrs
+            if isinstance(i, I.LmFill)] == [("macs", swc.TABLES_BASE)]
+    assert swc.COUNTER_INDEX < swc.SEEN_INDEX < swc.TABLES_BASE
 
     # The init block's store is the one instrumented writer: data, then bump.
     assert result.instrumented_stores == 1
@@ -942,9 +994,8 @@ module m {
 
 def test_swc_rewrites_the_reads_pac_would_have_widened():
     """Selection runs before PAC, which keeps a selected global's loads
-    narrow: both reads of one record are rewritten, and no wide SRAM
-    read of the table is left for the packet path."""
-    from repro.cg.asmprint import format_insn
+    narrow: both reads of one record are rewritten, and the only wide
+    SRAM read of the table left is the refresh of its copy."""
     from repro.compiler import compile_baker
     from repro.options import options_for
 
@@ -968,51 +1019,51 @@ module m {
     assert not any(isinstance(i, I.LoadGWords) and i.g == "tbl"
                    for i in result.mod.functions["m.f"].all_instrs())
     (image,) = result.images.values()
-    assert not [format_insn(i) for i in image.insns
-                if i.kind == "mem" and i.units > 1 and i.category == "app"]
+    # The refresh: one 8-word read in a loop over the 16 words.
+    assert [i.units for i in image.insns
+            if i.kind == "mem" and i.units > 1 and i.category == "app"] == [8]
 
 
-def _scan_profile():
-    """A 64-word table every offset of which is read alike: the hit rate
-    of 16 one-word lines is 0.25."""
-    return {off * 4: 100 for off in range(64)}
-
-
-def test_swc_keeps_a_table_the_cam_turns_down_resident():
+def test_swc_keeps_a_scanned_table_resident():
+    """A 64-word table read all over (6.4 loads per packet) is copied
+    whole to the first words after the counter and SEEN."""
     with obs_ledger.collecting([]) as decisions:
-        result = _select(_profile(scan=(_scan_profile(), 0)), ["scan"])
-    assert result.cached == []
+        result = _select(_profile(scan=(6400, 0)), ["scan"])
     (res,) = result.resident
-    assert (res.name, res.replica, res.words) == ("scan", swc.CACHE_BASE, 64)
+    assert (res.name, res.replica, res.words) == ("scan", swc.TABLES_BASE, 64)
     assert res.flag_global == "scan" + swc.FLAG_SUFFIX
-    assert "hit rate" in result.rejected["scan"]  # the CAM's verdict stays
-    verdicts = [(d.verdict, d.evidence) for d in decisions
-                if d.subject == "scan"]
-    assert [v for v, _ in verdicts] == ["rejected", "resident"]
-    assert verdicts[1][1]["words"] == 64
-    assert verdicts[1][1]["words_left"] == SWC_REGION_WORDS - swc.CACHE_BASE
+    assert result.cached_names() == ["scan"] and result.rejected == {}
+    ((verdict, evidence),) = [(d.verdict, d.evidence) for d in decisions
+                              if d.subject == "scan"]
+    assert verdict == "resident"
+    assert evidence["words"] == 64
+    assert evidence["words_left"] == SWC_REGION_WORDS - swc.TABLES_BASE
     assert swc.enforce_check_period(result, 16) == 16
 
 
-def test_swc_resident_tables_sit_behind_the_cam_lines():
-    hot = {off * 4: 1250 for off in range(4)}
-    result = _select(_profile(hot=(hot, 0), scan=(_scan_profile(), 0)),
-                     ["hot", "scan"])
-    assert result.cached_names() == ["hot"]
-    (res,) = result.resident
-    assert res.replica == swc.CACHE_BASE + swc.CACHE_WORDS
-    assert [s.name for s in result.selected()] == ["hot", "scan"]
+def test_swc_places_resident_tables_hottest_first():
+    """The hotter table takes the first words; the second is placed in,
+    and its evidence records, what the first left."""
+    with obs_ledger.collecting([]) as decisions:
+        result = _select(_profile(warm=(6400, 0), hot=(8000, 0)),
+                         ["warm", "hot"])
+    assert result.cached_names() == ["hot", "warm"]
+    assert [r.replica for r in result.resident] == [swc.TABLES_BASE,
+                                                    swc.TABLES_BASE + 64]
+    placed = _resident_evidence(decisions)
+    left = SWC_REGION_WORDS - swc.TABLES_BASE
+    assert (placed["hot"]["words_left"], placed["warm"]["words_left"]) == (
+        left, left - 64)
 
 
 def test_swc_rejects_a_table_that_does_not_fit_local_memory():
-    offsets = {off * 4: 10 for off in range(256)}
     mod = FakeModule({"big": _global("big", 256)}, {"fast": _fast_fn(["big"])})
     with obs_ledger.collecting([]) as decisions:
-        result = swc.select_candidates(mod, _profile(big=(offsets, 0)),
+        result = swc.select_candidates(mod, _profile(big=(2560, 0)),
                                        {"fast"})
-    assert result.selected() == []
-    left = SWC_REGION_WORDS - swc.CACHE_BASE
-    assert result.rejected["big"].endswith(
+    assert result.resident == []
+    left = SWC_REGION_WORDS - swc.TABLES_BASE
+    assert result.rejected["big"] == (
         "table does not fit Local Memory (256 words, %d left)" % left)
     last = [d for d in decisions if d.subject == "big"][-1]
     assert (last.verdict, last.evidence["words"],
@@ -1023,9 +1074,8 @@ def test_swc_never_keeps_a_table_written_on_the_packet_path_resident():
     fn = _fast_fn(["scan"])
     fn.entry.instrs.append(I.StoreG("scan", Const(0), Const(1), 4))
     mod = FakeModule({"scan": _global("scan")}, {"fast": fn})
-    result = swc.select_candidates(
-        mod, _profile(scan=(_scan_profile(), 0)), {"fast"})
-    assert result.selected() == []
+    result = swc.select_candidates(mod, _profile(scan=(6400, 0)), {"fast"})
+    assert result.resident == []
     assert result.rejected["scan"] == "written on the packet path"
 
 
@@ -1127,12 +1177,11 @@ def _global(name, n_elems=64):
 
 
 def _profile(**per_global):
-    """ProfileData from {name: (loads_by_offset, stores)}."""
+    """ProfileData from {name: (loads, stores)}."""
     profile = ProfileData(packets_in=PACKETS)
-    for name, (offsets, stores) in per_global.items():
+    for name, (loads, stores) in per_global.items():
         gs = profile.gstat(name)
-        gs.load_offsets = Counter(offsets)
-        gs.loads = sum(offsets.values())
+        gs.loads = loads
         gs.stores = stores
     return profile
 
@@ -1143,16 +1192,16 @@ def _select(profile, names):
     return swc.select_candidates(mod, profile, {"fast"})
 
 
-def _accepted_evidence(decisions):
+def _resident_evidence(decisions):
     return {d.subject: d.evidence for d in decisions
-            if d.pass_name == "swc" and d.verdict == "accepted"}
+            if d.pass_name == "swc" and d.verdict == "resident"}
 
 
 def _storing_profile():
-    """One hot candidate that *is* written: loads 5/pkt over one line,
-    stores 1 per 1000 packets -> Equation 2 minimum check rate
-    0.001 * 5 / 0.01 = 0.5, so no period above 2 satisfies the bound."""
-    return _profile(hot=({0: 5 * PACKETS}, 1))
+    """One hot candidate that *is* written: loads 5/pkt, stores 1 per
+    1000 packets -> Equation 2 minimum check rate 0.001 * 5 / 0.01 =
+    0.5, so no period above 2 satisfies the bound."""
+    return _profile(hot=(5 * PACKETS, 1))
 
 
 def test_eq2_violating_period_is_clamped_with_ledger_decision():
@@ -1180,19 +1229,19 @@ def test_satisfiable_period_passes_through_unclamped():
     assert swc.enforce_check_period(result, 2) == 2
     assert result.check_period == 2
     # Never-written candidates (eq2 == 0) never clamp any period.
-    result2 = _select(_profile(hot=({0: 5 * PACKETS}, 0)), ["hot"])
+    result2 = _select(_profile(hot=(5 * PACKETS, 0)), ["hot"])
     assert result2.eq2_min_check_rate == 0.0
     assert swc.enforce_check_period(result2, 10 ** 9) == 10 ** 9
 
 
 def test_eq2_unsatisfiable_candidate_rejected_outright():
     """A candidate whose Equation-2 minimum exceeds one check per
-    packet cannot be cached at any integer period."""
+    packet cannot be resident at any integer period."""
     # loads 20/pkt, stores 1/pkt-ish: rate = 0.02 * 20 / 0.01 = 40 > 1.
     # Keep the store/load ratio under the screening threshold (0.01).
-    profile = _profile(hot=({0: 20 * PACKETS}, 20))
+    profile = _profile(hot=(20 * PACKETS, 20))
     result = _select(profile, ["hot"])
-    assert result.cached == []
+    assert result.resident == []
     assert "Equation 2 unsatisfiable" in result.rejected["hot"]
 
 
@@ -1209,38 +1258,12 @@ def test_compiled_app_records_enforced_period():
     result = compile_baker(app.source, options_for("SWC"),
                            app.make_trace(200, seed=5))
     sr = result.swc_result
-    assert sr is not None and sr.cached
+    assert sr is not None and sr.resident
     assert sr.requested_check_period == 16
     assert sr.check_period == 16
     assert sr.eq2_min_check_rate == 0.0
-    # ... and the capacity-aware acceptance evidence is recorded.
-    accepted = _accepted_evidence(result.decisions)
+    # ... and the placement evidence is recorded.
+    placed = _resident_evidence(result.decisions)
     for name in sr.cached_names():
-        assert set(accepted[name]) >= {"loads_per_packet", "hit_rate",
-                                       "cam_capacity",
-                                       "eq2_min_check_rate"}
-
-
-def test_hit_rate_recorded_at_remaining_capacity():
-    """The second admitted structure competes for what the first left
-    (16 - 4 = 12 lines), so its recorded hit rate must be the 12-line
-    estimate, not the stale full-CAM one."""
-    hot = {off * 4: 1250 for off in range(4)}  # 4 equal lines, ws=4
-    # 1 dominant line + 13 cold ones: 14 distinct lines > 12 remaining.
-    warm = {0: 860}
-    warm.update({(1 + i) * 4: 10 for i in range(13)})
-    profile = _profile(hot=(hot, 0), warm=(warm, 0))
-    with obs_ledger.collecting([]) as decisions:
-        result = _select(profile, ["hot", "warm"])
-    assert result.cached_names() == ["hot", "warm"]
-
-    accepted = _accepted_evidence(decisions)
-    ev = accepted["warm"]
-    assert ev["cam_capacity"] == 12
-    stats = profile.global_stats["warm"]
-    # Ledger evidence is rounded to 6 decimals.
-    assert ev["hit_rate"] == pytest.approx(
-        stats.estimated_hit_rate(12, 1), abs=1e-6)
-    # The stale full-CAM estimate is strictly higher -- the old bug.
-    assert stats.estimated_hit_rate(16, 1) > ev["hit_rate"]
-    assert accepted["hot"]["cam_capacity"] == 16
+        assert set(placed[name]) >= {"loads_per_packet", "words",
+                                     "words_left", "eq2_min_check_rate"}

@@ -90,10 +90,10 @@ def test_committed_figure_has_the_papers_shape(app):
 
 
 def test_swc_relieves_l3switch_and_mpls_and_keeps_firewall_rules_resident():
-    """Paper section 6.2: the rule table defeats the software cache's
-    CAM -- but the whole table fits the Local Memory the CAM leaves
-    unused, so SWC keeps it resident and the rule scan leaves SRAM (only
-    the drop counters stay there)."""
+    """Paper section 6.2: the rule table defeats a CAM-tagged software
+    cache -- but the whole table fits Local Memory, so SWC keeps it
+    resident and the rule scan leaves SRAM (only the drop counters stay
+    there)."""
     from repro.apps import get_app
     from repro.compiler import compile_baker
     from repro.options import options_for
@@ -107,12 +107,10 @@ def test_swc_relieves_l3switch_and_mpls_and_keeps_firewall_rules_resident():
     app = get_app("firewall")
     result = compile_baker(app.source, options_for("SWC"),
                            app.make_trace(200, seed=5), codegen=False)
-    verdicts = {d.verdict: d for d in result.decisions
-                if d.pass_name == "swc" and d.subject == "fw_rules"}
-    assert verdicts["rejected"].evidence["hit_rate"] == pytest.approx(
-        0.56, abs=0.01)
-    assert verdicts["resident"].evidence["words"] == 192
-    assert result.swc_result.cached_names() == []
+    (verdict,) = [d for d in result.decisions
+                  if d.pass_name == "swc" and d.subject == "fw_rules"]
+    assert (verdict.verdict, verdict.evidence["words"]) == ("resident", 192)
+    assert result.swc_result.cached_names() == ["fw_rules"]
 
 
 def check_pac_reads_a_firewall_rule_once(bench):

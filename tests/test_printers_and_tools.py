@@ -51,9 +51,6 @@ def test_ir_printer_covers_every_instruction():
         I.ChanPut("tx", ph),
         I.LockAcquire("l"),
         I.LockRelease("l"),
-        I.CamLookup(t[0], t[1]),
-        I.CamWrite(t[0], t[1]),
-        I.CamClear(),
         I.LmLoad(t[0], Const(1)),
         I.LmStore(Const(1), t[0]),
     ]
@@ -96,9 +93,6 @@ def test_lir_printer_covers_core_insns():
         isa.AtomicRelease(v),
         isa.LmRead(v, None, 3),
         isa.LmWrite(None, 3, v),
-        isa.CamLookup(v, v),
-        isa.CamWrite(v, v),
-        isa.CamClear(),
         isa.CtxArb(),
         isa.Halt(),
         isa.StackRead(v, 2),

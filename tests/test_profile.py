@@ -465,7 +465,7 @@ def test_serve_profile_is_pure_observation():
 #: occ.* counters under the short configuration below. Every number the
 #: profiler reports in a serve run goes into it, so a change to what the
 #: simulator counts or how a stop is attributed moves it.
-_SERVE_OCCUPANCY_DIGEST = "62565e3246da090e"
+_SERVE_OCCUPANCY_DIGEST = "67797f803ac98ed0"
 
 
 def test_profiled_serve_output_is_pinned():

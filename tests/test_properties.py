@@ -2,8 +2,8 @@
 
 Covers: the shared arithmetic semantics, PAC's bit-exact extraction on
 random protocol layouts, the ME-simulated 64-bit expansion, the trie
-against the LPM oracle on random tables, the CAM against a model, and
-the greedy ME assignment against brute force.
+against the LPM oracle on random tables, and the greedy ME assignment
+against brute force.
 """
 
 import itertools
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.aggregation.throughput import assign_mes, stage_throughput
 from repro.ir.eval import EvalError, eval_binop, eval_cmp, to_signed
-from repro.ixp.cam import CAM
 from repro.ixp.rings import Ring
 
 
@@ -246,37 +245,6 @@ def test_trie_random_tables_match_oracle(seed):
         assert trie_lookup(addr) == app.routes.lookup(addr), hex(addr)
 
 
-# -- CAM against a model ---------------------------------------------------------------
-
-
-@settings(max_examples=60)
-@given(keys=st.lists(st.integers(min_value=0, max_value=23), min_size=1,
-                     max_size=120))
-def test_cam_against_lru_model(keys):
-    cam = CAM()
-    model = {}  # key -> True (present), with LRU order list
-    order = []
-    for key in keys:
-        r = cam.lookup(key)
-        hit = r & 1
-        entry = r >> 1
-        assert hit == int(key in model)
-        if hit:
-            assert model[key] == entry
-            order.remove(key)
-            order.append(key)
-        else:
-            cam.write(entry, key)
-            # The victim entry loses whatever key it held.
-            for k, e in list(model.items()):
-                if e == entry:
-                    del model[k]
-                    order.remove(k)
-            model[key] = entry
-            order.append(key)
-        assert len(model) <= 16
-
-
 def test_ring_fifo_property():
     rng = random.Random(7)
     ring = Ring("r", capacity=16)
@@ -321,12 +289,3 @@ def test_assign_mes_optimal_for_small_cases(costs, n_mes):
         value = min(stage_throughput(c, m) for c, m in zip(costs, combo))
         best = max(best, value)
     assert greedy_value == pytest.approx(best)
-
-
-# -- CAM MRU-on-miss gives distinct victims to concurrent missing threads --------------
-
-
-def test_cam_concurrent_miss_victims_distinct():
-    cam = CAM()
-    victims = [cam.lookup(1000 + i) >> 1 for i in range(8)]
-    assert len(set(victims)) == 8

@@ -10,7 +10,6 @@ import pytest
 from repro.cg import abi, isa
 from repro.cg.assemble import MEImage
 from repro.compiler import compile_baker
-from repro.ixp.cam import CAM
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
 from repro.ixp.memory import DRAM, ME_HZ, SIZES, MemorySystem
@@ -179,27 +178,6 @@ def test_ring_fifo_and_empty():
     assert r.get() == 5 and r.get() == 6
 
 
-def test_cam_hit_miss_lru():
-    cam = CAM()
-    assert cam.lookup(42) & 1 == 0  # miss
-    victim = cam.lookup(42) >> 1
-    cam.write(victim, 42)
-    r = cam.lookup(42)
-    assert r & 1 == 1 and (r >> 1) == victim
-    # Fill all 16 entries; entry for 42 was most recently used.
-    for i in range(16):
-        miss = cam.lookup(1000 + i)
-        cam.write(miss >> 1, 1000 + i)
-    assert cam.lookup(42) & 1 == 0  # evicted eventually
-
-
-def test_cam_clear():
-    cam = CAM()
-    cam.write(0, 7)
-    cam.clear()
-    assert cam.lookup(7) & 1 == 0
-
-
 # -- microengine on a hand-built image ------------------------------------------------
 
 
@@ -354,13 +332,30 @@ def test_memory_accesses_drop_with_optimization():
 
 
 def test_rate_scales_with_mes_when_optimized():
+    """More MEs forward more until a memory channel is the bound.
+    L3-Switch at SWC is ME-bound on one ME (DRAM about a third busy), so
+    four forward well over 1.4x as much. MINI_FORWARDER at SWC keeps DRAM
+    about 72 % busy on one ME already; four still gain and run DRAM at
+    its bound, which is all the headroom there is."""
+    from repro.apps import get_app
+    from repro.obs.profile import StallProfiler, channel_utilization
+
+    def rate(result, trace, n_mes, profiler=None):
+        return run_on_simulator(result, trace, n_mes=n_mes, warmup_packets=50,
+                                measure_packets=150, profiler=profiler)
+
+    app = get_app("l3switch")
+    trace = app.make_trace(200, seed=5)
+    result = compile_baker(app.source, options_for("SWC"), trace)
+    r1, r4 = rate(result, trace, 1), rate(result, trace, 4)
+    assert r4.forwarding_gbps > 1.4 * r1.forwarding_gbps
+
     trace = trace40(arp_fraction=0.02)
     result = compile_baker(MINI_FORWARDER, options_for("SWC"), trace)
-    r1 = run_on_simulator(result, trace, n_mes=1, warmup_packets=50,
-                          measure_packets=150)
-    r4 = run_on_simulator(result, trace, n_mes=4, warmup_packets=50,
-                          measure_packets=150)
-    assert r4.forwarding_gbps > 1.4 * r1.forwarding_gbps
+    r1 = rate(result, trace, 1)
+    r4 = rate(result, trace, 4, StallProfiler())
+    assert r4.forwarding_gbps > 1.3 * r1.forwarding_gbps
+    assert channel_utilization(r4.occupancy)["dram"] >= 0.95
 
 
 def test_offered_load_cap():

@@ -385,6 +385,11 @@ def test_benchmark_pipeline_frozen_surface(tmp_path):
     (path,) = SweepResult(jobs=[jr]).write_bench_files(str(tmp_path))
     assert os.path.basename(path) == "BENCH_fig13.json"
 
+    # pieces.py counts ``opt.swc_cached`` as the length of this list: every
+    # table SWC serves from Local Memory.
+    names = result.swc_result.cached_names()
+    assert names and names == [r.name for r in result.swc_result.resident]
+
     # pieces.py: the untraced cell, and the loader call of the traced one.
     run = run_on_simulator(result, trace, n_mes=2, warmup_packets=30,
                            measure_packets=60, dispatch="fast",

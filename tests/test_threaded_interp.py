@@ -188,13 +188,13 @@ def test_faulting_wide_global_load_is_not_profiled():
     interp = Interpreter(mod)
     assert interp.call("f", []) == 3 + 4
     stat = interp.profile.gstat("tbl")
-    assert (stat.loads, dict(stat.load_offsets)) == (1, {8: 1})
+    assert stat.loads == 1
     _function(mod, build(12))
     faulted = Interpreter(mod)
     with pytest.raises(InterpError, match="out-of-bounds load of tbl at 16"):
         faulted.call("f", [])
     stat = faulted.profile.gstat("tbl")
-    assert (stat.loads, dict(stat.load_offsets)) == (0, {})
+    assert stat.loads == 0
 
 
 def test_out_of_bounds_local_access():
@@ -243,44 +243,6 @@ def test_ordered_compare_of_packet_handles():
     assert Interpreter(mod).call("f", [p, q]) == 1
 
 
-def test_cam_hit_miss_and_clear():
-    """The CAM the SWC pass's code drives: a miss reports the LRU victim
-    (which becomes most recently used), a write masks its entry to four
-    bits, a hit reports the lowest matching entry, a clear forgets all."""
-    mod = lower(PASSTHROUGH)
-    fn = IRFunction("f", "func", T.U32)
-    mod.functions["f"] = fn
-    a, b = fn.new_temp(T.U32, "a"), fn.new_temp(T.U32, "b")
-    fn.params.extend([a, b])
-    bb = fn.new_block()
-    results = []
-
-    def lookup(key):
-        r = fn.new_temp(T.U32)
-        bb.append(I.CamLookup(r, key))
-        results.append(r)
-
-    lookup(a)                              # miss: victim 0 -> 0b00000
-    bb.append(I.CamWrite(Const(0x13), a))  # entry 3
-    lookup(a)                              # hit 3 -> 0b00111
-    lookup(b)                              # miss: victim 1 -> 0b00010
-    bb.append(I.CamClear())
-    lookup(a)                              # miss: victim 0 again
-    bb.append(I.CamWrite(Const(5), b))
-    bb.append(I.CamWrite(Const(2), b))
-    lookup(b)                              # hit, lowest entry 2 -> 0b00101
-    acc = results[0]
-    for n, r in enumerate(results[1:], 1):
-        shifted, total = fn.new_temp(T.U32), fn.new_temp(T.U32)
-        bb.append(I.BinOp("shl", shifted, r, Const(5 * n)))
-        bb.append(I.BinOp("or", total, acc, shifted))
-        acc = total
-    bb.terminate(I.Ret(acc))
-    fields = [0b00000, 0b00111, 0b00010, 0b00000, 0b00101]
-    assert Interpreter(mod).call("f", [0xAB, 0xCD]) == \
-        sum(v << (5 * n) for n, v in enumerate(fields))
-
-
 # -- (c) profile counts and line attribution, pinned from the ladder interpreter ----
 
 
@@ -310,9 +272,11 @@ def test_profile_counts_match_the_per_instruction_interpreter():
 #: sha256 (first 16 hex digits) of everything one reference run leaves
 #: behind -- every ProfileData field, the final global image and the Tx
 #: payloads -- for each app on its 200-packet seed-5 trace, recorded from
-#: the closure-per-instruction interpreter the generated code replaced.
-_RUN_DIGESTS = {"l3switch": "1ddc1585f82d9030", "firewall": "4a068d680466510c",
-                "mpls": "854689d0dfedad8c"}
+#: the closure-per-instruction interpreter the generated code replaced,
+#: and restated once when the per-offset load counts left the profile
+#: (the same rows without them hash alike on the interpreter before).
+_RUN_DIGESTS = {"l3switch": "29751b3783b2b870", "firewall": "0d66fcef0f226b1f",
+                "mpls": "2d7b0cf5c61db004"}
 
 
 def _run_digest(name):
@@ -326,8 +290,7 @@ def _run_digest(name):
         sorted(p.ppf_invocations.items()), sorted(p.ppf_instrs.items()),
         sorted(p.channel_puts.items()), sorted(p.func_invocations.items()),
         sorted(p.line_instrs.items()),
-        sorted((g, s.loads, s.stores, sorted(s.load_offsets.items()))
-               for g, s in p.global_stats.items()),
+        sorted((g, s.loads, s.stores) for g, s in p.global_stats.items()),
         sorted(interp.globals.image().items()),
         result.tx_payloads(),
     ]
