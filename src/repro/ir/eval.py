@@ -1,10 +1,11 @@
 """Shared evaluation semantics for IR arithmetic.
 
 Both the functional interpreter and the constant folder evaluate through
-:func:`binop_fn` / :func:`cmp_fn`, so compile-time folding can never
-disagree with runtime evaluation. The interpreter binds the returned
-function into its decoded instruction once; the folder goes through the
-:func:`eval_binop` / :func:`eval_cmp` conveniences.
+:func:`binop_fn` / :func:`cmp_fn` at the width :func:`bits_of` gives,
+so compile-time folding can never disagree with runtime evaluation. The
+interpreter binds the returned function into its decoded instruction
+once; the folder goes through the :func:`eval_binop` / :func:`eval_cmp`
+conveniences.
 """
 
 from __future__ import annotations
@@ -12,9 +13,20 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
+from repro.baker import types as T
+
 
 class EvalError(ArithmeticError):
     pass
+
+
+def bits_of(type_: T.Type) -> int:
+    """The width a value of ``type_`` is evaluated at (handles: 32)."""
+    if isinstance(type_, T.IntType):
+        return type_.bits
+    if type_.is_bool:
+        return 1
+    return 32
 
 
 def to_signed(value: int, bits: int) -> int:

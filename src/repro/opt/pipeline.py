@@ -6,14 +6,13 @@ from __future__ import annotations
 from repro.ir.cfg import simplify_cfg
 from repro.ir.module import IRFunction, IRModule
 from repro.obs import ledger as obs_ledger
-from repro.opt import constprop, copyprop, cse, dce, inline
+from repro.opt import dce, inline, propagate
 from repro.options import CompilerOptions
 
 _MAX_ITER = 12
 
-# The -O1 pass set, in the order it has always run.
-_SCALAR_PASSES = (simplify_cfg, constprop.run, copyprop.run, cse.run,
-                  dce.run)
+# The -O1 pass set: CFG cleanup, the scalar rewrites, dead code.
+_SCALAR_PASSES = (simplify_cfg, propagate.run, dce.run)
 
 
 def scalar_optimize_function(fn: IRFunction) -> None:

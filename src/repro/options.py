@@ -71,7 +71,7 @@ class CompilerOptions:
             raise ValueError("unknown optimization level %r (choose from %s)"
                              % (self.name, ", ".join(LEVEL_ORDER)))
 
-    scalar = _from_level("O1", "constprop/copyprop/CSE/DCE/CFG simplify")
+    scalar = _from_level("O1", "CFG simplify, propagate (folding, copies, CSE), DCE")
     inline = _from_level("O2", "inlining (user helpers + packet routines)")
     pac = _from_level("PAC", "packet access combining")
     soar = _from_level("SOAR", "static offset and alignment resolution")

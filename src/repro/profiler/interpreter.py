@@ -41,7 +41,7 @@ from repro.baker import types as T
 from repro.baker.lowering import lower_program
 from repro.baker.semantic import CheckedProgram
 from repro.ir import instructions as I
-from repro.ir.eval import EvalError, binop_fn, cmp_fn
+from repro.ir.eval import EvalError, binop_fn, bits_of, cmp_fn
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Temp
 from repro.profiler.hostpackets import HostPacket
@@ -53,14 +53,6 @@ _U32 = 0xFFFFFFFF
 
 class InterpError(RuntimeError):
     pass
-
-
-def _bits_of(type_: T.Type) -> int:
-    if isinstance(type_, T.IntType):
-        return type_.bits
-    if type_.is_bool:
-        return 1
-    return 32
 
 
 class GlobalMemory:
@@ -150,7 +142,7 @@ class SystemResult:
 # global of the generated function, so equal texts share one code object.
 
 def _mask(dst: Temp) -> int:
-    return (1 << _bits_of(dst.type)) - 1
+    return (1 << bits_of(dst.type)) - 1
 
 
 def _call(it, i: I.Call, args):
@@ -357,7 +349,7 @@ def _dispatch(arms: List[List[str]], lo: int, hi: int, indent: str) -> List[str]
 # -- inline emitters ------------------------------------------------------------------
 
 def _emit_binop(src: _Source, i: I.BinOp) -> List[str]:
-    bits = _bits_of(i.dst.type)
+    bits = bits_of(i.dst.type)
     mask, shift = (1 << bits) - 1, bits - 1
     a, b = src.val(i.a), src.val(i.b)
     if isinstance(i.b, Const):
@@ -391,7 +383,7 @@ def _emit_cmp(src: _Source, i: I.Cmp) -> List[str]:
     if i.op in _CMP_OPS:
         expr = "1 if %s %s %s else 0" % (a, _CMP_OPS[i.op], b)
     else:
-        bits = max(_bits_of(i.a.type), _bits_of(i.b.type))
+        bits = max(bits_of(i.a.type), bits_of(i.b.type))
         expr = "%s(%s, %s)" % (src.obj(cmp_fn(i.op, bits)), a, b)
     return ["%s = %s" % (src.temp(i.dst), expr)]
 

@@ -313,3 +313,21 @@ def test_scalar_fixpoint_exhaustion_is_reported(monkeypatch):
         for fn in mod.functions.values():
             pipeline.scalar_optimize_function(fn)
     assert not decisions
+
+
+def test_scalar_fixpoint_converges_within_four_rounds(monkeypatch):
+    """MPLS's peeled classifier is the slowest function the scalar pass
+    set converges on; one rewrite pass settles it in four rounds (three
+    that change something and one that confirms)."""
+    from repro.apps import get_app
+    from repro.opt import pipeline
+    from repro.sweep import TRACE_PACKETS
+
+    monkeypatch.setattr(pipeline, "_MAX_ITER", 4)
+    app = get_app("mpls")
+    trace = app.make_trace(TRACE_PACKETS, seed=5)
+    for level in ("PAC", "SOAR", "PHR", "SWC"):
+        result = compile_baker(app.source, options_for(level), trace,
+                               codegen=False)
+        assert not [d for d in result.decisions
+                    if d.verdict == "fixpoint_exhausted"], level

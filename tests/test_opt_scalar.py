@@ -1,4 +1,4 @@
-"""Tests for scalar optimizations: constprop, copyprop, CSE, DCE, inline.
+"""Tests for scalar optimizations: propagation, folding, CSE, DCE, inline.
 
 Every transformation test also checks semantic preservation by running
 the functional interpreter before and after optimization (differential
@@ -9,7 +9,7 @@ import pytest
 
 from repro.ir import instructions as I
 from repro.ir.verifier import verify_module
-from repro.opt import constprop, copyprop, cse, dce, inline
+from repro.opt import dce, inline, propagate
 from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_function
 from repro.options import LEVEL_ORDER, OPT_LEVELS, options_for
 from repro.profiler.interpreter import Interpreter, run_reference
@@ -83,13 +83,12 @@ def test_copyprop_chain_collapses():
 
 
 def test_copyprop_respects_redefinition():
-    src = "u32 f(u32 x) { u32 a = x; u32 b = a; a = 99; return b; }" + PASSTHROUGH
-    mod = lower(src)
-    interp = Interpreter(mod)
-    assert interp.call("f", [5]) == 5
-    scalar_optimize_function(mod.functions["f"])
-    interp2 = Interpreter(mod)
-    assert interp2.call("f", [5]) == 5
+    for body in ("u32 a = x; u32 b = a; a = 99; return b;",  # copy's dst
+                 "u32 b = x; x = 99; return b;"):  # copy's source
+        mod = lower("u32 f(u32 x) { %s }" % body + PASSTHROUGH)
+        assert Interpreter(mod).call("f", [5]) == 5
+        scalar_optimize_function(mod.functions["f"])
+        assert Interpreter(mod).call("f", [5]) == 5, body
 
 
 # -- CSE -----------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_cse_respects_call_barrier():
     mod = lower(src)
     # Disable inlining so the call barrier is exercised.
     for _ in range(3):
-        cse.run(mod.functions["f"])
+        propagate.run(mod.functions["f"])
         dce.run(mod.functions["f"])
     assert count_ops(mod, "f", I.LoadG) == 2
     interp = Interpreter(mod)
@@ -182,7 +181,7 @@ def test_cse_does_not_forward_a_packet_read_across_a_head_sync(read):
     trace = ipv4_trace(8, [0xC0A80101], MACS, seed=3)
     ref = run_reference(mod, trace)
 
-    cse.run(mod.functions["fwd.go"])
+    propagate.run(mod.functions["fwd.go"])
     verify_module(mod)
     assert run_reference(mod, trace).tx_signature() == ref.tx_signature()
 
