@@ -245,11 +245,16 @@ class PacketTracer:
     def finish(self, t: float) -> None:
         """Close every open span/lifecycle at the final simulated time
         so exported begin/end pairs are balanced even for packets still
-        in flight when the run stopped."""
-        for (me, thread) in sorted(self._me_cur):
-            self._close_span(me, thread, t, "unfinished")
-        for handle in sorted(self.active):
-            self._end_handle(handle, t, "inflight", None)
+        in flight when the run stopped.
+
+        Invariant: nothing ends before it begins. A thread's clock may
+        run past the chip's stop time ``t``, so an open span ends at the
+        later of ``t`` and its begin, and an open lifetime at the later
+        of ``t`` and its birth."""
+        for (me, thread), (_, _, begun) in sorted(self._me_cur.items()):
+            self._close_span(me, thread, max(t, begun), "unfinished")
+        for handle, pkt in sorted(self.active.items()):
+            self._end_handle(handle, max(t, self.born[pkt]), "inflight", None)
         self.finished_at = t
 
     # -- export ------------------------------------------------------------------

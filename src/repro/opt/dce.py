@@ -1,9 +1,10 @@
 """Dead code elimination.
 
 Removes side-effect-free instructions whose results are never used
-(including loads, which are idempotent in Baker's memory model), plus
-empty self-assignments. Iterates to fixpoint since removing one dead
-instruction can kill the operands feeding it.
+(including loads, which are idempotent in Baker's memory model). A
+self-assignment ``%t = %t`` uses its own destination, so it is never
+dead and stays. Iterates to fixpoint since removing one dead instruction
+can kill the operands feeding it.
 """
 
 from __future__ import annotations

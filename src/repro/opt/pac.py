@@ -1,30 +1,27 @@
 """PAC: packet access combining (paper section 5.3.1).
 
-Combines multiple protocol-field accesses through the same packet handle
-into a single wide DRAM access (the IXP reads/writes up to 64 B of DRAM
-per memory instruction). Combining criteria, following the paper:
+Folds narrow accesses into wide ones: protocol fields through one packet
+handle into one DRAM access (the IXP moves up to 64 B per memory
+instruction), and 32-bit loads of one record of an application table
+(``fw_rules[row + k]``) into one SRAM access. Loads of both kinds combine
+by one rule, the paper's (``_form_groups``):
 
-* the ``packet_handle``\\ s must be equal -- here: same must-alias class
-  (see :mod:`repro.opt.aliases`);
-* the accessed ranges must fall within one maximum-width window (64 B);
-* dominance: an access is only absorbed into one that dominates it;
-* no data dependence may be violated: for loads, no intervening store
-  overlapping the absorbed bytes and no head movement (encap/decap/...)
-  between the accesses; for stores, no intervening load of already-
-  buffered bytes, with the merged store placed at the last member.
+* same key -- the handles' must-alias class (see :mod:`repro.opt.aliases`),
+  or the table record ``(g, leaf, shift)``;
+* the accessed ranges fall within one maximum-width window;
+* dominance: a load is only absorbed into one that dominates it;
+* no data dependence is violated: within a block, nothing between the two
+  kills the follower (a head movement, release or overlapping store; for
+  a table, a store, call, lock or new index); across blocks, both sit in
+  one epoch, and the wide load is a safe speculative widening.
 
-Loads are combinable across basic blocks (the wide load is a safe
-speculative widening when the leader dominates the absorbed access and
-the head-position epoch provably matches). Epochs are counted from
-*anchor* blocks -- the function entry and every join whose predecessors
-disagree, loop headers of head-moving loops in particular -- so the loads
-of one loop iteration combine like straight-line code. Stores are
-combined within a basic block, which is where back-to-back header
-rewrites occur in practice.
-
-The same epoch engine, under a second bump predicate, combines 32-bit
-loads of one record of an application table (``fw_rules[row + k]``) into
-one wide SRAM access: see the last section of this file.
+Epochs are counted from *anchor* blocks -- the function entry and every
+join whose predecessors disagree, loop headers of head-moving loops in
+particular -- so the loads of one loop iteration combine like
+straight-line code. Stores are combined within a basic block, which is
+where back-to-back header rewrites occur in practice: no intervening load
+may read already-buffered bytes, and the merged store sits at the last
+member.
 """
 
 from __future__ import annotations
@@ -82,8 +79,7 @@ def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
     result = PacResult()
     for fn in mod.functions.values():
         compute_cfg(fn)
-        _combine_function(fn, result)
-        _combine_global_loads(fn, mod, result, narrow)
+        _combine_function(fn, mod, narrow, result)
     return result
 
 
@@ -92,19 +88,21 @@ def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
 
 @dataclass
 class _Access:
+    """One packet load, packet store or table load. Two loads may combine
+    only under one ``key``: the alias class of a packet access, ``(g, leaf,
+    shift)`` of a table load. ``lo``/``hi`` are the bits accessed, from the
+    head or from ``leaf << shift``; ``epoch`` is ``(anchor block, bumps
+    since)``; ``fresh`` says every temp of the offset was computed in that
+    epoch (``j = i + 1; i = i + 8; tbl[j]`` is stale: its key says "i", its
+    address is the old i's). A packet offset is a constant, so always."""
     bb: BasicBlock
     index: int
-    instr: I.PktAccess
-    cls: Temp
-    epoch: Tuple[BasicBlock, int]  # (anchor block, bumps since)
-
-    @property
-    def bit_off(self) -> int:
-        return self.instr.bit_off
-
-    @property
-    def bit_end(self) -> int:
-        return self.instr.bit_end
+    instr: I.Instr
+    key: object
+    lo: int
+    hi: int
+    epoch: Tuple[BasicBlock, int]
+    fresh: bool = True
 
     @property
     def wide(self) -> bool:
@@ -121,43 +119,57 @@ class _Access:
                         byte = self.instr.byte_off + i * 4 + b
                         bits.update(range(byte * 8, byte * 8 + 8))
             return bits
-        return set(range(self.bit_off, self.bit_end))
+        return set(range(self.lo, self.hi))
 
 
-def _combine_function(fn: IRFunction, result: PacResult) -> None:
+def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
+                      result: PacResult) -> None:
+    order = reverse_postorder(fn)  # execution order: a dominator comes first
+    dom = dominator_tree(fn)
     aliases = AliasClasses(fn)
-    if not aliases.classes():
-        return
     # Distinct alias classes are provably distinct packets only when each
     # roots at the (single) PPF parameter, a packet_copy or packet_create.
     # A support function taking two handle parameters could be called with
     # aliases of one packet; skip combining there (cold code anyway).
     param_classes = {aliases.class_of(p) for p in fn.params if p.type.is_packet}
-    if len(param_classes) > 1:
-        return
-    dom = dominator_tree(fn)
-    order = {bb: i for i, bb in enumerate(reverse_postorder(fn))}
+    packet_epochs = {} if len(param_classes) > 1 else {
+        cls: _class_epochs(fn, _packet_bumps(aliases, cls))
+        for cls in aliases.classes()}
+    single_defs = single_defs_of(fn)
 
-    epochs = {cls: _class_epochs(fn, _packet_bumps(aliases, cls))
-              for cls in aliases.classes()}
-
-    loads: List[_Access] = []
+    loads: Dict[Temp, List[_Access]] = {}
     stores: List[_Access] = []
-    for bb in fn.blocks:
-        if bb not in order:
-            continue
+    tables: Dict[tuple, list] = {}
+    for bb in order:
         for idx, instr in enumerate(bb.instrs):
-            if not (isinstance(instr, I.PktAccess) and isinstance(instr.ph, Temp)):
-                continue
-            cls = aliases.class_of(instr.ph)
-            acc = _Access(bb, idx, instr, cls, _epoch_at(bb, idx, epochs[cls]))
-            (stores if instr.stores else loads).append(acc)
+            if isinstance(instr, I.PktAccess) and isinstance(instr.ph, Temp):
+                cls = aliases.class_of(instr.ph)
+                if cls in packet_epochs:
+                    acc = _Access(bb, idx, instr, cls, instr.bit_off, instr.bit_end,
+                                  _epoch_at(bb, idx, packet_epochs[cls]))
+                    if instr.stores:
+                        stores.append(acc)
+                    else:
+                        loads.setdefault(cls, []).append(acc)
+            elif (isinstance(instr, I.LoadG) and instr.width == 4
+                    and instr.g not in narrow):
+                key, delta, chain = normalize_offset(instr.offset, single_defs)
+                if delta % 4 == 0:
+                    tables.setdefault((instr.g,) + key, []).append(
+                        (bb, idx, instr, delta, chain))
 
     replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]] = {}
-
-    _combine_loads(fn, loads, dom, order, aliases, replacements, result)
+    # Rewrites number their temps in turn: packet loads by leader, then
+    # packet stores, then table records.
+    groups = [group for cls, accs in loads.items()
+              for group in _form_groups(accs, dom, MAX_COMBINE_BYTES,
+                                        _packet_kills(aliases, cls), fn.name)]
+    rank = {bb: n for n, bb in enumerate(order)}
+    groups.sort(key=lambda group: (rank[group[0][0].bb], group[0][0].index))
+    for members, lo, hi in groups:
+        _rewrite_load_group(fn, members, lo, hi, replacements, result)
     _combine_stores(fn, stores, aliases, replacements, result)
-
+    _combine_table_loads(fn, mod, tables, dom, replacements, result)
     _apply(replacements)
 
 
@@ -236,56 +248,78 @@ def _epoch_at(bb: BasicBlock, index: int, epochs: _Epochs) -> Tuple[BasicBlock, 
     return anchor, n + sum(1 for i in bb.instrs[:index] if epochs.bumps(i))
 
 
-# -- load combining ----------------------------------------------------------------
+# -- load combining: one rule for packet fields and table records ------------------
 
 
-def _combine_loads(fn, loads: List[_Access], dom: DomTree, order, aliases,
-                   replacements, result: PacResult) -> None:
-    loads = sorted(loads, key=lambda a: (order.get(a.bb, 1 << 30), a.index))
+def _form_groups(loads: List[_Access], dom: DomTree, window: int,
+                 kills: Callable[[I.Instr, _Access], bool], subject: str,
+                 bound: Optional[int] = None):
+    """Yield ``(members, lo, hi)`` for each wide load over ``loads``, the
+    loads of one key in execution order. Each load not yet taken leads a
+    group and absorbs every later load that
+
+    * in its own block: no instruction from the leader (itself included)
+      up to the follower ``kills``;
+    * in another block: sits in a block the leader's strictly dominates,
+      in the leader's epoch;
+    * either way: both offsets are fresh, and the group's span fits
+      ``window`` bytes;
+    * in another block, when a ``bound`` is given: the span lies within
+      its first ``bound`` bits (a follower there may not execute, so the
+      bits it would read must exist).
+
+    A follower in another block turned down for its epoch, a stale chain
+    or the bound is a ``pac/not_combined`` decision; one turned down for
+    width is not, since the next leader may take it. Each refusal is
+    recorded before its leader's group is yielded, so a caller that
+    rewrites each group as it comes keeps the ledger in scan order."""
     used = set()
     for i, leader in enumerate(loads):
-        if id(leader.instr) in used:
+        if i in used:
             continue
-        group = [leader]
-        span = [leader.bit_off, leader.bit_end]
-        for follower in loads[i + 1 :]:
-            if id(follower.instr) in used or follower.cls is not leader.cls:
+        members, lo, hi = [leader], leader.lo, leader.hi
+        for j in range(i + 1, len(loads)):
+            if j in used:
                 continue
-            if follower.bb is leader.bb:
-                # Fine-grained same-block check subsumes the epoch test.
-                if not _block_path_clear(leader, follower, aliases):
+            follower = loads[j]
+            local = follower.bb is leader.bb
+            if local:
+                if any(kills(instr, follower)
+                       for instr in leader.bb.instrs[leader.index:follower.index]):
                     continue
+            elif not dom.strictly_dominates(leader.bb, follower.bb):
+                continue
+            new_lo, new_hi = min(lo, follower.lo), max(hi, follower.hi)
+            if not local and follower.epoch != leader.epoch:
+                refused = "epoch"
+            elif not (leader.fresh and follower.fresh):
+                refused = "stale chain"
+            elif _span_bytes(new_lo, new_hi) > window:
+                continue  # the next leader's window may hold it
+            elif not local and bound is not None and not 0 <= new_lo < new_hi <= bound:
+                refused = "window not provably in bounds"
             else:
-                if follower.epoch != leader.epoch:
-                    continue
-                if not dom.strictly_dominates(leader.bb, follower.bb):
-                    continue
-            new_lo = min(span[0], follower.bit_off)
-            new_hi = max(span[1], follower.bit_end)
-            if _span_bytes(new_lo, new_hi) > MAX_COMBINE_BYTES:
+                members.append(follower)
+                used.add(j)
+                lo, hi = new_lo, new_hi
                 continue
-            group.append(follower)
-            span[0], span[1] = new_lo, new_hi
-        if len(group) < 2:
-            continue
-        _rewrite_load_group(fn, group, span, replacements, result)
-        for acc in group:
-            used.add(id(acc.instr))
+            if not local:
+                obs_ledger.record(
+                    "pac", subject, "not_combined", reason=refused,
+                    loc=obs_ledger.loc_str(follower.instr.loc),
+                    leader=obs_ledger.loc_str(leader.instr.loc))
+        if len(members) >= 2:
+            yield members, lo, hi
 
 
-def _block_path_clear(leader: _Access, follower: _Access, aliases) -> bool:
-    """Same-block check: between the two loads there is no head movement
-    or release of the class, and no store overlapping the follower's
-    bytes."""
-    bb = leader.bb
-    for instr in bb.instrs[leader.index + 1 : follower.index]:
-        if mutates_class(instr, aliases, leader.cls):
-            return False
-        if (isinstance(instr, I.PktAccess) and instr.stores
-                and instr.bit_off < follower.bit_end
-                and follower.bit_off < instr.bit_end):
-            return False
-    return True
+def _packet_kills(aliases: AliasClasses,
+                  cls: Temp) -> Callable[[I.Instr, _Access], bool]:
+    """What stops a packet load absorbing a later one of its block: a head
+    movement or release of the class, or a store overlapping the
+    follower's bits."""
+    return lambda instr, follower: mutates_class(instr, aliases, cls) or (
+        isinstance(instr, I.PktAccess) and instr.stores
+        and instr.bit_off < follower.hi and follower.lo < instr.bit_end)
 
 
 def _span_bytes(lo_bit: int, hi_bit: int) -> int:
@@ -294,11 +328,11 @@ def _span_bytes(lo_bit: int, hi_bit: int) -> int:
     return end - start
 
 
-def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
+def _rewrite_load_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
                         replacements, result: PacResult) -> None:
     leader = group[0]
-    start_byte = (span[0] // 32) * 4
-    end_byte = ((span[1] + 31) // 32) * 4
+    start_byte = (lo // 32) * 4
+    end_byte = ((hi + 31) // 32) * 4
     nwords = (end_byte - start_byte) // 4
     words = [fn.new_temp(T.U32, "pac_w%d" % k) for k in range(nwords)]
     wide = I.PktLoadWords(words, leader.instr.ph, start_byte, nwords)
@@ -313,9 +347,9 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], span,
         if acc.wide:
             for i, dst in enumerate(acc.instr.dsts):
                 extract_into(fn, seq, words, start_byte * 8,
-                             acc.bit_off + 32 * i, 32, dst)
+                             acc.lo + 32 * i, 32, dst)
         else:
-            bit_off = acc.bit_off
+            bit_off = acc.lo
             if (_TEST_MUTATION == "extract_skew"
                     and bit_off + 8 + acc.instr.bit_width <= end_byte * 8):
                 bit_off += 8
@@ -406,22 +440,22 @@ def _combine_stores(fn, stores: List[_Access], aliases, replacements,
     by_block: Dict[BasicBlock, List[_Access]] = {}
     for acc in stores:
         by_block.setdefault(acc.bb, []).append(acc)
-    for bb, accs in by_block.items():
-        accs.sort(key=lambda a: a.index)
+    for bb in fn.blocks:
+        accs = by_block.get(bb, [])
         i = 0
         while i < len(accs):
             group = [accs[i]]
-            span = [accs[i].bit_off, accs[i].bit_end]
+            span = [accs[i].lo, accs[i].hi]
             j = i + 1
             while j < len(accs):
                 cand = accs[j]
-                if cand.cls is not group[0].cls:
+                if cand.key is not group[0].key:
                     j += 1
                     continue
                 if not _store_path_clear(bb, group, cand, aliases):
                     break
-                new_lo = min(span[0], cand.bit_off)
-                new_hi = max(span[1], cand.bit_end)
+                new_lo = min(span[0], cand.lo)
+                new_hi = max(span[1], cand.hi)
                 if _span_bytes(new_lo, new_hi) > MAX_COMBINE_BYTES:
                     break
                 group.append(cand)
@@ -440,8 +474,8 @@ def _store_path_clear(bb: BasicBlock, group: List[_Access], cand: _Access,
     candidate, and no load reading bytes buffered by earlier members
     (their memory write is deferred to the merged store's position)."""
     first = group[0].index
-    buffered = [(g.bit_off, g.bit_end) for g in group]
-    cls = group[0].cls
+    buffered = [(g.lo, g.hi) for g in group]
+    cls = group[0].key
     for instr in bb.instrs[first + 1 : cand.index]:
         if mutates_class(instr, aliases, cls):
             return False
@@ -472,7 +506,7 @@ def _store_segments(fn: IRFunction, seq: List[I.Instr], acc: _Access):
     pre-extracted into a temp)."""
     if not acc.wide:
         width = acc.instr.bit_width
-        return [(acc.bit_off, width, acc.instr.value, width)]
+        return [(acc.lo, width, acc.instr.value, width)]
     segments = []
     instr: I.PktStoreWords = acc.instr  # type: ignore[assignment]
     for i in range(instr.nwords):
@@ -598,13 +632,10 @@ def _segment_part(fn: IRFunction, seq: List[I.Instr], seg_off: int,
     return part
 
 
-# -- global (application-data) load combining -----------------------------------------
+# -- table records --------------------------------------------------------------------
 #
-# The second client of the epoch engine. A 32-bit load of a global at
-# ``(leaf << shift) + delta`` absorbs later loads of the same global with
-# the same leaf and shift -- one record of a table, read once -- under the
-# rule of the packet side: it precedes them in its block, or its block
-# strictly dominates theirs, and their epochs are equal.
+# A 32-bit load of a global at ``(leaf << shift) + delta`` is keyed by
+# ``(g, leaf, shift)``: the loads of one record of a table, read once.
 
 
 def single_defs_of(fn: IRFunction):
@@ -661,40 +692,12 @@ def _global_bumps(leaf: Optional[Temp]) -> Callable[[I.Instr], bool]:
         or leaf in instr.defs())
 
 
-class _GlobalLoad(NamedTuple):
-    bb: BasicBlock
-    index: int
-    instr: I.LoadG
-    delta: int
-    epoch: Tuple[BasicBlock, int]
-    # Every temp of the offset chain was computed in the load's own epoch,
-    # i.e. from the value the leaf has at the load. ``j = i + 1; i = i + 8;
-    # tbl[j]`` is stale: its key says "i", its address is the old i's.
-    fresh: bool
-
-
-def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult,
-                          narrow: Set[str]) -> None:
-    single_defs = single_defs_of(fn)
-    order = reverse_postorder(fn)  # leaders first: a dominator precedes in RPO
-    by_key: Dict[tuple, list] = {}
-    for bb in order:
-        for idx, instr in enumerate(bb.instrs):
-            if (isinstance(instr, I.LoadG) and instr.width == 4
-                    and instr.g not in narrow):
-                key, delta, chain = normalize_offset(instr.offset, single_defs)
-                if delta % 4 == 0:
-                    by_key.setdefault((instr.g,) + key, []).append(
-                        (bb, idx, instr, delta, chain))
-
-    dom: Optional[DomTree] = None
+def _combine_table_loads(fn: IRFunction, mod: IRModule, tables: Dict[tuple, list],
+                         dom: DomTree, replacements, result: PacResult) -> None:
     epochs_of: Dict[Optional[Temp], _Epochs] = {}
-    replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]] = {}
-    for (g, leaf, shift), members in by_key.items():
+    for (g, leaf, shift), members in tables.items():
         if len(members) < 2:
             continue  # nothing to combine with: no epochs computed
-        if dom is None:
-            dom = dominator_tree(fn)
         if leaf not in epochs_of:
             epochs_of[leaf] = _class_epochs(fn, _global_bumps(leaf))
         epochs = epochs_of[leaf]
@@ -703,7 +706,8 @@ def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult,
             epoch = _epoch_at(bb, idx, epochs)
             fresh = all(dbb in epochs.entry and _epoch_at(dbb, didx, epochs) == epoch
                         for dbb, didx, _ in chain)
-            loads.append(_GlobalLoad(bb, idx, instr, delta, epoch, fresh))
+            loads.append(_Access(bb, idx, instr, (g, leaf, shift), 8 * delta,
+                                 8 * delta + 32, epoch, fresh))
         # A follower in another block may not execute, so its words must
         # provably lie in the global: the base is a multiple of the record
         # (the whole global for a constant offset), the record divides the
@@ -712,65 +716,31 @@ def _combine_global_loads(fn: IRFunction, mod: IRModule, result: PacResult,
         record = size if leaf is None else 1 << shift
         if size % record:
             record = 0  # no whole number of records: nothing is provable
-        _form_global_groups(fn, g, loads, dom, record, replacements, result)
-    _apply(replacements)
-
-
-def _form_global_groups(fn: IRFunction, g: str, loads: List[_GlobalLoad],
-                        dom: DomTree, record: int, replacements,
-                        result: PacResult) -> None:
-    used = set()
-    for i, leader in enumerate(loads):
-        if i in used:
-            continue
-        group, lo, hi = [leader], leader.delta, leader.delta
-        for j in range(i + 1, len(loads)):
-            follower = loads[j]
-            local = follower.bb is leader.bb
-            if j in used or not (
-                    local or dom.strictly_dominates(leader.bb, follower.bb)):
-                continue
-            new_lo, new_hi = min(lo, follower.delta), max(hi, follower.delta)
-            if follower.epoch != leader.epoch:
-                refused = "epoch"
-            elif not (leader.fresh and follower.fresh):
-                refused = "stale chain"
-            elif new_hi + 4 - new_lo > MAX_GLOBAL_COMBINE_BYTES:
-                continue  # the next leader's window may hold it
-            elif not local and not 0 <= new_lo <= new_hi + 4 <= record:
-                refused = "window not provably in bounds"
-            else:
-                group.append(follower)
-                used.add(j)
-                lo, hi = new_lo, new_hi
-                continue
-            if not local:
-                obs_ledger.record(
-                    "pac", "%s/%s" % (fn.name, g), "not_combined", reason=refused,
-                    loc=obs_ledger.loc_str(follower.instr.loc),
-                    leader=obs_ledger.loc_str(leader.instr.loc))
-        if len(group) >= 2:
+        for group, lo, hi in _form_groups(
+                loads, dom, MAX_GLOBAL_COMBINE_BYTES,
+                lambda instr, _: epochs.bumps(instr), "%s/%s" % (fn.name, g),
+                8 * record):
             _rewrite_global_group(fn, g, group, lo, hi, replacements, result)
 
 
-def _rewrite_global_group(fn: IRFunction, g: str, group: List[_GlobalLoad],
+def _rewrite_global_group(fn: IRFunction, g: str, group: List[_Access],
                           lo: int, hi: int, replacements, result: PacResult) -> None:
     leader = group[0]
-    nwords = (hi - lo) // 4 + 1
+    nwords = (hi - lo) // 32
     words = [fn.new_temp(T.U32, "gac_w%d" % i) for i in range(nwords)]
     seq: List[I.Instr] = []
     base = leader.instr.offset
-    if leader.delta != lo:
+    if leader.lo != lo:
         # The wide load sits at the leader, where only the leader's own
         # offset is known to be computed.
         base = fn.new_temp(T.U32, "gac_off")
         seq.append(I.BinOp("sub", base, leader.instr.offset,
-                           Const(leader.delta - lo)))
+                           Const((leader.lo - lo) // 8)))
     seq.append(I.LoadGWords(words, g, base, nwords))
     for load in group:
         replacements.setdefault(load.bb, {})[load.index] = (
             seq if load is leader else []) + [
-            I.Assign(load.instr.dst, words[(load.delta - lo) // 4])]
+            I.Assign(load.instr.dst, words[(load.lo - lo) // 32])]
     result.wide_global_loads += 1
     result.combined_global_loads += len(group)
     obs_ledger.record(

@@ -268,6 +268,46 @@ def test_pac_cross_block_load_combining():
     reference_and_optimized(src, trace, optimize)
 
 
+def test_pac_store_between_loads_of_one_block_kills_only_what_it_overlaps():
+    # The store bumps the packet's epoch, but inside one block the rule
+    # asks only whether it overlaps the follower's bits: it does not.
+    src = _pac_src(
+        "u32 t = ph->type; ph->src = 0x0a0000000042; u64 d = ph->dst; "
+        "ph->meta.acc = (u32) d + t; channel_put(tx, ph);"
+    )
+    trace = ipv4_trace(8, [0xC0A80101], MACS)
+
+    def optimize(mod):
+        result = pac.run(mod)
+        assert result.combined_loads == 2
+        assert result.wide_loads == 1
+
+    reference_and_optimized(src, trace, optimize)
+
+
+def test_pac_records_a_dominated_load_left_narrow_behind_a_decap():
+    src = _pac_src(
+        "u32 t = ph->type;\n"
+        "ipv4_pkt *iph = packet_decap(ph);\n"
+        "if (t == 0x0800) { u32 v = iph->ttl; iph->meta.acc = v; }\n"
+        "channel_put(tx, iph);"
+    )
+    lines = src.splitlines()
+
+    def line_of(text):
+        return "<baker>:%d" % next(n for n, line in enumerate(lines, 1)
+                                   if text in line)
+
+    mod = lower(src)
+    with obs_ledger.collecting([]) as decisions:
+        result = pac.run(mod)
+    assert result.wide_loads == 0
+    [refused] = [d for d in decisions if d.verdict == "not_combined"]
+    assert (refused.pass_name, refused.subject, refused.reason) == ("pac", "m.p", "epoch")
+    assert refused.loc == line_of("iph->ttl")
+    assert refused.evidence == {"leader": line_of("ph->type")}
+
+
 # Anchored epochs: a loop that moves the head gives its header an epoch of
 # its own, so one iteration's loads combine -- and nothing else does.
 

@@ -126,6 +126,16 @@ def test_tracer_finish_closes_open_lifecycles():
     assert len(spans) == 1 and spans[0].data["disposition"] == "unfinished"
 
 
+def test_tracer_finish_never_ends_a_span_before_it_begins():
+    """A thread's clock can run past the stop time: the span it began
+    there ends where it began, and the export stays balanced."""
+    tr = PacketTracer()
+    tr.rx_packet(64, 0.0, port=0, length=64)
+    tr.me_ring_get(0, 0, "ring.rx", 64, 10.0)
+    tr.finish(9.0)
+    _check_chrome_trace(chrome_trace_from_events(tr.event_dicts()))
+
+
 def test_percentiles_nearest_rank():
     vals = [float(v) for v in range(1, 101)]
     assert nearest_rank(vals, 0.50) == 50.0
