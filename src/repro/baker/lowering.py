@@ -68,7 +68,6 @@ class _FunctionLowerer:
         self.bb = None  # current block
         self.loops: List[_LoopContext] = []
         self.critical_depth = 0
-        self.current_lock: Optional[str] = None
 
     # -- entry points ------------------------------------------------------------
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 WORD_BYTES = 4
-WORD_BITS = 32
 
 
 class Type:

@@ -29,12 +29,6 @@ RET_HI = PReg("b", 0)
 LINK = PReg("b", 15)
 FIXUP_A = PReg("a", 15)  # bank-conflict fixup temp (A bank)
 FIXUP_B = PReg("b", 14)  # bank-conflict fixup temp (B bank)
-FIXUP = FIXUP_A
-
-# Helper subroutines (the out-of-line packet handling routines used at
-# BASE/-O1) additionally scratch these without saving:
-HELPER_TEMPS: List[PReg] = [PReg("a", 3), PReg("b", 3), PReg("a", 4), PReg("b", 4),
-                            PReg("a", 5), PReg("b", 5), PReg("a", 6), PReg("b", 6)]
 
 RESERVED = {LINK, FIXUP_A, FIXUP_B}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cg.isa import Bal, Br, Insn, LIRFunction, Rtn
+from repro.cg.isa import Bal, Br, Insn, LIRFunction, SymRef
 from repro.cg.lower import CodegenError, LowerContext, lower_function
 from repro.cg.codesize import record_budget_fit
 from repro.cg.melayout import (
@@ -37,16 +37,18 @@ class MEImage:
     functions: List[str] = field(default_factory=list)
     stack_layout: Optional[StackLayoutResult] = None
     inputs: List[Tuple[str, str]] = field(default_factory=list)  # (ring, entry)
-    # Predecoded step programs, as (used_symbols, prog) pairs: programs
-    # capture no chip-owned objects, only resolved symbol values, so a
-    # program built for one chip is reused by any later chip whose
-    # symbol table matches -- repeated simulator runs skip the decode
-    # entirely.
-    _decode_plans: list = field(default_factory=list, repr=False,
+    # Predecoded step programs, keyed by what a chip binds the image's
+    # names to (:meth:`predecoded`): programs capture no chip-owned
+    # objects, so any later chip that binds those names alike reuses
+    # one -- repeated simulator runs skip the decode entirely.
+    _decode_plans: dict = field(default_factory=dict, repr=False,
                                 compare=False)
     #: What the cached programs were decoded from (:meth:`_content`).
     _decoded_from: Optional[tuple] = field(default=None, repr=False,
                                            compare=False)
+    #: The sorted names the image's ``SymRef`` operands use, plus
+    #: ``__stack``: every chip name a decode can look up.
+    _decode_names: tuple = field(default=(), repr=False, compare=False)
 
     def describe(self) -> str:
         return "%s: %d instrs (%d control-store words), %d functions" % (
@@ -58,8 +60,9 @@ class MEImage:
     # lazily on first dispatch.
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_decode_plans"] = []
+        state["_decode_plans"] = {}
         state["_decoded_from"] = None
+        state["_decode_names"] = ()
         return state
 
     def _content(self, copy: bool = False) -> tuple:
@@ -81,21 +84,27 @@ class MEImage:
         pre-resolved (:mod:`repro.ixp.predecode`). Built on first use --
         after the loader has placed symbols and created rings -- and
         shared by every ME running this image on the same chip."""
-        from repro.ixp.predecode import plan_matches, predecode_image
+        from repro.ixp.predecode import predecode_image
 
         # An edit of the image after decode (the oracle tests corrupt
         # images in place) invalidates every program.
         if self._content() != self._decoded_from:
             self._decode_plans.clear()
             self._decoded_from = self._content(copy=True)
-        # A symbol a plan depends on may have been rebound (or bound
-        # late) since it was decoded, on this chip or another; reuse a
-        # program only when every binding it observed still holds.
-        for used, prog in self._decode_plans:
-            if plan_matches(used, chip):
-                return prog
-        prog, used = predecode_image(self, chip)
-        self._decode_plans.append((used, prog))
+            names = {"__stack"}
+            for insn in self.insns:
+                for value in vars(insn).values():
+                    for op in value if type(value) is list else (value,):
+                        if type(op) is SymRef:
+                            names.add(op.name)
+            self._decode_names = tuple(sorted(names))
+        # A name may have been rebound (or bound late) since a program
+        # was decoded, on this chip or another.
+        key = tuple((chip.symbols.get(n), n in chip.rings.rings)
+                    for n in self._decode_names)
+        prog = self._decode_plans.get(key)
+        if prog is None:
+            prog = self._decode_plans[key] = predecode_image(self, chip)
         return prog
 
 

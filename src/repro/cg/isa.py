@@ -436,7 +436,6 @@ class LIRFunction:
         self.name = name
         self.blocks: List[LIRBlock] = []
         self.frame_slots = 0  # stack words (assigned by regalloc/lowering)
-        self.is_leaf = True
         self.entry_label = "%s__entry" % _mangle(name)
 
     def new_block(self, label: str) -> LIRBlock:
@@ -464,20 +463,16 @@ class StackRead(Insn):
     _reads = ("index",)
     _writes = ("dst",)
 
-    def __init__(self, dst: Reg, slot: int, index: Optional[Operand] = None,
-                 extent: int = 1):
+    def __init__(self, dst: Reg, slot: int, index: Optional[Operand] = None):
         self.dst = dst
         self.slot = slot  # word offset within the frame
         self.index = index  # optional dynamic word index (local arrays)
-        self.extent = extent  # words potentially touched (arrays)
 
 
 class StackWrite(Insn):
     _reads = ("index", "src")
 
-    def __init__(self, slot: int, src: Operand, index: Optional[Operand] = None,
-                 extent: int = 1):
+    def __init__(self, slot: int, src: Operand, index: Optional[Operand] = None):
         self.slot = slot
         self.src = src
         self.index = index
-        self.extent = extent

@@ -189,7 +189,6 @@ class FunctionLowerer(Emitter):
     # -- driver -----------------------------------------------------------------
 
     def lower(self) -> LIRFunction:
-        self.fn.is_leaf = not self._has_calls
         self._count_uses()
         self._assign_arrays()
         self._emit_prologue()

@@ -413,7 +413,6 @@ def _lower_field(fl, instr) -> None:
         fl.emit(Mov(arg, value))
     fl.emit(Bal(helper.entry_label, abi.LINK, arg_regs=args,
                 ret_regs=[abi.RET_LO, abi.RET_HI]))
-    fl.fn.is_leaf = False
     if load:
         if hi is not None:
             fl.emit(Mov(hi, abi.RET_HI))

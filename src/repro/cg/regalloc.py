@@ -39,6 +39,9 @@ ALL_COLORS: List[PReg] = [PReg("a", i) for i in range(N_PER_BANK)] + [
 ]
 USABLE = [c for c in ALL_COLORS if c not in abi.RESERVED]
 
+#: Spill-and-retry rounds before allocation gives up.
+MAX_ROUNDS = 8
+
 
 def _ends_block(insn: Insn) -> bool:
     return isinstance(insn, (Br, Rtn))
@@ -244,13 +247,13 @@ def simplify_order(vregs: Set[VReg], adj: Dict[Reg, Set[Reg]],
     return stack
 
 
-def allocate_function(fn: LIRFunction, max_rounds: int = 8) -> None:
+def allocate_function(fn: LIRFunction) -> None:
     """Run register allocation in place (virtual -> physical registers)."""
     normalize(fn)
     home_call_live(fn)
     unspillable: Set[VReg] = set()
 
-    for round_no in range(max_rounds):
+    for round_no in range(MAX_ROUNDS):
         succs = _build_cfg(fn)
         live_in, live_out = _liveness(fn, succs)
 
@@ -331,7 +334,7 @@ def allocate_function(fn: LIRFunction, max_rounds: int = 8) -> None:
             unspillable.update(_spill(fn, victim))
     obs_ledger.record(
         "regalloc", fn.name, "failed",
-        reason="allocation did not converge", rounds=max_rounds)
+        reason="allocation did not converge", rounds=MAX_ROUNDS)
     raise RegAllocError("register allocation did not converge for %s" % fn.name)
 
 

@@ -16,7 +16,6 @@ class DomTree:
 
     def __init__(self, idom: Dict[BasicBlock, BasicBlock], order: List[BasicBlock]):
         self.idom = idom
-        self.order = order  # reverse postorder
         self._index = {bb: i for i, bb in enumerate(order)}
         self.children: Dict[BasicBlock, List[BasicBlock]] = {bb: [] for bb in order}
         for bb in order:

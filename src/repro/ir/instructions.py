@@ -49,9 +49,6 @@ BINOPS = {
 }
 CMPOPS = {"eq", "ne", "lt_u", "le_u", "gt_u", "ge_u", "lt_s", "le_s", "gt_s", "ge_s"}
 
-# Opcodes with no side effects (eligible for DCE/CSE when result unused).
-_PURE = True
-
 
 class Instr:
     """Base instruction. Subclasses set ``_uses``/``_defs`` to attribute

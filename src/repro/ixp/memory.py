@@ -71,7 +71,7 @@ def word_struct(n: int) -> struct.Struct:
 
 class MemoryChannel:
     """One command channel: a FIFO server with occupancy + latency,
-    charged by :meth:`MemorySystem.timed_access`."""
+    charged as :meth:`MemorySystem.timed_access` states."""
 
     def __init__(self, name: str, params: ChannelParams):
         self.name = name
@@ -163,8 +163,11 @@ class MemorySystem:
     def timed_access(self, now: float, space: str, words: int,
                      category: str, addr: int = 0) -> float:
         """Charge a channel and the counters; returns the completion time
-        (data available / write retired). The ME core's
-        ``predecode._charge_lines`` inlines the same arithmetic."""
+        (data available / write retired). Every access the ME core
+        generates charges through ``predecode._charge_lines`` instead;
+        this is the out-of-line statement of that charge, which the
+        test-side reference core and the channel-model tests hold the
+        generated code to."""
         self.counters.n_accesses[SLOT[(space, category)]] += 1
         if space == "sram" and (addr >> self.SRAM_INTERLEAVE_SHIFT) & 1:
             ch = self.channels["sram1"]

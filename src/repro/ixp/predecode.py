@@ -53,8 +53,10 @@ slots, ``me.channels``, ``me.stores``, ``me.rings``); the counter slot,
 occupancy and latency of an access are decode-time constants, and a
 wide load or store is one ``struct`` call.
 
-Programs depend on the chip's symbol addresses and ring names and are
-cached per ``(image, chip)`` by :meth:`MEImage.predecoded`. Any
+Programs depend on the chip only through the symbol values and ring
+names the image's ``SymRef`` operands (and ``__stack``) resolve to, so
+:meth:`MEImage.predecoded` caches each program under what the chip binds
+every such name to: chips that bind them alike share one program. Any
 instruction the predecoder cannot bind (virtual registers that escaped
 regalloc, unresolved branches, symbols or rings missing from a
 hand-built chip, an access with no counter slot, classes with no
@@ -94,60 +96,6 @@ Prog = List[Step]
 class DecodePunt(Exception):
     """Raised inside an emitter when an operand cannot be pre-bound; the
     run ends before the instruction, which gets a punt step."""
-
-
-#: Recorded for a symbol the decode looked up but the chip did not have
-#: (the instruction punted); a chip that *does* define it must not reuse
-#: the plan.
-_SYM_MISSING = object()
-
-#: A recorded binding: ("symbol", name) -> address or _SYM_MISSING;
-#: ("ring", name) -> whether the chip has that ring.
-Used = Dict[Tuple[str, str], object]
-
-
-def _binding(chip, table: str, name: str):
-    if table == "ring":
-        return name in chip.rings.rings
-    return chip.symbols.get(name, _SYM_MISSING)
-
-
-class _ChipView:
-    """Decode-time facade over a chip: resolves symbols and ring names
-    and records every binding it depended on (value, presence, or a
-    miss). Symbol values and ring names are the *only* chip state baked
-    into generated closures -- memory and ring objects are reached
-    through the ME's bound references at run time -- so a program built
-    against one chip is valid on any chip that agrees on exactly the
-    recorded bindings (:func:`plan_matches`)."""
-
-    def __init__(self, chip):
-        self._chip = chip
-        self.used: Used = {}
-
-    def symbol(self, name: str) -> int:
-        value = self.used[("symbol", name)] = _binding(
-            self._chip, "symbol", name)
-        if value is _SYM_MISSING:
-            raise KeyError("unresolved symbol %r (loader bug?)" % name)
-        return value
-
-    def ring(self, name: str) -> str:
-        present = self.used[("ring", name)] = _binding(
-            self._chip, "ring", name)
-        if not present:
-            raise KeyError("no ring %r" % name)
-        return name
-
-
-def plan_matches(used: Used, chip) -> bool:
-    """True when ``chip`` agrees with every recorded binding (including
-    recorded misses staying missing)."""
-    for (table, name), value in used.items():
-        current = _binding(chip, table, name)
-        if current is not value and current != value:
-            return False
-    return True
 
 
 # -- shape-template engine --------------------------------------------------------------
@@ -541,7 +489,7 @@ def _e_mem(b: _RunBuilder, insn, idx):
     # reached through the ME's bound references, which keeps the
     # closures chip-independent.
     space, words = insn.space, insn.words
-    _slot(space, insn.category)  # masked stores too punt without a slot
+    _slot(space, insn.category)  # no counter slot punts before operands
     aex, ac = b.src(insn.addr_a, "A")
     bex, bc = b.src(insn.addr_b, "B")
     if ac and bc:
@@ -559,21 +507,18 @@ def _e_mem(b: _RunBuilder, insn, idx):
     else:
         exprs = [b.src(reg, "R%d" % i)[0]
                  for i, reg in enumerate(insn.regs_in)]
+        tail += _charge_lines(b, space, words, insn.category)
         if insn.mask_reg is not None or insn.byte_mask is not None:
-            # Masked stores are rare: keep the out-of-line calls (charge
-            # first, then the bounds-checked byte-lane write).
+            # Masked stores are rare: the byte-lane write stays out of
+            # line.
             if insn.mask_reg is not None:
                 mex, _ = b.src(insn.mask_reg, "M")
             else:
                 mex = b.p("M", insn.byte_mask)
-            tail += ["mem = me.memory",
-                     "done = mem.timed_access(tm, '%s', %d, '%s', addr)"
-                     % (space, words, insn.category)]
             tail += _bounds_lines(b, idx, space, words, "write")
-            tail.append("mem.write_words('%s', addr, [%s], %s)"
+            tail.append("me.memory.write_words('%s', addr, [%s], %s)"
                         % (space, ", ".join(exprs), mex))
         else:
-            tail += _charge_lines(b, space, words, insn.category)
             tail += _bounds_lines(b, idx, space, len(exprs), "write")
             tail.append("%s(store, addr, %s)" % (
                 b.p("PK", word_struct(len(exprs)).pack_into),
@@ -582,8 +527,15 @@ def _e_mem(b: _RunBuilder, insn, idx):
                                         str(CAUSE["mem_" + space])))
 
 
+def _ring(b, insn) -> str:
+    name = insn.ring.name
+    if name not in b.chip.rings.rings:
+        raise KeyError("no ring %r" % name)
+    return b.p("RN", name)
+
+
 def _e_ring_get(b, insn, idx):
-    name = b.p("RN", b.chip.ring(insn.ring.name))
+    name = _ring(b, insn)
     dex = b.dst(insn.dst, "D")
     # An empty poll (value 0) is nothing the tracer records, so only a
     # dequeued handle reaches it.
@@ -604,7 +556,7 @@ def _e_ring_get(b, insn, idx):
 
 
 def _e_ring_put(b, insn, idx):
-    name = b.p("RN", b.chip.ring(insn.ring.name))
+    name = _ring(b, insn)
     sex, _ = b.src(insn.src, "S")
     b.close_terminal(
         [b.total(insn.cycles),
@@ -627,12 +579,11 @@ def _e_tas(b, insn, idx):
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "mem = me.memory",
-         "addr = %s" % aex,
-         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP]
+         "addr = %s" % aex]
+        + _charge_lines(b, "scratch", 1, CAT_APP)
         + _bounds_lines(b, idx, "scratch", 1, "read")
-        + ["old = mem.read_words('scratch', addr, 1)[0]",
-         "mem.write_words('scratch', addr, [1])",
+        + ["old = me.memory.read_words('scratch', addr, 1)[0]",
+         "me.memory.write_words('scratch', addr, [1])",
          "%s = old" % dex]
         + _block_tail(b, idx + 1, str(CAUSE["mem_scratch"])))
 
@@ -642,11 +593,10 @@ def _e_release(b, insn, idx):
     b.close_terminal(
         [b.total(insn.cycles),
          "me.time = tm",
-         "mem = me.memory",
-         "addr = %s" % aex,
-         "done = mem.timed_access(tm, 'scratch', 1, '%s')" % CAT_APP]
+         "addr = %s" % aex]
+        + _charge_lines(b, "scratch", 1, CAT_APP)
         + _bounds_lines(b, idx, "scratch", 1, "write")
-        + ["mem.write_words('scratch', addr, [0])"]
+        + ["me.memory.write_words('scratch', addr, [0])"]
         + _block_tail(b, idx + 1, str(CAUSE["mem_scratch"])))
 
 
@@ -881,20 +831,18 @@ def _run_leaders(image) -> set:
     return leaders
 
 
-def predecode_image(image, chip) -> Tuple[Prog, Used]:
+def predecode_image(image, chip) -> Prog:
     """Compile an MEImage into a step program, one closure per
     instruction index (so a thread can resume at any pc): fused
     straight-line runs at run leaders -- including every index a capped
     run bails to, so a long stretch stays fused -- and
     single-instruction steps elsewhere.
 
-    Returns ``(prog, used)``. The closures reach memory and rings
-    through the ME's bound references at run time, so the only chip
-    state they bake in is resolved symbol values and ring names --
-    ``used`` records exactly those bindings, and
-    :meth:`repro.cg.assemble.MEImage.predecoded` reuses the program on
-    any chip for which :func:`plan_matches` accepts it."""
-    view = _ChipView(chip)
+    The closures reach memory and rings through the ME's bound
+    references at run time, so the only chip state they bake in is the
+    symbol values and ring names the image's ``SymRef`` operands (and
+    ``__stack``) resolve to: :meth:`repro.cg.assemble.MEImage.predecoded`
+    caches the program under exactly those bindings."""
     n = len(image.insns)
     puntable: Dict[int, str] = {}
     runs: Dict[int, Optional[Step]] = {}
@@ -902,7 +850,7 @@ def predecode_image(image, chip) -> Tuple[Prog, Used]:
     while todo:
         idx = todo.pop()
         if idx < n and idx not in runs:
-            runs[idx], cap_exit = _compile_run(image, view, idx, puntable,
+            runs[idx], cap_exit = _compile_run(image, chip, idx, puntable,
                                                RUN_CAP)
             if cap_exit is not None:
                 todo.append(cap_exit)
@@ -913,8 +861,8 @@ def predecode_image(image, chip) -> Tuple[Prog, Used]:
         elif idx in puntable:
             step = None
         else:
-            step, _ = _compile_run(image, view, idx, puntable, 1)
+            step, _ = _compile_run(image, chip, idx, puntable, 1)
         if step is None:
             step = _punt_step(idx, insn, puntable[idx])
         prog.append(step)
-    return prog, view.used
+    return prog

@@ -31,7 +31,6 @@ class XScaleCore(Interpreter):
                  input_channels: List[str]):
         super().__init__(mod)
         self.chip = chip
-        self.layout = layout
         self.globals = GlobalMemory.on_chip(mod, chip.memory, layout)
         self.input_channels = list(input_channels)
         self.serviced = 0

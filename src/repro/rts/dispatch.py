@@ -22,7 +22,6 @@ DISPATCH_NAME = "__dispatch"
 def build_dispatch(inputs: List[Tuple[str, str]]) -> LIRFunction:
     """``inputs``: (ring symbol name, consumer function entry label)."""
     fn = LIRFunction(DISPATCH_NAME)
-    fn.is_leaf = False
     entry = fn.new_block(fn.entry_label)
     loop = fn.new_block(fn.entry_label + "__loop")
     entry.emit(Br("always", loop.label))

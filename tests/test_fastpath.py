@@ -148,6 +148,24 @@ def test_predecode_revalidates_late_bound_symbol():
     assert me.threads[0].get(reg) == 4242
 
 
+def test_predecode_key_covers_only_the_names_the_image_uses():
+    # The cache key is what a chip binds the image's own names to: a
+    # binding the image never names shares the program, a rebinding of
+    # one it does name gets its own.
+    reg = isa.PReg("a", 0)
+    image = _mini_image([isa.LoadSym(reg, isa.SymRef("g")), isa.Halt()])
+    chips = [IXP2400() for _ in range(3)]
+    for chip, g, other in zip(chips, (100, 100, 200), (1, 2, 1)):
+        chip.symbols.update(g=g, other=other)
+    first = image.predecoded(chips[0])
+    assert image.predecoded(chips[1]) is first
+    assert image.predecoded(chips[2]) is not first
+    assert len(image._decode_plans) == 2
+    me = Microengine(0, image, chips[2], n_threads=1)
+    me.run_slice(100)
+    assert me.threads[0].get(reg) == 200
+
+
 def test_fast_dispatch_rejects_virtual_register():
     # Punted instructions fail lazily: decoding the image succeeds, the
     # diagnostic surfaces when a thread reaches the instruction.

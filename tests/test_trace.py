@@ -9,7 +9,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.apps import get_app
 from repro.compiler import compile_baker
 from repro.obs.export import chrome_trace_from_events, write_chrome_trace
 from repro.obs.timeseries import TimeseriesCollector, nearest_rank
@@ -257,6 +260,44 @@ def test_exporter_valid_monotonic_balanced(tmp_path):
     write_chrome_trace(again, tr.event_dicts())
     with open(again) as fh:
         assert json.load(fh) == doc
+
+
+_APP_COMPILES = {}
+
+
+def _app_compile(app_name, level):
+    key = (app_name, level)
+    if key not in _APP_COMPILES:
+        app = get_app(app_name)
+        trace = app.make_trace(60, seed=5)
+        _APP_COMPILES[key] = (
+            compile_baker(app.source, options_for(level), trace), trace)
+    return _APP_COMPILES[key]
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(app_name=st.sampled_from(("l3switch", "firewall", "mpls")),
+       level=st.sampled_from(("BASE", "PAC", "SWC")),
+       n_mes=st.integers(1, 6),
+       offered=st.floats(0.5, 3.0),
+       measure=st.integers(5, 40))
+def test_observed_runs_export_cleanly_under_any_timing(
+        app_name, level, n_mes, offered, measure):
+    """Whatever the timing, the export is balanced and monotonic, the
+    windows account for every transmitted packet, and observing changes
+    no Tx byte."""
+    result, trace = _app_compile(app_name, level)
+    kw = dict(n_mes=n_mes, offered_gbps=offered, warmup_packets=10,
+              measure_packets=measure)
+    tr = PacketTracer()
+    c = TimeseriesCollector(window_cycles=20_000.0)
+    on = run_on_simulator(result, trace, tracer=tr, timeseries=c, **kw)
+    off = run_on_simulator(result, trace, **kw)
+    _check_chrome_trace(chrome_trace_from_events(tr.event_dicts()))
+    assert sum(w["counters"].get("tx.packets", 0)
+               for w in c.windows) == on.packets_out
+    assert on.tx_payloads == off.tx_payloads
 
 
 def test_exporter_closes_unbalanced_input():
