@@ -23,7 +23,6 @@ class Aggregate:
     code_size: int = 0
     target: str = "me"  # 'me' | 'xscale'
     me_count: int = 0
-    duplicate_hint: int = 1  # explicit DUPLICATE() requests from Figure 7
 
     def members(self) -> Set[str]:
         return set(self.ppfs)

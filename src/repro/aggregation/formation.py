@@ -1,28 +1,29 @@
 """Aggregate formation: the heuristic of paper Figure 7.
 
-Starting from one aggregate per PPF, repeatedly:
+Starting from one aggregate per PPF, merge the pair of aggregates joined
+by the most expensive channel, provided the merge does not hurt the
+throughput of Equation 1 (:mod:`repro.aggregation.throughput`) and the
+merged code still fits an ME's instruction store; repeat until no pair
+passes. Afterwards, aggregates that overflow the code store or are
+infrequently executed move to the XScale (MAP_TO_XSCALE), and the
+remaining ME aggregates are duplicated across the available MEs
+(MAP_TO_MES).
 
-1. if one aggregate dominates execution time, consider duplicating it;
-2. otherwise merge the pair of aggregates joined by the most expensive
-   channel, provided the merge does not hurt throughput and the merged
-   code still fits an ME's instruction store;
-3. if nothing changed but there are still more aggregates than
-   processors, relax the throughput target and try again.
-
-Afterwards, aggregates that overflow the code store or are infrequently
-executed move to the XScale, and the remaining ME aggregates are
-duplicated across the available MEs.
+Figure 7's other two steps are already in Equation 1. DUPLICATE is its
+optimal ME assignment, which MAP_TO_MES applies. RELAX lowers the target
+only when hot aggregates outnumber the MEs, and then Equation 1 scores
+every plan zero, so a lower target admits no merge the unrelaxed one
+rejects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.aggregation.aggregate import (
     Aggregate,
     AggregationPlan,
     aggregate_cost,
-    external_channels,
 )
 from repro.aggregation.throughput import (
     CC_COST,
@@ -41,9 +42,6 @@ from repro.profiler.stats import ProfileData
 # An aggregate handling less than this fraction of packets is control
 # plane and belongs on the XScale.
 INFREQUENT_RATE = 0.05
-
-# "EXEC_TIME(dom) >> EXEC_TIME(next_dom)" threshold.
-DOMINANCE_FACTOR = 2.0
 
 
 def form_aggregates(
@@ -70,33 +68,13 @@ def form_aggregates(
 
     overflow_seen = set()  # dedup: the same pair re-overflows every round
 
-    done = False
-    guard = 0
-    while not done and guard < 10 * len(aggregates) + 50:
-        guard += 1
-        done = True
-
+    # MERGE until no pair passes: each pass removes one aggregate or ends.
+    merged = True
+    while merged:
+        merged = False
         candidates = hot(aggregates)
-        # FIND_DOMINATING: the two costliest hot aggregates.
-        ranked = sorted(candidates, key=lambda a: a.cost, reverse=True)
-        if len(ranked) >= 2:
-            dom, next_dom = ranked[0], ranked[1]
-            if (
-                dom.cost >= DOMINANCE_FACTOR * max(next_dom.cost, 1e-9)
-                and _duplicate_improves(candidates, dom, opts, target)
-            ):
-                dom.duplicate_hint += 1
-                obs_ledger.record("aggregation", dom.name, "duplicated",
-                                  reason="dominates execution time and another "
-                                         "copy raises throughput",
-                                  cost=dom.cost, next_cost=next_dom.cost,
-                                  duplicate_hint=dom.duplicate_hint)
-                done = False
-                continue
-
         # FORM_PAIRS / SORT_BY_HIGHEST_CHANNEL_COST.
-        pairs = _connected_pairs(mod, profile, aggregates)
-        for cc_weight, a, b in pairs:
+        for cc_weight, a, b in _connected_pairs(mod, profile, aggregates):
             if not _merge_improves(mod, profile, candidates, a, b, opts, target):
                 continue
             merged_members = a.members() | b.members()
@@ -118,19 +96,10 @@ def form_aggregates(
                               cc_cost=cc_weight, code_size=size,
                               members=len(merged_members))
             a.ppfs = sorted(merged_members)
-            a.duplicate_hint = max(a.duplicate_hint, b.duplicate_hint)
             aggregates.remove(b)
             refresh(a)
-            done = False
+            merged = True
             break
-
-        if done and len(hot(aggregates)) > opts.num_mes:
-            target *= 0.9  # RELAX_CONSTRAINT
-            obs_ledger.record("aggregation", "<plan>", "target_relaxed",
-                              reason="more hot aggregates than MEs",
-                              target_pps=target, hot_aggregates=len(hot(aggregates)),
-                              num_mes=opts.num_mes)
-            done = False
 
     # MAP_TO_XSCALE: oversized or infrequently executed aggregates.
     me_aggs: List[Aggregate] = []
@@ -201,45 +170,25 @@ def _connected_pairs(mod: IRModule, profile: ProfileData,
     return pairs
 
 
-def _system_costs(candidates: List[Aggregate]) -> List[float]:
-    return [a.cost for a in candidates]
-
-
-def _duplicate_improves(candidates: List[Aggregate], dom: Aggregate,
-                        opts: CompilerOptions, target: float) -> bool:
-    """True if the optimal ME assignment is still short of the target and
-    giving the dominating aggregate another copy would help. Because the
-    final mapping already assigns MEs greedily, an explicit duplicate
-    only helps while the hint lags the would-be assignment."""
-    costs = _system_costs(candidates)
-    current = system_throughput(costs, opts.num_mes)
-    if current >= target:
-        return False
-    assignment = assign_mes(costs, opts.num_mes)
-    idx = candidates.index(dom)
-    return bool(assignment) and dom.duplicate_hint < assignment[idx]
-
-
 def _merge_improves(mod: IRModule, profile: ProfileData,
                     candidates: List[Aggregate], a: Aggregate, b: Aggregate,
                     opts: CompilerOptions, target: float) -> bool:
     """MERGE_IMPROVES_THROUGHPUT: system throughput with the pair merged
     (saving the connecting CC overhead) must not regress, or must reach
-    the (possibly relaxed) target. A hot aggregate never absorbs an
-    infrequently-executed one: that work is destined for the XScale
-    (MAP_TO_XSCALE), so pulling it onto the MEs wastes code store and
-    per-packet budget."""
+    the target. A hot aggregate never absorbs an infrequently-executed
+    one: that work is destined for the XScale (MAP_TO_XSCALE), so pulling
+    it onto the MEs wastes code store and per-packet budget."""
     a_hot, b_hot = a in candidates, b in candidates
     if not a_hot and not b_hot:
         return True  # both cold: merging control PPFs is harmless
     if a_hot != b_hot:
         return False
     merged_cost = aggregate_cost(mod, profile, a.members() | b.members(), CC_COST)
-    before = system_throughput(_system_costs(candidates), opts.num_mes)
+    before = system_throughput([x.cost for x in candidates], opts.num_mes)
     after_costs = [x.cost for x in candidates if x is not a and x is not b]
     after_costs.append(merged_cost)
     after = system_throughput(after_costs, opts.num_mes)
-    return after >= min(before, target) or after >= before
+    return after >= min(before, target)
 
 
 def _internal_channels(mod: IRModule, aggregates: List[Aggregate]) -> Set[str]:

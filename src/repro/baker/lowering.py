@@ -251,10 +251,8 @@ class _FunctionLowerer:
             offset = self._offset_add_scaled(offset, idx, elem.size_bytes())
             return kind, name, offset, elem
         if isinstance(expr, ast.Member) and not expr.arrow:
-            kind, name, offset, btype = self._access_path(expr.base)
-            if not isinstance(btype, T.StructType):
-                raise self._error("member of non-struct", expr)
-            sfield = btype.field_by_name(expr.name)
+            kind, name, offset, _ = self._access_path(expr.base)
+            sfield = expr.struct_field  # type: ignore[attr-defined]
             offset = self._offset_add_const(offset, sfield.offset_bytes)
             return kind, name, offset, sfield.type
         raise self._error("unsupported access path", expr)

@@ -45,13 +45,13 @@ def estimate_instr(instr: I.Instr, opts: CompilerOptions) -> float:
             cost = CALL_OVERHEAD + 4
         return cost
     if isinstance(instr, (I.PktEncap, I.PktDecap)):
-        return ENCAP_COST if opts.inline else CALL_OVERHEAD + 4
+        return ENCAP_COST
     if isinstance(instr, I.PktSyncHead):
         return SYNC_COST
     if isinstance(instr, (I.MetaLoad, I.MetaStore, I.PktLength)):
         return META_ACCESS_COST
     if isinstance(instr, (I.PktCopy, I.PktCreate, I.PktDrop, I.PktAdjust)):
-        return 20 if opts.inline else CALL_OVERHEAD + 4
+        return 20
     if isinstance(instr, I.ChanPut):
         return CHANNEL_PUT_COST
     if isinstance(instr, I.Call):
@@ -75,15 +75,17 @@ def estimate_closure(mod: IRModule, roots: Iterable[str],
                      opts: CompilerOptions) -> int:
     """Footprint of a set of entry functions plus everything they call
     (each callee counted once -- code is shared within an ME), plus the
-    dispatch loop and, at BASE/-O1, the shared out-of-line packet helper
-    bodies."""
+    dispatch loop and, when some function of the closure calls the
+    out-of-line packet routines (:func:`repro.cg.pktlower.calls_helpers`),
+    their shared bodies."""
+    from repro.cg.pktlower import calls_helpers
     from repro.ir.callgraph import CallGraph
 
     cg = CallGraph(mod)
     seen: Set[str] = set()
     total = DISPATCH_LOOP_COST
     stack = list(roots)
-    uses_packet_prims = False
+    helpers = False
     while stack:
         name = stack.pop()
         if name in seen or name not in mod.functions:
@@ -91,11 +93,9 @@ def estimate_closure(mod: IRModule, roots: Iterable[str],
         seen.add(name)
         fn = mod.functions[name]
         total += estimate_function(fn, opts)
-        for instr in fn.all_instrs():
-            if isinstance(instr, I.PktInstr):
-                uses_packet_prims = True
+        helpers = helpers or calls_helpers(opts, fn)
         stack.extend(cg.callees.get(name, ()))
-    if uses_packet_prims and not opts.inline:
+    if helpers:
         total += 300  # shared generic packet-handling helper bodies
     return total
 

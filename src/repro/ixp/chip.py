@@ -28,8 +28,6 @@ class IXP2400:
         self.rings = RingSet()
         self.symbols: Dict[str, int] = {}
         self.mes: List[Microengine] = []
-        self.rx: Optional[RxEngine] = None
-        self.tx: Optional[TxEngine] = None
         self.xscale = None  # repro.ixp.xscale_core.XScaleCore
         self.meta_words = 8
         self.now = 0.0
@@ -75,9 +73,6 @@ class IXP2400:
 
     def attach_traffic(self, rx: RxEngine, tx: TxEngine,
                        tx_poll_cycles: float = 50.0) -> None:
-        self.rx = rx
-        self.tx = tx
-
         def rx_event() -> Optional[float]:
             delay = rx.inject_next()
             if delay is None:

@@ -138,7 +138,7 @@ def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
     single_defs = single_defs_of(fn)
 
     loads: Dict[Temp, List[_Access]] = {}
-    stores: List[_Access] = []
+    stores: Dict[BasicBlock, Dict[Temp, List[_Access]]] = {}
     tables: Dict[tuple, list] = {}
     for bb in order:
         for idx, instr in enumerate(bb.instrs):
@@ -148,7 +148,7 @@ def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
                     acc = _Access(bb, idx, instr, cls, instr.bit_off, instr.bit_end,
                                   _epoch_at(bb, idx, packet_epochs[cls]))
                     if instr.stores:
-                        stores.append(acc)
+                        stores.setdefault(bb, {}).setdefault(cls, []).append(acc)
                     else:
                         loads.setdefault(cls, []).append(acc)
             elif (isinstance(instr, I.LoadG) and instr.width == 4
@@ -435,13 +435,12 @@ def extract_into(fn: IRFunction, out: List[I.Instr], words: List[Temp],
 # -- store combining ----------------------------------------------------------------
 
 
-def _combine_stores(fn, stores: List[_Access], aliases, replacements,
-                    result: PacResult) -> None:
-    by_block: Dict[BasicBlock, List[_Access]] = {}
-    for acc in stores:
-        by_block.setdefault(acc.bb, []).append(acc)
-    for bb in fn.blocks:
-        accs = by_block.get(bb, [])
+def _combine_stores(fn, stores: Dict[BasicBlock, Dict[Temp, List[_Access]]],
+                    aliases, replacements, result: PacResult) -> None:
+    """One run per (block, alias class), blocks in ``fn.blocks`` order and
+    a block's classes in order of their first store there."""
+    for accs in [run for bb in fn.blocks for run in stores.get(bb, {}).values()]:
+        bb = accs[0].bb
         i = 0
         while i < len(accs):
             group = [accs[i]]
@@ -449,9 +448,6 @@ def _combine_stores(fn, stores: List[_Access], aliases, replacements,
             j = i + 1
             while j < len(accs):
                 cand = accs[j]
-                if cand.key is not group[0].key:
-                    j += 1
-                    continue
                 if not _store_path_clear(bb, group, cand, aliases):
                     break
                 new_lo = min(span[0], cand.lo)

@@ -96,11 +96,12 @@ def schedule_times(spec: ChurnSpec, window_cycles: float,
 
 
 class ControlPlane:
-    """Applies scheduled mutations to live chip memory, XScale-style."""
+    """Applies scheduled mutations to live chip memory, XScale-style.
+    Tables are found through the chip's XScale globals; ``layout`` (the
+    loader's) is accepted and not needed."""
 
     def __init__(self, chip, layout, collector=None):
         self.chip = chip
-        self.layout = layout
         self.collector = collector
         self.globals = chip.xscale.globals
         self.applied: List[Tuple[float, TableMutation]] = []

@@ -70,7 +70,6 @@ class TrafficModel:
         self._cdf[-1] = 1.0
         self._rng = random.Random(spec.seed + 1)
         self._burst_left = 0
-        self.generated = 0
 
     def _pick_flow(self) -> TracePacket:
         r = self._rng.random()
@@ -87,7 +86,6 @@ class TrafficModel:
 
     def next_packet(self) -> Tuple[TracePacket, float]:
         """(packet, pace multiplier) for the next injection."""
-        self.generated += 1
         tp = self._pick_flow()
         if self.spec.imix:
             size = self._pick_size(len(tp.data))

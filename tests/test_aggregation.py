@@ -170,6 +170,52 @@ def test_formation_pipeline_splits_when_merged_too_big():
     assert len(plan.me_aggregates) >= 2
 
 
+def _ppf_estimates(level):
+    """Each PPF's code-size estimate as formation sees it at ``level``."""
+    from repro.cg.codesize import estimate_closure
+    from repro.opt.pipeline import run_scalar_pipeline
+
+    opts = options_for(level)
+    mod = lower(MINI_FORWARDER)
+    run_scalar_pipeline(mod, opts)
+    return {fn.name: estimate_closure(mod, [fn.name], opts) for fn in mod.ppfs()}
+
+
+def test_formation_maps_oversized_aggregate_to_xscale():
+    from repro.compiler import compile_baker
+    from repro.rts.system import verify_against_reference
+
+    sizes = _ppf_estimates("BASE")
+    assert max(sizes, key=sizes.get) == "l3_switch.l3_fwdr"
+    trace = ipv4_trace(40, [0xC0A80101, 0xC0A80202], MACS,
+                       arp_fraction=0.1, seed=2)
+    opts = options_for("BASE", me_code_store=max(sizes.values()) - 1)
+    result = compile_baker(MINI_FORWARDER, opts, trace)
+    fwdr = [a for a in result.plan.xscale_aggregates
+            if "l3_switch.l3_fwdr" in a.ppfs]
+    assert len(fwdr) == 1 and fwdr[0].code_size > opts.me_code_store
+    mapped = [d for d in result.decisions if d.verdict == "mapped_xscale"
+              and d.subject == fwdr[0].name]
+    assert [d.reason for d in mapped] == ["oversized for the ME code store"]
+    assert result.plan.me_aggregates
+    assert verify_against_reference(result, trace)
+
+
+def test_loader_refuses_a_plan_without_me_aggregates():
+    from repro.compiler import compile_baker
+    from repro.ixp.chip import IXP2400
+    from repro.rts.loader import LoaderError, load_system
+
+    sizes = _ppf_estimates("BASE")
+    trace = ipv4_trace(40, [0xC0A80101, 0xC0A80202], MACS,
+                       arp_fraction=0.1, seed=2)
+    opts = options_for("BASE", me_code_store=min(sizes.values()) - 1)
+    result = compile_baker(MINI_FORWARDER, opts, trace)
+    assert not result.plan.me_aggregates
+    with pytest.raises(LoaderError, match="no ME aggregates to load"):
+        load_system(result, IXP2400(n_programmable_mes=2))
+
+
 def test_internal_channels_identified():
     mod, profile = _profiled(MINI_FORWARDER, arp_fraction=0.1, seed=2)
     plan = form_aggregates(mod, profile, options_for("SWC"))

@@ -681,6 +681,48 @@ def test_handle_joining_packet_and_its_copy_gets_no_shared_state():
     check(JOINED_HANDLE, levels=("BASE", "SOAR", "SWC"))
 
 
+# -- shapes checked outside the corpus --------------------------------------------------
+# (``check`` only: a ``program`` would join ``CORPUS`` and its digest.)
+
+
+def test_phr_rebases_packet_length_after_an_elided_decap():
+    src = ppf("ipv4_pkt *ip = packet_decap(ph);"
+              " ip->ident = packet_length(ip) & 0xffff;"
+              " ether_pkt *e = packet_encap(ip, ether); channel_put(tx, e);")
+    check(src, levels=LEVEL_ORDER)
+    result = compile_baker(src, options_for("PHR"), default_trace(),
+                           codegen=False)
+    assert result.phr_result.elided_encaps == 2
+    # The length is read off the synced head, 14 bytes before ip's.
+    instrs = list(result.mod.functions["m.go"].all_instrs())
+    at = next(n for n, i in enumerate(instrs) if isinstance(i, I.PktLength))
+    sub = instrs[at + 1]
+    assert isinstance(sub, I.BinOp) and sub.op == "sub"
+    assert sub.a is instrs[at].dst and sub.b.value == 14
+
+
+L4_WIDE = ("protocol l4 { sport : 16; dport : 16; seq : 32; both : 64;"
+           " ack : 32; demux { 20 }; }\n")
+
+
+def test_generic_field_stores_of_32_and_64_bits_and_a_long_combined_run():
+    # Behind ipv4's dynamic ihl every l4 store is generic: a 32- and a
+    # 64-bit field store below PAC, one 20-byte run (16 + 4) from PAC on.
+    src = ETHER_IPV4_PROTOCOLS + L4_WIDE + (
+        "module m { ppf go(ether_pkt *ph) from rx {"
+        " ipv4_pkt *ip = packet_decap(ph); u32 s = ip->src; u32 d = ip->dst;"
+        " u32 n = ip->ident; l4_pkt *t = packet_decap(ip);"
+        " t->sport = n; t->dport = n ^ 0xffff; t->seq = s;"
+        " t->both = ((u64) d << 32) | n; t->ack = s ^ d;"
+        " channel_put(tx, t); } }")
+    check(src, levels=LEVEL_ORDER)
+    result = compile_baker(src, options_for("PAC"), default_trace())
+    assert result.pac_result.combined_stores == 5
+    wide = [i for fn in result.mod.functions.values()
+            for i in fn.all_instrs() if isinstance(i, I.PktStoreWords)]
+    assert [(w.nwords, w.byte_masks) for w in wide] == [(5, [0b1111] * 5)]
+
+
 # -- the corpus's listings ------------------------------------------------------------
 
 #: sha256 (first 16 hex digits) over every image of every ``CORPUS``

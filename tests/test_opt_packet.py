@@ -239,6 +239,33 @@ def test_pac_combines_stores():
     assert wide.byte_masks == [0b1111, 0b1111, 0b1111, 0b1100]
 
 
+def test_pac_combines_the_stores_of_each_packet_in_one_block():
+    # Stores to two packets interleave; each packet's run combines.
+    from repro.compiler import compile_baker
+    from repro.options import LEVEL_ORDER, options_for
+    from repro.rts.system import verify_against_reference
+
+    src = _pac_src(
+        "ether_pkt *c = packet_copy(ph); "
+        "ph->type = 1; c->type = 2; ph->src = 3; c->src = 4; "
+        "channel_put(tx, ph); channel_put(tx, c);"
+    )
+    trace = ipv4_trace(8, [0xC0A80101], MACS)
+
+    def optimize(mod):
+        result = pac.run(mod)
+        assert result.wide_stores == 2
+        assert result.combined_stores == 4
+
+    _, _, mod = reference_and_optimized(src, trace, optimize)
+    assert count_ops(mod.functions["m.p"], I.PktStoreField) == 0
+    for level in LEVEL_ORDER:
+        result = compile_baker(src, options_for(level), trace)
+        if level == "PAC":
+            assert result.pac_result.combined_stores == 4
+        assert verify_against_reference(result, trace, packets=8), level
+
+
 def test_pac_store_combine_blocked_by_load():
     src = _pac_src(
         "ph->dst = 0x0a0000000099; u64 d = ph->dst; ph->src = d; "

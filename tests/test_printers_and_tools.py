@@ -15,7 +15,7 @@ from repro.ir.values import Const, Temp
 from repro.options import LEVEL_ORDER, options_for
 from repro.profiler.trace import ipv4_trace
 from tests.ir_helpers import lower
-from tests.samples import MINI_FORWARDER, PASSTHROUGH
+from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
@@ -134,6 +134,53 @@ def test_estimate_function_counts_packet_ops():
     base = estimate_function(fn, options_for("BASE"))
     opt = estimate_function(fn, options_for("SWC"))
     assert base > 0 and opt > 0
+
+
+# Every packet primitive but a field access, in a PPF with no field
+# access, feeding one that has one.
+_PRIMITIVES = ETHER_IPV4_PROTOCOLS + r"""
+module m {
+  channel cc;
+  ppf strip(ether_pkt *ph) from rx {
+    packet_drop(packet_copy(ph));
+    packet_drop(packet_create(ether, 50));
+    ipv4_pkt *ip = packet_decap(ph);
+    packet_add_tail(ip, 4);
+    channel_put(cc, packet_encap(ip, ether));
+  }
+  ppf mark(ether_pkt *ph) from cc {
+    ph->type = 0x0800;
+    channel_put(tx, ph);
+  }
+}
+"""
+
+
+def test_codesize_charges_calls_only_where_codegen_makes_them():
+    from repro.cg.codesize import DISPATCH_LOOP_COST, estimate_instr
+    from repro.cg.pktlower import calls_helpers
+
+    mod = lower(_PRIMITIVES)
+    inline_kinds = (I.PktEncap, I.PktDecap, I.PktCopy, I.PktCreate,
+                    I.PktDrop, I.PktAdjust)
+    kinds = set()
+    for fn in mod.functions.values():
+        for instr in fn.all_instrs():
+            if isinstance(instr, inline_kinds):
+                kinds.add(type(instr))
+                # Lowered inline at every level: one cost at every level.
+                assert (estimate_instr(instr, options_for("BASE"))
+                        == estimate_instr(instr, options_for("O2")))
+    assert kinds == set(inline_kinds)
+    for level in ("BASE", "O1", "O2"):
+        opts = options_for(level)
+        helpers = {}
+        for fn in mod.ppfs():
+            extra = (estimate_closure(mod, [fn.name], opts)
+                     - DISPATCH_LOOP_COST - estimate_function(fn, opts))
+            helpers[fn.name] = calls_helpers(opts, fn)
+            assert extra == (300 if helpers[fn.name] else 0), (level, fn.name)
+        assert helpers == {"m.strip": False, "m.mark": level != "O2"}
 
 
 # -- options ---------------------------------------------------------------------------

@@ -262,6 +262,22 @@ def test_exporter_valid_monotonic_balanced(tmp_path):
         assert json.load(fh) == doc
 
 
+def test_exporter_balances_a_wrapped_tracer():
+    # The deque keeps the last events only: ends whose begins it dropped
+    # are left out, begins it kept are closed at the last timestamp.
+    result, trace = _mini_result()
+    tr = PacketTracer(max_events=300)
+    run_on_simulator(result, trace, tracer=tr, **RUN_KW)
+    kept = list(tr.event_dicts())
+    assert len(kept) == 300
+    begun = {(e["kind"][:-6], e.get("pkt")) for e in kept
+             if e["kind"] in ("pkt_begin", "span_begin")}
+    orphans = {kind for kind in ("pkt", "span") for e in kept
+               if e["kind"] == kind + "_end" and (kind, e.get("pkt")) not in begun}
+    assert orphans == {"pkt", "span"}
+    _check_chrome_trace(chrome_trace_from_events(kept))
+
+
 _APP_COMPILES = {}
 
 
