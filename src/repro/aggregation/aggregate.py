@@ -74,7 +74,9 @@ def aggregate_cost(mod: IRModule, profile: ProfileData, members: Set[str],
     """Per-packet cost of an aggregate: member execution plus boundary CC
     overhead (a ring get per entering packet, a ring put per leaving
     packet), normalized per input packet of the whole system."""
-    cost = sum(profile.ppf_weight(p) for p in members)
+    # In name order: a set's order follows the hash seed, and so would
+    # the last bit of a float sum.
+    cost = sum(profile.ppf_weight(p) for p in sorted(members))
     inputs, outputs = external_channels(mod, members)
     for chan in inputs:
         consumer = mod.channels[chan].consumer

@@ -148,8 +148,10 @@ def compile_ir(
                 # one common head, so a second combining pass can merge
                 # accesses across former protocol boundaries (the paper's
                 # dependence analysis reaches the same result in one
-                # pass); SOAR then re-annotates the new wide accesses.
-                result.pac_result += pac.run(mod, narrow)
+                # pass). It also reads through the encaps and decaps PHR
+                # kept, which the first pass left to PHR. SOAR then
+                # re-annotates the new wide accesses.
+                result.pac_result += pac.run(mod, narrow, renames_bump=False)
                 result.soar_result = soar.run(mod)
                 scalar_optimize_module(mod)
             record_ir_stage("phr")

@@ -46,6 +46,19 @@ class Ring:
         self.depth_sum += len(self.items)
         return value
 
+    def cycle(self) -> None:
+        """A ``get`` and then a ``put`` of the value it returned, in one
+        step: the head moves to the tail, and the counters, depth sum and
+        watermark read as the two operations leave them. The caller
+        makes sure both would succeed (``0 < len <= capacity``)."""
+        n = len(self.items)
+        self.items.rotate(-1)
+        self.gets += 1
+        self.puts += 1
+        self.depth_sum += 2 * n - 1
+        if n > self.max_depth:
+            self.max_depth = n
+
     def __len__(self) -> int:
         return len(self.items)
 

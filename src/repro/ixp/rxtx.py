@@ -94,6 +94,17 @@ class RxEngine:
             self._rx_ring = chip.rings["ring.rx"]
         buf_free = self._buf_free
         rx_ring = self._rx_ring
+        if len(rx_ring.items) >= rx_ring.capacity and all(
+                0 < len(ring.items) <= ring.capacity
+                for ring in (meta_free, buf_free)):
+            # The handle and buffer would go straight back: each free
+            # ring moves as its get and put would move it.
+            meta_free.cycle()
+            buf_free.cycle()
+            self.dropped_ring_full += 1
+            if tracer is not None:
+                tracer.rx_drop(chip.now, "ring_full")
+            return
         got = alloc_packet(meta_free, buf_free)
         if got is not None and len(rx_ring.items) < rx_ring.capacity:
             meta, buf = got

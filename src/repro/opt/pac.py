@@ -10,45 +10,69 @@ by one rule, the paper's (``_form_groups``):
   or the table record ``(g, leaf, shift)``;
 * the accessed ranges fall within one maximum-width window;
 * dominance: a load is only absorbed into one that dominates it;
-* no data dependence is violated: within a block, nothing between the two
-  kills the follower (a head movement, release or overlapping store; for
-  a table, a store, call, lock or new index); across blocks, both sit in
-  one epoch, and the wide load is a safe speculative widening.
+* no data dependence is violated: both sit in one epoch, no packet store
+  between the two overlaps the follower, and across blocks the wide load
+  is a safe speculative widening.
 
-Epochs are counted from *anchor* blocks -- the function entry and every
-join whose predecessors disagree, loop headers of head-moving loops in
-particular -- so the loads of one loop iteration combine like
-straight-line code. Stores are combined within a basic block, which is
-where back-to-back header rewrites occur in practice: no intervening load
-may read already-buffered bytes, and the merged store sits at the last
-member.
+An epoch is ``(anchor, bumps, offset)``. Anchors are the function entry
+and every join whose predecessors disagree -- loop headers of head-moving
+loops in particular -- so the loads of one loop iteration combine like
+straight-line code. A bump is what no offset describes: a release, a tail
+movement, a head movement of unknown size, and, before PHR, an encap or
+decap (``run``); for a table, a store, call, lock or new index. A head
+movement of constant size only adds to the offset, so accesses either
+side of it compare in the anchor's coordinates. A packet store is not a
+bump: it refuses only a follower whose bits it overlaps, on some path
+between the two.
+
+Stores combine the same way: each store takes the later stores of its
+class in its own block, then those it can sink to -- in a block that runs
+once each time its own does, and only then -- in one epoch, with nothing
+between that hands the packet on, redefines a stored value or reads
+buffered bytes from memory; the merged, byte-masked store sits at the
+last member.
+
+Before combining, PAC threads jumps (``_thread_known_paths``): a block
+whose known constants decide the branches ahead copies that path into
+itself -- the tests alone, or, when it wrote a packet's header, through
+to where the packet escapes. So sequential ``if (op == ..)`` arms and a
+finished loop trip do not rejoin at joins the head-moving arms would
+make anchors, and a header rewrite and the escape's rewrite of the same
+header end up in one block, as one masked store.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
-from repro.ir.cfg import compute_cfg, reverse_postorder
+from repro.ir.cfg import reverse_postorder, solve_forward
 from repro.ir.dominators import DomTree, dominator_tree
+from repro.ir.eval import EvalError, bits_of, eval_binop, eval_cmp
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Operand, Temp
 from repro.obs import ledger as obs_ledger
-from repro.opt.aliases import AliasClasses, mutates_class
+from repro.opt.aliases import AliasClasses, mutates_class, packet_handles
 
 # One DRAM instruction moves at most 64 B; the combining window is kept
 # slightly narrower so a misaligned window (the head need not be 8 B
 # aligned) still fits one instruction in the common case.
 MAX_COMBINE_BYTES = 56
 
-# Test-only fault injection (tests/test_analyze_mutations.py), each a
-# deliberately broken combine the differential oracle must catch:
-# "extract_skew" -- absorbed field extractions read 8 bits past their
-# true offset; "anchor_ignores_bump" -- epochs stop counting bumps (head
-# movements and stores; for application loads, stores and redefinitions
-# of the index), so loads combine across them. Never set outside tests.
+# Test-only fault injection (tests/test_analyze_mutations.py,
+# tests/test_opt_packet.py), each a deliberately broken combine the
+# differential oracle must catch: "extract_skew" -- absorbed field
+# extractions read 8 bits past their true offset; "anchor_ignores_bump"
+# -- epochs stop counting bumps and head movements, and packet stores stop
+# refusing the loads they overlap (for application loads, stores and
+# redefinitions of the index stop bumping), so loads combine across them;
+# "offset_dropped" -- a follower is extracted at its own offset, as if
+# the head had not moved since the leader; "sink_unforwarded" -- a store
+# waits past a load that reads its bytes from memory. Never set outside
+# tests.
 _TEST_MUTATION = None
 
 
@@ -72,15 +96,176 @@ class PacResult:
 MAX_GLOBAL_COMBINE_BYTES = 32
 
 
-def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
+def run(mod: IRModule, narrow: Set[str] = frozenset(),
+        renames_bump: bool = True) -> PacResult:
     """Combine packet accesses and application-table loads in every
     function; the loads of a global in ``narrow`` (the ones SWC selected,
-    whose every read it rewrites) are left as they are."""
+    whose every read it rewrites) are left as they are. Before PHR an
+    encap or decap ends an epoch (``renames_bump``): PHR elides those of
+    the fast path and re-bases their accesses onto one head, and reading
+    through them first would change what it sees. The run after PHR
+    reads through the ones it left."""
     result = PacResult()
     for fn in mod.functions.values():
-        compute_cfg(fn)
-        _combine_function(fn, mod, narrow, result)
+        _thread_known_paths(fn)
+        _combine_function(fn, mod, narrow, result, renames_bump)
     return result
+
+
+# The most instructions one block takes on when its known path is copied
+# into it (the loop-exit tests and a header rewrite, in MPLS).
+MAX_THREAD_INSTRS = 48
+
+
+def _thread_known_paths(fn: IRFunction) -> None:
+    """Jump threading. A block ending in a jump follows the path its
+    known constants decide -- those every path to its end agrees on, and
+    ``x == k`` on the then edge of a branch on that test -- and copies
+    it into itself: blocks of plain arithmetic, or, when the block stores
+    to a packet, on through the block that releases that packet. It then
+    jumps where the copy leaves off: never to a block on a cycle it was
+    not already jumping to, which could give a loop a second entry.
+    Rounds repeat while they thread something, since a threaded jump can
+    leave a join whose constants now agree."""
+    for _ in range(8):
+        known = solve_forward(fn, {}, _known_after, _agreeing)
+        cyclic = _cycle_blocks(fn)
+        changed = False
+        for bb in reverse_postorder(fn):
+            if bb in known and isinstance(bb.terminator, I.Jump):
+                changed |= _thread(bb, _known_after(bb, known[bb]), cyclic)
+        if not changed:
+            return
+
+
+def _thread(bb: BasicBlock, env: Dict[Temp, int], cyclic) -> bool:
+    """Thread ``bb``'s jump, ``env`` being what ``bb`` knows at its end;
+    whether it moved."""
+    start = target = bb.terminator.target
+    copies: List[I.Instr] = []
+    best = None  # (target, number of copies) of the last place to stop
+    seen = {bb}
+    stored = {i.ph for i in bb.instrs if isinstance(i, I.PktAccess) and i.stores}
+    pure = True
+    while target not in seen and isinstance(target.terminator, (I.Jump, I.Branch)):
+        seen.add(target)
+        env = _known_after(target, env, edge=False)
+        term = target.terminator
+        if isinstance(term, I.Branch):
+            cond = _value(term.cond, env)
+            if cond is None:
+                break
+            nxt = term.then_bb if cond else term.else_bb
+        else:
+            nxt = term.target
+        if len(copies) + len(target.instrs) > MAX_THREAD_INSTRS:
+            break
+        copies.extend(_clone(i) for i in target.instrs)
+        pure = pure and all(isinstance(i, (I.Assign, I.BinOp, I.Cmp))
+                            for i in target.instrs)
+        escapes = any(i.releases and any(
+            ph is h or _renamed_from(ph, h, copies)
+            for ph in packet_handles(i) for h in stored) for i in target.instrs)
+        target = nxt
+        if (pure or escapes) and (target not in cyclic or target is start):
+            best = (target, len(copies))
+        if not pure and not escapes:
+            break
+    if best is None or best[0] is start:
+        return False
+    target, n = best
+    bb.instrs.extend(copies[:n])
+    bb.terminator.target = target
+    return True
+
+
+def _renamed_from(ph, handle, instrs) -> bool:
+    """``ph`` is ``handle`` renamed (encap/decap) by ``instrs``."""
+    for instr in reversed(instrs):
+        if instr.renames and instr.dst is ph:
+            ph = instr.src
+    return ph is handle
+
+
+def _clone(instr: I.Instr) -> I.Instr:
+    new = copy.copy(instr)
+    for attr, value in vars(new).items():
+        if isinstance(value, list):
+            setattr(new, attr, list(value))
+    return new
+
+
+def _value(op: Operand, env: Dict[Temp, int]) -> Optional[int]:
+    return op.value if isinstance(op, Const) else env.get(op)
+
+
+def _known_after(bb: BasicBlock, env: Dict[Temp, int], edge: bool = True):
+    """The constants known at ``bb``'s end, from ``env`` at its entry
+    and, when ``edge``, what the branch into it decided."""
+    env = dict(env)
+    if edge:
+        env.update(_edge_facts(bb))
+    for instr in bb.instrs:
+        value = None
+        if isinstance(instr, I.Assign):
+            value = _value(instr.src, env)
+        elif isinstance(instr, (I.BinOp, I.Cmp)):
+            a, b = _value(instr.a, env), _value(instr.b, env)
+            if a is not None and b is not None:
+                try:
+                    if isinstance(instr, I.Cmp):
+                        bits = max(bits_of(instr.a.type), bits_of(instr.b.type))
+                        value = eval_cmp(instr.op, a, b, bits)
+                    else:
+                        value = eval_binop(instr.op, a, b, bits_of(instr.dst.type))
+                except EvalError:
+                    pass  # left for run time
+        for d in instr.defs():
+            env.pop(d, None)
+        if value is not None:
+            env[instr.dst] = value
+    return env
+
+
+def _edge_facts(bb: BasicBlock) -> Dict[Temp, int]:
+    """What entering ``bb`` from its only predecessor's branch decides:
+    the condition, and ``x`` on the then edge of ``x == k``."""
+    if len(bb.preds) != 1:
+        return {}
+    pred = bb.preds[0]
+    term = pred.terminator
+    if (not isinstance(term, I.Branch) or term.then_bb is term.else_bb
+            or not isinstance(term.cond, Temp)):
+        return {}
+    taken = term.then_bb is bb
+    facts = {term.cond: int(taken)}
+    defs = [n for n, i in enumerate(pred.instrs) if term.cond in i.defs()]
+    test = pred.instrs[defs[-1]] if defs else None
+    if (taken and isinstance(test, I.Cmp) and test.op == "eq"
+            and isinstance(test.a, Temp) and isinstance(test.b, Const)
+            and not any(test.a in i.defs() for i in pred.instrs[defs[-1]:])):
+        facts[test.a] = test.b.value
+    return facts
+
+
+def _agreeing(a: Dict[Temp, int], b: Dict[Temp, int]) -> Dict[Temp, int]:
+    return {t: v for t, v in a.items() if b.get(t) == v}
+
+
+def _cycle_blocks(fn: IRFunction) -> Set[BasicBlock]:
+    """Blocks on some cycle of the CFG."""
+    order = reverse_postorder(fn)
+    reach: Dict[BasicBlock, Set[BasicBlock]] = {}
+    for bb in order:
+        seen: Set[BasicBlock] = set()
+        work = list(bb.succs)
+        while work:
+            succ = work.pop()
+            if succ not in seen:
+                seen.add(succ)
+                work.extend(succ.succs)
+        reach[bb] = seen
+    return {bb for bb in order if bb in reach[bb]}
 
 
 # -- per-function driver ---------------------------------------------------------
@@ -90,18 +275,22 @@ def run(mod: IRModule, narrow: Set[str] = frozenset()) -> PacResult:
 class _Access:
     """One packet load, packet store or table load. Two loads may combine
     only under one ``key``: the alias class of a packet access, ``(g, leaf,
-    shift)`` of a table load. ``lo``/``hi`` are the bits accessed, from the
-    head or from ``leaf << shift``; ``epoch`` is ``(anchor block, bumps
-    since)``; ``fresh`` says every temp of the offset was computed in that
-    epoch (``j = i + 1; i = i + 8; tbl[j]`` is stale: its key says "i", its
-    address is the old i's). A packet offset is a constant, so always."""
+    shift)`` of a table load. ``lo``/``hi`` are the bits accessed in the
+    coordinates of the epoch's anchor: from the head as it stood there
+    (the access's own offset plus ``8 * offset``), or from ``leaf <<
+    shift``; ``epoch`` is ``(anchor block, bumps since, offset)``, the
+    offset being the bytes the head moved toward the payload since the
+    anchor; ``fresh`` says every temp of the offset was computed in that
+    epoch (``j = i + 1; i = i + 8; tbl[j]`` is stale: its key says "i",
+    its address is the old i's). A packet offset is a constant, so
+    always."""
     bb: BasicBlock
     index: int
     instr: I.Instr
     key: object
     lo: int
     hi: int
-    epoch: Tuple[BasicBlock, int]
+    epoch: Tuple[BasicBlock, int, int]
     fresh: bool = True
 
     @property
@@ -109,21 +298,29 @@ class _Access:
         """A word access from an earlier pass."""
         return isinstance(self.instr, I.PktWords)
 
-    def covered_bits(self):
+    @property
+    def shift(self) -> int:
+        """Bits from the access's own head to its anchor's."""
+        return 8 * self.epoch[2]
+
+    def covered_bits(self) -> Set[int]:
         """Bits actually accessed (wide stores may be byte-masked)."""
         if self.wide and self.instr.stores:
             bits = set()
             for i, mask in enumerate(self.instr.byte_masks):
                 for b in range(4):
                     if mask & (1 << (3 - b)):
-                        byte = self.instr.byte_off + i * 4 + b
-                        bits.update(range(byte * 8, byte * 8 + 8))
+                        bit = self.lo + (i * 4 + b) * 8
+                        bits.update(range(bit, bit + 8))
             return bits
         return set(range(self.lo, self.hi))
 
+    def overlaps(self, lo: int, hi: int) -> bool:
+        return any(lo <= b < hi for b in self.covered_bits())
+
 
 def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
-                      result: PacResult) -> None:
+                      result: PacResult, renames_bump: bool) -> None:
     order = reverse_postorder(fn)  # execution order: a dominator comes first
     dom = dominator_tree(fn)
     aliases = AliasClasses(fn)
@@ -133,24 +330,22 @@ def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
     # aliases of one packet; skip combining there (cold code anyway).
     param_classes = {aliases.class_of(p) for p in fn.params if p.type.is_packet}
     packet_epochs = {} if len(param_classes) > 1 else {
-        cls: _class_epochs(fn, _packet_bumps(aliases, cls))
+        cls: _class_epochs(fn, _packet_steps(aliases, cls, renames_bump))
         for cls in aliases.classes()}
     single_defs = single_defs_of(fn)
 
     loads: Dict[Temp, List[_Access]] = {}
-    stores: Dict[BasicBlock, Dict[Temp, List[_Access]]] = {}
+    stores: Dict[Temp, List[_Access]] = {}
     tables: Dict[tuple, list] = {}
     for bb in order:
         for idx, instr in enumerate(bb.instrs):
             if isinstance(instr, I.PktAccess) and isinstance(instr.ph, Temp):
                 cls = aliases.class_of(instr.ph)
                 if cls in packet_epochs:
-                    acc = _Access(bb, idx, instr, cls, instr.bit_off, instr.bit_end,
-                                  _epoch_at(bb, idx, packet_epochs[cls]))
-                    if instr.stores:
-                        stores.setdefault(bb, {}).setdefault(cls, []).append(acc)
-                    else:
-                        loads.setdefault(cls, []).append(acc)
+                    epoch = _epoch_at(bb, idx, packet_epochs[cls])
+                    acc = _Access(bb, idx, instr, cls, instr.bit_off + 8 * epoch[2],
+                                  instr.bit_end + 8 * epoch[2], epoch)
+                    (stores if instr.stores else loads).setdefault(cls, []).append(acc)
             elif (isinstance(instr, I.LoadG) and instr.width == 4
                     and instr.g not in narrow):
                 key, delta, chain = normalize_offset(instr.offset, single_defs)
@@ -162,13 +357,21 @@ def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
     # Rewrites number their temps in turn: packet loads by leader, then
     # packet stores, then table records.
     groups = [group for cls, accs in loads.items()
-              for group in _form_groups(accs, dom, MAX_COMBINE_BYTES,
-                                        _packet_kills(aliases, cls), fn.name)]
+              for group in _form_groups(accs, dom, MAX_COMBINE_BYTES, fn.name,
+                                        clobbered=_clobbered(stores.get(cls, [])))]
     rank = {bb: n for n, bb in enumerate(order)}
     groups.sort(key=lambda group: (rank[group[0][0].bb], group[0][0].index))
+    # What still reads packet memory once loads combine: each wide load
+    # over its whole span, and every load left alone.
+    absorbed = {id(acc) for members, _, _ in groups for acc in members[1:]}
+    reads = {(members[0].bb, members[0].index): (lo, hi)
+             for members, lo, hi in groups}
+    reads.update({(acc.bb, acc.index): (acc.lo, acc.hi)
+                  for accs in loads.values() for acc in accs
+                  if id(acc) not in absorbed and (acc.bb, acc.index) not in reads})
     for members, lo, hi in groups:
         _rewrite_load_group(fn, members, lo, hi, replacements, result)
-    _combine_stores(fn, stores, aliases, replacements, result)
+    _combine_stores(fn, stores, reads, aliases, dom, replacements, result)
     _combine_table_loads(fn, mod, tables, dom, replacements, result)
     _apply(replacements)
 
@@ -184,54 +387,65 @@ def _apply(replacements: Dict[BasicBlock, Dict[int, List[I.Instr]]]) -> None:
         bb.instrs = new_instrs
 
 
-# -- epochs: how many head-moving/packet-mutating events precede a point -----------
+# -- epochs: where the head stands, and what may have changed, at a point ---------
 
 
 class _Epochs(NamedTuple):
-    entry: Dict[BasicBlock, Tuple[BasicBlock, int]]  # reachable blocks only
-    bumps: Callable[[I.Instr], bool]
+    entry: Dict[BasicBlock, Tuple[BasicBlock, int, int]]  # reachable blocks only
+    step: Callable[[I.Instr], Optional[int]]
 
 
-def _packet_bumps(aliases: AliasClasses, cls: Temp) -> Callable[[I.Instr], bool]:
-    """What ends an epoch of one alias class: a head movement, a release
-    or a field store."""
+def _packet_steps(aliases: AliasClasses, cls: Temp,
+                  renames_bump: bool) -> Callable[[I.Instr], Optional[int]]:
+    """How an instruction moves one alias class: by the bytes of a head
+    movement of constant size, or by something no offset states -- None,
+    a bump: a release, a tail movement, a head movement of unknown size,
+    and, when ``renames_bump``, an encap or decap."""
 
-    def bumps(instr: I.Instr) -> bool:
-        if mutates_class(instr, aliases, cls):
-            return True
-        return (isinstance(instr, I.PktAccess) and instr.stores
-                and isinstance(instr.ph, Temp) and aliases.same(instr.ph, cls))
+    def step(instr: I.Instr) -> Optional[int]:
+        if not mutates_class(instr, aliases, cls):
+            return 0
+        if instr.releases or instr.moves_tail or (instr.renames and renames_bump):
+            return None
+        return instr.head_delta()
 
-    return bumps
+    return step
 
 
-def _class_epochs(fn: IRFunction, bumps: Callable[[I.Instr], bool]) -> _Epochs:
-    """Block-entry epochs under one bump predicate, as ``(anchor block,
-    bumps since)``: on every path to the block, exactly that many bumps
-    follow the last visit of the anchor, which therefore dominates the
-    block. A bump is whatever may change what a load of the class reads
-    (``_packet_bumps`` for a packet, ``_global_bumps`` for an indexed
-    global), so equal epochs imply no interference. The function entry is
-    an anchor; a join whose predecessors disagree becomes one (it restarts
-    the count) instead of losing its epoch, which is what gives the body of
-    a head-moving or index-stepping loop epochs at all."""
+def _class_epochs(fn: IRFunction, step: Callable[[I.Instr], Optional[int]]) -> _Epochs:
+    """Block-entry epochs under one step function, as ``(anchor block,
+    bumps since, offset)``: on every path to the block, exactly that many
+    bumps and head movements summing to that offset follow the last visit
+    of the anchor, which therefore dominates the block. A bump is whatever
+    may change what a load of the class reads other than a store
+    (``_packet_steps`` for a packet, ``_global_steps`` for an indexed
+    global), so equal ``(anchor, bumps)`` imply one frame of coordinates.
+    The function entry is an anchor; a join whose predecessors disagree
+    becomes one (it restarts the count) instead of losing its epoch, which
+    is what gives the body of a head-moving or index-stepping loop epochs
+    at all."""
     if _TEST_MUTATION == "anchor_ignores_bump":
-        def bumps(instr: I.Instr) -> bool:
-            return False
+        def step(instr: I.Instr) -> Optional[int]:
+            return 0
 
     order = reverse_postorder(fn)
-    block_bumps = {bb: sum(1 for i in bb.all_instrs() if bumps(i)) for bb in order}
+    block_step = {}
+    for bb in order:
+        steps = [step(i) for i in bb.all_instrs()]
+        block_step[bb] = (sum(s is None for s in steps),
+                          sum(s for s in steps if s is not None))
 
-    def out(bb: BasicBlock) -> Tuple[BasicBlock, int]:
-        anchor, n = entry[bb]
-        return anchor, n + block_bumps[bb]
+    def out(bb: BasicBlock) -> Tuple[BasicBlock, int, int]:
+        anchor, n, offset = entry[bb]
+        bumps, delta = block_step[bb]
+        return anchor, n + bumps, offset + delta
 
     # One anchor at a time, each time propagating afresh: joining in place
     # would hand the blocks below a new anchor the stale epoch they saw
     # first and make every one of them disagree (and an anchor) as well.
     anchors = {fn.entry}
     while True:
-        entry = {bb: (bb, 0) for bb in anchors}
+        entry = {bb: (bb, 0, 0) for bb in anchors}
         for bb in order:  # a block's DFS parent comes first in RPO
             for succ in bb.succs:
                 entry.setdefault(succ, out(bb))
@@ -239,39 +453,73 @@ def _class_epochs(fn: IRFunction, bumps: Callable[[I.Instr], bool]) -> _Epochs:
             (bb for bb in order if bb not in anchors
              and any(out(p) != entry[bb] for p in bb.preds if p in entry)), None)
         if disagreeing is None:
-            return _Epochs(entry, bumps)
+            return _Epochs(entry, step)
         anchors.add(disagreeing)
 
 
-def _epoch_at(bb: BasicBlock, index: int, epochs: _Epochs) -> Tuple[BasicBlock, int]:
-    anchor, n = epochs.entry[bb]
-    return anchor, n + sum(1 for i in bb.instrs[:index] if epochs.bumps(i))
+def _epoch_at(bb: BasicBlock, index: int,
+              epochs: _Epochs) -> Tuple[BasicBlock, int, int]:
+    anchor, n, offset = epochs.entry[bb]
+    for instr in bb.instrs[:index]:
+        delta = epochs.step(instr)
+        if delta is None:
+            n += 1
+        else:
+            offset += delta
+    return anchor, n, offset
+
+
+def _between(a: _Access, x: _Access, b: _Access) -> bool:
+    """Some path from access ``a`` to access ``b`` that does not pass
+    ``a`` again passes ``x``."""
+    return _reaches(a, x, a) and _reaches(x, b, a)
+
+
+def _reaches(p: _Access, q: _Access, guard: _Access) -> bool:
+    """A path from just after ``p`` to ``q`` that avoids ``guard``."""
+    if p.bb is q.bb and p.index < q.index:
+        return not (guard.bb is p.bb and p.index < guard.index < q.index)
+    if guard.bb is p.bb and guard.index > p.index:
+        return False
+    seen: Set[BasicBlock] = set()
+    work = list(p.bb.succs)
+    while work:
+        bb = work.pop()
+        if bb in seen:
+            continue
+        seen.add(bb)
+        if bb is q.bb and not (guard.bb is bb and guard.index < q.index):
+            return True
+        if bb is not guard.bb:
+            work.extend(bb.succs)
+    return False
 
 
 # -- load combining: one rule for packet fields and table records ------------------
 
 
-def _form_groups(loads: List[_Access], dom: DomTree, window: int,
-                 kills: Callable[[I.Instr, _Access], bool], subject: str,
-                 bound: Optional[int] = None):
+def _form_groups(loads: List[_Access], dom: DomTree, window: int, subject: str,
+                 bound: Optional[int] = None, clobbered=None):
     """Yield ``(members, lo, hi)`` for each wide load over ``loads``, the
     loads of one key in execution order. Each load not yet taken leads a
     group and absorbs every later load that
 
-    * in its own block: no instruction from the leader (itself included)
-      up to the follower ``kills``;
-    * in another block: sits in a block the leader's strictly dominates,
-      in the leader's epoch;
-    * either way: both offsets are fresh, and the group's span fits
+    * sits in its own block, or in a block the leader's strictly
+      dominates;
+    * shares its epoch's anchor and bumps (the offsets may differ: both
+      are read in anchor coordinates);
+    * with it, has fresh offsets, and keeps the group's span within
       ``window`` bytes;
     * in another block, when a ``bound`` is given: the span lies within
       its first ``bound`` bits (a follower there may not execute, so the
-      bits it would read must exist).
+      bits it would read must exist);
+    * when ``clobbered`` is given, is not ``clobbered(leader, follower)``
+      by a store between the two.
 
-    A follower in another block turned down for its epoch, a stale chain
-    or the bound is a ``pac/not_combined`` decision; one turned down for
-    width is not, since the next leader may take it. Each refusal is
-    recorded before its leader's group is yielded, so a caller that
+    A follower in another block turned down for its epoch, a stale chain,
+    the bound or a store is a ``pac/not_combined`` decision; one turned
+    down for width is not, since the next leader may take it. Each refusal
+    is recorded before its leader's group is yielded, so a caller that
     rewrites each group as it comes keeps the ledger in scan order."""
     used = set()
     for i, leader in enumerate(loads):
@@ -283,21 +531,20 @@ def _form_groups(loads: List[_Access], dom: DomTree, window: int,
                 continue
             follower = loads[j]
             local = follower.bb is leader.bb
-            if local:
-                if any(kills(instr, follower)
-                       for instr in leader.bb.instrs[leader.index:follower.index]):
-                    continue
-            elif not dom.strictly_dominates(leader.bb, follower.bb):
+            if not local and not dom.strictly_dominates(leader.bb, follower.bb):
                 continue
             new_lo, new_hi = min(lo, follower.lo), max(hi, follower.hi)
-            if not local and follower.epoch != leader.epoch:
+            base = leader.shift  # words align to the leader's head
+            if follower.epoch[:2] != leader.epoch[:2]:
                 refused = "epoch"
             elif not (leader.fresh and follower.fresh):
                 refused = "stale chain"
-            elif _span_bytes(new_lo, new_hi) > window:
+            elif _span_bytes(new_lo - base, new_hi - base) > window:
                 continue  # the next leader's window may hold it
             elif not local and bound is not None and not 0 <= new_lo < new_hi <= bound:
                 refused = "window not provably in bounds"
+            elif clobbered is not None and clobbered(leader, follower):
+                refused = "store"
             else:
                 members.append(follower)
                 used.add(j)
@@ -312,14 +559,21 @@ def _form_groups(loads: List[_Access], dom: DomTree, window: int,
             yield members, lo, hi
 
 
-def _packet_kills(aliases: AliasClasses,
-                  cls: Temp) -> Callable[[I.Instr, _Access], bool]:
-    """What stops a packet load absorbing a later one of its block: a head
-    movement or release of the class, or a store overlapping the
-    follower's bits."""
-    return lambda instr, follower: mutates_class(instr, aliases, cls) or (
-        isinstance(instr, I.PktAccess) and instr.stores
-        and instr.bit_off < follower.hi and follower.lo < instr.bit_end)
+def _clobbered(stores: List[_Access]):
+    """Whether a store of one alias class, between a packet leader and
+    its follower, overlaps the follower's bits. Only a store of the
+    leader's epoch can lie between the two, and only there do the anchor
+    coordinates compare."""
+
+    def clobbered(leader: _Access, follower: _Access) -> bool:
+        if _TEST_MUTATION == "anchor_ignores_bump":
+            return False
+        return any(store.epoch[:2] == leader.epoch[:2]
+                   and store.overlaps(follower.lo, follower.hi)
+                   and _between(leader, store, follower)
+                   for store in stores)
+
+    return clobbered
 
 
 def _span_bytes(lo_bit: int, hi_bit: int) -> int:
@@ -328,14 +582,22 @@ def _span_bytes(lo_bit: int, hi_bit: int) -> int:
     return end - start
 
 
+def _lines(group: List[_Access]) -> str:
+    """The Baker lines of a group's members, for its ledger record."""
+    return ",".join(str(n) for n in sorted(
+        {acc.instr.loc.line for acc in group if acc.instr.loc is not None}))
+
+
 def _rewrite_load_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
                         replacements, result: PacResult) -> None:
     leader = group[0]
-    start_byte = (lo // 32) * 4
-    end_byte = ((hi + 31) // 32) * 4
-    nwords = (end_byte - start_byte) // 4
+    # Words align to the leader's head, where the wide load sits: placed
+    # in anchor coordinates, it is addressed from there.
+    span_lo = (lo - leader.shift) // 32 * 32 + leader.shift
+    nwords = (hi - span_lo + 31) // 32
     words = [fn.new_temp(T.U32, "pac_w%d" % k) for k in range(nwords)]
-    wide = I.PktLoadWords(words, leader.instr.ph, start_byte, nwords)
+    wide = I.PktLoadWords(words, leader.instr.ph, span_lo // 8, nwords)
+    wide.rebase(-leader.epoch[2])
     wide.copy_annotations_from(leader.instr)
     wide.c_offset_bits = leader.instr.c_offset_bits
     wide.c_alignment = leader.instr.c_alignment
@@ -344,21 +606,24 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
         seq: List[I.Instr] = []
         if acc is leader:
             seq.append(wide)
+        bit_off = acc.lo
+        if _TEST_MUTATION == "offset_dropped":
+            bit_off += leader.shift - acc.shift  # read as if at the leader's head
         if acc.wide:
             for i, dst in enumerate(acc.instr.dsts):
-                extract_into(fn, seq, words, start_byte * 8,
-                             acc.lo + 32 * i, 32, dst)
+                extract_into(fn, seq, words, span_lo, bit_off + 32 * i, 32, dst)
         else:
-            bit_off = acc.lo
             if (_TEST_MUTATION == "extract_skew"
-                    and bit_off + 8 + acc.instr.bit_width <= end_byte * 8):
+                    and bit_off + 8 + acc.instr.bit_width <= span_lo + 32 * nwords):
                 bit_off += 8
-            extract_into(fn, seq, words, start_byte * 8,
+            extract_into(fn, seq, words, span_lo,
                          bit_off, acc.instr.bit_width, acc.instr.dst)
         replacements.setdefault(acc.bb, {})[acc.index] = seq
+
     result.wide_loads += 1
     result.combined_loads += len(group)
-    evidence = dict(members=len(group), nwords=nwords, start_byte=start_byte)
+    evidence = dict(members=len(group), nwords=nwords, start_byte=wide.byte_off,
+                    lines=_lines(group))
     anchor = leader.epoch[0]
     if anchor is not fn.entry:
         result.anchored_loads += len(group)
@@ -435,51 +700,110 @@ def extract_into(fn: IRFunction, out: List[I.Instr], words: List[Temp],
 # -- store combining ----------------------------------------------------------------
 
 
-def _combine_stores(fn, stores: Dict[BasicBlock, Dict[Temp, List[_Access]]],
-                    aliases, replacements, result: PacResult) -> None:
-    """One run per (block, alias class), blocks in ``fn.blocks`` order and
-    a block's classes in order of their first store there."""
-    for accs in [run for bb in fn.blocks for run in stores.get(bb, {}).values()]:
-        bb = accs[0].bb
-        i = 0
-        while i < len(accs):
-            group = [accs[i]]
-            span = [accs[i].lo, accs[i].hi]
-            j = i + 1
-            while j < len(accs):
-                cand = accs[j]
-                if not _store_path_clear(bb, group, cand, aliases):
-                    break
-                new_lo = min(span[0], cand.lo)
-                new_hi = max(span[1], cand.hi)
-                if _span_bytes(new_lo, new_hi) > MAX_COMBINE_BYTES:
+def _combine_stores(fn, stores: Dict[Temp, List[_Access]], reads, aliases,
+                    dom: DomTree, replacements, result: PacResult) -> None:
+    """Each store not yet merged leads a group, blocks in ``fn.blocks``
+    order and a block's classes in order of their first store there. It
+    takes the later stores of its class in turn -- first those of its own
+    block, then those it sinks to -- while each keeps the path clear
+    (``_sink_clear``) and the group's span fits one access; the merged
+    store sits at the last member."""
+    by_block: Dict[BasicBlock, Dict[Temp, List[_Access]]] = {}
+    for cls, accs in stores.items():
+        for acc in accs:
+            by_block.setdefault(acc.bb, {}).setdefault(cls, []).append(acc)
+    used: Set[int] = set()
+    for run in [run for bb in fn.blocks for run in by_block.get(bb, {}).values()]:
+        for first in run:
+            if id(first) in used:
+                continue
+            later = [acc for acc in stores[first.key]
+                     if id(acc) not in used and acc is not first
+                     and (acc.index > first.index if acc.bb is first.bb
+                          else _sinks_to(dom, first, acc))]
+            later.sort(key=lambda acc: acc.bb is not first.bb)  # stable
+            group, lo, hi = [first], first.lo, first.hi
+            for cand in later:
+                new_lo, new_hi = min(lo, cand.lo), max(hi, cand.hi)
+                if (cand.epoch[:2] != first.epoch[:2]
+                        or _span_bytes(new_lo - first.shift,
+                                       new_hi - first.shift) > MAX_COMBINE_BYTES
+                        or not _sink_clear(group, cand, reads, aliases)):
                     break
                 group.append(cand)
-                span[0], span[1] = new_lo, new_hi
-                j += 1
+                lo, hi = new_lo, new_hi
             if len(group) >= 2 and _byte_coverage_ok(group):
-                _rewrite_store_group(fn, bb, group, span, replacements, result)
-                i = j
-            else:
-                i += 1
+                _rewrite_store_group(fn, group, lo, hi, replacements, result)
+                used.update(id(acc) for acc in group)
 
 
-def _store_path_clear(bb: BasicBlock, group: List[_Access], cand: _Access,
-                      aliases) -> bool:
-    """No head movement / release between the group's first store and the
-    candidate, and no load reading bytes buffered by earlier members
-    (their memory write is deferred to the merged store's position)."""
-    first = group[0].index
-    buffered = [(g.lo, g.hi) for g in group]
+def _sinks_to(dom: DomTree, first: _Access, later: _Access) -> bool:
+    """A store in another block may wait for ``later`` when the two are
+    control-equivalent: ``later``'s block runs once each time ``first``'s
+    has, and only then."""
+    return (dom.strictly_dominates(first.bb, later.bb)
+            and _region(first.bb, later.bb) is not None)
+
+
+def _region(src: BasicBlock, dst: BasicBlock) -> Optional[List[BasicBlock]]:
+    """The blocks strictly between ``src`` and ``dst`` on their paths,
+    or None when ``dst`` does not post-dominate ``src``, or either can
+    run again before the other does."""
+    seen: List[BasicBlock] = []
+    work = list(src.succs)
+    while work:
+        bb = work.pop()
+        if bb is dst or bb in seen:
+            continue
+        if bb is src or not bb.succs:
+            return None
+        seen.append(bb)
+        work.extend(bb.succs)
+    again: Set[BasicBlock] = set()
+    work = list(dst.succs)
+    while work:
+        bb = work.pop()
+        if bb is dst:
+            return None
+        if bb not in again and bb is not src:
+            again.add(bb)
+            work.extend(bb.succs)
+    return seen
+
+
+def _between_instrs(first: _Access, last: _Access) -> List[I.Instr]:
+    if first.bb is last.bb:
+        return first.bb.instrs[first.index + 1:last.index]
+    region = _region(first.bb, last.bb) or []
+    return (first.bb.instrs[first.index + 1:]
+            + [i for bb in region for i in bb.all_instrs()]
+            + last.bb.instrs[:last.index])
+
+
+def _sink_clear(group: List[_Access], cand: _Access, reads, aliases) -> bool:
+    """Whether the group's stores may wait for ``cand``: between each and
+    it, nothing hands the packet on (a copy would miss the bytes), nothing
+    redefines a value it stores, and nothing reads packet memory the group
+    has buffered. A load absorbed into a wide one reads that load's words,
+    not memory: no store it overlaps lies between the two."""
     cls = group[0].key
-    for instr in bb.instrs[first + 1 : cand.index]:
-        if mutates_class(instr, aliases, cls):
-            return False
-        if (isinstance(instr, I.PktAccess) and not instr.stores
-                and isinstance(instr.ph, Temp) and aliases.same(instr.ph, cls)):
-            for blo, bhi in buffered:
-                if instr.bit_off < bhi and blo < instr.bit_end:
-                    return False
+    buffered = set().union(*(acc.covered_bits() for acc in group))
+    for acc in group:
+        values = {v for v in acc.instr.uses()
+                  if isinstance(v, Temp) and v is not acc.instr.ph}
+        for instr in _between_instrs(acc, cand):
+            if instr.hands_on and any(aliases.same(ph, cls)
+                                      for ph in packet_handles(instr)):
+                return False
+            if values & set(instr.defs()):
+                return False
+    if _TEST_MUTATION == "sink_unforwarded":
+        return True
+    for (bb, index), (lo, hi) in reads.items():
+        if any(lo <= b < hi for b in buffered):
+            read = _Access(bb, index, bb.instrs[index], cls, lo, hi, cand.epoch)
+            if any(_between(acc, read, cand) for acc in group):
+                return False
     return True
 
 
@@ -497,9 +821,9 @@ def _byte_coverage_ok(group: List[_Access]) -> bool:
 
 def _store_segments(fn: IRFunction, seq: List[I.Instr], acc: _Access):
     """Decompose one store access into (bit_off, width, value, value_width)
-    segments. Field stores are one segment; wide stores contribute one
-    segment per maximal run of masked bytes in each word (the run is
-    pre-extracted into a temp)."""
+    segments in anchor coordinates. Field stores are one segment; wide
+    stores contribute one segment per maximal run of masked bytes in each
+    word (the run is pre-extracted into a temp)."""
     if not acc.wide:
         width = acc.instr.bit_width
         return [(acc.lo, width, acc.instr.value, width)]
@@ -529,17 +853,17 @@ def _store_segments(fn: IRFunction, seq: List[I.Instr], acc: _Access):
                 t = fn.new_temp(T.U32)
                 seq.append(I.BinOp("lshr", t, value, Const(shift)))
                 value = t
-            bit = (instr.byte_off + i * 4 + b0) * 8
+            bit = acc.lo + (i * 4 + b0) * 8
             segments.append((bit, width, value, width))
     return segments
 
 
-def _rewrite_store_group(fn: IRFunction, bb: BasicBlock, group: List[_Access],
-                         span, replacements, result: PacResult) -> None:
-    start_byte = (span[0] // 32) * 4
-    end_byte = ((span[1] + 31) // 32) * 4
-    nwords = (end_byte - start_byte) // 4
+def _rewrite_store_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
+                         replacements, result: PacResult) -> None:
     last = group[-1]
+    # Words align to the last member's head, where the merged store sits.
+    span_lo = (lo - last.shift) // 32 * 32 + last.shift
+    nwords = (hi - span_lo + 31) // 32
 
     seq: List[I.Instr] = []
     all_segments = []
@@ -550,7 +874,7 @@ def _rewrite_store_group(fn: IRFunction, bb: BasicBlock, group: List[_Access],
     masks: List[int] = []
     for wi in range(nwords):
         acc_parts: List[Operand] = []
-        word_lo = start_byte * 8 + wi * 32
+        word_lo = span_lo + wi * 32
         word_hi = word_lo + 32
         mask = 0
         for seg_off, seg_width, seg_value, _vw in all_segments:
@@ -576,22 +900,29 @@ def _rewrite_store_group(fn: IRFunction, bb: BasicBlock, group: List[_Access],
         values.append(word_val)
         masks.append(mask)
 
-    wide = I.PktStoreWords(last.instr.ph, start_byte, nwords, values, masks)
+    # Placed in anchor coordinates, then addressed from the last member's
+    # head.
+    wide = I.PktStoreWords(last.instr.ph, span_lo // 8, nwords, values, masks)
+    wide.rebase(-last.epoch[2])
     wide.copy_annotations_from(last.instr)
     wide.c_offset_bits = last.instr.c_offset_bits
     wide.c_alignment = last.instr.c_alignment
     seq.append(wide)
 
     for acc in group:
-        replacements.setdefault(bb, {})[acc.index] = [] if acc is not last else seq
+        replacements.setdefault(acc.bb, {})[acc.index] = [] if acc is not last else seq
     result.wide_stores += 1
     result.combined_stores += len(group)
+    evidence = dict(members=len(group), nwords=nwords, start_byte=wide.byte_off,
+                    lines=_lines(group))
+    sunk = sum(acc.bb is not last.bb for acc in group)
+    if sunk:
+        evidence["sunk"] = sunk
     obs_ledger.record(
         "pac", fn.name, "combined_stores",
         reason="%d packet stores merged into one %d-word masked store"
                % (len(group), nwords),
-        loc=obs_ledger.loc_str(last.instr.loc),
-        members=len(group), nwords=nwords, start_byte=start_byte)
+        loc=obs_ledger.loc_str(last.instr.loc), **evidence)
 
 
 def _segment_part(fn: IRFunction, seq: List[I.Instr], seg_off: int,
@@ -680,12 +1011,12 @@ def normalize_offset(op, single_defs, max_shift: int = 31):
     return (op, shift), delta, chain
 
 
-def _global_bumps(leaf: Optional[Temp]) -> Callable[[I.Instr], bool]:
-    """What ends an epoch of the loads indexed by ``leaf``: a store, call
-    or lock operation, or a new value of the index."""
-    return lambda instr: (
+def _global_steps(leaf: Optional[Temp]) -> Callable[[I.Instr], Optional[int]]:
+    """What ends an epoch of the loads indexed by ``leaf`` (a bump, None):
+    a store, call or lock operation, or a new value of the index."""
+    return lambda instr: None if (
         isinstance(instr, (I.StoreG, I.Call, I.LockAcquire, I.LockRelease))
-        or leaf in instr.defs())
+        or leaf in instr.defs()) else 0
 
 
 def _combine_table_loads(fn: IRFunction, mod: IRModule, tables: Dict[tuple, list],
@@ -695,7 +1026,7 @@ def _combine_table_loads(fn: IRFunction, mod: IRModule, tables: Dict[tuple, list
         if len(members) < 2:
             continue  # nothing to combine with: no epochs computed
         if leaf not in epochs_of:
-            epochs_of[leaf] = _class_epochs(fn, _global_bumps(leaf))
+            epochs_of[leaf] = _class_epochs(fn, _global_steps(leaf))
         epochs = epochs_of[leaf]
         loads = []
         for bb, idx, instr, delta, chain in members:
@@ -713,8 +1044,7 @@ def _combine_table_loads(fn: IRFunction, mod: IRModule, tables: Dict[tuple, list
         if size % record:
             record = 0  # no whole number of records: nothing is provable
         for group, lo, hi in _form_groups(
-                loads, dom, MAX_GLOBAL_COMBINE_BYTES,
-                lambda instr, _: epochs.bumps(instr), "%s/%s" % (fn.name, g),
+                loads, dom, MAX_GLOBAL_COMBINE_BYTES, "%s/%s" % (fn.name, g),
                 8 * record):
             _rewrite_global_group(fn, g, group, lo, hi, replacements, result)
 

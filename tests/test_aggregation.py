@@ -288,3 +288,31 @@ def test_compile_ir_all_levels_semantics():
         result = compile_baker(MINI_FORWARDER, options_for(level), trace, codegen=False)
         got = run_reference(result.mod, trace)
         assert got.tx_signature() == ref.tx_signature(), level
+
+
+def test_plan_costs_do_not_follow_the_hash_seed():
+    """An aggregate's cost sums its members' weights; two processes with
+    different string-hash seeds must plan bit-identical costs (a sum in
+    set order differs in the last bit: Firewall BASE under seeds 0 and
+    1)."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.apps import get_app\n"
+        "from repro.compiler import compile_baker\n"
+        "from repro.options import options_for\n"
+        "app = get_app('firewall')\n"
+        "r = compile_baker(app.source, options_for('BASE'),\n"
+        "                  app.make_trace(200, seed=5), codegen=False)\n"
+        "print([repr(a.cost) for a in r.plan.me_aggregates\n"
+        "       + r.plan.xscale_aggregates], repr(r.plan.throughput_pps))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]

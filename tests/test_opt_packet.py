@@ -335,6 +335,143 @@ def test_pac_records_a_dominated_load_left_narrow_behind_a_decap():
     assert refused.evidence == {"leader": line_of("ph->type")}
 
 
+def test_pac_store_refuses_only_the_cross_block_loads_it_overlaps():
+    # The ttl store lies between the label read and both followers: bos
+    # (another byte of the word) still combines, the ttl re-read does not.
+    src = _WALK_ONCE % (
+        "u32 label = mph->label; mph->ttl = 7;\n"
+        "if (label != 0) { u32 b = mph->bos; mph->meta.acc = b; }\n"
+        "if (label == 0x111) { u32 t = mph->ttl; mph->meta.acc = t; }\n")
+    lines = src.splitlines()
+    mod = lower(src)
+    with obs_ledger.collecting([]) as decisions:
+        result = pac.run(mod)
+    verify_module(mod)
+    assert (result.wide_loads, result.combined_loads) == (1, 2)
+    [refused] = [d for d in decisions if d.verdict == "not_combined"]
+    assert refused.reason == "store"
+    assert "mph->ttl; mph->meta" in lines[int(refused.loc.split(":")[1]) - 1]
+    trace = _walk_trace()
+    assert (run_reference(mod, trace).tx_signature()
+            == run_reference(lower(src), trace).tx_signature())
+
+
+def _synced_src_read(mutation=None):
+    """The ether type at entry; behind a +6 head sync in a dominated block,
+    the source MAC copied over the destination, both addressed from the
+    moved head (the same bytes as before), and the sync undone before the
+    put. Returns the PAC result and whether the module still behaves as
+    it did before PAC."""
+    src = _pac_src(
+        "u32 t = ph->type; "
+        "if (t == 0x0800) { u64 s = ph->src; ph->dst = s; } "
+        "channel_put(tx, ph);")
+    mod = lower(src)
+    fn = mod.functions["m.p"]
+    then_bb = next(bb for bb in fn.blocks
+                   if any(isinstance(i, I.PktLoadField) and i.field == "src"
+                          for i in bb.instrs))
+    accesses = [i for i in then_bb.instrs if isinstance(i, I.PktAccess)]
+    for access in accesses:
+        access.rebase(-6)
+    ph = accesses[0].ph
+    then_bb.instrs = ([I.PktSyncHead(ph, 6)] + then_bb.instrs
+                      + [I.PktSyncHead(ph, -6)])
+    trace = ipv4_trace(8, [0xC0A80101], MACS)
+    before = run_reference(mod, trace).tx_signature()
+    result = _run_pac(mod, mutation)
+    verify_module(mod)
+    return result, run_reference(mod, trace).tx_signature() == before
+
+
+def test_pac_combines_across_a_constant_head_sync():
+    result, same = _synced_src_read()
+    assert same and (result.wide_loads, result.combined_loads) == (1, 2)
+    # A follower extracted at its own offset reads the destination MAC.
+    broken, broken_same = _synced_src_read("offset_dropped")
+    assert broken.combined_loads == 2 and not broken_same
+
+
+def test_pac_sinks_a_store_to_a_later_one_past_a_diamond():
+    # The ttl store and the join's label-word stores run once per packet,
+    # with an if between them: one masked store at the last. A read of
+    # the ttl in between keeps the ttl store where it is; the mutant that
+    # sinks it anyway reads the old ttl into the tc field.
+    def merged(body, mutation=None):
+        src = _WALK_ONCE % body
+        mod = lower(src)
+        with obs_ledger.collecting([]) as decisions:
+            _run_pac(mod, mutation)
+        verify_module(mod)
+        trace = _walk_trace()
+        same = (run_reference(mod, trace).tx_signature()
+                == run_reference(lower(src), trace).tx_signature())
+        [record] = [d for d in decisions if d.verdict == "combined_stores"]
+        return record.evidence, same
+
+    evidence, same = merged(
+        "mph->ttl = 9;\n"
+        "if (mph->meta.acc == 3) { mph->meta.acc = 4; }\n"
+        "mph->label = 0x222; mph->tc = 1; mph->bos = 1;\n")
+    assert same
+    assert (evidence["members"], evidence["sunk"]) == (4, 1)
+    read_between = ("mph->ttl = 9; u32 t = mph->ttl;\n"
+                    "if (mph->meta.acc == 3) { mph->meta.acc = 4; }\n"
+                    "mph->label = 0x222; mph->tc = t; mph->bos = 1;\n")
+    evidence, same = merged(read_between)
+    assert same
+    assert evidence["members"] == 3 and "sunk" not in evidence
+    evidence, same = merged(read_between, mutation="sink_unforwarded")
+    assert (evidence["members"], evidence["sunk"]) == (4, 1)
+    assert not same
+
+
+def test_mpls_reads_and_writes_the_header_of_a_first_trip_once():
+    """MPLS's peeled first trip. Threaded, the swap and push arms no
+    longer rejoin the pop's bottom-of-stack test, so that read joins the
+    header read; and a finished trip's path to the put is copied into
+    its arm, so the label rewrite and the Ethernet rewrite are one
+    masked store. The only other packet read is the loop body's label
+    word."""
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    app = get_app("mpls")
+    result = compile_baker(app.source, options_for("SWC"),
+                           app.make_trace(200, seed=5), codegen=False)
+    fn = result.mod.functions["mpls_fwd.clsfr"]
+    assert count_ops(fn, I.PktLoadField) == 0
+    assert count_ops(fn, I.PktLoadWords) == 2
+    lines = app.source.splitlines()
+
+    def line_of(text):
+        return str(next(n for n, line in enumerate(lines, 1) if text in line))
+
+    def groups(verdict):
+        return [d.evidence["lines"].split(",") for d in result.decisions
+                if d.subject == "mpls_fwd.clsfr" and d.verdict == verdict
+                and "anchor" not in d.evidence]
+
+    assert any(line_of("if (mph->bos == 1)") in g for g in groups("combined_loads"))
+    swap, eth = line_of("mph->ttl = ttl - 1;"), line_of("eph->type =")
+    assert any(swap in g and eth in g for g in groups("combined_stores"))
+
+
+_WALK_ONCE = r"""
+protocol ether { dst : 48; src : 48; type : 16; demux { 14 }; }
+protocol mpls { label : 20; tc : 3; bos : 1; ttl : 8; demux { 4 }; }
+metadata { u32 acc; }
+module m {
+  ppf p(ether_pkt *ph) from rx {
+    mpls_pkt *mph = packet_decap(ph);
+    %s
+    channel_put(tx, mph);
+  }
+}
+"""
+
+
 # Anchored epochs: a loop that moves the head gives its header an epoch of
 # its own, so one iteration's loads combine -- and nothing else does.
 

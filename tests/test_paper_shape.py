@@ -147,6 +147,12 @@ def test_mpls_swc_is_flat_from_two_mes():
     assert max(plateau) <= 1.04 * min(plateau), plateau
 
 
+def test_mpls_moves_its_header_about_once():
+    """A first trip reads the header once and writes it once; a pop
+    re-reads the next label in the loop."""
+    assert committed("mpls")["mem_accesses"]["SWC"]["pkt_dram"] <= 2.5
+
+
 def test_l3switch_reaches_the_papers_two_dram_accesses():
     assert committed("l3switch")["mem_accesses"]["SWC"]["pkt_dram"] <= 3.0
 
