@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, TypeVar
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.ir.instructions import Branch, Jump
 from repro.ir.module import BasicBlock, IRFunction
@@ -44,6 +44,32 @@ def reverse_postorder(fn: IRFunction) -> List[BasicBlock]:
 
     visit(fn.entry)
     return list(reversed(post))
+
+
+def natural_loops(fn: IRFunction) -> List[Tuple[BasicBlock, List[BasicBlock]]]:
+    """``(header, body)`` of every natural loop, the body in reverse
+    postorder from the header; the largest first. Every CFG here is
+    reducible -- Baker has no ``goto``, and jump threading never gives a
+    loop a second entry -- so every cycle lies in some loop's body and
+    the bodies' union is the set of blocks on a cycle."""
+    from repro.ir.dominators import dominator_tree  # it builds on this module
+
+    dom = dominator_tree(fn)
+    order = {bb: k for k, bb in enumerate(reverse_postorder(fn))}
+    bodies: Dict[BasicBlock, Set[BasicBlock]] = {}
+    for bb in order:
+        for succ in bb.succs:
+            if dom.dominates(succ, bb):  # a back edge bb -> succ
+                body = bodies.setdefault(succ, {succ})
+                stack = [bb]
+                while stack:
+                    node = stack.pop()
+                    if node not in body:
+                        body.add(node)
+                        stack.extend(p for p in node.preds if p in order)
+    loops = [(h, sorted(b, key=order.__getitem__)) for h, b in bodies.items()]
+    loops.sort(key=lambda hb: (-len(hb[1]), order[hb[0]]))
+    return loops
 
 
 S = TypeVar("S")

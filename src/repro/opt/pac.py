@@ -25,12 +25,10 @@ side of it compare in the anchor's coordinates. A packet store is not a
 bump: it refuses only a follower whose bits it overlaps, on some path
 between the two.
 
-Stores combine the same way: each store takes the later stores of its
-class in its own block, then those it can sink to -- in a block that runs
-once each time its own does, and only then -- in one epoch, with nothing
-between that hands the packet on, redefines a stored value or reads
-buffered bytes from memory; the merged, byte-masked store sits at the
-last member.
+Stores combine within one block: each store takes the later stores of
+its class there, in one epoch, with nothing between that hands the packet
+on, redefines a stored value or reads buffered bytes from memory; the
+merged, byte-masked store sits at the last member.
 
 Before combining, PAC threads jumps (``_thread_known_paths``): a block
 whose known constants decide the branches ahead copies that path into
@@ -49,7 +47,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
-from repro.ir.cfg import reverse_postorder, solve_forward
+from repro.ir.cfg import natural_loops, reverse_postorder, solve_forward
 from repro.ir.dominators import DomTree, dominator_tree
 from repro.ir.eval import EvalError, bits_of, eval_binop, eval_cmp
 from repro.ir.module import BasicBlock, IRFunction, IRModule
@@ -129,7 +127,7 @@ def _thread_known_paths(fn: IRFunction) -> None:
     leave a join whose constants now agree."""
     for _ in range(8):
         known = solve_forward(fn, {}, _known_after, _agreeing)
-        cyclic = _cycle_blocks(fn)
+        cyclic = set().union(*(body for _, body in natural_loops(fn)))
         changed = False
         for bb in reverse_postorder(fn):
             if bb in known and isinstance(bb.terminator, I.Jump):
@@ -252,22 +250,6 @@ def _agreeing(a: Dict[Temp, int], b: Dict[Temp, int]) -> Dict[Temp, int]:
     return {t: v for t, v in a.items() if b.get(t) == v}
 
 
-def _cycle_blocks(fn: IRFunction) -> Set[BasicBlock]:
-    """Blocks on some cycle of the CFG."""
-    order = reverse_postorder(fn)
-    reach: Dict[BasicBlock, Set[BasicBlock]] = {}
-    for bb in order:
-        seen: Set[BasicBlock] = set()
-        work = list(bb.succs)
-        while work:
-            succ = work.pop()
-            if succ not in seen:
-                seen.add(succ)
-                work.extend(succ.succs)
-        reach[bb] = seen
-    return {bb for bb in order if bb in reach[bb]}
-
-
 # -- per-function driver ---------------------------------------------------------
 
 
@@ -371,7 +353,7 @@ def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
                   if id(acc) not in absorbed and (acc.bb, acc.index) not in reads})
     for members, lo, hi in groups:
         _rewrite_load_group(fn, members, lo, hi, replacements, result)
-    _combine_stores(fn, stores, reads, aliases, dom, replacements, result)
+    _combine_stores(fn, stores, reads, aliases, replacements, result)
     _combine_table_loads(fn, mod, tables, dom, replacements, result)
     _apply(replacements)
 
@@ -701,29 +683,25 @@ def extract_into(fn: IRFunction, out: List[I.Instr], words: List[Temp],
 
 
 def _combine_stores(fn, stores: Dict[Temp, List[_Access]], reads, aliases,
-                    dom: DomTree, replacements, result: PacResult) -> None:
+                    replacements, result: PacResult) -> None:
     """Each store not yet merged leads a group, blocks in ``fn.blocks``
     order and a block's classes in order of their first store there. It
-    takes the later stores of its class in turn -- first those of its own
-    block, then those it sinks to -- while each keeps the path clear
-    (``_sink_clear``) and the group's span fits one access; the merged
-    store sits at the last member."""
+    takes the later stores of its class in its block in turn, while each
+    keeps the path clear (``_sink_clear``) and the group's span fits one
+    access; the merged store sits at the last member. Stores merge within
+    one block only: jump threading is what brings a header's stores
+    together."""
     by_block: Dict[BasicBlock, Dict[Temp, List[_Access]]] = {}
     for cls, accs in stores.items():
         for acc in accs:
             by_block.setdefault(acc.bb, {}).setdefault(cls, []).append(acc)
     used: Set[int] = set()
     for run in [run for bb in fn.blocks for run in by_block.get(bb, {}).values()]:
-        for first in run:
+        for k, first in enumerate(run):
             if id(first) in used:
                 continue
-            later = [acc for acc in stores[first.key]
-                     if id(acc) not in used and acc is not first
-                     and (acc.index > first.index if acc.bb is first.bb
-                          else _sinks_to(dom, first, acc))]
-            later.sort(key=lambda acc: acc.bb is not first.bb)  # stable
             group, lo, hi = [first], first.lo, first.hi
-            for cand in later:
+            for cand in run[k + 1:]:
                 new_lo, new_hi = min(lo, cand.lo), max(hi, cand.hi)
                 if (cand.epoch[:2] != first.epoch[:2]
                         or _span_bytes(new_lo - first.shift,
@@ -737,61 +715,19 @@ def _combine_stores(fn, stores: Dict[Temp, List[_Access]], reads, aliases,
                 used.update(id(acc) for acc in group)
 
 
-def _sinks_to(dom: DomTree, first: _Access, later: _Access) -> bool:
-    """A store in another block may wait for ``later`` when the two are
-    control-equivalent: ``later``'s block runs once each time ``first``'s
-    has, and only then."""
-    return (dom.strictly_dominates(first.bb, later.bb)
-            and _region(first.bb, later.bb) is not None)
-
-
-def _region(src: BasicBlock, dst: BasicBlock) -> Optional[List[BasicBlock]]:
-    """The blocks strictly between ``src`` and ``dst`` on their paths,
-    or None when ``dst`` does not post-dominate ``src``, or either can
-    run again before the other does."""
-    seen: List[BasicBlock] = []
-    work = list(src.succs)
-    while work:
-        bb = work.pop()
-        if bb is dst or bb in seen:
-            continue
-        if bb is src or not bb.succs:
-            return None
-        seen.append(bb)
-        work.extend(bb.succs)
-    again: Set[BasicBlock] = set()
-    work = list(dst.succs)
-    while work:
-        bb = work.pop()
-        if bb is dst:
-            return None
-        if bb not in again and bb is not src:
-            again.add(bb)
-            work.extend(bb.succs)
-    return seen
-
-
-def _between_instrs(first: _Access, last: _Access) -> List[I.Instr]:
-    if first.bb is last.bb:
-        return first.bb.instrs[first.index + 1:last.index]
-    region = _region(first.bb, last.bb) or []
-    return (first.bb.instrs[first.index + 1:]
-            + [i for bb in region for i in bb.all_instrs()]
-            + last.bb.instrs[:last.index])
-
-
 def _sink_clear(group: List[_Access], cand: _Access, reads, aliases) -> bool:
-    """Whether the group's stores may wait for ``cand``: between each and
-    it, nothing hands the packet on (a copy would miss the bytes), nothing
-    redefines a value it stores, and nothing reads packet memory the group
-    has buffered. A load absorbed into a wide one reads that load's words,
-    not memory: no store it overlaps lies between the two."""
+    """Whether the group's stores may wait for ``cand``, later in their
+    block: between each and it, nothing hands the packet on (a copy would
+    miss the bytes), nothing redefines a value it stores, and nothing
+    reads packet memory the group has buffered. A load absorbed into a
+    wide one reads that load's words, not memory: no store it overlaps
+    lies between the two."""
     cls = group[0].key
-    buffered = set().union(*(acc.covered_bits() for acc in group))
+    bb = cand.bb
     for acc in group:
         values = {v for v in acc.instr.uses()
                   if isinstance(v, Temp) and v is not acc.instr.ph}
-        for instr in _between_instrs(acc, cand):
+        for instr in bb.instrs[acc.index + 1:cand.index]:
             if instr.hands_on and any(aliases.same(ph, cls)
                                       for ph in packet_handles(instr)):
                 return False
@@ -799,12 +735,10 @@ def _sink_clear(group: List[_Access], cand: _Access, reads, aliases) -> bool:
                 return False
     if _TEST_MUTATION == "sink_unforwarded":
         return True
-    for (bb, index), (lo, hi) in reads.items():
-        if any(lo <= b < hi for b in buffered):
-            read = _Access(bb, index, bb.instrs[index], cls, lo, hi, cand.epoch)
-            if any(_between(acc, read, cand) for acc in group):
-                return False
-    return True
+    buffered = set().union(*(acc.covered_bits() for acc in group))
+    return not any(read_bb is bb and group[0].index < index < cand.index
+                   and any(lo <= b < hi for b in buffered)
+                   for (read_bb, index), (lo, hi) in reads.items())
 
 
 def _byte_coverage_ok(group: List[_Access]) -> bool:
@@ -915,9 +849,6 @@ def _rewrite_store_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
     result.combined_stores += len(group)
     evidence = dict(members=len(group), nwords=nwords, start_byte=wide.byte_off,
                     lines=_lines(group))
-    sunk = sum(acc.bb is not last.bb for acc in group)
-    if sunk:
-        evidence["sunk"] = sunk
     obs_ledger.record(
         "pac", fn.name, "combined_stores",
         reason="%d packet stores merged into one %d-word masked store"

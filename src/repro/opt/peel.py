@@ -22,11 +22,10 @@ and delete it on its own. It runs after aggregation and the merge inlining
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.ir import instructions as I
-from repro.ir.cfg import compute_cfg, reverse_postorder
-from repro.ir.dominators import dominator_tree
+from repro.ir.cfg import compute_cfg, natural_loops
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Temp
 from repro.obs import ledger as obs_ledger
@@ -50,7 +49,7 @@ def run(mod: IRModule, profile: ProfileData, functions: Set[str]) -> None:
             continue
         # Outer loops first: peeling one leaves the blocks of the loops
         # inside it where they were, so their bodies stay valid.
-        for header, body in _loops(fn):
+        for header, body in natural_loops(fn):
             if not any(i.moves_head and not isinstance(i, I.Call)
                        for bb in body for i in bb.instrs):
                 continue
@@ -70,27 +69,6 @@ def run(mod: IRModule, profile: ProfileData, functions: Set[str]) -> None:
                 instrs_added=added,
                 profile_share=sum(profile.line_instrs.get(l, 0)
                                   for l in lines) / total)
-
-
-def _loops(fn: IRFunction) -> List[Tuple[BasicBlock, List[BasicBlock]]]:
-    """``(header, body)`` of every natural loop, the body in reverse
-    postorder from the header; the largest first."""
-    dom = dominator_tree(fn)
-    order = {bb: k for k, bb in enumerate(reverse_postorder(fn))}
-    bodies: Dict[BasicBlock, Set[BasicBlock]] = {}
-    for bb in order:
-        for succ in bb.succs:
-            if dom.dominates(succ, bb):  # a back edge bb -> succ
-                body = bodies.setdefault(succ, {succ})
-                stack = [bb]
-                while stack:
-                    node = stack.pop()
-                    if node not in body:
-                        body.add(node)
-                        stack.extend(p for p in node.preds if p in order)
-    loops = [(h, sorted(b, key=order.__getitem__)) for h, b in bodies.items()]
-    loops.sort(key=lambda hb: (-len(hb[1]), order[hb[0]]))
-    return loops
 
 
 def _peel(fn: IRFunction, header: BasicBlock, body: List[BasicBlock]) -> int:

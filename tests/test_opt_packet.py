@@ -392,13 +392,15 @@ def test_pac_combines_across_a_constant_head_sync():
     assert broken.combined_loads == 2 and not broken_same
 
 
-def test_pac_sinks_a_store_to_a_later_one_past_a_diamond():
-    # The ttl store and the join's label-word stores run once per packet,
-    # with an if between them: one masked store at the last. A read of
-    # the ttl in between keeps the ttl store where it is; the mutant that
-    # sinks it anyway reads the old ttl into the tc field.
-    def merged(body, mutation=None):
-        src = _WALK_ONCE % body
+def test_pac_store_never_waits_past_a_read_of_its_bytes():
+    # The ttl store, a read of the ttl, then the label word's stores, in
+    # one block: the read keeps the ttl store where it is, and the three
+    # after it merge into one masked store. The mutant that lets the ttl
+    # store wait anyway merges all four, and the tc field reads the old ttl.
+    src = _WALK_ONCE % ("mph->ttl = 9; u32 t = mph->ttl;\n"
+                        "mph->label = 0x222; mph->tc = t; mph->bos = 1;\n")
+
+    def merged(mutation=None):
         mod = lower(src)
         with obs_ledger.collecting([]) as decisions:
             _run_pac(mod, mutation)
@@ -407,23 +409,10 @@ def test_pac_sinks_a_store_to_a_later_one_past_a_diamond():
         same = (run_reference(mod, trace).tx_signature()
                 == run_reference(lower(src), trace).tx_signature())
         [record] = [d for d in decisions if d.verdict == "combined_stores"]
-        return record.evidence, same
+        return record.evidence["members"], same
 
-    evidence, same = merged(
-        "mph->ttl = 9;\n"
-        "if (mph->meta.acc == 3) { mph->meta.acc = 4; }\n"
-        "mph->label = 0x222; mph->tc = 1; mph->bos = 1;\n")
-    assert same
-    assert (evidence["members"], evidence["sunk"]) == (4, 1)
-    read_between = ("mph->ttl = 9; u32 t = mph->ttl;\n"
-                    "if (mph->meta.acc == 3) { mph->meta.acc = 4; }\n"
-                    "mph->label = 0x222; mph->tc = t; mph->bos = 1;\n")
-    evidence, same = merged(read_between)
-    assert same
-    assert evidence["members"] == 3 and "sunk" not in evidence
-    evidence, same = merged(read_between, mutation="sink_unforwarded")
-    assert (evidence["members"], evidence["sunk"]) == (4, 1)
-    assert not same
+    assert merged() == (3, True)
+    assert merged("sink_unforwarded") == (4, False)
 
 
 def test_mpls_reads_and_writes_the_header_of_a_first_trip_once():
