@@ -33,6 +33,7 @@ from repro.aggregation.throughput import (
     system_throughput,
 )
 from repro.cg.codesize import estimate_closure
+from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ir import instructions as I
 from repro.ir.module import IRModule
 from repro.obs import ledger as obs_ledger
@@ -75,7 +76,7 @@ def form_aggregates(
         candidates = hot(aggregates)
         # FORM_PAIRS / SORT_BY_HIGHEST_CHANNEL_COST.
         for cc_weight, a, b in _connected_pairs(mod, profile, aggregates):
-            if not _merge_improves(mod, profile, candidates, a, b, opts, target):
+            if not _merge_improves(mod, profile, candidates, a, b, target):
                 continue
             merged_members = a.members() | b.members()
             size = estimate_closure(mod, sorted(merged_members), opts)
@@ -120,7 +121,7 @@ def form_aggregates(
 
     # MAP_TO_MES with duplication.
     costs = [a.cost for a in me_aggs]
-    assignment = assign_mes(costs, opts.num_mes)
+    assignment = assign_mes(costs, PROGRAMMABLE_MES)
     for agg, count in zip(me_aggs, assignment):
         agg.me_count = count
         obs_ledger.record("aggregation", agg.name, "mapped_me",
@@ -129,7 +130,7 @@ def form_aggregates(
                           code_size=agg.code_size, ppfs=len(agg.ppfs))
 
     plan = AggregationPlan(me_aggregates=me_aggs, xscale_aggregates=xscale)
-    plan.throughput_pps = system_throughput(costs, opts.num_mes)
+    plan.throughput_pps = system_throughput(costs, PROGRAMMABLE_MES)
     plan.internal_channels = _internal_channels(mod, me_aggs + xscale)
     return plan
 
@@ -172,7 +173,7 @@ def _connected_pairs(mod: IRModule, profile: ProfileData,
 
 def _merge_improves(mod: IRModule, profile: ProfileData,
                     candidates: List[Aggregate], a: Aggregate, b: Aggregate,
-                    opts: CompilerOptions, target: float) -> bool:
+                    target: float) -> bool:
     """MERGE_IMPROVES_THROUGHPUT: system throughput with the pair merged
     (saving the connecting CC overhead) must not regress, or must reach
     the target. A hot aggregate never absorbs an infrequently-executed
@@ -184,10 +185,10 @@ def _merge_improves(mod: IRModule, profile: ProfileData,
     if a_hot != b_hot:
         return False
     merged_cost = aggregate_cost(mod, profile, a.members() | b.members(), CC_COST)
-    before = system_throughput([x.cost for x in candidates], opts.num_mes)
+    before = system_throughput([x.cost for x in candidates], PROGRAMMABLE_MES)
     after_costs = [x.cost for x in candidates if x is not a and x is not b]
     after_costs.append(merged_cost)
-    after = system_throughput(after_costs, opts.num_mes)
+    after = system_throughput(after_costs, PROGRAMMABLE_MES)
     return after >= min(before, target)
 
 

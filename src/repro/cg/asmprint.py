@@ -53,11 +53,3 @@ def format_insn(insn: isa.Insn) -> str:
             insn.slot, "+%r" % insn.index if insn.index is not None else "", insn.src)
     return "<%s>" % type(insn).__name__
 
-
-def format_function(fn: isa.LIRFunction) -> str:
-    lines = ["; function %s (frame=%d words)" % (fn.name, fn.frame_slots)]
-    for bb in fn.blocks:
-        lines.append("%s:" % bb.label)
-        for insn in bb.insns:
-            lines.append("    %s" % format_insn(insn))
-    return "\n".join(lines)

@@ -4,8 +4,12 @@ Aggregation must reject merges whose combined code would overflow an
 ME's 4096-instruction store *before* code generation runs, so this
 module predicts the ME instruction count of an IR function under a given
 option set. The packet-primitive costs mirror the paper's measurements
-(a generic packet data access costs ``38 + 5*words`` instructions;
-static-offset resolution removes "more than half" of that).
+(a generic packet data access costs ``38 + 5*words`` instructions).
+
+It prices IR as aggregation sees it: scalar-optimized and inlined, but
+before PAC, SOAR and PHR. So no access has a resolved offset, no head
+sync and no combined global read exists yet, and the estimate overstates
+the code that those passes go on to shrink.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ _SIMPLE_FACTOR = 1.4
 # Generic (unresolved-offset) packet data access: paper section 5.3.
 GENERIC_ACCESS_BASE = 38
 GENERIC_ACCESS_PER_WORD = 5
-STATIC_ACCESS_BASE = 12
 CALL_OVERHEAD = 6
 ENCAP_COST = 14  # metadata head/len read-modify-write
-SYNC_COST = 10
 META_ACCESS_COST = 6
 CHANNEL_PUT_COST = 12
 LOCK_COST = 10
@@ -36,18 +38,13 @@ DISPATCH_LOOP_COST = 30
 def estimate_instr(instr: I.Instr, opts: CompilerOptions) -> float:
     """Estimated ME instructions for one IR instruction."""
     if isinstance(instr, I.PktAccess):
-        words = (instr.bit_width + 31) // 32
-        static = opts.soar and instr.c_offset_bits is not None
-        base = STATIC_ACCESS_BASE if static else GENERIC_ACCESS_BASE
-        cost = base + GENERIC_ACCESS_PER_WORD * words
         if not opts.inline:
             # BASE/-O1 call an out-of-line access helper.
-            cost = CALL_OVERHEAD + 4
-        return cost
+            return CALL_OVERHEAD + 4
+        words = (instr.bit_width + 31) // 32
+        return GENERIC_ACCESS_BASE + GENERIC_ACCESS_PER_WORD * words
     if isinstance(instr, (I.PktEncap, I.PktDecap)):
         return ENCAP_COST
-    if isinstance(instr, I.PktSyncHead):
-        return SYNC_COST
     if isinstance(instr, (I.MetaLoad, I.MetaStore, I.PktLength)):
         return META_ACCESS_COST
     if isinstance(instr, (I.PktCopy, I.PktCreate, I.PktDrop, I.PktAdjust)):
@@ -58,7 +55,7 @@ def estimate_instr(instr: I.Instr, opts: CompilerOptions) -> float:
         return CALL_OVERHEAD + len(instr.args)
     if isinstance(instr, (I.LockAcquire, I.LockRelease)):
         return LOCK_COST
-    if isinstance(instr, (I.LoadG, I.LoadGWords, I.StoreG, I.LoadL, I.StoreL)):
+    if isinstance(instr, (I.LoadG, I.StoreG, I.LoadL, I.StoreL)):
         return 3
     return _SIMPLE_FACTOR
 

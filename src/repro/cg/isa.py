@@ -120,8 +120,6 @@ class Insn:
         out: List[Reg] = []
         for attr in self._writes:
             v = getattr(self, attr)
-            if v is None:
-                continue
             if isinstance(v, list):
                 out.extend(v)
             else:

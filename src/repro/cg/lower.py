@@ -43,9 +43,7 @@ def _is64_type(t: T.Type) -> bool:
 def _is64(v: Operand) -> bool:
     if isinstance(v, Temp):
         return _is64_type(v.type)
-    if isinstance(v, Const):
-        return _is64_type(v.type) or v.value > 0xFFFFFFFF
-    return False
+    return _is64_type(v.type) or v.value > 0xFFFFFFFF
 
 
 class LowerContext:
@@ -376,37 +374,22 @@ class FunctionLowerer(Emitter):
     def _lower_binop(self, instr: I.BinOp) -> None:
         wide = _is64(instr.dst)
         if not wide:
-            if instr.op == "lshr" and (_is64(instr.a)) and isinstance(instr.b, Const):
-                # 32-bit result of a 64-bit right shift: funnel the pair.
-                self._lower_narrowing_shift(instr)
-                return
             if instr.op in ("div_u", "div_s", "rem_u", "rem_s"):
                 raise CodegenError(
                     "the microengine has no divide instruction; "
                     "division reached code generation in %s" % self.ir_fn.name
                 )
+            if instr.op in ("lshr", "ashr") and _is64(instr.a):
+                # Conversions narrow with ``and``; no pass shifts a u64
+                # straight into a u32, and one word would be wrong here.
+                raise CodegenError(
+                    "a 32-bit %s of a 64-bit value reached code generation "
+                    "in %s" % (instr.op, self.ir_fn.name))
             a = self.reg32(instr.a)
             b = self.val32(instr.b)
             self.emit(Alu(instr.op, self.dst32(instr.dst), a, b))
             return
         self._lower_binop64(instr)
-
-    def _lower_narrowing_shift(self, instr: I.BinOp) -> None:
-        k = instr.b.value & 63
-        hi, lo = self.pair(instr.a)
-        dst = self.dst32(instr.dst)
-        if k == 0:
-            self.emit(Mov(dst, lo))
-        elif k == 32:
-            self.emit(Mov(dst, hi))
-        elif k < 32:
-            t1 = self.vreg()
-            self.emit(Alu("lshr", t1, lo, Imm(k)))
-            t2 = self.vreg()
-            self.emit(Alu("shl", t2, hi, Imm(32 - k)))
-            self.emit(Alu("or", dst, t1, t2))
-        else:
-            self.emit(Alu("lshr", dst, hi, Imm(k - 32)))
 
     def _lower_binop64(self, instr: I.BinOp) -> None:
         op = instr.op
@@ -576,19 +559,11 @@ class FunctionLowerer(Emitter):
             self.emit(StackWrite(at, reg, index) if store else StackRead(reg, at, index))
 
     def _lower_lm(self, instr, read: bool) -> None:
-        if isinstance(instr.index, Const):
-            base = None
-            offset = SWC_REGION_BASE + instr.index.value
-        else:
-            base = self.vreg("lmidx")
-            self.emit(Alu("add", base, self.reg32(instr.index),
-                          Imm(SWC_REGION_BASE) if SWC_REGION_BASE <= MAX_ALU_IMM
-                          else self.materialize(SWC_REGION_BASE)))
-            offset = 0
+        offset = SWC_REGION_BASE + instr.index.value  # SWC's words are constant
         if read:
-            self.emit(isa.LmRead(self.dst32(instr.dst), base, offset))
+            self.emit(isa.LmRead(self.dst32(instr.dst), None, offset))
         else:
-            self.emit(isa.LmWrite(base, offset, self.reg32(instr.value)))
+            self.emit(isa.LmWrite(None, offset, self.reg32(instr.value)))
 
     def _lower_load_resident(self, instr: I.LoadResident) -> None:
         """One indexed ``lm_read`` per word: the index in the base

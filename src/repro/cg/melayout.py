@@ -25,14 +25,15 @@ SRAM_STACK_BYTES_PER_THREAD = 1024
 # Instruction store per ME.
 CODE_STORE_WORDS = 4096
 
+# MEs that run compiled code (2 of the IXP2400's 8 are reserved for Rx/Tx).
+PROGRAMMABLE_MES = 6
+
 
 def record_stack_fit(subject: str, layout) -> None:
     """Ledger hook: did the aggregate's stack frames fit Local Memory, or
     did some overflow to (slow) SRAM?"""
     from repro.obs import ledger as obs_ledger
 
-    if layout is None:
-        return
     obs_ledger.record(
         "melayout", subject,
         "sram_overflow" if layout.any_sram_frames else "lm_only",

@@ -178,10 +178,8 @@ class PacketMeta:
         ir_fn, opts = fl.ir_fn, fl.ctx.opts
         if ir_fn.kind != "ppf" or not opts.inline:
             return
-        params = [p for p in ir_fn.params if p.type.is_packet]
-        if not params:
-            return
-        cls = fl.aliases.class_of(params[0])
+        (param,) = ir_fn.params  # a PPF's signature: the packet
+        cls = fl.aliases.class_of(param)
         if not fl.aliases.one_packet(cls):
             return  # no one buf/head is true of every handle in the class
         if opts.phr and ir_fn.packet_state is not None:
@@ -192,7 +190,7 @@ class PacketMeta:
                                   for i in ir_fn.all_instrs())):
             return
         buf = fl.vreg("buf")
-        _meta_word_read(fl, fl.reg32(params[0]), META_BUF_ADDR, buf)
+        _meta_word_read(fl, fl.reg32(param), META_BUF_ADDR, buf)
         self.entry_buf[cls] = buf
 
     def _load_registers(self, cls: Temp) -> None:
@@ -206,7 +204,6 @@ class PacketMeta:
                           fl.vreg("rxport") if plan.hoist_rx_port else None,
                           plan.escapes)
         words = [regs.buf] + regs.mutable_words()
-        assert len(fl.ir_fn.params) == 1  # a PPF's signature: the packet
         fl.emit(Mem("sram", "read", words, abi.ARG_REGS[0], Imm(META_BUF_ADDR * 4),
                     len(words), category=PKT))
         self.entry_buf[cls] = regs.buf
@@ -260,10 +257,8 @@ class PacketMeta:
             return regs
         return None
 
-    def key(self, ph: Operand, word: int) -> tuple:
-        if isinstance(ph, Temp):
-            return (self.fl.aliases.class_of(ph), word)
-        return (id(ph), word)
+    def key(self, ph: Temp, word: int) -> tuple:
+        return (self.fl.aliases.class_of(ph), word)
 
     def words(self, ph: Operand, count: int) -> List[VReg]:
         """``[buf]`` or ``[buf, head]`` of ``ph``'s packet: from registers

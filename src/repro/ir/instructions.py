@@ -587,7 +587,7 @@ class LmLoad(Instr):
     _uses = ("index",)
     _defs = ("dst",)
 
-    def __init__(self, dst: Temp, index: Operand):
+    def __init__(self, dst: Temp, index: Const):
         self.dst = dst
         self.index = index
 
@@ -595,7 +595,7 @@ class LmLoad(Instr):
 class LmStore(Instr):
     _uses = ("index", "value")
 
-    def __init__(self, index: Operand, value: Operand):
+    def __init__(self, index: Const, value: Operand):
         self.index = index
         self.value = value
 

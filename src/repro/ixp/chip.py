@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ixp.memory import MemorySystem
 from repro.ixp.microengine import Microengine
 from repro.ixp.rings import RingSet
@@ -22,7 +23,7 @@ class IXP2400:
     :mod:`repro.rts.system`) after the loader has populated memory,
     rings, symbols and ME images."""
 
-    def __init__(self, n_programmable_mes: int = 6):
+    def __init__(self, n_programmable_mes: int = PROGRAMMABLE_MES):
         self.n_programmable_mes = n_programmable_mes
         self.memory = MemorySystem()
         self.rings = RingSet()

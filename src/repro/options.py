@@ -62,8 +62,7 @@ class CompilerOptions:
     # enforce_check_period) -- the paper's 1% tolerable-error bound is
     # a compiler invariant, not a user promise.
     swc_check_period: int = 16
-    # Aggregation inputs:
-    num_mes: int = 6  # programmable MEs (2 of 8 reserved for Rx/Tx)
+    # Aggregation input:
     me_code_store: int = CODE_STORE_WORDS  # instructions per ME
 
     def __post_init__(self) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.baker.packetmodel import META_RX_PORT
+from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
 from repro.ixp.memory import ME_HZ
@@ -54,7 +55,7 @@ class RunResult:
 def run_on_simulator(
     result,
     trace: Trace,
-    n_mes: Optional[int] = None,
+    n_mes: int = PROGRAMMABLE_MES,
     warmup_packets: int = 100,
     measure_packets: int = 300,
     offered_gbps: float = 3.0,
@@ -97,9 +98,8 @@ def run_on_simulator(
     """
     if tracer is None and trace_json:
         tracer = obs_trace.PacketTracer(max_events=None)
-    total_mes = n_mes if n_mes is not None else result.opts.num_mes
-    chip = IXP2400(n_programmable_mes=total_mes)
-    layout = load_system(result, chip, n_mes=total_mes, dispatch=dispatch)
+    chip = IXP2400(n_programmable_mes=n_mes)
+    layout = load_system(result, chip, n_mes=n_mes, dispatch=dispatch)
 
     rx = RxEngine(chip, trace, offered_gbps=offered_gbps)
     tx = TxEngine(chip, line_gbps=offered_gbps)

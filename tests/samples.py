@@ -100,3 +100,18 @@ module fwd {
 }
 """
 )
+
+
+def array_frame(words: int) -> str:
+    """A PPF whose helper keeps a ``words``-word local array. Past Local
+    Memory's 48 words of frame space the frame goes to SRAM; 400 words
+    is past the 1024-byte SRAM stack area of a thread."""
+    return ETHER_IPV4_PROTOCOLS + """
+u32 fill(u32 x) {
+  u32 a[%d]; u32 i = 0;
+  while (i < %d) { a[i] = x + i; i = i + 1; }
+  return a[x & 127];
+}
+module m { ppf go(ether_pkt *ph) from rx {
+  ph->type = fill(ph->type) & 0xffff; channel_put(tx, ph); } }
+""" % (words, words)

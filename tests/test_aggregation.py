@@ -12,6 +12,7 @@ from repro.aggregation import (
 )
 from repro.aggregation.aggregate import aggregate_cost, external_channels
 from repro.aggregation.formation import apply_plan
+from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ir import instructions as I
 from repro.ir.verifier import verify_module
 from repro.opt import inline
@@ -132,7 +133,7 @@ def test_formation_merges_hot_path_single_aggregate():
     assert "l3_switch.l2_clsfr" in hot.ppfs
     assert "l3_switch.l3_fwdr" in hot.ppfs
     # The hot aggregate is replicated across all programmable MEs.
-    assert hot.me_count == opts.num_mes
+    assert hot.me_count == PROGRAMMABLE_MES
 
 
 def test_formation_maps_cold_ppf_to_xscale():

@@ -5,15 +5,16 @@ BASE and the full optimization level (some at every level).
 
 Every program is also a member of ``CORPUS``, whose listings at all
 seven levels are pinned by one digest (``_SHAPE_LISTING_DIGEST``): the
-programs reach code shapes of the packet lowering that the three
-applications never do."""
+programs reach code shapes of the packet lowering, and paper mechanisms
+(ME locks, SRAM stack frames), that the three applications never do;
+``tests/test_reach.py`` traces them with the applications."""
 
 import hashlib
 
 import pytest
 
 from repro.baker import types as T
-from repro.cg import pktlower
+from repro.cg import isa, pktlower
 from repro.cg.isa import Mem
 from repro.compiler import compile_baker
 from repro.ir import instructions as I
@@ -22,7 +23,7 @@ from repro.profiler.trace import (
     Trace, TracePacket, build_ethernet, build_ipv4, build_udp, ipv4_trace,
 )
 from repro.rts.system import verify_against_reference
-from tests.samples import ETHER_IPV4_PROTOCOLS
+from tests.samples import ETHER_IPV4_PROTOCOLS, array_frame
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
@@ -702,6 +703,54 @@ def test_phr_rebases_packet_length_after_an_elided_decap():
     assert sub.a is instrs[at].dst and sub.b.value == 14
 
 
+# -- the paper's ME mechanisms --------------------------------------------------------
+
+# A locked update of shared state (section 4: the IXP's atomic SRAM
+# test-and-set). Only the packet is compared, never ``hits``: threads
+# finish in any order, and the reference runs them one after another.
+LOCKED = program(ppf(
+    "critical (hits_lock) { hits = hits + 1; }"
+    " ph->type = 0x0800; channel_put(tx, ph);", extra="u32 hits;"))
+
+
+def test_critical_section_spins_on_test_and_set_at_every_level():
+    for level in LEVEL_ORDER:
+        (image,) = check(LOCKED, levels=(level,)).images.values()
+        assert any(isinstance(i, isa.TestAndSet) for i in image.insns), level
+
+
+# A 200-word local array: the helper's frame overflows Local Memory into
+# the thread's SRAM stack area (section 5.4).
+SRAM_FRAME = program(array_frame(200))
+
+
+def test_frame_past_local_memory_lives_in_sram_at_every_level():
+    for level in LEVEL_ORDER:
+        (image,) = check(SRAM_FRAME, levels=(level,)).images.values()
+        assert image.stack_layout.sram_words_used == 200, level
+
+
+# Sequential ``if (op == ..)`` arms: from PAC on, jump threading copies
+# the later tests into each arm, and into a storing arm the escape too,
+# where the arm's store and the escape's ``type`` store merge into one
+# masked store. (``zeros`` is never compared, as ``hits`` above.)
+THREADED = program(ppf(
+    "u32 op = ph->type & 3;"
+    " if (op == 0) { zeros = zeros + 1; }"
+    " if (op == 1) { ph->dst = 7; }"
+    " if (op == 2) { ph->src = 9; }"
+    " if (op == 3) { ph->src = ph->dst; }"
+    " if (op != 0) { ph->type = 0x0800; channel_put(tx, ph); }"
+    " else { packet_drop(ph); }", extra="u32 zeros;"))
+
+
+def test_each_storing_arm_is_threaded_to_its_escape():
+    check(THREADED, levels=LEVEL_ORDER)
+    result = compile_baker(THREADED, options_for("PAC"), default_trace(),
+                           codegen=False)
+    assert result.pac_result.wide_stores == 3  # one per storing arm
+
+
 # -- shapes checked outside the corpus --------------------------------------------------
 # (``check`` only: a ``program`` would join ``CORPUS`` and its digest.)
 
@@ -734,7 +783,7 @@ def test_generic_field_stores_of_32_and_64_bits_and_a_long_combined_run():
 #: program at every level, in ``LEVEL_ORDER``, in the format of
 #: ``tests/test_codegen.py``'s sweep digest. A change to what the code
 #: generator emits for any packet-access shape restates it, and says so.
-_SHAPE_LISTING_DIGEST = "c300e54cebb89b00"
+_SHAPE_LISTING_DIGEST = "334a5a802b02f661"
 
 
 def test_corpus_listings_match_pinned_digest():

@@ -315,4 +315,4 @@ def test_options_levels_cumulative():
     assert OPT_LEVELS["PAC"].pac and OPT_LEVELS["PAC"].inline
     assert OPT_LEVELS["SWC"].swc and OPT_LEVELS["SWC"].phr
     assert options_for("pac").pac
-    assert options_for("PAC", num_mes=3).num_mes == 3
+    assert options_for("PAC", swc_check_period=8).swc_check_period == 8

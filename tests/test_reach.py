@@ -1,11 +1,13 @@
-"""Which optimizer statements no real program reaches, and why.
+"""Which back-end statements no real program reaches, and why.
 
 The probe compiles the three applications at every level (200-packet
 traces, seed 5) and every ``CORPUS`` program of
 ``tests/test_endtoend_features.py`` at every level, under a line tracer
-limited to ``src/repro/opt``, and counts per function the statements it
-never saw run. ``UNREACHED`` pins that table: each row gives the count
-and the reason the statements stay. The rule behind it: a whole
+limited to ``src/repro/opt``, ``src/repro/cg`` and
+``src/repro/aggregation``, and counts per function the statements it
+never saw run. ``UNREACHED`` pins that table, keyed by dotted module
+(``("cg.lower", "FunctionLowerer._lower_binop")``): each row gives the
+count and the reason the statements stay. The rule behind it: a whole
 mechanism that no program uses is deleted, not listed; one case of a
 rule that the programs do reach stays, and is listed.
 
@@ -18,8 +20,9 @@ The AST, unlike a bytecode line table, does not change between Python
 versions, and the inside rule covers a header that emits no line event
 of its own (``while True:`` on 3.9).
 
-Only compiles are traced, so code that the loader or a serving run calls
-and no compile does (the ``runtime`` rows) stays unreached here.
+Only compiles are traced, so code that the loader, the simulator or a
+serving run calls and no compile does (the ``runtime`` rows), and the
+printers behind listings (the ``tool`` rows), stay unreached here.
 
 ``python -m tests.test_reach`` prints the table.
 """
@@ -32,12 +35,17 @@ import pkgutil
 import sys
 from typing import Dict, List, Set, Tuple
 
+import repro.aggregation
+import repro.cg
 import repro.opt
 from repro.apps import all_apps
 from repro.compiler import compile_baker
 from repro.options import LEVEL_ORDER, options_for
 
-Key = Tuple[str, str]  # (module in repro.opt, function qualname)
+Key = Tuple[str, str]  # (dotted module under repro, function qualname)
+
+#: The packages traced.
+PACKAGES = (repro.aggregation, repro.cg, repro.opt)
 
 #: Why an unreached statement stays.
 REASONS = {
@@ -46,53 +54,108 @@ REASONS = {
     "case": "one arm of a rule whose other arms real programs reach",
     "item-17": "SWC's section 5.2 paths that no app compile stores through "
                "(ROADMAP item 17)",
-    "runtime": "called by the loader or a serving run, never by a compile",
+    "runtime": "called by the loader, the simulator, the compile cache or "
+               "a serving run, never by a compile",
+    "tool": "a repr or a listing printer",
 }
 
 #: (module, function) -> {reason: unreached statements}. A function
 #: with statements left for two reasons has both.
 UNREACHED: Dict[Key, Dict[str, int]] = {
-    # A callee's local arrays, cloned under fresh names.
-    ("inline", "_inline_one_call"): {"case": 4},
+    # Both aggregates cold.
+    ("aggregation.formation", "_merge_improves"): {"case": 1},
+    ("aggregation.formation", "_rate"): {"guard": 1},  # an empty profile
+    # A channel with no consumer; one that would close a call cycle.
+    ("aggregation.formation", "apply_plan"): {"guard": 4},
+    # A merge past the ME code store.
+    ("aggregation.formation", "form_aggregates"): {"guard": 5},
+    # More pipeline stages than MEs; a stage that costs nothing.
+    ("aggregation.throughput", "assign_mes"): {"guard": 1},
+    ("aggregation.throughput", "stage_throughput"): {"guard": 1},
+    ("aggregation.throughput", "system_throughput"): {"guard": 2},
+    ("cg.asmprint", "format_insn"): {"tool": 40},
+    ("cg.assemble", "MEImage.__getstate__"): {"runtime": 5},
+    ("cg.assemble", "MEImage._content"): {"runtime": 3},
+    ("cg.assemble", "MEImage.describe"): {"runtime": 1},
+    ("cg.assemble", "MEImage.predecoded"): {"runtime": 16},
+    # An unresolved branch; the control store; the SRAM stack area.
+    ("cg.assemble", "build_image"): {"guard": 3},
+    ("cg.isa", "Alu.cycles"): {"runtime": 1},
+    ("cg.isa", "Imm.__repr__"): {"tool": 1},
+    ("cg.isa", "Immed.cycles"): {"runtime": 1},
+    ("cg.isa", "Insn.__repr__"): {"tool": 2},
+    ("cg.isa", "LmRead.cycles"): {"runtime": 1},
+    ("cg.isa", "LmWrite.cycles"): {"runtime": 1},
+    ("cg.isa", "Mem.regs"): {"tool": 1},
+    ("cg.isa", "Mem.words"): {"runtime": 1},
+    ("cg.isa", "PReg.__repr__"): {"tool": 1},
+    ("cg.isa", "SymRef.__repr__"): {"tool": 3},
+    ("cg.isa", "VReg.__repr__"): {"tool": 1},
+    # Signed 64-bit ordering.
+    ("cg.lower", "FunctionLowerer._emit_cmp_branch64"): {"guard": 1},
+    # Division; a 32-bit right shift of a 64-bit value.
+    ("cg.lower", "FunctionLowerer._lower_binop"): {"guard": 2},
+    # A u64 shifted by 0 (mod 64); an operator with no 64-bit lowering.
+    ("cg.lower", "FunctionLowerer._lower_binop64"): {"case": 2, "guard": 1},
+    ("cg.lower", "FunctionLowerer._lower_terminator"): {"guard": 1},
+    ("cg.lower", "FunctionLowerer.lower_instr"): {"guard": 1},
+    ("cg.lower", "FunctionLowerer.pair"): {"case": 1},  # a u64 read before its write
+    # A word whose one contribution is not yet in a register.
+    ("cg.pktlower", "_emit_masked_write"): {"case": 1},
+    ("cg.pktlower", "_gather_run_words"): {"case": 1},  # a word past the values
+    ("cg.pktlower", "_generic_load_body"): {"case": 3},  # a 64-bit field
+    # A 64-bit and a 32-bit byte-aligned field.
+    ("cg.pktlower", "_generic_store_body"): {"case": 2},
+    ("cg.pktlower", "_lower_wide_store"): {"case": 3},  # a run past 16 bytes
+    ("cg.pktlower", "_meta_word_write"): {"mutation": 1},
+    # A sub-byte field across a word boundary; one ending a word.
+    ("cg.pktlower", "_static_field_store"): {"case": 4},
+    ("cg.pktlower", "lower_packet_instr"): {"guard": 1},
+    # Only reload copies left to spill; allocation that does not converge.
+    ("cg.regalloc", "allocate_function"): {"guard": 3},
+    ("cg.stack", "_resolve_one"): {"case": 2},  # a constant stored to SRAM
+    # The unoptimized layout (stack_opt off, Figure 6's ablation); a
+    # function no call reaches.
+    ("cg.stack", "layout_frames"): {"case": 2, "guard": 1},
     # An init callee, a caller or callee gone, a recursive call.
-    ("inline", "run"): {"guard": 3},
-    ("pac", "_byte_coverage_ok"): {"guard": 1},  # a partly stored byte
-    ("pac", "_class_epochs"): {"mutation": 2},
-    ("pac", "_clobbered"): {"mutation": 1},
-    ("pac", "_combine_table_loads"): {"guard": 1},  # records that do not divide
-    ("pac", "_edge_facts"): {"guard": 1},  # a single predecessor not a branch
-    ("pac", "_form_groups"): {"guard": 2},  # a stale chain; a window out of bounds
-    ("pac", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
-    ("pac", "_reaches"): {"case": 1},  # no such path
-    ("pac", "_rewrite_load_group"): {"mutation": 2},
+    ("opt.inline", "run"): {"guard": 3},
+    ("opt.pac", "_byte_coverage_ok"): {"guard": 1},  # a partly stored byte
+    ("opt.pac", "_class_epochs"): {"mutation": 2},
+    ("opt.pac", "_clobbered"): {"mutation": 1},
+    ("opt.pac", "_combine_table_loads"): {"guard": 1},  # records that do not divide
+    ("opt.pac", "_edge_facts"): {"guard": 1},  # a single predecessor not a branch
+    ("opt.pac", "_form_groups"): {"guard": 2},  # a stale chain; a window out of bounds
+    ("opt.pac", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
+    ("opt.pac", "_reaches"): {"case": 1},  # no such path
+    ("opt.pac", "_rewrite_load_group"): {"mutation": 2},
     # A hand-on or a redefined value between two stores of one block.
-    ("pac", "_sink_clear"): {"guard": 2, "mutation": 1},
-    ("pac", "_store_segments"): {"case": 1},  # a wide store's unmasked word
-    ("pac", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
-    ("pac", "normalize_offset"): {"case": 1},  # ``k + x``, the constant first
-    ("peel", "_peel"): {"mutation": 1},
-    ("peel", "run"): {"guard": 2},  # a function gone; a loop never profiled
-    ("phr", "_handle_for_class"): {"guard": 1},
-    ("phr", "_localize_metadata"): {"guard": 4},  # metadata kept in SRAM
-    ("phr", "_plan_function"): {"guard": 2},  # state left in memory
-    ("phr", "_rewrite_instr"): {"mutation": 1},
-    ("pipeline", "scalar_optimize_function"): {"guard": 1},  # the fixpoint bound
-    ("propagate", "_fold"): {"case": 7},  # division by zero; the identities
-    ("propagate", "_walk_block"): {"case": 1},  # a redefined value in the table
-    ("soar", "_align_of_offset"): {"case": 1},  # an unknown offset
-    ("soar", "run"): {"case": 1},  # a PPF whose producer is not yet seen
+    ("opt.pac", "_sink_clear"): {"guard": 2, "mutation": 1},
+    ("opt.pac", "_store_segments"): {"case": 1},  # a wide store's unmasked word
+    ("opt.pac", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
+    ("opt.pac", "normalize_offset"): {"case": 1},  # ``k + x``, the constant first
+    ("opt.peel", "_peel"): {"mutation": 1},
+    ("opt.peel", "run"): {"guard": 2},  # a function gone; a loop never profiled
+    ("opt.phr", "_handle_for_class"): {"guard": 1},
+    ("opt.phr", "_localize_metadata"): {"guard": 4},  # metadata kept in SRAM
+    ("opt.phr", "_plan_function"): {"guard": 2},  # state left in memory
+    ("opt.phr", "_rewrite_instr"): {"mutation": 1},
+    ("opt.pipeline", "scalar_optimize_function"): {"guard": 1},  # the fixpoint bound
+    ("opt.propagate", "_fold"): {"case": 7},  # division by zero; the identities
+    ("opt.propagate", "_walk_block"): {"case": 1},  # a redefined value in the table
+    ("opt.soar", "_align_of_offset"): {"case": 1},  # an unknown offset
+    ("opt.soar", "run"): {"case": 1},  # a PPF whose producer is not yet seen
     # The Equation-2 rejection.
-    ("swc", "_admissible_check_rate"): {"item-17": 2},
+    ("opt.swc", "_admissible_check_rate"): {"item-17": 2},
     # A resident table stored on an ME; the stores' generation bump.
-    ("swc", "apply"): {"guard": 2, "item-17": 5},
-    ("swc", "_make_resident_reads"): {"mutation": 1},
-    ("swc", "boot_lm_words"): {"runtime": 9},
+    ("opt.swc", "apply"): {"guard": 2, "item-17": 5},
+    ("opt.swc", "_make_resident_reads"): {"mutation": 1},
+    ("opt.swc", "boot_lm_words"): {"runtime": 9},
     # The Equation-2 clamp of the check period.
-    ("swc", "enforce_check_period"): {"item-17": 4},
-    ("swc", "min_check_rate"): {"guard": 1},
-    ("swc", "publish_store"): {"runtime": 7},
-    # Flags, critical sections, stores too frequent.
-    ("swc", "select_candidates"): {"guard": 5},
+    ("opt.swc", "enforce_check_period"): {"item-17": 4},
+    ("opt.swc", "min_check_rate"): {"guard": 1},
+    ("opt.swc", "publish_store"): {"runtime": 7},
+    # Flags, stores too frequent.
+    ("opt.swc", "select_candidates"): {"guard": 3},
 }
 
 
@@ -169,9 +232,10 @@ def probe() -> Tuple[Dict[Key, int], int, int]:
     """Compile everything under the tracer: ``(key -> unreached
     statements, for every function with any; statements; unreached)``."""
     modules = {}
-    for info in pkgutil.iter_modules(repro.opt.__path__):
-        mod = importlib.import_module("repro.opt." + info.name)
-        modules[mod.__file__] = info.name
+    for package in PACKAGES:
+        for info in pkgutil.iter_modules(package.__path__):
+            mod = importlib.import_module(package.__name__ + "." + info.name)
+            modules[mod.__file__] = mod.__name__[len("repro."):]
     seen: Dict[str, Set[int]] = {path: set() for path in modules}
 
     def local(frame, event, arg):
@@ -212,6 +276,7 @@ if __name__ == "__main__":
     table, total, missed = probe()
     for (module, qualname), n in sorted(table.items()):
         row = UNREACHED.get((module, qualname), {"?": n})
-        print("%-9s %-26s %3d  %s" % (module, qualname, n, ", ".join(
+        print("%-22s %-34s %3d  %s" % (module, qualname, n, ", ".join(
             "%s %d" % item for item in sorted(row.items()))))
-    print("reached %d of %d statements in repro.opt" % (total - missed, total))
+    print("reached %d of %d statements in %s" % (
+        total - missed, total, ", ".join(p.__name__ for p in PACKAGES)))
