@@ -8,8 +8,8 @@ Pipeline::
       -> functional profiler over a trace       (exec/access statistics)
       -> scalar opts + inlining                 (-O1 / -O2)
       -> aggregation (merge/duplicate, CC->call, map to MEs/XScale)
-      -> loop peeling, SWC selection, PAC, SOAR, PHR, SWC
-                                                (packet optimizations)
+      -> loop peeling, SWC selection, jump threading + PAC, SOAR,
+         PHR (threading + PAC again), SWC       (packet optimizations)
       -> code generation per aggregate          (CGIR, regalloc, stack)
 
 Which stages run is a function of the cumulative level
@@ -34,7 +34,7 @@ from repro.ir.module import IRModule
 from repro.ir.verifier import verify_module
 from repro.obs import ledger as obs_ledger
 from repro.obs.trace import compile_stage
-from repro.opt import inline, pac, peel, phr, soar, swc
+from repro.opt import inline, pac, peel, phr, soar, swc, thread
 from repro.opt.pipeline import run_scalar_pipeline, scalar_optimize_module
 from repro.options import CompilerOptions, options_for
 from repro.profiler.interpreter import reference_run
@@ -134,6 +134,7 @@ def compile_ir(
 
         if opts.pac:
             with compile_stage("pac"):
+                thread.run(mod)
                 result.pac_result = pac.run(mod, narrow)
             record_ir_stage("pac")
         if opts.soar:
@@ -151,6 +152,7 @@ def compile_ir(
                 # pass). It also reads through the encaps and decaps PHR
                 # kept, which the first pass left to PHR. SOAR then
                 # re-annotates the new wide accesses.
+                thread.run(mod)
                 result.pac_result += pac.run(mod, narrow, renames_bump=False)
                 result.soar_result = soar.run(mod)
                 scalar_optimize_module(mod)

@@ -1,4 +1,4 @@
-"""CFG utilities: edge computation, orderings, cleanup."""
+"""CFG utilities: edge computation, orderings, dataflow, cleanup."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.ir.instructions import Branch, Jump
 from repro.ir.module import BasicBlock, IRFunction
-from repro.ir.values import Const
+from repro.ir.values import Const, Temp
 
 
 def compute_cfg(fn: IRFunction) -> None:
@@ -111,6 +111,30 @@ def solve_forward(fn: IRFunction, boundary: S,
         if not changed:
             break
     return ins
+
+
+def live_in(fn: IRFunction) -> Dict[BasicBlock, Set[Temp]]:
+    """The temps live on entry to each block (``compute_cfg`` has run):
+    the one backward dataflow problem the passes solve, beside
+    :func:`solve_forward`."""
+    used: Dict[BasicBlock, Set[Temp]] = {}
+    defined: Dict[BasicBlock, Set[Temp]] = {}
+    for bb in fn.blocks:
+        u = used[bb] = set()
+        d = defined[bb] = set()
+        for instr in bb.all_instrs():
+            u.update(v for v in instr.uses() if isinstance(v, Temp) and v not in d)
+            d.update(instr.defs())
+    live = {bb: set(used[bb]) for bb in fn.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for bb in reversed(fn.blocks):
+            new = used[bb].union(*(live[s] - defined[bb] for s in bb.succs))
+            if new != live[bb]:
+                live[bb] = new
+                changed = True
+    return live
 
 
 def remove_unreachable(fn: IRFunction) -> int:

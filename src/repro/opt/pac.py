@@ -29,27 +29,17 @@ Stores combine within one block: each store takes the later stores of
 its class there, in one epoch, with nothing between that hands the packet
 on, redefines a stored value or reads buffered bytes from memory; the
 merged, byte-masked store sits at the last member.
-
-Before combining, PAC threads jumps (``_thread_known_paths``): a block
-whose known constants decide the branches ahead copies that path into
-itself -- the tests alone, or, when it wrote a packet's header, through
-to where the packet escapes. So sequential ``if (op == ..)`` arms and a
-finished loop trip do not rejoin at joins the head-moving arms would
-make anchors, and a header rewrite and the escape's rewrite of the same
-header end up in one block, as one masked store.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.baker import types as T
 from repro.ir import instructions as I
-from repro.ir.cfg import natural_loops, reverse_postorder, solve_forward
+from repro.ir.cfg import compute_cfg, reverse_postorder
 from repro.ir.dominators import DomTree, dominator_tree
-from repro.ir.eval import EvalError, bits_of, eval_binop, eval_cmp
 from repro.ir.module import BasicBlock, IRFunction, IRModule
 from repro.ir.values import Const, Operand, Temp
 from repro.obs import ledger as obs_ledger
@@ -105,149 +95,8 @@ def run(mod: IRModule, narrow: Set[str] = frozenset(),
     reads through the ones it left."""
     result = PacResult()
     for fn in mod.functions.values():
-        _thread_known_paths(fn)
         _combine_function(fn, mod, narrow, result, renames_bump)
     return result
-
-
-# The most instructions one block takes on when its known path is copied
-# into it (the loop-exit tests and a header rewrite, in MPLS).
-MAX_THREAD_INSTRS = 48
-
-
-def _thread_known_paths(fn: IRFunction) -> None:
-    """Jump threading. A block ending in a jump follows the path its
-    known constants decide -- those every path to its end agrees on, and
-    ``x == k`` on the then edge of a branch on that test -- and copies
-    it into itself: blocks of plain arithmetic, or, when the block stores
-    to a packet, on through the block that releases that packet. It then
-    jumps where the copy leaves off: never to a block on a cycle it was
-    not already jumping to, which could give a loop a second entry.
-    Rounds repeat while they thread something, since a threaded jump can
-    leave a join whose constants now agree."""
-    for _ in range(8):
-        known = solve_forward(fn, {}, _known_after, _agreeing)
-        cyclic = set().union(*(body for _, body in natural_loops(fn)))
-        changed = False
-        for bb in reverse_postorder(fn):
-            if bb in known and isinstance(bb.terminator, I.Jump):
-                changed |= _thread(bb, _known_after(bb, known[bb]), cyclic)
-        if not changed:
-            return
-
-
-def _thread(bb: BasicBlock, env: Dict[Temp, int], cyclic) -> bool:
-    """Thread ``bb``'s jump, ``env`` being what ``bb`` knows at its end;
-    whether it moved."""
-    start = target = bb.terminator.target
-    copies: List[I.Instr] = []
-    best = None  # (target, number of copies) of the last place to stop
-    seen = {bb}
-    stored = {i.ph for i in bb.instrs if isinstance(i, I.PktAccess) and i.stores}
-    pure = True
-    while target not in seen and isinstance(target.terminator, (I.Jump, I.Branch)):
-        seen.add(target)
-        env = _known_after(target, env, edge=False)
-        term = target.terminator
-        if isinstance(term, I.Branch):
-            cond = _value(term.cond, env)
-            if cond is None:
-                break
-            nxt = term.then_bb if cond else term.else_bb
-        else:
-            nxt = term.target
-        if len(copies) + len(target.instrs) > MAX_THREAD_INSTRS:
-            break
-        copies.extend(_clone(i) for i in target.instrs)
-        pure = pure and all(isinstance(i, (I.Assign, I.BinOp, I.Cmp))
-                            for i in target.instrs)
-        escapes = any(i.releases and any(
-            ph is h or _renamed_from(ph, h, copies)
-            for ph in packet_handles(i) for h in stored) for i in target.instrs)
-        target = nxt
-        if (pure or escapes) and (target not in cyclic or target is start):
-            best = (target, len(copies))
-        if not pure and not escapes:
-            break
-    if best is None or best[0] is start:
-        return False
-    target, n = best
-    bb.instrs.extend(copies[:n])
-    bb.terminator.target = target
-    return True
-
-
-def _renamed_from(ph, handle, instrs) -> bool:
-    """``ph`` is ``handle`` renamed (encap/decap) by ``instrs``."""
-    for instr in reversed(instrs):
-        if instr.renames and instr.dst is ph:
-            ph = instr.src
-    return ph is handle
-
-
-def _clone(instr: I.Instr) -> I.Instr:
-    new = copy.copy(instr)
-    for attr, value in vars(new).items():
-        if isinstance(value, list):
-            setattr(new, attr, list(value))
-    return new
-
-
-def _value(op: Operand, env: Dict[Temp, int]) -> Optional[int]:
-    return op.value if isinstance(op, Const) else env.get(op)
-
-
-def _known_after(bb: BasicBlock, env: Dict[Temp, int], edge: bool = True):
-    """The constants known at ``bb``'s end, from ``env`` at its entry
-    and, when ``edge``, what the branch into it decided."""
-    env = dict(env)
-    if edge:
-        env.update(_edge_facts(bb))
-    for instr in bb.instrs:
-        value = None
-        if isinstance(instr, I.Assign):
-            value = _value(instr.src, env)
-        elif isinstance(instr, (I.BinOp, I.Cmp)):
-            a, b = _value(instr.a, env), _value(instr.b, env)
-            if a is not None and b is not None:
-                try:
-                    if isinstance(instr, I.Cmp):
-                        bits = max(bits_of(instr.a.type), bits_of(instr.b.type))
-                        value = eval_cmp(instr.op, a, b, bits)
-                    else:
-                        value = eval_binop(instr.op, a, b, bits_of(instr.dst.type))
-                except EvalError:
-                    pass  # left for run time
-        for d in instr.defs():
-            env.pop(d, None)
-        if value is not None:
-            env[instr.dst] = value
-    return env
-
-
-def _edge_facts(bb: BasicBlock) -> Dict[Temp, int]:
-    """What entering ``bb`` from its only predecessor's branch decides:
-    the condition, and ``x`` on the then edge of ``x == k``."""
-    if len(bb.preds) != 1:
-        return {}
-    pred = bb.preds[0]
-    term = pred.terminator
-    if (not isinstance(term, I.Branch) or term.then_bb is term.else_bb
-            or not isinstance(term.cond, Temp)):
-        return {}
-    taken = term.then_bb is bb
-    facts = {term.cond: int(taken)}
-    defs = [n for n, i in enumerate(pred.instrs) if term.cond in i.defs()]
-    test = pred.instrs[defs[-1]] if defs else None
-    if (taken and isinstance(test, I.Cmp) and test.op == "eq"
-            and isinstance(test.a, Temp) and isinstance(test.b, Const)
-            and not any(test.a in i.defs() for i in pred.instrs[defs[-1]:])):
-        facts[test.a] = test.b.value
-    return facts
-
-
-def _agreeing(a: Dict[Temp, int], b: Dict[Temp, int]) -> Dict[Temp, int]:
-    return {t: v for t, v in a.items() if b.get(t) == v}
 
 
 # -- per-function driver ---------------------------------------------------------
@@ -303,6 +152,7 @@ class _Access:
 
 def _combine_function(fn: IRFunction, mod: IRModule, narrow: Set[str],
                       result: PacResult, renames_bump: bool) -> None:
+    compute_cfg(fn)
     order = reverse_postorder(fn)  # execution order: a dominator comes first
     dom = dominator_tree(fn)
     aliases = AliasClasses(fn)

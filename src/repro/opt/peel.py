@@ -22,12 +22,11 @@ and delete it on its own. It runs after aggregation and the merge inlining
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.ir import instructions as I
-from repro.ir.cfg import compute_cfg, natural_loops
+from repro.ir.cfg import compute_cfg, live_in, natural_loops
 from repro.ir.module import BasicBlock, IRFunction, IRModule
-from repro.ir.values import Temp
 from repro.obs import ledger as obs_ledger
 from repro.opt.inline import clone_instr
 from repro.profiler.stats import ProfileData
@@ -87,7 +86,7 @@ def _peel(fn: IRFunction, header: BasicBlock, body: List[BasicBlock]) -> int:
                        if t in in_loop and other not in in_loop)
     block_map[header] = back_to
 
-    live = _live_in(fn)
+    live = live_in(fn)
     carried = set(live[header]).union(
         *(live[s] for bb in body for s in bb.succs if s not in in_loop))
     temps = {d: fn.new_temp(d.type, d.hint) for bb in body for i in bb.instrs
@@ -113,25 +112,3 @@ def _peel(fn: IRFunction, header: BasicBlock, body: List[BasicBlock]) -> int:
                  + [bb for bb in fn.blocks[at:] if bb not in new])
     compute_cfg(fn)
     return sum(len(bb.instrs) + 1 for bb in body)
-
-
-def _live_in(fn: IRFunction) -> Dict[BasicBlock, Set[Temp]]:
-    """The temps live on entry to each block (``compute_cfg`` has run)."""
-    used: Dict[BasicBlock, Set[Temp]] = {}
-    defined: Dict[BasicBlock, Set[Temp]] = {}
-    for bb in fn.blocks:
-        u = used[bb] = set()
-        d = defined[bb] = set()
-        for instr in bb.all_instrs():
-            u.update(v for v in instr.uses() if isinstance(v, Temp) and v not in d)
-            d.update(instr.defs())
-    live = {bb: set(used[bb]) for bb in fn.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for bb in reversed(fn.blocks):
-            new = used[bb].union(*(live[s] - defined[bb] for s in bb.succs))
-            if new != live[bb]:
-                live[bb] = new
-                changed = True
-    return live

@@ -22,6 +22,12 @@ exactly one rewrite site:
   zero; firewall's is, and hides it);
 * PAC ``anchor_ignores_bump`` -- epochs stop counting head movements and
   stores, so loads combine across the pops of the MPLS label loop;
+* thread ``drops_pure_copies`` -- a threaded path keeps only the
+  instructions with side effects, so a value its target reads keeps
+  what it held before the path. The row is mpls/SWC, where the paths
+  threaded after PHR keep 28 copies; at mpls/PAC they keep one (a
+  short-circuit assignment), and the mutant that drops it still
+  verifies;
 * codegen ``meta_store_dropped`` -- stores to user metadata words emit
   nothing. On firewall the only user word is ``flow_id``, which never
   reaches a Tx payload: only the metadata comparison sees it, at BASE,
@@ -42,6 +48,7 @@ import repro.opt.pac as pac
 import repro.opt.peel as peel
 import repro.opt.phr as phr
 import repro.opt.swc as swc
+import repro.opt.thread as thread
 from repro.apps import get_app
 from repro.baker.packetmodel import META_USER_BASE
 from repro.compiler import compile_baker
@@ -78,6 +85,9 @@ MUTANTS = [
      lambda r: r.phr_result.state_writebacks > 0),
     (pac, "anchor_ignores_bump", "mpls", "PAC",
      lambda r: r.pac_result.combined_loads > 0),
+    (thread, "drops_pure_copies", "mpls", "SWC",
+     lambda r: any(d.pass_name == "thread" and d.evidence["dropped"] > 0
+                   for d in r.decisions)),
     (pktlower, "meta_store_dropped", "firewall", "SOAR",
      _user_meta_store_survives),
     (pktlower, "meta_store_dropped", "firewall", "BASE",
@@ -93,6 +103,7 @@ MUTANTS = [
 IDS = ["pac-extract_skew", "phr-rebase_skew", "peel-unguarded",
        "swc-resident_off_by_one",
        "cg-skip_writeback", "pac-anchor_ignores_bump",
+       "thread-drops_pure_copies",
        "cg-meta_store_dropped", "cg-meta_store_dropped-firewall-BASE",
        "cg-meta_store_dropped-firewall-O2",
        "cg-meta_store_dropped-l3switch", "cg-meta_store_dropped-mpls"]

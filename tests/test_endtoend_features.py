@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from repro.apps import get_app
 from repro.baker import types as T
 from repro.cg import isa, pktlower
 from repro.cg.isa import Mem
@@ -730,10 +731,11 @@ def test_frame_past_local_memory_lives_in_sram_at_every_level():
         assert image.stack_layout.sram_words_used == 200, level
 
 
-# Sequential ``if (op == ..)`` arms: from PAC on, jump threading copies
-# the later tests into each arm, and into a storing arm the escape too,
-# where the arm's store and the escape's ``type`` store merge into one
-# masked store. (``zeros`` is never compared, as ``hits`` above.)
+# Sequential ``if (op == ..)`` arms: from PAC on, jump threading takes
+# each arm past the later tests, which it decides and so does not copy,
+# and a storing arm on through the escape, whose ``type`` store merges
+# with the arm's into one masked store. (``zeros`` is never compared, as
+# ``hits`` above.)
 THREADED = program(ppf(
     "u32 op = ph->type & 3;"
     " if (op == 0) { zeros = zeros + 1; }"
@@ -749,6 +751,32 @@ def test_each_storing_arm_is_threaded_to_its_escape():
     result = compile_baker(THREADED, options_for("PAC"), default_trace(),
                            codegen=False)
     assert result.pac_result.wide_stores == 3  # one per storing arm
+
+
+def test_a_threaded_path_copies_only_what_it_needs():
+    # One cmp per source test: no arm keeps a copy of a test its path
+    # decided (copying every instruction of a path left 15).
+    result = compile_baker(THREADED, options_for("PAC"), default_trace(),
+                           codegen=False)
+    assert sum(isinstance(i, I.Cmp) for fn in result.mod.functions.values()
+               for i in fn.all_instrs()) == 5
+    # Every threaded jump accounts for its whole path, and MPLS's leave
+    # the loop-exit tests they decided behind.
+    compiles = [(src, trace or default_trace(), "") for src, trace in CORPUS]
+    compiles += [(get_app(name).source, get_app(name).make_trace(200, seed=5),
+                  name) for name in ("l3switch", "firewall", "mpls")]
+    mpls_swc_dropped = 0
+    for src, trace, name in compiles:
+        for level in LEVEL_ORDER:
+            result = compile_baker(src, options_for(level), trace,
+                                   codegen=False)
+            for d in result.decisions:
+                if d.pass_name == "thread":
+                    ev = d.evidence
+                    assert ev["copied"] + ev["dropped"] == ev["path"], ev
+                    if (name, level) == ("mpls", "SWC"):
+                        mpls_swc_dropped += ev["dropped"]
+    assert mpls_swc_dropped >= 1
 
 
 # -- shapes checked outside the corpus --------------------------------------------------
@@ -783,7 +811,7 @@ def test_generic_field_stores_of_32_and_64_bits_and_a_long_combined_run():
 #: program at every level, in ``LEVEL_ORDER``, in the format of
 #: ``tests/test_codegen.py``'s sweep digest. A change to what the code
 #: generator emits for any packet-access shape restates it, and says so.
-_SHAPE_LISTING_DIGEST = "334a5a802b02f661"
+_SHAPE_LISTING_DIGEST = "2fe19af43c9b39de"
 
 
 def test_corpus_listings_match_pinned_digest():

@@ -123,15 +123,12 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.pac", "_class_epochs"): {"mutation": 2},
     ("opt.pac", "_clobbered"): {"mutation": 1},
     ("opt.pac", "_combine_table_loads"): {"guard": 1},  # records that do not divide
-    ("opt.pac", "_edge_facts"): {"guard": 1},  # a single predecessor not a branch
     ("opt.pac", "_form_groups"): {"guard": 2},  # a stale chain; a window out of bounds
-    ("opt.pac", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
     ("opt.pac", "_reaches"): {"case": 1},  # no such path
     ("opt.pac", "_rewrite_load_group"): {"mutation": 2},
     # A hand-on or a redefined value between two stores of one block.
     ("opt.pac", "_sink_clear"): {"guard": 2, "mutation": 1},
     ("opt.pac", "_store_segments"): {"case": 1},  # a wide store's unmasked word
-    ("opt.pac", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
     ("opt.pac", "normalize_offset"): {"case": 1},  # ``k + x``, the constant first
     ("opt.peel", "_peel"): {"mutation": 1},
     ("opt.peel", "run"): {"guard": 2},  # a function gone; a loop never profiled
@@ -156,6 +153,9 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.swc", "publish_store"): {"runtime": 7},
     # Flags, stores too frequent.
     ("opt.swc", "select_candidates"): {"guard": 3},
+    ("opt.thread", "_edge_facts"): {"guard": 1},  # a single predecessor not a branch
+    ("opt.thread", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
+    ("opt.thread", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
 }
 
 
