@@ -432,7 +432,8 @@ def _rewrite_load_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
     wide.rebase(-leader.epoch[2])
     wide.copy_annotations_from(leader.instr)
     wide.c_offset_bits = leader.instr.c_offset_bits
-    wide.c_alignment = leader.instr.c_alignment
+    wide.c_modulus = leader.instr.c_modulus
+    wide.c_residue = leader.instr.c_residue
 
     for acc in group:
         seq: List[I.Instr] = []
@@ -690,7 +691,8 @@ def _rewrite_store_group(fn: IRFunction, group: List[_Access], lo: int, hi: int,
     wide.rebase(-last.epoch[2])
     wide.copy_annotations_from(last.instr)
     wide.c_offset_bits = last.instr.c_offset_bits
-    wide.c_alignment = last.instr.c_alignment
+    wide.c_modulus = last.instr.c_modulus
+    wide.c_residue = last.instr.c_residue
     seq.append(wide)
 
     for acc in group:

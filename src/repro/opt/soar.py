@@ -1,16 +1,23 @@
 """SOAR: static offset and alignment resolution (paper section 5.3.2).
 
 Determines, per packet access, the *static* byte offset of the handle's
-head relative to the start of packet data (``c_offset``) and the static
-*alignment* of the head (``c_alignment``), via flow analysis over
-``packet_encap`` / ``packet_decap`` / handle creation:
+head relative to the start of packet data (``c_offset``) and, where
+that offset differs between paths, the congruence every path agrees on
+(``offset = residue (mod modulus)``, the modulus 8, 4, 2 or 1), via flow
+analysis over ``packet_encap`` / ``packet_decap`` / handle creation:
 
-* at handles entering via Rx:     c_offset = 0, c_alignment = quadword;
-* at ``packet_encap``:            c_offset -= header size;
+* at handles entering via Rx:     c_offset = 0 (so 0 mod 8);
+* at ``packet_encap``:            c_offset -= header size, and the
+  residue with it;
 * at ``packet_decap``:            c_offset += header size
-  (unknown when the demux is packet-dependent);
-* at control-flow joins:          values must agree, else ``-offset``
-  (represented here as ``None``).
+  (nothing known when the demux is packet-dependent);
+* at control-flow joins:          offsets must agree, else ``-offset``
+  (represented here as ``None``), and the modulus falls to the largest
+  power of two dividing both moduli and the residues' difference.
+
+So a loop that pops 4 B labels behind a 14 B Ethernet header is known
+at ``2 (mod 4)``: its accesses have no static offset, but the code
+generator extracts their words with constant shifts.
 
 The analysis is interprocedural across PPFs: the value entering a PPF is
 the join over every producer's value at its ``channel_put`` site, solved
@@ -20,13 +27,15 @@ seeding subsumes the paper's separate backward propagation passes
 (steps 4 and 7), which exist to recover offsets for exactly those
 non-Rx packets.
 
-Results are recorded as ``c_offset_bits`` / ``c_alignment`` annotations
-on every packet instruction; the packet lowering stage and PHR consume
-them.
+Results are recorded as ``c_offset_bits`` / ``c_modulus`` /
+``c_residue`` annotations on every packet instruction; PHR and the
+packet lowering stage (:mod:`repro.cg.pktlower`) consume them, the
+lowering both the static offset and, without it, the residue.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -39,47 +48,39 @@ from repro.opt.aliases import AliasClasses, packet_handles
 
 QUADWORD = 8
 
-# A lattice value per alias class: (offset_bytes or None, alignment 8/4/2/1).
-ClassValue = Tuple[Optional[int], int]
+# A lattice value per alias class: the head's byte offset, or None, and
+# the congruence known of it even then, ``offset = residue (mod
+# modulus)`` with the modulus 8, 4, 2 or 1 (1: nothing known).
+ClassValue = Tuple[Optional[int], int, int]
 # Block state: class representative -> value. Missing class = TOP (unreached).
 State = Dict[Temp, ClassValue]
 
-BOTTOM: ClassValue = (None, 1)
+BOTTOM: ClassValue = (None, 1, 0)
 
 
-def _align_of_offset(offset: Optional[int], base_align: int = QUADWORD) -> int:
-    if offset is None:
-        return 1
-    a = base_align
-    while a > 1 and offset % a != 0:
-        a //= 2
-    return a
+def _at(offset: int) -> ClassValue:
+    """The value of a head at a known ``offset``."""
+    return (offset, QUADWORD, offset % QUADWORD)
 
 
 def _meet_value(a: ClassValue, b: ClassValue) -> ClassValue:
-    off = a[0] if a[0] == b[0] else None
-    align = _gcd_align(a[1], b[1])
-    return (off, align)
-
-
-def _gcd_align(a: int, b: int) -> int:
-    while a > 1 and (b % a) != 0:
-        a //= 2
-    return max(a, 1)
+    """Offsets that differ leave the congruence both satisfy: the
+    largest power of two dividing both moduli and the residues'
+    difference."""
+    if a == b:
+        return a
+    modulus = math.gcd(a[1], b[1], abs(a[2] - b[2]))
+    return (None, modulus, a[2] % modulus)
 
 
 def _shift_value(value: ClassValue, delta_bytes: Optional[int]) -> ClassValue:
     """Value after the head moves by ``delta_bytes`` (None = unknown)."""
-    off, align = value
+    off, modulus, residue = value
     if delta_bytes is None:
         return BOTTOM
-    new_off = None if off is None else off + delta_bytes
-    new_align = (
-        _align_of_offset(new_off)
-        if new_off is not None
-        else _gcd_align(align, _align_of_offset(delta_bytes))
-    )
-    return (new_off, new_align)
+    if off is not None:
+        return _at(off + delta_bytes)
+    return (None, modulus, (residue + delta_bytes) % modulus)
 
 
 @dataclass
@@ -101,9 +102,9 @@ def run(mod: IRModule) -> SoarResult:
     """Run SOAR over the module, annotating packet instructions in place."""
     result = SoarResult()
     # Channel fixpoint: start every channel at TOP (unobserved); rx is the
-    # boundary with offset 0, quadword aligned.
+    # boundary with offset 0.
     chan_values: Dict[str, Optional[ClassValue]] = {name: None for name in mod.channels}
-    chan_values["rx"] = (0, QUADWORD)
+    chan_values["rx"] = _at(0)
 
     ppfs = mod.ppfs()
     for _ in range(len(ppfs) * 4 + 8):
@@ -134,11 +135,11 @@ def run(mod: IRModule) -> SoarResult:
     result.channel_values = {
         name: v for name, v in chan_values.items() if v is not None
     }
-    for name, (off, align) in sorted(result.channel_values.items()):
+    for name, (off, modulus, residue) in sorted(result.channel_values.items()):
         obs_ledger.record("soar", "channel:%s" % name,
                           "resolved" if off is not None else "unresolved",
                           reason="head offset at channel entry",
-                          offset_bytes=off, alignment=align)
+                          offset_bytes=off, modulus=modulus, residue=residue)
     obs_ledger.record("soar", "<module>", "summary",
                       resolved=result.resolved_accesses,
                       total=result.total_accesses,
@@ -165,7 +166,7 @@ def _analyze_function(
 ) -> Dict[str, ClassValue]:
     """Forward dataflow within one function. Returns the value observed at
     each channel_put. When ``annotate`` is set, packet instructions get
-    their ``c_offset_bits`` / ``c_alignment`` annotations."""
+    their ``c_offset_bits`` / ``c_modulus`` / ``c_residue`` annotations."""
     aliases = AliasClasses(fn)
     entry_state: State = {aliases.class_of(p): param_value
                           for p in fn.params if p.type.is_packet}
@@ -201,7 +202,7 @@ def _transfer(bb, in_state: State, aliases: AliasClasses,
             continue
         if isinstance(instr, I.PktCreate):
             # Fresh buffer: head starts at the (quadword-aligned) headroom.
-            state[aliases.class_of(instr.dst)] = (0, QUADWORD)
+            state[aliases.class_of(instr.dst)] = _at(0)
             continue
         if not (isinstance(instr, I.PktInstr) or instr.touches_packet):
             continue
@@ -222,9 +223,8 @@ def _transfer(bb, in_state: State, aliases: AliasClasses,
 
 def _annotate(instr: I.PktInstr, value: ClassValue, result: SoarResult,
               counted: bool) -> None:
-    off, align = value
+    off, instr.c_modulus, instr.c_residue = value
     instr.c_offset_bits = None if off is None else off * 8
-    instr.c_alignment = align
     if counted:
         result.total_accesses += 1
         if off is not None:
@@ -233,4 +233,5 @@ def _annotate(instr: I.PktInstr, value: ClassValue, result: SoarResult,
         obs_ledger.record(
             "soar", loc or type(instr).__name__,
             "resolved" if off is not None else "unresolved",
-            loc=loc, offset_bits=instr.c_offset_bits, alignment=align)
+            loc=loc, offset_bits=instr.c_offset_bits,
+            modulus=instr.c_modulus, residue=instr.c_residue)

@@ -148,9 +148,10 @@ def test_mpls_swc_is_flat_from_two_mes():
 
 
 def test_mpls_moves_its_header_about_once():
-    """A first trip reads the header once and writes it once; a pop
-    re-reads the next label in the loop."""
-    assert committed("mpls")["mem_accesses"]["SWC"]["pkt_dram"] <= 2.5
+    """A first trip reads the header once and writes it once, and so does
+    a swap or push on a later trip (its label with the Ethernet header);
+    a pop re-reads the next label in the loop."""
+    assert committed("mpls")["mem_accesses"]["SWC"]["pkt_dram"] <= 2.35
 
 
 def test_l3switch_reaches_the_papers_two_dram_accesses():

@@ -104,9 +104,9 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("cg.pktlower", "_emit_masked_write"): {"case": 1},
     ("cg.pktlower", "_gather_run_words"): {"case": 1},  # a word past the values
     ("cg.pktlower", "_generic_load_body"): {"case": 3},  # a 64-bit field
-    # A 64-bit and a 32-bit byte-aligned field.
-    ("cg.pktlower", "_generic_store_body"): {"case": 2},
-    ("cg.pktlower", "_lower_wide_store"): {"case": 3},  # a run past 16 bytes
+    # A 64-bit byte-aligned field.
+    ("cg.pktlower", "_generic_store_body"): {"case": 1},
+    ("cg.pktlower", "_lower_wide_store"): {"case": 3},  # a run past 24 bytes
     ("cg.pktlower", "_meta_word_write"): {"mutation": 1},
     # A sub-byte field across a word boundary; one ending a word.
     ("cg.pktlower", "_static_field_store"): {"case": 4},
@@ -137,9 +137,8 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.phr", "_plan_function"): {"guard": 2},  # state left in memory
     ("opt.phr", "_rewrite_instr"): {"mutation": 1},
     ("opt.pipeline", "scalar_optimize_function"): {"guard": 1},  # the fixpoint bound
-    ("opt.propagate", "_fold"): {"case": 7},  # division by zero; the identities
+    ("opt.propagate", "_fold"): {"case": 6},  # division by zero; the identities
     ("opt.propagate", "_walk_block"): {"case": 1},  # a redefined value in the table
-    ("opt.soar", "_align_of_offset"): {"case": 1},  # an unknown offset
     ("opt.soar", "run"): {"case": 1},  # a PPF whose producer is not yet seen
     # The Equation-2 rejection.
     ("opt.swc", "_admissible_check_rate"): {"item-17": 2},
@@ -153,7 +152,7 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.swc", "publish_store"): {"runtime": 7},
     # Flags, stores too frequent.
     ("opt.swc", "select_candidates"): {"guard": 3},
-    ("opt.thread", "_edge_facts"): {"guard": 1},  # a single predecessor not a branch
+    ("opt.thread", "_branch_facts"): {"guard": 1},  # a predecessor not a branch
     ("opt.thread", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
     ("opt.thread", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
 }
