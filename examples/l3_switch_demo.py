@@ -29,8 +29,8 @@ def main() -> None:
     ref = run_reference(lower_program(parse_and_check(app.source)), trace)
     profile = ref.profile
     for ppf in sorted(profile.ppf_invocations):
-        print("  %-28s rate %.2f  cost %5.1f IR-instrs/invocation" % (
-            ppf, profile.invocation_rate(ppf), profile.ppf_cost_per_packet(ppf)))
+        print("  %-28s rate %.2f  weight %5.1f IR-instrs/packet" % (
+            ppf, profile.invocation_rate(ppf), profile.ppf_weight(ppf)))
 
     print("\n== compiling BASE and +SWC")
     runs = {}

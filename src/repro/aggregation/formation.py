@@ -32,6 +32,7 @@ from repro.aggregation.throughput import (
     packets_per_second_for_gbps,
     system_throughput,
 )
+from repro.cg import melayout
 from repro.cg.codesize import estimate_closure
 from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ir import instructions as I
@@ -56,6 +57,7 @@ def form_aggregates(
         Aggregate(name=fn.name, ppfs=[fn.name]) for fn in mod.ppfs()
     ]
     target = packets_per_second_for_gbps(TARGET_GBPS)
+    store = melayout.CODE_STORE_WORDS  # read here, so a test can shrink it
 
     def refresh(agg: Aggregate) -> None:
         agg.cost = aggregate_cost(mod, profile, agg.members(), CC_COST)
@@ -80,7 +82,7 @@ def form_aggregates(
                 continue
             merged_members = a.members() | b.members()
             size = estimate_closure(mod, sorted(merged_members), opts)
-            if size > opts.me_code_store:
+            if size > store:
                 pair = (a.name, b.name)
                 if pair not in overflow_seen:
                     overflow_seen.add(pair)
@@ -89,7 +91,7 @@ def form_aggregates(
                                       reason="merged closure overflows the "
                                              "ME code store",
                                       code_size=size,
-                                      me_code_store=opts.me_code_store)
+                                      me_code_store=store)
                 continue
             obs_ledger.record("aggregation", "%s+%s" % (a.name, b.name), "merged",
                               reason="highest-cost connecting channel, merge "
@@ -106,12 +108,12 @@ def form_aggregates(
     me_aggs: List[Aggregate] = []
     xscale: List[Aggregate] = []
     for agg in aggregates:
-        if agg.code_size > opts.me_code_store or _rate(profile, agg) < INFREQUENT_RATE:
+        if agg.code_size > store or _rate(profile, agg) < INFREQUENT_RATE:
             agg.target = "xscale"
             xscale.append(agg)
             obs_ledger.record("aggregation", agg.name, "mapped_xscale",
                               reason="oversized for the ME code store"
-                                     if agg.code_size > opts.me_code_store
+                                     if agg.code_size > store
                                      else "infrequently executed (control plane)",
                               code_size=agg.code_size,
                               rate=_rate(profile, agg), ppfs=len(agg.ppfs))

@@ -24,14 +24,7 @@ from repro.apps.tables import (
     make_firewall_rules,
     render_firewall_rules,
 )
-from repro.profiler.trace import (
-    ETH_TYPE_IP,
-    Trace,
-    TracePacket,
-    build_ethernet,
-    build_ipv4,
-    build_udp,
-)
+from repro.profiler.trace import Trace, udp_flow_trace
 
 NAME = "firewall"
 
@@ -199,18 +192,9 @@ class FirewallApp:
         return flows
 
     def make_trace(self, count: int, seed: int = 2, n_flows: int = 48) -> Trace:
-        rng = random.Random(seed)
-        flows = self._flows(n_flows, seed + 5)
-        trace = Trace()
-        for i in range(count):
-            port = i % tables.N_PORTS
-            src, dst, sport, dport, proto = flows[rng.randrange(len(flows))]
-            udp = build_udp(sport, dport)
-            ip = build_ipv4(src, dst, payload=udp, proto=proto, total_length=46)
-            frame = build_ethernet(tables.ROUTER_MACS[port],
-                                   0x020000000000 | i, ETH_TYPE_IP, ip)
-            trace.packets.append(TracePacket(frame, port))
-        return trace
+        return udp_flow_trace(count, tables.ROUTER_MACS,
+                              self._flows(n_flows, seed + 5), seed=seed,
+                              ports=tables.N_PORTS)
 
     # -- oracle --------------------------------------------------------------------
 

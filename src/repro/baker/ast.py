@@ -29,7 +29,6 @@ class TypeExpr(Node):
 
     name: str
     is_packet: bool = False
-    resolved: Optional[Type] = None
 
 
 # -- Expressions -------------------------------------------------------------

@@ -76,12 +76,6 @@ BUILTINS: Dict[str, Builtin] = {
         Builtin("packet_extend", 2, doc="Grow headroom: move head back n bytes."),
         Builtin("packet_shorten", 2, doc="Drop n bytes from the head."),
         Builtin(
-            "packet_input_port",
-            1,
-            ret_type=T.U32,
-            doc="Receive port recorded by Rx (alias of ->meta.rx_port).",
-        ),
-        Builtin(
             "packet_as",
             2,
             proto_arg=1,

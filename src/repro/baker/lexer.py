@@ -2,8 +2,9 @@
 
 Produces a list of :class:`~repro.baker.tokens.Token`, terminated by an
 ``EOF`` token. Supports ``//`` line comments, ``/* */`` block comments,
-decimal / hex / octal / binary integer literals, character literals and
-double-quoted strings (used only for diagnostics / table names).
+decimal / hex / octal / binary integer literals and character literals.
+Baker has no string literals: no parser rule takes one, so a ``"`` is an
+unexpected character, located at the quote.
 
 Trivia, identifiers, keywords and operators come from one compiled
 pattern, matched once per token; literals keep hand-written scanners.
@@ -72,8 +73,6 @@ class Lexer:
                 ch = text[pos]
                 if ch in _DIGITS:
                     tokens.append(self._lex_number(pos))
-                elif ch == '"':
-                    tokens.append(self._lex_string(pos))
                 elif ch == "'":
                     tokens.append(self._lex_char(pos))
                 else:
@@ -116,29 +115,6 @@ class Lexer:
             raise self._error("invalid integer literal", start) from None
         return Token(TokenKind.INT, literal, self.source.location(start),
                      value=value)
-
-    def _lex_string(self, start: int) -> Token:
-        chars: List[str] = []
-        pos = start + 1
-        text, n = self.text, len(self.text)
-        while True:
-            if pos >= n or text[pos] == "\n":
-                raise self._error("unterminated string literal", start)
-            ch = text[pos]
-            if ch == '"':
-                pos += 1
-                break
-            if ch == "\\":
-                if pos + 1 >= n or text[pos + 1] not in _ESCAPES:
-                    raise self._error("invalid escape sequence", pos)
-                chars.append(_ESCAPES[text[pos + 1]])
-                pos += 2
-            else:
-                chars.append(ch)
-                pos += 1
-        self.pos = pos
-        return Token(TokenKind.STRING, text[start:pos],
-                     self.source.location(start), value="".join(chars))
 
     def _lex_char(self, start: int) -> Token:
         text, n = self.text, len(self.text)

@@ -620,13 +620,6 @@ class _FunctionLowerer:
             dst = self.new_temp(T.U32)
             self.emit(I.PktLength(dst, ph), expr)
             return dst
-        if name == "packet_input_port":
-            from repro.baker.packetmodel import META_RX_PORT
-
-            ph = self._lower_expr(expr.args[0])
-            dst = self.new_temp(T.U32)
-            self.emit(I.MetaLoad(dst, ph, "rx_port", META_RX_PORT), expr)
-            return dst
         if name in ("packet_add_tail", "packet_remove_tail",
                     "packet_extend", "packet_shorten"):
             op = name[len("packet_"):]

@@ -568,7 +568,9 @@ class Parser:
         if tok.kind is TokenKind.KW_SIZEOF:
             self.advance()
             self.expect(TokenKind.LPAREN)
-            name = self.expect(TokenKind.IDENT, "sizeof")
+            # A base type (every one is a keyword), a struct or a protocol.
+            name = (self.advance() if self.peek().kind in _TYPE_KEYWORDS
+                    else self.expect(TokenKind.IDENT, "sizeof"))
             self.expect(TokenKind.RPAREN)
             return ast.SizeofExpr(loc=tok.loc, name=name.text)
         if tok.kind is TokenKind.LPAREN:

@@ -182,20 +182,15 @@ class SemanticAnalyzer:
             return None
 
     def _resolve_type(self, texpr: ast.TypeExpr) -> T.Type:
-        if texpr.resolved is not None:
-            return texpr.resolved
         if texpr.is_packet:
             if texpr.name not in self.checked.protocols:
                 raise self._error("unknown protocol %r" % texpr.name, texpr)
-            texpr.resolved = T.PacketType(texpr.name)
-            return texpr.resolved
+            return T.PacketType(texpr.name)
         base = T.BASE_TYPES.get(texpr.name)
         if base is not None:
-            texpr.resolved = base
             return base
         struct = self.checked.structs.get(texpr.name)
         if struct is not None:
-            texpr.resolved = struct
             return struct
         raise self._error("unknown type %r" % texpr.name, texpr)
 
@@ -270,18 +265,23 @@ class SemanticAnalyzer:
         for fdecl in self.program.funcs:
             self._declare_func(fdecl, self.program_scope, module=None)
 
-    def _declare_const(self, decl: ast.ConstDecl, scope: Scope, module: Optional[str]) -> None:
-        ctype = self._resolve_type(decl.type_expr)
-        if not ctype.is_scalar:
-            raise self._error("const must have scalar type", decl)
+    def _const_env(self, module: Optional[str]) -> Dict[str, ConstSymbol]:
+        """The consts a constant expression in ``module`` may name: every
+        one declared so far by its qualified name, and the module's own
+        unqualified too."""
         env = dict(self.checked.consts)
-        # Also allow unqualified access to earlier consts of the same module.
         if module:
             prefix = module + "."
             for name, sym in self.checked.consts.items():
                 if name.startswith(prefix):
                     env.setdefault(name[len(prefix) :], sym)
-        value = eval_const_expr(decl.value, env)
+        return env
+
+    def _declare_const(self, decl: ast.ConstDecl, scope: Scope, module: Optional[str]) -> None:
+        ctype = self._resolve_type(decl.type_expr)
+        if not ctype.is_scalar:
+            raise self._error("const must have scalar type", decl)
+        value = eval_const_expr(decl.value, self._const_env(module))
         qualified = "%s.%s" % (module, decl.name) if module else decl.name
         sym = ConstSymbol(
             SymbolKind.CONST, decl.name, type=ctype, loc=decl.loc, qualified=qualified, value=value
@@ -303,7 +303,8 @@ class SemanticAnalyzer:
             gtype = T.ArrayType(base, decl.array_len)
         init_values = None
         if decl.init is not None:
-            values = [eval_const_expr(e, self.checked.consts) for e in decl.init]
+            env = self._const_env(module)
+            values = [eval_const_expr(e, env) for e in decl.init]
             if decl.array_len is None:
                 if len(values) != 1:
                     raise self._error("scalar global takes a single initializer", decl)
@@ -718,7 +719,7 @@ class BodyChecker:
                 raise self._error("call result is not assignable", expr)
             return self._check_call(expr)
         if isinstance(expr, ast.Index):
-            return self._check_index(expr, lvalue)
+            return self._check_index(expr)
         if isinstance(expr, ast.Member):
             return self._check_member(expr, lvalue)
         raise self._error("unsupported expression", expr)
@@ -827,16 +828,13 @@ class BodyChecker:
             return ttype
         raise self._error("ternary arms have mismatched types %s / %s" % (ttype, otype), expr)
 
-    def _check_index(self, expr: ast.Index, lvalue: bool) -> T.Type:
+    def _check_index(self, expr: ast.Index) -> T.Type:
         btype = self.check_expr(expr.base, lvalue=False)
         if not isinstance(btype, T.ArrayType):
             raise self._error("indexing requires an array, got %s" % btype, expr)
         itype = self.check_expr(expr.index)
         if not itype.is_scalar:
             raise self._error("array index must be an integer", expr)
-        if lvalue and isinstance(btype.element, (T.ArrayType, T.StructType)):
-            if isinstance(btype.element, T.ArrayType):
-                raise self._error("nested arrays are not assignable as a whole", expr)
         return btype.element
 
     def _check_member(self, expr: ast.Member, lvalue: bool) -> T.Type:
@@ -1086,8 +1084,6 @@ def _fold(expr: ast.Expr, env: Dict[str, ConstSymbol]) -> Tuple[int, T.Type]:
         otherwise, otype = _fold(expr.otherwise, env)
         value = then if _fold(expr.cond, env)[0] else otherwise
         return value, T.common_arith_type(ttype, otype)
-    if isinstance(expr, ast.SizeofExpr) and hasattr(expr, "value"):
-        return expr.value, T.U32  # type: ignore[attr-defined]
     raise SemanticError("not a constant expression", getattr(expr, "loc", None))
 
 

@@ -12,7 +12,6 @@ class TokenKind(enum.Enum):
     # Literals and identifiers.
     IDENT = "identifier"
     INT = "integer literal"
-    STRING = "string literal"
     CHAR = "char literal"
 
     # Keywords.

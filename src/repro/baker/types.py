@@ -102,9 +102,6 @@ class PacketType(Type):
     def __str__(self) -> str:
         return "%s_pkt*" % (self.protocol or "raw")
 
-    def size_bytes(self) -> int:
-        return 4  # handles are SRAM addresses
-
 
 @dataclass(frozen=True)
 class ChannelType(Type):
@@ -142,9 +139,6 @@ class StructType(Type):
 
     def __str__(self) -> str:
         return "struct %s" % self.name
-
-    def __hash__(self) -> int:
-        return hash(("struct", self.name))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StructType) and other.name == self.name
@@ -263,10 +257,6 @@ class Protocol:
             if f.name == name:
                 return f
         return None
-
-    @property
-    def min_header_bits(self) -> int:
-        return sum(f.width_bits for f in self.fields)
 
     def assign_offsets(self) -> None:
         offset = 0

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.cg.melayout import CODE_STORE_WORDS
-
 #: The cumulative levels, in the order Table 1 / Figures 13-15 add them.
 LEVEL_ORDER: List[str] = ["BASE", "O1", "O2", "PAC", "SOAR", "PHR", "SWC"]
 
@@ -62,8 +60,6 @@ class CompilerOptions:
     # enforce_check_period) -- the paper's 1% tolerable-error bound is
     # a compiler invariant, not a user promise.
     swc_check_period: int = 16
-    # Aggregation input:
-    me_code_store: int = CODE_STORE_WORDS  # instructions per ME
 
     def __post_init__(self) -> None:
         if self.name not in LEVEL_ORDER:

@@ -555,6 +555,9 @@ class Interpreter:
             raise InterpError("use of undefined temp %r" % temps[name.group(1)]) from None
         except EvalError as exc:
             raise InterpError(str(exc)) from None
+        except (ValueError, IndexError) as exc:
+            # A packet fault (HostPacket: past the buffer, no headroom).
+            raise InterpError("%s: %s" % (fn.name, exc)) from None
 
     # -- integration hooks (overridden by the simulated-XScale executor) -----------
 

@@ -47,14 +47,6 @@ class ProfileData:
 
     # -- derived quantities used by aggregation --------------------------------
 
-    def ppf_cost_per_packet(self, ppf: str) -> float:
-        """Average executed IR instructions per invocation (the paper's
-        'relative PPF execution time')."""
-        n = self.ppf_invocations.get(ppf, 0)
-        if n == 0:
-            return 0.0
-        return self.ppf_instrs.get(ppf, 0) / n
-
     def ppf_weight(self, ppf: str) -> float:
         """Total executed instructions attributed to the PPF, normalized
         per input packet -- the execution-frequency-weighted cost."""

@@ -1,5 +1,13 @@
 """Shared Baker source samples used across the test suite."""
 
+import random
+from typing import Sequence
+
+from repro.profiler.trace import (
+    ETH_TYPE_MPLS, Trace, TracePacket, build_ethernet, build_ipv4,
+    build_mpls_stack,
+)
+
 ETHER_IPV4_PROTOCOLS = r"""
 protocol ether {
   dst : 48;
@@ -115,3 +123,25 @@ u32 fill(u32 x) {
 module m { ppf go(ether_pkt *ph) from rx {
   ph->type = fill(ph->type) & 0xffff; channel_put(tx, ph); } }
 """ % (words, words)
+
+
+def mpls_trace(
+    count: int,
+    router_macs: Sequence[int],
+    labels: Sequence[int],
+    seed: int = 3,
+    ports: int = 3,
+    stack_depth: int = 1,
+) -> Trace:
+    """MPLS-over-Ethernet 64 B frames with ``stack_depth`` labels, the
+    innermost over an IPv4 payload (NPF MPLS forwarding shape)."""
+    rng = random.Random(seed)
+    trace = Trace()
+    for i in range(count):
+        port = i % ports
+        stack = [labels[rng.randrange(len(labels))] for _ in range(stack_depth)]
+        ip = build_ipv4(0x0A000001 + i, 0xC0A80101, total_length=26)
+        payload = build_mpls_stack(stack) + ip
+        frame = build_ethernet(router_macs[port], 0x020000000000 + i, ETH_TYPE_MPLS, payload)
+        trace.packets.append(TracePacket(frame, port))
+    return trace

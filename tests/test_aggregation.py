@@ -12,6 +12,7 @@ from repro.aggregation import (
 )
 from repro.aggregation.aggregate import aggregate_cost, external_channels
 from repro.aggregation.formation import apply_plan
+from repro.cg import melayout
 from repro.cg.melayout import PROGRAMMABLE_MES
 from repro.ir import instructions as I
 from repro.ir.verifier import verify_module
@@ -143,30 +144,31 @@ def test_formation_maps_cold_ppf_to_xscale():
     assert "l3_switch.arp_handler" in xscale_ppfs
 
 
-def test_formation_respects_code_store_limit():
+def test_formation_respects_code_store_limit(monkeypatch):
     mod, profile = _profiled(MINI_FORWARDER, arp_fraction=0.1)
     from repro.cg.codesize import estimate_closure
 
-    opts0 = options_for("BASE")
+    opts = options_for("BASE")
     biggest = max(
-        estimate_closure(mod, [fn.name], opts0) for fn in mod.ppfs()
+        estimate_closure(mod, [fn.name], opts) for fn in mod.ppfs()
     )
     # Each PPF fits alone, but no two can merge.
-    opts = options_for("BASE", me_code_store=int(biggest * 1.2))
+    monkeypatch.setattr(melayout, "CODE_STORE_WORDS", int(biggest * 1.2))
     plan = form_aggregates(mod, profile, opts)
     assert len(plan.me_aggregates) >= 2  # forced pipeline
 
 
-def test_formation_pipeline_splits_when_merged_too_big():
+def test_formation_pipeline_splits_when_merged_too_big(monkeypatch):
     mod, profile = _profiled(MINI_FORWARDER, arp_fraction=0.1)
     from repro.cg.codesize import estimate_closure
 
-    opts0 = options_for("BASE")
+    opts = options_for("BASE")
     # Choose a limit that fits each PPF alone but not two together.
     limit = int(
-        max(estimate_closure(mod, [fn.name], opts0) for fn in mod.ppfs()) * 1.2
+        max(estimate_closure(mod, [fn.name], opts) for fn in mod.ppfs()) * 1.2
     )
-    plan = form_aggregates(mod, profile, options_for("BASE", me_code_store=limit))
+    monkeypatch.setattr(melayout, "CODE_STORE_WORDS", limit)
+    plan = form_aggregates(mod, profile, opts)
     assert all(a.code_size <= limit for a in plan.me_aggregates)
     assert len(plan.me_aggregates) >= 2
 
@@ -182,7 +184,7 @@ def _ppf_estimates(level):
     return {fn.name: estimate_closure(mod, [fn.name], opts) for fn in mod.ppfs()}
 
 
-def test_formation_maps_oversized_aggregate_to_xscale():
+def test_formation_maps_oversized_aggregate_to_xscale(monkeypatch):
     from repro.compiler import compile_baker
     from repro.rts.system import verify_against_reference
 
@@ -190,11 +192,11 @@ def test_formation_maps_oversized_aggregate_to_xscale():
     assert max(sizes, key=sizes.get) == "l3_switch.l3_fwdr"
     trace = ipv4_trace(40, [0xC0A80101, 0xC0A80202], MACS,
                        arp_fraction=0.1, seed=2)
-    opts = options_for("BASE", me_code_store=max(sizes.values()) - 1)
-    result = compile_baker(MINI_FORWARDER, opts, trace)
+    monkeypatch.setattr(melayout, "CODE_STORE_WORDS", max(sizes.values()) - 1)
+    result = compile_baker(MINI_FORWARDER, options_for("BASE"), trace)
     fwdr = [a for a in result.plan.xscale_aggregates
             if "l3_switch.l3_fwdr" in a.ppfs]
-    assert len(fwdr) == 1 and fwdr[0].code_size > opts.me_code_store
+    assert len(fwdr) == 1 and fwdr[0].code_size > melayout.CODE_STORE_WORDS
     mapped = [d for d in result.decisions if d.verdict == "mapped_xscale"
               and d.subject == fwdr[0].name]
     assert [d.reason for d in mapped] == ["oversized for the ME code store"]
@@ -202,7 +204,7 @@ def test_formation_maps_oversized_aggregate_to_xscale():
     assert verify_against_reference(result, trace)
 
 
-def test_loader_refuses_a_plan_without_me_aggregates():
+def test_loader_refuses_a_plan_without_me_aggregates(monkeypatch):
     from repro.compiler import compile_baker
     from repro.ixp.chip import IXP2400
     from repro.rts.loader import LoaderError, load_system
@@ -210,8 +212,8 @@ def test_loader_refuses_a_plan_without_me_aggregates():
     sizes = _ppf_estimates("BASE")
     trace = ipv4_trace(40, [0xC0A80101, 0xC0A80202], MACS,
                        arp_fraction=0.1, seed=2)
-    opts = options_for("BASE", me_code_store=min(sizes.values()) - 1)
-    result = compile_baker(MINI_FORWARDER, opts, trace)
+    monkeypatch.setattr(melayout, "CODE_STORE_WORDS", min(sizes.values()) - 1)
+    result = compile_baker(MINI_FORWARDER, options_for("BASE"), trace)
     assert not result.plan.me_aggregates
     with pytest.raises(LoaderError, match="no ME aggregates to load"):
         load_system(result, IXP2400(n_programmable_mes=2))

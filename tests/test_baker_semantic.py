@@ -38,7 +38,6 @@ def test_protocol_offsets_assigned():
     cp = check(PASSTHROUGH)
     ether = cp.protocols["ether"]
     assert [f.offset_bits for f in ether.fields] == [0, 48, 96]
-    assert ether.min_header_bits == 112
 
 
 def test_constant_demux_folded():

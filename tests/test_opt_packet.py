@@ -20,11 +20,13 @@ from repro.profiler.stats import ProfileData
 from repro.opt.pipeline import scalar_optimize_function
 from repro.profiler.interpreter import Interpreter, run_reference
 from repro.profiler.trace import (
-    Trace, TracePacket, build_ethernet, build_mpls_label, ipv4_trace, mpls_trace,
+    Trace, TracePacket, build_ethernet, build_mpls_label, ipv4_trace,
 )
 from tests.ir_helpers import lower
 from repro.cg.melayout import SWC_REGION_WORDS
-from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
+from tests.samples import (
+    ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH, mpls_trace,
+)
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 

@@ -16,11 +16,12 @@ from repro.profiler.trace import (
     build_udp,
     ipv4_checksum,
     ipv4_trace,
-    mpls_trace,
     udp_flow_trace,
 )
 from tests.ir_helpers import lower
-from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH
+from tests.samples import (
+    ETHER_IPV4_PROTOCOLS, MINI_FORWARDER, PASSTHROUGH, mpls_trace,
+)
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
 
@@ -263,7 +264,7 @@ def test_profile_costs_positive():
     mod = lower(MINI_FORWARDER)
     res = run_reference(mod, ipv4_trace(10, [1], MACS))
     p = res.profile
-    assert p.ppf_cost_per_packet("l3_switch.l2_clsfr") > 5
+    assert p.ppf_weight("l3_switch.l2_clsfr") > 5
     assert p.channel_utilization("tx") == 1.0
 
 
@@ -276,6 +277,21 @@ def test_interpreter_fuel_guard():
     interp = Interpreter(mod, fuel=10_000)
     with pytest.raises(InterpError):
         interp.run_trace(ipv4_trace(1, [1], MACS))
+
+
+@pytest.mark.parametrize("demux", ["200", "dst << 2"])
+def test_a_packet_fault_on_the_profiling_trace_is_an_interp_error(demux):
+    # A header larger than the packet: HostPacket's own ValueError used to
+    # escape the compile as is.
+    from repro.apps import get_app
+    from repro.compiler import compile_baker
+    from repro.options import options_for
+
+    app = get_app("firewall")
+    src = app.source.replace("demux { ihl << 2 };", "demux { %s };" % demux)
+    with pytest.raises(InterpError,
+                       match="firewall.rule_match: decap beyond packet length"):
+        compile_baker(src, options_for("BASE"), app.make_trace(20, seed=5))
 
 
 def test_call_function_directly():

@@ -1,11 +1,12 @@
-"""Which back-end statements no real program reaches, and why.
+"""Which compiler statements no real program reaches, and why.
 
 The probe compiles the three applications at every level (200-packet
 traces, seed 5) and every ``CORPUS`` program of
 ``tests/test_endtoend_features.py`` at every level, under a line tracer
-limited to ``src/repro/opt``, ``src/repro/cg`` and
-``src/repro/aggregation``, and counts per function the statements it
-never saw run. ``UNREACHED`` pins that table, keyed by dotted module
+limited to every module a compile runs outside ``repro.rts``: the
+packages ``baker``, ``ir``, ``profiler``, ``opt``, ``aggregation`` and
+``cg``, and the modules ``compiler`` and ``options``. It counts per
+function the statements it never saw run. ``UNREACHED`` pins that table, keyed by dotted module
 (``("cg.lower", "FunctionLowerer._lower_binop")``): each row gives the
 count and the reason the statements stay. The rule behind it: a whole
 mechanism that no program uses is deleted, not listed; one case of a
@@ -22,7 +23,10 @@ of its own (``while True:`` on 3.9).
 
 Only compiles are traced, so code that the loader, the simulator or a
 serving run calls and no compile does (the ``runtime`` rows), and the
-printers behind listings (the ``tool`` rows), stay unreached here.
+printers behind listings (the ``tool`` rows), stay unreached here. The
+probe first empties the caches a compile fills (checked programs,
+reference runs, generated interpreter code, folding functions), so the
+table does not depend on what the process ran before.
 
 ``python -m tests.test_reach`` prints the table.
 """
@@ -30,22 +34,32 @@ printers behind listings (the ``tool`` rows), stay unreached here.
 from __future__ import annotations
 
 import ast
+import dis
 import importlib
 import pkgutil
 import sys
 from typing import Dict, List, Set, Tuple
 
 import repro.aggregation
+import repro.baker
 import repro.cg
+import repro.compiler
+import repro.ir
 import repro.opt
+import repro.options
+import repro.profiler
+from repro.ir import eval as ir_eval
+from repro.profiler import interpreter
 from repro.apps import all_apps
 from repro.compiler import compile_baker
 from repro.options import LEVEL_ORDER, options_for
 
 Key = Tuple[str, str]  # (dotted module under repro, function qualname)
 
-#: The packages traced.
-PACKAGES = (repro.aggregation, repro.cg, repro.opt)
+#: The packages and modules traced.
+PACKAGES = (repro.aggregation, repro.baker, repro.cg, repro.ir, repro.opt,
+            repro.profiler)
+MODULES = (repro.compiler, repro.options)
 
 #: Why an unreached statement stays.
 REASONS = {
@@ -54,9 +68,16 @@ REASONS = {
     "case": "one arm of a rule whose other arms real programs reach",
     "item-17": "SWC's section 5.2 paths that no app compile stores through "
                "(ROADMAP item 17)",
-    "runtime": "called by the loader, the simulator, the compile cache or "
-               "a serving run, never by a compile",
-    "tool": "a repr or a listing printer",
+    "runtime": "called by the loader, the simulator (the XScale interprets "
+               "optimized IR), the verifier, the compile cache or a serving "
+               "run, never by a compile",
+    "tool": "a repr or a printer: text for a person (a listing, a type "
+            "named in a diagnostic, a report table, the token stream)",
+    "oracle": "the functional reference as tests read it (the sorted Tx, "
+              "one IR function called alone)",
+    "api": "a default, an override or a spelling that callers around a "
+           "compile pass (the CLIs, the ablation benchmarks, tests)",
+    "import": "runs when its module is imported, before the probe starts",
 }
 
 #: (module, function) -> {reason: unreached statements}. A function
@@ -73,6 +94,92 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("aggregation.throughput", "assign_mes"): {"guard": 1},
     ("aggregation.throughput", "stage_throughput"): {"guard": 1},
     ("aggregation.throughput", "system_throughput"): {"guard": 2},
+    # A diagnostic with no location.
+    ("baker.errors", "BakerError.format"): {"guard": 1},
+    ("baker.errors", "BakerError.kind"): {"guard": 1},
+    ("baker.errors", "LexError.kind"): {"guard": 1},
+    ("baker.errors", "LoweringError.kind"): {"guard": 1},
+    ("baker.errors", "ParseError.kind"): {"guard": 1},
+    ("baker.lexer", "Lexer._error"): {"guard": 1},
+    ("baker.lexer", "Lexer._lex_char"): {"guard": 3},
+    ("baker.lexer", "Lexer._lex_number"): {"guard": 4},
+    ("baker.lexer", "Lexer.tokenize"): {"guard": 2},
+    # Lexing alone (the token-stream digest).
+    ("baker.lexer", "tokenize"): {"tool": 1},
+    ("baker.lowering", "_FunctionLowerer._access_path"): {"guard": 3},
+    ("baker.lowering", "_FunctionLowerer._error"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_binop_values"): {"guard": 2},
+    # A statement after return or break.
+    ("baker.lowering", "_FunctionLowerer._lower_block"): {"case": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_break"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_builtin"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_continue"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_expr"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_load_path"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_name"): {"guard": 3},
+    ("baker.lowering", "_FunctionLowerer._lower_return"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_stmt"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._lower_unary"): {"guard": 1},
+    ("baker.lowering", "_FunctionLowerer._store_lvalue"): {"guard": 1},
+    ("baker.parser", "Parser._error"): {"guard": 1},
+    ("baker.parser", "Parser._parse_global_or_func"): {"guard": 1},
+    ("baker.parser", "Parser._parse_postfix"): {"guard": 1},
+    ("baker.parser", "Parser._parse_ppf"): {"guard": 1},
+    ("baker.parser", "Parser._parse_primary"): {"guard": 1},
+    ("baker.parser", "Parser.expect"): {"guard": 3},
+    ("baker.parser", "Parser.parse_module"): {"guard": 1},
+    ("baker.parser", "Parser.parse_program"): {"guard": 2},
+    ("baker.parser", "Parser.parse_protocol"): {"guard": 1},
+    ("baker.parser", "Parser.parse_type"): {"guard": 2},
+    ("baker.semantic", "BodyChecker._check_assign"): {"guard": 2},
+    ("baker.semantic", "BodyChecker._check_binary"): {"guard": 5},
+    ("baker.semantic", "BodyChecker._check_builtin_call"): {"guard": 12},
+    ("baker.semantic", "BodyChecker._check_call"): {"guard": 4},
+    ("baker.semantic", "BodyChecker._check_condition"): {"guard": 1},
+    ("baker.semantic", "BodyChecker._check_expr_inner"): {"guard": 8},
+    ("baker.semantic", "BodyChecker._check_index"): {"guard": 2},
+    ("baker.semantic", "BodyChecker._check_local_decl"): {"guard": 6},
+    ("baker.semantic", "BodyChecker._check_member"): {"guard": 9},
+    ("baker.semantic", "BodyChecker._check_name"): {"guard": 5},
+    ("baker.semantic", "BodyChecker._check_return"): {"guard": 3},
+    ("baker.semantic", "BodyChecker._check_sizeof"): {"guard": 2},
+    ("baker.semantic", "BodyChecker._check_ternary"): {"guard": 2},
+    ("baker.semantic", "BodyChecker._check_unary"): {"guard": 3},
+    ("baker.semantic", "BodyChecker._error"): {"guard": 1},
+    ("baker.semantic", "BodyChecker._lookup"): {"guard": 3},
+    ("baker.semantic", "BodyChecker.check_stmt"): {"guard": 4},
+    ("baker.semantic", "BodyChecker.declare_local"): {"guard": 1},
+    ("baker.semantic", "MetadataMarkerType.__str__"): {"tool": 1},
+    ("baker.semantic", "SemanticAnalyzer._check_demux"): {"guard": 2},
+    ("baker.semantic", "SemanticAnalyzer._check_no_recursion"): {"guard": 3},
+    ("baker.semantic", "SemanticAnalyzer._check_wiring"): {"guard": 5},
+    ("baker.semantic", "SemanticAnalyzer._declare"): {"guard": 1},
+    ("baker.semantic", "SemanticAnalyzer._declare_const"): {"guard": 1},
+    ("baker.semantic", "SemanticAnalyzer._declare_func"): {"guard": 4},
+    ("baker.semantic", "SemanticAnalyzer._declare_global"): {"guard": 4},
+    ("baker.semantic", "SemanticAnalyzer._declare_metadata"): {"guard": 3},
+    ("baker.semantic", "SemanticAnalyzer._declare_modules"): {"guard": 1},
+    ("baker.semantic", "SemanticAnalyzer._declare_protocols"): {"guard": 4},
+    ("baker.semantic", "SemanticAnalyzer._declare_structs"): {"guard": 3},
+    ("baker.semantic", "SemanticAnalyzer._error"): {"guard": 1},
+    ("baker.semantic", "SemanticAnalyzer._field_type"): {"guard": 2},
+    ("baker.semantic", "SemanticAnalyzer._resolve_channel"): {"guard": 1},
+    ("baker.semantic", "SemanticAnalyzer._resolve_type"): {"guard": 2},
+    # Division by zero; not a constant.
+    ("baker.semantic", "_fold"): {"guard": 3},
+    ("baker.symbols", "Scope.lookup"): {"guard": 1},
+    ("baker.tokens", "Token.__repr__"): {"tool": 3},
+    ("baker.types", "ArrayType.__str__"): {"tool": 1},
+    ("baker.types", "ChannelType.__str__"): {"tool": 1},
+    ("baker.types", "PacketType.__str__"): {"tool": 1},
+    ("baker.types", "Protocol.field_by_name"): {"guard": 1},
+    ("baker.types", "StructType.__str__"): {"tool": 1},
+    ("baker.types", "StructType.field_by_name"): {"guard": 1},
+    ("baker.types", "Type.__str__"): {"guard": 1},
+    ("baker.types", "Type.size_bytes"): {"guard": 1},
+    ("baker.types", "VoidType.__str__"): {"tool": 1},
+    ("baker.types", "assignable"): {"guard": 1},
+    ("baker.types", "integer_for_bits"): {"guard": 1},
     ("cg.asmprint", "format_insn"): {"tool": 40},
     ("cg.assemble", "MEImage.__getstate__"): {"runtime": 5},
     ("cg.assemble", "MEImage._content"): {"runtime": 3},
@@ -117,6 +224,36 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     # The unoptimized layout (stack_opt off, Figure 6's ablation); a
     # function no call reaches.
     ("cg.stack", "layout_frames"): {"case": 2, "guard": 1},
+    ("compiler", "compile_baker"): {"api": 2},  # no options; no trace
+    # A branch whose two arms are one block.
+    ("ir.cfg", "simplify_cfg"): {"case": 2},
+    # A block no predecessor has reached yet.
+    ("ir.cfg", "solve_forward"): {"case": 1},
+    # The root passed without meeting a.
+    ("ir.dominators", "DomTree.dominates"): {"case": 1},
+    ("ir.dominators", "_build"): {"case": 1},  # an unreachable predecessor
+    # Division (the ME has none); division by zero.
+    ("ir.eval", "binop_fn"): {"case": 12, "guard": 5},
+    ("ir.eval", "cmp_fn"): {"case": 2, "guard": 1},  # a signed ordering
+    ("ir.eval", "to_signed"): {"case": 3},  # signed division
+    ("ir.instructions", "Instr.__repr__"): {"tool": 2},
+    # An instruction that keeps the head.
+    ("ir.instructions", "Instr.head_delta"): {"case": 1},
+    ("ir.instructions", "PktAdjust.head_delta"): {"case": 1},  # a tail adjust
+    ("ir.instructions", "PktWords.bit_off"): {"guard": 1},
+    ("ir.module", "BasicBlock.__repr__"): {"tool": 1},
+    # An unterminated block.
+    ("ir.module", "BasicBlock.successors"): {"guard": 1},
+    ("ir.module", "IRFunction.__repr__"): {"tool": 1},
+    ("ir.module", "IRModule.__repr__"): {"tool": 1},
+    ("ir.printer", "_fmt"): {"tool": 1},
+    ("ir.printer", "_soar"): {"tool": 6},
+    ("ir.printer", "format_function"): {"tool": 10},
+    ("ir.printer", "format_instr"): {"tool": 74},
+    ("ir.printer", "format_module"): {"tool": 1},
+    ("ir.values", "Const.__repr__"): {"tool": 3},
+    ("ir.values", "Temp.__repr__"): {"tool": 1},
+    ("ir.verifier", "verify_function"): {"guard": 9},
     # An init callee, a caller or callee gone, a recursive call.
     ("opt.inline", "run"): {"guard": 3},
     ("opt.pac", "_byte_coverage_ok"): {"guard": 1},  # a partly stored byte
@@ -142,9 +279,9 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.soar", "run"): {"case": 1},  # a PPF whose producer is not yet seen
     # The Equation-2 rejection.
     ("opt.swc", "_admissible_check_rate"): {"item-17": 2},
+    ("opt.swc", "_make_resident_reads"): {"mutation": 1},
     # A resident table stored on an ME; the stores' generation bump.
     ("opt.swc", "apply"): {"guard": 2, "item-17": 5},
-    ("opt.swc", "_make_resident_reads"): {"mutation": 1},
     ("opt.swc", "boot_lm_words"): {"runtime": 9},
     # The Equation-2 clamp of the check period.
     ("opt.swc", "enforce_check_period"): {"item-17": 4},
@@ -152,9 +289,58 @@ UNREACHED: Dict[Key, Dict[str, int]] = {
     ("opt.swc", "publish_store"): {"runtime": 7},
     # Flags, stores too frequent.
     ("opt.swc", "select_candidates"): {"guard": 3},
-    ("opt.thread", "_branch_facts"): {"guard": 1},  # a predecessor not a branch
     ("opt.thread", "_known_after"): {"case": 1},  # a fold left to run time (EvalError)
     ("opt.thread", "_thread"): {"guard": 1},  # MAX_THREAD_INSTRS
+    ("options", "CompilerOptions.__post_init__"): {"guard": 1, "import": 1},
+    ("options", "_from_level"): {"import": 1},
+    # A keyword override (the ablation benchmarks).
+    ("options", "options_for"): {"api": 1},
+    ("options", "parse_level"): {"api": 2},  # the CLIs' spelling of a level
+    ("profiler.hostpackets", "HostPacket.__init__"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.__repr__"): {"tool": 1},
+    ("profiler.hostpackets", "HostPacket._bit"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.add_tail"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.decap"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.encap"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.load_bytes"): {"runtime": 2},
+    # The verifier reads the reference's Tx.
+    ("profiler.hostpackets", "HostPacket.payload"): {"runtime": 1},
+    ("profiler.hostpackets", "HostPacket.remove_tail"): {"guard": 1},
+    ("profiler.hostpackets", "HostPacket.store_bytes"): {"runtime": 2},
+    ("profiler.hostpackets", "_byte_window"): {"guard": 1},
+    # The loader's boot image.
+    ("profiler.interpreter", "GlobalMemory.image"): {"runtime": 1},
+    ("profiler.interpreter", "GlobalMemory.load"): {"guard": 1},
+    ("profiler.interpreter", "GlobalMemory.on_chip"): {"runtime": 3},
+    ("profiler.interpreter", "GlobalMemory.store"): {"guard": 1},
+    ("profiler.interpreter", "Interpreter._exec_function"): {"guard": 10},
+    ("profiler.interpreter", "Interpreter.call"): {"oracle": 1},
+    ("profiler.interpreter", "Interpreter.run_trace"): {"guard": 1},
+    ("profiler.interpreter", "SystemResult.tx_payloads"): {"oracle": 1},
+    ("profiler.interpreter", "SystemResult.tx_signature"): {"oracle": 1},
+    ("profiler.interpreter", "_Source.arm"): {"guard": 2},
+    ("profiler.interpreter", "_Source.generic"): {"runtime": 1},
+    # A branch on a constant.
+    ("profiler.interpreter", "_Source.terminator"): {"case": 2, "guard": 1},
+    ("profiler.interpreter", "_emit_binop"): {"case": 1},  # ashr, div, rem
+    # A signed ordering; ordered handles.
+    ("profiler.interpreter", "_emit_cmp"): {"case": 2, "guard": 1},
+    ("profiler.interpreter", "_emit_local"): {"guard": 1},
+    ("profiler.interpreter", "_load_g_words"): {"runtime": 3},
+    ("profiler.interpreter", "_pkt_load_words"): {"runtime": 2},
+    ("profiler.interpreter", "_pkt_store_words"): {"runtime": 5},
+    ("profiler.interpreter", "_pkt_sync_head"): {"runtime": 3},
+    # An empty profile.
+    ("profiler.stats", "ProfileData.channel_utilization"): {"guard": 1},
+    # The compile report's table.
+    ("profiler.stats", "ProfileData.hot_lines"): {"tool": 2},
+    # An empty profile.
+    ("profiler.stats", "ProfileData.invocation_rate"): {"guard": 1},
+    # An empty profile.
+    ("profiler.stats", "ProfileData.ppf_weight"): {"guard": 1},
+    ("profiler.trace", "Trace.repeated"): {"runtime": 5},
+    ("profiler.trace", "build_ipv4"): {"guard": 1},
+    ("profiler.trace", "ipv4_trace"): {"case": 3},  # ARP frames (arp_fraction)
 }
 
 
@@ -230,21 +416,47 @@ def _compiles():
 def probe() -> Tuple[Dict[Key, int], int, int]:
     """Compile everything under the tracer: ``(key -> unreached
     statements, for every function with any; statements; unreached)``."""
-    modules = {}
+    modules = {mod.__file__: mod.__name__[len("repro."):] for mod in MODULES}
     for package in PACKAGES:
         for info in pkgutil.iter_modules(package.__path__):
             mod = importlib.import_module(package.__name__ + "." + info.name)
             modules[mod.__file__] = mod.__name__[len("repro."):]
     seen: Dict[str, Set[int]] = {path: set() for path in modules}
+    # id(code) -> the lines of a traced code object that no event has
+    # reported yet. Once none is left, its frames run untraced: that
+    # takes the hot loops of the front end and the IR off the tracer.
+    # (Every traced code object exists before tracing starts, so no id
+    # is reused among them.)
+    left: Dict[int, Set[int]] = {}
 
     def local(frame, event, arg):
         if event == "line":
             seen[frame.f_code.co_filename].add(frame.f_lineno)
+            lines = left[id(frame.f_code)]
+            lines.discard(frame.f_lineno)
+            if not lines:
+                return None
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code.co_filename in seen else None
+        code = frame.f_code
+        lines = left.get(id(code))
+        if lines is None:
+            lines = left[id(code)] = set()
+            if code.co_filename in seen:
+                lines.update(line for _, line in dis.findlinestarts(code)
+                             if line is not None)
+                if len(lines) > 1:  # no line event reports the def line
+                    lines.discard(code.co_firstlineno)
+        return local if lines else None
 
+    # A hit in a cache that a compile fills skips the work behind it, so
+    # every such cache starts empty: the table must not depend on what
+    # the process ran before.
+    for cached in (repro.baker._checked, interpreter._code_of,
+                   ir_eval.binop_fn, ir_eval.cmp_fn):
+        cached.cache_clear()
+    interpreter._reference_runs.clear()
     before = sys.gettrace()
     sys.settrace(calls)
     try:
@@ -278,4 +490,5 @@ if __name__ == "__main__":
         print("%-22s %-34s %3d  %s" % (module, qualname, n, ", ".join(
             "%s %d" % item for item in sorted(row.items()))))
     print("reached %d of %d statements in %s" % (
-        total - missed, total, ", ".join(p.__name__ for p in PACKAGES)))
+        total - missed, total,
+        ", ".join(p.__name__ for p in PACKAGES + MODULES)))

@@ -382,7 +382,7 @@ def test_loader_places_symbols():
     assert chip.memory.read_bytes("sram", addr, 8) == (0x0A0000000001).to_bytes(8, "big")
 
 
-def test_loader_rejects_too_many_stages():
+def test_loader_rejects_too_many_stages(monkeypatch):
     from repro.rts.loader import LoaderError
 
     trace = trace40()
@@ -394,8 +394,8 @@ def test_loader_rejects_too_many_stages():
         max(estimate_closure(mod, [fn.name], options_for("BASE"))
             for fn in mod.ppfs()) * 1.2
     )
-    result = compile_baker(MINI_FORWARDER,
-                           options_for("BASE", me_code_store=limit), trace)
+    monkeypatch.setattr("repro.cg.melayout.CODE_STORE_WORDS", limit)
+    result = compile_baker(MINI_FORWARDER, options_for("BASE"), trace)
     assert len(result.plan.me_aggregates) >= 2
     chip = IXP2400(n_programmable_mes=1)
     with pytest.raises(LoaderError):
